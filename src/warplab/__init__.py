@@ -58,13 +58,12 @@ from .orbits import (
     growth_slope,
     orbit_count,
 )
-from .piecewise import PiecewiseH, build_piecewise_h, build_schedule_pieces
+from .piecewise import PiecewiseH, build_piecewise_h
 from .smoothing import (
     CutoffSpec,
     NotCertified,
     SmoothedH,
     build_oscillating_h,
-    build_schedule_h,
     certify_positive_ricci,
     pure_model_h,
     smooth,
@@ -111,8 +110,6 @@ __all__ = [
     "build_oscillating_h",
     "build_piecewise_h",
     "build_scale_ladder",
-    "build_schedule_h",
-    "build_schedule_pieces",
     "capacity",
     "certify_positive_ricci",
     "check_capacity_sandwich",

@@ -50,10 +50,10 @@ from .smoothing import (
     build_oscillating_h,
     certification_grid,
     certify_positive_ricci,
+    construction_invariants,
     dimension_threshold,
     effective_exponent_max,
     pure_model_h,
-    verify_observation,
     NotCertified,
 )
 from .warping import power_decay_h, standard_f
@@ -73,6 +73,7 @@ class RunReport:
     checks: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    certified_k: int | None = None  # from build-example, feeds ricci-check
 
     def add(self, name, ok, margin=float("nan"), details="", flagged=False):
         status = "flagged" if flagged else ("pass" if ok else "fail")
@@ -116,7 +117,6 @@ def _metric_for(cfg: RunConfig, sm):
 def run(cfg: RunConfig) -> RunReport:
     os.makedirs(cfg.outdir, exist_ok=True)
     report = RunReport(config=cfg.to_dict())
-    report.extras = {}
     t_start = time.time()
     if cfg.mode == "full-suite":
         # build first so the certified sphere dimension can feed the
@@ -148,7 +148,7 @@ def run(cfg: RunConfig) -> RunReport:
 
 def _run_ricci_check(cfg: RunConfig, report: RunReport):
     sm, ladder, params = _model_for(cfg)
-    k = cfg.k or getattr(report, "extras", {}).get("certified_k") or 8
+    k = cfg.k or report.certified_k or 8
     f = standard_f()
     m = curv.DoublyWarpedMetric(k, f, sm.as_warping())
     grid = curv.log_grid(cfg.r_min, cfg.r_max, cfg.grid_points)
@@ -185,38 +185,16 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport):
 def _run_build_example(cfg: RunConfig, report: RunReport):
     p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
     ladder, hp, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
-    mism = hp.junction_mismatches()
-    report.add("junction-continuity", max(mism) <= 1e-10, margin=max(mism),
-               details=f"{len(mism)} junctions")
+    inv = construction_invariants(hp, sm, cfg.r_min)
+    gaps = inv.junction_gaps
+    report.add("junction-continuity", max(gaps) <= 1e-10, margin=max(gaps),
+               details=f"{len(gaps)} junctions")
     if ladder.truncated:
         report.add("ladder-truncated", True, flagged=True,
                    details=f"radius bound {cfg.radius_bound:g} reached")
-
-    # strict decrease across the whole construction
-    import mpmath
-    top = mpmath.mpf(sm.last_radius()) * mpmath.mpf("1.3")
-    grid = curv.mixed_log_grid(cfg.r_min, float(mpmath.log10(top)), 100_000)
-    prev = None
-    mono = True
-    for r in grid:
-        v = sm.value(r)
-        if prev is not None and not (v < prev):
-            mono = False
-            break
-        prev = v
-    report.add("strictly-decreasing(1e5 samples)", mono)
-
-    obs_ok = True
-    worst_c, worst_C = math.inf, 0.0
-    for b in sm.blends:
-        use_mp = not math.isfinite(float(b.R)) or float(b.R) > 1e70
-        lo, hi = (b.lo, b.hi) if use_mp else (float(b.lo), float(b.hi))
-        chk = verify_observation(lambda r, seg=b.left: seg.jet(r), sm, (lo, hi), n=400)
-        obs_ok = obs_ok and chk.ok
-        worst_c = min(worst_c, chk.c)
-        worst_C = max(worst_C, chk.C)
-    report.add("replacement-inequalities(all blends)", obs_ok, margin=worst_c,
-               details=f"c>={worst_c:.3g}, C<={worst_C:.3g}")
+    report.add("strictly-decreasing(1e5 samples)", inv.monotone)
+    report.add("replacement-inequalities(all blends)", inv.blends_ok, margin=inv.worst_c,
+               details=f"c>={inv.worst_c:.3g}, C<={inv.worst_C:.3g}")
 
     grid_c, labels = certification_grid(sm, r_min=cfg.r_min)
     p_eff = effective_exponent_max(sm, grid_c)
@@ -225,17 +203,13 @@ def _run_build_example(cfg: RunConfig, report: RunReport):
         cert = certify_positive_ricci(sm, standard_f(), cap, grid_c, labels)
         report.add(f"certified-k<={cap}", True, margin=cert.worst().margin,
                    details=f"minimal k={cert.k}, effective exponent {p_eff:.3f}")
-        k_found = cert.k
-        if hasattr(report, "extras"):
-            report.extras["certified_k"] = cert.k
+        report.certified_k = cert.k
     except NotCertified as e:
         report.add(f"certified-k<={cap}", False, details=str(e))
-        k_found = None
 
     path = os.path.join(cfg.outdir, "construction.json")
     save_construction(path, p, ladder, sm)
     report.artifacts.append(path)
-    return k_found
 
 
 def _orbit_cache(cfg: RunConfig):
@@ -275,17 +249,29 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport):
         _write_growth_csv(cfg, report, fit, "growth_curve.csv")
         return
 
-    # oscillating model: a window at each controlling stretch
+    # oscillating model: a window at each controlling stretch, S = twice
+    # the start of the period-2 alpha piece and of the first beta piece
     rows_csv = []
-    if len(ladder.complete_rows()) >= 1 and len(ladder.rows) >= 2:
-        S_a = 2.0 * float(ladder.rows[1].R0)
+    alpha_starts = _piece_starts(sm, cfg.alpha)
+    if cfg.periods >= 2 and len(alpha_starts) >= 2:
+        S_a = 2.0 * float(alpha_starts[1])
         _window_checks(cfg, report, metric, cfg.alpha, S_a, "alpha-window", rows_csv)
-    S_b = 2.0 * float(ladder.rows[0].R2)
-    _window_checks(cfg, report, metric, cfg.beta, S_b, "beta-window", rows_csv)
+    beta_starts = _piece_starts(sm, cfg.beta)
+    if beta_starts:
+        S_b = 2.0 * float(beta_starts[0])
+        _window_checks(cfg, report, metric, cfg.beta, S_b, "beta-window", rows_csv)
+    else:
+        report.add("beta-window-unavailable", True, flagged=True,
+                   details=f"no beta piece below radius bound {cfg.radius_bound:g}")
     if rows_csv:
         path = os.path.join(cfg.outdir, "orbit_distances.csv")
         write_csv(path, ["l", "d_l"], rows_csv)
         report.artifacts.append(path)
+
+
+def _piece_starts(sm, a):
+    """Start radii of the pure pieces of exponent a, in order."""
+    return [s.r_lo for s in sm.base.segments if s.kind == "piece" and s.p == a]
 
 
 def _window_checks(cfg, report, metric, a, S, tag, rows_csv):
@@ -360,8 +346,7 @@ def _run_grushin(cfg: RunConfig, report: RunReport):
         exponent = cfg.alpha
         lambdas = cfg.lambda_ladder
     else:
-        row = ladder.rows[0]
-        stretch = (1.2 * float(row.R0), 0.8 * float(row.R1))
+        stretch = (0.0, 0.8 * cfg.R11)
         exponent = cfg.alpha
         from .grushin import regime_lambda_range
 

@@ -23,10 +23,6 @@ import mpmath
 PRECISION_DPS = 40  # ~133 bits; radii serialize as mantissa/exponent strings
 
 
-class LadderOverflow(RuntimeError):
-    """Internal marker: a radius exceeded the configured bound."""
-
-
 @dataclass(frozen=True)
 class OscillationParams:
     """Two-exponent oscillation: decay alpha on early windows, beta on the
@@ -49,6 +45,11 @@ class OscillationParams:
             raise ValueError(f"first junction radius must be >= 100, got {self.R11}")
         if self.periods < 0:
             raise ValueError("periods must be >= 0")
+
+    @property
+    def exponents(self):
+        """Visit order: (alpha, beta) per period; the tail returns to alpha."""
+        return (self.alpha, self.beta) * self.periods or (self.alpha,)
 
 
 @dataclass(frozen=True)
@@ -83,34 +84,27 @@ class ExponentSchedule:
             raise ValueError(f"first junction radius must be >= 100, got {self.R11}")
 
 
-@dataclass(frozen=True)
-class LadderRow:
-    """Junction radii of one period: pure-alpha on [R0,R1], rising bridge on
-    [R1,R2], pure-beta on [R2,R3], falling bridge on [R3,R4].  Entries are
-    None past the truncation point of an overflowed build."""
-
-    R0: object
-    R1: object
-    R2: object = None
-    R3: object = None
-    R4: object = None
-
-    def radii(self):
-        return [x for x in (self.R0, self.R1, self.R2, self.R3, self.R4) if x is not None]
-
-
 @dataclass
 class ScaleLadder:
-    params: OscillationParams
-    rows: list
+    """Junction radii of a built construction.
+
+    `chain` lists the exponents of the pure pieces actually built, in
+    order; `junctions` is flat: for each step from chain[i] to chain[i+1]
+    it holds the end of piece i (where the bridge starts) followed by the
+    start of piece i+1, so len(junctions) == 2 * (len(chain) - 1).  For an
+    oscillation this is R11, R12, R13, R14, R21, ...
+    """
+
+    params: object  # OscillationParams or ExponentSchedule
+    chain: tuple
+    junctions: list
     truncated: bool
     radius_bound: float
 
-    def last_radius(self):
-        return self.rows[-1].radii()[-1] if self.rows else mpmath.mpf(self.params.R11)
 
-    def complete_rows(self):
-        return [row for row in self.rows if row.R4 is not None]
+def bridge_exponent(params, a, b):
+    """Ascending steps bridge above through B, descending below through A."""
+    return params.B if b > a else params.A
 
 
 def _next_junction(T, E, p, q):
@@ -126,63 +120,47 @@ def bridge_constant(T, E, p):
         return (1 + T * T) ** (mpmath.mpf(E) - mpmath.mpf(p))
 
 
-def build_scale_ladder(p: OscillationParams, radius_bound: float = 1e300) -> ScaleLadder:
-    """Junction radii for `p.periods` periods.
+def build_scale_ladder(params, radius_bound: float = 1e300) -> ScaleLadder:
+    """Junction radii visiting `params.exponents` in order.
 
-    If a radius exceeds radius_bound before all periods are produced, the
-    ladder is truncated there and flagged; the rows built so far (possibly
-    ending in a partial row) are returned.  Growth ratios between successive
-    junctions are asserted to be >= 5, which the recursions guarantee for
-    R11 >= 100 and keeps later smoothing blends disjoint.
+    Each pure piece of exponent a spans [T, 5 T^2] (the first ends at R11)
+    and is bridged to the next exponent; consecutive duplicates merge, and
+    the final piece is bridged back toward the first exponent, whose tail
+    then extends to infinity.  If a radius exceeds radius_bound first, the
+    ladder stops at the last piece reached and is flagged truncated.
+    Growth ratios between successive junctions are asserted to be >= 5,
+    which the recursions guarantee for oscillations with R11 >= 100 and
+    which keeps later smoothing blends disjoint.
     """
     with mpmath.workdps(PRECISION_DPS):
         bound = mpmath.mpf(radius_bound)
-        rows = []
+        planned = []
+        for a in params.exponents:  # consecutive duplicates add no contrast
+            if not planned or planned[-1] != a:
+                planned.append(float(a))
+        if planned[-1] != planned[0]:
+            planned.append(planned[0])
+
+        chain = [planned[0]]
+        junctions = []
         truncated = False
-        R0 = mpmath.mpf(0)
-        R1 = mpmath.mpf(p.R11)
-        for _ in range(p.periods):
-            entries = [R0, R1]
-            try:
-                if R1 > bound:
-                    raise LadderOverflow
-                R2 = _next_junction(R1, p.B, p.alpha, p.beta)
-                if R2 > bound:
-                    raise LadderOverflow
-                entries.append(R2)
-                R3 = 5 * R2 * R2
-                if R3 > bound:
-                    raise LadderOverflow
-                entries.append(R3)
-                R4 = _next_junction(R3, p.A, p.beta, p.alpha)
-                if R4 > bound:
-                    raise LadderOverflow
-                entries.append(R4)
-            except LadderOverflow:
+        end = mpmath.mpf(params.R11)
+        for a, b in zip(planned, planned[1:]):
+            if end > bound:
                 truncated = True
-                rows.append(LadderRow(*entries))
                 break
-            rows.append(LadderRow(R0, R1, R2, R3, R4))
-            R0 = R4
-            R1 = 5 * R4 * R4
+            T = _next_junction(end, bridge_exponent(params, a, b), a, b)
+            if T > bound:
+                truncated = True
+                break
+            chain.append(b)
+            junctions += [end, T]
+            end = 5 * T * T
 
-        ladder = ScaleLadder(p, rows, truncated, radius_bound)
-        _assert_growth(ladder)
-        return ladder
-
-
-def _assert_growth(ladder: ScaleLadder):
-    # chain R_{i,1} < ... < R_{i,4} < R_{i+1,1} < ...; each row's R0 repeats
-    # the previous row's R4 and is skipped
-    chain = []
-    for i, row in enumerate(ladder.rows):
-        radii = row.radii()
-        chain.extend(radii if i == 0 else radii[1:])
-    prev = None
-    for r in chain:
-        if prev is not None and prev > 0 and not (r / prev >= 5):
-            raise AssertionError(f"ladder growth ratio below 5 between {prev} and {r}")
-        prev = r
+        for lo, hi in zip(junctions, junctions[1:]):
+            if not (hi / lo >= 5):
+                raise AssertionError(f"ladder growth ratio below 5 between {lo} and {hi}")
+        return ScaleLadder(params, tuple(chain), junctions, truncated, radius_bound)
 
 
 def mantissa_exponent(x, digits: int = 25) -> str:

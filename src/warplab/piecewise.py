@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import mpmath
 
 from .jets import Jet2
-from .ladder import (
-    ExponentSchedule,
-    OscillationParams,
-    ScaleLadder,
-    bridge_constant,
-    build_scale_ladder,
-    _next_junction,
-)
+from .ladder import ScaleLadder, bridge_constant, bridge_exponent
 
 # doubles hold |log10| < ~308; stay clear so squares/ratios inside jet
 # algebra never denormalize
@@ -114,7 +107,10 @@ class PiecewiseH:
         return self.segment_at(r).value(r)
 
     def check_continuity(self, rel_tol: float = 1e-10):
-        """Junction mismatch beyond rel_tol means ladder/constant corruption."""
+        """Relative junction gaps, in one mpmath pass; a gap beyond rel_tol
+        means ladder/constant corruption and raises ContinuityViolation
+        (pass rel_tol=math.inf to only report them)."""
+        gaps = []
         with mpmath.workdps(40):
             for left, right in zip(self.segments, self.segments[1:]):
                 rj = mpmath.mpf(right.r_lo)
@@ -125,110 +121,27 @@ class PiecewiseH:
                         f"junction at r={mpmath.nstr(rj, 10)}: {mpmath.nstr(lv, 18)} vs "
                         f"{mpmath.nstr(rv, 18)}"
                     )
-
-    def junction_mismatches(self):
-        """Relative junction gaps, for reporting."""
-        out = []
-        with mpmath.workdps(40):
-            for left, right in zip(self.segments, self.segments[1:]):
-                rj = mpmath.mpf(right.r_lo)
-                lv = left.C * (1 + rj * rj) ** mpmath.mpf(-left.p)
-                rv = right.C * (1 + rj * rj) ** mpmath.mpf(-right.p)
-                out.append(float(abs(lv - rv) / abs(rv)))
-        return out
+                gaps.append(float(abs(lv - rv) / abs(rv)))
+        return gaps
 
 
 def _safe_float(x):
     return float(x) if mpmath.log10(max(abs(x), 1)) < 308 else float("inf")
 
 
-def _expand_pieces(exponents, A, B, R11, radius_bound, cyclic=True):
-    """Pure pieces [T, 5T^2] per exponent, bridged continuously.
-
-    Ascending steps bridge above through B, descending below through A.
-    With `cyclic`, the final piece is bridged back toward the first
-    exponent and that tail extends to infinity; otherwise the final listed
-    piece extends.  Returns (segments, truncated flag).
-    """
-    with mpmath.workdps(40):
-        bound = mpmath.mpf(radius_bound)
-        chain = []
-        for a in exponents:  # consecutive duplicates add no contrast
-            if not chain or chain[-1] != a:
-                chain.append(float(a))
-        if cyclic and chain[-1] != chain[0]:
-            chain.append(chain[0])
-
-        segs = []
-        truncated = False
-        T = mpmath.mpf(0)
-        end = mpmath.mpf(R11)
-        for i, a in enumerate(chain):
-            if i == len(chain) - 1:
-                segs.append(Segment(T, None, a, mpmath.mpf(1), "piece"))
-                break
-            b = chain[i + 1]
-            E = B if b > a else A
-            if end > bound:
-                segs.append(Segment(T, None, a, mpmath.mpf(1), "piece"))
-                truncated = True
-                break
-            C = bridge_constant(end, E, a)
-            T_next = _next_junction(end, E, a, b)
-            if T_next > bound:
-                segs.append(Segment(T, None, a, mpmath.mpf(1), "piece"))
-                truncated = True
-                break
-            segs.append(Segment(T, end, a, mpmath.mpf(1), "piece"))
-            segs.append(Segment(end, T_next, E, C, "bridge"))
-            T = T_next
-            end = 5 * T_next * T_next
-        return segs, truncated
-
-
-def build_piecewise_h(ladder: ScaleLadder, p: OscillationParams) -> PiecewiseH:
-    """The alternating-exponent warping attached to a built ladder.
-
-    Rows translate to pure-alpha, rising-bridge, pure-beta, falling-bridge
-    segments; after the last complete row the function continues with the
-    pure-alpha tail.  A truncated ladder yields the same prefix with the
-    last computed piece extended to infinity.
-    """
+def build_piecewise_h(ladder: ScaleLadder) -> PiecewiseH:
+    """The warping attached to a built ladder: pure pieces C = 1 on the
+    chained exponents, joined by continuous bridges, the last piece
+    extending to infinity."""
+    one = mpmath.mpf(1)
     segs = []
-    rows = ladder.rows
-    if not rows:
-        segs.append(Segment(mpmath.mpf(0), None, p.alpha, mpmath.mpf(1), "piece"))
-        return PiecewiseH(segs)
-    for row in rows:
-        if row.R2 is None:  # truncated inside the alpha piece
-            segs.append(Segment(row.R0, None, p.alpha, mpmath.mpf(1), "piece"))
-            return PiecewiseH(segs)
-        segs.append(Segment(row.R0, row.R1, p.alpha, mpmath.mpf(1), "piece"))
-        segs.append(
-            Segment(row.R1, row.R2, p.B, bridge_constant(row.R1, p.B, p.alpha), "bridge")
-        )
-        if row.R3 is None:
-            segs.append(Segment(row.R2, None, p.beta, mpmath.mpf(1), "piece"))
-            return PiecewiseH(segs)
-        segs.append(Segment(row.R2, row.R3, p.beta, mpmath.mpf(1), "piece"))
-        if row.R4 is None:
-            segs.append(Segment(row.R3, None, p.beta, mpmath.mpf(1), "piece"))
-            return PiecewiseH(segs)
-        segs.append(
-            Segment(row.R3, row.R4, p.A, bridge_constant(row.R3, p.A, p.beta), "bridge")
-        )
-    segs.append(Segment(rows[-1].R4, None, p.alpha, mpmath.mpf(1), "piece"))
+    lo = mpmath.mpf(0)
+    chain, junctions = ladder.chain, ladder.junctions
+    for i, (a, b) in enumerate(zip(chain, chain[1:])):
+        end, T = junctions[2 * i], junctions[2 * i + 1]
+        E = bridge_exponent(ladder.params, a, b)
+        segs.append(Segment(lo, end, a, one, "piece"))
+        segs.append(Segment(end, T, E, bridge_constant(end, E, a), "bridge"))
+        lo = T
+    segs.append(Segment(lo, None, chain[-1], one, "piece"))
     return PiecewiseH(segs)
-
-
-def build_schedule_pieces(s: ExponentSchedule, radius_bound: float = 1e300) -> PiecewiseH:
-    """Piecewise warping visiting each scheduled exponent in order, with the
-    cyclic tail (bridge back to the first exponent, then extend)."""
-    segs, _ = _expand_pieces(s.exponents, s.A, s.B, s.R11, radius_bound, cyclic=True)
-    return PiecewiseH(segs)
-
-
-def oscillating_piecewise(p: OscillationParams, radius_bound: float = 1e300):
-    """Ladder and piecewise warping in one step."""
-    ladder = build_scale_ladder(p, radius_bound)
-    return ladder, build_piecewise_h(ladder, p)

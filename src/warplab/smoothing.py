@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
+from .curvature import mixed_log_grid
 from .jets import Jet2
-from .ladder import ExponentSchedule, OscillationParams, build_scale_ladder
-from .piecewise import PiecewiseH, Segment, build_piecewise_h, build_schedule_pieces
+from .ladder import build_scale_ladder
+from .piecewise import PiecewiseH, Segment, build_piecewise_h
 from .warping import WarpingFunction
 
 _Q1_SUP = 1.875  # sup |q'| of the unit quintic
@@ -284,6 +285,43 @@ def verify_observation(h_old, h_new, interval, n: int = 2000) -> ObservationChec
     return ObservationCheck(c > 0, c, C)
 
 
+@dataclass
+class ConstructionInvariants:
+    junction_gaps: list  # relative continuity gap per junction
+    monotone: bool  # strictly decreasing on the sampled grid
+    blends_ok: bool  # replacement inequalities hold on every blend
+    worst_c: float
+    worst_C: float
+
+
+def construction_invariants(hp: PiecewiseH, sm: SmoothedH, r_min: float = 1e-3):
+    """Junction continuity of hp, strict decrease of sm on 1e5 mixed-log
+    samples from r_min to 1.3 x the last junction, and the replacement
+    inequalities (400 samples) against the left piece of every blend."""
+    gaps = hp.check_continuity(rel_tol=math.inf)
+
+    top = mpmath.mpf(sm.last_radius()) * mpmath.mpf("1.3")
+    monotone = True
+    prev = None
+    for r in mixed_log_grid(r_min, float(mpmath.log10(top)), 100_000):
+        v = sm.value(r)
+        if prev is not None and not (v < prev):
+            monotone = False
+            break
+        prev = v
+
+    blends_ok = True
+    worst_c, worst_C = math.inf, 0.0
+    for b in sm.blends:
+        use_mp = not math.isfinite(float(b.R)) or float(b.R) > _MP_EVAL_CUTOFF
+        lo, hi = (b.lo, b.hi) if use_mp else (float(b.lo), float(b.hi))
+        chk = verify_observation(lambda r, seg=b.left: seg.jet(r), sm, (lo, hi), n=400)
+        blends_ok = blends_ok and chk.ok
+        worst_c = min(worst_c, chk.c)
+        worst_C = max(worst_C, chk.C)
+    return ConstructionInvariants(gaps, monotone, blends_ok, worst_c, worst_C)
+
+
 # -- positivity certification ------------------------------------------------
 
 
@@ -395,9 +433,7 @@ def certify_positive_ricci(
     t_h = np.empty(n)
     t_fr = np.empty(n)
     t_cr = np.empty(n)
-    t_s1 = np.empty(n)
-    t_s2 = np.empty(n)
-    t_s3 = np.empty(n)
+    t_sp = np.empty(n)
     logr = np.empty(n)
     for i, r in enumerate(grid):
         hj = h_jet(r)
@@ -406,15 +442,13 @@ def certify_positive_ricci(
         t_h[i] = float(-hj.d2 / hj.value * w)
         t_fr[i] = float(-fj.d2 / fj.value * w)
         t_cr[i] = float(-(fj.d1 / fj.value) * (hj.d1 / hj.value) * w)
-        t_s1[i] = float(-fj.d2 / fj.value * w)
-        t_s2[i] = float((1 - fj.d1 * fj.d1) / (fj.value * fj.value) * w)
-        t_s3[i] = float(-(fj.d1 / fj.value) * (hj.d1 / hj.value) * w)
+        t_sp[i] = float((1 - fj.d1 * fj.d1) / (fj.value * fj.value) * w)
         logr[i] = float(mpmath.log10(r)) if isinstance(r, mpmath.mpf) else math.log10(r)
 
     for k in range(1, k_max + 1):
         radial = t_h + k * t_fr
         circle = t_h + k * t_cr
-        sphere = t_s1 + (k - 1) * t_s2 + t_s3
+        sphere = t_fr + (k - 1) * t_sp + t_cr
         mins = np.minimum(np.minimum(radial, circle), sphere)
         if np.all(mins > 0):
             margins = {}
@@ -426,7 +460,7 @@ def certify_positive_ricci(
 
     radial = t_h + k_max * t_fr
     circle = t_h + k_max * t_cr
-    sphere = t_s1 + (k_max - 1) * t_s2 + t_s3
+    sphere = t_fr + (k_max - 1) * t_sp + t_cr
     mins = np.minimum(np.minimum(radial, circle), sphere)
     j = int(np.argmin(mins))
     raise NotCertified(k_max, RegimeMargin(labels[j], logr[j], float(mins[j])))
@@ -435,16 +469,12 @@ def certify_positive_ricci(
 # -- top-level builders ------------------------------------------------------
 
 
-def build_oscillating_h(p: OscillationParams, radius_bound: float = 1e300, check: bool = True):
-    """Ladder -> piecewise -> smoothed, returning (ladder, piecewise, smoothed)."""
-    ladder = build_scale_ladder(p, radius_bound)
-    hp = build_piecewise_h(ladder, p)
+def build_oscillating_h(params, radius_bound: float = 1e300, check: bool = True):
+    """Ladder -> piecewise -> smoothed for an OscillationParams or an
+    ExponentSchedule, returning (ladder, piecewise, smoothed)."""
+    ladder = build_scale_ladder(params, radius_bound)
+    hp = build_piecewise_h(ladder)
     return ladder, hp, smooth(hp, check=check)
-
-
-def build_schedule_h(s: ExponentSchedule, radius_bound: float = 1e300, check: bool = True) -> SmoothedH:
-    """Smoothed warping visiting the scheduled exponents in order."""
-    return smooth(build_schedule_pieces(s, radius_bound), check=check)
 
 
 def pure_model_h(alpha: float) -> SmoothedH:

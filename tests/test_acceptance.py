@@ -36,10 +36,10 @@ from warplab.orbits import (
 from warplab.smoothing import (
     certification_grid,
     certify_positive_ricci,
+    construction_invariants,
     dimension_threshold,
     effective_exponent_max,
     pure_model_h,
-    verify_observation,
 )
 from warplab.warping import constant_h, power_decay_h, sine_f, standard_f
 
@@ -119,8 +119,8 @@ def test_criterion_4_grid_oracle_agreement(pure_half_metric):
 @pytest.fixture(scope="module")
 def osc_windows(osc_build, osc_metric):
     ladder, _, _ = osc_build
-    S_alpha = 2.0 * float(ladder.rows[1].R0)
-    S_beta = 2.0 * float(ladder.rows[0].R2)
+    S_alpha = 2.0 * float(ladder.junctions[3])  # R14, where period-2 alpha starts
+    S_beta = 2.0 * float(ladder.junctions[1])  # R12, where the first beta starts
     return S_alpha, S_beta
 
 
@@ -226,29 +226,8 @@ def test_criterion_9_grushin_convergence():
 
 def test_criterion_10_construction_invariants(osc_build):
     ladder, hp, sm = osc_build
-    mism = max(hp.junction_mismatches())
-
-    import mpmath
-
-    from warplab.curvature import mixed_log_grid
-
-    top = mpmath.mpf(sm.last_radius()) * mpmath.mpf("1.3")
-    grid = mixed_log_grid(1e-3, float(mpmath.log10(top)), 100_000)
-    mono = True
-    prev = None
-    for r in grid:
-        v = sm.value(r)
-        if prev is not None and not (v < prev):
-            mono = False
-            break
-        prev = v
-
-    obs_ok = True
-    for b in sm.blends:
-        use_mp = float(b.R) > 1e70
-        lo, hi = (b.lo, b.hi) if use_mp else (float(b.lo), float(b.hi))
-        chk = verify_observation(lambda r, seg=b.left: seg.jet(r), sm, (lo, hi), n=400)
-        obs_ok = obs_ok and chk.ok
+    inv = construction_invariants(hp, sm)
+    mism, mono, obs_ok = max(inv.junction_gaps), inv.monotone, inv.blends_ok
 
     cgrid, labels = certification_grid(sm)
     cap = int(4 * dimension_threshold(effective_exponent_max(sm, cgrid)))

@@ -164,7 +164,7 @@ def test_box_dimension_beta_window(osc_metric, osc_build):
     from warplab.orbits import GrowthWindow
 
     ladder, _, _ = osc_build
-    w = GrowthWindow.for_stretch(1.2, 2.0 * float(ladder.rows[0].R2))
+    w = GrowthWindow.for_stretch(1.2, 2.0 * float(ladder.junctions[1]))  # R12
     s = GeodesicOrbitMetric(osc_metric)
     prof = build_capacity_profile(s, np.geomspace(w.lo * 3, w.hi / 3, 3), np.geomspace(3, 300, 6))
     slope = box_dimension_fit(prof)

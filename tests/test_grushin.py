@@ -71,8 +71,8 @@ def test_rescaled_beta_regime_close_to_steeper_target(osc_build):
     # in the middle stretch the cover rescales toward the steeper-exponent
     # halfplane: equal-t probes within 5% of the exponent-1.2 target
     lad, hp, sm = osc_build
-    row = lad.rows[0]
-    stretch = (1.2 * float(row.R2), 0.8 * float(row.R3))
+    R12, R13 = (float(x) for x in lad.junctions[1:3])
+    stretch = (1.2 * R12, 0.8 * R13)
     lam = math.sqrt(stretch[0] * stretch[1] / (0.2 * 5.0))  # geometric-mean placement
     model = RescaledModel.build(sm, lam, 1.2, stretch)
     target = GrushinMetric(1.2)
@@ -102,9 +102,9 @@ def test_convergence_report_pure_model():
 
 def test_convergence_report_oscillating_alpha_regime(osc_build):
     lad, hp, sm = osc_build
-    row = lad.rows[0]
-    stretch = (1.2 * float(row.R0), 0.8 * float(row.R1))  # (0, 80)
-    lam_hi = 0.8 * float(row.R1) / 5.0
+    R11 = float(lad.junctions[0])
+    stretch = (0.0, 0.8 * R11)  # (0, 80)
+    lam_hi = 0.8 * R11 / 5.0
     ladder = list(np.geomspace(4.0, lam_hi, 3))
     rep = convergence_report(sm, 0.6, stretch, ladder, n_pairs=10, seed=6)
     assert rep.trend_decreasing
@@ -113,8 +113,7 @@ def test_convergence_report_oscillating_alpha_regime(osc_build):
 
 def test_window_too_narrow(osc_build):
     lad, hp, sm = osc_build
-    row = lad.rows[0]
-    stretch = (1.2 * float(row.R0), 0.8 * float(row.R1))
+    stretch = (0.0, 0.8 * float(lad.junctions[0]))
     with pytest.raises(WindowTooNarrow):
         convergence_report(sm, 0.6, stretch, [1e5, 1e6, 1e7], n_pairs=4)
     with pytest.raises(WindowTooNarrow):
@@ -126,9 +125,9 @@ def test_probe_exclusion_counts(osc_build):
     # scored: with a stretch top close to lambda * t_max, wide equal-t pairs
     # must drop out
     lad, hp, sm = osc_build
-    row = lad.rows[0]
-    stretch = (1.2 * float(row.R0), 0.8 * float(row.R1))
-    lam = 0.8 * float(row.R1) / 5.0  # probe box exactly reaches the top
+    R11 = float(lad.junctions[0])
+    stretch = (0.0, 0.8 * R11)
+    lam = 0.8 * R11 / 5.0  # probe box exactly reaches the top
     rep = convergence_report(sm, 0.6, stretch, [lam / 4, lam / 2, lam], n_pairs=16, seed=9)
     assert isinstance(rep, ComparisonReport)
 

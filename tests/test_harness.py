@@ -6,6 +6,8 @@ import pytest
 from warplab.config import parse_config
 from warplab.harness import run, write_csv
 
+OSC = {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5}
+
 
 def test_write_csv_repr_floats(tmp_path):
     p = tmp_path / "x.csv"
@@ -77,3 +79,23 @@ def test_cache_env_override(tmp_path, monkeypatch):
 
     monkeypatch.setenv("WARPLAB_CACHE_DIR", str(tmp_path / "envcache"))
     assert default_cache_dir() == str(tmp_path / "envcache")
+
+
+def test_orbit_growth_without_beta_piece(tmp_path, cache_dir):
+    # the 1e5 bound truncates the ladder before R12, so no beta piece exists
+    cfg = parse_config(None, {
+        "mode": "orbit-growth", **OSC, "radius_bound": 1e5,
+        "outdir": str(tmp_path), "cache_dir": cache_dir,
+    })
+    report = run(cfg)
+    assert [(c.name, c.status) for c in report.checks] == [("beta-window-unavailable", "flagged")]
+
+
+def test_grushin_mode_zero_periods(tmp_path):
+    cfg = parse_config(None, {
+        "mode": "grushin-compare", **OSC, "periods": 0, "outdir": str(tmp_path),
+        "probe_pairs": 8,
+    })
+    report = run(cfg)
+    assert not report.failed
+    assert "rescaling-ladder-refit" in {c.name for c in report.checks}

@@ -26,48 +26,46 @@ def test_first_row_closed_forms(osc_params):
     # R12 = ((1+R11^2)^((B-a)/(B-b)) - 1)^(1/2) with exponent 3 here:
     # frozen from a 40-digit evaluation
     lad = build_scale_ladder(osc_params)
-    row = lad.rows[0]
+    R11, R12, R13, R14, R21 = lad.junctions[:5]
     with mpmath.workdps(30):
         assert mpmath.almosteq(
-            row.R2, mpmath.mpf("1000150.00374943587280478426314"), rel_eps=mpmath.mpf("1e-25")
+            R12, mpmath.mpf("1000150.00374943587280478426314"), rel_eps=mpmath.mpf("1e-25")
         )
         # agrees with the exact rational-exponent evaluation ((1+10^4)^3-1)^(1/2)
         exact3 = mpmath.sqrt((1 + mpmath.mpf(100) ** 2) ** 3 - 1)
-        assert abs(row.R2 - exact3) <= mpmath.mpf("1e-14") * exact3
+        assert abs(R12 - exact3) <= mpmath.mpf("1e-14") * exact3
     # exact recursion identities, recomputed at the build precision
     from warplab.ladder import PRECISION_DPS
     with mpmath.workdps(PRECISION_DPS):
-        assert row.R3 == 5 * row.R2 * row.R2
-        assert lad.rows[1].R1 == 5 * row.R4 * row.R4
-    assert lad.rows[1].R0 == row.R4
+        assert R13 == 5 * R12 * R12
+        assert R21 == 5 * R14 * R14
+    assert R11 == osc_params.R11
 
 
 def test_zero_periods_empty():
     lad = build_scale_ladder(OscillationParams(periods=0, **STD))
-    assert lad.rows == [] and not lad.truncated
+    assert lad.junctions == [] and lad.chain == (0.6,) and not lad.truncated
 
 
 def test_growth_ratios(osc_params):
     lad = build_scale_ladder(osc_params)
-    chain = []
-    for i, row in enumerate(lad.rows):
-        radii = row.radii()
-        chain.extend(radii if i == 0 else radii[1:])
-    for a, b in zip(chain[1:], chain[2:]):  # skip the leading 0
+    assert len(lad.junctions) == 6
+    for a, b in zip(lad.junctions, lad.junctions[1:]):
         assert b / a >= 5
 
 
 def test_truncation_flag_and_partial_row(osc_params):
     lad = build_scale_ladder(osc_params, radius_bound=1e300)
     assert lad.truncated
-    assert lad.rows[1].R2 is not None and lad.rows[1].R3 is None
-    # a raised bound completes the second row
+    # inside period 2: R22 is built, R23 = 5 R22^2 is past the bound
+    assert len(lad.junctions) == 6 and lad.chain == (0.6, 1.2, 0.6, 1.2)
+    assert 5 * lad.junctions[5] ** 2 > 1e300
+    # a raised bound completes the second period
     lad2 = build_scale_ladder(osc_params, radius_bound=1e2000)
     assert not lad2.truncated
-    assert lad2.rows[1].R4 is not None
+    assert len(lad2.junctions) == 8 and lad2.chain == (0.6, 1.2, 0.6, 1.2, 0.6)
     # the shared prefix agrees exactly
-    assert lad2.rows[0].R4 == lad.rows[0].R4
-    assert lad2.rows[1].R2 == lad.rows[1].R2
+    assert lad2.junctions[:6] == lad.junctions
 
 
 def test_schedule_validation():
@@ -85,7 +83,7 @@ def test_schedule_validation():
 
 def test_mantissa_exponent_round_trip(osc_params):
     lad = build_scale_ladder(osc_params)
-    r = lad.rows[1].R2
+    r = lad.junctions[5]  # R22
     s = mantissa_exponent(r)
     with mpmath.workdps(30):
         back = mpmath.mpf(s)

@@ -5,37 +5,30 @@ import numpy as np
 import pytest
 
 from warplab.ladder import ExponentSchedule, OscillationParams, build_scale_ladder
-from warplab.piecewise import (
-    ContinuityViolation,
-    PiecewiseH,
-    Segment,
-    build_piecewise_h,
-    build_schedule_pieces,
-)
+from warplab.piecewise import ContinuityViolation, PiecewiseH, Segment, build_piecewise_h
 from warplab.warping import power_decay_h
 
 
 @pytest.fixture(scope="module")
 def osc_pieces(osc_params):
     lad = build_scale_ladder(osc_params)
-    return lad, build_piecewise_h(lad, osc_params)
+    return lad, build_piecewise_h(lad)
 
 
 def test_junction_continuity(osc_pieces):
     _, hp = osc_pieces
-    assert max(hp.junction_mismatches()) <= 1e-10
+    assert max(hp.check_continuity()) <= 1e-10
 
 
 def test_junction_values_match_both_sides(osc_pieces):
     lad, hp = osc_pieces
-    row = lad.rows[0]
     a = 0.6
     b = 1.2
     # at R11 the value equals the pure-alpha piece
-    R11 = float(row.R1)
+    R11 = float(lad.junctions[0])
     assert hp.value(R11) == pytest.approx((1 + R11**2) ** (-a), rel=1e-12)
     # at R12 it equals the pure-beta piece
-    R12 = float(row.R2)
+    R12 = float(lad.junctions[1])
     assert hp.value(R12) == pytest.approx((1 + R12**2) ** (-b), rel=1e-12)
 
 
@@ -54,16 +47,16 @@ def test_pure_piece_bit_for_bit(osc_pieces):
     lad, hp = osc_pieces
     pa = power_decay_h(0.6)
     pb = power_decay_h(1.2)
-    row = lad.rows[0]
-    for r in (13.0, 50.0, 0.8 * float(row.R1)):
+    R11, R12, R13 = (float(x) for x in lad.junctions[:3])
+    for r in (13.0, 50.0, 0.8 * R11):
         assert hp.value(r) == pa.value(r)
-    for r in (1.2 * float(row.R2), 1e8, 0.8 * float(row.R3)):
+    for r in (1.2 * R12, 1e8, 0.8 * R13):
         assert hp.value(r) == pb.value(r)
 
 
 def test_segment_lookup_at_boundaries(osc_pieces):
     lad, hp = osc_pieces
-    R11 = float(lad.rows[0].R1)
+    R11 = float(lad.junctions[0])
     s = hp.segment_at(R11)
     assert s.kind == "bridge"  # junction radius belongs to the right segment
     s = hp.segment_at(R11 - 1.0)
@@ -82,7 +75,7 @@ def test_continuity_violation_detected():
 
 def test_schedule_reduces_to_pure():
     s = ExponentSchedule((0.5,), A=0.25, B=1.0)
-    hp = build_schedule_pieces(s)
+    hp = build_piecewise_h(build_scale_ladder(s))
     assert len(hp.segments) == 1
     pure = power_decay_h(0.5)
     for r in (0.0, 3.0, 123.0, 5e5):
@@ -92,7 +85,7 @@ def test_schedule_reduces_to_pure():
 def test_schedule_matches_oscillation_path(osc_params, osc_pieces):
     _, hp = osc_pieces
     s = ExponentSchedule((0.6, 1.2, 0.6, 1.2), A=0.3, B=1.5)
-    hs = build_schedule_pieces(s)
+    hs = build_piecewise_h(build_scale_ladder(s))
     assert len(hs.segments) == len(hp.segments)
     for a, b in zip(hs.segments, hp.segments):
         assert (a.p, a.kind) == (b.p, b.kind)
@@ -101,7 +94,7 @@ def test_schedule_matches_oscillation_path(osc_params, osc_pieces):
 
 def test_consecutive_duplicate_exponents_merge():
     s = ExponentSchedule((0.5, 0.5, 0.75), A=0.25, B=1.3)
-    hp = build_schedule_pieces(s)
+    hp = build_piecewise_h(build_scale_ladder(s))
     ps = [seg.p for seg in hp.segments]
     assert ps.count(0.5) >= 1 and 0.75 in ps
     hp.check_continuity()

@@ -13,7 +13,6 @@ from warplab.smoothing import (
     NotCertified,
     SmoothedH,
     build_oscillating_h,
-    build_schedule_h,
     certification_grid,
     certify_positive_ricci,
     dimension_threshold,
@@ -57,7 +56,7 @@ def test_cutoff_spec_bounds():
 
 def test_midpoint_value_and_plateaus(osc_build):
     lad, hp, sm = osc_build
-    R = float(lad.rows[0].R1)
+    R = float(lad.junctions[0])
     left = hp.segments[0]
     right = hp.segments[1]
     v = sm.value(1.1 * R)
@@ -77,7 +76,6 @@ def test_regime_fidelity_bit_for_bit(osc_build):
     lad, hp, sm = osc_build
     pa = power_decay_h(0.6)
     pb = power_decay_h(1.2)
-    rows = lad.rows
     # pure-alpha on [1.2 R_{i,0}, 0.8 R_{i,1}], pure-beta on [1.2 R_{i,2}, 0.8 R_{i,3}]
     for r in (50.0, 79.9, 1.5e38, 6.0e76):
         assert sm.value(r) == pa.value(r)
@@ -213,7 +211,7 @@ def test_certified_k_recheck_idempotent(osc_build):
 
 def test_schedule_h_monotone_and_observed():
     s = ExponentSchedule((0.5, 0.75, 1.0), A=0.25, B=1.3)
-    sm = build_schedule_h(s, check=True)  # monotonicity scan inside
+    _, _, sm = build_oscillating_h(s, check=True)  # monotonicity scan inside
     for b in sm.blends:
         use_float = float(b.R) < 1e70
         lo, hi = (float(b.lo), float(b.hi)) if use_float else (b.lo, b.hi)
