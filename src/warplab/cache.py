@@ -3,10 +3,12 @@
 One file per model, keyed by a parameter hash in the header; a hash
 mismatch means the file belongs to a different model and is ignored (and
 overwritten on the next append), never silently reused.  Records are
-`l d_l clairaut_c r_max` with full-precision reprs, so a warm cache
-reproduces runs byte-identically.  Writes go through a temp file +
-os.replace, which keeps concurrent readers consistent; in-process appends
-are serialized by a lock.
+`l d_l clairaut_c r_max` lines with full-precision reprs, so a warm cache
+reproduces runs byte-identically.  The file is append-only: each new
+distance adds one line, and a reader skips a last line without its
+newline (a write torn by a crash) and lets a repeated index's last record
+win.  Header rewrites go through a temp file + os.replace; in-process
+appends are serialized by a lock.
 """
 
 import hashlib
@@ -34,6 +36,7 @@ class OrbitCache:
         self.path = path
         self.model_key = model_key
         self._lock = threading.Lock()
+        self._ready = False  # header checked by this instance
 
     @staticmethod
     def for_model(payload: dict, cache_dir: str | None = None) -> "OrbitCache":
@@ -51,6 +54,8 @@ class OrbitCache:
                     return {}
                 out = {}
                 for line in fh:
+                    if not line.endswith("\n"):
+                        break  # torn last write
                     parts = line.split()
                     if len(parts) != 4:
                         continue
@@ -61,12 +66,29 @@ class OrbitCache:
 
     def append(self, l, d, c, r_max):
         with self._lock:
-            existing = self.load()
-            existing[int(l)] = (float(d), float(c), float(r_max))
-            tmp = self.path + ".tmp"
-            with open(tmp, "w") as fh:
-                fh.write(HEADER + self.model_key + "\n")
-                for key in sorted(existing):
-                    dd, cc, rr = existing[key]
-                    fh.write(f"{key} {dd!r} {cc!r} {rr!r}\n")
-            os.replace(tmp, self.path)
+            if not self._ready:
+                self._prepare()
+                self._ready = True
+            with open(self.path, "a") as fh:
+                fh.write(f"{int(l)} {float(d)!r} {float(c)!r} {float(r_max)!r}\n")
+
+    def _prepare(self):
+        """Before the first append: start a file with this model's header when
+        it is missing or keyed to another model, and cut a torn last line so
+        the next record starts on a line of its own."""
+        head = HEADER + self.model_key + "\n"
+        try:
+            with open(self.path) as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            text = ""
+        if not text.startswith(head):
+            keep = head
+        elif not text.endswith("\n"):
+            keep = text[: text.rfind("\n") + 1]
+        else:
+            return
+        tmp = self.path + ".tmp"
+        with open(tmp, "w") as fh:
+            fh.write(keep)
+        os.replace(tmp, self.path)

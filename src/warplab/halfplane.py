@@ -66,8 +66,10 @@ class HalfplaneMetric:
     degrade gracefully to 0.0 far outside the usable windows).
     """
 
-    def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=()):
+    def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=(),
+                 value=None):
         self._h = h  # r -> Jet2
+        self._value = value or (lambda r: h(r).value)  # r -> h(r), no derivatives needed
         self.label = label
         self.domain_start = float(domain_start)
         self.r_cap = float(r_cap)
@@ -81,11 +83,11 @@ class HalfplaneMetric:
         return Jet2(float(j.value), float(j.d1), float(j.d2))
 
     def value(self, r):
-        return float(self._h(r).value)
+        return float(self._value(r))
 
     def sup_h(self):
         """h at the domain start: the supremum over the represented domain."""
-        return float(self._h(self.domain_start).value)
+        return self.value(self.domain_start)
 
     @staticmethod
     def from_warping(w, **kw):
@@ -96,7 +98,8 @@ class HalfplaneMetric:
     def from_smoothed(sm, **kw):
         kw.setdefault("label", "smoothed-h")
         kw.setdefault("breakpoints", sm.breakpoints_float(r_max=1e290))
-        return HalfplaneMetric(lambda r: sm.jet(r), **kw)
+        # quadrature integrands and root-finders read h alone: the value-only query
+        return HalfplaneMetric(lambda r: sm.jet(r), value=sm.value, **kw)
 
 
 def circle_length(m: HalfplaneMetric, r) -> float:

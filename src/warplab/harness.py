@@ -56,7 +56,7 @@ from .smoothing import (
     pure_model_h,
     NotCertified,
 )
-from .warping import power_decay_h, standard_f
+from .warping import standard_f
 
 
 @dataclass
@@ -106,12 +106,6 @@ def _model_for(cfg: RunConfig):
         ladder, hp, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=False)
         return sm, ladder, p
     return pure_model_h(cfg.alpha), None, None
-
-
-def _metric_for(cfg: RunConfig, sm):
-    return HalfplaneMetric.from_smoothed(sm) if sm.blends else HalfplaneMetric.from_warping(
-        power_decay_h(cfg.alpha)
-    )
 
 
 def run(cfg: RunConfig) -> RunReport:
@@ -212,17 +206,20 @@ def _run_build_example(cfg: RunConfig, report: RunReport):
     report.artifacts.append(path)
 
 
-def _orbit_cache(cfg: RunConfig):
-    return OrbitCache.for_model(cfg.model_payload(), cfg.cache_dir)
+def _pure_cache(cfg: RunConfig):
+    """Orbit cache of the pure alpha model, keyed by the config with beta, A
+    and B cleared: a pure config's own key, never an oscillating model's."""
+    payload = {**cfg.model_payload(), "beta": None, "A": None, "B": None}
+    return OrbitCache.for_model(payload, cfg.cache_dir)
 
 
 def _run_orbit_growth(cfg: RunConfig, report: RunReport):
     sm, ladder, params = _model_for(cfg)
-    metric = _metric_for(cfg, sm)
-    table = OrbitTable(metric, cache=_orbit_cache(cfg))
+    metric = HalfplaneMetric.from_smoothed(sm)
 
     if ladder is None:
         # pure model: distance sandwich on the asymptotic stretch plus a slope fit
+        table = OrbitTable(metric, cache=_pure_cache(cfg))
         a = cfg.alpha
         ls = np.unique(np.round(np.exp(np.linspace(math.log(81), math.log(1e5), 40))).astype(int))
         e = 1.0 / (1.0 + 2.0 * a)
@@ -302,8 +299,9 @@ def _write_growth_csv(cfg, report, fit, name):
 
 
 def _run_capacity(cfg: RunConfig, report: RunReport):
-    metric = HalfplaneMetric.from_warping(power_decay_h(cfg.alpha))
-    table = OrbitTable(metric, cache=_orbit_cache(cfg))
+    # capacity always runs the pure alpha model
+    metric = HalfplaneMetric.from_smoothed(pure_model_h(cfg.alpha))
+    table = OrbitTable(metric, cache=_pure_cache(cfg))
     s = LinearOrbitMetric(lambda l: table.distance(l), scale=1.0)
     k = 1.0 + 2.0 * cfg.alpha
 

@@ -6,11 +6,17 @@ where the constants are float-representable and silently promotes to
 mpmath otherwise.  Pure pieces carry C = 1 exactly and skip the constant
 multiply, so their values are bit-identical to a standalone power-decay
 profile on the same radii.
+
+Float views (the unit flag, the float constant, junctions as doubles) are
+built once at construction, so a float query touches no mpf unless it is
+promoted.  Edges are kept as the nearest double on the safe side
+(`float_ceil` / `float_floor`), which makes every float comparison against
+an edge agree with the exact mpf comparison.
 """
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 
@@ -20,6 +26,20 @@ from .ladder import ScaleLadder, bridge_constant, bridge_exponent
 # doubles hold |log10| < ~308; stay clear so squares/ratios inside jet
 # algebra never denormalize
 _FLOAT_SAFE_LOG10 = 290.0
+
+
+def float_ceil(x) -> float:
+    """Smallest double >= x (+inf past the float range).  For a float r,
+    `r >= x` and `r < x` hold exactly when they hold against this value."""
+    f = float(x)  # float(mpf) saturates to +-inf
+    return math.nextafter(f, math.inf) if f < x else f
+
+
+def float_floor(x) -> float:
+    """Largest double <= x.  For a float r, `r <= x` and `r > x` hold
+    exactly when they hold against this value."""
+    f = float(x)
+    return math.nextafter(f, -math.inf) if f > x else f
 
 
 class ContinuityViolation(RuntimeError):
@@ -33,30 +53,59 @@ class Segment:
     p: float
     C: object  # mpf scale constant, 1 for pure pieces
     kind: str  # "piece" or "bridge"
+    # float views, set once in __post_init__
+    _unit: bool = field(init=False, repr=False, compare=False)  # C == 1
+    _cf: float | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        unit = bool(self.C == 1)
+        if unit:
+            cf = 1.0
+        elif abs(mpmath.log10(abs(self.C))) > _FLOAT_SAFE_LOG10:
+            cf = None
+        else:
+            cf = float(self.C)
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_cf", cf)
 
     def is_pure(self):
         return self.kind == "piece"
 
     def c_float(self):
         """Float constant when representable, else None."""
-        if self.C == 1:
-            return 1.0
-        mag = mpmath.log10(abs(self.C))
-        if abs(mag) > _FLOAT_SAFE_LOG10:
-            return None
-        return float(self.C)
+        return self._cf
 
     def jet(self, r) -> Jet2:
-        if self.C == 1:  # pure pieces share bits with a standalone profile
+        if self._unit:  # pure pieces share bits with a standalone profile
             x = Jet2.variable(r)
             return (1 + x * x) ** (-self.p)
         if isinstance(r, (mpmath.mpf, mpmath.mpc)):
-            x = Jet2.variable(r)
-            return ((1 + x * x) ** (-self.p)) * self.C
+            return self._mp_jet(r)
+        head = self._float_head(r)
+        if head is None:  # constant outside float range, or underflow
+            return self._mp_jet(mpmath.mpf(r))
+        u0, g1, v, d1 = head
+        p = self.p
+        d2 = v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0)
+        return Jet2(v, d1, d2)
+
+    def value(self, r):
+        """h(r), equal to jet(r).value; a float r on the float path builds
+        no Jet2."""
+        if isinstance(r, float):
+            if self._unit:
+                return (1.0 + r * r) ** (-self.p)
+            head = self._float_head(r)
+            if head is not None:
+                return head[2]
+        return self.jet(r).value
+
+    def _float_head(self, r):
+        """(1+r^2, 2r/(1+r^2), h, h') in doubles, or None when the query must
+        be promoted: no float constant, or value or slope underflowed."""
         cf = self.c_float()
-        if cf is None:  # constant outside float range: promote the query
-            xm = Jet2.variable(mpmath.mpf(r))
-            return ((1 + xm * xm) ** (-self.p)) * self.C
+        if cf is None:
+            return None
         # scale first, then form derivatives in ratio form: the bare power's
         # jets can underflow where C * (1+r^2)^(-p) is still representable
         p = self.p
@@ -65,14 +114,12 @@ class Segment:
         v = cf * u0 ** (-p)
         d1 = v * (-p) * g1
         if r > 0 and (v == 0.0 or d1 == 0.0 or not math.isfinite(v)):
-            # value or slope underflowed doubles: recompute exactly
-            xm = Jet2.variable(mpmath.mpf(r))
-            return ((1 + xm * xm) ** (-self.p)) * self.C
-        d2 = v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0)
-        return Jet2(v, d1, d2)
+            return None
+        return u0, g1, v, d1
 
-    def value(self, r):
-        return self.jet(r).value
+    def _mp_jet(self, r):
+        x = Jet2.variable(r)
+        return ((1 + x * x) ** (-self.p)) * self.C
 
 
 class PiecewiseH:
@@ -84,12 +131,8 @@ class PiecewiseH:
         if segments[-1].r_hi is not None:
             raise ValueError("last segment must extend to infinity")
         self.segments = list(segments)
-        # float keys for fast locate; huge junctions clamp to +inf which is
-        # fine because float queries can never reach them
-        self._keys = []
-        for s in self.segments[1:]:
-            lo = s.r_lo
-            self._keys.append(float(lo) if mpmath.log10(max(lo, 1)) < 308 else float("inf"))
+        self._junctions = self.junctions()
+        self._keys = [float_ceil(lo) for lo in self._junctions]
         if check_continuity:
             self.check_continuity()
 
@@ -97,8 +140,11 @@ class PiecewiseH:
         return [s.r_lo for s in self.segments[1:]]
 
     def segment_at(self, r):
-        idx = bisect_right(self._keys, float(r) if not isinstance(r, mpmath.mpf) else _safe_float(r))
-        return self.segments[idx]
+        """The segment with r_lo <= r < r_hi, decided exactly for float and
+        mpf radii."""
+        if isinstance(r, mpmath.mpf):
+            return self.segments[bisect_right(self._junctions, r)]
+        return self.segments[bisect_right(self._keys, float(r))]
 
     def jet(self, r) -> Jet2:
         return self.segment_at(r).jet(r)
@@ -123,10 +169,6 @@ class PiecewiseH:
                     )
                 gaps.append(float(abs(lv - rv) / abs(rv)))
         return gaps
-
-
-def _safe_float(x):
-    return float(x) if mpmath.log10(max(abs(x), 1)) < 308 else float("inf")
 
 
 def build_piecewise_h(ladder: ScaleLadder) -> PiecewiseH:

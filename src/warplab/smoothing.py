@@ -29,7 +29,7 @@ import numpy as np
 from .curvature import mixed_log_grid
 from .jets import Jet2
 from .ladder import build_scale_ladder
-from .piecewise import PiecewiseH, Segment, build_piecewise_h
+from .piecewise import PiecewiseH, Segment, build_piecewise_h, float_ceil, float_floor
 from .warping import WarpingFunction
 
 _Q1_SUP = 1.875  # sup |q'| of the unit quintic
@@ -109,15 +109,24 @@ class Blend:
     right: Segment
     lo: object  # blend interval (mpf)
     hi: object
+    # plateau edges (mpf) and their float views, set once in __post_init__
+    _plateaus: tuple = field(init=False, repr=False, compare=False)
+    _plateaus_f: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lo_p = self.spec.lo_frac * self.R
+        hi_p = self.spec.hi_frac * self.R
+        object.__setattr__(self, "_plateaus", (lo_p, hi_p, self.R))
+        object.__setattr__(
+            self, "_plateaus_f", (float_floor(lo_p), float_ceil(hi_p), float(self.R))
+        )
 
     def jet(self, r) -> Jet2:
-        lo_plateau = self.spec.lo_frac * self.R
-        hi_plateau = self.spec.hi_frac * self.R
+        lo_plateau, hi_plateau, Rs = self._plateaus_f if isinstance(r, float) else self._plateaus
         if r <= lo_plateau:
             return self.left.jet(r)
         if r >= hi_plateau:
             return self.right.jet(r)
-        Rs = float(self.R) if isinstance(r, float) else self.R
         p, p1, p2 = self.spec.phi(r, Rs)
         hl = self.left.jet(r)
         hr = self.right.jet(r)
@@ -144,15 +153,16 @@ class SmoothedH:
         for a, b in zip(self.blends, self.blends[1:]):
             if not (a.hi < b.lo):
                 raise BlendOverlap(f"blends at {a.R} and {b.R} intersect")
-        self._keys = [_clamped_float(b.lo) for b in self.blends]
-        self._his = [b.hi for b in self.blends]
+        self._edges = ([b.lo for b in self.blends], [b.hi for b in self.blends])
+        self._edges_f = tuple([float_ceil(x) for x in xs] for xs in self._edges)
 
     def _blend_at(self, r):
-        idx = bisect_right(self._keys, _clamped_float(r)) - 1
-        if idx >= 0 and r < self._his[idx]:
-            b = self.blends[idx]
-            if r >= b.lo:
-                return b
+        """The blend with lo <= r < hi, or None; decided exactly for float
+        and mpf radii (blends are sorted and disjoint)."""
+        los, his = self._edges_f if isinstance(r, float) else self._edges
+        idx = bisect_right(los, r) - 1
+        if idx >= 0 and r < his[idx]:
+            return self.blends[idx]
         return None
 
     def jet(self, r) -> Jet2:
@@ -162,7 +172,12 @@ class SmoothedH:
         return self.base.jet(r)
 
     def value(self, r):
-        return self.jet(r).value
+        """h(r), equal to jet(r).value; outside blends a float r builds no
+        Jet2."""
+        b = self._blend_at(r)
+        if b is not None:
+            return b.jet(r).value
+        return self.base.value(r)
 
     def __call__(self, r) -> Jet2:
         return self.jet(r)
@@ -179,20 +194,13 @@ class SmoothedH:
         pts = []
         for b in self.blends:
             for x in (b.lo, b.R, b.hi):
-                pts.append(_clamped_float(x))
+                pts.append(float(x))
         for s in self.base.segments[1:]:
-            pts.append(_clamped_float(s.r_lo))
+            pts.append(float(s.r_lo))
         pts = sorted(set(p for p in pts if math.isfinite(p)))
         if r_max is not None:
             pts = [p for p in pts if p < r_max]
         return pts
-
-
-def _clamped_float(x):
-    try:
-        return float(x)
-    except OverflowError:
-        return float("inf")
 
 
 def smooth(
@@ -223,7 +231,7 @@ def smooth(
 
 def _check_blend_monotonicity(sm: SmoothedH, n: int):
     for b in sm.blends:
-        use_mp = float(b.R) > _MP_EVAL_CUTOFF if math.isfinite(_clamped_float(b.R)) else True
+        use_mp = float(b.R) > _MP_EVAL_CUTOFF  # float(mpf) saturates to inf
         lo, hi = b.lo, b.hi
         for i in range(n):
             t = (i + 0.5) / n

@@ -1,0 +1,43 @@
+from warplab.cache import HEADER, OrbitCache, model_hash
+
+
+def _lines(cache):
+    with open(cache.path) as fh:
+        return fh.read().splitlines()
+
+
+def test_append_only_round_trip(cache_dir):
+    cache = OrbitCache.for_model({"family": "rt"}, cache_dir)
+    recs = [(3, 1.25, 0.5, 2.0), (1, 0.1 + 0.2, 1e-300, 7.0), (3, 1.5, 0.25, 3.0)]
+    for rec in recs:
+        cache.append(*rec)
+    # one header plus one line per append; a repeated index's last record wins
+    assert len(_lines(cache)) == 1 + len(recs)
+    again = OrbitCache.for_model({"family": "rt"}, cache_dir)
+    assert again.load() == {3: (1.5, 0.25, 3.0), 1: (0.1 + 0.2, 1e-300, 7.0)}
+    again.append(8, 4.0, 0.125, 9.0)
+    assert cache.load()[8] == (4.0, 0.125, 9.0) and len(cache.load()) == 3
+
+
+def test_torn_last_line_is_skipped_and_cut_before_appending(cache_dir):
+    cache = OrbitCache.for_model({"family": "torn"}, cache_dir)
+    cache.append(3, 1.0, 0.5, 2.0)
+    with open(cache.path, "a") as fh:
+        fh.write("12 3.5 0.25 2.")  # "12 3.5 0.25 2.75\n" cut short by a crash
+    fresh = OrbitCache(cache.path, cache.model_key)
+    assert fresh.load() == {3: (1.0, 0.5, 2.0)}
+    # the fragment is cut, so the next record starts on a line of its own
+    fresh.append(13, 4.5, 0.2, 9.0)
+    assert fresh.load() == {3: (1.0, 0.5, 2.0), 13: (4.5, 0.2, 9.0)}
+    assert _lines(fresh)[1:] == ["3 1.0 0.5 2.0", "13 4.5 0.2 9.0"]
+
+
+def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
+    alien = OrbitCache.for_model({"family": "other"}, cache_dir)
+    alien.append(5, 9.0, 0.1, 4.0)
+    mine = OrbitCache(alien.path, model_hash({"family": "mine"}))
+    assert mine.load() == {}
+    mine.append(2, 1.0, 0.5, 2.0)
+    assert _lines(mine) == [HEADER + mine.model_key, "2 1.0 0.5 2.0"]
+    assert mine.load() == {2: (1.0, 0.5, 2.0)}
+    assert alien.load() == {}

@@ -99,3 +99,19 @@ def test_grushin_mode_zero_periods(tmp_path):
     report = run(cfg)
     assert not report.failed
     assert "rescaling-ladder-refit" in {c.name for c in report.checks}
+
+
+def test_capacity_rows_keyed_to_the_pure_model(tmp_path, cache_dir, monkeypatch):
+    from warplab import orbits
+    from warplab.cache import OrbitCache, model_hash
+
+    # capacity runs the pure alpha model; a closed-form distance keeps this fast
+    monkeypatch.setattr(orbits, "orbit_distance",
+                        lambda m, l, settings=None: (l ** (1 / 2.2), None))
+    osc = parse_config(None, {"mode": "capacity", **OSC, "outdir": str(tmp_path),
+                              "cache_dir": cache_dir})
+    run(osc)
+    pure = parse_config(None, {"mode": "capacity", "alpha": 0.6, "cache_dir": cache_dir})
+    assert os.listdir(cache_dir) == [f"orbit_{model_hash(pure.model_payload())}.tsv"]
+    assert OrbitCache.for_model(pure.model_payload(), cache_dir).load()
+    assert OrbitCache.for_model(osc.model_payload(), cache_dir).load() == {}

@@ -1,10 +1,12 @@
 import math
+import struct
 
 import mpmath
 import numpy as np
 import pytest
 
-from warplab.ladder import ExponentSchedule, OscillationParams
+from warplab.jets import Jet2
+from warplab.ladder import ExponentSchedule, OscillationParams, bridge_constant
 from warplab.piecewise import PiecewiseH, Segment
 from warplab.smoothing import (
     Blend,
@@ -217,3 +219,104 @@ def test_schedule_h_monotone_and_observed():
         lo, hi = (float(b.lo), float(b.hi)) if use_float else (b.lo, b.hi)
         chk = verify_observation(lambda r, seg=b.left: seg.jet(r), sm, (lo, hi), n=200)
         assert chk.ok
+
+
+# -- float fast path ----------------------------------------------------------
+
+
+def _bits(x):
+    """Exact identity of a float or mpf value (distinguishes -0.0, keeps type)."""
+    return (type(x), x._mpf_ if isinstance(x, mpmath.mpf) else struct.pack("<d", x))
+
+
+def _huge_bridge_h():
+    """A pure piece bridged at 1e100 to exponent 4, whose constant (~1e680)
+    is beyond float range, so float queries on the bridge are promoted."""
+    R = mpmath.mpf(10) ** 100
+    C = bridge_constant(R, 4.0, 0.6)
+    assert float(C) == math.inf
+    one = mpmath.mpf(1)
+    hp = PiecewiseH([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
+                     Segment(R, None, 4.0, C, "bridge")])
+    return smooth(hp, check=False)
+
+
+@pytest.fixture(scope="module")
+def fast_path_models():
+    params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
+    _, hp40, osc40 = build_oscillating_h(params, radius_bound=1e40, check=False)
+    with mpmath.workdps(40):  # blend and plateau edges that are not doubles
+        fine40 = smooth(hp40, check=False)
+    return [(osc40, 40.0), (fine40, 40.0), (_huge_bridge_h(), 101.0)]
+
+
+def _probe_radii(sm, top_log10, seed):
+    """Seeded log-uniform floats, plus every junction, blend edge and plateau
+    edge as a float with its nextafter neighbours."""
+    rng = np.random.default_rng(seed)
+    radii = (10.0 ** rng.uniform(-3.0, top_log10, 400)).tolist()
+    edges = [s.r_lo for s in sm.base.segments[1:]]
+    for b in sm.blends:
+        edges += [b.lo, b.hi, b.R, b.spec.lo_frac * b.R, b.spec.hi_frac * b.R]
+    for x in edges:
+        f = float(x)
+        radii += [math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)]
+    return radii
+
+
+def test_value_query_matches_jet_bit_for_bit(fast_path_models):
+    for sm, top in fast_path_models:
+        promoted = 0
+        for r in _probe_radii(sm, top, seed=31):
+            assert _bits(sm.value(r)) == _bits(sm.jet(r).value), r
+            promoted += isinstance(sm.value(r), mpmath.mpf)
+        if top > 100:
+            assert promoted > 0  # the out-of-range bridge was reached
+
+
+def test_float_edge_decisions_match_mpf(fast_path_models):
+    for sm, top in fast_path_models:
+        for r in _probe_radii(sm, top, seed=32):
+            assert sm._blend_at(r) is sm._blend_at(mpmath.mpf(r)), r
+            assert sm.base.segment_at(r) is sm.base.segment_at(mpmath.mpf(r)), r
+
+
+class _Side:
+    """Stand-in piece that counts its jet queries."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def jet(self, r):
+        self.calls += 1
+        return Jet2(1.0, -1.0, 0.0)
+
+
+def test_plateau_edges_decided_exactly(fast_path_models):
+    # plateau edges rounded at 40 digits are not doubles: a float radius next
+    # to one must still take the branch the exact comparison picks
+    for sm, _ in fast_path_models:
+        for b in sm.blends:
+            left, right = _Side(), _Side()
+            with mpmath.workdps(40):
+                probe = Blend(b.R, b.spec, left, right, b.lo, b.hi)
+            lo_p, hi_p, _ = probe._plateaus
+            for x in (lo_p, hi_p):
+                f = float(x)
+                for r in (math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)):
+                    left.calls = right.calls = 0
+                    probe.jet(r)
+                    want = (1, 0) if r <= lo_p else (0, 1) if r >= hi_p else (1, 1)
+                    assert (left.calls, right.calls) == want, r
+
+
+def test_pure_model_jet_is_power_decay_bit_for_bit():
+    rng = np.random.default_rng(33)
+    radii = [0.0, *(10.0 ** rng.uniform(-3.0, 200.0, 300)).tolist()]
+    for a in (0.3, 0.5, 0.6, 1.2):
+        sm, ref = pure_model_h(a), power_decay_h(a)
+        for r in radii:
+            j, k = sm.jet(r), ref(r)
+            assert [_bits(v) for v in (j.value, j.d1, j.d2)] == \
+                [_bits(v) for v in (k.value, k.d1, k.d2)], (a, r)
+            assert _bits(sm.value(r)) == _bits(k.value)
