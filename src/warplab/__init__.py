@@ -46,6 +46,7 @@ from .halfplane import (
     HalfplaneMetric,
     circle_length,
     clairaut_arc,
+    invert_arc,
     orbit_distance,
     solve_turning_point,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "grushin_h",
     "growth_slope",
     "hausdorff_content",
+    "invert_arc",
     "linear_f",
     "log_grid",
     "mixed_log_grid",

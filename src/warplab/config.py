@@ -76,7 +76,8 @@ class RunConfig:
         return self.beta is not None or self.mode in ("build-example",)
 
     def model_payload(self) -> dict:
-        """Hash payload identifying the distance model."""
+        """Hash payload identifying the distance model and the quadrature
+        tolerance its cached distances were computed at."""
         return {
             "alpha": self.alpha,
             "beta": self.beta,
@@ -85,8 +86,9 @@ class RunConfig:
             "R11": self.R11,
             "periods": self.periods,
             "radius_bound": self.radius_bound,
+            "quad_rel_tol": self.quad_rel_tol,
             "family": "inverse-power",
-            "version": 1,
+            "version": 2,
         }
 
     def to_dict(self) -> dict:

@@ -18,7 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  unused here; perfbench's probe test reads it
+
+from .halfplane import QuadSettings, axis_count_at_radius, invert_arc
+from .orbits import OrbitTable
 
 
 class DegenerateRange(ValueError):
@@ -138,36 +141,20 @@ class GeodesicOrbitMetric(LinearOrbitMetric):
     stay computable when threshold indices overflow any table."""
 
     def __init__(self, metric, scale=1.0, settings=None, table=None):
-        # imported here only to keep module load order flat; no cycle exists
-        from .halfplane import QuadSettings
-        from .orbits import OrbitTable
-
         self._metric = metric
         self._table = table or OrbitTable(metric, settings=settings)
         self._settings = settings or QuadSettings()
         super().__init__(self._table.distance, scale=scale, l_max=None, validate=False)
 
     def ball_index(self, R: float) -> int:
-        from .halfplane import axis_count_at_radius
-
         return int(axis_count_at_radius(self._metric, R * self.scale, settings=self._settings))
 
     def min_stride(self, eps: float) -> int:
-        from .halfplane import _bracket_c_for, _representable_floor, delta_v_of_c, length_of_c
-
         target = eps * self.scale
         if self.raw(1) >= target:
             return 1
-        _, c_floor = _representable_floor(self._metric)
-        lo, hi = _bracket_c_for(
-            self._metric, lambda c: length_of_c(self._metric, c, self._settings),
-            target, c_floor, self._settings,
-        )
-        x = brentq(
-            lambda x: math.log(length_of_c(self._metric, math.exp(x), self._settings) / target),
-            math.log(lo), math.log(hi), xtol=1e-12, rtol=8.9e-16,
-        )
-        l_star = delta_v_of_c(self._metric, math.exp(x), settings=self._settings) / (2.0 * math.pi)
+        sol = invert_arc(self._metric, "length", target, settings=self._settings)
+        l_star = sol.delta_v / (2.0 * math.pi)
         g = max(int(math.floor(l_star - 1e-12)) + 1, 1)
         # the straight axis loop can undercut the arc only at small indices;
         # verify and adjust exactly there

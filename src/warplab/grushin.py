@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .gridpath import dijkstra_distance_oracle
-from .halfplane import HalfplaneMetric, OutOfRange, QuadSettings, clairaut_arc
+from .halfplane import HalfplaneMetric, OutOfRange, TargetUnreachable, invert_arc
 from .jets import Jet2
 from .smoothing import SmoothedH
 from .warping import grushin_h
@@ -79,38 +78,13 @@ def _equal_t_distance(m: HalfplaneMetric, t: float, dw: float, settings=None):
     """Symmetric arc between (t, w) and (t, w + dw): solve for the Clairaut
     constant whose outward arc from t accumulates |dw|, return its length
     and turning radius."""
-    st = settings or QuadSettings()
     dw = abs(float(dw))
     if dw == 0:
         return 0.0, t
-    h_t = m.value(t)
-
-    def dv_from(c):
-        return clairaut_arc(m, c, start=t, settings=st).delta_v
-
-    # dv increases as c decreases from h(t); walk down to a bracket
-    hi = h_t * (1.0 - 1e-10)
-    if dv_from(hi) >= dw:
-        lo = hi * (1.0 - 1e-6)  # essentially degenerate arc
-    else:
-        lo = hi * 0.7
-        for _ in range(500):
-            if dv_from(lo) >= dw:
-                break
-            hi = lo
-            lo *= 0.5
-            if lo < 1e-280:
-                raise UnsupportedPair(f"cannot reach dw={dw} from t={t}")
-        else:
-            raise UnsupportedPair(f"cannot bracket dw={dw} from t={t}")
-    x = brentq(
-        lambda x: dv_from(math.exp(x)) - dw,
-        math.log(lo),
-        math.log(hi),
-        xtol=1e-12,
-        rtol=8.9e-16,
-    )
-    sol = clairaut_arc(m, math.exp(x), start=t, settings=st)
+    try:
+        sol = invert_arc(m, "delta_v", dw, start=t, settings=settings)
+    except TargetUnreachable as e:
+        raise UnsupportedPair(f"cannot reach dw={dw} from t={t}") from e
     return sol.length, sol.r_max
 
 
@@ -241,7 +215,7 @@ def convergence_report(
     target_d = {}
     for p in pairs:
         try:
-            target_d[p] = grushin_distance(target, *p)[0]
+            target_d[p] = grushin_distance(target, *p, settings=tol_settings)[0]
         except (UnsupportedPair, OutOfRange):
             target_d[p] = None
 
@@ -255,7 +229,7 @@ def convergence_report(
             if dt is None or dt == 0.0:
                 continue
             try:
-                dm, info = rescaled_distance(model, *p)
+                dm, info = rescaled_distance(model, *p, settings=tol_settings)
             except (UnsupportedPair, OutOfRange):
                 excluded.append((lam, p))
                 continue
@@ -269,17 +243,17 @@ def convergence_report(
     return ComparisonReport(usable, errs, trend, excluded)
 
 
-def self_similarity_error(g: GrushinMetric, pairs, factor: float = 2.0) -> float:
+def self_similarity_error(g: GrushinMetric, pairs, factor: float = 2.0, settings=None) -> float:
     """Grushin cone property: d(s.p1, s.p2) = s d(p1, p2) under
     (t, w) -> (s t, s^(1+2a) w).  Returns the max relative mismatch."""
     a = g.alpha
     s = factor
     worst = 0.0
     for p1, p2 in pairs:
-        d1 = grushin_distance(g, p1, p2)[0]
+        d1 = grushin_distance(g, p1, p2, settings=settings)[0]
         q1 = (s * p1[0], s ** (1.0 + 2.0 * a) * p1[1])
         q2 = (s * p2[0], s ** (1.0 + 2.0 * a) * p2[1])
-        d2 = grushin_distance(g, q1, q2)[0]
+        d2 = grushin_distance(g, q1, q2, settings=settings)[0]
         if d1 > 0:
             worst = max(worst, abs(d2 - s * d1) / (s * d1))
     return worst

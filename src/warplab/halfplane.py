@@ -16,8 +16,11 @@ switch to log-radius on wide spans; each panel runs through adaptive
 Gauss-Kronrod quadrature (relative 1e-9, absolute floor 1e-12).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
-translate (period 2*pi in v) solve delta_v(c*) = 2*pi*l by bracketed root
-finding in log c; the axis line v -> (0, v) is itself a geodesic when
+translate (period 2*pi in v) solve delta_v(c*) = 2*pi*l; counts and strides
+solve length(c) = R.  Both go through invert_arc: Newton steps in
+(log c, log q) seeded by the local decay exponent at the turning radius,
+then brentq on the bracket they find, with only the missing quantity
+integrated at c*.  The axis line v -> (0, v) is itself a geodesic when
 h'(0) = 0, so the straight candidate 2*pi*l*h(0) competes in the minimum.
 """
 
@@ -49,7 +52,7 @@ class DeltaVNotMonotone(RuntimeError):
     """delta_v(c) failed the per-model strict-decrease scan."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadSettings:
     rel_tol: float = 1e-9
     abs_floor: float = 1e-12
@@ -75,6 +78,7 @@ class HalfplaneMetric:
         self.r_cap = float(r_cap)
         self.breakpoints = sorted(float(b) for b in breakpoints)
         self._monotone_checked = False
+        self._d1 = {}  # QuadSettings -> d_1, for axis_count_at_radius
 
     def jet(self, r):
         j = self._h(r)
@@ -141,7 +145,6 @@ class GeodesicSolution:
     delta_v: float
     length: float
     start: float = 0.0
-    quad_error: float = 0.0
 
     def __post_init__(self):
         if self.length < self.delta_v * self.clairaut_c * (1 - 1e-9):
@@ -204,11 +207,18 @@ def _quad_panel(f, a, b, st):
     return out[0], out[1]
 
 
-def _integrate_arc(m, c, r_max, start, st, weight):
-    """int_start^{r_max} weight(h)/sqrt(h^2-c^2) dr by panelled quadrature.
+def _integrate_arc(m, c, start, settings, r_max, weight):
+    """2 int_start^{r_max} weight(h)/sqrt(h^2-c^2) dr by panelled quadrature,
+    solving for r_max when it is None.
 
     weight(h) is h for length, c/h for v-displacement.
     """
+    st = settings or QuadSettings()
+    start = m.domain_start if start is None else float(start)
+    if r_max is None:
+        r_max = solve_turning_point(m, c, st)
+    if r_max <= start:
+        return 0.0
     gap = _GapEvaluator(m, c, r_max, st.taylor_frac)
 
     def integrand_r(r):
@@ -247,7 +257,7 @@ def _integrate_arc(m, c, r_max, start, st, weight):
         raise QuadratureFailure(
             f"estimated error {err_total} vs value {total} (c={c}, r_max={r_max})"
         )
-    return total, err_total
+    return 2.0 * total
 
 
 def clairaut_arc(
@@ -260,20 +270,20 @@ def clairaut_arc(
     r_max = solve_turning_point(m, c, st)
     if r_max <= a:
         return GeodesicSolution(c, a, 0.0, 0.0, start=a)
-    dv, e1 = _integrate_arc(m, c, r_max, a, st, weight=lambda h: c / h)
-    ln, e2 = _integrate_arc(m, c, r_max, a, st, weight=lambda h: h)
-    return GeodesicSolution(c, r_max, 2.0 * dv, 2.0 * ln, start=a, quad_error=2.0 * (e1 + e2))
+    dv = delta_v_of_c(m, c, a, st, r_max=r_max)
+    return GeodesicSolution(c, r_max, dv, length_of_c(m, c, a, st, r_max=r_max), start=a)
 
 
 def delta_v_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
-                 settings: QuadSettings | None = None) -> float:
-    st = settings or QuadSettings()
-    a = m.domain_start if start is None else float(start)
-    r_max = solve_turning_point(m, c, st)
-    if r_max <= a:
-        return 0.0
-    dv, _ = _integrate_arc(m, c, r_max, a, st, weight=lambda h: c / h)
-    return 2.0 * dv
+                 settings: QuadSettings | None = None, r_max: float | None = None) -> float:
+    """v-displacement of the arc with Clairaut constant c (decreasing in c)."""
+    return _integrate_arc(m, c, start, settings, r_max, weight=lambda h: c / h)
+
+
+def length_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
+                settings: QuadSettings | None = None, r_max: float | None = None) -> float:
+    """Length of the arc with Clairaut constant c (decreasing in c)."""
+    return _integrate_arc(m, c, start, settings, r_max, weight=lambda h: h)
 
 
 def verify_delta_v_monotone(m: HalfplaneMetric, n: int = 200, c_hi_frac: float = 1e-6,
@@ -315,38 +325,78 @@ def _representable_floor(m):
     return r, m.value(r)
 
 
-def _bracket_c_for(m, target_fn, target, c_floor, settings):
-    """Geometric bracket for a decreasing-in-c quantity hitting `target`."""
-    h_top = m.sup_h()
-    c_hi = h_top * (1.0 - 1e-9) if math.isfinite(h_top) else None
-    # initial guess: turning radius of order target/2, underflow-guarded
-    r_floor, _ = _representable_floor(m)
-    r_guess = max(min(target / 2.0, r_floor), m.domain_start + 1e-12)
-    c = m.value(max(r_guess, 1e-300))
-    if c_hi is not None:
-        c = min(c, c_hi / 2.0)
-    f_c = target_fn(c) - target
-    grow = 0.25 if f_c < 0 else 4.0
-    c2 = c
-    for _ in range(600):
-        c2_new = c2 * grow
-        if c_hi is not None and c2_new >= c_hi:
-            c2_new = math.sqrt(c2 * c_hi)
-        if c2_new <= c_floor:
-            c2_new = math.sqrt(c2 * c_floor) if c_floor > 0 else c2 * 0.5
-        f_new = target_fn(c2_new) - target
-        if (f_c < 0) != (f_new < 0):
-            lo, hi = sorted((c2, c2_new))
-            return lo, hi
-        c2 = c2_new
-        f_c = f_new
-        if c_floor > 0 and c2 <= c_floor * (1 + 1e-12):
+def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | None = None,
+               settings: QuadSettings | None = None) -> GeodesicSolution:
+    """The symmetric arc from `start` whose `quantity` ("delta_v" or
+    "length", both decreasing in c) equals target.
+
+    Newton steps in (x, y) = (log c, log(q/target)), clamped to (c_floor,
+    h(start)(1-1e-9)), run from a first guess with turning radius about
+    target/2 until a short step brackets the root.  The slope is the
+    secant's over a short step, else the one a pure stretch of local
+    exponent p = -h'(1+r^2)/(2 r h) at the turning radius has: -(1+1/(2p))
+    for delta_v, -1/(2p) for length (orbits.py).  brentq closes the bracket
+    on memoized evaluations; TargetUnreachable when a clamp end gives no
+    sign change.
+    """
+    st = settings or QuadSettings()
+    a = m.domain_start if start is None else float(start)
+    # names read per call, so wrappers installed on this module see every evaluation
+    solve, other = {"delta_v": (delta_v_of_c, length_of_c),
+                    "length": (length_of_c, delta_v_of_c)}[quantity]
+    h_top = m.value(a)
+    x_hi = math.log(h_top * (1.0 - 1e-9)) if math.isfinite(h_top) else math.inf
+    r_floor, c_floor = _representable_floor(m)
+    x_lo = math.log(c_floor) if c_floor > 0 else -math.inf
+    seen = {}  # x -> (r_max, q)
+
+    def y(x):
+        if x not in seen:
+            r = solve_turning_point(m, math.exp(x), st)
+            seen[x] = (r, solve(m, math.exp(x), a, st, r_max=r))
+        return math.log(seen[x][1] / target)
+
+    r_guess = max(min(target / 2.0, r_floor), a + 1e-12)
+    x = min(math.log(m.value(max(r_guess, 1e-300))), x_hi - math.log(2.0))
+    fx = y(x)
+    lo, hi = -math.inf, math.inf  # nearest x with y >= 0 and with y <= 0
+    x_prev = f_prev = None
+    for _ in range(100):
+        lo, hi = (max(lo, x) if fx >= 0 else lo), (min(hi, x) if fx <= 0 else hi)
+        near = x_prev is not None and abs(x - x_prev) < 0.5
+        if lo == hi or (near and math.isfinite(lo) and math.isfinite(hi)):
             break
-        if c_hi is not None and c2 >= c_hi * (1 - 1e-12):
-            break
-    raise TargetUnreachable(
-        f"could not bracket c for target {target} on {m.label} (last c={c2})"
-    )
+        # the secant over a short step, else the local-exponent slope, which a
+        # long step (spanning other regimes) would average away
+        slope = (fx - f_prev) / (x - x_prev) if near else 0.0
+        if not (slope < 0 and math.isfinite(slope)):
+            r = seen[x][0]
+            j = m.jet(r)
+            p = -j.d1 * (1.0 + r * r) / (2.0 * r * j.value) if r > 0 and j.value > 0 else 0.0
+            slope = -1.0
+            if math.isfinite(p) and p > 0:
+                slope = -(1.0 + 0.5 / p) if quantity == "delta_v" else -0.5 / p
+        # overshoot the Newton root a little, so steps cross it instead of
+        # creeping up on it from one side
+        step = -fx / slope
+        x_new = x + 1.001 * step + math.copysign(1e-9, step)
+        if math.isfinite(lo) and math.isfinite(hi) and not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        x_new = min(max(x_new, x_lo), x_hi)
+        if x_new == x:
+            break  # pinned at a clamp end
+        x_prev, f_prev = x, fx
+        x, fx = x_new, y(x_new)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise TargetUnreachable(f"no c with {quantity}={target} on {m.label} "
+                                f"(last c={math.exp(x):.6g})")
+    x_star = lo if lo == hi else brentq(y, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    y(x_star)  # brentq returns an evaluated point, so this is a lookup
+    r_max, q = seen[x_star]
+    c = math.exp(x_star)
+    q_other = other(m, c, a, st, r_max=r_max)
+    dv, ln = (q, q_other) if quantity == "delta_v" else (q_other, q)
+    return GeodesicSolution(c, r_max, dv, ln, start=a)
 
 
 def orbit_distance(
@@ -369,18 +419,8 @@ def orbit_distance(
     target = TWO_PI * float(l)
     h0 = m.sup_h()
     straight = target * h0 if math.isfinite(h0) else math.inf
-
-    _, c_floor = _representable_floor(m)
     try:
-        lo, hi = _bracket_c_for(m, lambda c: delta_v_of_c(m, c, settings=st), target, c_floor, st)
-        x = brentq(
-            lambda x: math.log(delta_v_of_c(m, math.exp(x), settings=st) / target),
-            math.log(lo),
-            math.log(hi),
-            xtol=1e-12,
-            rtol=8.9e-16,
-        )
-        sol = clairaut_arc(m, math.exp(x), settings=st)
+        sol = invert_arc(m, "delta_v", target, settings=st)
     except (TargetUnreachable, OutOfRange):
         # no turning point anywhere (e.g. constant h): the axis line is the
         # only candidate
@@ -390,11 +430,6 @@ def orbit_distance(
     if straight < sol.length:
         return straight, None
     return sol.length, sol
-
-
-def length_of_c(m: HalfplaneMetric, c: float, settings=None) -> float:
-    st = settings or QuadSettings()
-    return clairaut_arc(m, c, settings=st).length
 
 
 def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | None = None):
@@ -407,20 +442,12 @@ def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | 
     st = settings or QuadSettings()
     h0 = m.sup_h()
     n_straight = math.floor(R / (TWO_PI * h0) + 1e-12) if math.isfinite(h0) else 0
-    d1, _ = orbit_distance(m, 1, settings=st)
-    if d1 > R:
+    if st not in m._d1:
+        m._d1[st] = orbit_distance(m, 1, settings=st)[0]
+    if m._d1[st] > R:
         return max(0, n_straight)
-    _, c_floor = _representable_floor(m)
     try:
-        lo, hi = _bracket_c_for(m, lambda c: length_of_c(m, c, st), R, c_floor, st)
+        sol = invert_arc(m, "length", R, settings=st)
     except TargetUnreachable:
         return max(0, n_straight)
-    x = brentq(
-        lambda x: math.log(length_of_c(m, math.exp(x), st) / R),
-        math.log(lo),
-        math.log(hi),
-        xtol=1e-12,
-        rtol=8.9e-16,
-    )
-    dv = delta_v_of_c(m, math.exp(x), settings=st)
-    return max(math.floor(dv / TWO_PI + 1e-12), n_straight, 0)
+    return max(math.floor(sol.delta_v / TWO_PI + 1e-12), n_straight, 0)

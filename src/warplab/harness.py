@@ -36,7 +36,7 @@ from .dimension import (
     hausdorff_content,
 )
 from .grushin import convergence_report, probe_pairs, self_similarity_error, GrushinMetric
-from .halfplane import HalfplaneMetric, orbit_distance
+from .halfplane import HalfplaneMetric, QuadSettings, orbit_distance
 from .ladder import OscillationParams
 from .orbits import (
     GrowthWindow,
@@ -216,10 +216,11 @@ def _pure_cache(cfg: RunConfig):
 def _run_orbit_growth(cfg: RunConfig, report: RunReport):
     sm, ladder, params = _model_for(cfg)
     metric = HalfplaneMetric.from_smoothed(sm)
+    st = QuadSettings(rel_tol=cfg.quad_rel_tol)
 
     if ladder is None:
         # pure model: distance sandwich on the asymptotic stretch plus a slope fit
-        table = OrbitTable(metric, cache=_pure_cache(cfg))
+        table = OrbitTable(metric, cache=_pure_cache(cfg), settings=st)
         a = cfg.alpha
         ls = np.unique(np.round(np.exp(np.linspace(math.log(81), math.log(1e5), 40))).astype(int))
         e = 1.0 / (1.0 + 2.0 * a)
@@ -239,7 +240,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport):
         report.add("distance-power-bounds", ok, details=f"{len(ls)} indices in [81, 1e5]")
 
         window = GrowthWindow(1e2, 1e4, a, float("nan"))
-        fit = growth_slope(metric, window, samples=14)
+        fit = growth_slope(metric, window, samples=14, settings=st)
         target = 1.0 + 2.0 * a
         report.add("growth-slope", abs(fit.slope - target) <= 0.15, margin=fit.slope,
                    details=f"expected {target} +- 0.15")
@@ -252,11 +253,11 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport):
     alpha_starts = _piece_starts(sm, cfg.alpha)
     if cfg.periods >= 2 and len(alpha_starts) >= 2:
         S_a = 2.0 * float(alpha_starts[1])
-        _window_checks(cfg, report, metric, cfg.alpha, S_a, "alpha-window", rows_csv)
+        _window_checks(cfg, report, metric, st, cfg.alpha, S_a, "alpha-window", rows_csv)
     beta_starts = _piece_starts(sm, cfg.beta)
     if beta_starts:
         S_b = 2.0 * float(beta_starts[0])
-        _window_checks(cfg, report, metric, cfg.beta, S_b, "beta-window", rows_csv)
+        _window_checks(cfg, report, metric, st, cfg.beta, S_b, "beta-window", rows_csv)
     else:
         report.add("beta-window-unavailable", True, flagged=True,
                    details=f"no beta piece below radius bound {cfg.radius_bound:g}")
@@ -271,18 +272,19 @@ def _piece_starts(sm, a):
     return [s.r_lo for s in sm.base.segments if s.kind == "piece" and s.p == a]
 
 
-def _window_checks(cfg, report, metric, a, S, tag, rows_csv):
-    ok, rows = check_distance_sandwich(metric, a, S, n_samples=12)
+def _window_checks(cfg, report, metric, st, a, S, tag, rows_csv):
+    ok, rows = check_distance_sandwich(metric, a, S, n_samples=12, settings=st)
     rows_csv.extend((r[0], r[1]) for r in rows)
     C1, C2 = sandwich_constants(a)
     report.add(f"{tag}-distance-sandwich", ok,
                details=f"C1={C1:.4g}, C2={C2:.4g}, S={S:.4g}")
     window = GrowthWindow.for_stretch(a, S)
-    fit = growth_slope(metric, window, samples=12)
+    fit = growth_slope(metric, window, samples=12, settings=st)
     target = 1.0 + 2.0 * a
     report.add(f"{tag}-growth-slope", abs(fit.slope - target) <= 0.3, margin=fit.slope,
                details=f"expected {target} +- 0.3")
-    c1, c2 = fit_count_constants(metric, target, window.lo, window.hi, samples=12)
+    c1, c2 = fit_count_constants(metric, target, window.lo, window.hi, samples=12,
+                                 settings=st)
     report.add(f"{tag}-count-constants", math.isfinite(c2 / c1) and c1 > 0,
                margin=c2 / c1, details=f"c1={c1:.4g}, c2={c2:.4g}")
     _write_growth_csv(cfg, report, fit, f"growth_{tag}.csv")
@@ -301,7 +303,8 @@ def _write_growth_csv(cfg, report, fit, name):
 def _run_capacity(cfg: RunConfig, report: RunReport):
     # capacity always runs the pure alpha model
     metric = HalfplaneMetric.from_smoothed(pure_model_h(cfg.alpha))
-    table = OrbitTable(metric, cache=_pure_cache(cfg))
+    table = OrbitTable(metric, cache=_pure_cache(cfg),
+                       settings=QuadSettings(rel_tol=cfg.quad_rel_tol))
     s = LinearOrbitMetric(lambda l: table.distance(l), scale=1.0)
     k = 1.0 + 2.0 * cfg.alpha
 
@@ -356,8 +359,9 @@ def _run_grushin(cfg: RunConfig, report: RunReport):
             lambdas = list(np.geomspace(max(lam_lo, 2.0), lam_hi, 3))
             report.add("rescaling-ladder-refit", True, flagged=True,
                        details=f"configured factors outside [{lam_lo:g}, {lam_hi:g}]")
+    st = QuadSettings(rel_tol=cfg.quad_rel_tol)
     rep = convergence_report(sm, exponent, stretch, lambdas,
-                             n_pairs=cfg.probe_pairs, seed=cfg.seed)
+                             n_pairs=cfg.probe_pairs, seed=cfg.seed, tol_settings=st)
     path = os.path.join(cfg.outdir, "grushin_convergence.csv")
     write_csv(path, ["lambda", "max_rel_err"], list(zip(rep.lambdas, rep.max_rel_errors)))
     report.artifacts.append(path)
@@ -367,5 +371,5 @@ def _run_grushin(cfg: RunConfig, report: RunReport):
 
     rng = np.random.default_rng(cfg.seed + 1)
     pairs = probe_pairs(rng, 10)
-    err = self_similarity_error(GrushinMetric(exponent), pairs)
+    err = self_similarity_error(GrushinMetric(exponent), pairs, settings=st)
     report.add("cone-self-similarity", err < 0.01, margin=err)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from warplab import halfplane
 from warplab.halfplane import (
     DeltaVNotMonotone,
     GeodesicSolution,
@@ -12,10 +15,13 @@ from warplab.halfplane import (
     circle_length,
     clairaut_arc,
     delta_v_of_c,
+    invert_arc,
     orbit_distance,
     solve_turning_point,
     verify_delta_v_monotone,
 )
+from warplab.orbits import OrbitTable, window_index_bounds
+from warplab.smoothing import pure_model_h
 from warplab.warping import constant_h, exp_decay_h, grushin_h, power_decay_h
 
 from .oracles import hyperbolic_arc, power_arc_oracle
@@ -156,3 +162,122 @@ def test_delta_v_values_decrease_in_c(pure_half_metric):
     cs = np.geomspace(0.9, 1e-3, 12)
     dvs = [delta_v_of_c(pure_half_metric, float(c)) for c in cs]
     assert all(b > a for a, b in zip(dvs, dvs[1:]))
+
+
+# -- the seeded arc inversion ------------------------------------------------
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _delta_v_calls_per_distance(m, l):
+    """d_l, and the delta_v_of_c evaluations orbit_distance spent on it."""
+    calls = []
+    real = halfplane.delta_v_of_c
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halfplane, "delta_v_of_c", spy)
+        d, _ = orbit_distance(m, l)
+    return d, len(calls)
+
+
+def _osc_window_indices(osc_build, a):
+    """Index window of the standard oscillating model at the alpha stretch of
+    period 2 (S = 2 R14) or the first beta stretch (S = 2 R12)."""
+    ladder, _, _ = osc_build
+    S = 2.0 * float(ladder.junctions[3] if a == 0.6 else ladder.junctions[1])
+    return window_index_bounds(a, S)
+
+
+@PROPERTY
+@given(u=st.floats(0.0, math.log(1e6)), v=st.floats(0.0, math.log(1e6)))
+def test_invert_arc_properties_pure(pure_half_metric, u, v):
+    verify_delta_v_monotone(pure_half_metric)  # once per metric, outside the budget
+    l1, l2 = sorted((max(1, round(math.exp(u))), max(1, round(math.exp(v)))))
+    target = TWO_PI * l1
+    sol = invert_arc(pure_half_metric, "delta_v", target)
+    assert sol.delta_v == pytest.approx(target, rel=1e-10)
+    assert delta_v_of_c(pure_half_metric, sol.clairaut_c) == pytest.approx(target, rel=1e-10)
+    d1, n1 = _delta_v_calls_per_distance(pure_half_metric, l1)
+    d2, n2 = _delta_v_calls_per_distance(pure_half_metric, l2)
+    assert d1 <= d2 if l1 < l2 else d1 == d2
+    assert max(n1, n2) <= 8
+
+
+@PROPERTY
+@given(a=st.sampled_from([0.6, 1.2]), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+def test_invert_arc_properties_osc_windows(osc_metric, osc_build, a, u, v):
+    verify_delta_v_monotone(osc_metric)
+    lo, hi = _osc_window_indices(osc_build, a)
+    l1, l2 = sorted(math.exp(math.log(lo) + w * math.log(hi / lo)) for w in (u, v))
+    assume(l1 == l2 or l2 > l1 * (1 + 1e-9))  # d_l apart by more than the solver's noise
+    target = TWO_PI * l1
+    sol = invert_arc(osc_metric, "delta_v", target)
+    assert sol.delta_v == pytest.approx(target, rel=1e-10)
+    assert delta_v_of_c(osc_metric, sol.clairaut_c) == pytest.approx(target, rel=1e-10)
+    d1, n1 = _delta_v_calls_per_distance(osc_metric, l1)
+    d2, n2 = _delta_v_calls_per_distance(osc_metric, l2)
+    assert d1 <= d2 if l1 < l2 else d1 == d2
+    assert max(n1, n2) <= 12
+
+
+def test_consecutive_distances_are_arcs():
+    # consecutive indices as the capacity step tabulates them: a solve that
+    # crept up on its root from one side without a bracket would end in
+    # TargetUnreachable and fall back to the straight axis loop
+    m = HalfplaneMetric.from_smoothed(pure_model_h(0.6))
+    prev = 0.0
+    for l in range(1100, 1300):
+        d, sol = orbit_distance(m, l)
+        assert sol is not None and d == sol.length and d > prev
+        prev = d
+
+
+def test_invert_arc_length_and_completion(pure_half_metric):
+    # the length inversion lands on the arc of the requested length, and the
+    # completed arc is the one clairaut_arc integrates at the same constant
+    sol = invert_arc(pure_half_metric, "length", 300.0)
+    assert sol.length == pytest.approx(300.0, rel=1e-10)
+    ref = clairaut_arc(pure_half_metric, sol.clairaut_c)
+    assert sol.delta_v == pytest.approx(ref.delta_v, rel=1e-12)
+    assert sol.r_max == pytest.approx(ref.r_max, rel=1e-12)
+
+
+def test_invert_arc_unreachable_target():
+    # an axis-flat coefficient keeps delta_v above pi/sqrt(2a) on every arc
+    # from the axis, so a smaller target has no Clairaut constant
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    with pytest.raises(halfplane.TargetUnreachable):
+        invert_arc(m, "delta_v", 1.0)
+    with pytest.raises(KeyError):
+        invert_arc(m, "area", 1.0)
+
+
+@pytest.mark.parametrize("model", ["pure", "osc"])
+def test_axis_count_matches_table_on_tabulated_scales(model, pure_half_metric, osc_metric):
+    # radii between consecutive tabulated distances: the length inversion and
+    # the table's integer bisection name the same index
+    m = pure_half_metric if model == "pure" else osc_metric
+    table = OrbitTable(m)
+    for l in (2, 17, 250, 4000):
+        R = math.sqrt(table.distance(l) * table.distance(l + 1))
+        assert halfplane.axis_count_at_radius(m, R) == table.max_index_within(R) == l
+
+
+def test_axis_count_computes_d1_once_per_metric(monkeypatch):
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    calls = []
+    real = halfplane.orbit_distance
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(halfplane, "orbit_distance", spy)
+    counts = [halfplane.axis_count_at_radius(m, R) for R in (40.0, 123.0, 517.0)]
+    assert calls == [1]
+    assert counts == sorted(counts) and counts[0] > 0

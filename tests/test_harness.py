@@ -115,3 +115,39 @@ def test_capacity_rows_keyed_to_the_pure_model(tmp_path, cache_dir, monkeypatch)
     assert os.listdir(cache_dir) == [f"orbit_{model_hash(pure.model_payload())}.tsv"]
     assert OrbitCache.for_model(pure.model_payload(), cache_dir).load()
     assert OrbitCache.for_model(osc.model_payload(), cache_dir).load() == {}
+
+
+def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, monkeypatch):
+    from warplab import orbits
+    from warplab.cache import model_hash
+
+    tols = []
+
+    def spy(m, l, settings=None):
+        tols.append(settings.rel_tol)
+        return l ** (1 / 2.2), None  # closed form keeps the capacity step fast
+
+    monkeypatch.setattr(orbits, "orbit_distance", spy)
+    cfgs = [parse_config(None, {"mode": "capacity", "alpha": 0.6, "outdir": str(tmp_path / tag),
+                                "cache_dir": cache_dir, **extra})
+            for tag, extra in (("default", {}), ("loose", {"quad_rel_tol": 1e-8}))]
+    run(cfgs[0])
+    n_default = len(tols)
+    run(cfgs[1])
+    assert set(tols[:n_default]) == {1e-9} and set(tols[n_default:]) == {1e-8}
+    files = sorted(f"orbit_{model_hash(c.model_payload())}.tsv" for c in cfgs)
+    assert files[0] != files[1] and sorted(os.listdir(cache_dir)) == files
+
+
+def test_oscillating_full_suite(tmp_path, cache_dir):
+    cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
+                              "outdir": str(tmp_path), "cache_dir": cache_dir})
+    report = run(cfg)
+    assert len(report.checks) == 21
+    assert not report.failed
+    flagged = {c.name for c in report.checks if c.status == "flagged"}
+    assert flagged == {"ladder-truncated", "rescaling-ladder-refit"}
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "capacity.csv", "capacity_fit.csv", "growth_alpha-window.csv", "growth_beta-window.csv",
+        "grushin_convergence.csv", "orbit_distances.csv", "ricci_curve.csv",
+    ]
