@@ -7,8 +7,9 @@ overwritten on the next append), never silently reused.  Records are
 reproduces runs byte-identically.  The file is append-only: each new
 distance adds one line, and a reader skips a last line without its
 newline (a write torn by a crash) and lets a repeated index's last record
-win.  Header rewrites go through a temp file + os.replace; in-process
-appends are serialized by a lock.
+win.  A missing file is created exclusively with its header already in
+place; header rewrites go through a uniquely named temp file + os.replace;
+in-process appends are serialized by a lock.
 """
 
 import hashlib
@@ -81,14 +82,28 @@ class OrbitCache:
             with open(self.path) as fh:
                 text = fh.read()
         except FileNotFoundError:
-            text = ""
+            # create it exclusively with its header in place (a hard link of a
+            # written temp file), so no process ever reads it headerless
+            tmp = self._temp_file(head)
+            try:
+                os.link(tmp, self.path)
+            except FileExistsError:
+                pass  # another process created it first; decide on its contents
+            finally:
+                os.unlink(tmp)
+            return self._prepare()
         if not text.startswith(head):
             keep = head
         elif not text.endswith("\n"):
             keep = text[: text.rfind("\n") + 1]
         else:
             return
-        tmp = self.path + ".tmp"
+        os.replace(self._temp_file(keep), self.path)
+
+    def _temp_file(self, text):
+        """A file holding text beside the cache file, named for this process
+        and instance, so no other live writer uses the same name."""
+        tmp = f"{self.path}.{os.getpid()}-{id(self)}.tmp"
         with open(tmp, "w") as fh:
-            fh.write(keep)
-        os.replace(tmp, self.path)
+            fh.write(text)
+        return tmp

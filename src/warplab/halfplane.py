@@ -72,7 +72,8 @@ class HalfplaneMetric:
     def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=(),
                  value=None):
         self._h = h  # r -> Jet2
-        self._value = value or (lambda r: h(r).value)  # r -> h(r), no derivatives needed
+        if value is not None:
+            self.value = value  # float r -> float h(r), in place of the method
         self.label = label
         self.domain_start = float(domain_start)
         self.r_cap = float(r_cap)
@@ -87,7 +88,8 @@ class HalfplaneMetric:
         return Jet2(float(j.value), float(j.d1), float(j.d2))
 
     def value(self, r):
-        return float(self._value(r))
+        """h(r) as a float, with no derivatives."""
+        return float(self._h(r).value)
 
     def sup_h(self):
         """h at the domain start: the supremum over the represented domain."""
@@ -102,8 +104,8 @@ class HalfplaneMetric:
     def from_smoothed(sm, **kw):
         kw.setdefault("label", "smoothed-h")
         kw.setdefault("breakpoints", sm.breakpoints_float(r_max=1e290))
-        # quadrature integrands and root-finders read h alone: the value-only query
-        return HalfplaneMetric(lambda r: sm.jet(r), value=sm.value, **kw)
+        # quadrature integrands and root-finders read h alone: one table lookup
+        return HalfplaneMetric(sm.jet, value=sm.float_value, **kw)
 
 
 def circle_length(m: HalfplaneMetric, r) -> float:
@@ -153,38 +155,6 @@ class GeodesicSolution:
             raise AssertionError("arc shorter than twice its radial rise")
 
 
-class _GapEvaluator:
-    """h^2 - c^2 near and away from the turning point.
-
-    The turning panel works in delta = r_max - r directly (delta = t^2 from
-    the substitution is exact in floats even when r_max - delta rounds back
-    to r_max), with a second-order Taylor model of h - c close in, so the
-    gap never suffers cancellation."""
-
-    def __init__(self, m, c, r_max, taylor_frac):
-        self.m = m
-        self.c = c
-        self.r_max = r_max
-        jet = m.jet(r_max)
-        self.d1 = jet.d1  # < 0
-        self.d2 = jet.d2
-        self.delta_switch = taylor_frac * max(r_max, 1.0)
-
-    def by_delta(self, delta):
-        """(h, h-c, h+c); callers form sqrt(h-c)*sqrt(h+c) so the product
-        h^2-c^2 never underflows as a single float."""
-        if delta <= self.delta_switch:
-            diff = -self.d1 * delta + 0.5 * self.d2 * delta * delta
-            h = self.c + diff
-            return h, diff, h + self.c
-        h = self.m.value(self.r_max - delta)
-        return h, h - self.c, h + self.c
-
-    def by_radius(self, r):
-        h = self.m.value(r)
-        return h, h - self.c, h + self.c
-
-
 def _arc_panels(m, start, r_max):
     """Split [start, r_max] at structural breakpoints; final panel owns the
     turning point."""
@@ -207,11 +177,16 @@ def _quad_panel(f, a, b, st):
     return out[0], out[1]
 
 
-def _integrate_arc(m, c, start, settings, r_max, weight):
-    """2 int_start^{r_max} weight(h)/sqrt(h^2-c^2) dr by panelled quadrature,
-    solving for r_max when it is None.
+def _integrate_arc(m, c, start, settings, r_max, dv):
+    """2 int_start^{r_max} w/sqrt(h^2-c^2) dr by panelled quadrature, with
+    w = c/h for v-displacement (dv) and w = h for length, solving for r_max
+    when it is None.
 
-    weight(h) is h for length, c/h for v-displacement.
+    The turning panel works in delta = r_max - r directly (delta = t^2 from
+    the substitution is exact in floats even when r_max - delta rounds back
+    to r_max), with a second-order Taylor model of h - c close in, so the
+    gap never suffers cancellation; sqrt(h-c)*sqrt(h+c) keeps h^2-c^2 from
+    underflowing as a single float.
     """
     st = settings or QuadSettings()
     start = m.domain_start if start is None else float(start)
@@ -219,29 +194,33 @@ def _integrate_arc(m, c, start, settings, r_max, weight):
         r_max = solve_turning_point(m, c, st)
     if r_max <= start:
         return 0.0
-    gap = _GapEvaluator(m, c, r_max, st.taylor_frac)
+    hv, sqrt = m.value, math.sqrt
+    jet = m.jet(r_max)
+    nd1, hd2 = -jet.d1, 0.5 * jet.d2  # h - c ~ nd1*delta + hd2*delta^2
+    delta_switch = st.taylor_frac * max(r_max, 1.0)
 
     def integrand_r(r):
-        h, diff, ssum = gap.by_radius(r)
-        return weight(h) / (math.sqrt(diff) * math.sqrt(ssum))
+        h = hv(r)
+        return (c / h if dv else h) / (sqrt(h - c) * sqrt(h + c))
+
+    def integrand_t(t):
+        # t = sqrt(r_max - r) removes the endpoint singularity
+        delta = t * t
+        if delta <= delta_switch:
+            diff = nd1 * delta + hd2 * delta * delta
+            h = c + diff
+        else:
+            h = hv(r_max - delta)
+            diff = h - c
+        return 2.0 * t * (c / h if dv else h) / (sqrt(diff) * sqrt(h + c))
 
     total = 0.0
     err_total = 0.0
     panels = _arc_panels(m, start, r_max)
     for a, b in zip(panels, panels[1:]):
-        last = b == r_max
-        if last:
-            # t = sqrt(r_max - r) removes the endpoint singularity
+        if b == r_max:
             T = math.sqrt(r_max - a)
-
-            def integrand_t(t):
-                h, diff, ssum = gap.by_delta(t * t)
-                return 2.0 * t * weight(h) / (math.sqrt(diff) * math.sqrt(ssum))
-
-            if T > 0:
-                v, e = _quad_panel(integrand_t, 0.0, T, st)
-            else:
-                v, e = 0.0, 0.0
+            v, e = _quad_panel(integrand_t, 0.0, T, st) if T > 0 else (0.0, 0.0)
         elif a > 0 and b / a >= 8.0:
             v, e = _quad_panel(
                 lambda s: integrand_r(math.exp(s)) * math.exp(s),
@@ -277,13 +256,13 @@ def clairaut_arc(
 def delta_v_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
                  settings: QuadSettings | None = None, r_max: float | None = None) -> float:
     """v-displacement of the arc with Clairaut constant c (decreasing in c)."""
-    return _integrate_arc(m, c, start, settings, r_max, weight=lambda h: c / h)
+    return _integrate_arc(m, c, start, settings, r_max, dv=True)
 
 
 def length_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
                 settings: QuadSettings | None = None, r_max: float | None = None) -> float:
     """Length of the arc with Clairaut constant c (decreasing in c)."""
-    return _integrate_arc(m, c, start, settings, r_max, weight=lambda h: h)
+    return _integrate_arc(m, c, start, settings, r_max, dv=False)
 
 
 def verify_delta_v_monotone(m: HalfplaneMetric, n: int = 200, c_hi_frac: float = 1e-6,

@@ -138,6 +138,9 @@ class Blend:
             return self.jet(mpmath.mpf(r))  # degenerate in doubles: redo exactly
         return out
 
+    def value(self, r):
+        return self.jet(r).value
+
 
 class SmoothedH:
     """Piecewise warping with quintic blends across every junction.
@@ -154,30 +157,43 @@ class SmoothedH:
             if not (a.hi < b.lo):
                 raise BlendOverlap(f"blends at {a.R} and {b.R} intersect")
         self._edges = ([b.lo for b in self.blends], [b.hi for b in self.blends])
-        self._edges_f = tuple([float_ceil(x) for x in xs] for xs in self._edges)
+        # one float table: every segment key and blend lo/hi key is an edge;
+        # the safe-side edges make every double in [e_i, e_i+1) decide as e_i
+        # does, so that interval's owner is the exact decision at e_i
+        self._fedges = sorted({*base._keys, *(float_ceil(x) for xs in self._edges for x in xs)})
+        self._fowners = [self._owner_at(mpmath.mpf(e)) for e in (-math.inf, *self._fedges)]
+        edges, owners = self._fedges, self._fowners
+        negp = [-o.p if isinstance(o, Segment) and o._unit else None for o in owners]
+
+        def float_value(r):
+            """value(r) for a float r as a double, also where promoted: one
+            bisect, and a unit segment's power inline."""
+            i = bisect_right(edges, r)
+            q = negp[i]
+            return (1.0 + r * r) ** q if q is not None else float(owners[i].value(r))
+        self.float_value = float_value
+
+    def _owner_at(self, r):
+        """The blend (lo <= r < hi) or else the segment that answers h at r:
+        one bisect of the float table for a float r, exact comparisons for
+        an mpf one (blends are sorted and disjoint)."""
+        if isinstance(r, float):
+            return self._fowners[bisect_right(self._fedges, r)]
+        los, his = self._edges
+        idx = bisect_right(los, r) - 1
+        return self.blends[idx] if idx >= 0 and r < his[idx] else self.base.segment_at(r)
 
     def _blend_at(self, r):
-        """The blend with lo <= r < hi, or None; decided exactly for float
-        and mpf radii (blends are sorted and disjoint)."""
-        los, his = self._edges_f if isinstance(r, float) else self._edges
-        idx = bisect_right(los, r) - 1
-        if idx >= 0 and r < his[idx]:
-            return self.blends[idx]
-        return None
+        owner = self._owner_at(r)
+        return owner if isinstance(owner, Blend) else None
 
     def jet(self, r) -> Jet2:
-        b = self._blend_at(r)
-        if b is not None:
-            return b.jet(r)
-        return self.base.jet(r)
+        return self._owner_at(r).jet(r)
 
     def value(self, r):
-        """h(r), equal to jet(r).value; outside blends a float r builds no
-        Jet2."""
-        b = self._blend_at(r)
-        if b is not None:
-            return b.jet(r).value
-        return self.base.value(r)
+        """h(r), equal to jet(r).value; a float r builds no Jet2 outside
+        blends."""
+        return self._owner_at(r).value(r)
 
     def __call__(self, r) -> Jet2:
         return self.jet(r)
@@ -232,11 +248,9 @@ def smooth(
 def _check_blend_monotonicity(sm: SmoothedH, n: int):
     for b in sm.blends:
         use_mp = float(b.R) > _MP_EVAL_CUTOFF  # float(mpf) saturates to inf
-        lo, hi = b.lo, b.hi
+        lo, hi = (b.lo, b.hi) if use_mp else (float(b.lo), float(b.hi))
         for i in range(n):
-            t = (i + 0.5) / n
-            r = lo + (hi - lo) * t
-            r = r if use_mp else float(r)
+            r = lo + (hi - lo) * ((i + 0.5) / n)
             j = b.jet(r)
             if not (j.d1 < 0):
                 raise MonotonicityLoss(

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 from warplab.cache import HEADER, OrbitCache, model_hash
 
 
@@ -41,3 +44,31 @@ def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
     assert _lines(mine) == [HEADER + mine.model_key, "2 1.0 0.5 2.0"]
     assert mine.load() == {2: (1.0, 0.5, 2.0)}
     assert alien.load() == {}
+
+
+def _append_fifty_per_trial(paths, key, first, barrier):
+    for path in paths:
+        cache = OrbitCache(path, key)
+        barrier.wait(timeout=10)
+        for l in range(first, first + 50):
+            cache.append(l, l + 0.5, 0.25, 2.0 * l)
+
+
+def test_two_processes_first_appends_to_one_fresh_file(tmp_path):
+    # per trial, both processes prepare the same missing file at once: neither
+    # may fail, and neither may clobber the other's records
+    ctx = multiprocessing.get_context("spawn")
+    key = model_hash({"family": "race"})
+    paths = [os.path.join(tmp_path, f"orbit_{trial}.tsv") for trial in range(24)]
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_append_fifty_per_trial, args=(paths, key, first, barrier))
+             for first in (0, 50)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(60)
+    assert [p.exitcode for p in procs] == [0, 0]
+    want = {l: (l + 0.5, 0.25, 2.0 * l) for l in range(100)}
+    for path in paths:
+        assert OrbitCache(path, key).load() == want, path
+    assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from warplab.cli import main
+from warplab.construction_io import load_construction
 
 
 def run_cli(args):
@@ -67,3 +68,26 @@ def test_capacity_determinism(tmp_path, capsys):
         assert code == 0
     for name in ("capacity.csv", "capacity_fit.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_build_example_end_to_end(tmp_path, capsys):
+    code = run_cli([
+        "build-example", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3", "--B", "1.5",
+        "--radius-bound", "1e40", "--outdir", str(tmp_path),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0 and "[FAIL]" not in out
+    report = json.loads((tmp_path / "report.json").read_text())
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert {n for n, s in status.items() if s == "flagged"} == {"ladder-truncated"}
+    assert {n for n, s in status.items() if s != "flagged"} >= {
+        "junction-continuity", "strictly-decreasing(1e5 samples)",
+        "replacement-inequalities(all blends)",
+    }
+    assert all(s == "pass" for s in status.values() if s != "flagged")
+    assert any(n.startswith("certified-k<=") for n in status)
+    # the saved construction rebuilds and agrees with its stored segments
+    params, ladder, hp, sm = load_construction(str(tmp_path / "construction.json"))
+    assert (params.alpha, params.beta, params.A, params.B) == (0.6, 1.2, 0.3, 1.5)
+    assert ladder.truncated and ladder.radius_bound == 1e40
+    assert len(sm.blends) == len(hp.segments) - 1 == 4

@@ -16,12 +16,14 @@ from warplab.halfplane import (
     clairaut_arc,
     delta_v_of_c,
     invert_arc,
+    length_of_c,
     orbit_distance,
     solve_turning_point,
     verify_delta_v_monotone,
 )
+from warplab.ladder import OscillationParams
 from warplab.orbits import OrbitTable, window_index_bounds
-from warplab.smoothing import pure_model_h
+from warplab.smoothing import build_oscillating_h, pure_model_h
 from warplab.warping import constant_h, exp_decay_h, grushin_h, power_decay_h
 
 from .oracles import hyperbolic_arc, power_arc_oracle
@@ -281,3 +283,52 @@ def test_axis_count_computes_d1_once_per_metric(monkeypatch):
     counts = [halfplane.axis_count_at_radius(m, R) for R in (40.0, 123.0, 517.0)]
     assert calls == [1]
     assert counts == sorted(counts) and counts[0] > 0
+
+
+# (model, turning radius aimed at, c, start, r_max, delta_v, length), recorded
+# before the arc integrands were flattened; the comment says whether the
+# turning panel reaches past the Taylor switch (direct h evaluations too)
+_GOLDEN_ARCS = [
+    ('pure', 0.3, 0.9578262852211513, None, 0.3, 3.2829643230010466, 3.279919022961633),  # Taylor and direct
+    ('pure', 2.0, 0.4472135954999579, None, 1.999999999999883, 9.424777960199682, 7.02481473078595),  # Taylor and direct
+    ('pure', 1000.0, 0.000999999500000375, None, 999.9999999999998, 1570799.4683868396, 3141.5942243850163),  # Taylor and direct
+    ('pure', 1000000000000.0, 1e-12, None, 999999999999.999, 1.570796326793132e+24, 3141592653588.0283),  # Taylor and direct
+    ('pure', 1e+25, 9.999999999999998e-26, None, 9.99999999999889e+24, 1.5707963265783812e+50, 3.1415926533732786e+25),  # Taylor and direct
+    ('pure', 1000000.0, 9.999999999995e-07, 10.0, 999999.9999999995, 1570796326797.112, 3141572.6535904384),  # Taylor and direct
+    ('osc', 50.0, 0.009143906676474418, None, 50.000000000000014, 7403.74574619314, 148.88149238098043),  # Taylor and direct
+    ('osc', 3000000.0, 2.8504208669352084e-16, None, 3000000.0000000023, 7.821014523591922e+21, 7580432.599843554),  # Taylor and direct
+    ('osc', 1e+39, 1.58489319246112e-47, None, 1.0000000000000111e+39, 8.540014980634911e+85, 2.9772587445177934e+39),  # Taylor and direct
+    ('osc', 1000.0, 3.98142402805952e-06, None, 999.999999999998, 152499045.30156755, 2428.651127502286),  # Taylor and direct
+    ('osc', 1000000000.0, 2.5118864315095845e-22, None, 999999999.9999993, 2.9587020736249825e+30, 2526854021.8326907),  # Taylor and direct
+    ('osc', 110.0, 0.0032707907127546175, None, 110.00000000000004, 30217.565826143575, 285.099436031155),  # Taylor and direct
+    ('osc', 900000.0, 5.294451062562649e-15, None, 900000.0000000007, 9.573383000120133e+19, 2154974.707411885),  # Taylor and direct
+    ('osc', 4500000000000.0, 3.9190713631485704e-31, None, 4499999999999.998, 6.72572808785866e+42, 10815841644903.07),  # Taylor and direct
+    ('osc', 1.3e+38, 1.874700639166643e-46, None, 1.2999999999999926e+38, 1.590405361266567e+84, 4.8039240407241846e+38),  # Taylor and direct
+    ('osc', 120.00012, 0.002303821389878941, None, 120.00012, 34342.30722915088, 293.8321427201311),  # Taylor only
+    ('osc', 1000000000.0, 2.5118864315095845e-22, 10000.0, 999999999.9999993, 2.9587020736249825e+30, 2526834021.8326907),  # Taylor and direct
+]
+
+
+@pytest.fixture(scope="module")
+def golden_metrics():
+    _, _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
+                                   radius_bound=1e40, check=False)
+    return {"pure": HalfplaneMetric.from_smoothed(pure_model_h(0.5)),
+            "osc": HalfplaneMetric.from_smoothed(sm)}
+
+
+def test_arc_integrals_golden_bits(golden_metrics):
+    # turning radii on pure pieces, on both bridges and inside blends of the
+    # standard model at 1e40, and across the pure alpha = 0.5 model: any bit
+    # the quadrature integrands move fails here
+    reached = set()
+    for name, r, c, start, r_max, dv, length in _GOLDEN_ARCS:
+        m = golden_metrics[name]
+        assert repr(m.value(r)) == repr(c)
+        assert repr(solve_turning_point(m, c)) == repr(r_max), (name, r)
+        assert repr(delta_v_of_c(m, c, start)) == repr(dv), (name, r)
+        assert repr(length_of_c(m, c, start)) == repr(length), (name, r)
+        a = m.domain_start if start is None else start
+        panel = r_max - max([a] + [b for b in m.breakpoints if b < r_max])
+        reached.add(panel > halfplane.QuadSettings().taylor_frac * max(r_max, 1.0))
+    assert reached == {True, False}  # turning panels with and without direct h

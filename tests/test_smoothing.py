@@ -1,5 +1,6 @@
 import math
 import struct
+from bisect import bisect_right
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from warplab.jets import Jet2
 from warplab.ladder import ExponentSchedule, OscillationParams, bridge_constant
-from warplab.piecewise import PiecewiseH, Segment
+from warplab.piecewise import PiecewiseH, Segment, float_ceil
 from warplab.smoothing import (
     Blend,
     CutoffSpec,
@@ -279,6 +280,27 @@ def test_float_edge_decisions_match_mpf(fast_path_models):
         for r in _probe_radii(sm, top, seed=32):
             assert sm._blend_at(r) is sm._blend_at(mpmath.mpf(r)), r
             assert sm.base.segment_at(r) is sm.base.segment_at(mpmath.mpf(r)), r
+
+
+def _decision_before_table(sm, r):
+    """The float decision as separate searches made it: the blend whose
+    safe-side lo/hi keys hold r, else the piecewise segment."""
+    los = [float_ceil(b.lo) for b in sm.blends]
+    his = [float_ceil(b.hi) for b in sm.blends]
+    i = bisect_right(los, r) - 1
+    return sm.blends[i] if i >= 0 and r < his[i] else sm.base.segment_at(r)
+
+
+def test_flat_table_owner_matches_separate_and_exact_decisions(fast_path_models):
+    for sm, top in fast_path_models:
+        for r in _probe_radii(sm, top, seed=34):
+            owner = sm._owner_at(r)
+            assert owner is _decision_before_table(sm, r), r
+            assert owner is sm._owner_at(mpmath.mpf(r)), r
+            v = sm.value(r)
+            assert _bits(v) == _bits(sm.jet(r).value), r
+            # the metric's query: the same double, also where promoted
+            assert _bits(sm.float_value(r)) == _bits(float(v)), r
 
 
 class _Side:
