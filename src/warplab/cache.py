@@ -7,11 +7,13 @@ overwritten on the next append), never silently reused.  Records are
 reproduces runs byte-identically.  The file is append-only: each new
 distance adds one line, and a reader skips a last line without its
 newline (a write torn by a crash) and lets a repeated index's last record
-win.  A missing file is created exclusively with its header already in
-place; header rewrites go through a uniquely named temp file + os.replace;
-in-process appends are serialized by a lock.
+win.  Header checks and rewrites (a temp file + os.replace) hold an
+exclusive flock on the cache directory, appends a shared one, so no process
+rewrites the file while another writes to it; in-process appends are
+serialized by a lock.
 """
 
+import fcntl
 import hashlib
 import json
 import os
@@ -66,32 +68,29 @@ class OrbitCache:
             return {}
 
     def append(self, l, d, c, r_max):
-        with self._lock:
-            if not self._ready:
-                self._prepare()
-                self._ready = True
-            with open(self.path, "a") as fh:
-                fh.write(f"{int(l)} {float(d)!r} {float(c)!r} {float(r_max)!r}\n")
+        # the directory's inode, unlike the file's, survives os.replace
+        dir_fd = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+        try:
+            with self._lock:
+                fcntl.flock(dir_fd, fcntl.LOCK_SH if self._ready else fcntl.LOCK_EX)
+                if not self._ready:
+                    self._prepare()
+                    self._ready = True
+                with open(self.path, "a") as fh:
+                    fh.write(f"{int(l)} {float(d)!r} {float(c)!r} {float(r_max)!r}\n")
+        finally:
+            os.close(dir_fd)  # releases the flock
 
     def _prepare(self):
-        """Before the first append: start a file with this model's header when
-        it is missing or keyed to another model, and cut a torn last line so
-        the next record starts on a line of its own."""
+        """Before the first append, under the exclusive flock: start a file with
+        this model's header when it is missing or keyed to another model, and
+        cut a torn last line so the next record starts on a line of its own."""
         head = HEADER + self.model_key + "\n"
         try:
             with open(self.path) as fh:
                 text = fh.read()
         except FileNotFoundError:
-            # create it exclusively with its header in place (a hard link of a
-            # written temp file), so no process ever reads it headerless
-            tmp = self._temp_file(head)
-            try:
-                os.link(tmp, self.path)
-            except FileExistsError:
-                pass  # another process created it first; decide on its contents
-            finally:
-                os.unlink(tmp)
-            return self._prepare()
+            text = ""
         if not text.startswith(head):
             keep = head
         elif not text.endswith("\n"):

@@ -2,8 +2,9 @@
 
 The rectangle [r_lo, r_hi] x [v_lo, v_hi] is discretized to an 8-connected
 grid whose edge weights are the local metric quadratic form at the edge
-midpoint, sqrt(dr^2 + h(r_mid)^2 dv^2); Dijkstra (scipy.sparse.csgraph)
-then gives a genuine path upper bound for the distance.
+midpoint, sqrt(dr^2 + h(r_mid)^2 dv^2), with h read once per grid row and
+row gap; Dijkstra (scipy.sparse.csgraph) then gives a genuine path upper
+bound for the distance.
 
 Raw grid paths overestimate: discretization contributes O(step) and the
 eight fixed directions contribute an anisotropy excess that does not
@@ -61,14 +62,16 @@ def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget)
         return ir * nv + iv
 
     IR, IV = np.meshgrid(np.arange(nr), np.arange(nv), indexing="ij")
+    # an edge's mid-radius is a grid row (dir_ = 0: 0.5*(x + x) == x exactly)
+    # or a row gap (dir_ = 1), so h is read once per row and once per gap
+    h_at = (h_value(rs), h_value(0.5 * (rs[:-1] + rs[1:])))
 
     def add_block(dir_, div_):
         a_ir = IR[max(0, -dir_) : nr - max(0, dir_), max(0, -div_) : nv - max(0, div_)]
         a_iv = IV[max(0, -dir_) : nr - max(0, dir_), max(0, -div_) : nv - max(0, div_)]
         b_ir = a_ir + dir_
         b_iv = a_iv + div_
-        r_mid = 0.5 * (rs[a_ir] + rs[b_ir])
-        hm = h_value(r_mid)
+        hm = h_at[dir_][a_ir]
         w = np.sqrt((rs[b_ir] - rs[a_ir]) ** 2 + (hm * (vs[b_iv] - vs[a_iv])) ** 2)
         rows.append((a_ir * nv + a_iv).ravel())
         cols.append((b_ir * nv + b_iv).ravel())

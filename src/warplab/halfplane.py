@@ -45,7 +45,12 @@ class QuadratureFailure(RuntimeError):
 
 
 class TargetUnreachable(RuntimeError):
-    """No bracket for the requested v-displacement."""
+    """No bracket for the requested quantity; `overshoot` when even the arc
+    at the top clamp exceeds the target, so no arc from the start has it."""
+
+    def __init__(self, msg, overshoot=False):
+        super().__init__(msg)
+        self.overshoot = overshoot
 
 
 class DeltaVNotMonotone(RuntimeError):
@@ -294,7 +299,9 @@ def verify_delta_v_monotone(m: HalfplaneMetric, n: int = 200, c_hi_frac: float =
 
 def _representable_floor(m):
     """Largest probe radius where h and its slope stay clear of underflow."""
-    for r in (1e250, 1e200, 1e150, 1e120, 1e100, 1e80, 1e60, 1e40, 1e20, 1e10, 1e4, 2.0):
+    # r_cap/4 comes last, for caps below 2e4 that skip every fixed candidate
+    for r in (1e250, 1e200, 1e150, 1e120, 1e100, 1e80, 1e60, 1e40, 1e20, 1e10, 1e4,
+              m.r_cap / 4.0, 2.0):
         if r >= m.r_cap / 2.0 or r <= m.domain_start:
             continue
         v = m.value(r)
@@ -368,7 +375,7 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
         x, fx = x_new, y(x_new)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise TargetUnreachable(f"no c with {quantity}={target} on {m.label} "
-                                f"(last c={math.exp(x):.6g})")
+                                f"(last c={math.exp(x):.6g})", overshoot=x == x_hi and fx > 0)
     x_star = lo if lo == hi else brentq(y, lo, hi, xtol=1e-12, rtol=8.9e-16)
     y(x_star)  # brentq returns an evaluated point, so this is a lookup
     r_max, q = seen[x_star]
@@ -400,9 +407,11 @@ def orbit_distance(
     straight = target * h0 if math.isfinite(h0) else math.inf
     try:
         sol = invert_arc(m, "delta_v", target, settings=st)
-    except (TargetUnreachable, OutOfRange):
-        # no turning point anywhere (e.g. constant h): the axis line is the
-        # only candidate
+    except (TargetUnreachable, OutOfRange) as e:
+        # the axis line is the only candidate when no arc has this displacement:
+        # no turning point anywhere (e.g. constant h) or every arc overshoots it
+        if isinstance(e, TargetUnreachable) and not e.overshoot:
+            raise OutOfRange(f"d_{l} needs an arc past the representable radii") from e
         if math.isfinite(straight):
             return straight, None
         raise
@@ -427,6 +436,8 @@ def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | 
         return max(0, n_straight)
     try:
         sol = invert_arc(m, "length", R, settings=st)
-    except TargetUnreachable:
-        return max(0, n_straight)
+    except TargetUnreachable as e:
+        if not e.overshoot:
+            raise OutOfRange(f"arcs of length {R} turn past the representable radii") from e
+        return max(0, n_straight)  # every arc is longer than R
     return max(math.floor(sol.delta_v / TWO_PI + 1e-12), n_straight, 0)

@@ -72,3 +72,24 @@ def test_two_processes_first_appends_to_one_fresh_file(tmp_path):
     for path in paths:
         assert OrbitCache(path, key).load() == want, path
     assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)
+
+
+def test_two_processes_first_appends_to_one_alien_file(tmp_path):
+    # per trial, both processes find a file keyed to another model and rewrite
+    # its header at once: the rewrite is locked, so neither drops the other's rows
+    ctx = multiprocessing.get_context("spawn")
+    key = model_hash({"family": "race"})
+    paths = [os.path.join(tmp_path, f"orbit_{trial}.tsv") for trial in range(24)]
+    for path in paths:
+        OrbitCache(path, model_hash({"family": "alien"})).append(7, 1.0, 0.5, 2.0)
+    barrier = ctx.Barrier(2)
+    procs = [ctx.Process(target=_append_fifty_per_trial, args=(paths, key, first, barrier))
+             for first in (0, 50)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(60)
+    assert [p.exitcode for p in procs] == [0, 0]
+    want = {l: (l + 0.5, 0.25, 2.0 * l) for l in range(100)}
+    for path in paths:
+        assert OrbitCache(path, key).load() == want, path

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from warplab.gridpath import ResourceLimit, dijkstra_distance_oracle
+from warplab.gridpath import ResourceLimit, _grid_distance, dijkstra_distance_oracle
 from warplab.halfplane import HalfplaneMetric, orbit_distance
 from warplab.warping import constant_h, power_decay_h
 
@@ -36,3 +39,69 @@ def test_resource_limit():
         dijkstra_distance_oracle(
             flat, (0.0, 0.0), (0.0, 5.0), r_hi=3.0, nr=4000, nv=40000, edge_budget=10**6
         )
+
+
+# reprs recorded with the per-edge-midpoint graph, before h was read per grid row
+GOLDEN = {
+    "pure": ("10.927779159629297", "10.927935802943475", "10.419659568272763"),
+    "flat": ("3.621320343559639", "3.6318511968403104", "3.3541019662496834"),
+}
+
+
+@pytest.mark.parametrize("case", ["pure", "flat"])
+def test_oracle_golden_bits(case, pure_half_metric):
+    if case == "pure":  # the l = 3 deck translate on the pure 1/2-exponent model
+        m, p1, p2, r_hi = pure_half_metric, (0.0, 0.0), (0.0, 6.0 * math.pi), 6.0
+    else:
+        m, p1, p2, r_hi = HalfplaneMetric.from_warping(constant_h(1.0)), (0.5, 0.0), (2.0, 3.0), 3.0
+    res = dijkstra_distance_oracle(m, p1, p2, r_hi=r_hi, nr=60)
+    assert (repr(res.raw), repr(res.refined), repr(res.relaxed)) == GOLDEN[case]
+
+
+def _per_edge_reference(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv):
+    """The grid graph with h read at every edge's own midpoint radius."""
+    rs = np.linspace(r_lo, r_hi, nr)
+    vs = np.linspace(v_lo, v_hi, nv)
+    IR, IV = np.meshgrid(np.arange(nr), np.arange(nv), indexing="ij")
+    rows, cols, data = [], [], []
+    for dir_, div_ in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        a_ir = IR[: nr - dir_, max(0, -div_) : nv - max(0, div_)]
+        a_iv = IV[: nr - dir_, max(0, -div_) : nv - max(0, div_)]
+        b_ir, b_iv = a_ir + dir_, a_iv + div_
+        hm = h_value(0.5 * (rs[a_ir] + rs[b_ir]))
+        w = np.sqrt((rs[b_ir] - rs[a_ir]) ** 2 + (hm * (vs[b_iv] - vs[a_iv])) ** 2)
+        rows.append((a_ir * nv + a_iv).ravel())
+        cols.append((b_ir * nv + b_iv).ravel())
+        data.append(w.ravel())
+    n = nr * nv
+    graph = coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    dr, dv = rs[1] - rs[0], vs[1] - vs[0]
+    src, dst = (
+        min(max(round((p[0] - r_lo) / dr), 0), nr - 1) * nv
+        + min(max(round((p[1] - v_lo) / dv), 0), nv - 1)
+        for p in (p1, p2)
+    )
+    return float(dijkstra(graph, directed=False, indices=src)[dst])
+
+
+@pytest.mark.parametrize("nr, nv", [(60, 75), (119, 149)])
+def test_grid_reads_h_once_per_row_and_gap(nr, nv, pure_half_metric):
+    radii, calls = [], []
+
+    def value(r):
+        calls.append(r)
+        return pure_half_metric.value(r)
+
+    hv = np.vectorize(value)
+
+    def counting(rs):
+        radii.append(np.size(rs))
+        return hv(rs)
+
+    args = ((0.0, 0.0), (0.0, 6.0 * math.pi), 0.0, 6.0, 0.0, 6.0 * math.pi, nr, nv)
+    d, _ = _grid_distance(counting, *args, edge_budget=10**8)
+    assert sum(radii) <= 2 * nr - 1
+    assert len(calls) <= 2 * nr - 1 + len(radii)  # np.vectorize probes one element per call
+    assert d == _per_edge_reference(hv, *args)

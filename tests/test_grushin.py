@@ -49,6 +49,19 @@ def test_equal_t_matches_grid_oracle():
     assert info["floor_sensitivity"] < 0.01 * d_orc
 
 
+def test_general_pair_oracle_between_radial_and_detour_bounds():
+    # a pair differing in both t and w goes to the grid oracle, with the
+    # floor-sensitivity rerun since the Grushin domain starts above the axis
+    g = GrushinMetric(0.6)
+    d, info = grushin_distance(g, (1.0, 0.0), (2.0, 1.0), oracle_budget=20_000_000)
+    assert info["class"] == "oracle" and g.halfplane().domain_start > 0
+    # the t-gap is a lower bound; the equal-t arc at t = 1 then the radial
+    # segment out to t = 2 is an admissible path
+    arc, _ = grushin_distance(g, (1.0, 0.0), (1.0, 1.0))
+    assert 1.0 <= d <= arc + 1.0
+    assert math.isfinite(info["floor_sensitivity"])
+
+
 def test_rescaled_radial_is_lambda_invariant():
     sm = pure_model_h(0.5)
     for lam in (10.0, 1e3):

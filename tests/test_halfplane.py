@@ -332,3 +332,42 @@ def test_arc_integrals_golden_bits(golden_metrics):
         panel = r_max - max([a] + [b for b in m.breakpoints if b < r_max])
         reached.add(panel > halfplane.QuadSettings().taylor_frac * max(r_max, 1.0))
     assert reached == {True, False}  # turning panels with and without direct h
+
+
+def test_capped_metric_never_answers_with_the_straight_loop(pure_half_metric):
+    # below r_cap/2 the capped metric is the uncapped one; past it no arc is
+    # representable, and the axis loop (2 pi l, or floor(R / 2 pi)) is no answer
+    capped = HalfplaneMetric.from_warping(power_decay_h(0.5), r_cap=1e4)
+    for l in (1, 3, 100, 1000, 10**5, 10**7):
+        try:
+            d, sol = orbit_distance(capped, l)
+        except OutOfRange:
+            assert l == 10**7
+            continue
+        assert sol is not None and d != TWO_PI * l
+        assert d == pytest.approx(orbit_distance(pure_half_metric, l)[0], rel=1e-12, abs=0)
+    for R in (30.0, 1e3, 4e3, 1e4, 1e9):
+        try:
+            n = halfplane.axis_count_at_radius(capped, R)
+        except OutOfRange:
+            assert R >= 1e4
+            continue
+        assert n != math.floor(R / TWO_PI)
+        assert n == halfplane.axis_count_at_radius(pure_half_metric, R)
+    with pytest.raises(OutOfRange):
+        halfplane.axis_count_at_radius(capped, 1e9)
+
+
+def test_default_ladder_count_past_the_representable_floor_raises(osc_metric):
+    # the default 1e300 ladder caps turning radii at 1e100: an arc of length
+    # 1e101 turns past it, where the straight-loop count would read 1.6e100
+    with pytest.raises(OutOfRange):
+        halfplane.axis_count_at_radius(osc_metric, 1e101)
+
+
+def test_straight_loop_when_every_arc_overshoots():
+    # (1+r^2)^-0.1 keeps delta_v above pi/sqrt(0.2) > 2 pi on every arc from
+    # the axis, so the axis loop is d_1 and the only loop within R = 7
+    m = HalfplaneMetric.from_warping(power_decay_h(0.1))
+    assert orbit_distance(m, 1) == (TWO_PI, None)
+    assert halfplane.axis_count_at_radius(m, 7.0) == 1
