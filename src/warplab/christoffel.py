@@ -36,15 +36,13 @@ class OracleSettings:
     angle_spread: float = 0.07
 
 
-def _metric_matrix(m: DoublyWarpedMetric, x):
-    """Full (k+2)x(k+2) metric at coordinates x = (r, thetas..., phi)."""
-    k = m.k
+def _metric_matrix(k, fh, x):
+    """Full (k+2)x(k+2) metric at coordinates x = (r, thetas..., phi), given
+    fh = (f(r), h(r))."""
     n = k + 2
-    r = x[0]
     g = np.zeros((n, n))
     g[0, 0] = 1.0
-    fv = m.f.value(r)
-    hv = m.h.value(r)
+    fv, hv = fh
     prefix = 1.0
     for i in range(k):
         g[1 + i, 1 + i] = fv * fv * prefix
@@ -54,9 +52,18 @@ def _metric_matrix(m: DoublyWarpedMetric, x):
 
 
 def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
-    """Ricci tensor from divided differences of the metric at one step set."""
+    """Ricci tensor from divided differences of the metric at one step set.
+
+    Only the radius x[0] enters f and h, and every stencil point sits at
+    r - s, r or r + s, so f and h are read once at each of the three."""
     n = len(x)
-    g0 = _metric_matrix(m, x)
+    s0 = steps[0]
+    fh = {rs: (m.f.value(rs), m.h.value(rs)) for rs in (x[0] - s0, x[0], x[0] + s0)}
+
+    def metric(xs):
+        return _metric_matrix(m.k, fh[xs[0]], xs)
+
+    g0 = metric(x)
     ginv = np.linalg.inv(g0)
 
     gp = np.empty((n, n, n))
@@ -66,8 +73,8 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
         xp[mu] += steps[mu]
         xm = x.copy()
         xm[mu] -= steps[mu]
-        gp[mu] = _metric_matrix(m, xp)
-        gm[mu] = _metric_matrix(m, xm)
+        gp[mu] = metric(xp)
+        gm[mu] = metric(xm)
 
     d1 = np.empty((n, n, n))  # d1[mu, a, b] = d_mu g_ab
     for mu in range(n):
@@ -90,12 +97,9 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
             xmm = x.copy()
             xmm[mu] -= steps[mu]
             xmm[nu] -= steps[nu]
-            val = (
-                _metric_matrix(m, xpp)
-                - _metric_matrix(m, xpm)
-                - _metric_matrix(m, xmp)
-                + _metric_matrix(m, xmm)
-            ) / (4.0 * steps[mu] * steps[nu])
+            val = (metric(xpp) - metric(xpm) - metric(xmp) + metric(xmm)) / (
+                4.0 * steps[mu] * steps[nu]
+            )
             d2[mu, nu] = val
             d2[nu, mu] = val
 

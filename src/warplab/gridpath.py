@@ -113,30 +113,34 @@ _GAUSS3_X = np.array([0.5 - math.sqrt(3.0 / 20.0), 0.5, 0.5 + math.sqrt(3.0 / 20
 _GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
+def _gauss_radii(pts):
+    """Radii of the 3-point Gauss nodes of each polyline segment, one row per node."""
+    a = pts[:-1, 0]
+    return a + _GAUSS3_X[:, None] * (pts[1:, 0] - a)
+
+
 def _polyline_length(h_value, pts):
     """Exact-metric length of a coordinate polyline (3-point Gauss per segment)."""
     if len(pts) < 2:
         return 0.0
-    a = pts[:-1]
-    b = pts[1:]
-    dr = b[:, 0] - a[:, 0]
-    dv = b[:, 1] - a[:, 1]
-    total = np.zeros(len(a))
-    for x, w in zip(_GAUSS3_X, _GAUSS3_W):
-        rm = a[:, 0] + x * dr
-        hm = h_value(rm)
+    dr = pts[1:, 0] - pts[:-1, 0]
+    dv = pts[1:, 1] - pts[:-1, 1]
+    rm = _gauss_radii(pts)
+    total = np.zeros(len(dr))
+    for w, hm in zip(_GAUSS3_W, h_value(rm.ravel()).reshape(rm.shape)):
         total += w * np.sqrt(dr**2 + (hm * dv) ** 2)
     return float(np.sum(total))
 
 
-def _energy_and_grad(h_and_slope, pts, r_floor=0.0):
+def _energy_and_grad(h_jets, pts, r_floor=0.0):
     """Sum of squared segment lengths and its gradient over node positions.
 
     Minimizers of sum L_i^2 at fixed endpoints are constant-speed discrete
     geodesics (Cauchy-Schwarz: the length is minimized simultaneously and
     the reparametrization null space of the plain length is removed).
     Segment lengths use 3-point Gauss of sqrt(dr^2 + h(r)^2 dv^2); the
-    gradient is metric-aware through h h' at the quadrature nodes.
+    gradient is metric-aware through h h' at the quadrature nodes, all
+    read in one h_jets call.
     """
     a, b = pts[:-1], pts[1:]
     dr = b[:, 0] - a[:, 0]
@@ -144,9 +148,9 @@ def _energy_and_grad(h_and_slope, pts, r_floor=0.0):
     seg_len = np.zeros(len(a))
     gA = np.zeros_like(a)
     gB = np.zeros_like(b)
-    for x, w in zip(_GAUSS3_X, _GAUSS3_W):
-        rq = np.maximum(a[:, 0] + x * dr, r_floor)
-        h, hp = h_and_slope(rq)
+    rq = np.maximum(_gauss_radii(pts), r_floor)
+    j = h_jets(rq.ravel())
+    for x, w, h, hp in zip(_GAUSS3_X, _GAUSS3_W, j.value.reshape(rq.shape), j.d1.reshape(rq.shape)):
         s = np.maximum(np.sqrt(dr**2 + (h * dv) ** 2), 1e-300)
         seg_len += w * s
         hhp_dv2 = h * hp * dv * dv
@@ -174,7 +178,7 @@ def _laplacian_solve(b):
     return solveh_banded(ab, b)
 
 
-def _relax_path(h_and_slope, pts, iters=400, n_nodes=640, r_floor=0.0):
+def _relax_path(h_jets, pts, iters=400, n_nodes=640, r_floor=0.0):
     """Relax the extracted grid path by preconditioned descent of the
     squared-length energy (endpoints pinned).
 
@@ -188,10 +192,9 @@ def _relax_path(h_and_slope, pts, iters=400, n_nodes=640, r_floor=0.0):
     if len(pts) < 3:
         return pts.astype(float)
     pts = _resample(pts.astype(float), n=min(n_nodes, max(len(pts), 4)))
-    E, g = _energy_and_grad(h_and_slope, pts, r_floor)
-    n = len(pts)
+    E, g = _energy_and_grad(h_jets, pts, r_floor)
     for _ in range(iters):
-        h_nodes, _ = h_and_slope(np.maximum(pts[:, 0], r_floor))
+        h_nodes = h_jets(np.maximum(pts[:, 0], r_floor)).value
         d = np.zeros_like(pts)
         gi = g[1:-1]
         d[1:-1, 0] = _laplacian_solve(gi[:, 0])
@@ -201,7 +204,7 @@ def _relax_path(h_and_slope, pts, iters=400, n_nodes=640, r_floor=0.0):
         for _ in range(25):
             prop = pts - step * d
             prop[:, 0] = np.maximum(prop[:, 0], r_floor)
-            E2, g2 = _energy_and_grad(h_and_slope, prop, r_floor)
+            E2, g2 = _energy_and_grad(h_jets, prop, r_floor)
             if E2 < E:
                 pts, E, g = prop, E2, g2
                 improved = True
@@ -244,8 +247,14 @@ def dijkstra_distance_oracle(
     Runs at (nr, nv) and (2nr, 2nv) node resolutions, Richardson-combines
     the two, then relaxes the fine path to scrub the anisotropy excess.
     nv defaults to keeping grid cells roughly metric-square at mid-radius.
+    Both endpoints must lie in the grid's radius range [r_lo, r_hi].
     """
-    hv = np.vectorize(m.value)
+    for p in (p1, p2):
+        if not r_lo <= p[0] <= r_hi:
+            raise ValueError(f"endpoint {p} lies outside the grid radii [{r_lo}, {r_hi}]")
+
+    def hv(rs):
+        return m.jets(rs).value
 
     v_lo = min(p1[1], p2[1])
     v_hi = max(p1[1], p2[1])
@@ -261,18 +270,7 @@ def dijkstra_distance_oracle(
         hv, p1, p2, r_lo, r_hi, v_lo, v_hi, 2 * nr - 1, 2 * nv - 1, edge_budget
     )
     refined = 2.0 * d2 - d1
-
-    def h_and_slope(rq):
-        rq = np.atleast_1d(rq)
-        h = np.empty_like(rq)
-        hp = np.empty_like(rq)
-        for i, r in enumerate(rq):
-            j = m.jet(float(max(r, 0.0)))
-            h[i] = j.value
-            hp[i] = j.d1
-        return h, hp
-
-    relaxed_path = _relax_path(h_and_slope, path2, iters=relax_sweeps, r_floor=max(r_lo, m.domain_start))
+    relaxed_path = _relax_path(m.jets, path2, iters=relax_sweeps, r_floor=max(r_lo, m.domain_start))
     relaxed = _polyline_length(hv, relaxed_path)
     return DijkstraResult(
         raw=d2,

@@ -119,11 +119,15 @@ def halfplane_distance(
     )
     info = {"class": "oracle", "result": res}
     if m.domain_start > 0:
-        # axis-floor sensitivity: rerun with the excluded band doubled
-        res2 = dijkstra_distance_oracle(
-            m, p1, p2, r_hi=r_hi, r_lo=2.0 * m.domain_start, edge_budget=oracle_budget
-        )
-        info["floor_sensitivity"] = abs(res.relaxed - res2.relaxed)
+        # axis-floor sensitivity: rerun with the excluded band doubled, unless
+        # that band would exclude an endpoint
+        r_lo2 = 2.0 * m.domain_start
+        info["floor_sensitivity"] = math.nan
+        if min(t1, t2) >= r_lo2:
+            res2 = dijkstra_distance_oracle(
+                m, p1, p2, r_hi=r_hi, r_lo=r_lo2, edge_budget=oracle_budget
+            )
+            info["floor_sensitivity"] = abs(res.relaxed - res2.relaxed)
     return res.relaxed, info
 
 

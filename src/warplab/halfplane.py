@@ -75,8 +75,9 @@ class HalfplaneMetric:
     """
 
     def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=(),
-                 value=None):
+                 value=None, takes_arrays=False):
         self._h = h  # r -> Jet2
+        self._takes_arrays = takes_arrays  # h maps a float64 array of radii to a Jet2 of arrays
         if value is not None:
             self.value = value  # float r -> float h(r), in place of the method
         self.label = label
@@ -96,6 +97,15 @@ class HalfplaneMetric:
         """h(r) as a float, with no derivatives."""
         return float(self._h(r).value)
 
+    def jets(self, rs):
+        """Jet2 of float arrays at a 1-d float64 array of radii, equal radius
+        by radius to jet(r): one array evaluation where h takes arrays, else
+        a loop of jet(r)."""
+        if self._takes_arrays:
+            j = self._h(rs)
+            return Jet2(*(np.broadcast_to(c, rs.shape) for c in (j.value, j.d1, j.d2)))
+        return Jet2(*np.array([(j.value, j.d1, j.d2) for j in map(self.jet, rs.tolist())]).T)
+
     def sup_h(self):
         """h at the domain start: the supremum over the represented domain."""
         return self.value(self.domain_start)
@@ -103,7 +113,7 @@ class HalfplaneMetric:
     @staticmethod
     def from_warping(w, **kw):
         kw.setdefault("label", w.label)
-        return HalfplaneMetric(lambda r: w(r), **kw)
+        return HalfplaneMetric(lambda r: w(r), takes_arrays=True, **kw)
 
     @staticmethod
     def from_smoothed(sm, **kw):

@@ -9,7 +9,11 @@ differences; the two mechanisms must stay separate for cross-checks to
 mean anything).
 
 The scalar type is duck-typed: ``float`` for ordinary radii, ``mpmath.mpf``
-for radii outside double range.  Powers are evaluated in ratio form
+for radii outside double range, and float64 numpy arrays for many radii at
+once.  Array components keep the bits of per-radius float jets: numpy's
+``+ - * /`` round like Python floats, and the power and the transcendental
+maps run Python's scalar ``**`` and ``math`` per element (``np.power`` and
+``np.sin`` may differ by an ulp).  Powers are evaluated in ratio form
 ``u**p * (p*u1/u, ...)`` so intermediates like ``u**(p-2)`` never underflow
 before being multiplied back up.
 """
@@ -17,26 +21,41 @@ before being multiplied back up.
 import math
 
 import mpmath
+import numpy as np
+
+_ndarray = np.ndarray  # an exact-type test costs float callers less than isinstance
 
 
 def _is_mp(x):
     return isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
-def _sin(x):
-    return mpmath.sin(x) if _is_mp(x) else math.sin(x)
+def _lift(fn, mp_fn):
+    """fn on floats, mp_fn on mpf, fn per element on float64 arrays."""
+
+    def lifted(x):
+        if isinstance(x, float):
+            return fn(x)
+        if _is_mp(x):
+            return mp_fn(x)
+        if x.__class__ is _ndarray:
+            return np.array([fn(t) for t in x.tolist()])
+        return fn(x)
+
+    return lifted
 
 
-def _cos(x):
-    return mpmath.cos(x) if _is_mp(x) else math.cos(x)
+def _array_pow(u, p):
+    """Python's scalar u**p per element of a float64 array."""
+    if np.any(u == 0):
+        raise ZeroDivisionError("Jet2 power at zero base")
+    return np.array([t**p for t in u.tolist()])
 
 
-def _exp(x):
-    return mpmath.exp(x) if _is_mp(x) else math.exp(x)
-
-
-def _log(x):
-    return mpmath.log(x) if _is_mp(x) else math.log(x)
+_sin = _lift(math.sin, mpmath.sin)
+_cos = _lift(math.cos, mpmath.cos)
+_exp = _lift(math.exp, mpmath.exp)
+_log = _lift(math.log, mpmath.log)
 
 
 class Jet2:
@@ -63,7 +82,7 @@ class Jet2:
         vals = (self.value, self.d1, self.d2)
         if any(_is_mp(v) for v in vals):
             return all(mpmath.isfinite(v) for v in vals)
-        return all(math.isfinite(v) for v in vals)
+        return all(np.isfinite(v).all() for v in vals)
 
     def __repr__(self):
         return f"Jet2({self.value!r}, d1={self.d1!r}, d2={self.d2!r})"
@@ -118,9 +137,12 @@ class Jet2:
     def __pow__(self, p):
         """Real constant power, u > 0.  Ratio form keeps intermediates scaled."""
         u = self.value
-        if u == 0:
+        if u.__class__ is _ndarray:
+            v = _array_pow(u, p)
+        elif u == 0:
             raise ZeroDivisionError("Jet2 power at zero base")
-        v = u**p
+        else:
+            v = u**p
         g1 = self.d1 / u
         d1 = v * (p * g1)
         d2 = v * (p * (p - 1) * g1 * g1 + p * self.d2 / u)

@@ -70,3 +70,43 @@ def test_oracle_rejects_nonpositive_radius():
     m = DoublyWarpedMetric(2, linear_f(), constant_h())
     with pytest.raises(ValueError):
         ricci_numeric_oracle(m, 0.0)
+
+
+# reprs recorded before f and h were read once per stencil radius
+GOLDEN = {
+    ("pure", 0.3): ("10.941839908958633", "7.726622337947294", "11.875073306658637"),
+    ("pure", 7.0): ("0.005199999995476661", "0.04279999999300219", "0.98869540161661"),
+    ("pure", 2e4): ("8.549927243091634e-17", "5.000000030755262e-09", "0.0003499975004113036"),
+    ("sphere", math.pi / 2): ("1.9999999999604832", "0.0", "1.9999999999073144"),
+}
+
+
+@pytest.mark.parametrize("case, r", list(GOLDEN))
+def test_oracle_golden_bits(case, r):
+    if case == "pure":
+        m = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
+    else:
+        m = DoublyWarpedMetric(2, sine_f(), constant_h())
+    o = ricci_numeric_oracle(m, r)
+    got = tuple(repr(float(v)) for v in (o.ric_radial, o.ric_circle, o.ric_sphere))
+    assert got == GOLDEN[case, r]
+
+
+class _CountingReads:
+    """A warping function that counts its value reads."""
+
+    def __init__(self, w):
+        self.w = w
+        self.reads = 0
+
+    def value(self, r):
+        self.reads += 1
+        return self.w.value(r)
+
+
+def test_oracle_reads_f_and_h_once_per_stencil_radius():
+    f, h = _CountingReads(standard_f()), _CountingReads(power_decay_h(0.5))
+    o = ricci_numeric_oracle(DoublyWarpedMetric(8, f, h), 7.0)
+    # two step sets (s and s/2), each reading f and h at r - s, r and r + s
+    assert f.reads + h.reads == 2 * 6 and f.reads == h.reads
+    assert repr(float(o.ric_sphere)) == GOLDEN["pure", 7.0][2]

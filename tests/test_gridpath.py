@@ -5,7 +5,9 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from warplab import gridpath
 from warplab.gridpath import ResourceLimit, _grid_distance, dijkstra_distance_oracle
+from warplab.grushin import GrushinMetric, grushin_distance
 from warplab.halfplane import HalfplaneMetric, orbit_distance
 from warplab.warping import constant_h, power_decay_h
 
@@ -105,3 +107,68 @@ def test_grid_reads_h_once_per_row_and_gap(nr, nv, pure_half_metric):
     assert sum(radii) <= 2 * nr - 1
     assert len(calls) <= 2 * nr - 1 + len(radii)  # np.vectorize probes one element per call
     assert d == _per_edge_reference(hv, *args)
+
+
+def test_endpoint_outside_grid_radii_is_refused():
+    # the grid used to clamp (5, .) to its edge r = 3 and measure another pair
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    with pytest.raises(ValueError, match=r"\(5\.0, 0\.0\).*\[0\.0, 3\.0\]"):
+        dijkstra_distance_oracle(m, (5.0, 0.0), (5.0, 3.0), r_hi=3.0, nr=40)
+
+
+def test_grushin_general_pair_golden_bits():
+    # domain start above the axis and a negative power on arrays; reprs
+    # recorded while the relaxation still read h one radius at a time
+    d, info = grushin_distance(GrushinMetric(0.6), (1.0, 0.0), (2.0, 1.0), oracle_budget=20_000_000)
+    res = info["result"]
+    got = tuple(repr(v) for v in (d, res.raw, res.refined, res.relaxed, info["floor_sensitivity"]))
+    assert got == ("1.1564318116429573", "1.3517432746801021", "1.3449044524549536",
+                   "1.1564318116429573", "0.008889987921254061")
+
+
+def test_relaxation_reads_h_as_arrays():
+    """No scalar m.jet: one array read per energy evaluation (all three Gauss
+    nodes of every segment) and one per descent iteration (the nodes)."""
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    path = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (1.0, 5.0), (0.0, 6.0)])
+    sizes, energies = [], 0
+    real_energy = gridpath._energy_and_grad
+
+    def h_jets(rs):
+        sizes.append(rs.shape)
+        return m.jets(rs)
+
+    def energy(*args):
+        nonlocal energies
+        energies += 1
+        return real_energy(*args)
+
+    def no_scalar_jet(r):
+        raise AssertionError("scalar m.jet call")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(m, "jet", no_scalar_jet)
+        mp.setattr(gridpath, "_energy_and_grad", energy)
+        iters = 6
+        out = gridpath._relax_path(h_jets, path, iters=iters, n_nodes=50)
+    n = len(out)
+    node_reads = sizes.count((n,))
+    assert 1 <= node_reads <= iters
+    assert sizes.count((3 * (n - 1),)) == energies > node_reads
+    assert len(sizes) == energies + node_reads
+    # same bits as a metric whose h is read one radius at a time
+    per_radius = HalfplaneMetric(power_decay_h(0.5))
+    ref = gridpath._relax_path(per_radius.jets, path, iters=iters, n_nodes=50)
+    assert _bits(out) == _bits(ref)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_oracle_makes_no_scalar_jet_call(pure_half_metric):
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(m, "jet", lambda r: pytest.fail("scalar m.jet call"))
+        res = dijkstra_distance_oracle(m, (0.0, 0.0), (0.0, 6.0 * math.pi), r_hi=6.0, nr=60)
+    assert (repr(res.raw), repr(res.refined), repr(res.relaxed)) == GOLDEN["pure"]

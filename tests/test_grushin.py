@@ -62,6 +62,17 @@ def test_general_pair_oracle_between_radial_and_detour_bounds():
     assert math.isfinite(info["floor_sensitivity"])
 
 
+def test_floor_sensitivity_is_nan_when_the_doubled_floor_excludes_an_endpoint():
+    # t = 0.15 lies inside [t_floor, 2 t_floor): the rerun on the doubled band
+    # would drop the endpoint, so sensitivity is not measured
+    g = GrushinMetric(0.6)
+    d, info = grushin_distance(
+        g, (0.15, 0.0), (1.0, 0.5), t_floor=0.1, oracle_budget=20_000_000
+    )
+    assert info["class"] == "oracle" and 0.85 <= d
+    assert math.isnan(info["floor_sensitivity"])
+
+
 def test_rescaled_radial_is_lambda_invariant():
     sm = pure_model_h(0.5)
     for lam in (10.0, 1e3):
