@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401  unused here; perfbench's probe test reads it
 
 from .halfplane import QuadSettings, axis_count_at_radius, invert_arc
-from .orbits import OrbitTable
+from .orbits import INDEX_CAP, OrbitTable, max_index_at_most
 
 
 class DegenerateRange(ValueError):
@@ -37,8 +37,8 @@ class LinearOrbitMetric:
 
     Backed either by an explicit table (random instances, small orbits) or
     by a callable l -> d_l (geodesic-backed orbits), where the index of the
-    largest ball entry and the smallest separated stride come from integer
-    bisection on the monotone d.
+    largest ball entry and the smallest separated stride come from
+    orbits.max_index_at_most on the monotone d.
     """
 
     def __init__(self, dist, scale=1.0, l_max=None, validate=True):
@@ -93,21 +93,7 @@ class LinearOrbitMetric:
             return 0
         if self._d is not None:
             return int(np.searchsorted(self._d, target, side="right")) - 1
-        lo, hi = 1, 2
-        cap = self.l_max or 2**200
-        while self.raw(hi) <= target:
-            lo = hi
-            hi *= 2
-            if hi > cap:
-                hi = cap
-                break
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.raw(mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return max_index_at_most(self.raw, target, self.l_max or INDEX_CAP)
 
     def min_stride(self, eps: float) -> int:
         """min{g >= 1 : d_g/scale >= eps}; inf stride returns 0."""
@@ -117,22 +103,10 @@ class LinearOrbitMetric:
             if idx >= len(self._d):
                 return 0  # no stride within the table
             return max(idx, 1)
-        if self.raw(1) >= target:
-            return 1
-        lo, hi = 1, 2
-        cap = self.l_max or 2**200
-        while self.raw(hi) < target:
-            lo = hi
-            hi *= 2
-            if hi > cap:
-                return 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.raw(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        # d < T is d <= nextafter(T, -inf) for doubles
+        cap = self.l_max or INDEX_CAP
+        below = max_index_at_most(self.raw, math.nextafter(target, -math.inf), cap)
+        return 0 if below == cap else below + 1  # d_cap < T: no stride
 
 
 class GeodesicOrbitMetric(LinearOrbitMetric):

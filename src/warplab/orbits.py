@@ -118,21 +118,67 @@ class OrbitTable:
         return {int(l): self.distance(l) for l in ls}
 
     def max_index_within(self, R: float) -> int:
-        """max{l : d_l <= R} by doubling + integer bisection on monotone d."""
-        if self.distance(1) > R:
-            return 0
-        hi = 1
-        while self.distance(2 * hi) <= R:
-            hi *= 2
-        lo = hi
-        hi = 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.distance(mid) <= R:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """max{l : d_l <= R} on monotone d (see max_index_at_most)."""
+        return max_index_at_most(self.distance, R)
+
+
+def last_index_at_most(d, target, lo: int, hi: int) -> int:
+    """max{l in [lo, hi) : d(l) <= target} for nondecreasing d, given the
+    bracket d(lo) <= target < d(hi).
+
+    Each round interpolates log d against log l between the bracket ends,
+    probes the estimate rounded towards the bracket's midpoint, and then
+    either its neighbour on the far side (when the first probe halved the
+    bracket, so an estimate within one index closes it from both ends) or
+    the midpoint.  Every round of two probes at least halves the bracket,
+    so the worst case is twice bisection's probe count.  Where the
+    interpolation is undefined (d(lo) <= 0, d(lo) == d(hi), hi beyond
+    2**53) the round is a plain bisection step.
+    """
+    d_lo, d_hi = d(lo), d(hi)
+
+    def probe(l):
+        nonlocal lo, hi, d_lo, d_hi
+        v = d(l)
+        if v <= target:
+            lo, d_lo = l, v
+        else:
+            hi, d_hi = l, v
+
+    while hi - lo > 1:
+        width = hi - lo
+        mid = (lo + hi) // 2
+        if not 0.0 < d_lo < d_hi or hi > 2**53:
+            probe(mid)
+            continue
+        t = (math.log(target) - math.log(d_lo)) / (math.log(d_hi) - math.log(d_lo))
+        x = math.exp(math.log(lo) + t * (math.log(hi) - math.log(lo)))
+        m = min(max(math.ceil(x) if x < mid else math.floor(x), lo + 1), hi - 1)
+        probe(m)
+        if hi - lo > 1:
+            halved = 2 * (hi - lo) <= width
+            probe((m + 1 if lo == m else m - 1) if halved else (lo + hi) // 2)
+    return lo
+
+
+INDEX_CAP = 2**200  # search bound for orbits with no largest index
+
+
+def max_index_at_most(d, target, cap: int = INDEX_CAP) -> int:
+    """max{l in [0, cap] : d(l) <= target} for nondecreasing d with d(0) = 0:
+    doubling from l = 1 (the probes at powers of two are shared through a
+    memoized d), then last_index_at_most on the bracket found; d(cap) is
+    tested before the cap closes the bracket."""
+    if d(1) > target:
+        return 0
+    lo, hi = 1, 2
+    while hi < cap and d(hi) <= target:
+        lo, hi = hi, 2 * hi
+    if hi >= cap:
+        if d(cap) <= target:
+            return cap
+        hi = cap
+    return last_index_at_most(d, target, lo, hi)
 
 
 def orbit_count(table: OrbitTable, R: float) -> int:
@@ -165,8 +211,8 @@ def growth_slope(
 ) -> SlopeFit:
     """Least-squares slope of log #(R) vs log R across the window.
 
-    Requires at least 10 sample radii.  Accepts an OrbitTable (integer
-    bisection counting) or a bare metric (fast inversion counting, needed
+    Requires at least 10 sample radii.  Accepts an OrbitTable (counting
+    by max_index_at_most) or a bare metric (fast inversion counting, needed
     when indices overflow tabulation).
     """
     if samples < 10:

@@ -139,7 +139,24 @@ class Blend:
         return out
 
     def value(self, r):
-        return self.jet(r).value
+        """jet(r).value; a float r builds no phi Jet2 and no products, but
+        keeps jet's operation order and its degenerate-slope test."""
+        if not isinstance(r, float):
+            return self.jet(r).value
+        lo_plateau, hi_plateau, Rs = self._plateaus_f
+        if r <= lo_plateau:
+            return self.left.value(r)
+        if r >= hi_plateau:
+            return self.right.value(r)
+        p, p1, _ = self.spec.phi(r, Rs)
+        hl = self.left.jet(r)
+        hr = self.right.jet(r)
+        v = p * hl.value + (1.0 - p) * hr.value
+        if isinstance(v, float):
+            d1 = (p1 * hl.value + p * hl.d1) + (-p1 * hr.value + (1.0 - p) * hr.d1)
+            if v <= 0.0 or d1 == 0.0 or not math.isfinite(v):
+                return self.jet(mpmath.mpf(r)).value  # degenerate in doubles
+        return v
 
 
 class SmoothedH:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -68,6 +69,30 @@ def test_capacity_determinism(tmp_path, capsys):
         assert code == 0
     for name in ("capacity.csv", "capacity_fit.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# capacity outputs of the pure 1/2 model, pinned when ball indices and strides
+# came from integer bisection: any correct search over the monotone d_l
+# gives the same indices, so the bytes must not move
+CAPACITY_SHA256 = {
+    "capacity.csv": "f99bf3c250952991137563ed0510570fd17c95bb556c073fa35d5f565ed31011",
+    "capacity_fit.csv": "74177c43885c7506d122532543c9c3247ffaff44e506356ec51664c95eb702bf",
+}
+
+
+def test_capacity_golden_bytes_and_distance_budget(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code = run_cli([
+        "capacity", "--alpha", "0.5", "--outdir", str(tmp_path / "out"), "--cache-dir", str(cache),
+    ])
+    assert code == 0
+    for name, digest in CAPACITY_SHA256.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+    # the interpolating index search computes about 200 distances where
+    # bisection computed 1,094
+    (path,) = cache.iterdir()
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert len(rows) <= 300
 
 
 def test_build_example_end_to_end(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warplab.dimension import (
     DegenerateRange,
@@ -17,6 +19,7 @@ from warplab.dimension import (
     fit_growth_constants,
     hausdorff_content,
 )
+from warplab.orbits import last_index_at_most
 
 UNIT = LinearOrbitMetric(np.arange(0, 400, dtype=float))
 
@@ -169,3 +172,96 @@ def test_box_dimension_beta_window(osc_metric, osc_build):
     prof = build_capacity_profile(s, np.geomspace(w.lo * 3, w.hi / 3, 3), np.geomspace(3, 300, 6))
     slope = box_dimension_fit(prof)
     assert slope == pytest.approx(3.4, abs=0.3)
+
+
+# -- the interpolating index search --------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def monotone_tables(draw):
+    """Nondecreasing d with d_0 = 0: power-like growth of a drawn exponent,
+    with drawn shares of ties (gap 0) and of plateaus (runs of ties)."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = draw(st.floats(0.05, 3.0))
+    gaps = rng.exponential(1.0, n) * np.arange(1, n + 1) ** (e - 1.0)
+    gaps[rng.random(n) < draw(st.floats(0.0, 0.9))] = 0.0
+    for _ in range(draw(st.integers(0, 3))):  # plateaus
+        a = int(rng.integers(0, n))
+        gaps[a:a + int(rng.integers(1, n + 1))] = 0.0
+    gaps[0] *= draw(st.sampled_from([1.0, 1.0, 1e3]))  # sometimes a large d_1
+    return np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+def _targets(d, rng):
+    """Table values, their float neighbours and midpoints, and points below
+    d_1 and beyond d_n."""
+    picks = rng.integers(0, len(d), 40)
+    out = [-1.0, 0.0, 0.5 * d[1], d[-1], 2.0 * d[-1] + 1.0]
+    for i in picks:
+        v = float(d[i])
+        out += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+        if i + 1 < len(d):
+            out.append(0.5 * (v + float(d[i + 1])))
+    return out
+
+
+@PROPERTY
+@given(d=monotone_tables(), seed=st.integers(0, 2**16))
+def test_callable_search_equals_searchsorted(d, seed):
+    table = LinearOrbitMetric(d, validate=False)
+    fn = LinearOrbitMetric(lambda l: float(d[l]), l_max=len(d) - 1)
+    for T in _targets(d, np.random.default_rng(seed)):
+        assert fn.ball_index(T) == table.ball_index(T), T
+        assert fn.min_stride(T) == table.min_stride(T), T
+
+
+@PROPERTY
+@given(d=monotone_tables(), seed=st.integers(0, 2**16))
+def test_search_probes_at_most_twice_bisection(d, seed):
+    calls = []
+
+    def probe(l):
+        calls.append(l)
+        return float(d[l])
+
+    n = len(d) - 1
+    rng = np.random.default_rng(seed)
+    for T in _targets(d, rng):
+        if not d[1] <= T < d[n]:
+            continue
+        l_star = int(np.searchsorted(d, T, side="right")) - 1
+        lo = int(rng.integers(1, l_star + 1))  # any bracket with d_lo <= T < d_n
+        calls.clear()
+        assert last_index_at_most(probe, T, lo, n) == l_star
+        assert len(calls) - 2 <= 2 * (n - lo).bit_length()  # two bracket-end reads
+
+
+def test_search_probe_budget_on_power_law():
+    # d_l = l^(1/2.2), thresholds near l* = 1e9 (and one in the lower half of
+    # the bracket): bisection on the doubling bracket [2^29, 2^30] makes 29 probes
+    for l_star in (1e9 + 0.5, 1e9 + 0.999, 987_654_321.25, 6e8 + 0.5):
+        T = l_star ** (1 / 2.2)
+        seen = set()
+
+        def d(l):
+            seen.add(l)
+            return l ** (1 / 2.2)
+
+        s = LinearOrbitMetric(d)
+        n = s.ball_index(T)
+        assert n ** (1 / 2.2) <= T < (n + 1) ** (1 / 2.2)
+        assert len({l for l in seen if l & (l - 1)}) <= 12  # after the doubling
+        seen.clear()
+        assert s.min_stride(T) == n + 1
+        assert len({l for l in seen if l & (l - 1)}) <= 12
+
+
+def test_capped_callable_tests_its_cap():
+    s = LinearOrbitMetric(lambda l: float(l), l_max=10)
+    assert s.ball_index(10.5) == 10  # d_10 = 10 <= 10.5
+    assert s.min_stride(9.5) == 10  # d_10 >= 9.5
+    assert s.min_stride(10.5) == 0  # no stride within the cap
+    assert s.ball_index(3.5) == 3 and s.min_stride(3.5) == 4

@@ -5,6 +5,8 @@ from bisect import bisect_right
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warplab.jets import Jet2
 from warplab.ladder import ExponentSchedule, OscillationParams, bridge_constant
@@ -342,3 +344,17 @@ def test_pure_model_jet_is_power_decay_bit_for_bit():
             assert [_bits(v) for v in (j.value, j.d1, j.d2)] == \
                 [_bits(v) for v in (k.value, k.d1, k.d2)], (a, r)
             assert _bits(sm.value(r)) == _bits(k.value)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(u=st.floats(-0.05, 1.05))
+def test_blend_value_matches_jet_bit_for_bit(osc_build, fast_path_models, u):
+    # every blend of the default (1e300) and 1e40 standard models and of the
+    # out-of-float-range bridge, at a float radius across it and its plateaus
+    for sm in (osc_build[2], *(m for m, _ in fast_path_models)):
+        for b in sm.blends:
+            lo, hi = float(b.lo), float(b.hi)
+            r = lo + u * (hi - lo)
+            assert _bits(b.value(r)) == _bits(b.jet(r).value), (float(b.R), r)
+            rm = mpmath.mpf(r)
+            assert _bits(b.value(rm)) == _bits(b.jet(rm).value), (float(b.R), r)
