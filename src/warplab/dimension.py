@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq  # noqa: F401  unused here; perfbench's probe test reads it
 
 from .halfplane import QuadSettings, axis_count_at_radius, invert_arc
+from .numerics import brentq  # noqa: F401  unused here; perfbench's probe test reads it
 from .orbits import INDEX_CAP, OrbitTable, max_index_at_most
 
 

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 
 class ResourceLimit(RuntimeError):
@@ -50,6 +48,10 @@ class DijkstraResult:
 
 def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget):
     """One Dijkstra solve; returns (distance, path array of (r, v))."""
+    # scipy.sparse loads on the first oracle call, not with the package
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
+
     n_nodes = nr * nv
     if 8 * n_nodes > edge_budget:
         raise ResourceLimit(f"{8 * n_nodes} edges exceed budget {edge_budget}")

@@ -13,25 +13,26 @@ integrand bounded), with h^2 - c^2 evaluated through a second-order Taylor
 model at r_max near the endpoint so the difference never cancels
 catastrophically.  Panels split at the model's structural breakpoints and
 switch to log-radius on wide spans; each panel runs through adaptive
-Gauss-Kronrod quadrature (relative 1e-9, absolute floor 1e-12).
+Gauss-Kronrod quadrature, the in-repo QAGS of `numerics` (relative 1e-9,
+absolute floor 1e-12).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
 translate (period 2*pi in v) solve delta_v(c*) = 2*pi*l; counts and strides
 solve length(c) = R.  Both go through invert_arc: Newton steps in
 (log c, log q) seeded by the local decay exponent at the turning radius,
-then brentq on the bracket they find, with only the missing quantity
-integrated at c*.  The axis line v -> (0, v) is itself a geodesic when
-h'(0) = 0, so the straight candidate 2*pi*l*h(0) competes in the minimum.
+then brentq (`numerics`) on the bracket they find, with only the missing
+quantity integrated at c*.  The axis line v -> (0, v) is itself a geodesic
+when h'(0) = 0, so the straight candidate 2*pi*l*h(0) competes in the
+minimum.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .jets import Jet2
+from .numerics import brentq, quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,8 +187,9 @@ def _arc_panels(m, start, r_max):
 
 
 def _quad_panel(f, a, b, st):
-    # full_output suppresses QUADPACK chatter; the caller enforces its own
-    # error budget on the summed abserr
+    # the in-repo QAGS (numerics.quad); full_output returns QUADPACK's
+    # message instead of warning, and the caller enforces its own error
+    # budget on the summed abserr
     out = quad(f, a, b, epsabs=st.abs_floor, epsrel=st.rel_tol, limit=st.limit, full_output=1)
     return out[0], out[1]
 

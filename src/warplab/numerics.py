@@ -1,0 +1,585 @@
+"""Adaptive quadrature and bracketed root finding, ported bit for bit.
+
+`quad` is QUADPACK's QAGS: dqagse with the 21-point Gauss-Kronrod rule
+dqk21, the error-list insertion dqpsrt and the epsilon algorithm dqelg
+(Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, 1983).
+`brentq` is Brent's method (Brent, Algorithms for Minimization without
+Derivatives, 1973) as scipy's brentq.c states it.  Each routine follows
+its original statement for statement, in the original operation order,
+with 1-based work arrays, so results, error estimates, evaluation counts
+and the sequence of integrand calls equal scipy.integrate.quad and
+scipy.optimize.brentq on finite intervals; tests/test_numerics.py checks
+that against scipy.
+
+Where Python raises on a float operation that C carries through as inf or
+NaN (a division by zero, a power that overflows), the code takes the
+branch the IEEE value takes.
+"""
+
+import math
+import warnings
+
+EPMACH = 2.0 ** -52  # d1mach(4)
+UFLOW = 2.2250738585072014e-308  # d1mach(1), DBL_MIN
+OFLOW = 1.7976931348623157e308  # d1mach(2), DBL_MAX
+
+# dqk21: Kronrod abscissae xgk, Kronrod weights wgk, Gauss weights wg.
+# xgk(2j) are the 10-point Gauss nodes, xgk(2j-1) the Kronrod additions,
+# xgk(11) = 0 the centre.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208980529191,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# (xgk, wgk, wg) for j = 1..5 at 2j, then (xgk, wgk) at 2j-1: dqk21's two loops
+_EVEN = tuple((_XGK[2 * j - 1], _WGK[2 * j - 1], _WG[j - 1]) for j in range(1, 6))
+_ODD = tuple((_XGK[2 * j - 2], _WGK[2 * j - 2]) for j in range(1, 6))
+
+_QUAD_MESSAGES = {  # scipy.integrate.quad's texts for QUADPACK's ier
+    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
+       "If increasing the limit yields no improvement it is advised to "
+       "analyze \n  the integrand in order to determine the difficulties.  "
+       "If the position of a \n  local difficulty can be determined "
+       "(singularity, discontinuity) one will \n  probably gain from "
+       "splitting up the interval and calling the integrator \n  on the "
+       "subranges.  Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents \n  "
+       "the requested tolerance from being achieved.  "
+       "The error may be \n  underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the\n  "
+       "integration interval.",
+    4: "The algorithm does not converge.  Roundoff error is detected\n  "
+       "in the extrapolation table.  It is assumed that the requested "
+       "tolerance\n  cannot be achieved, and that the returned result "
+       "(if full_output = 1) is \n  the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+}
+
+
+class IntegrationWarning(UserWarning):
+    """quad stopped short of the requested tolerance (QUADPACK ier > 0)."""
+
+
+def _max(x, y):
+    # dmax1 as C's fmax: a NaN argument gives the other one
+    return x if x > y or y != y else y
+
+
+def _div(x, y):
+    """x / y in IEEE arithmetic: +-inf or NaN where Python would raise."""
+    if y != 0.0:
+        return x / y
+    if x != x or x == 0.0:
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+def _signbit(x):
+    return math.copysign(1.0, x) < 0
+
+
+def _qk21(f, a, b):
+    """dqk21: (result, abserr, resabs, resasc) of the 21-point Kronrod rule
+    on [a, b], integrand read at the centre, the Gauss pairs, then the
+    Kronrod pairs."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    resg = 0.0
+    fc = f(centr)
+    wgk11 = _WGK[10]
+    resk = wgk11 * fc
+    resabs = abs(resk)
+    fv_even = []
+    for xk, wk, wg in _EVEN:
+        absc = hlgth * xk
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv_even.append((wk, fval1, fval2))
+        fsum = fval1 + fval2
+        resg = resg + wg * fsum
+        resk = resk + wk * fsum
+        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    fv_odd = []
+    for xk, wk in _ODD:
+        absc = hlgth * xk
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv_odd.append((wk, fval1, fval2))
+        fsum = fval1 + fval2
+        resk = resk + wk * fsum
+        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = wgk11 * abs(fc - reskh)
+    for (wo, fo1, fo2), (we, fe1, fe2) in zip(fv_odd, fv_even):  # j = 1, 2, ..., 10
+        resasc = resasc + wo * (abs(fo1 - reskh) + abs(fo2 - reskh))
+        resasc = resasc + we * (abs(fe1 - reskh) + abs(fe2 - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        # min(1, x**1.5) is 1 exactly when x >= 1; Python's ** would overflow
+        ratio = 200.0 * abserr / resasc
+        abserr = resasc * (ratio ** 1.5 if ratio < 1.0 else 1.0)
+    if resabs > UFLOW / (50.0 * EPMACH):
+        abserr = _max((EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+    """dqpsrt: keep iord descending in elist over the part of the list
+    still bisectable; returns the new (maxerr, errmax, nrmax)."""
+    if last <= 2:
+        iord[1] = 1
+        iord[2] = 2
+    else:
+        errmax = elist[maxerr]
+        if nrmax != 1:
+            for _ in range(nrmax - 1):
+                isucc = iord[nrmax - 1]
+                if errmax <= elist[isucc]:
+                    break
+                iord[nrmax] = isucc
+                nrmax -= 1
+        jupbn = last
+        if last > limit // 2 + 2:
+            jupbn = limit + 3 - last
+        errmin = elist[last]
+        # insert errmax by traversing the list top-down
+        jbnd = jupbn - 1
+        for i in range(nrmax + 1, jbnd + 1):
+            isucc = iord[i]
+            if errmax >= elist[isucc]:
+                break
+            iord[i - 1] = isucc
+        else:
+            iord[jbnd] = maxerr
+            iord[jupbn] = last
+            i = None
+        if i is not None:
+            # insert errmin by traversing the list bottom-up
+            iord[i - 1] = maxerr
+            k = jbnd
+            for _ in range(i, jbnd + 1):
+                isucc = iord[k]
+                if errmin < elist[isucc]:
+                    iord[k + 1] = last
+                    break
+                iord[k + 1] = isucc
+                k -= 1
+            else:
+                iord[i] = last
+    maxerr = iord[nrmax]
+    return maxerr, elist[maxerr], nrmax
+
+
+def _qelg(n, epstab, res3la, nres):
+    """dqelg: one step of Wynn's epsilon algorithm on epstab[1..n]; returns
+    (n, result, abserr, nres), updating epstab and res3la in place."""
+    nres += 1
+    abserr = OFLOW
+    result = epstab[n]
+    if n >= 3:
+        limexp = 50
+        epstab[n + 2] = epstab[n]
+        newelm = (n - 1) // 2
+        epstab[n] = OFLOW
+        num = n
+        k1 = n
+        converged = False
+        for i in range(1, newelm + 1):
+            k2 = k1 - 1
+            k3 = k1 - 2
+            res = epstab[k1 + 2]
+            e0 = epstab[k3]
+            e1 = epstab[k2]
+            e2 = res
+            e1abs = abs(e1)
+            delta2 = e2 - e1
+            err2 = abs(delta2)
+            tol2 = _max(abs(e2), e1abs) * EPMACH
+            delta3 = e1 - e0
+            err3 = abs(delta3)
+            tol3 = _max(e1abs, abs(e0)) * EPMACH
+            if not (err2 > tol2 or err3 > tol3):
+                # e0, e1 and e2 are equal to within machine accuracy
+                result = res
+                abserr = err2 + err3
+                converged = True
+                break
+            e3 = epstab[k1]
+            epstab[k1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = _max(e1abs, abs(e3)) * EPMACH
+            # two close elements, or irregular behaviour: omit part of the table
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            epsinf = abs(ss * e1)
+            if not epsinf > 1e-4:
+                n = i + i - 1
+                break
+            res = e1 + 1.0 / ss
+            epstab[k1] = res
+            k1 = k1 - 2
+            error = err2 + abs(res - e2) + err3
+            if error > abserr:
+                continue
+            abserr = error
+            result = res
+        if not converged:
+            # shift the table
+            if n == limexp:
+                n = 2 * (limexp // 2) - 1
+            ib = 2 if num % 2 == 0 else 1
+            for _ in range(newelm + 1):
+                epstab[ib] = epstab[ib + 2]
+                ib += 2
+            if num != n:
+                indx = num - n + 1
+                for i in range(1, n + 1):
+                    epstab[i] = epstab[indx]
+                    indx += 1
+            if nres < 4:
+                res3la[nres] = result
+                abserr = OFLOW
+            else:
+                abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
+                          + abs(result - res3la[1]))
+                res3la[1] = res3la[2]
+                res3la[2] = res3la[3]
+                res3la[3] = result
+    abserr = _max(abserr, 5.0 * EPMACH * abs(result))
+    return n, result, abserr, nres
+
+
+def _qagse(f, a, b, epsabs, epsrel, limit):
+    """dqagse on a < b: (result, abserr, last, ier)."""
+    ier = 0
+    result, abserr, defabs, resabs = _qk21(f, a, b)
+    # test on accuracy
+    dres = abs(result)
+    errbnd = _max(epsabs, epsrel * dres)
+    last = 1
+    if abserr <= 100.0 * EPMACH * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return result, abserr, last, ier
+
+    # the first rule did not do: the work lists, 1-based as in QUADPACK
+    alist = [0.0] * (limit + 1)
+    blist = [0.0] * (limit + 1)
+    rlist = [0.0] * (limit + 1)
+    elist = [0.0] * (limit + 1)
+    iord = [0] * (limit + 1)
+    alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
+    rlist2 = [0.0] * 53
+    res3la = [0.0] * 4
+    rlist2[1] = result
+    errmax = abserr
+    maxerr = 1
+    area = result
+    errsum = abserr
+    abserr = OFLOW
+    nrmax = 1
+    nres = 0
+    numrl2 = 2
+    ktmin = 0
+    extrap = False
+    noext = False
+    ierro = 0
+    iroff1 = iroff2 = iroff3 = 0
+    small = erlarg = ertest = correc = 0.0
+    ksgn = -1
+    if dres >= (1.0 - 50.0 * EPMACH) * defabs:
+        ksgn = 1
+
+    exit_to = 100
+    for last in range(2, limit + 1):
+        # bisect the subinterval with the nrmax-th largest error estimate
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        area1, error1, _, defab1 = _qk21(f, a1, b1)
+        area2, error2, _, defab2 = _qk21(f, a2, b2)
+        # improve previous approximations to integral and error, test accuracy
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (defab1 == error1 or defab2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
+                    or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        rlist[maxerr] = area1
+        rlist[last] = area2
+        errbnd = _max(epsabs, epsrel * abs(area))
+        # roundoff, the subdivision limit and bad integrand behaviour
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if _max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPMACH) * (abs(a2) + 1000.0 * UFLOW):
+            ier = 4
+        # append the newly-created intervals to the list
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist[last] = a1
+            blist[last] = b1
+            rlist[maxerr] = area2
+            rlist[last] = area1
+            elist[maxerr] = error2
+            elist[last] = error1
+        else:
+            alist[last] = a2
+            blist[maxerr] = b1
+            blist[last] = b2
+            elist[maxerr] = error1
+            elist[last] = error2
+        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        if errsum <= errbnd:
+            exit_to = 115
+            break
+        if ier != 0:
+            break
+        if last == 2:
+            small = abs(b - a) * 0.375
+            erlarg = errsum
+            ertest = errbnd
+            rlist2[2] = area
+            continue
+        if noext:
+            continue
+        erlarg = erlarg - erlast
+        if abs(b1 - a1) > small:
+            erlarg = erlarg + erro12
+        if not extrap:
+            # is the interval to be bisected next the smallest one?
+            if abs(blist[maxerr] - alist[maxerr]) > small:
+                continue
+            extrap = True
+            nrmax = 2
+        if not (ierro == 3 or erlarg <= ertest):
+            # the smallest interval has the largest error: before bisecting,
+            # decrease the error sum over the larger intervals (erlarg)
+            jupbnd = last
+            if last > 2 + limit // 2:
+                jupbnd = limit + 3 - last
+            large = False
+            for _ in range(nrmax, jupbnd + 1):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if abs(blist[maxerr] - alist[maxerr]) > small:
+                    large = True
+                    break
+                nrmax += 1
+            if large:
+                continue
+        # perform extrapolation
+        numrl2 += 1
+        rlist2[numrl2] = area
+        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
+        ktmin += 1
+        if ktmin > 5 and abserr < 1e-3 * errsum:
+            ier = 5
+        if abseps < abserr:
+            ktmin = 0
+            abserr = abseps
+            result = reseps
+            correc = erlarg
+            ertest = _max(epsabs, epsrel * abs(reseps))
+            if abserr <= ertest:
+                break
+        # prepare bisection of the smallest interval
+        if numrl2 == 1:
+            noext = True
+        if ier == 5:
+            break
+        maxerr = iord[1]
+        errmax = elist[maxerr]
+        nrmax = 1
+        extrap = False
+        small = small * 0.5
+        erlarg = errsum
+
+    # set final result and error estimate
+    if exit_to == 100:
+        if abserr == OFLOW:
+            exit_to = 115
+        elif ier + ierro == 0:
+            exit_to = 110
+        else:
+            if ierro == 3:
+                abserr = abserr + correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                exit_to = 115 if abserr / abs(result) > errsum / abs(area) else 110
+            elif abserr > errsum:
+                exit_to = 115
+            else:
+                exit_to = 130 if area == 0.0 else 110
+    if exit_to == 110:
+        # test on divergence
+        if not (ksgn == -1 and _max(abs(result), abs(area)) <= defabs * 0.01):
+            ratio = _div(result, area)
+            if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
+                ier = 6
+    elif exit_to == 115:
+        # compute global integral sum
+        result = 0.0
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    if ier > 2:
+        ier = ier - 1
+    return result, abserr, last, ier
+
+
+def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
+    """Integral of f over the finite interval [a, b] by QAGS.
+
+    Returns (result, abserr), or with full_output (result, abserr, info)
+    where info = {"neval": 42*last - 21, "last": number of subintervals},
+    followed by a message when QUADPACK reports ier > 0 (without
+    full_output that message is an IntegrationWarning), as
+    scipy.integrate.quad does.
+    """
+    if a == b:
+        return (0.0, 0.0, {"neval": 0, "last": 0}) if full_output else (0.0, 0.0)
+    flip, a, b = b < a, min(a, b), max(a, b)
+    if epsabs <= 0 and epsrel < max(50 * EPMACH, 5e-29):
+        raise ValueError("If 'epsabs'<=0, 'epsrel' must be greater than both"
+                         " 5e-29 and 50*(machine epsilon).")
+    if limit < 1:
+        raise ValueError("Invalid 'limit' argument. There must be at least one subinterval")
+    result, abserr, last, ier = _qagse(f, a, b, epsabs, epsrel, limit)
+    if flip:
+        result = -result
+    out = (result, abserr)
+    msg = _QUAD_MESSAGES[ier].format(limit=limit) if ier else None
+    if full_output:
+        out += ({"neval": 42 * last - 21, "last": last},)
+        if msg:
+            out += (msg,)
+    elif msg:
+        warnings.warn(msg, IntegrationWarning, stacklevel=2)
+    return out
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * EPMACH, maxiter=100):
+    """A root of f in the sign-changing bracket [a, b] by Brent's method,
+    step for step as scipy.optimize.brentq.
+
+    ValueError for equal signs at the ends, a NaN function value, xtol <= 0,
+    rtol < 4 eps or maxiter < 0; RuntimeError without convergence in
+    maxiter steps.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4 * EPMACH:
+        raise ValueError(f"rtol too small ({rtol:g} < {4 * EPMACH:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter should be > 0")
+
+    def fx(x):
+        v = f(x)
+        if v != v:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return v
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = fx(xpre)
+    fcur = fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            # an inf or NaN trial step fails this test, as in C
+            s3 = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < s3 else s3):
+                # good short step
+                spre = scur
+                scur = stry
+                bisect = False
+        if bisect:
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur!r}")

@@ -1,5 +1,9 @@
 import multiprocessing
 import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warplab.cache import HEADER, OrbitCache, model_hash
 
@@ -20,6 +24,30 @@ def test_append_only_round_trip(cache_dir):
     assert again.load() == {3: (1.5, 0.25, 3.0), 1: (0.1 + 0.2, 1e-300, 7.0)}
     again.append(8, 4.0, 0.125, 9.0)
     assert cache.load()[8] == (4.0, 0.125, 9.0) and len(cache.load()) == 3
+
+
+_FLOATS = st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308, 1e300, 0.1, 0.1 + 0.2]),
+                    st.floats(allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(records=st.lists(st.tuples(st.one_of(st.integers(0, 6), st.integers(0, 10**15)),
+                                  _FLOATS, _FLOATS, _FLOATS), min_size=1, max_size=12))
+def test_append_load_round_trip_keeps_every_bit(records):
+    # the last record per index comes back with every float bit for bit,
+    # also after a torn last line
+    def bits(table):
+        return {l: tuple(x.hex() for x in rec) for l, rec in table.items()}
+
+    want = bits({l: rec for l, *rec in records})
+    with tempfile.TemporaryDirectory() as d:
+        cache = OrbitCache.for_model({"family": "prop"}, d)
+        for rec in records:
+            cache.append(*rec)
+        assert bits(cache.load()) == want
+        with open(cache.path, "a") as fh:
+            fh.write("7 1.5 0.2")
+        assert bits(OrbitCache(cache.path, cache.model_key).load()) == want
 
 
 def test_torn_last_line_is_skipped_and_cut_before_appending(cache_dir):

@@ -1,15 +1,34 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import warplab
 from warplab.cli import main
 from warplab.construction_io import load_construction
 
 
 def run_cli(args):
     return main(args)
+
+
+def test_import_loads_no_heavy_scipy_submodule():
+    # quadrature and root finding are in-repo; scipy.sparse and scipy.linalg
+    # load inside the grid oracle's call, so a run starts without them
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.special")
+    code = ("import sys\n"
+            "import warplab.cli\n"
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+            "import warplab\n"
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(warplab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_ricci_check_passes(tmp_path, capsys):

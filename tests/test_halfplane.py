@@ -334,6 +334,19 @@ def test_arc_integrals_golden_bits(golden_metrics):
     assert reached == {True, False}  # turning panels with and without direct h
 
 
+def test_quadrature_error_budget(golden_metrics):
+    # the osc arc at c = 0.01 needs subdivision: one Kronrod rule per panel
+    # leaves an error estimate (about 9e-4 against 3,142) above the budget
+    # max(abs_floor, 100 rel_tol |total|); the pure model's arcs converge on
+    # the first rule and cannot reach this path
+    m = golden_metrics["osc"]
+    with pytest.raises(halfplane.QuadratureFailure, match="estimated error"):
+        delta_v_of_c(m, 0.01, settings=halfplane.QuadSettings(limit=1))
+    assert delta_v_of_c(m, 0.01) == pytest.approx(2.0 * 3141.865, rel=1e-6)
+    with pytest.raises(ValueError, match="Invalid 'limit' argument"):
+        delta_v_of_c(m, 0.01, settings=halfplane.QuadSettings(limit=0))
+
+
 def test_capped_metric_never_answers_with_the_straight_loop(pure_half_metric):
     # below r_cap/2 the capped metric is the uncapped one; past it no arc is
     # representable, and the axis loop (2 pi l, or floor(R / 2 pi)) is no answer

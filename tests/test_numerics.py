@@ -1,0 +1,226 @@
+"""The in-repo QAGS and Brent ports against scipy, bit for bit.
+
+scipy.integrate.quad and scipy.optimize.brentq are the independent
+reference here: for every drawn integrand and bracket the port must return
+the same bits, the same evaluation counts and read the function at the
+same abscissae in the same order.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning as ScipyIntegrationWarning
+from scipy.integrate import quad as scipy_quad
+from scipy.optimize import brentq as scipy_brentq
+
+from warplab import numerics
+from warplab.numerics import IntegrationWarning, brentq, quad
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def _recorded(f):
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+def _quad_both(f, a, b, **kw):
+    """(scipy's, port's) quad outcome: the result and abserr bits, neval,
+    last, the message, the abscissa sequence; neval counts the calls."""
+    out = []
+    for q in (scipy_quad, quad):
+        g, xs = _recorded(f)
+        r = q(g, a, b, full_output=1, **kw)
+        msg = r[3] if len(r) > 3 else None
+        assert r[2]["neval"] == len(xs) == (42 * r[2]["last"] - 21 if xs else 0)
+        out.append((float(r[0]).hex(), float(r[1]).hex(), r[2]["neval"], r[2]["last"], msg, xs))
+    return out
+
+
+def _brentq_both(f, a, b, **kw):
+    """(scipy's, port's) brentq outcome: root bits or exception type, and
+    the abscissa sequence."""
+    out = []
+    for solve in (scipy_brentq, brentq):
+        g, xs = _recorded(f)
+        try:
+            r = solve(g, a, b, **kw).hex()
+        except (ValueError, RuntimeError) as e:
+            r = type(e).__name__
+        out.append((r, xs))
+    return out
+
+
+# -- quad ---------------------------------------------------------------------
+
+def _smooth(p, q):
+    return lambda x: math.exp(-p * x * x) * math.cos(q * x)
+
+
+def _endpoint_singular(p, q):
+    s = 0.1 + 0.85 * p / 3.0  # x^-s, s in (0.1, 0.95)
+    return lambda x: (x - q) ** -s if x > q else 0.0
+
+
+def _log_singular(p, q):
+    return lambda x: p * math.log(x - q) if x > q else 0.0
+
+
+def _interior_kink(p, q):
+    return lambda x: abs(x - q - 0.3) ** (0.1 * p)
+
+
+def _oscillatory(p, q):
+    return lambda x: math.sin(50.0 * p * x + q)
+
+
+def _sign_changing(p, q):
+    return lambda x: (x - q - 0.4) * math.exp(p * x)
+
+
+def _nan_returning(p, q):
+    return lambda x: math.nan if x > q + 0.7 else p * x
+
+
+FAMILIES = {f.__name__[1:]: f for f in (_smooth, _endpoint_singular, _log_singular,
+                                        _interior_kink, _oscillatory, _sign_changing,
+                                        _nan_returning)}
+
+
+@PROPERTY
+@given(family=st.sampled_from(sorted(FAMILIES)),
+       p=st.floats(0.05, 3.0), q=st.floats(-1.0, 1.0),
+       width=st.floats(0.05, 4.0), flip=st.booleans(),
+       limit=st.sampled_from([1, 2, 10, 400]), epsabs=st.sampled_from([0.0, 1e-12]),
+       epsrel=st.sampled_from([1.49e-8, 1e-10]))
+def test_quad_matches_scipy_bit_for_bit(family, p, q, width, flip, limit, epsabs, epsrel):
+    f = FAMILIES[family](p, q)
+    a, b = (q + width, q) if flip else (q, q + width)
+    theirs, ours = _quad_both(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
+    assert ours == theirs
+
+
+def test_quad_extrapolation_matches_scipy(monkeypatch):
+    """x^-0.9 near 0 is QAGS's case for the epsilon algorithm."""
+    calls = []
+    qelg = numerics._qelg
+    monkeypatch.setattr(numerics, "_qelg", lambda *a: calls.append(a[0]) or qelg(*a))
+    theirs, ours = _quad_both(lambda x: x ** -0.9 if x > 0 else 0.0, 0.0, 1.0,
+                              epsabs=0.0, epsrel=1e-10, limit=400)
+    assert calls  # the epsilon algorithm ran
+    assert ours == theirs
+    assert ours[4] is None and float.fromhex(ours[0]) == pytest.approx(10.0, rel=1e-9)
+
+
+def test_quad_subdivision_limit_matches_scipy():
+    theirs, ours = _quad_both(lambda x: math.sin(200.0 * x), 0.0, 10.0,
+                              epsabs=0.0, epsrel=1e-10, limit=10)
+    assert ours == theirs
+    assert ours[3] == 10 and ours[4].startswith("The maximum number of subdivisions (10)")
+
+
+def test_quad_nan_integrand_gives_the_roundoff_message():
+    theirs, ours = _quad_both(lambda x: math.nan if x > 0.7 else x, 0.0, 1.0,
+                              epsabs=1e-12, epsrel=1e-10, limit=50)
+    assert ours == theirs
+    assert math.isnan(float.fromhex(ours[0])) and ours[4].startswith("The occurrence of roundoff")
+
+
+def test_quad_inf_integrand_matches_scipy():
+    theirs, ours = _quad_both(lambda x: math.inf if x > 0.7 else x, 0.0, 1.0,
+                              epsabs=1e-12, epsrel=1e-10, limit=50)
+    assert ours == theirs
+
+
+def test_quad_warns_without_full_output():
+    f = lambda x: math.sin(200.0 * x)  # noqa: E731
+    with pytest.warns(ScipyIntegrationWarning):
+        theirs = scipy_quad(f, 0.0, 10.0, epsabs=0.0, epsrel=1e-10, limit=10)
+    with pytest.warns(IntegrationWarning):
+        ours = quad(f, 0.0, 10.0, epsabs=0.0, epsrel=1e-10, limit=10)
+    assert ours == theirs
+
+
+def test_quad_empty_interval_and_invalid_arguments():
+    assert quad(math.exp, 1.0, 1.0, full_output=1) == (0.0, 0.0, {"neval": 0, "last": 0})
+    with pytest.raises(ValueError, match="limit"):
+        scipy_quad(math.exp, 0.0, 1.0, limit=0)
+    with pytest.raises(ValueError, match="limit"):
+        quad(math.exp, 0.0, 1.0, limit=0)
+    with pytest.raises(ValueError, match="epsrel"):
+        quad(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-16)
+
+
+# -- brentq -------------------------------------------------------------------
+
+def _odd_power(k, r0, _):
+    return lambda x: (x - r0) ** k
+
+
+def _perturbed_kink(_, r0, c):
+    # strictly increasing: slope 1 +- c with c < 1, plus a small wiggle
+    return lambda x: (x - r0) + c * abs(x - r0) + 1e-3 * math.sin(7.0 * (x - r0))
+
+
+@PROPERTY
+@given(kind=st.sampled_from([_odd_power, _perturbed_kink]), k=st.sampled_from([1, 3, 5, 7]),
+       r0=st.floats(-2.0, 2.0), c=st.floats(-0.9, 0.9),
+       left=st.floats(1e-3, 3.0), right=st.floats(1e-3, 3.0), swap=st.booleans(),
+       xtol=st.sampled_from([1e-15, 1e-12, 1e-6]), rtol=st.sampled_from([8.9e-16, 1e-10]))
+def test_brentq_matches_scipy_bit_for_bit(kind, k, r0, c, left, right, swap, xtol, rtol):
+    f = kind(k, r0, c)
+    a, b = r0 - left, r0 + right
+    if swap:
+        a, b = b, a
+    theirs, ours = _brentq_both(f, a, b, xtol=xtol, rtol=rtol)
+    assert ours == theirs
+
+
+def test_brentq_root_at_an_endpoint():
+    for a, b in ((1.0, 3.0), (-2.0, 1.0)):
+        theirs, ours = _brentq_both(lambda x: x - 1.0, a, b)
+        assert ours == theirs == ((1.0).hex(), [a, b])
+
+
+@pytest.mark.parametrize("f, kw", [
+    (lambda x: x * x + 1.0, {}),  # equal signs
+    (lambda x: math.nan if x > 0.5 else x - 0.3, {}),  # NaN function value
+    (lambda x: x - 0.3, {"xtol": 0.0}),
+    (lambda x: x - 0.3, {"rtol": 1e-16}),
+    (lambda x: x - 0.3, {"maxiter": -1}),
+], ids=["equal-signs", "nan", "xtol", "rtol", "maxiter"])
+def test_brentq_value_errors_match_scipy(f, kw):
+    with pytest.raises(ValueError):
+        scipy_brentq(f, 0.0, 1.0, **kw)
+    with pytest.raises(ValueError):
+        brentq(f, 0.0, 1.0, **kw)
+
+
+def test_brentq_runtime_error_at_maxiter():
+    theirs, ours = _brentq_both(lambda x: math.exp(x) - 2.0, -3.0, 5.0, maxiter=3)
+    assert ours == theirs
+    assert ours[0] == "RuntimeError" and len(ours[1]) == 5
+
+
+def test_brentq_zero_denominator_bisects(monkeypatch):
+    """Tiny function values underflow the extrapolation's denominator to 0;
+    C's inf or NaN trial step fails the short-step test, and the port
+    bisects there too."""
+    zero = []
+    div = numerics._div
+    monkeypatch.setattr(numerics, "_div", lambda x, y: zero.append(y == 0) or div(x, y))
+    r0 = 0.706363522352242
+
+    def f(x):
+        return 3.612558158303001e-185 * ((x - r0) ** 3 + 0.3 * (x - r0) * abs(x - r0))
+
+    theirs, ours = _brentq_both(f, 0.0, 1.0, xtol=1e-15)
+    assert any(zero)
+    assert ours == theirs
