@@ -1,0 +1,73 @@
+"""Golden pins of the smoothed-warping outputs.
+
+The curvature curve and the construction checks of the standard
+oscillating model are pinned to the bit: the SHA-256 of `ricci_curve.csv`
+written by the ricci-check mode, and the float bits (`float.hex`) of every
+number the build-example checks report.  A change to how h is evaluated
+must leave all of them as they are.
+"""
+
+import hashlib
+
+import pytest
+
+from warplab.config import parse_config
+from warplab.harness import run
+from warplab.ladder import OscillationParams
+from warplab.smoothing import (
+    build_oscillating_h,
+    certification_grid,
+    certify_positive_ricci,
+    construction_invariants,
+    dimension_threshold,
+    effective_exponent_max,
+)
+from warplab.warping import standard_f
+
+OSC_1E40 = {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5, "radius_bound": 1e40}
+
+
+@pytest.mark.parametrize("model, digest, margin", [
+    ({"alpha": 0.5},
+     "1cf97d387b9429d3e2ccf82f87d223ca39fe2a4283a23943207dc5f7e2c232ee",
+     "0x1.f6d4000000000p-77"),
+    (OSC_1E40,
+     "85318f9c4351d485b74c1fe7ce48a2b47339bea1ecf05a6195e1f1dcd0f2d978",
+     "-0x1.e4e378347c4d0p-8"),
+], ids=["pure", "osc-1e40"])
+def test_ricci_curve_csv_digest(tmp_path, model, digest, margin):
+    report = run(parse_config(None, {"mode": "ricci-check", "outdir": str(tmp_path), **model}))
+    data = (tmp_path / "ricci_curve.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    check = next(c for c in report.checks if c.name == "ricci-positive(k=8)")
+    assert check.margin.hex() == margin
+
+
+def test_osc_build_checks_golden_bits():
+    params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
+    _, hp, sm = build_oscillating_h(params, radius_bound=1e40, check=True)
+    inv = construction_invariants(hp, sm, 1e-3)
+    assert [g.hex() for g in inv.junction_gaps] == [
+        "0x0.0p+0", "0x1.56ce34b4d317cp-134", "0x1.2f6cc0695b173p-136",
+        "0x1.d32a9cc51559ap-136",
+    ]
+    assert inv.monotone and inv.blends_ok
+    assert (inv.worst_c.hex(), inv.worst_C.hex()) == (
+        "0x1.fae147ae147acp-3", "0x1.b9a6ccab71376p+4")
+
+    grid, labels = certification_grid(sm, r_min=1e-3)
+    p_eff = effective_exponent_max(sm, grid)
+    assert p_eff.hex() == "0x1.2ec1386c23a7ep+1"
+    cap = int(4 * dimension_threshold(p_eff))
+    cert = certify_positive_ricci(sm, standard_f(), cap, grid, labels)
+    assert (cert.k, cap, cert.grid_size) == (289, 433, 3120)
+    assert [(m.label, float(m.r).hex(), m.margin.hex()) for m in cert.margins] == [
+        ("blend@100.0", "0x1.087794d2293e4p+1", "0x1.0ed9a12d7c400p-3"),
+        ("blend@5.002e+12", "0x1.9536f9d59420dp+3", "0x1.3f53f37b9b682p+4"),
+        ("blend@1.0e+6", "0x1.7d967f43050c2p+2", "0x1.6e64e0f0799d8p+5"),
+        ("blend@1.251e+38", "0x1.314ebef94b918p+5", "0x1.9eed1889e5686p+5"),
+        ("bridge(p=1.5)", "0x1.794ac4c59f0b0p+2", "0x1.e200000014f2cp+5"),
+        ("piece(p=1.2)", "0x1.7e955bab0501ep+3", "0x1.005c28f5c28eep+6"),
+        ("piece(p=0.6)", "0x1.318ace95b98d5p+5", "0x1.1670a3d70a3cdp+6"),
+        ("bridge(p=0.3)", "0x1.c4ef406e12400p+4", "0x1.1d28f5c28f5bbp+6"),
+    ]
