@@ -61,20 +61,36 @@ def log_grid(lo: float, hi: float, n: int = 4000):
 def mixed_log_grid(lo, hi_log10: float, n: int, float_cutoff_log10: float = 69.0):
     """Log grid that returns floats below 10^float_cutoff_log10 and mpmath
     scalars above, so huge-radius tails of piecewise models stay evaluable."""
+    parts = mixed_log_chunks(lo, hi_log10, n, max(n, 1), float_cutoff_log10)
+    return [r for part in parts for r in part]
+
+
+def mixed_log_chunks(lo, hi_log10: float, n: int, size: int, float_cutoff_log10: float = 69.0):
+    """mixed_log_grid as consecutive lists of at most `size` radii, so a scan
+    of a long grid never holds all of it.  The floats are Python's scalar
+    10.0**e (np.power may differ by an ulp)."""
     exps = np.linspace(np.log10(lo), float(hi_log10), n)
-    out = []
-    for e in exps:
-        if e <= float_cutoff_log10:
-            out.append(float(10.0**e))
-        else:
-            out.append(mpmath.mpf(10) ** mpmath.mpf(float(e)))
-    return out
+    for a in range(0, n, size):
+        yield [10.0**e if e <= float_cutoff_log10 else mpmath.mpf(10) ** mpmath.mpf(e)
+               for e in exps[a:a + size].tolist()]
 
 
-def _check_positive(m: DoublyWarpedMetric, r, fj, hj):
-    if fj.value <= 0 or hj.value <= 0:
+def grid_parts(grid):
+    """(positions, radii) parts of a grid of floats and mpmath scalars: the
+    float radii first, as one float64 array, then each other radius alone,
+    so a check evaluates the floats in one array call."""
+    pos_f = [i for i, r in enumerate(grid) if isinstance(r, float)]
+    if pos_f:
+        yield pos_f, np.array([grid[i] for i in pos_f], dtype=float)
+    for i, r in enumerate(grid):
+        if not isinstance(r, float):
+            yield [i], r
+
+
+def _check_positive(r, f_value, h_value):
+    if f_value <= 0 or h_value <= 0:
         raise NonPositiveWarping(
-            f"f({r})={fj.value}, h({r})={hj.value}; warping must be positive for r > 0"
+            f"f({r})={f_value}, h({r})={h_value}; warping must be positive for r > 0"
         )
 
 
@@ -95,7 +111,7 @@ def ricci_radial(m: DoublyWarpedMetric, r):
         lim_ff = _richardson_even_limit(lambda s: m.f(s).d2 / m.f(s).value)
         return -h0.d2 / h0.value - m.k * lim_ff
     fj, hj = m.f(r), m.h(r)
-    _check_positive(m, r, fj, hj)
+    _check_positive(r, fj.value, hj.value)
     return -hj.d2 / hj.value - m.k * fj.d2 / fj.value
 
 
@@ -108,7 +124,7 @@ def ricci_circle(m: DoublyWarpedMetric, r):
         )
         return -h0.d2 / h0.value - m.k * lim
     fj, hj = m.f(r), m.h(r)
-    _check_positive(m, r, fj, hj)
+    _check_positive(r, fj.value, hj.value)
     return -hj.d2 / hj.value - m.k * (fj.d1 * hj.d1) / (fj.value * hj.value)
 
 
@@ -123,7 +139,7 @@ def ricci_sphere(m: DoublyWarpedMetric, r):
         )
         return -lim_ff + (m.k - 1) * lim_k - lim_fh
     fj, hj = m.f(r), m.h(r)
-    _check_positive(m, r, fj, hj)
+    _check_positive(r, fj.value, hj.value)
     return (
         -fj.d2 / fj.value
         + (m.k - 1) * (1 - fj.d1 * fj.d1) / (fj.value * fj.value)
@@ -135,23 +151,49 @@ def ricci_report(m: DoublyWarpedMetric, r) -> RicciReport:
     return RicciReport(r, ricci_radial(m, r), ricci_circle(m, r), ricci_sphere(m, r))
 
 
+def ricci_components(m: DoublyWarpedMetric, rs):
+    """ricci_report's three directions at a 1-d float64 array of radii > 0,
+    as (radial, circle, sphere) arrays.  f and h are read once for the whole
+    array, and each entry runs ricci_radial/_circle/_sphere's operations in
+    their order, so it has the scalar bits (an object entry where h was
+    promoted to mpmath at that radius)."""
+    fj, hj = m.f(rs), m.h(rs)
+    fv, hv, _ = np.broadcast_arrays(fj.value, hj.value, rs)
+    bad = np.flatnonzero(np.asarray(fv <= 0, dtype=bool) | np.asarray(hv <= 0, dtype=bool))
+    if bad.size:
+        i = int(bad[0])
+        _check_positive(rs.tolist()[i], fv.tolist()[i], hv.tolist()[i])
+    radial = -hj.d2 / hj.value - m.k * fj.d2 / fj.value
+    circle = -hj.d2 / hj.value - m.k * (fj.d1 * hj.d1) / (fj.value * hj.value)
+    sphere = (
+        -fj.d2 / fj.value
+        + (m.k - 1) * (1 - fj.d1 * fj.d1) / (fj.value * fj.value)
+        - (fj.d1 * hj.d1) / (fj.value * hj.value)
+    )
+    return tuple(np.broadcast_to(c, rs.shape) for c in (radial, circle, sphere))
+
+
 def ricci_positive_on_grid(m: DoublyWarpedMetric, grid):
     """True iff all three Ricci directions are positive at every grid radius.
 
     Returns ``(ok, worst)`` where worst is the RicciReport with the smallest
-    minimum value.  Grid scalars may be floats or mpmath values; comparisons
-    stay in the input arithmetic so huge-radius tails never underflow.
+    minimum value.  Grid scalars may be floats or mpmath values; the floats
+    are evaluated in one array call (`ricci_components`), the others one by
+    one, and comparisons stay in the input arithmetic so huge-radius tails
+    never underflow.
     """
     if len(grid) == 0:
         raise ValueError("empty grid")
-    worst = None
-    ok = True
-    for r in grid:
-        if r <= 0:
-            raise ValueError("grid radii must be positive")
-        rep = ricci_report(m, r)
-        if worst is None or rep.min_value < worst.min_value:
-            worst = rep
-        if not rep.min_value > 0:
-            ok = False
-    return ok, worst
+    if any(r <= 0 for r in grid):
+        raise ValueError("grid radii must be positive")
+    rows = [None] * len(grid)
+    for pos, r in grid_parts(grid):
+        if isinstance(r, np.ndarray):
+            for i, *row in zip(pos, *(c.tolist() for c in ricci_components(m, r))):
+                rows[i] = row
+        else:
+            rep = ricci_report(m, r)
+            rows[pos[0]] = (rep.ric_radial, rep.ric_circle, rep.ric_sphere)
+    lows = [min(row) for row in rows]  # RicciReport.min_value
+    worst = min(range(len(rows)), key=lows.__getitem__)  # the first smallest
+    return all(low > 0 for low in lows), RicciReport(grid[worst], *rows[worst])

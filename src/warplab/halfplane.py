@@ -103,8 +103,9 @@ class HalfplaneMetric:
         by radius to jet(r): one array evaluation where h takes arrays, else
         a loop of jet(r)."""
         if self._takes_arrays:
-            j = self._h(rs)
-            return Jet2(*(np.broadcast_to(c, rs.shape) for c in (j.value, j.d1, j.d2)))
+            j = self._h(rs)  # object entries (promoted to mpf) become their float()
+            return Jet2(*(np.broadcast_to(np.asarray(c, dtype=float), rs.shape)
+                          for c in (j.value, j.d1, j.d2)))
         return Jet2(*np.array([(j.value, j.d1, j.d2) for j in map(self.jet, rs.tolist())]).T)
 
     def sup_h(self):
@@ -121,7 +122,7 @@ class HalfplaneMetric:
         kw.setdefault("label", "smoothed-h")
         kw.setdefault("breakpoints", sm.breakpoints_float(r_max=1e290))
         # quadrature integrands and root-finders read h alone: one table lookup
-        return HalfplaneMetric(sm.jet, value=sm.float_value, **kw)
+        return HalfplaneMetric(sm.jet, value=sm.float_value, takes_arrays=True, **kw)
 
 
 def circle_length(m: HalfplaneMetric, r) -> float:

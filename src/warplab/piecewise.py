@@ -9,9 +9,12 @@ profile on the same radii.
 
 Float views (the unit flag, the float constant, junctions as doubles) are
 built once at construction, so a float query touches no mpf unless it is
-promoted.  Edges are kept as the nearest double on the safe side
-(`float_ceil` / `float_floor`), which makes every float comparison against
-an edge agree with the exact mpf comparison.
+promoted.  A float query runs the closed-form kernel (`Segment.kernel`),
+which takes a double or a float64 array and returns the Jet2 bits with no
+Jet2 built, plus a flag for the radii that must be promoted.  Edges are
+kept as the nearest double on the safe side (`float_ceil` /
+`float_floor`), which makes every float comparison against an edge agree
+with the exact mpf comparison.
 """
 
 import math
@@ -19,8 +22,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import mpmath
+import numpy as np
 
-from .jets import Jet2
+from .jets import Jet2, _array_pow, _ndarray
 from .ladder import ScaleLadder, bridge_constant, bridge_exponent
 
 # doubles hold |log10| < ~308; stay clear so squares/ratios inside jet
@@ -75,51 +79,76 @@ class Segment:
         """Float constant when representable, else None."""
         return self._cf
 
-    def jet(self, r) -> Jet2:
-        if self._unit:  # pure pieces share bits with a standalone profile
-            x = Jet2.variable(r)
-            return (1 + x * x) ** (-self.p)
-        if isinstance(r, (mpmath.mpf, mpmath.mpc)):
-            return self._mp_jet(r)
-        head = self._float_head(r)
-        if head is None:  # constant outside float range, or underflow
-            return self._mp_jet(mpmath.mpf(r))
-        u0, g1, v, d1 = head
-        p = self.p
-        d2 = v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0)
-        return Jet2(v, d1, d2)
-
-    def value(self, r):
-        """h(r), equal to jet(r).value; a float r on the float path builds
-        no Jet2."""
-        if isinstance(r, float):
-            if self._unit:
-                return (1.0 + r * r) ** (-self.p)
-            head = self._float_head(r)
-            if head is not None:
-                return head[2]
-        return self.jet(r).value
-
-    def _float_head(self, r):
-        """(1+r^2, 2r/(1+r^2), h, h') in doubles, or None when the query must
-        be promoted: no float constant, or value or slope underflowed."""
-        cf = self.c_float()
-        if cf is None:
-            return None
-        # scale first, then form derivatives in ratio form: the bare power's
-        # jets can underflow where C * (1+r^2)^(-p) is still representable
+    def kernel(self, r):
+        """(h, h', h'', promoted) at a double or a float64 array of radii, in
+        closed form and bit-identical to the Jet2 jets.  promoted (a bool, or
+        a bool array) marks the radii that doubles cannot answer: the
+        constant is outside float range, or h or h' underflowed.  Their other
+        entries mean nothing; jet() redoes them in mpmath."""
+        arr = r.__class__ is _ndarray
         p = self.p
         u0 = 1.0 + r * r
         g1 = 2.0 * r / u0
-        v = cf * u0 ** (-p)
+        if self._unit:
+            # Jet2's ratio form of (1 + x*x)**q: pure pieces keep the bits of
+            # a standalone profile
+            q = -p
+            v = _array_pow(u0, q) if arr else u0**q
+            d1 = v * (q * g1)
+            d2 = v * (q * (q - 1) * g1 * g1 + q * 2.0 / u0)
+            return v, d1, d2, np.zeros(r.shape, bool) if arr else False
+        cf = self.c_float()
+        if cf is None:
+            nan = np.full(r.shape, math.nan) if arr else math.nan
+            return nan, nan, nan, np.ones(r.shape, bool) if arr else True
+        # scale first, then form derivatives in ratio form: the bare power's
+        # jets can underflow where C * (1+r^2)^(-p) is still representable
+        v = cf * (_array_pow(u0, -p) if arr else u0 ** (-p))
         d1 = v * (-p) * g1
-        if r > 0 and (v == 0.0 or d1 == 0.0 or not math.isfinite(v)):
-            return None
-        return u0, g1, v, d1
+        d2 = v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0)
+        if arr:
+            promoted = (r > 0) & ((v == 0.0) | (d1 == 0.0) | ~np.isfinite(v))
+        else:
+            promoted = r > 0 and (v == 0.0 or d1 == 0.0 or not math.isfinite(v))
+        return v, d1, d2, promoted
+
+    def jet(self, r) -> Jet2:
+        """Jet2 at a float, an mpf or a float64 array of radii (a Jet2 of
+        arrays, see `array_jet`)."""
+        if isinstance(r, (mpmath.mpf, mpmath.mpc)):
+            return self._mp_jet(r)
+        if r.__class__ is _ndarray:
+            return array_jet(self.kernel(r), r, self.jet)
+        v, d1, d2, promoted = self.kernel(r)
+        return self._mp_jet(mpmath.mpf(r)) if promoted else Jet2(v, d1, d2)
+
+    def value(self, r):
+        """h(r), equal to jet(r).value; a float r that needs no promotion
+        builds no Jet2."""
+        if isinstance(r, float):
+            v, _, _, promoted = self.kernel(r)
+            if not promoted:
+                return v
+        return self.jet(r).value
 
     def _mp_jet(self, r):
         x = Jet2.variable(r)
-        return ((1 + x * x) ** (-self.p)) * self.C
+        j = (1 + x * x) ** (-self.p)
+        return j if self._unit else j * self.C
+
+
+def array_jet(kernel_out, rs, scalar_jet) -> Jet2:
+    """The Jet2 of arrays that a kernel's output at the radii rs stands for,
+    equal entry by entry to scalar_jet(r): float64 arrays when no radius was
+    promoted, else object arrays whose promoted entries hold scalar_jet's
+    mpf components."""
+    v, d1, d2, promoted = kernel_out
+    if promoted.any():
+        v, d1, d2 = v.astype(object), d1.astype(object), d2.astype(object)
+        for i in np.flatnonzero(promoted).tolist():
+            j = scalar_jet(float(rs[i]))
+            v[i], d1[i], d2[i] = j.value, j.d1, j.d2
+    return Jet2(v, d1, d2)
 
 
 class PiecewiseH:

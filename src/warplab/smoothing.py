@@ -17,19 +17,35 @@ rely on.
 
 Blended jets are exact: phi is polynomial and the pieces are closed forms,
 so no divided differences enter this path.
+
+At float radii a blend answers through its closed-form kernel (`Blend.kernel`),
+which takes a double or a float64 array and writes out the Jet2 blend in
+Jet2's operation order, so it builds no Jet2 and keeps the Jet2 bits.  A
+SmoothedH evaluates an array by runs of one owner, and the dense checks
+below (blend scan, strict-decrease scan, replacement inequalities,
+certification) read h in array calls; mpf radii and the radii a kernel
+promotes stay on Jet2 in mpmath.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 
 import mpmath
 import numpy as np
 
-from .curvature import mixed_log_grid
-from .jets import Jet2
+from .curvature import grid_parts, mixed_log_chunks
+from .jets import Jet2, _array_pow, _ndarray
 from .ladder import build_scale_ladder
-from .piecewise import PiecewiseH, Segment, build_piecewise_h, float_ceil, float_floor
+from .piecewise import (
+    PiecewiseH,
+    Segment,
+    array_jet,
+    build_piecewise_h,
+    float_ceil,
+    float_floor,
+)
 from .warping import WarpingFunction
 
 _Q1_SUP = 1.875  # sup |q'| of the unit quintic
@@ -55,7 +71,20 @@ class NotCertified(RuntimeError):
 
 
 def _quintic(x):
-    """q, q', q'' of the plateau quintic on the unit interval."""
+    """q, q', q'' of the plateau quintic on the unit interval, at a double or
+    per element of a float64 array.  (1 - x)**2 is C pow, as in the scalar
+    form: numpy's array ** 2 squares, which differs from pow by an ulp."""
+    if x.__class__ is _ndarray:
+        q = np.where(x <= 0.0, 1.0, 0.0)
+        d1 = np.zeros_like(x)
+        d2 = np.zeros_like(x)
+        inner = ~((x <= 0.0) | (x >= 1.0))
+        if inner.any():
+            x = x[inner]
+            q[inner] = 1.0 - x * x * x * (10.0 - 15.0 * x + 6.0 * x * x)
+            d1[inner] = -30.0 * x * x * _array_pow(1.0 - x, 2)
+            d2[inner] = -60.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
+        return q, d1, d2
     if x <= 0.0:
         return 1.0, 0.0, 0.0
     if x >= 1.0:
@@ -109,54 +138,94 @@ class Blend:
     right: Segment
     lo: object  # blend interval (mpf)
     hi: object
-    # plateau edges (mpf) and their float views, set once in __post_init__
+    # plateau edges (mpf) and their float views, and the cutoff's float
+    # placement (start, span) as spec.phi forms it at float(R); set once in
+    # __post_init__
     _plateaus: tuple = field(init=False, repr=False, compare=False)
     _plateaus_f: tuple = field(init=False, repr=False, compare=False)
+    _place_f: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo_p = self.spec.lo_frac * self.R
         hi_p = self.spec.hi_frac * self.R
+        Rs = float(self.R)
         object.__setattr__(self, "_plateaus", (lo_p, hi_p, self.R))
-        object.__setattr__(
-            self, "_plateaus_f", (float_floor(lo_p), float_ceil(hi_p), float(self.R))
-        )
+        object.__setattr__(self, "_plateaus_f", (float_floor(lo_p), float_ceil(hi_p), Rs))
+        object.__setattr__(self, "_place_f", (self.spec.lo_frac * Rs, self.spec.span_frac() * Rs))
+
+    def kernel(self, r):
+        """(h, h', h'', promoted) at a double or a float64 array of radii,
+        bit-identical to the Jet2 blend: the pieces' kernels on the plateaus,
+        and between them phi*hl + (1-phi)*hr written out in Jet2's operation
+        order.  promoted marks a promoted piece and a blend that degenerates
+        in doubles (h <= 0, h' == 0 or h not finite); jet() redoes those."""
+        lo_plateau, hi_plateau, _ = self._plateaus_f
+        if r.__class__ is not _ndarray:
+            if r <= lo_plateau:
+                return self.left.kernel(r)
+            if r >= hi_plateau:
+                return self.right.kernel(r)
+            return self._mix(r)
+        out = (np.empty_like(r), np.empty_like(r), np.empty_like(r), np.empty(r.shape, bool))
+        left = r <= lo_plateau
+        right = r >= hi_plateau
+        for mask, part in ((left, self.left.kernel), (right, self.right.kernel),
+                           (~(left | right), self._mix)):
+            if mask.any():
+                for dst, src in zip(out, part(r[mask])):
+                    dst[mask] = src
+        return out
+
+    def _mix(self, r):
+        start, span = self._place_f
+        p, p1, p2 = _quintic((r - start) / span)  # spec.phi at float(R)
+        p1 = p1 / span
+        p2 = p2 / (span * span)
+        lv, l1, l2, l_promoted = self.left.kernel(r)
+        rv, r1, r2, r_promoted = self.right.kernel(r)
+        q = 1.0 - p
+        v = p * lv + q * rv
+        d1 = (p1 * lv + p * l1) + (-p1 * rv + q * r1)
+        d2 = (p2 * lv + 2 * p1 * l1 + p * l2) + (-p2 * rv + 2 * -p1 * r1 + q * r2)
+        if r.__class__ is _ndarray:
+            degenerate = (v <= 0.0) | (d1 == 0.0) | ~np.isfinite(v)
+            return v, d1, d2, l_promoted | r_promoted | degenerate
+        degenerate = v <= 0.0 or d1 == 0.0 or not math.isfinite(v)
+        return v, d1, d2, l_promoted or r_promoted or degenerate
 
     def jet(self, r) -> Jet2:
-        lo_plateau, hi_plateau, Rs = self._plateaus_f if isinstance(r, float) else self._plateaus
+        """Jet2 at a float, an mpf or a float64 array of radii (a Jet2 of
+        arrays, see `array_jet`)."""
+        if isinstance(r, (mpmath.mpf, mpmath.mpc)):
+            return self._jet2(r, self._plateaus)
+        if r.__class__ is _ndarray:
+            return array_jet(self.kernel(r), r, self.jet)
+        v, d1, d2, promoted = self.kernel(r)
+        return self._jet2(r, self._plateaus_f) if promoted else Jet2(v, d1, d2)
+
+    def value(self, r):
+        """jet(r).value; a float r that needs no promotion builds no Jet2."""
+        if isinstance(r, float):
+            v, _, _, promoted = self.kernel(r)
+            if not promoted:
+                return v
+        return self.jet(r).value
+
+    def _jet2(self, r, plateaus):
+        """The blend in Jet2 arithmetic: at an mpf r, and at a float r the
+        kernel promoted.  A promoted piece mixes float phi with its mpf jet;
+        a blend degenerate in doubles is redone exactly."""
+        lo_plateau, hi_plateau, Rs = plateaus
         if r <= lo_plateau:
             return self.left.jet(r)
         if r >= hi_plateau:
             return self.right.jet(r)
-        p, p1, p2 = self.spec.phi(r, Rs)
         hl = self.left.jet(r)
         hr = self.right.jet(r)
-        phi_jet = Jet2(p, p1, p2)
-        out = phi_jet * hl + (1.0 - phi_jet) * hr
-        if isinstance(r, float) and isinstance(out.value, float) and (
-            out.value <= 0.0 or out.d1 == 0.0 or not math.isfinite(out.value)
-        ):
-            return self.jet(mpmath.mpf(r))  # degenerate in doubles: redo exactly
-        return out
-
-    def value(self, r):
-        """jet(r).value; a float r builds no phi Jet2 and no products, but
-        keeps jet's operation order and its degenerate-slope test."""
-        if not isinstance(r, float):
-            return self.jet(r).value
-        lo_plateau, hi_plateau, Rs = self._plateaus_f
-        if r <= lo_plateau:
-            return self.left.value(r)
-        if r >= hi_plateau:
-            return self.right.value(r)
-        p, p1, _ = self.spec.phi(r, Rs)
-        hl = self.left.jet(r)
-        hr = self.right.jet(r)
-        v = p * hl.value + (1.0 - p) * hr.value
-        if isinstance(v, float):
-            d1 = (p1 * hl.value + p * hl.d1) + (-p1 * hr.value + (1.0 - p) * hr.d1)
-            if v <= 0.0 or d1 == 0.0 or not math.isfinite(v):
-                return self.jet(mpmath.mpf(r)).value  # degenerate in doubles
-        return v
+        if isinstance(r, float) and isinstance(hl.value, float) and isinstance(hr.value, float):
+            return self._jet2(mpmath.mpf(r), self._plateaus)
+        phi_jet = Jet2(*self.spec.phi(r, Rs))
+        return phi_jet * hl + (1.0 - phi_jet) * hr
 
 
 class SmoothedH:
@@ -179,6 +248,7 @@ class SmoothedH:
         # does, so that interval's owner is the exact decision at e_i
         self._fedges = sorted({*base._keys, *(float_ceil(x) for xs in self._edges for x in xs)})
         self._fowners = [self._owner_at(mpmath.mpf(e)) for e in (-math.inf, *self._fedges)]
+        self._fedges_array = np.array(self._fedges)
         edges, owners = self._fedges, self._fowners
         negp = [-o.p if isinstance(o, Segment) and o._unit else None for o in owners]
 
@@ -204,12 +274,32 @@ class SmoothedH:
         owner = self._owner_at(r)
         return owner if isinstance(owner, Blend) else None
 
+    def kernel(self, rs):
+        """(h, h', h'', promoted) at a 1-d float64 array of radii: the float
+        table splits the radii into runs of one owner (blend or segment),
+        and each owner's kernel answers its run in one call."""
+        idx = np.searchsorted(self._fedges_array, rs, side="right")
+        out = (np.empty_like(rs), np.empty_like(rs), np.empty_like(rs), np.empty(rs.shape, bool))
+        order = np.argsort(idx, kind="stable")
+        idx = idx[order]
+        cuts = (np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(idx)]):
+            if a < b:  # an empty array has one empty run
+                sel = order[a:b]
+                for dst, src in zip(out, self._fowners[idx[a]].kernel(rs[sel])):
+                    dst[sel] = src
+        return out
+
     def jet(self, r) -> Jet2:
+        """Jet2 at a float, an mpf or a 1-d float64 array of radii (a Jet2 of
+        arrays, see `array_jet`)."""
+        if r.__class__ is _ndarray:
+            return array_jet(self.kernel(r), r, self.jet)
         return self._owner_at(r).jet(r)
 
     def value(self, r):
-        """h(r), equal to jet(r).value; a float r builds no Jet2 outside
-        blends."""
+        """h(r), equal to jet(r).value; a float r that needs no promotion
+        builds no Jet2."""
         return self._owner_at(r).value(r)
 
     def __call__(self, r) -> Jet2:
@@ -262,16 +352,31 @@ def smooth(
     return sm
 
 
+def _midpoints(n):
+    """(i + 0.5) / n for i < n, the sample fractions of the blend checks."""
+    return (np.arange(n) + 0.5) / n
+
+
 def _check_blend_monotonicity(sm: SmoothedH, n: int):
+    """h' < 0 at n midpoint samples of every blend: one kernel call per blend
+    below the float cutoff, where a promoted sample is judged on its mpf
+    jet, and an mpf jet per sample above it."""
+    t = _midpoints(n)
     for b in sm.blends:
-        use_mp = float(b.R) > _MP_EVAL_CUTOFF  # float(mpf) saturates to inf
-        lo, hi = (b.lo, b.hi) if use_mp else (float(b.lo), float(b.hi))
-        for i in range(n):
-            r = lo + (hi - lo) * ((i + 0.5) / n)
-            j = b.jet(r)
-            if not (j.d1 < 0):
+        if float(b.R) > _MP_EVAL_CUTOFF:  # float(mpf) saturates to inf
+            lo, hi = b.lo, b.hi
+            samples = ((r, b.jet(r).d1) for r in (lo + (hi - lo) * x for x in t.tolist()))
+        else:
+            lo, hi = float(b.lo), float(b.hi)
+            rs = lo + (hi - lo) * t
+            _, d1, _, promoted = b.kernel(rs)
+            look = np.flatnonzero(promoted | ~(d1 < 0)).tolist()
+            samples = ((r, b.jet(r).d1 if promoted[i] else float(d1[i]))
+                       for i, r in zip(look, rs[look].tolist()))
+        for r, slope in samples:
+            if not (slope < 0):
                 raise MonotonicityLoss(
-                    f"h_s' = {j.d1} >= 0 at r = {r} inside blend at R = {b.R}"
+                    f"h_s' = {slope} >= 0 at r = {r} inside blend at R = {b.R}"
                 )
 
 
@@ -289,39 +394,46 @@ def verify_observation(h_old, h_new, interval, n: int = 2000) -> ObservationChec
         h_new' < 0,   |h_new'/h_new| > c |h_old'/h_old|,
         h_new''/h_new < C h_old''/h_old.
 
-    Both arguments are jet-valued callables positive on the interval.  The
+    Both arguments are jet-valued callables positive on the interval.  On a
+    float interval each is called once, with the float64 array of sample
+    radii, and must return a Jet2 of arrays (Segment.jet, SmoothedH and
+    WarpingFunction do); on an mpf interval each is called per radius.  The
     returned constants carry 0.99/1.01 safety margins off the grid inf/sup;
     ok is False when h_new fails to decrease somewhere or when no positive
     constants exist (e.g. the reference curvature ratio changes sign).
     """
     a, b = interval
     use_mp = isinstance(a, mpmath.mpf) or isinstance(b, mpmath.mpf) or float(b) > _MP_EVAL_CUTOFF
-    c_inf = None
-    C_sup = None
-    for i in range(n):
-        t = (i + 0.5) / n
-        r = a + (b - a) * t
-        if not use_mp:
-            r = float(r)
-        jo = h_old(r) if not isinstance(h_old, (SmoothedH,)) else h_old.jet(r)
-        jn = h_new(r) if not isinstance(h_new, (SmoothedH,)) else h_new.jet(r)
-        if not (jn.d1 < 0):
-            return ObservationCheck(False, 0.0, float("inf"), f"h_new' >= 0 at r={r}")
-        lo_old = jo.d1 / jo.value
-        lo_new = jn.d1 / jn.value
-        ratio1 = abs(lo_new) / abs(lo_old)
-        c_inf = ratio1 if c_inf is None else min(c_inf, ratio1)
-        q_old = jo.d2 / jo.value
-        q_new = jn.d2 / jn.value
-        if q_old <= 0:
-            return ObservationCheck(
-                False, 0.0, float("inf"), f"reference curvature ratio <= 0 at r={r}"
-            )
-        ratio2 = q_new / q_old
-        C_sup = ratio2 if C_sup is None else max(C_sup, ratio2)
+    t = _midpoints(n)
+    if use_mp:
+        rs = [a + (b - a) * x for x in t.tolist()]
+        jo, jn = (_stacked([h(r) for r in rs]) for h in (h_old, h_new))
+    else:
+        ra = a + (b - a) * t
+        rs = ra.tolist()
+        jo, jn = h_old(ra), h_new(ra)
+    # entry by entry the per-radius arithmetic (object entries hold mpf)
+    decreasing = np.broadcast_to(np.asarray(jn.d1 < 0, dtype=bool), t.shape)
+    q_old = jo.d2 / jo.value
+    bad = np.flatnonzero(~decreasing | np.asarray(q_old <= 0, dtype=bool))
+    if bad.size:
+        i = int(bad[0])
+        reason = (f"h_new' >= 0 at r={rs[i]}" if not decreasing[i]
+                  else f"reference curvature ratio <= 0 at r={rs[i]}")
+        return ObservationCheck(False, 0.0, float("inf"), reason)
+    ratio1 = abs(jn.d1 / jn.value) / abs(jo.d1 / jo.value)
+    ratio2 = (jn.d2 / jn.value) / q_old
+    # Python's running min/max: a NaN after the first entry is skipped
+    c_inf = reduce(min, np.broadcast_to(ratio1, t.shape).tolist())
+    C_sup = reduce(max, np.broadcast_to(ratio2, t.shape).tolist())
     c = 0.99 * float(c_inf)
     C = 1.01 * float(C_sup) if C_sup > 0 else float(C_sup) / 1.01
     return ObservationCheck(c > 0, c, C)
+
+
+def _stacked(jets):
+    """One Jet2 of object arrays from a list of scalar jets."""
+    return Jet2(*(np.array(c, dtype=object) for c in zip(*((j.value, j.d1, j.d2) for j in jets))))
 
 
 @dataclass
@@ -333,21 +445,32 @@ class ConstructionInvariants:
     worst_C: float
 
 
+_SCAN_CHUNK = 8192  # radii per array call of the strict-decrease scan
+
+
 def construction_invariants(hp: PiecewiseH, sm: SmoothedH, r_min: float = 1e-3):
     """Junction continuity of hp, strict decrease of sm on 1e5 mixed-log
-    samples from r_min to 1.3 x the last junction, and the replacement
-    inequalities (400 samples) against the left piece of every blend."""
+    samples from r_min to 1.3 x the last junction (1e6 without one), and
+    the replacement inequalities (400 samples) against the left piece of
+    every blend."""
     gaps = hp.check_continuity(rel_tol=math.inf)
 
-    top = mpmath.mpf(sm.last_radius()) * mpmath.mpf("1.3")
+    top = _scan_top(sm)
     monotone = True
     prev = None
-    for r in mixed_log_grid(r_min, float(mpmath.log10(top)), 100_000):
-        v = sm.value(r)
-        if prev is not None and not (v < prev):
+    for chunk in mixed_log_chunks(r_min, float(mpmath.log10(top)), 100_000, _SCAN_CHUNK):
+        vals = _scan_values(sm, chunk)
+        if vals.__class__ is _ndarray:
+            ok = bool(np.all(vals[1:] < vals[:-1])) and (prev is None or float(vals[0]) < prev)
+            last = float(vals[-1])
+        else:
+            seq = vals if prev is None else [prev, *vals]
+            ok = all(v < u for u, v in zip(seq, seq[1:]))
+            last = vals[-1]
+        if not ok:
             monotone = False
             break
-        prev = v
+        prev = last
 
     blends_ok = True
     worst_c, worst_C = math.inf, 0.0
@@ -359,6 +482,22 @@ def construction_invariants(hp: PiecewiseH, sm: SmoothedH, r_min: float = 1e-3):
         worst_c = min(worst_c, chk.c)
         worst_C = max(worst_C, chk.C)
     return ConstructionInvariants(gaps, monotone, blends_ok, worst_c, worst_C)
+
+
+def _scan_values(sm: SmoothedH, chunk):
+    """sm.value at each radius of a chunk of the mixed-log grid: the float
+    radii in one kernel call (a float64 array back when none was promoted),
+    a promoted radius and the mpf tail one by one (a list back)."""
+    k = len(chunk)
+    if not isinstance(chunk[-1], float):  # the floats come before the mpf tail
+        k = next(i for i, r in enumerate(chunk) if not isinstance(r, float))
+    v, _, _, promoted = sm.kernel(np.array(chunk[:k], dtype=float))
+    if k == len(chunk) and not promoted.any():
+        return v
+    vals = v.tolist()
+    for i in np.flatnonzero(promoted).tolist():
+        vals[i] = sm.value(chunk[i])
+    return vals + [sm.value(r) for r in chunk[k:]]
 
 
 # -- positivity certification ------------------------------------------------
@@ -393,8 +532,7 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
     for s in sm.base.segments[1:]:
         marks.append((s.r_lo, None))
     marks.sort(key=lambda t: mpmath.mpf(t[0]))
-    last = sm.last_radius()
-    top = mpmath.mpf(last) * mpmath.mpf("1.3") if last and mpmath.mpf(last) > 0 else mpmath.mpf(1e6)
+    top = _scan_top(sm)
 
     cuts = [mpmath.mpf(r_min)]
     for x, _ in marks:
@@ -416,6 +554,13 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
     return grid, glabels
 
 
+def _scan_top(sm: SmoothedH):
+    """Top of the sampled range: 1.3 x the last junction, or 1e6 when h has
+    no junction."""
+    last = mpmath.mpf(sm.last_radius())
+    return last * mpmath.mpf("1.3") if last > 0 else mpmath.mpf(1e6)
+
+
 def _short(x):
     return mpmath.nstr(mpmath.mpf(x), 4)
 
@@ -433,12 +578,13 @@ def effective_exponent_max(sm: SmoothedH, grid=None) -> float:
     equal to p on a pure (1+r^2)^(-p) stretch and larger inside blends."""
     if grid is None:
         grid, _ = certification_grid(sm, per_interval=60)
-    worst = 0.0
-    for r in grid:
+    vals = [None] * len(grid)
+    for pos, r in grid_parts(grid):
         j = sm.jet(r)
         val = abs(j.d1) * (1 + r * r) / (2 * r * j.value)
-        worst = max(worst, float(val))
-    return worst
+        for i, x in zip(pos, np.ravel(val).tolist()):
+            vals[i] = float(x)
+    return reduce(max, vals, 0.0)  # Python's running max: NaN entries are skipped
 
 
 def dimension_threshold(p: float) -> float:
@@ -473,16 +619,18 @@ def certify_positive_ricci(
     t_fr = np.empty(n)
     t_cr = np.empty(n)
     t_sp = np.empty(n)
-    logr = np.empty(n)
-    for i, r in enumerate(grid):
+    # the float radii in one array call, the mpf tail radius by radius; an
+    # object entry (promoted to mpf) becomes its float() on assignment
+    for pos, r in grid_parts(grid):
         hj = h_jet(r)
         fj = f(r)
         w = 1 + r * r  # positive scale factor, keeps tails representable
-        t_h[i] = float(-hj.d2 / hj.value * w)
-        t_fr[i] = float(-fj.d2 / fj.value * w)
-        t_cr[i] = float(-(fj.d1 / fj.value) * (hj.d1 / hj.value) * w)
-        t_sp[i] = float((1 - fj.d1 * fj.d1) / (fj.value * fj.value) * w)
-        logr[i] = float(mpmath.log10(r)) if isinstance(r, mpmath.mpf) else math.log10(r)
+        t_h[pos] = -hj.d2 / hj.value * w
+        t_fr[pos] = -fj.d2 / fj.value * w
+        t_cr[pos] = -(fj.d1 / fj.value) * (hj.d1 / hj.value) * w
+        t_sp[pos] = (1 - fj.d1 * fj.d1) / (fj.value * fj.value) * w
+    logr = np.array([float(mpmath.log10(r)) if isinstance(r, mpmath.mpf) else math.log10(r)
+                     for r in grid])
 
     for k in range(1, k_max + 1):
         radial = t_h + k * t_fr

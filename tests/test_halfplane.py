@@ -384,3 +384,26 @@ def test_straight_loop_when_every_arc_overshoots():
     m = HalfplaneMetric.from_warping(power_decay_h(0.1))
     assert orbit_distance(m, 1) == (TWO_PI, None)
     assert halfplane.axis_count_at_radius(m, 7.0) == 1
+
+
+def test_smoothed_metric_reads_h_as_arrays_bit_for_bit(osc_metric, osc_build):
+    # one array call answers jets(); every entry equals the per-radius jet,
+    # also past 7e107, where the default model's bridge underflows in
+    # doubles and the query is answered in mpmath and coerced
+    sm = osc_build[2]
+    assert osc_metric._takes_arrays
+    rng = np.random.default_rng(19)
+    radii = [0.0, *(10.0 ** rng.uniform(-3.0, 289.0, 400)).tolist()]
+    for b in sm.blends:
+        radii += [math.nextafter(x, d) for x in b._plateaus_f if math.isfinite(x)
+                  for d in (-math.inf, math.inf)]
+    radii = [r for r in radii if r < 1e290]
+    rs = np.array(radii)
+    with np.errstate(over="ignore"):  # r*r past 1e154 is inf, as in floats
+        assert sm.kernel(rs)[3].any()  # some entries are promoted
+        ja = osc_metric.jets(rs)
+    assert ja.value.dtype == ja.d1.dtype == ja.d2.dtype == np.float64
+    for i, r in enumerate(radii):
+        j = osc_metric.jet(r)
+        got = [ja.value[i], ja.d1[i], ja.d2[i]]
+        assert np.array(got).tobytes() == np.array([j.value, j.d1, j.d2]).tobytes(), r
