@@ -68,8 +68,12 @@ class RescaledModel:
             jr = sm.jet(float(lam) * t)
             return Jet2(scale * jr.value, scale * lam * jr.d1, scale * lam * lam * jr.d2)
 
+        def value(t):
+            # sm.value is an mpf at a promoted radius: scale it before float()
+            return float(scale * sm.value(float(lam) * t))
+
         hp = HalfplaneMetric(
-            h_eff, label=f"rescaled(lam={lam:g})", domain_start=0.0, r_cap=1e290
+            h_eff, label=f"rescaled(lam={lam:g})", domain_start=0.0, r_cap=1e290, value=value
         )
         return RescaledModel(float(lam), exponent, (lo / lam, hi / lam), hp)
 

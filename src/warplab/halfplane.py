@@ -76,11 +76,12 @@ class HalfplaneMetric:
     """
 
     def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=(),
-                 value=None, takes_arrays=False):
+                 value=None, value_on=None, takes_arrays=False):
         self._h = h  # r -> Jet2
         self._takes_arrays = takes_arrays  # h maps a float64 array of radii to a Jet2 of arrays
         if value is not None:
             self.value = value  # float r -> float h(r), in place of the method
+        self._value_on = value_on  # (lo, hi) -> a float reader equal to value on [lo, hi]
         self.label = label
         self.domain_start = float(domain_start)
         self.r_cap = float(r_cap)
@@ -97,6 +98,15 @@ class HalfplaneMetric:
     def value(self, r):
         """h(r) as a float, with no derivatives."""
         return float(self._h(r).value)
+
+    def value_on(self, a, b):
+        """A float reader equal to value on the panel [a, b], widened by 1e-9
+        relative so that exp(log a) and r_max - T^2 rounding past an end stay
+        covered: the reader value_on= binds for that stretch of h, else
+        value."""
+        if self._value_on is None:
+            return self.value
+        return self._value_on(a * (1.0 - 1e-9), b * (1.0 + 1e-9))
 
     def jets(self, rs):
         """Jet2 of float arrays at a 1-d float64 array of radii, equal radius
@@ -115,14 +125,17 @@ class HalfplaneMetric:
     @staticmethod
     def from_warping(w, **kw):
         kw.setdefault("label", w.label)
-        return HalfplaneMetric(lambda r: w(r), takes_arrays=True, **kw)
+        # a family's float value form, where it has one, reads h without a Jet2
+        return HalfplaneMetric(lambda r: w(r), value=w.float_value, takes_arrays=True, **kw)
 
     @staticmethod
     def from_smoothed(sm, **kw):
         kw.setdefault("label", "smoothed-h")
         kw.setdefault("breakpoints", sm.breakpoints_float(r_max=1e290))
-        # quadrature integrands and root-finders read h alone: one table lookup
-        return HalfplaneMetric(sm.jet, value=sm.float_value, takes_arrays=True, **kw)
+        # quadrature integrands and root-finders read h alone: one table
+        # lookup, or none on a panel or bracket that one value reader covers
+        return HalfplaneMetric(sm.jet, value=sm.float_value, value_on=sm.float_value_on,
+                               takes_arrays=True, **kw)
 
 
 def circle_length(m: HalfplaneMetric, r) -> float:
@@ -145,10 +158,14 @@ def solve_turning_point(m: HalfplaneMetric, c: float, settings: QuadSettings | N
         if hi > m.r_cap:
             raise OutOfRange(f"h never reaches {c} below r_cap={m.r_cap}")
     if hi <= 2.0:
-        return brentq(lambda r: m.value(r) - c, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        hv = m.value_on(lo, hi)
+        return brentq(lambda r: hv(r) - c, lo, hi, xtol=1e-15, rtol=8.9e-16)
     lo = max(lo, hi / 8.0, 1e-300)
+    # the bracket below reaches exp(+-1e-9) past [lo, hi], and value_on
+    # widens by 1e-9 of its own for exp's rounding
+    hv = m.value_on(lo * (1.0 - 1e-9), hi * (1.0 + 1e-9))
     s = brentq(
-        lambda s: m.value(math.exp(s)) - c,
+        lambda s: hv(math.exp(s)) - c,
         math.log(lo) - 1e-9,
         math.log(hi) + 1e-9,
         xtol=st.turning_rel / 2,
@@ -212,7 +229,7 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
         r_max = solve_turning_point(m, c, st)
     if r_max <= start:
         return 0.0
-    hv, sqrt = m.value, math.sqrt
+    sqrt, exp = math.sqrt, math.exp
     jet = m.jet(r_max)
     nd1, hd2 = -jet.d1, 0.5 * jet.d2  # h - c ~ nd1*delta + hd2*delta^2
     delta_switch = st.taylor_frac * max(r_max, 1.0)
@@ -220,6 +237,12 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
     def integrand_r(r):
         h = hv(r)
         return (c / h if dv else h) / (sqrt(h - c) * sqrt(h + c))
+
+    def integrand_s(s):
+        # integrand_r(r) * r at r = exp(s), for log-radius panels
+        r = exp(s)
+        h = hv(r)
+        return (c / h if dv else h) / (sqrt(h - c) * sqrt(h + c)) * r
 
     def integrand_t(t):
         # t = sqrt(r_max - r) removes the endpoint singularity
@@ -236,16 +259,12 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
     err_total = 0.0
     panels = _arc_panels(m, start, r_max)
     for a, b in zip(panels, panels[1:]):
+        hv = m.value_on(a, b)  # the integrands read this panel's reader
         if b == r_max:
             T = math.sqrt(r_max - a)
             v, e = _quad_panel(integrand_t, 0.0, T, st) if T > 0 else (0.0, 0.0)
         elif a > 0 and b / a >= 8.0:
-            v, e = _quad_panel(
-                lambda s: integrand_r(math.exp(s)) * math.exp(s),
-                math.log(a),
-                math.log(b),
-                st,
-            )
+            v, e = _quad_panel(integrand_s, math.log(a), math.log(b), st)
         else:
             v, e = _quad_panel(integrand_r, a, b, st)
         total += v

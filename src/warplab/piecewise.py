@@ -11,7 +11,9 @@ Float views (the unit flag, the float constant, junctions as doubles) are
 built once at construction, so a float query touches no mpf unless it is
 promoted.  A float query runs the closed-form kernel (`Segment.kernel`),
 which takes a double or a float64 array and returns the Jet2 bits with no
-Jet2 built, plus a flag for the radii that must be promoted.  Edges are
+Jet2 built, plus a flag for the radii that must be promoted; a float
+query of the value alone runs `Segment.value_reader`, the same value with
+no h'' (a bridge still forms h' for its promotion test).  Edges are
 kept as the nearest double on the safe side (`float_ceil` /
 `float_floor`), which makes every float comparison against an edge agree
 with the exact mpf comparison.
@@ -20,6 +22,7 @@ with the exact mpf comparison.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -122,13 +125,36 @@ class Segment:
         v, d1, d2, promoted = self.kernel(r)
         return self._mp_jet(mpmath.mpf(r)) if promoted else Jet2(v, d1, d2)
 
+    def value_reader(self, promote):
+        """The value-only float path: a closure r -> h(r) at a double r, with
+        the bits of kernel(r)'s value and no second-derivative work.  A
+        bridge still forms h' for the promotion test; a promoted radius
+        answers promote(r)."""
+        if self._unit:
+            q = -self.p
+            return lambda r: (1.0 + r * r) ** q
+        cf, negp = self._cf, -self.p
+        if cf is None:
+            return promote
+
+        def bridge_value(r):
+            u0 = 1.0 + r * r
+            v = cf * u0**negp
+            if r > 0 and (v == 0.0 or v * negp * (2.0 * r / u0) == 0.0 or not math.isfinite(v)):
+                return promote(r)
+            return v
+        return bridge_value
+
+    @cached_property
+    def _value(self):
+        """value()'s float reader, promoting to jet(r).value."""
+        return self.value_reader(lambda r: self.jet(r).value)
+
     def value(self, r):
         """h(r), equal to jet(r).value; a float r that needs no promotion
         builds no Jet2."""
         if isinstance(r, float):
-            v, _, _, promoted = self.kernel(r)
-            if not promoted:
-                return v
+            return self._value(r)
         return self.jet(r).value
 
     def _mp_jet(self, r):

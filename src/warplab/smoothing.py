@@ -24,13 +24,16 @@ Jet2's operation order, so it builds no Jet2 and keeps the Jet2 bits.  A
 SmoothedH evaluates an array by runs of one owner, and the dense checks
 below (blend scan, strict-decrease scan, replacement inequalities,
 certification) read h in array calls; mpf radii and the radii a kernel
-promotes stay on Jet2 in mpmath.
+promotes stay on Jet2 in mpmath.  A float read of the value alone runs a
+value reader (`Blend.value_reader`), the kernel without h'' and with no
+tuple built; a SmoothedH keeps one per float-table interval for the
+quadratures and root-finders of `halfplane`.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import mpmath
 import numpy as np
@@ -203,12 +206,62 @@ class Blend:
         v, d1, d2, promoted = self.kernel(r)
         return self._jet2(r, self._plateaus_f) if promoted else Jet2(v, d1, d2)
 
+    def value_reader(self, promote):
+        """The value-only float path: a closure r -> h(r) at a double r, with
+        the bits of kernel(r)'s value.  The pieces' value readers answer on
+        the plateaus; between them the quintic's q and q' and both pieces'
+        (h, h') mix in _mix's order, h' only for the degeneracy test.  A
+        radius the kernel would promote answers promote(r)."""
+        lo_plateau, hi_plateau, _ = self._plateaus_f
+        start, span = self._place_f
+        left_value, right_value = self.left.value_reader(promote), self.right.value_reader(promote)
+        # each piece as Segment.kernel forms it: a unit piece's C is 1.0 (an
+        # exact product) and its slope the ratio form v*(q*g1); a bridge's
+        # slope is (v*q)*g1, and a constant out of float range reads as NaN,
+        # which its promotion test catches (radii between plateaus are > 0)
+        (lq, lcf, lunit), (rq, rcf, runit) = (
+            (-s.p, math.nan if s._cf is None else s._cf, s._unit) for s in (self.left, self.right))
+        isfinite = math.isfinite
+
+        def blend_value(r):
+            if r <= lo_plateau:
+                return left_value(r)
+            if r >= hi_plateau:
+                return right_value(r)
+            x = (r - start) / span  # _quintic without q''
+            if x <= 0.0:
+                p, p1 = 1.0, 0.0
+            elif x >= 1.0:
+                p, p1 = 0.0, 0.0
+            else:
+                p = 1.0 - x * x * x * (10.0 - 15.0 * x + 6.0 * x * x)
+                p1 = -30.0 * x * x * (1.0 - x) ** 2
+            p1 = p1 / span
+            u0 = 1.0 + r * r
+            g1 = 2.0 * r / u0
+            lv = lcf * u0**lq
+            l1 = lv * (lq * g1) if lunit else lv * lq * g1
+            rv = rcf * u0**rq
+            r1 = rv * (rq * g1) if runit else rv * rq * g1
+            q = 1.0 - p
+            v = p * lv + q * rv
+            d1 = (p1 * lv + p * l1) + (-p1 * rv + q * r1)
+            if (v <= 0.0 or d1 == 0.0 or not isfinite(v)
+                    or not lunit and (lv == 0.0 or l1 == 0.0 or not isfinite(lv))
+                    or not runit and (rv == 0.0 or r1 == 0.0 or not isfinite(rv))):
+                return promote(r)
+            return v
+        return blend_value
+
+    @cached_property
+    def _value(self):
+        """value()'s float reader, promoting to jet(r).value."""
+        return self.value_reader(lambda r: self.jet(r).value)
+
     def value(self, r):
         """jet(r).value; a float r that needs no promotion builds no Jet2."""
         if isinstance(r, float):
-            v, _, _, promoted = self.kernel(r)
-            if not promoted:
-                return v
+            return self._value(r)
         return self.jet(r).value
 
     def _jet2(self, r, plateaus):
@@ -246,19 +299,62 @@ class SmoothedH:
         # one float table: every segment key and blend lo/hi key is an edge;
         # the safe-side edges make every double in [e_i, e_i+1) decide as e_i
         # does, so that interval's owner is the exact decision at e_i
-        self._fedges = sorted({*base._keys, *(float_ceil(x) for xs in self._edges for x in xs)})
-        self._fowners = [self._owner_at(mpmath.mpf(e)) for e in (-math.inf, *self._fedges)]
+        edges = sorted({*base._keys, *(float_ceil(x) for xs in self._edges for x in xs)})
+        owners = [self._owner_at(mpmath.mpf(e)) for e in (-math.inf, *edges)]
+        # an edge with one owner on both sides goes (a junction key a few ulps
+        # from its blend's lo/hi key): neighbouring intervals differ in owner
+        keep = [k for k in range(len(edges)) if owners[k + 1] is not owners[k]]
+        self._fedges = [edges[k] for k in keep]
+        self._fowners = [owners[0], *(owners[k + 1] for k in keep)]
         self._fedges_array = np.array(self._fedges)
-        edges, owners = self._fedges, self._fowners
-        negp = [-o.p if isinstance(o, Segment) and o._unit else None for o in owners]
+        # one value reader per interval, as a double also where promoted
+        self._fvalues = [o.value_reader(lambda r, o=o: float(o.jet(r).value))
+                         for o in self._fowners]
+        edges, readers = self._fedges, self._fvalues
 
         def float_value(r):
-            """value(r) for a float r as a double, also where promoted: one
-            bisect, and a unit segment's power inline."""
-            i = bisect_right(edges, r)
-            q = negp[i]
-            return (1.0 + r * r) ** q if q is not None else float(owners[i].value(r))
+            """float(value(r)) at a float r: one bisect, then the interval's
+            value reader."""
+            return readers[bisect_right(edges, r)](r)
         self.float_value = float_value
+        self._freach = self._reader_reach()
+
+    def _reader_reach(self):
+        """[lo, hi) per float-table interval, where its value reader reads as
+        float_value does: the interval, and past an edge into a neighbour
+        that reads the same piece.  A blend reads its left piece up to its
+        lower plateau and its right piece from its upper one, so its reader
+        reaches over the pieces' intervals next to it, and a piece's reader
+        reaches over the plateau of a blend next to it."""
+        owners = self._fowners
+        starts, ends = [-math.inf, *self._fedges], [*self._fedges, math.inf]
+        reach = []
+        for i, o in enumerate(owners):
+            lo, hi = starts[i], ends[i]
+            below = owners[i - 1] if i > 0 else None
+            above = owners[i + 1] if i + 1 < len(owners) else None
+            if isinstance(o, Blend):
+                lo = starts[i - 1] if below is o.left else lo
+                hi = ends[i + 1] if above is o.right else hi
+            else:
+                lo = below._plateaus_f[1] if isinstance(below, Blend) and below.right is o else lo
+                hi = above._plateaus_f[0] if isinstance(above, Blend) and above.left is o else hi
+            reach.append((lo, hi))
+        return reach
+
+    def float_value_on(self, lo, hi):
+        """A float reader for radii in [lo, hi]: the value reader of an
+        interval whose reach holds both ends, a piece's before a blend's
+        (a blend reads the piece after its plateau tests), else
+        float_value."""
+        found = self.float_value
+        for i in range(bisect_right(self._fedges, lo), bisect_right(self._fedges, hi) + 1):
+            r_lo, r_hi = self._freach[i]
+            if r_lo <= lo and hi < r_hi:
+                if not isinstance(self._fowners[i], Blend):
+                    return self._fvalues[i]
+                found = self._fvalues[i]
+        return found
 
     def _owner_at(self, r):
         """The blend (lo <= r < hi) or else the segment that answers h at r:
@@ -550,7 +646,9 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
                 grid.append(float(r))
             else:
                 grid.append(r)
-            glabels.append(_regime_label(sm, grid[-1]))
+        # the cuts hold every owner's edges, so the radii strictly inside one
+        # cut interval share an owner and a label
+        glabels += [_regime_label(sm, grid[-1])] * per_interval
     return grid, glabels
 
 

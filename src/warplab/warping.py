@@ -22,6 +22,9 @@ class WarpingFunction:
     label: str
     fn: Callable[[Jet2], Jet2]
     params: tuple = field(default=())
+    # the value alone at a float r, with the bits of fn's Jet2 value (None:
+    # the family has no such form)
+    float_value: Callable[[float], float] | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, r) -> Jet2:
         return self.fn(Jet2.variable(r))
@@ -43,7 +46,8 @@ def standard_f() -> WarpingFunction:
 
 def power_decay_h(p: float) -> WarpingFunction:
     """h(r) = (1+r^2)^(-p): flat at the axis, polynomial decay of rate 2p."""
-    return WarpingFunction(f"power-decay-h(p={p})", lambda x: (1 + x * x) ** (-p), (p,))
+    return WarpingFunction(f"power-decay-h(p={p})", lambda x: (1 + x * x) ** (-p), (p,),
+                           lambda r: (r * r + 1) ** (-p))
 
 
 def bridged_power_h(p: float, scale_constant) -> WarpingFunction:
@@ -78,7 +82,8 @@ def exp_decay_h() -> WarpingFunction:
 
 def grushin_h(alpha: float) -> WarpingFunction:
     """h(t) = t^(-2*alpha) on (0, inf): the Grushin halfplane coefficient."""
-    return WarpingFunction(f"grushin-h(alpha={alpha})", lambda x: x ** (-2.0 * alpha), (alpha,))
+    return WarpingFunction(f"grushin-h(alpha={alpha})", lambda x: x ** (-2.0 * alpha), (alpha,),
+                           lambda t: t ** (-2.0 * alpha))
 
 
 def f_profile_ok(f: WarpingFunction, grid) -> tuple[bool, dict]:

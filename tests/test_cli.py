@@ -31,6 +31,14 @@ def test_import_loads_no_heavy_scipy_submodule():
     assert out.splitlines() == ["[]", "[]"]
 
 
+def test_python_dash_m_warplab_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(warplab.__file__))
+    out = subprocess.run([sys.executable, "-m", "warplab", "--help"], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "full-suite" in out.stdout
+
+
 def test_ricci_check_passes(tmp_path, capsys):
     code = run_cli([
         "ricci-check", "--alpha", "0.5", "--k", "8", "--grid-points", "400",

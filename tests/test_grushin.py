@@ -1,7 +1,11 @@
 import math
+import struct
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warplab.grushin import (
     ComparisonReport,
@@ -17,6 +21,7 @@ from warplab.grushin import (
     self_similarity_error,
 )
 from warplab.smoothing import pure_model_h
+from warplab.warping import grushin_h
 
 
 G_HALF = GrushinMetric(0.5)
@@ -162,3 +167,39 @@ def test_self_similarity():
     assert self_similarity_error(G_HALF, pairs, factor=2.0) < 0.01
     g2 = GrushinMetric(0.75)
     assert self_similarity_error(g2, pairs, factor=3.0) < 0.01
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(1e-3, 1e300), alpha=st.sampled_from([0.5, 0.6, 1.2, 1.5]))
+def test_grushin_value_form_matches_jet(t, alpha):
+    m = GrushinMetric(alpha).halfplane()
+    assert _bits(m.value(t)) == _bits(float(grushin_h(alpha)(t).value))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(t=st.floats(0.0, 1e280), lam=st.sampled_from([3.0, 1e3, 7.5e38]),
+       exponent=st.sampled_from([0.6, 1.2, 1.5]))
+def test_rescaled_value_matches_scaled_jet(osc_build, t, lam, exponent):
+    sm = osc_build[2]
+    model = RescaledModel.build(sm, lam, exponent, (0.0, math.inf))
+    scale = lam ** (2.0 * exponent)
+    want = float(scale * sm.jet(lam * t).value)
+    assert _bits(model.halfplane.value(t)) == _bits(want)
+    assert _bits(model.halfplane.value(t)) == _bits(model.halfplane.jet(t).value)
+
+
+def test_rescaled_value_scales_a_promoted_radius_in_mpmath(osc_build):
+    # at r = 1e200 the default model's B bridge is below double range: its
+    # mpf value scaled by 1e60^3 is a normal double, which a scaled float()
+    # of the value (0.0) would lose
+    sm = osc_build[2]
+    lam, t = 1e60, 1e140
+    v = sm.jet(lam * t).value
+    assert isinstance(v, mpmath.mpf) and float(v) == 0.0
+    model = RescaledModel.build(sm, lam, 1.5, (0.0, math.inf))
+    got = model.halfplane.value(t)
+    assert got > 0.0 and _bits(got) == _bits(float(lam ** 3.0 * v))

@@ -407,3 +407,11 @@ def test_smoothed_metric_reads_h_as_arrays_bit_for_bit(osc_metric, osc_build):
         j = osc_metric.jet(r)
         got = [ja.value[i], ja.d1[i], ja.d2[i]]
         assert np.array(got).tobytes() == np.array([j.value, j.d1, j.d2]).tobytes(), r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(r=st.floats(0.0, 1e300), p=st.sampled_from([0.1, 0.5, 0.6, 1.2, 1.5]))
+def test_power_decay_value_form_matches_jet(r, p):
+    w = power_decay_h(p)
+    m = HalfplaneMetric.from_warping(w)
+    assert np.float64(m.value(r)).tobytes() == np.float64(float(w(r).value)).tobytes()

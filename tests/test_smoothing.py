@@ -26,6 +26,7 @@ from warplab.smoothing import (
     smooth,
     verify_observation,
     _quintic,
+    _regime_label,
 )
 from warplab.warping import power_decay_h, standard_f
 
@@ -405,3 +406,11 @@ def test_blend_value_matches_jet_bit_for_bit(osc_build, fast_path_models, u):
             assert _bits(b.value(r)) == _bits(b.jet(r).value), (float(b.R), r)
             rm = mpmath.mpf(r)
             assert _bits(b.value(rm)) == _bits(b.jet(rm).value), (float(b.R), r)
+
+
+def test_certification_labels_equal_per_radius_labels(osc_build, fast_path_models):
+    # one label per cut interval, equal to the label of each of its radii
+    # (the float ones and the mpf tail past 1e70 on the default model)
+    for sm in (osc_build[2], fast_path_models[0][0], pure_model_h(0.5)):
+        grid, labels = certification_grid(sm)
+        assert labels == [_regime_label(sm, r) for r in grid]
