@@ -2,7 +2,8 @@
 
 The curvature curve and the construction checks of the standard
 oscillating model are pinned to the bit: the SHA-256 of `ricci_curve.csv`
-written by the ricci-check mode, and the float bits (`float.hex`) of every
+written by the ricci-check mode, its Christoffel-oracle agreement margin,
+and the float bits (`float.hex`) of every
 number the build-example checks report.  A change to how h is evaluated
 must leave all of them as they are.
 """
@@ -27,20 +28,24 @@ from warplab.warping import standard_f
 OSC_1E40 = {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5, "radius_bound": 1e40}
 
 
-@pytest.mark.parametrize("model, digest, margin", [
+@pytest.mark.parametrize("model, digest, margin, oracle_margin", [
     ({"alpha": 0.5},
      "1cf97d387b9429d3e2ccf82f87d223ca39fe2a4283a23943207dc5f7e2c232ee",
-     "0x1.f6d4000000000p-77"),
+     "0x1.f6d4000000000p-77", "0x1.cdc214e253055p-33"),
     (OSC_1E40,
      "85318f9c4351d485b74c1fe7ce48a2b47339bea1ecf05a6195e1f1dcd0f2d978",
-     "-0x1.e4e378347c4d0p-8"),
+     "-0x1.e4e378347c4d0p-8", "0x1.bcf693d88035ep-33"),
 ], ids=["pure", "osc-1e40"])
-def test_ricci_curve_csv_digest(tmp_path, model, digest, margin):
-    report = run(parse_config(None, {"mode": "ricci-check", "outdir": str(tmp_path), **model}))
+def test_ricci_curve_csv_digest(tmp_path, model, digest, margin, oracle_margin):
+    report = run(parse_config(None, {"mode": "ricci-check", "outdir": str(tmp_path),
+                                     "seed": 12345, **model}))
     data = (tmp_path / "ricci_curve.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
     check = next(c for c in report.checks if c.name == "ricci-positive(k=8)")
     assert check.margin.hex() == margin
+    # the Christoffel oracle's worst relative disagreement over the seeded radii
+    check = next(c for c in report.checks if c.name == "ricci-oracle-agreement")
+    assert check.margin.hex() == oracle_margin
 
 
 def test_osc_build_checks_golden_bits():
