@@ -1,23 +1,31 @@
 """Coordinate-based numerical Ricci oracle.
 
-Assembles the full metric tensor of dr^2 + f^2 ds_k^2 + h^2 ds_1^2 in
+Assembles the metric tensor of dr^2 + f^2 ds_k^2 + h^2 ds_1^2 in
 coordinates (r, theta_1..theta_k, phi) at a generic sphere point, forms
 Christoffel symbols and the Ricci tensor from second-order central divided
 differences of the metric components, and returns the three principal
-values.  This path shares no differentiation machinery with the jet-based
-closed forms, which is the whole point: agreement between the two is the
-certificate for the closed-form expressions.
+values.  This path shares no formula and no differentiation machinery with
+the jet-based closed forms of `curvature`, which is the whole point:
+agreement between the two is the certificate for the closed-form
+expressions.
 
 The round factor ds_k^2 is written in nested spherical coordinates,
 g_{theta_i theta_i} = prod_{j<i} sin^2(theta_j), so all metric components
 are honest functions of the coordinates and the oracle never consumes a
-curvature formula.
+curvature formula.  The metric is diagonal in these coordinates, and every
+point of the difference stencil takes each coordinate from its three
+values x - s, x and x + s.  So the stencil is assembled from coordinates
+as stacked diagonals: f and h are read once per stencil radius and
+sin^2 once per distinct angle, and each difference is one array
+operation over all diagonal entries.  The Christoffel and Ricci
+contractions run on the full tensors.
 
 Each query runs at two step sizes; a Richardson consistency check guards
 against a bad step and the extrapolated value is returned.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,72 +44,73 @@ class OracleSettings:
     angle_spread: float = 0.07
 
 
-def _metric_matrix(k, fh, x):
-    """Full (k+2)x(k+2) metric at coordinates x = (r, thetas..., phi), given
-    fh = (f(r), h(r))."""
-    n = k + 2
-    g = np.zeros((n, n))
-    g[0, 0] = 1.0
-    fv, hv = fh
-    prefix = 1.0
-    for i in range(k):
-        g[1 + i, 1 + i] = fv * fv * prefix
-        prefix *= np.sin(x[1 + i]) ** 2
-    g[n - 1, n - 1] = hv * hv
-    return g
+@lru_cache(maxsize=None)
+def _stencil_offsets(n):
+    """Offsets in {-1, 0, +1} of the 1 + 2n^2 stencil points, one row each:
+    the centre, then +e_mu and -e_mu for every mu, then the corners
+    (+,+), (+,-), (-,+), (-,-) of every pair mu < nu, grouped by corner.
+    Returns the offsets with the pair indices (mu, nu), all read-only: one
+    set per dimension serves every call."""
+    eye = np.eye(n, dtype=np.intp)
+    mu, nu = np.triu_indices(n, 1)
+    corners = [a * eye[mu] + b * eye[nu] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    out = (np.concatenate([np.zeros((1, n), np.intp), eye, -eye, *corners]), mu, nu)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _stencil_derivatives(m: DoublyWarpedMetric, x, steps):
+    """Metric g0 at x and its divided differences d1[mu, a, b] = d_mu g_ab and
+    d2[mu, nu, a, b] = d_mu d_nu g_ab at one step set.
+
+    The metric at x = (r, thetas..., phi) is diagonal: 1, f^2 prod_{j<i}
+    sin^2(theta_j) for the i-th angle, and h^2.  Every stencil point takes
+    each coordinate from its three values x - steps, x and x + steps, so f
+    and h are read once at each radius, and sin^2 once at each angle.  The
+    diagonals of all stencil points are built as stacked rows, with the
+    products in the order a point-by-point assembly would take them."""
+    n = len(x)
+    k = m.k
+    offsets, mu, nu = _stencil_offsets(n)
+    vals = np.stack([x - steps, x, x + steps])  # [offset + 1, coordinate]
+    fh = [(m.f.value(rs), m.h.value(rs)) for rs in vals[:, 0]]
+    # f and h keep their operand types: an mpf value makes object rows,
+    # rounded to doubles when the diagonals are stored
+    ff = np.array([fv * fv for fv, _ in fh])
+    hh = np.array([hv * hv for _, hv in fh])
+    sin2 = np.array([[np.sin(t) ** 2 for t in vals[:, 1 + i]] for i in range(k)]).reshape(k, 3)
+    rsel = offsets[:, 0] + 1
+    # prefix_i = prod_{j<i} sin^2(theta_j), multiplied left to right from 1.0
+    factors = np.ones((len(offsets), k + 1))
+    factors[:, 1:] = sin2[np.arange(k), offsets[:, 1:1 + k] + 1]
+    prefix = np.multiply.accumulate(factors, axis=1)[:, :k]
+    diag = np.empty((len(offsets), n))
+    diag[:, 0] = 1.0
+    diag[:, 1:1 + k] = ff[rsel][:, None] * prefix
+    diag[:, n - 1] = hh[rsel]
+
+    g0 = np.diag(diag[0])
+    gp, gm = diag[1:1 + n], diag[1 + n:1 + 2 * n]
+    pp, pm, mp, mm = diag[1 + 2 * n:].reshape(4, len(mu), n)
+    a = np.arange(n)
+    d1 = np.zeros((n, n, n))
+    d1[:, a, a] = (gp - gm) / (2.0 * steps)[:, None]
+    d2 = np.zeros((n, n, n, n))
+    # steps[mu] ** 2 as a scalar power: numpy's array ** 2 squares, which
+    # can round differently
+    sq = np.array([s ** 2 for s in steps])
+    d2[a[:, None], a[:, None], a, a] = (gp - 2.0 * diag[0] + gm) / sq[:, None]
+    mixed = (pp - pm - mp + mm) / (4.0 * steps[mu] * steps[nu])[:, None]
+    d2[mu[:, None], nu[:, None], a, a] = mixed
+    d2[nu[:, None], mu[:, None], a, a] = mixed
+    return g0, d1, d2
 
 
 def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
-    """Ricci tensor from divided differences of the metric at one step set.
-
-    Only the radius x[0] enters f and h, and every stencil point sits at
-    r - s, r or r + s, so f and h are read once at each of the three."""
-    n = len(x)
-    s0 = steps[0]
-    fh = {rs: (m.f.value(rs), m.h.value(rs)) for rs in (x[0] - s0, x[0], x[0] + s0)}
-
-    def metric(xs):
-        return _metric_matrix(m.k, fh[xs[0]], xs)
-
-    g0 = metric(x)
+    """Ricci tensor from divided differences of the metric at one step set."""
+    g0, d1, d2 = _stencil_derivatives(m, x, steps)
     ginv = np.linalg.inv(g0)
-
-    gp = np.empty((n, n, n))
-    gm = np.empty((n, n, n))
-    for mu in range(n):
-        xp = x.copy()
-        xp[mu] += steps[mu]
-        xm = x.copy()
-        xm[mu] -= steps[mu]
-        gp[mu] = metric(xp)
-        gm[mu] = metric(xm)
-
-    d1 = np.empty((n, n, n))  # d1[mu, a, b] = d_mu g_ab
-    for mu in range(n):
-        d1[mu] = (gp[mu] - gm[mu]) / (2.0 * steps[mu])
-
-    d2 = np.empty((n, n, n, n))  # d2[mu, nu, a, b] = d_mu d_nu g_ab
-    for mu in range(n):
-        d2[mu, mu] = (gp[mu] - 2.0 * g0 + gm[mu]) / steps[mu] ** 2
-    for mu in range(n):
-        for nu in range(mu + 1, n):
-            xpp = x.copy()
-            xpp[mu] += steps[mu]
-            xpp[nu] += steps[nu]
-            xpm = x.copy()
-            xpm[mu] += steps[mu]
-            xpm[nu] -= steps[nu]
-            xmp = x.copy()
-            xmp[mu] -= steps[mu]
-            xmp[nu] += steps[nu]
-            xmm = x.copy()
-            xmm[mu] -= steps[mu]
-            xmm[nu] -= steps[nu]
-            val = (metric(xpp) - metric(xpm) - metric(xmp) + metric(xmm)) / (
-                4.0 * steps[mu] * steps[nu]
-            )
-            d2[mu, nu] = val
-            d2[nu, mu] = val
 
     # Gamma^l_{mu nu} = 1/2 g^{ls} (d_mu g_{nu s} + d_nu g_{mu s} - d_s g_{mu nu})
     tA = d1.transpose(0, 1, 2)  # [mu, nu, s] = d_mu g_{nu s}

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from warplab import christoffel
 from warplab.christoffel import OracleSettings, StepTooLarge, ricci_numeric_oracle
 from warplab.curvature import DoublyWarpedMetric, ricci_report
+from warplab.ladder import OscillationParams
+from warplab.smoothing import build_oscillating_h
 from warplab.warping import constant_h, linear_f, power_decay_h, sine_f, standard_f
 
 
@@ -110,3 +115,127 @@ def test_oracle_reads_f_and_h_once_per_stencil_radius():
     # two step sets (s and s/2), each reading f and h at r - s, r and r + s
     assert f.reads + h.reads == 2 * 6 and f.reads == h.reads
     assert repr(float(o.ric_sphere)) == GOLDEN["pure", 7.0][2]
+
+
+# Reference stencil: the full (k+2)x(k+2) metric matrix assembled at every
+# one of the 1 + 2n^2 stencil points, differenced matrix by matrix.
+def _metric_matrix(k, fh, x):
+    n = k + 2
+    g = np.zeros((n, n))
+    g[0, 0] = 1.0
+    fv, hv = fh
+    prefix = 1.0
+    for i in range(k):
+        g[1 + i, 1 + i] = fv * fv * prefix
+        prefix *= np.sin(x[1 + i]) ** 2
+    g[n - 1, n - 1] = hv * hv
+    return g
+
+
+def _dense_stencil_derivatives(m, x, steps):
+    n = len(x)
+    s0 = steps[0]
+    fh = {rs: (m.f.value(rs), m.h.value(rs)) for rs in (x[0] - s0, x[0], x[0] + s0)}
+
+    def metric(xs):
+        return _metric_matrix(m.k, fh[xs[0]], xs)
+
+    g0 = metric(x)
+    gp = np.empty((n, n, n))
+    gm = np.empty((n, n, n))
+    for mu in range(n):
+        xp = x.copy()
+        xp[mu] += steps[mu]
+        xm = x.copy()
+        xm[mu] -= steps[mu]
+        gp[mu] = metric(xp)
+        gm[mu] = metric(xm)
+
+    d1 = np.empty((n, n, n))
+    for mu in range(n):
+        d1[mu] = (gp[mu] - gm[mu]) / (2.0 * steps[mu])
+
+    d2 = np.empty((n, n, n, n))
+    for mu in range(n):
+        d2[mu, mu] = (gp[mu] - 2.0 * g0 + gm[mu]) / steps[mu] ** 2
+    for mu in range(n):
+        for nu in range(mu + 1, n):
+            corners = []
+            for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                xc = x.copy()
+                xc[mu] += a * steps[mu]
+                xc[nu] += b * steps[nu]
+                corners.append(metric(xc))
+            pp, pm, mp, mm = corners
+            val = (pp - pm - mp + mm) / (4.0 * steps[mu] * steps[nu])
+            d2[mu, nu] = val
+            d2[nu, mu] = val
+    return g0, d1, d2
+
+
+def _oracle_run(m, r, derivatives):
+    """The oracle's report (or its StepTooLarge message) and the raw Ricci
+    tensor of each step set, with the metric derivatives from `derivatives`."""
+    rics = []
+    ricci_at_steps = christoffel._ricci_at_steps
+
+    def recording(m, x, steps):
+        ric, g0 = ricci_at_steps(m, x, steps)
+        rics.append(ric)
+        return ric, g0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(christoffel, "_stencil_derivatives", derivatives)
+        mp.setattr(christoffel, "_ricci_at_steps", recording)
+        try:
+            rep = ricci_numeric_oracle(m, r)
+            out = [float(v).hex() for v in (rep.r, rep.ric_radial, rep.ric_circle, rep.ric_sphere)]
+        except StepTooLarge as e:
+            out = str(e)
+    return out, [ric.tobytes() for ric in rics]
+
+
+def _assert_same_as_dense(m, r):
+    got = _oracle_run(m, r, christoffel._stencil_derivatives)
+    want = _oracle_run(m, r, _dense_stencil_derivatives)
+    assert got == want  # report bits, then the ric tensors byte for byte (sign of zero too)
+
+
+@pytest.fixture(scope="module")
+def osc_1e40_h():
+    params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
+    _, _, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
+    return sm.as_warping()
+
+
+_radii = st.floats(math.log(0.2), math.log(1e6)).map(math.exp)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(r=_radii)
+def test_diagonal_stencil_matches_dense_pure(r):
+    _assert_same_as_dense(DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5)), r)
+
+
+def test_diagonal_stencil_matches_dense_osc(osc_1e40_h):
+    m = DoublyWarpedMetric(9, standard_f(), osc_1e40_h)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(r=_radii)
+    def check(r):
+        _assert_same_as_dense(m, r)
+
+    check()
+
+
+@pytest.mark.parametrize("f, r", [(sine_f(), math.pi / 2), (linear_f(), 2.0)],
+                         ids=["sphere", "flat-cone"])
+def test_diagonal_stencil_matches_dense_calibration(f, r):
+    _assert_same_as_dense(DoublyWarpedMetric(2, f, constant_h()), r)
+
+
+def test_diagonal_stencil_matches_dense_refusal():
+    m = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
+    out, rics = _oracle_run(m, 1e-3, christoffel._stencil_derivatives)
+    assert out.startswith("oracle values moved from")
+    _assert_same_as_dense(m, 1e-3)
