@@ -64,6 +64,18 @@ def test_failing_run_exits_nonzero(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
+def test_ricci_check_oracle_refusal_is_a_failed_check(tmp_path, capsys):
+    # at alpha = 3 the oracle's Richardson check refuses r = 3.564...: the
+    # run still writes its report, with the refusal as a failed check
+    code = run_cli(["ricci-check", "--alpha", "3.0", "--seed", "12345", "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert code != 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    check = next(c for c in report["checks"] if c["name"] == "ricci-oracle-agreement")
+    assert check["status"] == "fail"
+    assert "oracle refused (StepTooLarge) at r=3.564" in check["details"]
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = run_cli([
         "build-example", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3",
