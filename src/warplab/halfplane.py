@@ -88,6 +88,9 @@ class HalfplaneMetric:
         self.breakpoints = sorted(float(b) for b in breakpoints)
         self._monotone_checked = False
         self._d1 = {}  # QuadSettings -> d_1, for axis_count_at_radius
+        # solve_turning_point's bracket search: h at the domain start, and the
+        # list of h(hi0 * 4^j) for the rungs j read so far
+        self._rungs = None
 
     def jet(self, r):
         j = self._h(r)
@@ -147,14 +150,24 @@ def solve_turning_point(m: HalfplaneMetric, c: float, settings: QuadSettings | N
     """Unique r_max with h(r_max) = c (h strictly decreasing)."""
     st = settings or QuadSettings()
     a = m.domain_start
-    h_top = m.value(a) if a > 0 else m.value(0.0)
+    if m._rungs is None:
+        m._rungs = (m.value(a) if a > 0 else m.value(0.0), [])
+    h_top, rungs = m._rungs
     if not (0 < c < h_top):
         raise OutOfRange(f"need 0 < c < h(start)={h_top}, got c={c}")
+    # the bracket grows from hi0 by factors of 4; h at each rung is read once
+    # per metric, so every solve scans the same rungs to the same bracket
     lo = a
     hi = max(1.0, 2.0 * a if a > 0 else 1.0)
-    while m.value(hi) > c:
+    j = 0
+    while True:
+        if j == len(rungs):
+            rungs.append(m.value(hi))
+        if not rungs[j] > c:
+            break
         lo = hi
         hi *= 4.0
+        j += 1
         if hi > m.r_cap:
             raise OutOfRange(f"h never reaches {c} below r_cap={m.r_cap}")
     if hi <= 2.0:

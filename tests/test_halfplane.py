@@ -334,6 +334,62 @@ def test_arc_integrals_golden_bits(golden_metrics):
     assert reached == {True, False}  # turning panels with and without direct h
 
 
+def _turning_point_by_loop(m, c):
+    """Reference solve: the bracket grown from hi0 by factors of 4, reading
+    h afresh at every rung, then the same brentq as solve_turning_point."""
+    st = halfplane.QuadSettings()
+    a = m.domain_start
+    h_top = m.value(a) if a > 0 else m.value(0.0)
+    if not (0 < c < h_top):
+        raise OutOfRange(f"need 0 < c < h(start)={h_top}, got c={c}")
+    lo = a
+    hi = max(1.0, 2.0 * a if a > 0 else 1.0)
+    while m.value(hi) > c:
+        lo = hi
+        hi *= 4.0
+        if hi > m.r_cap:
+            raise OutOfRange(f"h never reaches {c} below r_cap={m.r_cap}")
+    if hi <= 2.0:
+        hv = m.value_on(lo, hi)
+        return halfplane.brentq(lambda r: hv(r) - c, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    lo = max(lo, hi / 8.0, 1e-300)
+    hv = m.value_on(lo * (1.0 - 1e-9), hi * (1.0 + 1e-9))
+    s = halfplane.brentq(lambda s: hv(math.exp(s)) - c, math.log(lo) - 1e-9,
+                         math.log(hi) + 1e-9, xtol=st.turning_rel / 2, rtol=8.9e-16)
+    return math.exp(s)
+
+
+def _turning_outcome(solve, m, c):
+    try:
+        return repr(solve(m, c))
+    except OutOfRange as e:
+        return str(e)
+
+
+@pytest.fixture(scope="module")
+def rung_metrics():
+    # fresh metrics, so the rungs fill in the order the examples ask for them;
+    # the capped one runs out of rungs at r_cap = 3e5, past hi0 * 4^9
+    _, _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
+                                   radius_bound=1e40, check=False)
+    return [HalfplaneMetric.from_smoothed(sm),
+            HalfplaneMetric.from_smoothed(pure_model_h(0.5)),
+            HalfplaneMetric.from_warping(power_decay_h(0.5), r_cap=3e5)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(which=st.integers(0, 2), u=st.floats(0.0, 1.0), j=st.integers(0, 70))
+def test_turning_point_rungs_match_the_loop(rung_metrics, which, u, j):
+    # c = h(r) at a random radius in [1e-3, 1e42], or [1e-3, 1e6] on the
+    # capped metric; c = h at the rung 4^j itself; c at or above h at the start
+    m = rung_metrics[which]
+    top = 42.0 if which < 2 else 6.0
+    c = m.value(10.0 ** (-3.0 + u * (top + 3.0)))
+    for c in (c, m.value(4.0 ** j), m.sup_h(), 2.0 * m.sup_h(), 0.0):
+        assert _turning_outcome(solve_turning_point, m, c) == _turning_outcome(
+            _turning_point_by_loop, m, c)
+
+
 def test_quadrature_error_budget(golden_metrics):
     # the osc arc at c = 0.01 needs subdivision: one Kronrod rule per panel
     # leaves an error estimate (about 9e-4 against 3,142) above the budget
