@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,21 @@ def test_diagonal_stencil_matches_dense_osc(osc_1e40_h):
                          ids=["sphere", "flat-cone"])
 def test_diagonal_stencil_matches_dense_calibration(f, r):
     _assert_same_as_dense(DoublyWarpedMetric(2, f, constant_h()), r)
+
+
+class _MpfPower:
+    """(1 + r^2)^(-p) as an mpf: f and h values that stay mpf in the stencil."""
+
+    def __init__(self, p):
+        self.p = mpmath.mpf(p)
+
+    def value(self, r):
+        return (1 + mpmath.mpf(float(r)) ** 2) ** (-self.p)
+
+
+@pytest.mark.parametrize("r", [0.5, 3.0, 70.0])
+def test_diagonal_stencil_matches_dense_mpf_values(r):
+    _assert_same_as_dense(DoublyWarpedMetric(8, _MpfPower(-0.5), _MpfPower(0.5)), r)
 
 
 def test_diagonal_stencil_matches_dense_refusal():
