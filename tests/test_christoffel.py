@@ -252,6 +252,6 @@ def test_diagonal_stencil_matches_dense_mpf_values(r):
 
 def test_diagonal_stencil_matches_dense_refusal():
     m = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
-    out, rics = _oracle_run(m, 1e-3, christoffel._stencil_derivatives)
+    out, _ = _oracle_run(m, 1e-3, christoffel._stencil_derivatives)
     assert out.startswith("oracle values moved from")
     _assert_same_as_dense(m, 1e-3)
