@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -147,7 +148,17 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
     assert not report.failed
     flagged = {c.name for c in report.checks if c.status == "flagged"}
     assert flagged == {"ladder-truncated", "rescaling-ladder-refit"}
-    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
-        "capacity.csv", "capacity_fit.csv", "growth_alpha-window.csv", "growth_beta-window.csv",
-        "grushin_convergence.csv", "orbit_distances.csv", "ricci_curve.csv",
-    ]
+    # every CSV byte is pinned: a speed-up of the numerics must leave them all
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert digests == {
+        "capacity.csv": "dfd067a26ca54779084a3712c095a4070b470bc3fc66d9aae73fe24f7eb4ff18",
+        "capacity_fit.csv": "d543b3d140e3889b1401af1cf81754676cdac1f2a5b61b8f9578ec7e37c7c810",
+        "growth_alpha-window.csv":
+            "3af8cf3d4fb0e9cc9e834b1dac670b2e96e61646ae636753983cb9214ca1a881",
+        "growth_beta-window.csv":
+            "252a2438561423b6bf761e6240be3c6c0217ee8165295e727e95389fa2860219",
+        "grushin_convergence.csv":
+            "02b0d8b2c6b0346143698bb3774602655c56bd78c15b40cf2ab8a76120debc35",
+        "orbit_distances.csv": "ae079666cfa8dc06ec518f4ccd973d0b4977ee56d787974608683598db68fdc9",
+        "ricci_curve.csv": "31110a3254e65d0e9a4c5830b328876e409acf875e837756aaf13a9aa00be764",
+    }
