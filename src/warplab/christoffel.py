@@ -21,7 +21,10 @@ operation over all diagonal entries.  The Christoffel and Ricci
 contractions run on the full tensors.
 
 Each query runs at two step sizes; a Richardson consistency check guards
-against a bad step and the extrapolated value is returned.
+against a bad step and the extrapolated value is returned.  A pair that
+fails the check is retried at halved steps a fixed number of times before
+the oracle refuses, so a step too coarse for one radius is told apart from
+a radius no step resolves.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,11 @@ from .curvature import DoublyWarpedMetric, RicciReport
 
 
 class StepTooLarge(RuntimeError):
-    """Divided-difference steps failed the Richardson consistency check."""
+    """Divided-difference steps failed the Richardson consistency check at
+    every step pair tried."""
+
+
+_HALVINGS = 3  # retries of the step pair, each at half the steps of the last
 
 
 @dataclass
@@ -146,9 +153,10 @@ def ricci_numeric_oracle(
     """Principal Ricci values at radius r > 0 by divided differences.
 
     Raises StepTooLarge when halving the steps moves any principal value by
-    more than consistency_tol * (1 + |value|); otherwise returns the
-    Richardson-extrapolated values and asserts the Ricci tensor is diagonal
-    in these coordinates.
+    more than consistency_tol * (1 + |value|), or leaves the Ricci tensor off
+    diagonal, at the steps and at each of _HALVINGS halvings of them;
+    otherwise returns the Richardson-extrapolated values of the first pair
+    that passes.
     """
     if r <= 0:
         raise ValueError("oracle requires r > 0")
@@ -166,21 +174,22 @@ def ricci_numeric_oracle(
     # truncation against roundoff for both when r < 1.
     steps[0] = st.rel_step * np.sqrt(abs(r) * max(abs(r), 1.0))
 
-    vals = []
-    for scale in (1.0, 0.5):
+    def principal_values(scale):
         ric, g0 = _ricci_at_steps(m, x, steps * scale)
         diag = np.array([ric[0, 0] / g0[0, 0], ric[1, 1] / g0[1, 1], ric[n - 1, n - 1] / g0[n - 1, n - 1]])
         off = ric - np.diag(np.diag(ric))
-        off_scale = np.max(np.abs(off)) / (1.0 + np.max(np.abs(np.diag(ric))))
-        vals.append((diag, off_scale))
+        return diag, np.max(np.abs(off)) / (1.0 + np.max(np.abs(np.diag(ric))))
 
-    (v_h, off_h), (v_h2, off_h2) = vals
-    for a, b in zip(v_h, v_h2):
-        if abs(a - b) > st.consistency_tol * (1.0 + abs(b)):
-            raise StepTooLarge(
-                f"oracle values moved from {a} to {b} when halving steps at r={r}"
-            )
-    extrap = (4.0 * v_h2 - v_h) / 3.0
-    if off_h2 > 1e-4:
-        raise StepTooLarge(f"Ricci tensor not numerically diagonal at r={r}: {off_h2}")
-    return RicciReport(r, extrap[0], extrap[2], extrap[1])
+    v_h, _ = principal_values(1.0)
+    for j in range(1, 2 + _HALVINGS):  # the pair (steps * 2**(1-j), steps * 2**-j)
+        v_h2, off_h2 = principal_values(0.5 ** j)
+        moved = [(a, b) for a, b in zip(v_h, v_h2) if abs(a - b) > st.consistency_tol * (1.0 + abs(b))]
+        if moved:
+            refusal = f"oracle values moved from {moved[0][0]} to {moved[0][1]} when halving steps at r={r}"
+        elif off_h2 > 1e-4:
+            refusal = f"Ricci tensor not numerically diagonal at r={r}: {off_h2}"
+        else:
+            extrap = (4.0 * v_h2 - v_h) / 3.0
+            return RicciReport(r, extrap[0], extrap[2], extrap[1])
+        v_h = v_h2
+    raise StepTooLarge(f"{refusal} (steps halved {_HALVINGS} times)")

@@ -91,6 +91,11 @@ class HalfplaneMetric:
         # solve_turning_point's bracket search: h at the domain start, and the
         # list of h(hi0 * 4^j) for the rungs j read so far
         self._rungs = None
+        # turning radii by (c, settings) and arc integrals by (c, start,
+        # settings, r_max, dv): each is a deterministic function of its key on
+        # this metric, so a stored number has the bits a new solve would give
+        self._turning = {}
+        self._arcs = {}
 
     def jet(self, r):
         j = self._h(r)
@@ -147,8 +152,17 @@ def circle_length(m: HalfplaneMetric, r) -> float:
 
 
 def solve_turning_point(m: HalfplaneMetric, c: float, settings: QuadSettings | None = None):
-    """Unique r_max with h(r_max) = c (h strictly decreasing)."""
+    """Unique r_max with h(r_max) = c (h strictly decreasing), solved once
+    per metric, c and settings."""
     st = settings or QuadSettings()
+    key = (c, st)
+    r_max = m._turning.get(key)
+    if r_max is None:
+        r_max = m._turning[key] = _turning_point(m, c, st)
+    return r_max
+
+
+def _turning_point(m, c, st):
     a = m.domain_start
     if m._rungs is None:
         m._rungs = (m.value(a) if a > 0 else m.value(0.0), [])
@@ -242,6 +256,15 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
         r_max = solve_turning_point(m, c, st)
     if r_max <= start:
         return 0.0
+    # a QuadratureFailure raises before the store, so a failed arc fails again
+    key = (c, start, st, r_max, dv)
+    value = m._arcs.get(key)
+    if value is None:
+        value = m._arcs[key] = _arc_quadrature(m, c, start, st, r_max, dv)
+    return value
+
+
+def _arc_quadrature(m, c, start, st, r_max, dv):
     sqrt, exp = math.sqrt, math.exp
     jet = m.jet(r_max)
     nd1, hd2 = -jet.d1, 0.5 * jet.d2  # h - c ~ nd1*delta + hd2*delta^2

@@ -59,9 +59,11 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# (xgk, wgk, wg) for j = 1..5 at 2j, then (xgk, wgk) at 2j-1: dqk21's two loops
-_EVEN = tuple((_XGK[2 * j - 1], _WGK[2 * j - 1], _WG[j - 1]) for j in range(1, 6))
-_ODD = tuple((_XGK[2 * j - 2], _WGK[2 * j - 2]) for j in range(1, 6))
+# the same numbers by name for the straight-line rule: _Xj = xgk(j),
+# _WKj = wgk(j), _WGj = wg(j)
+_X1, _X2, _X3, _X4, _X5, _X6, _X7, _X8, _X9, _X10, _ = _XGK
+_WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7, _WK8, _WK9, _WK10, _WK11 = _WGK
+_WG1, _WG2, _WG3, _WG4, _WG5 = _WG
 
 _QUAD_MESSAGES = {  # scipy.integrate.quad's texts for QUADPACK's ier
     1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
@@ -108,40 +110,76 @@ def _signbit(x):
 
 def _qk21(f, a, b):
     """dqk21: (result, abserr, resabs, resasc) of the 21-point Kronrod rule
-    on [a, b], integrand read at the centre, the Gauss pairs, then the
-    Kronrod pairs."""
+    on [a, b].
+
+    dqk21's loops written out: the integrand is read at the centre, the
+    Gauss pairs xgk(2), xgk(4), ..., xgk(10), then the Kronrod pairs
+    xgk(1), xgk(3), ..., xgk(9), and every sum adds its terms in the
+    order the loops do (resasc over j = 1, 2, ..., 10)."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     dhlgth = abs(hlgth)
-    resg = 0.0
     fc = f(centr)
-    wgk11 = _WGK[10]
-    resk = wgk11 * fc
-    resabs = abs(resk)
-    fv_even = []
-    for xk, wk, wg in _EVEN:
-        absc = hlgth * xk
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv_even.append((wk, fval1, fval2))
-        fsum = fval1 + fval2
-        resg = resg + wg * fsum
-        resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
-    fv_odd = []
-    for xk, wk in _ODD:
-        absc = hlgth * xk
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv_odd.append((wk, fval1, fval2))
-        fsum = fval1 + fval2
-        resk = resk + wk * fsum
-        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    absc = hlgth * _X2
+    f2a = f(centr - absc)
+    f2b = f(centr + absc)
+    absc = hlgth * _X4
+    f4a = f(centr - absc)
+    f4b = f(centr + absc)
+    absc = hlgth * _X6
+    f6a = f(centr - absc)
+    f6b = f(centr + absc)
+    absc = hlgth * _X8
+    f8a = f(centr - absc)
+    f8b = f(centr + absc)
+    absc = hlgth * _X10
+    f10a = f(centr - absc)
+    f10b = f(centr + absc)
+    absc = hlgth * _X1
+    f1a = f(centr - absc)
+    f1b = f(centr + absc)
+    absc = hlgth * _X3
+    f3a = f(centr - absc)
+    f3b = f(centr + absc)
+    absc = hlgth * _X5
+    f5a = f(centr - absc)
+    f5b = f(centr + absc)
+    absc = hlgth * _X7
+    f7a = f(centr - absc)
+    f7b = f(centr + absc)
+    absc = hlgth * _X9
+    f9a = f(centr - absc)
+    f9b = f(centr + absc)
+    s2 = f2a + f2b
+    s4 = f4a + f4b
+    s6 = f6a + f6b
+    s8 = f8a + f8b
+    s10 = f10a + f10b
+    # dqk21 starts resg from 0.0; 0.0 + x differs from x only in the sign
+    # of a zero, which abserr's abs() drops
+    resg = _WG1 * s2 + _WG2 * s4 + _WG3 * s6 + _WG4 * s8 + _WG5 * s10
+    resk = (_WK11 * fc + _WK2 * s2 + _WK4 * s4 + _WK6 * s6 + _WK8 * s8 + _WK10 * s10
+            + _WK1 * (f1a + f1b) + _WK3 * (f3a + f3b) + _WK5 * (f5a + f5b)
+            + _WK7 * (f7a + f7b) + _WK9 * (f9a + f9b))
+    resabs = (abs(_WK11 * fc)
+              + _WK2 * (abs(f2a) + abs(f2b)) + _WK4 * (abs(f4a) + abs(f4b))
+              + _WK6 * (abs(f6a) + abs(f6b)) + _WK8 * (abs(f8a) + abs(f8b))
+              + _WK10 * (abs(f10a) + abs(f10b))
+              + _WK1 * (abs(f1a) + abs(f1b)) + _WK3 * (abs(f3a) + abs(f3b))
+              + _WK5 * (abs(f5a) + abs(f5b)) + _WK7 * (abs(f7a) + abs(f7b))
+              + _WK9 * (abs(f9a) + abs(f9b)))
     reskh = resk * 0.5
-    resasc = wgk11 * abs(fc - reskh)
-    for (wo, fo1, fo2), (we, fe1, fe2) in zip(fv_odd, fv_even):  # j = 1, 2, ..., 10
-        resasc = resasc + wo * (abs(fo1 - reskh) + abs(fo2 - reskh))
-        resasc = resasc + we * (abs(fe1 - reskh) + abs(fe2 - reskh))
+    resasc = (_WK11 * abs(fc - reskh)
+              + _WK1 * (abs(f1a - reskh) + abs(f1b - reskh))
+              + _WK2 * (abs(f2a - reskh) + abs(f2b - reskh))
+              + _WK3 * (abs(f3a - reskh) + abs(f3b - reskh))
+              + _WK4 * (abs(f4a - reskh) + abs(f4b - reskh))
+              + _WK5 * (abs(f5a - reskh) + abs(f5b - reskh))
+              + _WK6 * (abs(f6a - reskh) + abs(f6b - reskh))
+              + _WK7 * (abs(f7a - reskh) + abs(f7b - reskh))
+              + _WK8 * (abs(f8a - reskh) + abs(f8b - reskh))
+              + _WK9 * (abs(f9a - reskh) + abs(f9b - reskh))
+              + _WK10 * (abs(f10a - reskh) + abs(f10b - reskh)))
     result = resk * hlgth
     resabs = resabs * dhlgth
     resasc = resasc * dhlgth

@@ -37,6 +37,16 @@ from functools import cached_property, reduce
 
 import mpmath
 import numpy as np
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_pow,
+    round_nearest,
+    to_float,
+)
 
 from .curvature import grid_parts, mixed_log_chunks
 from .jets import Jet2, _array_pow, _ndarray
@@ -54,6 +64,8 @@ from .warping import WarpingFunction
 _Q1_SUP = 1.875  # sup |q'| of the unit quintic
 _Q2_SUP = 10.0 / math.sqrt(3.0)  # sup |q''|
 _MP_EVAL_CUTOFF = 1e70  # promote float queries beyond this radius
+_TEN = from_int(10)
+_LN10 = mpf_log(_TEN, 63, round_nearest)  # log 10 as mpf_pow takes it at 53 bits
 
 
 class BlendOverlap(RuntimeError):
@@ -621,35 +633,41 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
     """Log-spaced radii covering [r_min, 1.3 * last junction], densified per
     structural interval (pieces, bridges, blends) with regime labels."""
     # structural edges: blend lo/hi and segment junctions
-    marks = []
-    for b in sm.blends:
-        marks.append((b.lo, f"blend@{_short(b.R)}"))
-        marks.append((b.hi, None))
-    for s in sm.base.segments[1:]:
-        marks.append((s.r_lo, None))
-    marks.sort(key=lambda t: mpmath.mpf(t[0]))
+    marks = [b.lo for b in sm.blends] + [b.hi for b in sm.blends]
+    marks += [s.r_lo for s in sm.base.segments[1:]]
+    marks.sort(key=mpmath.mpf)
     top = _scan_top(sm)
 
     cuts = [mpmath.mpf(r_min)]
-    for x, _ in marks:
+    for x in marks:
         if r_min < x < top:
             cuts.append(mpmath.mpf(x))
     cuts.append(top)
 
+    # e in doubles: mpf arithmetic at 53 bits rounds as doubles do
+    e_cutoff = math.log10(_MP_EVAL_CUTOFF)
     grid, glabels = [], []
     for lo, hi in zip(cuts, cuts[1:]):
-        la, lb = mpmath.log10(lo), mpmath.log10(hi)
+        la, lb = float(mpmath.log10(lo)), float(mpmath.log10(hi))
         for i in range(per_interval):
             e = la + (lb - la) * (i + 0.5) / per_interval
-            r = mpmath.mpf(10) ** e
-            if float(e) <= math.log10(_MP_EVAL_CUTOFF):
-                grid.append(float(r))
-            else:
-                grid.append(r)
+            r = _pow10(e)
+            grid.append(to_float(r) if e <= e_cutoff else mpmath.mp.make_mpf(r))
         # the cuts hold every owner's edges, so the radii strictly inside one
         # cut interval share an owner and a label
         glabels += [_regime_label(sm, grid[-1])] * per_interval
     return grid, glabels
+
+
+def _pow10(e):
+    """mpf(10) ** e at 53 bits for a double e, as a raw mpf.  mpf_pow takes
+    exp(e * log 10) with log 10 at 63 bits, and so does this, with log 10
+    formed once; an integer or half-integer e goes through mpf_pow itself,
+    which has branches of its own for them."""
+    t = from_float(e)
+    if t[2] >= -1:  # the binary exponent of e
+        return mpf_pow(_TEN, t, 53, round_nearest)
+    return mpf_exp(mpf_mul(t, _LN10), 53, round_nearest)
 
 
 def _scan_top(sm: SmoothedH):

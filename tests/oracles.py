@@ -3,7 +3,9 @@
 Kept separate from the package so the verification paths never share code
 with what they check.  The arc oracle integrates in the u-variable of the
 h = c cosh u change with tanh-sinh quadrature at 30 digits; the inverse
-r(u) is closed-form for the inverse-power family.
+r(u) is closed-form for the inverse-power family.  `qk21_loops` is
+dqk21 in its loop form, the reference for the straight-line rule of
+`warplab.numerics`.
 """
 
 import mpmath as mp
@@ -71,3 +73,53 @@ def central_diff_richardson(f, x, order=1, h0=None, levels=4):
         for j in range(m, levels):
             t[j].append((fac * t[j][m - 1] - t[j - 1][m - 1]) / (fac - 1.0))
     return t[levels - 1][levels - 1]
+
+
+def qk21_loops(f, a, b, xgk, wgk, wg):
+    """dqk21 as QUADPACK writes it, with its loops: (result, abserr,
+    resabs, resasc) of the 21-point Kronrod rule on [a, b], the integrand
+    read at the centre, the Gauss pairs xgk(2j), then the Kronrod pairs
+    xgk(2j-1).  xgk, wgk and wg are the rule's tables, 0-based."""
+    epmach, uflow = 2.0 ** -52, 2.2250738585072014e-308
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    resg = 0.0
+    fc = f(centr)
+    resk = wgk[10] * fc
+    resabs = abs(resk)
+    fv1, fv2 = [0.0] * 10, [0.0] * 10  # fv(j) at index j - 1
+    for j in range(1, 6):
+        jtw = 2 * j
+        absc = hlgth * xgk[jtw - 1]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[jtw - 1], fv2[jtw - 1] = fval1, fval2
+        fsum = fval1 + fval2
+        resg = resg + wg[j - 1] * fsum
+        resk = resk + wgk[jtw - 1] * fsum
+        resabs = resabs + wgk[jtw - 1] * (abs(fval1) + abs(fval2))
+    for j in range(1, 6):
+        jtwm1 = 2 * j - 1
+        absc = hlgth * xgk[jtwm1 - 1]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[jtwm1 - 1], fv2[jtwm1 - 1] = fval1, fval2
+        fsum = fval1 + fval2
+        resk = resk + wgk[jtwm1 - 1] * fsum
+        resabs = resabs + wgk[jtwm1 - 1] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = wgk[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + wgk[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        ratio = 200.0 * abserr / resasc  # min(1, ratio**1.5) without overflow
+        abserr = resasc * (ratio ** 1.5 if ratio < 1.0 else 1.0)
+    if resabs > uflow / (50.0 * epmach):
+        floor = (epmach * 50.0) * resabs
+        abserr = floor if floor > abserr or abserr != abserr else abserr  # C's fmax
+    return result, abserr, resabs, resasc

@@ -72,6 +72,25 @@ def test_step_guard_fires_near_axis():
         ricci_numeric_oracle(m, 1e-3)
 
 
+def test_oracle_retries_at_halved_steps(monkeypatch):
+    # alpha = 3, r = 3.564...: the first step pair moves ric_circle by 6.5e-4
+    # on halving; the pair at half the steps is consistent and agrees with
+    # the closed forms
+    r = 3.564155994548888
+    ricci_at_steps = christoffel._ricci_at_steps
+    tried = []
+    monkeypatch.setattr(christoffel, "_ricci_at_steps",
+                        lambda m, x, steps: tried.append(steps[1]) or ricci_at_steps(m, x, steps))
+    for k in (8, 9):
+        tried.clear()
+        m = DoublyWarpedMetric(k, standard_f(), power_decay_h(3.0))
+        o, c = ricci_numeric_oracle(m, r), ricci_report(m, r)
+        assert tried == [3e-3, 1.5e-3, 7.5e-4]
+        for a, b in ((o.ric_radial, c.ric_radial), (o.ric_circle, c.ric_circle),
+                     (o.ric_sphere, c.ric_sphere)):
+            assert abs(a - b) <= 1e-8 * (1.0 + abs(b))
+
+
 def test_oracle_rejects_nonpositive_radius():
     m = DoublyWarpedMetric(2, linear_f(), constant_h())
     with pytest.raises(ValueError):
@@ -252,6 +271,7 @@ def test_diagonal_stencil_matches_dense_mpf_values(r):
 
 def test_diagonal_stencil_matches_dense_refusal():
     m = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
-    out, _ = _oracle_run(m, 1e-3, christoffel._stencil_derivatives)
+    out, rics = _oracle_run(m, 1e-3, christoffel._stencil_derivatives)
     assert out.startswith("oracle values moved from")
+    assert len(rics) == 2 + christoffel._HALVINGS  # every halving refused too
     _assert_same_as_dense(m, 1e-3)

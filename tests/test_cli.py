@@ -64,16 +64,47 @@ def test_failing_run_exits_nonzero(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
-def test_ricci_check_oracle_refusal_is_a_failed_check(tmp_path, capsys):
-    # at alpha = 3 the oracle's Richardson check refuses r = 3.564...: the
-    # run still writes its report, with the refusal as a failed check
+def test_ricci_check_oracle_answers_at_halved_steps(tmp_path, capsys):
+    # at alpha = 3 the oracle's first step pair fails its Richardson check at
+    # r = 3.564...; the pair at half the steps answers, and agrees with the
+    # closed forms (k = 8 is too small for positive Ricci, so the run fails)
+    code = run_cli(["ricci-check", "--alpha", "3.0", "--seed", "12345", "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    check = next(c for c in report["checks"] if c["name"] == "ricci-oracle-agreement")
+    assert check["status"] == "pass"
+    assert check["details"] == "max rel err over 16 radii at k=8"
+    assert check["margin"] < 1e-7
+
+
+def test_ricci_check_oracle_refusal_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    # a radius where every step pair moves the principal values: the oracle
+    # refuses after all its halvings, and the run still writes its report,
+    # with the refusal as a failed check
+    from warplab import christoffel
+
+    r_bad = 3.564155994548888
+    ricci_at_steps = christoffel._ricci_at_steps
+    tried = []
+
+    def drifting(m, x, steps):
+        ric, g0 = ricci_at_steps(m, x, steps)
+        if x[0] == r_bad:
+            tried.append(steps[1])
+            ric = ric * (1.0 + 1e3 * steps[1])
+        return ric, g0
+
+    monkeypatch.setattr(christoffel, "_ricci_at_steps", drifting)
     code = run_cli(["ricci-check", "--alpha", "3.0", "--seed", "12345", "--outdir", str(tmp_path)])
     capsys.readouterr()
     assert code != 0
+    assert len(tried) == 2 + christoffel._HALVINGS
     report = json.loads((tmp_path / "report.json").read_text())
     check = next(c for c in report["checks"] if c["name"] == "ricci-oracle-agreement")
     assert check["status"] == "fail"
-    assert "oracle refused (StepTooLarge) at r=3.564" in check["details"]
+    assert check["details"] == ("max rel err over 15 radii at k=8; "
+                                f"oracle refused (StepTooLarge) at r={r_bad!r}")
 
 
 def test_config_error_exit_code(tmp_path, capsys):

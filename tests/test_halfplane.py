@@ -471,3 +471,79 @@ def test_power_decay_value_form_matches_jet(r, p):
     w = power_decay_h(p)
     m = HalfplaneMetric.from_warping(w)
     assert np.float64(m.value(r)).tobytes() == np.float64(float(w(r).value)).tobytes()
+
+
+def _memo_models():
+    # fresh metrics on every call: osc-1e40, pure, and pure capped at 3e5
+    _, _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
+                                   radius_bound=1e40, check=False)
+    pure = pure_model_h(0.5)
+    return [lambda: HalfplaneMetric.from_smoothed(sm),
+            lambda: HalfplaneMetric.from_smoothed(pure),
+            lambda: HalfplaneMetric.from_warping(power_decay_h(0.5), r_cap=3e5)]
+
+
+@pytest.fixture(scope="module")
+def memo_models():
+    makers = _memo_models()
+    return makers, [make() for make in makers]  # the second list fills across examples
+
+
+def _arc_outcome(fn, m, c, start, st=None):
+    try:
+        return fn(m, c, start, st).hex()
+    except (OutOfRange, halfplane.QuadratureFailure) as e:
+        return str(e)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(which=st.integers(0, 2), u=st.floats(0.0, 1.0), start_frac=st.sampled_from([None, 0.25, 0.9]),
+       dv=st.booleans())
+def test_arc_memo_hit_has_the_bits_of_a_fresh_metric(memo_models, which, u, start_frac, dv):
+    # c = h at a random radius; the start is the domain start, or a radius
+    # below the turning point as Grushin's equal-t arcs take it
+    makers, shared = memo_models
+    m = shared[which]
+    top = 42.0 if which < 2 else 5.0
+    r = 10.0 ** (-2.0 + u * (top + 2.0))
+    c = m.value(r)
+    start = None if start_frac is None else start_frac * r
+    fn = delta_v_of_c if dv else length_of_c
+    first = _arc_outcome(fn, m, c, start)
+    computed = []
+    quadrature = halfplane._arc_quadrature
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halfplane, "_arc_quadrature", lambda *a: computed.append(a) or quadrature(*a))
+        again = _arc_outcome(fn, m, c, start)
+    fresh = makers[which]()
+    assert again == first == _arc_outcome(fn, fresh, c, start)
+    assert repr(solve_turning_point(m, c)) == repr(solve_turning_point(fresh, c))
+    if first.startswith(("0x", "-0x")):
+        assert not computed  # a stored arc, or one with r_max <= start, integrates nothing
+
+
+def test_arc_memo_keys_settings_start_and_quantity(memo_models):
+    make = memo_models[0][1]
+    m = make()
+    c = m.value(30.0)
+    coarse = halfplane.QuadSettings(rel_tol=1e-6, turning_rel=1e-9)
+    calls = [(delta_v_of_c, None, None), (delta_v_of_c, None, coarse), (delta_v_of_c, 5.0, None),
+             (length_of_c, None, None), (length_of_c, 5.0, coarse)]
+    got = [fn(m, c, start, st_) for fn, start, st_ in calls]
+    assert len(m._arcs) == len(calls) and len(m._turning) == 2
+    for (fn, start, st_), v in zip(calls, got):
+        assert fn(m, c, start, st_).hex() == v.hex() == fn(make(), c, start, st_).hex()
+    assert len(m._arcs) == len(calls)
+
+
+def test_arc_memo_stores_no_quadrature_failure(memo_models):
+    # one Kronrod rule per panel leaves the osc arc at c = 0.01 above its
+    # error budget (test_quadrature_error_budget): the failure is not stored
+    make = memo_models[0][0]
+    m = make()
+    one_rule = halfplane.QuadSettings(limit=1)
+    for _ in range(2):
+        with pytest.raises(halfplane.QuadratureFailure, match="estimated error"):
+            delta_v_of_c(m, 0.01, settings=one_rule)
+    assert all(key[2] != one_rule for key in m._arcs)
+    assert delta_v_of_c(m, 0.01).hex() == delta_v_of_c(make(), 0.01).hex()

@@ -3,7 +3,8 @@
 scipy.integrate.quad and scipy.optimize.brentq are the independent
 reference here: for every drawn integrand and bracket the port must return
 the same bits, the same evaluation counts and read the function at the
-same abscissae in the same order.
+same abscissae in the same order.  The straight-line 21-point rule is
+checked rule by rule against dqk21's loop form in tests/oracles.py.
 """
 
 import math
@@ -17,6 +18,8 @@ from scipy.optimize import brentq as scipy_brentq
 
 from warplab import numerics
 from warplab.numerics import IntegrationWarning, brentq, quad
+
+from .oracles import qk21_loops
 
 PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -156,6 +159,54 @@ def test_quad_empty_interval_and_invalid_arguments():
         quad(math.exp, 0.0, 1.0, limit=0)
     with pytest.raises(ValueError, match="epsrel"):
         quad(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-16)
+
+
+# -- the 21-point rule --------------------------------------------------------
+
+def _rule_both(f, a, b):
+    """(loop form's, port's) 21-point rule on [a, b]: the four numbers as
+    float.hex (every NaN reads "nan", a zero keeps its sign) and the
+    abscissae read."""
+    out = []
+    for rule in (lambda g: qk21_loops(g, a, b, numerics._XGK, numerics._WGK, numerics._WG),
+                 lambda g: numerics._qk21(g, a, b)):
+        g, xs = _recorded(f)
+        out.append(([float(v).hex() for v in rule(g)], [x.hex() for x in xs]))
+    return out
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -5e-324])
+_RULE_INTERVAL = dict(a=st.floats(-1e3, 1e3),
+                      width=st.floats(math.log(1e-12), math.log(1e2)).map(math.exp),
+                      flip=st.booleans())
+
+
+@PROPERTY
+@given(values=st.lists(st.floats(-1e3, 1e3), min_size=21, max_size=21),
+       specials=st.lists(st.tuples(st.integers(0, 20), _SPECIAL), max_size=2), **_RULE_INTERVAL)
+def test_qk21_matches_the_loop_form_on_drawn_values(values, specials, a, width, flip):
+    """Integrand values drawn call by call, up to two of them inf, NaN,
+    +-0.0 or at the ends of the double range."""
+    b = a - width if flip else a + width
+    for i, v in specials:
+        values[i] = v
+    it = iter(values * 2)  # one pass per rule
+    theirs, ours = _rule_both(lambda x: next(it), a, b)
+    assert ours == theirs
+
+
+@PROPERTY
+@given(family=st.sampled_from(sorted(FAMILIES)), p=st.floats(0.05, 3.0), q=st.floats(-1.0, 1.0),
+       zero=st.sampled_from([None, 0.0, -0.0, math.inf]), **_RULE_INTERVAL)
+def test_qk21_matches_the_loop_form_on_integrands(family, p, q, zero, a, width, flip):
+    """The quad families on narrow and wide intervals, with their values
+    below the centre replaced by +-0.0 or inf."""
+    b = a - width if flip else a + width
+    g = FAMILIES[family](p, q)
+    centre = 0.5 * (a + b)
+    f = g if zero is None else (lambda x: zero if x < centre else g(x))
+    theirs, ours = _rule_both(f, a, b)
+    assert ours == theirs
 
 
 # -- brentq -------------------------------------------------------------------

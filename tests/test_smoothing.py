@@ -25,8 +25,11 @@ from warplab.smoothing import (
     pure_model_h,
     smooth,
     verify_observation,
+    _MP_EVAL_CUTOFF,
+    _pow10,
     _quintic,
     _regime_label,
+    _scan_top,
 )
 from warplab.warping import power_decay_h, standard_f
 
@@ -414,3 +417,55 @@ def test_certification_labels_equal_per_radius_labels(osc_build, fast_path_model
     for sm in (osc_build[2], fast_path_models[0][0], pure_model_h(0.5)):
         grid, labels = certification_grid(sm)
         assert labels == [_regime_label(sm, r) for r in grid]
+
+
+def _certification_grid_mpf(sm, r_min=1e-3, per_interval=240):
+    """certification_grid with every exponent and radius formed in mpmath,
+    mpf(10) ** e per radius: the reference for the grid's double exponents
+    and its hoisted log 10."""
+    marks = [(b.lo, None) for b in sm.blends] + [(b.hi, None) for b in sm.blends]
+    marks += [(s.r_lo, None) for s in sm.base.segments[1:]]
+    marks.sort(key=lambda t: mpmath.mpf(t[0]))
+    top = _scan_top(sm)
+    cuts = [mpmath.mpf(r_min)] + [mpmath.mpf(x) for x, _ in marks if r_min < x < top] + [top]
+    grid, labels = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        la, lb = mpmath.log10(lo), mpmath.log10(hi)
+        for i in range(per_interval):
+            e = la + (lb - la) * (i + 0.5) / per_interval
+            r = mpmath.mpf(10) ** e
+            grid.append(float(r) if float(e) <= math.log10(_MP_EVAL_CUTOFF) else r)
+        labels += [_regime_label(sm, grid[-1])] * per_interval
+    return grid, labels
+
+
+@pytest.fixture(scope="module")
+def grid_models():
+    params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
+    return {"osc-1e40": build_oscillating_h(params, radius_bound=1e40, check=False)[2],
+            "osc-default": build_oscillating_h(params, check=False)[2],
+            "pure": pure_model_h(0.5)}
+
+
+def _typed_bits(r):
+    return (type(r).__name__, r.hex() if isinstance(r, float) else r._mpf_)
+
+
+@pytest.mark.parametrize("per_interval", [40, 60, 240])
+@pytest.mark.parametrize("model", ["osc-1e40", "osc-default", "pure"])
+def test_certification_grid_matches_per_radius_mpf(grid_models, model, per_interval):
+    sm = grid_models[model]
+    grid, labels = certification_grid(sm, per_interval=per_interval)
+    want_grid, want_labels = _certification_grid_mpf(sm, per_interval=per_interval)
+    assert [_typed_bits(r) for r in grid] == [_typed_bits(r) for r in want_grid]
+    assert labels == want_labels
+    if model == "osc-default":  # the mpf tail past 1e70 is covered
+        assert any(isinstance(r, mpmath.mpf) for r in grid)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(e=st.one_of(st.integers(-6, 620).map(lambda k: k / 2.0), st.floats(-3.0, 310.0)))
+def test_pow10_is_mpf_ten_to_the_e(e):
+    # integers and half-integers too, where mpf_pow takes branches of its own
+    # (exp(e log 10) misrounds at e = 32.5, 54, 70, ...)
+    assert _pow10(e) == (mpmath.mpf(10) ** mpmath.mpf(e))._mpf_
