@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import warplab
+from warplab import christoffel
 from warplab.cli import main
 from warplab.construction_io import load_construction
 
@@ -82,8 +83,6 @@ def test_ricci_check_oracle_refusal_is_a_failed_check(tmp_path, capsys, monkeypa
     # a radius where every step pair moves the principal values: the oracle
     # refuses after all its halvings, and the run still writes its report,
     # with the refusal as a failed check
-    from warplab import christoffel
-
     r_bad = 3.564155994548888
     ricci_at_steps = christoffel._ricci_at_steps
     tried = []

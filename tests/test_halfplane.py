@@ -523,17 +523,20 @@ def test_arc_memo_hit_has_the_bits_of_a_fresh_metric(memo_models, which, u, star
 
 
 def test_arc_memo_keys_settings_start_and_quantity(memo_models):
-    make = memo_models[0][1]
+    # on the osc-1e40 metric at c = h(300) a looser rel_tol moves the bits of
+    # both quantities; every settings object is a key of its own
+    make = memo_models[0][0]
     m = make()
-    c = m.value(30.0)
-    coarse = halfplane.QuadSettings(rel_tol=1e-6, turning_rel=1e-9)
+    c = m.value(300.0)
+    coarse, loose_turn = halfplane.QuadSettings(rel_tol=1e-6), halfplane.QuadSettings(turning_rel=1e-9)
     calls = [(delta_v_of_c, None, None), (delta_v_of_c, None, coarse), (delta_v_of_c, 5.0, None),
-             (length_of_c, None, None), (length_of_c, 5.0, coarse)]
+             (delta_v_of_c, None, loose_turn), (length_of_c, None, None), (length_of_c, 5.0, coarse)]
     got = [fn(m, c, start, st_) for fn, start, st_ in calls]
-    assert len(m._arcs) == len(calls) and len(m._turning) == 2
+    assert len(m._arcs) == len(calls) and len(m._turning) == 3
+    assert got[0] != got[1] and length_of_c(m, c, 5.0) != got[5]
     for (fn, start, st_), v in zip(calls, got):
         assert fn(m, c, start, st_).hex() == v.hex() == fn(make(), c, start, st_).hex()
-    assert len(m._arcs) == len(calls)
+    assert len(m._arcs) == len(calls) + 1  # length_of_c(m, c, 5.0) above
 
 
 def test_arc_memo_stores_no_quadrature_failure(memo_models):
