@@ -52,7 +52,13 @@ from .halfplane import (
 )
 from .harness import RunReport, run
 from .jets import Jet2
-from .ladder import ExponentSchedule, OscillationParams, ScaleLadder, build_scale_ladder
+from .ladder import (
+    ExponentSchedule,
+    LadderGrowthError,
+    OscillationParams,
+    ScaleLadder,
+    build_scale_ladder,
+)
 from .orbits import (
     GrowthWindow,
     OrbitTable,
@@ -92,6 +98,7 @@ __all__ = [
     "GrushinMetric",
     "HalfplaneMetric",
     "Jet2",
+    "LadderGrowthError",
     "LinearOrbitMetric",
     "NonPositiveWarping",
     "NotCertified",

@@ -17,8 +17,12 @@ point of the difference stencil takes each coordinate from its three
 values x - s, x and x + s.  So the stencil is assembled from coordinates
 as stacked diagonals: f and h are read once per stencil radius and
 sin^2 once per distinct angle, and each difference is one array
-operation over all diagonal entries.  The Christoffel and Ricci
-contractions run on the full tensors.
+operation over all diagonal entries.  Since g^{-1} and the differences
+of g are diagonal too, every sum over an index of g^{-1} has one nonzero
+term: the Christoffel symbols and their derivatives are broadcast
+products of that term, with the bits of the full-tensor contractions,
+and only the traces and quadratic terms of the Ricci tensor are einsum
+contractions.
 
 Each query runs at two step sizes; a Richardson consistency check guards
 against a bad step and the extrapolated value is returned.  A pair that
@@ -115,27 +119,34 @@ def _stencil_derivatives(m: DoublyWarpedMetric, x, steps):
 
 
 def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
-    """Ricci tensor from divided differences of the metric at one step set."""
-    g0, d1, d2 = _stencil_derivatives(m, x, steps)
-    ginv = np.linalg.inv(g0)
+    """Ricci tensor from divided differences of the metric at one step set.
 
-    # Gamma^l_{mu nu} = 1/2 g^{ls} (d_mu g_{nu s} + d_nu g_{mu s} - d_s g_{mu nu})
+    g0 is diagonal, so g^{-1} has exact zeros off its diagonal gi, and
+    d1[mu, a, b], d2[mu, nu, a, b] vanish unless a == b.  Each sum over an
+    index of g^{-1} then has one nonzero term, and the Christoffel symbols
+    and their derivatives are broadcast products of that term, each formed
+    with the operands in the order the full contraction multiplies them.
+    The trace and quadratic contractions run on C-contiguous tensors: a
+    transposed layout changes einsum's summation order."""
+    g0, d1, d2 = _stencil_derivatives(m, x, steps)
+    gi = np.diag(np.linalg.inv(g0))  # g^{ll}
+    a = np.arange(len(x))
+
+    # Gamma^l_{mu nu} = 1/2 g^{ll} (d_mu g_{nu l} + d_nu g_{mu l} - d_l g_{mu nu})
     tA = d1.transpose(0, 1, 2)  # [mu, nu, s] = d_mu g_{nu s}
     tB = d1.transpose(1, 0, 2)  # [mu, nu, s] = d_nu g_{mu s}
     tC = d1.transpose(1, 2, 0)  # [mu, nu, s] = d_s g_{mu nu}
-    bracket = tA + tB - tC
-    gamma = 0.5 * np.einsum("ls,mns->lmn", ginv, bracket)
+    bracket = (tA + tB - tC).transpose(2, 0, 1)  # [l, mu, nu]
+    gamma = np.ascontiguousarray(0.5 * (gi[:, None, None] * bracket))
 
-    # d_rho Gamma^l_{mu nu}: product rule with d_rho g^{-1} = -g^{-1} d_rho g g^{-1}
-    dginv = -np.einsum("la,rab,bs->rls", ginv, d1, ginv)
+    # d_rho Gamma^l_{mu nu}: product rule with d_rho g^{ll} = -(g^{ll} d_rho g_{ll}) g^{ll}
+    dginv = -(gi * d1[:, a, a]) * gi  # [rho, l] = d_rho g^{ll}
     dA = d2.transpose(0, 1, 2, 3)  # [rho, mu, nu, s] = d_rho d_mu g_{nu s}
     dB = d2.transpose(0, 2, 1, 3)  # [rho, mu, nu, s] = d_rho d_nu g_{mu s}
     dC = d2.transpose(0, 2, 3, 1)  # [rho, mu, nu, s] = d_rho d_s g_{mu nu}
-    dbracket = dA + dB - dC
-    dgamma = 0.5 * (
-        np.einsum("rls,mns->rlmn", dginv, bracket)
-        + np.einsum("ls,rmns->rlmn", ginv, dbracket)
-    )
+    dbracket = (dA + dB - dC).transpose(0, 3, 1, 2)  # [rho, l, mu, nu]
+    dgamma = np.ascontiguousarray(
+        0.5 * (dginv[:, :, None, None] * bracket + gi[:, None, None] * dbracket))
 
     # Ric_{mn} = d_l Gamma^l_{mn} - d_n Gamma^l_{ml} + G^l_{ls} G^s_{mn} - G^l_{ns} G^s_{ml}
     d_l_gamma = np.einsum("rrmn->mn", dgamma)
@@ -145,6 +156,23 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
     quad2 = np.einsum("lns,sml->mn", gamma, gamma)
     ric = d_l_gamma - d_n_gamma_trace + quad1 - quad2
     return ric, g0
+
+
+def _oracle_point(k, r, st: OracleSettings):
+    """The point x = (r, thetas..., phi) the oracle differentiates at, and
+    its first step set."""
+    n = k + 2
+    x = np.empty(n)
+    x[0] = r
+    for i in range(k):
+        x[1 + i] = st.base_angle + st.angle_spread * i
+    x[n - 1] = 0.5
+
+    steps = np.full(n, st.rel_step)
+    # f^2 varies on scale r, h^2 on scale ~1; the geometric mean balances
+    # truncation against roundoff for both when r < 1.
+    steps[0] = st.rel_step * np.sqrt(abs(r) * max(abs(r), 1.0))
+    return x, steps
 
 
 def ricci_numeric_oracle(
@@ -161,18 +189,8 @@ def ricci_numeric_oracle(
     if r <= 0:
         raise ValueError("oracle requires r > 0")
     st = settings or OracleSettings()
-    k = m.k
-    n = k + 2
-    x = np.empty(n)
-    x[0] = r
-    for i in range(k):
-        x[1 + i] = st.base_angle + st.angle_spread * i
-    x[n - 1] = 0.5
-
-    steps = np.full(n, st.rel_step)
-    # f^2 varies on scale r, h^2 on scale ~1; the geometric mean balances
-    # truncation against roundoff for both when r < 1.
-    steps[0] = st.rel_step * np.sqrt(abs(r) * max(abs(r), 1.0))
+    n = m.k + 2
+    x, steps = _oracle_point(m.k, r, st)
 
     def principal_values(scale):
         ric, g0 = _ricci_at_steps(m, x, steps * scale)

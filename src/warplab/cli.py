@@ -1,7 +1,8 @@
 """Command-line front door: one subcommand per run mode.
 
 Flags override config-file keys; WARPLAB_CACHE_DIR overrides the cache
-location.  Exit status is nonzero iff any non-flagged check fails.
+location.  Exit status is nonzero iff any non-flagged check fails; it is 2
+for a config error or a schedule whose ladder cannot be built.
 """
 
 import argparse
@@ -9,6 +10,7 @@ import sys
 
 from .config import MODES, ConfigError, parse_config
 from .harness import run
+from .ladder import LadderGrowthError
 
 
 def _add_common(sp):
@@ -75,7 +77,11 @@ def main(argv=None) -> int:
         return 2
     if args.emit_config:
         cfg.to_file(args.emit_config)
-    report = run(cfg)
+    try:
+        report = run(cfg)
+    except LadderGrowthError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     for c in report.checks:
         mark = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}[c.status]
         extra = f" margin={c.margin:.6g}" if c.margin == c.margin else ""

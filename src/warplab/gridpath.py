@@ -3,8 +3,10 @@
 The rectangle [r_lo, r_hi] x [v_lo, v_hi] is discretized to an 8-connected
 grid whose edge weights are the local metric quadratic form at the edge
 midpoint, sqrt(dr^2 + h(r_mid)^2 dv^2), with h read once per grid row and
-row gap; Dijkstra (scipy.sparse.csgraph) then gives a genuine path upper
-bound for the distance.
+row gap.  The graph is written straight into canonical CSR arrays (each
+node's four forward edges in column order, one column pattern for every
+full row); Dijkstra (scipy.sparse.csgraph) then gives a genuine path
+upper bound for the distance.
 
 Raw grid paths overestimate: discretization contributes O(step) and the
 eight fixed directions contribute an anisotropy excess that does not
@@ -46,10 +48,63 @@ class DijkstraResult:
         return self.relaxed
 
 
+def _grid_graph(h_value, rs, vs):
+    """The grid's edges as a canonical CSR matrix over nodes ir * nv + iv.
+
+    Node (ir, iv) has its out-edges in column order (ir, iv+1), (ir+1, iv-1),
+    (ir+1, iv) and (ir+1, iv+1), those that exist, each weighted by
+    sqrt(dr^2 + (h(r_mid) dv)^2).  An edge's mid-radius is a grid row
+    (0.5*(x + x) == x exactly) or a row gap, so h is read once per row and
+    once per gap.  Every row but the last has the same 4 nv - 3 columns
+    relative to ir * nv: node 0's (right, down, down-right), each inner
+    node's (right, down-left, down, down-right) and node nv-1's (down-left,
+    down); the last row holds its right edges only."""
+    from scipy.sparse import csr_matrix
+
+    nr, nv = len(rs), len(vs)
+    h_row, h_gap = h_value(rs), h_value(0.5 * (rs[:-1] + rs[1:]))
+    dv_next = vs[1:] - vs[:-1]  # (., iv) -> (., iv+1)
+    dv_prev = vs[:-1] - vs[1:]  # (., iv+1) -> (., iv)
+    dr_next = (rs[1:] - rs[:-1])[:, None]
+    # weights over rows 0..nr-2; the 0.0 terms are the dr of an edge within
+    # a row and the dv of an edge straight down
+    right = np.sqrt(0.0 ** 2 + (h_row[:-1, None] * dv_next) ** 2)  # from iv = 0..nv-2
+    down_left = np.sqrt(dr_next ** 2 + (h_gap[:, None] * dv_prev) ** 2)  # from iv = 1..nv-1
+    down = np.sqrt(dr_next ** 2 + (h_gap[:, None] * 0.0) ** 2)  # one column: every iv alike
+    down_right = np.sqrt(dr_next ** 2 + (h_gap[:, None] * dv_next) ** 2)  # from iv = 0..nv-2
+
+    width = 4 * nv - 3
+    n_full = (nr - 1) * width
+    data = np.empty(n_full + nv - 1)
+    rows = data[:n_full].reshape(nr - 1, width)
+    rows[:, 0], rows[:, 1], rows[:, 2] = right[:, 0], down[:, 0], down_right[:, 0]
+    inner = rows[:, 3:width - 2].reshape(nr - 1, nv - 2, 4)
+    inner[..., 0], inner[..., 1] = right[:, 1:], down_left[:, :-1]
+    inner[..., 2], inner[..., 3] = down, down_right[:, 1:]
+    rows[:, width - 2], rows[:, width - 1] = down_left[:, -1], down[:, 0]
+    data[n_full:] = np.sqrt(0.0 ** 2 + (h_row[-1] * dv_next) ** 2)
+
+    iv = np.arange(nv, dtype=np.int32)
+    pattern = np.concatenate([
+        [1, nv, nv + 1],
+        (iv[1:-1, None] + np.array([1, nv - 1, nv, nv + 1], dtype=np.int32)).ravel(),
+        [2 * nv - 2, 2 * nv - 1],
+    ]).astype(np.int32)
+    row = np.arange(nr - 1, dtype=np.int32)[:, None]
+    indices = np.empty(n_full + nv - 1, dtype=np.int32)
+    np.add(row * nv, pattern, out=indices[:n_full].reshape(nr - 1, width))
+    indices[n_full:] = (nr - 1) * nv + iv[1:]
+    node_start = np.concatenate([[0], 3 + 4 * iv[:-1]])  # within a full row
+    indptr = np.empty(nr * nv + 1, dtype=np.int32)
+    np.add(row * width, node_start, out=indptr[:(nr - 1) * nv].reshape(nr - 1, nv))
+    indptr[(nr - 1) * nv:-1] = n_full + iv
+    indptr[-1] = n_full + nv - 1
+    return csr_matrix((data, indices, indptr), shape=(nr * nv, nr * nv))
+
+
 def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget):
     """One Dijkstra solve; returns (distance, path array of (r, v))."""
     # scipy.sparse loads on the first oracle call, not with the package
-    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
     n_nodes = nr * nv
@@ -63,29 +118,7 @@ def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget)
     def node(ir, iv):
         return ir * nv + iv
 
-    IR, IV = np.meshgrid(np.arange(nr), np.arange(nv), indexing="ij")
-    # an edge's mid-radius is a grid row (dir_ = 0: 0.5*(x + x) == x exactly)
-    # or a row gap (dir_ = 1), so h is read once per row and once per gap
-    h_at = (h_value(rs), h_value(0.5 * (rs[:-1] + rs[1:])))
-
-    def add_block(dir_, div_):
-        a_ir = IR[max(0, -dir_) : nr - max(0, dir_), max(0, -div_) : nv - max(0, div_)]
-        a_iv = IV[max(0, -dir_) : nr - max(0, dir_), max(0, -div_) : nv - max(0, div_)]
-        b_ir = a_ir + dir_
-        b_iv = a_iv + div_
-        hm = h_at[dir_][a_ir]
-        w = np.sqrt((rs[b_ir] - rs[a_ir]) ** 2 + (hm * (vs[b_iv] - vs[a_iv])) ** 2)
-        rows.append((a_ir * nv + a_iv).ravel())
-        cols.append((b_ir * nv + b_iv).ravel())
-        data.append(w.ravel())
-
-    rows, cols, data = [], [], []
-    for dir_, div_ in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        add_block(dir_, div_)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    graph = coo_matrix((data, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    graph = _grid_graph(h_value, rs, vs)
 
     def nearest(p):
         i = int(round((p[0] - r_lo) / dr)) if dr > 0 else 0

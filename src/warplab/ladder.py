@@ -120,6 +120,10 @@ def bridge_constant(T, E, p):
         return (1 + T * T) ** (mpmath.mpf(E) - mpmath.mpf(p))
 
 
+class LadderGrowthError(ValueError):
+    """Two consecutive junction radii of a ladder are less than 5x apart."""
+
+
 def build_scale_ladder(params, radius_bound: float = 1e300) -> ScaleLadder:
     """Junction radii visiting `params.exponents` in order.
 
@@ -128,9 +132,10 @@ def build_scale_ladder(params, radius_bound: float = 1e300) -> ScaleLadder:
     the final piece is bridged back toward the first exponent, whose tail
     then extends to infinity.  If a radius exceeds radius_bound first, the
     ladder stops at the last piece reached and is flagged truncated.
-    Growth ratios between successive junctions are asserted to be >= 5,
-    which the recursions guarantee for oscillations with R11 >= 100 and
-    which keeps later smoothing blends disjoint.
+    Growth ratios between successive junctions must be >= 5, which the
+    recursions guarantee for oscillations with R11 >= 100 and which keeps
+    later smoothing blends disjoint; a schedule whose junctions grow slower
+    raises LadderGrowthError.
     """
     with mpmath.workdps(PRECISION_DPS):
         bound = mpmath.mpf(radius_bound)
@@ -157,9 +162,12 @@ def build_scale_ladder(params, radius_bound: float = 1e300) -> ScaleLadder:
             junctions += [end, T]
             end = 5 * T * T
 
-        for lo, hi in zip(junctions, junctions[1:]):
+        for i, (lo, hi) in enumerate(zip(junctions, junctions[1:])):
             if not (hi / lo >= 5):
-                raise AssertionError(f"ladder growth ratio below 5 between {lo} and {hi}")
+                raise LadderGrowthError(
+                    f"ladder growth ratio below 5 between junctions {i} and {i + 1} "
+                    f"(r = {mantissa_exponent(lo, 6)} and {mantissa_exponent(hi, 6)})"
+                )
         return ScaleLadder(params, tuple(chain), junctions, truncated, radius_bound)
 
 

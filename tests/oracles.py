@@ -5,10 +5,13 @@ with what they check.  The arc oracle integrates in the u-variable of the
 h = c cosh u change with tanh-sinh quadrature at 30 digits; the inverse
 r(u) is closed-form for the inverse-power family.  `qk21_loops` is
 dqk21 in its loop form, the reference for the straight-line rule of
-`warplab.numerics`.
+`warplab.numerics`.  `einsum_ricci` contracts the Christoffel symbols
+over full tensors, the reference for the diagonal products of
+`warplab.christoffel`.
 """
 
 import mpmath as mp
+import numpy as np
 
 
 def power_arc_oracle(alpha, c, dps=30):
@@ -123,3 +126,36 @@ def qk21_loops(f, a, b, xgk, wgk, wg):
         floor = (epmach * 50.0) * resabs
         abserr = floor if floor > abserr or abserr != abserr else abserr  # C's fmax
     return result, abserr, resabs, resasc
+
+
+def einsum_ricci(g0, d1, d2):
+    """Ricci tensor of a metric g0 with derivatives d1[mu, a, b] = d_mu g_ab
+    and d2[mu, nu, a, b] = d_mu d_nu g_ab, every Christoffel contraction an
+    einsum over the full (k+2)-index tensors."""
+    ginv = np.linalg.inv(g0)
+
+    # Gamma^l_{mu nu} = 1/2 g^{ls} (d_mu g_{nu s} + d_nu g_{mu s} - d_s g_{mu nu})
+    tA = d1.transpose(0, 1, 2)  # [mu, nu, s] = d_mu g_{nu s}
+    tB = d1.transpose(1, 0, 2)  # [mu, nu, s] = d_nu g_{mu s}
+    tC = d1.transpose(1, 2, 0)  # [mu, nu, s] = d_s g_{mu nu}
+    bracket = tA + tB - tC
+    gamma = 0.5 * np.einsum("ls,mns->lmn", ginv, bracket)
+
+    # d_rho Gamma^l_{mu nu}: product rule with d_rho g^{-1} = -g^{-1} d_rho g g^{-1}
+    dginv = -np.einsum("la,rab,bs->rls", ginv, d1, ginv)
+    dA = d2.transpose(0, 1, 2, 3)  # [rho, mu, nu, s] = d_rho d_mu g_{nu s}
+    dB = d2.transpose(0, 2, 1, 3)  # [rho, mu, nu, s] = d_rho d_nu g_{mu s}
+    dC = d2.transpose(0, 2, 3, 1)  # [rho, mu, nu, s] = d_rho d_s g_{mu nu}
+    dbracket = dA + dB - dC
+    dgamma = 0.5 * (
+        np.einsum("rls,mns->rlmn", dginv, bracket)
+        + np.einsum("ls,rmns->rlmn", ginv, dbracket)
+    )
+
+    # Ric_{mn} = d_l Gamma^l_{mn} - d_n Gamma^l_{ml} + G^l_{ls} G^s_{mn} - G^l_{ns} G^s_{ml}
+    d_l_gamma = np.einsum("rrmn->mn", dgamma)
+    d_n_gamma_trace = np.einsum("nlml->mn", dgamma)
+    gamma_trace = np.einsum("lls->s", gamma)
+    quad1 = np.einsum("s,smn->mn", gamma_trace, gamma)
+    quad2 = np.einsum("lns,sml->mn", gamma, gamma)
+    return d_l_gamma - d_n_gamma_trace + quad1 - quad2

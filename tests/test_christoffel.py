@@ -13,6 +13,8 @@ from warplab.ladder import OscillationParams
 from warplab.smoothing import build_oscillating_h
 from warplab.warping import constant_h, linear_f, power_decay_h, sine_f, standard_f
 
+from .oracles import einsum_ricci
+
 
 def test_flat_cone_oracle_zero():
     m = DoublyWarpedMetric(2, linear_f(), constant_h())
@@ -275,3 +277,58 @@ def test_diagonal_stencil_matches_dense_refusal():
     assert out.startswith("oracle values moved from")
     assert len(rics) == 2 + christoffel._HALVINGS  # every halving refused too
     _assert_same_as_dense(m, 1e-3)
+
+
+# The diagonal products of _ricci_at_steps against the full-tensor einsum
+# contractions of tests/oracles.py, at every step set the oracle can try.
+def _assert_same_as_einsum(m, r):
+    x, steps = christoffel._oracle_point(m.k, r, OracleSettings())
+    for j in range(2 + christoffel._HALVINGS):
+        s = steps * 0.5 ** j
+        ric, g0 = christoffel._ricci_at_steps(m, x, s)
+        want_g0, d1, d2 = christoffel._stencil_derivatives(m, x, s)
+        want = einsum_ricci(want_g0, d1, d2)
+        assert g0.tobytes() == want_g0.tobytes()
+        assert np.array_equal(ric, want, equal_nan=True), (m.k, r, j)
+        assert np.array_equal(np.signbit(np.diag(ric)), np.signbit(np.diag(want))), (m.k, r, j)
+
+
+_wide_radii = st.floats(math.log(1e-3), math.log(1e6)).map(math.exp)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 12])
+@pytest.mark.parametrize("p", [0.5, 0.6, 1.2, 3.0])
+def test_ricci_products_match_einsum_pure(k, p):
+    m = DoublyWarpedMetric(k, standard_f(), power_decay_h(p))
+
+    @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+    @given(r=_wide_radii)
+    def check(r):
+        _assert_same_as_einsum(m, r)
+
+    check()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 12])
+def test_ricci_products_match_einsum_osc(k, osc_1e40_h):
+    m = DoublyWarpedMetric(k, standard_f(), osc_1e40_h)
+
+    @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+    @given(r=_wide_radii)
+    def check(r):
+        _assert_same_as_einsum(m, r)
+
+    check()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+@pytest.mark.parametrize("f, r", [(sine_f(), math.pi / 2), (sine_f(), 1.0), (linear_f(), 2.0)],
+                         ids=["sphere", "sphere-off-equator", "flat-cone"])
+def test_ricci_products_match_einsum_calibration(k, f, r):
+    _assert_same_as_einsum(DoublyWarpedMetric(k, f, constant_h()), r)
+
+
+@pytest.mark.parametrize("k", [1, 8, 12])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 3.0, 70.0, 1e6])
+def test_ricci_products_match_einsum_mpf_values(k, r):
+    _assert_same_as_einsum(DoublyWarpedMetric(k, _MpfPower(-0.5), _MpfPower(0.5)), r)

@@ -115,6 +115,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config key 'B'" in capsys.readouterr().err
 
 
+def test_ladder_growth_error_exit_code(tmp_path, capsys):
+    # a valid schedule whose bridges put the first two junctions 4.6x apart
+    code = run_cli([
+        "build-example", "--alpha", "0.75", "--beta", "0.8125", "--A", "0.5",
+        "--B", "1.0", "--outdir", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ladder growth ratio below 5 between junctions 0 and 1 ")
+
+
 def test_emit_config_round_trip(tmp_path, capsys):
     cfg_path = tmp_path / "resolved.json"
     code = run_cli([

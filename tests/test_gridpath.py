@@ -172,3 +172,47 @@ def test_oracle_makes_no_scalar_jet_call(pure_half_metric):
         mp.setattr(m, "jet", lambda r: pytest.fail("scalar m.jet call"))
         res = dijkstra_distance_oracle(m, (0.0, 0.0), (0.0, 6.0 * math.pi), r_hi=6.0, nr=60)
     assert (repr(res.raw), repr(res.refined), repr(res.relaxed)) == GOLDEN["pure"]
+
+
+def _coo_graph(h_value, rs, vs):
+    """The grid graph assembled as COO blocks, one block per edge direction,
+    and converted to CSR by scipy: the reference for `_grid_graph`."""
+    nr, nv = len(rs), len(vs)
+    IR, IV = np.meshgrid(np.arange(nr), np.arange(nv), indexing="ij")
+    h_at = (h_value(rs), h_value(0.5 * (rs[:-1] + rs[1:])))
+    rows, cols, data = [], [], []
+    for dir_, div_ in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        a_ir = IR[: nr - dir_, max(0, -div_) : nv - max(0, div_)]
+        a_iv = IV[: nr - dir_, max(0, -div_) : nv - max(0, div_)]
+        b_ir, b_iv = a_ir + dir_, a_iv + div_
+        hm = h_at[dir_][a_ir]
+        w = np.sqrt((rs[b_ir] - rs[a_ir]) ** 2 + (hm * (vs[b_iv] - vs[a_iv])) ** 2)
+        rows.append((a_ir * nv + a_iv).ravel())
+        cols.append((b_ir * nv + b_iv).ravel())
+        data.append(w.ravel())
+    n = nr * nv
+    return coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+
+
+@pytest.mark.parametrize("nr, nv, r_lo", [
+    (60, 60, 0.0), (119, 119, 0.0), (60, 113, 0.0), (119, 300, 0.0), (60, 75, 0.5),
+    (2, 40, 0.0), (40, 2, 0.0), (2, 2, 0.5), (3, 3, 0.0),
+])
+def test_grid_graph_matches_coo_assembly(nr, nv, r_lo, pure_half_metric):
+    def hv(rs):
+        return pure_half_metric.jets(rs).value
+
+    rs = np.linspace(r_lo, 6.0, nr)
+    vs = np.linspace(0.0, 6.0 * math.pi, nv)
+    got, want = gridpath._grid_graph(hv, rs, vs), _coo_graph(hv, rs, vs)
+    assert got.indptr.dtype == want.indptr.dtype and got.indices.dtype == want.indices.dtype
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert _bits(got.data) == _bits(want.data)
+    for src in (0, nv - 1, nr * nv // 2):
+        d_got, p_got = dijkstra(got, directed=False, indices=src, return_predecessors=True)
+        d_want, p_want = dijkstra(want, directed=False, indices=src, return_predecessors=True)
+        assert _bits(d_got) == _bits(d_want)
+        assert p_got.tolist() == p_want.tolist()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, reject, settings
 from hypothesis import strategies as st
 
-from warplab.ladder import ExponentSchedule, OscillationParams, bridge_constant
+from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
 from warplab.piecewise import PiecewiseH, Segment, float_ceil
 from warplab.smoothing import (
     Blend,
@@ -240,16 +240,14 @@ def _schedules(draw):
 class LadderGrowthDefect(Exception):
     """build_scale_ladder rejected a valid schedule: a bridge exponent close
     to the exponents it joins puts consecutive junctions less than 5x apart,
-    and the ladder's growth assertion fires."""
+    and the ladder raises LadderGrowthError."""
 
 
 def _build_schedule(s):
     try:
         return build_oscillating_h(s, radius_bound=1e40, check=True)  # blend scan inside
-    except AssertionError as e:
-        if "ladder growth ratio below 5" in str(e):
-            raise LadderGrowthDefect(str(e)) from e
-        raise
+    except LadderGrowthError as e:
+        raise LadderGrowthDefect(str(e)) from e
 
 
 @pytest.mark.xfail(raises=LadderGrowthDefect, strict=True,
