@@ -3,9 +3,10 @@
 The curvature curve and the construction checks of the standard
 oscillating model are pinned to the bit: the SHA-256 of `ricci_curve.csv`
 written by the ricci-check mode, its Christoffel-oracle agreement margin,
-and the float bits (`float.hex`) of every
-number the build-example checks report.  A change to how h is evaluated
-must leave all of them as they are.
+and the float bits (`float.hex`) of every number the build-example checks
+report.  At the default 1e300 bound the certificate and the replacement
+inequalities of the blends past 1e70 are pinned as well.  A change to how
+h is evaluated must leave all of them as they are.
 """
 
 import hashlib
@@ -22,6 +23,8 @@ from warplab.smoothing import (
     construction_invariants,
     dimension_threshold,
     effective_exponent_max,
+    verify_observation,
+    _short,
 )
 from warplab.warping import standard_f
 
@@ -75,4 +78,35 @@ def test_osc_build_checks_golden_bits():
         ("piece(p=1.2)", "0x1.7e955bab0501ep+3", "0x1.005c28f5c28eep+6"),
         ("piece(p=0.6)", "0x1.318ace95b98d5p+5", "0x1.1670a3d70a3cdp+6"),
         ("bridge(p=0.3)", "0x1.c4ef406e12400p+4", "0x1.1d28f5c28f5bbp+6"),
+    ]
+
+
+def test_osc_default_bound_tail_golden_bits(osc_build):
+    # the default 1e300 bound: certification and the replacement
+    # inequalities reach the blends past 1e70 (R = 7.8e76 and 4.8e230)
+    _, _, sm = osc_build
+    grid, labels = certification_grid(sm)
+    p_eff = effective_exponent_max(sm, grid)
+    assert p_eff.hex() == "0x1.2ec1aead8bce2p+1"
+    cap = int(4 * dimension_threshold(p_eff))
+    cert = certify_positive_ricci(sm, standard_f(), cap, grid, labels)
+    assert (cert.k, cap, cert.grid_size) == (289, 433, 4560)
+    assert [(m.label, float(m.r).hex(), m.margin.hex()) for m in cert.margins] == [
+        ("blend@7.827e+76", "0x1.33d6c11db04ffp+6", "0x1.a48831816a400p-4"),
+        ("blend@100.0", "0x1.087794d2293e4p+1", "0x1.0ed9a12d7c400p-3"),
+        ("blend@5.002e+12", "0x1.9536f9d59420dp+3", "0x1.3f53f37b9b682p+4"),
+        ("blend@4.794e+230", "0x1.cd493223027e3p+7", "0x1.6e64e0f06a43cp+5"),
+        ("blend@1.0e+6", "0x1.7d967f43050c2p+2", "0x1.6e64e0f0799d8p+5"),
+        ("blend@1.251e+38", "0x1.314ebef94b918p+5", "0x1.9eed1889e5686p+5"),
+        ("bridge(p=1.5)", "0x1.53e4b040c6704p+6", "0x1.e1ffffffffff0p+5"),
+        ("piece(p=1.2)", "0x1.7e955bab0501ep+3", "0x1.005c28f5c28eep+6"),
+        ("piece(p=0.6)", "0x1.075f4d7ee1bb8p+6", "0x1.1670a3d70a3cdp+6"),
+        ("bridge(p=0.3)", "0x1.c4ef406e12400p+4", "0x1.1d28f5c28f5bbp+6"),
+    ]
+    tail = [b for b in sm.blends if b.R > 1e70]
+    assert [_short(b.R) for b in tail] == ["7.827e+76", "4.794e+230"]
+    observed = [verify_observation(b.left.jet, sm, (b.lo, b.hi), n=400) for b in tail]
+    assert [(o.ok, o.c.hex(), o.C.hex()) for o in observed] == [
+        (True, "0x1.fae147ae147aep-1", "0x1.b99f49f34dfc7p+4"),
+        (True, "0x1.95810624dd2efp-1", "0x1.1cf688ac8b442p+1"),
     ]
