@@ -16,7 +16,6 @@ from .curvature import (
     NonPositiveWarping,
     RicciReport,
     log_grid,
-    mixed_log_grid,
     ricci_circle,
     ricci_positive_on_grid,
     ricci_radial,
@@ -135,7 +134,6 @@ __all__ = [
     "invert_arc",
     "linear_f",
     "log_grid",
-    "mixed_log_grid",
     "orbit_count",
     "orbit_distance",
     "parse_config",

@@ -147,8 +147,10 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport):
     f = standard_f()
     m = curv.DoublyWarpedMetric(k, f, sm.as_warping())
     grid = curv.log_grid(cfg.r_min, cfg.r_max, cfg.grid_points)
-    # ricci_report's bits at every radius, from one f and one h array read
-    rows = list(zip(grid.tolist(), *(c.tolist() for c in curv.ricci_components(m, grid))))
+    # ricci_report's bits at every radius, from one f and one h array read,
+    # as doubles also where read in mpmath
+    rows = list(zip(grid.tolist(), *([float(v) for v in c.tolist()]
+                                     for c in curv.ricci_components(m, grid))))
     lows = [min(row[1:]) for row in rows]
     ok = all(low > 0 for low in lows)
     worst = reduce(min, lows, math.inf)  # Python's running min: NaN entries are skipped

@@ -8,9 +8,10 @@ anywhere on this path (the independent curvature oracle uses divided
 differences; the two mechanisms must stay separate for cross-checks to
 mean anything).
 
-The scalar type is duck-typed: ``float`` for ordinary radii, ``mpmath.mpf``
-for radii outside double range, and float64 numpy arrays for many radii at
-once.  Array components keep the bits of per-radius float jets: numpy's
+The scalar type is duck-typed: ``float`` for ordinary values, ``mpmath.mpf``
+for values doubles cannot hold (a bridge constant past double range, an h
+or h'' that would underflow, a radius past the dense checks' mpmath cutoff
+in `curvature.jets_at`), and float64 numpy arrays for many radii at once.  Array components keep the bits of per-radius float jets: numpy's
 ``+ - * /`` round like Python floats, and the power and the transcendental
 maps run Python's scalar ``**`` and ``math`` per element (``np.power`` and
 ``np.sin`` may differ by an ulp).  Powers are evaluated in ratio form

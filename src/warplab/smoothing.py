@@ -21,10 +21,12 @@ so no divided differences enter this path.
 At float radii a blend answers through its closed-form kernel (`Blend.kernel`),
 which takes a double or a float64 array and writes out the Jet2 blend in
 Jet2's operation order, so it builds no Jet2 and keeps the Jet2 bits.  A
-SmoothedH evaluates an array by runs of one owner, and the dense checks
-below (blend scan, strict-decrease scan, replacement inequalities,
-certification) read h in array calls; mpf radii and the radii a kernel
-promotes stay on Jet2 in mpmath.  A float read of the value alone runs a
+SmoothedH evaluates an array by runs of one owner.  The dense checks below
+(blend scan, strict-decrease scan, replacement inequalities, certification,
+effective exponent) sample double radii and read h through
+`curvature.jets_at`: one array call up to its mpmath cutoff, an mpf radius
+past it and where h'' would underflow; the radii a kernel promotes stay on
+Jet2 in mpmath.  A float read of the value alone runs a
 value reader (`Blend.value_reader`), the kernel without h'' and with no
 tuple built; a SmoothedH keeps one per float-table interval for the
 quadratures and root-finders of `halfplane`.
@@ -48,7 +50,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .curvature import grid_parts, mixed_log_chunks
+from .curvature import jets_at
 from .jets import Jet2, _array_pow, _ndarray
 from .ladder import build_scale_ladder
 from .piecewise import (
@@ -63,7 +65,6 @@ from .warping import WarpingFunction
 
 _Q1_SUP = 1.875  # sup |q'| of the unit quintic
 _Q2_SUP = 10.0 / math.sqrt(3.0)  # sup |q''|
-_MP_EVAL_CUTOFF = 1e70  # promote float queries beyond this radius
 _TEN = from_int(10)
 _LN10 = mpf_log(_TEN, 63, round_nearest)  # log 10 as mpf_pow takes it at 53 bits
 
@@ -466,26 +467,17 @@ def _midpoints(n):
 
 
 def _check_blend_monotonicity(sm: SmoothedH, n: int):
-    """h' < 0 at n midpoint samples of every blend: one kernel call per blend
-    below the float cutoff, where a promoted sample is judged on its mpf
-    jet, and an mpf jet per sample above it."""
+    """h' < 0 at n midpoint samples of every blend, read through jets_at."""
     t = _midpoints(n)
     for b in sm.blends:
-        if float(b.R) > _MP_EVAL_CUTOFF:  # float(mpf) saturates to inf
-            lo, hi = b.lo, b.hi
-            samples = ((r, b.jet(r).d1) for r in (lo + (hi - lo) * x for x in t.tolist()))
-        else:
-            lo, hi = float(b.lo), float(b.hi)
-            rs = lo + (hi - lo) * t
-            _, d1, _, promoted = b.kernel(rs)
-            look = np.flatnonzero(promoted | ~(d1 < 0)).tolist()
-            samples = ((r, b.jet(r).d1 if promoted[i] else float(d1[i]))
-                       for i, r in zip(look, rs[look].tolist()))
-        for r, slope in samples:
-            if not (slope < 0):
-                raise MonotonicityLoss(
-                    f"h_s' = {slope} >= 0 at r = {r} inside blend at R = {b.R}"
-                )
+        lo, hi = float(b.lo), float(b.hi)
+        rs = lo + (hi - lo) * t
+        _, j = jets_at(b.jet, rs)
+        bad = np.flatnonzero(~np.asarray(j.d1 < 0, dtype=bool))
+        if bad.size:
+            raise MonotonicityLoss(
+                f"h_s' = {j.d1[bad[0]]} >= 0 at r = {rs[bad[0]]} inside blend at R = {b.R}"
+            )
 
 
 @dataclass
@@ -502,26 +494,22 @@ def verify_observation(h_old, h_new, interval, n: int = 2000) -> ObservationChec
         h_new' < 0,   |h_new'/h_new| > c |h_old'/h_old|,
         h_new''/h_new < C h_old''/h_old.
 
-    Both arguments are jet-valued callables positive on the interval.  On a
-    float interval each is called once, with the float64 array of sample
-    radii, and must return a Jet2 of arrays (Segment.jet, SmoothedH and
-    WarpingFunction do); on an mpf interval each is called per radius.  The
-    returned constants carry 0.99/1.01 safety margins off the grid inf/sup;
-    ok is False when h_new fails to decrease somewhere or when no positive
-    constants exist (e.g. the reference curvature ratio changes sign).
+    Both arguments are jet-valued callables positive on the interval, read
+    through `jets_at` at n midpoint samples of the interval taken as
+    doubles: each is called once with the float64 array of the samples up
+    to the mpmath cutoff and must return a Jet2 of arrays (Segment.jet,
+    SmoothedH and WarpingFunction do), and with an mpf for each other
+    sample.  The returned constants carry 0.99/1.01 safety margins off the
+    grid inf/sup; ok is False when h_new fails to decrease somewhere or
+    when no positive constants exist (e.g. the reference curvature ratio
+    changes sign).
     """
-    a, b = interval
-    use_mp = isinstance(a, mpmath.mpf) or isinstance(b, mpmath.mpf) or float(b) > _MP_EVAL_CUTOFF
-    t = _midpoints(n)
-    if use_mp:
-        rs = [a + (b - a) * x for x in t.tolist()]
-        jo, jn = (_stacked([h(r) for r in rs]) for h in (h_old, h_new))
-    else:
-        ra = a + (b - a) * t
-        rs = ra.tolist()
-        jo, jn = h_old(ra), h_new(ra)
+    a, b = (float(x) for x in interval)
+    rs = a + (b - a) * _midpoints(n)
+    _, jo = jets_at(h_old, rs)
+    _, jn = jets_at(h_new, rs)
     # entry by entry the per-radius arithmetic (object entries hold mpf)
-    decreasing = np.broadcast_to(np.asarray(jn.d1 < 0, dtype=bool), t.shape)
+    decreasing = np.asarray(jn.d1 < 0, dtype=bool)
     q_old = jo.d2 / jo.value
     bad = np.flatnonzero(~decreasing | np.asarray(q_old <= 0, dtype=bool))
     if bad.size:
@@ -532,16 +520,11 @@ def verify_observation(h_old, h_new, interval, n: int = 2000) -> ObservationChec
     ratio1 = abs(jn.d1 / jn.value) / abs(jo.d1 / jo.value)
     ratio2 = (jn.d2 / jn.value) / q_old
     # Python's running min/max: a NaN after the first entry is skipped
-    c_inf = reduce(min, np.broadcast_to(ratio1, t.shape).tolist())
-    C_sup = reduce(max, np.broadcast_to(ratio2, t.shape).tolist())
+    c_inf = reduce(min, ratio1.tolist())
+    C_sup = reduce(max, ratio2.tolist())
     c = 0.99 * float(c_inf)
     C = 1.01 * float(C_sup) if C_sup > 0 else float(C_sup) / 1.01
     return ObservationCheck(c > 0, c, C)
-
-
-def _stacked(jets):
-    """One Jet2 of object arrays from a list of scalar jets."""
-    return Jet2(*(np.array(c, dtype=object) for c in zip(*((j.value, j.d1, j.d2) for j in jets))))
 
 
 @dataclass
@@ -557,55 +540,32 @@ _SCAN_CHUNK = 8192  # radii per array call of the strict-decrease scan
 
 
 def construction_invariants(hp: PiecewiseH, sm: SmoothedH, r_min: float = 1e-3):
-    """Junction continuity of hp, strict decrease of sm on 1e5 mixed-log
+    """Junction continuity of hp, strict decrease of sm on 1e5 log-spaced
     samples from r_min to 1.3 x the last junction (1e6 without one), and
     the replacement inequalities (400 samples) against the left piece of
     every blend."""
     gaps = hp.check_continuity(rel_tol=math.inf)
 
-    top = _scan_top(sm)
+    exps = np.linspace(np.log10(r_min), float(mpmath.log10(_scan_top(sm))), 100_000)
     monotone = True
-    prev = None
-    for chunk in mixed_log_chunks(r_min, float(mpmath.log10(top)), 100_000, _SCAN_CHUNK):
-        vals = _scan_values(sm, chunk)
-        if vals.__class__ is _ndarray:
-            ok = bool(np.all(vals[1:] < vals[:-1])) and (prev is None or float(vals[0]) < prev)
-            last = float(vals[-1])
-        else:
-            seq = vals if prev is None else [prev, *vals]
-            ok = all(v < u for u, v in zip(seq, seq[1:]))
-            last = vals[-1]
-        if not ok:
+    prev = math.inf
+    for at in range(0, exps.size, _SCAN_CHUNK):
+        # Python's scalar 10.0**e (np.power may differ by an ulp)
+        rs = np.array([10.0**e for e in exps[at:at + _SCAN_CHUNK].tolist()])
+        vals = jets_at(sm.jet, rs)[1].value
+        if not (vals[0] < prev and np.all(vals[1:] < vals[:-1])):
             monotone = False
             break
-        prev = last
+        prev = vals[-1]
 
     blends_ok = True
     worst_c, worst_C = math.inf, 0.0
     for b in sm.blends:
-        use_mp = not math.isfinite(float(b.R)) or float(b.R) > _MP_EVAL_CUTOFF
-        lo, hi = (b.lo, b.hi) if use_mp else (float(b.lo), float(b.hi))
-        chk = verify_observation(lambda r, seg=b.left: seg.jet(r), sm, (lo, hi), n=400)
+        chk = verify_observation(b.left.jet, sm, (b.lo, b.hi), n=400)
         blends_ok = blends_ok and chk.ok
         worst_c = min(worst_c, chk.c)
         worst_C = max(worst_C, chk.C)
     return ConstructionInvariants(gaps, monotone, blends_ok, worst_c, worst_C)
-
-
-def _scan_values(sm: SmoothedH, chunk):
-    """sm.value at each radius of a chunk of the mixed-log grid: the float
-    radii in one kernel call (a float64 array back when none was promoted),
-    a promoted radius and the mpf tail one by one (a list back)."""
-    k = len(chunk)
-    if not isinstance(chunk[-1], float):  # the floats come before the mpf tail
-        k = next(i for i, r in enumerate(chunk) if not isinstance(r, float))
-    v, _, _, promoted = sm.kernel(np.array(chunk[:k], dtype=float))
-    if k == len(chunk) and not promoted.any():
-        return v
-    vals = v.tolist()
-    for i in np.flatnonzero(promoted).tolist():
-        vals[i] = sm.value(chunk[i])
-    return vals + [sm.value(r) for r in chunk[k:]]
 
 
 # -- positivity certification ------------------------------------------------
@@ -614,7 +574,7 @@ def _scan_values(sm: SmoothedH, chunk):
 @dataclass
 class RegimeMargin:
     label: str
-    r: float  # log10 of the radius when beyond float range
+    r: float  # log10 of the radius
     margin: float  # min over the regime of (1+r^2) * min-direction Ricci
 
 
@@ -645,14 +605,12 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
     cuts.append(top)
 
     # e in doubles: mpf arithmetic at 53 bits rounds as doubles do
-    e_cutoff = math.log10(_MP_EVAL_CUTOFF)
     grid, glabels = [], []
     for lo, hi in zip(cuts, cuts[1:]):
         la, lb = float(mpmath.log10(lo)), float(mpmath.log10(hi))
         for i in range(per_interval):
             e = la + (lb - la) * (i + 0.5) / per_interval
-            r = _pow10(e)
-            grid.append(to_float(r) if e <= e_cutoff else mpmath.mp.make_mpf(r))
+            grid.append(to_float(_pow10(e)))
         # the cuts hold every owner's edges, so the radii strictly inside one
         # cut interval share an owner and a label
         glabels += [_regime_label(sm, grid[-1])] * per_interval
@@ -694,13 +652,10 @@ def effective_exponent_max(sm: SmoothedH, grid=None) -> float:
     equal to p on a pure (1+r^2)^(-p) stretch and larger inside blends."""
     if grid is None:
         grid, _ = certification_grid(sm, per_interval=60)
-    vals = [None] * len(grid)
-    for pos, r in grid_parts(grid):
-        j = sm.jet(r)
-        val = abs(j.d1) * (1 + r * r) / (2 * r * j.value)
-        for i, x in zip(pos, np.ravel(val).tolist()):
-            vals[i] = float(x)
-    return reduce(max, vals, 0.0)  # Python's running max: NaN entries are skipped
+    x, j = jets_at(sm.jet, grid)
+    vals = abs(j.d1) * (1 + x * x) / (2 * x * j.value)
+    # Python's running max: NaN entries are skipped
+    return reduce(max, (float(v) for v in vals.tolist()), 0.0)
 
 
 def dimension_threshold(p: float) -> float:
@@ -719,34 +674,23 @@ def certify_positive_ricci(
     reported as (1+r^2)-scaled minima per structural regime, which keeps
     huge-radius tails away from float underflow without changing signs.
     """
-    if isinstance(sm_or_h, SmoothedH):
-        if grid is None:
-            grid, labels = certification_grid(sm_or_h)
-        h_jet = sm_or_h.jet
-    else:
-        if grid is None:
+    if grid is None:
+        if not isinstance(sm_or_h, SmoothedH):
             raise ValueError("explicit grid required for plain warping functions")
-        h_jet = lambda r: sm_or_h(r)
+        grid, labels = certification_grid(sm_or_h)
     if labels is None:
         labels = ["all"] * len(grid)
 
     n = len(grid)
-    t_h = np.empty(n)
-    t_fr = np.empty(n)
-    t_cr = np.empty(n)
-    t_sp = np.empty(n)
-    # the float radii in one array call, the mpf tail radius by radius; an
-    # object entry (promoted to mpf) becomes its float() on assignment
-    for pos, r in grid_parts(grid):
-        hj = h_jet(r)
-        fj = f(r)
-        w = 1 + r * r  # positive scale factor, keeps tails representable
-        t_h[pos] = -hj.d2 / hj.value * w
-        t_fr[pos] = -fj.d2 / fj.value * w
-        t_cr[pos] = -(fj.d1 / fj.value) * (hj.d1 / hj.value) * w
-        t_sp[pos] = (1 - fj.d1 * fj.d1) / (fj.value * fj.value) * w
-    logr = np.array([float(mpmath.log10(r)) if isinstance(r, mpmath.mpf) else math.log10(r)
-                     for r in grid])
+    x, hj = jets_at(sm_or_h, grid)
+    _, fj = jets_at(f, grid)
+    w = 1 + x * x  # positive scale factor, keeps tails representable
+    # an object entry (read in mpmath) becomes its float()
+    t_h = np.asarray(-hj.d2 / hj.value * w, dtype=float)
+    t_fr = np.asarray(-fj.d2 / fj.value * w, dtype=float)
+    t_cr = np.asarray(-(fj.d1 / fj.value) * (hj.d1 / hj.value) * w, dtype=float)
+    t_sp = np.asarray((1 - fj.d1 * fj.d1) / (fj.value * fj.value) * w, dtype=float)
+    logr = np.array([math.log10(r) for r in grid])
 
     for k in range(1, k_max + 1):
         radial = t_h + k * t_fr

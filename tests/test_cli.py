@@ -106,6 +106,28 @@ def test_ricci_check_oracle_refusal_is_a_failed_check(tmp_path, capsys, monkeypa
                                 f"oracle refused (StepTooLarge) at r={r_bad!r}")
 
 
+def test_ricci_check_steep_model_past_double_underflow(tmp_path, capsys):
+    # pure p = 3 out to r = 1e60: h underflows to 0.0 in doubles near 8.6e53
+    # and h'' much earlier; those radii are read in mpmath, and the margin is
+    # the radial direction's asymptote (k/4 - 2p(2p + 1)) / r^2 = 8 / r^2
+    code = run_cli(["ricci-check", "--alpha", "3", "--k", "200", "--r-max", "1e60",
+                    "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    check = next(c for c in report["checks"] if c["name"] == "ricci-positive(k=200)")
+    assert check["status"] == "pass"
+    assert check["margin"] == pytest.approx(8e-120, rel=1e-9)
+    rows = (tmp_path / "ricci_curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4000
+    assert all(float(v) > 0 for row in rows for v in row.split(",")[1:])
+
+
+def test_every_public_name_resolves():
+    assert [name for name in warplab.__all__ if not hasattr(warplab, name)] == []
+    assert len(set(warplab.__all__)) == len(warplab.__all__)
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = run_cli([
         "build-example", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3",

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from warplab.curvature import (
     DoublyWarpedMetric,
     NonPositiveWarping,
+    jets_at,
     log_grid,
     ricci_circle,
     ricci_positive_on_grid,
@@ -91,3 +93,18 @@ def test_grid_validation():
 def test_k_validation():
     with pytest.raises(ValueError):
         DoublyWarpedMetric(0, standard_f(), power_decay_h(0.5))
+
+
+def test_jets_at_reads_tail_and_underflowing_radii_in_mpmath():
+    # p = 3: at 1e30 h is 1e-180 and a double; at 1e60 it underflows to 0.0,
+    # and 1e80 lies past the cutoff, so both are read at an mpf radius
+    h = power_decay_h(3.0)
+    rs = [1.0, 1e30, 1e60, 1e80]
+    x, j = jets_at(h, rs)
+    assert [type(r) for r in x.tolist()] == [float, float, mpmath.mpf, mpmath.mpf]
+    for r, got in zip(x.tolist(), zip(j.value.tolist(), j.d1.tolist(), j.d2.tolist())):
+        want = h(r)
+        assert got == (want.value, want.d1, want.d2)
+    # with no radius read in mpmath the radii and float64 jets come back
+    x, j = jets_at(h, rs[:2])
+    assert x.dtype == j.value.dtype == j.d2.dtype == np.float64

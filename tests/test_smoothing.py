@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, given, reject, settings
 from hypothesis import strategies as st
 
+from warplab.curvature import _MP_EVAL_CUTOFF, jets_at, log_grid
 from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
 from warplab.piecewise import PiecewiseH, Segment, float_ceil
 from warplab.smoothing import (
@@ -25,7 +26,6 @@ from warplab.smoothing import (
     pure_model_h,
     smooth,
     verify_observation,
-    _MP_EVAL_CUTOFF,
     _pow10,
     _quintic,
     _regime_label,
@@ -138,15 +138,13 @@ def test_blend_edges_jet_consistent(osc_build):
 def test_global_monotonicity_sampled(osc_build):
     lad, hp, sm = osc_build
     top = mpmath.mpf(sm.last_radius()) * mpmath.mpf("1.3")
-    from warplab.curvature import mixed_log_grid
-
-    grid = mixed_log_grid(1e-3, float(mpmath.log10(top)), 3000)
-    prev = None
-    for r in grid:
-        v = sm.value(r)
-        if prev is not None:
-            assert v < prev
-        prev = v
+    # double radii up to 1.3 x the last junction (4.8e230), past 1e70 read in
+    # mpmath, every value compared in its own arithmetic
+    grid = log_grid(1e-3, float(top), 3000)
+    assert grid[-1] > _MP_EVAL_CUTOFF
+    values = jets_at(sm.jet, grid)[1].value.tolist()
+    for r, u, v in zip(grid[1:].tolist(), values, values[1:]):
+        assert v < u, r
 
 
 def test_monotonicity_loss_detected():
@@ -188,8 +186,6 @@ def test_observation_on_blends(osc_build):
 
 
 def test_certify_pure_half_is_eight():
-    from warplab.curvature import log_grid
-
     sm = pure_model_h(0.5)
     grid = list(log_grid(1e-3, 1e6, 2000))
     cert = certify_positive_ricci(sm, standard_f(), 16, grid, ["pure"] * len(grid))
@@ -197,12 +193,34 @@ def test_certify_pure_half_is_eight():
 
 
 def test_certify_below_threshold_fails():
-    from warplab.curvature import log_grid
-
     sm = pure_model_h(0.5)
     grid = list(log_grid(1e-3, 1e6, 2000))
     with pytest.raises(NotCertified):
         certify_positive_ricci(sm, standard_f(), 7, grid, ["pure"] * len(grid))
+
+
+def test_certify_steep_pure_model_past_double_underflow():
+    # pure p = 3 at r = 1e45: h is 1e-270 and h'' about 1e-359, which
+    # underflows in doubles; read in mpmath, the radial direction needs
+    # k > 16p^2 + 8p = 168
+    cert = certify_positive_ricci(pure_model_h(3.0), standard_f(), 400, grid=[1e45],
+                                  labels=["p3"])
+    assert cert.k == 169
+
+
+def test_effective_exponent_of_steep_pure_model_past_double_underflow():
+    # h = (1 + r^2)^-3 is 0.0 in doubles at 1e60; on a pure stretch the
+    # exponent is p
+    assert effective_exponent_max(pure_model_h(3.0), [1e60]) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_checks_past_double_range_raise_overflow(osc_params):
+    # untruncated, two periods reach junctions at 1.1e462 and 1.5e1386, past
+    # the double radii the dense checks sample
+    _, _, sm = build_oscillating_h(osc_params, radius_bound=math.inf, check=False)
+    grid, _ = certification_grid(sm, per_interval=4)
+    with pytest.raises(OverflowError):
+        effective_exponent_max(sm, grid)
 
 
 def test_certified_k_recheck_idempotent(osc_build):
@@ -222,9 +240,7 @@ def test_schedule_h_monotone_and_observed():
     s = ExponentSchedule((0.5, 0.75, 1.0), A=0.25, B=1.3)
     _, _, sm = build_oscillating_h(s, check=True)  # monotonicity scan inside
     for b in sm.blends:
-        use_float = float(b.R) < 1e70
-        lo, hi = (float(b.lo), float(b.hi)) if use_float else (b.lo, b.hi)
-        chk = verify_observation(lambda r, seg=b.left: seg.jet(r), sm, (lo, hi), n=200)
+        chk = verify_observation(b.left.jet, sm, (float(b.lo), float(b.hi)), n=200)
         assert chk.ok
 
 
@@ -419,8 +435,8 @@ def test_certification_labels_equal_per_radius_labels(osc_build, fast_path_model
 
 def _certification_grid_mpf(sm, r_min=1e-3, per_interval=240):
     """certification_grid with every exponent and radius formed in mpmath,
-    mpf(10) ** e per radius: the reference for the grid's double exponents
-    and its hoisted log 10."""
+    float(mpf(10) ** e) per radius: the reference for the grid's double
+    exponents and its hoisted log 10."""
     marks = [(b.lo, None) for b in sm.blends] + [(b.hi, None) for b in sm.blends]
     marks += [(s.r_lo, None) for s in sm.base.segments[1:]]
     marks.sort(key=lambda t: mpmath.mpf(t[0]))
@@ -431,8 +447,7 @@ def _certification_grid_mpf(sm, r_min=1e-3, per_interval=240):
         la, lb = mpmath.log10(lo), mpmath.log10(hi)
         for i in range(per_interval):
             e = la + (lb - la) * (i + 0.5) / per_interval
-            r = mpmath.mpf(10) ** e
-            grid.append(float(r) if float(e) <= math.log10(_MP_EVAL_CUTOFF) else r)
+            grid.append(float(mpmath.mpf(10) ** e))
         labels += [_regime_label(sm, grid[-1])] * per_interval
     return grid, labels
 
@@ -457,8 +472,8 @@ def test_certification_grid_matches_per_radius_mpf(grid_models, model, per_inter
     want_grid, want_labels = _certification_grid_mpf(sm, per_interval=per_interval)
     assert [_typed_bits(r) for r in grid] == [_typed_bits(r) for r in want_grid]
     assert labels == want_labels
-    if model == "osc-default":  # the mpf tail past 1e70 is covered
-        assert any(isinstance(r, mpmath.mpf) for r in grid)
+    if model == "osc-default":  # the tail past 1e70 is covered
+        assert max(grid) > _MP_EVAL_CUTOFF
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
