@@ -1,16 +1,16 @@
 """Line-oriented on-disk cache for orbit distances.
 
-One file per model, keyed by a parameter hash in the header; a hash
-mismatch means the file belongs to a different model and is ignored (and
-overwritten on the next append), never silently reused.  Records are
-`l d_l clairaut_c r_max` lines with full-precision reprs, so a warm cache
-reproduces runs byte-identically.  The file is append-only: each new
-distance adds one line, and a reader skips a last line without its
-newline (a write torn by a crash) and lets a repeated index's last record
-win.  Header checks and rewrites (a temp file + os.replace) hold an
-exclusive flock on the cache directory, appends a shared one, so no process
-rewrites the file while another writes to it; in-process appends are
-serialized by a lock.
+One file per model, keyed by a format version and a parameter hash in the
+header; another header means the file belongs to a different model or
+record format and is ignored (and overwritten on the next append), never
+silently reused.  Records are `l d_l clairaut_c r_max` lines with
+full-precision reprs, so a warm cache reproduces runs byte-identically.
+The file is append-only: each new distance adds one line, and a reader
+skips a last line without its newline (a write torn by a crash) and lets a
+repeated index's last record win.  Header checks and rewrites (a temp file
++ os.replace) hold an exclusive flock on the cache directory, appends a
+shared one, so no process rewrites the file while another writes to it;
+in-process appends are serialized by a lock.
 """
 
 import fcntl
@@ -19,7 +19,10 @@ import json
 import os
 import threading
 
-HEADER = "# warplab-orbit-cache v1 model="
+# v2: distances from the scan-bracketed inversion; a v1 file's records,
+# from the former Newton-bracketed one, differ in the last bits and are
+# ignored and then rewritten like another model's
+HEADER = "# warplab-orbit-cache v2 model="
 
 
 def model_hash(payload: dict) -> str:

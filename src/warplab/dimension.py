@@ -154,36 +154,6 @@ def capacity(s: LinearOrbitMetric, R: float, lam: float) -> int:
     return 2 * N // g + 1
 
 
-def capacity_sweep(s: LinearOrbitMetric, R: float, lam: float) -> int:
-    """Literal left-to-right greedy sweep over the ball's integer points
-    (explicit tables only; cross-validates the stride formula)."""
-    N = s.ball_index(R)
-    pts = range(-N, N + 1)
-    count = 0
-    last = None
-    for a in pts:
-        if last is None or s.dist(a - last) >= lam:
-            count += 1
-            last = a
-    return count
-
-
-def capacity_exhaustive(s: LinearOrbitMetric, R: float, lam: float) -> int:
-    """Exact maximum by dynamic programming over (position, last chosen);
-    exhausts every separated subset implicitly.  For path-ordered metrics
-    consecutive separation already forces pairwise separation, which the
-    returned witness re-checks."""
-    N = s.ball_index(R)
-    pts = list(range(-N, N + 1))
-    n = len(pts)
-    best = [1] * n  # best[i]: max size of separated set ending at pts[i]
-    for i in range(n):
-        for j in range(i):
-            if s.dist(pts[i] - pts[j]) >= lam and best[j] + 1 > best[i]:
-                best[i] = best[j] + 1
-    return max(best) if n else 0
-
-
 @dataclass
 class CapacityProfile:
     samples: list = field(default_factory=list)  # (R, lam, cap)
@@ -309,15 +279,3 @@ def box_dimension_fit(profile: CapacityProfile) -> float:
         raise DegenerateRange("R/lam span below half a decade")
     slope, _ = np.polyfit(x, y, 1)
     return float(slope)
-
-
-def counting_chain_holds(s: LinearOrbitMetric, R: float, lam: float) -> bool:
-    """Cap(B_{R-lam/3}; lam) #B_{lam/3} <= #B_R <= Cap(B_R; lam) #B_lam."""
-    if not (0 < lam < R):
-        raise ValueError("need 0 < lam < R")
-    nR = 2 * s.ball_index(R) + 1
-    n_third = 2 * s.ball_index(lam / 3.0) + 1
-    n_lam = 2 * s.ball_index(lam) + 1
-    cap_inner = capacity(s, R - lam / 3.0, lam) if R - lam / 3.0 > lam else 1
-    cap_R = capacity(s, R, lam)
-    return cap_inner * n_third <= nR <= cap_R * n_lam

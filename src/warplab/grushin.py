@@ -151,14 +151,6 @@ def rescaled_distance(model: RescaledModel, p1, p2, **kw):
     return halfplane_distance(model.halfplane, p1, p2, **kw)
 
 
-def coefficient_error(sm_exponent: float, lam: float, t: float) -> float:
-    """Relative one-sided error of the rescaled circle coefficient against
-    t^(-2a) on a pure stretch: 1 - (lam^2 t^2 / (1 + lam^2 t^2))^a."""
-    a = sm_exponent
-    x = lam * lam * t * t
-    return 1.0 - (x / (1.0 + x)) ** a
-
-
 @dataclass
 class ComparisonReport:
     lambdas: list

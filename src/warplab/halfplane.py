@@ -18,14 +18,17 @@ absolute floor 1e-12).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
 translate (period 2*pi in v) solve delta_v(c*) = 2*pi*l; counts and strides
-solve length(c) = R.  Both go through invert_arc: Newton steps in
-(log c, log q) seeded by the local decay exponent at the turning radius,
-then brentq (`numerics`) on the bracket they find, with only the missing
-quantity integrated at c*.  The axis line v -> (0, v) is itself a geodesic
-when h'(0) = 0, so the straight candidate 2*pi*l*h(0) competes in the
-minimum.
+solve length(c) = R.  Both go through invert_arc, which runs brentq
+(`numerics`) on a bracket in log c and integrates only the missing quantity
+at c*.  A distance takes its bracket from two adjacent rows of the strict
+delta_v-decrease scan that guards it (verify_delta_v_monotone); lengths,
+arcs from a later start and targets outside the scan take Newton steps in
+(log c, log q) seeded by the local decay exponent at the turning radius.
+The axis line v -> (0, v) is itself a geodesic when h'(0) = 0, so the
+straight candidate 2*pi*l*h(0) competes in the minimum.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -86,7 +89,10 @@ class HalfplaneMetric:
         self.domain_start = float(domain_start)
         self.r_cap = float(r_cap)
         self.breakpoints = sorted(float(b) for b in breakpoints)
-        self._monotone_checked = False
+        # the strict-decrease scan's rows by its parameters and settings,
+        # stored once the scan passed
+        self._scans = {}
+        self._floor = None  # _representable_floor's (r, h(r))
         self._d1 = {}  # QuadSettings -> d_1, for axis_count_at_radius
         # solve_turning_point's bracket search: h at the domain start, and the
         # list of h(hi0 * 4^j) for the rungs j read so far
@@ -270,26 +276,47 @@ def _arc_quadrature(m, c, start, st, r_max, dv):
     nd1, hd2 = -jet.d1, 0.5 * jet.d2  # h - c ~ nd1*delta + hd2*delta^2
     delta_switch = st.taylor_frac * max(r_max, 1.0)
 
-    def integrand_r(r):
-        h = hv(r)
-        return (c / h if dv else h) / (sqrt(h - c) * sqrt(h + c))
+    # integrand_r in r, integrand_s in s = log r (times r), integrand_t in
+    # t = sqrt(r_max - r), which removes the endpoint singularity; the weight
+    # is c/h for delta_v and h for length
+    if dv:
+        def integrand_r(r):
+            h = hv(r)
+            return c / h / (sqrt(h - c) * sqrt(h + c))
 
-    def integrand_s(s):
-        # integrand_r(r) * r at r = exp(s), for log-radius panels
-        r = exp(s)
-        h = hv(r)
-        return (c / h if dv else h) / (sqrt(h - c) * sqrt(h + c)) * r
+        def integrand_s(s):
+            r = exp(s)
+            h = hv(r)
+            return c / h / (sqrt(h - c) * sqrt(h + c)) * r
 
-    def integrand_t(t):
-        # t = sqrt(r_max - r) removes the endpoint singularity
-        delta = t * t
-        if delta <= delta_switch:
-            diff = nd1 * delta + hd2 * delta * delta
-            h = c + diff
-        else:
-            h = hv(r_max - delta)
-            diff = h - c
-        return 2.0 * t * (c / h if dv else h) / (sqrt(diff) * sqrt(h + c))
+        def integrand_t(t):
+            delta = t * t
+            if delta <= delta_switch:
+                diff = nd1 * delta + hd2 * delta * delta
+                h = c + diff
+            else:
+                h = hv(r_max - delta)
+                diff = h - c
+            return 2.0 * t * (c / h) / (sqrt(diff) * sqrt(h + c))
+    else:
+        def integrand_r(r):
+            h = hv(r)
+            return h / (sqrt(h - c) * sqrt(h + c))
+
+        def integrand_s(s):
+            r = exp(s)
+            h = hv(r)
+            return h / (sqrt(h - c) * sqrt(h + c)) * r
+
+        def integrand_t(t):
+            delta = t * t
+            if delta <= delta_switch:
+                diff = nd1 * delta + hd2 * delta * delta
+                h = c + diff
+            else:
+                h = hv(r_max - delta)
+                diff = h - c
+            return 2.0 * t * h / (sqrt(diff) * sqrt(h + c))
 
     total = 0.0
     err_total = 0.0
@@ -341,32 +368,50 @@ def length_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
 def verify_delta_v_monotone(m: HalfplaneMetric, n: int = 200, c_hi_frac: float = 1e-6,
                             r_probe_hi: float = None, settings=None):
     """Scan delta_v on a log-spaced c-sample and require strict decrease in c
-    (up to 1e-10 relative slack).  Cached per metric instance; failures abort
-    distance queries rather than let root-finding run on a false premise."""
-    if m._monotone_checked:
-        return
+    (up to 1e-10 relative slack); failures abort distance queries rather
+    than let root-finding run on a false premise.
+
+    Returns the scan's rows (x, r_max, delta_v) at c = exp(x), x decreasing
+    and delta_v increasing.  Scanned once per metric, scan parameters and
+    settings; orbit_distance brackets its inversions between adjacent rows.
+    """
     st = settings or QuadSettings()
-    a = m.domain_start
+    key = (n, c_hi_frac, r_probe_hi, st)
+    rows = m._scans.get(key)
+    if rows is not None:
+        return rows
     h_top = m.sup_h()
     r_hi = r_probe_hi if r_probe_hi is not None else min(m.r_cap / 4.0, 1e60)
     c_lo = m.value(r_hi)
     c_hi = h_top * (1.0 - c_hi_frac)
     if not (c_lo < c_hi):
         raise DeltaVNotMonotone("degenerate c-range for monotonicity scan")
-    cs = np.exp(np.linspace(math.log(c_hi), math.log(c_lo), n))
+    rows = []
     prev = None
-    for c in cs:
-        dv = delta_v_of_c(m, float(c), settings=st)
+    # c = math.exp(x) is the c that invert_arc's y(x) asks the memos for
+    for x in np.linspace(math.log(c_hi), math.log(c_lo), n).tolist():
+        c = math.exp(x)
+        r_max = solve_turning_point(m, c, st)
+        dv = delta_v_of_c(m, c, settings=st, r_max=r_max)
         if prev is not None and not (dv > prev * (1.0 - 1e-10)):
             raise DeltaVNotMonotone(
                 f"delta_v not increasing as c decreases: dv({c})={dv} vs previous {prev}"
             )
         prev = dv
-    m._monotone_checked = True
+        rows.append((x, r_max, dv))
+    rows = m._scans[key] = tuple(rows)
+    return rows
 
 
 def _representable_floor(m):
-    """Largest probe radius where h and its slope stay clear of underflow."""
+    """Largest probe radius where h and its slope stay clear of underflow,
+    with h there; probed once per metric."""
+    if m._floor is None:
+        m._floor = _probe_floor(m)
+    return m._floor
+
+
+def _probe_floor(m):
     # r_cap/4 comes last, for caps below 2e4 that skip every fixed candidate
     for r in (1e250, 1e200, 1e150, 1e120, 1e100, 1e80, 1e60, 1e40, 1e20, 1e10, 1e4,
               m.r_cap / 4.0, 2.0):
@@ -380,18 +425,15 @@ def _representable_floor(m):
 
 
 def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | None = None,
-               settings: QuadSettings | None = None) -> GeodesicSolution:
+               settings: QuadSettings | None = None, scan=()) -> GeodesicSolution:
     """The symmetric arc from `start` whose `quantity` ("delta_v" or
     "length", both decreasing in c) equals target.
 
-    Newton steps in (x, y) = (log c, log(q/target)), clamped to (c_floor,
-    h(start)(1-1e-9)), run from a first guess with turning radius about
-    target/2 until a short step brackets the root.  The slope is the
-    secant's over a short step, else the one a pure stretch of local
-    exponent p = -h'(1+r^2)/(2 r h) at the turning radius has: -(1+1/(2p))
-    for delta_v, -1/(2p) for length (orbits.py).  brentq closes the bracket
-    on memoized evaluations; TargetUnreachable when a clamp end gives no
-    sign change.
+    A delta_v target from the domain start that two adjacent rows of `scan`
+    (verify_delta_v_monotone's rows at these settings) bracket at c >=
+    c_floor takes that bracket; any other target takes _newton_bracket's.
+    brentq closes the bracket on memoized evaluations at xtol 1e-12 in
+    log c, and only the other quantity is integrated at its root.
     """
     st = settings or QuadSettings()
     a = m.domain_start if start is None else float(start)
@@ -410,10 +452,51 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
             seen[x] = (r, solve(m, math.exp(x), a, st, r_max=r))
         return math.log(seen[x][1] / target)
 
+    bracket = None
+    if scan and quantity == "delta_v" and a == m.domain_start:
+        bracket = _scan_bracket(scan, target, x_lo, seen, y)
+    if bracket is None:
+        bracket = _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi, r_floor)
+    lo, hi = bracket
+    x_star = lo if lo == hi else brentq(y, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    y(x_star)  # brentq returns an evaluated point, so this is a lookup
+    r_max, q = seen[x_star]
+    c = math.exp(x_star)
+    q_other = other(m, c, a, st, r_max=r_max)
+    dv, ln = (q, q_other) if quantity == "delta_v" else (q_other, q)
+    return GeodesicSolution(c, r_max, dv, ln, start=a)
+
+
+def _scan_bracket(scan, target, x_lo, seen, y):
+    """(lo, hi) from the adjacent scan rows whose delta_v straddle target,
+    both entered in seen, or None when no such pair lies at x >= x_lo, the
+    clamp the Newton steps keep to."""
+    i = bisect.bisect_left(scan, target, key=lambda row: row[2])
+    if not 0 < i < len(scan) or scan[i][0] < x_lo:
+        return None
+    for x, r_max, dv in scan[i - 1:i + 1]:
+        seen[x] = (r_max, dv)
+    lo, hi = scan[i][0], scan[i - 1][0]
+    if not y(lo) >= 0 >= y(hi):
+        return None
+    return lo, hi
+
+
+def _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi, r_floor):
+    """(lo, hi), the nearest x with y >= 0 and with y <= 0, from Newton steps
+    in (x, y) = (log c, log(q/target)), clamped to [x_lo, x_hi], run from a
+    first guess with turning radius about target/2 until a short step
+    brackets the root.
+
+    The slope is the secant's over a short step, else the one a pure stretch
+    of local exponent p = -h'(1+r^2)/(2 r h) at the turning radius has:
+    -(1+1/(2p)) for delta_v, -1/(2p) for length (orbits.py).
+    TargetUnreachable when a clamp end gives no sign change.
+    """
     r_guess = max(min(target / 2.0, r_floor), a + 1e-12)
     x = min(math.log(m.value(max(r_guess, 1e-300))), x_hi - math.log(2.0))
     fx = y(x)
-    lo, hi = -math.inf, math.inf  # nearest x with y >= 0 and with y <= 0
+    lo, hi = -math.inf, math.inf
     x_prev = f_prev = None
     for _ in range(100):
         lo, hi = (max(lo, x) if fx >= 0 else lo), (min(hi, x) if fx <= 0 else hi)
@@ -444,13 +527,7 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise TargetUnreachable(f"no c with {quantity}={target} on {m.label} "
                                 f"(last c={math.exp(x):.6g})", overshoot=x == x_hi and fx > 0)
-    x_star = lo if lo == hi else brentq(y, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    y(x_star)  # brentq returns an evaluated point, so this is a lookup
-    r_max, q = seen[x_star]
-    c = math.exp(x_star)
-    q_other = other(m, c, a, st, r_max=r_max)
-    dv, ln = (q, q_other) if quantity == "delta_v" else (q_other, q)
-    return GeodesicSolution(c, r_max, dv, ln, start=a)
+    return lo, hi
 
 
 def orbit_distance(
@@ -468,13 +545,12 @@ def orbit_distance(
     if l == 0:
         return 0.0, None
     l = abs(l)
-    if verify_monotone:
-        verify_delta_v_monotone(m, settings=st)
+    scan = verify_delta_v_monotone(m, settings=st) if verify_monotone else ()
     target = TWO_PI * float(l)
     h0 = m.sup_h()
     straight = target * h0 if math.isfinite(h0) else math.inf
     try:
-        sol = invert_arc(m, "delta_v", target, settings=st)
+        sol = invert_arc(m, "delta_v", target, settings=st, scan=scan)
     except (TargetUnreachable, OutOfRange) as e:
         # the axis line is the only candidate when no arc has this displacement:
         # no turning point anywhere (e.g. constant h) or every arc overshoots it

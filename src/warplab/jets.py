@@ -56,7 +56,6 @@ def _array_pow(u, p):
 _sin = _lift(math.sin, mpmath.sin)
 _cos = _lift(math.cos, mpmath.cos)
 _exp = _lift(math.exp, mpmath.exp)
-_log = _lift(math.log, mpmath.log)
 
 
 class Jet2:
@@ -158,16 +157,6 @@ def jet_sin(j):
     return Jet2(s, c * j.d1, c * j.d2 - s * j.d1 * j.d1)
 
 
-def jet_cos(j):
-    s, c = _sin(j.value), _cos(j.value)
-    return Jet2(c, -s * j.d1, -s * j.d2 - c * j.d1 * j.d1)
-
-
 def jet_exp(j):
     e = _exp(j.value)
     return Jet2(e, e * j.d1, e * (j.d2 + j.d1 * j.d1))
-
-
-def jet_log(j):
-    g1 = j.d1 / j.value
-    return Jet2(_log(j.value), g1, j.d2 / j.value - g1 * g1)

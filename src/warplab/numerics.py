@@ -337,13 +337,13 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, last, ier
 
-    # the first rule did not do: the work lists, 1-based as in QUADPACK
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
-    alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
+    # the first rule did not do: the work lists, 1-based as in QUADPACK and
+    # grown by one entry per bisection (no step reads past index last)
+    alist = [0.0, a]
+    blist = [0.0, b]
+    rlist = [0.0, result]
+    elist = [0.0, abserr]
+    iord = [0, 1]
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
     rlist2[1] = result
@@ -367,6 +367,11 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
 
     exit_to = 100
     for last in range(2, limit + 1):
+        alist.append(0.0)
+        blist.append(0.0)
+        rlist.append(0.0)
+        elist.append(0.0)
+        iord.append(0)
         # bisect the subinterval with the nrmax-th largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])

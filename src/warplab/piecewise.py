@@ -75,9 +75,6 @@ class Segment:
         object.__setattr__(self, "_unit", unit)
         object.__setattr__(self, "_cf", cf)
 
-    def is_pure(self):
-        return self.kind == "piece"
-
     def c_float(self):
         """Float constant when representable, else None."""
         return self._cf

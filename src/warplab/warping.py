@@ -84,39 +84,3 @@ def grushin_h(alpha: float) -> WarpingFunction:
     """h(t) = t^(-2*alpha) on (0, inf): the Grushin halfplane coefficient."""
     return WarpingFunction(f"grushin-h(alpha={alpha})", lambda x: x ** (-2.0 * alpha), (alpha,),
                            lambda t: t ** (-2.0 * alpha))
-
-
-def f_profile_ok(f: WarpingFunction, grid) -> tuple[bool, dict]:
-    """Check f(0)=0, f'(0)=1, 0<f'<1 and f''<0 on the positive sample grid."""
-    j0 = f(0.0)
-    report = {"f0": j0.value, "fp0": j0.d1, "worst_r": None, "worst": None}
-    ok = abs(j0.value) < 1e-12 and abs(j0.d1 - 1.0) < 1e-12
-    worst = np.inf
-    for r in grid:
-        if r <= 0:
-            continue
-        j = f(float(r))
-        margin = min(j.d1, 1.0 - j.d1, -j.d2)
-        if margin < worst:
-            worst, report["worst_r"], report["worst"] = margin, float(r), margin
-        if j.d1 <= 0 or j.d1 >= 1 or j.d2 >= 0:
-            ok = False
-    return ok, report
-
-
-def h_profile_ok(h: WarpingFunction, grid) -> tuple[bool, dict]:
-    """Check h(0)>0 and h'<0 on the positive sample grid."""
-    h0 = h(0.0).value
-    report = {"h0": h0, "worst_r": None, "worst": None}
-    ok = h0 > 0
-    worst = np.inf
-    for r in grid:
-        if r <= 0:
-            continue
-        j = h(float(r))
-        margin = -j.d1
-        if margin < worst:
-            worst, report["worst_r"], report["worst"] = margin, float(r), margin
-        if j.d1 >= 0 or j.value <= 0:
-            ok = False
-    return ok, report

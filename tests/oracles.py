@@ -7,11 +7,18 @@ r(u) is closed-form for the inverse-power family.  `qk21_loops` is
 dqk21 in its loop form, the reference for the straight-line rule of
 `warplab.numerics`.  `einsum_ricci` contracts the Christoffel symbols
 over full tensors, the reference for the diagonal products of
-`warplab.christoffel`.
+`warplab.christoffel`.  `capacity_sweep` and `capacity_exhaustive` count
+separated sets point by point, the references for the stride formula of
+`warplab.dimension.capacity`; `counting_chain_holds` is the counting
+inequality capacities must satisfy.  `coefficient_error` is the closed
+rescaled-coefficient error of a pure stretch, and `f_profile_ok` and
+`h_profile_ok` check the warping-function axioms on a grid.
 """
 
 import mpmath as mp
 import numpy as np
+
+from warplab.dimension import capacity
 
 
 def power_arc_oracle(alpha, c, dps=30):
@@ -159,3 +166,89 @@ def einsum_ricci(g0, d1, d2):
     quad1 = np.einsum("s,smn->mn", gamma_trace, gamma)
     quad2 = np.einsum("lns,sml->mn", gamma, gamma)
     return d_l_gamma - d_n_gamma_trace + quad1 - quad2
+
+
+def capacity_sweep(s, R, lam):
+    """Literal left-to-right greedy sweep over the ball's integer points of
+    the LinearOrbitMetric s (explicit tables only)."""
+    N = s.ball_index(R)
+    count = 0
+    last = None
+    for a in range(-N, N + 1):
+        if last is None or s.dist(a - last) >= lam:
+            count += 1
+            last = a
+    return count
+
+
+def capacity_exhaustive(s, R, lam):
+    """Exact maximum by dynamic programming over (position, last chosen);
+    exhausts every separated subset implicitly.  For path-ordered metrics
+    consecutive separation already forces pairwise separation."""
+    N = s.ball_index(R)
+    pts = list(range(-N, N + 1))
+    n = len(pts)
+    best = [1] * n  # best[i]: max size of separated set ending at pts[i]
+    for i in range(n):
+        for j in range(i):
+            if s.dist(pts[i] - pts[j]) >= lam and best[j] + 1 > best[i]:
+                best[i] = best[j] + 1
+    return max(best) if n else 0
+
+
+def counting_chain_holds(s, R, lam):
+    """Cap(B_{R-lam/3}; lam) #B_{lam/3} <= #B_R <= Cap(B_R; lam) #B_lam."""
+    if not (0 < lam < R):
+        raise ValueError("need 0 < lam < R")
+    nR = 2 * s.ball_index(R) + 1
+    n_third = 2 * s.ball_index(lam / 3.0) + 1
+    n_lam = 2 * s.ball_index(lam) + 1
+    cap_inner = capacity(s, R - lam / 3.0, lam) if R - lam / 3.0 > lam else 1
+    cap_R = capacity(s, R, lam)
+    return cap_inner * n_third <= nR <= cap_R * n_lam
+
+
+def coefficient_error(sm_exponent, lam, t):
+    """Relative one-sided error of the rescaled circle coefficient against
+    t^(-2a) on a pure stretch: 1 - (lam^2 t^2 / (1 + lam^2 t^2))^a."""
+    a = sm_exponent
+    x = lam * lam * t * t
+    return 1.0 - (x / (1.0 + x)) ** a
+
+
+def f_profile_ok(f, grid):
+    """Check f(0)=0, f'(0)=1, 0<f'<1 and f''<0 on the positive sample grid;
+    (ok, report of the worst margin)."""
+    j0 = f(0.0)
+    report = {"f0": j0.value, "fp0": j0.d1, "worst_r": None, "worst": None}
+    ok = abs(j0.value) < 1e-12 and abs(j0.d1 - 1.0) < 1e-12
+    worst = np.inf
+    for r in grid:
+        if r <= 0:
+            continue
+        j = f(float(r))
+        margin = min(j.d1, 1.0 - j.d1, -j.d2)
+        if margin < worst:
+            worst, report["worst_r"], report["worst"] = margin, float(r), margin
+        if j.d1 <= 0 or j.d1 >= 1 or j.d2 >= 0:
+            ok = False
+    return ok, report
+
+
+def h_profile_ok(h, grid):
+    """Check h(0)>0 and h'<0 on the positive sample grid; (ok, report of
+    the worst margin)."""
+    h0 = h(0.0).value
+    report = {"h0": h0, "worst_r": None, "worst": None}
+    ok = h0 > 0
+    worst = np.inf
+    for r in grid:
+        if r <= 0:
+            continue
+        j = h(float(r))
+        margin = -j.d1
+        if margin < worst:
+            worst, report["worst_r"], report["worst"] = margin, float(r), margin
+        if j.d1 >= 0 or j.value <= 0:
+            ok = False
+    return ok, report

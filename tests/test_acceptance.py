@@ -17,8 +17,6 @@ from warplab.dimension import (
     box_dimension_fit,
     build_capacity_profile,
     capacity,
-    capacity_exhaustive,
-    capacity_sweep,
     check_capacity_sandwich,
     fit_growth_constants,
     hausdorff_content,
@@ -42,6 +40,8 @@ from warplab.smoothing import (
     pure_model_h,
 )
 from warplab.warping import constant_h, power_decay_h, sine_f, standard_f
+
+from .oracles import capacity_exhaustive, capacity_sweep
 
 
 def verdict(num, name, ok, details=""):

@@ -12,14 +12,13 @@ from warplab.dimension import (
     box_dimension_fit,
     build_capacity_profile,
     capacity,
-    capacity_exhaustive,
-    capacity_sweep,
     check_capacity_sandwich,
-    counting_chain_holds,
     fit_growth_constants,
     hausdorff_content,
 )
 from warplab.orbits import last_index_at_most
+
+from .oracles import capacity_exhaustive, capacity_sweep, counting_chain_holds
 
 UNIT = LinearOrbitMetric(np.arange(0, 400, dtype=float))
 

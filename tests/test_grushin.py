@@ -13,7 +13,6 @@ from warplab.grushin import (
     RescaledModel,
     UnsupportedPair,
     WindowTooNarrow,
-    coefficient_error,
     convergence_report,
     grushin_distance,
     probe_pairs,
@@ -22,6 +21,8 @@ from warplab.grushin import (
 )
 from warplab.smoothing import pure_model_h
 from warplab.warping import grushin_h
+
+from .oracles import coefficient_error
 
 
 G_HALF = GrushinMetric(0.5)
@@ -114,11 +115,16 @@ def test_rescaled_beta_regime_close_to_steeper_target(osc_build):
 
 def test_coefficient_error_one_sided_monotone():
     # closed form: error = 1 - (x/(1+x))^a with x = lam^2 t^2; positive and
-    # decreasing in lam for every probe t
+    # decreasing in lam for every probe t, and the error the rescaled pure
+    # model's coefficient has against t^(-2a), to the coefficient's precision
+    sm = pure_model_h(0.5)
     for t in (0.2, 1.0, 5.0):
         errs = [coefficient_error(0.5, lam, t) for lam in (1e2, 1e3, 1e4)]
         assert all(e > 0 for e in errs)
         assert errs[0] > errs[1] > errs[2]
+        for lam, err in zip((1e2, 1e3, 1e4), errs):
+            model = RescaledModel.build(sm, lam, 0.5, (0.0, math.inf))
+            assert 1.0 - model.halfplane.value(t) * t == pytest.approx(err, rel=0, abs=1e-15)
 
 
 def test_convergence_report_pure_model():

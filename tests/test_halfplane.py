@@ -11,6 +11,7 @@ from warplab.halfplane import (
     GeodesicSolution,
     HalfplaneMetric,
     OutOfRange,
+    QuadSettings,
     TWO_PI,
     circle_length,
     clairaut_arc,
@@ -156,8 +157,33 @@ def test_flat_metric_distance_falls_back_to_axis():
 
 
 def test_delta_v_monotone_scan(pure_half_metric):
-    verify_delta_v_monotone(pure_half_metric)  # passes and caches
-    assert pure_half_metric._monotone_checked
+    rows = verify_delta_v_monotone(pure_half_metric)  # passes and caches
+    assert verify_delta_v_monotone(pure_half_metric) is rows
+    assert len(rows) == 200
+    assert all(x1 < x0 and dv1 > dv0 for (x0, _, dv0), (x1, _, dv1) in zip(rows, rows[1:]))
+    # each row is the memoized arc at c = exp(x)
+    for x, r_max, dv in rows[::40]:
+        assert solve_turning_point(pure_half_metric, math.exp(x)) == r_max
+        assert delta_v_of_c(pure_half_metric, math.exp(x)) == dv
+
+
+def test_monotone_scan_is_kept_per_settings():
+    # a scan at loose settings says nothing of the default ones: the first
+    # distance at the defaults runs its own scan
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    verify_delta_v_monotone(m, settings=QuadSettings(rel_tol=1e-6))
+    calls = []
+    real = halfplane.delta_v_of_c
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("settings", args[3] if len(args) > 3 else None))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halfplane, "delta_v_of_c", spy)
+        orbit_distance(m, 50)
+    assert len(calls) > 200
+    assert all(s == QuadSettings() for s in calls)
 
 
 def test_delta_v_values_decrease_in_c(pure_half_metric):
@@ -425,6 +451,44 @@ def test_capped_metric_never_answers_with_the_straight_loop(pure_half_metric):
         assert n == halfplane.axis_count_at_radius(pure_half_metric, R)
     with pytest.raises(OutOfRange):
         halfplane.axis_count_at_radius(capped, 1e9)
+
+
+@pytest.mark.parametrize("model", ["pure", "osc"])
+def test_scan_bracketed_distance_matches_the_newton_path(model, osc_build):
+    # the scan's bracket and the Newton steps' bracket close on the same root
+    # under brentq's 1e-12 stop in log c
+    sm = pure_model_h(0.5) if model == "pure" else osc_build[2]
+    bracketed = HalfplaneMetric.from_smoothed(sm)
+    fresh = HalfplaneMetric.from_smoothed(sm)  # never scanned
+    for l in sorted({round(l) for l in np.geomspace(1, 1e15, 16)}):
+        d, _ = orbit_distance(bracketed, l)
+        d_newton, _ = orbit_distance(fresh, l, verify_monotone=False)
+        assert d == pytest.approx(d_newton, rel=2e-12, abs=0)
+
+
+def test_newton_phase_runs_only_for_targets_outside_the_scan():
+    # the capped metric's scan ends at r_cap/4, with delta_v near 1e7; a
+    # target past its last row, or below its first, has no bracketing rows
+    capped = HalfplaneMetric.from_warping(power_decay_h(0.5), r_cap=1e4)
+    rows = verify_delta_v_monotone(capped)
+    newton_targets = []
+    real = halfplane._newton_bracket
+
+    def spy(m, quantity, target, *args):
+        newton_targets.append(target)
+        return real(m, quantity, target, *args)
+
+    targets = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halfplane, "_newton_bracket", spy)
+        for l in (0.4, 1, 3, 100, 1000, 10**5, 10**6, 10**7):
+            targets.append(TWO_PI * l)
+            try:
+                orbit_distance(capped, l)
+            except OutOfRange:
+                assert l == 10**7
+    outside = [t for t in targets if not rows[0][2] <= t <= rows[-1][2]]
+    assert newton_targets == outside == [TWO_PI * 0.4, TWO_PI * 10**7]
 
 
 def test_default_ladder_count_past_the_representable_floor_raises(osc_metric):

@@ -140,6 +140,26 @@ def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, 
     assert files[0] != files[1] and sorted(os.listdir(cache_dir)) == files
 
 
+def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
+    # distances from the domain start bracket between the monotonicity
+    # scan's rows (2,452 arcs at this bound); a fallback to Newton bracketing
+    # (2,909) shows here without timing
+    from warplab import halfplane
+
+    calls = []
+    real = halfplane._arc_quadrature
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(halfplane, "_arc_quadrature", spy)
+    cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
+                              "outdir": str(tmp_path), "cache_dir": cache_dir})
+    assert not run(cfg).failed
+    assert len(calls) <= 2500
+
+
 def test_oscillating_full_suite(tmp_path, cache_dir):
     cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
@@ -159,6 +179,6 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
             "252a2438561423b6bf761e6240be3c6c0217ee8165295e727e95389fa2860219",
         "grushin_convergence.csv":
             "02b0d8b2c6b0346143698bb3774602655c56bd78c15b40cf2ab8a76120debc35",
-        "orbit_distances.csv": "ae079666cfa8dc06ec518f4ccd973d0b4977ee56d787974608683598db68fdc9",
+        "orbit_distances.csv": "cd6a13e6b405ed8aaf1ae4abd999624e61881afcc6f83b3f8fa515e80eaf0983",
         "ricci_curve.csv": "31110a3254e65d0e9a4c5830b328876e409acf875e837756aaf13a9aa00be764",
     }

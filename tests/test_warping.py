@@ -5,13 +5,13 @@ from warplab.curvature import log_grid
 from warplab.warping import (
     constant_h,
     exp_decay_h,
-    f_profile_ok,
-    h_profile_ok,
     linear_f,
     power_decay_h,
     sine_f,
     standard_f,
 )
+
+from .oracles import f_profile_ok, h_profile_ok
 
 
 def test_standard_f_shape_conditions():
