@@ -66,7 +66,6 @@ from .orbits import (
 )
 from .piecewise import PiecewiseH, build_piecewise_h
 from .smoothing import (
-    CutoffSpec,
     NotCertified,
     SmoothedH,
     build_oscillating_h,
@@ -88,7 +87,6 @@ from .warping import (
 
 __all__ = [
     "ConfigError",
-    "CutoffSpec",
     "DoublyWarpedMetric",
     "ExponentSchedule",
     "GeodesicOrbitMetric",

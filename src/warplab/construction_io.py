@@ -1,11 +1,12 @@
 """Serialization of oscillating constructions to a structured text file.
 
-The file stores the generating parameters plus every segment of the
-piecewise warping (start radius, exponent, scale constant, kind) with
-radii and constants in mantissa/exponent string form; the loader rebuilds
-from parameters and cross-checks the stored values (1e-12 relative), so a
-certified construction reloads exactly or fails loudly.  Version 1 files,
-which stored per-period ladder rows instead, still load.
+The file stores the generating parameters, the blend every junction gets,
+and every segment of the piecewise warping (start radius, exponent, scale
+constant, kind) with radii and constants in mantissa/exponent string form;
+the loader rebuilds from parameters and cross-checks the stored values
+(1e-12 relative), so a certified construction reloads exactly or fails
+loudly.  Files of earlier formats are refused: the smoothed h they
+recorded is no longer built.
 """
 
 import json
@@ -13,10 +14,13 @@ import json
 import mpmath
 
 from .ladder import OscillationParams, mantissa_exponent
-from .smoothing import SmoothedH, build_oscillating_h
+from .smoothing import SPAN_LO, SmoothedH, build_oscillating_h
 
-FORMAT = "warplab-construction v2"
-FORMAT_V1 = "warplab-construction v1"
+FORMAT = "warplab-construction v3"
+# the exponent blend of smoothing.Blend, and its span: from 0.8 R to the
+# radius centred on R in log(1 + r^2)
+BLEND = {"form": "exponent in log(1+r^2), quintic weight", "lo_frac": SPAN_LO,
+         "hi": "centred on log(1+R^2)"}
 
 
 def save_construction(path: str, params: OscillationParams, ladder, sm: SmoothedH):
@@ -30,10 +34,7 @@ def save_construction(path: str, params: OscillationParams, ladder, sm: Smoothed
         "periods": params.periods,
         "radius_bound": ladder.radius_bound,
         "truncated": ladder.truncated,
-        "cutoff_fracs": {
-            "above": [1.01, 1.1, 1.19],
-            "below": [0.81, 0.9, 0.99],
-        },
+        "blend": BLEND,
         "segments": [
             {"r_lo": mantissa_exponent(s.r_lo), "p": s.p, "C": mantissa_exponent(s.C),
              "kind": s.kind}
@@ -49,8 +50,11 @@ def load_construction(path: str, check: bool = False):
     """Rebuild (params, ladder, piecewise, smoothed) and verify stored values."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") not in (FORMAT, FORMAT_V1):
-        raise ValueError(f"not a construction file: {path}")
+    if doc.get("format") != FORMAT:
+        # v1 and v2 recorded value blends, which are no longer built
+        raise ValueError(f"{path} has format {doc.get('format')!r}; only {FORMAT!r} is read")
+    if doc.get("blend") != BLEND:
+        raise ValueError(f"stored blend {doc.get('blend')} is not the blend built: {BLEND}")
     params = OscillationParams(
         alpha=doc["alpha"], beta=doc["beta"], A=doc["A"], B=doc["B"],
         R11=doc["R11"], periods=doc["periods"],
@@ -59,10 +63,7 @@ def load_construction(path: str, check: bool = False):
         params, radius_bound=doc.get("radius_bound", 1e300), check=check
     )
     with mpmath.workdps(30):
-        if doc["format"] == FORMAT:
-            _check_segments(doc["segments"], hp.segments)
-        else:
-            _check_v1_rows(doc["rows"], hp.junctions())
+        _check_segments(doc["segments"], hp.segments)
     return params, ladder, hp, sm
 
 
@@ -81,18 +82,3 @@ def _check_segments(stored, segments):
                              f"rebuild has a {seg.kind} of exponent {seg.p}")
         _agree(doc["r_lo"], seg.r_lo, f"segment {i} r_lo")
         _agree(doc["C"], seg.C, f"segment {i} C")
-
-
-def _check_v1_rows(rows, junctions):
-    """Row i of a v1 file holds R0..R4 of period i + 1, R0 repeating the
-    previous row's R4, so key Rj sits at 4 i + j in [0, *junctions].  The
-    rebuilt radii must be a prefix of the stored ones: a truncated v1 row
-    carries one radius past the bound that has no segment."""
-    flat = [mpmath.mpf(0)] + junctions
-    stored = [(4 * i + int(key[1:]), f"rows[{i}].{key}", s)
-              for i, row in enumerate(rows) for key, s in row.items()]
-    if max((pos for pos, _, _ in stored), default=0) + 1 < len(flat):
-        raise ValueError("stored rows end before the rebuilt junctions")
-    for pos, name, s in stored:
-        if pos < len(flat):
-            _agree(s, flat[pos], name)

@@ -1,35 +1,39 @@
-"""Cutoff smoothing of piecewise warping functions.
+"""Exponent blends across the junctions of piecewise warping functions.
 
-Each junction R gets a one-sided blend: entering a steeper piece the blend
-sits on [R, 1.2R], entering a shallower one on [0.8R, R]; this is what
-keeps the smoothed function strictly decreasing.  The cutoff is the unique
-quintic with value/slope/curvature-matched plateaus, affinely placed so
-the plateaus occupy the outer 5% of the blend (fractions 1.01/1.19 of R on
-the upper side, mirrored below) and the midpoint takes value 1/2.  Its
-normalized slope and curvature sups,
+At a junction R the pieces C_L (1+r^2)^(-p_L) and C_R (1+r^2)^(-p_R) meet.
+The blend mixes their decay exponents, not their values, in
+y = log(1+r^2): on the span [y_a, y_b] with y_a = y(0.8R) and
+y_b = 2 y(R) - y_a, centred on y(R) (so r runs over [0.8R, ~1.25R]),
+with x = (y - y_a)/(y_b - y_a), the exponent is
 
-        R |phi'|  <= 1.875 / 0.18          ~ 10.417
-        R^2|phi''| <= (10/sqrt(3)) / 0.18^2 ~ 178.20
+        p(y) = q(x) p_L + (1 - q(x)) p_R,
 
-are recorded on the CutoffSpec; the curvature changes sign exactly once, at the
-midpoint (concave then convex), which the downstream curvature estimates
-rely on.
+q the quintic with q(0) = 1, q(1) = 0 and q', q'' zero at both ends, and
 
-Blended jets are exact: phi is polynomial and the pieces are closed forms,
-so no divided differences enter this path.
+        log h = log h_L(y_a) - p_R (y - y_a) - (p_L - p_R)(y_b - y_a) Q(x),
+
+Q(x) = x - (5/2)x^4 + 3x^5 - x^6 the integral of q.  Since q(1-x) =
+1 - q(x), Q(1) = 1/2 and the blend meets the right piece at y_b exactly,
+with C^3 contact at both ends; the pieces keep their values outside.  With
+g = 2r/(1+r^2), h'/h = -p g and h''/h = (p g)^2 - p'(y) g^2 - p g', so
+h decreases wherever p > 0 and its local exponent |h'/h|/g stays within
+[min p, max p].
+
+Blended jets are exact: the form is one exp of a polynomial in y, so no
+divided differences enter this path.
 
 At float radii a blend answers through its closed-form kernel (`Blend.kernel`),
-which takes a double or a float64 array and writes out the Jet2 blend in
-Jet2's operation order, so it builds no Jet2 and keeps the Jet2 bits.  A
-SmoothedH evaluates an array by runs of one owner.  The dense checks below
+which takes a double or a float64 array; log1p and exp run per element
+with `math` (`jets._lift`), so array and scalar reads agree bit for bit.  A SmoothedH
+evaluates an array by runs of one owner.  The dense checks below
 (blend scan, strict-decrease scan, replacement inequalities, certification,
 effective exponent) sample double radii and read h through
 `curvature.jets_at`: one array call up to its mpmath cutoff, an mpf radius
-past it and where h'' would underflow; the radii a kernel promotes stay on
-Jet2 in mpmath.  A float read of the value alone runs a
-value reader (`Blend.value_reader`), the kernel without h'' and with no
-tuple built; a SmoothedH keeps one per float-table interval for the
-quadratures and root-finders of `halfplane`.
+past it and where h'' would underflow; a radius the kernel promotes
+(h or h' zero in doubles) is read in mpmath.  A float read of the value
+alone runs a value reader (`Blend.value_reader`), the kernel without h'';
+a SmoothedH keeps one per float-table interval for the quadratures and
+root-finders of `halfplane`.
 """
 
 import math
@@ -39,19 +43,9 @@ from functools import cached_property, reduce
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (
-    from_float,
-    from_int,
-    mpf_exp,
-    mpf_log,
-    mpf_mul,
-    mpf_pow,
-    round_nearest,
-    to_float,
-)
 
 from .curvature import jets_at
-from .jets import Jet2, _array_pow, _ndarray
+from .jets import Jet2, _exp, _lift, _ndarray
 from .ladder import build_scale_ladder
 from .piecewise import (
     PiecewiseH,
@@ -59,14 +53,10 @@ from .piecewise import (
     array_jet,
     build_piecewise_h,
     float_ceil,
-    float_floor,
 )
 from .warping import WarpingFunction
 
-_Q1_SUP = 1.875  # sup |q'| of the unit quintic
-_Q2_SUP = 10.0 / math.sqrt(3.0)  # sup |q''|
-_TEN = from_int(10)
-_LN10 = mpf_log(_TEN, 63, round_nearest)  # log 10 as mpf_pow takes it at 53 bits
+SPAN_LO = 0.8  # a blend starts at 0.8 R; its end is centred on y(R) in y = log(1+r^2)
 
 
 class BlendOverlap(RuntimeError):
@@ -86,105 +76,86 @@ class NotCertified(RuntimeError):
         self.worst = worst
 
 
-def _quintic(x):
-    """q, q', q'' of the plateau quintic on the unit interval, at a double or
-    per element of a float64 array.  (1 - x)**2 is C pow, as in the scalar
-    form: numpy's array ** 2 squares, which differs from pow by an ulp."""
-    if x.__class__ is _ndarray:
-        q = np.where(x <= 0.0, 1.0, 0.0)
-        d1 = np.zeros_like(x)
-        d2 = np.zeros_like(x)
-        inner = ~((x <= 0.0) | (x >= 1.0))
-        if inner.any():
-            x = x[inner]
-            q[inner] = 1.0 - x * x * x * (10.0 - 15.0 * x + 6.0 * x * x)
-            d1[inner] = -30.0 * x * x * _array_pow(1.0 - x, 2)
-            d2[inner] = -60.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
-        return q, d1, d2
-    if x <= 0.0:
-        return 1.0, 0.0, 0.0
-    if x >= 1.0:
-        return 0.0, 0.0, 0.0
-    q = 1.0 - x * x * x * (10.0 - 15.0 * x + 6.0 * x * x)
-    d1 = -30.0 * x * x * (1.0 - x) ** 2
-    d2 = -60.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
-    return q, d1, d2
+def _weights(x):
+    """Q, q and q' at x: the quintic q = 1 - 10x^3 + 15x^4 - 6x^5 and its
+    integral Q from 0, for a double, an mpf or a float64 array."""
+    x2 = x * x
+    q = 1.0 - x * x2 * (10.0 - 15.0 * x + 6.0 * x2)
+    q1 = -30.0 * x2 * (1.0 - x) * (1.0 - x)
+    Q = x - x2 * x2 * (2.5 - 3.0 * x + x2)
+    return Q, q, q1
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Placement and observed bounds of the cutoff at one junction."""
+def _log1p_sq(r):
+    """log(1 + r^2) at a double r, with no r*r past 1e150 (where the 1
+    is below half an ulp of r^2)."""
+    return math.log1p(r * r) if r < 1e150 else 2.0 * math.log(r)
 
-    side: str  # "above": blend on [R, 1.2R]; "below": blend on [0.8R, R]
-    lo_frac: float = None
-    mid_frac: float = None
-    hi_frac: float = None
-    c1_bound: float = field(default=_Q1_SUP / 0.18)
-    c2_bound: float = field(default=_Q2_SUP / 0.18**2)
 
-    def __post_init__(self):
-        if self.side not in ("above", "below"):
-            raise ValueError(f"side must be 'above' or 'below', got {self.side!r}")
-        base = (1.01, 1.1, 1.19) if self.side == "above" else (0.81, 0.9, 0.99)
-        object.__setattr__(self, "lo_frac", base[0] if self.lo_frac is None else self.lo_frac)
-        object.__setattr__(self, "mid_frac", base[1] if self.mid_frac is None else self.mid_frac)
-        object.__setattr__(self, "hi_frac", base[2] if self.hi_frac is None else self.hi_frac)
+_y = _lift(_log1p_sq, lambda r: mpmath.log1p(r * r))
 
-    def blend_fracs(self):
-        return (1.0, 1.2) if self.side == "above" else (0.8, 1.0)
 
-    def span_frac(self):
-        return self.hi_frac - self.lo_frac
-
-    def phi(self, r, R):
-        """(phi, phi', phi'') at radius r for junction radius R."""
-        span = self.span_frac() * R
-        x = (r - self.lo_frac * R) / span
-        xf = float(x) if not isinstance(x, mpmath.mpf) else x
-        q, d1, d2 = _quintic(float(xf))
-        one = r * 0 + 1.0  # scalar-type carrier
-        return q * one, (d1 / span) * one, (d2 / (span * span)) * one
+def _exponent_form(r, form):
+    """(h, h', h'') of the exponent blend at a double, an mpf or a float64
+    array r; log1p and exp run per element with math on arrays (numpy's
+    may differ by an ulp)."""
+    ya, w, la, pr, dp = form
+    y = _y(r)
+    x = (y - ya) / w
+    Q, q, q1 = _weights(x)
+    p = pr + dp * q
+    ir = 1.0 / r
+    g = 2.0 / (r + ir)  # dy/dr, with no r*r
+    v = _exp(la - pr * (y - ya) - dp * w * Q)
+    s = p * g
+    return v, v * -s, v * (s * s - dp * q1 / w * g * g - p * g * (ir - g))
 
 
 @dataclass(frozen=True)
 class Blend:
+    """The exponent blend of left and right across their junction R, on
+    [lo, hi) = [0.8R, y^-1(2y(R) - y(0.8R)))."""
+
     R: object  # junction radius (mpf)
-    spec: CutoffSpec
     left: Segment
     right: Segment
-    lo: object  # blend interval (mpf)
-    hi: object
-    # plateau edges (mpf) and their float views, and the cutoff's float
-    # placement (start, span) as spec.phi forms it at float(R); set once in
-    # __post_init__
-    _plateaus: tuple = field(init=False, repr=False, compare=False)
-    _plateaus_f: tuple = field(init=False, repr=False, compare=False)
-    _place_f: tuple = field(init=False, repr=False, compare=False)
+    lo: object = field(init=False)  # blend interval (mpf)
+    hi: object = field(init=False)
+    # (y_a, y_b - y_a, log h_L(y_a), p_R, p_L - p_R), once as mpf and once
+    # as doubles, and [lo, hi) as safe-side doubles; set in __post_init__
+    _form: tuple = field(init=False, repr=False, compare=False)
+    _form_f: tuple = field(init=False, repr=False, compare=False)
+    _edges_f: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo_p = self.spec.lo_frac * self.R
-        hi_p = self.spec.hi_frac * self.R
-        Rs = float(self.R)
-        object.__setattr__(self, "_plateaus", (lo_p, hi_p, self.R))
-        object.__setattr__(self, "_plateaus_f", (float_floor(lo_p), float_ceil(hi_p), Rs))
-        object.__setattr__(self, "_place_f", (self.spec.lo_frac * Rs, self.spec.span_frac() * Rs))
+        lo = SPAN_LO * self.R
+        with mpmath.extradps(15):
+            ya = mpmath.log1p(lo * lo)
+            w = 2 * (mpmath.log1p(self.R * self.R) - ya)
+            hi = mpmath.sqrt(mpmath.expm1(ya + w))
+            la = mpmath.log(self.left.C) - self.left.p * ya
+        form = (ya, w, la, self.right.p, self.left.p - self.right.p)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_form_f", tuple(float(c) for c in form))
+        object.__setattr__(self, "_edges_f", (float_ceil(lo), float_ceil(hi)))
 
     def kernel(self, r):
-        """(h, h', h'', promoted) at a double or a float64 array of radii,
-        bit-identical to the Jet2 blend: the pieces' kernels on the plateaus,
-        and between them phi*hl + (1-phi)*hr written out in Jet2's operation
-        order.  promoted marks a promoted piece and a blend that degenerates
-        in doubles (h <= 0, h' == 0 or h not finite); jet() redoes those."""
-        lo_plateau, hi_plateau, _ = self._plateaus_f
+        """(h, h', h'', promoted) at a double or a float64 array of radii:
+        the pieces' kernels outside [lo, hi), the exponent form inside.
+        promoted marks a promoted piece and a blend whose h or h' is zero
+        in doubles; jet() redoes those in mpmath."""
+        lo, hi = self._edges_f
         if r.__class__ is not _ndarray:
-            if r <= lo_plateau:
+            if r < lo:
                 return self.left.kernel(r)
-            if r >= hi_plateau:
+            if r >= hi:
                 return self.right.kernel(r)
             return self._mix(r)
         out = (np.empty_like(r), np.empty_like(r), np.empty_like(r), np.empty(r.shape, bool))
-        left = r <= lo_plateau
-        right = r >= hi_plateau
+        left = r < lo
+        right = r >= hi
         for mask, part in ((left, self.left.kernel), (right, self.right.kernel),
                            (~(left | right), self._mix)):
             if mask.any():
@@ -193,75 +164,51 @@ class Blend:
         return out
 
     def _mix(self, r):
-        start, span = self._place_f
-        p, p1, p2 = _quintic((r - start) / span)  # spec.phi at float(R)
-        p1 = p1 / span
-        p2 = p2 / (span * span)
-        lv, l1, l2, l_promoted = self.left.kernel(r)
-        rv, r1, r2, r_promoted = self.right.kernel(r)
-        q = 1.0 - p
-        v = p * lv + q * rv
-        d1 = (p1 * lv + p * l1) + (-p1 * rv + q * r1)
-        d2 = (p2 * lv + 2 * p1 * l1 + p * l2) + (-p2 * rv + 2 * -p1 * r1 + q * r2)
+        v, d1, d2 = _exponent_form(r, self._form_f)
         if r.__class__ is _ndarray:
-            degenerate = (v <= 0.0) | (d1 == 0.0) | ~np.isfinite(v)
-            return v, d1, d2, l_promoted | r_promoted | degenerate
-        degenerate = v <= 0.0 or d1 == 0.0 or not math.isfinite(v)
-        return v, d1, d2, l_promoted or r_promoted or degenerate
+            return v, d1, d2, (v == 0.0) | (d1 == 0.0)
+        return v, d1, d2, v == 0.0 or d1 == 0.0
 
     def jet(self, r) -> Jet2:
         """Jet2 at a float, an mpf or a float64 array of radii (a Jet2 of
         arrays, see `array_jet`)."""
         if isinstance(r, (mpmath.mpf, mpmath.mpc)):
-            return self._jet2(r, self._plateaus)
+            return self._mp_jet(r)
         if r.__class__ is _ndarray:
             return array_jet(self.kernel(r), r, self.jet)
         v, d1, d2, promoted = self.kernel(r)
-        return self._jet2(r, self._plateaus_f) if promoted else Jet2(v, d1, d2)
+        return self._mp_jet(mpmath.mpf(r)) if promoted else Jet2(v, d1, d2)
+
+    def _mp_jet(self, r):
+        """The jet at an mpf r, and at a float r the kernel promoted."""
+        if r < self.lo:
+            return self.left.jet(r)
+        if r >= self.hi:
+            return self.right.jet(r)
+        return Jet2(*_exponent_form(r, self._form))
 
     def value_reader(self, promote):
         """The value-only float path: a closure r -> h(r) at a double r, with
-        the bits of kernel(r)'s value.  The pieces' value readers answer on
-        the plateaus; between them the quintic's q and q' and both pieces'
-        (h, h') mix in _mix's order, h' only for the degeneracy test.  A
-        radius the kernel would promote answers promote(r)."""
-        lo_plateau, hi_plateau, _ = self._plateaus_f
-        start, span = self._place_f
+        the bits of kernel(r)'s value.  The pieces' value readers answer
+        outside [lo, hi); inside, the exponent form without h'', h' only for
+        the promotion test.  A radius the kernel would promote answers
+        promote(r)."""
+        lo, hi = self._edges_f
         left_value, right_value = self.left.value_reader(promote), self.right.value_reader(promote)
-        # each piece as Segment.kernel forms it: a unit piece's C is 1.0 (an
-        # exact product) and its slope the ratio form v*(q*g1); a bridge's
-        # slope is (v*q)*g1, and a constant out of float range reads as NaN,
-        # which its promotion test catches (radii between plateaus are > 0)
-        (lq, lcf, lunit), (rq, rcf, runit) = (
-            (-s.p, math.nan if s._cf is None else s._cf, s._unit) for s in (self.left, self.right))
-        isfinite = math.isfinite
+        ya, w, la, pr, dp = self._form_f
+        y_of, exp = _log1p_sq, math.exp
 
         def blend_value(r):
-            if r <= lo_plateau:
+            if r < lo:
                 return left_value(r)
-            if r >= hi_plateau:
+            if r >= hi:
                 return right_value(r)
-            x = (r - start) / span  # _quintic without q''
-            if x <= 0.0:
-                p, p1 = 1.0, 0.0
-            elif x >= 1.0:
-                p, p1 = 0.0, 0.0
-            else:
-                p = 1.0 - x * x * x * (10.0 - 15.0 * x + 6.0 * x * x)
-                p1 = -30.0 * x * x * (1.0 - x) ** 2
-            p1 = p1 / span
-            u0 = 1.0 + r * r
-            g1 = 2.0 * r / u0
-            lv = lcf * u0**lq
-            l1 = lv * (lq * g1) if lunit else lv * lq * g1
-            rv = rcf * u0**rq
-            r1 = rv * (rq * g1) if runit else rv * rq * g1
-            q = 1.0 - p
-            v = p * lv + q * rv
-            d1 = (p1 * lv + p * l1) + (-p1 * rv + q * r1)
-            if (v <= 0.0 or d1 == 0.0 or not isfinite(v)
-                    or not lunit and (lv == 0.0 or l1 == 0.0 or not isfinite(lv))
-                    or not runit and (rv == 0.0 or r1 == 0.0 or not isfinite(rv))):
+            y = y_of(r)
+            x = (y - ya) / w  # _weights and _exponent_form, without h''
+            x2 = x * x
+            v = exp(la - pr * (y - ya) - dp * w * (x - x2 * x2 * (2.5 - 3.0 * x + x2)))
+            p = pr + dp * (1.0 - x * x2 * (10.0 - 15.0 * x + 6.0 * x2))
+            if v == 0.0 or v * -(p * (2.0 / (r + 1.0 / r))) == 0.0:
                 return promote(r)
             return v
         return blend_value
@@ -277,29 +224,13 @@ class Blend:
             return self._value(r)
         return self.jet(r).value
 
-    def _jet2(self, r, plateaus):
-        """The blend in Jet2 arithmetic: at an mpf r, and at a float r the
-        kernel promoted.  A promoted piece mixes float phi with its mpf jet;
-        a blend degenerate in doubles is redone exactly."""
-        lo_plateau, hi_plateau, Rs = plateaus
-        if r <= lo_plateau:
-            return self.left.jet(r)
-        if r >= hi_plateau:
-            return self.right.jet(r)
-        hl = self.left.jet(r)
-        hr = self.right.jet(r)
-        if isinstance(r, float) and isinstance(hl.value, float) and isinstance(hr.value, float):
-            return self._jet2(mpmath.mpf(r), self._plateaus)
-        phi_jet = Jet2(*self.spec.phi(r, Rs))
-        return phi_jet * hl + (1.0 - phi_jet) * hr
-
 
 class SmoothedH:
-    """Piecewise warping with quintic blends across every junction.
+    """Piecewise warping with an exponent blend across every junction.
 
     Outside all blend intervals evaluation is bit-identical to the base
-    piecewise function; on each blend the value is sandwiched between the
-    two pieces being joined.
+    piecewise function; on each blend the local decay exponent lies
+    between the exponents of the two pieces being joined.
     """
 
     def __init__(self, base: PiecewiseH, blends):
@@ -334,32 +265,24 @@ class SmoothedH:
 
     def _reader_reach(self):
         """[lo, hi) per float-table interval, where its value reader reads as
-        float_value does: the interval, and past an edge into a neighbour
-        that reads the same piece.  A blend reads its left piece up to its
-        lower plateau and its right piece from its upper one, so its reader
-        reaches over the pieces' intervals next to it, and a piece's reader
-        reaches over the plateau of a blend next to it."""
+        float_value does: the interval, and for a blend, whose reader reads
+        its left piece below lo and its right piece from hi, also the
+        pieces' intervals next to it."""
         owners = self._fowners
         starts, ends = [-math.inf, *self._fedges], [*self._fedges, math.inf]
         reach = []
         for i, o in enumerate(owners):
             lo, hi = starts[i], ends[i]
-            below = owners[i - 1] if i > 0 else None
-            above = owners[i + 1] if i + 1 < len(owners) else None
             if isinstance(o, Blend):
-                lo = starts[i - 1] if below is o.left else lo
-                hi = ends[i + 1] if above is o.right else hi
-            else:
-                lo = below._plateaus_f[1] if isinstance(below, Blend) and below.right is o else lo
-                hi = above._plateaus_f[0] if isinstance(above, Blend) and above.left is o else hi
+                lo = starts[i - 1] if i > 0 and owners[i - 1] is o.left else lo
+                hi = ends[i + 1] if i + 1 < len(owners) and owners[i + 1] is o.right else hi
             reach.append((lo, hi))
         return reach
 
     def float_value_on(self, lo, hi):
         """A float reader for radii in [lo, hi]: the value reader of an
         interval whose reach holds both ends, a piece's before a blend's
-        (a blend reads the piece after its plateau tests), else
-        float_value."""
+        (a blend reads the piece after its edge tests), else float_value."""
         found = self.float_value
         for i in range(bisect_right(self._fedges, lo), bisect_right(self._fedges, hi) + 1):
             r_lo, r_hi = self._freach[i]
@@ -421,41 +344,24 @@ class SmoothedH:
         return self.base.segments[-1].r_lo
 
     def breakpoints_float(self, r_max=None):
-        """Junctions and blend edges below r_max, as floats (for quadrature
-        panel splitting)."""
-        pts = []
-        for b in self.blends:
-            for x in (b.lo, b.R, b.hi):
-                pts.append(float(x))
-        for s in self.base.segments[1:]:
-            pts.append(float(s.r_lo))
-        pts = sorted(set(p for p in pts if math.isfinite(p)))
+        """Blend edges below r_max, as floats (for quadrature panel
+        splitting); each junction lies inside its blend, where h is C^3."""
+        pts = sorted(p for b in self.blends for p in (float(b.lo), float(b.hi))
+                     if math.isfinite(p))
         if r_max is not None:
             pts = [p for p in pts if p < r_max]
         return pts
 
 
-def smooth(
-    hp: PiecewiseH,
-    specs: dict | None = None,
-    monotonicity_samples: int = 10_000,
-    check: bool = True,
-) -> SmoothedH:
-    """Blend every junction of hp with its one-sided quintic cutoff.
+def smooth(hp: PiecewiseH, monotonicity_samples: int = 10_000, check: bool = True) -> SmoothedH:
+    """Blend every junction of hp with its exponent blend.
 
-    specs optionally overrides the CutoffSpec per junction index.  The
-    smoothed function is sampled at `monotonicity_samples` points per blend
-    and must be strictly decreasing there (MonotonicityLoss otherwise);
-    disjointness of blends is asserted (BlendOverlap).
+    The smoothed function is sampled at `monotonicity_samples` points per
+    blend and must be strictly decreasing there (MonotonicityLoss
+    otherwise); disjointness of blends is asserted (BlendOverlap).
     """
-    blends = []
-    for idx, (left, right) in enumerate(zip(hp.segments, hp.segments[1:])):
-        R = right.r_lo
-        side = "above" if right.p > left.p else "below"
-        spec = (specs or {}).get(idx) or CutoffSpec(side=side)
-        f_lo, f_hi = spec.blend_fracs()
-        blends.append(Blend(R, spec, left, right, f_lo * R, f_hi * R))
-    sm = SmoothedH(hp, blends)
+    sm = SmoothedH(hp, [Blend(right.r_lo, left, right)
+                        for left, right in zip(hp.segments, hp.segments[1:])])
     if check:
         _check_blend_monotonicity(sm, monotonicity_samples)
     return sm
@@ -609,23 +515,11 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
     for lo, hi in zip(cuts, cuts[1:]):
         la, lb = float(mpmath.log10(lo)), float(mpmath.log10(hi))
         for i in range(per_interval):
-            e = la + (lb - la) * (i + 0.5) / per_interval
-            grid.append(to_float(_pow10(e)))
+            grid.append(10.0 ** (la + (lb - la) * (i + 0.5) / per_interval))
         # the cuts hold every owner's edges, so the radii strictly inside one
         # cut interval share an owner and a label
         glabels += [_regime_label(sm, grid[-1])] * per_interval
     return grid, glabels
-
-
-def _pow10(e):
-    """mpf(10) ** e at 53 bits for a double e, as a raw mpf.  mpf_pow takes
-    exp(e * log 10) with log 10 at 63 bits, and so does this, with log 10
-    formed once; an integer or half-integer e goes through mpf_pow itself,
-    which has branches of its own for them."""
-    t = from_float(e)
-    if t[2] >= -1:  # the binary exponent of e
-        return mpf_pow(_TEN, t, 53, round_nearest)
-    return mpf_exp(mpf_mul(t, _LN10), 53, round_nearest)
 
 
 def _scan_top(sm: SmoothedH):
@@ -649,7 +543,8 @@ def _regime_label(sm: SmoothedH, r):
 
 def effective_exponent_max(sm: SmoothedH, grid=None) -> float:
     """sup over the grid of |h'/h| (1+r^2) / (2r): the local decay exponent,
-    equal to p on a pure (1+r^2)^(-p) stretch and larger inside blends."""
+    equal to p on a pure (1+r^2)^(-p) stretch and between the joined
+    exponents inside blends."""
     if grid is None:
         grid, _ = certification_grid(sm, per_interval=60)
     x, j = jets_at(sm.jet, grid)

@@ -6,7 +6,7 @@ import pytest
 from warplab.construction_io import load_construction, save_construction
 
 # written by the v1 serializer (per-period ladder rows) for the standard model
-# cut at 1e40; its second row carries R21, past the bound, with no segment
+# cut at 1e40
 V1 = Path(__file__).parent / "data" / "construction_v1.json"
 
 
@@ -38,16 +38,29 @@ def test_format_guard(tmp_path):
         load_construction(str(p))
 
 
-def test_v1_document_loads():
-    params, ladder, hp, sm = load_construction(str(V1))
-    assert params.periods == 2 and ladder.truncated
-    assert len(hp.junctions()) == 4
+def test_old_formats_are_refused(tmp_path, osc_params, osc_build):
+    # v1 (per-period ladder rows) and v2 (segments, value-blend cutoff
+    # fractions) recorded value blends, which are no longer built
+    ladder, hp, sm = osc_build
+    v2 = tmp_path / "construction.json"
+    save_construction(str(v2), osc_params, ladder, sm)
+    doc = json.loads(v2.read_text())
+    del doc["blend"]
+    doc.update({"format": "warplab-construction v2",
+                "cutoff_fracs": {"above": [1.01, 1.1, 1.19], "below": [0.81, 0.9, 0.99]}})
+    v2.write_text(json.dumps(doc))
+    for path, fmt in ((V1, "warplab-construction v1"), (v2, "warplab-construction v2")):
+        with pytest.raises(ValueError, match=fmt):
+            load_construction(str(path))
 
 
-def test_v1_tamper_detection(tmp_path):
-    doc = json.loads(V1.read_text())
-    doc["rows"][1]["R0"] = "1.25e+38"  # R14 repeated as the second row's R0
+def test_tampered_blend_record_is_refused(tmp_path, osc_params, osc_build):
+    ladder, hp, sm = osc_build
     path = tmp_path / "construction.json"
+    save_construction(str(path), osc_params, ladder, sm)
+    doc = json.loads(path.read_text())
+    assert doc["format"] == "warplab-construction v3"
+    doc["blend"]["lo_frac"] = 0.9
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blend"):
         load_construction(str(path))

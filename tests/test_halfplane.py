@@ -311,9 +311,10 @@ def test_axis_count_computes_d1_once_per_metric(monkeypatch):
     assert counts == sorted(counts) and counts[0] > 0
 
 
-# (model, turning radius aimed at, c, start, r_max, delta_v, length), recorded
-# before the arc integrands were flattened; the comment says whether the
-# turning panel reaches past the Taylor switch (direct h evaluations too)
+# (model, turning radius aimed at, c, start, r_max, delta_v, length), the pure
+# rows recorded before the arc integrands were flattened, the osc rows with
+# the exponent blends; the comment says whether the turning panel reaches
+# past the Taylor switch (direct h evaluations too)
 _GOLDEN_ARCS = [
     ('pure', 0.3, 0.9578262852211513, None, 0.3, 3.2829643230010466, 3.279919022961633),  # Taylor and direct
     ('pure', 2.0, 0.4472135954999579, None, 1.999999999999883, 9.424777960199682, 7.02481473078595),  # Taylor and direct
@@ -322,16 +323,16 @@ _GOLDEN_ARCS = [
     ('pure', 1e+25, 9.999999999999998e-26, None, 9.99999999999889e+24, 1.5707963265783812e+50, 3.1415926533732786e+25),  # Taylor and direct
     ('pure', 1000000.0, 9.999999999995e-07, 10.0, 999999.9999999995, 1570796326797.112, 3141572.6535904384),  # Taylor and direct
     ('osc', 50.0, 0.009143906676474418, None, 50.000000000000014, 7403.74574619314, 148.88149238098043),  # Taylor and direct
-    ('osc', 3000000.0, 2.8504208669352084e-16, None, 3000000.0000000023, 7.821014523591922e+21, 7580432.599843554),  # Taylor and direct
-    ('osc', 1e+39, 1.58489319246112e-47, None, 1.0000000000000111e+39, 8.540014980634911e+85, 2.9772587445177934e+39),  # Taylor and direct
-    ('osc', 1000.0, 3.98142402805952e-06, None, 999.999999999998, 152499045.30156755, 2428.651127502286),  # Taylor and direct
-    ('osc', 1000000000.0, 2.5118864315095845e-22, None, 999999999.9999993, 2.9587020736249825e+30, 2526854021.8326907),  # Taylor and direct
-    ('osc', 110.0, 0.0032707907127546175, None, 110.00000000000004, 30217.565826143575, 285.099436031155),  # Taylor and direct
-    ('osc', 900000.0, 5.294451062562649e-15, None, 900000.0000000007, 9.573383000120133e+19, 2154974.707411885),  # Taylor and direct
-    ('osc', 4500000000000.0, 3.9190713631485704e-31, None, 4499999999999.998, 6.72572808785866e+42, 10815841644903.07),  # Taylor and direct
-    ('osc', 1.3e+38, 1.874700639166643e-46, None, 1.2999999999999926e+38, 1.590405361266567e+84, 4.8039240407241846e+38),  # Taylor and direct
-    ('osc', 120.00012, 0.002303821389878941, None, 120.00012, 34342.30722915088, 293.8321427201311),  # Taylor only
-    ('osc', 1000000000.0, 2.5118864315095845e-22, 10000.0, 999999999.9999993, 2.9587020736249825e+30, 2526834021.8326907),  # Taylor and direct
+    ('osc', 3000000.0, 2.8504208669352084e-16, None, 3000000.0000000023, 7.820699154411978e+21, 7580387.551083958),  # Taylor and direct
+    ('osc', 1e+39, 1.58489319246112e-47, None, 1.0000000000000111e+39, 8.540146581434811e+85, 2.977269213780036e+39),  # Taylor and direct
+    ('osc', 1000.0, 3.98142402805952e-06, None, 999.999999999998, 152499047.5602568, 2428.6511319986685),  # Taylor and direct
+    ('osc', 1000000000.0, 2.5118864315095845e-22, None, 999999999.9999993, 2.9587020736250084e+30, 2526854021.832695),  # Taylor and direct
+    ('osc', 110.0, 0.0029632086992912167, None, 110.00000000000004, 31326.9119623507, 282.9952953527337),  # Taylor and direct
+    ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000104, 1.0076412118060014e+20, 2190128.022585032),  # Taylor and direct
+    ('osc', 4500000000000.0, 4.317888450028927e-31, None, 4499999999999.982, 8.003762147367559e+42, 11466974869739.803),  # Taylor and direct
+    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 1.3845662737093168e+84, 4.393765002970727e+38),  # Taylor and direct
+    ('osc', 124.99885, 0.002038352734925614, None, 124.99884999999986, 42102.792462722064, 308.875049804254),  # Taylor only
+    ('osc', 1000000000.0, 2.5118864315095845e-22, 10000.0, 999999999.9999993, 2.9587020736250084e+30, 2526834021.832695),  # Taylor and direct
 ]
 
 
@@ -515,7 +516,7 @@ def test_smoothed_metric_reads_h_as_arrays_bit_for_bit(osc_metric, osc_build):
     rng = np.random.default_rng(19)
     radii = [0.0, *(10.0 ** rng.uniform(-3.0, 289.0, 400)).tolist()]
     for b in sm.blends:
-        radii += [math.nextafter(x, d) for x in b._plateaus_f if math.isfinite(x)
+        radii += [math.nextafter(x, d) for x in b._edges_f if math.isfinite(x)
                   for d in (-math.inf, math.inf)]
     radii = [r for r in radii if r < 1e290]
     rs = np.array(radii)
@@ -587,11 +588,12 @@ def test_arc_memo_hit_has_the_bits_of_a_fresh_metric(memo_models, which, u, star
 
 
 def test_arc_memo_keys_settings_start_and_quantity(memo_models):
-    # on the osc-1e40 metric at c = h(300) a looser rel_tol moves the bits of
-    # both quantities; every settings object is a key of its own
+    # on the osc-1e40 metric at c = h(110), inside the first blend, a looser
+    # rel_tol moves the bits of both quantities; every settings object is a
+    # key of its own
     make = memo_models[0][0]
     m = make()
-    c = m.value(300.0)
+    c = m.value(110.0)
     coarse, loose_turn = halfplane.QuadSettings(rel_tol=1e-6), halfplane.QuadSettings(turning_rel=1e-9)
     calls = [(delta_v_of_c, None, None), (delta_v_of_c, None, coarse), (delta_v_of_c, 5.0, None),
              (delta_v_of_c, None, loose_turn), (length_of_c, None, None), (length_of_c, 5.0, coarse)]

@@ -1,5 +1,7 @@
-"""The closed-form float kernels of segments and blends against the scalar
-Jet2 jets they replace, bit for bit, at doubles and per element of arrays."""
+"""The closed-form float kernels of segments and blends against scalar
+Jet2 jets: a segment's bit for bit, a blend's value bit for bit and its
+derivatives to rounding; and array kernels against scalar kernels bit
+for bit."""
 
 import math
 import struct
@@ -12,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warplab.halfplane import HalfplaneMetric
-from warplab.jets import Jet2
+from warplab.jets import Jet2, jet_exp
 from warplab.ladder import OscillationParams, bridge_constant
 from warplab.piecewise import PiecewiseH, Segment
-from warplab.smoothing import SmoothedH, build_oscillating_h, pure_model_h, smooth
+from warplab.smoothing import Blend, SmoothedH, build_oscillating_h, pure_model_h, smooth
 
 OSC = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
 
@@ -40,21 +42,26 @@ def _ref_segment(seg, r):
 
 
 def _ref_blend(b, r):
-    """The blend's scalar float jet in Jet2 arithmetic, or None where a piece
-    or the blend itself degenerates in doubles."""
-    lo_plateau, hi_plateau, Rs = b._plateaus_f
-    if r <= lo_plateau:
-        return _ref_segment(b.left, r)
-    if r >= hi_plateau:
-        return _ref_segment(b.right, r)
-    hl, hr = _ref_segment(b.left, r), _ref_segment(b.right, r)
-    if hl is None or hr is None:
-        return None
-    phi = Jet2(*b.spec.phi(r, Rs))
-    out = phi * hl + (1.0 - phi) * hr
-    if out.value <= 0.0 or out.d1 == 0.0 or not math.isfinite(out.value):
-        return None
-    return out
+    """The exponent blend's scalar float jet in Jet2 arithmetic, h =
+    exp(L(y)) with y = log(1 + r^2) carried as a jet, or None where h or h'
+    is zero in doubles; with it the jet of L, whose size sets the rounding
+    of h''.  The pieces' references answer outside [lo, hi)."""
+    lo, hi = b._edges_f
+    if r < lo:
+        return _ref_segment(b.left, r), None
+    if r >= hi:
+        return _ref_segment(b.right, r), None
+    ya, w, la, pr, dp = b._form_f
+    y_value = math.log1p(r * r) if r < 1e150 else 2.0 * math.log(r)
+    g = 2.0 / (r + 1.0 / r)
+    y = Jet2(y_value, g, g * (1.0 / r - g))
+    x = (y - ya) / w
+    x2 = x * x
+    L = la - pr * (y - ya) - dp * w * (x - x2 * x2 * (2.5 - 3.0 * x + x2))
+    out = jet_exp(L)
+    if out.value == 0.0 or out.d1 == 0.0:
+        return None, L
+    return out, L
 
 
 def _bits(*xs):
@@ -94,13 +101,12 @@ def models(osc_build):
 
 
 def _special_radii(sm):
-    """Blend plateau edges, blend edges and junction keys with their
-    nextafter neighbours, 0 and 110.571 (where C pow and a square differ in
-    the quintic of the R = 100 blend)."""
+    """Blend edges (as doubles and as safe-side keys), junctions and their
+    nextafter neighbours, and 0."""
     edges = [*sm.base._keys]
     for b in sm.blends:
-        edges += [*b._plateaus_f, float(b.lo), float(b.hi)]
-    out = {0.0, 110.571}
+        edges += [*b._edges_f, float(b.lo), float(b.hi)]
+    out = {0.0}
     for f in edges:
         if math.isfinite(f):
             out |= {math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)}
@@ -111,19 +117,31 @@ def _pieces(sm):
     return [*sm.base.segments, *sm.blends]
 
 
+def _near(a, b, scale):
+    """a within rounding of b: 1e-12 of scale, plus a few subnormal steps."""
+    return abs(a - b) <= 1e-12 * scale + 2.0**-1070
+
+
 def _check_kernels(piece, radii):
-    ref = _ref_blend if hasattr(piece, "spec") else _ref_segment
     with np.errstate(over="ignore", invalid="ignore"):  # r*r past 1e154, as in floats
         v, d1, d2, promoted = piece.kernel(np.array(radii))
     for i, r in enumerate(radii):
-        want = ref(piece, r)
         sv, s1, s2, sp = piece.kernel(r)
+        if isinstance(piece, Blend):
+            want, L = _ref_blend(piece, r)
+        else:
+            want, L = _ref_segment(piece, r), None
         if want is None:
             assert sp and promoted[i], r
             continue
         assert not sp and not promoted[i], r
-        assert _bits(sv, s1, s2) == _bits(want.value, want.d1, want.d2), r
-        assert _bits(v[i], d1[i], d2[i]) == _bits(want.value, want.d1, want.d2), r
+        assert _bits(v[i], d1[i], d2[i]) == _bits(sv, s1, s2), r
+        if L is None:
+            assert _bits(sv, s1, s2) == _bits(want.value, want.d1, want.d2), r
+        else:  # the closed form's derivatives, against the chain rule
+            assert _bits(sv) == _bits(want.value), r
+            assert _near(s1, want.d1, abs(want.d1)), r
+            assert _near(s2, want.d2, abs(sv) * (L.d1 * L.d1 + abs(L.d2))), r
 
 
 def test_kernels_match_jets_at_every_edge(models):
@@ -143,16 +161,6 @@ def test_kernels_match_jets_property(models, data):
             min_size=1, max_size=12), label=name)
         for piece in _pieces(sm):
             _check_kernels(piece, radii)
-
-
-def test_blend_kernel_reads_the_quintic_with_c_pow(models):
-    # at r = 110.571 on the R = 100 blend, (1 - x)**2 as C pow and as a
-    # square differ in the last bit; the array kernel keeps the pow
-    b = models["osc-1e40"].blends[0]
-    start, span = b._place_f
-    y = 1.0 - (110.571 - start) / span
-    assert y**2 != y * y
-    _check_kernels(b, [110.571])
 
 
 def test_smoothed_kernel_follows_owner_runs(models):
@@ -200,9 +208,10 @@ def test_array_jets_equal_scalar_jets_with_promoted_entries():
 
 # promoted radii: past 1e100 the huge bridge's constant is out of float
 # range, past 1e108 the default model's B bridge underflows in doubles,
-# past about 1e77 the shallow bridge's slope does, and at 1.1e60 the left
-# piece's slope inside the slope-underflow blend
-_PROMOTED = (1.1e60, 1e80, 2e100, 1e110, 3.3e150, 4e230)
+# past about 1e77 the shallow bridge's slope does, and at 8.1e59 the
+# slope of the slope-underflow blend (at 1.1e60 it is subnormal, not zero,
+# and the blend answers in doubles)
+_PROMOTED = (8.1e59, 1.1e60, 1e80, 2e100, 1e110, 3.3e150, 4e230)
 
 
 def _check_readers(sm, radii):
@@ -256,10 +265,10 @@ def test_value_readers_match_jets_property(models, u, data):
 
 def _panel_radii(sm, a, b, u):
     """The radii a panel [a, b] may read, widened by 1e-9 as value_on
-    widens it: its ends and every table edge and plateau edge inside, each
+    widens it: its ends and every table edge and blend edge inside, each
     with its nextafter neighbours, and a point at fraction u (linear, log)."""
     lo, hi = a * (1.0 - 1e-9), b * (1.0 + 1e-9)
-    marks = [lo, hi, *sm._fedges, *(x for bl in sm.blends for x in bl._plateaus_f[:2])]
+    marks = [lo, hi, *sm._fedges, *(x for bl in sm.blends for x in bl._edges_f)]
     out = [lo + u * (hi - lo)]
     if lo > 0:
         out.append(math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))))
@@ -271,14 +280,14 @@ def _panel_radii(sm, a, b, u):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), u=st.floats(0.0, 1.0))
 def test_value_on_reader_reads_as_the_bisect(models, data, u):
-    # panels between table edges, plateau edges and points next to them:
+    # panels between table edges, blend edges and points next to them:
     # wherever value_on binds a reader, it reads every radius of the widened
     # panel as the bisecting reader does
     nudge = st.sampled_from([1.0 - 1e-6, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 1e-6])
     for name, sm in models.items():
         m = HalfplaneMetric.from_smoothed(sm)
         pts = sorted({0.0, 1e6, *(x for x in (*sm._fedges,
-                                              *(y for bl in sm.blends for y in bl._plateaus_f[:2]))
+                                              *(y for bl in sm.blends for y in bl._edges_f))
                                   if x < 1e200)})
         i, j = sorted(data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2),
                                 label=name))

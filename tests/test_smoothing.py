@@ -8,12 +8,14 @@ import pytest
 from hypothesis import Phase, given, reject, settings
 from hypothesis import strategies as st
 
-from warplab.curvature import _MP_EVAL_CUTOFF, jets_at, log_grid
+from warplab.christoffel import ricci_numeric_oracle
+from warplab.config import RunConfig
+from warplab.curvature import _MP_EVAL_CUTOFF, DoublyWarpedMetric, jets_at, log_grid, ricci_report
+from warplab.jets import Jet2
 from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
-from warplab.piecewise import PiecewiseH, Segment, float_ceil
+from warplab.piecewise import PiecewiseH, Segment, float_ceil, float_floor
 from warplab.smoothing import (
     Blend,
-    CutoffSpec,
     MonotonicityLoss,
     NotCertified,
     SmoothedH,
@@ -26,53 +28,28 @@ from warplab.smoothing import (
     pure_model_h,
     smooth,
     verify_observation,
-    _pow10,
-    _quintic,
     _regime_label,
     _scan_top,
+    _weights,
 )
 from warplab.warping import power_decay_h, standard_f
 
 
 def test_quintic_shape():
-    assert _quintic(0.0) == (1.0, 0.0, 0.0)
-    assert _quintic(1.0) == (0.0, 0.0, 0.0)
-    q, d1, d2 = _quintic(0.5)
-    assert q == pytest.approx(0.5)  # midpoint value 1/2 exactly
-    assert d2 == pytest.approx(0.0, abs=1e-12)  # inflection at the midpoint
-    # concave then convex, slope never positive
+    assert _weights(0.0) == (0.0, 1.0, 0.0)
+    Q, q, q1 = _weights(1.0)
+    assert (Q, q, q1) == (0.5, 0.0, 0.0)  # Q(1) = 1/2 centres the span
+    Q, q, q1 = _weights(0.5)
+    assert q == 0.5  # midpoint weight 1/2
+    # q falls from 1 to 0 with q(1 - x) = 1 - q(x), and Q' = q
     xs = np.linspace(1e-3, 1 - 1e-3, 201)
     for x in xs:
-        q, d1, d2 = _quintic(float(x))
-        assert d1 <= 0
-        assert (d2 <= 1e-12) if x < 0.5 else (d2 >= -1e-12)
-
-
-def test_cutoff_spec_bounds():
-    spec = CutoffSpec(side="above")
-    assert (spec.lo_frac, spec.mid_frac, spec.hi_frac) == (1.01, 1.1, 1.19)
-    below = CutoffSpec(side="below")
-    assert (below.lo_frac, below.mid_frac, below.hi_frac) == (0.81, 0.9, 0.99)
-    # R |phi'| and R^2 |phi''| sups over a dense sample stay within the
-    # recorded bounds (and within 2% of them at the extremes)
-    R = 1000.0
-    xs = np.linspace(1.0 * R, 1.2 * R, 4001)
-    sup1 = max(abs(spec.phi(x, R)[1]) for x in xs) * R
-    sup2 = max(abs(spec.phi(x, R)[2]) for x in xs) * R * R
-    assert sup1 <= spec.c1_bound * (1 + 1e-12) <= sup1 * 1.02
-    assert sup2 <= spec.c2_bound * (1 + 1e-12) <= sup2 * 1.02
-
-
-def test_midpoint_value_and_plateaus(osc_build):
-    lad, hp, sm = osc_build
-    R = float(lad.junctions[0])
-    left = hp.segments[0]
-    right = hp.segments[1]
-    v = sm.value(1.1 * R)
-    assert v == pytest.approx(0.5 * (left.value(1.1 * R) + right.value(1.1 * R)), rel=1e-12)
-    # plateau regions reproduce the pieces bit for bit
-    assert sm.value(1.005 * R) == left.value(1.005 * R)
-    assert sm.value(1.195 * R) == right.value(1.195 * R)
+        Q, q, q1 = _weights(float(x))
+        assert q1 <= 0 and 0 <= q <= 1
+        assert _weights(1.0 - float(x))[1] == pytest.approx(1.0 - q, abs=1e-14)
+        dx = 1e-6
+        slope = (_weights(float(x) + dx)[0] - _weights(float(x) - dx)[0]) / (2 * dx)
+        assert slope == pytest.approx(q, abs=1e-9)
 
 
 def test_equal_outside_blends(osc_build):
@@ -85,30 +62,30 @@ def test_regime_fidelity_bit_for_bit(osc_build):
     lad, hp, sm = osc_build
     pa = power_decay_h(0.6)
     pb = power_decay_h(1.2)
-    # pure-alpha on [1.2 R_{i,0}, 0.8 R_{i,1}], pure-beta on [1.2 R_{i,2}, 0.8 R_{i,3}]
-    for r in (50.0, 79.9, 1.5e38, 6.0e76):
+    # pure-alpha on [1.25 R_{i,0}, 0.8 R_{i,1}], pure-beta on [1.25 R_{i,2}, 0.8 R_{i,3}]
+    for r in (50.0, 79.9, 1.6e38, 6.0e76):
         assert sm.value(r) == pa.value(r)
     for r in (1.3e6, 3.9e12):
         assert sm.value(r) == pb.value(r)
 
 
 def test_sandwich_on_blends(osc_build):
+    # h(r) / h(lo) lies between the power laws of the two joined exponents
+    # from the blend's lower edge, ((1+r^2)/(1+lo^2))^(-p) for p = p_L, p_R
     lad, hp, sm = osc_build
-    for b in sm.blends[:4]:
-        lo, hi = float(b.lo), float(b.hi)
-        for r in np.linspace(lo, hi, 97):
-            v = sm.value(float(r))
-            va = b.left.value(float(r))
-            vb = b.right.value(float(r))
-            assert min(va, vb) * (1 - 1e-12) <= v <= max(va, vb) * (1 + 1e-12)
-    # huge-radius blends evaluate in extended precision; sandwich holds there too
-    for b in sm.blends[4:]:
-        for t in np.linspace(0.01, 0.99, 9):
+    tol = mpmath.mpf("1e-12")
+    for b in sm.blends:
+        lo_mp = b.lo
+        p_lo, p_hi = sorted((b.left.p, b.right.p))
+        for t in np.linspace(0.0, 1.0, 97):
             r = b.lo + (b.hi - b.lo) * mpmath.mpf(float(t))
-            v = sm.value(r)
-            va, vb = b.left.value(r), b.right.value(r)
-            assert min(va, vb) * (1 - mpmath.mpf("1e-12")) <= v
-            assert v <= max(va, vb) * (1 + mpmath.mpf("1e-12"))
+            if b.hi < 1e70:
+                r = mpmath.mpf(float(r))  # a float read below the mpmath cutoff
+                ratio = sm.value(float(r)) / sm.value(float(lo_mp))
+            else:  # huge-radius blends evaluate in mpmath
+                ratio = sm.value(r) / sm.value(lo_mp)
+            u = (1 + r * r) / (1 + lo_mp * lo_mp)
+            assert u ** -p_hi * (1 - tol) <= ratio <= u ** -p_lo * (1 + tol), (b.R, t)
 
 
 def test_blend_overlap_rejected(osc_build):
@@ -116,8 +93,7 @@ def test_blend_overlap_rejected(osc_build):
     from warplab.smoothing import Blend, BlendOverlap, SmoothedH
 
     b = sm.blends[0]
-    clone = Blend(b.R * mpmath.mpf("1.1"), b.spec, b.left, b.right,
-                  b.lo * mpmath.mpf("1.1"), b.hi * mpmath.mpf("1.1"))
+    clone = Blend(b.R * mpmath.mpf("1.1"), b.left, b.right)
     with pytest.raises(BlendOverlap):
         SmoothedH(hp, [b, clone])
 
@@ -148,12 +124,12 @@ def test_global_monotonicity_sampled(osc_build):
 
 
 def test_monotonicity_loss_detected():
-    # a deliberate non-decreasing blend: join a plateau piece (p=0) on the
-    # right so the blended value must stall
+    # a deliberate non-decreasing blend: join a growing piece (p = -0.3) on
+    # the right, so the blended exponent crosses zero inside the span
     one = mpmath.mpf(1)
     left = Segment(mpmath.mpf(0), mpmath.mpf(100), 0.6, one, "piece")
-    flat_c = (1 + mpmath.mpf(100) ** 2) ** mpmath.mpf(-0.6)
-    right = Segment(mpmath.mpf(100), None, 0.0, flat_c, "bridge")
+    grow_c = (1 + mpmath.mpf(100) ** 2) ** mpmath.mpf(-0.9)
+    right = Segment(mpmath.mpf(100), None, -0.3, grow_c, "bridge")
     hp = PiecewiseH([left, right], check_continuity=False)
     with pytest.raises(MonotonicityLoss):
         smooth(hp, monotonicity_samples=2000)
@@ -218,9 +194,11 @@ def test_checks_past_double_range_raise_overflow(osc_params):
     # untruncated, two periods reach junctions at 1.1e462 and 1.5e1386, past
     # the double radii the dense checks sample
     _, _, sm = build_oscillating_h(osc_params, radius_bound=math.inf, check=False)
-    grid, _ = certification_grid(sm, per_interval=4)
     with pytest.raises(OverflowError):
-        effective_exponent_max(sm, grid)
+        certification_grid(sm, per_interval=4)
+    top = float(sm.blends[3].hi)  # the last blend below the double range
+    with pytest.raises(OverflowError):
+        effective_exponent_max(sm, [top, math.inf])
 
 
 def test_certified_k_recheck_idempotent(osc_build):
@@ -312,19 +290,19 @@ def _huge_bridge_h():
 def fast_path_models():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
     _, hp40, osc40 = build_oscillating_h(params, radius_bound=1e40, check=False)
-    with mpmath.workdps(40):  # blend and plateau edges that are not doubles
+    with mpmath.workdps(40):  # blend edges that are not doubles
         fine40 = smooth(hp40, check=False)
     return [(osc40, 40.0), (fine40, 40.0), (_huge_bridge_h(), 101.0)]
 
 
 def _probe_radii(sm, top_log10, seed):
-    """Seeded log-uniform floats, plus every junction, blend edge and plateau
-    edge as a float with its nextafter neighbours."""
+    """Seeded log-uniform floats, plus every junction and blend edge as a
+    float with its nextafter neighbours."""
     rng = np.random.default_rng(seed)
     radii = (10.0 ** rng.uniform(-3.0, top_log10, 400)).tolist()
     edges = [s.r_lo for s in sm.base.segments[1:]]
     for b in sm.blends:
-        edges += [b.lo, b.hi, b.R, b.spec.lo_frac * b.R, b.spec.hi_frac * b.R]
+        edges += [b.lo, b.hi, b.R]
     for x in edges:
         f = float(x)
         radii += [math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)]
@@ -371,9 +349,10 @@ def test_flat_table_owner_matches_separate_and_exact_decisions(fast_path_models)
 
 class _Side:
     """Stand-in piece that counts its float queries (the blend reads a
-    piece's closed-form kernel at a float radius)."""
+    piece's closed-form kernel at a float radius outside its span)."""
 
-    def __init__(self):
+    def __init__(self, seg):
+        self.p, self.C = seg.p, seg.C
         self.calls = 0
 
     def kernel(self, r):
@@ -381,21 +360,21 @@ class _Side:
         return 1.0, -1.0, 0.0, False
 
 
-def test_plateau_edges_decided_exactly(fast_path_models):
-    # plateau edges rounded at 40 digits are not doubles: a float radius next
+def test_blend_edges_decided_exactly(fast_path_models):
+    # blend edges rounded at 40 digits are not doubles: a float radius next
     # to one must still take the branch the exact comparison picks
     for sm, _ in fast_path_models:
         for b in sm.blends:
-            left, right = _Side(), _Side()
+            left, right = _Side(b.left), _Side(b.right)
             with mpmath.workdps(40):
-                probe = Blend(b.R, b.spec, left, right, b.lo, b.hi)
-            lo_p, hi_p, _ = probe._plateaus
-            for x in (lo_p, hi_p):
+                probe = Blend(b.R, left, right)
+            for x in (probe.lo, probe.hi):
                 f = float(x)
+                assert f != x
                 for r in (math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)):
                     left.calls = right.calls = 0
                     probe.jet(r)
-                    want = (1, 0) if r <= lo_p else (0, 1) if r >= hi_p else (1, 1)
+                    want = (1, 0) if r < probe.lo else (0, 1) if r >= probe.hi else (0, 0)
                     assert (left.calls, right.calls) == want, r
 
 
@@ -434,9 +413,8 @@ def test_certification_labels_equal_per_radius_labels(osc_build, fast_path_model
 
 
 def _certification_grid_mpf(sm, r_min=1e-3, per_interval=240):
-    """certification_grid with every exponent and radius formed in mpmath,
-    float(mpf(10) ** e) per radius: the reference for the grid's double
-    exponents and its hoisted log 10."""
+    """certification_grid with every exponent formed in mpmath: the
+    reference for the grid's double exponents."""
     marks = [(b.lo, None) for b in sm.blends] + [(b.hi, None) for b in sm.blends]
     marks += [(s.r_lo, None) for s in sm.base.segments[1:]]
     marks.sort(key=lambda t: mpmath.mpf(t[0]))
@@ -447,7 +425,7 @@ def _certification_grid_mpf(sm, r_min=1e-3, per_interval=240):
         la, lb = mpmath.log10(lo), mpmath.log10(hi)
         for i in range(per_interval):
             e = la + (lb - la) * (i + 0.5) / per_interval
-            grid.append(float(mpmath.mpf(10) ** e))
+            grid.append(10.0 ** float(e))
         labels += [_regime_label(sm, grid[-1])] * per_interval
     return grid, labels
 
@@ -476,9 +454,70 @@ def test_certification_grid_matches_per_radius_mpf(grid_models, model, per_inter
         assert max(grid) > _MP_EVAL_CUTOFF
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(e=st.one_of(st.integers(-6, 620).map(lambda k: k / 2.0), st.floats(-3.0, 310.0)))
-def test_pow10_is_mpf_ten_to_the_e(e):
-    # integers and half-integers too, where mpf_pow takes branches of its own
-    # (exp(e log 10) misrounds at e = 32.5, 54, 70, ...)
-    assert _pow10(e) == (mpmath.mpf(10) ** mpmath.mpf(e))._mpf_
+
+@pytest.mark.parametrize("model", ["osc-1e40", "osc-default"])
+def test_certification_grid_strictly_increasing(grid_models, model):
+    # no cut interval is empty: every blend edge lies off every junction
+    grid, _ = certification_grid(grid_models[model])
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+_EXPONENTS = st.floats(0.05, 3.0)
+
+
+@st.composite
+def _junctions(draw):
+    """(p_L, p_R, R): distinct exponents in [0.05, 3], close pairs among
+    them, and a junction radius log-uniform in [10, 1e60]."""
+    pair = draw(st.one_of(
+        st.tuples(_EXPONENTS, _EXPONENTS).filter(lambda t: t[0] != t[1]),
+        st.sampled_from([(0.75, 0.8125), (0.8125, 0.75), (0.6, 0.6000001)]),
+    ))
+    return (*pair, mpmath.mpf(10) ** mpmath.mpf(draw(st.floats(1.0, 60.0))))
+
+
+def _single_blend(pl, pr, R):
+    """The blend of (1+r^2)^(-p_L) and its continuous p_R bridge at R."""
+    left = Segment(mpmath.mpf(0), R, pl, mpmath.mpf(1), "piece")
+    with mpmath.workdps(40):
+        C = (1 + R * R) ** (mpmath.mpf(pr) - pl)
+    return Blend(R, left, Segment(R, None, pr, C, "bridge"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(junction=_junctions())
+def test_exponent_blend_meets_pieces_decreases_and_keeps_its_exponent(junction):
+    pl, pr, R = junction
+    b = _single_blend(pl, pr, R)
+    # h, h'/h and h''/h meet the pieces (read in mpmath) at the first and
+    # the last double of the span, the blend read as the dense checks read it
+    last = float_floor(b.hi)
+    last = last if last < b.hi else math.nextafter(last, 0.0)
+    for r, piece in ((float_ceil(b.lo), b.left), (last, b.right)):
+        _, got = jets_at(b.jet, [r])
+        got, want = Jet2(got.value[0], got.d1[0], got.d2[0]), piece.jet(mpmath.mpf(r))
+        for a, w in ((got.value, want.value), (got.d1 / got.value, want.d1 / want.value),
+                     (got.d2 / got.value, want.d2 / want.value)):
+            assert abs(a - w) <= 1e-12 * abs(w), (r, a, w)
+    # decreasing, with the local exponent between p_L and p_R, at double
+    # radii across the span
+    lo, hi = float(b.lo), float(b.hi)
+    x, j = jets_at(b.jet, lo + (hi - lo) * (np.arange(400) + 0.5) / 400)
+    assert np.all(np.asarray(j.d1 < 0, dtype=bool))
+    p_eff = np.asarray(-j.d1 / j.value * (1 + x * x) / (2 * x), dtype=float)
+    assert p_eff.min() >= min(pl, pr) * (1 - 1e-12)
+    assert p_eff.max() <= max(pl, pr) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("at", [0.85, 1.0, 1.2])
+@pytest.mark.parametrize("blend", [0, 1])
+def test_oracle_agrees_inside_blends(osc_build, blend, at):
+    # the Christoffel oracle against the closed forms at k = 9 inside the
+    # blends at 100 and 1e6, within the default ricci-check tolerance
+    b = osc_build[2].blends[blend]
+    m = DoublyWarpedMetric(9, standard_f(), osc_build[2].as_warping())
+    r = at * float(b.R)
+    o, c = ricci_numeric_oracle(m, r), ricci_report(m, r)
+    for a, w in ((o.ric_radial, c.ric_radial), (o.ric_circle, c.ric_circle),
+                 (o.ric_sphere, c.ric_sphere)):
+        assert abs(a - w) <= RunConfig("ricci-check").oracle_rel_tol * (1.0 + abs(w)), (b.R, at)
