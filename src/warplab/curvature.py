@@ -10,11 +10,20 @@ The sphere-direction expression is the standard multiply-warped formula; it
 is gated behind a mandatory agreement test against the coordinate-based
 Christoffel oracle (see christoffel.py) since only that oracle certifies it.
 
-Every dense check (the curvature grids here, and the blend scans,
-replacement inequalities and certification of `smoothing`) samples double
-radii and reads f and h through `jets_at`, which alone decides which radii
-are read in mpmath.  For r > 0 the formulas above are written once, in
-`ricci_components`; a single radius is a one-element call.
+With the frames of `warping` (h'/h = -p dy/dr, y = log(1+r^2)), each
+direction times 1+r^2 is c0 + c1 s, s = 1/(1+r^2), written once in
+`scaled_ricci`.  For standard f, S = (1+r^2)(1-f'^2)/f^2 and h of exponent p:
+
+    radial:  (k/4 - 4p^2 - 2p + 4p_y) + s (4p^2 + 4p - 4p_y + 5k/4)
+    circle:  (pk - 4p^2 - 2p + 4p_y) + s (4p^2 + pk + 4p - 4p_y)
+    sphere:  (1 + 5s)/4 + (k-1) S + p (1 + s)
+
+At an integer threshold k = 16p^2 + 8p (p = 1/2, 3/2, 3) the radial c0 is
+exactly 0 in doubles, and `positive` decides on c1 where c0 == 0 (s is 0.0
+past about 1.3e154).  Every dense check (the grids here; the blend scans,
+replacement inequalities and certification of `smoothing`) reads frames at
+double radii, with no mpmath; a radius past the double range raises
+OverflowError.
 
 At r = 0 the terms f''/f, (1-f'^2)/f^2 and (f'/f)(h'/h) are removable 0/0
 forms; they are reported through Richardson extrapolation in r^2 (accuracy
@@ -24,11 +33,9 @@ r >= r_min > 0 throughout.
 
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
-from .jets import Jet2
-from .warping import WarpingFunction
+from .warping import FFrame, HFrame, WarpingFunction, inv_u
 
 
 class NonPositiveWarping(ValueError):
@@ -65,75 +72,80 @@ def log_grid(lo: float, hi: float, n: int = 4000):
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
-_MP_EVAL_CUTOFF = 1e70  # radii past this are read in mpmath
-# a double |fn| below this times 1 + r^2 leaves fn'' ~ fn/r^2 within 53 bits
-# of the subnormals, so that entry is read in mpmath too
-_UNDERFLOW_SCALE = 2.0**-969
-
-
-def jets_at(fn, rs):
-    """(x, Jet2 of arrays): fn's jets at a sequence of double radii, the one
-    place the dense checks decide where doubles stop and mpmath takes over.
-
-    The radii up to _MP_EVAL_CUTOFF go to fn in one float64 array call (fn
-    promotes what it must itself); each radius past it, and each whose
-    double |fn| would leave fn'' underflowing (|fn| < 2^-969 (1 + r^2)), is
-    read as fn(mpf(r)).  x holds the radii, as mpf where they were read in
-    mpmath, so 1 + x*x stays exact there; every component has the shape of
-    rs, float64 where no entry was read in mpmath and object otherwise.
-    A radius past the double range (a ladder above about 1.4e308) raises
-    OverflowError."""
+def _framed(fn, rs, kind):
+    """fn's own frame of the given kind at double radii r > 0 (a SmoothedH,
+    segment, blend or WarpingFunction with one, or a bound method of one, like
+    sm.jet), else one from its double Jet2; log h is NaN or -inf where fn <= 0."""
     rs = np.asarray(rs, dtype=float)
     if not np.isfinite(rs).all():
-        raise OverflowError("a sampled radius is past the double range; the dense checks "
-                            "sample double radii")
-    head = rs <= _MP_EVAL_CUTOFF
-    hr = rs[head]
-    j = fn(hr)
-    comps = np.broadcast_arrays(j.value, j.d1, j.d2, hr)[:3]
-    v = comps[0]
-    lost = np.asarray(np.abs(v) < _UNDERFLOW_SCALE * (1.0 + hr * hr), dtype=bool)
-    if v.dtype == object:  # the entries fn promoted are mpf already
-        lost &= np.array([a.__class__ is float for a in v.tolist()], dtype=bool)
-    read_mp = ~head
-    read_mp[head] = lost
-    if not read_mp.any():
-        return rs, Jet2(*comps)
-    x = rs.astype(object)
-    out = [np.empty(rs.shape, object) for _ in comps]
-    for dst, src in zip(out, comps):
-        dst[head] = src
-    for i in np.flatnonzero(read_mp).tolist():
-        x[i] = mpmath.mpf(x[i])
-        j = fn(x[i])
-        out[0][i], out[1][i], out[2][i] = j.value, j.d1, j.d2
-    return x, Jet2(*out)
+        raise OverflowError("a sampled radius is past the double range")
+    frame = getattr(getattr(fn, "__self__", fn), "frame", None)
+    own = frame(rs) if frame is not None else None
+    if isinstance(own, kind):
+        return own
+    j = fn(rs)
+    v, d1, d2 = (np.asarray(c, dtype=float)
+                 for c in np.broadcast_arrays(j.value, j.d1, j.d2, rs)[:3])
+    u = 1.0 + rs * rs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is FFrame:  # every c1 zero
+            return FFrame(np.log(v), (-u * d2 / v, 0.0), (2.0 * rs * d1 / v, 0.0),
+                          u * (1.0 - d1 * d1) / (v * v))
+        ig = 0.5 * u / rs  # 1/g
+        p = -(d1 / v) * ig
+        return HFrame(np.log(v), p, p * p - p * (0.5 / (rs * rs) - 0.5) - (d2 / v) * ig * ig)
 
 
-def _richardson_even_limit(g, r0=1e-2, levels=5):
-    """Limit of an even analytic function g(r) as r -> 0, by Richardson
-    extrapolation on the r^2 expansion (halving steps, factor-4 table)."""
-    t = [[g(r0 / 2.0**j)] for j in range(levels)]
-    for mcol in range(1, levels):
-        fac = 4.0**mcol
-        for j in range(mcol, levels):
-            t[j].append((fac * t[j][mcol - 1] - t[j - 1][mcol - 1]) / (fac - 1.0))
-    return t[levels - 1][levels - 1]
+def h_frame(fn, rs) -> HFrame:
+    """The HFrame of an h-role function or jet callable at double radii."""
+    return _framed(fn, rs, HFrame)
+
+
+def f_frame(fn, rs) -> FFrame:
+    """The FFrame of an f-role function at double radii."""
+    return _framed(fn, rs, FFrame)
+
+
+def decay_curvature(hf: HFrame):
+    """-(1+r^2) h''/h as (c0, c1): (-4p^2 - 2p + 4p_y) + s (4p^2 + 4p - 4p_y)."""
+    p, p_y = hf.p, hf.p_y
+    q = 4.0 * p * p
+    return (-q - 2.0 * p) + 4.0 * p_y, (q + 4.0 * p) - 4.0 * p_y
+
+
+def scaled_ricci(ff: FFrame, hf: HFrame, k):
+    """(radial, circle, sphere) times 1+r^2, each as (c0, c1) standing for
+    c0 + c1 s: the formulas of the module docstring, for any frames."""
+    h0, h1 = decay_curvature(hf)
+    (a0, a1), (b0, b1), p = ff.radial, ff.cross, hf.p
+    return ((k * a0 + h0, k * a1 + h1), (k * p * b0 + h0, k * p * b1 + h1),
+            (a0 + (k - 1) * ff.sphere + p * b0, a1 + p * b1))
+
+
+def positive(c0, c1, s):
+    """Where c0 + c1 s > 0, deciding on c1 where c0 == 0 (s may be 0.0)."""
+    return (c0 + c1 * s > 0) | ((c0 == 0) & (c1 > 0))
+
+
+def _scaled(m: DoublyWarpedMetric, rs):
+    """s and the scaled directions of m at double radii r > 0."""
+    rs = np.asarray(rs, dtype=float)
+    ff, hf = f_frame(m.f, rs), h_frame(m.h, rs)
+    bad = np.flatnonzero(~(ff.log_f > -np.inf) | ~(hf.log_h > -np.inf))
+    if bad.size:
+        i = bad[0]
+        raise NonPositiveWarping(f"log f = {ff.log_f[i]}, log h = {hf.log_h[i]} at r = {rs[i]}")
+    return inv_u(rs), scaled_ricci(ff, hf, m.k)
 
 
 def _axis_report(m: DoublyWarpedMetric) -> RicciReport:
-    """The three directions at r = 0.  f''/f, (1-f'^2)/f^2 and (f'/f)(h'/h)
-    are removable 0/0 forms there, taken by Richardson extrapolation; f'/f
-    -> 1/r offsets h'(0) = 0, so (f'/f)(h'/h) -> h''(0)/h(0)."""
-    h0 = m.h(0.0)
-    lim_ff = _richardson_even_limit(lambda s: m.f(s).d2 / m.f(s).value)
-    lim_k = _richardson_even_limit(lambda s: (1.0 - m.f(s).d1 ** 2) / m.f(s).value ** 2)
-    lim_fh = _richardson_even_limit(
-        lambda s: (m.f(s).d1 / m.f(s).value) * (m.h(s).d1 / m.h(s).value)
-    )
-    hh = -h0.d2 / h0.value
-    return RicciReport(0.0, hh - m.k * lim_ff, hh - m.k * lim_fh,
-                       -lim_ff + (m.k - 1) * lim_k - lim_fh)
+    """The three directions at r = 0, each extrapolated from r = 1e-2 / 2^j,
+    j < 5, by Richardson's factor-4 table on its r^2 expansion."""
+    t = [np.array(row) for row in zip(*ricci_components(m, 1e-2 / 2.0 ** np.arange(5)))]
+    for mcol in range(1, 5):
+        fac = 4.0**mcol
+        t = [(fac * b - a) / (fac - 1.0) for a, b in zip(t, t[1:])]
+    return RicciReport(0.0, *t[0].tolist())
 
 
 def ricci_report(m: DoublyWarpedMetric, r) -> RicciReport:
@@ -157,42 +169,21 @@ def ricci_sphere(m: DoublyWarpedMetric, r):
 
 
 def ricci_components(m: DoublyWarpedMetric, rs):
-    """The three directions at a sequence of double radii > 0, as (radial,
-    circle, sphere) arrays: the formulas of the module docstring, on f and h
-    read once through `jets_at`.  An entry read in mpmath is an mpf in an
-    object array."""
-    rs = np.asarray(rs, dtype=float)
-    _, fj = jets_at(m.f, rs)
-    _, hj = jets_at(m.h, rs)
-    bad = np.flatnonzero(np.asarray(fj.value <= 0, dtype=bool)
-                         | np.asarray(hj.value <= 0, dtype=bool))
-    if bad.size:
-        r, fv, hv = rs[bad[0]], fj.value[bad[0]], hj.value[bad[0]]
-        raise NonPositiveWarping(
-            f"f({r})={fv}, h({r})={hv}; warping must be positive for r > 0")
-    radial = -hj.d2 / hj.value - m.k * fj.d2 / fj.value
-    circle = -hj.d2 / hj.value - m.k * (fj.d1 * hj.d1) / (fj.value * hj.value)
-    sphere = (
-        -fj.d2 / fj.value
-        + (m.k - 1) * (1 - fj.d1 * fj.d1) / (fj.value * fj.value)
-        - (fj.d1 * hj.d1) / (fj.value * hj.value)
-    )
-    return radial, circle, sphere
+    """(radial, circle, sphere) float64 arrays at double radii > 0: the scaled
+    directions of f's and h's frames, over 1 + r^2 (0.0 past about 1.3e154)."""
+    s, dirs = _scaled(m, rs)
+    return tuple((c0 + c1 * s) * s for c0, c1 in dirs)
 
 
 def ricci_positive_on_grid(m: DoublyWarpedMetric, grid):
-    """True iff all three Ricci directions are positive at every grid radius.
-
-    Returns ``(ok, worst)`` where worst is the RicciReport with the smallest
-    minimum value.  The double radii are read in one `ricci_components`
-    call, and comparisons stay in its arithmetic (mpf where an entry was
-    read in mpmath), so huge-radius tails never underflow.
-    """
+    """``(ok, worst)``: ok iff all three directions are `positive` at every
+    grid radius, worst the (first) RicciReport with the smallest minimum."""
     if len(grid) == 0:
         raise ValueError("empty grid")
     if any(r <= 0 for r in grid):
         raise ValueError("grid radii must be positive")
-    rows = list(zip(*(c.tolist() for c in ricci_components(m, grid))))
-    lows = [min(row) for row in rows]  # RicciReport.min_value
-    worst = min(range(len(rows)), key=lows.__getitem__)  # the first smallest
-    return all(low > 0 for low in lows), RicciReport(grid[worst], *rows[worst])
+    s, dirs = _scaled(m, grid)
+    ok = all(positive(c0, c1, s).all() for c0, c1 in dirs)
+    rows = [(c0 + c1 * s) * s for c0, c1 in dirs]
+    worst = int(np.argmin(np.minimum.reduce(rows)))
+    return ok, RicciReport(grid[worst], *(float(c[worst]) for c in rows))

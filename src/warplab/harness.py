@@ -19,7 +19,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -147,17 +146,13 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport):
     f = standard_f()
     m = curv.DoublyWarpedMetric(k, f, sm.as_warping())
     grid = curv.log_grid(cfg.r_min, cfg.r_max, cfg.grid_points)
-    # ricci_report's bits at every radius, from one f and one h array read,
-    # as doubles also where read in mpmath
-    rows = list(zip(grid.tolist(), *([float(v) for v in c.tolist()]
-                                     for c in curv.ricci_components(m, grid))))
-    lows = [min(row[1:]) for row in rows]
-    ok = all(low > 0 for low in lows)
-    worst = reduce(min, lows, math.inf)  # Python's running min: NaN entries are skipped
+    # ricci_report's bits at every radius, from one f and one h frame
+    rows = list(zip(grid.tolist(), *(c.tolist() for c in curv.ricci_components(m, grid))))
+    ok, worst = curv.ricci_positive_on_grid(m, grid)
     path = os.path.join(cfg.outdir, "ricci_curve.csv")
     write_csv(path, ["r", "ric_radial", "ric_circle", "ric_sphere"], rows)
     report.artifacts.append(path)
-    report.add(f"ricci-positive(k={k})", ok, margin=worst)
+    report.add(f"ricci-positive(k={k})", ok, margin=worst.min_value)
 
     # oracle cost grows like (k+2)^4, and the closed forms are affine in k,
     # so the cross-check of the formulas runs at a small sphere dimension

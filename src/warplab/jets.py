@@ -10,8 +10,8 @@ mean anything).
 
 The scalar type is duck-typed: ``float`` for ordinary values, ``mpmath.mpf``
 for values doubles cannot hold (a bridge constant past double range, an h
-or h'' that would underflow, a radius past the dense checks' mpmath cutoff
-in `curvature.jets_at`), and float64 numpy arrays for many radii at once.  Array components keep the bits of per-radius float jets: numpy's
+or h'' that would underflow), and float64 numpy arrays for many radii at
+once.  Array components keep the bits of per-radius float jets: numpy's
 ``+ - * /`` round like Python floats, and the power and the transcendental
 maps run Python's scalar ``**`` and ``math`` per element (``np.power`` and
 ``np.sin`` may differ by an ulp).  Powers are evaluated in ratio form

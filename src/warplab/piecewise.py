@@ -29,10 +29,12 @@ import numpy as np
 
 from .jets import Jet2, _array_pow, _ndarray
 from .ladder import ScaleLadder, bridge_constant, bridge_exponent
+from .warping import HFrame, power_frame
 
 # doubles hold |log10| < ~308; stay clear so squares/ratios inside jet
 # algebra never denormalize
 _FLOAT_SAFE_LOG10 = 290.0
+_NORMAL_MIN = 2.2250738585072014e-308  # the smallest normal double
 
 
 def float_ceil(x) -> float:
@@ -83,8 +85,9 @@ class Segment:
         """(h, h', h'', promoted) at a double or a float64 array of radii, in
         closed form and bit-identical to the Jet2 jets.  promoted (a bool, or
         a bool array) marks the radii that doubles cannot answer: the
-        constant is outside float range, or h or h' underflowed.  Their other
-        entries mean nothing; jet() redoes them in mpmath."""
+        constant is outside float range, the bare power (1+r^2)^(-p) is
+        subnormal, or h or h' underflowed.  Their other entries mean
+        nothing; jet() redoes them in mpmath."""
         arr = r.__class__ is _ndarray
         p = self.p
         u0 = 1.0 + r * r
@@ -102,15 +105,22 @@ class Segment:
             nan = np.full(r.shape, math.nan) if arr else math.nan
             return nan, nan, nan, np.ones(r.shape, bool) if arr else True
         # scale first, then form derivatives in ratio form: the bare power's
-        # jets can underflow where C * (1+r^2)^(-p) is still representable
-        v = cf * (_array_pow(u0, -p) if arr else u0 ** (-p))
+        # jets can underflow where C * (1+r^2)^(-p) is still representable;
+        # a subnormal power has lost bits, so that radius is promoted
+        w = _array_pow(u0, -p) if arr else u0 ** (-p)
+        v = cf * w
         d1 = v * (-p) * g1
         d2 = v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0)
         if arr:
-            promoted = (r > 0) & ((v == 0.0) | (d1 == 0.0) | ~np.isfinite(v))
+            promoted = (r > 0) & ((w < _NORMAL_MIN) | (v == 0.0) | (d1 == 0.0) | ~np.isfinite(v))
         else:
-            promoted = r > 0 and (v == 0.0 or d1 == 0.0 or not math.isfinite(v))
+            promoted = r > 0 and (w < _NORMAL_MIN or v == 0.0 or d1 == 0.0
+                                 or not math.isfinite(v))
         return v, d1, d2, promoted
+
+    def frame(self, r) -> HFrame:
+        """The exponent frame at a float64 array of radii."""
+        return power_frame(r, self.p, 0.0 if self._unit else float(mpmath.log(self.C)))
 
     def jet(self, r) -> Jet2:
         """Jet2 at a float, an mpf or a float64 array of radii (a Jet2 of
@@ -136,8 +146,10 @@ class Segment:
 
         def bridge_value(r):
             u0 = 1.0 + r * r
-            v = cf * u0**negp
-            if r > 0 and (v == 0.0 or v * negp * (2.0 * r / u0) == 0.0 or not math.isfinite(v)):
+            w = u0**negp
+            v = cf * w
+            if r > 0 and (w < _NORMAL_MIN or v == 0.0 or v * negp * (2.0 * r / u0) == 0.0
+                          or not math.isfinite(v)):
                 return promote(r)
             return v
         return bridge_value

@@ -19,32 +19,22 @@ g = 2r/(1+r^2), h'/h = -p g and h''/h = (p g)^2 - p'(y) g^2 - p g', so
 h decreases wherever p > 0 and its local exponent |h'/h|/g stays within
 [min p, max p].
 
-Blended jets are exact: the form is one exp of a polynomial in y, so no
-divided differences enter this path.
-
-At float radii a blend answers through its closed-form kernel (`Blend.kernel`),
-which takes a double or a float64 array; log1p and exp run per element
-with `math` (`jets._lift`), so array and scalar reads agree bit for bit.  A SmoothedH
-evaluates an array by runs of one owner.  The dense checks below
-(blend scan, strict-decrease scan, replacement inequalities, certification,
-effective exponent) sample double radii and read h through
-`curvature.jets_at`: one array call up to its mpmath cutoff, an mpf radius
-past it and where h'' would underflow; a radius the kernel promotes
-(h or h' zero in doubles) is read in mpmath.  A float read of the value
-alone runs a value reader (`Blend.value_reader`), the kernel without h'';
-a SmoothedH keeps one per float-table interval for the quadratures and
-root-finders of `halfplane`.
+At float radii a blend answers through its kernel (`Blend.kernel`) and
+value reader (`Blend.value_reader`), which `halfplane` reads.  The dense
+checks below (blend scan, strict-decrease scan, replacement inequalities,
+certification, effective exponent) read its exponent frame (`frame`):
+log h, p and p'(y) in closed form at double radii, with no mpmath.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import mpmath
 import numpy as np
 
-from .curvature import jets_at
+from .curvature import decay_curvature, f_frame, h_frame, positive, scaled_ricci
 from .jets import Jet2, _exp, _lift, _ndarray
 from .ladder import build_scale_ladder
 from .piecewise import (
@@ -54,7 +44,7 @@ from .piecewise import (
     build_piecewise_h,
     float_ceil,
 )
-from .warping import WarpingFunction
+from .warping import HFrame, WarpingFunction, inv_u, log1p_sq
 
 SPAN_LO = 0.8  # a blend starts at 0.8 R; its end is centred on y(R) in y = log(1+r^2)
 
@@ -162,6 +152,16 @@ class Blend:
                 for dst, src in zip(out, part(r[mask])):
                     dst[mask] = src
         return out
+
+    def frame(self, r) -> HFrame:
+        """The exponent frame at a float64 array: the pieces' outside [lo, hi),
+        inside p = p_R + (p_L - p_R) q(x) with its log h and p_y."""
+        (lo, hi), (ya, w, la, pr, dp) = self._edges_f, self._form_f
+        y = log1p_sq(r)
+        Q, q, q1 = _weights((y - ya) / w)
+        inside = (la - pr * (y - ya) - dp * w * Q, pr + dp * q, dp * q1 / w)
+        return HFrame(*(np.where(r < lo, a, np.where(r >= hi, b, c)) for a, b, c
+                        in zip(self.left.frame(r), self.right.frame(r), inside)))
 
     def _mix(self, r):
         v, d1, d2 = _exponent_form(r, self._form_f)
@@ -306,21 +306,29 @@ class SmoothedH:
         owner = self._owner_at(r)
         return owner if isinstance(owner, Blend) else None
 
-    def kernel(self, rs):
-        """(h, h', h'', promoted) at a 1-d float64 array of radii: the float
-        table splits the radii into runs of one owner (blend or segment),
-        and each owner's kernel answers its run in one call."""
+    def _by_owner(self, rs, method, dtypes):
+        """Each owner's method on its run of a 1-d float64 array of radii:
+        the float table splits the radii into runs of one owner (blend or
+        segment), and each owner answers its run in one call."""
         idx = np.searchsorted(self._fedges_array, rs, side="right")
-        out = (np.empty_like(rs), np.empty_like(rs), np.empty_like(rs), np.empty(rs.shape, bool))
+        out = tuple(np.empty(rs.shape, d) for d in dtypes)
         order = np.argsort(idx, kind="stable")
         idx = idx[order]
         cuts = (np.flatnonzero(idx[1:] != idx[:-1]) + 1).tolist()
         for a, b in zip([0, *cuts], [*cuts, len(idx)]):
             if a < b:  # an empty array has one empty run
                 sel = order[a:b]
-                for dst, src in zip(out, self._fowners[idx[a]].kernel(rs[sel])):
+                for dst, src in zip(out, getattr(self._fowners[idx[a]], method)(rs[sel])):
                     dst[sel] = src
         return out
+
+    def kernel(self, rs):
+        """(h, h', h'', promoted) at a 1-d float64 array, by runs of one owner."""
+        return self._by_owner(rs, "kernel", (float, float, float, bool))
+
+    def frame(self, rs) -> HFrame:
+        """The exponent frame at a 1-d float64 array, by runs of one owner."""
+        return HFrame(*self._by_owner(rs, "frame", (float, float, float)))
 
     def jet(self, r) -> Jet2:
         """Jet2 at a float, an mpf or a 1-d float64 array of radii (a Jet2 of
@@ -338,7 +346,7 @@ class SmoothedH:
         return self.jet(r)
 
     def as_warping(self, label="smoothed-h") -> WarpingFunction:
-        return WarpingFunction(label, lambda x: self.jet(x.value))
+        return WarpingFunction(label, lambda x: self.jet(x.value), frame=self.frame)
 
     def last_radius(self):
         return self.base.segments[-1].r_lo
@@ -373,17 +381,15 @@ def _midpoints(n):
 
 
 def _check_blend_monotonicity(sm: SmoothedH, n: int):
-    """h' < 0 at n midpoint samples of every blend, read through jets_at."""
-    t = _midpoints(n)
+    """h' < 0, that is p > 0, at n midpoint samples of every blend."""
     for b in sm.blends:
         lo, hi = float(b.lo), float(b.hi)
-        rs = lo + (hi - lo) * t
-        _, j = jets_at(b.jet, rs)
-        bad = np.flatnonzero(~np.asarray(j.d1 < 0, dtype=bool))
+        rs = lo + (hi - lo) * _midpoints(n)
+        p = h_frame(b, rs).p
+        bad = np.flatnonzero(~(p > 0))
         if bad.size:
-            raise MonotonicityLoss(
-                f"h_s' = {j.d1[bad[0]]} >= 0 at r = {rs[bad[0]]} inside blend at R = {b.R}"
-            )
+            raise MonotonicityLoss(f"h_s' >= 0 (decay exponent {p[bad[0]]}) at r = "
+                                   f"{rs[bad[0]]} inside blend at R = {b.R}")
 
 
 @dataclass
@@ -400,36 +406,27 @@ def verify_observation(h_old, h_new, interval, n: int = 2000) -> ObservationChec
         h_new' < 0,   |h_new'/h_new| > c |h_old'/h_old|,
         h_new''/h_new < C h_old''/h_old.
 
-    Both arguments are jet-valued callables positive on the interval, read
-    through `jets_at` at n midpoint samples of the interval taken as
-    doubles: each is called once with the float64 array of the samples up
-    to the mpmath cutoff and must return a Jet2 of arrays (Segment.jet,
-    SmoothedH and WarpingFunction do), and with an mpf for each other
-    sample.  The returned constants carry 0.99/1.01 safety margins off the
-    grid inf/sup; ok is False when h_new fails to decrease somewhere or
-    when no positive constants exist (e.g. the reference curvature ratio
-    changes sign).
+    Both arguments are positive h-role functions or jet callables, read
+    through `curvature.h_frame` at n midpoint samples of the interval taken
+    as doubles (|h'/h| is p dy/dr).  The constants carry 0.99/1.01 safety
+    margins off the grid inf/sup; ok is False when h_new fails to be
+    positive and decreasing somewhere or when no positive constants exist
+    (e.g. the reference curvature ratio changes sign).
     """
     a, b = (float(x) for x in interval)
     rs = a + (b - a) * _midpoints(n)
-    _, jo = jets_at(h_old, rs)
-    _, jn = jets_at(h_new, rs)
-    # entry by entry the per-radius arithmetic (object entries hold mpf)
-    decreasing = np.asarray(jn.d1 < 0, dtype=bool)
-    q_old = jo.d2 / jo.value
-    bad = np.flatnonzero(~decreasing | np.asarray(q_old <= 0, dtype=bool))
+    old, new = h_frame(h_old, rs), h_frame(h_new, rs)
+    q_old, q_new = (c0 + c1 * inv_u(rs) for c0, c1 in map(decay_curvature, (old, new)))
+    decreasing = (new.p > 0) & (new.log_h > -np.inf)
+    bad = np.flatnonzero(~decreasing | ~(q_old < 0))
     if bad.size:
         i = int(bad[0])
-        reason = (f"h_new' >= 0 at r={rs[i]}" if not decreasing[i]
+        reason = (f"h_new is not positive and decreasing at r={rs[i]}" if not decreasing[i]
                   else f"reference curvature ratio <= 0 at r={rs[i]}")
         return ObservationCheck(False, 0.0, float("inf"), reason)
-    ratio1 = abs(jn.d1 / jn.value) / abs(jo.d1 / jo.value)
-    ratio2 = (jn.d2 / jn.value) / q_old
-    # Python's running min/max: a NaN after the first entry is skipped
-    c_inf = reduce(min, ratio1.tolist())
-    C_sup = reduce(max, ratio2.tolist())
-    c = 0.99 * float(c_inf)
-    C = 1.01 * float(C_sup) if C_sup > 0 else float(C_sup) / 1.01
+    c = 0.99 * float(np.min(np.abs(new.p / old.p)))
+    C_sup = float(np.max(q_new / q_old))
+    C = 1.01 * C_sup if C_sup > 0 else C_sup / 1.01
     return ObservationCheck(c > 0, c, C)
 
 
@@ -442,36 +439,23 @@ class ConstructionInvariants:
     worst_C: float
 
 
-_SCAN_CHUNK = 8192  # radii per array call of the strict-decrease scan
-
-
 def construction_invariants(hp: PiecewiseH, sm: SmoothedH, r_min: float = 1e-3):
-    """Junction continuity of hp, strict decrease of sm on 1e5 log-spaced
+    """Junction continuity of hp, strict decrease of log h on 1e5 log-spaced
     samples from r_min to 1.3 x the last junction (1e6 without one), and
     the replacement inequalities (400 samples) against the left piece of
     every blend."""
     gaps = hp.check_continuity(rel_tol=math.inf)
 
     exps = np.linspace(np.log10(r_min), float(mpmath.log10(_scan_top(sm))), 100_000)
-    monotone = True
-    prev = math.inf
-    for at in range(0, exps.size, _SCAN_CHUNK):
-        # Python's scalar 10.0**e (np.power may differ by an ulp)
-        rs = np.array([10.0**e for e in exps[at:at + _SCAN_CHUNK].tolist()])
-        vals = jets_at(sm.jet, rs)[1].value
-        if not (vals[0] < prev and np.all(vals[1:] < vals[:-1])):
-            monotone = False
-            break
-        prev = vals[-1]
+    # Python's scalar 10.0**e (np.power may differ by an ulp), 8,192 radii at a time
+    log_h = np.concatenate([h_frame(sm, [10.0**e for e in exps[at:at + 8192].tolist()]).log_h
+                            for at in range(0, exps.size, 8192)])
+    monotone = bool(np.all(log_h[1:] < log_h[:-1]))
 
-    blends_ok = True
-    worst_c, worst_C = math.inf, 0.0
-    for b in sm.blends:
-        chk = verify_observation(b.left.jet, sm, (b.lo, b.hi), n=400)
-        blends_ok = blends_ok and chk.ok
-        worst_c = min(worst_c, chk.c)
-        worst_C = max(worst_C, chk.C)
-    return ConstructionInvariants(gaps, monotone, blends_ok, worst_c, worst_C)
+    obs = [verify_observation(b.left, sm, (b.lo, b.hi), n=400) for b in sm.blends]
+    return ConstructionInvariants(gaps, monotone, all(o.ok for o in obs),
+                                  min((o.c for o in obs), default=math.inf),
+                                  max((o.C for o in obs), default=0.0))
 
 
 # -- positivity certification ------------------------------------------------
@@ -504,11 +488,7 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
     marks.sort(key=mpmath.mpf)
     top = _scan_top(sm)
 
-    cuts = [mpmath.mpf(r_min)]
-    for x in marks:
-        if r_min < x < top:
-            cuts.append(mpmath.mpf(x))
-    cuts.append(top)
+    cuts = [mpmath.mpf(r_min), *(mpmath.mpf(x) for x in marks if r_min < x < top), top]
 
     # e in doubles: mpf arithmetic at 53 bits rounds as doubles do
     grid, glabels = [], []
@@ -542,15 +522,12 @@ def _regime_label(sm: SmoothedH, r):
 
 
 def effective_exponent_max(sm: SmoothedH, grid=None) -> float:
-    """sup over the grid of |h'/h| (1+r^2) / (2r): the local decay exponent,
+    """max over the grid of the local decay exponent p = -h'/h (1+r^2)/(2r),
     equal to p on a pure (1+r^2)^(-p) stretch and between the joined
     exponents inside blends."""
     if grid is None:
         grid, _ = certification_grid(sm, per_interval=60)
-    x, j = jets_at(sm.jet, grid)
-    vals = abs(j.d1) * (1 + x * x) / (2 * x * j.value)
-    # Python's running max: NaN entries are skipped
-    return reduce(max, (float(v) for v in vals.tolist()), 0.0)
+    return float(np.max(h_frame(sm, grid).p))
 
 
 def dimension_threshold(p: float) -> float:
@@ -564,10 +541,9 @@ def certify_positive_ricci(
 ) -> Certificate:
     """Smallest sphere dimension k <= k_max with positive Ricci on the grid.
 
-    All three directions are nondecreasing in k, so the minimal certified k
-    is found by scanning the per-point affine components once.  Margins are
-    reported as (1+r^2)-scaled minima per structural regime, which keeps
-    huge-radius tails away from float underflow without changing signs.
+    h and f are framed once; all three directions are nondecreasing in k,
+    so k runs up from 1 through `scaled_ricci` and `positive`.  Margins are
+    reported as (1+r^2)-scaled minima per structural regime.
     """
     if grid is None:
         if not isinstance(sm_or_h, SmoothedH):
@@ -576,36 +552,21 @@ def certify_positive_ricci(
     if labels is None:
         labels = ["all"] * len(grid)
 
-    n = len(grid)
-    x, hj = jets_at(sm_or_h, grid)
-    _, fj = jets_at(f, grid)
-    w = 1 + x * x  # positive scale factor, keeps tails representable
-    # an object entry (read in mpmath) becomes its float()
-    t_h = np.asarray(-hj.d2 / hj.value * w, dtype=float)
-    t_fr = np.asarray(-fj.d2 / fj.value * w, dtype=float)
-    t_cr = np.asarray(-(fj.d1 / fj.value) * (hj.d1 / hj.value) * w, dtype=float)
-    t_sp = np.asarray((1 - fj.d1 * fj.d1) / (fj.value * fj.value) * w, dtype=float)
-    logr = np.array([math.log10(r) for r in grid])
-
+    hf, ff, s = h_frame(sm_or_h, grid), f_frame(f, grid), inv_u(np.asarray(grid, dtype=float))
+    mins = np.full(len(grid), -math.inf)  # no k to try when k_max < 1
     for k in range(1, k_max + 1):
-        radial = t_h + k * t_fr
-        circle = t_h + k * t_cr
-        sphere = t_fr + (k - 1) * t_sp + t_cr
-        mins = np.minimum(np.minimum(radial, circle), sphere)
-        if np.all(mins > 0):
+        dirs = scaled_ricci(ff, hf, k)
+        mins = np.minimum.reduce([c0 + c1 * s for c0, c1 in dirs])
+        if all(positive(c0, c1, s).all() for c0, c1 in dirs):
             margins = {}
             for lab in set(labels):
                 idx = [i for i, L in enumerate(labels) if L == lab]
                 j = min(idx, key=lambda i: mins[i])
-                margins[lab] = RegimeMargin(lab, logr[j], float(mins[j]))
-            return Certificate(k, k_max, sorted(margins.values(), key=lambda m: m.margin), n)
-
-    radial = t_h + k_max * t_fr
-    circle = t_h + k_max * t_cr
-    sphere = t_fr + (k_max - 1) * t_sp + t_cr
-    mins = np.minimum(np.minimum(radial, circle), sphere)
-    j = int(np.argmin(mins))
-    raise NotCertified(k_max, RegimeMargin(labels[j], logr[j], float(mins[j])))
+                margins[lab] = RegimeMargin(lab, math.log10(grid[j]), float(mins[j]))
+            return Certificate(k, k_max, sorted(margins.values(), key=lambda m: m.margin),
+                               len(grid))
+    j = int(np.argmin(mins))  # at k_max
+    raise NotCertified(k_max, RegimeMargin(labels[j], math.log10(grid[j]), float(mins[j])))
 
 
 # -- top-level builders ------------------------------------------------------

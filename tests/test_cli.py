@@ -123,6 +123,34 @@ def test_ricci_check_steep_model_past_double_underflow(tmp_path, capsys):
     assert all(float(v) > 0 for row in rows for v in row.split(",")[1:])
 
 
+def test_ricci_check_at_the_threshold_past_cancellation(tmp_path, capsys):
+    # pure p = 1/2 at k = 8 = 16p^2 + 8p: the radial direction is exactly
+    # 13/(1+r^2)^2, positive out to 1e10 although its leading terms cancel
+    code = run_cli(["ricci-check", "--alpha", "0.5", "--k", "8", "--r-max", "1e10",
+                    "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    check = next(c for c in report["checks"] if c["name"] == "ricci-positive(k=8)")
+    assert check["status"] == "pass"
+    assert check["margin"] == pytest.approx(13.0 / (1.0 + 1e20) ** 2, rel=1e-12)
+
+
+def test_build_example_at_the_default_bound(tmp_path, capsys):
+    code = run_cli(["build-example", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3",
+                    "--B", "1.5", "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("junction-continuity", "pass"), ("ladder-truncated", "flagged"),
+        ("strictly-decreasing(1e5 samples)", "pass"),
+        ("replacement-inequalities(all blends)", "pass"), ("certified-k<=192", "pass"),
+    ]
+    cert = report["checks"][-1]
+    assert cert["details"].startswith("minimal k=53,")
+
+
 def test_every_public_name_resolves():
     assert [name for name in warplab.__all__ if not hasattr(warplab, name)] == []
     assert len(set(warplab.__all__)) == len(warplab.__all__)

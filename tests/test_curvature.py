@@ -7,7 +7,7 @@ import pytest
 from warplab.curvature import (
     DoublyWarpedMetric,
     NonPositiveWarping,
-    jets_at,
+    h_frame,
     log_grid,
     ricci_circle,
     ricci_positive_on_grid,
@@ -95,16 +95,22 @@ def test_k_validation():
         DoublyWarpedMetric(0, standard_f(), power_decay_h(0.5))
 
 
-def test_jets_at_reads_tail_and_underflowing_radii_in_mpmath():
-    # p = 3: at 1e30 h is 1e-180 and a double; at 1e60 it underflows to 0.0,
-    # and 1e80 lies past the cutoff, so both are read at an mpf radius
+def test_h_frame_reads_tail_and_underflowing_radii_in_doubles():
+    # p = 3: at 1e30 h is 1e-180 as a double, at 1e60 it underflows to 0.0,
+    # and 1e80 lies past where h'' would; log h stays a double throughout
+    # and matches the mpmath jet
     h = power_decay_h(3.0)
-    rs = [1.0, 1e30, 1e60, 1e80]
-    x, j = jets_at(h, rs)
-    assert [type(r) for r in x.tolist()] == [float, float, mpmath.mpf, mpmath.mpf]
-    for r, got in zip(x.tolist(), zip(j.value.tolist(), j.d1.tolist(), j.d2.tolist())):
-        want = h(r)
-        assert got == (want.value, want.d1, want.d2)
-    # with no radius read in mpmath the radii and float64 jets come back
-    x, j = jets_at(h, rs[:2])
-    assert x.dtype == j.value.dtype == j.d2.dtype == np.float64
+    rs = np.array([1.0, 1e30, 1e60, 1e80])
+    fr = h_frame(h, rs)
+    assert fr.log_h.dtype == fr.p.dtype == fr.p_y.dtype == np.float64
+    with mpmath.workdps(30):
+        for r, got in zip(rs.tolist(), fr.log_h.tolist()):
+            want = mpmath.log(h(mpmath.mpf(r)).value)
+            assert abs(got - want) <= 1e-15 * abs(want), r
+    assert fr.p.tolist() == [3.0] * 4 and fr.p_y.tolist() == [0.0] * 4
+    # a family with no frame of its own is framed from its double Jet2,
+    # which agrees where h and h'' are normal doubles
+    plain = h_frame(WarpingFunction("plain", h.fn), rs[:2])
+    assert np.allclose(plain.log_h, fr.log_h[:2], rtol=1e-15, atol=0.0)
+    assert np.allclose(plain.p, 3.0, rtol=1e-14, atol=0.0)
+    assert np.allclose(plain.p_y, 0.0, rtol=0.0, atol=1e-12)

@@ -180,5 +180,5 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
         "grushin_convergence.csv":
             "02b0d8b2c6b0346143698bb3774602655c56bd78c15b40cf2ab8a76120debc35",
         "orbit_distances.csv": "b9faeac0d030466d5f891cb3322939e35ab90528c2543b6ae29ec44524462607",
-        "ricci_curve.csv": "ad8b7191903fee9d6a5328a309bfa47215f49ee55a920f91d79baa74b181c7a6",
+        "ricci_curve.csv": "81e35a6c43598a3e8819ca2e95b73a4fad92735ba8a09b2dfdd8094003b60bd0",
     }

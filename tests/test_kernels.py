@@ -34,9 +34,11 @@ def _ref_segment(seg, r):
     p = seg.p
     u0 = 1.0 + r * r
     g1 = 2.0 * r / u0
-    v = cf * u0 ** (-p)
+    w = u0 ** (-p)
+    v = cf * w
     d1 = v * (-p) * g1
-    if r > 0 and (v == 0.0 or d1 == 0.0 or not math.isfinite(v)):
+    # a subnormal bare power has lost bits
+    if r > 0 and (w < 2.2250738585072014e-308 or v == 0.0 or d1 == 0.0 or not math.isfinite(v)):
         return None
     return Jet2(v, d1, v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0))
 
@@ -230,6 +232,20 @@ def _check_readers(sm, radii):
         assert asked == ([r] if owner.kernel(r)[3] else []), r
         promoted += bool(asked)
     return promoted
+
+
+def test_subnormal_bridge_power_is_promoted(osc_build):
+    # the default model's second p = 1.5 bridge (C = 2.56e138): between about
+    # 7.7e102 and 7e107 the bare power (1+r^2)^(-1.5) is subnormal, while
+    # C times it is a normal double; those radii are read in mpmath
+    sm = osc_build[2]
+    seg = sm.base.segment_at(1e105)
+    assert (seg.kind, seg.p) == ("bridge", 1.5) and seg.c_float() > 1e138
+    for r in (1e105, 1e107):
+        with mpmath.workdps(40):
+            want = seg.C * (1 + mpmath.mpf(r) ** 2) ** mpmath.mpf(-1.5)
+        for got in (sm.float_value(r), float(sm.value(r)), float(sm.jet(np.array([r])).value[0])):
+            assert abs(got - want) <= 1e-15 * want, (r, got, want)
 
 
 def test_value_readers_match_jets_at_every_edge(models):

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from warplab.christoffel import ricci_numeric_oracle
 from warplab.config import RunConfig
-from warplab.curvature import _MP_EVAL_CUTOFF, DoublyWarpedMetric, jets_at, log_grid, ricci_report
-from warplab.jets import Jet2
+from warplab.curvature import DoublyWarpedMetric, h_frame, log_grid, ricci_report
 from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
 from warplab.piecewise import PiecewiseH, Segment, float_ceil, float_floor
 from warplab.smoothing import (
@@ -114,11 +113,11 @@ def test_blend_edges_jet_consistent(osc_build):
 def test_global_monotonicity_sampled(osc_build):
     lad, hp, sm = osc_build
     top = mpmath.mpf(sm.last_radius()) * mpmath.mpf("1.3")
-    # double radii up to 1.3 x the last junction (4.8e230), past 1e70 read in
-    # mpmath, every value compared in its own arithmetic
+    # double radii up to 1.3 x the last junction (4.8e230), far past where
+    # h underflows doubles: log h decreases from sample to sample
     grid = log_grid(1e-3, float(top), 3000)
-    assert grid[-1] > _MP_EVAL_CUTOFF
-    values = jets_at(sm.jet, grid)[1].value.tolist()
+    assert grid[-1] > 1e70
+    values = h_frame(sm, grid).log_h.tolist()
     for r, u, v in zip(grid[1:].tolist(), values, values[1:]):
         assert v < u, r
 
@@ -177,11 +176,25 @@ def test_certify_below_threshold_fails():
 
 def test_certify_steep_pure_model_past_double_underflow():
     # pure p = 3 at r = 1e45: h is 1e-270 and h'' about 1e-359, which
-    # underflows in doubles; read in mpmath, the radial direction needs
-    # k > 16p^2 + 8p = 168
+    # underflows in doubles.  The scaled radial direction is
+    # (k/4 - 16p^2/4 - 2p) + s (4p^2 + 4p + 5k/4): at k = 16p^2 + 8p = 168 its
+    # c0 is exactly 0 and the exact value 258/(1 + r^2) is positive
     cert = certify_positive_ricci(pure_model_h(3.0), standard_f(), 400, grid=[1e45],
                                   labels=["p3"])
-    assert cert.k == 169
+    assert cert.k == 168
+    assert cert.margins[0].margin == pytest.approx(258e-90, rel=1e-15)
+
+
+def test_both_steep_bridges_need_their_threshold(osc_build):
+    # each p = 1.5 bridge of the default model, on [1.2e2, 7.9e5] and on
+    # [2e77, 1.8e230], certifies at k = 16p^2 + 8p = 48, where the radial
+    # direction's c0 is exactly 0 and its exact value is positive
+    sm = osc_build[2]
+    grid, labels = certification_grid(sm)
+    on_bridge = [r for r, lab in zip(grid, labels) if lab == "bridge(p=1.5)"]
+    for rs in ([r for r in on_bridge if r < 1e10], [r for r in on_bridge if r > 1e70]):
+        assert len(rs) == 240  # one cut interval, between the blends at its ends
+        assert certify_positive_ricci(sm, standard_f(), 192, rs, ["B"] * len(rs)).k == 48
 
 
 def test_effective_exponent_of_steep_pure_model_past_double_underflow():
@@ -451,7 +464,7 @@ def test_certification_grid_matches_per_radius_mpf(grid_models, model, per_inter
     assert [_typed_bits(r) for r in grid] == [_typed_bits(r) for r in want_grid]
     assert labels == want_labels
     if model == "osc-default":  # the tail past 1e70 is covered
-        assert max(grid) > _MP_EVAL_CUTOFF
+        assert max(grid) > 1e70
 
 
 
@@ -489,22 +502,22 @@ def _single_blend(pl, pr, R):
 def test_exponent_blend_meets_pieces_decreases_and_keeps_its_exponent(junction):
     pl, pr, R = junction
     b = _single_blend(pl, pr, R)
-    # h, h'/h and h''/h meet the pieces (read in mpmath) at the first and
-    # the last double of the span, the blend read as the dense checks read it
+    # log h, p and p_y meet the pieces (read in mpmath) at the first and the
+    # last double of the span, the blend framed as the dense checks frame it
     last = float_floor(b.hi)
     last = last if last < b.hi else math.nextafter(last, 0.0)
     for r, piece in ((float_ceil(b.lo), b.left), (last, b.right)):
-        _, got = jets_at(b.jet, [r])
-        got, want = Jet2(got.value[0], got.d1[0], got.d2[0]), piece.jet(mpmath.mpf(r))
-        for a, w in ((got.value, want.value), (got.d1 / got.value, want.d1 / want.value),
-                     (got.d2 / got.value, want.d2 / want.value)):
-            assert abs(a - w) <= 1e-12 * abs(w), (r, a, w)
+        got = h_frame(b, [r])
+        want = piece.jet(mpmath.mpf(r))
+        want_p = -want.d1 / want.value * (1 + mpmath.mpf(r) ** 2) / (2 * r)
+        assert abs(got.log_h[0] - mpmath.log(want.value)) <= 1e-12 * abs(mpmath.log(want.value))
+        assert abs(got.p[0] - want_p) <= 1e-12 * abs(want_p), (r, got.p[0], want_p)
+        assert abs(got.p_y[0]) <= 1e-12 * abs(pl - pr), (r, got.p_y[0])
     # decreasing, with the local exponent between p_L and p_R, at double
     # radii across the span
     lo, hi = float(b.lo), float(b.hi)
-    x, j = jets_at(b.jet, lo + (hi - lo) * (np.arange(400) + 0.5) / 400)
-    assert np.all(np.asarray(j.d1 < 0, dtype=bool))
-    p_eff = np.asarray(-j.d1 / j.value * (1 + x * x) / (2 * x), dtype=float)
+    p_eff = h_frame(b, lo + (hi - lo) * (np.arange(400) + 0.5) / 400).p
+    assert np.all(p_eff > 0)
     assert p_eff.min() >= min(pl, pr) * (1 - 1e-12)
     assert p_eff.max() <= max(pl, pr) * (1 + 1e-12)
 
