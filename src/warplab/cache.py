@@ -19,10 +19,11 @@ import json
 import os
 import threading
 
-# v2: distances from the scan-bracketed inversion; a v1 file's records,
-# from the former Newton-bracketed one, differ in the last bits and are
-# ignored and then rewritten like another model's
-HEADER = "# warplab-orbit-cache v2 model="
+# v3: distances whose turning panels below decay exponent 3/4 integrate on
+# the graded map; records of an older version (v2: the t = sqrt(r_max - r)
+# map everywhere, v1: Newton-bracketed inversions) differ in the last bits
+# and are ignored and then rewritten like another model's
+HEADER = "# warplab-orbit-cache v3 model="
 
 
 def model_hash(payload: dict) -> str:

@@ -7,14 +7,22 @@ with h(r_max) = c and returns symmetrically, accumulating
     delta_v(c)  = 2 int_a^{r_max} c / (h sqrt(h^2-c^2)) dr
     length(c)   = 2 int_a^{r_max} h / sqrt(h^2-c^2) dr.
 
-The endpoint 1/sqrt singularity is removed by the variable change
-t = sqrt(r_max - r) (equivalent to the h = c cosh u change: both make the
-integrand bounded), with h^2 - c^2 evaluated through a second-order Taylor
-model at r_max near the endpoint so the difference never cancels
-catastrophically.  Panels split at the model's structural breakpoints and
-switch to log-radius on wide spans; each panel runs through adaptive
-Gauss-Kronrod quadrature, the in-repo QAGS of `numerics` (relative 1e-9,
-absolute floor 1e-12).
+Panels split at the model's structural breakpoints and switch to
+log-radius on wide spans.  The turning panel [a, r_max] removes the
+endpoint 1/sqrt singularity by a variable that is sqrt(r_max - r) at r_max
+(equivalent to the h = c cosh u change: both make the integrand bounded):
+t = sqrt(r_max - r) itself where the local decay exponent p of h at r_max
+is at least 3/4, else the graded w in [0, 1] with
+
+    r = r_max - L w^2 (6 - 8w + 3w^2),    dr = -12 L w (1-w)^2 dw,
+
+L = r_max - a.  On a stretch h ~ r^(-2p) the integrands grow like r^(4p),
+which t leaves as a branch point (T - t)^(4p) at the panel's start; w is
+cubic there and raises its order to about 12p + 2, so QAGS need not bisect
+toward it.  Both evaluate h^2 - c^2 through a second-order Taylor model at
+r_max near the endpoint so the difference never cancels catastrophically.
+Each panel runs through adaptive Gauss-Kronrod quadrature, the in-repo
+QAGS of `numerics` (relative 1e-9, absolute floor 1e-12).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
 translate (period 2*pi in v) solve delta_v(c*) = 2*pi*l; counts and strides
@@ -38,6 +46,17 @@ from .jets import Jet2
 from .numerics import brentq, quad
 
 TWO_PI = 2.0 * math.pi
+# Turning panels whose local decay exponent at r_max lies below this take the
+# graded map w, the others t.  QK21 rules per arc on h = (1+r^2)^(-p) from
+# the axis (delta_v and length at 75 log-spaced c in [1e-12, 0.9]):
+#   p  0.1   0.3   0.6   0.7   0.74  0.75  0.76  0.8   0.9   1     1.5   3
+#   t  14.0  10.7  5.48  3.77  2.20  1.48  2.21  2.88  2.73  1.00  1.00  2.63
+#   w  2.29  1.43  1.23  1.21  1.99  1.84  2.07  2.84  2.91  2.11  2.91  3.63
+# Below 3/4 the graded map needs far fewer rules; from there on the two are
+# within a few per cent, or t (at the integer powers 4p) needs fewer.  The
+# bound sits 1e-9 below 3/4, past the rounding of the exponent estimate, so
+# a stretch of p = 3/4 exactly keeps t, whose start (T - t)^3 is analytic.
+_GRADED_BELOW = 0.75 - 1e-9
 
 
 class OutOfRange(ValueError):
@@ -102,6 +121,7 @@ class HalfplaneMetric:
         # this metric, so a stored number has the bits a new solve would give
         self._turning = {}
         self._arcs = {}
+        self._jets = {}  # turning radius -> the Jet2 of h there
 
     def jet(self, r):
         j = self._h(r)
@@ -250,11 +270,12 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
     w = c/h for v-displacement (dv) and w = h for length, solving for r_max
     when it is None.
 
-    The turning panel works in delta = r_max - r directly (delta = t^2 from
-    the substitution is exact in floats even when r_max - delta rounds back
-    to r_max), with a second-order Taylor model of h - c close in, so the
-    gap never suffers cancellation; sqrt(h-c)*sqrt(h+c) keeps h^2-c^2 from
-    underflowing as a single float.
+    The turning panel works in delta = r_max - r directly (delta = t^2, or
+    L w^2 (6 - 8w + 3w^2) on the graded map, is computed from the variable
+    and stays exact in floats even when r_max - delta rounds back to r_max),
+    with a second-order Taylor model of h - c close in, so the gap never
+    suffers cancellation; sqrt(h-c)*sqrt(h+c) keeps h^2-c^2 from underflowing
+    as a single float.
     """
     st = settings or QuadSettings()
     start = m.domain_start if start is None else float(start)
@@ -270,15 +291,31 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
     return value
 
 
+def _local_exponent(j, r):
+    """The local decay exponent p = -h'(1+r^2)/(2 r h) from the Jet2 j of h
+    at r, 0.0 where r or h is not positive."""
+    return -j.d1 * (1.0 + r * r) / (2.0 * r * j.value) if r > 0 and j.value > 0 else 0.0
+
+
+def _turning_jet(m, r_max):
+    """The Jet2 of h at a turning radius, read once per metric and radius:
+    delta_v and length at one r_max, and the Newton slope there, share it."""
+    j = m._jets.get(r_max)
+    if j is None:
+        j = m._jets[r_max] = m.jet(r_max)
+    return j
+
+
 def _arc_quadrature(m, c, start, st, r_max, dv):
     sqrt, exp = math.sqrt, math.exp
-    jet = m.jet(r_max)
+    jet = _turning_jet(m, r_max)
     nd1, hd2 = -jet.d1, 0.5 * jet.d2  # h - c ~ nd1*delta + hd2*delta^2
     delta_switch = st.taylor_frac * max(r_max, 1.0)
+    graded = _local_exponent(jet, r_max) < _GRADED_BELOW
 
     # integrand_r in r, integrand_s in s = log r (times r), integrand_t in
-    # t = sqrt(r_max - r), which removes the endpoint singularity; the weight
-    # is c/h for delta_v and h for length
+    # t = sqrt(r_max - r) and integrand_w in the graded w, which both remove
+    # the endpoint singularity; the weight is c/h for delta_v and h for length
     if dv:
         def integrand_r(r):
             h = hv(r)
@@ -298,6 +335,17 @@ def _arc_quadrature(m, c, start, st, r_max, dv):
                 h = hv(r_max - delta)
                 diff = h - c
             return 2.0 * t * (c / h) / (sqrt(diff) * sqrt(h + c))
+
+        def integrand_w(w):
+            u = 1.0 - w
+            delta = span * w * w * (6.0 - 8.0 * w + 3.0 * w * w)
+            if delta <= delta_switch:
+                diff = nd1 * delta + hd2 * delta * delta
+                h = c + diff
+            else:
+                h = hv(r_max - delta)
+                diff = h - c
+            return 12.0 * span * w * u * u * (c / h) / (sqrt(diff) * sqrt(h + c))
     else:
         def integrand_r(r):
             h = hv(r)
@@ -318,12 +366,26 @@ def _arc_quadrature(m, c, start, st, r_max, dv):
                 diff = h - c
             return 2.0 * t * h / (sqrt(diff) * sqrt(h + c))
 
+        def integrand_w(w):
+            u = 1.0 - w
+            delta = span * w * w * (6.0 - 8.0 * w + 3.0 * w * w)
+            if delta <= delta_switch:
+                diff = nd1 * delta + hd2 * delta * delta
+                h = c + diff
+            else:
+                h = hv(r_max - delta)
+                diff = h - c
+            return 12.0 * span * w * u * u * h / (sqrt(diff) * sqrt(h + c))
+
     total = 0.0
     err_total = 0.0
     panels = _arc_panels(m, start, r_max)
     for a, b in zip(panels, panels[1:]):
         hv = m.value_on(a, b)  # the integrands read this panel's reader
-        if b == r_max:
+        if b == r_max and graded:
+            span = r_max - a
+            v, e = _quad_panel(integrand_w, 0.0, 1.0, st) if span > 0 else (0.0, 0.0)
+        elif b == r_max:
             T = math.sqrt(r_max - a)
             v, e = _quad_panel(integrand_t, 0.0, T, st) if T > 0 else (0.0, 0.0)
         elif a > 0 and b / a >= 8.0:
@@ -508,8 +570,7 @@ def _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi, r_floor):
         slope = (fx - f_prev) / (x - x_prev) if near else 0.0
         if not (slope < 0 and math.isfinite(slope)):
             r = seen[x][0]
-            j = m.jet(r)
-            p = -j.d1 * (1.0 + r * r) / (2.0 * r * j.value) if r > 0 and j.value > 0 else 0.0
+            p = _local_exponent(_turning_jet(m, r), r)
             slope = -1.0
             if math.isfinite(p) and p > 0:
                 slope = -(1.0 + 0.5 / p) if quantity == "delta_v" else -0.5 / p
@@ -564,12 +625,21 @@ def orbit_distance(
     return sol.length, sol
 
 
+def note_d1(m: HalfplaneMetric, d1: float, settings: QuadSettings | None = None):
+    """Record d_1 of m at these settings, as an OrbitTable or its cache holds
+    it, so axis_count_at_radius reads it instead of solving it (and running
+    the strict-decrease scan for that solve); a delta_v inversion from the
+    domain start still runs the scan first."""
+    m._d1.setdefault(settings or QuadSettings(), d1)
+
+
 def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | None = None):
     """max { l >= 0 : d_l <= R } via the turning-parameter inversion.
 
     Arc length is decreasing in c and the v-displacement at fixed length is
     monotone, so the threshold index is delta_v(c_R)/(2 pi) at the c whose
-    arc length equals R.  The straight axis loop competes for small l.
+    arc length equals R.  The straight axis loop competes for small l; d_1
+    is solved once per metric and settings, unless note_d1 recorded it.
     """
     st = settings or QuadSettings()
     h0 = m.sup_h()

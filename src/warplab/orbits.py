@@ -36,6 +36,7 @@ from .halfplane import (
     HalfplaneMetric,
     QuadSettings,
     axis_count_at_radius,
+    note_d1,
     orbit_distance,
 )
 
@@ -89,7 +90,8 @@ class GrowthWindow:
 
 
 class OrbitTable:
-    """Memoized distances l -> (d_l, clairaut_c, r_max) for one model."""
+    """Memoized distances l -> (d_l, clairaut_c, r_max) for one model; the
+    table's d_1, loaded or solved, is the one axis counts on its metric read."""
 
     def __init__(self, metric: HalfplaneMetric, cache: OrbitCache | None = None,
                  settings: QuadSettings | None = None):
@@ -99,6 +101,8 @@ class OrbitTable:
         self.entries: dict = {}
         if cache is not None:
             self.entries.update(cache.load())
+        if 1 in self.entries:
+            note_d1(metric, self.entries[1][0], self.settings)
 
     def distance(self, l) -> float:
         l = abs(int(l)) if abs(l) < 2**53 else abs(l)
@@ -110,6 +114,8 @@ class OrbitTable:
         d, sol = orbit_distance(self.metric, l, settings=self.settings)
         rec = (d, sol.clairaut_c if sol else 0.0, sol.r_max if sol else 0.0)
         self.entries[l] = rec
+        if l == 1:
+            note_d1(self.metric, d, self.settings)
         if self.cache is not None:
             self.cache.append(l, *rec)
         return d

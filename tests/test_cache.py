@@ -74,17 +74,27 @@ def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
     assert alien.load() == {}
 
 
-def test_v1_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
-    # v1 records come from the former inversion, whose distances differ in
-    # the last bits: reusing them would break the byte-identical warm run
-    assert HEADER == "# warplab-orbit-cache v2 model="
+def _older_file_is_ignored_then_rewritten(cache_dir, version):
+    assert HEADER == "# warplab-orbit-cache v3 model="
     cache = OrbitCache.for_model({"family": "old"}, cache_dir)
     with open(cache.path, "w") as fh:
-        fh.write(f"# warplab-orbit-cache v1 model={cache.model_key}\n3 1.0 0.5 2.0\n")
+        fh.write(f"# warplab-orbit-cache {version} model={cache.model_key}\n3 1.0 0.5 2.0\n")
     assert cache.load() == {}
     cache.append(4, 2.0, 0.25, 3.0)
     assert _lines(cache) == [HEADER + cache.model_key, "4 2.0 0.25 3.0"]
     assert OrbitCache(cache.path, cache.model_key).load() == {4: (2.0, 0.25, 3.0)}
+
+
+def test_v1_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
+    # v1 records come from the former inversion, whose distances differ in
+    # the last bits: reusing them would break the byte-identical warm run
+    _older_file_is_ignored_then_rewritten(cache_dir, "v1")
+
+
+def test_v2_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
+    # v2 records come from turning panels integrated in t = sqrt(r_max - r)
+    # at every decay exponent; the graded map moves their last bits
+    _older_file_is_ignored_then_rewritten(cache_dir, "v2")
 
 
 def _append_fifty_per_trial(paths, key, first, barrier):

@@ -151,6 +151,28 @@ def test_build_example_at_the_default_bound(tmp_path, capsys):
     assert cert["details"].startswith("minimal k=53,")
 
 
+@pytest.mark.parametrize("args", [
+    ["grushin-compare", "--alpha", "0.3"],
+    ["full-suite", "--alpha", "0.45"],
+    ["full-suite", "--alpha", "0.4", "--beta", "1.2", "--A", "0.3", "--B", "1.5",
+     "--radius-bound", "1e40"],
+])
+def test_grushin_below_half_is_a_flagged_check(tmp_path, capsys, args):
+    # no Grushin target below decay exponent 1/2: the step reports a flagged
+    # check, and the steps before it keep their checks and report.json
+    code = run_cli([*args, "--outdir", str(tmp_path), "--cache-dir", str(tmp_path / "cache")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[FLAG] grushin-unavailable (decay exponent must be >= 1/2, got " in out
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert checks[-1]["name"] == "grushin-unavailable" and checks[-1]["status"] == "flagged"
+    assert not any(c["status"] == "fail" for c in checks)
+    assert not (tmp_path / "grushin_convergence.csv").exists()
+    if args[0] == "full-suite":
+        names = {c["name"] for c in checks}
+        assert {"ricci-oracle-agreement", "capacity-monotone", "box-dimension"} <= names
+
+
 def test_every_public_name_resolves():
     assert [name for name in warplab.__all__ if not hasattr(warplab, name)] == []
     assert len(set(warplab.__all__)) == len(warplab.__all__)

@@ -90,6 +90,148 @@ def test_arc_oracle_recomputed_live():
     assert sol.length == pytest.approx(float(ln), rel=1e-9)
 
 
+# delta_v and length of h = (1+r^2)^(-p) from the axis at Clairaut constant
+# c, from power_arc_oracle (30 digits); test_power_arc_table_is_the_oracle
+# recomputes two rows
+_POWER_ARC_TABLE = {
+    (0.1, 0.9): (11.1872111920724, 10.9531762910081),
+    (0.1, 0.5): (315.067527249648, 188.752413055866),
+    (0.1, 0.1): (4908738.65385974, 589048.629241693),
+    (0.1, 0.01): (4908738521234.06, 58904862254.8086),
+    (0.1, 0.0001): (4.90873852123404e+24, 5.89048622548085e+20),
+    (0.1, 1e-08): (4.90873852123403e+48, 5.89048622548083e+40),
+    (0.1, 1e-12): (4.90873852123401e+72, 5.89048622548082e+60),
+    (0.2, 0.9): (6.31513620809717, 6.2423829142839),
+    (0.2, 0.5): (36.7215152134143, 25.013605852895),
+    (0.2, 0.1): (9871.44852569865, 1381.96511215919),
+    (0.2, 0.01): (31214970.9317589, 437009.592615668),
+    (0.2, 0.0001): (312149708844300.0, 43700959238.2019),
+    (0.2, 1e-08): (3.12149708844299e+28, 4.37009592382019e+20),
+    (0.2, 1e-12): (3.12149708844299e+42, 4.37009592382018e+30),
+    (0.3, 0.9): (4.7963524721271, 4.75693461357742),
+    (0.3, 0.5): (16.3653207955115, 12.0565812515919),
+    (0.3, 0.1): (1084.12318420213, 173.353933818593),
+    (0.3, 0.01): (502814.456700357, 8045.02843770482),
+    (0.3, 0.0001): (108328040134.745, 17332486.4215577),
+    (0.3, 1e-08): (5.02814221456531e+21, 80450275433044.9),
+    (0.3, 1e-12): (2.33385687569434e+32, 3.73417100111094e+20),
+    (0.4, 0.9): (4.00839857752433, 3.98218390558783),
+    (0.4, 0.5): (10.4959297549675, 8.12325434077939),
+    (0.4, 0.1): (334.6699322084, 60.0369551590939),
+    (0.4, 0.01): (59291.4330835573, 1067.23373597096),
+    (0.4, 0.0001): (1874935969.20185, 337488.474417789),
+    (0.4, 1e-08): (1.87493596896097e+18, 33748847441.2974),
+    (0.4, 1e-12): (1.87493596896097e+27, 3374884744129740.0),
+    (0.5, 0.9): (3.51005105123304, 3.49065850398866),
+    (0.5, 0.5): (7.85398163397448, 6.28318530717959),
+    (0.5, 0.1): (158.650429006285, 31.4159265358979),
+    (0.5, 0.01): (15709.5340642758, 314.159265358979),
+    (0.5, 0.0001): (157079634.250286, 31415.9265358979),
+    (0.5, 1e-08): (1.5707963267949e+16, 314159265.358979),
+    (0.5, 1e-12): (1.5707963267949e+24, 3141592653589.79),
+    (0.6, 0.9): (3.15952472623817, 3.14421697408745),
+    (0.6, 0.5): (6.37263598927253, 5.2196497255225),
+    (0.6, 0.1): (93.9931337689992, 20.2515626584286),
+    (0.6, 0.01): (6283.73035260326, 138.181006624282),
+    (0.6, 0.0001): (29154677.6337046, 6414.02776698362),
+    (0.6, 1e-08): (628118370892464.0, 13818604.1596336),
+    (0.6, 1e-12): (1.35324000769698e+22, 29771280169.3336),
+    (0.75, 0.9): (2.78671884343999, 2.77511887797082),
+    (0.75, 0.5): (5.07171256085312, 4.25809622172266),
+    (0.75, 0.1): (54.083752876436, 12.9305297068728),
+    (0.75, 0.01): (2420.75790174864, 60.3983056666409),
+    (0.75, 0.0001): (5206700.82191491, 1301.66963161821),
+    (0.75, 1e-08): (24167278156041.1, 604181.953889018),
+    (0.75, 1e-12): (1.12174568426036e+20, 280436421.065091),
+    (1.0, 0.9): (2.38000522099952, 2.3717279167421),
+    (1.0, 0.5): (3.91323255823847, 3.37150070962519),
+    (1.0, 0.1): (29.8331410067373, 8.11193557203541),
+    (1.0, 0.01): (880.107841049525, 26.1609940588),
+    (1.0, 0.0001): (874079.101608118, 262.199765055773),
+    (1.0, 1e-08): (874019190754.741, 26220.5754830142),
+    (1.0, 1e-12): (8.74019184764639e+17, 2622057.55429152),
+    (1.2, 0.9): (2.15761934345446, 2.1508560279424),
+    (1.2, 0.5): (3.37372685325104, 2.94568052292905),
+    (1.2, 0.1): (21.6489946105609, 6.34634185539754),
+    (1.2, 0.01): (513.6103271279, 17.1165929353982),
+    (1.2, 0.0001): (345063.288347828, 117.271630412277),
+    (1.2, 1e-08): (160115962420.716, 5443.94164792426),
+    (1.2, 1e-12): (7.43192359411068e+16, 252685.402176616),
+    (1.5, 0.9): (1.91652456424605, 1.91117587620129),
+    (1.5, 0.5): (2.85099328603056, 2.52331135910076),
+    (1.5, 0.1): (15.3518163240312, 4.89120480095236),
+    (1.5, 0.01): (290.292018371285, 11.1120330660467),
+    (1.5, 0.0001): (130982.949340952, 52.2890271502273),
+    (1.5, 1e-08): (28182074770.6217, 1127.27816379264),
+    (1.5, 1e-12): (6071626657060660.0, 24286.5064041924),
+    (2.0, 0.9): (1.64833945082452, 1.64430681417957),
+    (2.0, 0.5): (2.33376631700438, 2.09428913405836),
+    (2.0, 0.1): (10.5137253531056, 3.67216453363102),
+    (2.0, 0.01): (156.687057273249, 7.0991544699503),
+    (2.0, 0.0001): (46817.8545187931, 23.1902907565579),
+    (2.0, 1e-08): (4654641899.93842, 232.710366466767),
+    (2.0, 1e-12): (465437300077312.0, 2327.1843276672),
+    (3.0, 0.9): (1.33662552021931, 1.33381646364288),
+    (3.0, 0.5): (1.80195797273666, 1.63994205481727),
+    (3.0, 0.1): (6.77259341210392, 2.61659864940332),
+    (3.0, 0.01): (78.4771718739232, 4.36393643109202),
+    (3.0, 0.0001): (15129.387144521, 10.1233815065718),
+    (3.0, 1e-08): (684745775.104919, 47.8341241582433),
+    (3.0, 1e-12): (31746881801447.7, 222.207066557573),
+}
+
+
+def test_power_arc_table_is_the_oracle():
+    for p, c in ((0.1, 0.1), (3.0, 1e-12)):
+        dv, ln, _ = power_arc_oracle(p, c)
+        assert (float(dv), float(ln)) == pytest.approx(_POWER_ARC_TABLE[p, c], rel=1e-14)
+
+
+def test_arc_integrals_match_the_power_oracle_table():
+    # the graded turning map (p < 3/4) and t = sqrt(r_max - r) alike: every
+    # arc within 1e-9; the worst is 9.4e-10 at p = 0.1, c = 0.1 (delta_v),
+    # where t on every turning panel gave 1.9e-10 on this table but 1.2e-9
+    # on 60 log-spaced constants at p = 0.1
+    metrics = {}
+    worst = 0.0
+    for (p, c), (dv, length) in _POWER_ARC_TABLE.items():
+        m = metrics.setdefault(p, HalfplaneMetric.from_warping(power_decay_h(p)))
+        for got, want in ((delta_v_of_c(m, c), dv), (length_of_c(m, c), length)):
+            worst = max(worst, abs(got / want - 1.0))
+    assert worst <= 1e-9
+
+
+# QK21 rules for delta_v and length of h = (1+r^2)^(-p) from the axis at 25
+# log-spaced c in [1e-12, 0.9] (50 arcs), with t = sqrt(r_max - r) on every
+# turning panel
+_T_MAP_RULES = {0.1: 706, 0.2: 552, 0.3: 530, 0.4: 498, 0.5: 50, 0.6: 266, 0.75: 74,
+                1.0: 50, 1.2: 54, 1.5: 50, 2.0: 88, 3.0: 132}
+
+
+def test_graded_turning_map_needs_fewer_rules(monkeypatch):
+    from warplab import numerics
+
+    rules = []
+    real = numerics._qk21
+
+    def spy(f, a, b):
+        rules.append(a)
+        return real(f, a, b)
+
+    monkeypatch.setattr(numerics, "_qk21", spy)
+    for p, t_rules in _T_MAP_RULES.items():
+        m = HalfplaneMetric.from_warping(power_decay_h(p))
+        rules.clear()
+        for c in np.geomspace(0.9, 1e-12, 25).tolist():
+            delta_v_of_c(m, c)
+            length_of_c(m, c)
+        assert len(rules) <= t_rules, p
+        if p in (0.3, 0.6):
+            assert 2 * len(rules) <= t_rules, p
+        if p >= 0.75:  # these turning panels keep t
+            assert len(rules) == t_rules, p
+
+
 def test_degenerate_arc_near_sup():
     # an axis-flat coefficient h ~ 1 - a r^2 makes tight arcs isochronous:
     # as c -> h(0)- the arc shrinks (r_max -> 0, length -> finite limit)
@@ -311,26 +453,27 @@ def test_axis_count_computes_d1_once_per_metric(monkeypatch):
     assert counts == sorted(counts) and counts[0] > 0
 
 
-# (model, turning radius aimed at, c, start, r_max, delta_v, length), the pure
-# rows recorded before the arc integrands were flattened, the osc rows with
-# the exponent blends; the comment says whether the turning panel reaches
+# (model, turning radius aimed at, c, start, r_max, delta_v, length), the osc
+# rows with the exponent blends, and every row turning where the decay
+# exponent is below 3/4 (all pure rows; osc at 50, 1e39 and 1.3e38) with the
+# graded turning map; the comment says whether the turning panel reaches
 # past the Taylor switch (direct h evaluations too)
 _GOLDEN_ARCS = [
-    ('pure', 0.3, 0.9578262852211513, None, 0.3, 3.2829643230010466, 3.279919022961633),  # Taylor and direct
-    ('pure', 2.0, 0.4472135954999579, None, 1.999999999999883, 9.424777960199682, 7.02481473078595),  # Taylor and direct
-    ('pure', 1000.0, 0.000999999500000375, None, 999.9999999999998, 1570799.4683868396, 3141.5942243850163),  # Taylor and direct
-    ('pure', 1000000000000.0, 1e-12, None, 999999999999.999, 1.570796326793132e+24, 3141592653588.0283),  # Taylor and direct
-    ('pure', 1e+25, 9.999999999999998e-26, None, 9.99999999999889e+24, 1.5707963265783812e+50, 3.1415926533732786e+25),  # Taylor and direct
-    ('pure', 1000000.0, 9.999999999995e-07, 10.0, 999999.9999999995, 1570796326797.112, 3141572.6535904384),  # Taylor and direct
-    ('osc', 50.0, 0.009143906676474418, None, 50.000000000000014, 7403.74574619314, 148.88149238098043),  # Taylor and direct
+    ('pure', 0.3, 0.9578262852211513, None, 0.3, 3.2829643230007033, 3.2799190229613053),  # Taylor and direct
+    ('pure', 2.0, 0.4472135954999579, None, 1.999999999999883, 9.424777960536526, 7.024814730936592),  # Taylor and direct
+    ('pure', 1000.0, 0.000999999500000375, None, 999.9999999999998, 1570799.4683874245, 3141.594224385601),  # Taylor and direct
+    ('pure', 1000000000000.0, 1e-12, None, 999999999999.999, 1.570796326794082e+24, 3141592653588.978),  # Taylor and direct
+    ('pure', 1e+25, 9.999999999999998e-26, None, 9.99999999999889e+24, 1.5707963267065086e+50, 3.1415926535014044e+25),  # Taylor and direct
+    ('pure', 1000000.0, 9.999999999995e-07, 10.0, 999999.9999999995, 1570796326797.6118, 3141572.653590938),  # Taylor and direct
+    ('osc', 50.0, 0.009143906676474418, None, 50.000000000000014, 7403.745746146327, 148.8814923807822),  # Taylor and direct
     ('osc', 3000000.0, 2.8504208669352084e-16, None, 3000000.0000000023, 7.820699154411978e+21, 7580387.551083958),  # Taylor and direct
-    ('osc', 1e+39, 1.58489319246112e-47, None, 1.0000000000000111e+39, 8.540146581434811e+85, 2.977269213780036e+39),  # Taylor and direct
+    ('osc', 1e+39, 1.58489319246112e-47, None, 1.0000000000000111e+39, 8.540146581353546e+85, 2.9772692137671564e+39),  # Taylor and direct
     ('osc', 1000.0, 3.98142402805952e-06, None, 999.999999999998, 152499047.5602568, 2428.6511319986685),  # Taylor and direct
     ('osc', 1000000000.0, 2.5118864315095845e-22, None, 999999999.9999993, 2.9587020736250084e+30, 2526854021.832695),  # Taylor and direct
     ('osc', 110.0, 0.0029632086992912167, None, 110.00000000000004, 31326.9119623507, 282.9952953527337),  # Taylor and direct
     ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000104, 1.0076412118060014e+20, 2190128.022585032),  # Taylor and direct
     ('osc', 4500000000000.0, 4.317888450028927e-31, None, 4499999999999.982, 8.003762147367559e+42, 11466974869739.803),  # Taylor and direct
-    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 1.3845662737093168e+84, 4.393765002970727e+38),  # Taylor and direct
+    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 1.384566273701718e+84, 4.393765002956954e+38),  # Taylor and direct
     ('osc', 124.99885, 0.002038352734925614, None, 124.99884999999986, 42102.792462722064, 308.875049804254),  # Taylor only
     ('osc', 1000000000.0, 2.5118864315095845e-22, 10000.0, 999999999.9999993, 2.9587020736250084e+30, 2526834021.832695),  # Taylor and direct
 ]
@@ -418,16 +561,16 @@ def test_turning_point_rungs_match_the_loop(rung_metrics, which, u, j):
 
 
 def test_quadrature_error_budget(golden_metrics):
-    # the osc arc at c = 0.01 needs subdivision: one Kronrod rule per panel
-    # leaves an error estimate (about 9e-4 against 3,142) above the budget
-    # max(abs_floor, 100 rel_tol |total|); the pure model's arcs converge on
-    # the first rule and cannot reach this path
+    # the osc arc at c = 0.002 turns at r = 125.8, on the B bridge just past
+    # the first blend, and needs subdivision: one Kronrod rule per panel
+    # leaves an error estimate (about 1.7e3 against 2.1e4) above the budget
+    # max(abs_floor, 100 rel_tol |total|)
     m = golden_metrics["osc"]
     with pytest.raises(halfplane.QuadratureFailure, match="estimated error"):
-        delta_v_of_c(m, 0.01, settings=halfplane.QuadSettings(limit=1))
-    assert delta_v_of_c(m, 0.01) == pytest.approx(2.0 * 3141.865, rel=1e-6)
+        delta_v_of_c(m, 0.002, settings=halfplane.QuadSettings(limit=1))
+    assert delta_v_of_c(m, 0.002) == pytest.approx(42936.0867, rel=1e-9)
     with pytest.raises(ValueError, match="Invalid 'limit' argument"):
-        delta_v_of_c(m, 0.01, settings=halfplane.QuadSettings(limit=0))
+        delta_v_of_c(m, 0.002, settings=halfplane.QuadSettings(limit=0))
 
 
 def test_capped_metric_never_answers_with_the_straight_loop(pure_half_metric):
@@ -606,13 +749,13 @@ def test_arc_memo_keys_settings_start_and_quantity(memo_models):
 
 
 def test_arc_memo_stores_no_quadrature_failure(memo_models):
-    # one Kronrod rule per panel leaves the osc arc at c = 0.01 above its
+    # one Kronrod rule per panel leaves the osc arc at c = 0.002 above its
     # error budget (test_quadrature_error_budget): the failure is not stored
     make = memo_models[0][0]
     m = make()
     one_rule = halfplane.QuadSettings(limit=1)
     for _ in range(2):
         with pytest.raises(halfplane.QuadratureFailure, match="estimated error"):
-            delta_v_of_c(m, 0.01, settings=one_rule)
+            delta_v_of_c(m, 0.002, settings=one_rule)
     assert all(key[2] != one_rule for key in m._arcs)
-    assert delta_v_of_c(m, 0.01).hex() == delta_v_of_c(make(), 0.01).hex()
+    assert delta_v_of_c(m, 0.002).hex() == delta_v_of_c(make(), 0.002).hex()

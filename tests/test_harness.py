@@ -142,22 +142,33 @@ def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, 
 
 def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # distances from the domain start bracket between the monotonicity
-    # scan's rows (2,453 arcs at this bound); a fallback to Newton bracketing
-    # (2,909 with the former value blends) shows here without timing
-    from warplab import halfplane
+    # scan's rows (2,465 arcs at this bound); a fallback to Newton bracketing
+    # (2,909 with the former value blends) shows here without timing.
+    # Turning panels below decay exponent 3/4 take the graded map, so the A
+    # bridge and the alpha pieces need few Kronrod rules (5,143 at this
+    # bound); t = sqrt(r_max - r) on every turning panel needed 11,747
+    from warplab import halfplane, numerics
 
     calls = []
+    rules = []
     real = halfplane._arc_quadrature
+    real_rule = numerics._qk21
 
     def spy(*args):
         calls.append(args[1])
         return real(*args)
 
+    def rule_spy(f, a, b):
+        rules.append(a)
+        return real_rule(f, a, b)
+
     monkeypatch.setattr(halfplane, "_arc_quadrature", spy)
+    monkeypatch.setattr(numerics, "_qk21", rule_spy)
     cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
     assert not run(cfg).failed
     assert len(calls) <= 2500
+    assert len(rules) <= 6000
 
 
 def test_oscillating_full_suite(tmp_path, cache_dir):
@@ -168,17 +179,18 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
     assert not report.failed
     flagged = {c.name for c in report.checks if c.status == "flagged"}
     assert flagged == {"ladder-truncated", "rescaling-ladder-refit"}
-    # every CSV byte is pinned: a speed-up of the numerics must leave them all
+    # every CSV byte is pinned: a change of the numerics that moves one
+    # re-pins it here and lists the move in CHANGES.md
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert digests == {
         "capacity.csv": "dfd067a26ca54779084a3712c095a4070b470bc3fc66d9aae73fe24f7eb4ff18",
         "capacity_fit.csv": "d543b3d140e3889b1401af1cf81754676cdac1f2a5b61b8f9578ec7e37c7c810",
         "growth_alpha-window.csv":
-            "e3dcb17f632c0064ac406241a20d6de5dda6de2efc8150643ee9eda06ba24ab6",
+            "a2a8770b116c220a765dcd0fbd0492aa8c5b7c841de429cab8e49a30e5f8a5c2",
         "growth_beta-window.csv":
             "2019af4de2e07de59b9cb34e4f40f147a935bc23aae20a2c5ae85a290211de63",
         "grushin_convergence.csv":
             "02b0d8b2c6b0346143698bb3774602655c56bd78c15b40cf2ab8a76120debc35",
-        "orbit_distances.csv": "b9faeac0d030466d5f891cb3322939e35ab90528c2543b6ae29ec44524462607",
+        "orbit_distances.csv": "cac33260014ecc92a100f43195c376cd3ca9c96dfc57b2fc029c50f425494f92",
         "ricci_curve.csv": "81e35a6c43598a3e8819ca2e95b73a4fad92735ba8a09b2dfdd8094003b60bd0",
     }

@@ -125,3 +125,27 @@ def test_oscillating_distances_monotone_subadditive(osc_metric):
         assert d[a] <= d[b] * (1 + 1e-9)
     for a, b in ((1, 2), (2, 3), (3, 5), (5, 8)):
         assert d[a + b] <= d[a] + d[b] + 1e-9 * (d[a] + d[b])
+
+
+def test_axis_count_reads_d1_from_the_orbit_table(tmp_path, monkeypatch):
+    # a table that loads d_1 from its cache hands it to axis counts on its
+    # metric: no d_1 solve and no strict-decrease scan for it; a distance
+    # from the domain start still runs the scan before its inversion
+    from warplab import halfplane
+
+    cache = OrbitCache.for_model({"family": "d1"}, str(tmp_path))
+    solved = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    d1 = OrbitTable(solved, cache=cache).distance(1)
+    counts = [halfplane.axis_count_at_radius(solved, R) for R in (5.0, 40.0, 517.0)]
+
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    OrbitTable(m, cache=cache)
+    calls = []
+    real = halfplane.orbit_distance
+    monkeypatch.setattr(halfplane, "orbit_distance",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    assert [halfplane.axis_count_at_radius(m, R) for R in (5.0, 40.0, 517.0)] == counts
+    assert counts[0] == 0 < counts[1] and d1 > 5.0
+    assert calls == [] and m._scans == {}
+    halfplane.orbit_distance(m, 50)
+    assert len(m._scans) == 1
