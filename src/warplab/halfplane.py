@@ -57,6 +57,18 @@ TWO_PI = 2.0 * math.pi
 # bound sits 1e-9 below 3/4, past the rounding of the exponent estimate, so
 # a stretch of p = 3/4 exactly keeps t, whose start (T - t)^3 is analytic.
 _GRADED_BELOW = 0.75 - 1e-9
+# A graded panel of span L from a squeezes the scale s = max(a, 1) of h at
+# its start (the r ~ 1 knee of (1+r^2)^(-p) from the axis) into
+# 1 - w < (s/4L)^(1/3).  Below s/L = _KNEE_BELOW that is 1 - w < 0.03, inside
+# the third Kronrod node from the end, where the 10- and 21-point rules can
+# miss the knee alike and QAGS stops under the true error.  There, and where
+# the knee holds a share (s/L)^(1+4p) of the panel above 1 % of rel_tol, the
+# stretch [a, a + s] gets its own interval in w.  Worst relative error of an
+# arc against the 30-digit oracle (1,440 arcs, p in [0.05, 0.72]), without
+# and with it: p = 0.1 8.8e-10 -> 1.1e-10, 0.15 2.2e-10 -> 3.8e-11,
+# 0.25 1.4e-10 -> 5.5e-11, others unchanged.  From p = 0.44 on the share
+# stays below 1e-11, so the default settings never split there.
+_KNEE_BELOW = 1e-4
 
 
 class OutOfRange(ValueError):
@@ -275,7 +287,8 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
     and stays exact in floats even when r_max - delta rounds back to r_max),
     with a second-order Taylor model of h - c close in, so the gap never
     suffers cancellation; sqrt(h-c)*sqrt(h+c) keeps h^2-c^2 from underflowing
-    as a single float.
+    as a single float.  A graded panel that squeezes h's scale at its start
+    below _KNEE_BELOW integrates that stretch as a second interval.
     """
     st = settings or QuadSettings()
     start = m.domain_start if start is None else float(start)
@@ -311,10 +324,11 @@ def _arc_quadrature(m, c, start, st, r_max, dv):
     jet = _turning_jet(m, r_max)
     nd1, hd2 = -jet.d1, 0.5 * jet.d2  # h - c ~ nd1*delta + hd2*delta^2
     delta_switch = st.taylor_frac * max(r_max, 1.0)
-    graded = _local_exponent(jet, r_max) < _GRADED_BELOW
+    p = _local_exponent(jet, r_max)
+    graded = p < _GRADED_BELOW
 
     # integrand_r in r, integrand_s in s = log r (times r), integrand_t in
-    # t = sqrt(r_max - r) and integrand_w in the graded w, which both remove
+    # x = t = sqrt(r_max - r), or in the graded x = w, both of which remove
     # the endpoint singularity; the weight is c/h for delta_v and h for length
     if dv:
         def integrand_r(r):
@@ -326,26 +340,21 @@ def _arc_quadrature(m, c, start, st, r_max, dv):
             h = hv(r)
             return c / h / (sqrt(h - c) * sqrt(h + c)) * r
 
-        def integrand_t(t):
-            delta = t * t
+        def integrand_t(x):
+            if graded:
+                u = 1.0 - x
+                delta = span * x * x * (6.0 - 8.0 * x + 3.0 * x * x)
+                jac = 12.0 * span * x * u * u
+            else:
+                delta = x * x
+                jac = 2.0 * x
             if delta <= delta_switch:
                 diff = nd1 * delta + hd2 * delta * delta
                 h = c + diff
             else:
                 h = hv(r_max - delta)
                 diff = h - c
-            return 2.0 * t * (c / h) / (sqrt(diff) * sqrt(h + c))
-
-        def integrand_w(w):
-            u = 1.0 - w
-            delta = span * w * w * (6.0 - 8.0 * w + 3.0 * w * w)
-            if delta <= delta_switch:
-                diff = nd1 * delta + hd2 * delta * delta
-                h = c + diff
-            else:
-                h = hv(r_max - delta)
-                diff = h - c
-            return 12.0 * span * w * u * u * (c / h) / (sqrt(diff) * sqrt(h + c))
+            return jac * (c / h) / (sqrt(diff) * sqrt(h + c))
     else:
         def integrand_r(r):
             h = hv(r)
@@ -356,38 +365,44 @@ def _arc_quadrature(m, c, start, st, r_max, dv):
             h = hv(r)
             return h / (sqrt(h - c) * sqrt(h + c)) * r
 
-        def integrand_t(t):
-            delta = t * t
+        def integrand_t(x):
+            if graded:
+                u = 1.0 - x
+                delta = span * x * x * (6.0 - 8.0 * x + 3.0 * x * x)
+                jac = 12.0 * span * x * u * u
+            else:
+                delta = x * x
+                jac = 2.0 * x
             if delta <= delta_switch:
                 diff = nd1 * delta + hd2 * delta * delta
                 h = c + diff
             else:
                 h = hv(r_max - delta)
                 diff = h - c
-            return 2.0 * t * h / (sqrt(diff) * sqrt(h + c))
-
-        def integrand_w(w):
-            u = 1.0 - w
-            delta = span * w * w * (6.0 - 8.0 * w + 3.0 * w * w)
-            if delta <= delta_switch:
-                diff = nd1 * delta + hd2 * delta * delta
-                h = c + diff
-            else:
-                h = hv(r_max - delta)
-                diff = h - c
-            return 12.0 * span * w * u * u * h / (sqrt(diff) * sqrt(h + c))
+            return jac * h / (sqrt(diff) * sqrt(h + c))
 
     total = 0.0
     err_total = 0.0
     panels = _arc_panels(m, start, r_max)
     for a, b in zip(panels, panels[1:]):
         hv = m.value_on(a, b)  # the integrands read this panel's reader
-        if b == r_max and graded:
+        if b == r_max:
             span = r_max - a
-            v, e = _quad_panel(integrand_w, 0.0, 1.0, st) if span > 0 else (0.0, 0.0)
-        elif b == r_max:
-            T = math.sqrt(r_max - a)
-            v, e = _quad_panel(integrand_t, 0.0, T, st) if T > 0 else (0.0, 0.0)
+            if span <= 0:
+                v, e = 0.0, 0.0
+            elif not graded:
+                v, e = _quad_panel(integrand_t, 0.0, math.sqrt(span), st)
+            else:
+                knee = max(a, 1.0) / span
+                if knee < _KNEE_BELOW and knee ** (1.0 + 4.0 * p) > 0.01 * st.rel_tol:
+                    # the knee, about [a, a + max(a, 1)], gets its own interval
+                    wk = 1.0 - (0.25 * knee) ** (1.0 / 3.0)
+                    v, e = _quad_panel(integrand_t, 0.0, wk, st)
+                    vk, ek = _quad_panel(integrand_t, wk, 1.0, st)
+                    v += vk
+                    e += ek
+                else:
+                    v, e = _quad_panel(integrand_t, 0.0, 1.0, st)
         elif a > 0 and b / a >= 8.0:
             v, e = _quad_panel(integrand_s, math.log(a), math.log(b), st)
         else:

@@ -189,16 +189,40 @@ def test_power_arc_table_is_the_oracle():
 
 def test_arc_integrals_match_the_power_oracle_table():
     # the graded turning map (p < 3/4) and t = sqrt(r_max - r) alike: every
-    # arc within 1e-9; the worst is 9.4e-10 at p = 0.1, c = 0.1 (delta_v),
-    # where t on every turning panel gave 1.9e-10 on this table but 1.2e-9
-    # on 60 log-spaced constants at p = 0.1
+    # arc within 1e-9, and none worse than t on every turning panel, whose
+    # worst here is 1.89e-10 (p = 1, c = 1e-4, delta_v, a t panel still)
     metrics = {}
     worst = 0.0
     for (p, c), (dv, length) in _POWER_ARC_TABLE.items():
         m = metrics.setdefault(p, HalfplaneMetric.from_warping(power_decay_h(p)))
         for got, want in ((delta_v_of_c(m, c), dv), (length_of_c(m, c), length)):
-            worst = max(worst, abs(got / want - 1.0))
-    assert worst <= 1e-9
+            err = abs(got / want - 1.0)
+            assert err <= 1e-9, (p, c)
+            worst = max(worst, err)
+    assert worst <= 1.89e-10
+
+
+@pytest.mark.parametrize("p, c, panels", [(0.1, 0.0755, 2), (0.15, 0.0443, 2), (0.6, 0.1, 1)])
+def test_graded_panel_gives_the_knee_its_own_interval(monkeypatch, p, c, panels):
+    # at p = 0.1 and 0.15 these arcs were off by 8.8e-10 and 2.2e-10 with
+    # the knee at r ~ 1 squeezed into the graded panel's last 2 %; at p = 0.6
+    # it holds too little of the integral to need its own interval
+    from warplab import halfplane
+
+    spans = []
+    real = halfplane._quad_panel
+
+    def spy(f, a, b, st):
+        spans.append((a, b))
+        return real(f, a, b, st)
+
+    monkeypatch.setattr(halfplane, "_quad_panel", spy)
+    m = HalfplaneMetric.from_warping(power_decay_h(p))
+    dv, length, _ = power_arc_oracle(p, c)
+    assert delta_v_of_c(m, c) == pytest.approx(float(dv), rel=1.89e-10)
+    assert length_of_c(m, c) == pytest.approx(float(length), rel=1.89e-10)
+    assert len(spans) == 2 * panels
+    assert spans[0][0] == 0.0 and spans[panels - 1][1] == 1.0
 
 
 # QK21 rules for delta_v and length of h = (1+r^2)^(-p) from the axis at 25

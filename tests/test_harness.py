@@ -145,7 +145,7 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # scan's rows (2,465 arcs at this bound); a fallback to Newton bracketing
     # (2,909 with the former value blends) shows here without timing.
     # Turning panels below decay exponent 3/4 take the graded map, so the A
-    # bridge and the alpha pieces need few Kronrod rules (5,143 at this
+    # bridge and the alpha pieces need few Kronrod rules (5,144 at this
     # bound); t = sqrt(r_max - r) on every turning panel needed 11,747
     from warplab import halfplane, numerics
 
