@@ -92,7 +92,8 @@ def _framed(fn, rs, kind):
             return FFrame(np.log(v), (-u * d2 / v, 0.0), (2.0 * rs * d1 / v, 0.0),
                           u * (1.0 - d1 * d1) / (v * v))
         ig = 0.5 * u / rs  # 1/g
-        p = -(d1 / v) * ig
+        # at the axis, where h' and r vanish together, p is the limit -h''/(2h)
+        p = np.where(rs == 0, -0.5 * d2 / v, -(d1 / v) * ig)
         return HFrame(np.log(v), p, p * p - p * (0.5 / (rs * rs) - 0.5) - (d2 / v) * ig * ig)
 
 

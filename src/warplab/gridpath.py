@@ -6,7 +6,9 @@ midpoint, sqrt(dr^2 + h(r_mid)^2 dv^2), with h read once per grid row and
 row gap.  The graph is written straight into canonical CSR arrays (each
 node's four forward edges in column order, one column pattern for every
 full row); Dijkstra (scipy.sparse.csgraph) then gives a genuine path
-upper bound for the distance.
+upper bound for the distance.  Every read of h, and of h' in the path
+descent, is one read of h's exponent frame at a float64 array of radii:
+h = exp(log h), h' = -2 r p h / (1 + r^2).
 
 Raw grid paths overestimate: discretization contributes O(step) and the
 eight fixed directions contribute an anisotropy excess that does not
@@ -16,9 +18,10 @@ therefore reports three numbers:
     raw       - grid distance at the fine resolution
     refined   - two-resolution Richardson extrapolation (kills the O(step))
     relaxed   - exact metric length of the extracted node path after
-                descending the discrete length functional over node
-                positions (still an admissible path, so still an upper
-                bound; the zigzag excess is gone)
+                descending the squared-length energy over node
+                positions until a step gains less than 1e-12 of it (still
+                an admissible path, so still an upper bound; the zigzag
+                excess is gone)
 
 plus the measured anisotropy factor raw/relaxed.  Comparisons at the few
 percent level must use `relaxed`; `raw` certifies the global route.
@@ -42,10 +45,6 @@ class DijkstraResult:
     error_estimate: float
     anisotropy_factor: float
     nodes: int
-
-    @property
-    def best(self):
-        return self.relaxed
 
 
 def _grid_graph(h_value, rs, vs):
@@ -115,15 +114,12 @@ def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget)
     dr = rs[1] - rs[0]
     dv = vs[1] - vs[0]
 
-    def node(ir, iv):
-        return ir * nv + iv
-
     graph = _grid_graph(h_value, rs, vs)
 
     def nearest(p):
         i = int(round((p[0] - r_lo) / dr)) if dr > 0 else 0
         j = int(round((p[1] - v_lo) / dv)) if dv > 0 else 0
-        return node(min(max(i, 0), nr - 1), min(max(j, 0), nv - 1))
+        return min(max(i, 0), nr - 1) * nv + min(max(j, 0), nv - 1)
 
     src = nearest(p1)
     dst = nearest(p2)
@@ -142,6 +138,13 @@ def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget)
     path.reverse()
     pts = np.array([(rs[k // nv], vs[k % nv]) for k in path])
     return d, pts
+
+
+def _h_and_slope(m, rs):
+    """h and h' at a float64 array of radii, from m's exponent frame."""
+    hf = m.frame(rs)
+    h = np.exp(hf.log_h)
+    return h, -2.0 * rs * hf.p * h / (1.0 + rs * rs)
 
 
 _GAUSS3_X = np.array([0.5 - math.sqrt(3.0 / 20.0), 0.5, 0.5 + math.sqrt(3.0 / 20.0)])
@@ -167,7 +170,7 @@ def _polyline_length(h_value, pts):
     return float(np.sum(total))
 
 
-def _energy_and_grad(h_jets, pts, r_floor=0.0):
+def _energy_and_grad(m, pts, r_floor=0.0):
     """Sum of squared segment lengths and its gradient over node positions.
 
     Minimizers of sum L_i^2 at fixed endpoints are constant-speed discrete
@@ -175,7 +178,7 @@ def _energy_and_grad(h_jets, pts, r_floor=0.0):
     the reparametrization null space of the plain length is removed).
     Segment lengths use 3-point Gauss of sqrt(dr^2 + h(r)^2 dv^2); the
     gradient is metric-aware through h h' at the quadrature nodes, all
-    read in one h_jets call.
+    read in one _h_and_slope call.
     """
     a, b = pts[:-1], pts[1:]
     dr = b[:, 0] - a[:, 0]
@@ -184,8 +187,8 @@ def _energy_and_grad(h_jets, pts, r_floor=0.0):
     gA = np.zeros_like(a)
     gB = np.zeros_like(b)
     rq = np.maximum(_gauss_radii(pts), r_floor)
-    j = h_jets(rq.ravel())
-    for x, w, h, hp in zip(_GAUSS3_X, _GAUSS3_W, j.value.reshape(rq.shape), j.d1.reshape(rq.shape)):
+    hs, hps = (c.reshape(rq.shape) for c in _h_and_slope(m, rq.ravel()))
+    for x, w, h, hp in zip(_GAUSS3_X, _GAUSS3_W, hs, hps):
         s = np.maximum(np.sqrt(dr**2 + (h * dv) ** 2), 1e-300)
         seg_len += w * s
         hhp_dv2 = h * hp * dv * dv
@@ -213,7 +216,7 @@ def _laplacian_solve(b):
     return solveh_banded(ab, b)
 
 
-def _relax_path(h_jets, pts, iters=400, n_nodes=640, r_floor=0.0):
+def _relax_path(m, pts, iters=400, n_nodes=640, r_floor=0.0):
     """Relax the extracted grid path by preconditioned descent of the
     squared-length energy (endpoints pinned).
 
@@ -221,31 +224,32 @@ def _relax_path(h_jets, pts, iters=400, n_nodes=640, r_floor=0.0):
     ~n^2; plain descent stalls), so the descent direction is the gradient
     put through a chain-Laplacian solve, with the v-coordinate additionally
     weighted by the local 1/h^2 -- a semi-implicit curve-shortening step
-    that converges in tens of iterations at any resolution.  The result
-    stays an admissible path, hence a rigorous upper bound.
+    that converges in tens of iterations at any resolution, and stops once
+    a step gains less than 1e-12 of the energy.  The result stays an
+    admissible path, hence a rigorous upper bound.
     """
     if len(pts) < 3:
         return pts.astype(float)
     pts = _resample(pts.astype(float), n=min(n_nodes, max(len(pts), 4)))
-    E, g = _energy_and_grad(h_jets, pts, r_floor)
+    E, g = _energy_and_grad(m, pts, r_floor)
     for _ in range(iters):
-        h_nodes = h_jets(np.maximum(pts[:, 0], r_floor)).value
+        h_nodes = _h_and_slope(m, np.maximum(pts[:, 0], r_floor))[0]
         d = np.zeros_like(pts)
         gi = g[1:-1]
         d[1:-1, 0] = _laplacian_solve(gi[:, 0])
         d[1:-1, 1] = _laplacian_solve(gi[:, 1] / h_nodes[1:-1] ** 2)
         step = 0.5  # Hessian ~ 2 T x (metric weight): this is the Newton step
-        improved = False
+        stalled = True
         for _ in range(25):
             prop = pts - step * d
             prop[:, 0] = np.maximum(prop[:, 0], r_floor)
-            E2, g2 = _energy_and_grad(h_jets, prop, r_floor)
+            E2, g2 = _energy_and_grad(m, prop, r_floor)
             if E2 < E:
+                stalled = E - E2 < 1e-12 * E
                 pts, E, g = prop, E2, g2
-                improved = True
                 break
             step *= 0.4
-        if not improved:
+        if stalled:
             break
     return pts
 
@@ -289,7 +293,7 @@ def dijkstra_distance_oracle(
             raise ValueError(f"endpoint {p} lies outside the grid radii [{r_lo}, {r_hi}]")
 
     def hv(rs):
-        return m.jets(rs).value
+        return _h_and_slope(m, rs)[0]
 
     v_lo = min(p1[1], p2[1])
     v_hi = max(p1[1], p2[1])
@@ -305,7 +309,7 @@ def dijkstra_distance_oracle(
         hv, p1, p2, r_lo, r_hi, v_lo, v_hi, 2 * nr - 1, 2 * nv - 1, edge_budget
     )
     refined = 2.0 * d2 - d1
-    relaxed_path = _relax_path(m.jets, path2, iters=relax_sweeps, r_floor=max(r_lo, m.domain_start))
+    relaxed_path = _relax_path(m, path2, iters=relax_sweeps, r_floor=max(r_lo, m.domain_start))
     relaxed = _polyline_length(hv, relaxed_path)
     return DijkstraResult(
         raw=d2,

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import h_frame
 from .jets import Jet2
 from .numerics import brentq, quad
 
@@ -110,9 +111,8 @@ class HalfplaneMetric:
     """
 
     def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=(),
-                 value=None, value_on=None, takes_arrays=False):
+                 value=None, value_on=None):
         self._h = h  # r -> Jet2
-        self._takes_arrays = takes_arrays  # h maps a float64 array of radii to a Jet2 of arrays
         if value is not None:
             self.value = value  # float r -> float h(r), in place of the method
         self._value_on = value_on  # (lo, hi) -> a float reader equal to value on [lo, hi]
@@ -154,15 +154,9 @@ class HalfplaneMetric:
             return self.value
         return self._value_on(a * (1.0 - 1e-9), b * (1.0 + 1e-9))
 
-    def jets(self, rs):
-        """Jet2 of float arrays at a 1-d float64 array of radii, equal radius
-        by radius to jet(r): one array evaluation where h takes arrays, else
-        a loop of jet(r)."""
-        if self._takes_arrays:
-            j = self._h(rs)  # object entries (promoted to mpf) become their float()
-            return Jet2(*(np.broadcast_to(np.asarray(c, dtype=float), rs.shape)
-                          for c in (j.value, j.d1, j.d2)))
-        return Jet2(*np.array([(j.value, j.d1, j.d2) for j in map(self.jet, rs.tolist())]).T)
+    def frame(self, rs):
+        """h's exponent frame at a 1-d float64 array of radii (`h_frame`)."""
+        return h_frame(self._h, rs)
 
     def sup_h(self):
         """h at the domain start: the supremum over the represented domain."""
@@ -171,8 +165,8 @@ class HalfplaneMetric:
     @staticmethod
     def from_warping(w, **kw):
         kw.setdefault("label", w.label)
-        # a family's float value form, where it has one, reads h without a Jet2
-        return HalfplaneMetric(lambda r: w(r), value=w.float_value, takes_arrays=True, **kw)
+        # w itself is h, so frame() finds w's own; its float form reads h with no Jet2
+        return HalfplaneMetric(w, value=w.float_value, **kw)
 
     @staticmethod
     def from_smoothed(sm, **kw):
@@ -180,8 +174,7 @@ class HalfplaneMetric:
         kw.setdefault("breakpoints", sm.breakpoints_float(r_max=1e290))
         # quadrature integrands and root-finders read h alone: one table
         # lookup, or none on a panel or bracket that one value reader covers
-        return HalfplaneMetric(sm.jet, value=sm.float_value, value_on=sm.float_value_on,
-                               takes_arrays=True, **kw)
+        return HalfplaneMetric(sm.jet, value=sm.float_value, value_on=sm.float_value_on, **kw)
 
 
 def circle_length(m: HalfplaneMetric, r) -> float:

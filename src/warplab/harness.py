@@ -257,6 +257,9 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport):
     if cfg.periods >= 2 and len(alpha_starts) >= 2:
         S_a = 2.0 * float(alpha_starts[1])
         _window_checks(cfg, report, metric, st, cfg.alpha, S_a, "alpha-window", rows_csv)
+    elif cfg.periods >= 2:
+        report.add("alpha-window-unavailable", True, flagged=True,
+                   details=f"no period-2 alpha piece below radius bound {cfg.radius_bound:g}")
     beta_starts = _piece_starts(sm, cfg.beta)
     if beta_starts:
         S_b = 2.0 * float(beta_starts[0])

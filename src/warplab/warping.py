@@ -28,9 +28,9 @@ FFrame = namedtuple("FFrame", "log_f radial cross sphere")
 
 
 def log1p_sq(r):
-    """log(1 + r^2) on a float64 array, with no r*r past 1e150."""
+    """log(1 + r^2) on a float64 array, with no r*r past 1e150 nor log(r) short of it."""
     with np.errstate(over="ignore"):
-        return np.where(r < 1e150, np.log1p(r * r), 2.0 * np.log(r))
+        return np.where(r < 1e150, np.log1p(r * r), 2.0 * np.log(np.maximum(r, 1e150)))
 
 
 def inv_u(r):
@@ -71,12 +71,6 @@ class WarpingFunction:
 
     def value(self, r):
         return self.fn(Jet2.variable(r)).value
-
-    def d1(self, r):
-        return self.fn(Jet2.variable(r)).d1
-
-    def d2(self, r):
-        return self.fn(Jet2.variable(r)).d2
 
 
 def standard_f() -> WarpingFunction:
@@ -123,5 +117,9 @@ def exp_decay_h() -> WarpingFunction:
 
 def grushin_h(alpha: float) -> WarpingFunction:
     """h(t) = t^(-2*alpha) on (0, inf): the Grushin halfplane coefficient."""
+    def frame(t):  # p = alpha (1 + t^2)/t^2, p_y = -alpha (1 + t^2)/t^4
+        p = alpha * (1.0 + 1.0 / (t * t))
+        return HFrame(-2.0 * alpha * np.log(t), p, -p / (t * t))
+
     return WarpingFunction(f"grushin-h(alpha={alpha})", lambda x: x ** (-2.0 * alpha), (alpha,),
-                           lambda t: t ** (-2.0 * alpha))
+                           lambda t: t ** (-2.0 * alpha), frame)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,7 +17,14 @@ from warplab.curvature import (
     ricci_sphere,
 )
 from warplab.jets import Jet2
-from warplab.warping import WarpingFunction, constant_h, linear_f, power_decay_h, standard_f
+from warplab.warping import (
+    WarpingFunction,
+    constant_h,
+    grushin_h,
+    linear_f,
+    power_decay_h,
+    standard_f,
+)
 
 FLAT = DoublyWarpedMetric(2, linear_f(), constant_h())
 PURE_HALF = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
@@ -114,3 +122,36 @@ def test_h_frame_reads_tail_and_underflowing_radii_in_doubles():
     assert np.allclose(plain.log_h, fr.log_h[:2], rtol=1e-15, atol=0.0)
     assert np.allclose(plain.p, 3.0, rtol=1e-14, atol=0.0)
     assert np.allclose(plain.p_y, 0.0, rtol=0.0, atol=1e-12)
+
+
+def test_frames_read_the_axis_without_warnings():
+    # r = 0 is a row of the grid oracle: log(1 + r^2) takes no log(0) there,
+    # and a frameless h gets the axis limit p = -h''/(2h), not 0/0
+    rs = np.array([0.0, 1e-3, 1.0, 1e149, 1e150, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fr = h_frame(power_decay_h(0.5), rs)
+        flat = h_frame(constant_h(2.0), rs[:3])
+        bump = h_frame(WarpingFunction("bump", lambda x: 1.0 / (1.0 + x * x)), rs[:1])
+    assert fr.log_h[0] == 0.0
+    with np.errstate(over="ignore", divide="ignore"):  # the former expression
+        old = np.where(rs < 1e150, np.log1p(rs * rs), 2.0 * np.log(rs))
+    assert fr.log_h[1:].tolist() == (-0.5 * old[1:]).tolist()
+    assert flat.p.tolist() == [0.0] * 3
+    assert bump.p.tolist() == [1.0]  # (1+r^2)^(-1) has p = 1 everywhere
+
+
+def test_grushin_frame_matches_its_jet_frame():
+    # t^(-2a) in closed form against the frame `h_frame` derives from the
+    # double Jet2; that route's p_y subtracts terms of size a^2 for a result
+    # of size a/t^2, so past t = 1 p_y is held to mpmath instead
+    ts = 10.0 ** np.random.default_rng(3).uniform(-3.0, 3.0, 400)
+    for a in (0.5, 0.6, 1.5):
+        g = grushin_h(a)
+        got, jet = h_frame(g, ts), h_frame(WarpingFunction("plain", g.fn), ts)
+        assert np.allclose(got.log_h, jet.log_h, rtol=1e-13, atol=0.0)
+        assert np.allclose(got.p, jet.p, rtol=1e-13, atol=0.0)
+        near = ts <= 1.0
+        assert np.allclose(got.p_y[near], jet.p_y[near], rtol=1e-13, atol=0.0)
+        exact = [float(-a * (1 + mpmath.mpf(t) ** 2) / mpmath.mpf(t) ** 4) for t in ts.tolist()]
+        assert np.allclose(got.p_y, exact, rtol=1e-13, atol=0.0)

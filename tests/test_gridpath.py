@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -43,9 +44,11 @@ def test_resource_limit():
         )
 
 
-# reprs recorded with the per-edge-midpoint graph, before h was read per grid row
+# reprs recorded with the per-edge-midpoint graph, before h was read per grid
+# row; the pure relaxed value since h is read through its exponent frame and
+# the descent stops once the energy stalls
 GOLDEN = {
-    "pure": ("10.927779159629297", "10.927935802943475", "10.419659568272763"),
+    "pure": ("10.927779159629297", "10.927935802943475", "10.419659568304446"),
     "flat": ("3.621320343559639", "3.6318511968403104", "3.3541019662496834"),
 }
 
@@ -117,26 +120,27 @@ def test_endpoint_outside_grid_radii_is_refused():
 
 
 def test_grushin_general_pair_golden_bits():
-    # domain start above the axis and a negative power on arrays; reprs
-    # recorded while the relaxation still read h one radius at a time
+    # domain start above the axis, h read through the closed-form Grushin frame
     d, info = grushin_distance(GrushinMetric(0.6), (1.0, 0.0), (2.0, 1.0), oracle_budget=20_000_000)
     res = info["result"]
     got = tuple(repr(v) for v in (d, res.raw, res.refined, res.relaxed, info["floor_sensitivity"]))
-    assert got == ("1.1564318116429573", "1.3517432746801021", "1.3449044524549536",
-                   "1.1564318116429573", "0.008889987921254061")
+    assert got == ("1.1564318116429617", "1.3517432746801021", "1.3449044524549536",
+                   "1.1564318116429617", "0.008889987921255393")
 
 
 def test_relaxation_reads_h_as_arrays():
     """No scalar m.jet: one array read per energy evaluation (all three Gauss
-    nodes of every segment) and one per descent iteration (the nodes)."""
+    nodes of every segment) and one per descent iteration (the nodes), each
+    h and h' within 1e-13 of mpmath."""
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
     path = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (1.0, 5.0), (0.0, 6.0)])
-    sizes, energies = [], 0
-    real_energy = gridpath._energy_and_grad
+    reads, energies = [], 0
+    real_energy, real_read = gridpath._energy_and_grad, gridpath._h_and_slope
 
-    def h_jets(rs):
-        sizes.append(rs.shape)
-        return m.jets(rs)
+    def h_read(metric, rs):
+        out = real_read(metric, rs)
+        reads.append((rs.copy(), *out))
+        return out
 
     def energy(*args):
         nonlocal energies
@@ -149,17 +153,42 @@ def test_relaxation_reads_h_as_arrays():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(m, "jet", no_scalar_jet)
         mp.setattr(gridpath, "_energy_and_grad", energy)
+        mp.setattr(gridpath, "_h_and_slope", h_read)
         iters = 6
-        out = gridpath._relax_path(h_jets, path, iters=iters, n_nodes=50)
+        out = gridpath._relax_path(m, path, iters=iters, n_nodes=50)
     n = len(out)
+    sizes = [rs.shape for rs, _, _ in reads]
     node_reads = sizes.count((n,))
     assert 1 <= node_reads <= iters
     assert sizes.count((3 * (n - 1),)) == energies > node_reads
     assert len(sizes) == energies + node_reads
-    # same bits as a metric whose h is read one radius at a time
-    per_radius = HalfplaneMetric(power_decay_h(0.5))
-    ref = gridpath._relax_path(per_radius.jets, path, iters=iters, n_nodes=50)
-    assert _bits(out) == _bits(ref)
+    for rs, h, hp in reads:
+        for r, a, b in zip(rs.tolist(), h.tolist(), hp.tolist()):
+            u = 1 + mpmath.mpf(r) ** 2
+            assert a == pytest.approx(float(u ** -0.5), rel=1e-13, abs=0.0)
+            assert b == pytest.approx(float(-r * u ** -1.5), rel=1e-13, abs=1e-300)
+
+
+def test_relaxation_stops_once_the_energy_stalls(pure_half_metric):
+    # running on to the last decrease takes 114 energy evaluations on this
+    # path: 13 steps that each gain less than 1e-12 of the energy, then a
+    # 25-try line search that finds no decrease
+    calls = 0
+    real_energy = gridpath._energy_and_grad
+
+    def energy(*args):
+        nonlocal calls
+        calls += 1
+        return real_energy(*args)
+
+    l = 24
+    _, sol = orbit_distance(pure_half_metric, l)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridpath, "_energy_and_grad", energy)
+        res = dijkstra_distance_oracle(pure_half_metric, (0.0, 0.0), (0.0, 2.0 * math.pi * l),
+                                       r_hi=2.2 * sol.r_max, nr=160)
+    assert calls <= 64
+    assert res.relaxed == pytest.approx(30.620575515971915, rel=1e-10)
 
 
 def _bits(a):
@@ -202,7 +231,7 @@ def _coo_graph(h_value, rs, vs):
 ])
 def test_grid_graph_matches_coo_assembly(nr, nv, r_lo, pure_half_metric):
     def hv(rs):
-        return pure_half_metric.jets(rs).value
+        return gridpath._h_and_slope(pure_half_metric, rs)[0]
 
     rs = np.linspace(r_lo, 6.0, nr)
     vs = np.linspace(0.0, 6.0 * math.pi, nv)

@@ -83,13 +83,28 @@ def test_cache_env_override(tmp_path, monkeypatch):
 
 
 def test_orbit_growth_without_beta_piece(tmp_path, cache_dir):
-    # the 1e5 bound truncates the ladder before R12, so no beta piece exists
+    # the 1e5 bound truncates the ladder before R12, so no beta piece exists,
+    # nor the period-2 alpha piece after it
     cfg = parse_config(None, {
         "mode": "orbit-growth", **OSC, "radius_bound": 1e5,
         "outdir": str(tmp_path), "cache_dir": cache_dir,
     })
     report = run(cfg)
-    assert [(c.name, c.status) for c in report.checks] == [("beta-window-unavailable", "flagged")]
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("alpha-window-unavailable", "flagged"), ("beta-window-unavailable", "flagged")]
+
+
+def test_orbit_growth_without_period_two_alpha_piece(tmp_path, cache_dir):
+    # the 1e20 bound keeps the first beta piece but stops the ladder before
+    # the period-2 alpha piece: the alpha window is flagged, not left out
+    cfg = parse_config(None, {
+        "mode": "orbit-growth", **OSC, "radius_bound": 1e20,
+        "outdir": str(tmp_path), "cache_dir": cache_dir,
+    })
+    report = run(cfg)
+    assert [(c.name, c.status) for c in report.checks] == [
+        ("alpha-window-unavailable", "flagged"), ("beta-window-distance-sandwich", "pass"),
+        ("beta-window-growth-slope", "pass"), ("beta-window-count-constants", "pass")]
 
 
 def test_grushin_mode_zero_periods(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warplab import gridpath
 from warplab.halfplane import HalfplaneMetric
 from warplab.jets import Jet2, jet_exp, jet_sin
 from warplab.warping import (
@@ -147,12 +148,13 @@ def test_scalar_components_broadcast_through_the_metric():
     j = constant_h(2.0)(rs)
     assert np.ndim(j.d1) == 0  # the array jet keeps a scalar slope ...
     for m in (HalfplaneMetric.from_warping(constant_h(2.0)),
-              HalfplaneMetric(lambda r: constant_h(2.0)(r))):  # array and per-radius paths
-        ja = m.jets(rs)
-        for comp in ("value", "d1", "d2"):
-            arr = getattr(ja, comp)
-            assert arr.shape == rs.shape  # ... which the metric broadcasts
-            assert _bits(arr) == _bits([getattr(m.jet(r), comp) for r in rs.tolist()])
+              HalfplaneMetric(lambda r: constant_h(2.0)(r))):  # family and bare callable
+        hf = m.frame(rs)
+        for comp in hf:
+            assert comp.shape == rs.shape  # ... which the frame broadcasts
+        h, hp = gridpath._h_and_slope(m, rs)
+        assert h.tolist() == [m.jet(r).value for r in rs.tolist()]
+        assert hp.tolist() == [m.jet(r).d1 for r in rs.tolist()]  # 0.0, also on the axis
 
 
 def test_array_jets_report_finiteness():
