@@ -3,12 +3,13 @@
 The rectangle [r_lo, r_hi] x [v_lo, v_hi] is discretized to an 8-connected
 grid whose edge weights are the local metric quadratic form at the edge
 midpoint, sqrt(dr^2 + h(r_mid)^2 dv^2), with h read once per grid row and
-row gap.  The graph is written straight into canonical CSR arrays (each
-node's four forward edges in column order, one column pattern for every
-full row); Dijkstra (scipy.sparse.csgraph) then gives a genuine path
-upper bound for the distance.  Every read of h, and of h' in the path
-descent, is one read of h's exponent frame at a float64 array of radii:
-h = exp(log h), h' = -2 r p h / (1 + r^2).
+row gap.  Row sweeps in numpy give the distance field to within 1e-12 of
+each node's value, and its best neighbours the path back from the target;
+the distance reported is that path's edge weights added from the source
+on, as Dijkstra adds them, so it is exactly an admissible path's length.
+Every read of h, and of h' in the path descent, is one read of h's
+exponent frame at a float64 array of radii: h = exp(log h),
+h' = -2 r p h / (1 + r^2).
 
 Raw grid paths overestimate: discretization contributes O(step) and the
 eight fixed directions contribute an anisotropy excess that does not
@@ -47,65 +48,95 @@ class DijkstraResult:
     nodes: int
 
 
-def _grid_graph(h_value, rs, vs):
-    """The grid's edges as a canonical CSR matrix over nodes ir * nv + iv.
+def _grid_weights(h_value, rs, vs):
+    """The edge weights sqrt(dr^2 + (h(r_mid) dv)^2) as three arrays.
 
-    Node (ir, iv) has its out-edges in column order (ir, iv+1), (ir+1, iv-1),
-    (ir+1, iv) and (ir+1, iv+1), those that exist, each weighted by
-    sqrt(dr^2 + (h(r_mid) dv)^2).  An edge's mid-radius is a grid row
-    (0.5*(x + x) == x exactly) or a row gap, so h is read once per row and
-    once per gap.  Every row but the last has the same 4 nv - 3 columns
-    relative to ir * nv: node 0's (right, down, down-right), each inner
-    node's (right, down-left, down, down-right) and node nv-1's (down-left,
-    down); the last row holds its right edges only."""
-    from scipy.sparse import csr_matrix
-
-    nr, nv = len(rs), len(vs)
+    right[ir, iv] joins (ir, iv) to (ir, iv+1), down[ir] joins (ir, iv) to
+    (ir+1, iv) for every iv, and diag[ir, iv] joins (ir, iv) to (ir+1, iv+1)
+    and (ir, iv+1) to (ir+1, iv), as (h * -dv)^2 == (h * dv)^2.  An edge's
+    mid-radius is a grid row (0.5*(x + x) == x) or a row gap, so h is read
+    once per row and per gap; the 0.0 terms are the dr of an edge within a
+    row and the dv of an edge straight down."""
     h_row, h_gap = h_value(rs), h_value(0.5 * (rs[:-1] + rs[1:]))
-    dv_next = vs[1:] - vs[:-1]  # (., iv) -> (., iv+1)
-    dv_prev = vs[:-1] - vs[1:]  # (., iv+1) -> (., iv)
-    dr_next = (rs[1:] - rs[:-1])[:, None]
-    # weights over rows 0..nr-2; the 0.0 terms are the dr of an edge within
-    # a row and the dv of an edge straight down
-    right = np.sqrt(0.0 ** 2 + (h_row[:-1, None] * dv_next) ** 2)  # from iv = 0..nv-2
-    down_left = np.sqrt(dr_next ** 2 + (h_gap[:, None] * dv_prev) ** 2)  # from iv = 1..nv-1
-    down = np.sqrt(dr_next ** 2 + (h_gap[:, None] * 0.0) ** 2)  # one column: every iv alike
-    down_right = np.sqrt(dr_next ** 2 + (h_gap[:, None] * dv_next) ** 2)  # from iv = 0..nv-2
+    dv_next = vs[1:] - vs[:-1]
+    dr_next = rs[1:] - rs[:-1]
+    right = np.sqrt(0.0 ** 2 + (h_row[:, None] * dv_next) ** 2)
+    down = np.sqrt(dr_next ** 2 + (h_gap * 0.0) ** 2)
+    diag = np.sqrt(dr_next[:, None] ** 2 + (h_gap[:, None] * dv_next) ** 2)
+    return right, down, diag
 
-    width = 4 * nv - 3
-    n_full = (nr - 1) * width
-    data = np.empty(n_full + nv - 1)
-    rows = data[:n_full].reshape(nr - 1, width)
-    rows[:, 0], rows[:, 1], rows[:, 2] = right[:, 0], down[:, 0], down_right[:, 0]
-    inner = rows[:, 3:width - 2].reshape(nr - 1, nv - 2, 4)
-    inner[..., 0], inner[..., 1] = right[:, 1:], down_left[:, :-1]
-    inner[..., 2], inner[..., 3] = down, down_right[:, 1:]
-    rows[:, width - 2], rows[:, width - 1] = down_left[:, -1], down[:, 0]
-    data[n_full:] = np.sqrt(0.0 ** 2 + (h_row[-1] * dv_next) ** 2)
 
-    iv = np.arange(nv, dtype=np.int32)
-    pattern = np.concatenate([
-        [1, nv, nv + 1],
-        (iv[1:-1, None] + np.array([1, nv - 1, nv, nv + 1], dtype=np.int32)).ravel(),
-        [2 * nv - 2, 2 * nv - 1],
-    ]).astype(np.int32)
-    row = np.arange(nr - 1, dtype=np.int32)[:, None]
-    indices = np.empty(n_full + nv - 1, dtype=np.int32)
-    np.add(row * nv, pattern, out=indices[:n_full].reshape(nr - 1, width))
-    indices[n_full:] = (nr - 1) * nv + iv[1:]
-    node_start = np.concatenate([[0], 3 + 4 * iv[:-1]])  # within a full row
-    indptr = np.empty(nr * nv + 1, dtype=np.int32)
-    np.add(row * width, node_start, out=indptr[:(nr - 1) * nv].reshape(nr - 1, nv))
-    indptr[(nr - 1) * nv:-1] = n_full + iv
-    indptr[-1] = n_full + nv - 1
-    return csr_matrix((data, indices, indptr), shape=(nr * nv, nr * nv))
+# one pair of sweeps converges on every grid the oracle runs; a cheap row
+# below the source needs more
+_MAX_SWEEP_PAIRS = 64
+
+# (d ir, d iv) from a node to each of its neighbours
+_STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def _scan_row(row, s):
+    """Lower each node of a row to s[i] + min_{j<i} (row[j] - s[j]) and to
+    min_{j>i} (row[j] + s[j]) - s[i], s the row's cumulative right weights.
+    A node's own term is left out, so a converged row is a fixed point."""
+    fwd = np.minimum.accumulate(row[:-1] - s[:-1])
+    np.minimum(row[1:], fwd + s[1:], out=row[1:])
+    bwd = np.minimum.accumulate((row[1:] + s[1:])[::-1])[::-1]
+    np.minimum(row[:-1], bwd - s[:-1], out=row[:-1])
+
+
+def _best_neighbours(dist, right, down, diag):
+    """Each node's least dist[u] + w(u, v) over its 8 neighbours u, in exact
+    float adds, and the index in _STEPS of the first u attaining it."""
+    nr, nv = dist.shape
+    best = np.full((nr, nv), np.inf)
+    pick = np.zeros((nr, nv), dtype=np.int8)
+    cand, lower = np.empty((nr, nv)), np.empty((nr, nv), dtype=bool)
+    for k, (di, dj) in enumerate(_STEPS):
+        to = np.s_[max(0, -di):nr - max(0, di), max(0, -dj):nv - max(0, dj)]
+        frm = np.s_[max(0, di):nr - max(0, -di), max(0, dj):nv - max(0, -dj)]
+        w = right if di == 0 else down[:, None] if dj == 0 else diag
+        np.add(dist[frm], w, out=cand[to])
+        np.less(cand[to], best[to], out=lower[to])
+        np.copyto(best[to], cand[to], where=lower[to])
+        np.copyto(pick[to], k, where=lower[to])
+    return best, pick
+
+
+def _row_sweep(right, down, diag, src):
+    """Distances from node src = (ir, iv), and _best_neighbours' directions.
+
+    Each pair of passes runs up the rows and back down; a row first takes
+    its three edges from the row before it, then its scans.  A pair after
+    which no node would fall by more than 1e-12 of its value ends the
+    solve; otherwise those nodes fall and another pair runs."""
+    nr, nv = right.shape[0], right.shape[1] + 1
+    s = np.zeros((nr, nv))
+    np.cumsum(right, axis=1, out=s[:, 1:])
+    dist = np.full((nr, nv), np.inf)
+    dist[src] = 0.0
+
+    def take(ir, prev, gap):
+        row, p, w = dist[ir], dist[prev], diag[gap]
+        np.minimum(row, p + down[gap], out=row)
+        np.minimum(row[1:], p[:-1] + w, out=row[1:])
+        np.minimum(row[:-1], p[1:] + w, out=row[:-1])
+        _scan_row(row, s[ir])
+
+    for _ in range(_MAX_SWEEP_PAIRS):
+        _scan_row(dist[0], s[0])
+        for ir in range(1, nr):
+            take(ir, ir - 1, ir - 1)
+        for ir in range(nr - 2, -1, -1):
+            take(ir, ir + 1, ir)
+        best, pick = _best_neighbours(dist, right, down, diag)
+        if not np.any(best < dist * (1.0 - 1e-12)):
+            return dist, pick
+        np.minimum(dist, best, out=dist)
+    raise RuntimeError(f"grid sweeps did not converge in {_MAX_SWEEP_PAIRS} pairs")
 
 
 def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget):
-    """One Dijkstra solve; returns (distance, path array of (r, v))."""
-    # scipy.sparse loads on the first oracle call, not with the package
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
+    """One grid solve; returns (distance, path array of (r, v))."""
     n_nodes = nr * nv
     if 8 * n_nodes > edge_budget:
         raise ResourceLimit(f"{8 * n_nodes} edges exceed budget {edge_budget}")
@@ -113,31 +144,33 @@ def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget)
     vs = np.linspace(v_lo, v_hi, nv)
     dr = rs[1] - rs[0]
     dv = vs[1] - vs[0]
-
-    graph = _grid_graph(h_value, rs, vs)
+    right, down, diag = _grid_weights(h_value, rs, vs)
 
     def nearest(p):
         i = int(round((p[0] - r_lo) / dr)) if dr > 0 else 0
         j = int(round((p[1] - v_lo) / dv)) if dv > 0 else 0
-        return min(max(i, 0), nr - 1) * nv + min(max(j, 0), nv - 1)
+        return min(max(i, 0), nr - 1), min(max(j, 0), nv - 1)
 
     src = nearest(p1)
-    dst = nearest(p2)
-    dist, pred = _csgraph_dijkstra(
-        graph, directed=False, indices=src, return_predecessors=True
-    )
-    d = float(dist[dst])
-    if not math.isfinite(d):
+    dist, pick = _row_sweep(right, down, diag, src)
+    node = nearest(p2)
+    if not math.isfinite(dist[node]):
         raise RuntimeError("target unreachable on grid")
-    path = []
-    k = dst
-    while k != src and k >= 0:
-        path.append(k)
-        k = int(pred[k])
-    path.append(src)
-    path.reverse()
-    pts = np.array([(rs[k // nv], vs[k % nv]) for k in path])
-    return d, pts
+    path, weights = [node], []
+    while node != src:
+        if len(path) > n_nodes:
+            raise RuntimeError("grid path does not lead back to the source")
+        (i, j), (di, dj) = node, _STEPS[pick[node]]
+        lo_i, lo_j = i + min(di, 0), j + min(dj, 0)
+        weights.append(right[i, lo_j] if di == 0 else
+                       down[lo_i] if dj == 0 else diag[lo_i, lo_j])
+        node = (i + di, j + dj)
+        path.append(node)
+    d = 0.0
+    for w in reversed(weights):
+        d += float(w)
+    ij = np.array(path[::-1])
+    return d, np.column_stack((rs[ij[:, 0]], vs[ij[:, 1]]))
 
 
 def _h_and_slope(m, rs):
@@ -206,14 +239,15 @@ def _energy_and_grad(m, pts, r_floor=0.0):
 
 
 def _laplacian_solve(b):
-    """Solve T x = b with T = tridiag(-1, 2, -1) (Dirichlet chain)."""
+    """Solve T x = b with T = tridiag(-1, 2, -1) (Dirichlet chain) in closed
+    form: (T^-1)_ij = min(i, j) (n + 1 - max(i, j)) / (n + 1), 1-based, so
+    x_i = ((n + 1 - i) sum_{j<=i} j b_j + i sum_{j>i} (n + 1 - j) b_j) / (n + 1)."""
     n = len(b)
-    ab = np.zeros((2, n))
-    ab[0, 1:] = -1.0
-    ab[1, :] = 2.0
-    from scipy.linalg import solveh_banded
-
-    return solveh_banded(ab, b)
+    i = np.arange(1.0, n + 1.0)
+    below = np.cumsum(i * b)
+    above = np.zeros(n)
+    above[:-1] = np.cumsum(((n + 1.0 - i) * b)[:0:-1])[::-1]
+    return ((n + 1.0 - i) * below + i * above) / (n + 1.0)
 
 
 def _relax_path(m, pts, iters=400, n_nodes=640, r_floor=0.0):
@@ -225,28 +259,32 @@ def _relax_path(m, pts, iters=400, n_nodes=640, r_floor=0.0):
     put through a chain-Laplacian solve, with the v-coordinate additionally
     weighted by the local 1/h^2 -- a semi-implicit curve-shortening step
     that converges in tens of iterations at any resolution, and stops once
-    a step gains less than 1e-12 of the energy.  The result stays an
+    a step gains less than 1e-12 of the energy.  Each line search starts
+    at the step the last one accepted, lengthened by 1/0.4 (up to the
+    Newton step) when that was its first try.  The result stays an
     admissible path, hence a rigorous upper bound.
     """
     if len(pts) < 3:
         return pts.astype(float)
     pts = _resample(pts.astype(float), n=min(n_nodes, max(len(pts), 4)))
     E, g = _energy_and_grad(m, pts, r_floor)
+    step = 0.5  # Hessian ~ 2 T x (metric weight): this is the Newton step
     for _ in range(iters):
         h_nodes = _h_and_slope(m, np.maximum(pts[:, 0], r_floor))[0]
         d = np.zeros_like(pts)
         gi = g[1:-1]
         d[1:-1, 0] = _laplacian_solve(gi[:, 0])
         d[1:-1, 1] = _laplacian_solve(gi[:, 1] / h_nodes[1:-1] ** 2)
-        step = 0.5  # Hessian ~ 2 T x (metric weight): this is the Newton step
         stalled = True
-        for _ in range(25):
+        for tries in range(25):
             prop = pts - step * d
             prop[:, 0] = np.maximum(prop[:, 0], r_floor)
             E2, g2 = _energy_and_grad(m, prop, r_floor)
             if E2 < E:
                 stalled = E - E2 < 1e-12 * E
                 pts, E, g = prop, E2, g2
+                if tries == 0:  # accepted at once: try a longer step next time
+                    step = min(step / 0.4, 0.5)
                 break
             step *= 0.4
         if stalled:

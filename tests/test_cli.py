@@ -17,19 +17,25 @@ def run_cli(args):
 
 
 def test_import_loads_no_heavy_scipy_submodule():
-    # quadrature and root finding are in-repo; scipy.sparse and scipy.linalg
-    # load inside the grid oracle's call, so a run starts without them
+    # quadrature, root finding and the grid oracle's shortest paths and chain
+    # solves are in-repo, so neither a run nor an oracle call loads scipy
     heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.special")
     code = ("import sys\n"
             "import warplab.cli\n"
             f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
             "import warplab\n"
-            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
+            f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n"
+            "from warplab.halfplane import HalfplaneMetric\n"
+            "from warplab.warping import power_decay_h\n"
+            "m = HalfplaneMetric.from_warping(power_decay_h(0.5))\n"
+            "res = warplab.dijkstra_distance_oracle(m, (0.0, 0.0), (0.0, 6.0), r_hi=3.0, nr=20)\n"
+            "print(res.relaxed > 0)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = os.path.dirname(os.path.dirname(warplab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.splitlines() == ["[]", "[]"]
+    assert out.splitlines() == ["[]", "[]", "True", "[]"]
 
 
 def test_python_dash_m_warplab_runs_the_cli():
