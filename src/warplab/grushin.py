@@ -23,9 +23,8 @@ import numpy as np
 
 from .gridpath import dijkstra_distance_oracle
 from .halfplane import HalfplaneMetric, OutOfRange, TargetUnreachable, invert_arc
-from .jets import Jet2
 from .smoothing import SmoothedH
-from .warping import grushin_h
+from .warping import HFrame, grushin_h
 
 
 class UnsupportedPair(ValueError):
@@ -52,30 +51,41 @@ class GrushinMetric:
 
 @dataclass
 class RescaledModel:
-    """The cover metric viewed at scale lambda in a fixed decay regime."""
+    """The cover metric viewed at scale lambda in a fixed decay regime: the
+    halfplane of h_eff(t) = lambda^(2a) h_s(lambda t), read through sm's
+    log reader and frames by the chain rule."""
 
     lam: float
     exponent: float  # decay exponent of the regime being compared
     window: tuple  # (t_lo, t_hi): image of the pure stretch under t = r/lambda
-    halfplane: HalfplaneMetric
+    sm: SmoothedH = field(repr=False)
+    halfplane: HalfplaneMetric = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._log_scale = 2.0 * self.exponent * math.log(self.lam)
+        self.halfplane = HalfplaneMetric(self, label=f"rescaled(lam={self.lam:g})",
+                                         domain_start=0.0, r_cap=1e290)
 
     @staticmethod
     def build(sm: SmoothedH, lam: float, exponent: float, stretch: tuple) -> "RescaledModel":
         lo, hi = stretch
-        scale = float(lam) ** (2.0 * exponent)
+        return RescaledModel(float(lam), exponent, (lo / lam, hi / lam), sm)
 
-        def h_eff(t):
-            jr = sm.jet(float(lam) * t)
-            return Jet2(scale * jr.value, scale * lam * jr.d1, scale * lam * lam * jr.d2)
+    def log_h(self, t) -> float:
+        """log h_eff at a double t."""
+        return self._log_scale + self.sm.log_h(self.lam * t)
 
-        def value(t):
-            # sm.value is an mpf at a promoted radius: scale it before float()
-            return float(scale * sm.value(float(lam) * t))
-
-        hp = HalfplaneMetric(
-            h_eff, label=f"rescaled(lam={lam:g})", domain_start=0.0, r_cap=1e290, value=value
-        )
-        return RescaledModel(float(lam), exponent, (lo / lam, hi / lam), hp)
+    def frame(self, t) -> HFrame:
+        """The exponent frame of h_eff in y = log(1+t^2), at a double or a
+        float64 array t: with r = lambda t and k = dy_r/dy_t =
+        lambda^2 (1+t^2)/(1+lambda^2 t^2), p_t = k p_r and
+        p_y,t = k (k p_y,r + p_r (1 - lambda^2)/(1 + lambda^2 t^2))."""
+        fr = self.sm.frame(self.lam * t)
+        il2 = 1.0 / (self.lam * self.lam)
+        den = il2 + t * t  # (1 + lambda^2 t^2)/lambda^2
+        k = (1.0 + t * t) / den
+        return HFrame(self._log_scale + fr.log_h, k * fr.p,
+                      k * (k * fr.p_y + fr.p * (il2 - 1.0) / den))
 
 
 def _equal_t_distance(m: HalfplaneMetric, t: float, dw: float, settings=None):

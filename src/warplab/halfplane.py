@@ -4,8 +4,14 @@ For strictly decreasing h, a geodesic with Clairaut constant c (= h^2 v' in
 arclength) rises from its start radius to the unique turning radius r_max
 with h(r_max) = c and returns symmetrically, accumulating
 
-    delta_v(c)  = 2 int_a^{r_max} c / (h sqrt(h^2-c^2)) dr
-    length(c)   = 2 int_a^{r_max} h / sqrt(h^2-c^2) dr.
+    delta_v(c)  = (2/c) int_a^{r_max} rho^2 / sqrt(1 - rho^2) dr
+    length(c)   = 2 int_a^{r_max} 1 / sqrt(1 - rho^2) dr,
+
+rho = c/h.  h is read only in log form, through the model's log reader
+r -> log h and its exponent frame (log h, p, p_y) with p = -d log h/dy,
+y = log(1+r^2): rho^2 = exp(2(log c - log h)) and 1 - rho^2 =
+-expm1(2(log c - log h)), which neither underflow nor cancel where h
+leaves the double range, and the turning radius solves log h = log c.
 
 Panels split at the model's structural breakpoints and switch to
 log-radius on wide spans.  The turning panel [a, r_max] removes the
@@ -19,10 +25,11 @@ is at least 3/4, else the graded w in [0, 1] with
 L = r_max - a.  On a stretch h ~ r^(-2p) the integrands grow like r^(4p),
 which t leaves as a branch point (T - t)^(4p) at the panel's start; w is
 cubic there and raises its order to about 12p + 2, so QAGS need not bisect
-toward it.  Both evaluate h^2 - c^2 through a second-order Taylor model at
-r_max near the endpoint so the difference never cancels catastrophically.
-Each panel runs through adaptive Gauss-Kronrod quadrature, the in-repo
-QAGS of `numerics` (relative 1e-9, absolute floor 1e-12).
+toward it.  Close to r_max both take log h - log c from a second-order
+Taylor model in r_max - r, with p and p_y of the frame there, so the
+difference never cancels catastrophically.  Each panel runs through
+adaptive Gauss-Kronrod quadrature, the in-repo QAGS of `numerics`
+(relative 1e-9, absolute floor 1e-12 on the quantity).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
 translate (period 2*pi in v) solve delta_v(c*) = 2*pi*l; counts and strides
@@ -31,9 +38,10 @@ solve length(c) = R.  Both go through invert_arc, which runs brentq
 at c*.  A distance takes its bracket from two adjacent rows of the strict
 delta_v-decrease scan that guards it (verify_delta_v_monotone); lengths,
 arcs from a later start and targets outside the scan take Newton steps in
-(log c, log q) seeded by the local decay exponent at the turning radius.
-The axis line v -> (0, v) is itself a geodesic when h'(0) = 0, so the
-straight candidate 2*pi*l*h(0) competes in the minimum.
+(log c, log q) seeded by the local decay exponent at the turning radius,
+with c kept a normal double.  The axis line v -> (0, v) is itself a
+geodesic when h'(0) = 0, so the straight candidate 2*pi*l*h(0) competes in
+the minimum.
 """
 
 import bisect
@@ -42,11 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import h_frame
-from .jets import Jet2
 from .numerics import brentq, quad
 
 TWO_PI = 2.0 * math.pi
+# The Newton steps keep log c at or above the log of the smallest normal
+# double (and at or above log h(r_cap/4), see invert_arc)
+_X_FLOOR = math.log(2.2250738585072014e-308)
 # Turning panels whose local decay exponent at r_max lies below this take the
 # graded map w, the others t.  QK21 rules per arc on h = (1+r^2)^(-p) from
 # the axis (delta_v and length at 75 log-spaced c in [1e-12, 0.9]):
@@ -105,17 +114,17 @@ class QuadSettings:
 class HalfplaneMetric:
     """Positive strictly decreasing circle coefficient on [start, r_cap].
 
-    This is the float-only geometry layer: jet components are coerced to
-    doubles (an underlying evaluation may run in extended precision and
-    degrade gracefully to 0.0 far outside the usable windows).
+    h is read in log form: h.log_h(r) at a double r, and h.frame(r), the
+    exponent frame at a double or a float64 array of radii (a SmoothedH, a
+    WarpingFunction with a log reader, or a RescaledModel).
     """
 
-    def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=(),
-                 value=None, value_on=None):
-        self._h = h  # r -> Jet2
-        if value is not None:
-            self.value = value  # float r -> float h(r), in place of the method
-        self._value_on = value_on  # (lo, hi) -> a float reader equal to value on [lo, hi]
+    def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=()):
+        if getattr(h, "log_h", None) is None:
+            raise ValueError(f"{label} has no log reader")
+        self.log_h = h.log_h  # double r -> log h(r)
+        self.frame = h.frame  # the exponent frame at a double or a float64 array
+        self._log_h_on = getattr(h, "log_h_on", None)  # (lo, hi) -> a reader for [lo, hi]
         self.label = label
         self.domain_start = float(domain_start)
         self.r_cap = float(r_cap)
@@ -123,40 +132,28 @@ class HalfplaneMetric:
         # the strict-decrease scan's rows by its parameters and settings,
         # stored once the scan passed
         self._scans = {}
-        self._floor = None  # _representable_floor's (r, h(r))
         self._d1 = {}  # QuadSettings -> d_1, for axis_count_at_radius
-        # solve_turning_point's bracket search: h at the domain start, and the
-        # list of h(hi0 * 4^j) for the rungs j read so far
+        # solve_turning_point's bracket search: log h at the domain start, and
+        # the list of log h(hi0 * 4^j) for the rungs j read so far
         self._rungs = None
         # turning radii by (c, settings) and arc integrals by (c, start,
         # settings, r_max, dv): each is a deterministic function of its key on
         # this metric, so a stored number has the bits a new solve would give
         self._turning = {}
         self._arcs = {}
-        self._jets = {}  # turning radius -> the Jet2 of h there
-
-    def jet(self, r):
-        j = self._h(r)
-        if isinstance(j.value, float):
-            return j
-        return Jet2(float(j.value), float(j.d1), float(j.d2))
+        self._taylor = {}  # turning radius -> _turning_model there
 
     def value(self, r):
-        """h(r) as a float, with no derivatives."""
-        return float(self._h(r).value)
+        """h(r) as a double, exp(log h)."""
+        return math.exp(self.log_h(r))
 
-    def value_on(self, a, b):
-        """A float reader equal to value on the panel [a, b], widened by 1e-9
-        relative so that exp(log a) and r_max - T^2 rounding past an end stay
-        covered: the reader value_on= binds for that stretch of h, else
-        value."""
-        if self._value_on is None:
-            return self.value
-        return self._value_on(a * (1.0 - 1e-9), b * (1.0 + 1e-9))
-
-    def frame(self, rs):
-        """h's exponent frame at a 1-d float64 array of radii (`h_frame`)."""
-        return h_frame(self._h, rs)
+    def log_h_on(self, a, b):
+        """A log reader equal to log_h on the panel [a, b], widened by 1e-9
+        relative so that exp(log a) and r_max - t^2 rounding past an end stay
+        covered: the one h binds for that stretch, else log_h."""
+        if self._log_h_on is None:
+            return self.log_h
+        return self._log_h_on(a * (1.0 - 1e-9), b * (1.0 + 1e-9))
 
     def sup_h(self):
         """h at the domain start: the supremum over the represented domain."""
@@ -165,16 +162,13 @@ class HalfplaneMetric:
     @staticmethod
     def from_warping(w, **kw):
         kw.setdefault("label", w.label)
-        # w itself is h, so frame() finds w's own; its float form reads h with no Jet2
-        return HalfplaneMetric(w, value=w.float_value, **kw)
+        return HalfplaneMetric(w, **kw)
 
     @staticmethod
     def from_smoothed(sm, **kw):
         kw.setdefault("label", "smoothed-h")
         kw.setdefault("breakpoints", sm.breakpoints_float(r_max=1e290))
-        # quadrature integrands and root-finders read h alone: one table
-        # lookup, or none on a panel or bracket that one value reader covers
-        return HalfplaneMetric(sm.jet, value=sm.float_value, value_on=sm.float_value_on, **kw)
+        return HalfplaneMetric(sm, **kw)
 
 
 def circle_length(m: HalfplaneMetric, r) -> float:
@@ -196,19 +190,20 @@ def solve_turning_point(m: HalfplaneMetric, c: float, settings: QuadSettings | N
 def _turning_point(m, c, st):
     a = m.domain_start
     if m._rungs is None:
-        m._rungs = (m.value(a) if a > 0 else m.value(0.0), [])
-    h_top, rungs = m._rungs
-    if not (0 < c < h_top):
-        raise OutOfRange(f"need 0 < c < h(start)={h_top}, got c={c}")
-    # the bracket grows from hi0 by factors of 4; h at each rung is read once
-    # per metric, so every solve scans the same rungs to the same bracket
+        m._rungs = (m.log_h(a), [])
+    l_top, rungs = m._rungs
+    if not (0 < c and math.log(c) < l_top):
+        raise OutOfRange(f"need 0 < c < h(start)={math.exp(l_top)}, got c={c}")
+    lc = math.log(c)
+    # the bracket grows from hi0 by factors of 4; log h at each rung is read
+    # once per metric, so every solve scans the same rungs to the same bracket
     lo = a
     hi = max(1.0, 2.0 * a if a > 0 else 1.0)
     j = 0
     while True:
         if j == len(rungs):
-            rungs.append(m.value(hi))
-        if not rungs[j] > c:
+            rungs.append(m.log_h(hi))
+        if not rungs[j] > lc:
             break
         lo = hi
         hi *= 4.0
@@ -216,14 +211,14 @@ def _turning_point(m, c, st):
         if hi > m.r_cap:
             raise OutOfRange(f"h never reaches {c} below r_cap={m.r_cap}")
     if hi <= 2.0:
-        hv = m.value_on(lo, hi)
-        return brentq(lambda r: hv(r) - c, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        log_h = m.log_h_on(lo, hi)
+        return brentq(lambda r: log_h(r) - lc, lo, hi, xtol=1e-15, rtol=8.9e-16)
     lo = max(lo, hi / 8.0, 1e-300)
-    # the bracket below reaches exp(+-1e-9) past [lo, hi], and value_on
+    # the bracket below reaches exp(+-1e-9) past [lo, hi], and log_h_on
     # widens by 1e-9 of its own for exp's rounding
-    hv = m.value_on(lo * (1.0 - 1e-9), hi * (1.0 + 1e-9))
+    log_h = m.log_h_on(lo * (1.0 - 1e-9), hi * (1.0 + 1e-9))
     s = brentq(
-        lambda s: hv(math.exp(s)) - c,
+        lambda s: log_h(math.exp(s)) - lc,
         math.log(lo) - 1e-9,
         math.log(hi) + 1e-9,
         xtol=st.turning_rel / 2,
@@ -262,26 +257,25 @@ def _arc_panels(m, start, r_max):
     return out
 
 
-def _quad_panel(f, a, b, st):
+def _quad_panel(f, a, b, st, floor):
     # the in-repo QAGS (numerics.quad); full_output returns QUADPACK's
     # message instead of warning, and the caller enforces its own error
     # budget on the summed abserr
-    out = quad(f, a, b, epsabs=st.abs_floor, epsrel=st.rel_tol, limit=st.limit, full_output=1)
+    out = quad(f, a, b, epsabs=floor, epsrel=st.rel_tol, limit=st.limit, full_output=1)
     return out[0], out[1]
 
 
 def _integrate_arc(m, c, start, settings, r_max, dv):
-    """2 int_start^{r_max} w/sqrt(h^2-c^2) dr by panelled quadrature, with
-    w = c/h for v-displacement (dv) and w = h for length, solving for r_max
-    when it is None.
+    """delta_v (dv) or length of the arc with Clairaut constant c from
+    start, by panelled quadrature of rho^2/sqrt(1 - rho^2) or 1/sqrt(1 -
+    rho^2), solving for r_max when it is None.
 
     The turning panel works in delta = r_max - r directly (delta = t^2, or
     L w^2 (6 - 8w + 3w^2) on the graded map, is computed from the variable
     and stays exact in floats even when r_max - delta rounds back to r_max),
-    with a second-order Taylor model of h - c close in, so the gap never
-    suffers cancellation; sqrt(h-c)*sqrt(h+c) keeps h^2-c^2 from underflowing
-    as a single float.  A graded panel that squeezes h's scale at its start
-    below _KNEE_BELOW integrates that stretch as a second interval.
+    with the Taylor model of log h - log c close in.  A graded panel that
+    squeezes h's scale at its start below _KNEE_BELOW integrates that
+    stretch as a second interval.
     """
     st = settings or QuadSettings()
     start = m.domain_start if start is None else float(start)
@@ -297,41 +291,44 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
     return value
 
 
-def _local_exponent(j, r):
-    """The local decay exponent p = -h'(1+r^2)/(2 r h) from the Jet2 j of h
-    at r, 0.0 where r or h is not positive."""
-    return -j.d1 * (1.0 + r * r) / (2.0 * r * j.value) if r > 0 and j.value > 0 else 0.0
-
-
-def _turning_jet(m, r_max):
-    """The Jet2 of h at a turning radius, read once per metric and radius:
-    delta_v and length at one r_max, and the Newton slope there, share it."""
-    j = m._jets.get(r_max)
-    if j is None:
-        j = m._jets[r_max] = m.jet(r_max)
-    return j
+def _turning_model(m, r):
+    """(p, b1, b2) at a turning radius r, read once per metric and radius
+    from the frame there: p the local decay exponent, and log h(r - delta)
+    - log h(r) = (b1 + b2 u) u + O(u^3), u = delta / max(r, 1).  delta_v
+    and length at one r_max, and the Newton slope there, share it."""
+    model = m._taylor.get(r)
+    if model is None:
+        fr = m.frame(r)
+        p, p_y = float(fr.p), float(fr.p_y)
+        s = max(r, 1.0)
+        gs = 2.0 / (r + 1.0 / r) * s  # s dy/dr
+        # with g = dy/dr: d log h/dr = -p g, d^2 log h/dr^2 = -(p_y g^2 + p g'),
+        # and g' = g (1/r - g)
+        model = m._taylor[r] = (p, p * gs, -0.5 * (p_y * gs * gs + p * gs * (s / r - gs)))
+    return model
 
 
 def _arc_quadrature(m, c, start, st, r_max, dv):
-    sqrt, exp = math.sqrt, math.exp
-    jet = _turning_jet(m, r_max)
-    nd1, hd2 = -jet.d1, 0.5 * jet.d2  # h - c ~ nd1*delta + hd2*delta^2
-    delta_switch = st.taylor_frac * max(r_max, 1.0)
-    p = _local_exponent(jet, r_max)
+    sqrt, exp, expm1 = math.sqrt, math.exp, math.expm1
+    lc = math.log(c)
+    p, b1, b2 = _turning_model(m, r_max)
+    scale = max(r_max, 1.0)
+    delta_switch = st.taylor_frac * scale
     graded = p < _GRADED_BELOW
 
     # integrand_r in r, integrand_s in s = log r (times r), integrand_t in
     # x = t = sqrt(r_max - r), or in the graded x = w, both of which remove
-    # the endpoint singularity; the weight is c/h for delta_v and h for length
+    # the endpoint singularity; e = 2(log c - log h) = log rho^2, and the
+    # weight rho^2 = exp(e) is delta_v's (times c/2), 1 is length's (/2)
     if dv:
         def integrand_r(r):
-            h = hv(r)
-            return c / h / (sqrt(h - c) * sqrt(h + c))
+            e = 2.0 * (lc - log_h(r))
+            return exp(e) / sqrt(-expm1(e))
 
         def integrand_s(s):
             r = exp(s)
-            h = hv(r)
-            return c / h / (sqrt(h - c) * sqrt(h + c)) * r
+            e = 2.0 * (lc - log_h(r))
+            return exp(e) / sqrt(-expm1(e)) * r
 
         def integrand_t(x):
             if graded:
@@ -342,21 +339,18 @@ def _arc_quadrature(m, c, start, st, r_max, dv):
                 delta = x * x
                 jac = 2.0 * x
             if delta <= delta_switch:
-                diff = nd1 * delta + hd2 * delta * delta
-                h = c + diff
+                u = delta / scale
+                e = -2.0 * (b1 + b2 * u) * u
             else:
-                h = hv(r_max - delta)
-                diff = h - c
-            return jac * (c / h) / (sqrt(diff) * sqrt(h + c))
+                e = 2.0 * (lc - log_h(r_max - delta))
+            return jac * exp(e) / sqrt(-expm1(e))
     else:
         def integrand_r(r):
-            h = hv(r)
-            return h / (sqrt(h - c) * sqrt(h + c))
+            return 1.0 / sqrt(-expm1(2.0 * (lc - log_h(r))))
 
         def integrand_s(s):
             r = exp(s)
-            h = hv(r)
-            return h / (sqrt(h - c) * sqrt(h + c)) * r
+            return r / sqrt(-expm1(2.0 * (lc - log_h(r))))
 
         def integrand_t(x):
             if graded:
@@ -367,46 +361,47 @@ def _arc_quadrature(m, c, start, st, r_max, dv):
                 delta = x * x
                 jac = 2.0 * x
             if delta <= delta_switch:
-                diff = nd1 * delta + hd2 * delta * delta
-                h = c + diff
+                u = delta / scale
+                e = -2.0 * (b1 + b2 * u) * u
             else:
-                h = hv(r_max - delta)
-                diff = h - c
-            return jac * h / (sqrt(diff) * sqrt(h + c))
+                e = 2.0 * (lc - log_h(r_max - delta))
+            return jac / sqrt(-expm1(e))
 
+    # the absolute floor is on the quantity, and delta_v = (2/c) total
+    floor = st.abs_floor * c if dv else st.abs_floor
     total = 0.0
     err_total = 0.0
     panels = _arc_panels(m, start, r_max)
     for a, b in zip(panels, panels[1:]):
-        hv = m.value_on(a, b)  # the integrands read this panel's reader
+        log_h = m.log_h_on(a, b)  # the integrands read this panel's reader
         if b == r_max:
             span = r_max - a
             if span <= 0:
                 v, e = 0.0, 0.0
             elif not graded:
-                v, e = _quad_panel(integrand_t, 0.0, math.sqrt(span), st)
+                v, e = _quad_panel(integrand_t, 0.0, math.sqrt(span), st, floor)
             else:
                 knee = max(a, 1.0) / span
                 if knee < _KNEE_BELOW and knee ** (1.0 + 4.0 * p) > 0.01 * st.rel_tol:
                     # the knee, about [a, a + max(a, 1)], gets its own interval
                     wk = 1.0 - (0.25 * knee) ** (1.0 / 3.0)
-                    v, e = _quad_panel(integrand_t, 0.0, wk, st)
-                    vk, ek = _quad_panel(integrand_t, wk, 1.0, st)
+                    v, e = _quad_panel(integrand_t, 0.0, wk, st, floor)
+                    vk, ek = _quad_panel(integrand_t, wk, 1.0, st, floor)
                     v += vk
                     e += ek
                 else:
-                    v, e = _quad_panel(integrand_t, 0.0, 1.0, st)
+                    v, e = _quad_panel(integrand_t, 0.0, 1.0, st, floor)
         elif a > 0 and b / a >= 8.0:
-            v, e = _quad_panel(integrand_s, math.log(a), math.log(b), st)
+            v, e = _quad_panel(integrand_s, math.log(a), math.log(b), st, floor)
         else:
-            v, e = _quad_panel(integrand_r, a, b, st)
+            v, e = _quad_panel(integrand_r, a, b, st, floor)
         total += v
         err_total += e
-    if err_total > max(st.abs_floor, 100.0 * st.rel_tol * abs(total)):
+    if err_total > max(floor, 100.0 * st.rel_tol * abs(total)):
         raise QuadratureFailure(
             f"estimated error {err_total} vs value {total} (c={c}, r_max={r_max})"
         )
-    return 2.0 * total
+    return 2.0 * total / c if dv else 2.0 * total
 
 
 def clairaut_arc(
@@ -473,47 +468,28 @@ def verify_delta_v_monotone(m: HalfplaneMetric, n: int = 200, c_hi_frac: float =
     return rows
 
 
-def _representable_floor(m):
-    """Largest probe radius where h and its slope stay clear of underflow,
-    with h there; probed once per metric."""
-    if m._floor is None:
-        m._floor = _probe_floor(m)
-    return m._floor
-
-
-def _probe_floor(m):
-    # r_cap/4 comes last, for caps below 2e4 that skip every fixed candidate
-    for r in (1e250, 1e200, 1e150, 1e120, 1e100, 1e80, 1e60, 1e40, 1e20, 1e10, 1e4,
-              m.r_cap / 4.0, 2.0):
-        if r >= m.r_cap / 2.0 or r <= m.domain_start:
-            continue
-        v = m.value(r)
-        if v > 1e-290 and v / r > 1e-305:
-            return r, v
-    r = max(m.domain_start * 2.0, 1.0)
-    return r, m.value(r)
-
-
 def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | None = None,
                settings: QuadSettings | None = None, scan=()) -> GeodesicSolution:
     """The symmetric arc from `start` whose `quantity` ("delta_v" or
     "length", both decreasing in c) equals target.
 
     A delta_v target from the domain start that two adjacent rows of `scan`
-    (verify_delta_v_monotone's rows at these settings) bracket at c >=
-    c_floor takes that bracket; any other target takes _newton_bracket's.
+    (verify_delta_v_monotone's rows at these settings) bracket at log c >=
+    x_lo (the Newton steps' clamp) takes that bracket; any other target
+    takes _newton_bracket's.
     brentq closes the bracket on memoized evaluations at xtol 1e-12 in
-    log c, and only the other quantity is integrated at its root.
+    log c, and only the other quantity is integrated at its root;
+    OutOfRange when delta_v there is past the double range.
     """
     st = settings or QuadSettings()
     a = m.domain_start if start is None else float(start)
     # names read per call, so wrappers installed on this module see every evaluation
     solve, other = {"delta_v": (delta_v_of_c, length_of_c),
                     "length": (length_of_c, delta_v_of_c)}[quantity]
-    h_top = m.value(a)
-    x_hi = math.log(h_top * (1.0 - 1e-9)) if math.isfinite(h_top) else math.inf
-    r_floor, c_floor = _representable_floor(m)
-    x_lo = math.log(c_floor) if c_floor > 0 else -math.inf
+    l_top = m.log_h(a)
+    x_hi = l_top + math.log1p(-1e-9) if math.isfinite(l_top) else math.inf
+    # c stays a normal double whose turning radius lies below the cap
+    x_lo = max(_X_FLOOR, m.log_h(m.r_cap / 4.0))
     seen = {}  # x -> (r_max, q)
 
     def y(x):
@@ -526,7 +502,7 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     if scan and quantity == "delta_v" and a == m.domain_start:
         bracket = _scan_bracket(scan, target, x_lo, seen, y)
     if bracket is None:
-        bracket = _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi, r_floor)
+        bracket = _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi)
     lo, hi = bracket
     x_star = lo if lo == hi else brentq(y, lo, hi, xtol=1e-12, rtol=8.9e-16)
     y(x_star)  # brentq returns an evaluated point, so this is a lookup
@@ -534,6 +510,8 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     c = math.exp(x_star)
     q_other = other(m, c, a, st, r_max=r_max)
     dv, ln = (q, q_other) if quantity == "delta_v" else (q_other, q)
+    if not math.isfinite(dv):
+        raise OutOfRange(f"delta_v at c={c:.6g} is past the double range")
     return GeodesicSolution(c, r_max, dv, ln, start=a)
 
 
@@ -552,19 +530,18 @@ def _scan_bracket(scan, target, x_lo, seen, y):
     return lo, hi
 
 
-def _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi, r_floor):
+def _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi):
     """(lo, hi), the nearest x with y >= 0 and with y <= 0, from Newton steps
     in (x, y) = (log c, log(q/target)), clamped to [x_lo, x_hi], run from a
     first guess with turning radius about target/2 until a short step
     brackets the root.
 
     The slope is the secant's over a short step, else the one a pure stretch
-    of local exponent p = -h'(1+r^2)/(2 r h) at the turning radius has:
+    of local exponent p (the frame's) at the turning radius has:
     -(1+1/(2p)) for delta_v, -1/(2p) for length (orbits.py).
     TargetUnreachable when a clamp end gives no sign change.
     """
-    r_guess = max(min(target / 2.0, r_floor), a + 1e-12)
-    x = min(math.log(m.value(max(r_guess, 1e-300))), x_hi - math.log(2.0))
+    x = min(max(m.log_h(max(target / 2.0, a + 1e-12)), x_lo), x_hi - math.log(2.0))
     fx = y(x)
     lo, hi = -math.inf, math.inf
     x_prev = f_prev = None
@@ -578,7 +555,7 @@ def _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi, r_floor):
         slope = (fx - f_prev) / (x - x_prev) if near else 0.0
         if not (slope < 0 and math.isfinite(slope)):
             r = seen[x][0]
-            p = _local_exponent(_turning_jet(m, r), r)
+            p = _turning_model(m, r)[0]
             slope = -1.0
             if math.isfinite(p) and p > 0:
                 slope = -(1.0 + 0.5 / p) if quantity == "delta_v" else -0.5 / p
@@ -624,7 +601,7 @@ def orbit_distance(
         # the axis line is the only candidate when no arc has this displacement:
         # no turning point anywhere (e.g. constant h) or every arc overshoots it
         if isinstance(e, TargetUnreachable) and not e.overshoot:
-            raise OutOfRange(f"d_{l} needs an arc past the representable radii") from e
+            raise OutOfRange(f"d_{l} needs an arc with c past the Newton clamp") from e
         if math.isfinite(straight):
             return straight, None
         raise
@@ -648,6 +625,8 @@ def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | 
     monotone, so the threshold index is delta_v(c_R)/(2 pi) at the c whose
     arc length equals R.  The straight axis loop competes for small l; d_1
     is solved once per metric and settings, unless note_d1 recorded it.
+    OutOfRange where that arc needs a c below the Newton clamp, or where
+    its delta_v, and so the count, is past the double range.
     """
     st = settings or QuadSettings()
     h0 = m.sup_h()
@@ -660,6 +639,6 @@ def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | 
         sol = invert_arc(m, "length", R, settings=st)
     except TargetUnreachable as e:
         if not e.overshoot:
-            raise OutOfRange(f"arcs of length {R} turn past the representable radii") from e
+            raise OutOfRange(f"arcs of length {R} need c past the Newton clamp") from e
         return max(0, n_straight)  # every arc is longer than R
     return max(math.floor(sol.delta_v / TWO_PI + 1e-12), n_straight, 0)

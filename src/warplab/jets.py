@@ -9,11 +9,14 @@ differences; the two mechanisms must stay separate for cross-checks to
 mean anything).
 
 The scalar type is duck-typed: ``float`` for ordinary values, ``mpmath.mpf``
-for values doubles cannot hold (a bridge constant past double range, an h
-or h'' that would underflow), and float64 numpy arrays for many radii at
-once.  Array components keep the bits of per-radius float jets: numpy's
-``+ - * /`` round like Python floats, and the power and the transcendental
-maps run Python's scalar ``**`` and ``math`` per element (``np.power`` and
+for the exact construction checks, the test oracles and a bridge constant
+past the double range, and float64 numpy arrays for many radii at once.
+The arcs, turning points and counts of `halfplane` and the dense checks
+read no Jet2: they read h through its log reader and exponent frame.
+
+Array components keep the bits of per-radius float jets: numpy's ``+ - *
+/`` round like Python floats, and the power and the transcendental maps
+run Python's scalar ``**`` and ``math`` per element (``np.power`` and
 ``np.sin`` may differ by an ulp).  Powers are evaluated in ratio form
 ``u**p * (p*u1/u, ...)`` so intermediates like ``u**(p-2)`` never underflow
 before being multiplied back up.

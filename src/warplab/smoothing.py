@@ -19,32 +19,27 @@ g = 2r/(1+r^2), h'/h = -p g and h''/h = (p g)^2 - p'(y) g^2 - p g', so
 h decreases wherever p > 0 and its local exponent |h'/h|/g stays within
 [min p, max p].
 
-At float radii a blend answers through its kernel (`Blend.kernel`) and
-value reader (`Blend.value_reader`), which `halfplane` reads.  The dense
-checks below (blend scan, strict-decrease scan, replacement inequalities,
-certification, effective exponent) read its exponent frame (`frame`):
-log h, p and p'(y) in closed form at double radii, with no mpmath.
+A blend, like a segment, reads h at double radii in log form: `log_h`
+gives log h at a double, which `halfplane` integrates through, and
+`frame` the exponent frame (log h, p and p'(y)) at a double or a float64
+array, both in closed form with no mpmath.  The dense checks below (blend
+scan, strict-decrease scan, replacement inequalities, certification,
+effective exponent) read the frame.  `SmoothedH` hands each double radius
+to its owner (blend or segment) through one table of float edges.
 """
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import mpmath
 import numpy as np
 
 from .curvature import decay_curvature, f_frame, h_frame, positive, scaled_ricci
-from .jets import Jet2, _exp, _lift, _ndarray
+from .jets import Jet2, _exp
 from .ladder import build_scale_ladder
-from .piecewise import (
-    PiecewiseH,
-    Segment,
-    array_jet,
-    build_piecewise_h,
-    float_ceil,
-)
-from .warping import HFrame, WarpingFunction, inv_u, log1p_sq
+from .piecewise import PiecewiseH, Segment, build_piecewise_h, float_ceil
+from .warping import HFrame, WarpingFunction, inv_u, log1p_sq, log1p_sq_float
 
 SPAN_LO = 0.8  # a blend starts at 0.8 R; its end is centred on y(R) in y = log(1+r^2)
 
@@ -76,21 +71,10 @@ def _weights(x):
     return Q, q, q1
 
 
-def _log1p_sq(r):
-    """log(1 + r^2) at a double r, with no r*r past 1e150 (where the 1
-    is below half an ulp of r^2)."""
-    return math.log1p(r * r) if r < 1e150 else 2.0 * math.log(r)
-
-
-_y = _lift(_log1p_sq, lambda r: mpmath.log1p(r * r))
-
-
 def _exponent_form(r, form):
-    """(h, h', h'') of the exponent blend at a double, an mpf or a float64
-    array r; log1p and exp run per element with math on arrays (numpy's
-    may differ by an ulp)."""
+    """(h, h', h'') of the exponent blend at a double or an mpf r."""
     ya, w, la, pr, dp = form
-    y = _y(r)
+    y = mpmath.log1p(r * r) if isinstance(r, mpmath.mpf) else log1p_sq_float(r)
     x = (y - ya) / w
     Q, q, q1 = _weights(x)
     p = pr + dp * q
@@ -131,97 +115,52 @@ class Blend:
         object.__setattr__(self, "_form_f", tuple(float(c) for c in form))
         object.__setattr__(self, "_edges_f", (float_ceil(lo), float_ceil(hi)))
 
-    def kernel(self, r):
-        """(h, h', h'', promoted) at a double or a float64 array of radii:
-        the pieces' kernels outside [lo, hi), the exponent form inside.
-        promoted marks a promoted piece and a blend whose h or h' is zero
-        in doubles; jet() redoes those in mpmath."""
+    def log_h(self, r) -> float:
+        """log h at a double r: the pieces' outside [lo, hi), the exponent
+        form inside."""
         lo, hi = self._edges_f
-        if r.__class__ is not _ndarray:
-            if r < lo:
-                return self.left.kernel(r)
-            if r >= hi:
-                return self.right.kernel(r)
-            return self._mix(r)
-        out = (np.empty_like(r), np.empty_like(r), np.empty_like(r), np.empty(r.shape, bool))
-        left = r < lo
-        right = r >= hi
-        for mask, part in ((left, self.left.kernel), (right, self.right.kernel),
-                           (~(left | right), self._mix)):
-            if mask.any():
-                for dst, src in zip(out, part(r[mask])):
-                    dst[mask] = src
-        return out
+        if r < lo:
+            return self.left.log_h(r)
+        if r >= hi:
+            return self.right.log_h(r)
+        ya, w, la, pr, dp = self._form_f
+        y = log1p_sq_float(r)
+        x = (y - ya) / w
+        x2 = x * x
+        return la - pr * (y - ya) - dp * w * (x - x2 * x2 * (2.5 - 3.0 * x + x2))
 
     def frame(self, r) -> HFrame:
-        """The exponent frame at a float64 array: the pieces' outside [lo, hi),
-        inside p = p_R + (p_L - p_R) q(x) with its log h and p_y."""
+        """The exponent frame at a float64 array or a double r: the pieces'
+        outside [lo, hi), inside p = p_R + (p_L - p_R) q(x) with its log h
+        and p_y."""
         (lo, hi), (ya, w, la, pr, dp) = self._edges_f, self._form_f
-        y = log1p_sq(r)
+        array = r.__class__ is np.ndarray
+        if not array:
+            if r < lo:
+                return self.left.frame(r)
+            if r >= hi:
+                return self.right.frame(r)
+        y = log1p_sq(r) if array else log1p_sq_float(r)
         Q, q, q1 = _weights((y - ya) / w)
-        inside = (la - pr * (y - ya) - dp * w * Q, pr + dp * q, dp * q1 / w)
+        inside = HFrame(la - pr * (y - ya) - dp * w * Q, pr + dp * q, dp * q1 / w)
+        if not array:
+            return inside
         return HFrame(*(np.where(r < lo, a, np.where(r >= hi, b, c)) for a, b, c
                         in zip(self.left.frame(r), self.right.frame(r), inside)))
 
-    def _mix(self, r):
-        v, d1, d2 = _exponent_form(r, self._form_f)
-        if r.__class__ is _ndarray:
-            return v, d1, d2, (v == 0.0) | (d1 == 0.0)
-        return v, d1, d2, v == 0.0 or d1 == 0.0
-
     def jet(self, r) -> Jet2:
-        """Jet2 at a float, an mpf or a float64 array of radii (a Jet2 of
-        arrays, see `array_jet`)."""
-        if isinstance(r, (mpmath.mpf, mpmath.mpc)):
-            return self._mp_jet(r)
-        if r.__class__ is _ndarray:
-            return array_jet(self.kernel(r), r, self.jet)
-        v, d1, d2, promoted = self.kernel(r)
-        return self._mp_jet(mpmath.mpf(r)) if promoted else Jet2(v, d1, d2)
-
-    def _mp_jet(self, r):
-        """The jet at an mpf r, and at a float r the kernel promoted."""
-        if r < self.lo:
+        """Jet2 at a float or an mpf radius: the pieces' outside [lo, hi),
+        the exponent form inside, in the radius's arithmetic."""
+        mp = isinstance(r, mpmath.mpf)
+        lo, hi = (self.lo, self.hi) if mp else self._edges_f
+        if r < lo:
             return self.left.jet(r)
-        if r >= self.hi:
+        if r >= hi:
             return self.right.jet(r)
-        return Jet2(*_exponent_form(r, self._form))
-
-    def value_reader(self, promote):
-        """The value-only float path: a closure r -> h(r) at a double r, with
-        the bits of kernel(r)'s value.  The pieces' value readers answer
-        outside [lo, hi); inside, the exponent form without h'', h' only for
-        the promotion test.  A radius the kernel would promote answers
-        promote(r)."""
-        lo, hi = self._edges_f
-        left_value, right_value = self.left.value_reader(promote), self.right.value_reader(promote)
-        ya, w, la, pr, dp = self._form_f
-        y_of, exp = _log1p_sq, math.exp
-
-        def blend_value(r):
-            if r < lo:
-                return left_value(r)
-            if r >= hi:
-                return right_value(r)
-            y = y_of(r)
-            x = (y - ya) / w  # _weights and _exponent_form, without h''
-            x2 = x * x
-            v = exp(la - pr * (y - ya) - dp * w * (x - x2 * x2 * (2.5 - 3.0 * x + x2)))
-            p = pr + dp * (1.0 - x * x2 * (10.0 - 15.0 * x + 6.0 * x2))
-            if v == 0.0 or v * -(p * (2.0 / (r + 1.0 / r))) == 0.0:
-                return promote(r)
-            return v
-        return blend_value
-
-    @cached_property
-    def _value(self):
-        """value()'s float reader, promoting to jet(r).value."""
-        return self.value_reader(lambda r: self.jet(r).value)
+        return Jet2(*_exponent_form(r, self._form if mp else self._form_f))
 
     def value(self, r):
-        """jet(r).value; a float r that needs no promotion builds no Jet2."""
-        if isinstance(r, float):
-            return self._value(r)
+        """h(r), equal to jet(r).value."""
         return self.jet(r).value
 
 
@@ -251,46 +190,26 @@ class SmoothedH:
         self._fedges = [edges[k] for k in keep]
         self._fowners = [owners[0], *(owners[k + 1] for k in keep)]
         self._fedges_array = np.array(self._fedges)
-        # one value reader per interval, as a double also where promoted
-        self._fvalues = [o.value_reader(lambda r, o=o: float(o.jet(r).value))
-                         for o in self._fowners]
-        edges, readers = self._fedges, self._fvalues
 
-        def float_value(r):
-            """float(value(r)) at a float r: one bisect, then the interval's
-            value reader."""
-            return readers[bisect_right(edges, r)](r)
-        self.float_value = float_value
-        self._freach = self._reader_reach()
+    def log_h(self, r) -> float:
+        """log h at a double r: one bisect of the float table, then the
+        owner's log_h."""
+        return self._fowners[bisect_right(self._fedges, r)].log_h(r)
 
-    def _reader_reach(self):
-        """[lo, hi) per float-table interval, where its value reader reads as
-        float_value does: the interval, and for a blend, whose reader reads
-        its left piece below lo and its right piece from hi, also the
-        pieces' intervals next to it."""
-        owners = self._fowners
-        starts, ends = [-math.inf, *self._fedges], [*self._fedges, math.inf]
-        reach = []
-        for i, o in enumerate(owners):
-            lo, hi = starts[i], ends[i]
-            if isinstance(o, Blend):
-                lo = starts[i - 1] if i > 0 and owners[i - 1] is o.left else lo
-                hi = ends[i + 1] if i + 1 < len(owners) and owners[i + 1] is o.right else hi
-            reach.append((lo, hi))
-        return reach
-
-    def float_value_on(self, lo, hi):
-        """A float reader for radii in [lo, hi]: the value reader of an
-        interval whose reach holds both ends, a piece's before a blend's
-        (a blend reads the piece after its edge tests), else float_value."""
-        found = self.float_value
-        for i in range(bisect_right(self._fedges, lo), bisect_right(self._fedges, hi) + 1):
-            r_lo, r_hi = self._freach[i]
-            if r_lo <= lo and hi < r_hi:
-                if not isinstance(self._fowners[i], Blend):
-                    return self._fvalues[i]
-                found = self._fvalues[i]
-        return found
+    def log_h_on(self, lo, hi):
+        """A log reader equal to log_h at every double in [lo, hi]: the
+        owner's, where one owner answers them all, or one blend's, where it
+        and its two pieces do (a blend reads its pieces past its edges);
+        else log_h."""
+        owners = self._fowners[bisect_right(self._fedges, lo):bisect_right(self._fedges, hi) + 1]
+        if len(owners) == 1:
+            return owners[0].log_h
+        blends = [o for o in owners if isinstance(o, Blend)]
+        if len(blends) == 1:
+            b = blends[0]
+            if all(o is b or o is b.left or o is b.right for o in owners):
+                return b.log_h
+        return self.log_h
 
     def _owner_at(self, r):
         """The blend (lo <= r < hi) or else the segment that answers h at r:
@@ -322,31 +241,27 @@ class SmoothedH:
                     dst[sel] = src
         return out
 
-    def kernel(self, rs):
-        """(h, h', h'', promoted) at a 1-d float64 array, by runs of one owner."""
-        return self._by_owner(rs, "kernel", (float, float, float, bool))
-
     def frame(self, rs) -> HFrame:
-        """The exponent frame at a 1-d float64 array, by runs of one owner."""
+        """The exponent frame at a 1-d float64 array, by runs of one owner,
+        or at a double, the owner's."""
+        if rs.__class__ is not np.ndarray:
+            return self._owner_at(rs).frame(rs)
         return HFrame(*self._by_owner(rs, "frame", (float, float, float)))
 
     def jet(self, r) -> Jet2:
-        """Jet2 at a float, an mpf or a 1-d float64 array of radii (a Jet2 of
-        arrays, see `array_jet`)."""
-        if r.__class__ is _ndarray:
-            return array_jet(self.kernel(r), r, self.jet)
+        """Jet2 at a float or an mpf radius, the owner's."""
         return self._owner_at(r).jet(r)
 
     def value(self, r):
-        """h(r), equal to jet(r).value; a float r that needs no promotion
-        builds no Jet2."""
-        return self._owner_at(r).value(r)
+        """h(r), equal to jet(r).value."""
+        return self.jet(r).value
 
     def __call__(self, r) -> Jet2:
         return self.jet(r)
 
     def as_warping(self, label="smoothed-h") -> WarpingFunction:
-        return WarpingFunction(label, lambda x: self.jet(x.value), frame=self.frame)
+        return WarpingFunction(label, lambda x: self.jet(x.value), frame=self.frame,
+                               log_h=self.log_h)
 
     def last_radius(self):
         return self.base.segments[-1].r_lo

@@ -8,9 +8,13 @@ grids; construction itself never enforces them, so calibration metrics
 
 The dense curvature checks read a family through its frame at a float64
 array of radii, in closed form: an `HFrame` for h, the `FFrame` of
-`standard_f` for f (else `curvature` frames the double Jet2).
+`standard_f` for f (else `curvature` frames the double Jet2).  An h-role
+family with a frame also reads it at a double radius (an HFrame of
+doubles), and has a scalar log reader r -> log h, which `halfplane`
+integrates through; log h never underflows where h does.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,6 +37,12 @@ def log1p_sq(r):
         return np.where(r < 1e150, np.log1p(r * r), 2.0 * np.log(np.maximum(r, 1e150)))
 
 
+def log1p_sq_float(r):
+    """log(1 + r^2) at a double r, switching as `log1p_sq` does (past 1e150
+    the 1 is below half an ulp of r^2)."""
+    return math.log1p(r * r) if r < 1e150 else 2.0 * math.log(r)
+
+
 def inv_u(r):
     """1/(1 + r^2) on a float64 array, 0.0 where r*r overflows."""
     with np.errstate(over="ignore"):
@@ -40,8 +50,11 @@ def inv_u(r):
 
 
 def power_frame(r, p, log_c=0.0) -> HFrame:
-    """The HFrame of C (1+r^2)^(-p), log C = log_c."""
-    return HFrame(log_c - p * log1p_sq(r), np.full(r.shape, p), np.zeros(r.shape))
+    """The HFrame of C (1+r^2)^(-p), log C = log_c, at a float64 array or a
+    double r."""
+    if r.__class__ is np.ndarray:
+        return HFrame(log_c - p * log1p_sq(r), np.full(r.shape, p), np.zeros(r.shape))
+    return HFrame(log_c - p * log1p_sq_float(r), p, 0.0)
 
 
 def _standard_f_frame(r):
@@ -59,12 +72,12 @@ class WarpingFunction:
     label: str
     fn: Callable[[Jet2], Jet2]
     params: tuple = field(default=())
-    # the value alone at a float r, with the bits of fn's Jet2 value (None:
-    # the family has no such form)
-    float_value: Callable[[float], float] | None = field(default=None, compare=False, repr=False)
-    # the frame at a float64 array of radii (None: read from the Jet2)
+    # the frame at a float64 array of radii, and for h at a double (None:
+    # read from the Jet2)
     frame: Callable[[np.ndarray], HFrame | FFrame] | None = field(default=None, compare=False,
                                                                   repr=False)
+    # log h at a double r, equal to frame(r).log_h (None: no log reader)
+    log_h: Callable[[float], float] | None = field(default=None, compare=False, repr=False)
 
     def __call__(self, r) -> Jet2:
         return self.fn(Jet2.variable(r))
@@ -82,7 +95,7 @@ def standard_f() -> WarpingFunction:
 def power_decay_h(p: float) -> WarpingFunction:
     """h(r) = (1+r^2)^(-p): flat at the axis, polynomial decay of rate 2p."""
     return WarpingFunction(f"power-decay-h(p={p})", lambda x: (1 + x * x) ** (-p), (p,),
-                           lambda r: (r * r + 1) ** (-p), lambda r: power_frame(r, p))
+                           lambda r: power_frame(r, p), lambda r: -p * log1p_sq_float(r))
 
 
 def bridged_power_h(p: float, scale_constant) -> WarpingFunction:
@@ -96,7 +109,9 @@ def bridged_power_h(p: float, scale_constant) -> WarpingFunction:
 
 def constant_h(c: float = 1.0) -> WarpingFunction:
     """h == c; flat circle factor, used for calibration metrics."""
-    return WarpingFunction(f"constant-h({c})", lambda x: Jet2.constant(c) + 0.0 * x, (c,))
+    log_c = math.log(c)
+    return WarpingFunction(f"constant-h({c})", lambda x: Jet2.constant(c) + 0.0 * x, (c,),
+                           lambda r: power_frame(r, 0.0, log_c), lambda r: log_c)
 
 
 def linear_f() -> WarpingFunction:
@@ -111,15 +126,22 @@ def sine_f() -> WarpingFunction:
 
 def exp_decay_h() -> WarpingFunction:
     """h(r) = exp(-r).  The halfplane dr^2 + e^{-2r} dv^2 is hyperbolic,
-    which gives closed-form geodesic oracles."""
-    return WarpingFunction("exp-decay-h", lambda x: jet_exp(-x))
+    which gives closed-form geodesic oracles.  Its frame, at r > 0, has
+    p = (r + 1/r)/2 and p_y = p (1 - 1/r^2)/2."""
+    def frame(r):
+        p = 0.5 * (r + 1.0 / r)
+        return HFrame(-r, p, 0.5 * p * (1.0 - 1.0 / (r * r)))
+
+    return WarpingFunction("exp-decay-h", lambda x: jet_exp(-x), frame=frame,
+                           log_h=lambda r: -r)
 
 
 def grushin_h(alpha: float) -> WarpingFunction:
     """h(t) = t^(-2*alpha) on (0, inf): the Grushin halfplane coefficient."""
     def frame(t):  # p = alpha (1 + t^2)/t^2, p_y = -alpha (1 + t^2)/t^4
         p = alpha * (1.0 + 1.0 / (t * t))
-        return HFrame(-2.0 * alpha * np.log(t), p, -p / (t * t))
+        log_t = np.log(t) if t.__class__ is np.ndarray else math.log(t)
+        return HFrame(-2.0 * alpha * log_t, p, -p / (t * t))
 
     return WarpingFunction(f"grushin-h(alpha={alpha})", lambda x: x ** (-2.0 * alpha), (alpha,),
-                           lambda t: t ** (-2.0 * alpha), frame)
+                           frame, lambda t: -2.0 * alpha * math.log(t))

@@ -12,7 +12,9 @@ separated sets point by point, the references for the stride formula of
 `warplab.dimension.capacity`; `counting_chain_holds` is the counting
 inequality capacities must satisfy.  `coefficient_error` is the closed
 rescaled-coefficient error of a pure stretch, and `f_profile_ok` and
-`h_profile_ok` check the warping-function axioms on a grid.
+`h_profile_ok` check the warping-function axioms on a grid.  `mp_log_h`
+is log h from an mpmath jet at 30 digits, the reference for the double
+log readers, and `log_ulps` the few ulps of |log h| they may stray.
 """
 
 import mpmath as mp
@@ -56,6 +58,18 @@ def power_arc_oracle(alpha, c, dps=30):
         dv = 2 * mp.quad(dv_int, [0, u0])
         ln = 2 * mp.quad(len_int, [0, u0])
         return dv, ln, r_max
+
+
+def mp_log_h(h, r, dps=30):
+    """log h(r) from the mpmath jet of h (a jet callable) at dps digits."""
+    with mp.workdps(dps):
+        return float(mp.log(h(mp.mpf(r)).value))
+
+
+def log_ulps(*logs):
+    """4 ulps of each |log| (at least 1) summed: how far a double read of a
+    log h formed from these logs may stray from the exact value."""
+    return sum(4.0 * 2.0**-52 * max(1.0, abs(x)) for x in logs)
 
 
 def hyperbolic_arc(c):

@@ -128,8 +128,19 @@ def test_grushin_general_pair_golden_bits():
                    "1.1564318116429617", "0.008889987921255393")
 
 
+def _no_scalar_read(r):
+    raise AssertionError("scalar read of h")
+
+
+def _array_frames_only(frame):
+    def array_frame(rs):
+        assert isinstance(rs, np.ndarray), "scalar frame read"
+        return frame(rs)
+    return array_frame
+
+
 def test_relaxation_reads_h_as_arrays():
-    """No scalar m.jet: one array read per energy evaluation (all three Gauss
+    """No scalar read of h: one array read per energy evaluation (all three Gauss
     nodes of every segment) and one per descent iteration (the nodes), each
     h and h' within 1e-13 of mpmath."""
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
@@ -147,11 +158,9 @@ def test_relaxation_reads_h_as_arrays():
         energies += 1
         return real_energy(*args)
 
-    def no_scalar_jet(r):
-        raise AssertionError("scalar m.jet call")
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(m, "jet", no_scalar_jet)
+        mp.setattr(m, "log_h", _no_scalar_read)
+        mp.setattr(m, "frame", _array_frames_only(m.frame))
         mp.setattr(gridpath, "_energy_and_grad", energy)
         mp.setattr(gridpath, "_h_and_slope", h_read)
         iters = 6
@@ -197,9 +206,11 @@ def _bits(a):
 
 
 def test_oracle_makes_no_scalar_jet_call(pure_half_metric):
+    # the grid reads frames at arrays of radii; only the grid's aspect reads
+    # h at one radius
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(m, "jet", lambda r: pytest.fail("scalar m.jet call"))
+        mp.setattr(m, "frame", _array_frames_only(m.frame))
         res = dijkstra_distance_oracle(m, (0.0, 0.0), (0.0, 6.0 * math.pi), r_hi=6.0, nr=60)
     assert (repr(res.raw), repr(res.refined), repr(res.relaxed)) == GOLDEN["pure"]
 

@@ -1,5 +1,4 @@
 import math
-import struct
 
 import mpmath
 import numpy as np
@@ -22,7 +21,7 @@ from warplab.grushin import (
 from warplab.smoothing import pure_model_h
 from warplab.warping import grushin_h
 
-from .oracles import coefficient_error
+from .oracles import coefficient_error, log_ulps, mp_log_h
 
 
 G_HALF = GrushinMetric(0.5)
@@ -116,7 +115,8 @@ def test_rescaled_beta_regime_close_to_steeper_target(osc_build):
 def test_coefficient_error_one_sided_monotone():
     # closed form: error = 1 - (x/(1+x))^a with x = lam^2 t^2; positive and
     # decreasing in lam for every probe t, and the error the rescaled pure
-    # model's coefficient has against t^(-2a), to the coefficient's precision
+    # model's coefficient has against t^(-2a), to the coefficient's precision:
+    # it is read as exp(2a log lam + log h(lam t)), a few ulps of the two logs
     sm = pure_model_h(0.5)
     for t in (0.2, 1.0, 5.0):
         errs = [coefficient_error(0.5, lam, t) for lam in (1e2, 1e3, 1e4)]
@@ -124,7 +124,9 @@ def test_coefficient_error_one_sided_monotone():
         assert errs[0] > errs[1] > errs[2]
         for lam, err in zip((1e2, 1e3, 1e4), errs):
             model = RescaledModel.build(sm, lam, 0.5, (0.0, math.inf))
-            assert 1.0 - model.halfplane.value(t) * t == pytest.approx(err, rel=0, abs=1e-15)
+            logs = abs(math.log(lam)) + abs(sm.log_h(lam * t))
+            assert 1.0 - model.halfplane.value(t) * t == pytest.approx(
+                err, rel=0, abs=4.0 * 2.0**-52 * logs)
 
 
 def test_convergence_report_pure_model():
@@ -175,37 +177,91 @@ def test_self_similarity():
     assert self_similarity_error(g2, pairs, factor=3.0) < 0.01
 
 
-def _bits(x):
-    return struct.pack("<d", x)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(t=st.floats(1e-3, 1e300), alpha=st.sampled_from([0.5, 0.6, 1.2, 1.5]))
 def test_grushin_value_form_matches_jet(t, alpha):
+    # the metric reads h as exp(log h), its log reader within a few ulps of
+    # the 30-digit log of the jet's value
     m = GrushinMetric(alpha).halfplane()
-    assert _bits(m.value(t)) == _bits(float(grushin_h(alpha)(t).value))
+    want = mp_log_h(grushin_h(alpha), t)
+    assert abs(m.log_h(t) - want) <= log_ulps(want)
+    assert m.value(t) == math.exp(m.log_h(t))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(t=st.floats(0.0, 1e280), lam=st.sampled_from([3.0, 1e3, 7.5e38]),
        exponent=st.sampled_from([0.6, 1.2, 1.5]))
 def test_rescaled_value_matches_scaled_jet(osc_build, t, lam, exponent):
+    # log h_eff = 2a log lam + log h(lam t), against the 30-digit log of the
+    # scaled mpmath jet, to a few ulps of each term
     sm = osc_build[2]
     model = RescaledModel.build(sm, lam, exponent, (0.0, math.inf))
-    scale = lam ** (2.0 * exponent)
-    want = float(scale * sm.jet(lam * t).value)
-    assert _bits(model.halfplane.value(t)) == _bits(want)
-    assert _bits(model.halfplane.value(t)) == _bits(model.halfplane.jet(t).value)
+    r = lam * t
+    if not math.isfinite(r):
+        return
+    with mpmath.workdps(30):
+        want = float(mpmath.log(mpmath.mpf(lam) ** (2 * exponent) * sm.jet(mpmath.mpf(r)).value))
+    log_scale = 2.0 * exponent * math.log(lam)
+    assert abs(model.log_h(t) - want) <= log_ulps(log_scale, sm.log_h(r))
+    assert model.halfplane.value(t) == math.exp(model.log_h(t))
 
 
-def test_rescaled_value_scales_a_promoted_radius_in_mpmath(osc_build):
-    # at r = 1e200 the default model's B bridge is below double range: its
-    # mpf value scaled by 1e60^3 is a normal double, which a scaled float()
-    # of the value (0.0) would lose
+def test_rescaled_value_scales_an_underflowing_radius(osc_build):
+    # at r = 1e200 the default model's B bridge is below double range; read
+    # in log form and scaled by 1e60^3, it is a normal double, to a few ulps
+    # of the logs
     sm = osc_build[2]
     lam, t = 1e60, 1e140
-    v = sm.jet(lam * t).value
-    assert isinstance(v, mpmath.mpf) and float(v) == 0.0
+    with mpmath.workdps(30):
+        v = sm.jet(mpmath.mpf(lam * t)).value
+        want = float(mpmath.mpf(lam) ** 3 * v)
+    assert float(v) == 0.0
     model = RescaledModel.build(sm, lam, 1.5, (0.0, math.inf))
     got = model.halfplane.value(t)
-    assert got > 0.0 and _bits(got) == _bits(float(lam ** 3.0 * v))
+    assert got > 0.0
+    assert abs(got / want - 1.0) <= log_ulps(3.0 * math.log(lam), sm.log_h(lam * t))
+
+
+def _mp_frame(sm, lam, t):
+    """(p, p_y) of h_eff(t) = lam^(2a) h(lam t) in y = log(1+t^2), from the
+    30-digit jet of sm at lam t by the chain rule (lam^(2a) cancels)."""
+    with mpmath.workdps(30):
+        t = mpmath.mpf(t)
+        j = sm.jet(lam * t)
+        d1, d2 = lam * j.d1 / j.value, lam * lam * j.d2 / j.value  # h'/h and h''/h in t
+        ig = (1 + t * t) / (2 * t)  # 1/(dy/dt)
+        p = -d1 * ig
+        return p, p * p - p * (1 / (2 * t * t) - mpmath.mpf(0.5)) - d2 * ig * ig
+
+
+def test_rescaled_frame_matches_mp_jets(osc_build):
+    # the chain-rule frame at three factors of the alpha window (2 to 16 on
+    # the standard model) and t in [0.2, 5], scalar and array alike, against
+    # mpmath jets of sm
+    lad, _, sm = osc_build
+    ts = np.geomspace(0.2, 5.0, 41)
+    for lam in np.geomspace(2.0, 0.8 * float(lad.junctions[0]) / 5.0, 3).tolist():
+        model = RescaledModel.build(sm, lam, 0.6, (0.0, 0.8 * float(lad.junctions[0])))
+        fa = model.frame(ts)
+        for i, t in enumerate(ts.tolist()):
+            p, p_y = _mp_frame(sm, lam, t)
+            for got in (model.frame(t), type(fa)(*(c[i] for c in fa))):
+                assert abs(got.p / p - 1) <= 1e-13, (lam, t)
+                assert abs(got.p_y / p_y - 1) <= 1e-13, (lam, t)
+
+
+def test_rescaled_general_pair_oracle_builds_no_jet(osc_build, monkeypatch):
+    # the grid oracle reads the rescaled h through its frame: no Jet2 is
+    # built, so the frame `curvature` derives from a double Jet2 (and its
+    # p_y cancellation) is not on this path
+    from warplab import jets
+
+    lad, _, sm = osc_build
+    model = RescaledModel.build(sm, 8.0, 0.6, (0.0, 0.8 * float(lad.junctions[0])))
+
+    def no_jet(self, *args):
+        raise AssertionError("a Jet2 was built")
+
+    monkeypatch.setattr(jets.Jet2, "__init__", no_jet)
+    d, info = rescaled_distance(model, (1.0, 0.0), (2.0, 1.0), oracle_budget=20_000_000)
+    assert info["class"] == "oracle" and 1.0 <= d

@@ -27,7 +27,7 @@ from warplab.orbits import OrbitTable, window_index_bounds
 from warplab.smoothing import build_oscillating_h, pure_model_h
 from warplab.warping import constant_h, exp_decay_h, grushin_h, power_decay_h
 
-from .oracles import hyperbolic_arc, power_arc_oracle
+from .oracles import hyperbolic_arc, log_ulps, mp_log_h, power_arc_oracle
 
 
 def test_circle_length():
@@ -92,7 +92,9 @@ def test_arc_oracle_recomputed_live():
 
 # delta_v and length of h = (1+r^2)^(-p) from the axis at Clairaut constant
 # c, from power_arc_oracle (30 digits); test_power_arc_table_is_the_oracle
-# recomputes two rows
+# recomputes two rows.  The rows at c = 1e-100 to 1e-300 turn where log h -
+# log c cancels most; at c = 1e-300 delta_v (about 1e400) is past the double
+# range and comes back inf
 _POWER_ARC_TABLE = {
     (0.1, 0.9): (11.1872111920724, 10.9531762910081),
     (0.1, 0.5): (315.067527249648, 188.752413055866),
@@ -157,6 +159,9 @@ _POWER_ARC_TABLE = {
     (1.2, 0.0001): (345063.288347828, 117.271630412277),
     (1.2, 1e-08): (160115962420.716, 5443.94164792426),
     (1.2, 1e-12): (7.43192359411068e+16, 252685.402176616),
+    (1.2, 1e-100): (3.44959335644493e+141, 1.17286174119128e+42),
+    (1.2, 1e-200): (1.60115940037797e+283, 5.44394196128509e+83),
+    (1.2, 1e-300): (math.inf, 2.5268540218337e+125),
     (1.5, 0.9): (1.91652456424605, 1.91117587620129),
     (1.5, 0.5): (2.85099328603056, 2.52331135910076),
     (1.5, 0.1): (15.3518163240312, 4.89120480095236),
@@ -164,6 +169,9 @@ _POWER_ARC_TABLE = {
     (1.5, 0.0001): (130982.949340952, 52.2890271502273),
     (1.5, 1e-08): (28182074770.6217, 1127.27816379264),
     (1.5, 1e-12): (6071626657060660.0, 24286.5064041924),
+    (1.5, 1e-100): (1.30809230144435e+133, 5.23236920577742e+33),
+    (1.5, 1e-200): (2.81819943199536e+266, 1.12727977279814e+67),
+    (1.5, 1e-300): (math.inf, 2.42865064788758e+100),
     (2.0, 0.9): (1.64833945082452, 1.64430681417957),
     (2.0, 0.5): (2.33376631700438, 2.09428913405836),
     (2.0, 0.1): (10.5137253531056, 3.67216453363102),
@@ -189,13 +197,16 @@ def test_power_arc_table_is_the_oracle():
 
 def test_arc_integrals_match_the_power_oracle_table():
     # the graded turning map (p < 3/4) and t = sqrt(r_max - r) alike: every
-    # arc within 1e-9, and none worse than t on every turning panel, whose
-    # worst here is 1.89e-10 (p = 1, c = 1e-4, delta_v, a t panel still)
+    # arc within 1e-9, and none worse than the 1.89e-10 that t on every
+    # turning panel and h read as a double had (p = 1, c = 1e-4, delta_v)
     metrics = {}
     worst = 0.0
     for (p, c), (dv, length) in _POWER_ARC_TABLE.items():
         m = metrics.setdefault(p, HalfplaneMetric.from_warping(power_decay_h(p)))
         for got, want in ((delta_v_of_c(m, c), dv), (length_of_c(m, c), length)):
+            if math.isinf(want):
+                assert got == want, (p, c)
+                continue
             err = abs(got / want - 1.0)
             assert err <= 1e-9, (p, c)
             worst = max(worst, err)
@@ -212,9 +223,9 @@ def test_graded_panel_gives_the_knee_its_own_interval(monkeypatch, p, c, panels)
     spans = []
     real = halfplane._quad_panel
 
-    def spy(f, a, b, st):
+    def spy(f, a, b, *rest):
         spans.append((a, b))
-        return real(f, a, b, st)
+        return real(f, a, b, *rest)
 
     monkeypatch.setattr(halfplane, "_quad_panel", spy)
     m = HalfplaneMetric.from_warping(power_decay_h(p))
@@ -483,23 +494,23 @@ def test_axis_count_computes_d1_once_per_metric(monkeypatch):
 # graded turning map; the comment says whether the turning panel reaches
 # past the Taylor switch (direct h evaluations too)
 _GOLDEN_ARCS = [
-    ('pure', 0.3, 0.9578262852211513, None, 0.3, 3.2829643230007033, 3.2799190229613053),  # Taylor and direct
-    ('pure', 2.0, 0.4472135954999579, None, 1.999999999999883, 9.424777960536526, 7.024814730936592),  # Taylor and direct
-    ('pure', 1000.0, 0.000999999500000375, None, 999.9999999999998, 1570799.4683874245, 3141.594224385601),  # Taylor and direct
-    ('pure', 1000000000000.0, 1e-12, None, 999999999999.999, 1.570796326794082e+24, 3141592653588.978),  # Taylor and direct
-    ('pure', 1e+25, 9.999999999999998e-26, None, 9.99999999999889e+24, 1.5707963267065086e+50, 3.1415926535014044e+25),  # Taylor and direct
-    ('pure', 1000000.0, 9.999999999995e-07, 10.0, 999999.9999999995, 1570796326797.6118, 3141572.653590938),  # Taylor and direct
-    ('osc', 50.0, 0.009143906676474418, None, 50.000000000000014, 7403.745746146327, 148.8814923807822),  # Taylor and direct
-    ('osc', 3000000.0, 2.8504208669352084e-16, None, 3000000.0000000023, 7.820699154411978e+21, 7580387.551083958),  # Taylor and direct
-    ('osc', 1e+39, 1.58489319246112e-47, None, 1.0000000000000111e+39, 8.540146581353546e+85, 2.9772692137671564e+39),  # Taylor and direct
-    ('osc', 1000.0, 3.98142402805952e-06, None, 999.999999999998, 152499047.5602568, 2428.6511319986685),  # Taylor and direct
-    ('osc', 1000000000.0, 2.5118864315095845e-22, None, 999999999.9999993, 2.9587020736250084e+30, 2526854021.832695),  # Taylor and direct
-    ('osc', 110.0, 0.0029632086992912167, None, 110.00000000000004, 31326.9119623507, 282.9952953527337),  # Taylor and direct
-    ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000104, 1.0076412118060014e+20, 2190128.022585032),  # Taylor and direct
-    ('osc', 4500000000000.0, 4.317888450028927e-31, None, 4499999999999.982, 8.003762147367559e+42, 11466974869739.803),  # Taylor and direct
-    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 1.384566273701718e+84, 4.393765002956954e+38),  # Taylor and direct
-    ('osc', 124.99885, 0.002038352734925614, None, 124.99884999999986, 42102.792462722064, 308.875049804254),  # Taylor only
-    ('osc', 1000000000.0, 2.5118864315095845e-22, 10000.0, 999999999.9999993, 2.9587020736250084e+30, 2526834021.832695),  # Taylor and direct
+    ('pure', 0.3, 0.9578262852211514, None, 0.2999999999999999, 3.2829643230013597, 3.279919022961933),  # Taylor and direct
+    ('pure', 2.0, 0.447213595499958, None, 2.000000000000144, 9.424777961056149, 7.024814731168974),  # Taylor and direct
+    ('pure', 1000.0, 0.0009999995000003752, None, 999.999999999997, 1570799.46838531, 3141.5942243834866),  # Taylor and direct
+    ('pure', 1000000000000.0, 1.000000000000001e-12, None, 999999999999.999, 1.5707963267955028e+24, 3141592653590.4),  # Taylor and direct
+    ('pure', 1e+25, 9.999999999999973e-26, None, 1.0000000000000027e+25, 1.5707963267932295e+50, 3.1415926535881258e+25),  # Taylor and direct
+    ('pure', 1000000.0, 9.999999999994996e-07, 10.0, 1000000.0000000688, 1570796326852.2014, 3141572.6536455275),  # Taylor and direct
+    ('osc', 50.0, 0.009143906676474417, None, 50.000000000000014, 7403.745746146224, 148.88149238078122),  # Taylor and direct
+    ('osc', 3000000.0, 2.850420866935207e-16, None, 3000000.0000000023, 7.820699154409958e+21, 7580387.551083382),  # Taylor and direct
+    ('osc', 1e+39, 1.584893192461124e-47, None, 9.999999999999969e+38, 8.540146581315443e+85, 2.977269213761116e+39),  # Taylor and direct
+    ('osc', 1000.0, 3.9814240280595185e-06, None, 999.999999999997, 152499047.56009328, 2428.6511319980164),  # Taylor and direct
+    ('osc', 1000000000.0, 2.5118864315095808e-22, None, 999999999.9999993, 2.95870207361776e+30, 2526854021.8308744),  # Taylor and direct
+    ('osc', 110.0, 0.0029632086992912167, None, 110.00000000001195, 31326.91196325693, 282.9952953554192),  # Taylor and direct
+    ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000023, 1.007641211800894e+20, 2190128.022582236),  # Taylor and direct
+    ('osc', 4500000000000.0, 4.317888450028927e-31, None, 4500000000000.43, 8.003762147790422e+42, 11466974869922.395),  # Taylor and direct
+    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 1.3845662737018523e+84, 4.393765002957202e+38),  # Taylor and direct
+    ('osc', 124.99885, 0.0020383527349256115, None, 124.99885000000197, 42102.7924635761, 308.8750498059949),  # Taylor only
+    ('osc', 1000000000.0, 2.5118864315095808e-22, 10000.0, 999999999.9999993, 2.95870207361776e+30, 2526834021.8308744),  # Taylor and direct
 ]
 
 
@@ -530,25 +541,24 @@ def test_arc_integrals_golden_bits(golden_metrics):
 
 def _turning_point_by_loop(m, c):
     """Reference solve: the bracket grown from hi0 by factors of 4, reading
-    h afresh at every rung, then the same brentq as solve_turning_point."""
+    log h afresh at every rung, then the same brentq as solve_turning_point."""
     st = halfplane.QuadSettings()
     a = m.domain_start
-    h_top = m.value(a) if a > 0 else m.value(0.0)
-    if not (0 < c < h_top):
-        raise OutOfRange(f"need 0 < c < h(start)={h_top}, got c={c}")
+    l_top = m.log_h(a)
+    if not (0 < c and math.log(c) < l_top):
+        raise OutOfRange(f"need 0 < c < h(start)={math.exp(l_top)}, got c={c}")
+    lc = math.log(c)
     lo = a
     hi = max(1.0, 2.0 * a if a > 0 else 1.0)
-    while m.value(hi) > c:
+    while m.log_h(hi) > lc:
         lo = hi
         hi *= 4.0
         if hi > m.r_cap:
             raise OutOfRange(f"h never reaches {c} below r_cap={m.r_cap}")
     if hi <= 2.0:
-        hv = m.value_on(lo, hi)
-        return halfplane.brentq(lambda r: hv(r) - c, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        return halfplane.brentq(lambda r: m.log_h(r) - lc, lo, hi, xtol=1e-15, rtol=8.9e-16)
     lo = max(lo, hi / 8.0, 1e-300)
-    hv = m.value_on(lo * (1.0 - 1e-9), hi * (1.0 + 1e-9))
-    s = halfplane.brentq(lambda s: hv(math.exp(s)) - c, math.log(lo) - 1e-9,
+    s = halfplane.brentq(lambda s: m.log_h(math.exp(s)) - lc, math.log(lo) - 1e-9,
                          math.log(hi) + 1e-9, xtol=st.turning_rel / 2, rtol=8.9e-16)
     return math.exp(s)
 
@@ -659,11 +669,20 @@ def test_newton_phase_runs_only_for_targets_outside_the_scan():
     assert newton_targets == outside == [TWO_PI * 0.4, TWO_PI * 10**7]
 
 
-def test_default_ladder_count_past_the_representable_floor_raises(osc_metric):
-    # the default 1e300 ladder caps turning radii at 1e100: an arc of length
-    # 1e101 turns past it, where the straight-loop count would read 1.6e100
-    with pytest.raises(OutOfRange):
-        halfplane.axis_count_at_radius(osc_metric, 1e101)
+def test_default_ladder_count_past_the_old_floor(osc_metric):
+    # h of the default 1e300 ladder leaves the double range past about 1e100;
+    # read in log form, the arc of length 1e110 turns on the B bridge (p = 1.5
+    # from 7.8e76 to 4.8e230), where counts grow like R^(1+2p) = R^4 from
+    # 1.0845e259 at R = 1e100
+    n = halfplane.axis_count_at_radius(osc_metric, 1e110)
+    assert abs(math.log10(n) - 299.035) <= 0.01
+
+
+def test_default_ladder_count_past_the_double_range_raises(osc_metric):
+    # counts overflow doubles near R = 2e112: delta_v of the arc of length
+    # 1e113 is inf, which is OutOfRange, not an OverflowError
+    with pytest.raises(OutOfRange, match="past the double range"):
+        halfplane.axis_count_at_radius(osc_metric, 1e113)
 
 
 def test_straight_loop_when_every_arc_overshoots():
@@ -675,9 +694,10 @@ def test_straight_loop_when_every_arc_overshoots():
 
 
 def test_smoothed_metric_reads_h_as_arrays_bit_for_bit(osc_metric, osc_build):
-    # one array call of sm.jet; every entry, coerced to a double, equals the
-    # metric's per-radius jet, also past 7e107, where the default model's
-    # bridge underflows in doubles and the query is answered in mpmath
+    # one array frame of sm: every entry equals the metric's frame at that
+    # radius alone, as a one-element array bit for bit and as a double (its
+    # log reader's log h) to a few ulps, also past 1e100, where h itself
+    # underflows in doubles
     sm = osc_build[2]
     rng = np.random.default_rng(19)
     radii = [0.0, *(10.0 ** rng.uniform(-3.0, 289.0, 400)).tolist()]
@@ -685,22 +705,28 @@ def test_smoothed_metric_reads_h_as_arrays_bit_for_bit(osc_metric, osc_build):
         radii += [math.nextafter(x, d) for x in b._edges_f if math.isfinite(x)
                   for d in (-math.inf, math.inf)]
     radii = [r for r in radii if r < 1e290]
-    rs = np.array(radii)
-    with np.errstate(over="ignore"):  # r*r past 1e154 is inf, as in floats
-        assert sm.kernel(rs)[3].any()  # some entries are promoted
-        ja = sm.jet(rs)
+    fa = sm.frame(np.array(radii))
     for i, r in enumerate(radii):
-        j = osc_metric.jet(r)
-        got = [float(ja.value[i]), float(ja.d1[i]), float(ja.d2[i])]
-        assert np.array(got).tobytes() == np.array([j.value, j.d1, j.d2]).tobytes(), r
+        one = osc_metric.frame(np.array([r]))
+        assert np.array([c[i] for c in fa]).tobytes() == np.array([c[0] for c in one]).tobytes()
+        f = osc_metric.frame(r)
+        assert osc_metric.log_h(r) == f.log_h, r
+        assert abs(fa.log_h[i] - f.log_h) <= log_ulps(f.log_h), r
+        assert abs(fa.p[i] - f.p) <= 4.0 * 2.0**-52 * f.p, r
+        assert abs(fa.p_y[i] - f.p_y) <= 1e-12 * f.p, r
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(r=st.floats(0.0, 1e300), p=st.sampled_from([0.1, 0.5, 0.6, 1.2, 1.5]))
 def test_power_decay_value_form_matches_jet(r, p):
+    # the metric reads h as exp(log h), its log reader within a few ulps of
+    # the 30-digit log of the jet's value (which underflows where log h
+    # does not)
     w = power_decay_h(p)
     m = HalfplaneMetric.from_warping(w)
-    assert np.float64(m.value(r)).tobytes() == np.float64(float(w(r).value)).tobytes()
+    want = mp_log_h(w, r)
+    assert abs(m.log_h(r) - want) <= log_ulps(want)
+    assert m.value(r) == math.exp(m.log_h(r))
 
 
 def _memo_models():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warplab import gridpath
+from warplab.curvature import h_frame
 from warplab.halfplane import HalfplaneMetric
 from warplab.jets import Jet2, jet_exp, jet_sin
 from warplab.warping import (
@@ -18,6 +19,7 @@ from warplab.warping import (
     power_decay_h,
     sine_f,
     standard_f,
+    WarpingFunction,
 )
 
 from .oracles import central_diff_richardson
@@ -147,14 +149,14 @@ def test_scalar_components_broadcast_through_the_metric():
     rs = np.array([0.0, 0.5, 3.0, 1e5])
     j = constant_h(2.0)(rs)
     assert np.ndim(j.d1) == 0  # the array jet keeps a scalar slope ...
-    for m in (HalfplaneMetric.from_warping(constant_h(2.0)),
-              HalfplaneMetric(lambda r: constant_h(2.0)(r))):  # family and bare callable
-        hf = m.frame(rs)
+    m = HalfplaneMetric.from_warping(constant_h(2.0))
+    # ... which a frame read from the jet broadcasts, as the family's own does
+    for hf in (h_frame(WarpingFunction("plain", constant_h(2.0).fn), rs), m.frame(rs)):
         for comp in hf:
-            assert comp.shape == rs.shape  # ... which the frame broadcasts
-        h, hp = gridpath._h_and_slope(m, rs)
-        assert h.tolist() == [m.jet(r).value for r in rs.tolist()]
-        assert hp.tolist() == [m.jet(r).d1 for r in rs.tolist()]  # 0.0, also on the axis
+            assert comp.shape == rs.shape
+    h, hp = gridpath._h_and_slope(m, rs)
+    assert h.tolist() == [m.value(r) for r in rs.tolist()] == [2.0] * len(rs)
+    assert hp.tolist() == [0.0] * len(rs)  # also on the axis
 
 
 def test_array_jets_report_finiteness():

@@ -1,11 +1,21 @@
-"""The closed-form float kernels of segments and blends against scalar
-Jet2 jets: a segment's bit for bit, a blend's value bit for bit and its
-derivatives to rounding; and array kernels against scalar kernels bit
-for bit."""
+"""The double readers of segments and blends.
+
+Each owner of h (segment or blend) reads it at a double radius in two
+ways: the closed-form float jet, `jet`, which the Christoffel oracle reads
+and which must match Jet2 arithmetic (a segment's bit for bit, a blend's
+value bit for bit and its derivatives to rounding), and the log reader,
+`log_h`, with its frame, which the arcs, turning points and counts read.
+The log reader must agree with the frame's log h (bit for bit at a double,
+to a few ulps at an array) and with the log of the 30-digit mpmath jet, at
+every blend edge, junction key and their nextafter neighbours, including
+radii where h or h' underflows in doubles.  A SmoothedH hands each radius
+to the owner its float table names, and a panel binds one owner's reader
+only where it reads as the table does.
+"""
 
 import math
 import struct
-from bisect import bisect_right
+import sys
 
 import mpmath
 import numpy as np
@@ -13,18 +23,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warplab.halfplane import HalfplaneMetric
+from warplab.halfplane import HalfplaneMetric, axis_count_at_radius, orbit_distance
 from warplab.jets import Jet2, jet_exp
 from warplab.ladder import OscillationParams, bridge_constant
+from warplab.orbits import window_index_bounds
 from warplab.piecewise import PiecewiseH, Segment
 from warplab.smoothing import Blend, SmoothedH, build_oscillating_h, pure_model_h, smooth
+
+from .oracles import log_ulps, mp_log_h
 
 OSC = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
 
 
 def _ref_segment(seg, r):
     """A segment's scalar float jet as Jet2 arithmetic forms it (the bridge's
-    scaled ratio form for C != 1), or None where doubles cannot answer."""
+    scaled ratio form for C != 1), or None where the constant is past the
+    double range."""
     if seg._unit:
         x = Jet2.variable(r)
         return (1 + x * x) ** (-seg.p)
@@ -34,20 +48,15 @@ def _ref_segment(seg, r):
     p = seg.p
     u0 = 1.0 + r * r
     g1 = 2.0 * r / u0
-    w = u0 ** (-p)
-    v = cf * w
-    d1 = v * (-p) * g1
-    # a subnormal bare power has lost bits
-    if r > 0 and (w < 2.2250738585072014e-308 or v == 0.0 or d1 == 0.0 or not math.isfinite(v)):
-        return None
-    return Jet2(v, d1, v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0))
+    v = cf * u0 ** (-p)
+    return Jet2(v, v * (-p) * g1, v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0))
 
 
 def _ref_blend(b, r):
     """The exponent blend's scalar float jet in Jet2 arithmetic, h =
-    exp(L(y)) with y = log(1 + r^2) carried as a jet, or None where h or h'
-    is zero in doubles; with it the jet of L, whose size sets the rounding
-    of h''.  The pieces' references answer outside [lo, hi)."""
+    exp(L(y)) with y = log(1 + r^2) carried as a jet, with the jet of L,
+    whose size sets the rounding of h''.  The pieces' references answer
+    outside [lo, hi)."""
     lo, hi = b._edges_f
     if r < lo:
         return _ref_segment(b.left, r), None
@@ -60,10 +69,7 @@ def _ref_blend(b, r):
     x = (y - ya) / w
     x2 = x * x
     L = la - pr * (y - ya) - dp * w * (x - x2 * x2 * (2.5 - 3.0 * x + x2))
-    out = jet_exp(L)
-    if out.value == 0.0 or out.d1 == 0.0:
-        return None, L
-    return out, L
+    return jet_exp(L), L
 
 
 def _bits(*xs):
@@ -125,25 +131,23 @@ def _near(a, b, scale):
 
 
 def _check_kernels(piece, radii):
-    with np.errstate(over="ignore", invalid="ignore"):  # r*r past 1e154, as in floats
-        v, d1, d2, promoted = piece.kernel(np.array(radii))
-    for i, r in enumerate(radii):
-        sv, s1, s2, sp = piece.kernel(r)
+    """The piece's float jet at each radius against its Jet2 reference; a
+    constant past the double range answers in mpmath."""
+    for r in radii:
+        j = piece.jet(r)
         if isinstance(piece, Blend):
             want, L = _ref_blend(piece, r)
         else:
             want, L = _ref_segment(piece, r), None
         if want is None:
-            assert sp and promoted[i], r
+            assert isinstance(j.value, mpmath.mpf), r
             continue
-        assert not sp and not promoted[i], r
-        assert _bits(v[i], d1[i], d2[i]) == _bits(sv, s1, s2), r
         if L is None:
-            assert _bits(sv, s1, s2) == _bits(want.value, want.d1, want.d2), r
+            assert _bits(j.value, j.d1, j.d2) == _bits(want.value, want.d1, want.d2), r
         else:  # the closed form's derivatives, against the chain rule
-            assert _bits(sv) == _bits(want.value), r
-            assert _near(s1, want.d1, abs(want.d1)), r
-            assert _near(s2, want.d2, abs(sv) * (L.d1 * L.d1 + abs(L.d2))), r
+            assert _bits(j.value) == _bits(want.value), r
+            assert _near(j.d1, want.d1, abs(want.d1)), r
+            assert _near(j.d2, want.d2, abs(j.value) * (L.d1 * L.d1 + abs(L.d2))), r
 
 
 def test_kernels_match_jets_at_every_edge(models):
@@ -166,94 +170,47 @@ def test_kernels_match_jets_property(models, data):
 
 
 def test_smoothed_kernel_follows_owner_runs(models):
-    # unsorted radii across every owner give each entry its owner's kernel
+    # the array frame of unsorted radii across every owner gives each entry
+    # its owner's frame, bit for bit
     rng = np.random.default_rng(7)
     for sm in models.values():
         radii = _special_radii(sm)
         radii = [radii[i] for i in rng.permutation(len(radii))]
-        with np.errstate(over="ignore", invalid="ignore"):
-            v, d1, d2, promoted = sm.kernel(np.array(radii))
+        fa = sm.frame(np.array(radii))
         for i, r in enumerate(radii):
-            sv, s1, s2, sp = sm._owner_at(r).kernel(r)
-            assert bool(promoted[i]) == sp, r
-            if not sp:
-                assert _bits(v[i], d1[i], d2[i]) == _bits(sv, s1, s2), r
+            one = sm._owner_at(r).frame(np.array([r]))
+            assert _bits(*(c[i] for c in fa)) == _bits(*(c[0] for c in one)), r
 
 
-def test_promotion_flags_out_of_range_constant_and_underflow():
-    R = mpmath.mpf(10) ** 100
-    huge = Segment(R, None, 4.0, bridge_constant(R, 4.0, 0.6), "bridge")
-    assert huge._cf is None
-    tiny = Segment(mpmath.mpf(0), None, 4.0, mpmath.mpf("1e-10"), "bridge")
-    assert tiny._cf is not None
-    for seg, r in ((huge, 2e100), (tiny, 1e100)):
-        assert seg.kernel(r)[3] is True
-        assert seg.kernel(np.array([1.0, r]))[3].tolist() == [seg is huge, True]
-        j = seg.jet(r)  # promoted radii answer in mpmath
-        assert isinstance(j.value, mpmath.mpf) and j.d1 < 0
-        arr = seg.jet(np.array([r]))
-        assert arr.value.dtype == object and arr.value[0] == j.value
+# -- log readers ---------------------------------------------------------------
+
+# radii where doubles fail h: past 1e100 the huge bridge's constant is out of
+# float range, past 1e108 the default model's B bridge underflows, past
+# about 1e77 the shallow bridge's slope does, and at 8.1e59 the slope of the
+# slope-underflow blend (at 1.1e60 it is subnormal, not zero)
+_UNDERFLOW = (8.1e59, 1.1e60, 1e80, 2e100, 1e110, 3.3e150, 4e230)
 
 
-def test_array_jets_equal_scalar_jets_with_promoted_entries():
-    sm = _huge_bridge_h()
-    radii = [50.0, 5e99, 9.5e99, 1.05e100, 3e100]
-    j = sm.jet(np.array(radii))
-    assert j.value.dtype == object
-    for i, r in enumerate(radii):
-        s = sm.jet(r)
-        assert (type(j.value[i]), j.value[i], j.d1[i], j.d2[i]) == \
-            (type(s.value), s.value, s.d1, s.d2), r
-
-
-# -- value-only readers --------------------------------------------------------
-
-# promoted radii: past 1e100 the huge bridge's constant is out of float
-# range, past 1e108 the default model's B bridge underflows in doubles,
-# past about 1e77 the shallow bridge's slope does, and at 8.1e59 the
-# slope of the slope-underflow blend (at 1.1e60 it is subnormal, not zero,
-# and the blend answers in doubles)
-_PROMOTED = (8.1e59, 1.1e60, 1e80, 2e100, 1e110, 3.3e150, 4e230)
-
-
-def _check_readers(sm, radii):
-    """Each radius read by its float-table interval's value reader and by
-    float_value, against float(sm.jet(r).value), and promoted by the reader
-    exactly where the kernel promotes it; returns how many radii were."""
-    promoted = 0
+def _check_log_readers(sm, radii):
+    """Each radius read by sm's log reader, its owner's and its scalar frame,
+    bit for bit; by the array frame to a few ulps; and against the log of
+    the 30-digit mpmath jet, whose owner the exact comparisons decide."""
     for r in radii:
-        i = bisect_right(sm._fedges, r)
-        want = _bits(sm.jet(r).value)
-        assert _bits(sm._fvalues[i](r)) == want, r
-        assert _bits(sm.float_value(r)) == want, r
-        assert _bits(sm.value(r)) == want, r
-        owner, asked = sm._fowners[i], []
-        owner.value_reader(lambda x: asked.append(x) or owner.jet(x).value)(r)
-        assert asked == ([r] if owner.kernel(r)[3] else []), r
-        promoted += bool(asked)
-    return promoted
-
-
-def test_subnormal_bridge_power_is_promoted(osc_build):
-    # the default model's second p = 1.5 bridge (C = 2.56e138): between about
-    # 7.7e102 and 7e107 the bare power (1+r^2)^(-1.5) is subnormal, while
-    # C times it is a normal double; those radii are read in mpmath
-    sm = osc_build[2]
-    seg = sm.base.segment_at(1e105)
-    assert (seg.kind, seg.p) == ("bridge", 1.5) and seg.c_float() > 1e138
-    for r in (1e105, 1e107):
-        with mpmath.workdps(40):
-            want = seg.C * (1 + mpmath.mpf(r) ** 2) ** mpmath.mpf(-1.5)
-        for got in (sm.float_value(r), float(sm.value(r)), float(sm.jet(np.array([r])).value[0])):
-            assert abs(got - want) <= 1e-15 * want, (r, got, want)
+        got = sm.log_h(r)
+        assert _bits(got) == _bits(sm._owner_at(r).log_h(r)) == _bits(sm.frame(r).log_h), r
+        assert abs(sm.frame(np.array([r])).log_h[0] - got) <= log_ulps(got), r
+        want = mp_log_h(sm.jet, r)
+        # a bridge's log C and p log(1+r^2) cancel to log h
+        owner = sm._owner_at(mpmath.mpf(r))
+        seg = owner.left if isinstance(owner, Blend) else owner
+        assert abs(got - want) <= log_ulps(want, seg._log_c), r
 
 
 def test_value_readers_match_jets_at_every_edge(models):
-    # every interval's edges with their neighbours, r = 0 and 110.571, and
-    # promoted radii of both kinds
-    for name, sm in models.items():
-        promoted = _check_readers(sm, [*_special_radii(sm), *_PROMOTED])
-        assert promoted > 0 or name in ("osc-1e40", "pure"), name
+    # the log readers at every interval's edges with their neighbours, r = 0,
+    # and radii where h or h' underflows in doubles
+    for sm in models.values():
+        _check_log_readers(sm, [*_special_radii(sm), *_UNDERFLOW])
 
 
 def _interval_radii(sm, u):
@@ -272,15 +229,31 @@ def _interval_radii(sm, u):
 @given(u=st.floats(0.0, 1.0), data=st.data())
 def test_value_readers_match_jets_property(models, u, data):
     for name, sm in models.items():
-        special = [*_special_radii(sm), *_PROMOTED]
+        special = [*_special_radii(sm), *_UNDERFLOW]
         drawn = data.draw(st.lists(
             st.one_of(st.sampled_from(special), st.floats(0.0, 1e80), st.floats(0.0, 1e300)),
             min_size=1, max_size=8), label=name)
-        _check_readers(sm, [*_interval_radii(sm, u), *drawn])
+        _check_log_readers(sm, [*_interval_radii(sm, u), *drawn])
+
+
+def test_subnormal_bridge_power_reads_in_log_form(osc_build):
+    # the default model's second p = 1.5 bridge (C = 2.56e138): between about
+    # 7.7e102 and 7e107 the bare power (1+r^2)^(-1.5) is subnormal, while
+    # C times it is a normal double; log h reads it with neither
+    sm = osc_build[2]
+    seg = sm.base.segment_at(1e105)
+    assert (seg.kind, seg.p) == ("bridge", 1.5) and seg.c_float() > 1e138
+    m = HalfplaneMetric.from_smoothed(sm)
+    for r in (1e105, 1e107):
+        with mpmath.workdps(40):
+            want = seg.C * (1 + mpmath.mpf(r) ** 2) ** mpmath.mpf(-1.5)
+            log_want = float(mpmath.log(want))
+        assert abs(sm.log_h(r) - log_want) <= log_ulps(seg._log_c)
+        assert abs(m.value(r) / float(want) - 1.0) <= 2.0 * log_ulps(seg._log_c)
 
 
 def _panel_radii(sm, a, b, u):
-    """The radii a panel [a, b] may read, widened by 1e-9 as value_on
+    """The radii a panel [a, b] may read, widened by 1e-9 as log_h_on
     widens it: its ends and every table edge and blend edge inside, each
     with its nextafter neighbours, and a point at fraction u (linear, log)."""
     lo, hi = a * (1.0 - 1e-9), b * (1.0 + 1e-9)
@@ -297,8 +270,8 @@ def _panel_radii(sm, a, b, u):
 @given(data=st.data(), u=st.floats(0.0, 1.0))
 def test_value_on_reader_reads_as_the_bisect(models, data, u):
     # panels between table edges, blend edges and points next to them:
-    # wherever value_on binds a reader, it reads every radius of the widened
-    # panel as the bisecting reader does
+    # wherever log_h_on binds an owner's log reader, it reads every radius
+    # of the widened panel as the bisecting reader does
     nudge = st.sampled_from([1.0 - 1e-6, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 1e-6])
     for name, sm in models.items():
         m = HalfplaneMetric.from_smoothed(sm)
@@ -310,23 +283,22 @@ def test_value_on_reader_reads_as_the_bisect(models, data, u):
         a, b = pts[i] * data.draw(nudge), pts[j] * data.draw(nudge)
         if not a < b:
             a, b = a, 2.0 * a + 1.0
-        reader = m.value_on(a, b)
+        reader = m.log_h_on(a, b)
         for r in _panel_radii(sm, a, b, u):
-            assert _bits(reader(r)) == _bits(m.value(r)), (name, a, b, r)
+            assert _bits(reader(r)) == _bits(m.log_h(r)), (name, a, b, r)
 
 
 def test_value_on_binds_a_reader_unless_a_panel_straddles_two_owners(models):
     sm = models["osc-1e40"]
     m = HalfplaneMetric.from_smoothed(sm)
     for k, bl in enumerate(sm.blends):
-        i = sm._fowners.index(bl)
         lo, hi = float(bl.lo), float(bl.hi)
         # a panel across the blend, or reaching into the pieces next to it,
-        # reads the blend's reader
-        assert m.value_on(lo, hi) is sm._fvalues[i]
-        assert m.value_on(0.99 * lo, 1.01 * hi) is sm._fvalues[i]
+        # reads the blend's log reader
+        assert m.log_h_on(lo, hi) == bl.log_h
+        assert m.log_h_on(0.99 * lo, 1.01 * hi) == bl.log_h
         if k + 1 < len(sm.blends):  # one panel through two blends: the bisect
-            assert m.value_on(lo, float(sm.blends[k + 1].hi)) is m.value
+            assert m.log_h_on(lo, float(sm.blends[k + 1].hi)) == sm.log_h
     # a junction with no blend: a panel across it reads through the bisect
     one = mpmath.mpf(1)
     R = mpmath.mpf(100)
@@ -334,6 +306,35 @@ def test_value_on_binds_a_reader_unless_a_panel_straddles_two_owners(models):
                                  Segment(R, None, 1.2, R ** 1.2 * (1 + R * R) ** -0.6 /
                                          (1 + R * R) ** -1.2 / R ** 1.2, "bridge")]), [])
     m = HalfplaneMetric.from_smoothed(bare)
-    assert m.value_on(50.0, 200.0) is m.value
-    assert m.value_on(10.0, 50.0) is bare._fvalues[0]
-    assert m.value_on(200.0, 1e6) is bare._fvalues[1]
+    assert m.log_h_on(50.0, 200.0) == bare.log_h
+    assert m.log_h_on(10.0, 50.0) == bare.base.segments[0].log_h
+    assert m.log_h_on(200.0, 1e6) == bare.base.segments[1].log_h
+
+
+def test_counts_and_distances_read_no_jet_and_no_mpmath(osc_build, monkeypatch):
+    # a count past the old 1e100 floor and a beta-window distance on the
+    # default model, on a fresh metric: h is read in log form only, with no
+    # segment or blend jet and no mpmath code at all
+    ladder, _, sm = osc_build
+    m = HalfplaneMetric.from_smoothed(sm)  # its breakpoints are read from mpf once
+    lo, hi = window_index_bounds(1.2, 2.0 * float(ladder.junctions[1]))
+
+    def no_jet(*args):
+        raise AssertionError("a jet was read")
+
+    monkeypatch.setattr(Segment, "jet", no_jet)
+    monkeypatch.setattr(Blend, "jet", no_jet)
+    mp_calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and "mpmath" in frame.f_code.co_filename:
+            mp_calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        n = axis_count_at_radius(m, 1e110)
+        d, sol = orbit_distance(m, round(math.sqrt(lo * hi)))
+    finally:
+        sys.setprofile(None)
+    assert mp_calls == []
+    assert n > 1e298 and sol is not None and d == sol.length

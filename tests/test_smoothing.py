@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from warplab.christoffel import ricci_numeric_oracle
 from warplab.config import RunConfig
 from warplab.curvature import DoublyWarpedMetric, h_frame, log_grid, ricci_report
+from warplab.jets import Jet2
 from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
 from warplab.piecewise import PiecewiseH, Segment, float_ceil, float_floor
 from warplab.smoothing import (
@@ -289,7 +290,7 @@ def _bits(x):
 
 def _huge_bridge_h():
     """A pure piece bridged at 1e100 to exponent 4, whose constant (~1e680)
-    is beyond float range, so float queries on the bridge are promoted."""
+    is beyond float range, so float jets on the bridge answer in mpmath."""
     R = mpmath.mpf(10) ** 100
     C = bridge_constant(R, 4.0, 0.6)
     assert float(C) == math.inf
@@ -324,12 +325,12 @@ def _probe_radii(sm, top_log10, seed):
 
 def test_value_query_matches_jet_bit_for_bit(fast_path_models):
     for sm, top in fast_path_models:
-        promoted = 0
+        in_mp = 0
         for r in _probe_radii(sm, top, seed=31):
             assert _bits(sm.value(r)) == _bits(sm.jet(r).value), r
-            promoted += isinstance(sm.value(r), mpmath.mpf)
+            in_mp += isinstance(sm.value(r), mpmath.mpf)
         if top > 100:
-            assert promoted > 0  # the out-of-range bridge was reached
+            assert in_mp > 0  # the out-of-range bridge was reached
 
 
 def test_float_edge_decisions_match_mpf(fast_path_models):
@@ -354,23 +355,30 @@ def test_flat_table_owner_matches_separate_and_exact_decisions(fast_path_models)
             owner = sm._owner_at(r)
             assert owner is _decision_before_table(sm, r), r
             assert owner is sm._owner_at(mpmath.mpf(r)), r
-            v = sm.value(r)
-            assert _bits(v) == _bits(sm.jet(r).value), r
-            # the metric's query: the same double, also where promoted
-            assert _bits(sm.float_value(r)) == _bits(float(v)), r
+            assert _bits(sm.value(r)) == _bits(sm.jet(r).value), r
+            # the metric's query: the owner's log reader
+            assert _bits(sm.log_h(r)) == _bits(owner.log_h(r)), r
 
 
 class _Side:
     """Stand-in piece that counts its float queries (the blend reads a
-    piece's closed-form kernel at a float radius outside its span)."""
+    piece's jet, log h and frame at a float radius outside its span)."""
 
     def __init__(self, seg):
         self.p, self.C = seg.p, seg.C
         self.calls = 0
 
-    def kernel(self, r):
+    def jet(self, r):
         self.calls += 1
-        return 1.0, -1.0, 0.0, False
+        return Jet2(1.0, -1.0, 0.0)
+
+    def log_h(self, r):
+        self.calls += 1
+        return 0.0
+
+    def frame(self, r):
+        self.calls += 1
+        return None
 
 
 def test_blend_edges_decided_exactly(fast_path_models):
@@ -387,7 +395,9 @@ def test_blend_edges_decided_exactly(fast_path_models):
                 for r in (math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)):
                     left.calls = right.calls = 0
                     probe.jet(r)
-                    want = (1, 0) if r < probe.lo else (0, 1) if r >= probe.hi else (0, 0)
+                    probe.log_h(r)
+                    probe.frame(r)
+                    want = (3, 0) if r < probe.lo else (0, 3) if r >= probe.hi else (0, 0)
                     assert (left.calls, right.calls) == want, r
 
 
