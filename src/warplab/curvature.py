@@ -46,6 +46,7 @@ class NonPositiveWarping(ValueError):
 class DoublyWarpedMetric:
     k: int
     f: WarpingFunction
+    # or a SmoothedH: the checks here read its frame, the Christoffel oracle its value
     h: WarpingFunction
 
     def __post_init__(self):
@@ -72,39 +73,23 @@ def log_grid(lo: float, hi: float, n: int = 4000):
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
-def _framed(fn, rs, kind):
-    """fn's own frame of the given kind at double radii r > 0 (a SmoothedH,
-    segment, blend or WarpingFunction with one, or a bound method of one, like
-    sm.jet), else one from its double Jet2; log h is NaN or -inf where fn <= 0."""
+def _framed(fn, rs):
+    """fn's own closed-form frame at double radii r > 0 (a SmoothedH,
+    segment, blend or WarpingFunction); log h is NaN or -inf where fn <= 0."""
     rs = np.asarray(rs, dtype=float)
     if not np.isfinite(rs).all():
         raise OverflowError("a sampled radius is past the double range")
-    frame = getattr(getattr(fn, "__self__", fn), "frame", None)
-    own = frame(rs) if frame is not None else None
-    if isinstance(own, kind):
-        return own
-    j = fn(rs)
-    v, d1, d2 = (np.asarray(c, dtype=float)
-                 for c in np.broadcast_arrays(j.value, j.d1, j.d2, rs)[:3])
-    u = 1.0 + rs * rs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is FFrame:  # every c1 zero
-            return FFrame(np.log(v), (-u * d2 / v, 0.0), (2.0 * rs * d1 / v, 0.0),
-                          u * (1.0 - d1 * d1) / (v * v))
-        ig = 0.5 * u / rs  # 1/g
-        # at the axis, where h' and r vanish together, p is the limit -h''/(2h)
-        p = np.where(rs == 0, -0.5 * d2 / v, -(d1 / v) * ig)
-        return HFrame(np.log(v), p, p * p - p * (0.5 / (rs * rs) - 0.5) - (d2 / v) * ig * ig)
+    return fn.frame(rs)
 
 
 def h_frame(fn, rs) -> HFrame:
-    """The HFrame of an h-role function or jet callable at double radii."""
-    return _framed(fn, rs, HFrame)
+    """The HFrame of an h-role function at double radii."""
+    return _framed(fn, rs)
 
 
 def f_frame(fn, rs) -> FFrame:
     """The FFrame of an f-role function at double radii."""
-    return _framed(fn, rs, FFrame)
+    return _framed(fn, rs)
 
 
 def decay_curvature(hf: HFrame):

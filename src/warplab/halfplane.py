@@ -79,6 +79,9 @@ _GRADED_BELOW = 0.75 - 1e-9
 # 0.25 1.4e-10 -> 5.5e-11, others unchanged.  From p = 0.44 on the share
 # stays below 1e-11, so the default settings never split there.
 _KNEE_BELOW = 1e-4
+# the strict-decrease scan's number of c samples, and how far below sup h it starts
+_SCAN_N = 200
+_SCAN_C_HI_FRAC = 1e-6
 
 
 class OutOfRange(ValueError):
@@ -129,8 +132,8 @@ class HalfplaneMetric:
         self.domain_start = float(domain_start)
         self.r_cap = float(r_cap)
         self.breakpoints = sorted(float(b) for b in breakpoints)
-        # the strict-decrease scan's rows by its parameters and settings,
-        # stored once the scan passed
+        # the strict-decrease scan's rows by its settings, stored once the
+        # scan passed
         self._scans = {}
         self._d1 = {}  # QuadSettings -> d_1, for axis_count_at_radius
         # solve_turning_point's bracket search: log h at the domain start, and
@@ -430,31 +433,29 @@ def length_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
     return _integrate_arc(m, c, start, settings, r_max, dv=False)
 
 
-def verify_delta_v_monotone(m: HalfplaneMetric, n: int = 200, c_hi_frac: float = 1e-6,
-                            r_probe_hi: float = None, settings=None):
-    """Scan delta_v on a log-spaced c-sample and require strict decrease in c
-    (up to 1e-10 relative slack); failures abort distance queries rather
-    than let root-finding run on a false premise.
+def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
+    """Scan delta_v on _SCAN_N log-spaced c from (1 - _SCAN_C_HI_FRAC) sup h
+    down to h(min(r_cap/4, 1e60)) and require strict decrease in c (up to
+    1e-10 relative slack); failures abort distance queries rather than let
+    root-finding run on a false premise.
 
     Returns the scan's rows (x, r_max, delta_v) at c = exp(x), x decreasing
-    and delta_v increasing.  Scanned once per metric, scan parameters and
-    settings; orbit_distance brackets its inversions between adjacent rows.
+    and delta_v increasing.  Scanned once per metric and settings;
+    orbit_distance brackets its inversions between adjacent rows.
     """
     st = settings or QuadSettings()
-    key = (n, c_hi_frac, r_probe_hi, st)
-    rows = m._scans.get(key)
+    rows = m._scans.get(st)
     if rows is not None:
         return rows
     h_top = m.sup_h()
-    r_hi = r_probe_hi if r_probe_hi is not None else min(m.r_cap / 4.0, 1e60)
-    c_lo = m.value(r_hi)
-    c_hi = h_top * (1.0 - c_hi_frac)
+    c_lo = m.value(min(m.r_cap / 4.0, 1e60))
+    c_hi = h_top * (1.0 - _SCAN_C_HI_FRAC)
     if not (c_lo < c_hi):
         raise DeltaVNotMonotone("degenerate c-range for monotonicity scan")
     rows = []
     prev = None
     # c = math.exp(x) is the c that invert_arc's y(x) asks the memos for
-    for x in np.linspace(math.log(c_hi), math.log(c_lo), n).tolist():
+    for x in np.linspace(math.log(c_hi), math.log(c_lo), _SCAN_N).tolist():
         c = math.exp(x)
         r_max = solve_turning_point(m, c, st)
         dv = delta_v_of_c(m, c, settings=st, r_max=r_max)
@@ -464,7 +465,7 @@ def verify_delta_v_monotone(m: HalfplaneMetric, n: int = 200, c_hi_frac: float =
             )
         prev = dv
         rows.append((x, r_max, dv))
-    rows = m._scans[key] = tuple(rows)
+    rows = m._scans[st] = tuple(rows)
     return rows
 
 

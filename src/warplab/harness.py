@@ -144,7 +144,7 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport):
     sm, ladder, params = _model_for(cfg)
     k = cfg.k or report.certified_k or 8
     f = standard_f()
-    m = curv.DoublyWarpedMetric(k, f, sm.as_warping())
+    m = curv.DoublyWarpedMetric(k, f, sm)
     grid = curv.log_grid(cfg.r_min, cfg.r_max, cfg.grid_points)
     # ricci_report's bits at every radius, from one f and one h frame
     rows = list(zip(grid.tolist(), *(c.tolist() for c in curv.ricci_components(m, grid))))
@@ -157,7 +157,7 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport):
     # oracle cost grows like (k+2)^4, and the closed forms are affine in k,
     # so the cross-check of the formulas runs at a small sphere dimension
     k_oracle = min(k, 9)
-    mo = curv.DoublyWarpedMetric(k_oracle, f, sm.as_warping())
+    mo = curv.DoublyWarpedMetric(k_oracle, f, sm)
     rng = np.random.default_rng(cfg.seed)
     sample = np.exp(rng.uniform(math.log(0.2), math.log(min(cfg.r_max, 1e6)), 16))
     worst_rel = 0.0

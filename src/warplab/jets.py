@@ -8,26 +8,20 @@ anywhere on this path (the independent curvature oracle uses divided
 differences; the two mechanisms must stay separate for cross-checks to
 mean anything).
 
-The scalar type is duck-typed: ``float`` for ordinary values, ``mpmath.mpf``
-for the exact construction checks, the test oracles and a bridge constant
-past the double range, and float64 numpy arrays for many radii at once.
-The arcs, turning points and counts of `halfplane` and the dense checks
-read no Jet2: they read h through its log reader and exponent frame.
+The scalar type is duck-typed: ``float`` for the values the Christoffel
+oracle reads, and ``mpmath.mpf`` for the exact construction checks, the
+test references and a bridge constant past the double range.  The arcs,
+turning points and counts of `halfplane` and the dense checks read no
+Jet2: they read f and h through their closed-form frames and log readers.
 
-Array components keep the bits of per-radius float jets: numpy's ``+ - *
-/`` round like Python floats, and the power and the transcendental maps
-run Python's scalar ``**`` and ``math`` per element (``np.power`` and
-``np.sin`` may differ by an ulp).  Powers are evaluated in ratio form
-``u**p * (p*u1/u, ...)`` so intermediates like ``u**(p-2)`` never underflow
-before being multiplied back up.
+Powers are evaluated in ratio form ``u**p * (p*u1/u, ...)`` so
+intermediates like ``u**(p-2)`` never underflow before being multiplied
+back up.
 """
 
 import math
 
 import mpmath
-import numpy as np
-
-_ndarray = np.ndarray  # an exact-type test costs float callers less than isinstance
 
 
 def _is_mp(x):
@@ -35,25 +29,14 @@ def _is_mp(x):
 
 
 def _lift(fn, mp_fn):
-    """fn on floats, mp_fn on mpf, fn per element on float64 arrays."""
+    """fn on floats, mp_fn on mpf."""
 
     def lifted(x):
-        if isinstance(x, float):
+        if isinstance(x, float) or not _is_mp(x):
             return fn(x)
-        if _is_mp(x):
-            return mp_fn(x)
-        if x.__class__ is _ndarray:
-            return np.array([fn(t) for t in x.tolist()])
-        return fn(x)
+        return mp_fn(x)
 
     return lifted
-
-
-def _array_pow(u, p):
-    """Python's scalar u**p per element of a float64 array."""
-    if np.any(u == 0):
-        raise ZeroDivisionError("Jet2 power at zero base")
-    return np.array([t**p for t in u.tolist()])
 
 
 _sin = _lift(math.sin, mpmath.sin)
@@ -82,10 +65,7 @@ class Jet2:
         return Jet2(c, zero, zero)
 
     def is_finite(self):
-        vals = (self.value, self.d1, self.d2)
-        if any(_is_mp(v) for v in vals):
-            return all(mpmath.isfinite(v) for v in vals)
-        return all(np.isfinite(v).all() for v in vals)
+        return all(mpmath.isfinite(v) for v in (self.value, self.d1, self.d2))
 
     def __repr__(self):
         return f"Jet2({self.value!r}, d1={self.d1!r}, d2={self.d2!r})"
@@ -140,12 +120,9 @@ class Jet2:
     def __pow__(self, p):
         """Real constant power, u > 0.  Ratio form keeps intermediates scaled."""
         u = self.value
-        if u.__class__ is _ndarray:
-            v = _array_pow(u, p)
-        elif u == 0:
+        if u == 0:
             raise ZeroDivisionError("Jet2 power at zero base")
-        else:
-            v = u**p
+        v = u**p
         g1 = self.d1 / u
         d1 = v * (p * g1)
         d2 = v * (p * (p - 1) * g1 * g1 + p * self.d2 / u)

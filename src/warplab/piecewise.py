@@ -86,9 +86,8 @@ class Segment:
         return power_frame(r, self.p, self._log_c)
 
     def jet(self, r) -> Jet2:
-        """Jet2 at a float, an mpf or a float64 array of radii: in doubles,
-        unless r is an mpf or the constant is past the double range (then in
-        mpmath, at a scalar r)."""
+        """Jet2 at a float or an mpf radius: in doubles, unless r is an mpf
+        or the constant is past the double range (then in mpmath)."""
         if isinstance(r, (mpmath.mpf, mpmath.mpc)):
             return self._mp_jet(r)
         if self._unit:

@@ -256,13 +256,6 @@ class SmoothedH:
         """h(r), equal to jet(r).value."""
         return self.jet(r).value
 
-    def __call__(self, r) -> Jet2:
-        return self.jet(r)
-
-    def as_warping(self, label="smoothed-h") -> WarpingFunction:
-        return WarpingFunction(label, lambda x: self.jet(x.value), frame=self.frame,
-                               log_h=self.log_h)
-
     def last_radius(self):
         return self.base.segments[-1].r_lo
 
@@ -321,9 +314,10 @@ def verify_observation(h_old, h_new, interval, n: int = 2000) -> ObservationChec
         h_new' < 0,   |h_new'/h_new| > c |h_old'/h_old|,
         h_new''/h_new < C h_old''/h_old.
 
-    Both arguments are positive h-role functions or jet callables, read
-    through `curvature.h_frame` at n midpoint samples of the interval taken
-    as doubles (|h'/h| is p dy/dr).  The constants carry 0.99/1.01 safety
+    Both arguments are positive h-role functions with a frame (a
+    WarpingFunction, segment, blend or SmoothedH), read through
+    `curvature.h_frame` at n midpoint samples of the interval taken as
+    doubles (|h'/h| is p dy/dr).  The constants carry 0.99/1.01 safety
     margins off the grid inf/sup; ok is False when h_new fails to be
     positive and decreasing somewhere or when no positive constants exist
     (e.g. the reference curvature ratio changes sign).

@@ -6,12 +6,12 @@ An f-role function closes the sphere factor at the axis (f(0)=0, f'(0)=1,
 grids; construction itself never enforces them, so calibration metrics
 (flat cone, round sphere) remain expressible.
 
-The dense curvature checks read a family through its frame at a float64
-array of radii, in closed form: an `HFrame` for h, the `FFrame` of
-`standard_f` for f (else `curvature` frames the double Jet2).  An h-role
-family with a frame also reads it at a double radius (an HFrame of
-doubles), and has a scalar log reader r -> log h, which `halfplane`
-integrates through; log h never underflows where h does.
+Every family carries its frame, in closed form: an `HFrame` for h, an
+`FFrame` for f, at a float64 array of radii, which the dense curvature
+checks read.  An h-role family also reads its frame at a double radius
+(an HFrame of doubles), and has a scalar log reader r -> log h, which
+`halfplane` integrates through; log h never underflows where h does.
+The jet (`__call__`, `value`) serves the Christoffel oracle and tests.
 """
 
 import math
@@ -57,6 +57,18 @@ def power_frame(r, p, log_c=0.0) -> HFrame:
     return HFrame(log_c - p * log1p_sq_float(r), p, 0.0)
 
 
+def _linear_f_frame(r):
+    # f = r: f'' = 0, 2r f'/f = 2 and 1 - f'^2 = 0
+    return FFrame(np.log(r), (0.0, 0.0), (2.0, 0.0), 0.0)
+
+
+def _sine_f_frame(r):
+    # f = sin r: -f''/f = 1, 2r f'/f = 2r cot r and (1 - f'^2)/f^2 = 1
+    u = 1.0 + r * r
+    s = np.sin(r)
+    return FFrame(np.log(s), (u, 0.0), (2.0 * r * np.cos(r) / s, 0.0), u)
+
+
 def _standard_f_frame(r):
     # -(1+r^2) f''/f = (1 + 5s)/4, 2r f'/f = 1 + s, and (1+r^2)(1 - f'^2)/f^2
     # = sqrt(u)/(1 + 1/sqrt(u)) + (3 + s)/4 with u = 1 + r^2
@@ -71,11 +83,9 @@ class WarpingFunction:
 
     label: str
     fn: Callable[[Jet2], Jet2]
+    # the closed-form frame at a float64 array of radii, and for h at a double
+    frame: Callable[[np.ndarray], HFrame | FFrame] = field(compare=False, repr=False)
     params: tuple = field(default=())
-    # the frame at a float64 array of radii, and for h at a double (None:
-    # read from the Jet2)
-    frame: Callable[[np.ndarray], HFrame | FFrame] | None = field(default=None, compare=False,
-                                                                  repr=False)
     # log h at a double r, equal to frame(r).log_h (None: no log reader)
     log_h: Callable[[float], float] | None = field(default=None, compare=False, repr=False)
 
@@ -89,51 +99,53 @@ class WarpingFunction:
 def standard_f() -> WarpingFunction:
     """f(r) = r (1+r^2)^(-1/4): unit slope at the axis, sqrt(r) growth."""
     return WarpingFunction("standard-f", lambda x: x * (1 + x * x) ** (-0.25),
-                           frame=_standard_f_frame)
+                           _standard_f_frame)
 
 
 def power_decay_h(p: float) -> WarpingFunction:
     """h(r) = (1+r^2)^(-p): flat at the axis, polynomial decay of rate 2p."""
-    return WarpingFunction(f"power-decay-h(p={p})", lambda x: (1 + x * x) ** (-p), (p,),
-                           lambda r: power_frame(r, p), lambda r: -p * log1p_sq_float(r))
+    return WarpingFunction(f"power-decay-h(p={p})", lambda x: (1 + x * x) ** (-p),
+                           lambda r: power_frame(r, p), (p,), lambda r: -p * log1p_sq_float(r))
 
 
 def bridged_power_h(p: float, scale_constant) -> WarpingFunction:
     """h(r) = C (1+r^2)^(-p), the bridge pieces of piecewise constructions."""
-    return WarpingFunction(
-        f"bridged-power-h(p={p})",
-        lambda x, C=scale_constant: C * (1 + x * x) ** (-p),
-        (p, scale_constant),
-    )
+    log_c = math.log(scale_constant)
+    return WarpingFunction(f"bridged-power-h(p={p})",
+                           lambda x, C=scale_constant: C * (1 + x * x) ** (-p),
+                           lambda r: power_frame(r, p, log_c), (p, scale_constant),
+                           lambda r: log_c - p * log1p_sq_float(r))
 
 
 def constant_h(c: float = 1.0) -> WarpingFunction:
     """h == c; flat circle factor, used for calibration metrics."""
     log_c = math.log(c)
-    return WarpingFunction(f"constant-h({c})", lambda x: Jet2.constant(c) + 0.0 * x, (c,),
-                           lambda r: power_frame(r, 0.0, log_c), lambda r: log_c)
+    return WarpingFunction(f"constant-h({c})", lambda x: Jet2.constant(c) + 0.0 * x,
+                           lambda r: power_frame(r, 0.0, log_c), (c,), lambda r: log_c)
 
 
 def linear_f() -> WarpingFunction:
     """f(r) = r; flat cone over the round sphere."""
-    return WarpingFunction("linear-f", lambda x: x)
+    return WarpingFunction("linear-f", lambda x: x, _linear_f_frame)
 
 
 def sine_f() -> WarpingFunction:
     """f(r) = sin r on (0, pi); closes a round sphere, for calibration."""
-    return WarpingFunction("sine-f", jet_sin)
+    return WarpingFunction("sine-f", jet_sin, _sine_f_frame)
 
 
 def exp_decay_h() -> WarpingFunction:
     """h(r) = exp(-r).  The halfplane dr^2 + e^{-2r} dv^2 is hyperbolic,
-    which gives closed-form geodesic oracles.  Its frame, at r > 0, has
-    p = (r + 1/r)/2 and p_y = p (1 - 1/r^2)/2."""
+    which gives closed-form geodesic oracles.  Its frame has p = (r + 1/r)/2
+    and p_y = p (1 - 1/r^2)/2, and raises ValueError at r <= 0: h'(0) = -1,
+    so p is infinite on the axis."""
     def frame(r):
+        if not np.all(r > 0):
+            raise ValueError(f"exp-decay-h has no exponent frame at r = {np.min(r)}")
         p = 0.5 * (r + 1.0 / r)
         return HFrame(-r, p, 0.5 * p * (1.0 - 1.0 / (r * r)))
 
-    return WarpingFunction("exp-decay-h", lambda x: jet_exp(-x), frame=frame,
-                           log_h=lambda r: -r)
+    return WarpingFunction("exp-decay-h", lambda x: jet_exp(-x), frame, log_h=lambda r: -r)
 
 
 def grushin_h(alpha: float) -> WarpingFunction:
@@ -143,5 +155,5 @@ def grushin_h(alpha: float) -> WarpingFunction:
         log_t = np.log(t) if t.__class__ is np.ndarray else math.log(t)
         return HFrame(-2.0 * alpha * log_t, p, -p / (t * t))
 
-    return WarpingFunction(f"grushin-h(alpha={alpha})", lambda x: x ** (-2.0 * alpha), (alpha,),
-                           frame, lambda t: -2.0 * alpha * math.log(t))
+    return WarpingFunction(f"grushin-h(alpha={alpha})", lambda x: x ** (-2.0 * alpha), frame,
+                           (alpha,), lambda t: -2.0 * alpha * math.log(t))

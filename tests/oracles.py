@@ -15,12 +15,17 @@ rescaled-coefficient error of a pure stretch, and `f_profile_ok` and
 `h_profile_ok` check the warping-function axioms on a grid.  `mp_log_h`
 is log h from an mpmath jet at 30 digits, the reference for the double
 log readers, and `log_ulps` the few ulps of |log h| they may stray.
+`jet_frame` is the exponent frame formed from double jets, one radius at
+a time, the reference for the closed-form frames of the families, and
+`jet_framed` a warping function that carries it as its frame.
 """
 
 import mpmath as mp
 import numpy as np
 
 from warplab.dimension import capacity
+from warplab.jets import Jet2
+from warplab.warping import FFrame, HFrame, WarpingFunction
 
 
 def power_arc_oracle(alpha, c, dps=30):
@@ -70,6 +75,34 @@ def log_ulps(*logs):
     """4 ulps of each |log| (at least 1) summed: how far a double read of a
     log h formed from these logs may stray from the exact value."""
     return sum(4.0 * 2.0**-52 * max(1.0, abs(x)) for x in logs)
+
+
+def jet_frame(jet, rs, kind=HFrame):
+    """The HFrame or FFrame of jet (a double r -> its Jet2) at a float64
+    array of radii, from one scalar jet per radius: log h, p = -(h'/h)/g
+    and p_y = p^2 - p (1/(2r^2) - 1/2) - (h''/h)/g^2 with g = 2r/(1+r^2)
+    (at r = 0 p is the limit -h''/(2h)); or log f, (-(1+r^2) f''/f, 0),
+    (2r f'/f, 0) and (1+r^2)(1-f'^2)/f^2.  NaN or -inf where jet <= 0."""
+    rs = np.asarray(rs, dtype=float)
+    js = [jet(r) for r in rs.tolist()]
+    v, d1, d2 = (np.array([getattr(j, c) for j in js], dtype=float)
+                 for c in ("value", "d1", "d2"))
+    u = 1.0 + rs * rs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is FFrame:
+            return FFrame(np.log(v), (-u * d2 / v, 0.0), (2.0 * rs * d1 / v, 0.0),
+                          u * (1.0 - d1 * d1) / (v * v))
+        ig = 0.5 * u / rs  # 1/g
+        p = np.where(rs == 0, -0.5 * d2 / v, -(d1 / v) * ig)
+        return HFrame(np.log(v), p, p * p - p * (0.5 / (rs * rs) - 0.5) - (d2 / v) * ig * ig)
+
+
+def jet_framed(label, fn, kind=HFrame):
+    """A WarpingFunction of the jet map fn whose frame is its `jet_frame`."""
+    def jet(r):
+        return fn(Jet2.variable(r))
+
+    return WarpingFunction(label, fn, lambda rs: jet_frame(jet, rs, kind))
 
 
 def hyperbolic_arc(c):

@@ -227,7 +227,7 @@ def _assert_same_as_dense(m, r):
 def osc_1e40_h():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
     _, _, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
-    return sm.as_warping()
+    return sm
 
 
 _radii = st.floats(math.log(0.2), math.log(1e6)).map(math.exp)

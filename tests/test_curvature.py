@@ -18,13 +18,14 @@ from warplab.curvature import (
 )
 from warplab.jets import Jet2
 from warplab.warping import (
-    WarpingFunction,
     constant_h,
     grushin_h,
     linear_f,
     power_decay_h,
     standard_f,
 )
+
+from .oracles import jet_frame, jet_framed
 
 FLAT = DoublyWarpedMetric(2, linear_f(), constant_h())
 PURE_HALF = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
@@ -56,7 +57,7 @@ def test_axis_limits_by_extrapolation():
 
 def test_circle_sign_structure():
     # h' < 0 and h'' <= 0 at a radius force a positive circle direction
-    h = WarpingFunction("cap", lambda x: 1.0 - 0.25 * x * x)
+    h = jet_framed("cap", lambda x: 1.0 - 0.25 * x * x)
     m = DoublyWarpedMetric(3, standard_f(), h)
     for r in (0.2, 0.5, 1.0):
         assert ricci_circle(m, r) > 0
@@ -78,7 +79,7 @@ def test_positivity_grid_pure_model():
 
 
 def test_nonpositive_warping_raises():
-    bad = WarpingFunction("bad", lambda x: 1.0 - x)  # vanishes at r=1
+    bad = jet_framed("bad", lambda x: 1.0 - x)  # vanishes at r=1
     m = DoublyWarpedMetric(2, standard_f(), bad)
     with pytest.raises(NonPositiveWarping):
         ricci_radial(m, 2.0)
@@ -116,9 +117,9 @@ def test_h_frame_reads_tail_and_underflowing_radii_in_doubles():
             want = mpmath.log(h(mpmath.mpf(r)).value)
             assert abs(got - want) <= 1e-15 * abs(want), r
     assert fr.p.tolist() == [3.0] * 4 and fr.p_y.tolist() == [0.0] * 4
-    # a family with no frame of its own is framed from its double Jet2,
-    # which agrees where h and h'' are normal doubles
-    plain = h_frame(WarpingFunction("plain", h.fn), rs[:2])
+    # the frame formed from double jets agrees where h and h'' are normal
+    # doubles
+    plain = jet_frame(h, rs[:2])
     assert np.allclose(plain.log_h, fr.log_h[:2], rtol=1e-15, atol=0.0)
     assert np.allclose(plain.p, 3.0, rtol=1e-14, atol=0.0)
     assert np.allclose(plain.p_y, 0.0, rtol=0.0, atol=1e-12)
@@ -126,13 +127,13 @@ def test_h_frame_reads_tail_and_underflowing_radii_in_doubles():
 
 def test_frames_read_the_axis_without_warnings():
     # r = 0 is a row of the grid oracle: log(1 + r^2) takes no log(0) there,
-    # and a frameless h gets the axis limit p = -h''/(2h), not 0/0
+    # and a frame formed from jets takes the axis limit p = -h''/(2h), not 0/0
     rs = np.array([0.0, 1e-3, 1.0, 1e149, 1e150, 1e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fr = h_frame(power_decay_h(0.5), rs)
         flat = h_frame(constant_h(2.0), rs[:3])
-        bump = h_frame(WarpingFunction("bump", lambda x: 1.0 / (1.0 + x * x)), rs[:1])
+        bump = h_frame(jet_framed("bump", lambda x: 1.0 / (1.0 + x * x)), rs[:1])
     assert fr.log_h[0] == 0.0
     with np.errstate(over="ignore", divide="ignore"):  # the former expression
         old = np.where(rs < 1e150, np.log1p(rs * rs), 2.0 * np.log(rs))
@@ -142,13 +143,13 @@ def test_frames_read_the_axis_without_warnings():
 
 
 def test_grushin_frame_matches_its_jet_frame():
-    # t^(-2a) in closed form against the frame `h_frame` derives from the
-    # double Jet2; that route's p_y subtracts terms of size a^2 for a result
-    # of size a/t^2, so past t = 1 p_y is held to mpmath instead
+    # t^(-2a) in closed form against the frame formed from double jets,
+    # whose p_y subtracts terms of size a^2 for a result of size a/t^2, so
+    # past t = 1 p_y is held to mpmath instead
     ts = 10.0 ** np.random.default_rng(3).uniform(-3.0, 3.0, 400)
     for a in (0.5, 0.6, 1.5):
         g = grushin_h(a)
-        got, jet = h_frame(g, ts), h_frame(WarpingFunction("plain", g.fn), ts)
+        got, jet = h_frame(g, ts), jet_frame(g, ts)
         assert np.allclose(got.log_h, jet.log_h, rtol=1e-13, atol=0.0)
         assert np.allclose(got.p, jet.p, rtol=1e-13, atol=0.0)
         near = ts <= 1.0

@@ -106,7 +106,7 @@ def test_osc_default_bound_tail_golden_bits(osc_build):
     ]
     tail = [b for b in sm.blends if b.R > 1e70]
     assert [_short(b.R) for b in tail] == ["7.827e+76", "4.794e+230"]
-    observed = [verify_observation(b.left.jet, sm, (b.lo, b.hi), n=400) for b in tail]
+    observed = [verify_observation(b.left, sm, (b.lo, b.hi), n=400) for b in tail]
     assert [(o.ok, o.c.hex(), o.C.hex()) for o in observed] == [
         (True, "0x1.fae1499f3a976p-1", "0x1.25d0af1027decp+2"),
         (True, "0x1.9581063649169p-1", "0x1.1ad2e2a434ad3p+0"),

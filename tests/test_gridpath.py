@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from warplab import gridpath
 from warplab.gridpath import ResourceLimit, _grid_distance, dijkstra_distance_oracle
 from warplab.grushin import GrushinMetric, grushin_distance
 from warplab.halfplane import HalfplaneMetric, orbit_distance
-from warplab.warping import constant_h, power_decay_h
+from warplab.warping import constant_h, exp_decay_h, power_decay_h
 
 
 def test_flat_straight_line():
@@ -117,6 +118,19 @@ def test_endpoint_outside_grid_radii_is_refused():
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
     with pytest.raises(ValueError, match=r"\(5\.0, 0\.0\).*\[0\.0, 3\.0\]"):
         dijkstra_distance_oracle(m, (5.0, 0.0), (5.0, 3.0), r_hi=3.0, nr=40)
+
+
+def test_axis_row_with_a_nonzero_slope_is_refused():
+    # exp(-r) has h'(0) = -1, which no exponent frame carries: a grid row on
+    # the axis is refused, and a grid starting off it measures the pair
+    m = HalfplaneMetric.from_warping(exp_decay_h())
+    exact = math.acosh(1.0 + 1.0 / (2.0 * math.e))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"r = 0\.0"):
+            dijkstra_distance_oracle(m, (0.5, 0.0), (0.5, 1.0), r_hi=2.0, nr=40)
+        res = dijkstra_distance_oracle(m, (0.5, 0.0), (0.5, 1.0), r_hi=2.0, nr=40, r_lo=1e-3)
+    assert res.relaxed == pytest.approx(exact, rel=0.02)
 
 
 def test_grushin_general_pair_golden_bits():

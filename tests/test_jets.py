@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warplab import gridpath
-from warplab.curvature import h_frame
 from warplab.halfplane import HalfplaneMetric
 from warplab.jets import Jet2, jet_exp, jet_sin
 from warplab.warping import (
@@ -19,10 +18,11 @@ from warplab.warping import (
     power_decay_h,
     sine_f,
     standard_f,
-    WarpingFunction,
+    FFrame,
+    HFrame,
 )
 
-from .oracles import central_diff_richardson
+from .oracles import central_diff_richardson, jet_frame
 
 
 def test_variable_and_constant():
@@ -101,26 +101,24 @@ def test_finiteness_flag():
     assert not Jet2(1.0, float("inf"), 0.0).is_finite()
 
 
-# -- float64 arrays as a third scalar type -----------------------------------
+# -- every family's closed-form frame against its jets -----------------------
 
 # every family in warping.py with its sample range; the lower end is the
-# axis r = 0 wherever the family is defined there
+# axis r = 0 wherever the family is defined there, and sine-f stops short
+# of pi, where 1 - f'^2 cancels to nothing in double jets.  The h frames
+# are compared on the axis too (an f frame's terms are 0/0 there)
 FAMILIES = {
     "standard-f": (standard_f(), 0.0, 1e6),
     "power-decay-h": (power_decay_h(0.75), 0.0, 1e6),
     "bridged-power-h": (bridged_power_h(1.5, 2.5), 0.0, 1e6),
     "constant-h": (constant_h(2.0), 0.0, 1e6),
     "linear-f": (linear_f(), 0.0, 1e6),
-    "sine-f": (sine_f(), 0.0, math.pi),
+    "sine-f": (sine_f(), 0.0, 3.0),
     "exp-decay-h": (exp_decay_h(), 0.0, 50.0),
     "grushin-h": (grushin_h(0.6), 1e-3, 1e6),
 }
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
-
-def _bits(xs):
-    return np.asarray(xs, dtype=np.float64).view(np.uint64).tolist()
 
 
 def _log_radius(lo, hi, u):
@@ -129,47 +127,52 @@ def _log_radius(lo, hi, u):
     return min(hi, math.exp(math.log(lo) + u * math.log(hi / lo)))
 
 
-@PROPERTY
-@given(name=st.sampled_from(sorted(FAMILIES)),
-       us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
-def test_array_jet_equals_scalar_jets_bitwise(name, us):
+def _fields(frame, rs):
+    """The frame's components at rs as float64 arrays, a pair (c0, c1) as
+    the c0 + c1 s it stands for, s = 1/(1+r^2)."""
+    for comp in frame:
+        if isinstance(comp, tuple):
+            comp = comp[0] + comp[1] / (1.0 + rs * rs)
+        yield np.broadcast_to(comp, rs.shape)
+
+
+def _assert_close(got, ref, rs):
+    for name, a, b in zip(got._fields, _fields(got, rs), _fields(ref, rs)):
+        assert (np.abs(a - b) <= 1e-9 * (1.0 + np.abs(b))).all(), name
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_frame_matches_its_jet_frame(name):
+    # the closed-form frame against the one formed from double jets (the
+    # widest gap is p_y of bridged-power-h, about 1.7e-10, where the jets
+    # subtract terms of size p^2 for a zero)
     wf, lo, hi = FAMILIES[name]
-    # a fixed log grid as well: np.power misses Python's ** by an ulp on
-    # about 6 % of radii, which a few drawn radii can all dodge
-    grid = np.geomspace(max(lo, 1e-3), hi, 64).tolist()
-    rs = [lo] + grid + [_log_radius(lo, hi, u) for u in us]
-    ja = wf(np.array(rs))
-    scalar = [wf(r) for r in rs]
-    for comp in ("value", "d1", "d2"):
-        arr = np.broadcast_to(getattr(ja, comp), (len(rs),))
-        assert _bits(arr) == _bits([getattr(j, comp) for j in scalar]), comp
+    kind = FFrame if name.endswith("-f") else HFrame
+    rs = np.geomspace(max(lo, 1e-3), hi, 64)
+    _assert_close(wf.frame(rs), jet_frame(wf, rs, kind), rs)
+    if kind is HFrame:
+        for r in rs.tolist():
+            assert wf.log_h(r) == wf.frame(r).log_h, r
+        if name == "exp-decay-h":  # h'(0) = -1 makes p infinite on the axis
+            with pytest.raises(ValueError, match=r"r = 0\.0"):
+                wf.frame(0.0)
+        elif lo == 0.0:
+            # on the axis the jets give p as the limit -h''/(2h), and their
+            # p_y is inf - inf there
+            axis = np.zeros(1)
+            got, ref = wf.frame(axis), jet_frame(wf, axis)
+            _assert_close(HFrame(*got[:2], 0.0), HFrame(*ref[:2], 0.0), axis)
+            assert wf.log_h(0.0) == wf.frame(0.0).log_h
 
 
 def test_scalar_components_broadcast_through_the_metric():
     rs = np.array([0.0, 0.5, 3.0, 1e5])
-    j = constant_h(2.0)(rs)
-    assert np.ndim(j.d1) == 0  # the array jet keeps a scalar slope ...
     m = HalfplaneMetric.from_warping(constant_h(2.0))
-    # ... which a frame read from the jet broadcasts, as the family's own does
-    for hf in (h_frame(WarpingFunction("plain", constant_h(2.0).fn), rs), m.frame(rs)):
-        for comp in hf:
-            assert comp.shape == rs.shape
+    for comp in m.frame(rs):  # the scalar exponent broadcasts over the radii
+        assert comp.shape == rs.shape
     h, hp = gridpath._h_and_slope(m, rs)
     assert h.tolist() == [m.value(r) for r in rs.tolist()] == [2.0] * len(rs)
     assert hp.tolist() == [0.0] * len(rs)  # also on the axis
-
-
-def test_array_jets_report_finiteness():
-    assert power_decay_h(0.5)(np.array([0.0, 1.0, 1e6])).is_finite()
-    assert not Jet2(np.array([1.0, np.inf]), 0.0, 0.0).is_finite()
-
-
-def test_array_power_rejects_a_zero_base():
-    x = Jet2.variable(np.array([1.0, 0.0, 2.0]))
-    with pytest.raises(ZeroDivisionError):
-        x ** (-0.5)
-    with pytest.raises(ZeroDivisionError):
-        grushin_h(0.6)(np.array([0.5, 0.0]))
 
 
 @PROPERTY

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from warplab.christoffel import ricci_numeric_oracle
 from warplab.config import RunConfig
-from warplab.curvature import DoublyWarpedMetric, h_frame, log_grid, ricci_report
+from warplab.curvature import (
+    DoublyWarpedMetric,
+    h_frame,
+    log_grid,
+    ricci_components,
+    ricci_positive_on_grid,
+    ricci_report,
+)
 from warplab.jets import Jet2
 from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
 from warplab.piecewise import PiecewiseH, Segment, float_ceil, float_floor
@@ -137,7 +144,7 @@ def test_monotonicity_loss_detected():
 
 def test_observation_identity():
     h = power_decay_h(0.7)
-    chk = verify_observation(lambda r: h(r), lambda r: h(r), (120.0, 200.0), n=200)
+    chk = verify_observation(h, h, (120.0, 200.0), n=200)
     assert chk.ok
     assert chk.c == pytest.approx(0.99, rel=1e-12)
     assert chk.C == pytest.approx(1.01, rel=1e-12)
@@ -145,18 +152,16 @@ def test_observation_identity():
 
 def test_observation_rejects_increasing():
     h = power_decay_h(0.7)
-    grow = power_decay_h(0.7)
-    increasing = lambda r: -h(r)  # h' > 0
-    chk = verify_observation(lambda r: h(r), increasing, (120.0, 200.0), n=50)
+    increasing = power_decay_h(-0.7)  # positive with h' > 0
+    chk = verify_observation(h, increasing, (120.0, 200.0), n=50)
     assert not chk.ok
+    assert chk.reason.startswith("h_new is not positive and decreasing")
 
 
 def test_observation_on_blends(osc_build):
     lad, hp, sm = osc_build
     for b in sm.blends[:2]:
-        chk = verify_observation(
-            lambda r, seg=b.left: seg.jet(r), sm, (float(b.lo), float(b.hi)), n=400
-        )
+        chk = verify_observation(b.left, sm, (float(b.lo), float(b.hi)), n=400)
         assert chk.ok
         assert chk.c > 0 and math.isfinite(chk.C)
 
@@ -223,16 +228,44 @@ def test_certified_k_recheck_idempotent(osc_build):
     grid, labels = certification_grid(sm, per_interval=40)
     cap = int(4 * dimension_threshold(effective_exponent_max(sm, grid)))
     cert = certify_positive_ricci(sm, standard_f(), cap, grid, labels)
-    m = DoublyWarpedMetric(cert.k, standard_f(), sm.as_warping())
+    m = DoublyWarpedMetric(cert.k, standard_f(), sm)
     ok, worst = ricci_positive_on_grid(m, grid)  # same grid, full re-check
     assert ok, worst
+
+
+def test_dense_checks_build_no_jet(monkeypatch):
+    # the Ricci grid, grid positivity, the construction invariants and
+    # certification read f and h through their closed-form frames only;
+    # the Christoffel oracle, which reads values through Jet2 on purpose,
+    # stays outside
+    params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
+    _, hp, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
+    f = standard_f()
+    grid, labels = certification_grid(sm)
+    cap = int(4 * dimension_threshold(effective_exponent_max(sm, grid)))
+
+    def run():
+        cert = certify_positive_ricci(sm, f, cap, grid, labels)
+        m = DoublyWarpedMetric(cert.k, f, sm)
+        return ([c.tolist() for c in ricci_components(m, grid)],
+                ricci_positive_on_grid(m, grid), construction_invariants(hp, sm), cert)
+
+    want = run()
+
+    def no_jet(self, *args):
+        raise AssertionError("a Jet2 was built")
+
+    monkeypatch.setattr(Jet2, "__init__", no_jet)
+    got = run()
+    assert got == want
+    assert got[1][0] and got[2].monotone and got[2].blends_ok
 
 
 def test_schedule_h_monotone_and_observed():
     s = ExponentSchedule((0.5, 0.75, 1.0), A=0.25, B=1.3)
     _, _, sm = build_oscillating_h(s, check=True)  # monotonicity scan inside
     for b in sm.blends:
-        chk = verify_observation(b.left.jet, sm, (float(b.lo), float(b.hi)), n=200)
+        chk = verify_observation(b.left, sm, (float(b.lo), float(b.hi)), n=200)
         assert chk.ok
 
 
@@ -538,7 +571,7 @@ def test_oracle_agrees_inside_blends(osc_build, blend, at):
     # the Christoffel oracle against the closed forms at k = 9 inside the
     # blends at 100 and 1e6, within the default ricci-check tolerance
     b = osc_build[2].blends[blend]
-    m = DoublyWarpedMetric(9, standard_f(), osc_build[2].as_warping())
+    m = DoublyWarpedMetric(9, standard_f(), osc_build[2])
     r = at * float(b.R)
     o, c = ricci_numeric_oracle(m, r), ricci_report(m, r)
     for a, w in ((o.ric_radial, c.ric_radial), (o.ric_circle, c.ric_circle),
