@@ -19,11 +19,12 @@ import json
 import os
 import threading
 
-# v3: distances whose turning panels below decay exponent 3/4 integrate on
-# the graded map; records of an older version (v2: the t = sqrt(r_max - r)
-# map everywhere, v1: Newton-bracketed inversions) differ in the last bits
-# and are ignored and then rewritten like another model's
-HEADER = "# warplab-orbit-cache v3 model="
+# v4: distances from inversions that search the turning radius; records of
+# an older version (v3: a search in log c that solved each turning radius,
+# v2: t = sqrt(r_max - r) on every turning panel, v1: Newton brackets)
+# differ in the last bits and are ignored, then rewritten like another
+# model's
+HEADER = "# warplab-orbit-cache v4 model="
 
 
 def model_hash(payload: dict) -> str:

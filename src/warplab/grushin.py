@@ -89,9 +89,8 @@ class RescaledModel:
 
 
 def _equal_t_distance(m: HalfplaneMetric, t: float, dw: float, settings=None):
-    """Symmetric arc between (t, w) and (t, w + dw): solve for the Clairaut
-    constant whose outward arc from t accumulates |dw|, return its length
-    and turning radius."""
+    """Symmetric arc between (t, w) and (t, w + dw), the arc from t with
+    delta_v = |dw|: its length and turning radius."""
     dw = abs(float(dw))
     if dw == 0:
         return 0.0, t

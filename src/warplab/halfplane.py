@@ -1,47 +1,41 @@
 """Clairaut geodesics on the halfplane dr^2 + h(r)^2 dv^2.
 
 For strictly decreasing h, a geodesic with Clairaut constant c (= h^2 v' in
-arclength) rises from its start radius to the unique turning radius r_max
+arclength) rises from its start radius a to the unique turning radius r_max
 with h(r_max) = c and returns symmetrically, accumulating
 
-    delta_v(c)  = (2/c) int_a^{r_max} rho^2 / sqrt(1 - rho^2) dr
-    length(c)   = 2 int_a^{r_max} 1 / sqrt(1 - rho^2) dr,
+    delta_v  = (2/c) int_a^{r_max} rho^2 / sqrt(1 - rho^2) dr
+    length   = 2 int_a^{r_max} 1 / sqrt(1 - rho^2) dr,
 
 rho = c/h.  h is read only in log form, through the model's log reader
 r -> log h and its exponent frame (log h, p, p_y) with p = -d log h/dy,
 y = log(1+r^2): rho^2 = exp(2(log c - log h)) and 1 - rho^2 =
 -expm1(2(log c - log h)), which neither underflow nor cancel where h
-leaves the double range, and the turning radius solves log h = log c.
+leaves the double range.  An arc is named by its turning radius (log c is
+then log h(r_max) exactly) or by c (r_max then solves log h = log c).
 
 Panels split at the model's structural breakpoints and switch to
-log-radius on wide spans.  The turning panel [a, r_max] removes the
-endpoint 1/sqrt singularity by a variable that is sqrt(r_max - r) at r_max
-(equivalent to the h = c cosh u change: both make the integrand bounded):
-t = sqrt(r_max - r) itself where the local decay exponent p of h at r_max
-is at least 3/4, else the graded w in [0, 1] with
+log-radius on wide spans.  The turning panel [a, r_max] removes the 1/sqrt
+singularity at r_max by t = sqrt(r_max - r) where the local decay exponent
+p of h at r_max is at least 3/4, else by the graded w in [0, 1] with
 
     r = r_max - L w^2 (6 - 8w + 3w^2),    dr = -12 L w (1-w)^2 dw,
 
-L = r_max - a.  On a stretch h ~ r^(-2p) the integrands grow like r^(4p),
-which t leaves as a branch point (T - t)^(4p) at the panel's start; w is
-cubic there and raises its order to about 12p + 2, so QAGS need not bisect
-toward it.  Close to r_max both take log h - log c from a second-order
-Taylor model in r_max - r, with p and p_y of the frame there, so the
-difference never cancels catastrophically.  Each panel runs through
-adaptive Gauss-Kronrod quadrature, the in-repo QAGS of `numerics`
-(relative 1e-9, absolute floor 1e-12 on the quantity).
+L = r_max - a, whose cubic start lifts the branch point (T - t)^(4p) of a
+stretch h ~ r^(-2p) to order about 12p + 2.  Close to r_max log h - log c
+comes from a second-order Taylor model with p and p_y of the frame there.
+Each panel runs through the in-repo QAGS of `numerics` (relative 1e-9,
+absolute floor 1e-12 on the quantity).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
-translate (period 2*pi in v) solve delta_v(c*) = 2*pi*l; counts and strides
-solve length(c) = R.  Both go through invert_arc, which runs brentq
-(`numerics`) on a bracket in log c and integrates only the missing quantity
-at c*.  A distance takes its bracket from two adjacent rows of the strict
-delta_v-decrease scan that guards it (verify_delta_v_monotone); lengths,
-arcs from a later start and targets outside the scan take Newton steps in
-(log c, log q) seeded by the local decay exponent at the turning radius,
-with c kept a normal double.  The axis line v -> (0, v) is itself a
-geodesic when h'(0) = 0, so the straight candidate 2*pi*l*h(0) competes in
-the minimum.
+translate (period 2*pi in v) solve delta_v = 2*pi*l; counts and strides
+solve length = R.  invert_arc runs brentq on log(r_max - a), solving no
+turning radius, and integrates only the other quantity at the root.  A
+distance takes its bracket from two adjacent rows of the strict
+delta_v-increase scan that guards it (verify_delta_v_monotone); other
+targets take Newton steps.  The axis line v -> (0, v) is itself a geodesic
+when h'(0) = 0, so the straight candidate 2*pi*l*h(0) competes in the
+minimum.
 """
 
 import bisect
@@ -53,9 +47,11 @@ import numpy as np
 from .numerics import brentq, quad
 
 TWO_PI = 2.0 * math.pi
-# The Newton steps keep log c at or above the log of the smallest normal
-# double (and at or above log h(r_cap/4), see invert_arc)
+# log of the smallest normal double, a floor on log c (see _newton_bracket)
 _X_FLOOR = math.log(2.2250738585072014e-308)
+# brentq's stop in x = log(r_max - start): delta_v's quadrature at rel_tol
+# 1e-9 jitters by a few 1e-12 relative, which a finer stop would chase
+_XTOL = 1e-11
 # Turning panels whose local decay exponent at r_max lies below this take the
 # graded map w, the others t.  QK21 rules per arc on h = (1+r^2)^(-p) from
 # the axis (delta_v and length at 75 log-spaced c in [1e-12, 0.9]):
@@ -93,8 +89,8 @@ class QuadratureFailure(RuntimeError):
 
 
 class TargetUnreachable(RuntimeError):
-    """No bracket for the requested quantity; `overshoot` when even the arc
-    at the top clamp exceeds the target, so no arc from the start has it."""
+    """No bracket for the requested quantity; `overshoot` when even the
+    shortest arc tried exceeds the target, so no arc from the start has it."""
 
     def __init__(self, msg, overshoot=False):
         super().__init__(msg)
@@ -140,8 +136,9 @@ class HalfplaneMetric:
         # the list of log h(hi0 * 4^j) for the rungs j read so far
         self._rungs = None
         # turning radii by (c, settings) and arc integrals by (c, start,
-        # settings, r_max, dv): each is a deterministic function of its key on
-        # this metric, so a stored number has the bits a new solve would give
+        # settings, r_max or None when named by c, dv): each is a deterministic
+        # function of its key on this metric, so a stored number has the bits
+        # a new solve would give
         self._turning = {}
         self._arcs = {}
         self._taylor = {}  # turning radius -> _turning_model there
@@ -269,28 +266,32 @@ def _quad_panel(f, a, b, st, floor):
 
 
 def _integrate_arc(m, c, start, settings, r_max, dv):
-    """delta_v (dv) or length of the arc with Clairaut constant c from
-    start, by panelled quadrature of rho^2/sqrt(1 - rho^2) or 1/sqrt(1 -
-    rho^2), solving for r_max when it is None.
+    """delta_v (dv) or length of the arc from start by panelled quadrature
+    of rho^2/sqrt(1 - rho^2) or 1/sqrt(1 - rho^2): the arc with Clairaut
+    constant c when r_max is None, else the arc turning at r_max, with log c
+    read as log h(r_max).
 
-    The turning panel works in delta = r_max - r directly (delta = t^2, or
-    L w^2 (6 - 8w + 3w^2) on the graded map, is computed from the variable
-    and stays exact in floats even when r_max - delta rounds back to r_max),
-    with the Taylor model of log h - log c close in.  A graded panel that
-    squeezes h's scale at its start below _KNEE_BELOW integrates that
-    stretch as a second interval.
+    The turning panel works in delta = r_max - r, exact in floats where
+    r_max - delta rounds back to r_max; a graded panel that squeezes h's
+    scale at its start below _KNEE_BELOW integrates that stretch apart.
     """
     st = settings or QuadSettings()
     start = m.domain_start if start is None else float(start)
     if r_max is None:
-        r_max = solve_turning_point(m, c, st)
-    if r_max <= start:
+        r = solve_turning_point(m, c, st)
+        lc = math.log(c)
+    else:
+        r = r_max
+        lc = m.log_h(r)
+        if c != math.exp(lc):
+            raise ValueError(f"c={c!r} is not h(r_max) at r_max={r!r}")
+    if r <= start:
         return 0.0
     # a QuadratureFailure raises before the store, so a failed arc fails again
     key = (c, start, st, r_max, dv)
     value = m._arcs.get(key)
     if value is None:
-        value = m._arcs[key] = _arc_quadrature(m, c, start, st, r_max, dv)
+        value = m._arcs[key] = _arc_quadrature(m, c, start, st, r, dv, lc)
     return value
 
 
@@ -311,9 +312,8 @@ def _turning_model(m, r):
     return model
 
 
-def _arc_quadrature(m, c, start, st, r_max, dv):
+def _arc_quadrature(m, c, start, st, r_max, dv, lc):
     sqrt, exp, expm1 = math.sqrt, math.exp, math.expm1
-    lc = math.log(c)
     p, b1, b2 = _turning_model(m, r_max)
     scale = max(r_max, 1.0)
     delta_switch = st.taylor_frac * scale
@@ -417,52 +417,51 @@ def clairaut_arc(
     r_max = solve_turning_point(m, c, st)
     if r_max <= a:
         return GeodesicSolution(c, a, 0.0, 0.0, start=a)
-    dv = delta_v_of_c(m, c, a, st, r_max=r_max)
-    return GeodesicSolution(c, r_max, dv, length_of_c(m, c, a, st, r_max=r_max), start=a)
+    return GeodesicSolution(c, r_max, delta_v_of_c(m, c, a, st), length_of_c(m, c, a, st), start=a)
 
 
 def delta_v_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
                  settings: QuadSettings | None = None, r_max: float | None = None) -> float:
-    """v-displacement of the arc with Clairaut constant c (decreasing in c)."""
+    """v-displacement of the arc with Clairaut constant c (decreasing in c),
+    or of the arc turning at r_max, where c must be h(r_max)."""
     return _integrate_arc(m, c, start, settings, r_max, dv=True)
 
 
 def length_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
                 settings: QuadSettings | None = None, r_max: float | None = None) -> float:
-    """Length of the arc with Clairaut constant c (decreasing in c)."""
+    """Length of the arc with Clairaut constant c (decreasing in c), or of
+    the arc turning at r_max, where c must be h(r_max)."""
     return _integrate_arc(m, c, start, settings, r_max, dv=False)
 
 
 def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
-    """Scan delta_v on _SCAN_N log-spaced c from (1 - _SCAN_C_HI_FRAC) sup h
-    down to h(min(r_cap/4, 1e60)) and require strict decrease in c (up to
-    1e-10 relative slack); failures abort distance queries rather than let
-    root-finding run on a false premise.
+    """Scan delta_v at _SCAN_N turning radii, log-spaced in r_max - start
+    from the turning radius of (1 - _SCAN_C_HI_FRAC) sup h to min(r_cap/4,
+    1e60), and require strict increase (1e-10 relative slack);
+    failures abort distance queries rather than let root-finding run on a
+    false premise.
 
-    Returns the scan's rows (x, r_max, delta_v) at c = exp(x), x decreasing
-    and delta_v increasing.  Scanned once per metric and settings;
-    orbit_distance brackets its inversions between adjacent rows.
+    Returns the rows (x, r_max, delta_v), r_max = start + exp(x), x and
+    delta_v increasing; once per metric and settings.  orbit_distance
+    brackets its inversions between adjacent rows.
     """
     st = settings or QuadSettings()
     rows = m._scans.get(st)
     if rows is not None:
         return rows
-    h_top = m.sup_h()
-    c_lo = m.value(min(m.r_cap / 4.0, 1e60))
-    c_hi = h_top * (1.0 - _SCAN_C_HI_FRAC)
-    if not (c_lo < c_hi):
-        raise DeltaVNotMonotone("degenerate c-range for monotonicity scan")
+    a = m.domain_start
+    r_lo = solve_turning_point(m, m.sup_h() * (1.0 - _SCAN_C_HI_FRAC), st)
+    r_hi = min(m.r_cap / 4.0, 1e60)
+    if not (r_lo < r_hi):
+        raise DeltaVNotMonotone("degenerate turning-radius range for monotonicity scan")
     rows = []
     prev = None
-    # c = math.exp(x) is the c that invert_arc's y(x) asks the memos for
-    for x in np.linspace(math.log(c_hi), math.log(c_lo), _SCAN_N).tolist():
-        c = math.exp(x)
-        r_max = solve_turning_point(m, c, st)
-        dv = delta_v_of_c(m, c, settings=st, r_max=r_max)
+    # r_max = a + exp(x) is the radius that invert_arc's y(x) asks the memo for
+    for x in np.linspace(math.log(r_lo - a), math.log(r_hi - a), _SCAN_N).tolist():
+        r_max = a + math.exp(x)
+        dv = delta_v_of_c(m, m.value(r_max), a, st, r_max=r_max)
         if prev is not None and not (dv > prev * (1.0 - 1e-10)):
-            raise DeltaVNotMonotone(
-                f"delta_v not increasing as c decreases: dv({c})={dv} vs previous {prev}"
-            )
+            raise DeltaVNotMonotone(f"delta_v not increasing: at r_max={r_max} {dv} after {prev}")
         prev = dv
         rows.append((x, r_max, dv))
     rows = m._scans[st] = tuple(rows)
@@ -472,15 +471,14 @@ def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
 def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | None = None,
                settings: QuadSettings | None = None, scan=()) -> GeodesicSolution:
     """The symmetric arc from `start` whose `quantity` ("delta_v" or
-    "length", both decreasing in c) equals target.
+    "length", both increasing in the turning radius) equals target.
 
-    A delta_v target from the domain start that two adjacent rows of `scan`
-    (verify_delta_v_monotone's rows at these settings) bracket at log c >=
-    x_lo (the Newton steps' clamp) takes that bracket; any other target
-    takes _newton_bracket's.
-    brentq closes the bracket on memoized evaluations at xtol 1e-12 in
-    log c, and only the other quantity is integrated at its root;
-    OutOfRange when delta_v there is past the double range.
+    The search runs in x = log(r_max - start) on arcs named by r_max.  A
+    delta_v target from the domain start that two adjacent rows of `scan`
+    (verify_delta_v_monotone's at these settings) bracket takes that
+    bracket, any other _newton_bracket's.  brentq closes it on memoized
+    evaluations at _XTOL, and only the other quantity is integrated at the
+    root; OutOfRange when delta_v there is past the double range.
     """
     st = settings or QuadSettings()
     a = m.domain_start if start is None else float(start)
@@ -488,27 +486,27 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     solve, other = {"delta_v": (delta_v_of_c, length_of_c),
                     "length": (length_of_c, delta_v_of_c)}[quantity]
     l_top = m.log_h(a)
-    x_hi = l_top + math.log1p(-1e-9) if math.isfinite(l_top) else math.inf
-    # c stays a normal double whose turning radius lies below the cap
-    x_lo = max(_X_FLOOR, m.log_h(m.r_cap / 4.0))
     seen = {}  # x -> (r_max, q)
 
     def y(x):
         if x not in seen:
-            r = solve_turning_point(m, math.exp(x), st)
-            seen[x] = (r, solve(m, math.exp(x), a, st, r_max=r))
+            r = a + math.exp(x)
+            lc = m.log_h(r)
+            if not lc < l_top:
+                raise OutOfRange(f"h({r!r}) is not below h({a!r})")
+            seen[x] = (r, solve(m, math.exp(lc), a, st, r_max=r))
         return math.log(seen[x][1] / target)
 
     bracket = None
     if scan and quantity == "delta_v" and a == m.domain_start:
-        bracket = _scan_bracket(scan, target, x_lo, seen, y)
+        bracket = _scan_bracket(m, scan, target, seen, y)
     if bracket is None:
-        bracket = _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi)
+        bracket = _newton_bracket(m, quantity, target, a, y, seen, st)
     lo, hi = bracket
-    x_star = lo if lo == hi else brentq(y, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    x_star = lo if lo == hi else brentq(y, lo, hi, xtol=_XTOL, rtol=8.9e-16)
     y(x_star)  # brentq returns an evaluated point, so this is a lookup
     r_max, q = seen[x_star]
-    c = math.exp(x_star)
+    c = m.value(r_max)
     q_other = other(m, c, a, st, r_max=r_max)
     dv, ln = (q, q_other) if quantity == "delta_v" else (q_other, q)
     if not math.isfinite(dv):
@@ -516,64 +514,73 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     return GeodesicSolution(c, r_max, dv, ln, start=a)
 
 
-def _scan_bracket(scan, target, x_lo, seen, y):
+def _scan_bracket(m, scan, target, seen, y):
     """(lo, hi) from the adjacent scan rows whose delta_v straddle target,
-    both entered in seen, or None when no such pair lies at x >= x_lo, the
-    clamp the Newton steps keep to."""
+    both entered in seen, or None when there is no such pair or c at the
+    outer row is not a normal double."""
     i = bisect.bisect_left(scan, target, key=lambda row: row[2])
-    if not 0 < i < len(scan) or scan[i][0] < x_lo:
+    if not 0 < i < len(scan) or m.log_h(scan[i][1]) < _X_FLOOR:
         return None
     for x, r_max, dv in scan[i - 1:i + 1]:
         seen[x] = (r_max, dv)
-    lo, hi = scan[i][0], scan[i - 1][0]
-    if not y(lo) >= 0 >= y(hi):
+    lo, hi = scan[i - 1][0], scan[i][0]
+    if not y(lo) <= 0 <= y(hi):
         return None
     return lo, hi
 
 
-def _newton_bracket(m, quantity, target, a, y, seen, x_lo, x_hi):
-    """(lo, hi), the nearest x with y >= 0 and with y <= 0, from Newton steps
-    in (x, y) = (log c, log(q/target)), clamped to [x_lo, x_hi], run from a
-    first guess with turning radius about target/2 until a short step
-    brackets the root.
-
-    The slope is the secant's over a short step, else the one a pure stretch
-    of local exponent p (the frame's) at the turning radius has:
-    -(1+1/(2p)) for delta_v, -1/(2p) for length (orbits.py).
-    TargetUnreachable when a clamp end gives no sign change.
+def _newton_bracket(m, quantity, target, a, y, seen, st):
+    """(lo, hi), the nearest x with y <= 0 and with y >= 0, from Newton steps
+    in (x, y) = (log(r_max - a), log(q/target)) from r_max = target/2 until
+    a short step brackets the root.  r_max - a stays >= 1e-9 max(a, 1), and
+    r_max <= r_cap/4 and below the turning radius of twice the smallest
+    normal double.  The slope is the secant's over a short step, else the
+    model's at q = p r^2/(1+r^2), h ~ r^(-2q) locally: delta_v grows like
+    r^(1+2q), length like r, and both like sqrt(r_max - a) past a later
+    start.  TargetUnreachable when a clamp end gives no sign change.
     """
-    x = min(max(m.log_h(max(target / 2.0, a + 1e-12)), x_lo), x_hi - math.log(2.0))
+    x_lo = math.log(1e-9 * max(a, 1.0))
+    x_hi = math.log(m.r_cap / 4.0 - a)
+
+    def clamp(x):
+        nonlocal x_hi
+        x = min(max(x, x_lo), x_hi)
+        if m.log_h(a + math.exp(x)) < _X_FLOOR:
+            x_hi = math.log(solve_turning_point(m, 2.0 * math.exp(_X_FLOOR), st) - a)
+            x = min(x, x_hi)
+        return x
+
+    x = clamp(math.log(max(target / 2.0 - a, 1e-9 * max(a, 1.0))))
     fx = y(x)
     lo, hi = -math.inf, math.inf
     x_prev = f_prev = None
     for _ in range(100):
-        lo, hi = (max(lo, x) if fx >= 0 else lo), (min(hi, x) if fx <= 0 else hi)
+        lo, hi = (max(lo, x) if fx <= 0 else lo), (min(hi, x) if fx >= 0 else hi)
         near = x_prev is not None and abs(x - x_prev) < 0.5
         if lo == hi or (near and math.isfinite(lo) and math.isfinite(hi)):
             break
         # the secant over a short step, else the local-exponent slope, which a
         # long step (spanning other regimes) would average away
         slope = (fx - f_prev) / (x - x_prev) if near else 0.0
-        if not (slope < 0 and math.isfinite(slope)):
+        if not (slope > 0 and math.isfinite(slope)):
             r = seen[x][0]
             p = _turning_model(m, r)[0]
-            slope = -1.0
-            if math.isfinite(p) and p > 0:
-                slope = -(1.0 + 0.5 / p) if quantity == "delta_v" else -0.5 / p
+            q = p * r / (r + 1.0 / r) if math.isfinite(p) and p > 0 else 0.0
+            slope = 0.5 + (0.5 + 2.0 * q * (quantity == "delta_v")) * ((r - a) / r)
         # overshoot the Newton root a little, so steps cross it instead of
         # creeping up on it from one side
         step = -fx / slope
         x_new = x + 1.001 * step + math.copysign(1e-9, step)
         if math.isfinite(lo) and math.isfinite(hi) and not lo < x_new < hi:
             x_new = 0.5 * (lo + hi)
-        x_new = min(max(x_new, x_lo), x_hi)
+        x_new = clamp(x_new)
         if x_new == x:
             break  # pinned at a clamp end
         x_prev, f_prev = x, fx
         x, fx = x_new, y(x_new)
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise TargetUnreachable(f"no c with {quantity}={target} on {m.label} "
-                                f"(last c={math.exp(x):.6g})", overshoot=x == x_hi and fx > 0)
+        raise TargetUnreachable(f"no arc with {quantity}={target} on {m.label} "
+                                f"(last r_max={seen[x][0]:.6g})", overshoot=x == x_lo and fx > 0)
     return lo, hi
 
 
@@ -602,7 +609,7 @@ def orbit_distance(
         # the axis line is the only candidate when no arc has this displacement:
         # no turning point anywhere (e.g. constant h) or every arc overshoots it
         if isinstance(e, TargetUnreachable) and not e.overshoot:
-            raise OutOfRange(f"d_{l} needs an arc with c past the Newton clamp") from e
+            raise OutOfRange(f"d_{l} needs an arc past the Newton clamp") from e
         if math.isfinite(straight):
             return straight, None
         raise
@@ -622,12 +629,11 @@ def note_d1(m: HalfplaneMetric, d1: float, settings: QuadSettings | None = None)
 def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | None = None):
     """max { l >= 0 : d_l <= R } via the turning-parameter inversion.
 
-    Arc length is decreasing in c and the v-displacement at fixed length is
-    monotone, so the threshold index is delta_v(c_R)/(2 pi) at the c whose
-    arc length equals R.  The straight axis loop competes for small l; d_1
-    is solved once per metric and settings, unless note_d1 recorded it.
-    OutOfRange where that arc needs a c below the Newton clamp, or where
-    its delta_v, and so the count, is past the double range.
+    Arc length and delta_v both increase with the turning radius, so the
+    threshold index is delta_v/(2 pi) of the arc of length R.  The straight
+    axis loop competes for small l; d_1 is solved once per metric and
+    settings, unless note_d1 recorded it.  OutOfRange where that arc turns
+    past the Newton clamp, or its delta_v is past the double range.
     """
     st = settings or QuadSettings()
     h0 = m.sup_h()
@@ -640,6 +646,6 @@ def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | 
         sol = invert_arc(m, "length", R, settings=st)
     except TargetUnreachable as e:
         if not e.overshoot:
-            raise OutOfRange(f"arcs of length {R} need c past the Newton clamp") from e
+            raise OutOfRange(f"arcs of length {R} turn past the Newton clamp") from e
         return max(0, n_straight)  # every arc is longer than R
     return max(math.floor(sol.delta_v / TWO_PI + 1e-12), n_straight, 0)

@@ -75,7 +75,7 @@ def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
 
 
 def _older_file_is_ignored_then_rewritten(cache_dir, version):
-    assert HEADER == "# warplab-orbit-cache v3 model="
+    assert HEADER == "# warplab-orbit-cache v4 model="
     cache = OrbitCache.for_model({"family": "old"}, cache_dir)
     with open(cache.path, "w") as fh:
         fh.write(f"# warplab-orbit-cache {version} model={cache.model_key}\n3 1.0 0.5 2.0\n")
@@ -95,6 +95,13 @@ def test_v2_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
     # v2 records come from turning panels integrated in t = sqrt(r_max - r)
     # at every decay exponent; the graded map moves their last bits
     _older_file_is_ignored_then_rewritten(cache_dir, "v2")
+
+
+def test_v3_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
+    # v3 records come from inversions that searched the Clairaut constant
+    # and solved each turning radius; searching the turning radius moves
+    # their last bits
+    _older_file_is_ignored_then_rewritten(cache_dir, "v3")
 
 
 def _append_fifty_per_trial(paths, key, first, barrier):

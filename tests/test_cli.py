@@ -46,6 +46,30 @@ def test_python_dash_m_warplab_runs_the_cli():
     assert "full-suite" in out.stdout
 
 
+def test_full_suite_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # two processes of the osc 1e40 suite whose str hashes differ: an output
+    # that turned on set iteration order, or on a memo that outlives its
+    # metric, would differ between them
+    src = os.path.dirname(os.path.dirname(warplab.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"hash{seed}"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        env.pop("WARPLAB_CACHE_DIR", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "warplab", "full-suite", "--alpha", "0.6", "--beta", "1.2",
+             "--A", "0.3", "--B", "1.5", "--radius-bound", "1e40", "--outdir", str(out),
+             "--cache-dir", str(tmp_path / f"cache{seed}")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+        outs.append((csvs, [(c["name"], c["status"], repr(c["margin"])) for c in checks]))
+    (csv1, checks1), (csv2, checks2) = outs
+    assert len(csv1) == 7 and csv1 == csv2
+    assert len(checks1) == 21 and checks1 == checks2
+
+
 def test_ricci_check_passes(tmp_path, capsys):
     code = run_cli([
         "ricci-check", "--alpha", "0.5", "--k", "8", "--grid-points", "400",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from warplab import halfplane
 from warplab.halfplane import (
@@ -213,6 +214,58 @@ def test_arc_integrals_match_the_power_oracle_table():
     assert worst <= 1.89e-10
 
 
+def _power_turning_radius(p, c):
+    """The double nearest the turning radius of (1+r^2)^(-p) at c."""
+    with mp.workdps(30):
+        return float(mp.sqrt(mp.mpf(c) ** (-1 / mp.mpf(p)) - 1))
+
+
+def test_arcs_by_turning_radius_match_the_power_oracle_table():
+    # the arc turning at the double r_max nearest the table row's turning
+    # radius: its c' = h(r_max) is within a few 1e-16 of c, which moves the
+    # oracle's values by less than 4e-15 (checked live below).  log c is
+    # log h(r_max) itself, so no turning-radius error enters: the worst arc
+    # is 8.8e-11 (p = 0.3, c = 0.01, delta_v), against 1.88e-10 by c
+    metrics = {}
+    worst = 0.0
+    for (p, c), (dv, length) in _POWER_ARC_TABLE.items():
+        m = metrics.setdefault(p, HalfplaneMetric.from_warping(power_decay_h(p)))
+        r_max = _power_turning_radius(p, c)
+        cr = m.value(r_max)
+        for got, want in ((delta_v_of_c(m, cr, r_max=r_max), dv),
+                          (length_of_c(m, cr, r_max=r_max), length)):
+            if math.isinf(want):
+                assert got == want, (p, c)
+                continue
+            err = abs(got / want - 1.0)
+            assert err <= 1.89e-10, (p, c)
+            worst = max(worst, err)
+    assert worst <= 9e-11
+
+
+def test_arcs_by_turning_radius_against_the_live_oracle():
+    # at c' = h(r_max) in 30 digits: the table's rows hold there, and the
+    # pure 1/2 arc turning at r_max = 2 (c' = 1/sqrt(5)) is off by 2.2e-14,
+    # where the arc at the double c = 1/sqrt(5) is off by 3.0e-11 (its
+    # solved turning radius by 7.2e-14)
+    for p, c in ((0.1, 0.1), (3.0, 1e-12)):
+        r_max = _power_turning_radius(p, c)
+        with mp.workdps(30):
+            dv, length, _ = power_arc_oracle(p, (1 + mp.mpf(r_max) ** 2) ** -mp.mpf(p))
+        assert (float(dv), float(length)) == pytest.approx(_POWER_ARC_TABLE[p, c], rel=4e-15)
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    with mp.workdps(30):
+        dv, length, _ = power_arc_oracle(0.5, 1 / mp.sqrt(5))
+    c = m.value(2.0)
+    assert delta_v_of_c(m, c, r_max=2.0) == pytest.approx(float(dv), rel=1e-13, abs=0)
+    assert length_of_c(m, c, r_max=2.0) == pytest.approx(float(length), rel=1e-13, abs=0)
+
+
+def test_arc_by_turning_radius_needs_c_at_it(pure_half_metric):
+    with pytest.raises(ValueError, match="is not h"):
+        delta_v_of_c(pure_half_metric, 0.5, r_max=2.0)
+
+
 @pytest.mark.parametrize("p, c, panels", [(0.1, 0.0755, 2), (0.15, 0.0443, 2), (0.6, 0.1, 1)])
 def test_graded_panel_gives_the_knee_its_own_interval(monkeypatch, p, c, panels):
     # at p = 0.1 and 0.15 these arcs were off by 8.8e-10 and 2.2e-10 with
@@ -337,11 +390,15 @@ def test_delta_v_monotone_scan(pure_half_metric):
     rows = verify_delta_v_monotone(pure_half_metric)  # passes and caches
     assert verify_delta_v_monotone(pure_half_metric) is rows
     assert len(rows) == 200
-    assert all(x1 < x0 and dv1 > dv0 for (x0, _, dv0), (x1, _, dv1) in zip(rows, rows[1:]))
-    # each row is the memoized arc at c = exp(x)
+    assert all(x1 > x0 and dv1 > dv0 for (x0, _, dv0), (x1, _, dv1) in zip(rows, rows[1:]))
+    # each row is the memoized arc turning at r_max = exp(x), c = h(r_max)
     for x, r_max, dv in rows[::40]:
-        assert solve_turning_point(pure_half_metric, math.exp(x)) == r_max
-        assert delta_v_of_c(pure_half_metric, math.exp(x)) == dv
+        assert r_max == math.exp(x)
+        c = pure_half_metric.value(r_max)
+        assert delta_v_of_c(pure_half_metric, c, r_max=r_max) == dv
+        assert delta_v_of_c(pure_half_metric, c) == pytest.approx(dv, rel=1e-10)
+    # the first row turns where c is (1 - 1e-6) sup h
+    assert pure_half_metric.value(rows[0][1]) == pytest.approx(1.0 - 1e-6, rel=1e-15)
 
 
 def test_monotone_scan_is_kept_per_settings():
@@ -634,7 +691,7 @@ def test_capped_metric_never_answers_with_the_straight_loop(pure_half_metric):
 @pytest.mark.parametrize("model", ["pure", "osc"])
 def test_scan_bracketed_distance_matches_the_newton_path(model, osc_build):
     # the scan's bracket and the Newton steps' bracket close on the same root
-    # under brentq's 1e-12 stop in log c
+    # under brentq's 1e-11 stop in log r_max
     sm = pure_model_h(0.5) if model == "pure" else osc_build[2]
     bracketed = HalfplaneMetric.from_smoothed(sm)
     fresh = HalfplaneMetric.from_smoothed(sm)  # never scanned

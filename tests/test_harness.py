@@ -157,18 +157,26 @@ def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, 
 
 def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # distances from the domain start bracket between the monotonicity
-    # scan's rows (2,474 arcs at this bound); a fallback to Newton bracketing
-    # (2,909 with the former value blends) shows here without timing.
-    # Turning panels below decay exponent 3/4 take the graded map, so the A
-    # bridge and the alpha pieces need few Kronrod rules (5,323 at this
-    # bound, 5,144 with h read as a double); t = sqrt(r_max - r) on every
-    # turning panel needed 11,747
-    from warplab import halfplane, numerics
+    # scan's rows; every inversion searches the turning radius itself, so
+    # the run solves one turning point per scanned metric (2,315 when the
+    # inversions searched log c) and integrates 1,975 arcs (2,474); the 40
+    # equal-t inversions of convergence_report take 7.9 arcs each (15.4).  Turning
+    # panels below decay exponent 3/4 take the graded map, so the A bridge
+    # and the alpha pieces need few Kronrod rules (4,145 at this bound;
+    # t = sqrt(r_max - r) on every turning panel needed 11,747).  Each
+    # budget is the count plus 5 %
+    from warplab import grushin, halfplane, harness, numerics
 
     calls = []
     rules = []
+    turning = []
+    equal_t = []
     real = halfplane._arc_quadrature
     real_rule = numerics._qk21
+    real_turning = halfplane.solve_turning_point
+    real_equal_t = grushin._equal_t_distance
+    real_report = harness.convergence_report
+    in_report = []
 
     def spy(*args):
         calls.append(args[1])
@@ -178,13 +186,37 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
         rules.append(a)
         return real_rule(f, a, b)
 
+    def turning_spy(*args, **kwargs):
+        turning.append(args[1])
+        return real_turning(*args, **kwargs)
+
+    def equal_t_spy(*args, **kwargs):
+        before = len(calls)
+        try:
+            return real_equal_t(*args, **kwargs)
+        finally:
+            if in_report:
+                equal_t.append(len(calls) - before)
+
+    def report_spy(*args, **kwargs):
+        in_report.append(True)
+        try:
+            return real_report(*args, **kwargs)
+        finally:
+            in_report.pop()
+
     monkeypatch.setattr(halfplane, "_arc_quadrature", spy)
     monkeypatch.setattr(numerics, "_qk21", rule_spy)
+    monkeypatch.setattr(halfplane, "solve_turning_point", turning_spy)
+    monkeypatch.setattr(grushin, "_equal_t_distance", equal_t_spy)
+    monkeypatch.setattr(harness, "convergence_report", report_spy)
     cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
     assert not run(cfg).failed
-    assert len(calls) <= 2500
-    assert len(rules) <= 6000
+    assert len(calls) <= 2074
+    assert len(rules) <= 4352
+    assert len(turning) <= 2
+    assert len(equal_t) == 40 and sum(equal_t) <= 9 * len(equal_t)
 
 
 def test_oscillating_full_suite(tmp_path, cache_dir):
@@ -202,11 +234,11 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
         "capacity.csv": "dfd067a26ca54779084a3712c095a4070b470bc3fc66d9aae73fe24f7eb4ff18",
         "capacity_fit.csv": "d543b3d140e3889b1401af1cf81754676cdac1f2a5b61b8f9578ec7e37c7c810",
         "growth_alpha-window.csv":
-            "7717fd21be92fcdbeb28c01eb04b786a89945c519ded93c852318f7b78ad261b",
+            "e1d4506d3afc8d3e451490cc06191845444693097dff9b6e02f860c83f881cc5",
         "growth_beta-window.csv":
-            "18c07822a2c387381745fa423d43060c3044af84d3b9b75e4972058ca2d123ef",
+            "84bb334ce2d04158a8c9b3e83c0c52f3d8f68a884309ed83a1a5a232703e5e88",
         "grushin_convergence.csv":
-            "0c08d4b8790d3e0d773202953ada143ff8ecd1d62d9e7514dfefbc9017a66066",
-        "orbit_distances.csv": "360718e688b906950aa068d560e24b30173a928f24ae26a73e9f71d8b2d8895f",
+            "03ce5f08f28e0e6a859e458f8a6552732ab6073f83830e6888664e2c4801bb45",
+        "orbit_distances.csv": "b42f299f61f19db2ccae1c36fdc608d94ad2f0e3514a9e62a963a8ab08940de0",
         "ricci_curve.csv": "81e35a6c43598a3e8819ca2e95b73a4fad92735ba8a09b2dfdd8094003b60bd0",
     }
