@@ -3,7 +3,7 @@
 One file per model, keyed by a format version and a parameter hash in the
 header; another header means the file belongs to a different model or
 record format and is ignored (and overwritten on the next append), never
-silently reused.  Records are `l d_l clairaut_c r_max` lines with
+silently reused.  Records are `l d_l log_c r_max` lines with
 full-precision reprs, so a warm cache reproduces runs byte-identically.
 The file is append-only: each new distance adds one line, and a reader
 skips a last line without its newline (a write torn by a crash) and lets a
@@ -19,12 +19,12 @@ import json
 import os
 import threading
 
-# v4: distances from inversions that search the turning radius; records of
-# an older version (v3: a search in log c that solved each turning radius,
-# v2: t = sqrt(r_max - r) on every turning panel, v1: Newton brackets)
-# differ in the last bits and are ignored, then rewritten like another
-# model's
-HEADER = "# warplab-orbit-cache v4 model="
+# v5: log c for c, and distances from searches on log delta_v; records of
+# an older version (v4: searches on delta_v = (2/c) I, v3: in log c, each
+# solving its turning radius, v2: t = sqrt(r_max - r) on every turning
+# panel, v1: Newton brackets) differ in the last bits and are ignored, then
+# rewritten like another model's
+HEADER = "# warplab-orbit-cache v5 model="
 
 
 def model_hash(payload: dict) -> str:
@@ -72,7 +72,7 @@ class OrbitCache:
         except FileNotFoundError:
             return {}
 
-    def append(self, l, d, c, r_max):
+    def append(self, l, d, log_c, r_max):
         # the directory's inode, unlike the file's, survives os.replace
         dir_fd = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
         try:
@@ -82,7 +82,7 @@ class OrbitCache:
                     self._prepare()
                     self._ready = True
                 with open(self.path, "a") as fh:
-                    fh.write(f"{int(l)} {float(d)!r} {float(c)!r} {float(r_max)!r}\n")
+                    fh.write(f"{int(l)} {float(d)!r} {float(log_c)!r} {float(r_max)!r}\n")
         finally:
             os.close(dir_fd)  # releases the flock
 

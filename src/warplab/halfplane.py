@@ -11,8 +11,10 @@ rho = c/h.  h is read only in log form, through the model's log reader
 r -> log h and its exponent frame (log h, p, p_y) with p = -d log h/dy,
 y = log(1+r^2): rho^2 = exp(2(log c - log h)) and 1 - rho^2 =
 -expm1(2(log c - log h)), which neither underflow nor cancel where h
-leaves the double range.  An arc is named by its turning radius (log c is
-then log h(r_max) exactly) or by c (r_max then solves log h = log c).
+leaves the double range.  An arc is named by its turning radius and
+carries log c = log h(r_max) and log delta_v = log(2 I) - log c, I the
+integral above (about r_max in size), valid where c and delta_v are no
+doubles; only GeodesicSolution.delta_v asks for a double.
 
 Panels split at the model's structural breakpoints and switch to
 log-radius on wide spans.  The turning panel [a, r_max] removes the 1/sqrt
@@ -25,7 +27,7 @@ L = r_max - a, whose cubic start lifts the branch point (T - t)^(4p) of a
 stretch h ~ r^(-2p) to order about 12p + 2.  Close to r_max log h - log c
 comes from a second-order Taylor model with p and p_y of the frame there.
 Each panel runs through the in-repo QAGS of `numerics` (relative 1e-9,
-absolute floor 1e-12 on the quantity).
+absolute floor 1e-12 on the quantity, 0 on I past the double range of c).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
 translate (period 2*pi in v) solve delta_v = 2*pi*l; counts and strides
@@ -47,8 +49,10 @@ import numpy as np
 from .numerics import brentq, quad
 
 TWO_PI = 2.0 * math.pi
-# log of the smallest normal double, a floor on log c (see _newton_bracket)
-_X_FLOOR = math.log(2.2250738585072014e-308)
+# QAGS' absolute floor and panel budget, the relative stop of turning-radius
+# solves, and the Taylor gap model's reach (times max(r_max, 1))
+_ABS_FLOOR, _LIMIT, _TURNING_REL, _TAYLOR_FRAC = 1e-12, 400, 1e-12, 3e-6
+_LOG_DOUBLE_MAX = math.log(1.7976931348623157e308)
 # brentq's stop in x = log(r_max - start): delta_v's quadrature at rel_tol
 # 1e-9 jitters by a few 1e-12 relative, which a finer stop would chase
 _XTOL = 1e-11
@@ -81,7 +85,8 @@ _SCAN_C_HI_FRAC = 1e-6
 
 
 class OutOfRange(ValueError):
-    """Clairaut constant outside (inf h, sup h) over the represented domain."""
+    """Clairaut constant outside (inf h, sup h) over the represented domain,
+    or a delta_v past the double range."""
 
 
 class QuadratureFailure(RuntimeError):
@@ -103,11 +108,9 @@ class DeltaVNotMonotone(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSettings:
+    """The one arc setting; RunConfig.model_payload() keys caches by it."""
+
     rel_tol: float = 1e-9
-    abs_floor: float = 1e-12
-    limit: int = 400
-    turning_rel: float = 1e-12  # relative tolerance on r_max
-    taylor_frac: float = 3e-6  # switch to Taylor gap model within this of r_max
 
 
 class HalfplaneMetric:
@@ -135,10 +138,9 @@ class HalfplaneMetric:
         # solve_turning_point's bracket search: log h at the domain start, and
         # the list of log h(hi0 * 4^j) for the rungs j read so far
         self._rungs = None
-        # turning radii by (c, settings) and arc integrals by (c, start,
-        # settings, r_max or None when named by c, dv): each is a deterministic
-        # function of its key on this metric, so a stored number has the bits
-        # a new solve would give
+        # turning radii by c and arc integrals by (r_max, start, settings,
+        # dv): each is a deterministic function of its key on this metric, so
+        # a stored number has the bits a new solve would give
         self._turning = {}
         self._arcs = {}
         self._taylor = {}  # turning radius -> _turning_model there
@@ -176,18 +178,15 @@ def circle_length(m: HalfplaneMetric, r) -> float:
     return TWO_PI * m.value(r)
 
 
-def solve_turning_point(m: HalfplaneMetric, c: float, settings: QuadSettings | None = None):
+def solve_turning_point(m: HalfplaneMetric, c: float):
     """Unique r_max with h(r_max) = c (h strictly decreasing), solved once
-    per metric, c and settings."""
-    st = settings or QuadSettings()
-    key = (c, st)
-    r_max = m._turning.get(key)
-    if r_max is None:
-        r_max = m._turning[key] = _turning_point(m, c, st)
-    return r_max
+    per metric and c."""
+    if c not in m._turning:
+        m._turning[c] = _turning_point(m, c)
+    return m._turning[c]
 
 
-def _turning_point(m, c, st):
+def _turning_point(m, c):
     a = m.domain_start
     if m._rungs is None:
         m._rungs = (m.log_h(a), [])
@@ -221,7 +220,7 @@ def _turning_point(m, c, st):
         lambda s: log_h(math.exp(s)) - lc,
         math.log(lo) - 1e-9,
         math.log(hi) + 1e-9,
-        xtol=st.turning_rel / 2,
+        xtol=_TURNING_REL / 2,
         rtol=8.9e-16,
     )
     return math.exp(s)
@@ -229,17 +228,24 @@ def _turning_point(m, c, st):
 
 @dataclass
 class GeodesicSolution:
-    clairaut_c: float
+    log_c: float
     r_max: float
-    delta_v: float
+    log_delta_v: float
     length: float
     start: float = 0.0
 
     def __post_init__(self):
-        if self.length < self.delta_v * self.clairaut_c * (1 - 1e-9):
+        # c delta_v = 2 I, which the length 2 int 1/sqrt(1 - rho^2) exceeds
+        if self.length < math.exp(self.log_c + self.log_delta_v) * (1 - 1e-9):
             raise AssertionError("arc shorter than its v-displacement lower bound")
         if self.length < 2.0 * (self.r_max - self.start) * (1 - 1e-9):
             raise AssertionError("arc shorter than twice its radial rise")
+
+    @property
+    def delta_v(self) -> float:
+        if not self.log_delta_v < _LOG_DOUBLE_MAX:
+            raise OutOfRange(f"delta_v = exp({self.log_delta_v:.6g}) is past the double range")
+        return math.exp(self.log_delta_v)
 
 
 def _arc_panels(m, start, r_max):
@@ -261,15 +267,14 @@ def _quad_panel(f, a, b, st, floor):
     # the in-repo QAGS (numerics.quad); full_output returns QUADPACK's
     # message instead of warning, and the caller enforces its own error
     # budget on the summed abserr
-    out = quad(f, a, b, epsabs=floor, epsrel=st.rel_tol, limit=st.limit, full_output=1)
+    out = quad(f, a, b, epsabs=floor, epsrel=st.rel_tol, limit=_LIMIT, full_output=1)
     return out[0], out[1]
 
 
-def _integrate_arc(m, c, start, settings, r_max, dv):
-    """delta_v (dv) or length of the arc from start by panelled quadrature
-    of rho^2/sqrt(1 - rho^2) or 1/sqrt(1 - rho^2): the arc with Clairaut
-    constant c when r_max is None, else the arc turning at r_max, with log c
-    read as log h(r_max).
+def _integrate_arc(m, r_max, start, settings, dv):
+    """log delta_v (dv) or length of the arc from start turning at r_max,
+    memoized, by panelled quadrature of rho^2/sqrt(1 - rho^2) or
+    1/sqrt(1 - rho^2) with log c = log h(r_max).
 
     The turning panel works in delta = r_max - r, exact in floats where
     r_max - delta rounds back to r_max; a graded panel that squeezes h's
@@ -277,21 +282,13 @@ def _integrate_arc(m, c, start, settings, r_max, dv):
     """
     st = settings or QuadSettings()
     start = m.domain_start if start is None else float(start)
-    if r_max is None:
-        r = solve_turning_point(m, c, st)
-        lc = math.log(c)
-    else:
-        r = r_max
-        lc = m.log_h(r)
-        if c != math.exp(lc):
-            raise ValueError(f"c={c!r} is not h(r_max) at r_max={r!r}")
-    if r <= start:
-        return 0.0
+    if r_max <= start:
+        return -math.inf if dv else 0.0
     # a QuadratureFailure raises before the store, so a failed arc fails again
-    key = (c, start, st, r_max, dv)
+    key = (r_max, start, st, dv)
     value = m._arcs.get(key)
     if value is None:
-        value = m._arcs[key] = _arc_quadrature(m, c, start, st, r, dv, lc)
+        value = m._arcs[key] = _arc_quadrature(m, start, st, r_max, dv)
     return value
 
 
@@ -312,11 +309,12 @@ def _turning_model(m, r):
     return model
 
 
-def _arc_quadrature(m, c, start, st, r_max, dv, lc):
+def _arc_quadrature(m, start, st, r_max, dv):
     sqrt, exp, expm1 = math.sqrt, math.exp, math.expm1
+    lc = m.log_h(r_max)
     p, b1, b2 = _turning_model(m, r_max)
     scale = max(r_max, 1.0)
-    delta_switch = st.taylor_frac * scale
+    delta_switch = _TAYLOR_FRAC * scale
     graded = p < _GRADED_BELOW
 
     # integrand_r in r, integrand_s in s = log r (times r), integrand_t in
@@ -371,7 +369,7 @@ def _arc_quadrature(m, c, start, st, r_max, dv, lc):
             return jac / sqrt(-expm1(e))
 
     # the absolute floor is on the quantity, and delta_v = (2/c) total
-    floor = st.abs_floor * c if dv else st.abs_floor
+    floor = _ABS_FLOOR * exp(lc) if dv else _ABS_FLOOR
     total = 0.0
     err_total = 0.0
     panels = _arc_panels(m, start, r_max)
@@ -402,36 +400,33 @@ def _arc_quadrature(m, c, start, st, r_max, dv, lc):
         err_total += e
     if err_total > max(floor, 100.0 * st.rel_tol * abs(total)):
         raise QuadratureFailure(
-            f"estimated error {err_total} vs value {total} (c={c}, r_max={r_max})"
+            f"estimated error {err_total} vs value {total} (log c={lc}, r_max={r_max})"
         )
-    return 2.0 * total / c if dv else 2.0 * total
+    return math.log(2.0 * total) - lc if dv else 2.0 * total
 
 
 def clairaut_arc(
     m: HalfplaneMetric, c: float, start: float | None = None, settings: QuadSettings | None = None
 ) -> GeodesicSolution:
     """The symmetric geodesic arc with Clairaut constant c from the start
-    radius out to the turning point and back."""
-    st = settings or QuadSettings()
+    radius out to the turning point (solved) and back."""
     a = m.domain_start if start is None else float(start)
-    r_max = solve_turning_point(m, c, st)
-    if r_max <= a:
-        return GeodesicSolution(c, a, 0.0, 0.0, start=a)
-    return GeodesicSolution(c, r_max, delta_v_of_c(m, c, a, st), length_of_c(m, c, a, st), start=a)
+    r_max = max(solve_turning_point(m, c), a)
+    return GeodesicSolution(m.log_h(r_max), r_max, delta_v_of_c(m, r_max, a, settings),
+                            length_of_c(m, r_max, a, settings), start=a)
 
 
-def delta_v_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
-                 settings: QuadSettings | None = None, r_max: float | None = None) -> float:
-    """v-displacement of the arc with Clairaut constant c (decreasing in c),
-    or of the arc turning at r_max, where c must be h(r_max)."""
-    return _integrate_arc(m, c, start, settings, r_max, dv=True)
+def delta_v_of_c(m: HalfplaneMetric, r_max: float, start: float | None = None,
+                 settings: QuadSettings | None = None) -> float:
+    """log delta_v of the arc from start turning at r_max (increasing in
+    r_max; -inf where r_max <= start)."""
+    return _integrate_arc(m, r_max, start, settings, dv=True)
 
 
-def length_of_c(m: HalfplaneMetric, c: float, start: float | None = None,
-                settings: QuadSettings | None = None, r_max: float | None = None) -> float:
-    """Length of the arc with Clairaut constant c (decreasing in c), or of
-    the arc turning at r_max, where c must be h(r_max)."""
-    return _integrate_arc(m, c, start, settings, r_max, dv=False)
+def length_of_c(m: HalfplaneMetric, r_max: float, start: float | None = None,
+                settings: QuadSettings | None = None) -> float:
+    """Length of the arc from start turning at r_max (increasing in r_max)."""
+    return _integrate_arc(m, r_max, start, settings, dv=False)
 
 
 def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
@@ -441,7 +436,7 @@ def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
     failures abort distance queries rather than let root-finding run on a
     false premise.
 
-    Returns the rows (x, r_max, delta_v), r_max = start + exp(x), x and
+    Returns the rows (x, r_max, log delta_v), r_max = start + exp(x), x and
     delta_v increasing; once per metric and settings.  orbit_distance
     brackets its inversions between adjacent rows.
     """
@@ -450,7 +445,7 @@ def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
     if rows is not None:
         return rows
     a = m.domain_start
-    r_lo = solve_turning_point(m, m.sup_h() * (1.0 - _SCAN_C_HI_FRAC), st)
+    r_lo = solve_turning_point(m, m.sup_h() * (1.0 - _SCAN_C_HI_FRAC))
     r_hi = min(m.r_cap / 4.0, 1e60)
     if not (r_lo < r_hi):
         raise DeltaVNotMonotone("degenerate turning-radius range for monotonicity scan")
@@ -459,11 +454,11 @@ def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
     # r_max = a + exp(x) is the radius that invert_arc's y(x) asks the memo for
     for x in np.linspace(math.log(r_lo - a), math.log(r_hi - a), _SCAN_N).tolist():
         r_max = a + math.exp(x)
-        dv = delta_v_of_c(m, m.value(r_max), a, st, r_max=r_max)
-        if prev is not None and not (dv > prev * (1.0 - 1e-10)):
-            raise DeltaVNotMonotone(f"delta_v not increasing: at r_max={r_max} {dv} after {prev}")
-        prev = dv
-        rows.append((x, r_max, dv))
+        ldv = delta_v_of_c(m, r_max, a, st)
+        if prev is not None and not (ldv > prev + math.log1p(-1e-10)):
+            raise DeltaVNotMonotone(f"log delta_v falls at r_max={r_max}: {ldv} after {prev}")
+        prev = ldv
+        rows.append((x, r_max, ldv))
     rows = m._scans[st] = tuple(rows)
     return rows
 
@@ -473,82 +468,81 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     """The symmetric arc from `start` whose `quantity` ("delta_v" or
     "length", both increasing in the turning radius) equals target.
 
-    The search runs in x = log(r_max - start) on arcs named by r_max.  A
+    The search runs in x = log(r_max - start) on y = log(q/target).  A
     delta_v target from the domain start that two adjacent rows of `scan`
     (verify_delta_v_monotone's at these settings) bracket takes that
     bracket, any other _newton_bracket's.  brentq closes it on memoized
     evaluations at _XTOL, and only the other quantity is integrated at the
-    root; OutOfRange when delta_v there is past the double range.
+    root.
     """
     st = settings or QuadSettings()
     a = m.domain_start if start is None else float(start)
     # names read per call, so wrappers installed on this module see every evaluation
     solve, other = {"delta_v": (delta_v_of_c, length_of_c),
                     "length": (length_of_c, delta_v_of_c)}[quantity]
+    by_dv = quantity == "delta_v"
+    log_target = math.log(target)
     l_top = m.log_h(a)
-    seen = {}  # x -> (r_max, q)
+    seen = {}  # x -> (r_max, q), q = log delta_v or the length
 
     def y(x):
         if x not in seen:
             r = a + math.exp(x)
-            lc = m.log_h(r)
-            if not lc < l_top:
+            if not m.log_h(r) < l_top:
                 raise OutOfRange(f"h({r!r}) is not below h({a!r})")
-            seen[x] = (r, solve(m, math.exp(lc), a, st, r_max=r))
-        return math.log(seen[x][1] / target)
+            seen[x] = (r, solve(m, r, a, st))
+        q = seen[x][1]
+        return q - log_target if by_dv else math.log(q / target)
 
     bracket = None
-    if scan and quantity == "delta_v" and a == m.domain_start:
-        bracket = _scan_bracket(m, scan, target, seen, y)
+    if scan and by_dv and a == m.domain_start:
+        bracket = _scan_bracket(scan, log_target, seen, y)
     if bracket is None:
-        bracket = _newton_bracket(m, quantity, target, a, y, seen, st)
+        bracket = _newton_bracket(m, quantity, target, a, y, seen)
     lo, hi = bracket
     x_star = lo if lo == hi else brentq(y, lo, hi, xtol=_XTOL, rtol=8.9e-16)
     y(x_star)  # brentq returns an evaluated point, so this is a lookup
     r_max, q = seen[x_star]
-    c = m.value(r_max)
-    q_other = other(m, c, a, st, r_max=r_max)
-    dv, ln = (q, q_other) if quantity == "delta_v" else (q_other, q)
-    if not math.isfinite(dv):
-        raise OutOfRange(f"delta_v at c={c:.6g} is past the double range")
-    return GeodesicSolution(c, r_max, dv, ln, start=a)
+    q_other = other(m, r_max, a, st)
+    ldv, ln = (q, q_other) if by_dv else (q_other, q)
+    return GeodesicSolution(m.log_h(r_max), r_max, ldv, ln, start=a)
 
 
-def _scan_bracket(m, scan, target, seen, y):
-    """(lo, hi) from the adjacent scan rows whose delta_v straddle target,
-    both entered in seen, or None when there is no such pair or c at the
-    outer row is not a normal double."""
-    i = bisect.bisect_left(scan, target, key=lambda row: row[2])
-    if not 0 < i < len(scan) or m.log_h(scan[i][1]) < _X_FLOOR:
+def _scan_bracket(scan, log_target, seen, y):
+    """(lo, hi) from the adjacent scan rows whose log delta_v straddle
+    log_target, both entered in seen, or None when there is no such pair."""
+    i = bisect.bisect_left(scan, log_target, key=lambda row: row[2])
+    if not 0 < i < len(scan):
         return None
-    for x, r_max, dv in scan[i - 1:i + 1]:
-        seen[x] = (r_max, dv)
+    for x, r_max, ldv in scan[i - 1:i + 1]:
+        seen[x] = (r_max, ldv)
     lo, hi = scan[i - 1][0], scan[i][0]
     if not y(lo) <= 0 <= y(hi):
         return None
     return lo, hi
 
 
-def _newton_bracket(m, quantity, target, a, y, seen, st):
+def _newton_bracket(m, quantity, target, a, y, seen):
     """(lo, hi), the nearest x with y <= 0 and with y >= 0, from Newton steps
     in (x, y) = (log(r_max - a), log(q/target)) from r_max = target/2 until
-    a short step brackets the root.  r_max - a stays >= 1e-9 max(a, 1), and
-    r_max <= r_cap/4 and below the turning radius of twice the smallest
-    normal double.  The slope is the secant's over a short step, else the
+    a short step brackets the root.  r_max - a stays in [1e-9 max(a, 1),
+    r_cap/4 - a].  The slope is the secant's over a short step, else the
     model's at q = p r^2/(1+r^2), h ~ r^(-2q) locally: delta_v grows like
     r^(1+2q), length like r, and both like sqrt(r_max - a) past a later
-    start.  TargetUnreachable when a clamp end gives no sign change.
+    start.  From the axis delta_v flattens where log h(0) - log h(r) has
+    order b = 2 in r (h'(0) = 0) and grows like sqrt(r) where b = 1: the
+    slope takes the factor 1 - (b/2)/(1+r^2).  TargetUnreachable when a
+    clamp end gives no sign change.
     """
     x_lo = math.log(1e-9 * max(a, 1.0))
     x_hi = math.log(m.r_cap / 4.0 - a)
+    b = 0.0  # from the axis: r g'/g at r = 1e-4, g = log h(0) - log h(r)
+    gap = m.log_h(0.0) - m.log_h(1e-4) if quantity == "delta_v" and a == 0.0 else 0.0
+    if gap > 0:
+        b = min(2e-8 * _turning_model(m, 1e-4)[0] / (1.0 + 1e-8) / gap, 2.0)
 
     def clamp(x):
-        nonlocal x_hi
-        x = min(max(x, x_lo), x_hi)
-        if m.log_h(a + math.exp(x)) < _X_FLOOR:
-            x_hi = math.log(solve_turning_point(m, 2.0 * math.exp(_X_FLOOR), st) - a)
-            x = min(x, x_hi)
-        return x
+        return min(max(x, x_lo), x_hi)
 
     x = clamp(math.log(max(target / 2.0 - a, 1e-9 * max(a, 1.0))))
     fx = y(x)
@@ -565,8 +559,10 @@ def _newton_bracket(m, quantity, target, a, y, seen, st):
         if not (slope > 0 and math.isfinite(slope)):
             r = seen[x][0]
             p = _turning_model(m, r)[0]
-            q = p * r / (r + 1.0 / r) if math.isfinite(p) and p > 0 else 0.0
+            s = r / (r + 1.0 / r)  # r^2/(1+r^2)
+            q = p * s if math.isfinite(p) and p > 0 else 0.0
             slope = 0.5 + (0.5 + 2.0 * q * (quantity == "delta_v")) * ((r - a) / r)
+            slope *= 1.0 - 0.5 * b + 0.5 * b * s
         # overshoot the Newton root a little, so steps cross it instead of
         # creeping up on it from one side
         step = -fx / slope

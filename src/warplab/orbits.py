@@ -90,7 +90,7 @@ class GrowthWindow:
 
 
 class OrbitTable:
-    """Memoized distances l -> (d_l, clairaut_c, r_max) for one model; the
+    """Memoized distances l -> (d_l, log c, r_max) for one model; the
     table's d_1, loaded or solved, is the one axis counts on its metric read."""
 
     def __init__(self, metric: HalfplaneMetric, cache: OrbitCache | None = None,
@@ -112,7 +112,7 @@ class OrbitTable:
         if hit is not None:
             return hit[0]
         d, sol = orbit_distance(self.metric, l, settings=self.settings)
-        rec = (d, sol.clairaut_c if sol else 0.0, sol.r_max if sol else 0.0)
+        rec = (d, sol.log_c, sol.r_max) if sol else (d, -math.inf, 0.0)
         self.entries[l] = rec
         if l == 1:
             note_d1(self.metric, d, self.settings)

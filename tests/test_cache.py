@@ -75,7 +75,7 @@ def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
 
 
 def _older_file_is_ignored_then_rewritten(cache_dir, version):
-    assert HEADER == "# warplab-orbit-cache v4 model="
+    assert HEADER == "# warplab-orbit-cache v5 model="
     cache = OrbitCache.for_model({"family": "old"}, cache_dir)
     with open(cache.path, "w") as fh:
         fh.write(f"# warplab-orbit-cache {version} model={cache.model_key}\n3 1.0 0.5 2.0\n")
@@ -102,6 +102,12 @@ def test_v3_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
     # and solved each turning radius; searching the turning radius moves
     # their last bits
     _older_file_is_ignored_then_rewritten(cache_dir, "v3")
+
+
+def test_v4_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
+    # v4 records carry c, and their distances come from searches on delta_v
+    # = (2/c) I; searches on log delta_v move their last bits
+    _older_file_is_ignored_then_rewritten(cache_dir, "v4")
 
 
 def _append_fifty_per_trial(paths, key, first, barrier):

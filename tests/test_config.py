@@ -62,3 +62,20 @@ def test_missing_file():
 def test_oscillating_requires_bridges():
     with pytest.raises(ConfigError):
         parse_config(None, {"mode": "orbit-growth", "alpha": 0.6, "beta": 1.2})
+
+
+def test_every_quad_setting_is_keyed_in_the_cache_payload():
+    # cached distances are reused across runs by model_payload()'s hash, so
+    # each QuadSettings field a run can set must be a payload key, or two
+    # runs at different settings would share a cache file
+    import dataclasses
+
+    from warplab.halfplane import QuadSettings
+
+    keyed = {"rel_tol": "quad_rel_tol"}
+    assert tuple(f.name for f in dataclasses.fields(QuadSettings)) == tuple(keyed)
+    base = RunConfig(mode="orbit-growth")
+    for field, key in keyed.items():
+        assert base.model_payload()[key] == getattr(QuadSettings(), field) == getattr(base, key)
+        moved = RunConfig(mode="orbit-growth", **{key: 2 * getattr(base, key)})
+        assert moved.model_payload() != base.model_payload()

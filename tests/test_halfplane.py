@@ -91,126 +91,131 @@ def test_arc_oracle_recomputed_live():
     assert sol.length == pytest.approx(float(ln), rel=1e-9)
 
 
-# delta_v and length of h = (1+r^2)^(-p) from the axis at Clairaut constant
-# c, from power_arc_oracle (30 digits); test_power_arc_table_is_the_oracle
-# recomputes two rows.  The rows at c = 1e-100 to 1e-300 turn where log h -
-# log c cancels most; at c = 1e-300 delta_v (about 1e400) is past the double
-# range and comes back inf
+# log delta_v and length of h = (1+r^2)^(-p) from the axis at Clairaut
+# constant c, from power_arc_oracle (30 digits);
+# test_power_arc_table_is_the_oracle recomputes two rows.  The rows at
+# c = 1e-100 to 1e-300 turn where log h - log c cancels most; at c = 1e-300
+# delta_v (about 1e400) is past the double range, its log is not
 _POWER_ARC_TABLE = {
-    (0.1, 0.9): (11.1872111920724, 10.9531762910081),
-    (0.1, 0.5): (315.067527249648, 188.752413055866),
-    (0.1, 0.1): (4908738.65385974, 589048.629241693),
-    (0.1, 0.01): (4908738521234.06, 58904862254.8086),
-    (0.1, 0.0001): (4.90873852123404e+24, 5.89048622548085e+20),
-    (0.1, 1e-08): (4.90873852123403e+48, 5.89048622548083e+40),
-    (0.1, 1e-12): (4.90873852123401e+72, 5.89048622548082e+60),
-    (0.2, 0.9): (6.31513620809717, 6.2423829142839),
-    (0.2, 0.5): (36.7215152134143, 25.013605852895),
-    (0.2, 0.1): (9871.44852569865, 1381.96511215919),
-    (0.2, 0.01): (31214970.9317589, 437009.592615668),
-    (0.2, 0.0001): (312149708844300.0, 43700959238.2019),
-    (0.2, 1e-08): (3.12149708844299e+28, 4.37009592382019e+20),
-    (0.2, 1e-12): (3.12149708844299e+42, 4.37009592382018e+30),
-    (0.3, 0.9): (4.7963524721271, 4.75693461357742),
-    (0.3, 0.5): (16.3653207955115, 12.0565812515919),
-    (0.3, 0.1): (1084.12318420213, 173.353933818593),
-    (0.3, 0.01): (502814.456700357, 8045.02843770482),
-    (0.3, 0.0001): (108328040134.745, 17332486.4215577),
-    (0.3, 1e-08): (5.02814221456531e+21, 80450275433044.9),
-    (0.3, 1e-12): (2.33385687569434e+32, 3.73417100111094e+20),
-    (0.4, 0.9): (4.00839857752433, 3.98218390558783),
-    (0.4, 0.5): (10.4959297549675, 8.12325434077939),
-    (0.4, 0.1): (334.6699322084, 60.0369551590939),
-    (0.4, 0.01): (59291.4330835573, 1067.23373597096),
-    (0.4, 0.0001): (1874935969.20185, 337488.474417789),
-    (0.4, 1e-08): (1.87493596896097e+18, 33748847441.2974),
-    (0.4, 1e-12): (1.87493596896097e+27, 3374884744129740.0),
-    (0.5, 0.9): (3.51005105123304, 3.49065850398866),
-    (0.5, 0.5): (7.85398163397448, 6.28318530717959),
-    (0.5, 0.1): (158.650429006285, 31.4159265358979),
-    (0.5, 0.01): (15709.5340642758, 314.159265358979),
-    (0.5, 0.0001): (157079634.250286, 31415.9265358979),
-    (0.5, 1e-08): (1.5707963267949e+16, 314159265.358979),
-    (0.5, 1e-12): (1.5707963267949e+24, 3141592653589.79),
-    (0.6, 0.9): (3.15952472623817, 3.14421697408745),
-    (0.6, 0.5): (6.37263598927253, 5.2196497255225),
-    (0.6, 0.1): (93.9931337689992, 20.2515626584286),
-    (0.6, 0.01): (6283.73035260326, 138.181006624282),
-    (0.6, 0.0001): (29154677.6337046, 6414.02776698362),
-    (0.6, 1e-08): (628118370892464.0, 13818604.1596336),
-    (0.6, 1e-12): (1.35324000769698e+22, 29771280169.3336),
-    (0.75, 0.9): (2.78671884343999, 2.77511887797082),
-    (0.75, 0.5): (5.07171256085312, 4.25809622172266),
-    (0.75, 0.1): (54.083752876436, 12.9305297068728),
-    (0.75, 0.01): (2420.75790174864, 60.3983056666409),
-    (0.75, 0.0001): (5206700.82191491, 1301.66963161821),
-    (0.75, 1e-08): (24167278156041.1, 604181.953889018),
-    (0.75, 1e-12): (1.12174568426036e+20, 280436421.065091),
-    (1.0, 0.9): (2.38000522099952, 2.3717279167421),
-    (1.0, 0.5): (3.91323255823847, 3.37150070962519),
-    (1.0, 0.1): (29.8331410067373, 8.11193557203541),
-    (1.0, 0.01): (880.107841049525, 26.1609940588),
-    (1.0, 0.0001): (874079.101608118, 262.199765055773),
-    (1.0, 1e-08): (874019190754.741, 26220.5754830142),
-    (1.0, 1e-12): (8.74019184764639e+17, 2622057.55429152),
-    (1.2, 0.9): (2.15761934345446, 2.1508560279424),
-    (1.2, 0.5): (3.37372685325104, 2.94568052292905),
-    (1.2, 0.1): (21.6489946105609, 6.34634185539754),
-    (1.2, 0.01): (513.6103271279, 17.1165929353982),
-    (1.2, 0.0001): (345063.288347828, 117.271630412277),
-    (1.2, 1e-08): (160115962420.716, 5443.94164792426),
-    (1.2, 1e-12): (7.43192359411068e+16, 252685.402176616),
-    (1.2, 1e-100): (3.44959335644493e+141, 1.17286174119128e+42),
-    (1.2, 1e-200): (1.60115940037797e+283, 5.44394196128509e+83),
-    (1.2, 1e-300): (math.inf, 2.5268540218337e+125),
-    (1.5, 0.9): (1.91652456424605, 1.91117587620129),
-    (1.5, 0.5): (2.85099328603056, 2.52331135910076),
-    (1.5, 0.1): (15.3518163240312, 4.89120480095236),
-    (1.5, 0.01): (290.292018371285, 11.1120330660467),
-    (1.5, 0.0001): (130982.949340952, 52.2890271502273),
-    (1.5, 1e-08): (28182074770.6217, 1127.27816379264),
-    (1.5, 1e-12): (6071626657060660.0, 24286.5064041924),
-    (1.5, 1e-100): (1.30809230144435e+133, 5.23236920577742e+33),
-    (1.5, 1e-200): (2.81819943199536e+266, 1.12727977279814e+67),
-    (1.5, 1e-300): (math.inf, 2.42865064788758e+100),
-    (2.0, 0.9): (1.64833945082452, 1.64430681417957),
-    (2.0, 0.5): (2.33376631700438, 2.09428913405836),
-    (2.0, 0.1): (10.5137253531056, 3.67216453363102),
-    (2.0, 0.01): (156.687057273249, 7.0991544699503),
-    (2.0, 0.0001): (46817.8545187931, 23.1902907565579),
-    (2.0, 1e-08): (4654641899.93842, 232.710366466767),
-    (2.0, 1e-12): (465437300077312.0, 2327.1843276672),
-    (3.0, 0.9): (1.33662552021931, 1.33381646364288),
-    (3.0, 0.5): (1.80195797273666, 1.63994205481727),
-    (3.0, 0.1): (6.77259341210392, 2.61659864940332),
-    (3.0, 0.01): (78.4771718739232, 4.36393643109202),
-    (3.0, 0.0001): (15129.387144521, 10.1233815065718),
-    (3.0, 1e-08): (684745775.104919, 47.8341241582433),
-    (3.0, 1e-12): (31746881801447.7, 222.207066557573),
+    (0.1, 0.9): (2.4147712680339994, 10.9531762910081),
+    (0.1, 0.5): (5.752786988072297, 188.752413055866),
+    (0.1, 0.1): (15.406527573460377, 589048.629241693),
+    (0.1, 0.01): (29.22203810440637, 58904862254.8086),
+    (0.1, 0.0001): (56.85305922033491, 5.89048622548085e+20),
+    (0.1, 1e-08): (112.11510145219201, 5.89048622548083e+40),
+    (0.1, 1e-12): (167.3771436840491, 5.89048622548082e+60),
+    (0.2, 0.9): (1.8429493245480215, 6.2423829142839),
+    (0.2, 0.5): (3.6033628288828248, 25.013605852895),
+    (0.2, 0.1): (9.197401882115056, 1381.96511215919),
+    (0.2, 0.01): (17.25640837525086, 437009.592615668),
+    (0.2, 0.0001): (33.37450402469295, 43700959238.2019),
+    (0.2, 1e-08): (65.61069532660959, 4.37009592382019e+20),
+    (0.2, 1e-12): (97.84688662852624, 4.37009592382018e+30),
+    (0.3, 0.9): (1.5678557274020535, 4.75693461357742),
+    (0.3, 0.5): (2.7951645102976204, 12.0565812515919),
+    (0.3, 0.1): (6.9885268141060735, 173.353933818593),
+    (0.3, 0.01): (13.127976507672233, 8045.02843770482),
+    (0.3, 0.0001): (25.408429869119672, 17332486.4215577),
+    (0.3, 1e-08): (49.969337527722715, 80450275433044.9),
+    (0.3, 1e-12): (74.53024518632587, 3.73417100111094e+20),
+    (0.4, 0.9): (1.3883918043282915, 3.98218390558783),
+    (0.4, 0.5): (2.3509875396266975, 8.12325434077939),
+    (0.4, 0.1): (5.813144769130782, 60.0369551590939),
+    (0.4, 0.01): (10.99022010715576, 1067.23373597096),
+    (0.4, 0.0001): (21.35184034602666, 337488.474417789),
+    (0.4, 1e-08): (42.07510618284459, 33748847441.2974),
+    (0.4, 1e-12): (62.798372019791, 3374884744129740.0),
+    (0.5, 0.9): (1.2556305818828417, 3.49065850398866),
+    (0.5, 0.5): (2.061020617723555, 6.28318530717959),
+    (0.5, 0.1): (5.066703222130714, 31.4159265358979),
+    (0.5, 0.01): (9.66202307226597, 314.159265358979),
+    (0.5, 0.0001): (18.87226345924182, 31415.9265358979),
+    (0.5, 1e-08): (37.29294419319419, 314159265.358979),
+    (0.5, 1e-12): (55.71362493714655, 3141592653589.79),
+    (0.6, 0.9): (1.150421613197954, 3.14421697408745),
+    (0.6, 0.5): (1.8520131970596667, 5.2196497255225),
+    (0.6, 0.1): (4.54322173459144, 20.2515626584286),
+    (0.6, 0.01): (8.745719088302595, 138.181006624282),
+    (0.6, 0.0001): (17.18812592559577, 6414.02776698362),
+    (0.6, 1e-08): (34.07374975331725, 13818604.1596336),
+    (0.6, 1e-12): (50.95937376860688, 29771280169.3336),
+    (0.75, 0.9): (1.0248648619756977, 2.77511887797082),
+    (0.75, 0.5): (1.6236785437729322, 4.25809622172266),
+    (0.75, 0.1): (3.9905338242315063, 12.9305297068728),
+    (0.75, 0.01): (7.791835952660078, 60.3983056666409),
+    (0.75, 0.0001): (15.465456973593021, 1301.66963161821),
+    (0.75, 1e-08): (30.81602069180955, 604181.953889018),
+    (0.75, 1e-12): (46.166587978419955, 280436421.065091),
+    (1.0, 0.9): (0.8671026813782552, 2.3717279167421),
+    (1.0, 0.5): (1.3643637736724412, 3.37150070962519),
+    (1.0, 0.1): (3.3956198898903764, 8.11193557203541),
+    (1.0, 0.01): (6.780044446611213, 26.1609940588),
+    (1.0, 0.0001): (13.680926155814763, 262.199765055773),
+    (1.0, 1e-08): (27.496368169746173, 26220.5754830142),
+    (1.0, 1e-12): (41.31187872085693, 2622057.55429152),
+    (1.2, 0.9): (0.7690054580675921, 2.1508560279424),
+    (1.2, 0.5): (1.2160180244895038, 2.94568052292905),
+    (1.2, 0.1): (3.074959015058932, 6.34634185539754),
+    (1.2, 0.01): (6.241464859509856, 17.1165929353982),
+    (1.2, 0.0001): (12.75148312367607, 117.271630412277),
+    (1.2, 1e-08): (25.7991641547943, 5443.94164792426),
+    (1.2, 1e-12): (38.84714620870017, 252685.402176616),
+    (1.2, 1e-100): (325.90275446855964, 1.17286174119128e+42),
+    (1.2, 1e-200): (652.1023093093828, 5.44394196128509e+83),
+    (1.2, 1e-300): (978.3018641502059, 2.5268540218337e+125),
+    (1.5, 0.9): (0.6505134229992471, 1.91117587620129),
+    (1.5, 0.5): (1.0476674549753109, 2.52331135910076),
+    (1.5, 0.1): (2.731233794331536, 4.89120480095236),
+    (1.5, 0.01): (5.670887376237465, 11.1120330660467),
+    (1.5, 0.0001): (11.782822436009386, 52.2890271502273),
+    (1.5, 1e-08): (24.06195196634978, 1127.27816379264),
+    (1.5, 1e-12): (36.342402947122345, 24286.5064041924),
+    (1.5, 1e-100): (306.5123871856068, 5.23236920577742e+33),
+    (1.5, 1e-200): (613.5237329181463, 1.12727977279814e+67),
+    (1.5, 1e-300): (920.5350786506857, 2.42865064788758e+100),
+    (2.0, 0.9): (0.49976838771889925, 1.64430681417957),
+    (2.0, 0.5): (0.8474834076027042, 2.09428913405836),
+    (2.0, 0.1): (2.3526815800383445, 3.67216453363102),
+    (2.0, 0.01): (5.054250550374827, 7.0991544699503),
+    (2.0, 0.0001): (10.754019915962337, 23.1902907565579),
+    (2.0, 1e-08): (22.261130816668725, 232.710366466767),
+    (2.0, 1e-12): (33.77399850986219, 2327.1843276672),
+    (3.0, 0.9): (0.29014816929824483, 1.33381646364288),
+    (3.0, 0.5): (0.5888738363485018, 1.63994205481727),
+    (3.0, 0.1): (1.912884087736023, 2.61659864940332),
+    (3.0, 0.01): (4.36280777834279, 4.36393643109202),
+    (3.0, 0.0001): (9.624394299981903, 10.1233815065718),
+    (3.0, 1e-08): (20.344558196106565, 47.8341241582433),
+    (3.0, 1e-12): (31.08881562546621, 222.207066557573),
 }
 
 
 def test_power_arc_table_is_the_oracle():
-    for p, c in ((0.1, 0.1), (3.0, 1e-12)):
+    for p, c in ((0.1, 0.1), (3.0, 1e-12), (1.5, 1e-300)):
         dv, ln, _ = power_arc_oracle(p, c)
-        assert (float(dv), float(ln)) == pytest.approx(_POWER_ARC_TABLE[p, c], rel=1e-14)
+        with mp.workdps(30):
+            got = (float(mp.log(dv)), float(ln))
+        assert got == pytest.approx(_POWER_ARC_TABLE[p, c], rel=1e-14)
+
+
+def _rel_errs(log_dv, length, want):
+    """Relative errors of delta_v (given and wanted as logs) and length."""
+    return abs(math.expm1(log_dv - want[0])), abs(length / want[1] - 1.0)
 
 
 def test_arc_integrals_match_the_power_oracle_table():
-    # the graded turning map (p < 3/4) and t = sqrt(r_max - r) alike: every
-    # arc within 1e-9, and none worse than the 1.89e-10 that t on every
-    # turning panel and h read as a double had (p = 1, c = 1e-4, delta_v)
+    # the graded turning map (p < 3/4) and t = sqrt(r_max - r) alike, on the
+    # arc at c (clairaut_arc: the arc turning at the solved r_max): every arc
+    # within 1e-9, and none worse than the 1.89e-10 that t on every turning
+    # panel and h read as a double had (p = 1, c = 1e-4, delta_v)
     metrics = {}
     worst = 0.0
-    for (p, c), (dv, length) in _POWER_ARC_TABLE.items():
+    for (p, c), want in _POWER_ARC_TABLE.items():
         m = metrics.setdefault(p, HalfplaneMetric.from_warping(power_decay_h(p)))
-        for got, want in ((delta_v_of_c(m, c), dv), (length_of_c(m, c), length)):
-            if math.isinf(want):
-                assert got == want, (p, c)
-                continue
-            err = abs(got / want - 1.0)
-            assert err <= 1e-9, (p, c)
-            worst = max(worst, err)
+        sol = clairaut_arc(m, c)
+        errs = _rel_errs(sol.log_delta_v, sol.length, want)
+        assert max(errs) <= 1e-9, (p, c)
+        worst = max(worst, *errs)
     assert worst <= 1.89e-10
 
 
@@ -225,45 +230,69 @@ def test_arcs_by_turning_radius_match_the_power_oracle_table():
     # radius: its c' = h(r_max) is within a few 1e-16 of c, which moves the
     # oracle's values by less than 4e-15 (checked live below).  log c is
     # log h(r_max) itself, so no turning-radius error enters: the worst arc
-    # is 8.8e-11 (p = 0.3, c = 0.01, delta_v), against 1.88e-10 by c
+    # is 8.8e-11 (p = 0.3, c = 0.01, delta_v)
     metrics = {}
     worst = 0.0
-    for (p, c), (dv, length) in _POWER_ARC_TABLE.items():
+    for (p, c), want in _POWER_ARC_TABLE.items():
         m = metrics.setdefault(p, HalfplaneMetric.from_warping(power_decay_h(p)))
         r_max = _power_turning_radius(p, c)
-        cr = m.value(r_max)
-        for got, want in ((delta_v_of_c(m, cr, r_max=r_max), dv),
-                          (length_of_c(m, cr, r_max=r_max), length)):
-            if math.isinf(want):
-                assert got == want, (p, c)
-                continue
-            err = abs(got / want - 1.0)
-            assert err <= 1.89e-10, (p, c)
-            worst = max(worst, err)
+        errs = _rel_errs(delta_v_of_c(m, r_max), length_of_c(m, r_max), want)
+        assert max(errs) <= 1.89e-10, (p, c)
+        worst = max(worst, *errs)
     assert worst <= 9e-11
+
+
+# (p, log c): the double r_max nearest the turning radius of h = (1+r^2)^(-p)
+# at c = exp(log c), past the double range of c, and log delta_v and length
+# from power_arc_oracle at c' = h(r_max) in 30 digits
+_FAR_POWER_ARCS = {
+    (1.5, -1000.0): (5.818717881446996e+144, 1332.8343747864008, 1.4131632952651304e+145),
+    (1.5, -2000.0): (3.3857477783871018e+289, 2666.167708119734, 8.222798535563776e+289),
+    (3.0, -1000.0): (2.412201874107347e+72, 1165.5192355852041, 5.36029514905155e+72),
+    (3.0, -2000.0): (5.818717881446996e+144, 2332.185902251871, 1.2930114004310668e+145),
+}
+
+
+def test_far_power_arcs_are_the_oracle():
+    p, lc = 3.0, -1000.0
+    r_max, log_dv, length = _FAR_POWER_ARCS[p, lc]
+    with mp.workdps(30):
+        assert float(mp.sqrt(mp.exp(lc) ** (-1 / mp.mpf(p)) - 1)) == r_max
+        dv, ln, _ = power_arc_oracle(p, (1 + mp.mpf(r_max) ** 2) ** -mp.mpf(p))
+        assert (float(mp.log(dv)), float(ln)) == pytest.approx((log_dv, length), rel=1e-14)
+
+
+def test_arcs_past_the_double_range_of_c_match_the_oracle():
+    # c = e^-1000 and e^-2000 are no doubles and delta_v is past the double
+    # range, but log c, log delta_v and the length are: each arc within the
+    # table's 1.89e-10 (1.37e-10 worst, p = 1.5 at log c = -2000, delta_v),
+    # and its solution's delta_v says OutOfRange, not inf
+    for (p, lc), (r_max, log_dv, length) in _FAR_POWER_ARCS.items():
+        m = HalfplaneMetric.from_warping(power_decay_h(p))
+        assert abs(m.log_h(r_max) - lc) <= 1e-12 * abs(lc)
+        errs = _rel_errs(delta_v_of_c(m, r_max), length_of_c(m, r_max), (log_dv, length))
+        assert max(errs) <= 1.89e-10, (p, lc)
+    sol = invert_arc(m, "length", length)
+    assert sol.length == pytest.approx(length, rel=1e-10)
+    assert sol.log_delta_v == pytest.approx(log_dv, rel=1e-12)
+    with pytest.raises(OutOfRange, match="past the double range"):
+        sol.delta_v
 
 
 def test_arcs_by_turning_radius_against_the_live_oracle():
     # at c' = h(r_max) in 30 digits: the table's rows hold there, and the
-    # pure 1/2 arc turning at r_max = 2 (c' = 1/sqrt(5)) is off by 2.2e-14,
-    # where the arc at the double c = 1/sqrt(5) is off by 3.0e-11 (its
-    # solved turning radius by 7.2e-14)
+    # pure 1/2 arc turning at r_max = 2 (c' = 1/sqrt(5)) is off by 2.2e-14
     for p, c in ((0.1, 0.1), (3.0, 1e-12)):
         r_max = _power_turning_radius(p, c)
         with mp.workdps(30):
             dv, length, _ = power_arc_oracle(p, (1 + mp.mpf(r_max) ** 2) ** -mp.mpf(p))
-        assert (float(dv), float(length)) == pytest.approx(_POWER_ARC_TABLE[p, c], rel=4e-15)
+            got = (float(mp.log(dv)), float(length))
+        assert got == pytest.approx(_POWER_ARC_TABLE[p, c], rel=4e-15)
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
     with mp.workdps(30):
         dv, length, _ = power_arc_oracle(0.5, 1 / mp.sqrt(5))
-    c = m.value(2.0)
-    assert delta_v_of_c(m, c, r_max=2.0) == pytest.approx(float(dv), rel=1e-13, abs=0)
-    assert length_of_c(m, c, r_max=2.0) == pytest.approx(float(length), rel=1e-13, abs=0)
-
-
-def test_arc_by_turning_radius_needs_c_at_it(pure_half_metric):
-    with pytest.raises(ValueError, match="is not h"):
-        delta_v_of_c(pure_half_metric, 0.5, r_max=2.0)
+    assert math.exp(delta_v_of_c(m, 2.0)) == pytest.approx(float(dv), rel=1e-13, abs=0)
+    assert length_of_c(m, 2.0) == pytest.approx(float(length), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("p, c, panels", [(0.1, 0.0755, 2), (0.15, 0.0443, 2), (0.6, 0.1, 1)])
@@ -283,15 +312,16 @@ def test_graded_panel_gives_the_knee_its_own_interval(monkeypatch, p, c, panels)
     monkeypatch.setattr(halfplane, "_quad_panel", spy)
     m = HalfplaneMetric.from_warping(power_decay_h(p))
     dv, length, _ = power_arc_oracle(p, c)
-    assert delta_v_of_c(m, c) == pytest.approx(float(dv), rel=1.89e-10)
-    assert length_of_c(m, c) == pytest.approx(float(length), rel=1.89e-10)
+    sol = clairaut_arc(m, c)
+    assert sol.delta_v == pytest.approx(float(dv), rel=1.89e-10)
+    assert sol.length == pytest.approx(float(length), rel=1.89e-10)
     assert len(spans) == 2 * panels
     assert spans[0][0] == 0.0 and spans[panels - 1][1] == 1.0
 
 
 # QK21 rules for delta_v and length of h = (1+r^2)^(-p) from the axis at 25
-# log-spaced c in [1e-12, 0.9] (50 arcs), with t = sqrt(r_max - r) on every
-# turning panel
+# log-spaced c in [1e-12, 0.9] (50 arcs, each turning at its solved r_max),
+# with t = sqrt(r_max - r) on every turning panel
 _T_MAP_RULES = {0.1: 706, 0.2: 552, 0.3: 530, 0.4: 498, 0.5: 50, 0.6: 266, 0.75: 74,
                 1.0: 50, 1.2: 54, 1.5: 50, 2.0: 88, 3.0: 132}
 
@@ -311,8 +341,7 @@ def test_graded_turning_map_needs_fewer_rules(monkeypatch):
         m = HalfplaneMetric.from_warping(power_decay_h(p))
         rules.clear()
         for c in np.geomspace(0.9, 1e-12, 25).tolist():
-            delta_v_of_c(m, c)
-            length_of_c(m, c)
+            clairaut_arc(m, c)
         assert len(rules) <= t_rules, p
         if p in (0.3, 0.6):
             assert 2 * len(rules) <= t_rules, p
@@ -336,9 +365,13 @@ def test_degenerate_arc_near_sup():
 
 def test_geodesic_solution_invariants():
     with pytest.raises(AssertionError):
-        GeodesicSolution(clairaut_c=0.5, r_max=10.0, delta_v=4.0, length=1.0)
+        GeodesicSolution(log_c=math.log(0.5), r_max=10.0, log_delta_v=math.log(4.0), length=1.0)
     with pytest.raises(AssertionError):
-        GeodesicSolution(clairaut_c=0.5, r_max=10.0, delta_v=1.0, length=19.0)
+        GeodesicSolution(log_c=math.log(0.5), r_max=10.0, log_delta_v=0.0, length=19.0)
+    # past the double range only delta_v itself is refused
+    far = GeodesicSolution(log_c=-2000.0, r_max=1e289, log_delta_v=2000.0, length=3e289)
+    with pytest.raises(OutOfRange, match="past the double range"):
+        far.delta_v
 
 
 def test_orbit_distance_basics(pure_half_metric):
@@ -375,7 +408,7 @@ def test_clairaut_lower_bound(pure_half_metric):
     for l in (3, 17, 211):
         d, sol = orbit_distance(pure_half_metric, l)
         assert sol is not None
-        assert d >= sol.delta_v * sol.clairaut_c * (1 - 1e-9)
+        assert d >= sol.delta_v * math.exp(sol.log_c) * (1 - 1e-9)
         assert d >= 2.0 * sol.r_max * (1 - 1e-9)
 
 
@@ -391,12 +424,13 @@ def test_delta_v_monotone_scan(pure_half_metric):
     assert verify_delta_v_monotone(pure_half_metric) is rows
     assert len(rows) == 200
     assert all(x1 > x0 and dv1 > dv0 for (x0, _, dv0), (x1, _, dv1) in zip(rows, rows[1:]))
-    # each row is the memoized arc turning at r_max = exp(x), c = h(r_max)
-    for x, r_max, dv in rows[::40]:
+    # each row is the memoized arc turning at r_max = exp(x), with its log
+    # delta_v, within 1e-10 of the arc at its c = h(r_max)
+    for x, r_max, log_dv in rows[::40]:
         assert r_max == math.exp(x)
+        assert delta_v_of_c(pure_half_metric, r_max) == log_dv
         c = pure_half_metric.value(r_max)
-        assert delta_v_of_c(pure_half_metric, c, r_max=r_max) == dv
-        assert delta_v_of_c(pure_half_metric, c) == pytest.approx(dv, rel=1e-10)
+        assert clairaut_arc(pure_half_metric, c).log_delta_v == pytest.approx(log_dv, abs=1e-10)
     # the first row turns where c is (1 - 1e-6) sup h
     assert pure_half_metric.value(rows[0][1]) == pytest.approx(1.0 - 1e-6, rel=1e-15)
 
@@ -422,7 +456,7 @@ def test_monotone_scan_is_kept_per_settings():
 
 def test_delta_v_values_decrease_in_c(pure_half_metric):
     cs = np.geomspace(0.9, 1e-3, 12)
-    dvs = [delta_v_of_c(pure_half_metric, float(c)) for c in cs]
+    dvs = [clairaut_arc(pure_half_metric, float(c)).delta_v for c in cs]
     assert all(b > a for a, b in zip(dvs, dvs[1:]))
 
 
@@ -463,7 +497,8 @@ def test_invert_arc_properties_pure(pure_half_metric, u, v):
     target = TWO_PI * l1
     sol = invert_arc(pure_half_metric, "delta_v", target)
     assert sol.delta_v == pytest.approx(target, rel=1e-10)
-    assert delta_v_of_c(pure_half_metric, sol.clairaut_c) == pytest.approx(target, rel=1e-10)
+    by_c = clairaut_arc(pure_half_metric, math.exp(sol.log_c))
+    assert by_c.delta_v == pytest.approx(target, rel=1e-10)
     d1, n1 = _delta_v_calls_per_distance(pure_half_metric, l1)
     d2, n2 = _delta_v_calls_per_distance(pure_half_metric, l2)
     assert d1 <= d2 if l1 < l2 else d1 == d2
@@ -480,7 +515,7 @@ def test_invert_arc_properties_osc_windows(osc_metric, osc_build, a, u, v):
     target = TWO_PI * l1
     sol = invert_arc(osc_metric, "delta_v", target)
     assert sol.delta_v == pytest.approx(target, rel=1e-10)
-    assert delta_v_of_c(osc_metric, sol.clairaut_c) == pytest.approx(target, rel=1e-10)
+    assert clairaut_arc(osc_metric, math.exp(sol.log_c)).delta_v == pytest.approx(target, rel=1e-10)
     d1, n1 = _delta_v_calls_per_distance(osc_metric, l1)
     d2, n2 = _delta_v_calls_per_distance(osc_metric, l2)
     assert d1 <= d2 if l1 < l2 else d1 == d2
@@ -504,7 +539,7 @@ def test_invert_arc_length_and_completion(pure_half_metric):
     # completed arc is the one clairaut_arc integrates at the same constant
     sol = invert_arc(pure_half_metric, "length", 300.0)
     assert sol.length == pytest.approx(300.0, rel=1e-10)
-    ref = clairaut_arc(pure_half_metric, sol.clairaut_c)
+    ref = clairaut_arc(pure_half_metric, math.exp(sol.log_c))
     assert sol.delta_v == pytest.approx(ref.delta_v, rel=1e-12)
     assert sol.r_max == pytest.approx(ref.r_max, rel=1e-12)
 
@@ -517,6 +552,36 @@ def test_invert_arc_unreachable_target():
         invert_arc(m, "delta_v", 1.0)
     with pytest.raises(KeyError):
         invert_arc(m, "area", 1.0)
+
+
+def _arcs_spent(monkeypatch):
+    """A list that gains one entry per arc quadrature from here on."""
+    arcs = []
+    real = halfplane._arc_quadrature
+    monkeypatch.setattr(halfplane, "_arc_quadrature", lambda *a: arcs.append(a[3]) or real(*a))
+    return arcs
+
+
+def test_newton_steps_know_the_axis_flattening(monkeypatch):
+    # from the axis, delta_v flattens to pi/sqrt(2p) where h'(0) = 0: the
+    # slope model's factor r^2/(1+r^2) walks to the lower clamp in 3 arcs
+    # (19 with the far-field slope alone), and d_1 of (1+r^2)^-0.1 costs 6 (8)
+    arcs = _arcs_spent(monkeypatch)
+    with pytest.raises(halfplane.TargetUnreachable) as e:
+        invert_arc(HalfplaneMetric.from_warping(power_decay_h(0.5)), "delta_v", 1.0)
+    assert e.value.overshoot and len(arcs) <= 4
+    arcs.clear()
+    m = HalfplaneMetric.from_warping(power_decay_h(0.1))
+    assert orbit_distance(m, 1, verify_monotone=False) == (TWO_PI, None)
+    assert len(arcs) <= 6
+    # exp(-r) has h'(0) = -1, so delta_v grows like sqrt(8 r_max) from the
+    # axis and the factor is 1/2 there, not r^2/(1+r^2): 5, 5, 7 and 9 arcs
+    # (10, 10, 9 and 10 with the far-field slope alone)
+    hyp = HalfplaneMetric.from_warping(exp_decay_h())
+    for target, budget in ((1e-4, 5), (1e-3, 5), (0.1, 7), (1.0, 9)):
+        arcs.clear()
+        assert invert_arc(hyp, "delta_v", target).delta_v == pytest.approx(target, rel=1e-10)
+        assert len(arcs) <= budget, target
 
 
 @pytest.mark.parametrize("model", ["pure", "osc"])
@@ -545,29 +610,29 @@ def test_axis_count_computes_d1_once_per_metric(monkeypatch):
     assert counts == sorted(counts) and counts[0] > 0
 
 
-# (model, turning radius aimed at, c, start, r_max, delta_v, length), the osc
+# (model, turning radius aimed at, c, start, r_max, log delta_v, length), the osc
 # rows with the exponent blends, and every row turning where the decay
 # exponent is below 3/4 (all pure rows; osc at 50, 1e39 and 1.3e38) with the
 # graded turning map; the comment says whether the turning panel reaches
 # past the Taylor switch (direct h evaluations too)
 _GOLDEN_ARCS = [
-    ('pure', 0.3, 0.9578262852211514, None, 0.2999999999999999, 3.2829643230013597, 3.279919022961933),  # Taylor and direct
-    ('pure', 2.0, 0.447213595499958, None, 2.000000000000144, 9.424777961056149, 7.024814731168974),  # Taylor and direct
-    ('pure', 1000.0, 0.0009999995000003752, None, 999.999999999997, 1570799.46838531, 3141.5942243834866),  # Taylor and direct
-    ('pure', 1000000000000.0, 1.000000000000001e-12, None, 999999999999.999, 1.5707963267955028e+24, 3141592653590.4),  # Taylor and direct
-    ('pure', 1e+25, 9.999999999999973e-26, None, 1.0000000000000027e+25, 1.5707963267932295e+50, 3.1415926535881258e+25),  # Taylor and direct
-    ('pure', 1000000.0, 9.999999999994996e-07, 10.0, 1000000.0000000688, 1570796326852.2014, 3141572.6536455275),  # Taylor and direct
-    ('osc', 50.0, 0.009143906676474417, None, 50.000000000000014, 7403.745746146224, 148.88149238078122),  # Taylor and direct
-    ('osc', 3000000.0, 2.850420866935207e-16, None, 3000000.0000000023, 7.820699154409958e+21, 7580387.551083382),  # Taylor and direct
-    ('osc', 1e+39, 1.584893192461124e-47, None, 9.999999999999969e+38, 8.540146581315443e+85, 2.977269213761116e+39),  # Taylor and direct
-    ('osc', 1000.0, 3.9814240280595185e-06, None, 999.999999999997, 152499047.56009328, 2428.6511319980164),  # Taylor and direct
-    ('osc', 1000000000.0, 2.5118864315095808e-22, None, 999999999.9999993, 2.95870207361776e+30, 2526854021.8308744),  # Taylor and direct
-    ('osc', 110.0, 0.0029632086992912167, None, 110.00000000001195, 31326.91196325693, 282.9952953554192),  # Taylor and direct
-    ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000023, 1.007641211800894e+20, 2190128.022582236),  # Taylor and direct
-    ('osc', 4500000000000.0, 4.317888450028927e-31, None, 4500000000000.43, 8.003762147790422e+42, 11466974869922.395),  # Taylor and direct
-    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 1.3845662737018523e+84, 4.393765002957202e+38),  # Taylor and direct
-    ('osc', 124.99885, 0.0020383527349256115, None, 124.99885000000197, 42102.7924635761, 308.8750498059949),  # Taylor only
-    ('osc', 1000000000.0, 2.5118864315095808e-22, 10000.0, 999999999.9999993, 2.95870207361776e+30, 2526834021.8308744),  # Taylor and direct
+    ('pure', 0.3, 0.9578262852211514, None, 0.2999999999999999, 1.1887467712661823, 3.279919022961933),  # Taylor and direct
+    ('pure', 2.0, 0.447213595499958, None, 2.000000000000144, 2.243342174517624, 7.02481473104121),  # Taylor and direct
+    ('pure', 1000.0, 0.0009999995000003752, None, 999.999999999997, 14.267095263251647, 3141.594224385599),  # Taylor and direct
+    ('pure', 1000000000000.0, 1.000000000000001e-12, None, 999999999999.999, 55.71362493714694, 3141592653590.4),  # Taylor and direct
+    ('pure', 1e+25, 9.999999999999973e-26, None, 1.0000000000000027e+25, 115.58083735499068, 3.1415926535881258e+25),  # Taylor and direct
+    ('pure', 1000000.0, 9.999999999994996e-07, 10.0, 1000000.0000000688, 28.08260382122042, 3141572.6535920193),  # Taylor and direct
+    ('osc', 50.0, 0.009143906676474417, None, 50.000000000000014, 8.909741333037065, 148.88149238078122),  # Taylor and direct
+    ('osc', 3000000.0, 2.850420866935207e-16, None, 3000000.0000000023, 50.411060909370484, 7580387.551083382),  # Taylor and direct
+    ('osc', 1e+39, 1.584893192461124e-47, None, 9.999999999999969e+38, 197.86451107623552, 2.977269213761116e+39),  # Taylor and direct
+    ('osc', 1000.0, 3.9814240280595185e-06, None, 999.999999999997, 18.842668908489333, 2428.6511320008594),  # Taylor and direct
+    ('osc', 1000000000.0, 2.5118864315095808e-22, None, 999999999.9999993, 70.16230347335043, 2526854021.8308744),  # Taylor and direct
+    ('osc', 110.0, 0.0029632086992912167, None, 110.00000000001195, 10.352232814209884, 282.9952953527497),  # Taylor and direct
+    ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000023, 46.059314025493116, 2190128.0225814967),  # Taylor and direct
+    ('osc', 4500000000000.0, 4.317888450028927e-31, None, 4500000000000.43, 98.78848560531225, 11466974869750.47),  # Taylor and direct
+    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 193.74253474231233, 4.393765002957202e+38),  # Taylor and direct
+    ('osc', 124.99885, 0.0020383527349256115, None, 124.99885000000197, 10.64786934675287, 308.8750498043638),  # Taylor only
+    ('osc', 1000000000.0, 2.5118864315095808e-22, 10000.0, 999999999.9999993, 70.16230347335043, 2526834021.8308744),  # Taylor and direct
 ]
 
 
@@ -584,22 +649,21 @@ def test_arc_integrals_golden_bits(golden_metrics):
     # standard model at 1e40, and across the pure alpha = 0.5 model: any bit
     # the quadrature integrands move fails here
     reached = set()
-    for name, r, c, start, r_max, dv, length in _GOLDEN_ARCS:
+    for name, r, c, start, r_max, log_dv, length in _GOLDEN_ARCS:
         m = golden_metrics[name]
         assert repr(m.value(r)) == repr(c)
         assert repr(solve_turning_point(m, c)) == repr(r_max), (name, r)
-        assert repr(delta_v_of_c(m, c, start)) == repr(dv), (name, r)
-        assert repr(length_of_c(m, c, start)) == repr(length), (name, r)
+        assert repr(delta_v_of_c(m, r_max, start)) == repr(log_dv), (name, r)
+        assert repr(length_of_c(m, r_max, start)) == repr(length), (name, r)
         a = m.domain_start if start is None else start
         panel = r_max - max([a] + [b for b in m.breakpoints if b < r_max])
-        reached.add(panel > halfplane.QuadSettings().taylor_frac * max(r_max, 1.0))
+        reached.add(panel > halfplane._TAYLOR_FRAC * max(r_max, 1.0))
     assert reached == {True, False}  # turning panels with and without direct h
 
 
 def _turning_point_by_loop(m, c):
     """Reference solve: the bracket grown from hi0 by factors of 4, reading
     log h afresh at every rung, then the same brentq as solve_turning_point."""
-    st = halfplane.QuadSettings()
     a = m.domain_start
     l_top = m.log_h(a)
     if not (0 < c and math.log(c) < l_top):
@@ -616,7 +680,7 @@ def _turning_point_by_loop(m, c):
         return halfplane.brentq(lambda r: m.log_h(r) - lc, lo, hi, xtol=1e-15, rtol=8.9e-16)
     lo = max(lo, hi / 8.0, 1e-300)
     s = halfplane.brentq(lambda s: m.log_h(math.exp(s)) - lc, math.log(lo) - 1e-9,
-                         math.log(hi) + 1e-9, xtol=st.turning_rel / 2, rtol=8.9e-16)
+                         math.log(hi) + 1e-9, xtol=halfplane._TURNING_REL / 2, rtol=8.9e-16)
     return math.exp(s)
 
 
@@ -651,17 +715,22 @@ def test_turning_point_rungs_match_the_loop(rung_metrics, which, u, j):
             _turning_point_by_loop, m, c)
 
 
-def test_quadrature_error_budget(golden_metrics):
+def test_quadrature_error_budget(memo_models, monkeypatch):
     # the osc arc at c = 0.002 turns at r = 125.8, on the B bridge just past
     # the first blend, and needs subdivision: one Kronrod rule per panel
     # leaves an error estimate (about 1.7e3 against 2.1e4) above the budget
-    # max(abs_floor, 100 rel_tol |total|)
-    m = golden_metrics["osc"]
-    with pytest.raises(halfplane.QuadratureFailure, match="estimated error"):
-        delta_v_of_c(m, 0.002, settings=halfplane.QuadSettings(limit=1))
-    assert delta_v_of_c(m, 0.002) == pytest.approx(42936.0867, rel=1e-9)
-    with pytest.raises(ValueError, match="Invalid 'limit' argument"):
-        delta_v_of_c(m, 0.002, settings=halfplane.QuadSettings(limit=0))
+    # max(abs floor, 100 rel_tol |total|); a fresh metric, so no stored arc
+    # answers first
+    m = memo_models[0][0]()
+    r_max = solve_turning_point(m, 0.002)
+    with monkeypatch.context() as patch:
+        patch.setattr(halfplane, "_LIMIT", 1)
+        with pytest.raises(halfplane.QuadratureFailure, match="estimated error"):
+            delta_v_of_c(m, r_max)
+        patch.setattr(halfplane, "_LIMIT", 0)
+        with pytest.raises(ValueError, match="Invalid 'limit' argument"):
+            delta_v_of_c(m, r_max)
+    assert math.exp(delta_v_of_c(m, r_max)) == pytest.approx(42936.0867, rel=1e-9)
 
 
 def test_capped_metric_never_answers_with_the_straight_loop(pure_half_metric):
@@ -722,7 +791,7 @@ def test_newton_phase_runs_only_for_targets_outside_the_scan():
                 orbit_distance(capped, l)
             except OutOfRange:
                 assert l == 10**7
-    outside = [t for t in targets if not rows[0][2] <= t <= rows[-1][2]]
+    outside = [t for t in targets if not rows[0][2] <= math.log(t) <= rows[-1][2]]
     assert newton_targets == outside == [TWO_PI * 0.4, TWO_PI * 10**7]
 
 
@@ -802,10 +871,10 @@ def memo_models():
     return makers, [make() for make in makers]  # the second list fills across examples
 
 
-def _arc_outcome(fn, m, c, start, st=None):
+def _arc_outcome(fn, m, r_max, start, st=None):
     try:
-        return fn(m, c, start, st).hex()
-    except (OutOfRange, halfplane.QuadratureFailure) as e:
+        return fn(m, r_max, start, st).hex()
+    except halfplane.QuadratureFailure as e:
         return str(e)
 
 
@@ -813,8 +882,8 @@ def _arc_outcome(fn, m, c, start, st=None):
 @given(which=st.integers(0, 2), u=st.floats(0.0, 1.0), start_frac=st.sampled_from([None, 0.25, 0.9]),
        dv=st.booleans())
 def test_arc_memo_hit_has_the_bits_of_a_fresh_metric(memo_models, which, u, start_frac, dv):
-    # c = h at a random radius; the start is the domain start, or a radius
-    # below the turning point as Grushin's equal-t arcs take it
+    # the arc turning at a random radius r; the start is the domain start,
+    # or a radius below the turning point as Grushin's equal-t arcs take it
     makers, shared = memo_models
     m = shared[which]
     top = 42.0 if which < 2 else 5.0
@@ -822,45 +891,46 @@ def test_arc_memo_hit_has_the_bits_of_a_fresh_metric(memo_models, which, u, star
     c = m.value(r)
     start = None if start_frac is None else start_frac * r
     fn = delta_v_of_c if dv else length_of_c
-    first = _arc_outcome(fn, m, c, start)
+    first = _arc_outcome(fn, m, r, start)
     computed = []
     quadrature = halfplane._arc_quadrature
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(halfplane, "_arc_quadrature", lambda *a: computed.append(a) or quadrature(*a))
-        again = _arc_outcome(fn, m, c, start)
+        again = _arc_outcome(fn, m, r, start)
     fresh = makers[which]()
-    assert again == first == _arc_outcome(fn, fresh, c, start)
+    assert again == first == _arc_outcome(fn, fresh, r, start)
     assert repr(solve_turning_point(m, c)) == repr(solve_turning_point(fresh, c))
     if first.startswith(("0x", "-0x")):
-        assert not computed  # a stored arc, or one with r_max <= start, integrates nothing
+        assert not computed  # a stored arc integrates nothing
 
 
 def test_arc_memo_keys_settings_start_and_quantity(memo_models):
-    # on the osc-1e40 metric at c = h(110), inside the first blend, a looser
-    # rel_tol moves the bits of both quantities; every settings object is a
-    # key of its own
+    # on the osc-1e40 metric, the arc turning at 110, inside the first blend:
+    # a looser rel_tol moves the bits of both quantities, equal settings
+    # share an entry, and no arc solves a turning point
     make = memo_models[0][0]
     m = make()
-    c = m.value(110.0)
-    coarse, loose_turn = halfplane.QuadSettings(rel_tol=1e-6), halfplane.QuadSettings(turning_rel=1e-9)
+    coarse, same = QuadSettings(rel_tol=1e-6), QuadSettings(rel_tol=1e-9)
     calls = [(delta_v_of_c, None, None), (delta_v_of_c, None, coarse), (delta_v_of_c, 5.0, None),
-             (delta_v_of_c, None, loose_turn), (length_of_c, None, None), (length_of_c, 5.0, coarse)]
-    got = [fn(m, c, start, st_) for fn, start, st_ in calls]
-    assert len(m._arcs) == len(calls) and len(m._turning) == 3
-    assert got[0] != got[1] and length_of_c(m, c, 5.0) != got[5]
+             (delta_v_of_c, None, same), (length_of_c, None, None), (length_of_c, 5.0, coarse)]
+    got = [fn(m, 110.0, start, st_) for fn, start, st_ in calls]
+    assert len(m._arcs) == len(calls) - 1 and not m._turning
+    assert got[0] != got[1] and got[3] == got[0] and length_of_c(m, 110.0, 5.0) != got[5]
     for (fn, start, st_), v in zip(calls, got):
-        assert fn(m, c, start, st_).hex() == v.hex() == fn(make(), c, start, st_).hex()
-    assert len(m._arcs) == len(calls) + 1  # length_of_c(m, c, 5.0) above
+        assert fn(m, 110.0, start, st_).hex() == v.hex() == fn(make(), 110.0, start, st_).hex()
+    assert len(m._arcs) == len(calls)  # length_of_c(m, 110.0, 5.0) above
 
 
-def test_arc_memo_stores_no_quadrature_failure(memo_models):
+def test_arc_memo_stores_no_quadrature_failure(memo_models, monkeypatch):
     # one Kronrod rule per panel leaves the osc arc at c = 0.002 above its
     # error budget (test_quadrature_error_budget): the failure is not stored
     make = memo_models[0][0]
     m = make()
-    one_rule = halfplane.QuadSettings(limit=1)
-    for _ in range(2):
-        with pytest.raises(halfplane.QuadratureFailure, match="estimated error"):
-            delta_v_of_c(m, 0.002, settings=one_rule)
-    assert all(key[2] != one_rule for key in m._arcs)
-    assert delta_v_of_c(m, 0.002).hex() == delta_v_of_c(make(), 0.002).hex()
+    r_max = solve_turning_point(m, 0.002)
+    with monkeypatch.context() as patch:
+        patch.setattr(halfplane, "_LIMIT", 1)
+        for _ in range(2):
+            with pytest.raises(halfplane.QuadratureFailure, match="estimated error"):
+                delta_v_of_c(m, r_max)
+        assert not m._arcs
+    assert delta_v_of_c(m, r_max).hex() == delta_v_of_c(make(), r_max).hex()
