@@ -243,3 +243,37 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
         "orbit_distances.csv": "e137e1818c53b45833fbea9cc0ac6fe5fda11d538c8fc2e6878c5f47c66f2503",
         "ricci_curve.csv": "81e35a6c43598a3e8819ca2e95b73a4fad92735ba8a09b2dfdd8094003b60bd0",
     }
+
+
+def test_pure_full_suite_and_growth_margins(tmp_path):
+    # every CSV byte of the pure 1/2 full suite from an empty cache, and the
+    # growth margins of both models to the last bit: the slope fits and the
+    # count constants read counts from the orbit metrics, which must not move
+    cfg = parse_config(None, {"mode": "full-suite", "alpha": 0.5, "outdir": str(tmp_path / "pure"),
+                              "cache_dir": str(tmp_path / "pure-cache")})
+    report = run(cfg)
+    assert not report.failed
+    out = tmp_path / "pure"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == {
+        "capacity.csv": "f99bf3c250952991137563ed0510570fd17c95bb556c073fa35d5f565ed31011",
+        "capacity_fit.csv": "74177c43885c7506d122532543c9c3247ffaff44e506356ec51664c95eb702bf",
+        "growth_curve.csv": "5a587a087daef953d9027bc99aae7bacf095f9e514ffc3000bdc8fcb8c60ebdb",
+        "grushin_convergence.csv":
+            "8272774a735c057019fb020b6267582c0bf8b61c179d89de2650a271f0555eb8",
+        "orbit_distances.csv": "eaf427a7a372f540787a993add9a10798c099affe36f639dffa629ca209ba716",
+        "ricci_curve.csv": "5574f3081bdf5aefe2da9b4db2eea56c357c836c08b1c5ec3c632dd4b2367d54",
+    }
+    margins = {c.name: repr(c.margin) for c in report.checks if c.name == "growth-slope"}
+    osc = parse_config(None, {"mode": "orbit-growth", **OSC, "radius_bound": 1e40,
+                              "outdir": str(tmp_path / "osc"),
+                              "cache_dir": str(tmp_path / "osc-cache")})
+    margins.update((c.name, repr(c.margin)) for c in run(osc).checks
+                   if c.name.endswith(("-growth-slope", "-count-constants")))
+    assert margins == {
+        "growth-slope": "1.9998751004601554",
+        "alpha-window-growth-slope": "2.1999999829949632",
+        "alpha-window-count-constants": "1.0000033349545558",
+        "beta-window-growth-slope": "3.4000000102871413",
+        "beta-window-count-constants": "1.0000002579569576",
+    }
