@@ -58,12 +58,7 @@ from .ladder import (
     ScaleLadder,
     build_scale_ladder,
 )
-from .orbits import (
-    GrowthWindow,
-    OrbitTable,
-    growth_slope,
-    orbit_count,
-)
+from .orbits import GrowthWindow, OrbitTable, growth_slope
 from .piecewise import PiecewiseH, build_piecewise_h
 from .smoothing import (
     NotCertified,
@@ -132,7 +127,6 @@ __all__ = [
     "invert_arc",
     "linear_f",
     "log_grid",
-    "orbit_count",
     "orbit_distance",
     "parse_config",
     "power_decay_h",

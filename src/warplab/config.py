@@ -3,7 +3,7 @@
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MODES = (
     "ricci-check",

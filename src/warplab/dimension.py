@@ -1,4 +1,5 @@
-"""Capacity, covering content, and box-dimension fits for orbit metrics.
+"""Orbit metrics, the one counting interface, with capacity, growth-constant,
+covering-content and box-dimension fits on them.
 
 An orbit of the integer deck group carries the translation-invariant
 metric rho(a, b) = d_{|a-b|} / scale with d nondecreasing and subadditive.
@@ -11,7 +12,8 @@ collapses the sweep to a constant index stride, which keeps capacities of
 astronomically large balls computable.
 
 Conventions: balls are closed (d <= R), separation is closed (d >= eps),
-matching the counting function #(R) = 2 max{l : d_l <= R} + 1.
+matching the counting function #(R) = 2 max{l : d_l <= R} + 1, which every
+count reads as 2 ball_index(R) + 1.
 """
 
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .halfplane import QuadSettings, axis_count_at_radius, invert_arc
+from .halfplane import axis_count_at_radius, invert_arc
 from .numerics import brentq  # noqa: F401  unused here; perfbench's probe test reads it
 from .orbits import INDEX_CAP, OrbitTable, max_index_at_most
 
@@ -110,24 +112,27 @@ class LinearOrbitMetric:
 
 
 class GeodesicOrbitMetric(LinearOrbitMetric):
-    """Orbit metric backed by halfplane geodesics, with ball indices and
-    separation strides found by turning-parameter inversion, so capacities
-    stay computable when threshold indices overflow any table."""
+    """Orbit metric of one OrbitTable: d_l from the table, ball indices and
+    separation strides by turning-parameter inversion on the table's metric
+    at the table's settings, so capacities stay computable when threshold
+    indices overflow any table.  A ball below the table's d_1 holds index 0
+    only, as in LinearOrbitMetric.ball_index, with no inversion."""
 
-    def __init__(self, metric, scale=1.0, settings=None, table=None):
-        self._metric = metric
-        self._table = table or OrbitTable(metric, settings=settings)
-        self._settings = settings or QuadSettings()
-        super().__init__(self._table.distance, scale=scale, l_max=None, validate=False)
+    def __init__(self, table: OrbitTable, scale=1.0):
+        self.table = table
+        super().__init__(table.distance, scale=scale, l_max=None, validate=False)
 
     def ball_index(self, R: float) -> int:
-        return int(axis_count_at_radius(self._metric, R * self.scale, settings=self._settings))
+        target = R * self.scale
+        if self.raw(1) > target:
+            return 0
+        return int(axis_count_at_radius(self.table.metric, target, settings=self.table.settings))
 
     def min_stride(self, eps: float) -> int:
         target = eps * self.scale
         if self.raw(1) >= target:
             return 1
-        sol = invert_arc(self._metric, "length", target, settings=self._settings)
+        sol = invert_arc(self.table.metric, "length", target, settings=self.table.settings)
         l_star = sol.delta_v / (2.0 * math.pi)
         g = max(int(math.floor(l_star - 1e-12)) + 1, 1)
         # the straight axis loop can undercut the arc only at small indices;

@@ -108,22 +108,27 @@ def _row_sweep(right, down, diag, src):
     Each pair of passes runs up the rows and back down; a row first takes
     its three edges from the row before it, then its scans.  A pair after
     which no node would fall by more than 1e-12 of its value ends the
-    solve; otherwise those nodes fall and another pair runs."""
+    solve; otherwise those nodes fall and another pair runs.  A row's
+    cumulative right weights are summed each time it scans, into one row
+    buffer, so the solve holds no node-sized array of them."""
     nr, nv = right.shape[0], right.shape[1] + 1
-    s = np.zeros((nr, nv))
-    np.cumsum(right, axis=1, out=s[:, 1:])
     dist = np.full((nr, nv), np.inf)
     dist[src] = 0.0
+    s = np.zeros(nv)
+
+    def scan(ir):
+        np.cumsum(right[ir], out=s[1:])
+        _scan_row(dist[ir], s)
 
     def take(ir, prev, gap):
         row, p, w = dist[ir], dist[prev], diag[gap]
         np.minimum(row, p + down[gap], out=row)
         np.minimum(row[1:], p[:-1] + w, out=row[1:])
         np.minimum(row[:-1], p[1:] + w, out=row[:-1])
-        _scan_row(row, s[ir])
+        scan(ir)
 
     for _ in range(_MAX_SWEEP_PAIRS):
-        _scan_row(dist[0], s[0])
+        scan(0)
         for ir in range(1, nr):
             take(ir, ir - 1, ir - 1)
         for ir in range(nr - 2, -1, -1):

@@ -134,7 +134,6 @@ class HalfplaneMetric:
         # the strict-decrease scan's rows by its settings, stored once the
         # scan passed
         self._scans = {}
-        self._d1 = {}  # QuadSettings -> d_1, for axis_count_at_radius
         # solve_turning_point's bracket search: log h at the domain start, and
         # the list of log h(hi0 * 4^j) for the rungs j read so far
         self._rungs = None
@@ -614,30 +613,18 @@ def orbit_distance(
     return sol.length, sol
 
 
-def note_d1(m: HalfplaneMetric, d1: float, settings: QuadSettings | None = None):
-    """Record d_1 of m at these settings, as an OrbitTable or its cache holds
-    it, so axis_count_at_radius reads it instead of solving it (and running
-    the strict-decrease scan for that solve); a delta_v inversion from the
-    domain start still runs the scan first."""
-    m._d1.setdefault(settings or QuadSettings(), d1)
-
-
 def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | None = None):
-    """max { l >= 0 : d_l <= R } via the turning-parameter inversion.
+    """max { l >= 0 : d_l <= R } via the turning-parameter inversion, for
+    R >= d_1 (dimension.GeodesicOrbitMetric answers 0 below its table's d_1).
 
     Arc length and delta_v both increase with the turning radius, so the
     threshold index is delta_v/(2 pi) of the arc of length R.  The straight
-    axis loop competes for small l; d_1 is solved once per metric and
-    settings, unless note_d1 recorded it.  OutOfRange where that arc turns
-    past the Newton clamp, or its delta_v is past the double range.
+    axis loop competes for small l.  OutOfRange where that arc turns past
+    the Newton clamp, or its delta_v is past the double range.
     """
     st = settings or QuadSettings()
     h0 = m.sup_h()
     n_straight = math.floor(R / (TWO_PI * h0) + 1e-12) if math.isfinite(h0) else 0
-    if st not in m._d1:
-        m._d1[st] = orbit_distance(m, 1, settings=st)[0]
-    if m._d1[st] > R:
-        return max(0, n_straight)
     try:
         sol = invert_arc(m, "length", R, settings=st)
     except TargetUnreachable as e:

@@ -1,9 +1,12 @@
-"""Deck-transformation orbit tables, counting, and growth-order fits.
+"""Deck-transformation orbit tables, growth windows, and growth-order fits.
 
 The deck group is the integers acting by v -> v + 2*pi*l on the halfplane
 reduction; d_l is the distance from an axis point to its l-th translate.
 Counting uses the closed-ball convention #(R) = 2 max{l : d_l <= R} + 1
-(identity plus both signs).
+(identity plus both signs), with max{l : d_l <= R} the ball index of an
+orbit metric of `dimension`: a GeodesicOrbitMetric over one OrbitTable
+inverts the turning parameter, a LinearOrbitMetric searches d_l through
+max_index_at_most.
 
 Window machinery: on a stretch where h(r) = (1+r^2)^(-a), minimizing the
 radial-out, wind-l-times, radial-back test loop 2r + 2*pi*l*h(r) at
@@ -23,7 +26,8 @@ and there the distance obeys the two-sided power law
     C1 = (2*pi/C(a))^(1/(2a)),      C2 = C(a).
 
 Counts at radius rho inside the corresponding distance window then grow
-like rho^(2a+1), which growth_slope fits on log-log samples.
+like rho^(2a+1), which growth_slope fits on log-log samples and
+dimension.fit_growth_constants bounds.
 """
 
 import math
@@ -32,13 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import OrbitCache
-from .halfplane import (
-    HalfplaneMetric,
-    QuadSettings,
-    axis_count_at_radius,
-    note_d1,
-    orbit_distance,
-)
+from .halfplane import HalfplaneMetric, QuadSettings, orbit_distance
 
 
 class WindowEmpty(ValueError):
@@ -90,8 +88,8 @@ class GrowthWindow:
 
 
 class OrbitTable:
-    """Memoized distances l -> (d_l, log c, r_max) for one model; the
-    table's d_1, loaded or solved, is the one axis counts on its metric read."""
+    """Memoized distances l -> (d_l, log c, r_max) for one metric at one
+    setting, loaded from and appended to an optional cache."""
 
     def __init__(self, metric: HalfplaneMetric, cache: OrbitCache | None = None,
                  settings: QuadSettings | None = None):
@@ -101,8 +99,6 @@ class OrbitTable:
         self.entries: dict = {}
         if cache is not None:
             self.entries.update(cache.load())
-        if 1 in self.entries:
-            note_d1(metric, self.entries[1][0], self.settings)
 
     def distance(self, l) -> float:
         l = abs(int(l)) if abs(l) < 2**53 else abs(l)
@@ -114,18 +110,9 @@ class OrbitTable:
         d, sol = orbit_distance(self.metric, l, settings=self.settings)
         rec = (d, sol.log_c, sol.r_max) if sol else (d, -math.inf, 0.0)
         self.entries[l] = rec
-        if l == 1:
-            note_d1(self.metric, d, self.settings)
         if self.cache is not None:
             self.cache.append(l, *rec)
         return d
-
-    def tabulate(self, ls):
-        return {int(l): self.distance(l) for l in ls}
-
-    def max_index_within(self, R: float) -> int:
-        """max{l : d_l <= R} on monotone d (see max_index_at_most)."""
-        return max_index_at_most(self.distance, R)
 
 
 def last_index_at_most(d, target, lo: int, hi: int) -> int:
@@ -187,20 +174,6 @@ def max_index_at_most(d, target, cap: int = INDEX_CAP) -> int:
     return last_index_at_most(d, target, lo, hi)
 
 
-def orbit_count(table: OrbitTable, R: float) -> int:
-    """#{g : d(g p, p) <= R} = 2 max{l >= 0 : d_l <= R} + 1, using d_{-l} = d_l."""
-    if R < 0:
-        return 0
-    return 2 * table.max_index_within(R) + 1
-
-
-def fast_orbit_count(metric: HalfplaneMetric, R: float, settings=None) -> float:
-    """Same count through the turning-parameter inversion; usable when the
-    threshold index is astronomically large.  Returns a float count."""
-    n = axis_count_at_radius(metric, R, settings=settings)
-    return 2.0 * n + 1.0
-
-
 @dataclass
 class SlopeFit:
     slope: float
@@ -209,28 +182,16 @@ class SlopeFit:
     samples: list = field(default_factory=list)  # (R, count)
 
 
-def growth_slope(
-    metric_or_table,
-    window: GrowthWindow,
-    samples: int = 14,
-    settings: QuadSettings | None = None,
-) -> SlopeFit:
-    """Least-squares slope of log #(R) vs log R across the window.
+def growth_slope(s, window: GrowthWindow, samples: int = 14) -> SlopeFit:
+    """Least-squares slope of log #(R) vs log R across the window, counting
+    #(R) = 2 s.ball_index(R) + 1 on the orbit metric s.
 
-    Requires at least 10 sample radii.  Accepts an OrbitTable (counting
-    by max_index_at_most) or a bare metric (fast inversion counting, needed
-    when indices overflow tabulation).
+    Requires at least 10 sample radii.
     """
     if samples < 10:
         raise ValueError("need >= 10 window samples")
     Rs = np.exp(np.linspace(math.log(window.lo), math.log(window.hi), samples))
-    pts = []
-    for R in Rs:
-        if isinstance(metric_or_table, OrbitTable):
-            cnt = float(orbit_count(metric_or_table, float(R)))
-        else:
-            cnt = fast_orbit_count(metric_or_table, float(R), settings=settings)
-        pts.append((float(R), cnt))
+    pts = [(float(R), float(2 * s.ball_index(float(R)) + 1)) for R in Rs]
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -238,24 +199,10 @@ def growth_slope(
     return SlopeFit(float(slope), float(intercept), resid, pts)
 
 
-def fit_count_constants(metric_or_table, k: float, R_lo: float, R_hi: float,
-                        samples: int = 24, settings=None):
-    """(c1, c2) = min/max of #(R)/R^k over log-spaced R in [R_lo, R_hi]."""
-    Rs = np.exp(np.linspace(math.log(R_lo), math.log(R_hi), samples))
-    ratios = []
-    for R in Rs:
-        if isinstance(metric_or_table, OrbitTable):
-            cnt = float(orbit_count(metric_or_table, float(R)))
-        else:
-            cnt = fast_orbit_count(metric_or_table, float(R), settings=settings)
-        ratios.append(cnt / float(R) ** k)
-    return min(ratios), max(ratios)
-
-
-def check_distance_sandwich(table_or_metric, a: float, S: float, n_samples: int = 25,
-                            settings=None):
+def check_distance_sandwich(d, a: float, S: float, n_samples: int = 25):
     """Sample indices log-spaced across the window of scale S and check
-    C1 l^(1/(2a+1)) <= d_l <= C2 l^(1/(2a+1)).  Returns (ok, rows)."""
+    C1 l^(1/(2a+1)) <= d(l) <= C2 l^(1/(2a+1)) for the distance callable
+    d, l -> d_l.  Returns (ok, rows)."""
     l_lo, l_hi = window_index_bounds(a, S)
     C1, C2 = sandwich_constants(a)
     e = 1.0 / (2.0 * a + 1.0)
@@ -264,13 +211,10 @@ def check_distance_sandwich(table_or_metric, a: float, S: float, n_samples: int 
     ok = True
     for lf in ls:
         l = math.floor(lf)
-        if isinstance(table_or_metric, OrbitTable):
-            d = table_or_metric.distance(l)
-        else:
-            d, _ = orbit_distance(table_or_metric, l, settings=settings)
+        d_l = d(l)
         lo = C1 * l**e
         hi = C2 * l**e
-        good = lo <= d <= hi
+        good = lo <= d_l <= hi
         ok = ok and good
-        rows.append((l, d, lo, hi, good))
+        rows.append((l, d_l, lo, hi, good))
     return ok, rows

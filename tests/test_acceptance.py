@@ -13,6 +13,7 @@ import pytest
 from warplab.christoffel import ricci_numeric_oracle
 from warplab.curvature import DoublyWarpedMetric, log_grid, ricci_positive_on_grid, ricci_report
 from warplab.dimension import (
+    GeodesicOrbitMetric,
     LinearOrbitMetric,
     box_dimension_fit,
     build_capacity_profile,
@@ -28,7 +29,6 @@ from warplab.orbits import (
     GrowthWindow,
     OrbitTable,
     check_distance_sandwich,
-    fit_count_constants,
     growth_slope,
 )
 from warplab.smoothing import (
@@ -131,12 +131,13 @@ def test_criterion_5_varying_growth_slopes(osc_metric, osc_windows):
     # 3.4 +- 0.3 at the period-1 middle-stretch scale; fitted count
     # constants stay finite
     S_alpha, S_beta = osc_windows
+    s = GeodesicOrbitMetric(OrbitTable(osc_metric))
     ok = True
     det = []
     for a, S, target in ((0.6, S_alpha, 2.2), (1.2, S_beta, 3.4)):
         w = GrowthWindow.for_stretch(a, S)
-        fit = growth_slope(osc_metric, w, samples=12)
-        c1, c2 = fit_count_constants(osc_metric, target, w.lo, w.hi, samples=10)
+        fit = growth_slope(s, w, samples=12)
+        c1, c2 = fit_growth_constants(s, target, (w.lo, w.hi), samples=10)
         good = abs(fit.slope - target) <= 0.3 and math.isfinite(c2 / c1) and c1 > 0
         ok = ok and good
         det.append(f"slope {fit.slope:.3f} (target {target}), c2/c1 {c2 / c1:.3f}")
@@ -148,10 +149,11 @@ def test_criterion_6_window_distance_bounds(osc_metric, osc_windows):
     # tabulated distances obey C1 l^(1/(2a+1)) <= d_l <= C2 l^(1/(2a+1))
     # with the closed-form window constants
     S_alpha, S_beta = osc_windows
+    table = OrbitTable(osc_metric)
     ok = True
     det = []
     for a, S in ((0.6, S_alpha), (1.2, S_beta)):
-        good, rows = check_distance_sandwich(osc_metric, a, S, n_samples=12)
+        good, rows = check_distance_sandwich(table.distance, a, S, n_samples=12)
         ok = ok and good
         margin = min(min(r[3] - r[1], r[1] - r[2]) / r[1] for r in rows)
         det.append(f"a={a}: 12 indices, margin {margin:.2%}")
@@ -161,7 +163,7 @@ def test_criterion_6_window_distance_bounds(osc_metric, osc_windows):
 @pytest.fixture(scope="module")
 def orbit_linear_metric(pure_half_metric):
     table = OrbitTable(pure_half_metric)
-    return LinearOrbitMetric(lambda l: table.distance(l), scale=1.0)
+    return LinearOrbitMetric(table.distance, scale=1.0)
 
 
 def test_criterion_7_capacity_sandwich_and_box_fit(orbit_linear_metric):

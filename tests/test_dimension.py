@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warplab import halfplane, orbits
+from warplab.cache import OrbitCache
 from warplab.dimension import (
     DegenerateRange,
+    GeodesicOrbitMetric,
     LinearOrbitMetric,
     MetricInvariantViolation,
     box_dimension_fit,
@@ -16,7 +19,9 @@ from warplab.dimension import (
     fit_growth_constants,
     hausdorff_content,
 )
-from warplab.orbits import last_index_at_most
+from warplab.halfplane import HalfplaneMetric
+from warplab.orbits import OrbitTable, last_index_at_most
+from warplab.warping import power_decay_h
 
 from .oracles import capacity_exhaustive, capacity_sweep, counting_chain_holds
 
@@ -152,22 +157,56 @@ def test_box_dimension_unit():
 
 
 def test_counting_chain_on_orbit_metric(pure_half_metric):
-    from warplab.dimension import GeodesicOrbitMetric
-
-    s = GeodesicOrbitMetric(pure_half_metric)
+    s = GeodesicOrbitMetric(OrbitTable(pure_half_metric))
     for R, lam in ((300.0, 40.0), (1500.0, 90.0), (5000.0, 600.0)):
         assert counting_chain_holds(s, R, lam)
+
+
+def test_ball_below_d1_inverts_no_arc(monkeypatch):
+    # the table's d_1 decides a ball below it: index 0, no length inversion
+    table = OrbitTable(HalfplaneMetric.from_warping(power_decay_h(0.5)))
+    s = GeodesicOrbitMetric(table)
+    d1 = table.distance(1)
+    calls = []
+    real = halfplane.invert_arc
+    monkeypatch.setattr(halfplane, "invert_arc",
+                        lambda *a, **k: calls.append(a[1:3]) or real(*a, **k))
+    assert [s.ball_index(R) for R in (0.5 * d1, math.nextafter(d1, 0.0))] == [0, 0]
+    assert calls == []
+    assert s.ball_index(d1) == 1 and len(calls) == 1
+
+
+def test_ball_index_reads_d1_from_the_table_cache(tmp_path, monkeypatch):
+    # a table that loaded d_1 from its cache counts with no distance solve and
+    # no strict-decrease scan; a distance from the domain start still runs
+    # the scan before its inversion
+    cache = OrbitCache.for_model({"family": "d1"}, str(tmp_path))
+    solved = GeodesicOrbitMetric(OrbitTable(HalfplaneMetric.from_warping(power_decay_h(0.5)),
+                                            cache=cache))
+    radii = (5.0, 40.0, 517.0)
+    counts = [solved.ball_index(R) for R in radii]
+
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    s = GeodesicOrbitMetric(OrbitTable(m, cache=cache))
+    calls = []
+    real = orbits.orbit_distance
+    monkeypatch.setattr(orbits, "orbit_distance",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    assert [s.ball_index(R) for R in radii] == counts
+    assert counts[0] == 0 < counts[1] and s.raw(1) > 5.0
+    assert calls == [] and m._scans == {}
+    halfplane.orbit_distance(m, 50)
+    assert len(m._scans) == 1
 
 
 def test_box_dimension_beta_window(osc_metric, osc_build):
     # the oscillating orbit viewed at the middle-stretch scale fits the
     # steeper growth order 1 + 2*beta
-    from warplab.dimension import GeodesicOrbitMetric
     from warplab.orbits import GrowthWindow
 
     ladder, _, _ = osc_build
     w = GrowthWindow.for_stretch(1.2, 2.0 * float(ladder.junctions[1]))  # R12
-    s = GeodesicOrbitMetric(osc_metric)
+    s = GeodesicOrbitMetric(OrbitTable(osc_metric))
     prof = build_capacity_profile(s, np.geomspace(w.lo * 3, w.hi / 3, 3), np.geomspace(3, 300, 6))
     slope = box_dimension_fit(prof)
     assert slope == pytest.approx(3.4, abs=0.3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from warplab import halfplane
+from warplab.dimension import GeodesicOrbitMetric, LinearOrbitMetric
 from warplab.halfplane import (
     DeltaVNotMonotone,
     GeodesicSolution,
@@ -587,27 +588,13 @@ def test_newton_steps_know_the_axis_flattening(monkeypatch):
 @pytest.mark.parametrize("model", ["pure", "osc"])
 def test_axis_count_matches_table_on_tabulated_scales(model, pure_half_metric, osc_metric):
     # radii between consecutive tabulated distances: the length inversion and
-    # the table's integer bisection name the same index
+    # the table's index search name the same index
     m = pure_half_metric if model == "pure" else osc_metric
     table = OrbitTable(m)
+    geodesic, linear = GeodesicOrbitMetric(table), LinearOrbitMetric(table.distance)
     for l in (2, 17, 250, 4000):
         R = math.sqrt(table.distance(l) * table.distance(l + 1))
-        assert halfplane.axis_count_at_radius(m, R) == table.max_index_within(R) == l
-
-
-def test_axis_count_computes_d1_once_per_metric(monkeypatch):
-    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
-    calls = []
-    real = halfplane.orbit_distance
-
-    def spy(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(halfplane, "orbit_distance", spy)
-    counts = [halfplane.axis_count_at_radius(m, R) for R in (40.0, 123.0, 517.0)]
-    assert calls == [1]
-    assert counts == sorted(counts) and counts[0] > 0
+        assert geodesic.ball_index(R) == linear.ball_index(R) == l
 
 
 # (model, turning radius aimed at, c, start, r_max, log delta_v, length), the osc

@@ -1,25 +1,19 @@
 import math
-import os
 
-import numpy as np
 import pytest
 
 from warplab.cache import OrbitCache, model_hash
-from warplab.halfplane import HalfplaneMetric
+from warplab.dimension import GeodesicOrbitMetric, LinearOrbitMetric, fit_growth_constants
 from warplab.orbits import (
     GrowthWindow,
     OrbitTable,
     WindowEmpty,
     check_distance_sandwich,
-    fast_orbit_count,
-    fit_count_constants,
     growth_slope,
     loop_cost_coefficient,
-    orbit_count,
     sandwich_constants,
     window_index_bounds,
 )
-from warplab.warping import power_decay_h
 
 
 def test_loop_coefficient_frozen():
@@ -42,42 +36,39 @@ def test_window_bounds_and_constants():
 
 
 def test_orbit_table_and_count(pure_half_metric):
+    # both orbit metrics over one table: the closed ball includes its
+    # boundary, half of d_1 and negative radii hold index 0 only
     table = OrbitTable(pure_half_metric)
-    d5 = table.distance(5)
-    assert orbit_count(table, d5) == 11  # closed ball includes the boundary
-    d1 = table.distance(1)
-    assert orbit_count(table, 0.5 * d1) == 1
-    assert orbit_count(table, -1.0) == 0
-    # symmetric count at a generic radius
-    R = 123.0
-    n = table.max_index_within(R)
-    assert table.distance(n) <= R < table.distance(n + 1)
-    assert orbit_count(table, R) == 2 * n + 1
+    for s in (LinearOrbitMetric(table.distance), GeodesicOrbitMetric(table)):
+        assert s.ball_index(table.distance(5)) == 5
+        assert s.ball_index(0.5 * table.distance(1)) == 0
+        assert s.ball_index(-1.0) == 0
+        n = s.ball_index(123.0)
+        assert table.distance(n) <= 123.0 < table.distance(n + 1)
 
 
 def test_fast_count_matches_table(pure_half_metric):
+    # the length inversion and the table's index search name the same index
     table = OrbitTable(pure_half_metric)
+    geodesic, linear = GeodesicOrbitMetric(table), LinearOrbitMetric(table.distance)
     for R in (40.0, 123.0, 517.0):
-        assert fast_orbit_count(pure_half_metric, R) == float(orbit_count(table, R))
+        assert geodesic.ball_index(R) == linear.ball_index(R)
 
 
 def test_growth_slope_pure(pure_half_metric):
-    fit = growth_slope(pure_half_metric, GrowthWindow(1e2, 1e4, 0.5, float("nan")), samples=12)
+    s = GeodesicOrbitMetric(OrbitTable(pure_half_metric))
+    fit = growth_slope(s, GrowthWindow(1e2, 1e4, 0.5, float("nan")), samples=12)
     assert fit.slope == pytest.approx(2.0, abs=0.15)
     assert fit.residual < 0.05
+    assert all(c == 2 * s.ball_index(R) + 1 for R, c in fit.samples)
     with pytest.raises(ValueError):
-        growth_slope(pure_half_metric, GrowthWindow(1e2, 1e4, 0.5, float("nan")), samples=8)
+        growth_slope(s, GrowthWindow(1e2, 1e4, 0.5, float("nan")), samples=8)
 
 
-def test_fit_count_constants_linear_table():
+def test_growth_constants_linear_table():
     # d_l = l: counts 2 floor(R) + 1, so #(R)/R within [1, 3] on R >= 1
-    from warplab.dimension import LinearOrbitMetric
-
-    s = LinearOrbitMetric(lambda l: float(l))
-    c1, c2 = (
-        min((2 * s.ball_index(R) + 1) / R for R in np.geomspace(1, 100, 40)),
-        max((2 * s.ball_index(R) + 1) / R for R in np.geomspace(1, 100, 40)),
-    )
+    c1, c2 = fit_growth_constants(LinearOrbitMetric(lambda l: float(l)), 1.0, (1.0, 100.0),
+                                  samples=40)
     assert 1.0 <= c1 <= c2 <= 3.0
 
 
@@ -86,7 +77,8 @@ def test_distance_sandwich_pure_large_l(pure_half_metric):
     # holds across the S = 200 window
     with pytest.raises(WindowEmpty):
         window_index_bounds(0.5, 30.0)
-    ok, rows = check_distance_sandwich(pure_half_metric, 0.5, 200.0, n_samples=6)
+    ok, rows = check_distance_sandwich(OrbitTable(pure_half_metric).distance, 0.5, 200.0,
+                                       n_samples=6)
     assert ok, rows
 
 
@@ -125,27 +117,3 @@ def test_oscillating_distances_monotone_subadditive(osc_metric):
         assert d[a] <= d[b] * (1 + 1e-9)
     for a, b in ((1, 2), (2, 3), (3, 5), (5, 8)):
         assert d[a + b] <= d[a] + d[b] + 1e-9 * (d[a] + d[b])
-
-
-def test_axis_count_reads_d1_from_the_orbit_table(tmp_path, monkeypatch):
-    # a table that loads d_1 from its cache hands it to axis counts on its
-    # metric: no d_1 solve and no strict-decrease scan for it; a distance
-    # from the domain start still runs the scan before its inversion
-    from warplab import halfplane
-
-    cache = OrbitCache.for_model({"family": "d1"}, str(tmp_path))
-    solved = HalfplaneMetric.from_warping(power_decay_h(0.5))
-    d1 = OrbitTable(solved, cache=cache).distance(1)
-    counts = [halfplane.axis_count_at_radius(solved, R) for R in (5.0, 40.0, 517.0)]
-
-    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
-    OrbitTable(m, cache=cache)
-    calls = []
-    real = halfplane.orbit_distance
-    monkeypatch.setattr(halfplane, "orbit_distance",
-                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-    assert [halfplane.axis_count_at_radius(m, R) for R in (5.0, 40.0, 517.0)] == counts
-    assert counts[0] == 0 < counts[1] and d1 > 5.0
-    assert calls == [] and m._scans == {}
-    halfplane.orbit_distance(m, 50)
-    assert len(m._scans) == 1
