@@ -231,7 +231,8 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport):
         # pure model: distance sandwich on the asymptotic stretch plus a slope fit
         table = OrbitTable(metric, cache=_pure_cache(cfg), settings=st)
         a = cfg.alpha
-        ls = np.unique(np.round(np.exp(np.linspace(math.log(81), math.log(1e5), 40))).astype(int))
+        ls = np.round(np.exp(np.linspace(math.log(81), math.log(1e5), 40))).astype(int)
+        ls = sorted(set(ls.tolist()))  # np.unique would import numpy.ma, about 1 MB
         e = 1.0 / (1.0 + 2.0 * a)
         C_low = 2.0 * 9.0 ** (-1.0 / (2.0 * a))
         rows = []
