@@ -3,7 +3,7 @@ import math
 import pytest
 
 from warplab.cache import OrbitCache, model_hash
-from warplab.dimension import GeodesicOrbitMetric, LinearOrbitMetric
+from warplab.dimension import GeodesicOrbitMetric, LinearOrbitMetric, fit_growth_constants
 from warplab.orbits import (
     GrowthWindow,
     OrbitTable,
@@ -63,6 +63,13 @@ def test_growth_slope_pure(pure_half_metric):
     assert all(c == 2 * s.ball_index(R) + 1 for R, c in fit.samples)
     with pytest.raises(ValueError):
         growth_slope(s, GrowthWindow(1e2, 1e4, 0.5, float("nan")), samples=8)
+
+
+def test_fit_count_constants_linear_table():
+    # d_l = l: counts 2 floor(R) + 1, so #(R)/R within [1, 3] on R >= 1
+    c1, c2 = fit_growth_constants(LinearOrbitMetric(lambda l: float(l)), 1.0, (1.0, 100.0),
+                                  samples=40)
+    assert 1.0 <= c1 <= c2 <= 3.0
 
 
 def test_distance_sandwich_pure_large_l(pure_half_metric):
