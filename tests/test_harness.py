@@ -155,6 +155,43 @@ def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, 
     assert files[0] != files[1] and sorted(os.listdir(cache_dir)) == files
 
 
+def test_quad_rel_tol_reaches_every_arc_step(tmp_path, cache_dir, monkeypatch):
+    # every quadrature panel of an oscillating full suite runs at the
+    # configured arc tolerance, and each step that integrates arcs (orbit
+    # growth, capacity, grushin) makes some of those calls
+    from warplab import halfplane, harness
+
+    epsrels = {}
+    step = [None]
+    real_quad = halfplane.quad
+
+    def quad_spy(*args, **kwargs):
+        epsrels.setdefault(step[0], []).append(kwargs["epsrel"])
+        return real_quad(*args, **kwargs)
+
+    def attributed(name):
+        real_step = getattr(harness, name)
+
+        def wrapped(*args, **kwargs):
+            step[0] = name
+            try:
+                return real_step(*args, **kwargs)
+            finally:
+                step[0] = None
+        return wrapped
+
+    monkeypatch.setattr(halfplane, "quad", quad_spy)
+    names = ("_run_orbit_growth", "_run_capacity", "_run_grushin")
+    for name in names:
+        monkeypatch.setattr(harness, name, attributed(name))
+    cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
+                              "quad_rel_tol": 1e-8, "outdir": str(tmp_path),
+                              "cache_dir": cache_dir})
+    run(cfg)
+    assert set(epsrels) == set(names)
+    assert all(set(tols) == {1e-8} for tols in epsrels.values())
+
+
 def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # distances from the domain start bracket between the monotonicity
     # scan's rows; every inversion searches the turning radius itself, so
