@@ -5,9 +5,9 @@ coordinates (r, theta_1..theta_k, phi) at a generic sphere point, forms
 Christoffel symbols and the Ricci tensor from second-order central divided
 differences of the metric components, and returns the three principal
 values.  This path shares no formula and no differentiation machinery with
-the jet-based closed forms of `curvature`, which is the whole point:
-agreement between the two is the certificate for the closed-form
-expressions.
+the closed forms of `curvature`, which read the closed-form frames of f
+and h (h's exponent frame log h, p, p_y): agreement between the two is the
+whole point, the certificate for the closed-form expressions.
 
 The round factor ds_k^2 is written in nested spherical coordinates,
 g_{theta_i theta_i} = prod_{j<i} sin^2(theta_j), so all metric components

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass
 
 MODES = (
@@ -102,18 +103,41 @@ class RunConfig:
             fh.write("\n")
 
 
-_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_WANT = {float: "a number", int: "an integer", str: "a string", tuple: "a list of numbers"}
+
+
+def _is_number(x, kind) -> bool:
+    # JSON true/false are Python bools, which are ints
+    return not isinstance(x, bool) and isinstance(x, int if kind is int else (int, float))
+
+
+def _check_type(key, value):
+    """ConfigError unless value fits RunConfig's field `key`: a float field
+    takes any number, an int field an int, none takes a bool, None only an
+    optional field, and lambda_ladder a list of numbers."""
+    kinds = typing.get_args(_FIELDS[key]) or (_FIELDS[key],)
+    kind = kinds[0]
+    if value is None:
+        ok = type(None) in kinds
+    elif kind is tuple:
+        ok = isinstance(value, (list, tuple)) and all(_is_number(x, float) for x in value)
+    elif kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = _is_number(value, kind)
+    if not ok:
+        raise ConfigError(key, f"must be {_WANT[kind]}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - _FIELDS
+    unknown = set(data) - set(_FIELDS)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown key")
     if "mode" not in data:
         raise ConfigError("mode", "required")
-    if "lambda_ladder" in data and data["lambda_ladder"] is not None:
-        data = dict(data)
-        data["lambda_ladder"] = tuple(data["lambda_ladder"])
+    for key, value in data.items():
+        _check_type(key, value)
     return RunConfig(**data)
 
 

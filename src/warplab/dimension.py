@@ -113,9 +113,9 @@ class LinearOrbitMetric:
 
 class GeodesicOrbitMetric(LinearOrbitMetric):
     """Orbit metric of one OrbitTable: d_l from the table, ball indices and
-    separation strides by turning-parameter inversion on the table's metric
-    at the table's settings, so capacities stay computable when threshold
-    indices overflow any table.  A ball below the table's d_1 holds index 0
+    separation strides by turning-parameter inversion on the table's metric,
+    at that metric's arc tolerance, so capacities stay computable when
+    threshold indices overflow any table.  A ball below the table's d_1 holds index 0
     only, as in LinearOrbitMetric.ball_index, with no inversion."""
 
     def __init__(self, table: OrbitTable, scale=1.0):
@@ -126,13 +126,13 @@ class GeodesicOrbitMetric(LinearOrbitMetric):
         target = R * self.scale
         if self.raw(1) > target:
             return 0
-        return int(axis_count_at_radius(self.table.metric, target, settings=self.table.settings))
+        return int(axis_count_at_radius(self.table.metric, target))
 
     def min_stride(self, eps: float) -> int:
         target = eps * self.scale
         if self.raw(1) >= target:
             return 1
-        sol = invert_arc(self.table.metric, "length", target, settings=self.table.settings)
+        sol = invert_arc(self.table.metric, "length", target)
         l_star = sol.delta_v / (2.0 * math.pi)
         g = max(int(math.floor(l_star - 1e-12)) + 1, 1)
         # the straight axis loop can undercut the arc only at small indices;

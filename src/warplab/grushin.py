@@ -13,7 +13,9 @@ so the coefficient error is one-sided and monotone.
 Closeness is measured as the max relative distance error on a probe set
 of supported pair classes: equal-w pairs (radial, exactly |t1-t2| in both
 metrics) and equal-t pairs (symmetric Clairaut arcs started at t, not 0).
-General pairs go to the grid oracle under an explicit budget.
+General pairs go to the grid oracle under an explicit budget.  Both sides
+of a comparison integrate their arcs at one tolerance, the rel_tol of
+GrushinMetric and of RescaledModel.build, which each hands its halfplane.
 """
 
 import math
@@ -38,6 +40,7 @@ class WindowTooNarrow(ValueError):
 @dataclass(frozen=True)
 class GrushinMetric:
     alpha: float
+    rel_tol: float = 1e-9  # the arc tolerance of its halfplane
 
     def __post_init__(self):
         if self.alpha < 0.5:
@@ -45,7 +48,7 @@ class GrushinMetric:
 
     def halfplane(self, t_floor: float = 1e-3) -> HalfplaneMetric:
         return HalfplaneMetric.from_warping(
-            grushin_h(self.alpha), domain_start=t_floor, r_cap=1e290
+            grushin_h(self.alpha), domain_start=t_floor, r_cap=1e290, rel_tol=self.rel_tol
         )
 
 
@@ -53,23 +56,25 @@ class GrushinMetric:
 class RescaledModel:
     """The cover metric viewed at scale lambda in a fixed decay regime: the
     halfplane of h_eff(t) = lambda^(2a) h_s(lambda t), read through sm's
-    log reader and frames by the chain rule."""
+    log reader and frames by the chain rule, with arcs at rel_tol."""
 
     lam: float
     exponent: float  # decay exponent of the regime being compared
     window: tuple  # (t_lo, t_hi): image of the pure stretch under t = r/lambda
     sm: SmoothedH = field(repr=False)
+    rel_tol: float = 1e-9
     halfplane: HalfplaneMetric = field(init=False, repr=False)
 
     def __post_init__(self):
         self._log_scale = 2.0 * self.exponent * math.log(self.lam)
         self.halfplane = HalfplaneMetric(self, label=f"rescaled(lam={self.lam:g})",
-                                         domain_start=0.0, r_cap=1e290)
+                                         domain_start=0.0, r_cap=1e290, rel_tol=self.rel_tol)
 
     @staticmethod
-    def build(sm: SmoothedH, lam: float, exponent: float, stretch: tuple) -> "RescaledModel":
+    def build(sm: SmoothedH, lam: float, exponent: float, stretch: tuple,
+              rel_tol: float = 1e-9) -> "RescaledModel":
         lo, hi = stretch
-        return RescaledModel(float(lam), exponent, (lo / lam, hi / lam), sm)
+        return RescaledModel(float(lam), exponent, (lo / lam, hi / lam), sm, rel_tol)
 
     def log_h(self, t) -> float:
         """log h_eff at a double t."""
@@ -88,14 +93,14 @@ class RescaledModel:
                       k * (k * fr.p_y + fr.p * (il2 - 1.0) / den))
 
 
-def _equal_t_distance(m: HalfplaneMetric, t: float, dw: float, settings=None):
+def _equal_t_distance(m: HalfplaneMetric, t: float, dw: float):
     """Symmetric arc between (t, w) and (t, w + dw), the arc from t with
     delta_v = |dw|: its length and turning radius."""
     dw = abs(float(dw))
     if dw == 0:
         return 0.0, t
     try:
-        sol = invert_arc(m, "delta_v", dw, start=t, settings=settings)
+        sol = invert_arc(m, "delta_v", dw, start=t)
     except TargetUnreachable as e:
         raise UnsupportedPair(f"cannot reach dw={dw} from t={t}") from e
     return sol.length, sol.r_max
@@ -105,7 +110,6 @@ def halfplane_distance(
     m: HalfplaneMetric,
     p1,
     p2,
-    settings=None,
     oracle_budget: int | None = None,
     oracle_r_hi: float | None = None,
 ):
@@ -122,7 +126,7 @@ def halfplane_distance(
     if w1 == w2:
         return abs(t1 - t2), {"class": "radial"}
     if t1 == t2:
-        d, r_max = _equal_t_distance(m, float(t1), w2 - w1, settings=settings)
+        d, r_max = _equal_t_distance(m, float(t1), w2 - w1)
         return d, {"class": "equal-t", "r_max": r_max}
     if oracle_budget is None:
         raise UnsupportedPair(f"general pair {p1}-{p2} without an oracle budget")
@@ -201,10 +205,11 @@ def convergence_report(
     lambdas,
     n_pairs: int = 20,
     seed: int = 1,
-    tol_settings=None,
+    rel_tol: float = 1e-9,
 ) -> ComparisonReport:
     """Max relative distance error against the Grushin target per rescaling
-    factor, on a fixed probe set; the trend flag allows 10% noise.
+    factor, on a fixed probe set, with every arc of both sides at rel_tol;
+    the trend flag allows 10% noise.
 
     Probe pairs whose comparison arc leaves the stretch image are excluded
     and recorded, not counted.
@@ -220,25 +225,25 @@ def convergence_report(
         )
     rng = np.random.default_rng(seed)
     pairs = probe_pairs(rng, n_pairs)
-    target = GrushinMetric(exponent)
+    target = GrushinMetric(exponent, rel_tol)
     target_d = {}
     for p in pairs:
         try:
-            target_d[p] = grushin_distance(target, *p, settings=tol_settings)[0]
+            target_d[p] = grushin_distance(target, *p)[0]
         except (UnsupportedPair, OutOfRange):
             target_d[p] = None
 
     errs = []
     excluded = []
     for lam in usable:
-        model = RescaledModel.build(sm, lam, exponent, stretch)
+        model = RescaledModel.build(sm, lam, exponent, stretch, rel_tol)
         worst = 0.0
         for p in pairs:
             dt = target_d[p]
             if dt is None or dt == 0.0:
                 continue
             try:
-                dm, info = rescaled_distance(model, *p, settings=tol_settings)
+                dm, info = rescaled_distance(model, *p)
             except (UnsupportedPair, OutOfRange):
                 excluded.append((lam, p))
                 continue
@@ -252,17 +257,17 @@ def convergence_report(
     return ComparisonReport(usable, errs, trend, excluded)
 
 
-def self_similarity_error(g: GrushinMetric, pairs, factor: float = 2.0, settings=None) -> float:
+def self_similarity_error(g: GrushinMetric, pairs, factor: float = 2.0) -> float:
     """Grushin cone property: d(s.p1, s.p2) = s d(p1, p2) under
     (t, w) -> (s t, s^(1+2a) w).  Returns the max relative mismatch."""
     a = g.alpha
     s = factor
     worst = 0.0
     for p1, p2 in pairs:
-        d1 = grushin_distance(g, p1, p2, settings=settings)[0]
+        d1 = grushin_distance(g, p1, p2)[0]
         q1 = (s * p1[0], s ** (1.0 + 2.0 * a) * p1[1])
         q2 = (s * p2[0], s ** (1.0 + 2.0 * a) * p2[1])
-        d2 = grushin_distance(g, q1, q2, settings=settings)[0]
+        d2 = grushin_distance(g, q1, q2)[0]
         if d1 > 0:
             worst = max(worst, abs(d2 - s * d1) / (s * d1))
     return worst

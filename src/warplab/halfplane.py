@@ -26,8 +26,9 @@ p of h at r_max is at least 3/4, else by the graded w in [0, 1] with
 L = r_max - a, whose cubic start lifts the branch point (T - t)^(4p) of a
 stretch h ~ r^(-2p) to order about 12p + 2.  Close to r_max log h - log c
 comes from a second-order Taylor model with p and p_y of the frame there.
-Each panel runs through the in-repo QAGS of `numerics` (relative 1e-9,
-absolute floor 1e-12 on the quantity, 0 on I past the double range of c).
+Each panel runs through the in-repo QAGS of `numerics` (relative
+HalfplaneMetric.rel_tol, 1e-9 by default, absolute floor 1e-12 on the
+quantity, 0 on I past the double range of c).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
 translate (period 2*pi in v) solve delta_v = 2*pi*l; counts and strides
@@ -77,7 +78,7 @@ _GRADED_BELOW = 0.75 - 1e-9
 # arc against the 30-digit oracle (1,440 arcs, p in [0.05, 0.72]), without
 # and with it: p = 0.1 8.8e-10 -> 1.1e-10, 0.15 2.2e-10 -> 3.8e-11,
 # 0.25 1.4e-10 -> 5.5e-11, others unchanged.  From p = 0.44 on the share
-# stays below 1e-11, so the default settings never split there.
+# stays below 1e-11, so a metric at the default rel_tol never splits there.
 _KNEE_BELOW = 1e-4
 # the strict-decrease scan's number of c samples, and how far below sup h it starts
 _SCAN_N = 200
@@ -106,22 +107,18 @@ class DeltaVNotMonotone(RuntimeError):
     """delta_v(c) failed the per-model strict-decrease scan."""
 
 
-@dataclass(frozen=True)
-class QuadSettings:
-    """The one arc setting; RunConfig.model_payload() keys caches by it."""
-
-    rel_tol: float = 1e-9
-
-
 class HalfplaneMetric:
     """Positive strictly decreasing circle coefficient on [start, r_cap].
 
     h is read in log form: h.log_h(r) at a double r, and h.frame(r), the
     exponent frame at a double or a float64 array of radii (a SmoothedH, a
-    WarpingFunction with a log reader, or a RescaledModel).
+    WarpingFunction with a log reader, or a RescaledModel).  rel_tol is the
+    relative tolerance of every arc quadrature on this metric, the one arc
+    setting a run sets (RunConfig.quad_rel_tol, a cache key).
     """
 
-    def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=()):
+    def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=(),
+                 rel_tol=1e-9):
         if getattr(h, "log_h", None) is None:
             raise ValueError(f"{label} has no log reader")
         self.log_h = h.log_h  # double r -> log h(r)
@@ -131,15 +128,15 @@ class HalfplaneMetric:
         self.domain_start = float(domain_start)
         self.r_cap = float(r_cap)
         self.breakpoints = sorted(float(b) for b in breakpoints)
-        # the strict-decrease scan's rows by its settings, stored once the
-        # scan passed
-        self._scans = {}
+        self.rel_tol = float(rel_tol)
+        # the strict-decrease scan's rows, stored once the scan passed
+        self._scan = None
         # solve_turning_point's bracket search: log h at the domain start, and
         # the list of log h(hi0 * 4^j) for the rungs j read so far
         self._rungs = None
-        # turning radii by c and arc integrals by (r_max, start, settings,
-        # dv): each is a deterministic function of its key on this metric, so
-        # a stored number has the bits a new solve would give
+        # turning radii by c and arc integrals by (r_max, start, dv): each is
+        # a deterministic function of its key on this metric, so a stored
+        # number has the bits a new solve would give
         self._turning = {}
         self._arcs = {}
         self._taylor = {}  # turning radius -> _turning_model there
@@ -262,15 +259,15 @@ def _arc_panels(m, start, r_max):
     return out
 
 
-def _quad_panel(f, a, b, st, floor):
+def _quad_panel(f, a, b, rel_tol, floor):
     # the in-repo QAGS (numerics.quad); full_output returns QUADPACK's
     # message instead of warning, and the caller enforces its own error
     # budget on the summed abserr
-    out = quad(f, a, b, epsabs=floor, epsrel=st.rel_tol, limit=_LIMIT, full_output=1)
+    out = quad(f, a, b, epsabs=floor, epsrel=rel_tol, limit=_LIMIT, full_output=1)
     return out[0], out[1]
 
 
-def _integrate_arc(m, r_max, start, settings, dv):
+def _integrate_arc(m, r_max, start, dv):
     """log delta_v (dv) or length of the arc from start turning at r_max,
     memoized, by panelled quadrature of rho^2/sqrt(1 - rho^2) or
     1/sqrt(1 - rho^2) with log c = log h(r_max).
@@ -279,15 +276,14 @@ def _integrate_arc(m, r_max, start, settings, dv):
     r_max - delta rounds back to r_max; a graded panel that squeezes h's
     scale at its start below _KNEE_BELOW integrates that stretch apart.
     """
-    st = settings or QuadSettings()
     start = m.domain_start if start is None else float(start)
     if r_max <= start:
         return -math.inf if dv else 0.0
     # a QuadratureFailure raises before the store, so a failed arc fails again
-    key = (r_max, start, st, dv)
+    key = (r_max, start, dv)
     value = m._arcs.get(key)
     if value is None:
-        value = m._arcs[key] = _arc_quadrature(m, start, st, r_max, dv)
+        value = m._arcs[key] = _arc_quadrature(m, start, r_max, dv)
     return value
 
 
@@ -308,8 +304,9 @@ def _turning_model(m, r):
     return model
 
 
-def _arc_quadrature(m, start, st, r_max, dv):
+def _arc_quadrature(m, start, r_max, dv):
     sqrt, exp, expm1 = math.sqrt, math.exp, math.expm1
+    rel_tol = m.rel_tol
     lc = m.log_h(r_max)
     p, b1, b2 = _turning_model(m, r_max)
     scale = max(r_max, 1.0)
@@ -319,53 +316,34 @@ def _arc_quadrature(m, start, st, r_max, dv):
     # integrand_r in r, integrand_s in s = log r (times r), integrand_t in
     # x = t = sqrt(r_max - r), or in the graded x = w, both of which remove
     # the endpoint singularity; e = 2(log c - log h) = log rho^2, and the
-    # weight rho^2 = exp(e) is delta_v's (times c/2), 1 is length's (/2)
-    if dv:
-        def integrand_r(r):
-            e = 2.0 * (lc - log_h(r))
-            return exp(e) / sqrt(-expm1(e))
+    # weight rho^2 = exp(e) is delta_v's (times c/2), 1 is length's (/2).
+    # Each quantity's operation order is part of its arc bits: the s-form
+    # keeps exp(e)/sqrt(q)*r and r/sqrt(q), which round differently
+    def integrand_r(r):
+        e = 2.0 * (lc - log_h(r))
+        return (exp(e) if dv else 1.0) / sqrt(-expm1(e))
 
-        def integrand_s(s):
-            r = exp(s)
-            e = 2.0 * (lc - log_h(r))
+    def integrand_s(s):
+        r = exp(s)
+        e = 2.0 * (lc - log_h(r))
+        if dv:
             return exp(e) / sqrt(-expm1(e)) * r
+        return r / sqrt(-expm1(e))
 
-        def integrand_t(x):
-            if graded:
-                u = 1.0 - x
-                delta = span * x * x * (6.0 - 8.0 * x + 3.0 * x * x)
-                jac = 12.0 * span * x * u * u
-            else:
-                delta = x * x
-                jac = 2.0 * x
-            if delta <= delta_switch:
-                u = delta / scale
-                e = -2.0 * (b1 + b2 * u) * u
-            else:
-                e = 2.0 * (lc - log_h(r_max - delta))
-            return jac * exp(e) / sqrt(-expm1(e))
-    else:
-        def integrand_r(r):
-            return 1.0 / sqrt(-expm1(2.0 * (lc - log_h(r))))
-
-        def integrand_s(s):
-            r = exp(s)
-            return r / sqrt(-expm1(2.0 * (lc - log_h(r))))
-
-        def integrand_t(x):
-            if graded:
-                u = 1.0 - x
-                delta = span * x * x * (6.0 - 8.0 * x + 3.0 * x * x)
-                jac = 12.0 * span * x * u * u
-            else:
-                delta = x * x
-                jac = 2.0 * x
-            if delta <= delta_switch:
-                u = delta / scale
-                e = -2.0 * (b1 + b2 * u) * u
-            else:
-                e = 2.0 * (lc - log_h(r_max - delta))
-            return jac / sqrt(-expm1(e))
+    def integrand_t(x):
+        if graded:
+            u = 1.0 - x
+            delta = span * x * x * (6.0 - 8.0 * x + 3.0 * x * x)
+            jac = 12.0 * span * x * u * u
+        else:
+            delta = x * x
+            jac = 2.0 * x
+        if delta <= delta_switch:
+            u = delta / scale
+            e = -2.0 * (b1 + b2 * u) * u
+        else:
+            e = 2.0 * (lc - log_h(r_max - delta))
+        return (jac * exp(e) if dv else jac) / sqrt(-expm1(e))
 
     # the absolute floor is on the quantity, and delta_v = (2/c) total
     floor = _ABS_FLOOR * exp(lc) if dv else _ABS_FLOOR
@@ -379,56 +357,52 @@ def _arc_quadrature(m, start, st, r_max, dv):
             if span <= 0:
                 v, e = 0.0, 0.0
             elif not graded:
-                v, e = _quad_panel(integrand_t, 0.0, math.sqrt(span), st, floor)
+                v, e = _quad_panel(integrand_t, 0.0, math.sqrt(span), rel_tol, floor)
             else:
                 knee = max(a, 1.0) / span
-                if knee < _KNEE_BELOW and knee ** (1.0 + 4.0 * p) > 0.01 * st.rel_tol:
+                if knee < _KNEE_BELOW and knee ** (1.0 + 4.0 * p) > 0.01 * rel_tol:
                     # the knee, about [a, a + max(a, 1)], gets its own interval
                     wk = 1.0 - (0.25 * knee) ** (1.0 / 3.0)
-                    v, e = _quad_panel(integrand_t, 0.0, wk, st, floor)
-                    vk, ek = _quad_panel(integrand_t, wk, 1.0, st, floor)
+                    v, e = _quad_panel(integrand_t, 0.0, wk, rel_tol, floor)
+                    vk, ek = _quad_panel(integrand_t, wk, 1.0, rel_tol, floor)
                     v += vk
                     e += ek
                 else:
-                    v, e = _quad_panel(integrand_t, 0.0, 1.0, st, floor)
+                    v, e = _quad_panel(integrand_t, 0.0, 1.0, rel_tol, floor)
         elif a > 0 and b / a >= 8.0:
-            v, e = _quad_panel(integrand_s, math.log(a), math.log(b), st, floor)
+            v, e = _quad_panel(integrand_s, math.log(a), math.log(b), rel_tol, floor)
         else:
-            v, e = _quad_panel(integrand_r, a, b, st, floor)
+            v, e = _quad_panel(integrand_r, a, b, rel_tol, floor)
         total += v
         err_total += e
-    if err_total > max(floor, 100.0 * st.rel_tol * abs(total)):
+    if err_total > max(floor, 100.0 * rel_tol * abs(total)):
         raise QuadratureFailure(
             f"estimated error {err_total} vs value {total} (log c={lc}, r_max={r_max})"
         )
     return math.log(2.0 * total) - lc if dv else 2.0 * total
 
 
-def clairaut_arc(
-    m: HalfplaneMetric, c: float, start: float | None = None, settings: QuadSettings | None = None
-) -> GeodesicSolution:
+def clairaut_arc(m: HalfplaneMetric, c: float, start: float | None = None) -> GeodesicSolution:
     """The symmetric geodesic arc with Clairaut constant c from the start
     radius out to the turning point (solved) and back."""
     a = m.domain_start if start is None else float(start)
     r_max = max(solve_turning_point(m, c), a)
-    return GeodesicSolution(m.log_h(r_max), r_max, delta_v_of_c(m, r_max, a, settings),
-                            length_of_c(m, r_max, a, settings), start=a)
+    return GeodesicSolution(m.log_h(r_max), r_max, delta_v_of_c(m, r_max, a),
+                            length_of_c(m, r_max, a), start=a)
 
 
-def delta_v_of_c(m: HalfplaneMetric, r_max: float, start: float | None = None,
-                 settings: QuadSettings | None = None) -> float:
+def delta_v_of_c(m: HalfplaneMetric, r_max: float, start: float | None = None) -> float:
     """log delta_v of the arc from start turning at r_max (increasing in
     r_max; -inf where r_max <= start)."""
-    return _integrate_arc(m, r_max, start, settings, dv=True)
+    return _integrate_arc(m, r_max, start, dv=True)
 
 
-def length_of_c(m: HalfplaneMetric, r_max: float, start: float | None = None,
-                settings: QuadSettings | None = None) -> float:
+def length_of_c(m: HalfplaneMetric, r_max: float, start: float | None = None) -> float:
     """Length of the arc from start turning at r_max (increasing in r_max)."""
-    return _integrate_arc(m, r_max, start, settings, dv=False)
+    return _integrate_arc(m, r_max, start, dv=False)
 
 
-def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
+def verify_delta_v_monotone(m: HalfplaneMetric):
     """Scan delta_v at _SCAN_N turning radii, log-spaced in r_max - start
     from the turning radius of (1 - _SCAN_C_HI_FRAC) sup h to min(r_cap/4,
     1e60), and require strict increase (1e-10 relative slack);
@@ -436,13 +410,11 @@ def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
     false premise.
 
     Returns the rows (x, r_max, log delta_v), r_max = start + exp(x), x and
-    delta_v increasing; once per metric and settings.  orbit_distance
-    brackets its inversions between adjacent rows.
+    delta_v increasing; once per metric.  orbit_distance brackets its
+    inversions between adjacent rows.
     """
-    st = settings or QuadSettings()
-    rows = m._scans.get(st)
-    if rows is not None:
-        return rows
+    if m._scan is not None:
+        return m._scan
     a = m.domain_start
     r_lo = solve_turning_point(m, m.sup_h() * (1.0 - _SCAN_C_HI_FRAC))
     r_hi = min(m.r_cap / 4.0, 1e60)
@@ -453,28 +425,27 @@ def verify_delta_v_monotone(m: HalfplaneMetric, settings=None):
     # r_max = a + exp(x) is the radius that invert_arc's y(x) asks the memo for
     for x in np.linspace(math.log(r_lo - a), math.log(r_hi - a), _SCAN_N).tolist():
         r_max = a + math.exp(x)
-        ldv = delta_v_of_c(m, r_max, a, st)
+        ldv = delta_v_of_c(m, r_max, a)
         if prev is not None and not (ldv > prev + math.log1p(-1e-10)):
             raise DeltaVNotMonotone(f"log delta_v falls at r_max={r_max}: {ldv} after {prev}")
         prev = ldv
         rows.append((x, r_max, ldv))
-    rows = m._scans[st] = tuple(rows)
-    return rows
+    m._scan = tuple(rows)
+    return m._scan
 
 
 def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | None = None,
-               settings: QuadSettings | None = None, scan=()) -> GeodesicSolution:
+               scan=()) -> GeodesicSolution:
     """The symmetric arc from `start` whose `quantity` ("delta_v" or
     "length", both increasing in the turning radius) equals target.
 
     The search runs in x = log(r_max - start) on y = log(q/target).  A
     delta_v target from the domain start that two adjacent rows of `scan`
-    (verify_delta_v_monotone's at these settings) bracket takes that
+    (verify_delta_v_monotone's on m) bracket takes that
     bracket, any other _newton_bracket's.  brentq closes it on memoized
     evaluations at _XTOL, and only the other quantity is integrated at the
     root.
     """
-    st = settings or QuadSettings()
     a = m.domain_start if start is None else float(start)
     # names read per call, so wrappers installed on this module see every evaluation
     solve, other = {"delta_v": (delta_v_of_c, length_of_c),
@@ -489,7 +460,7 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
             r = a + math.exp(x)
             if not m.log_h(r) < l_top:
                 raise OutOfRange(f"h({r!r}) is not below h({a!r})")
-            seen[x] = (r, solve(m, r, a, st))
+            seen[x] = (r, solve(m, r, a))
         q = seen[x][1]
         return q - log_target if by_dv else math.log(q / target)
 
@@ -502,7 +473,7 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     x_star = lo if lo == hi else brentq(y, lo, hi, xtol=_XTOL, rtol=8.9e-16)
     y(x_star)  # brentq returns an evaluated point, so this is a lookup
     r_max, q = seen[x_star]
-    q_other = other(m, r_max, a, st)
+    q_other = other(m, r_max, a)
     ldv, ln = (q, q_other) if by_dv else (q_other, q)
     return GeodesicSolution(m.log_h(r_max), r_max, ldv, ln, start=a)
 
@@ -579,27 +550,21 @@ def _newton_bracket(m, quantity, target, a, y, seen):
     return lo, hi
 
 
-def orbit_distance(
-    m: HalfplaneMetric,
-    l: int | float,
-    settings: QuadSettings | None = None,
-    verify_monotone: bool = True,
-):
+def orbit_distance(m: HalfplaneMetric, l: int | float, verify_monotone: bool = True):
     """Distance between an axis point and its l-th deck translate.
 
     Returns (d_l, solution) where solution is the Clairaut arc (None if the
     straight axis loop 2*pi*l*h(0) wins, which only happens for tiny l).
     """
-    st = settings or QuadSettings()
     if l == 0:
         return 0.0, None
     l = abs(l)
-    scan = verify_delta_v_monotone(m, settings=st) if verify_monotone else ()
+    scan = verify_delta_v_monotone(m) if verify_monotone else ()
     target = TWO_PI * float(l)
     h0 = m.sup_h()
     straight = target * h0 if math.isfinite(h0) else math.inf
     try:
-        sol = invert_arc(m, "delta_v", target, settings=st, scan=scan)
+        sol = invert_arc(m, "delta_v", target, scan=scan)
     except (TargetUnreachable, OutOfRange) as e:
         # the axis line is the only candidate when no arc has this displacement:
         # no turning point anywhere (e.g. constant h) or every arc overshoots it
@@ -613,7 +578,7 @@ def orbit_distance(
     return sol.length, sol
 
 
-def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | None = None):
+def axis_count_at_radius(m: HalfplaneMetric, R: float):
     """max { l >= 0 : d_l <= R } via the turning-parameter inversion, for
     R >= d_1 (dimension.GeodesicOrbitMetric answers 0 below its table's d_1).
 
@@ -622,11 +587,10 @@ def axis_count_at_radius(m: HalfplaneMetric, R: float, settings: QuadSettings | 
     axis loop competes for small l.  OutOfRange where that arc turns past
     the Newton clamp, or its delta_v is past the double range.
     """
-    st = settings or QuadSettings()
     h0 = m.sup_h()
     n_straight = math.floor(R / (TWO_PI * h0) + 1e-12) if math.isfinite(h0) else 0
     try:
-        sol = invert_arc(m, "length", R, settings=st)
+        sol = invert_arc(m, "length", R)
     except TargetUnreachable as e:
         if not e.overshoot:
             raise OutOfRange(f"arcs of length {R} turn past the Newton clamp") from e

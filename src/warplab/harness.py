@@ -43,7 +43,7 @@ from .grushin import (
     regime_lambda_range,
     self_similarity_error,
 )
-from .halfplane import HalfplaneMetric, QuadSettings, orbit_distance
+from .halfplane import HalfplaneMetric, orbit_distance
 from .ladder import OscillationParams
 from .orbits import (
     GrowthWindow,
@@ -224,12 +224,11 @@ def _pure_cache(cfg: RunConfig):
 
 def _run_orbit_growth(cfg: RunConfig, report: RunReport):
     sm, ladder = _model_for(cfg)
-    metric = HalfplaneMetric.from_smoothed(sm)
-    st = QuadSettings(rel_tol=cfg.quad_rel_tol)
+    metric = HalfplaneMetric.from_smoothed(sm, rel_tol=cfg.quad_rel_tol)
 
     if ladder is None:
         # pure model: distance sandwich on the asymptotic stretch plus a slope fit
-        table = OrbitTable(metric, cache=_pure_cache(cfg), settings=st)
+        table = OrbitTable(metric, cache=_pure_cache(cfg))
         a = cfg.alpha
         ls = np.round(np.exp(np.linspace(math.log(81), math.log(1e5), 40))).astype(int)
         ls = sorted(set(ls.tolist()))  # np.unique would import numpy.ma, about 1 MB
@@ -260,7 +259,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport):
     # oscillating model: a window at each controlling stretch, S = twice
     # the start of the period-2 alpha piece and of the first beta piece, both
     # on one orbit metric
-    s = GeodesicOrbitMetric(OrbitTable(metric, settings=st))
+    s = GeodesicOrbitMetric(OrbitTable(metric))
     rows_csv = []
     alpha_starts = _piece_starts(sm, cfg.alpha)
     if cfg.periods >= 2 and len(alpha_starts) >= 2:
@@ -318,9 +317,8 @@ def _write_growth_csv(cfg, report, fit, name):
 
 def _run_capacity(cfg: RunConfig, report: RunReport):
     # capacity always runs the pure alpha model
-    metric = HalfplaneMetric.from_smoothed(pure_model_h(cfg.alpha))
-    table = OrbitTable(metric, cache=_pure_cache(cfg),
-                       settings=QuadSettings(rel_tol=cfg.quad_rel_tol))
+    metric = HalfplaneMetric.from_smoothed(pure_model_h(cfg.alpha), rel_tol=cfg.quad_rel_tol)
+    table = OrbitTable(metric, cache=_pure_cache(cfg))
     s = LinearOrbitMetric(table.distance, scale=1.0)
     k = 1.0 + 2.0 * cfg.alpha
 
@@ -358,7 +356,7 @@ def _run_capacity(cfg: RunConfig, report: RunReport):
 
 def _run_grushin(cfg: RunConfig, report: RunReport):
     try:
-        target = GrushinMetric(cfg.alpha)
+        target = GrushinMetric(cfg.alpha, cfg.quad_rel_tol)
     except ValueError as e:  # no Grushin target for decay exponents below 1/2
         report.add("grushin-unavailable", True, flagged=True, details=str(e))
         return
@@ -377,9 +375,8 @@ def _run_grushin(cfg: RunConfig, report: RunReport):
             lambdas = list(np.geomspace(max(lam_lo, 2.0), lam_hi, 3))
             report.add("rescaling-ladder-refit", True, flagged=True,
                        details=f"configured factors outside [{lam_lo:g}, {lam_hi:g}]")
-    st = QuadSettings(rel_tol=cfg.quad_rel_tol)
-    rep = convergence_report(sm, exponent, stretch, lambdas,
-                             n_pairs=cfg.probe_pairs, seed=cfg.seed, tol_settings=st)
+    rep = convergence_report(sm, exponent, stretch, lambdas, n_pairs=cfg.probe_pairs,
+                             seed=cfg.seed, rel_tol=cfg.quad_rel_tol)
     path = os.path.join(cfg.outdir, "grushin_convergence.csv")
     write_csv(path, ["lambda", "max_rel_err"], list(zip(rep.lambdas, rep.max_rel_errors)))
     report.artifacts.append(path)
@@ -389,5 +386,5 @@ def _run_grushin(cfg: RunConfig, report: RunReport):
 
     rng = np.random.default_rng(cfg.seed + 1)
     pairs = probe_pairs(rng, 10)
-    err = self_similarity_error(target, pairs, settings=st)
+    err = self_similarity_error(target, pairs)
     report.add("cone-self-similarity", err < 0.01, margin=err)

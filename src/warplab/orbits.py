@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cache import OrbitCache
-from .halfplane import HalfplaneMetric, QuadSettings, orbit_distance
+from .halfplane import HalfplaneMetric, orbit_distance
 
 
 class WindowEmpty(ValueError):
@@ -88,14 +88,12 @@ class GrowthWindow:
 
 
 class OrbitTable:
-    """Memoized distances l -> (d_l, log c, r_max) for one metric at one
-    setting, loaded from and appended to an optional cache."""
+    """Memoized distances l -> (d_l, log c, r_max) for one metric, at its
+    arc tolerance, loaded from and appended to an optional cache."""
 
-    def __init__(self, metric: HalfplaneMetric, cache: OrbitCache | None = None,
-                 settings: QuadSettings | None = None):
+    def __init__(self, metric: HalfplaneMetric, cache: OrbitCache | None = None):
         self.metric = metric
         self.cache = cache
-        self.settings = settings or QuadSettings()
         self.entries: dict = {}
         if cache is not None:
             self.entries.update(cache.load())
@@ -107,7 +105,7 @@ class OrbitTable:
         hit = self.entries.get(l)
         if hit is not None:
             return hit[0]
-        d, sol = orbit_distance(self.metric, l, settings=self.settings)
+        d, sol = orbit_distance(self.metric, l)
         rec = (d, sol.log_c, sol.r_max) if sol else (d, -math.inf, 0.0)
         self.entries[l] = rec
         if self.cache is not None:

@@ -215,6 +215,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "config key 'B'" in capsys.readouterr().err
+    # a config-file value of the wrong type is a config error, not a traceback
+    for key, value in (("alpha", None), ("alpha", "0.5"), ("grid_points", 2.5),
+                       ("lambda_ladder", None)):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: value}))
+        code = run_cli(["ricci-check", "--config", str(path), "--outdir", str(tmp_path)])
+        assert code == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
 
 
 def test_ladder_growth_error_exit_code(tmp_path, capsys):

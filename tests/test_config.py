@@ -66,16 +66,14 @@ def test_oscillating_requires_bridges():
 
 def test_every_quad_setting_is_keyed_in_the_cache_payload():
     # cached distances are reused across runs by model_payload()'s hash, so
-    # each QuadSettings field a run can set must be a payload key, or two
-    # runs at different settings would share a cache file
-    import dataclasses
+    # the one arc tolerance of a metric, which a run sets, must be a payload
+    # key, or two runs at different tolerances would share a cache file
+    import inspect
 
-    from warplab.halfplane import QuadSettings
+    from warplab.halfplane import HalfplaneMetric
 
-    keyed = {"rel_tol": "quad_rel_tol"}
-    assert tuple(f.name for f in dataclasses.fields(QuadSettings)) == tuple(keyed)
+    default = inspect.signature(HalfplaneMetric).parameters["rel_tol"].default
     base = RunConfig(mode="orbit-growth")
-    for field, key in keyed.items():
-        assert base.model_payload()[key] == getattr(QuadSettings(), field) == getattr(base, key)
-        moved = RunConfig(mode="orbit-growth", **{key: 2 * getattr(base, key)})
-        assert moved.model_payload() != base.model_payload()
+    assert base.model_payload()["quad_rel_tol"] == default == base.quad_rel_tol
+    moved = RunConfig(mode="orbit-growth", quad_rel_tol=2 * base.quad_rel_tol)
+    assert moved.model_payload() != base.model_payload()

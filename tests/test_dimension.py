@@ -194,9 +194,9 @@ def test_ball_index_reads_d1_from_the_table_cache(tmp_path, monkeypatch):
                         lambda *a, **k: calls.append(a[1]) or real(*a, **k))
     assert [s.ball_index(R) for R in radii] == counts
     assert counts[0] == 0 < counts[1] and s.raw(1) > 5.0
-    assert calls == [] and m._scans == {}
+    assert calls == [] and m._scan is None
     halfplane.orbit_distance(m, 50)
-    assert len(m._scans) == 1
+    assert m._scan is not None
 
 
 def test_box_dimension_beta_window(osc_metric, osc_build):

@@ -13,7 +13,6 @@ from warplab.halfplane import (
     GeodesicSolution,
     HalfplaneMetric,
     OutOfRange,
-    QuadSettings,
     TWO_PI,
     circle_length,
     clairaut_arc,
@@ -436,23 +435,26 @@ def test_delta_v_monotone_scan(pure_half_metric):
     assert pure_half_metric.value(rows[0][1]) == pytest.approx(1.0 - 1e-6, rel=1e-15)
 
 
-def test_monotone_scan_is_kept_per_settings():
-    # a scan at loose settings says nothing of the default ones: the first
-    # distance at the defaults runs its own scan
-    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
-    verify_delta_v_monotone(m, settings=QuadSettings(rel_tol=1e-6))
-    calls = []
-    real = halfplane.delta_v_of_c
+def test_monotone_scan_runs_at_the_metric_rel_tol(monkeypatch):
+    # each metric scans once, every panel at its own rel_tol: a loose metric's
+    # scan says nothing of a default one, whose first distance scans anew
+    epsrels = []
+    real = halfplane.quad
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("settings", args[3] if len(args) > 3 else None))
+        epsrels.append(kwargs["epsrel"])
         return real(*args, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(halfplane, "delta_v_of_c", spy)
-        orbit_distance(m, 50)
-    assert len(calls) > 200
-    assert all(s == QuadSettings() for s in calls)
+    monkeypatch.setattr(halfplane, "quad", spy)
+    loose = HalfplaneMetric.from_warping(power_decay_h(0.5), rel_tol=1e-6)
+    rows = verify_delta_v_monotone(loose)
+    assert len(epsrels) >= 200 and set(epsrels) == {1e-6}
+    assert verify_delta_v_monotone(loose) is rows and loose._scan is rows
+    epsrels.clear()
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    orbit_distance(m, 50)
+    assert len(epsrels) > 200 and set(epsrels) == {1e-9}
+    assert len(m._scan) == halfplane._SCAN_N
 
 
 def test_delta_v_values_decrease_in_c(pure_half_metric):
@@ -847,9 +849,9 @@ def _memo_models():
     _, _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
                                    radius_bound=1e40, check=False)
     pure = pure_model_h(0.5)
-    return [lambda: HalfplaneMetric.from_smoothed(sm),
-            lambda: HalfplaneMetric.from_smoothed(pure),
-            lambda: HalfplaneMetric.from_warping(power_decay_h(0.5), r_cap=3e5)]
+    return [lambda **kw: HalfplaneMetric.from_smoothed(sm, **kw),
+            lambda **kw: HalfplaneMetric.from_smoothed(pure, **kw),
+            lambda **kw: HalfplaneMetric.from_warping(power_decay_h(0.5), r_cap=3e5, **kw)]
 
 
 @pytest.fixture(scope="module")
@@ -858,9 +860,9 @@ def memo_models():
     return makers, [make() for make in makers]  # the second list fills across examples
 
 
-def _arc_outcome(fn, m, r_max, start, st=None):
+def _arc_outcome(fn, m, r_max, start):
     try:
-        return fn(m, r_max, start, st).hex()
+        return fn(m, r_max, start).hex()
     except halfplane.QuadratureFailure as e:
         return str(e)
 
@@ -891,21 +893,23 @@ def test_arc_memo_hit_has_the_bits_of_a_fresh_metric(memo_models, which, u, star
         assert not computed  # a stored arc integrates nothing
 
 
-def test_arc_memo_keys_settings_start_and_quantity(memo_models):
+def test_arc_memo_keys_start_and_quantity(memo_models):
     # on the osc-1e40 metric, the arc turning at 110, inside the first blend:
-    # a looser rel_tol moves the bits of both quantities, equal settings
-    # share an entry, and no arc solves a turning point
+    # a second metric at a looser rel_tol gives other bits for both
+    # quantities, a repeated arc shares its entry, and no arc solves a
+    # turning point
     make = memo_models[0][0]
-    m = make()
-    coarse, same = QuadSettings(rel_tol=1e-6), QuadSettings(rel_tol=1e-9)
-    calls = [(delta_v_of_c, None, None), (delta_v_of_c, None, coarse), (delta_v_of_c, 5.0, None),
-             (delta_v_of_c, None, same), (length_of_c, None, None), (length_of_c, 5.0, coarse)]
-    got = [fn(m, 110.0, start, st_) for fn, start, st_ in calls]
-    assert len(m._arcs) == len(calls) - 1 and not m._turning
+    m, coarse = make(), make(rel_tol=1e-6)
+    calls = [(delta_v_of_c, m, None), (delta_v_of_c, coarse, None), (delta_v_of_c, m, 5.0),
+             (delta_v_of_c, m, None), (length_of_c, m, None), (length_of_c, coarse, 5.0)]
+    got = [fn(on, 110.0, start) for fn, on, start in calls]
+    assert (len(m._arcs), len(coarse._arcs)) == (3, 2)
+    assert not m._turning and not coarse._turning
     assert got[0] != got[1] and got[3] == got[0] and length_of_c(m, 110.0, 5.0) != got[5]
-    for (fn, start, st_), v in zip(calls, got):
-        assert fn(m, 110.0, start, st_).hex() == v.hex() == fn(make(), 110.0, start, st_).hex()
-    assert len(m._arcs) == len(calls)  # length_of_c(m, 110.0, 5.0) above
+    for (fn, on, start), v in zip(calls, got):
+        fresh = make(rel_tol=on.rel_tol)
+        assert fn(on, 110.0, start).hex() == v.hex() == fn(fresh, 110.0, start).hex()
+    assert len(m._arcs) == 4  # length_of_c(m, 110.0, 5.0) above
 
 
 def test_arc_memo_stores_no_quadrature_failure(memo_models, monkeypatch):

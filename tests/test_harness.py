@@ -123,7 +123,7 @@ def test_capacity_rows_keyed_to_the_pure_model(tmp_path, cache_dir, monkeypatch)
 
     # capacity runs the pure alpha model; a closed-form distance keeps this fast
     monkeypatch.setattr(orbits, "orbit_distance",
-                        lambda m, l, settings=None: (l ** (1 / 2.2), None))
+                        lambda m, l: (l ** (1 / 2.2), None))
     osc = parse_config(None, {"mode": "capacity", **OSC, "outdir": str(tmp_path),
                               "cache_dir": cache_dir})
     run(osc)
@@ -139,8 +139,8 @@ def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, 
 
     tols = []
 
-    def spy(m, l, settings=None):
-        tols.append(settings.rel_tol)
+    def spy(m, l):
+        tols.append(m.rel_tol)
         return l ** (1 / 2.2), None  # closed form keeps the capacity step fast
 
     monkeypatch.setattr(orbits, "orbit_distance", spy)
