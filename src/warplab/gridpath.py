@@ -72,6 +72,10 @@ _MAX_SWEEP_PAIRS = 64
 
 # (d ir, d iv) from a node to each of its neighbours
 _STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
+# rows per block of _best_neighbours, whose candidate and fall-test buffers
+# hold one block: the oracle's peak memory is then about four grid-sized
+# arrays (dist, best and two of the edge weights), not five
+_BLOCK_ROWS = 64
 
 
 def _scan_row(row, s):
@@ -86,20 +90,37 @@ def _scan_row(row, s):
 
 def _best_neighbours(dist, right, down, diag):
     """Each node's least dist[u] + w(u, v) over its 8 neighbours u, in exact
-    float adds, and the index in _STEPS of the first u attaining it."""
+    float adds, the index in _STEPS of the first u attaining it, and whether
+    any node's least falls below its dist by more than 1e-12 of it.
+
+    Rows go in blocks of _BLOCK_ROWS, each block through all 8 neighbours,
+    so the candidates and the fall test need block-sized buffers only."""
     nr, nv = dist.shape
     best = np.full((nr, nv), np.inf)
     pick = np.zeros((nr, nv), dtype=np.int8)
-    cand, lower = np.empty((nr, nv)), np.empty((nr, nv), dtype=bool)
-    for k, (di, dj) in enumerate(_STEPS):
-        to = np.s_[max(0, -di):nr - max(0, di), max(0, -dj):nv - max(0, dj)]
-        frm = np.s_[max(0, di):nr - max(0, -di), max(0, dj):nv - max(0, -dj)]
-        w = right if di == 0 else down[:, None] if dj == 0 else diag
-        np.add(dist[frm], w, out=cand[to])
-        np.less(cand[to], best[to], out=lower[to])
-        np.copyto(best[to], cand[to], where=lower[to])
-        np.copyto(pick[to], k, where=lower[to])
-    return best, pick
+    cand = np.empty((_BLOCK_ROWS, nv))
+    lower = np.empty((_BLOCK_ROWS, nv), dtype=bool)
+    falls = False
+    for i0 in range(0, nr, _BLOCK_ROWS):
+        i1 = min(i0 + _BLOCK_ROWS, nr)
+        for k, (di, dj) in enumerate(_STEPS):
+            # target rows t have the neighbour row t + di; the weights'
+            # rows start at the first of them
+            lo = max(0, -di)
+            t0, t1 = max(i0, lo), min(i1, nr - max(0, di))
+            if t0 >= t1:
+                continue
+            cols = np.s_[max(0, -dj):nv - max(0, dj)]
+            to = np.s_[t0:t1, cols]
+            frm = np.s_[t0 + di:t1 + di, max(0, dj):nv - max(0, -dj)]
+            w = (right if di == 0 else down[:, None] if dj == 0 else diag)[t0 - lo:t1 - lo]
+            c, low = cand[:t1 - t0, cols], lower[:t1 - t0, cols]
+            np.add(dist[frm], w, out=c)
+            np.less(c, best[to], out=low)
+            np.copyto(best[to], c, where=low)
+            np.copyto(pick[to], k, where=low)
+        falls = falls or bool(np.any(best[i0:i1] < dist[i0:i1] * (1.0 - 1e-12)))
+    return best, pick, falls
 
 
 def _row_sweep(right, down, diag, src):
@@ -133,8 +154,8 @@ def _row_sweep(right, down, diag, src):
             take(ir, ir - 1, ir - 1)
         for ir in range(nr - 2, -1, -1):
             take(ir, ir + 1, ir)
-        best, pick = _best_neighbours(dist, right, down, diag)
-        if not np.any(best < dist * (1.0 - 1e-12)):
+        best, pick, falls = _best_neighbours(dist, right, down, diag)
+        if not falls:
             return dist, pick
         np.minimum(dist, best, out=dist)
     raise RuntimeError(f"grid sweeps did not converge in {_MAX_SWEEP_PAIRS} pairs")

@@ -349,6 +349,46 @@ def test_row_sweep_follows_a_channel_below_the_source():
     assert d < 2.0 and pts[:, 0].min() == rs[1]  # along the channel, not the 10.0 of its own row
 
 
+def _whole_grid_best_neighbours(dist, right, down, diag):
+    # the reference: every neighbour's candidates over the whole grid at once
+    nr, nv = dist.shape
+    best = np.full((nr, nv), np.inf)
+    pick = np.zeros((nr, nv), dtype=np.int8)
+    for k, (di, dj) in enumerate(gridpath._STEPS):
+        to = np.s_[max(0, -di):nr - max(0, di), max(0, -dj):nv - max(0, dj)]
+        frm = np.s_[max(0, di):nr - max(0, -di), max(0, dj):nv - max(0, -dj)]
+        w = right if di == 0 else down[:, None] if dj == 0 else diag
+        cand = dist[frm] + w
+        lower = cand < best[to]
+        np.copyto(best[to], cand, where=lower)
+        np.copyto(pick[to], k, where=lower)
+    return best, pick, bool(np.any(best < dist * (1.0 - 1e-12)))
+
+
+@pytest.mark.parametrize("nr", [1, 2, 63, 64, 65, 130, 319])
+def test_best_neighbours_by_row_blocks_keep_the_bits(nr):
+    # row blocks of _BLOCK_ROWS give the whole grid's bits, first-attaining
+    # picks (weights and distances on a half-integer lattice tie often) and
+    # fall test, unreached (inf) nodes included, down to a fixed point
+    rng = np.random.default_rng(nr)
+    nv = 7
+    dist = rng.integers(0, 9, (nr, nv)) * 0.5
+    dist[rng.uniform(size=(nr, nv)) < 0.2] = np.inf
+    right = rng.choice([0.5, 1.0, 1.5], (nr, nv - 1))
+    down, diag = rng.choice([0.5, 1.0], nr - 1), rng.choice([1.0, 1.5], (nr - 1, nv - 1))
+    seen = set()
+    for _ in range(400):
+        best, pick, falls = gridpath._best_neighbours(dist, right, down, diag)
+        want = _whole_grid_best_neighbours(dist, right, down, diag)
+        assert _bits(best) == _bits(want[0]) and pick.tolist() == want[1].tolist()
+        assert falls == want[2]
+        seen.add(falls)
+        if not falls:
+            break
+        dist = np.minimum(dist, best)
+    assert seen == {True, False}
+
+
 def test_laplacian_solve_matches_solveh_banded():
     b = np.random.default_rng(7).standard_normal(638)
     for n in (3, 50, 638):
