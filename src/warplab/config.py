@@ -107,37 +107,27 @@ _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _WANT = {float: "a number", int: "an integer", str: "a string", tuple: "a list of numbers"}
 
 
-def _is_number(x, kind) -> bool:
-    # JSON true/false are Python bools, which are ints
-    return not isinstance(x, bool) and isinstance(x, int if kind is int else (int, float))
-
-
-def _check_type(key, value):
-    """ConfigError unless value fits RunConfig's field `key`: a float field
-    takes any number, an int field an int, none takes a bool, None only an
-    optional field, and lambda_ladder a list of numbers."""
-    kinds = typing.get_args(_FIELDS[key]) or (_FIELDS[key],)
-    kind = kinds[0]
-    if value is None:
-        ok = type(None) in kinds
-    elif kind is tuple:
-        ok = isinstance(value, (list, tuple)) and all(_is_number(x, float) for x in value)
-    elif kind is str:
-        ok = isinstance(value, str)
-    else:
-        ok = _is_number(value, kind)
-    if not ok:
-        raise ConfigError(key, f"must be {_WANT[kind]}, got {value!r}")
+def _fits(value, kind) -> bool:
+    """A float field takes any number, an int field an int, neither a bool
+    (JSON's true and false), and lambda_ladder a list of numbers."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(x, float) for x in value)
+    if kind is str:
+        return isinstance(value, str)
+    return not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    unknown = set(data) - set(_FIELDS)
+    unknown = set(data) - _FIELDS.keys()
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown key")
     if "mode" not in data:
         raise ConfigError("mode", "required")
     for key, value in data.items():
-        _check_type(key, value)
+        # None only where the field is optional (X | None)
+        kinds = typing.get_args(_FIELDS[key]) or (_FIELDS[key],)
+        if not (type(None) in kinds if value is None else _fits(value, kinds[0])):
+            raise ConfigError(key, f"must be {_WANT[kinds[0]]}, got {value!r}")
     return RunConfig(**data)
 
 

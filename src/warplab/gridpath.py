@@ -72,9 +72,8 @@ _MAX_SWEEP_PAIRS = 64
 
 # (d ir, d iv) from a node to each of its neighbours
 _STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
-# rows per block of _best_neighbours, whose candidate and fall-test buffers
-# hold one block: the oracle's peak memory is then about four grid-sized
-# arrays (dist, best and two of the edge weights), not five
+# rows per block of _best_neighbours, whose candidate and fall-test buffers hold
+# one block: the oracle's peak is then four grid-sized arrays, not five
 _BLOCK_ROWS = 64
 
 
@@ -91,21 +90,17 @@ def _scan_row(row, s):
 def _best_neighbours(dist, right, down, diag):
     """Each node's least dist[u] + w(u, v) over its 8 neighbours u, in exact
     float adds, the index in _STEPS of the first u attaining it, and whether
-    any node's least falls below its dist by more than 1e-12 of it.
-
-    Rows go in blocks of _BLOCK_ROWS, each block through all 8 neighbours,
-    so the candidates and the fall test need block-sized buffers only."""
+    any node's least falls below its dist by more than 1e-12 of it; a block
+    of _BLOCK_ROWS rows at a time, each through all 8 neighbours."""
     nr, nv = dist.shape
     best = np.full((nr, nv), np.inf)
     pick = np.zeros((nr, nv), dtype=np.int8)
-    cand = np.empty((_BLOCK_ROWS, nv))
-    lower = np.empty((_BLOCK_ROWS, nv), dtype=bool)
+    cand, lower = np.empty((_BLOCK_ROWS, nv)), np.empty((_BLOCK_ROWS, nv), dtype=bool)
     falls = False
     for i0 in range(0, nr, _BLOCK_ROWS):
         i1 = min(i0 + _BLOCK_ROWS, nr)
         for k, (di, dj) in enumerate(_STEPS):
-            # target rows t have the neighbour row t + di; the weights'
-            # rows start at the first of them
+            # rows t whose neighbour row t + di exists; w's rows start at lo
             lo = max(0, -di)
             t0, t1 = max(i0, lo), min(i1, nr - max(0, di))
             if t0 >= t1:

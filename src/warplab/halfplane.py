@@ -112,9 +112,8 @@ class HalfplaneMetric:
 
     h is read in log form: h.log_h(r) at a double r, and h.frame(r), the
     exponent frame at a double or a float64 array of radii (a SmoothedH, a
-    WarpingFunction with a log reader, or a RescaledModel).  rel_tol is the
-    relative tolerance of every arc quadrature on this metric, the one arc
-    setting a run sets (RunConfig.quad_rel_tol, a cache key).
+    WarpingFunction with a log reader, or a RescaledModel).  rel_tol is every
+    arc quadrature's relative tolerance, RunConfig.quad_rel_tol in a run.
     """
 
     def __init__(self, h, label="halfplane", domain_start=0.0, r_cap=1e290, breakpoints=(),
