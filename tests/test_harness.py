@@ -314,3 +314,25 @@ def test_pure_full_suite_and_growth_margins(tmp_path):
         "beta-window-growth-slope": "3.4000000102871413",
         "beta-window-count-constants": "1.0000002579569576",
     }
+
+
+def test_full_suite_checks_cold_and_warm(tmp_path):
+    # the name, status, margin and details of every check of the osc 1e40 and
+    # pure 1/2 full suites, each run cold and then warm on one cache: 64
+    # checks under one sha256, and the warm CSVs byte for byte the cold ones
+    h = hashlib.sha256()
+    n = 0
+    for tag, model in (("osc", {**OSC, "radius_bound": 1e40}), ("pure", {"alpha": 0.5})):
+        for run_ in ("cold", "warm"):
+            cfg = parse_config(None, {"mode": "full-suite", **model,
+                                      "outdir": str(tmp_path / tag / run_),
+                                      "cache_dir": str(tmp_path / f"{tag}-cache")})
+            for c in run(cfg).checks:
+                h.update(repr((c.name, c.status, repr(c.margin), c.details)).encode())
+                n += 1
+        cold, warm = (sorted((tmp_path / tag / r).glob("*.csv")) for r in ("cold", "warm"))
+        assert [p.name for p in cold] == [p.name for p in warm]
+        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(cold, warm))
+    assert n == 64
+    assert h.hexdigest() == (
+        "757a0c2f07275f2f6bb03b155746fe640dd29f915e5d8e771d81deaadb728372")
