@@ -24,14 +24,14 @@ products of that term, with the bits of the full-tensor contractions,
 and only the traces and quadratic terms of the Ricci tensor are einsum
 contractions.
 
-Each query runs at two step sizes; a Richardson consistency check guards
-against a bad step and the extrapolated value is returned.  A pair that
-fails the check is retried at halved steps a fixed number of times before
-the oracle refuses, so a step too coarse for one radius is told apart from
-a radius no step resolves.
+Each query runs at two step sizes from the fixed relative step _REL_STEP
+at fixed sample angles (module constants); a Richardson consistency check
+guards against a bad step and the extrapolated value is returned.  A pair
+that fails the check is retried at halved steps a fixed number of times
+before the oracle refuses, so a step too coarse for one radius is told
+apart from a radius no step resolves.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,14 +45,10 @@ class StepTooLarge(RuntimeError):
 
 
 _HALVINGS = 3  # retries of the step pair, each at half the steps of the last
-
-
-@dataclass
-class OracleSettings:
-    rel_step: float = 3e-3
-    consistency_tol: float = 2e-4  # on |v(h) - v(h/2)| relative to 1 + |v|
-    base_angle: float = 1.0  # generic point; offsets avoid symmetry axes
-    angle_spread: float = 0.07
+_REL_STEP = 3e-3
+_CONSISTENCY_TOL = 2e-4  # on |v(h) - v(h/2)| relative to 1 + |v|
+_BASE_ANGLE = 1.0  # generic point; offsets avoid symmetry axes
+_ANGLE_SPREAD = 0.07
 
 
 @lru_cache(maxsize=None)
@@ -158,39 +154,36 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
     return ric, g0
 
 
-def _oracle_point(k, r, st: OracleSettings):
+def _oracle_point(k, r):
     """The point x = (r, thetas..., phi) the oracle differentiates at, and
     its first step set."""
     n = k + 2
     x = np.empty(n)
     x[0] = r
     for i in range(k):
-        x[1 + i] = st.base_angle + st.angle_spread * i
+        x[1 + i] = _BASE_ANGLE + _ANGLE_SPREAD * i
     x[n - 1] = 0.5
 
-    steps = np.full(n, st.rel_step)
+    steps = np.full(n, _REL_STEP)
     # f^2 varies on scale r, h^2 on scale ~1; the geometric mean balances
     # truncation against roundoff for both when r < 1.
-    steps[0] = st.rel_step * np.sqrt(abs(r) * max(abs(r), 1.0))
+    steps[0] = _REL_STEP * np.sqrt(abs(r) * max(abs(r), 1.0))
     return x, steps
 
 
-def ricci_numeric_oracle(
-    m: DoublyWarpedMetric, r: float, settings: OracleSettings | None = None
-) -> RicciReport:
+def ricci_numeric_oracle(m: DoublyWarpedMetric, r: float) -> RicciReport:
     """Principal Ricci values at radius r > 0 by divided differences.
 
     Raises StepTooLarge when halving the steps moves any principal value by
-    more than consistency_tol * (1 + |value|), or leaves the Ricci tensor off
-    diagonal, at the steps and at each of _HALVINGS halvings of them;
+    more than _CONSISTENCY_TOL * (1 + |value|), or leaves the Ricci tensor
+    off diagonal, at the steps and at each of _HALVINGS halvings of them;
     otherwise returns the Richardson-extrapolated values of the first pair
     that passes.
     """
     if r <= 0:
         raise ValueError("oracle requires r > 0")
-    st = settings or OracleSettings()
     n = m.k + 2
-    x, steps = _oracle_point(m.k, r, st)
+    x, steps = _oracle_point(m.k, r)
 
     def principal_values(scale):
         ric, g0 = _ricci_at_steps(m, x, steps * scale)
@@ -201,7 +194,7 @@ def ricci_numeric_oracle(
     v_h, _ = principal_values(1.0)
     for j in range(1, 2 + _HALVINGS):  # the pair (steps * 2**(1-j), steps * 2**-j)
         v_h2, off_h2 = principal_values(0.5 ** j)
-        moved = [(a, b) for a, b in zip(v_h, v_h2) if abs(a - b) > st.consistency_tol * (1.0 + abs(b))]
+        moved = [(a, b) for a, b in zip(v_h, v_h2) if abs(a - b) > _CONSISTENCY_TOL * (1.0 + abs(b))]
         if moved:
             refusal = f"oracle values moved from {moved[0][0]} to {moved[0][1]} when halving steps at r={r}"
         elif off_h2 > 1e-4:

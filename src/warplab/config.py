@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -53,6 +54,12 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError("mode", f"unknown mode {self.mode!r}; choose from {MODES}")
+        self.lambda_ladder = tuple(float(x) for x in self.lambda_ladder)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, float) and not math.isfinite(x) for x in values):
+                raise ConfigError(f.name, "must be finite")
         if self.alpha <= 0:
             raise ConfigError("alpha", "must be positive")
         if self.is_oscillating():
@@ -71,7 +78,6 @@ class RunConfig:
             raise ConfigError("r_min", "must be below r_max")
         if self.grid_points < 2:
             raise ConfigError("grid_points", "need at least 2 grid points")
-        self.lambda_ladder = tuple(float(x) for x in self.lambda_ladder)
 
     def is_oscillating(self) -> bool:
         return self.beta is not None or self.mode in ("build-example",)

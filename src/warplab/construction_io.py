@@ -23,7 +23,8 @@ BLEND = {"form": "exponent in log(1+r^2), quintic weight", "lo_frac": SPAN_LO,
          "hi": "centred on log(1+R^2)"}
 
 
-def save_construction(path: str, params: OscillationParams, ladder, sm: SmoothedH):
+def save_construction(path: str, ladder, sm: SmoothedH):
+    params = ladder.params
     doc = {
         "format": FORMAT,
         "alpha": params.alpha,
@@ -47,7 +48,8 @@ def save_construction(path: str, params: OscillationParams, ladder, sm: Smoothed
 
 
 def load_construction(path: str, check: bool = False):
-    """Rebuild (params, ladder, piecewise, smoothed) and verify stored values."""
+    """Rebuild (ladder, smoothed h) as build_oscillating_h does and verify
+    the stored segments; the parameters are ladder.params."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
@@ -59,12 +61,12 @@ def load_construction(path: str, check: bool = False):
         alpha=doc["alpha"], beta=doc["beta"], A=doc["A"], B=doc["B"],
         R11=doc["R11"], periods=doc["periods"],
     )
-    ladder, hp, sm = build_oscillating_h(
+    ladder, sm = build_oscillating_h(
         params, radius_bound=doc.get("radius_bound", 1e300), check=check
     )
     with mpmath.workdps(30):
-        _check_segments(doc["segments"], hp.segments)
-    return params, ladder, hp, sm
+        _check_segments(doc["segments"], sm.base.segments)
+    return ladder, sm
 
 
 def _agree(stored: str, x, name: str):

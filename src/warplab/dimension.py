@@ -245,33 +245,17 @@ class HausdorffEstimate:
     k: float
     delta: float
     content: float
-    direction: str  # "upper" or "lower"
-    chain_ok: bool = True
 
 
-def hausdorff_content(
-    s: LinearOrbitMetric, k: float, R: float, delta: float, direction: str = "upper",
-    fitted=None,
-) -> HausdorffEstimate:
-    """Covering content of the ball B_R at scale delta.
-
-    upper: cover by delta-balls centered at a maximal delta-separated set
-    (count = capacity) and return count * delta^k.  lower: the same greedy
-    cover's sum of radius^k, checked against the capacity chain bound
-    c1^2/(3^(k+1) c2^2) R^k when fitted constants (c1, c2) are given.
+def hausdorff_content(s: LinearOrbitMetric, k: float, R: float, delta: float) -> HausdorffEstimate:
+    """Covering content of the ball B_R at scale delta: cover by delta-balls
+    centered at a maximal delta-separated set (count = capacity) and return
+    count * delta^k.  Callers bound it between 3^(k+1)(c2/c1) R^k and the
+    capacity chain's c1^2/(3^(k+1) c2^2) R^k for fitted constants (c1, c2).
     """
     if not (0 < delta < R):
         raise ValueError("need 0 < delta < R")
-    cap = capacity(s, R, delta)
-    content = cap * delta**k
-    if direction == "upper":
-        return HausdorffEstimate(k, delta, content, "upper")
-    chain_ok = True
-    if fitted is not None:
-        c1, c2 = fitted
-        lower_bound = c1**2 / (3.0 ** (k + 1) * c2**2) * R**k
-        chain_ok = content >= lower_bound
-    return HausdorffEstimate(k, delta, content, "lower", chain_ok)
+    return HausdorffEstimate(k, delta, capacity(s, R, delta) * delta**k)
 
 
 def box_dimension_fit(profile: CapacityProfile) -> float:

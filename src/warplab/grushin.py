@@ -207,9 +207,9 @@ def convergence_report(
     seed: int = 1,
     rel_tol: float = 1e-9,
 ) -> ComparisonReport:
-    """Max relative distance error against the Grushin target per rescaling
-    factor, on a fixed probe set, with every arc of both sides at rel_tol;
-    the trend flag allows 10% noise.
+    """Max relative distance error against the Grushin target (one halfplane
+    for every pair) per rescaling factor, on a fixed probe set, with every
+    arc of both sides at rel_tol; the trend flag allows 10% noise.
 
     Probe pairs whose comparison arc leaves the stretch image are excluded
     and recorded, not counted.
@@ -225,11 +225,11 @@ def convergence_report(
         )
     rng = np.random.default_rng(seed)
     pairs = probe_pairs(rng, n_pairs)
-    target = GrushinMetric(exponent, rel_tol)
+    target = GrushinMetric(exponent, rel_tol).halfplane()
     target_d = {}
     for p in pairs:
         try:
-            target_d[p] = grushin_distance(target, *p)[0]
+            target_d[p] = halfplane_distance(target, *p)[0]
         except (UnsupportedPair, OutOfRange):
             target_d[p] = None
 
@@ -259,15 +259,17 @@ def convergence_report(
 
 def self_similarity_error(g: GrushinMetric, pairs, factor: float = 2.0) -> float:
     """Grushin cone property: d(s.p1, s.p2) = s d(p1, p2) under
-    (t, w) -> (s t, s^(1+2a) w).  Returns the max relative mismatch."""
+    (t, w) -> (s t, s^(1+2a) w), on one halfplane of g.  Returns the max
+    relative mismatch."""
     a = g.alpha
+    m = g.halfplane()
     s = factor
     worst = 0.0
     for p1, p2 in pairs:
-        d1 = grushin_distance(g, p1, p2)[0]
+        d1 = halfplane_distance(m, p1, p2)[0]
         q1 = (s * p1[0], s ** (1.0 + 2.0 * a) * p1[1])
         q2 = (s * p2[0], s ** (1.0 + 2.0 * a) * p2[1])
-        d2 = grushin_distance(g, q1, q2)[0]
+        d2 = halfplane_distance(m, q1, q2)[0]
         if d1 > 0:
             worst = max(worst, abs(d2 - s * d1) / (s * d1))
     return worst

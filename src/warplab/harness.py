@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,13 +105,24 @@ def write_csv(path, header, rows):
             fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
+def _pure_cache(cfg: RunConfig):
+    """Orbit cache of the pure alpha model, keyed by the config with beta, A
+    and B cleared: a pure config's own key, never an oscillating model's."""
+    payload = {**cfg.model_payload(), "beta": None, "A": None, "B": None}
+    return OrbitCache.for_model(payload, cfg.cache_dir)
+
+
 def _model_for(cfg: RunConfig):
-    """(smoothed h, ladder or None) for the configured model."""
-    if cfg.beta is not None:
+    """(ladder or None, smoothed h, orbit table) of the configured model, the
+    ladder blend-checked; only a pure model's table has a cache."""
+    if cfg.beta is None:
+        ladder, sm, cache = None, pure_model_h(cfg.alpha), _pure_cache(cfg)
+    else:
         p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
-        ladder, hp, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=False)
-        return sm, ladder
-    return pure_model_h(cfg.alpha), None
+        ladder, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
+        cache = None
+    metric = HalfplaneMetric.from_smoothed(sm, rel_tol=cfg.quad_rel_tol)
+    return ladder, sm, OrbitTable(metric, cache=cache)
 
 
 def run(cfg: RunConfig) -> RunReport:
@@ -133,9 +144,11 @@ def run(cfg: RunConfig) -> RunReport:
             "capacity": [_run_capacity],
             "grushin-compare": [_run_grushin],
         }[cfg.mode]
+    model = _model_for(cfg)
+    report.timings["_model_for"] = time.time() - t_start
     for step in steps:
         t0 = time.time()
-        step(cfg, report)
+        step(cfg, report, *model)
         report.timings[step.__name__] = time.time() - t0
     report.timings["total"] = time.time() - t_start
     path = os.path.join(cfg.outdir, "report.json")
@@ -146,8 +159,7 @@ def run(cfg: RunConfig) -> RunReport:
     return report
 
 
-def _run_ricci_check(cfg: RunConfig, report: RunReport):
-    sm, _ = _model_for(cfg)
+def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, sm, table):
     k = cfg.k or report.certified_k or 8
     f = standard_f()
     m = curv.DoublyWarpedMetric(k, f, sm)
@@ -185,10 +197,8 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport):
                margin=worst_rel, details=details)
 
 
-def _run_build_example(cfg: RunConfig, report: RunReport):
-    p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
-    ladder, hp, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
-    inv = construction_invariants(hp, sm, cfg.r_min)
+def _run_build_example(cfg: RunConfig, report: RunReport, ladder, sm, table):
+    inv = construction_invariants(sm, cfg.r_min)
     gaps = inv.junction_gaps
     report.add("junction-continuity", max(gaps) <= 1e-10, margin=max(gaps),
                details=f"{len(gaps)} junctions")
@@ -211,24 +221,13 @@ def _run_build_example(cfg: RunConfig, report: RunReport):
         report.add(f"certified-k<={cap}", False, details=str(e))
 
     path = os.path.join(cfg.outdir, "construction.json")
-    save_construction(path, p, ladder, sm)
+    save_construction(path, ladder, sm)
     report.artifacts.append(path)
 
 
-def _pure_cache(cfg: RunConfig):
-    """Orbit cache of the pure alpha model, keyed by the config with beta, A
-    and B cleared: a pure config's own key, never an oscillating model's."""
-    payload = {**cfg.model_payload(), "beta": None, "A": None, "B": None}
-    return OrbitCache.for_model(payload, cfg.cache_dir)
-
-
-def _run_orbit_growth(cfg: RunConfig, report: RunReport):
-    sm, ladder = _model_for(cfg)
-    metric = HalfplaneMetric.from_smoothed(sm, rel_tol=cfg.quad_rel_tol)
-
+def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
     if ladder is None:
         # pure model: distance sandwich on the asymptotic stretch plus a slope fit
-        table = OrbitTable(metric, cache=_pure_cache(cfg))
         a = cfg.alpha
         ls = np.round(np.exp(np.linspace(math.log(81), math.log(1e5), 40))).astype(int)
         ls = sorted(set(ls.tolist()))  # np.unique would import numpy.ma, about 1 MB
@@ -259,7 +258,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport):
     # oscillating model: a window at each controlling stretch, S = twice
     # the start of the period-2 alpha piece and of the first beta piece, both
     # on one orbit metric
-    s = GeodesicOrbitMetric(OrbitTable(metric))
+    s = GeodesicOrbitMetric(table)
     rows_csv = []
     alpha_starts = _piece_starts(sm, cfg.alpha)
     if cfg.periods >= 2 and len(alpha_starts) >= 2:
@@ -315,10 +314,9 @@ def _write_growth_csv(cfg, report, fit, name):
     report.artifacts.append(path)
 
 
-def _run_capacity(cfg: RunConfig, report: RunReport):
-    # capacity always runs the pure alpha model
-    metric = HalfplaneMetric.from_smoothed(pure_model_h(cfg.alpha), rel_tol=cfg.quad_rel_tol)
-    table = OrbitTable(metric, cache=_pure_cache(cfg))
+def _run_capacity(cfg: RunConfig, report: RunReport, ladder, sm, table):
+    if ladder is not None:  # capacity always runs the pure alpha model
+        table = _model_for(replace(cfg, beta=None))[2]
     s = LinearOrbitMetric(table.distance, scale=1.0)
     k = 1.0 + 2.0 * cfg.alpha
 
@@ -354,13 +352,12 @@ def _run_capacity(cfg: RunConfig, report: RunReport):
     report.add("content-bounds", ok, details=f"R={R0:g}, four covering scales")
 
 
-def _run_grushin(cfg: RunConfig, report: RunReport):
+def _run_grushin(cfg: RunConfig, report: RunReport, ladder, sm, table):
     try:
         target = GrushinMetric(cfg.alpha, cfg.quad_rel_tol)
     except ValueError as e:  # no Grushin target for decay exponents below 1/2
         report.add("grushin-unavailable", True, flagged=True, details=str(e))
         return
-    sm, ladder = _model_for(cfg)
     exponent = cfg.alpha
     if ladder is None:
         stretch = (0.0, math.inf)

@@ -348,12 +348,12 @@ class ConstructionInvariants:
     worst_C: float
 
 
-def construction_invariants(hp: PiecewiseH, sm: SmoothedH, r_min: float = 1e-3):
-    """Junction continuity of hp, strict decrease of log h on 1e5 log-spaced
-    samples from r_min to 1.3 x the last junction (1e6 without one), and
-    the replacement inequalities (400 samples) against the left piece of
-    every blend."""
-    gaps = hp.check_continuity(rel_tol=math.inf)
+def construction_invariants(sm: SmoothedH, r_min: float = 1e-3):
+    """Junction continuity of the pieces sm.base, strict decrease of log h
+    on 1e5 log-spaced samples from r_min to 1.3 x the last junction (1e6
+    without one), and the replacement inequalities (400 samples) against
+    the left piece of every blend."""
+    gaps = sm.base.check_continuity(rel_tol=math.inf)
 
     exps = np.linspace(np.log10(r_min), float(mpmath.log10(_scan_top(sm))), 100_000)
     # Python's scalar 10.0**e (np.power may differ by an ulp), 8,192 radii at a time
@@ -482,11 +482,12 @@ def certify_positive_ricci(
 
 
 def build_oscillating_h(params, radius_bound: float = 1e300, check: bool = True):
-    """Ladder -> piecewise -> smoothed for an OscillationParams or an
-    ExponentSchedule, returning (ladder, piecewise, smoothed)."""
+    """(ladder, smoothed h) for an OscillationParams or an ExponentSchedule:
+    the ladder's pieces (sm.base) blended at every junction.  check runs
+    smooth's blend scan, which raises OverflowError on blends past the
+    double range: such a ladder is built unchecked."""
     ladder = build_scale_ladder(params, radius_bound)
-    hp = build_piecewise_h(ladder)
-    return ladder, hp, smooth(hp, check=check)
+    return ladder, smooth(build_piecewise_h(ladder), check=check)
 
 
 def pure_model_h(alpha: float) -> SmoothedH:

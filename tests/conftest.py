@@ -15,14 +15,14 @@ def osc_params():
 
 @pytest.fixture(scope="session")
 def osc_build(osc_params):
-    """(ladder, piecewise, smoothed) for the standard oscillating model,
-    with the blend monotonicity scan run once."""
+    """(ladder, smoothed) for the standard oscillating model, with the
+    blend monotonicity scan run once."""
     return build_oscillating_h(osc_params, check=True)
 
 
 @pytest.fixture(scope="session")
 def osc_metric(osc_build):
-    _, _, sm = osc_build
+    _, sm = osc_build
     return HalfplaneMetric.from_smoothed(sm)
 
 

@@ -118,7 +118,7 @@ def test_criterion_4_grid_oracle_agreement(pure_half_metric):
 
 @pytest.fixture(scope="module")
 def osc_windows(osc_build, osc_metric):
-    ladder, _, _ = osc_build
+    ladder, _ = osc_build
     S_alpha = 2.0 * float(ladder.junctions[3])  # R14, where period-2 alpha starts
     S_beta = 2.0 * float(ladder.junctions[1])  # R12, where the first beta starts
     return S_alpha, S_beta
@@ -227,8 +227,8 @@ def test_criterion_9_grushin_convergence():
 
 
 def test_criterion_10_construction_invariants(osc_build):
-    ladder, hp, sm = osc_build
-    inv = construction_invariants(hp, sm)
+    ladder, sm = osc_build
+    inv = construction_invariants(sm)
     mism, mono, obs_ok = max(inv.junction_gaps), inv.monotone, inv.blends_ok
 
     cgrid, labels = certification_grid(sm)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warplab import christoffel
-from warplab.christoffel import OracleSettings, StepTooLarge, ricci_numeric_oracle
+from warplab.christoffel import StepTooLarge, ricci_numeric_oracle
 from warplab.curvature import DoublyWarpedMetric, ricci_report
 from warplab.ladder import OscillationParams
 from warplab.smoothing import build_oscillating_h
@@ -226,7 +226,7 @@ def _assert_same_as_dense(m, r):
 @pytest.fixture(scope="module")
 def osc_1e40_h():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, _, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
+    _, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
     return sm
 
 
@@ -282,7 +282,7 @@ def test_diagonal_stencil_matches_dense_refusal():
 # The diagonal products of _ricci_at_steps against the full-tensor einsum
 # contractions of tests/oracles.py, at every step set the oracle can try.
 def _assert_same_as_einsum(m, r):
-    x, steps = christoffel._oracle_point(m.k, r, OracleSettings())
+    x, steps = christoffel._oracle_point(m.k, r)
     for j in range(2 + christoffel._HALVINGS):
         s = steps * 0.5 ** j
         ric, g0 = christoffel._ricci_at_steps(m, x, s)

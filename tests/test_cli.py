@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -215,25 +216,33 @@ def test_config_error_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "config key 'B'" in capsys.readouterr().err
-    # a config-file value of the wrong type is a config error, not a traceback
+    # a config-file value of the wrong type, or a non-finite number, is a
+    # config error, not a traceback
     for key, value in (("alpha", None), ("alpha", "0.5"), ("grid_points", 2.5),
-                       ("lambda_ladder", None)):
+                       ("lambda_ladder", None), ("alpha", math.inf), ("r_max", math.nan),
+                       ("quad_rel_tol", math.nan), ("radius_bound", math.inf),
+                       ("lambda_ladder", [1e2, math.inf, 1e4])):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({key: value}))
         code = run_cli(["ricci-check", "--config", str(path), "--outdir", str(tmp_path)])
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+    code = run_cli(["ricci-check", "--radius-bound", "inf", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "config key 'radius_bound'" in capsys.readouterr().err
 
 
 def test_ladder_growth_error_exit_code(tmp_path, capsys):
-    # a valid schedule whose bridges put the first two junctions 4.6x apart
-    code = run_cli([
-        "build-example", "--alpha", "0.75", "--beta", "0.8125", "--A", "0.5",
-        "--B", "1.0", "--outdir", str(tmp_path),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ladder growth ratio below 5 between junctions 0 and 1 ")
+    # a valid schedule whose bridges put the first two junctions 4.6x apart:
+    # every mode with beta set builds the configured ladder
+    for mode in ("build-example", "capacity"):
+        code = run_cli([
+            mode, "--alpha", "0.75", "--beta", "0.8125", "--A", "0.5",
+            "--B", "1.0", "--outdir", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ladder growth ratio below 5 between junctions 0 and 1 ")
 
 
 def test_emit_config_round_trip(tmp_path, capsys):
@@ -302,7 +311,8 @@ def test_build_example_end_to_end(tmp_path, capsys):
     assert all(s == "pass" for s in status.values() if s != "flagged")
     assert any(n.startswith("certified-k<=") for n in status)
     # the saved construction rebuilds and agrees with its stored segments
-    params, ladder, hp, sm = load_construction(str(tmp_path / "construction.json"))
+    ladder, sm = load_construction(str(tmp_path / "construction.json"))
+    params = ladder.params
     assert (params.alpha, params.beta, params.A, params.B) == (0.6, 1.2, 0.3, 1.5)
     assert ladder.truncated and ladder.radius_bound == 1e40
-    assert len(sm.blends) == len(hp.segments) - 1 == 4
+    assert len(sm.blends) == len(sm.base.segments) - 1 == 4

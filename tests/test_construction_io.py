@@ -11,19 +11,19 @@ V1 = Path(__file__).parent / "data" / "construction_v1.json"
 
 
 def test_round_trip(tmp_path, osc_params, osc_build):
-    ladder, hp, sm = osc_build
+    ladder, sm = osc_build
     path = tmp_path / "construction.json"
-    save_construction(str(path), osc_params, ladder, sm)
-    params2, ladder2, hp2, sm2 = load_construction(str(path))
-    assert params2 == osc_params
+    save_construction(str(path), ladder, sm)
+    ladder2, sm2 = load_construction(str(path))
+    assert ladder2.params == osc_params
     for r in (0.5, 105.0, 3.3e7, 1.7e39):
         assert sm2.value(r) == sm.value(r)
 
 
-def test_tamper_detection(tmp_path, osc_params, osc_build):
-    ladder, hp, sm = osc_build
+def test_tamper_detection(tmp_path, osc_build):
+    ladder, sm = osc_build
     path = tmp_path / "construction.json"
-    save_construction(str(path), osc_params, ladder, sm)
+    save_construction(str(path), ladder, sm)
     doc = json.loads(path.read_text())
     doc["segments"][2]["r_lo"] = "1.23456789e+6"  # corrupted junction radius R12
     path.write_text(json.dumps(doc))
@@ -38,12 +38,12 @@ def test_format_guard(tmp_path):
         load_construction(str(p))
 
 
-def test_old_formats_are_refused(tmp_path, osc_params, osc_build):
+def test_old_formats_are_refused(tmp_path, osc_build):
     # v1 (per-period ladder rows) and v2 (segments, value-blend cutoff
     # fractions) recorded value blends, which are no longer built
-    ladder, hp, sm = osc_build
+    ladder, sm = osc_build
     v2 = tmp_path / "construction.json"
-    save_construction(str(v2), osc_params, ladder, sm)
+    save_construction(str(v2), ladder, sm)
     doc = json.loads(v2.read_text())
     del doc["blend"]
     doc.update({"format": "warplab-construction v2",
@@ -54,10 +54,10 @@ def test_old_formats_are_refused(tmp_path, osc_params, osc_build):
             load_construction(str(path))
 
 
-def test_tampered_blend_record_is_refused(tmp_path, osc_params, osc_build):
-    ladder, hp, sm = osc_build
+def test_tampered_blend_record_is_refused(tmp_path, osc_build):
+    ladder, sm = osc_build
     path = tmp_path / "construction.json"
-    save_construction(str(path), osc_params, ladder, sm)
+    save_construction(str(path), ladder, sm)
     doc = json.loads(path.read_text())
     assert doc["format"] == "warplab-construction v3"
     doc["blend"]["lo_frac"] = 0.9

@@ -54,8 +54,8 @@ def test_ricci_curve_csv_digest(tmp_path, model, digest, margin, oracle_margin):
 
 def test_osc_build_checks_golden_bits():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, hp, sm = build_oscillating_h(params, radius_bound=1e40, check=True)
-    inv = construction_invariants(hp, sm, 1e-3)
+    _, sm = build_oscillating_h(params, radius_bound=1e40, check=True)
+    inv = construction_invariants(sm, 1e-3)
     assert [g.hex() for g in inv.junction_gaps] == [
         "0x0.0p+0", "0x1.56ce34b4d317cp-134", "0x1.2f6cc0695b173p-136",
         "0x1.d32a9cc51559ap-136",
@@ -85,7 +85,7 @@ def test_osc_build_checks_golden_bits():
 def test_osc_default_bound_tail_golden_bits(osc_build):
     # the default 1e300 bound: certification and the replacement
     # inequalities reach the blends past 1e70 (R = 7.8e76 and 4.8e230)
-    _, _, sm = osc_build
+    _, sm = osc_build
     grid, labels = certification_grid(sm)
     p_eff = effective_exponent_max(sm, grid)
     assert p_eff.hex() == "0x1.8000000000000p+0"

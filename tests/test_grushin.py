@@ -99,7 +99,7 @@ def test_rescaled_equal_t_close_to_target():
 def test_rescaled_beta_regime_close_to_steeper_target(osc_build):
     # in the middle stretch the cover rescales toward the steeper-exponent
     # halfplane: equal-t probes within 5% of the exponent-1.2 target
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     R12, R13 = (float(x) for x in lad.junctions[1:3])
     stretch = (1.2 * R12, 0.8 * R13)
     lam = math.sqrt(stretch[0] * stretch[1] / (0.2 * 5.0))  # geometric-mean placement
@@ -138,7 +138,7 @@ def test_convergence_report_pure_model():
 
 
 def test_convergence_report_oscillating_alpha_regime(osc_build):
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     R11 = float(lad.junctions[0])
     stretch = (0.0, 0.8 * R11)  # (0, 80)
     lam_hi = 0.8 * R11 / 5.0
@@ -149,7 +149,7 @@ def test_convergence_report_oscillating_alpha_regime(osc_build):
 
 
 def test_window_too_narrow(osc_build):
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     stretch = (0.0, 0.8 * float(lad.junctions[0]))
     with pytest.raises(WindowTooNarrow):
         convergence_report(sm, 0.6, stretch, [1e5, 1e6, 1e7], n_pairs=4)
@@ -161,7 +161,7 @@ def test_probe_exclusion_counts(osc_build):
     # probes whose comparison arc exits the stretch image are excluded, not
     # scored: with a stretch top close to lambda * t_max, wide equal-t pairs
     # must drop out
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     R11 = float(lad.junctions[0])
     stretch = (0.0, 0.8 * R11)
     lam = 0.8 * R11 / 5.0  # probe box exactly reaches the top
@@ -194,7 +194,7 @@ def test_grushin_value_form_matches_jet(t, alpha):
 def test_rescaled_value_matches_scaled_jet(osc_build, t, lam, exponent):
     # log h_eff = 2a log lam + log h(lam t), against the 30-digit log of the
     # scaled mpmath jet, to a few ulps of each term
-    sm = osc_build[2]
+    sm = osc_build[1]
     model = RescaledModel.build(sm, lam, exponent, (0.0, math.inf))
     r = lam * t
     if not math.isfinite(r):
@@ -210,7 +210,7 @@ def test_rescaled_value_scales_an_underflowing_radius(osc_build):
     # at r = 1e200 the default model's B bridge is below double range; read
     # in log form and scaled by 1e60^3, it is a normal double, to a few ulps
     # of the logs
-    sm = osc_build[2]
+    sm = osc_build[1]
     lam, t = 1e60, 1e140
     with mpmath.workdps(30):
         v = sm.jet(mpmath.mpf(lam * t)).value
@@ -238,7 +238,7 @@ def test_rescaled_frame_matches_mp_jets(osc_build):
     # the chain-rule frame at three factors of the alpha window (2 to 16 on
     # the standard model) and t in [0.2, 5], scalar and array alike, against
     # mpmath jets of sm
-    lad, _, sm = osc_build
+    lad, sm = osc_build
     ts = np.geomspace(0.2, 5.0, 41)
     for lam in np.geomspace(2.0, 0.8 * float(lad.junctions[0]) / 5.0, 3).tolist():
         model = RescaledModel.build(sm, lam, 0.6, (0.0, 0.8 * float(lad.junctions[0])))
@@ -256,7 +256,7 @@ def test_rescaled_general_pair_oracle_builds_no_jet(osc_build, monkeypatch):
     # p_y cancellation) is not on this path
     from warplab import jets
 
-    lad, _, sm = osc_build
+    lad, sm = osc_build
     model = RescaledModel.build(sm, 8.0, 0.6, (0.0, 0.8 * float(lad.junctions[0])))
 
     def no_jet(self, *args):

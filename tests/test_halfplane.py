@@ -487,7 +487,7 @@ def _delta_v_calls_per_distance(m, l):
 def _osc_window_indices(osc_build, a):
     """Index window of the standard oscillating model at the alpha stretch of
     period 2 (S = 2 R14) or the first beta stretch (S = 2 R12)."""
-    ladder, _, _ = osc_build
+    ladder, _ = osc_build
     S = 2.0 * float(ladder.junctions[3] if a == 0.6 else ladder.junctions[1])
     return window_index_bounds(a, S)
 
@@ -627,7 +627,7 @@ _GOLDEN_ARCS = [
 
 @pytest.fixture(scope="module")
 def golden_metrics():
-    _, _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
+    _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
                                    radius_bound=1e40, check=False)
     return {"pure": HalfplaneMetric.from_smoothed(pure_model_h(0.5)),
             "osc": HalfplaneMetric.from_smoothed(sm)}
@@ -684,7 +684,7 @@ def _turning_outcome(solve, m, c):
 def rung_metrics():
     # fresh metrics, so the rungs fill in the order the examples ask for them;
     # the capped one runs out of rungs at r_cap = 3e5, past hi0 * 4^9
-    _, _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
+    _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
                                    radius_bound=1e40, check=False)
     return [HalfplaneMetric.from_smoothed(sm),
             HalfplaneMetric.from_smoothed(pure_model_h(0.5)),
@@ -750,7 +750,7 @@ def test_capped_metric_never_answers_with_the_straight_loop(pure_half_metric):
 def test_scan_bracketed_distance_matches_the_newton_path(model, osc_build):
     # the scan's bracket and the Newton steps' bracket close on the same root
     # under brentq's 1e-11 stop in log r_max
-    sm = pure_model_h(0.5) if model == "pure" else osc_build[2]
+    sm = pure_model_h(0.5) if model == "pure" else osc_build[1]
     bracketed = HalfplaneMetric.from_smoothed(sm)
     fresh = HalfplaneMetric.from_smoothed(sm)  # never scanned
     for l in sorted({round(l) for l in np.geomspace(1, 1e15, 16)}):
@@ -813,7 +813,7 @@ def test_smoothed_metric_reads_h_as_arrays_bit_for_bit(osc_metric, osc_build):
     # radius alone, as a one-element array bit for bit and as a double (its
     # log reader's log h) to a few ulps, also past 1e100, where h itself
     # underflows in doubles
-    sm = osc_build[2]
+    sm = osc_build[1]
     rng = np.random.default_rng(19)
     radii = [0.0, *(10.0 ** rng.uniform(-3.0, 289.0, 400)).tolist()]
     for b in sm.blends:
@@ -846,7 +846,7 @@ def test_power_decay_value_form_matches_jet(r, p):
 
 def _memo_models():
     # fresh metrics on every call: osc-1e40, pure, and pure capped at 3e5
-    _, _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
+    _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
                                    radius_bound=1e40, check=False)
     pure = pure_model_h(0.5)
     return [lambda **kw: HalfplaneMetric.from_smoothed(sm, **kw),

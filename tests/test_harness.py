@@ -336,3 +336,42 @@ def test_full_suite_checks_cold_and_warm(tmp_path):
     assert n == 64
     assert h.hexdigest() == (
         "757a0c2f07275f2f6bb03b155746fe640dd29f915e5d8e771d81deaadb728372")
+
+
+def test_one_model_build_per_run(tmp_path, monkeypatch):
+    # a run builds its model, metric and orbit table once: one ladder per osc
+    # full suite (4 when each step built its own), one strict-decrease scan
+    # in a cold pure full suite and one cache load in a warm one (2 each when
+    # orbit growth and capacity each built a metric), and one Grushin
+    # halfplane per comparison (40 when each probe pair built one)
+    from warplab import halfplane, smoothing
+    from warplab.cache import OrbitCache
+
+    counts = dict.fromkeys(("ladder", "scan", "load", "grushin"), 0)
+
+    def spy(owner, name, key, counted=lambda *args: True):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            counts[key] += counted(*args, **kwargs)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(smoothing, "build_scale_ladder", "ladder")
+    spy(halfplane, "verify_delta_v_monotone", "scan", lambda m: m._scan is None)
+    spy(OrbitCache, "load", "load")
+    spy(halfplane.HalfplaneMetric, "__init__", "grushin",
+        lambda m, h, label="", **kw: label.startswith("grushin-h"))
+
+    def run_counted(mode, **model):
+        for key in counts:
+            counts[key] = 0
+        run(parse_config(None, {"mode": mode, **model, "outdir": str(tmp_path / "out"),
+                                "cache_dir": str(tmp_path / "cache")}))
+        return dict(counts)
+
+    assert run_counted("full-suite", **OSC, radius_bound=1e40)["ladder"] == 1
+    cold = run_counted("full-suite", alpha=0.5)
+    assert (cold["scan"], cold["load"]) == (1, 1)
+    assert run_counted("full-suite", alpha=0.5)["load"] == 1
+    assert run_counted("grushin-compare", alpha=0.5)["grushin"] == 2

@@ -99,11 +99,11 @@ def _slope_underflow_blend_h():
 
 @pytest.fixture(scope="module")
 def models(osc_build):
-    _, _, osc40 = build_oscillating_h(OSC, radius_bound=1e40, check=False)
+    _, osc40 = build_oscillating_h(OSC, radius_bound=1e40, check=False)
     # a shallow bridge with a small constant: far out its h' underflows
     # while h does not
     shallow = PiecewiseH([Segment(mpmath.mpf(0), None, 0.3, mpmath.mpf("1e-200"), "bridge")])
-    return {"osc-1e40": osc40, "osc": osc_build[2], "pure": pure_model_h(0.5),
+    return {"osc-1e40": osc40, "osc": osc_build[1], "pure": pure_model_h(0.5),
             "huge-bridge": _huge_bridge_h(), "shallow-bridge": SmoothedH(shallow, []),
             "slope-underflow-blend": _slope_underflow_blend_h()}
 
@@ -240,7 +240,7 @@ def test_subnormal_bridge_power_reads_in_log_form(osc_build):
     # the default model's second p = 1.5 bridge (C = 2.56e138): between about
     # 7.7e102 and 7e107 the bare power (1+r^2)^(-1.5) is subnormal, while
     # C times it is a normal double; log h reads it with neither
-    sm = osc_build[2]
+    sm = osc_build[1]
     seg = sm.base.segment_at(1e105)
     assert (seg.kind, seg.p) == ("bridge", 1.5) and seg.c_float() > 1e138
     m = HalfplaneMetric.from_smoothed(sm)
@@ -315,7 +315,7 @@ def test_counts_and_distances_read_no_jet_and_no_mpmath(osc_build, monkeypatch):
     # a count past the old 1e100 floor and a beta-window distance on the
     # default model, on a fresh metric: h is read in log form only, with no
     # segment or blend jet and no mpmath code at all
-    ladder, _, sm = osc_build
+    ladder, sm = osc_build
     m = HalfplaneMetric.from_smoothed(sm)  # its breakpoints are read from mpf once
     lo, hi = window_index_bounds(1.2, 2.0 * float(ladder.junctions[1]))
 

@@ -60,13 +60,13 @@ def test_quintic_shape():
 
 
 def test_equal_outside_blends(osc_build):
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     for r in (13.0, 5e3, 1e9, 3e30):
-        assert sm.value(r) == hp.value(r)
+        assert sm.value(r) == sm.base.value(r)
 
 
 def test_regime_fidelity_bit_for_bit(osc_build):
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     pa = power_decay_h(0.6)
     pb = power_decay_h(1.2)
     # pure-alpha on [1.25 R_{i,0}, 0.8 R_{i,1}], pure-beta on [1.25 R_{i,2}, 0.8 R_{i,3}]
@@ -79,7 +79,7 @@ def test_regime_fidelity_bit_for_bit(osc_build):
 def test_sandwich_on_blends(osc_build):
     # h(r) / h(lo) lies between the power laws of the two joined exponents
     # from the blend's lower edge, ((1+r^2)/(1+lo^2))^(-p) for p = p_L, p_R
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     tol = mpmath.mpf("1e-12")
     for b in sm.blends:
         lo_mp = b.lo
@@ -96,19 +96,19 @@ def test_sandwich_on_blends(osc_build):
 
 
 def test_blend_overlap_rejected(osc_build):
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     from warplab.smoothing import Blend, BlendOverlap, SmoothedH
 
     b = sm.blends[0]
     clone = Blend(b.R * mpmath.mpf("1.1"), b.left, b.right)
     with pytest.raises(BlendOverlap):
-        SmoothedH(hp, [b, clone])
+        SmoothedH(sm.base, [b, clone])
 
 
 def test_blend_edges_jet_consistent(osc_build):
     # second-order contact at blend boundaries: jets from inside match the
     # adjacent closed form to 1e-8 relative
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     for b in sm.blends[:4]:
         for edge, seg in ((float(b.lo), None), (float(b.hi), None)):
             eps = edge * 1e-9
@@ -119,7 +119,7 @@ def test_blend_edges_jet_consistent(osc_build):
 
 
 def test_global_monotonicity_sampled(osc_build):
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     top = mpmath.mpf(sm.last_radius()) * mpmath.mpf("1.3")
     # double radii up to 1.3 x the last junction (4.8e230), far past where
     # h underflows doubles: log h decreases from sample to sample
@@ -159,7 +159,7 @@ def test_observation_rejects_increasing():
 
 
 def test_observation_on_blends(osc_build):
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     for b in sm.blends[:2]:
         chk = verify_observation(b.left, sm, (float(b.lo), float(b.hi)), n=400)
         assert chk.ok
@@ -195,7 +195,7 @@ def test_both_steep_bridges_need_their_threshold(osc_build):
     # each p = 1.5 bridge of the default model, on [1.2e2, 7.9e5] and on
     # [2e77, 1.8e230], certifies at k = 16p^2 + 8p = 48, where the radial
     # direction's c0 is exactly 0 and its exact value is positive
-    sm = osc_build[2]
+    sm = osc_build[1]
     grid, labels = certification_grid(sm)
     on_bridge = [r for r, lab in zip(grid, labels) if lab == "bridge(p=1.5)"]
     for rs in ([r for r in on_bridge if r < 1e10], [r for r in on_bridge if r > 1e70]):
@@ -212,7 +212,7 @@ def test_effective_exponent_of_steep_pure_model_past_double_underflow():
 def test_checks_past_double_range_raise_overflow(osc_params):
     # untruncated, two periods reach junctions at 1.1e462 and 1.5e1386, past
     # the double radii the dense checks sample
-    _, _, sm = build_oscillating_h(osc_params, radius_bound=math.inf, check=False)
+    _, sm = build_oscillating_h(osc_params, radius_bound=math.inf, check=False)
     with pytest.raises(OverflowError):
         certification_grid(sm, per_interval=4)
     top = float(sm.blends[3].hi)  # the last blend below the double range
@@ -224,7 +224,7 @@ def test_certified_k_recheck_idempotent(osc_build):
     # certification soundness: the returned k passes the plain grid check
     from warplab.curvature import DoublyWarpedMetric, ricci_positive_on_grid
 
-    lad, hp, sm = osc_build
+    lad, sm = osc_build
     grid, labels = certification_grid(sm, per_interval=40)
     cap = int(4 * dimension_threshold(effective_exponent_max(sm, grid)))
     cert = certify_positive_ricci(sm, standard_f(), cap, grid, labels)
@@ -239,7 +239,7 @@ def test_dense_checks_build_no_jet(monkeypatch):
     # the Christoffel oracle, which reads values through Jet2 on purpose,
     # stays outside
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, hp, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
+    _, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
     f = standard_f()
     grid, labels = certification_grid(sm)
     cap = int(4 * dimension_threshold(effective_exponent_max(sm, grid)))
@@ -248,7 +248,7 @@ def test_dense_checks_build_no_jet(monkeypatch):
         cert = certify_positive_ricci(sm, f, cap, grid, labels)
         m = DoublyWarpedMetric(cert.k, f, sm)
         return ([c.tolist() for c in ricci_components(m, grid)],
-                ricci_positive_on_grid(m, grid), construction_invariants(hp, sm), cert)
+                ricci_positive_on_grid(m, grid), construction_invariants(sm), cert)
 
     want = run()
 
@@ -263,7 +263,7 @@ def test_dense_checks_build_no_jet(monkeypatch):
 
 def test_schedule_h_monotone_and_observed():
     s = ExponentSchedule((0.5, 0.75, 1.0), A=0.25, B=1.3)
-    _, _, sm = build_oscillating_h(s, check=True)  # monotonicity scan inside
+    _, sm = build_oscillating_h(s, check=True)  # monotonicity scan inside
     for b in sm.blends:
         chk = verify_observation(b.left, sm, (float(b.lo), float(b.hi)), n=200)
         assert chk.ok
@@ -305,10 +305,10 @@ def test_random_schedules_build(s):
 @given(s=_schedules())
 def test_schedule_invariants_hold_for_random_exponent_lists(s):
     try:
-        _, hp, sm = _build_schedule(s)
+        _, sm = _build_schedule(s)
     except LadderGrowthDefect:
         reject()  # the schedules test_random_schedules_build records as failing
-    inv = construction_invariants(hp, sm)
+    inv = construction_invariants(sm)
     assert inv.monotone and inv.blends_ok, s
     assert max(inv.junction_gaps, default=0.0) <= 1e-10, s
 
@@ -336,9 +336,9 @@ def _huge_bridge_h():
 @pytest.fixture(scope="module")
 def fast_path_models():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, hp40, osc40 = build_oscillating_h(params, radius_bound=1e40, check=False)
+    _, osc40 = build_oscillating_h(params, radius_bound=1e40, check=False)
     with mpmath.workdps(40):  # blend edges that are not doubles
-        fine40 = smooth(hp40, check=False)
+        fine40 = smooth(osc40.base, check=False)
     return [(osc40, 40.0), (fine40, 40.0), (_huge_bridge_h(), 101.0)]
 
 
@@ -451,7 +451,7 @@ def test_pure_model_jet_is_power_decay_bit_for_bit():
 def test_blend_value_matches_jet_bit_for_bit(osc_build, fast_path_models, u):
     # every blend of the default (1e300) and 1e40 standard models and of the
     # out-of-float-range bridge, at a float radius across it and its plateaus
-    for sm in (osc_build[2], *(m for m, _ in fast_path_models)):
+    for sm in (osc_build[1], *(m for m, _ in fast_path_models)):
         for b in sm.blends:
             lo, hi = float(b.lo), float(b.hi)
             r = lo + u * (hi - lo)
@@ -463,7 +463,7 @@ def test_blend_value_matches_jet_bit_for_bit(osc_build, fast_path_models, u):
 def test_certification_labels_equal_per_radius_labels(osc_build, fast_path_models):
     # one label per cut interval, equal to the label of each of its radii
     # (the float ones and the mpf tail past 1e70 on the default model)
-    for sm in (osc_build[2], fast_path_models[0][0], pure_model_h(0.5)):
+    for sm in (osc_build[1], fast_path_models[0][0], pure_model_h(0.5)):
         grid, labels = certification_grid(sm)
         assert labels == [_regime_label(sm, r) for r in grid]
 
@@ -489,8 +489,8 @@ def _certification_grid_mpf(sm, r_min=1e-3, per_interval=240):
 @pytest.fixture(scope="module")
 def grid_models():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    return {"osc-1e40": build_oscillating_h(params, radius_bound=1e40, check=False)[2],
-            "osc-default": build_oscillating_h(params, check=False)[2],
+    return {"osc-1e40": build_oscillating_h(params, radius_bound=1e40, check=False)[1],
+            "osc-default": build_oscillating_h(params, check=False)[1],
             "pure": pure_model_h(0.5)}
 
 
@@ -570,8 +570,8 @@ def test_exponent_blend_meets_pieces_decreases_and_keeps_its_exponent(junction):
 def test_oracle_agrees_inside_blends(osc_build, blend, at):
     # the Christoffel oracle against the closed forms at k = 9 inside the
     # blends at 100 and 1e6, within the default ricci-check tolerance
-    b = osc_build[2].blends[blend]
-    m = DoublyWarpedMetric(9, standard_f(), osc_build[2])
+    b = osc_build[1].blends[blend]
+    m = DoublyWarpedMetric(9, standard_f(), osc_build[1])
     r = at * float(b.R)
     o, c = ricci_numeric_oracle(m, r), ricci_report(m, r)
     for a, w in ((o.ric_radial, c.ric_radial), (o.ric_circle, c.ric_circle),
