@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -397,3 +399,60 @@ def test_laplacian_solve_matches_solveh_banded():
         want = solveh_banded(ab, b[:n])
         got = gridpath._laplacian_solve(b[:n])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# sha256 of _row_sweep's dist and pick bytes, coarse grid then fine grid,
+# recorded before the row sweeps ran through row buffers
+SWEEP_SHA256 = {
+    "pure": [("18503d9aa016491d9859ae3d1c7161d170621abddcf081a4becfdb49ca3e0212",
+              "d82de63fe759968ea1ace9e68a2999a4a8892cede7e89be72425298449ebf750"),
+             ("6360d6f282d13e707acbe044bb2e7f7e77ae02a9b856868eff95d6eadc08d61a",
+              "72620d5ca4ed6d860467868abc9fa39baaede0b0f555051aa15460404245bdd0")],
+    "flat": [("2b7a1153dd768be5ca8e4a4d043230723aee0cb71959db046aabf7cb33017f13",
+              "57716b0ad73291dda4ccaa7d2d3e7b7a60e7cf0679cef4de4d2843151a748c7f"),
+             ("fc5eb5de5a2488ef569c2862d6eaf602620ac258350f4611acac9409efbe31af",
+              "77445a5717e84aaa396541ac64926923c42a65cc4b0814f0a941cf7815510533")],
+    "channel": [("a6bc4885f211445d6cd4e59e59f47dee1d5f305e64f71dc12ee62ca22d33a169",
+                 "139898fb0f92529b14890115eb554fe908a1ba2e1aad0d7883ba56211dad9ecf")],
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_SHA256))
+def test_row_sweep_bytes(case, pure_half_metric):
+    # the golden pure and flat oracles (both resolutions) and the channel grid
+    sweeps = []
+    real = gridpath._row_sweep
+
+    def recording(*args):
+        dist, pick = real(*args)
+        sweeps.append(tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (dist, pick)))
+        return dist, pick
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gridpath, "_row_sweep", recording)
+        if case == "pure":
+            dijkstra_distance_oracle(pure_half_metric, (0.0, 0.0), (0.0, 6.0 * math.pi), r_hi=6.0, nr=60)
+        elif case == "flat":
+            flat = HalfplaneMetric.from_warping(constant_h(1.0))
+            dijkstra_distance_oracle(flat, (0.5, 0.0), (2.0, 3.0), r_hi=3.0, nr=60)
+        else:
+            rs = np.linspace(0.0, 1.1, 12)
+            _grid_distance(lambda r: np.where(r == rs[1], 0.01, 1.0), (rs[8], 0.0), (rs[8], 10.0),
+                           0.0, 1.1, 0.0, 10.0, 12, 80, 10**8)
+    assert sweeps == SWEEP_SHA256[case]
+
+
+def test_oracle_peak_memory(pure_half_metric):
+    # 4.59 fine-grid arrays (319 x 319 doubles) at l = 24, nr = 160: the
+    # right and diag weights, dist, and _best_neighbours' best, pick and
+    # block buffers; one more node-sized array would push it past the bound
+    l = 24
+    _, sol = orbit_distance(pure_half_metric, l)
+    tracemalloc.start()
+    try:
+        dijkstra_distance_oracle(pure_half_metric, (0.0, 0.0), (0.0, 2.0 * math.pi * l),
+                                 r_hi=2.2 * sol.r_max, nr=160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.75 * 319 * 319 * 8
