@@ -50,7 +50,6 @@ class OrbitCache:
     def for_model(payload: dict, cache_dir: str | None = None) -> "OrbitCache":
         key = model_hash(payload)
         d = cache_dir or default_cache_dir()
-        os.makedirs(d, exist_ok=True)
         return OrbitCache(os.path.join(d, f"orbit_{key}.tsv"), key)
 
     def load(self) -> dict:
@@ -73,8 +72,12 @@ class OrbitCache:
             return {}
 
     def append(self, l, d, log_c, r_max):
-        # the directory's inode, unlike the file's, survives os.replace
-        dir_fd = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+        # the directory's inode, unlike the file's, survives os.replace; it is
+        # made here, so a run that computes no distance leaves no directory
+        folder = os.path.dirname(os.path.abspath(self.path))
+        if not self._ready:
+            os.makedirs(folder, exist_ok=True)
+        dir_fd = os.open(folder, os.O_RDONLY)
         try:
             with self._lock:
                 fcntl.flock(dir_fd, fcntl.LOCK_SH if self._ready else fcntl.LOCK_EX)

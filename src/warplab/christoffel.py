@@ -19,10 +19,11 @@ as stacked diagonals: f and h are read once per stencil radius and
 sin^2 once per distinct angle, and each difference is one array
 operation over all diagonal entries.  Since g^{-1} and the differences
 of g are diagonal too, every sum over an index of g^{-1} has one nonzero
-term: the Christoffel symbols and their derivatives are broadcast
-products of that term, with the bits of the full-tensor contractions,
-and only the traces and quadratic terms of the Ricci tensor are einsum
-contractions.
+term: the Christoffel symbols and the two traces of their derivatives
+that the Ricci tensor reads (n^3 slices, never the n^4 tensor) are
+broadcast products of that term, with the bits of the full-tensor
+contractions, and only the traces and quadratic terms of the Ricci
+tensor are einsum contractions.
 
 Each query runs at two step sizes from the fixed relative step _REL_STEP
 at fixed sample angles (module constants); a Richardson consistency check
@@ -49,19 +50,27 @@ _REL_STEP = 3e-3
 _CONSISTENCY_TOL = 2e-4  # on |v(h) - v(h/2)| relative to 1 + |v|
 _BASE_ANGLE = 1.0  # generic point; offsets avoid symmetry axes
 _ANGLE_SPREAD = 0.07
+_SIGNS = np.array([-1.0, 0.0, 1.0])  # x + s * sign: x - s, x and x + s exactly
 
 
 @lru_cache(maxsize=None)
 def _stencil_offsets(n):
-    """Offsets in {-1, 0, +1} of the 1 + 2n^2 stencil points, one row each:
-    the centre, then +e_mu and -e_mu for every mu, then the corners
-    (+,+), (+,-), (-,+), (-,-) of every pair mu < nu, grouped by corner.
-    Returns the offsets with the pair indices (mu, nu), all read-only: one
-    set per dimension serves every call."""
+    """Index arrays of the 1 + 2n^2 stencil points: the centre, then +e_mu
+    and -e_mu for every mu, then the corners (+,+), (+,-), (-,+), (-,-) of
+    every pair mu < nu, grouped by corner.  Returns each point's radius
+    (0, 1, 2 for x - s, x, x + s), its angle factors as indices into
+    [1.0, sin^2 of angles 0..k-2 at their three values], the pair indices
+    (mu, nu), and the row of d_mu d_nu in [second differences, mixed], all
+    read-only: one set per dimension serves every call."""
     eye = np.eye(n, dtype=np.intp)
     mu, nu = np.triu_indices(n, 1)
     corners = [a * eye[mu] + b * eye[nu] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    out = (np.concatenate([np.zeros((1, n), np.intp), eye, -eye, *corners]), mu, nu)
+    offsets = np.concatenate([np.zeros((1, n), np.intp), eye, -eye, *corners]) + 1
+    factors = np.zeros((len(offsets), n - 2), np.intp)
+    factors[:, 1:] = 1 + 3 * np.arange(n - 3) + offsets[:, 1:n - 2]
+    pair = np.diag(np.arange(n))
+    pair[mu, nu] = pair[nu, mu] = n + np.arange(len(mu))
+    out = (offsets[:, 0], factors, mu, nu, pair)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -78,39 +87,33 @@ def _stencil_derivatives(m: DoublyWarpedMetric, x, steps):
     diagonals of all stencil points are built as stacked rows, with the
     products in the order a point-by-point assembly would take them."""
     n = len(x)
-    k = m.k
-    offsets, mu, nu = _stencil_offsets(n)
-    vals = np.stack([x - steps, x, x + steps])  # [offset + 1, coordinate]
-    fh = [(m.f.value(rs), m.h.value(rs)) for rs in vals[:, 0]]
+    rsel, factors, mu, nu, pair = _stencil_offsets(n)
+    r, s = x[0].item(), steps[0].item()
     # f and h keep their operand types: an mpf value makes object rows,
     # rounded to doubles when the diagonals are stored
-    ff = np.array([fv * fv for fv, _ in fh])
-    hh = np.array([hv * hv for _, hv in fh])
-    sin2 = np.array([[np.sin(t) ** 2 for t in vals[:, 1 + i]] for i in range(k)]).reshape(k, 3)
-    rsel = offsets[:, 0] + 1
+    fh = zip(*[(m.f.value(rs), m.h.value(rs)) for rs in (r - s, r, r + s)])
+    ff, hh = (np.array([v * v for v in vs]) for vs in fh)
+    # sin^2 as a scalar power, like np.sin(t) ** 2: an array's ** 2 squares,
+    # which can round differently; angle j at x_j - s_j, x_j, x_j + s_j
+    angles = np.sin(x[1:n - 2, None] + steps[1:n - 2, None] * _SIGNS).ravel().tolist()
+    sin2 = np.array([1.0, *(t ** 2 for t in angles)])
     # prefix_i = prod_{j<i} sin^2(theta_j), multiplied left to right from 1.0
-    factors = np.ones((len(offsets), k + 1))
-    factors[:, 1:] = sin2[np.arange(k), offsets[:, 1:1 + k] + 1]
-    prefix = np.multiply.accumulate(factors, axis=1)[:, :k]
-    diag = np.empty((len(offsets), n))
+    prefix = np.multiply.accumulate(sin2[factors], axis=1)
+    diag = np.empty((len(rsel), n))
     diag[:, 0] = 1.0
-    diag[:, 1:1 + k] = ff[rsel][:, None] * prefix
+    diag[:, 1:n - 1] = ff[rsel][:, None] * prefix
     diag[:, n - 1] = hh[rsel]
 
     g0 = np.diag(diag[0])
     gp, gm = diag[1:1 + n], diag[1 + n:1 + 2 * n]
     pp, pm, mp, mm = diag[1 + 2 * n:].reshape(4, len(mu), n)
-    a = np.arange(n)
     d1 = np.zeros((n, n, n))
-    d1[:, a, a] = (gp - gm) / (2.0 * steps)[:, None]
-    d2 = np.zeros((n, n, n, n))
-    # steps[mu] ** 2 as a scalar power: numpy's array ** 2 squares, which
-    # can round differently
-    sq = np.array([s ** 2 for s in steps])
-    d2[a[:, None], a[:, None], a, a] = (gp - 2.0 * diag[0] + gm) / sq[:, None]
+    d1.reshape(n, n * n)[:, ::n + 1] = (gp - gm) / (2.0 * steps)[:, None]
+    sq = np.array([s ** 2 for s in steps.tolist()])  # a scalar power too
+    second = (gp - 2.0 * diag[0] + gm) / sq[:, None]
     mixed = (pp - pm - mp + mm) / (4.0 * steps[mu] * steps[nu])[:, None]
-    d2[mu[:, None], nu[:, None], a, a] = mixed
-    d2[nu[:, None], mu[:, None], a, a] = mixed
+    d2 = np.zeros((n, n, n, n))
+    d2.reshape(n, n, n * n)[:, :, ::n + 1] = np.concatenate([second, mixed])[pair]
     return g0, d1, d2
 
 
@@ -120,33 +123,35 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
     g0 is diagonal, so g^{-1} has exact zeros off its diagonal gi, and
     d1[mu, a, b], d2[mu, nu, a, b] vanish unless a == b.  Each sum over an
     index of g^{-1} then has one nonzero term, and the Christoffel symbols
-    and their derivatives are broadcast products of that term, each formed
-    with the operands in the order the full contraction multiplies them.
-    The trace and quadratic contractions run on C-contiguous tensors: a
-    transposed layout changes einsum's summation order."""
+    and the traces of their derivatives are broadcast products of that
+    term, each formed with the operands in the order the full contraction
+    multiplies them.  The trace and quadratic contractions run on
+    C-contiguous tensors: a transposed layout changes einsum's summation
+    order."""
     g0, d1, d2 = _stencil_derivatives(m, x, steps)
-    gi = np.diag(np.linalg.inv(g0))  # g^{ll}
-    a = np.arange(len(x))
+    n = len(x)
+    gi = 1.0 / g0.reshape(n * n)[::n + 1]  # g^{ll}: inv(g0)'s diagonal, bit for bit
 
-    # Gamma^l_{mu nu} = 1/2 g^{ll} (d_mu g_{nu l} + d_nu g_{mu l} - d_l g_{mu nu})
-    tA = d1.transpose(0, 1, 2)  # [mu, nu, s] = d_mu g_{nu s}
-    tB = d1.transpose(1, 0, 2)  # [mu, nu, s] = d_nu g_{mu s}
-    tC = d1.transpose(1, 2, 0)  # [mu, nu, s] = d_s g_{mu nu}
-    bracket = (tA + tB - tC).transpose(2, 0, 1)  # [l, mu, nu]
+    # Gamma^l_{mu nu} = 1/2 g^{ll} (d_mu g_{nu l} + d_nu g_{mu l} - d_l g_{mu nu}), from
+    # [mu, nu, s] = d_mu g_{nu s} + d_nu g_{mu s} - d_s g_{mu nu}
+    bracket = (d1 + d1.transpose(1, 0, 2) - d1.transpose(1, 2, 0)).transpose(2, 0, 1)
     gamma = np.ascontiguousarray(0.5 * (gi[:, None, None] * bracket))
 
-    # d_rho Gamma^l_{mu nu}: product rule with d_rho g^{ll} = -(g^{ll} d_rho g_{ll}) g^{ll}
-    dginv = -(gi * d1[:, a, a]) * gi  # [rho, l] = d_rho g^{ll}
-    dA = d2.transpose(0, 1, 2, 3)  # [rho, mu, nu, s] = d_rho d_mu g_{nu s}
-    dB = d2.transpose(0, 2, 1, 3)  # [rho, mu, nu, s] = d_rho d_nu g_{mu s}
-    dC = d2.transpose(0, 2, 3, 1)  # [rho, mu, nu, s] = d_rho d_s g_{mu nu}
-    dbracket = (dA + dB - dC).transpose(0, 3, 1, 2)  # [rho, l, mu, nu]
-    dgamma = np.ascontiguousarray(
-        0.5 * (dginv[:, :, None, None] * bracket + gi[:, None, None] * dbracket))
+    # d_rho Gamma^l_{mu nu} = 1/2 (d_rho g^{ll} bracket[l, mu, nu] + g^{ll} D[rho, l, mu, nu])
+    # with d_rho g^{ll} = -(g^{ll} d_rho g_{ll}) g^{ll} and D[rho, l, mu, nu] =
+    # d_rho d_mu g_{nu l} + d_rho d_nu g_{mu l} - d_rho d_l g_{mu nu}, formed only at
+    # rho = l, as [r, m, n], and at rho = n, nu = l, as [n, l, m]
+    dginv = -(gi * d1.reshape(n, n * n)[:, ::n + 1]) * gi  # [rho, l]
+    at_r = d2.diagonal(0, 0, 3)  # [mu, nu, r] = d_r d_mu g_{nu r}
+    d_rr = at_r.transpose(2, 0, 1) + at_r.transpose(2, 1, 0) - d2.reshape(n * n, n, n)[::n + 1]
+    dg_rr = 0.5 * (dginv.diagonal()[:, None, None] * bracket + gi[:, None, None] * d_rr)
+    at_l = d2.diagonal(0, 1, 3).transpose(0, 2, 1)  # [n, l, m] = d_n d_l g_{m l}
+    d_nl = d2.reshape(n, n, n * n)[:, :, ::n + 1].transpose(0, 2, 1) + at_l - at_l
+    dg_nl = 0.5 * (dginv[:, :, None] * bracket.diagonal(0, 0, 2).T + gi[:, None] * d_nl)
 
     # Ric_{mn} = d_l Gamma^l_{mn} - d_n Gamma^l_{ml} + G^l_{ls} G^s_{mn} - G^l_{ns} G^s_{ml}
-    d_l_gamma = np.einsum("rrmn->mn", dgamma)
-    d_n_gamma_trace = np.einsum("nlml->mn", dgamma)
+    d_l_gamma = np.einsum("rmn->mn", np.ascontiguousarray(dg_rr))
+    d_n_gamma_trace = np.einsum("nlm->mn", np.ascontiguousarray(dg_nl))
     gamma_trace = np.einsum("lls->s", gamma)
     quad1 = np.einsum("s,smn->mn", gamma_trace, gamma)
     quad2 = np.einsum("lns,sml->mn", gamma, gamma)
@@ -157,14 +162,8 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
 def _oracle_point(k, r):
     """The point x = (r, thetas..., phi) the oracle differentiates at, and
     its first step set."""
-    n = k + 2
-    x = np.empty(n)
-    x[0] = r
-    for i in range(k):
-        x[1 + i] = _BASE_ANGLE + _ANGLE_SPREAD * i
-    x[n - 1] = 0.5
-
-    steps = np.full(n, _REL_STEP)
+    x = np.array([r, *(_BASE_ANGLE + _ANGLE_SPREAD * i for i in range(k)), 0.5])
+    steps = np.full(k + 2, _REL_STEP)
     # f^2 varies on scale r, h^2 on scale ~1; the geometric mean balances
     # truncation against roundoff for both when r < 1.
     steps[0] = _REL_STEP * np.sqrt(abs(r) * max(abs(r), 1.0))
@@ -201,6 +200,6 @@ def ricci_numeric_oracle(m: DoublyWarpedMetric, r: float) -> RicciReport:
             refusal = f"Ricci tensor not numerically diagonal at r={r}: {off_h2}"
         else:
             extrap = (4.0 * v_h2 - v_h) / 3.0
-            return RicciReport(r, extrap[0], extrap[2], extrap[1])
+            return RicciReport(r, *extrap[[0, 2, 1]].tolist())  # doubles, not numpy scalars
         v_h = v_h2
     raise StepTooLarge(f"{refusal} (steps halved {_HALVINGS} times)")

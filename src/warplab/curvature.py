@@ -161,15 +161,22 @@ def ricci_components(m: DoublyWarpedMetric, rs):
     return tuple((c0 + c1 * s) * s for c0, c1 in dirs)
 
 
-def ricci_positive_on_grid(m: DoublyWarpedMetric, grid):
-    """``(ok, worst)``: ok iff all three directions are `positive` at every
-    grid radius, worst the (first) RicciReport with the smallest minimum."""
+def ricci_grid(m: DoublyWarpedMetric, grid):
+    """``(components, ok, worst)`` from one frame pass over the grid:
+    ricci_components at the grid radii, and ricci_positive_on_grid's verdict."""
+    grid = np.asarray(grid, dtype=float)
     if len(grid) == 0:
         raise ValueError("empty grid")
-    if any(r <= 0 for r in grid):
+    if (grid <= 0).any():
         raise ValueError("grid radii must be positive")
     s, dirs = _scaled(m, grid)
     ok = all(positive(c0, c1, s).all() for c0, c1 in dirs)
-    rows = [(c0 + c1 * s) * s for c0, c1 in dirs]
+    rows = tuple((c0 + c1 * s) * s for c0, c1 in dirs)
     worst = int(np.argmin(np.minimum.reduce(rows)))
-    return ok, RicciReport(grid[worst], *(float(c[worst]) for c in rows))
+    return rows, ok, RicciReport(grid[worst].item(), *(float(c[worst]) for c in rows))
+
+
+def ricci_positive_on_grid(m: DoublyWarpedMetric, grid):
+    """``(ok, worst)``: ok iff all three directions are `positive` at every
+    grid radius, worst the (first) RicciReport with the smallest minimum."""
+    return ricci_grid(m, grid)[1:]

@@ -77,16 +77,6 @@ _STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 _BLOCK_ROWS = 64
 
 
-def _scan_row(row, s):
-    """Lower each node of a row to s[i] + min_{j<i} (row[j] - s[j]) and to
-    min_{j>i} (row[j] + s[j]) - s[i], s the row's cumulative right weights.
-    A node's own term is left out, so a converged row is a fixed point."""
-    fwd = np.minimum.accumulate(row[:-1] - s[:-1])
-    np.minimum(row[1:], fwd + s[1:], out=row[1:])
-    bwd = np.minimum.accumulate((row[1:] + s[1:])[::-1])[::-1]
-    np.minimum(row[:-1], bwd - s[:-1], out=row[:-1])
-
-
 def _best_neighbours(dist, right, down, diag):
     """Each node's least dist[u] + w(u, v) over its 8 neighbours u, in exact
     float adds, the index in _STEPS of the first u attaining it, and whether
@@ -122,33 +112,42 @@ def _row_sweep(right, down, diag, src):
     """Distances from node src = (ir, iv), and _best_neighbours' directions.
 
     Each pair of passes runs up the rows and back down; a row first takes
-    its three edges from the row before it, then its scans.  A pair after
-    which no node would fall by more than 1e-12 of its value ends the
-    solve; otherwise those nodes fall and another pair runs.  A row's
-    cumulative right weights are summed each time it scans, into one row
-    buffer, so the solve holds no node-sized array of them."""
+    its three edges from the row before it, then scans: each node falls to
+    s[i] + min_{j<i} (row[j] - s[j]) and to min_{j>i} (row[j] + s[j]) - s[i],
+    s the row's cumulative right weights (a node's own term is left out, so
+    a converged row is a fixed point).  A pair after which no node would
+    fall by more than 1e-12 of its value ends the solve; otherwise those
+    nodes fall and another pair runs.  Every sum and running minimum of a
+    row goes into one of two row buffers, so the solve makes no array per
+    row and holds no node-sized array but dist."""
     nr, nv = right.shape[0], right.shape[1] + 1
     dist = np.full((nr, nv), np.inf)
     dist[src] = 0.0
-    s = np.zeros(nv)
+    s, a, b = np.zeros(nv), np.empty(nv - 1), np.empty(nv - 1)
+    s_lo, s_hi = s[:-1], s[1:]
 
-    def scan(ir):
-        np.cumsum(right[ir], out=s[1:])
-        _scan_row(dist[ir], s)
-
-    def take(ir, prev, gap):
-        row, p, w = dist[ir], dist[prev], diag[gap]
-        np.minimum(row, p + down[gap], out=row)
-        np.minimum(row[1:], p[:-1] + w, out=row[1:])
-        np.minimum(row[:-1], p[1:] + w, out=row[:-1])
-        scan(ir)
+    def sweep(order, prev_step):
+        for ir in order:
+            row = dist[ir]
+            lo, hi = row[:-1], row[1:]
+            if prev_step:
+                gap = min(ir, ir - prev_step)
+                p, w = dist[ir - prev_step], diag[gap]
+                np.add(p, down[gap], out=s)  # s is refilled below
+                np.minimum(row, s, out=row)
+                np.minimum(hi, np.add(p[:-1], w, out=a), out=hi)
+                np.minimum(lo, np.add(p[1:], w, out=a), out=lo)
+                s[0] = 0.0
+            np.add.accumulate(right[ir], out=s_hi)
+            np.minimum.accumulate(np.subtract(lo, s_lo, out=a), out=b)
+            np.minimum(hi, np.add(b, s_hi, out=a), out=hi)
+            np.minimum.accumulate(np.add(hi, s_hi, out=a)[::-1], out=b[::-1])
+            np.minimum(lo, np.subtract(b, s_lo, out=a), out=lo)
 
     for _ in range(_MAX_SWEEP_PAIRS):
-        scan(0)
-        for ir in range(1, nr):
-            take(ir, ir - 1, ir - 1)
-        for ir in range(nr - 2, -1, -1):
-            take(ir, ir + 1, ir)
+        sweep([0], 0)
+        sweep(range(1, nr), 1)
+        sweep(range(nr - 2, -1, -1), -1)
         best, pick, falls = _best_neighbours(dist, right, down, diag)
         if not falls:
             return dist, pick

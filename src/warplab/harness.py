@@ -102,7 +102,9 @@ def write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+            # float.__repr__: a numpy float's repr would write np.float64(...)
+            fh.write(",".join(float.__repr__(x) if isinstance(x, float) else str(x)
+                              for x in row) + "\n")
 
 
 def _pure_cache(cfg: RunConfig):
@@ -165,8 +167,8 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, sm, table):
     m = curv.DoublyWarpedMetric(k, f, sm)
     grid = curv.log_grid(cfg.r_min, cfg.r_max, cfg.grid_points)
     # ricci_report's bits at every radius, from one f and one h frame
-    rows = list(zip(grid.tolist(), *(c.tolist() for c in curv.ricci_components(m, grid))))
-    ok, worst = curv.ricci_positive_on_grid(m, grid)
+    dirs, ok, worst = curv.ricci_grid(m, grid)
+    rows = list(zip(grid.tolist(), *(c.tolist() for c in dirs)))
     path = os.path.join(cfg.outdir, "ricci_curve.csv")
     write_csv(path, ["r", "ric_radial", "ric_circle", "ric_sphere"], rows)
     report.artifacts.append(path)

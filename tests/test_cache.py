@@ -63,6 +63,13 @@ def test_torn_last_line_is_skipped_and_cut_before_appending(cache_dir):
     assert _lines(fresh)[1:] == ["3 1.0 0.5 2.0", "13 4.5 0.2 9.0"]
 
 
+def test_directory_is_made_by_the_first_append(cache_dir):
+    cache = OrbitCache.for_model({"family": "lazy"}, cache_dir)
+    assert cache.load() == {} and not os.path.exists(cache_dir)
+    cache.append(1, 2.0, 0.5, 3.0)
+    assert cache.load() == {1: (2.0, 0.5, 3.0)}
+
+
 def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
     alien = OrbitCache.for_model({"family": "other"}, cache_dir)
     alien.append(5, 9.0, 0.1, 4.0)
@@ -77,6 +84,7 @@ def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
 def _older_file_is_ignored_then_rewritten(cache_dir, version):
     assert HEADER == "# warplab-orbit-cache v5 model="
     cache = OrbitCache.for_model({"family": "old"}, cache_dir)
+    os.makedirs(cache_dir)  # the first append makes it; the old file comes first
     with open(cache.path, "w") as fh:
         fh.write(f"# warplab-orbit-cache {version} model={cache.model_key}\n3 1.0 0.5 2.0\n")
     assert cache.load() == {}

@@ -99,6 +99,12 @@ def test_oracle_rejects_nonpositive_radius():
         ricci_numeric_oracle(m, 0.0)
 
 
+def test_oracle_returns_doubles():
+    m = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
+    o = ricci_numeric_oracle(m, 7.0)
+    assert [type(v) for v in (o.ric_radial, o.ric_circle, o.ric_sphere)] == [float] * 3
+
+
 # reprs recorded before f and h were read once per stencil radius
 GOLDEN = {
     ("pure", 0.3): ("10.941839908958633", "7.726622337947294", "11.875073306658637"),

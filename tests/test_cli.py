@@ -85,6 +85,24 @@ def test_ricci_check_passes(tmp_path, capsys):
     assert len(names) == len(set(names))  # every check listed exactly once
 
 
+def test_only_distance_modes_make_the_cache_dir(tmp_path, capsys):
+    # the pure model's orbit table has a cache from the start of a run, but
+    # its directory appears with the first distance written to it
+    cache = tmp_path / "cache"
+    for mode in (["ricci-check", "--grid-points", "400", "--r-max", "1e4"], ["grushin-compare"]):
+        assert run_cli([*mode, "--alpha", "0.5", "--outdir", str(tmp_path / mode[0]),
+                        "--cache-dir", str(cache)]) == 0
+        assert not cache.exists(), mode[0]
+    growth = ["orbit-growth", "--alpha", "0.5", "--outdir", str(tmp_path / "growth"),
+              "--cache-dir", str(cache)]
+    assert run_cli(growth) == 0
+    (file,) = cache.iterdir()
+    cold = file.read_bytes()
+    assert cold.count(b"\n") > 1
+    assert run_cli(growth) == 0
+    assert file.read_bytes() == cold  # a warm rerun appends nothing
+
+
 def test_failing_run_exits_nonzero(tmp_path, capsys):
     # k = 1 cannot hold the circle direction positive at moderate radii
     code = run_cli([
