@@ -50,7 +50,6 @@ _REL_STEP = 3e-3
 _CONSISTENCY_TOL = 2e-4  # on |v(h) - v(h/2)| relative to 1 + |v|
 _BASE_ANGLE = 1.0  # generic point; offsets avoid symmetry axes
 _ANGLE_SPREAD = 0.07
-_SIGNS = np.array([-1.0, 0.0, 1.0])  # x + s * sign: x - s, x and x + s exactly
 
 
 @lru_cache(maxsize=None)
@@ -94,8 +93,9 @@ def _stencil_derivatives(m: DoublyWarpedMetric, x, steps):
     fh = zip(*[(m.f.value(rs), m.h.value(rs)) for rs in (r - s, r, r + s)])
     ff, hh = (np.array([v * v for v in vs]) for vs in fh)
     # sin^2 as a scalar power, like np.sin(t) ** 2: an array's ** 2 squares,
-    # which can round differently; angle j at x_j - s_j, x_j, x_j + s_j
-    angles = np.sin(x[1:n - 2, None] + steps[1:n - 2, None] * _SIGNS).ravel().tolist()
+    # which can round differently; angle j at x_j - s_j, x_j and x_j + s_j, exactly
+    signs = np.array([-1.0, 0.0, 1.0])
+    angles = np.sin(x[1:n - 2, None] + steps[1:n - 2, None] * signs).ravel().tolist()
     sin2 = np.array([1.0, *(t ** 2 for t in angles)])
     # prefix_i = prod_{j<i} sin^2(theta_j), multiplied left to right from 1.0
     prefix = np.multiply.accumulate(sin2[factors], axis=1)

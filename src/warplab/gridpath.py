@@ -60,9 +60,10 @@ def _grid_weights(h_value, rs, vs):
     h_row, h_gap = h_value(rs), h_value(0.5 * (rs[:-1] + rs[1:]))
     dv_next = vs[1:] - vs[:-1]
     dr_next = rs[1:] - rs[:-1]
-    right = np.sqrt(0.0 ** 2 + (h_row[:, None] * dv_next) ** 2)
+    right, diag = h_row[:, None] * dv_next, h_gap[:, None] * dv_next
+    for w, dr2 in ((right, 0.0 ** 2), (diag, dr_next[:, None] ** 2)):
+        np.sqrt(np.add(dr2, np.square(w, out=w), out=w), out=w)  # no grid-sized temporary
     down = np.sqrt(dr_next ** 2 + (h_gap * 0.0) ** 2)
-    diag = np.sqrt(dr_next[:, None] ** 2 + (h_gap[:, None] * dv_next) ** 2)
     return right, down, diag
 
 
