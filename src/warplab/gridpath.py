@@ -28,6 +28,7 @@ plus the measured anisotropy factor raw/relaxed.  Comparisons at the few
 percent level must use `relaxed`; `raw` certifies the global route.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,36 +120,32 @@ def _row_sweep(right, down, diag, src):
     a converged row is a fixed point).  A pair after which no node would
     fall by more than 1e-12 of its value ends the solve; otherwise those
     nodes fall and another pair runs.  Every sum and running minimum of a
-    row goes into one of two row buffers, so the solve makes no array per
-    row and holds no node-sized array but dist."""
+    row goes into s or one of two more row buffers, so the solve makes no
+    array per row and holds no node-sized array but dist."""
     nr, nv = right.shape[0], right.shape[1] + 1
     dist = np.full((nr, nv), np.inf)
     dist[src] = 0.0
     s, a, b = np.zeros(nv), np.empty(nv - 1), np.empty(nv - 1)
-    s_lo, s_hi = s[:-1], s[1:]
-
-    def sweep(order, prev_step):
-        for ir in order:
+    s_lo, s_hi, b_rev = s[:-1], s[1:], b[::-1]
+    for _ in range(_MAX_SWEEP_PAIRS):
+        # rows 0, 1, ..., nr - 1, then nr - 2, ..., 0: each takes from the row before it
+        for t, ir in enumerate(itertools.chain(range(nr), range(nr - 2, -1, -1))):
             row = dist[ir]
             lo, hi = row[:-1], row[1:]
-            if prev_step:
-                gap = min(ir, ir - prev_step)
-                p, w = dist[ir - prev_step], diag[gap]
+            if t:
+                gap = min(ir, ir_p)
+                w = diag[gap]
                 np.add(p, down[gap], out=s)  # s is refilled below
                 np.minimum(row, s, out=row)
-                np.minimum(hi, np.add(p[:-1], w, out=a), out=hi)
-                np.minimum(lo, np.add(p[1:], w, out=a), out=lo)
+                np.minimum(hi, np.add(p_lo, w, out=a), out=hi)
+                np.minimum(lo, np.add(p_hi, w, out=a), out=lo)
                 s[0] = 0.0
             np.add.accumulate(right[ir], out=s_hi)
             np.minimum.accumulate(np.subtract(lo, s_lo, out=a), out=b)
             np.minimum(hi, np.add(b, s_hi, out=a), out=hi)
-            np.minimum.accumulate(np.add(hi, s_hi, out=a)[::-1], out=b[::-1])
+            np.minimum.accumulate(np.add(hi, s_hi, out=a)[::-1], out=b_rev)
             np.minimum(lo, np.subtract(b, s_lo, out=a), out=lo)
-
-    for _ in range(_MAX_SWEEP_PAIRS):
-        sweep([0], 0)
-        sweep(range(1, nr), 1)
-        sweep(range(nr - 2, -1, -1), -1)
+            p, p_lo, p_hi, ir_p = row, lo, hi, ir
         best, pick, falls = _best_neighbours(dist, right, down, diag)
         if not falls:
             return dist, pick
