@@ -28,7 +28,6 @@ plus the measured anisotropy factor raw/relaxed.  Comparisons at the few
 percent level must use `relaxed`; `raw` certifies the global route.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -129,7 +128,7 @@ def _row_sweep(right, down, diag, src):
     s_lo, s_hi, b_rev = s[:-1], s[1:], b[::-1]
     for _ in range(_MAX_SWEEP_PAIRS):
         # rows 0, 1, ..., nr - 1, then nr - 2, ..., 0: each takes from the row before it
-        for t, ir in enumerate(itertools.chain(range(nr), range(nr - 2, -1, -1))):
+        for t, ir in enumerate([*range(nr), *range(nr - 2, -1, -1)]):
             row = dist[ir]
             lo, hi = row[:-1], row[1:]
             if t:
