@@ -20,10 +20,9 @@ sin^2 once per distinct angle, and each difference is one array
 operation over all diagonal entries.  Since g^{-1} and the differences
 of g are diagonal too, every sum over an index of g^{-1} has one nonzero
 term: the Christoffel symbols and the two traces of their derivatives
-that the Ricci tensor reads (n^3 slices, never the n^4 tensor) are
-broadcast products of that term, with the bits of the full-tensor
-contractions, and only the traces and quadratic terms of the Ricci
-tensor are einsum contractions.
+that Ricci reads (n^3, not n^4, entries) are broadcast products of that
+term, with the bits of the full-tensor contractions, and only the traces
+and quadratic terms of the Ricci tensor are einsum contractions.
 
 Each query runs at two step sizes from the fixed relative step _REL_STEP
 at fixed sample angles (module constants); a Richardson consistency check
@@ -54,13 +53,11 @@ _ANGLE_SPREAD = 0.07
 
 @lru_cache(maxsize=None)
 def _stencil_offsets(n):
-    """Index arrays of the 1 + 2n^2 stencil points: the centre, then +e_mu
-    and -e_mu for every mu, then the corners (+,+), (+,-), (-,+), (-,-) of
-    every pair mu < nu, grouped by corner.  Returns each point's radius
-    (0, 1, 2 for x - s, x, x + s), its angle factors as indices into
-    [1.0, sin^2 of angles 0..k-2 at their three values], the pair indices
-    (mu, nu), and the row of d_mu d_nu in [second differences, mixed], all
-    read-only: one set per dimension serves every call."""
+    """Of the 1 + 2n^2 stencil points (the centre, +e_mu and -e_mu, then the
+    corners (+,+), (+,-), (-,+), (-,-) of every pair mu < nu): each one's
+    radius (0, 1, 2: r - s, r, r + s) and angle factors (indices into 1.0
+    and sin^2 of each angle's three values); the pairs (mu, nu); and the
+    row of d_mu d_nu in [second, mixed].  Read-only, one set per n."""
     eye = np.eye(n, dtype=np.intp)
     mu, nu = np.triu_indices(n, 1)
     corners = [a * eye[mu] + b * eye[nu] for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
@@ -92,8 +89,8 @@ def _stencil_derivatives(m: DoublyWarpedMetric, x, steps):
     # rounded to doubles when the diagonals are stored
     fh = zip(*[(m.f.value(rs), m.h.value(rs)) for rs in (r - s, r, r + s)])
     ff, hh = (np.array([v * v for v in vs]) for vs in fh)
-    # sin^2 as a scalar power, like np.sin(t) ** 2: an array's ** 2 squares,
-    # which can round differently; angle j at x_j - s_j, x_j and x_j + s_j, exactly
+    # sin^2 as a scalar power, like np.sin(t) ** 2 (an array's ** 2 squares,
+    # which can round differently), at x_j - s_j, x_j and x_j + s_j exactly
     signs = np.array([-1.0, 0.0, 1.0])
     angles = np.sin(x[1:n - 2, None] + steps[1:n - 2, None] * signs).ravel().tolist()
     sin2 = np.array([1.0, *(t ** 2 for t in angles)])
@@ -124,23 +121,20 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
     d1[mu, a, b], d2[mu, nu, a, b] vanish unless a == b.  Each sum over an
     index of g^{-1} then has one nonzero term, and the Christoffel symbols
     and the traces of their derivatives are broadcast products of that
-    term, each formed with the operands in the order the full contraction
-    multiplies them.  The trace and quadratic contractions run on
-    C-contiguous tensors: a transposed layout changes einsum's summation
-    order."""
+    term, with the operands in the order the full contraction multiplies
+    them.  The contractions run on C-contiguous tensors: a transposed
+    layout changes einsum's summation order."""
     g0, d1, d2 = _stencil_derivatives(m, x, steps)
     n = len(x)
     gi = 1.0 / g0.reshape(n * n)[::n + 1]  # g^{ll}: inv(g0)'s diagonal, bit for bit
 
-    # Gamma^l_{mu nu} = 1/2 g^{ll} (d_mu g_{nu l} + d_nu g_{mu l} - d_l g_{mu nu}), from
-    # [mu, nu, s] = d_mu g_{nu s} + d_nu g_{mu s} - d_s g_{mu nu}
+    # Gamma^l_{mu nu} = 1/2 g^{ll} (d_mu g_{nu l} + d_nu g_{mu l} - d_l g_{mu nu})
     bracket = (d1 + d1.transpose(1, 0, 2) - d1.transpose(1, 2, 0)).transpose(2, 0, 1)
     gamma = np.ascontiguousarray(0.5 * (gi[:, None, None] * bracket))
 
-    # d_rho Gamma^l_{mu nu} = 1/2 (d_rho g^{ll} bracket[l, mu, nu] + g^{ll} D[rho, l, mu, nu])
-    # with d_rho g^{ll} = -(g^{ll} d_rho g_{ll}) g^{ll} and D[rho, l, mu, nu] =
-    # d_rho d_mu g_{nu l} + d_rho d_nu g_{mu l} - d_rho d_l g_{mu nu}, formed only at
-    # rho = l, as [r, m, n], and at rho = n, nu = l, as [n, l, m]
+    # d_rho Gamma^l_{mu nu} by the product rule, with d_rho g^{ll} =
+    # -(g^{ll} d_rho g_{ll}) g^{ll}, only at rho = l as [r, m, n] and at
+    # rho = n, nu = l as [n, l, m]: the two traces Ric reads
     dginv = -(gi * d1.reshape(n, n * n)[:, ::n + 1]) * gi  # [rho, l]
     at_r = d2.diagonal(0, 0, 3)  # [mu, nu, r] = d_r d_mu g_{nu r}
     d_rr = at_r.transpose(2, 0, 1) + at_r.transpose(2, 1, 0) - d2.reshape(n * n, n, n)[::n + 1]

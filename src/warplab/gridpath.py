@@ -113,14 +113,13 @@ def _row_sweep(right, down, diag, src):
     """Distances from node src = (ir, iv), and _best_neighbours' directions.
 
     Each pair of passes runs up the rows and back down; a row first takes
-    its three edges from the row before it, then scans: each node falls to
+    its three edges from the row before it, then scans: node i falls to
     s[i] + min_{j<i} (row[j] - s[j]) and to min_{j>i} (row[j] + s[j]) - s[i],
-    s the row's cumulative right weights (a node's own term is left out, so
-    a converged row is a fixed point).  A pair after which no node would
-    fall by more than 1e-12 of its value ends the solve; otherwise those
-    nodes fall and another pair runs.  Every sum and running minimum of a
-    row goes into s or one of two more row buffers, so the solve makes no
-    array per row and holds no node-sized array but dist."""
+    s the row's cumulative right weights (a converged row is a fixed
+    point).  A pair after which no node would fall by more than 1e-12 of
+    its value ends the solve; otherwise those nodes fall and another pair
+    runs.  Every sum and running minimum goes into one of three row
+    buffers: no array per row, no node-sized array but dist."""
     nr, nv = right.shape[0], right.shape[1] + 1
     dist = np.full((nr, nv), np.inf)
     dist[src] = 0.0
