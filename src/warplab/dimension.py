@@ -23,6 +23,7 @@ import numpy as np
 
 from .halfplane import axis_count_at_radius, invert_arc
 from .numerics import brentq  # noqa: F401  unused here; perfbench's probe test reads it
+from .numerics import line_fit
 from .orbits import INDEX_CAP, OrbitTable, max_index_at_most
 
 
@@ -266,5 +267,4 @@ def box_dimension_fit(profile: CapacityProfile) -> float:
     y = np.log([cap for _, _, cap in profile.samples])
     if x.max() - x.min() < math.log(10.0) / 2:
         raise DegenerateRange("R/lam span below half a decade")
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)
+    return line_fit(x, y)[0]

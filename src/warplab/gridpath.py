@@ -73,8 +73,8 @@ _MAX_SWEEP_PAIRS = 64
 
 # (d ir, d iv) from a node to each of its neighbours
 _STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
-# rows per block of _best_neighbours, whose candidate and fall-test buffers hold
-# one block: the oracle's peak is then four grid-sized arrays, not five
+# rows per block of _best_neighbours, whose least, candidate and fall-test
+# buffers hold one block
 _BLOCK_ROWS = 64
 
 
@@ -82,14 +82,23 @@ def _best_neighbours(dist, right, down, diag):
     """Each node's least dist[u] + w(u, v) over its 8 neighbours u, in exact
     float adds, the index in _STEPS of the first u attaining it, and whether
     any node's least falls below its dist by more than 1e-12 of it; a block
-    of _BLOCK_ROWS rows at a time, each through all 8 neighbours."""
+    of _BLOCK_ROWS rows at a time, each through all 8 neighbours.
+
+    The leasts are returned as a grid-sized array only when some node
+    falls, else as None: a block's leasts go to a block buffer until the
+    first block with a fall, which makes the whole array and starts the
+    pass again from the first row, so the pass that ends a solve, where
+    no node falls, never holds it."""
     nr, nv = dist.shape
-    best = np.full((nr, nv), np.inf)
     pick = np.zeros((nr, nv), dtype=np.int8)
+    buf = np.empty((_BLOCK_ROWS, nv))
     cand, lower = np.empty((_BLOCK_ROWS, nv)), np.empty((_BLOCK_ROWS, nv), dtype=bool)
-    falls = False
-    for i0 in range(0, nr, _BLOCK_ROWS):
+    best = None
+    i0 = 0
+    while i0 < nr:
         i1 = min(i0 + _BLOCK_ROWS, nr)
+        least = buf[:i1 - i0] if best is None else best[i0:i1]
+        least.fill(np.inf)
         for k, (di, dj) in enumerate(_STEPS):
             # rows t whose neighbour row t + di exists; w's rows start at lo
             lo = max(0, -di)
@@ -97,16 +106,19 @@ def _best_neighbours(dist, right, down, diag):
             if t0 >= t1:
                 continue
             cols = np.s_[max(0, -dj):nv - max(0, dj)]
-            to = np.s_[t0:t1, cols]
+            to = np.s_[t0 - i0:t1 - i0, cols]
             frm = np.s_[t0 + di:t1 + di, max(0, dj):nv - max(0, -dj)]
             w = (right if di == 0 else down[:, None] if dj == 0 else diag)[t0 - lo:t1 - lo]
             c, low = cand[:t1 - t0, cols], lower[:t1 - t0, cols]
             np.add(dist[frm], w, out=c)
-            np.less(c, best[to], out=low)
-            np.copyto(best[to], c, where=low)
-            np.copyto(pick[to], k, where=low)
-        falls = falls or bool(np.any(best[i0:i1] < dist[i0:i1] * (1.0 - 1e-12)))
-    return best, pick, falls
+            np.less(c, least[to], out=low)
+            np.copyto(least[to], c, where=low)
+            np.copyto(pick[t0:t1, cols], k, where=low)
+        if best is None and np.any(least < dist[i0:i1] * (1.0 - 1e-12)):
+            best, i0 = np.empty((nr, nv)), 0
+            continue
+        i0 = i1
+    return best, pick, best is not None
 
 
 def _row_sweep(right, down, diag, src):

@@ -19,9 +19,8 @@ GrushinMetric and of RescaledModel.build, which each hands its halfplane.
 """
 
 import math
+import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .gridpath import dijkstra_distance_oracle
 from .halfplane import HalfplaneMetric, OutOfRange, TargetUnreachable, invert_arc
@@ -176,17 +175,19 @@ class ComparisonReport:
 
 
 def probe_pairs(rng, n_pairs: int, t_range=(0.2, 5.0), w_max: float = 5.0):
-    """Half radial, half equal-t pairs inside the compact probe box."""
+    """Half radial, half equal-t pairs inside the compact probe box, from
+    scalar float draws rng.uniform(a, b) of a random.Random or a numpy
+    Generator (whose two scalar draws are the values of one size=2 draw)."""
     pairs = []
     for i in range(n_pairs):
         if i % 2 == 0:
-            t1, t2 = rng.uniform(*t_range, size=2)
+            t1, t2 = rng.uniform(*t_range), rng.uniform(*t_range)
             w = rng.uniform(-w_max, w_max)
-            pairs.append(((float(t1), float(w)), (float(t2), float(w))))
+            pairs.append(((t1, w), (t2, w)))
         else:
-            t = float(rng.uniform(*t_range))
-            w1, w2 = rng.uniform(-w_max, w_max, size=2)
-            pairs.append(((t, float(min(w1, w2))), (t, float(max(w1, w2)))))
+            t = rng.uniform(*t_range)
+            w1, w2 = rng.uniform(-w_max, w_max), rng.uniform(-w_max, w_max)
+            pairs.append(((t, min(w1, w2)), (t, max(w1, w2))))
     return pairs
 
 
@@ -223,8 +224,7 @@ def convergence_report(
         raise WindowTooNarrow(
             f"only {len(usable)} factors fit the window [{lam_lo:g}, {lam_hi:g}]"
         )
-    rng = np.random.default_rng(seed)
-    pairs = probe_pairs(rng, n_pairs)
+    pairs = probe_pairs(random.Random(seed), n_pairs)
     target = GrushinMetric(exponent, rel_tol).halfplane()
     target_d = {}
     for p in pairs:

@@ -11,12 +11,16 @@ CSV schemas are fixed (curves consumed by external tools):
 
 Floats are written with repr (shortest round-trip), so identical configs
 against a warm cache reproduce outputs byte for byte; wall-clock timings
-live only in the JSON report.
+live only in the JSON report.  Seeded samples come from
+random.Random(cfg.seed): `random` is loaded before a run starts (numpy
+imports it), where numpy.random would be imported mid-run for a few dozen
+draws.
 """
 
 import json
 import math
 import os
+import random
 import time
 from dataclasses import dataclass, field, replace
 
@@ -178,17 +182,18 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, sm, table):
     # so the cross-check of the formulas runs at a small sphere dimension
     k_oracle = min(k, 9)
     mo = curv.DoublyWarpedMetric(k_oracle, f, sm)
-    rng = np.random.default_rng(cfg.seed)
-    sample = np.exp(rng.uniform(math.log(0.2), math.log(min(cfg.r_max, 1e6)), 16))
+    rng = random.Random(cfg.seed)
+    log_lo, log_hi = math.log(0.2), math.log(min(cfg.r_max, 1e6))
+    sample = [math.exp(rng.uniform(log_lo, log_hi)) for _ in range(16)]
     worst_rel = 0.0
     refused = []  # radii where the oracle's step check refused an answer
     for r in sample:
         try:
-            o = ricci_numeric_oracle(mo, float(r))
+            o = ricci_numeric_oracle(mo, r)
         except StepTooLarge:
-            refused.append(float(r))
+            refused.append(r)
             continue
-        c = curv.ricci_report(mo, float(r))
+        c = curv.ricci_report(mo, r)
         for a, b in ((o.ric_radial, c.ric_radial), (o.ric_circle, c.ric_circle),
                      (o.ric_sphere, c.ric_sphere)):
             worst_rel = max(worst_rel, abs(a - b) / (1.0 + abs(b)))
@@ -301,8 +306,11 @@ def _window_checks(cfg, report, s, a, S, tag, rows_csv):
     # DegenerateRange, not a failed check, on a window under a decade or a zero or
     # infinite constant
     c1, c2 = fit_growth_constants(s, target, (window.lo, window.hi), samples=12)
-    report.add(f"{tag}-count-constants", True, margin=c2 / c1,
-               details=f"c1={c1:.4g}, c2={c2:.4g}")
+    lo, hi = 2.0 * C2**-target, 2.0 * C1**-target
+    report.add(f"{tag}-count-constants", lo <= c1 and c2 <= hi, margin=c2 / c1,
+               details=f"c1={c1:.4g}, c2={c2:.4g} within [2 C2^-k, 2 C1^-k] = "
+                       f"[{lo:.4g}, {hi:.4g}], k = {target:g}: C1 l^(1/k) <= d_l <= C2 l^(1/k)"
+                       " gives about 2 (R/C2)^k <= #(R) <= 2 (R/C1)^k")
     _write_growth_csv(cfg, report, fit, f"growth_{tag}.csv")
 
 
@@ -383,7 +391,6 @@ def _run_grushin(cfg: RunConfig, report: RunReport, ladder, sm, table):
     report.add("rescaling-trend", rep.trend_decreasing,
                details=f"errors {['%.2e' % e for e in rep.max_rel_errors]}")
 
-    rng = np.random.default_rng(cfg.seed + 1)
-    pairs = probe_pairs(rng, 10)
+    pairs = probe_pairs(random.Random(cfg.seed + 1), 10)
     err = self_similarity_error(target, pairs)
     report.add("cone-self-similarity", err < 0.01, margin=err)

@@ -1,4 +1,5 @@
-"""Adaptive quadrature and bracketed root finding, ported bit for bit.
+"""Adaptive quadrature and bracketed root finding, ported bit for bit, and
+a least-squares line in closed form.
 
 `quad` is QUADPACK's QAGS: dqagse with the 21-point Gauss-Kronrod rule
 dqk21, the error-list insertion dqpsrt and the epsilon algorithm dqelg
@@ -14,6 +15,10 @@ that against scipy.
 Where Python raises on a float operation that C carries through as inf or
 NaN (a division by zero, a power that overflows), the code takes the
 branch the IEEE value takes.
+
+`line_fit` replaces numpy.polyfit for a straight line: the two-parameter
+fit needs no LAPACK, whose first call costs over a megabyte of resident
+memory in a short run.
 """
 
 import math
@@ -626,3 +631,26 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * EPMACH, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = fx(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur!r}")
+
+
+def line_fit(x, y):
+    """(slope, intercept) of the least-squares line through the points
+    (x_i, y_i), in closed form about the means: slope = sum dx dy / sum dx^2
+    with dx, dy the deviations from the means, every sum by math.fsum.
+
+    ValueError for fewer than two points, x and y of different lengths, a
+    value that is not finite, or x values that are all equal.
+    """
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    n = len(x)
+    if n != len(y) or n < 2:
+        raise ValueError(f"need two or more points, got {n} x and {len(y)} y values")
+    if not all(map(math.isfinite, x + y)):
+        raise ValueError("a line fit needs finite points")
+    mx, my = math.fsum(x) / n, math.fsum(y) / n
+    dx = [v - mx for v in x]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0.0:
+        raise ValueError("a line fit needs two distinct x values")
+    slope = math.fsum(d * (v - my) for d, v in zip(dx, y)) / sxx
+    return slope, my - slope * mx

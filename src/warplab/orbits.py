@@ -37,6 +37,7 @@ import numpy as np
 
 from .cache import OrbitCache
 from .halfplane import HalfplaneMetric, orbit_distance
+from .numerics import line_fit
 
 
 class WindowEmpty(ValueError):
@@ -89,14 +90,20 @@ class GrowthWindow:
 
 class OrbitTable:
     """Memoized distances l -> (d_l, log c, r_max) for one metric, at its
-    arc tolerance, loaded from and appended to an optional cache."""
+    arc tolerance, loaded from and appended to an optional cache.  The cache
+    is read on the first look at the memo, so a run that asks for no
+    distance reads no record."""
 
     def __init__(self, metric: HalfplaneMetric, cache: OrbitCache | None = None):
         self.metric = metric
         self.cache = cache
-        self.entries: dict = {}
-        if cache is not None:
-            self.entries.update(cache.load())
+        self._entries: dict | None = None
+
+    @property
+    def entries(self) -> dict:
+        if self._entries is None:
+            self._entries = self.cache.load() if self.cache is not None else {}
+        return self._entries
 
     def distance(self, l) -> float:
         l = abs(int(l)) if abs(l) < 2**53 else abs(l)
@@ -192,9 +199,9 @@ def growth_slope(s, window: GrowthWindow, samples: int = 14) -> SlopeFit:
     pts = [(float(R), float(2 * s.ball_index(float(R)) + 1)) for R in Rs]
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = line_fit(x, y)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return SlopeFit(float(slope), float(intercept), resid, pts)
+    return SlopeFit(slope, intercept, resid, pts)
 
 
 def check_distance_sandwich(d, a: float, S: float, n_samples: int = 25):

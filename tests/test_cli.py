@@ -39,6 +39,31 @@ def test_import_loads_no_heavy_scipy_submodule():
     assert out.splitlines() == ["[]", "[]", "True", "[]"]
 
 
+def test_full_suites_load_no_numpy_random_and_call_no_polyfit(tmp_path):
+    # seeded samples come from random.Random and line fits from
+    # numerics.line_fit, so neither suite imports numpy.random or starts
+    # LAPACK through np.polyfit
+    code = ("import sys\n"
+            "import numpy\n"
+            "calls = []\n"
+            "numpy.polyfit = lambda *a, **k: calls.append(a)\n"
+            "from warplab.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "rcs = [main(['full-suite', '--alpha', '0.5', '--outdir', out + '/pure',\n"
+            "             '--cache-dir', out + '/pure-cache']),\n"
+            "       main(['full-suite', '--alpha', '0.6', '--beta', '1.2', '--A', '0.3',\n"
+            "             '--B', '1.5', '--radius-bound', '1e40', '--outdir', out + '/osc',\n"
+            "             '--cache-dir', out + '/osc-cache'])]\n"
+            "print(rcs, len(calls), 'numpy.random' in sys.modules, file=sys.stderr)\n")
+    src = os.path.dirname(os.path.dirname(warplab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("WARPLAB_CACHE_DIR", None)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[0, 0] 0 False"
+
+
 def test_python_dash_m_warplab_runs_the_cli():
     src = os.path.dirname(os.path.dirname(warplab.__file__))
     out = subprocess.run([sys.executable, "-m", "warplab", "--help"], capture_output=True,
@@ -116,8 +141,9 @@ def test_failing_run_exits_nonzero(tmp_path, capsys):
 
 def test_ricci_check_oracle_answers_at_halved_steps(tmp_path, capsys):
     # at alpha = 3 the oracle's first step pair fails its Richardson check at
-    # r = 3.564...; the pair at half the steps answers, and agrees with the
-    # closed forms (k = 8 is too small for positive Ricci, so the run fails)
+    # four of the seeded radii (r = 1.36, 2.42, 2.94 and 3.97); the pair at half
+    # the steps answers, and agrees with the closed forms (k = 8 is too small
+    # for positive Ricci, so the run fails)
     code = run_cli(["ricci-check", "--alpha", "3.0", "--seed", "12345", "--outdir", str(tmp_path)])
     capsys.readouterr()
     assert code == 1
@@ -132,7 +158,7 @@ def test_ricci_check_oracle_refusal_is_a_failed_check(tmp_path, capsys, monkeypa
     # a radius where every step pair moves the principal values: the oracle
     # refuses after all its halvings, and the run still writes its report,
     # with the refusal as a failed check
-    r_bad = 3.564155994548888
+    r_bad = 3.966080856445134
     ricci_at_steps = christoffel._ricci_at_steps
     tried = []
 
@@ -290,10 +316,11 @@ def test_capacity_determinism(tmp_path, capsys):
 
 # capacity outputs of the pure 1/2 model, pinned when ball indices and strides
 # came from integer bisection: any correct search over the monotone d_l
-# gives the same indices, so the bytes must not move
+# gives the same indices, so the bytes must not move; capacity_fit.csv was
+# re-pinned when its box slope came from numerics.line_fit, 1 ulp off polyfit's
 CAPACITY_SHA256 = {
     "capacity.csv": "f99bf3c250952991137563ed0510570fd17c95bb556c073fa35d5f565ed31011",
-    "capacity_fit.csv": "74177c43885c7506d122532543c9c3247ffaff44e506356ec51664c95eb702bf",
+    "capacity_fit.csv": "7a3a881e28b0b4e46864e8c52cbb129f5615e44ce6db446cf44dd979c8c72865",
 }
 
 

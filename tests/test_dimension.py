@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warplab import halfplane, orbits
+from warplab import dimension, halfplane, orbits
 from warplab.cache import OrbitCache
 from warplab.dimension import (
     DegenerateRange,
@@ -19,7 +20,10 @@ from warplab.dimension import (
     fit_growth_constants,
     hausdorff_content,
 )
+from warplab.config import parse_config
 from warplab.halfplane import HalfplaneMetric
+from warplab.harness import run
+from warplab.numerics import line_fit
 from warplab.orbits import OrbitTable, last_index_at_most
 from warplab.warping import power_decay_h
 
@@ -154,6 +158,54 @@ def test_box_dimension_unit():
     assert box_dimension_fit(prof) == pytest.approx(1.0, abs=0.05)
     with pytest.raises(DegenerateRange):
         box_dimension_fit(build_capacity_profile(s, [1e4], [3, 4, 5, 6, 7, 8, 9]))
+
+
+def _polyfit_refuses(x, y):
+    # np.polyfit raises, or warns with a RuntimeWarning (RankWarning, a
+    # division), on a degenerate line fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            np.polyfit(x, y, 1)
+        except (TypeError, np.linalg.LinAlgError, RuntimeWarning):
+            return True
+    return False
+
+
+def test_line_fit_matches_polyfit_on_the_suites_fits(tmp_path, monkeypatch):
+    # every growth window and capacity profile the pure 1/2 and osc 1e40 full
+    # suites fit: slope and intercept within 1e-12 relative of np.polyfit's
+    seen = []
+
+    def recording(x, y):
+        seen.append((list(x), list(y)))
+        return line_fit(x, y)
+
+    monkeypatch.setattr(orbits, "line_fit", recording)
+    monkeypatch.setattr(dimension, "line_fit", recording)
+    for model in ({"alpha": 0.5}, {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5,
+                                   "radius_bound": 1e40}):
+        tag = "osc" if "beta" in model else "pure"
+        run(parse_config(None, {"mode": "full-suite", **model, "outdir": str(tmp_path / tag),
+                                "cache_dir": str(tmp_path / f"{tag}-cache")}))
+    assert sorted(len(x) for x, _ in seen) == [12, 12, 14, 50, 50]
+    for x, y in seen:
+        for got, want in zip(line_fit(x, y), np.polyfit(x, y, 1)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([], []),  # no point
+    ([1.0], [2.0]),  # one point
+    ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),  # one x value
+    ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, math.inf, 3.0], [1.0, 2.0, 3.0]),
+    ([1.0, 2.0], [1.0, 2.0, 3.0]),  # lengths differ
+])
+def test_line_fit_refuses_the_fits_polyfit_refuses(x, y):
+    assert _polyfit_refuses(x, y)
+    with pytest.raises(ValueError):
+        line_fit(x, y)
 
 
 def test_counting_chain_on_orbit_metric(pure_half_metric):

@@ -35,10 +35,10 @@ OSC_1E40 = {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5, "radius_bound": 1e40}
 @pytest.mark.parametrize("model, digest, margin, oracle_margin", [
     ({"alpha": 0.5},
      "5574f3081bdf5aefe2da9b4db2eea56c357c836c08b1c5ec3c632dd4b2367d54",
-     "0x1.f6e9c39b1a2b1p-77", "0x1.cdc214e253055p-33"),
+     "0x1.f6e9c39b1a2b1p-77", "0x1.9a701ad65626cp-31"),
     (OSC_1E40,
      "b05b8e4a4e8121a1d11e37bf57ba8798cc21bc6faf75c719810c65154ae98972",
-     "-0x1.e4e378347c48cp-8", "0x1.bcf693d88035ep-33"),
+     "-0x1.e4e378347c48cp-8", "0x1.94df1a5e7dd2ep-31"),
 ], ids=["pure", "osc-1e40"])
 def test_ricci_curve_csv_digest(tmp_path, model, digest, margin, oracle_margin):
     report = run(parse_config(None, {"mode": "ricci-check", "outdir": str(tmp_path),

@@ -371,7 +371,8 @@ def _whole_grid_best_neighbours(dist, right, down, diag):
 def test_best_neighbours_by_row_blocks_keep_the_bits(nr):
     # row blocks of _BLOCK_ROWS give the whole grid's bits, first-attaining
     # picks (weights and distances on a half-integer lattice tie often) and
-    # fall test, unreached (inf) nodes included, down to a fixed point
+    # fall test, unreached (inf) nodes included, down to a fixed point; the
+    # leasts come back only from a pass where some node falls
     rng = np.random.default_rng(nr)
     nv = 7
     dist = rng.integers(0, 9, (nr, nv)) * 0.5
@@ -382,8 +383,8 @@ def test_best_neighbours_by_row_blocks_keep_the_bits(nr):
     for _ in range(400):
         best, pick, falls = gridpath._best_neighbours(dist, right, down, diag)
         want = _whole_grid_best_neighbours(dist, right, down, diag)
-        assert _bits(best) == _bits(want[0]) and pick.tolist() == want[1].tolist()
-        assert falls == want[2]
+        assert pick.tolist() == want[1].tolist() and falls == want[2]
+        assert (best is None) if not falls else _bits(best) == _bits(want[0])
         seen.add(falls)
         if not falls:
             break
@@ -443,9 +444,10 @@ def test_row_sweep_bytes(case, pure_half_metric):
 
 
 def test_oracle_peak_memory(pure_half_metric):
-    # 4.59 fine-grid arrays (319 x 319 doubles) at l = 24, nr = 160: the
-    # right and diag weights, dist, and _best_neighbours' best, pick and
-    # block buffers; one more node-sized array would push it past the bound
+    # 3.80 fine-grid arrays (319 x 319 doubles) at l = 24, nr = 160: the
+    # right and diag weights, dist, and _best_neighbours' pick and block
+    # buffers on the pass that ends the solve; a grid-sized array of leasts
+    # on that pass (4.60) would push it past the bound
     l = 24
     _, sol = orbit_distance(pure_half_metric, l)
     tracemalloc.start()
@@ -455,4 +457,4 @@ def test_oracle_peak_memory(pure_half_metric):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.75 * 319 * 319 * 8
+    assert peak <= 3.95 * 319 * 319 * 8

@@ -271,13 +271,13 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert digests == {
         "capacity.csv": "dfd067a26ca54779084a3712c095a4070b470bc3fc66d9aae73fe24f7eb4ff18",
-        "capacity_fit.csv": "d543b3d140e3889b1401af1cf81754676cdac1f2a5b61b8f9578ec7e37c7c810",
+        "capacity_fit.csv": "9d8f17c86c1d6ef4a9977781e76a38c97f87292f4dd2a33c614202abffb8f509",
         "growth_alpha-window.csv":
             "c6e9a5cb2667740adf47cebfa27f382f8f0806b9d48a4691c21d46f9f2ab7dd1",
         "growth_beta-window.csv":
             "4557ce7bbd5347fc7a4d557b672164f3b2b9edca24562b786d24d4c3f65c9961",
         "grushin_convergence.csv":
-            "1f4c9a0bc65a12726319d6a9a8fd8e3cc499d0182e2b12d37c800cfdd4d5a2f6",
+            "d1396618d5d6dead5dcae3bc12d3fa4156509393e7d5b775a8be54f388d127a6",
         "orbit_distances.csv": "e137e1818c53b45833fbea9cc0ac6fe5fda11d538c8fc2e6878c5f47c66f2503",
         "ricci_curve.csv": "81e35a6c43598a3e8819ca2e95b73a4fad92735ba8a09b2dfdd8094003b60bd0",
     }
@@ -295,10 +295,10 @@ def test_pure_full_suite_and_growth_margins(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == {
         "capacity.csv": "f99bf3c250952991137563ed0510570fd17c95bb556c073fa35d5f565ed31011",
-        "capacity_fit.csv": "74177c43885c7506d122532543c9c3247ffaff44e506356ec51664c95eb702bf",
+        "capacity_fit.csv": "7a3a881e28b0b4e46864e8c52cbb129f5615e44ce6db446cf44dd979c8c72865",
         "growth_curve.csv": "5a587a087daef953d9027bc99aae7bacf095f9e514ffc3000bdc8fcb8c60ebdb",
         "grushin_convergence.csv":
-            "8272774a735c057019fb020b6267582c0bf8b61c179d89de2650a271f0555eb8",
+            "e6975637ca097e8da0e725ccbef2b1e58093dae7275d9b30e0b16baae0e220f5",
         "orbit_distances.csv": "eaf427a7a372f540787a993add9a10798c099affe36f639dffa629ca209ba716",
         "ricci_curve.csv": "5574f3081bdf5aefe2da9b4db2eea56c357c836c08b1c5ec3c632dd4b2367d54",
     }
@@ -309,10 +309,10 @@ def test_pure_full_suite_and_growth_margins(tmp_path):
     margins.update((c.name, repr(c.margin)) for c in run(osc).checks
                    if c.name.endswith(("-growth-slope", "-count-constants")))
     assert margins == {
-        "growth-slope": "1.9998751004601554",
-        "alpha-window-growth-slope": "2.1999999829949632",
+        "growth-slope": "1.999875100460155",
+        "alpha-window-growth-slope": "2.199999982994964",
         "alpha-window-count-constants": "1.0000033349545558",
-        "beta-window-growth-slope": "3.4000000102871413",
+        "beta-window-growth-slope": "3.4000000102871404",
         "beta-window-count-constants": "1.0000002579569576",
     }
 
@@ -336,7 +336,7 @@ def test_full_suite_checks_cold_and_warm(tmp_path):
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(cold, warm))
     assert n == 64
     assert h.hexdigest() == (
-        "0972915b47e6105efac2450c9e851d6578735aaa15f598fa1bffddca1aeeabd7")
+        "4cc64a192795647d66512d2030d2dffe11a09598680786490c3cffe59f10f897")
 
 
 def test_one_model_build_per_run(tmp_path, monkeypatch):
@@ -375,4 +375,8 @@ def test_one_model_build_per_run(tmp_path, monkeypatch):
     cold = run_counted("full-suite", alpha=0.5)
     assert (cold["scan"], cold["load"]) == (1, 1)
     assert run_counted("full-suite", alpha=0.5)["load"] == 1
+    # the cache is read on the first distance: modes that ask for none read no record
+    assert run_counted("ricci-check", alpha=0.5)["load"] == 0
+    assert run_counted("grushin-compare", alpha=0.5)["load"] == 0
+    assert run_counted("orbit-growth", alpha=0.5)["load"] == 1
     assert run_counted("grushin-compare", alpha=0.5)["grushin"] == 2
