@@ -2,7 +2,7 @@
 covering-content and box-dimension fits on them.
 
 An orbit of the integer deck group carries the translation-invariant
-metric rho(a, b) = d_{|a-b|} / scale with d nondecreasing and subadditive.
+metric rho(a, b) = d_{|a-b|} with d nondecreasing and subadditive.
 On such path-ordered metrics a maximal separated subset can be taken
 greedily left to right: consecutive gaps >= eps force all pairwise
 distances >= eps (index differences add, d is nondecreasing), and any
@@ -36,7 +36,7 @@ class MetricInvariantViolation(ValueError):
 
 
 class LinearOrbitMetric:
-    """Distances d_l on the integer orbit, divided by a viewing scale.
+    """Distances d_l on the integer orbit.
 
     Backed either by an explicit table (random instances, small orbits) or
     by a callable l -> d_l (geodesic-backed orbits), where the index of the
@@ -44,8 +44,7 @@ class LinearOrbitMetric:
     orbits.max_index_at_most on the monotone d.
     """
 
-    def __init__(self, dist, scale=1.0, l_max=None, validate=True):
-        self.scale = float(scale)
+    def __init__(self, dist, l_max=None, validate=True):
         if callable(dist):
             self._d = None
             self._fn = dist
@@ -67,9 +66,6 @@ class LinearOrbitMetric:
             return float(self._d[l])
         return float(self._fn(l))
 
-    def dist(self, l) -> float:
-        return self.raw(l) / self.scale
-
     def check_invariants(self, triple_samples: int = 200, seed: int = 0):
         d = self._d
         if d is None:
@@ -90,25 +86,23 @@ class LinearOrbitMetric:
                 )
 
     def ball_index(self, R: float) -> int:
-        """max{l >= 0 : d_l/scale <= R}."""
-        target = R * self.scale
-        if self.raw(1) > target:
+        """max{l >= 0 : d_l <= R}."""
+        if self.raw(1) > R:
             return 0
         if self._d is not None:
-            return int(np.searchsorted(self._d, target, side="right")) - 1
-        return max_index_at_most(self.raw, target, self.l_max or INDEX_CAP)
+            return int(np.searchsorted(self._d, R, side="right")) - 1
+        return max_index_at_most(self.raw, R, self.l_max or INDEX_CAP)
 
     def min_stride(self, eps: float) -> int:
-        """min{g >= 1 : d_g/scale >= eps}; inf stride returns 0."""
-        target = eps * self.scale
+        """min{g >= 1 : d_g >= eps}; inf stride returns 0."""
         if self._d is not None:
-            idx = int(np.searchsorted(self._d, target, side="left"))
+            idx = int(np.searchsorted(self._d, eps, side="left"))
             if idx >= len(self._d):
                 return 0  # no stride within the table
             return max(idx, 1)
         # d < T is d <= nextafter(T, -inf) for doubles
         cap = self.l_max or INDEX_CAP
-        below = max_index_at_most(self.raw, math.nextafter(target, -math.inf), cap)
+        below = max_index_at_most(self.raw, math.nextafter(eps, -math.inf), cap)
         return 0 if below == cap else below + 1  # d_cap < T: no stride
 
 
@@ -119,29 +113,27 @@ class GeodesicOrbitMetric(LinearOrbitMetric):
     threshold indices overflow any table.  A ball below the table's d_1 holds index 0
     only, as in LinearOrbitMetric.ball_index, with no inversion."""
 
-    def __init__(self, table: OrbitTable, scale=1.0):
+    def __init__(self, table: OrbitTable):
         self.table = table
-        super().__init__(table.distance, scale=scale, l_max=None, validate=False)
+        super().__init__(table.distance, l_max=None, validate=False)
 
     def ball_index(self, R: float) -> int:
-        target = R * self.scale
-        if self.raw(1) > target:
+        if self.raw(1) > R:
             return 0
-        return int(axis_count_at_radius(self.table.metric, target))
+        return int(axis_count_at_radius(self.table.metric, R))
 
     def min_stride(self, eps: float) -> int:
-        target = eps * self.scale
-        if self.raw(1) >= target:
+        if self.raw(1) >= eps:
             return 1
-        sol = invert_arc(self.table.metric, "length", target)
+        sol = invert_arc(self.table.metric, "length", eps)
         l_star = sol.delta_v / (2.0 * math.pi)
         g = max(int(math.floor(l_star - 1e-12)) + 1, 1)
         # the straight axis loop can undercut the arc only at small indices;
         # verify and adjust exactly there
         if g < 10**6:
-            while self.raw(g) < target:
+            while self.raw(g) < eps:
                 g += 1
-            while g > 1 and self.raw(g - 1) >= target:
+            while g > 1 and self.raw(g - 1) >= eps:
                 g -= 1
         return g
 
@@ -163,9 +155,6 @@ def capacity(s: LinearOrbitMetric, R: float, lam: float) -> int:
 @dataclass
 class CapacityProfile:
     samples: list = field(default_factory=list)  # (R, lam, cap)
-    k_hat: float = float("nan")
-    c1_hat: float = float("nan")
-    c2_hat: float = float("nan")
 
     def check_monotone(self):
         """cap nonincreasing in lam at fixed R, nondecreasing in R at fixed lam."""
@@ -213,9 +202,6 @@ def fit_growth_constants(s: LinearOrbitMetric, k: float, R_range, samples: int =
 
 @dataclass
 class SandwichReport:
-    k: float
-    c1: float
-    c2: float
     rows: list  # (R, lam, cap, lower, upper, ok)
     violations: int
 
@@ -238,17 +224,10 @@ def check_capacity_sandwich(profile: CapacityProfile, k: float, c1: float, c2: f
         ok = lo <= cap <= up
         bad += 0 if ok else 1
         rows.append((R, lam, cap, lo, up, ok))
-    return SandwichReport(k, c1, c2, rows, bad)
+    return SandwichReport(rows, bad)
 
 
-@dataclass
-class HausdorffEstimate:
-    k: float
-    delta: float
-    content: float
-
-
-def hausdorff_content(s: LinearOrbitMetric, k: float, R: float, delta: float) -> HausdorffEstimate:
+def hausdorff_content(s: LinearOrbitMetric, k: float, R: float, delta: float) -> float:
     """Covering content of the ball B_R at scale delta: cover by delta-balls
     centered at a maximal delta-separated set (count = capacity) and return
     count * delta^k.  Callers bound it between 3^(k+1)(c2/c1) R^k and the
@@ -256,7 +235,7 @@ def hausdorff_content(s: LinearOrbitMetric, k: float, R: float, delta: float) ->
     """
     if not (0 < delta < R):
         raise ValueError("need 0 < delta < R")
-    return HausdorffEstimate(k, delta, capacity(s, R, delta) * delta**k)
+    return capacity(s, R, delta) * delta**k
 
 
 def box_dimension_fit(profile: CapacityProfile) -> float:

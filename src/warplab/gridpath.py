@@ -43,7 +43,6 @@ class DijkstraResult:
     raw: float
     refined: float
     relaxed: float
-    error_estimate: float
     anisotropy_factor: float
     nodes: int
 
@@ -76,6 +75,9 @@ _STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 # rows per block of _best_neighbours, whose least, candidate and fall-test
 # buffers hold one block
 _BLOCK_ROWS = 64
+# the path descent's cap on steps; it stops sooner, once a step gains less
+# than 1e-12 of the energy
+_RELAX_SWEEPS = 600
 
 
 def _best_neighbours(dist, right, down, diag):
@@ -278,7 +280,7 @@ def _laplacian_solve(b):
     return ((n + 1.0 - i) * below + i * above) / (n + 1.0)
 
 
-def _relax_path(m, pts, iters=400, n_nodes=640, r_floor=0.0):
+def _relax_path(m, pts, n_nodes=640, r_floor=0.0):
     """Relax the extracted grid path by preconditioned descent of the
     squared-length energy (endpoints pinned).
 
@@ -297,7 +299,7 @@ def _relax_path(m, pts, iters=400, n_nodes=640, r_floor=0.0):
     pts = _resample(pts.astype(float), n=min(n_nodes, max(len(pts), 4)))
     E, g = _energy_and_grad(m, pts, r_floor)
     step = 0.5  # Hessian ~ 2 T x (metric weight): this is the Newton step
-    for _ in range(iters):
+    for _ in range(_RELAX_SWEEPS):
         h_nodes = _h_and_slope(m, np.maximum(pts[:, 0], r_floor))[0]
         d = np.zeros_like(pts)
         gi = g[1:-1]
@@ -345,7 +347,6 @@ def dijkstra_distance_oracle(
     nv: int | None = None,
     r_lo: float = 0.0,
     edge_budget: int = 100_000_000,
-    relax_sweeps: int = 600,
 ) -> DijkstraResult:
     """Grid shortest-path estimate of d(p1, p2) on the halfplane metric m.
 
@@ -375,13 +376,12 @@ def dijkstra_distance_oracle(
         hv, p1, p2, r_lo, r_hi, v_lo, v_hi, 2 * nr - 1, 2 * nv - 1, edge_budget
     )
     refined = 2.0 * d2 - d1
-    relaxed_path = _relax_path(m, path2, iters=relax_sweeps, r_floor=max(r_lo, m.domain_start))
+    relaxed_path = _relax_path(m, path2, r_floor=max(r_lo, m.domain_start))
     relaxed = _polyline_length(hv, relaxed_path)
     return DijkstraResult(
         raw=d2,
         refined=refined,
         relaxed=relaxed,
-        error_estimate=abs(d2 - d1),
         anisotropy_factor=d2 / relaxed if relaxed > 0 else float("nan"),
         nodes=(2 * nr - 1) * (2 * nv - 1),
     )

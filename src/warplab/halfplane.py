@@ -130,15 +130,10 @@ class HalfplaneMetric:
         self.rel_tol = float(rel_tol)
         # the strict-decrease scan's rows, stored once the scan passed
         self._scan = None
-        # solve_turning_point's bracket search: log h at the domain start, and
-        # the list of log h(hi0 * 4^j) for the rungs j read so far
-        self._rungs = None
-        # turning radii by c and arc integrals by (r_max, start, dv): each is
-        # a deterministic function of its key on this metric, so a stored
-        # number has the bits a new solve would give
-        self._turning = {}
+        # arc integrals by (r_max, start, dv): a deterministic function of its
+        # key on this metric, so a stored number has the bits a new
+        # quadrature would give
         self._arcs = {}
-        self._taylor = {}  # turning radius -> _turning_model there
 
     def value(self, r):
         """h(r) as a double, exp(log h)."""
@@ -174,34 +169,17 @@ def circle_length(m: HalfplaneMetric, r) -> float:
 
 
 def solve_turning_point(m: HalfplaneMetric, c: float):
-    """Unique r_max with h(r_max) = c (h strictly decreasing), solved once
-    per metric and c."""
-    if c not in m._turning:
-        m._turning[c] = _turning_point(m, c)
-    return m._turning[c]
-
-
-def _turning_point(m, c):
+    """Unique r_max with h(r_max) = c (h strictly decreasing)."""
     a = m.domain_start
-    if m._rungs is None:
-        m._rungs = (m.log_h(a), [])
-    l_top, rungs = m._rungs
+    l_top = m.log_h(a)
     if not (0 < c and math.log(c) < l_top):
         raise OutOfRange(f"need 0 < c < h(start)={math.exp(l_top)}, got c={c}")
     lc = math.log(c)
-    # the bracket grows from hi0 by factors of 4; log h at each rung is read
-    # once per metric, so every solve scans the same rungs to the same bracket
     lo = a
     hi = max(1.0, 2.0 * a if a > 0 else 1.0)
-    j = 0
-    while True:
-        if j == len(rungs):
-            rungs.append(m.log_h(hi))
-        if not rungs[j] > lc:
-            break
+    while m.log_h(hi) > lc:
         lo = hi
         hi *= 4.0
-        j += 1
         if hi > m.r_cap:
             raise OutOfRange(f"h never reaches {c} below r_cap={m.r_cap}")
     if hi <= 2.0:
@@ -287,20 +265,16 @@ def _integrate_arc(m, r_max, start, dv):
 
 
 def _turning_model(m, r):
-    """(p, b1, b2) at a turning radius r, read once per metric and radius
-    from the frame there: p the local decay exponent, and log h(r - delta)
-    - log h(r) = (b1 + b2 u) u + O(u^3), u = delta / max(r, 1).  delta_v
-    and length at one r_max, and the Newton slope there, share it."""
-    model = m._taylor.get(r)
-    if model is None:
-        fr = m.frame(r)
-        p, p_y = float(fr.p), float(fr.p_y)
-        s = max(r, 1.0)
-        gs = 2.0 / (r + 1.0 / r) * s  # s dy/dr
-        # with g = dy/dr: d log h/dr = -p g, d^2 log h/dr^2 = -(p_y g^2 + p g'),
-        # and g' = g (1/r - g)
-        model = m._taylor[r] = (p, p * gs, -0.5 * (p_y * gs * gs + p * gs * (s / r - gs)))
-    return model
+    """(p, b1, b2) at a turning radius r from the frame there: p the local
+    decay exponent, and log h(r - delta) - log h(r) = (b1 + b2 u) u +
+    O(u^3), u = delta / max(r, 1)."""
+    fr = m.frame(r)
+    p, p_y = float(fr.p), float(fr.p_y)
+    s = max(r, 1.0)
+    gs = 2.0 / (r + 1.0 / r) * s  # s dy/dr
+    # with g = dy/dr: d log h/dr = -p g, d^2 log h/dr^2 = -(p_y g^2 + p g'),
+    # and g' = g (1/r - g)
+    return p, p * gs, -0.5 * (p_y * gs * gs + p * gs * (s / r - gs))
 
 
 def _arc_quadrature(m, start, r_max, dv):

@@ -71,8 +71,6 @@ def sandwich_constants(a: float) -> tuple[float, float]:
 class GrowthWindow:
     lo: float
     hi: float
-    exponent: float  # decay exponent of the controlling stretch
-    scale: float  # S, twice the stretch opening radius
 
     def __post_init__(self):
         if not (0 < self.lo < self.hi):
@@ -85,7 +83,7 @@ class GrowthWindow:
         l_lo, l_hi = window_index_bounds(a, S)
         C1, C2 = sandwich_constants(a)
         e = 1.0 / (2.0 * a + 1.0)
-        return GrowthWindow(C2 * l_lo**e, C1 * l_hi**e, a, S)
+        return GrowthWindow(C2 * l_lo**e, C1 * l_hi**e)
 
 
 class OrbitTable:
@@ -182,7 +180,6 @@ def max_index_at_most(d, target, cap: int = INDEX_CAP) -> int:
 @dataclass
 class SlopeFit:
     slope: float
-    intercept: float
     residual: float  # rms of log-count residuals
     samples: list = field(default_factory=list)  # (R, count)
 
@@ -201,7 +198,7 @@ def growth_slope(s, window: GrowthWindow, samples: int = 14) -> SlopeFit:
     y = np.log([p[1] for p in pts])
     slope, intercept = line_fit(x, y)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return SlopeFit(slope, intercept, resid, pts)
+    return SlopeFit(slope, resid, pts)
 
 
 def check_distance_sandwich(d, a: float, S: float, n_samples: int = 25):

@@ -380,7 +380,6 @@ class RegimeMargin:
 @dataclass
 class Certificate:
     k: int
-    k_max: int
     margins: list
     grid_size: int
 
@@ -430,12 +429,10 @@ def _regime_label(sm: SmoothedH, r):
     return f"{seg.kind}(p={seg.p})"
 
 
-def effective_exponent_max(sm: SmoothedH, grid=None) -> float:
+def effective_exponent_max(sm: SmoothedH, grid) -> float:
     """max over the grid of the local decay exponent p = -h'/h (1+r^2)/(2r),
     equal to p on a pure (1+r^2)^(-p) stretch and between the joined
     exponents inside blends."""
-    if grid is None:
-        grid, _ = certification_grid(sm, per_interval=60)
     return float(np.max(h_frame(sm, grid).p))
 
 
@@ -446,21 +443,15 @@ def dimension_threshold(p: float) -> float:
 
 
 def certify_positive_ricci(
-    sm_or_h, f: WarpingFunction, k_max: int, grid=None, labels=None
+    sm_or_h, f: WarpingFunction, k_max: int, grid, labels
 ) -> Certificate:
-    """Smallest sphere dimension k <= k_max with positive Ricci on the grid.
+    """Smallest sphere dimension k <= k_max with positive Ricci on the grid,
+    each radius labelled with its regime (certification_grid's labels).
 
     h and f are framed once; all three directions are nondecreasing in k,
     so k runs up from 1 through `scaled_ricci` and `positive`.  Margins are
-    reported as (1+r^2)-scaled minima per structural regime.
+    reported as (1+r^2)-scaled minima per regime.
     """
-    if grid is None:
-        if not isinstance(sm_or_h, SmoothedH):
-            raise ValueError("explicit grid required for plain warping functions")
-        grid, labels = certification_grid(sm_or_h)
-    if labels is None:
-        labels = ["all"] * len(grid)
-
     hf, ff, s = h_frame(sm_or_h, grid), f_frame(f, grid), inv_u(np.asarray(grid, dtype=float))
     mins = np.full(len(grid), -math.inf)  # no k to try when k_max < 1
     for k in range(1, k_max + 1):
@@ -472,8 +463,7 @@ def certify_positive_ricci(
                 idx = [i for i, L in enumerate(labels) if L == lab]
                 j = min(idx, key=lambda i: mins[i])
                 margins[lab] = RegimeMargin(lab, math.log10(grid[j]), float(mins[j]))
-            return Certificate(k, k_max, sorted(margins.values(), key=lambda m: m.margin),
-                               len(grid))
+            return Certificate(k, sorted(margins.values(), key=lambda m: m.margin), len(grid))
     j = int(np.argmin(mins))  # at k_max
     raise NotCertified(k_max, RegimeMargin(labels[j], math.log10(grid[j]), float(mins[j])))
 

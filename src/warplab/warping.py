@@ -85,7 +85,6 @@ class WarpingFunction:
     fn: Callable[[Jet2], Jet2]
     # the closed-form frame at a float64 array of radii, and for h at a double
     frame: Callable[[np.ndarray], HFrame | FFrame] = field(compare=False, repr=False)
-    params: tuple = field(default=())
     # log h at a double r, equal to frame(r).log_h (None: no log reader)
     log_h: Callable[[float], float] | None = field(default=None, compare=False, repr=False)
 
@@ -105,7 +104,7 @@ def standard_f() -> WarpingFunction:
 def power_decay_h(p: float) -> WarpingFunction:
     """h(r) = (1+r^2)^(-p): flat at the axis, polynomial decay of rate 2p."""
     return WarpingFunction(f"power-decay-h(p={p})", lambda x: (1 + x * x) ** (-p),
-                           lambda r: power_frame(r, p), (p,), lambda r: -p * log1p_sq_float(r))
+                           lambda r: power_frame(r, p), lambda r: -p * log1p_sq_float(r))
 
 
 def bridged_power_h(p: float, scale_constant) -> WarpingFunction:
@@ -113,7 +112,7 @@ def bridged_power_h(p: float, scale_constant) -> WarpingFunction:
     log_c = math.log(scale_constant)
     return WarpingFunction(f"bridged-power-h(p={p})",
                            lambda x, C=scale_constant: C * (1 + x * x) ** (-p),
-                           lambda r: power_frame(r, p, log_c), (p, scale_constant),
+                           lambda r: power_frame(r, p, log_c),
                            lambda r: log_c - p * log1p_sq_float(r))
 
 
@@ -121,7 +120,7 @@ def constant_h(c: float = 1.0) -> WarpingFunction:
     """h == c; flat circle factor, used for calibration metrics."""
     log_c = math.log(c)
     return WarpingFunction(f"constant-h({c})", lambda x: Jet2.constant(c) + 0.0 * x,
-                           lambda r: power_frame(r, 0.0, log_c), (c,), lambda r: log_c)
+                           lambda r: power_frame(r, 0.0, log_c), lambda r: log_c)
 
 
 def linear_f() -> WarpingFunction:
@@ -156,4 +155,4 @@ def grushin_h(alpha: float) -> WarpingFunction:
         return HFrame(-2.0 * alpha * log_t, p, -p / (t * t))
 
     return WarpingFunction(f"grushin-h(alpha={alpha})", lambda x: x ** (-2.0 * alpha), frame,
-                           (alpha,), lambda t: -2.0 * alpha * math.log(t))
+                           lambda t: -2.0 * alpha * math.log(t))

@@ -222,7 +222,7 @@ def capacity_sweep(s, R, lam):
     count = 0
     last = None
     for a in range(-N, N + 1):
-        if last is None or s.dist(a - last) >= lam:
+        if last is None or s.raw(a - last) >= lam:
             count += 1
             last = a
     return count
@@ -238,7 +238,7 @@ def capacity_exhaustive(s, R, lam):
     best = [1] * n  # best[i]: max size of separated set ending at pts[i]
     for i in range(n):
         for j in range(i):
-            if s.dist(pts[i] - pts[j]) >= lam and best[j] + 1 > best[i]:
+            if s.raw(pts[i] - pts[j]) >= lam and best[j] + 1 > best[i]:
                 best[i] = best[j] + 1
     return max(best) if n else 0
 

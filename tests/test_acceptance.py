@@ -163,7 +163,7 @@ def test_criterion_6_window_distance_bounds(osc_metric, osc_windows):
 @pytest.fixture(scope="module")
 def orbit_linear_metric(pure_half_metric):
     table = OrbitTable(pure_half_metric)
-    return LinearOrbitMetric(table.distance, scale=1.0)
+    return LinearOrbitMetric(table.distance)
 
 
 def test_criterion_7_capacity_sandwich_and_box_fit(orbit_linear_metric):
@@ -209,9 +209,9 @@ def test_criterion_8_content_bounds(orbit_linear_metric):
     ok = True
     vals = []
     for delta in (R / 10, R / 30, R / 100, R / 300):
-        est = hausdorff_content(s, k, R, delta)
-        ok = ok and (lower <= est.content <= upper)
-        vals.append(est.content / R**k)
+        content = hausdorff_content(s, k, R, delta)
+        ok = ok and (lower <= content <= upper)
+        vals.append(content / R**k)
     assert verdict(8, "covering content bounds (4 scales)", ok,
                    f"content/R^k in [{min(vals):.3g}, {max(vals):.3g}]")
 

@@ -86,13 +86,6 @@ def test_invariant_checker_negative_control():
         LinearOrbitMetric(d)
 
 
-def test_scaled_metric():
-    s = LinearOrbitMetric(np.arange(0, 100, dtype=float), scale=10.0)
-    assert s.dist(30) == 3.0
-    assert s.ball_index(2.0) == 20
-    assert capacity(s, 1.0, 0.25) == pytest.approx(2 * 10 // 3 + 1)
-
-
 def test_fit_growth_constants_unit():
     c1, c2 = fit_growth_constants(UNIT, 1.0, (1.0, 100.0))
     assert 1.0 <= c1 <= c2 <= 3.0
@@ -136,20 +129,17 @@ def test_content_interval_calibration():
     delta = 0.5
     s = LinearOrbitMetric(np.arange(0, 4000, dtype=float) * delta)
     R = 100.0
-    est = hausdorff_content(s, 1.0, R, delta)
-    assert R / 3.0 <= est.content <= 3.0 * R
+    assert R / 3.0 <= hausdorff_content(s, 1.0, R, delta) <= 3.0 * R
 
 
 def test_content_k0_is_covering_number():
-    est = hausdorff_content(UNIT, 0.0, 50.0, 5.0)
-    assert est.content == capacity(UNIT, 50.0, 5.0)
+    assert hausdorff_content(UNIT, 0.0, 50.0, 5.0) == capacity(UNIT, 50.0, 5.0)
 
 
 def test_content_lower_direction_chain():
     # the capacity chain's lower bound c1^2/(3^(k+1) c2^2) R^k
     c1, c2 = fit_growth_constants(UNIT, 1.0, (0.3, 150.0))
-    est = hausdorff_content(UNIT, 1.0, 100.0, 10.0)
-    assert est.content >= c1**2 / (3.0**2 * c2**2) * 100.0
+    assert hausdorff_content(UNIT, 1.0, 100.0, 10.0) >= c1**2 / (3.0**2 * c2**2) * 100.0
 
 
 def test_box_dimension_unit():

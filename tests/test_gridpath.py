@@ -180,7 +180,8 @@ def test_relaxation_reads_h_as_arrays():
         mp.setattr(gridpath, "_energy_and_grad", energy)
         mp.setattr(gridpath, "_h_and_slope", h_read)
         iters = 6
-        out = gridpath._relax_path(m, path, iters=iters, n_nodes=50)
+        mp.setattr(gridpath, "_RELAX_SWEEPS", iters)
+        out = gridpath._relax_path(m, path, n_nodes=50)
     n = len(out)
     sizes = [rs.shape for rs, _, _ in reads]
     node_reads = sizes.count((n,))

@@ -42,6 +42,33 @@ def test_grushin_mode_pure(tmp_path):
     csv = (tmp_path / "grushin_convergence.csv").read_text().splitlines()
     assert csv[0] == "lambda,max_rel_err"
     assert len(csv) == 4  # header + three factors
+    final = next(c for c in report.checks if c.name == "rescaling-error-final")
+    assert final.details == "0 of 24 pairs excluded"  # three factors, eight pairs
+
+
+def test_rescaling_error_reports_an_excluded_pair(tmp_path, monkeypatch):
+    # the first comparison arc fails on the rescaled side: that pair drops
+    # out of its factor's max error, and the check's details count it
+    from warplab import grushin
+
+    real = grushin.rescaled_distance
+    calls = []
+
+    def fail_first(*args, **kw):
+        calls.append(args)
+        if len(calls) == 1:
+            raise grushin.UnsupportedPair("forced")
+        return real(*args, **kw)
+
+    monkeypatch.setattr(grushin, "rescaled_distance", fail_first)
+    cfg = parse_config(None, {
+        "mode": "grushin-compare", "alpha": 0.5, "outdir": str(tmp_path),
+        "probe_pairs": 8,
+    })
+    report = run(cfg)
+    final = next(c for c in report.checks if c.name == "rescaling-error-final")
+    assert final.details == "1 of 24 pairs excluded"
+    assert len(calls) == 24
 
 
 def test_report_structure_and_exit_semantics(tmp_path):
@@ -336,7 +363,7 @@ def test_full_suite_checks_cold_and_warm(tmp_path):
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(cold, warm))
     assert n == 64
     assert h.hexdigest() == (
-        "4cc64a192795647d66512d2030d2dffe11a09598680786490c3cffe59f10f897")
+        "5a7f0ba3c3996ec769855244ad87e623b359a412beb3bc0615a8ed5861143607")
 
 
 def test_one_model_build_per_run(tmp_path, monkeypatch):

@@ -57,12 +57,12 @@ def test_fast_count_matches_table(pure_half_metric):
 
 def test_growth_slope_pure(pure_half_metric):
     s = GeodesicOrbitMetric(OrbitTable(pure_half_metric))
-    fit = growth_slope(s, GrowthWindow(1e2, 1e4, 0.5, float("nan")), samples=12)
+    fit = growth_slope(s, GrowthWindow(1e2, 1e4), samples=12)
     assert fit.slope == pytest.approx(2.0, abs=0.15)
     assert fit.residual < 0.05
     assert all(c == 2 * s.ball_index(R) + 1 for R, c in fit.samples)
     with pytest.raises(ValueError):
-        growth_slope(s, GrowthWindow(1e2, 1e4, 0.5, float("nan")), samples=8)
+        growth_slope(s, GrowthWindow(1e2, 1e4), samples=8)
 
 
 def test_fit_count_constants_linear_table():
