@@ -16,11 +16,7 @@ from .curvature import (
     NonPositiveWarping,
     RicciReport,
     log_grid,
-    ricci_circle,
-    ricci_positive_on_grid,
-    ricci_radial,
     ricci_report,
-    ricci_sphere,
 )
 from .dimension import (
     GeodesicOrbitMetric,
@@ -132,12 +128,8 @@ __all__ = [
     "power_decay_h",
     "pure_model_h",
     "rescaled_distance",
-    "ricci_circle",
     "ricci_numeric_oracle",
-    "ricci_positive_on_grid",
-    "ricci_radial",
     "ricci_report",
-    "ricci_sphere",
     "run",
     "sine_f",
     "smooth",

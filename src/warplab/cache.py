@@ -3,8 +3,8 @@
 One file per model, keyed by a format version and a parameter hash in the
 header; another header means the file belongs to a different model or
 record format and is ignored (and overwritten on the next append), never
-silently reused.  Records are `l d_l log_c r_max` lines with
-full-precision reprs, so a warm cache reproduces runs byte-identically.
+silently reused.  Records are `l d_l` lines with full-precision reprs, so
+a warm cache reproduces runs byte-identically.
 The file is append-only: each new distance adds one line, and a reader
 skips a last line without its newline (a write torn by a crash) and lets a
 repeated index's last record win.  Header checks and rewrites (a temp file
@@ -19,12 +19,11 @@ import json
 import os
 import threading
 
-# v5: log c for c, and distances from searches on log delta_v; records of
-# an older version (v4: searches on delta_v = (2/c) I, v3: in log c, each
-# solving its turning radius, v2: t = sqrt(r_max - r) on every turning
-# panel, v1: Newton brackets) differ in the last bits and are ignored, then
-# rewritten like another model's
-HEADER = "# warplab-orbit-cache v5 model="
+# The version names the record format and the code that computes d_l: a
+# file of another version holds other columns, or distances that may differ
+# in the last bits, so reusing it could break a byte-identical warm run; it
+# is ignored, then rewritten like another model's
+HEADER = "# warplab-orbit-cache v6 model="
 
 
 def model_hash(payload: dict) -> str:
@@ -64,14 +63,14 @@ class OrbitCache:
                     if not line.endswith("\n"):
                         break  # torn last write
                     parts = line.split()
-                    if len(parts) != 4:
+                    if len(parts) != 2:
                         continue
-                    out[int(parts[0])] = (float(parts[1]), float(parts[2]), float(parts[3]))
+                    out[int(parts[0])] = float(parts[1])
                 return out
         except FileNotFoundError:
             return {}
 
-    def append(self, l, d, log_c, r_max):
+    def append(self, l, d):
         # the directory's inode, unlike the file's, survives os.replace; it is
         # made here, so a run that computes no distance leaves no directory
         folder = os.path.dirname(os.path.abspath(self.path))
@@ -85,7 +84,7 @@ class OrbitCache:
                     self._prepare()
                     self._ready = True
                 with open(self.path, "a") as fh:
-                    fh.write(f"{int(l)} {float(d)!r} {float(log_c)!r} {float(r_max)!r}\n")
+                    fh.write(f"{int(l)} {float(d)!r}\n")
         finally:
             os.close(dir_fd)  # releases the flock
 

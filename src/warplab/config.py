@@ -82,22 +82,6 @@ class RunConfig:
     def is_oscillating(self) -> bool:
         return self.beta is not None or self.mode in ("build-example",)
 
-    def model_payload(self) -> dict:
-        """Hash payload identifying the distance model and the quadrature
-        tolerance its cached distances were computed at."""
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "A": self.A,
-            "B": self.B,
-            "R11": self.R11,
-            "periods": self.periods,
-            "radius_bound": self.radius_bound,
-            "quad_rel_tol": self.quad_rel_tol,
-            "family": "inverse-power",
-            "version": 2,
-        }
-
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["lambda_ladder"] = list(self.lambda_ladder)

@@ -142,18 +142,6 @@ def ricci_report(m: DoublyWarpedMetric, r) -> RicciReport:
     return RicciReport(r, *(c.tolist()[0] for c in ricci_components(m, [r])))
 
 
-def ricci_radial(m: DoublyWarpedMetric, r):
-    return ricci_report(m, r).ric_radial
-
-
-def ricci_circle(m: DoublyWarpedMetric, r):
-    return ricci_report(m, r).ric_circle
-
-
-def ricci_sphere(m: DoublyWarpedMetric, r):
-    return ricci_report(m, r).ric_sphere
-
-
 def ricci_components(m: DoublyWarpedMetric, rs):
     """(radial, circle, sphere) float64 arrays at double radii > 0: the scaled
     directions of f's and h's frames, over 1 + r^2 (0.0 past about 1.3e154)."""
@@ -163,7 +151,9 @@ def ricci_components(m: DoublyWarpedMetric, rs):
 
 def ricci_grid(m: DoublyWarpedMetric, grid):
     """``(components, ok, worst)`` from one frame pass over the grid:
-    ricci_components at the grid radii, and ricci_positive_on_grid's verdict."""
+    ricci_components at the grid radii, ok iff all three directions are
+    `positive` at every grid radius, and worst the (first) RicciReport with
+    the smallest minimum."""
     grid = np.asarray(grid, dtype=float)
     if len(grid) == 0:
         raise ValueError("empty grid")
@@ -175,8 +165,3 @@ def ricci_grid(m: DoublyWarpedMetric, grid):
     worst = int(np.argmin(np.minimum.reduce(rows)))
     return rows, ok, RicciReport(grid[worst].item(), *(float(c[worst]) for c in rows))
 
-
-def ricci_positive_on_grid(m: DoublyWarpedMetric, grid):
-    """``(ok, worst)``: ok iff all three directions are `positive` at every
-    grid radius, worst the (first) RicciReport with the smallest minimum."""
-    return ricci_grid(m, grid)[1:]

@@ -129,12 +129,10 @@ class GeodesicOrbitMetric(LinearOrbitMetric):
         l_star = sol.delta_v / (2.0 * math.pi)
         g = max(int(math.floor(l_star - 1e-12)) + 1, 1)
         # the straight axis loop can undercut the arc only at small indices;
-        # verify and adjust exactly there
-        if g < 10**6:
-            while self.raw(g) < eps:
-                g += 1
-            while g > 1 and self.raw(g - 1) >= eps:
-                g -= 1
+        # check the stride on the table's distances there, and where they
+        # disagree with the inversion take the table's own search
+        if g < 10**6 and not (self.raw(g) >= eps and (g == 1 or self.raw(g - 1) < eps)):
+            return super().min_stride(eps)
         return g
 
 

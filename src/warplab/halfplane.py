@@ -415,9 +415,10 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     The search runs in x = log(r_max - start) on y = log(q/target).  A
     delta_v target from the domain start that two adjacent rows of `scan`
     (verify_delta_v_monotone's on m) bracket takes that
-    bracket, any other _newton_bracket's.  brentq closes it on memoized
-    evaluations at _XTOL, and only the other quantity is integrated at the
-    root.
+    bracket, any other _newton_bracket's.  brentq closes it at _XTOL.  Each
+    y(x) reads the arc turning at r_max = start + exp(x), which the metric's
+    arc memo answers on a repeat, and only the other quantity is integrated
+    at the root.
     """
     a = m.domain_start if start is None else float(start)
     # names read per call, so wrappers installed on this module see every evaluation
@@ -426,46 +427,42 @@ def invert_arc(m: HalfplaneMetric, quantity: str, target: float, start: float | 
     by_dv = quantity == "delta_v"
     log_target = math.log(target)
     l_top = m.log_h(a)
-    seen = {}  # x -> (r_max, q), q = log delta_v or the length
 
     def y(x):
-        if x not in seen:
-            r = a + math.exp(x)
-            if not m.log_h(r) < l_top:
-                raise OutOfRange(f"h({r!r}) is not below h({a!r})")
-            seen[x] = (r, solve(m, r, a))
-        q = seen[x][1]
+        r = a + math.exp(x)
+        if not m.log_h(r) < l_top:
+            raise OutOfRange(f"h({r!r}) is not below h({a!r})")
+        q = solve(m, r, a)
         return q - log_target if by_dv else math.log(q / target)
 
     bracket = None
     if scan and by_dv and a == m.domain_start:
-        bracket = _scan_bracket(scan, log_target, seen, y)
+        bracket = _scan_bracket(scan, log_target, y)
     if bracket is None:
-        bracket = _newton_bracket(m, quantity, target, a, y, seen)
+        bracket = _newton_bracket(m, quantity, target, a, y)
     lo, hi = bracket
     x_star = lo if lo == hi else brentq(y, lo, hi, xtol=_XTOL, rtol=8.9e-16)
-    y(x_star)  # brentq returns an evaluated point, so this is a lookup
-    r_max, q = seen[x_star]
-    q_other = other(m, r_max, a)
+    # brentq returns an evaluated point, so the arc memo answers q
+    r_max = a + math.exp(x_star)
+    q, q_other = solve(m, r_max, a), other(m, r_max, a)
     ldv, ln = (q, q_other) if by_dv else (q_other, q)
     return GeodesicSolution(m.log_h(r_max), r_max, ldv, ln, start=a)
 
 
-def _scan_bracket(scan, log_target, seen, y):
+def _scan_bracket(scan, log_target, y):
     """(lo, hi) from the adjacent scan rows whose log delta_v straddle
-    log_target, both entered in seen, or None when there is no such pair."""
+    log_target, or None when there is no such pair; the arc memo holds both
+    rows' arcs."""
     i = bisect.bisect_left(scan, log_target, key=lambda row: row[2])
     if not 0 < i < len(scan):
         return None
-    for x, r_max, ldv in scan[i - 1:i + 1]:
-        seen[x] = (r_max, ldv)
     lo, hi = scan[i - 1][0], scan[i][0]
     if not y(lo) <= 0 <= y(hi):
         return None
     return lo, hi
 
 
-def _newton_bracket(m, quantity, target, a, y, seen):
+def _newton_bracket(m, quantity, target, a, y):
     """(lo, hi), the nearest x with y <= 0 and with y >= 0, from Newton steps
     in (x, y) = (log(r_max - a), log(q/target)) from r_max = target/2 until
     a short step brackets the root.  r_max - a stays in [1e-9 max(a, 1),
@@ -500,7 +497,7 @@ def _newton_bracket(m, quantity, target, a, y, seen):
         # long step (spanning other regimes) would average away
         slope = (fx - f_prev) / (x - x_prev) if near else 0.0
         if not (slope > 0 and math.isfinite(slope)):
-            r = seen[x][0]
+            r = a + math.exp(x)
             p = _turning_model(m, r)[0]
             s = r / (r + 1.0 / r)  # r^2/(1+r^2)
             q = p * s if math.isfinite(p) and p > 0 else 0.0
@@ -519,7 +516,7 @@ def _newton_bracket(m, quantity, target, a, y, seen):
         x, fx = x_new, y(x_new)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise TargetUnreachable(f"no arc with {quantity}={target} on {m.label} "
-                                f"(last r_max={seen[x][0]:.6g})", overshoot=x == x_lo and fx > 0)
+                                f"(last r_max={a + math.exp(x):.6g})", overshoot=x == x_lo and fx > 0)
     return lo, hi
 
 

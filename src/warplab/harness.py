@@ -111,18 +111,14 @@ def write_csv(path, header, rows):
                               for x in row) + "\n")
 
 
-def _pure_cache(cfg: RunConfig):
-    """Orbit cache of the pure alpha model, keyed by the config with beta, A
-    and B cleared: a pure config's own key, never an oscillating model's."""
-    payload = {**cfg.model_payload(), "beta": None, "A": None, "B": None}
-    return OrbitCache.for_model(payload, cfg.cache_dir)
-
-
 def _model_for(cfg: RunConfig):
     """(ladder or None, smoothed h, orbit table) of the configured model, the
-    ladder blend-checked; only a pure model's table has a cache."""
+    ladder blend-checked.  Only a pure model's table has a cache, keyed by
+    what its metric reads: alpha and the arc tolerance."""
     if cfg.beta is None:
-        ladder, sm, cache = None, pure_model_h(cfg.alpha), _pure_cache(cfg)
+        ladder, sm = None, pure_model_h(cfg.alpha)
+        key = {"alpha": float(cfg.alpha), "quad_rel_tol": float(cfg.quad_rel_tol)}
+        cache = OrbitCache.for_model(key, cfg.cache_dir)
     else:
         p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
         ladder, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)

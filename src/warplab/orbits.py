@@ -87,10 +87,10 @@ class GrowthWindow:
 
 
 class OrbitTable:
-    """Memoized distances l -> (d_l, log c, r_max) for one metric, at its
-    arc tolerance, loaded from and appended to an optional cache.  The cache
-    is read on the first look at the memo, so a run that asks for no
-    distance reads no record."""
+    """Memoized distances l -> d_l for one metric, at its arc tolerance,
+    loaded from and appended to an optional cache.  The cache is read on the
+    first look at the memo, so a run that asks for no distance reads no
+    record."""
 
     def __init__(self, metric: HalfplaneMetric, cache: OrbitCache | None = None):
         self.metric = metric
@@ -109,12 +109,10 @@ class OrbitTable:
             return 0.0
         hit = self.entries.get(l)
         if hit is not None:
-            return hit[0]
-        d, sol = orbit_distance(self.metric, l)
-        rec = (d, sol.log_c, sol.r_max) if sol else (d, -math.inf, 0.0)
-        self.entries[l] = rec
+            return hit
+        d = self.entries[l] = orbit_distance(self.metric, l)[0]
         if self.cache is not None:
-            self.cache.append(l, *rec)
+            self.cache.append(l, d)
         return d
 
 

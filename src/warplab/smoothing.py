@@ -356,10 +356,13 @@ def construction_invariants(sm: SmoothedH, r_min: float = 1e-3):
     gaps = sm.base.check_continuity(rel_tol=math.inf)
 
     exps = np.linspace(np.log10(r_min), float(mpmath.log10(_scan_top(sm))), 100_000)
-    # Python's scalar 10.0**e (np.power may differ by an ulp), 8,192 radii at a time
-    log_h = np.concatenate([h_frame(sm, [10.0**e for e in exps[at:at + 8192].tolist()]).log_h
-                            for at in range(0, exps.size, 8192)])
-    monotone = bool(np.all(log_h[1:] < log_h[:-1]))
+    # Python's scalar 10.0**e (np.power may differ by an ulp), 8,192 radii at
+    # a time, each chunk compared within and against the previous chunk's last
+    monotone, last = True, None
+    for at in range(0, exps.size, 8192):
+        log_h = h_frame(sm, [10.0**e for e in exps[at:at + 8192].tolist()]).log_h
+        ok = (last is None or log_h[0] < last) and np.all(log_h[1:] < log_h[:-1])
+        monotone, last = monotone and bool(ok), log_h[-1]
 
     obs = [verify_observation(b.left, sm, (b.lo, b.hi), n=400) for b in sm.blends]
     return ConstructionInvariants(gaps, monotone, all(o.ok for o in obs),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from warplab.christoffel import ricci_numeric_oracle
-from warplab.curvature import DoublyWarpedMetric, log_grid, ricci_positive_on_grid, ricci_report
+from warplab.curvature import DoublyWarpedMetric, log_grid, ricci_grid, ricci_report
 from warplab.dimension import (
     GeodesicOrbitMetric,
     LinearOrbitMetric,
@@ -60,7 +60,7 @@ def test_criterion_1_ricci_positivity_and_oracle():
     # against its absolute floor once values decay below it)
     m = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
     grid = log_grid(1e-3, 1e6, 4000)
-    ok_pos, worst = ricci_positive_on_grid(m, grid)
+    _, ok_pos, worst = ricci_grid(m, grid)
 
     rng = np.random.default_rng(101)
     worst_rel = 0.0

@@ -15,15 +15,16 @@ def _lines(cache):
 
 def test_append_only_round_trip(cache_dir):
     cache = OrbitCache.for_model({"family": "rt"}, cache_dir)
-    recs = [(3, 1.25, 0.5, 2.0), (1, 0.1 + 0.2, 1e-300, 7.0), (3, 1.5, 0.25, 3.0)]
+    recs = [(3, 1.25), (1, 0.1 + 0.2), (3, 1.5)]
     for rec in recs:
         cache.append(*rec)
-    # one header plus one line per append; a repeated index's last record wins
-    assert len(_lines(cache)) == 1 + len(recs)
+    # one header plus one `l d_l` line per append; a repeated index's last
+    # record wins
+    assert _lines(cache)[1:] == ["3 1.25", "1 0.30000000000000004", "3 1.5"]
     again = OrbitCache.for_model({"family": "rt"}, cache_dir)
-    assert again.load() == {3: (1.5, 0.25, 3.0), 1: (0.1 + 0.2, 1e-300, 7.0)}
-    again.append(8, 4.0, 0.125, 9.0)
-    assert cache.load()[8] == (4.0, 0.125, 9.0) and len(cache.load()) == 3
+    assert again.load() == {3: 1.5, 1: 0.1 + 0.2}
+    again.append(8, 4.0)
+    assert cache.load()[8] == 4.0 and len(cache.load()) == 3
 
 
 _FLOATS = st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308, 1e300, 0.1, 0.1 + 0.2]),
@@ -32,90 +33,98 @@ _FLOATS = st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308, 1e300, 0.1
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(records=st.lists(st.tuples(st.one_of(st.integers(0, 6), st.integers(0, 10**15)),
-                                  _FLOATS, _FLOATS, _FLOATS), min_size=1, max_size=12))
+                                  _FLOATS), min_size=1, max_size=12))
 def test_append_load_round_trip_keeps_every_bit(records):
     # the last record per index comes back with every float bit for bit,
     # also after a torn last line
     def bits(table):
-        return {l: tuple(x.hex() for x in rec) for l, rec in table.items()}
+        return {l: d.hex() for l, d in table.items()}
 
-    want = bits({l: rec for l, *rec in records})
+    want = bits(dict(records))
     with tempfile.TemporaryDirectory() as d:
         cache = OrbitCache.for_model({"family": "prop"}, d)
         for rec in records:
             cache.append(*rec)
         assert bits(cache.load()) == want
         with open(cache.path, "a") as fh:
-            fh.write("7 1.5 0.2")
+            fh.write("7 1.")
         assert bits(OrbitCache(cache.path, cache.model_key).load()) == want
 
 
 def test_torn_last_line_is_skipped_and_cut_before_appending(cache_dir):
     cache = OrbitCache.for_model({"family": "torn"}, cache_dir)
-    cache.append(3, 1.0, 0.5, 2.0)
+    cache.append(3, 1.0)
     with open(cache.path, "a") as fh:
-        fh.write("12 3.5 0.25 2.")  # "12 3.5 0.25 2.75\n" cut short by a crash
+        fh.write("12 3.5")  # "12 3.5625\n" cut short by a crash
     fresh = OrbitCache(cache.path, cache.model_key)
-    assert fresh.load() == {3: (1.0, 0.5, 2.0)}
+    assert fresh.load() == {3: 1.0}
     # the fragment is cut, so the next record starts on a line of its own
-    fresh.append(13, 4.5, 0.2, 9.0)
-    assert fresh.load() == {3: (1.0, 0.5, 2.0), 13: (4.5, 0.2, 9.0)}
-    assert _lines(fresh)[1:] == ["3 1.0 0.5 2.0", "13 4.5 0.2 9.0"]
+    fresh.append(13, 4.5)
+    assert fresh.load() == {3: 1.0, 13: 4.5}
+    assert _lines(fresh)[1:] == ["3 1.0", "13 4.5"]
 
 
 def test_directory_is_made_by_the_first_append(cache_dir):
     cache = OrbitCache.for_model({"family": "lazy"}, cache_dir)
     assert cache.load() == {} and not os.path.exists(cache_dir)
-    cache.append(1, 2.0, 0.5, 3.0)
-    assert cache.load() == {1: (2.0, 0.5, 3.0)}
+    cache.append(1, 2.0)
+    assert cache.load() == {1: 2.0}
 
 
 def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
     alien = OrbitCache.for_model({"family": "other"}, cache_dir)
-    alien.append(5, 9.0, 0.1, 4.0)
+    alien.append(5, 9.0)
     mine = OrbitCache(alien.path, model_hash({"family": "mine"}))
     assert mine.load() == {}
-    mine.append(2, 1.0, 0.5, 2.0)
-    assert _lines(mine) == [HEADER + mine.model_key, "2 1.0 0.5 2.0"]
-    assert mine.load() == {2: (1.0, 0.5, 2.0)}
+    mine.append(2, 1.0)
+    assert _lines(mine) == [HEADER + mine.model_key, "2 1.0"]
+    assert mine.load() == {2: 1.0}
     assert alien.load() == {}
 
 
-def _older_file_is_ignored_then_rewritten(cache_dir, version):
-    assert HEADER == "# warplab-orbit-cache v5 model="
+def _older_file_is_ignored_then_rewritten(cache_dir, version, record):
+    assert HEADER == "# warplab-orbit-cache v6 model="
     cache = OrbitCache.for_model({"family": "old"}, cache_dir)
     os.makedirs(cache_dir)  # the first append makes it; the old file comes first
     with open(cache.path, "w") as fh:
-        fh.write(f"# warplab-orbit-cache {version} model={cache.model_key}\n3 1.0 0.5 2.0\n")
+        fh.write(f"# warplab-orbit-cache {version} model={cache.model_key}\n{record}\n")
     assert cache.load() == {}
-    cache.append(4, 2.0, 0.25, 3.0)
-    assert _lines(cache) == [HEADER + cache.model_key, "4 2.0 0.25 3.0"]
-    assert OrbitCache(cache.path, cache.model_key).load() == {4: (2.0, 0.25, 3.0)}
+    cache.append(4, 2.0)
+    assert _lines(cache) == [HEADER + cache.model_key, "4 2.0"]
+    assert OrbitCache(cache.path, cache.model_key).load() == {4: 2.0}
 
 
 def test_v1_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
     # v1 records come from the former inversion, whose distances differ in
     # the last bits: reusing them would break the byte-identical warm run
-    _older_file_is_ignored_then_rewritten(cache_dir, "v1")
+    _older_file_is_ignored_then_rewritten(cache_dir, "v1", "3 1.0 0.5 2.0")
 
 
 def test_v2_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
     # v2 records come from turning panels integrated in t = sqrt(r_max - r)
     # at every decay exponent; the graded map moves their last bits
-    _older_file_is_ignored_then_rewritten(cache_dir, "v2")
+    _older_file_is_ignored_then_rewritten(cache_dir, "v2", "3 1.0 0.5 2.0")
 
 
 def test_v3_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
     # v3 records come from inversions that searched the Clairaut constant
     # and solved each turning radius; searching the turning radius moves
     # their last bits
-    _older_file_is_ignored_then_rewritten(cache_dir, "v3")
+    _older_file_is_ignored_then_rewritten(cache_dir, "v3", "3 1.0 0.5 2.0")
 
 
 def test_v4_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
     # v4 records carry c, and their distances come from searches on delta_v
     # = (2/c) I; searches on log delta_v move their last bits
-    _older_file_is_ignored_then_rewritten(cache_dir, "v4")
+    _older_file_is_ignored_then_rewritten(cache_dir, "v4", "3 1.0 0.5 2.0")
+
+
+def test_v5_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
+    # v5 records carry log c and r_max beside d_l; the header, not the
+    # column count, turns away a v5 file, also one with two-column records
+    _older_file_is_ignored_then_rewritten(cache_dir, "v5", "3 1.0 0.5 2.0")
+    # a record of the v6 shape under a v5 header is not read either
+    _older_file_is_ignored_then_rewritten(os.path.join(cache_dir, "again"), "v5", "3 1.0")
 
 
 def _append_fifty_per_trial(paths, key, first, barrier):
@@ -123,7 +132,7 @@ def _append_fifty_per_trial(paths, key, first, barrier):
         cache = OrbitCache(path, key)
         barrier.wait(timeout=10)
         for l in range(first, first + 50):
-            cache.append(l, l + 0.5, 0.25, 2.0 * l)
+            cache.append(l, l + 0.5)
 
 
 def test_two_processes_first_appends_to_one_fresh_file(tmp_path):
@@ -140,7 +149,7 @@ def test_two_processes_first_appends_to_one_fresh_file(tmp_path):
     for p in procs:
         p.join(60)
     assert [p.exitcode for p in procs] == [0, 0]
-    want = {l: (l + 0.5, 0.25, 2.0 * l) for l in range(100)}
+    want = {l: l + 0.5 for l in range(100)}
     for path in paths:
         assert OrbitCache(path, key).load() == want, path
     assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)
@@ -153,7 +162,7 @@ def test_two_processes_first_appends_to_one_alien_file(tmp_path):
     key = model_hash({"family": "race"})
     paths = [os.path.join(tmp_path, f"orbit_{trial}.tsv") for trial in range(24)]
     for path in paths:
-        OrbitCache(path, model_hash({"family": "alien"})).append(7, 1.0, 0.5, 2.0)
+        OrbitCache(path, model_hash({"family": "alien"})).append(7, 1.0)
     barrier = ctx.Barrier(2)
     procs = [ctx.Process(target=_append_fifty_per_trial, args=(paths, key, first, barrier))
              for first in (0, 50)]
@@ -162,6 +171,6 @@ def test_two_processes_first_appends_to_one_alien_file(tmp_path):
     for p in procs:
         p.join(60)
     assert [p.exitcode for p in procs] == [0, 0]
-    want = {l: (l + 0.5, 0.25, 2.0 * l) for l in range(100)}
+    want = {l: l + 0.5 for l in range(100)}
     for path in paths:
         assert OrbitCache(path, key).load() == want, path

@@ -65,15 +65,21 @@ def test_oscillating_requires_bridges():
 
 
 def test_every_quad_setting_is_keyed_in_the_cache_payload():
-    # cached distances are reused across runs by model_payload()'s hash, so
-    # the one arc tolerance of a metric, which a run sets, must be a payload
-    # key, or two runs at different tolerances would share a cache file
+    # cached distances are reused across runs by the pure model's cache key,
+    # so the one arc tolerance of a metric, which a run sets, must move the
+    # key as alpha does, or two runs at different tolerances would share a
+    # cache file
     import inspect
 
     from warplab.halfplane import HalfplaneMetric
+    from warplab.harness import _model_for
+
+    def table(**kw):
+        return _model_for(RunConfig(mode="orbit-growth", **kw))[2]
 
     default = inspect.signature(HalfplaneMetric).parameters["rel_tol"].default
-    base = RunConfig(mode="orbit-growth")
-    assert base.model_payload()["quad_rel_tol"] == default == base.quad_rel_tol
-    moved = RunConfig(mode="orbit-growth", quad_rel_tol=2 * base.quad_rel_tol)
-    assert moved.model_payload() != base.model_payload()
+    base = table()
+    assert base.metric.rel_tol == default == RunConfig(mode="orbit-growth").quad_rel_tol
+    moved, other = table(quad_rel_tol=2 * default), table(alpha=0.6)
+    assert moved.metric.rel_tol == 2 * default
+    assert len({base.cache.model_key, moved.cache.model_key, other.cache.model_key}) == 3

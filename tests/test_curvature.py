@@ -10,11 +10,8 @@ from warplab.curvature import (
     NonPositiveWarping,
     h_frame,
     log_grid,
-    ricci_circle,
-    ricci_positive_on_grid,
-    ricci_radial,
+    ricci_grid,
     ricci_report,
-    ricci_sphere,
 )
 from warplab.jets import Jet2
 from warplab.warping import (
@@ -33,9 +30,10 @@ PURE_HALF = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
 
 def test_flat_cone_is_ricci_flat():
     for r in (0.3, 1.0, 7.0):
-        assert ricci_radial(FLAT, r) == pytest.approx(0.0, abs=1e-14)
-        assert ricci_circle(FLAT, r) == pytest.approx(0.0, abs=1e-14)
-        assert ricci_sphere(FLAT, r) == pytest.approx(0.0, abs=1e-14)
+        rep = ricci_report(FLAT, r)
+        assert rep.ric_radial == pytest.approx(0.0, abs=1e-14)
+        assert rep.ric_circle == pytest.approx(0.0, abs=1e-14)
+        assert rep.ric_sphere == pytest.approx(0.0, abs=1e-14)
 
 
 def test_pure_model_closed_values():
@@ -43,16 +41,18 @@ def test_pure_model_closed_values():
     # radial = 13/(1+r^2)^2, circle = (9+2r^2)/(1+r^2)^2
     for r in (0.5, 1.0, 10.0):
         q = (1.0 + r * r) ** 2
-        assert ricci_radial(PURE_HALF, r) == pytest.approx(13.0 / q, rel=1e-13)
-        assert ricci_circle(PURE_HALF, r) == pytest.approx((9.0 + 2.0 * r * r) / q, rel=1e-13)
+        rep = ricci_report(PURE_HALF, r)
+        assert rep.ric_radial == pytest.approx(13.0 / q, rel=1e-13)
+        assert rep.ric_circle == pytest.approx((9.0 + 2.0 * r * r) / q, rel=1e-13)
 
 
 def test_axis_limits_by_extrapolation():
     # radial limit 2*alpha + 1.5*k = 13 (alpha=1/2, k=8); circle limit
     # 2*alpha*(1+k) = 9; sphere limit matches radial by axis smoothness
-    assert ricci_radial(PURE_HALF, 0.0) == pytest.approx(13.0, rel=1e-8)
-    assert ricci_circle(PURE_HALF, 0.0) == pytest.approx(9.0, rel=1e-8)
-    assert ricci_sphere(PURE_HALF, 0.0) == pytest.approx(13.0, rel=1e-7)
+    rep = ricci_report(PURE_HALF, 0.0)
+    assert rep.ric_radial == pytest.approx(13.0, rel=1e-8)
+    assert rep.ric_circle == pytest.approx(9.0, rel=1e-8)
+    assert rep.ric_sphere == pytest.approx(13.0, rel=1e-7)
 
 
 def test_circle_sign_structure():
@@ -60,21 +60,19 @@ def test_circle_sign_structure():
     h = jet_framed("cap", lambda x: 1.0 - 0.25 * x * x)
     m = DoublyWarpedMetric(3, standard_f(), h)
     for r in (0.2, 0.5, 1.0):
-        assert ricci_circle(m, r) > 0
+        assert ricci_report(m, r).ric_circle > 0
 
 
 def test_positivity_grid_pure_model():
     grid = log_grid(1e-3, 1e6, 4000)
-    ok, worst = ricci_positive_on_grid(PURE_HALF, grid)
+    _, ok, worst = ricci_grid(PURE_HALF, grid)
     assert ok
     assert worst.min_value > 0
     # k=1 fails: the circle direction dips negative at moderate radii
-    ok1, worst1 = ricci_positive_on_grid(
-        DoublyWarpedMetric(1, standard_f(), power_decay_h(0.5)), grid
-    )
+    _, ok1, worst1 = ricci_grid(DoublyWarpedMetric(1, standard_f(), power_decay_h(0.5)), grid)
     assert not ok1 and worst1.min_value < 0
     # flat calibration is identically zero, hence not strictly positive
-    okf, _ = ricci_positive_on_grid(FLAT, log_grid(0.1, 10.0, 50))
+    _, okf, _ = ricci_grid(FLAT, log_grid(0.1, 10.0, 50))
     assert not okf
 
 
@@ -82,7 +80,7 @@ def test_nonpositive_warping_raises():
     bad = jet_framed("bad", lambda x: 1.0 - x)  # vanishes at r=1
     m = DoublyWarpedMetric(2, standard_f(), bad)
     with pytest.raises(NonPositiveWarping):
-        ricci_radial(m, 2.0)
+        ricci_report(m, 2.0)
 
 
 def test_report_min_value():
@@ -92,9 +90,9 @@ def test_report_min_value():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        ricci_positive_on_grid(PURE_HALF, [])
+        ricci_grid(PURE_HALF, [])
     with pytest.raises(ValueError):
-        ricci_positive_on_grid(PURE_HALF, [-1.0])
+        ricci_grid(PURE_HALF, [-1.0])
     with pytest.raises(ValueError):
         log_grid(10.0, 1.0, 10)
 

@@ -25,6 +25,7 @@ from warplab.halfplane import HalfplaneMetric
 from warplab.harness import run
 from warplab.numerics import line_fit
 from warplab.orbits import OrbitTable, last_index_at_most
+from warplab.smoothing import pure_model_h
 from warplab.warping import power_decay_h
 
 from .oracles import capacity_exhaustive, capacity_sweep, counting_chain_holds
@@ -239,6 +240,26 @@ def test_ball_index_reads_d1_from_the_table_cache(tmp_path, monkeypatch):
     assert calls == [] and m._scan is None
     halfplane.orbit_distance(m, 50)
     assert m._scan is not None
+
+
+def test_min_stride_on_disagreeing_table_reads_few_distances(monkeypatch):
+    # the pure 0.6 metric inverts lambda = 2000 (R = 6e3, lambda = R/3) to a
+    # stride near 357,362, while the table's closed-form d_l = l^(1/2.2)
+    # first reaches 2000 near 1.8e7: the stride comes from the table's own
+    # search, not from a walk one distance at a time
+    reads = []
+
+    def spy(m, l):
+        reads.append(l)
+        if len(reads) > 1000:
+            raise AssertionError("min_stride walks the table")
+        return l ** (1 / 2.2), None
+
+    monkeypatch.setattr(orbits, "orbit_distance", spy)
+    s = GeodesicOrbitMetric(OrbitTable(HalfplaneMetric.from_smoothed(pure_model_h(0.6))))
+    g = s.min_stride(2000.0)
+    assert g ** (1 / 2.2) >= 2000.0 > (g - 1) ** (1 / 2.2)
+    assert len(reads) <= 100
 
 
 def test_box_dimension_beta_window(osc_metric, osc_build):

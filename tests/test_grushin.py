@@ -159,14 +159,20 @@ def test_window_too_narrow(osc_build):
 
 def test_probe_exclusion_counts(osc_build):
     # probes whose comparison arc exits the stretch image are excluded, not
-    # scored: with a stretch top close to lambda * t_max, wide equal-t pairs
-    # must drop out
+    # scored: with a stretch top close to lambda * t_max, an equal-t pair near
+    # the top of the probe box drops out (seed 2: t = 4.9937 at lambda = 16,
+    # whose arc turns at 5.0089 past the window top 5.0); seed 9 has no such pair
     lad, sm = osc_build
     R11 = float(lad.junctions[0])
     stretch = (0.0, 0.8 * R11)
     lam = 0.8 * R11 / 5.0  # probe box exactly reaches the top
     rep = convergence_report(sm, 0.6, stretch, [lam / 4, lam / 2, lam], n_pairs=16, seed=9)
     assert isinstance(rep, ComparisonReport)
+    rep = convergence_report(sm, 0.6, stretch, [lam / 4, lam / 2, lam], n_pairs=16, seed=2)
+    assert rep.excluded
+    for factor, pair in rep.excluded:
+        model = RescaledModel.build(sm, factor, 0.6, stretch)
+        assert rescaled_distance(model, *pair)[1]["r_max"] > model.window[1]
 
 
 def test_self_similarity():

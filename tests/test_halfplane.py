@@ -475,19 +475,20 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def _delta_v_calls_per_distance(m, l):
-    """d_l, and the delta_v_of_c evaluations orbit_distance spent on it."""
-    calls = []
-    real = halfplane.delta_v_of_c
+def _delta_v_arcs_per_distance(m, l):
+    """d_l, and the delta_v arcs orbit_distance integrated for it: misses of
+    the metric's arc memo, which answers repeated evaluations."""
+    arcs = []
+    real = halfplane._arc_quadrature
 
-    def spy(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def spy(m, start, r_max, dv):
+        arcs.append(dv)
+        return real(m, start, r_max, dv)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(halfplane, "delta_v_of_c", spy)
+        mp.setattr(halfplane, "_arc_quadrature", spy)
         d, _ = orbit_distance(m, l)
-    return d, len(calls)
+    return d, sum(arcs)
 
 
 def _osc_window_indices(osc_build, a):
@@ -508,8 +509,8 @@ def test_invert_arc_properties_pure(pure_half_metric, u, v):
     assert sol.delta_v == pytest.approx(target, rel=1e-10)
     by_c = clairaut_arc(pure_half_metric, math.exp(sol.log_c))
     assert by_c.delta_v == pytest.approx(target, rel=1e-10)
-    d1, n1 = _delta_v_calls_per_distance(pure_half_metric, l1)
-    d2, n2 = _delta_v_calls_per_distance(pure_half_metric, l2)
+    d1, n1 = _delta_v_arcs_per_distance(pure_half_metric, l1)
+    d2, n2 = _delta_v_arcs_per_distance(pure_half_metric, l2)
     assert d1 <= d2 if l1 < l2 else d1 == d2
     assert max(n1, n2) <= 8
 
@@ -525,8 +526,8 @@ def test_invert_arc_properties_osc_windows(osc_metric, osc_build, a, u, v):
     sol = invert_arc(osc_metric, "delta_v", target)
     assert sol.delta_v == pytest.approx(target, rel=1e-10)
     assert clairaut_arc(osc_metric, math.exp(sol.log_c)).delta_v == pytest.approx(target, rel=1e-10)
-    d1, n1 = _delta_v_calls_per_distance(osc_metric, l1)
-    d2, n2 = _delta_v_calls_per_distance(osc_metric, l2)
+    d1, n1 = _delta_v_arcs_per_distance(osc_metric, l1)
+    d2, n2 = _delta_v_arcs_per_distance(osc_metric, l2)
     assert d1 <= d2 if l1 < l2 else d1 == d2
     assert max(n1, n2) <= 12
 

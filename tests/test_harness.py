@@ -145,9 +145,20 @@ def test_grushin_mode_zero_periods(tmp_path):
     assert "rescaling-ladder-refit" in {c.name for c in report.checks}
 
 
+def _pure_cache(cache_dir, alpha, quad_rel_tol=1e-9):
+    """The orbit cache a run's pure model files its distances in: keyed by
+    alpha and the arc tolerance, the two settings its metric reads."""
+    from warplab.cache import OrbitCache
+
+    return OrbitCache.for_model({"alpha": alpha, "quad_rel_tol": quad_rel_tol}, cache_dir)
+
+
+def _cache_key(alpha, quad_rel_tol=1e-9):
+    return os.path.basename(_pure_cache("", alpha, quad_rel_tol).path)
+
+
 def test_capacity_rows_keyed_to_the_pure_model(tmp_path, cache_dir, monkeypatch):
     from warplab import orbits
-    from warplab.cache import OrbitCache, model_hash
 
     # capacity runs the pure alpha model; a closed-form distance keeps this fast
     monkeypatch.setattr(orbits, "orbit_distance",
@@ -155,15 +166,39 @@ def test_capacity_rows_keyed_to_the_pure_model(tmp_path, cache_dir, monkeypatch)
     osc = parse_config(None, {"mode": "capacity", **OSC, "outdir": str(tmp_path),
                               "cache_dir": cache_dir})
     run(osc)
-    pure = parse_config(None, {"mode": "capacity", "alpha": 0.6, "cache_dir": cache_dir})
-    assert os.listdir(cache_dir) == [f"orbit_{model_hash(pure.model_payload())}.tsv"]
-    assert OrbitCache.for_model(pure.model_payload(), cache_dir).load()
-    assert OrbitCache.for_model(osc.model_payload(), cache_dir).load() == {}
+    assert os.listdir(cache_dir) == [_cache_key(0.6)]
+    assert _pure_cache(cache_dir, 0.6).load()
+
+
+def test_pure_cache_is_keyed_by_alpha_and_tolerance_only(tmp_path, cache_dir, monkeypatch):
+    # a pure model's distances depend on alpha and the arc tolerance alone:
+    # runs that differ in R11, periods or radius_bound share one file, and so
+    # does an oscillating run's capacity table; another alpha or tolerance
+    # writes a file of its own
+    from warplab import orbits
+
+    monkeypatch.setattr(orbits, "orbit_distance", lambda m, l: (l ** (1 / 2.2), None))
+
+    def capacity_run(tag, **model):
+        run(parse_config(None, {"mode": "capacity", **model, "outdir": str(tmp_path / tag),
+                                "cache_dir": cache_dir}))
+        return sorted(os.listdir(cache_dir))
+
+    shared = [_cache_key(0.6)]
+    assert capacity_run("pure", alpha=0.6) == shared
+    assert capacity_run("R11", alpha=0.6, R11=300.0) == shared
+    assert capacity_run("periods", alpha=0.6, periods=5) == shared
+    assert capacity_run("bound", alpha=0.6, radius_bound=1e40) == shared
+    assert capacity_run("osc", **OSC, radius_bound=1e40) == shared
+    other_alpha = _cache_key(0.7)
+    assert capacity_run("alpha", alpha=0.7) == sorted(shared + [other_alpha])
+    loose = _cache_key(0.6, 1e-8)
+    assert capacity_run("tol", alpha=0.6, quad_rel_tol=1e-8) == sorted(shared + [other_alpha,
+                                                                                 loose])
 
 
 def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, monkeypatch):
     from warplab import orbits
-    from warplab.cache import model_hash
 
     tols = []
 
@@ -179,7 +214,7 @@ def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, 
     n_default = len(tols)
     run(cfgs[1])
     assert set(tols[:n_default]) == {1e-9} and set(tols[n_default:]) == {1e-8}
-    files = sorted(f"orbit_{model_hash(c.model_payload())}.tsv" for c in cfgs)
+    files = sorted(_cache_key(0.6, c.quad_rel_tol) for c in cfgs)
     assert files[0] != files[1] and sorted(os.listdir(cache_dir)) == files
 
 

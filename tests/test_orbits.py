@@ -90,7 +90,7 @@ def test_cache_round_trip(pure_half_metric, cache_dir):
     # a fresh table against the same cache reads identical values
     t2 = OrbitTable(pure_half_metric, cache=OrbitCache.for_model(payload, cache_dir))
     for l, d in vals.items():
-        assert t2.entries[l][0] == d
+        assert t2.entries[l] == d
 
 
 def test_cache_hash_mismatch_ignored(pure_half_metric, cache_dir):

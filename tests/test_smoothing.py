@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from bisect import bisect_right
 
 import mpmath
@@ -15,7 +16,7 @@ from warplab.curvature import (
     h_frame,
     log_grid,
     ricci_components,
-    ricci_positive_on_grid,
+    ricci_grid,
     ricci_report,
 )
 from warplab.jets import Jet2
@@ -222,14 +223,12 @@ def test_checks_past_double_range_raise_overflow(osc_params):
 
 def test_certified_k_recheck_idempotent(osc_build):
     # certification soundness: the returned k passes the plain grid check
-    from warplab.curvature import DoublyWarpedMetric, ricci_positive_on_grid
-
     lad, sm = osc_build
     grid, labels = certification_grid(sm, per_interval=40)
     cap = int(4 * dimension_threshold(effective_exponent_max(sm, grid)))
     cert = certify_positive_ricci(sm, standard_f(), cap, grid, labels)
     m = DoublyWarpedMetric(cert.k, standard_f(), sm)
-    ok, worst = ricci_positive_on_grid(m, grid)  # same grid, full re-check
+    _, ok, worst = ricci_grid(m, grid)  # same grid, full re-check
     assert ok, worst
 
 
@@ -248,7 +247,7 @@ def test_dense_checks_build_no_jet(monkeypatch):
         cert = certify_positive_ricci(sm, f, cap, grid, labels)
         m = DoublyWarpedMetric(cert.k, f, sm)
         return ([c.tolist() for c in ricci_components(m, grid)],
-                ricci_positive_on_grid(m, grid), construction_invariants(sm), cert)
+                ricci_grid(m, grid)[1:], construction_invariants(sm), cert)
 
     want = run()
 
@@ -311,6 +310,22 @@ def test_schedule_invariants_hold_for_random_exponent_lists(s):
     inv = construction_invariants(sm)
     assert inv.monotone and inv.blends_ok, s
     assert max(inv.junction_gaps, default=0.0) <= 1e-10, s
+
+
+def test_construction_invariants_peak_memory():
+    # the strict-decrease scan holds one chunk of 8,192 radii and its frame at
+    # a time (1.72 MiB on the osc 1e40 build); all 13 chunks with their
+    # 100,000-sample concatenation would peak at 2.35 MiB
+    params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
+    _, sm = build_oscillating_h(params, radius_bound=1e40, check=True)
+    tracemalloc.start()
+    try:
+        inv = construction_invariants(sm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inv.monotone
+    assert peak <= 1.9 * 2**20
 
 
 # -- float fast path ----------------------------------------------------------
