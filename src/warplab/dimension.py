@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .halfplane import axis_count_at_radius, invert_arc
+from .halfplane import axis_count_at_radius
 from .numerics import brentq  # noqa: F401  unused here; perfbench's probe test reads it
 from .numerics import line_fit
 from .orbits import INDEX_CAP, OrbitTable, max_index_at_most
@@ -107,11 +107,12 @@ class LinearOrbitMetric:
 
 
 class GeodesicOrbitMetric(LinearOrbitMetric):
-    """Orbit metric of one OrbitTable: d_l from the table, ball indices and
-    separation strides by turning-parameter inversion on the table's metric,
-    at that metric's arc tolerance, so capacities stay computable when
-    threshold indices overflow any table.  A ball below the table's d_1 holds index 0
-    only, as in LinearOrbitMetric.ball_index, with no inversion."""
+    """Orbit metric of one OrbitTable: d_l from the table, ball indices by
+    turning-parameter inversion on the table's metric, at that metric's arc
+    tolerance, so counts stay computable when threshold indices overflow any
+    table; separation strides by LinearOrbitMetric's search on the table's
+    distances.  A ball below the table's d_1 holds index 0 only, as in
+    LinearOrbitMetric.ball_index, with no inversion."""
 
     def __init__(self, table: OrbitTable):
         self.table = table
@@ -121,19 +122,6 @@ class GeodesicOrbitMetric(LinearOrbitMetric):
         if self.raw(1) > R:
             return 0
         return int(axis_count_at_radius(self.table.metric, R))
-
-    def min_stride(self, eps: float) -> int:
-        if self.raw(1) >= eps:
-            return 1
-        sol = invert_arc(self.table.metric, "length", eps)
-        l_star = sol.delta_v / (2.0 * math.pi)
-        g = max(int(math.floor(l_star - 1e-12)) + 1, 1)
-        # the straight axis loop can undercut the arc only at small indices;
-        # check the stride on the table's distances there, and where they
-        # disagree with the inversion take the table's own search
-        if g < 10**6 and not (self.raw(g) >= eps and (g == 1 or self.raw(g - 1) < eps)):
-            return super().min_stride(eps)
-        return g
 
 
 def capacity(s: LinearOrbitMetric, R: float, lam: float) -> int:

@@ -31,7 +31,7 @@ HalfplaneMetric.rel_tol, 1e-9 by default, absolute floor 1e-12 on the
 quantity, 0 on I past the double range of c).
 
 Covering-space distances d_l between a point on the axis and its l-th deck
-translate (period 2*pi in v) solve delta_v = 2*pi*l; counts and strides
+translate (period 2*pi in v) solve delta_v = 2*pi*l; counts
 solve length = R.  invert_arc runs brentq on log(r_max - a), solving no
 turning radius, and integrates only the other quantity at the root.  A
 distance takes its bracket from two adjacent rows of the strict

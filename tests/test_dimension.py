@@ -245,8 +245,8 @@ def test_ball_index_reads_d1_from_the_table_cache(tmp_path, monkeypatch):
 def test_min_stride_on_disagreeing_table_reads_few_distances(monkeypatch):
     # the pure 0.6 metric inverts lambda = 2000 (R = 6e3, lambda = R/3) to a
     # stride near 357,362, while the table's closed-form d_l = l^(1/2.2)
-    # first reaches 2000 near 1.8e7: the stride comes from the table's own
-    # search, not from a walk one distance at a time
+    # first reaches 2000 near 1.8e7: the stride comes from the search on the
+    # table's distances, not from a walk one distance at a time
     reads = []
 
     def spy(m, l):

@@ -477,7 +477,10 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 
 def _delta_v_arcs_per_distance(m, l):
     """d_l, and the delta_v arcs orbit_distance integrated for it: misses of
-    the metric's arc memo, which answers repeated evaluations."""
+    the metric's arc memo, which answers repeated evaluations.  The memo
+    holds only the scan rows during the solve, so the count is one
+    inversion's work whatever earlier solves on the shared metric stored."""
+    rows = {(r_max, m.domain_start, True) for _, r_max, _ in verify_delta_v_monotone(m)}
     arcs = []
     real = halfplane._arc_quadrature
 
@@ -486,6 +489,7 @@ def _delta_v_arcs_per_distance(m, l):
         return real(m, start, r_max, dv)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(m, "_arcs", {k: v for k, v in m._arcs.items() if k in rows})
         mp.setattr(halfplane, "_arc_quadrature", spy)
         d, _ = orbit_distance(m, l)
     return d, sum(arcs)

@@ -312,12 +312,11 @@ def test_schedule_invariants_hold_for_random_exponent_lists(s):
     assert max(inv.junction_gaps, default=0.0) <= 1e-10, s
 
 
-def test_construction_invariants_peak_memory():
+def test_construction_invariants_peak_memory(osc_build):
     # the strict-decrease scan holds one chunk of 8,192 radii and its frame at
-    # a time (1.72 MiB on the osc 1e40 build); all 13 chunks with their
-    # 100,000-sample concatenation would peak at 2.35 MiB
-    params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, sm = build_oscillating_h(params, radius_bound=1e40, check=True)
+    # a time (1.72 MiB on the standard oscillating build); all 13 chunks with
+    # their 100,000-sample concatenation would peak at 2.35 MiB
+    _, sm = osc_build
     tracemalloc.start()
     try:
         inv = construction_invariants(sm)
