@@ -61,7 +61,6 @@ from .smoothing import (
     SmoothedH,
     build_oscillating_h,
     certify_positive_ricci,
-    pure_model_h,
     smooth,
     verify_observation,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "orbit_distance",
     "parse_config",
     "power_decay_h",
-    "pure_model_h",
     "rescaled_distance",
     "ricci_numeric_oracle",
     "ricci_report",

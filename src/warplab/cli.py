@@ -60,16 +60,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "alpha", "beta", "A", "B", "R11", "periods", "k", "k_max",
-            "r_min", "r_max", "grid_points", "seed", "outdir", "cache_dir",
-            "radius_bound",
-        )
-        if getattr(args, key, None) is not None
-    }
-    overrides["mode"] = args.mode
+    # every parsed dest but the two file options is a config key; parse_config drops None
+    overrides = {k: v for k, v in vars(args).items() if k not in ("config", "emit_config")}
     try:
         cfg = parse_config(args.config, overrides)
     except ConfigError as e:

@@ -36,74 +36,58 @@ class MetricInvariantViolation(ValueError):
 
 
 class LinearOrbitMetric:
-    """Distances d_l on the integer orbit.
-
-    Backed either by an explicit table (random instances, small orbits) or
-    by a callable l -> d_l (geodesic-backed orbits), where the index of the
-    largest ball entry and the smallest separated stride come from
-    orbits.max_index_at_most on the monotone d.
-    """
+    """Distances d_l on the integer orbit through a callable l -> d_l
+    (geodesic-backed orbits; l_max None: unbounded) or an explicit table d
+    (random instances, small orbits), checked (d_0 = 0, and with validate
+    monotone and subadditive where sampled) and then read as l -> d[l] with
+    l_max = len(d) - 1.  Ball indices and separated strides of both come
+    from one search, orbits.max_index_at_most on the monotone d."""
 
     def __init__(self, dist, l_max=None, validate=True):
-        if callable(dist):
-            self._d = None
-            self._fn = dist
-            self.l_max = l_max  # may be None: unbounded
-        else:
-            self._d = np.asarray(dist, dtype=float)
-            if self._d[0] != 0.0:
+        if not callable(dist):
+            d = np.asarray(dist, dtype=float)
+            if d[0] != 0.0:
                 raise MetricInvariantViolation("d_0 must be 0")
-            self._fn = None
-            self.l_max = len(self._d) - 1
             if validate:
-                self.check_invariants()
+                _check_table(d)
+            dist, l_max = d.__getitem__, len(d) - 1
+        self._fn = dist
+        self.l_max = l_max
 
     def raw(self, l) -> float:
         l = abs(int(l))
         if l == 0:
             return 0.0
-        if self._d is not None:
-            return float(self._d[l])
         return float(self._fn(l))
-
-    def check_invariants(self, triple_samples: int = 200, seed: int = 0):
-        d = self._d
-        if d is None:
-            return
-        if np.any(np.diff(d) < 0):
-            i = int(np.argmin(np.diff(d)))
-            raise MetricInvariantViolation(f"d not nondecreasing at l={i}->{i+1}")
-        n = len(d)
-        rng = np.random.default_rng(seed)
-        for _ in range(triple_samples):
-            a = int(rng.integers(1, n))
-            b = int(rng.integers(1, n - a + 1)) if n - a > 1 else 1
-            if a + b >= n:
-                continue
-            if d[a + b] > d[a] + d[b] + 1e-9 * (d[a] + d[b] + 1):
-                raise MetricInvariantViolation(
-                    f"subadditivity fails: d[{a + b}] > d[{a}] + d[{b}]"
-                )
 
     def ball_index(self, R: float) -> int:
         """max{l >= 0 : d_l <= R}."""
         if self.raw(1) > R:
             return 0
-        if self._d is not None:
-            return int(np.searchsorted(self._d, R, side="right")) - 1
         return max_index_at_most(self.raw, R, self.l_max or INDEX_CAP)
 
     def min_stride(self, eps: float) -> int:
         """min{g >= 1 : d_g >= eps}; inf stride returns 0."""
-        if self._d is not None:
-            idx = int(np.searchsorted(self._d, eps, side="left"))
-            if idx >= len(self._d):
-                return 0  # no stride within the table
-            return max(idx, 1)
         # d < T is d <= nextafter(T, -inf) for doubles
         cap = self.l_max or INDEX_CAP
         below = max_index_at_most(self.raw, math.nextafter(eps, -math.inf), cap)
         return 0 if below == cap else below + 1  # d_cap < T: no stride
+
+
+def _check_table(d, triple_samples: int = 200, seed: int = 0):
+    """d nondecreasing, and subadditive on seeded index pairs."""
+    if np.any(np.diff(d) < 0):
+        i = int(np.argmin(np.diff(d)))
+        raise MetricInvariantViolation(f"d not nondecreasing at l={i}->{i+1}")
+    n = len(d)
+    rng = np.random.default_rng(seed)
+    for _ in range(triple_samples):
+        a = int(rng.integers(1, n))
+        b = int(rng.integers(1, n - a + 1)) if n - a > 1 else 1
+        if a + b >= n:
+            continue
+        if d[a + b] > d[a] + d[b] + 1e-9 * (d[a] + d[b] + 1):
+            raise MetricInvariantViolation(f"subadditivity fails: d[{a + b}] > d[{a}] + d[{b}]")
 
 
 class GeodesicOrbitMetric(LinearOrbitMetric):
@@ -116,7 +100,7 @@ class GeodesicOrbitMetric(LinearOrbitMetric):
 
     def __init__(self, table: OrbitTable):
         self.table = table
-        super().__init__(table.distance, l_max=None, validate=False)
+        super().__init__(table.distance)
 
     def ball_index(self, R: float) -> int:
         if self.raw(1) > R:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from .gridpath import dijkstra_distance_oracle
 from .halfplane import HalfplaneMetric, OutOfRange, TargetUnreachable, invert_arc
-from .smoothing import SmoothedH
 from .warping import HFrame, grushin_h
 
 
@@ -54,13 +53,13 @@ class GrushinMetric:
 @dataclass
 class RescaledModel:
     """The cover metric viewed at scale lambda in a fixed decay regime: the
-    halfplane of h_eff(t) = lambda^(2a) h_s(lambda t), read through sm's
-    log reader and frames by the chain rule, with arcs at rel_tol."""
+    halfplane of h_eff(t) = lambda^(2a) h_s(lambda t), read through h_s's
+    log_h and frame (any h with both) by the chain rule, with arcs at rel_tol."""
 
     lam: float
     exponent: float  # decay exponent of the regime being compared
     window: tuple  # (t_lo, t_hi): image of the pure stretch under t = r/lambda
-    sm: SmoothedH = field(repr=False)
+    h: object = field(repr=False)  # h_s
     rel_tol: float = 1e-9
     halfplane: HalfplaneMetric = field(init=False, repr=False)
 
@@ -70,21 +69,21 @@ class RescaledModel:
                                          domain_start=0.0, r_cap=1e290, rel_tol=self.rel_tol)
 
     @staticmethod
-    def build(sm: SmoothedH, lam: float, exponent: float, stretch: tuple,
+    def build(h, lam: float, exponent: float, stretch: tuple,
               rel_tol: float = 1e-9) -> "RescaledModel":
         lo, hi = stretch
-        return RescaledModel(float(lam), exponent, (lo / lam, hi / lam), sm, rel_tol)
+        return RescaledModel(float(lam), exponent, (lo / lam, hi / lam), h, rel_tol)
 
     def log_h(self, t) -> float:
         """log h_eff at a double t."""
-        return self._log_scale + self.sm.log_h(self.lam * t)
+        return self._log_scale + self.h.log_h(self.lam * t)
 
     def frame(self, t) -> HFrame:
         """The exponent frame of h_eff in y = log(1+t^2), at a double or a
         float64 array t: with r = lambda t and k = dy_r/dy_t =
         lambda^2 (1+t^2)/(1+lambda^2 t^2), p_t = k p_r and
         p_y,t = k (k p_y,r + p_r (1 - lambda^2)/(1 + lambda^2 t^2))."""
-        fr = self.sm.frame(self.lam * t)
+        fr = self.h.frame(self.lam * t)
         il2 = 1.0 / (self.lam * self.lam)
         den = il2 + t * t  # (1 + lambda^2 t^2)/lambda^2
         k = (1.0 + t * t) / den
@@ -200,7 +199,7 @@ def regime_lambda_range(stretch: tuple, t_range=(0.2, 5.0)) -> tuple:
 
 
 def convergence_report(
-    sm: SmoothedH,
+    h,
     exponent: float,
     stretch: tuple,
     lambdas,
@@ -208,9 +207,10 @@ def convergence_report(
     seed: int = 1,
     rel_tol: float = 1e-9,
 ) -> ComparisonReport:
-    """Max relative distance error against the Grushin target (one halfplane
-    for every pair) per rescaling factor, on a fixed probe set, with every
-    arc of both sides at rel_tol; the trend flag allows 10% noise.
+    """Max relative distance error of h's rescaled models against the Grushin
+    target (one halfplane for every pair) per rescaling factor, on a fixed
+    probe set, with every arc of both sides at rel_tol; the trend flag
+    allows 10% noise.
 
     Probe pairs whose comparison arc leaves the stretch image are excluded
     and recorded, not counted.
@@ -236,7 +236,7 @@ def convergence_report(
     errs = []
     excluded = []
     for lam in usable:
-        model = RescaledModel.build(sm, lam, exponent, stretch, rel_tol)
+        model = RescaledModel.build(h, lam, exponent, stretch, rel_tol)
         worst = 0.0
         for p in pairs:
             dt = target_d[p]

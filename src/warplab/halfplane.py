@@ -107,6 +107,16 @@ class DeltaVNotMonotone(RuntimeError):
     """delta_v(c) failed the per-model strict-decrease scan."""
 
 
+class ArcBoundViolation(AssertionError):
+    """An arc shorter than a lower bound (past 1e-9 relative slack): wrong
+    arc integrals.  args: (the bound's name, the GeodesicSolution, bound)."""
+
+    def __str__(self):
+        what, sol, bound = self.args
+        return (f"arc from {sol.start!r} turning at r_max={sol.r_max!r} shorter than {what}: "
+                f"length {sol.length!r} < {bound!r}")
+
+
 class HalfplaneMetric:
     """Positive strictly decreasing circle coefficient on [start, r_cap].
 
@@ -209,10 +219,12 @@ class GeodesicSolution:
 
     def __post_init__(self):
         # c delta_v = 2 I, which the length 2 int 1/sqrt(1 - rho^2) exceeds
-        if self.length < math.exp(self.log_c + self.log_delta_v) * (1 - 1e-9):
-            raise AssertionError("arc shorter than its v-displacement lower bound")
-        if self.length < 2.0 * (self.r_max - self.start) * (1 - 1e-9):
-            raise AssertionError("arc shorter than twice its radial rise")
+        bound = math.exp(self.log_c + self.log_delta_v)
+        if self.length < bound * (1 - 1e-9):
+            raise ArcBoundViolation("its v-displacement lower bound c delta_v", self, bound)
+        bound = 2.0 * (self.r_max - self.start)
+        if self.length < bound * (1 - 1e-9):
+            raise ArcBoundViolation("twice its radial rise", self, bound)
 
     @property
     def delta_v(self) -> float:
@@ -520,16 +532,17 @@ def _newton_bracket(m, quantity, target, a, y):
     return lo, hi
 
 
-def orbit_distance(m: HalfplaneMetric, l: int | float, verify_monotone: bool = True):
+def orbit_distance(m: HalfplaneMetric, l: int | float):
     """Distance between an axis point and its l-th deck translate.
 
     Returns (d_l, solution) where solution is the Clairaut arc (None if the
-    straight axis loop 2*pi*l*h(0) wins, which only happens for tiny l).
-    """
+    straight axis loop 2*pi*l*h(0) wins, which only happens for tiny l),
+    behind the metric's strict delta_v-increase scan, which a constant h
+    fails with OutOfRange."""
     if l == 0:
         return 0.0, None
     l = abs(l)
-    scan = verify_delta_v_monotone(m) if verify_monotone else ()
+    scan = verify_delta_v_monotone(m)
     target = TWO_PI * float(l)
     h0 = m.sup_h()
     straight = target * h0 if math.isfinite(h0) else math.inf
@@ -537,7 +550,7 @@ def orbit_distance(m: HalfplaneMetric, l: int | float, verify_monotone: bool = T
         sol = invert_arc(m, "delta_v", target, scan=scan)
     except (TargetUnreachable, OutOfRange) as e:
         # the axis line is the only candidate when no arc has this displacement:
-        # no turning point anywhere (e.g. constant h) or every arc overshoots it
+        # h flat in doubles where the search looks, or every arc overshoots it
         if isinstance(e, TargetUnreachable) and not e.overshoot:
             raise OutOfRange(f"d_{l} needs an arc past the Newton clamp") from e
         if math.isfinite(straight):

@@ -47,7 +47,7 @@ from .grushin import (
     regime_lambda_range,
     self_similarity_error,
 )
-from .halfplane import HalfplaneMetric, orbit_distance
+from .halfplane import ArcBoundViolation, HalfplaneMetric, orbit_distance
 from .ladder import OscillationParams
 from .orbits import (
     GrowthWindow,
@@ -63,10 +63,9 @@ from .smoothing import (
     construction_invariants,
     dimension_threshold,
     effective_exponent_max,
-    pure_model_h,
     NotCertified,
 )
-from .warping import standard_f
+from .warping import power_decay_h, standard_f
 
 
 @dataclass
@@ -112,19 +111,18 @@ def write_csv(path, header, rows):
 
 
 def _model_for(cfg: RunConfig):
-    """(ladder or None, smoothed h, orbit table) of the configured model, the
-    ladder blend-checked.  Only a pure model's table has a cache, keyed by
-    what its metric reads: alpha and the arc tolerance."""
+    """(ladder or None, h, orbit table) of the configured model, the ladder
+    blend-checked.  A pure model's h is power_decay_h(alpha), the h the
+    pure-model oracles check; only its table has a cache, keyed by what its
+    metric reads: alpha and the arc tolerance."""
     if cfg.beta is None:
-        ladder, sm = None, pure_model_h(cfg.alpha)
+        h = power_decay_h(float(cfg.alpha))
         key = {"alpha": float(cfg.alpha), "quad_rel_tol": float(cfg.quad_rel_tol)}
-        cache = OrbitCache.for_model(key, cfg.cache_dir)
-    else:
-        p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
-        ladder, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
-        cache = None
-    metric = HalfplaneMetric.from_smoothed(sm, rel_tol=cfg.quad_rel_tol)
-    return ladder, sm, OrbitTable(metric, cache=cache)
+        return None, h, OrbitTable(HalfplaneMetric.from_warping(h, rel_tol=cfg.quad_rel_tol),
+                                   cache=OrbitCache.for_model(key, cfg.cache_dir))
+    p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
+    ladder, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
+    return ladder, sm, OrbitTable(HalfplaneMetric.from_smoothed(sm, rel_tol=cfg.quad_rel_tol))
 
 
 def run(cfg: RunConfig) -> RunReport:
@@ -150,7 +148,10 @@ def run(cfg: RunConfig) -> RunReport:
     report.timings["_model_for"] = time.time() - t_start
     for step in steps:
         t0 = time.time()
-        step(cfg, report, *model)
+        try:
+            step(cfg, report, *model)
+        except ArcBoundViolation as e:  # wrong arc integrals end the step, not the run
+            report.add("arc-bounds", False, details=f"{step.__name__}: {e}")
         report.timings[step.__name__] = time.time() - t0
     report.timings["total"] = time.time() - t_start
     path = os.path.join(cfg.outdir, "report.json")
@@ -161,10 +162,10 @@ def run(cfg: RunConfig) -> RunReport:
     return report
 
 
-def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, sm, table):
+def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, h, table):
     k = cfg.k or report.certified_k or 8
     f = standard_f()
-    m = curv.DoublyWarpedMetric(k, f, sm)
+    m = curv.DoublyWarpedMetric(k, f, h)
     grid = curv.log_grid(cfg.r_min, cfg.r_max, cfg.grid_points)
     # ricci_report's bits at every radius, from one f and one h frame
     dirs, ok, worst = curv.ricci_grid(m, grid)
@@ -177,7 +178,7 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, sm, table):
     # oracle cost grows like (k+2)^4, and the closed forms are affine in k,
     # so the cross-check of the formulas runs at a small sphere dimension
     k_oracle = min(k, 9)
-    mo = curv.DoublyWarpedMetric(k_oracle, f, sm)
+    mo = curv.DoublyWarpedMetric(k_oracle, f, h)
     rng = random.Random(cfg.seed)
     log_lo, log_hi = math.log(0.2), math.log(min(cfg.r_max, 1e6))
     sample = [math.exp(rng.uniform(log_lo, log_hi)) for _ in range(16)]
@@ -320,7 +321,7 @@ def _write_growth_csv(cfg, report, fit, name):
     report.artifacts.append(path)
 
 
-def _run_capacity(cfg: RunConfig, report: RunReport, ladder, sm, table):
+def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
     if ladder is not None:  # capacity always runs the pure alpha model
         table = _model_for(replace(cfg, beta=None))[2]
     s = LinearOrbitMetric(table.distance)
@@ -357,7 +358,7 @@ def _run_capacity(cfg: RunConfig, report: RunReport, ladder, sm, table):
     report.add("content-bounds", ok, details=f"R={R0:g}, four covering scales")
 
 
-def _run_grushin(cfg: RunConfig, report: RunReport, ladder, sm, table):
+def _run_grushin(cfg: RunConfig, report: RunReport, ladder, h, table):
     try:
         target = GrushinMetric(cfg.alpha, cfg.quad_rel_tol)
     except ValueError as e:  # no Grushin target for decay exponents below 1/2
@@ -377,7 +378,7 @@ def _run_grushin(cfg: RunConfig, report: RunReport, ladder, sm, table):
             lambdas = list(np.geomspace(max(lam_lo, 2.0), lam_hi, 3))
             report.add("rescaling-ladder-refit", True, flagged=True,
                        details=f"configured factors outside [{lam_lo:g}, {lam_hi:g}]")
-    rep = convergence_report(sm, exponent, stretch, lambdas, n_pairs=cfg.probe_pairs,
+    rep = convergence_report(h, exponent, stretch, lambdas, n_pairs=cfg.probe_pairs,
                              seed=cfg.seed, rel_tol=cfg.quad_rel_tol)
     path = os.path.join(cfg.outdir, "grushin_convergence.csv")
     write_csv(path, ["lambda", "max_rel_err"], list(zip(rep.lambdas, rep.max_rel_errors)))

@@ -482,8 +482,3 @@ def build_oscillating_h(params, radius_bound: float = 1e300, check: bool = True)
     ladder = build_scale_ladder(params, radius_bound)
     return ladder, smooth(build_piecewise_h(ladder), check=check)
 
-
-def pure_model_h(alpha: float) -> SmoothedH:
-    """Degenerate single-exponent schedule: (1+r^2)^(-alpha) with no blends."""
-    seg = Segment(mpmath.mpf(0), None, float(alpha), mpmath.mpf(1), "piece")
-    return SmoothedH(PiecewiseH([seg]), [])

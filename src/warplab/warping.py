@@ -107,15 +107,6 @@ def power_decay_h(p: float) -> WarpingFunction:
                            lambda r: power_frame(r, p), lambda r: -p * log1p_sq_float(r))
 
 
-def bridged_power_h(p: float, scale_constant) -> WarpingFunction:
-    """h(r) = C (1+r^2)^(-p), the bridge pieces of piecewise constructions."""
-    log_c = math.log(scale_constant)
-    return WarpingFunction(f"bridged-power-h(p={p})",
-                           lambda x, C=scale_constant: C * (1 + x * x) ** (-p),
-                           lambda r: power_frame(r, p, log_c),
-                           lambda r: log_c - p * log1p_sq_float(r))
-
-
 def constant_h(c: float = 1.0) -> WarpingFunction:
     """h == c; flat circle factor, used for calibration metrics."""
     log_c = math.log(c)

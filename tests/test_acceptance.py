@@ -37,7 +37,6 @@ from warplab.smoothing import (
     construction_invariants,
     dimension_threshold,
     effective_exponent_max,
-    pure_model_h,
 )
 from warplab.warping import constant_h, power_decay_h, sine_f, standard_f
 
@@ -217,8 +216,8 @@ def test_criterion_8_content_bounds(orbit_linear_metric):
 
 
 def test_criterion_9_grushin_convergence():
-    sm = pure_model_h(0.5)
-    rep = convergence_report(sm, 0.5, (0.0, math.inf), [1e2, 1e3, 1e4], n_pairs=20, seed=2)
+    h = power_decay_h(0.5)
+    rep = convergence_report(h, 0.5, (0.0, math.inf), [1e2, 1e3, 1e4], n_pairs=20, seed=2)
     rng = np.random.default_rng(8)
     sim_err = self_similarity_error(GrushinMetric(0.5), probe_pairs(rng, 10))
     ok = rep.trend_decreasing and rep.final_error() < 0.05 and sim_err < 0.01

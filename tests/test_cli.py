@@ -1,15 +1,20 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import warplab
-from warplab import christoffel
-from warplab.cli import main
+from warplab import christoffel, halfplane
+from warplab.cli import build_parser, main
+from warplab.config import RunConfig
 from warplab.construction_io import load_construction
 
 
@@ -62,6 +67,27 @@ def test_full_suites_load_no_numpy_random_and_call_no_polyfit(tmp_path):
                           env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stderr.splitlines()[-1] == "[0, 0] 0 False"
+
+
+def test_pure_full_suite_calls_no_mpmath(tmp_path, capsys):
+    # a pure run computes on power_decay_h, whose log reader and frames are
+    # closed forms in doubles: no call lands in a function of mpmath's package
+    mp_dir = os.path.dirname(mpmath.__file__) + os.sep
+    calls = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(mp_dir):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(spy)
+    try:
+        code = run_cli(["full-suite", "--alpha", "0.5", "--outdir", str(tmp_path),
+                        "--cache-dir", str(tmp_path / "cache")])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    assert calls == []
 
 
 def test_python_dash_m_warplab_runs_the_cli():
@@ -246,6 +272,49 @@ def test_grushin_below_half_is_a_flagged_check(tmp_path, capsys, args):
     if args[0] == "full-suite":
         names = {c["name"] for c in checks}
         assert {"ricci-oracle-agreement", "capacity-monotone", "box-dimension"} <= names
+
+
+def test_broken_arc_bound_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    # every delta_v integral 0.2 % too large breaks c delta_v <= length on
+    # the first arc: the step ends in a failed check that names the arc's
+    # radii, not in a traceback, and the run still writes its report
+    real = halfplane._arc_quadrature
+
+    def inflated(m, start, r_max, dv):
+        return real(m, start, r_max, dv) + (math.log(1.002) if dv else 0.0)
+
+    monkeypatch.setattr(halfplane, "_arc_quadrature", inflated)
+    code = run_cli(["grushin-compare", "--alpha", "0.5", "--outdir", str(tmp_path),
+                    "--cache-dir", str(tmp_path / "cache")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert re.search(r"^\[FAIL\] arc-bounds \(_run_grushin: arc from \S+ turning at "
+                     r"r_max=\S+ shorter than its v-displacement lower bound", out, re.M), out
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("arc-bounds", "fail")]
+
+
+@pytest.mark.parametrize("k_max, want_code, want_line", [
+    (52, 1, "[FAIL] certified-k<=52 (no k <= 52 certifies positivity"),
+    (53, 0, "[PASS] certified-k<=53 margin=0.123881 (minimal k=53,"),
+])
+def test_k_max_caps_the_certification(tmp_path, capsys, k_max, want_code, want_line):
+    # the 1e40 model certifies first at k = 53, so a cap one below it fails
+    code = run_cli(["build-example", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3",
+                    "--B", "1.5", "--radius-bound", "1e40", "--k-max", str(k_max),
+                    "--outdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == want_code
+    assert want_line in out
+
+
+def test_every_cli_dest_is_a_config_key():
+    # main forwards every parsed dest but the two file options to the config
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for mode, sp in sub.choices.items():
+        dests = {a.dest for a in sp._actions} - {"help", "config", "emit_config"}
+        assert dests and dests <= fields, (mode, dests - fields)
 
 
 def test_every_public_name_resolves():

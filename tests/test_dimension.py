@@ -25,7 +25,6 @@ from warplab.halfplane import HalfplaneMetric
 from warplab.harness import run
 from warplab.numerics import line_fit
 from warplab.orbits import OrbitTable, last_index_at_most
-from warplab.smoothing import pure_model_h
 from warplab.warping import power_decay_h
 
 from .oracles import capacity_exhaustive, capacity_sweep, counting_chain_holds
@@ -256,7 +255,7 @@ def test_min_stride_on_disagreeing_table_reads_few_distances(monkeypatch):
         return l ** (1 / 2.2), None
 
     monkeypatch.setattr(orbits, "orbit_distance", spy)
-    s = GeodesicOrbitMetric(OrbitTable(HalfplaneMetric.from_smoothed(pure_model_h(0.6))))
+    s = GeodesicOrbitMetric(OrbitTable(HalfplaneMetric.from_warping(power_decay_h(0.6))))
     g = s.min_stride(2000.0)
     assert g ** (1 / 2.2) >= 2000.0 > (g - 1) ** (1 / 2.2)
     assert len(reads) <= 100
@@ -315,8 +314,13 @@ def test_callable_search_equals_searchsorted(d, seed):
     table = LinearOrbitMetric(d, validate=False)
     fn = LinearOrbitMetric(lambda l: float(d[l]), l_max=len(d) - 1)
     for T in _targets(d, np.random.default_rng(seed)):
-        assert fn.ball_index(T) == table.ball_index(T), T
-        assert fn.min_stride(T) == table.min_stride(T), T
+        # max{l : d_l <= T}, 0 below d_1; min{g >= 1 : d_g >= T}, 0 past d_n
+        ball = 0 if d[1] > T else int(np.searchsorted(d, T, side="right")) - 1
+        idx = int(np.searchsorted(d, T, side="left"))
+        stride = 0 if idx >= len(d) else max(idx, 1)
+        for s in (table, fn):
+            assert s.ball_index(T) == ball, T
+            assert s.min_stride(T) == stride, T
 
 
 @PROPERTY

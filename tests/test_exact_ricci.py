@@ -12,7 +12,7 @@ import pytest
 import sympy as sp
 
 from warplab.curvature import f_frame, h_frame, log_grid, positive, scaled_ricci
-from warplab.smoothing import certify_positive_ricci, pure_model_h
+from warplab.smoothing import certify_positive_ricci
 from warplab.warping import inv_u, power_decay_h, standard_f
 
 RADII = [1e3, 1e7, 1e10, 1e60, 1e200]
@@ -56,7 +56,7 @@ def test_scaled_directions_match_sympy(p, k):
 @pytest.mark.parametrize("p, k", THRESHOLDS, ids=["p=1/2,k=8", "p=3/2,k=48"])
 def test_pure_model_certifies_at_its_threshold(p, k, top):
     grid = log_grid(1e-3, top).tolist()
-    cert = certify_positive_ricci(pure_model_h(float(p)), standard_f(), 4 * k, grid,
+    cert = certify_positive_ricci(power_decay_h(float(p)), standard_f(), 4 * k, grid,
                                   ["pure"] * len(grid))
     assert cert.k == k
 

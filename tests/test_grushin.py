@@ -18,8 +18,7 @@ from warplab.grushin import (
     rescaled_distance,
     self_similarity_error,
 )
-from warplab.smoothing import pure_model_h
-from warplab.warping import grushin_h
+from warplab.warping import grushin_h, power_decay_h
 
 from .oracles import coefficient_error, log_ulps, mp_log_h
 
@@ -79,17 +78,17 @@ def test_floor_sensitivity_is_nan_when_the_doubled_floor_excludes_an_endpoint():
 
 
 def test_rescaled_radial_is_lambda_invariant():
-    sm = pure_model_h(0.5)
+    h = power_decay_h(0.5)
     for lam in (10.0, 1e3):
-        model = RescaledModel.build(sm, lam, 0.5, (0.0, math.inf))
+        model = RescaledModel.build(h, lam, 0.5, (0.0, math.inf))
         d, info = rescaled_distance(model, (0.5, 1.0), (2.5, 1.0))
         assert d == 2.0 and info["class"] == "radial"
 
 
 def test_rescaled_equal_t_close_to_target():
-    sm = pure_model_h(0.5)
+    h = power_decay_h(0.5)
     lam = 1e3
-    model = RescaledModel.build(sm, lam, 0.5, (0.0, math.inf))
+    model = RescaledModel.build(h, lam, 0.5, (0.0, math.inf))
     for t, dw in ((0.3, 0.05), (1.0, 1.0), (4.0, 8.0)):
         d_target, _ = grushin_distance(G_HALF, (t, 0.0), (t, dw))
         d_model, _ = rescaled_distance(model, (t, 0.0), (t, dw))
@@ -117,21 +116,21 @@ def test_coefficient_error_one_sided_monotone():
     # decreasing in lam for every probe t, and the error the rescaled pure
     # model's coefficient has against t^(-2a), to the coefficient's precision:
     # it is read as exp(2a log lam + log h(lam t)), a few ulps of the two logs
-    sm = pure_model_h(0.5)
+    h = power_decay_h(0.5)
     for t in (0.2, 1.0, 5.0):
         errs = [coefficient_error(0.5, lam, t) for lam in (1e2, 1e3, 1e4)]
         assert all(e > 0 for e in errs)
         assert errs[0] > errs[1] > errs[2]
         for lam, err in zip((1e2, 1e3, 1e4), errs):
-            model = RescaledModel.build(sm, lam, 0.5, (0.0, math.inf))
-            logs = abs(math.log(lam)) + abs(sm.log_h(lam * t))
+            model = RescaledModel.build(h, lam, 0.5, (0.0, math.inf))
+            logs = abs(math.log(lam)) + abs(h.log_h(lam * t))
             assert 1.0 - model.halfplane.value(t) * t == pytest.approx(
                 err, rel=0, abs=4.0 * 2.0**-52 * logs)
 
 
 def test_convergence_report_pure_model():
-    sm = pure_model_h(0.5)
-    rep = convergence_report(sm, 0.5, (0.0, math.inf), [1e2, 1e3, 1e4], n_pairs=12, seed=4)
+    h = power_decay_h(0.5)
+    rep = convergence_report(h, 0.5, (0.0, math.inf), [1e2, 1e3, 1e4], n_pairs=12, seed=4)
     assert rep.trend_decreasing
     assert rep.final_error() < 0.05
     assert rep.max_rel_errors[0] > rep.max_rel_errors[-1]

@@ -25,7 +25,7 @@ from warplab.halfplane import (
 )
 from warplab.ladder import OscillationParams
 from warplab.orbits import OrbitTable, window_index_bounds
-from warplab.smoothing import build_oscillating_h, pure_model_h
+from warplab.smoothing import build_oscillating_h
 from warplab.warping import constant_h, exp_decay_h, grushin_h, power_decay_h
 
 from .oracles import hyperbolic_arc, log_ulps, mp_log_h, power_arc_oracle
@@ -418,11 +418,13 @@ def test_clairaut_lower_bound(pure_half_metric):
         assert d >= 2.0 * sol.r_max * (1 - 1e-9)
 
 
-def test_flat_metric_distance_falls_back_to_axis():
+def test_flat_metric_distance_is_refused_by_the_scan():
+    # a constant h has no turning point, so the strict-increase scan that
+    # guards every distance finds no arc to start from; the axis loop answers
+    # only where every arc overshoots (test_newton_steps_know_the_axis_flattening)
     flat = HalfplaneMetric.from_warping(constant_h(1.0))
-    d, sol = orbit_distance(flat, 4, verify_monotone=False)
-    assert sol is None
-    assert d == pytest.approx(4 * TWO_PI)
+    with pytest.raises(OutOfRange, match="never reaches"):
+        orbit_distance(flat, 4)
 
 
 def test_delta_v_monotone_scan(pure_half_metric):
@@ -540,7 +542,7 @@ def test_consecutive_distances_are_arcs():
     # consecutive indices as the capacity step tabulates them: a solve that
     # crept up on its root from one side without a bracket would end in
     # TargetUnreachable and fall back to the straight axis loop
-    m = HalfplaneMetric.from_smoothed(pure_model_h(0.6))
+    m = HalfplaneMetric.from_warping(power_decay_h(0.6))
     prev = 0.0
     for l in range(1100, 1300):
         d, sol = orbit_distance(m, l)
@@ -584,9 +586,10 @@ def test_newton_steps_know_the_axis_flattening(monkeypatch):
     with pytest.raises(halfplane.TargetUnreachable) as e:
         invert_arc(HalfplaneMetric.from_warping(power_decay_h(0.5)), "delta_v", 1.0)
     assert e.value.overshoot and len(arcs) <= 4
-    arcs.clear()
     m = HalfplaneMetric.from_warping(power_decay_h(0.1))
-    assert orbit_distance(m, 1, verify_monotone=False) == (TWO_PI, None)
+    verify_delta_v_monotone(m)  # the guard's scan, whose rows d_1 lies below
+    arcs.clear()
+    assert orbit_distance(m, 1) == (TWO_PI, None)
     assert len(arcs) <= 6
     # exp(-r) has h'(0) = -1, so delta_v grows like sqrt(8 r_max) from the
     # axis and the factor is 1/2 there, not r^2/(1+r^2): 5, 5, 7 and 9 arcs
@@ -640,7 +643,7 @@ _GOLDEN_ARCS = [
 def golden_metrics():
     _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
                                    radius_bound=1e40, check=False)
-    return {"pure": HalfplaneMetric.from_smoothed(pure_model_h(0.5)),
+    return {"pure": HalfplaneMetric.from_warping(power_decay_h(0.5)),
             "osc": HalfplaneMetric.from_smoothed(sm)}
 
 
@@ -707,12 +710,17 @@ def test_capped_metric_never_answers_with_the_straight_loop(pure_half_metric):
 def test_scan_bracketed_distance_matches_the_newton_path(model, osc_build):
     # the scan's bracket and the Newton steps' bracket close on the same root
     # under brentq's 1e-11 stop in log r_max
-    sm = pure_model_h(0.5) if model == "pure" else osc_build[1]
-    bracketed = HalfplaneMetric.from_smoothed(sm)
-    fresh = HalfplaneMetric.from_smoothed(sm)  # never scanned
+    def make():
+        if model == "pure":
+            return HalfplaneMetric.from_warping(power_decay_h(0.5))
+        return HalfplaneMetric.from_smoothed(osc_build[1])
+
+    bracketed, fresh = make(), make()  # fresh is never scanned
     for l in sorted({round(l) for l in np.geomspace(1, 1e15, 16)}):
         d, _ = orbit_distance(bracketed, l)
-        d_newton, _ = orbit_distance(fresh, l, verify_monotone=False)
+        # orbit_distance's minimum over the arc and the axis loop, on Newton's bracket
+        sol = invert_arc(fresh, "delta_v", TWO_PI * l)
+        d_newton = min(sol.length, TWO_PI * l * fresh.sup_h())
         assert d == pytest.approx(d_newton, rel=2e-12, abs=0)
 
 
@@ -805,9 +813,8 @@ def _memo_models():
     # fresh metrics on every call: osc-1e40, pure, and pure capped at 3e5
     _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
                                    radius_bound=1e40, check=False)
-    pure = pure_model_h(0.5)
     return [lambda **kw: HalfplaneMetric.from_smoothed(sm, **kw),
-            lambda **kw: HalfplaneMetric.from_smoothed(pure, **kw),
+            lambda **kw: HalfplaneMetric.from_warping(power_decay_h(0.5), **kw),
             lambda **kw: HalfplaneMetric.from_warping(power_decay_h(0.5), r_cap=3e5, **kw)]
 
 

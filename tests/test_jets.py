@@ -10,7 +10,6 @@ from warplab import gridpath
 from warplab.halfplane import HalfplaneMetric
 from warplab.jets import Jet2, jet_exp, jet_sin
 from warplab.warping import (
-    bridged_power_h,
     constant_h,
     exp_decay_h,
     grushin_h,
@@ -110,7 +109,6 @@ def test_finiteness_flag():
 FAMILIES = {
     "standard-f": (standard_f(), 0.0, 1e6),
     "power-decay-h": (power_decay_h(0.75), 0.0, 1e6),
-    "bridged-power-h": (bridged_power_h(1.5, 2.5), 0.0, 1e6),
     "constant-h": (constant_h(2.0), 0.0, 1e6),
     "linear-f": (linear_f(), 0.0, 1e6),
     "sine-f": (sine_f(), 0.0, 3.0),

@@ -28,7 +28,7 @@ from warplab.jets import Jet2, jet_exp
 from warplab.ladder import OscillationParams, bridge_constant
 from warplab.orbits import window_index_bounds
 from warplab.piecewise import PiecewiseH, Segment
-from warplab.smoothing import Blend, SmoothedH, build_oscillating_h, pure_model_h, smooth
+from warplab.smoothing import Blend, SmoothedH, build_oscillating_h, smooth
 
 from .oracles import log_ulps, mp_log_h
 
@@ -103,7 +103,8 @@ def models(osc_build):
     # a shallow bridge with a small constant: far out its h' underflows
     # while h does not
     shallow = PiecewiseH([Segment(mpmath.mpf(0), None, 0.3, mpmath.mpf("1e-200"), "bridge")])
-    return {"osc-1e40": osc40, "osc": osc_build[1], "pure": pure_model_h(0.5),
+    pure = PiecewiseH([Segment(mpmath.mpf(0), None, 0.5, mpmath.mpf(1), "piece")])
+    return {"osc-1e40": osc40, "osc": osc_build[1], "pure": SmoothedH(pure, []),
             "huge-bridge": _huge_bridge_h(), "shallow-bridge": SmoothedH(shallow, []),
             "slope-underflow-blend": _slope_underflow_blend_h()}
 

@@ -33,7 +33,6 @@ from warplab.smoothing import (
     construction_invariants,
     dimension_threshold,
     effective_exponent_max,
-    pure_model_h,
     smooth,
     verify_observation,
     _regime_label,
@@ -168,17 +167,17 @@ def test_observation_on_blends(osc_build):
 
 
 def test_certify_pure_half_is_eight():
-    sm = pure_model_h(0.5)
+    h = power_decay_h(0.5)
     grid = list(log_grid(1e-3, 1e6, 2000))
-    cert = certify_positive_ricci(sm, standard_f(), 16, grid, ["pure"] * len(grid))
+    cert = certify_positive_ricci(h, standard_f(), 16, grid, ["pure"] * len(grid))
     assert cert.k == 8
 
 
 def test_certify_below_threshold_fails():
-    sm = pure_model_h(0.5)
+    h = power_decay_h(0.5)
     grid = list(log_grid(1e-3, 1e6, 2000))
     with pytest.raises(NotCertified):
-        certify_positive_ricci(sm, standard_f(), 7, grid, ["pure"] * len(grid))
+        certify_positive_ricci(h, standard_f(), 7, grid, ["pure"] * len(grid))
 
 
 def test_certify_steep_pure_model_past_double_underflow():
@@ -186,7 +185,7 @@ def test_certify_steep_pure_model_past_double_underflow():
     # underflows in doubles.  The scaled radial direction is
     # (k/4 - 16p^2/4 - 2p) + s (4p^2 + 4p + 5k/4): at k = 16p^2 + 8p = 168 its
     # c0 is exactly 0 and the exact value 258/(1 + r^2) is positive
-    cert = certify_positive_ricci(pure_model_h(3.0), standard_f(), 400, grid=[1e45],
+    cert = certify_positive_ricci(power_decay_h(3.0), standard_f(), 400, grid=[1e45],
                                   labels=["p3"])
     assert cert.k == 168
     assert cert.margins[0].margin == pytest.approx(258e-90, rel=1e-15)
@@ -207,7 +206,7 @@ def test_both_steep_bridges_need_their_threshold(osc_build):
 def test_effective_exponent_of_steep_pure_model_past_double_underflow():
     # h = (1 + r^2)^-3 is 0.0 in doubles at 1e60; on a pure stretch the
     # exponent is p
-    assert effective_exponent_max(pure_model_h(3.0), [1e60]) == pytest.approx(3.0, rel=1e-12)
+    assert effective_exponent_max(power_decay_h(3.0), [1e60]) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_checks_past_double_range_raise_overflow(osc_params):
@@ -335,6 +334,12 @@ def _bits(x):
     return (type(x), x._mpf_ if isinstance(x, mpmath.mpf) else struct.pack("<d", x))
 
 
+def _one_piece(a):
+    """The pure model (1+r^2)^(-a) as a one-piece SmoothedH with no blends."""
+    seg = Segment(mpmath.mpf(0), None, float(a), mpmath.mpf(1), "piece")
+    return SmoothedH(PiecewiseH([seg]), [])
+
+
 def _huge_bridge_h():
     """A pure piece bridged at 1e100 to exponent 4, whose constant (~1e680)
     is beyond float range, so float jets on the bridge answer in mpmath."""
@@ -452,7 +457,7 @@ def test_pure_model_jet_is_power_decay_bit_for_bit():
     rng = np.random.default_rng(33)
     radii = [0.0, *(10.0 ** rng.uniform(-3.0, 200.0, 300)).tolist()]
     for a in (0.3, 0.5, 0.6, 1.2):
-        sm, ref = pure_model_h(a), power_decay_h(a)
+        sm, ref = _one_piece(a), power_decay_h(a)
         for r in radii:
             j, k = sm.jet(r), ref(r)
             assert [_bits(v) for v in (j.value, j.d1, j.d2)] == \
@@ -477,7 +482,7 @@ def test_blend_value_matches_jet_bit_for_bit(osc_build, fast_path_models, u):
 def test_certification_labels_equal_per_radius_labels(osc_build, fast_path_models):
     # one label per cut interval, equal to the label of each of its radii
     # (the float ones and the mpf tail past 1e70 on the default model)
-    for sm in (osc_build[1], fast_path_models[0][0], pure_model_h(0.5)):
+    for sm in (osc_build[1], fast_path_models[0][0], _one_piece(0.5)):
         grid, labels = certification_grid(sm)
         assert labels == [_regime_label(sm, r) for r in grid]
 
@@ -505,7 +510,7 @@ def grid_models():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
     return {"osc-1e40": build_oscillating_h(params, radius_bound=1e40, check=False)[1],
             "osc-default": build_oscillating_h(params, check=False)[1],
-            "pure": pure_model_h(0.5)}
+            "pure": _one_piece(0.5)}
 
 
 def _typed_bits(r):
