@@ -5,133 +5,54 @@ oscillating circle factors, certifies positive Ricci curvature, measures
 covering-orbit growth through Clairaut geodesics on the halfplane
 reduction, estimates capacity/box dimensions of orbit sets, and checks
 rescaling convergence to Grushin halfplanes.
+
+The package is lazy: `import warplab` loads no submodule.  Each public
+name below is imported from its module on first use and kept, so a run
+loads only the modules it executes (a pure run never loads the
+construction modules or mpmath).
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .christoffel import StepTooLarge, ricci_numeric_oracle
-from .config import ConfigError, RunConfig, parse_config
-from .curvature import (
-    DoublyWarpedMetric,
-    NonPositiveWarping,
-    RicciReport,
-    log_grid,
-    ricci_report,
-)
-from .dimension import (
-    GeodesicOrbitMetric,
-    LinearOrbitMetric,
-    box_dimension_fit,
-    build_capacity_profile,
-    capacity,
-    check_capacity_sandwich,
-    fit_growth_constants,
-    hausdorff_content,
-)
-from .gridpath import dijkstra_distance_oracle
-from .grushin import (
-    GrushinMetric,
-    RescaledModel,
-    convergence_report,
-    grushin_distance,
-    rescaled_distance,
-)
-from .halfplane import (
-    GeodesicSolution,
-    HalfplaneMetric,
-    circle_length,
-    clairaut_arc,
-    invert_arc,
-    orbit_distance,
-    solve_turning_point,
-)
-from .harness import RunReport, run
-from .jets import Jet2
-from .ladder import (
-    ExponentSchedule,
-    LadderGrowthError,
-    OscillationParams,
-    ScaleLadder,
-    build_scale_ladder,
-)
-from .orbits import GrowthWindow, OrbitTable, growth_slope
-from .piecewise import PiecewiseH, build_piecewise_h
-from .smoothing import (
-    NotCertified,
-    SmoothedH,
-    build_oscillating_h,
-    certify_positive_ricci,
-    smooth,
-    verify_observation,
-)
-from .warping import (
-    WarpingFunction,
-    constant_h,
-    exp_decay_h,
-    grushin_h,
-    linear_f,
-    power_decay_h,
-    sine_f,
-    standard_f,
-)
+# module -> the public names it exports
+_EXPORTS = {
+    "christoffel": ("StepTooLarge", "ricci_numeric_oracle"),
+    "config": ("ConfigError", "LadderGrowthError", "RunConfig", "parse_config"),
+    "curvature": ("DoublyWarpedMetric", "NonPositiveWarping", "RicciReport", "log_grid",
+                  "ricci_report"),
+    "dimension": ("GeodesicOrbitMetric", "LinearOrbitMetric", "box_dimension_fit",
+                  "build_capacity_profile", "capacity", "check_capacity_sandwich",
+                  "fit_growth_constants", "hausdorff_content"),
+    "gridpath": ("dijkstra_distance_oracle",),
+    "grushin": ("GrushinMetric", "RescaledModel", "convergence_report", "grushin_distance",
+                "rescaled_distance"),
+    "halfplane": ("GeodesicSolution", "HalfplaneMetric", "circle_length", "clairaut_arc",
+                  "invert_arc", "orbit_distance", "solve_turning_point"),
+    "harness": ("RunReport", "run"),
+    "jets": ("Jet2",),
+    "ladder": ("ExponentSchedule", "OscillationParams", "ScaleLadder", "build_scale_ladder"),
+    "orbits": ("GrowthWindow", "OrbitTable", "growth_slope"),
+    "piecewise": ("PiecewiseH", "build_piecewise_h"),
+    "smoothing": ("NotCertified", "SmoothedH", "build_oscillating_h", "certify_positive_ricci",
+                  "smooth", "verify_observation"),
+    "warping": ("WarpingFunction", "constant_h", "exp_decay_h", "grushin_h", "linear_f",
+                "power_decay_h", "sine_f", "standard_f"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "ConfigError",
-    "DoublyWarpedMetric",
-    "ExponentSchedule",
-    "GeodesicOrbitMetric",
-    "GeodesicSolution",
-    "GrowthWindow",
-    "GrushinMetric",
-    "HalfplaneMetric",
-    "Jet2",
-    "LadderGrowthError",
-    "LinearOrbitMetric",
-    "NonPositiveWarping",
-    "NotCertified",
-    "OrbitTable",
-    "OscillationParams",
-    "PiecewiseH",
-    "RescaledModel",
-    "RicciReport",
-    "RunConfig",
-    "RunReport",
-    "ScaleLadder",
-    "SmoothedH",
-    "StepTooLarge",
-    "WarpingFunction",
-    "box_dimension_fit",
-    "build_capacity_profile",
-    "build_oscillating_h",
-    "build_piecewise_h",
-    "build_scale_ladder",
-    "capacity",
-    "certify_positive_ricci",
-    "check_capacity_sandwich",
-    "circle_length",
-    "clairaut_arc",
-    "constant_h",
-    "convergence_report",
-    "dijkstra_distance_oracle",
-    "exp_decay_h",
-    "fit_growth_constants",
-    "grushin_distance",
-    "grushin_h",
-    "growth_slope",
-    "hausdorff_content",
-    "invert_arc",
-    "linear_f",
-    "log_grid",
-    "orbit_distance",
-    "parse_config",
-    "power_decay_h",
-    "rescaled_distance",
-    "ricci_numeric_oracle",
-    "ricci_report",
-    "run",
-    "sine_f",
-    "smooth",
-    "solve_turning_point",
-    "standard_f",
-    "verify_observation",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,9 +8,8 @@ for a config error or a schedule whose ladder cannot be built.
 import argparse
 import sys
 
-from .config import MODES, ConfigError, parse_config
+from .config import MODES, ConfigError, LadderGrowthError, parse_config
 from .harness import run
-from .ladder import LadderGrowthError
 
 
 def _add_common(sp):

@@ -1,4 +1,9 @@
-"""Run configuration: file + flag parsing with strict key validation."""
+"""Run configuration: file + flag parsing with strict key validation.
+
+Also home to the two errors the CLI answers with exit status 2: a bad
+config key (ConfigError) and a schedule whose ladder cannot be built
+(LadderGrowthError, raised by `ladder`).
+"""
 
 import dataclasses
 import json
@@ -22,6 +27,10 @@ class ConfigError(ValueError):
         super().__init__(f"config key '{key}': {reason}")
         self.key = key
         self.reason = reason
+
+
+class LadderGrowthError(ValueError):
+    """Two consecutive junction radii of a ladder are less than 5x apart."""
 
 
 @dataclass

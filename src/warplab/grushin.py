@@ -22,7 +22,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .gridpath import dijkstra_distance_oracle
 from .halfplane import HalfplaneMetric, OutOfRange, TargetUnreachable, invert_arc
 from .warping import HFrame, grushin_h
 
@@ -128,6 +127,8 @@ def halfplane_distance(
         return d, {"class": "equal-t", "r_max": r_max}
     if oracle_budget is None:
         raise UnsupportedPair(f"general pair {p1}-{p2} without an oracle budget")
+    from .gridpath import dijkstra_distance_oracle  # loaded only by runs that reach it
+
     r_hi = oracle_r_hi or 2.5 * max(t1, t2, 1.0)
     res = dijkstra_distance_oracle(
         m, p1, p2, r_hi=r_hi, r_lo=m.domain_start, edge_budget=oracle_budget

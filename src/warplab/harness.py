@@ -15,6 +15,11 @@ live only in the JSON report.  Seeded samples come from
 random.Random(cfg.seed): `random` is loaded before a run starts (numpy
 imports it), where numpy.random would be imported mid-run for a few dozen
 draws.
+
+The construction modules (`ladder`, `piecewise`, `smoothing`,
+`construction_io`) and with them mpmath are imported only where a run
+builds the oscillating model: in the beta branch of `_model_for` and in
+`_run_build_example`.  A pure run never loads them.
 """
 
 import json
@@ -30,7 +35,6 @@ from . import curvature as curv
 from .cache import OrbitCache
 from .christoffel import StepTooLarge, ricci_numeric_oracle
 from .config import RunConfig
-from .construction_io import save_construction
 from .dimension import (
     GeodesicOrbitMetric,
     LinearOrbitMetric,
@@ -48,22 +52,12 @@ from .grushin import (
     self_similarity_error,
 )
 from .halfplane import ArcBoundViolation, HalfplaneMetric, orbit_distance
-from .ladder import OscillationParams
 from .orbits import (
     GrowthWindow,
     OrbitTable,
     check_distance_sandwich,
     growth_slope,
     sandwich_constants,
-)
-from .smoothing import (
-    build_oscillating_h,
-    certification_grid,
-    certify_positive_ricci,
-    construction_invariants,
-    dimension_threshold,
-    effective_exponent_max,
-    NotCertified,
 )
 from .warping import power_decay_h, standard_f
 
@@ -120,6 +114,9 @@ def _model_for(cfg: RunConfig):
         key = {"alpha": float(cfg.alpha), "quad_rel_tol": float(cfg.quad_rel_tol)}
         return None, h, OrbitTable(HalfplaneMetric.from_warping(h, rel_tol=cfg.quad_rel_tol),
                                    cache=OrbitCache.for_model(key, cfg.cache_dir))
+    from .ladder import OscillationParams
+    from .smoothing import build_oscillating_h
+
     p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
     ladder, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
     return ladder, sm, OrbitTable(HalfplaneMetric.from_smoothed(sm, rel_tol=cfg.quad_rel_tol))
@@ -202,6 +199,16 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, h, table):
 
 
 def _run_build_example(cfg: RunConfig, report: RunReport, ladder, sm, table):
+    from .construction_io import save_construction
+    from .smoothing import (
+        NotCertified,
+        certification_grid,
+        certify_positive_ricci,
+        construction_invariants,
+        dimension_threshold,
+        effective_exponent_max,
+    )
+
     inv = construction_invariants(sm, cfg.r_min)
     gaps = inv.junction_gaps
     report.add("junction-continuity", max(gaps) <= 1e-10, margin=max(gaps),

@@ -14,34 +14,38 @@ test references and a bridge constant past the double range.  The arcs,
 turning points and counts of `halfplane` and the dense checks read no
 Jet2: they read f and h through their closed-form frames and log readers.
 
+This module never imports mpmath: it reads mpmath from ``sys.modules``.
+An mpf cannot exist before mpmath is imported, so float jets work in a
+process that never loads it, and mpf jets find it loaded.
+
 Powers are evaluated in ratio form ``u**p * (p*u1/u, ...)`` so
 intermediates like ``u**(p-2)`` never underflow before being multiplied
 back up.
 """
 
 import math
-
-import mpmath
+import sys
 
 
 def _is_mp(x):
-    return isinstance(x, (mpmath.mpf, mpmath.mpc))
+    mp = sys.modules.get("mpmath")  # no mpf exists before mpmath is imported
+    return mp is not None and isinstance(x, (mp.mpf, mp.mpc))
 
 
-def _lift(fn, mp_fn):
-    """fn on floats, mp_fn on mpf."""
+def _lift(fn, name):
+    """fn on floats, mpmath's function of that name on mpf, looked up at the call."""
 
     def lifted(x):
         if isinstance(x, float) or not _is_mp(x):
             return fn(x)
-        return mp_fn(x)
+        return getattr(sys.modules["mpmath"], name)(x)
 
     return lifted
 
 
-_sin = _lift(math.sin, mpmath.sin)
-_cos = _lift(math.cos, mpmath.cos)
-_exp = _lift(math.exp, mpmath.exp)
+_sin = _lift(math.sin, "sin")
+_cos = _lift(math.cos, "cos")
+_exp = _lift(math.exp, "exp")
 
 
 class Jet2:
@@ -56,16 +60,17 @@ class Jet2:
 
     @staticmethod
     def variable(r):
-        one = mpmath.mpf(1) if _is_mp(r) else 1.0
+        one = sys.modules["mpmath"].mpf(1) if _is_mp(r) else 1.0
         return Jet2(r, one, 0 * one)
 
     @staticmethod
     def constant(c):
-        zero = mpmath.mpf(0) if _is_mp(c) else 0.0
+        zero = sys.modules["mpmath"].mpf(0) if _is_mp(c) else 0.0
         return Jet2(c, zero, zero)
 
     def is_finite(self):
-        return all(mpmath.isfinite(v) for v in (self.value, self.d1, self.d2))
+        return all(sys.modules["mpmath"].isfinite(v) if _is_mp(v) else math.isfinite(v)
+                   for v in (self.value, self.d1, self.d2))
 
     def __repr__(self):
         return f"Jet2({self.value!r}, d1={self.d1!r}, d2={self.d2!r})"

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import mpmath
 
+from .config import LadderGrowthError
+
 PRECISION_DPS = 40  # ~133 bits; radii serialize as mantissa/exponent strings
 
 
@@ -118,10 +120,6 @@ def bridge_constant(T, E, p):
     """C with C (1+r^2)^(-E) continuous at T against (1+r^2)^(-p)."""
     with mpmath.workdps(PRECISION_DPS):
         return (1 + T * T) ** (mpmath.mpf(E) - mpmath.mpf(p))
-
-
-class LadderGrowthError(ValueError):
-    """Two consecutive junction radii of a ladder are less than 5x apart."""
 
 
 def build_scale_ladder(params, radius_bound: float = 1e300) -> ScaleLadder:

@@ -1,5 +1,11 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import warplab
 
@@ -8,6 +14,12 @@ REPO = Path(__file__).resolve().parent.parent
 # bindings perfbench/test_perfbench.py reads from these modules, which the
 # modules themselves never call
 KEPT_FOR_PERFBENCH = {("dimension", "brentq"), ("harness", "orbit_distance")}
+# the oscillating construction: the only modules that may import mpmath at
+# module level, and that a pure run never loads
+CONSTRUCTION = ("ladder", "piecewise", "smoothing", "construction_io")
+# modules every run loads, which must leave the construction and the grid
+# oracle to the paths that use them
+ENTRY = ("__init__", "cli", "harness", "grushin")
 
 
 def unused_imports(tree):
@@ -81,3 +93,118 @@ def test_write_only_field_is_found():
     )
     assert stored_fields(tree) == [("x", 3), ("y", 4), ("u", 7), ("w", 8)]
     assert read_attributes(tree) == {"u"}
+
+
+def module_level_imports(tree, package="warplab"):
+    """Modules a module imports when it is loaded: every import outside a
+    function body, relative ones resolved against the package."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = f"{package}.{node.module}" if node.level and node.module else (
+                node.module or package)
+            if module == package:  # from . import x: x is a submodule
+                found.update(f"{package}.{a.name}" for a in node.names)
+            else:
+                found.add(module)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_module_level_imports_leave_mpmath_and_the_construction_to_their_path():
+    imports = {path.stem: module_level_imports(ast.parse(path.read_text(), str(path)))
+               for path in sorted(SRC.glob("*.py"))}
+    mp_importers = {stem for stem, mods in imports.items()
+                    if any(m.split(".")[0] == "mpmath" for m in mods)}
+    assert mp_importers <= set(CONSTRUCTION)
+    deferred = {f"warplab.{m}" for m in (*CONSTRUCTION, "gridpath")}
+    assert {stem: sorted(imports[stem] & deferred) for stem in ENTRY} == {
+        stem: [] for stem in ENTRY}
+
+
+def test_module_level_import_guard_sees_through_blocks_not_functions():
+    tree = ast.parse("import mpmath.libmp\nfrom . import ladder as ld\nfrom .smoothing import x\n"
+                     "from numpy import sum\ntry:\n    from .gridpath import y\nexcept ImportError:"
+                     "\n    pass\nclass C:\n    import json\n"
+                     "def f():\n    from .piecewise import z\n    import mpmath\n")
+    assert module_level_imports(tree) == {"mpmath.libmp", "warplab.ladder", "warplab.smoothing",
+                                          "numpy", "warplab.gridpath", "json"}
+
+
+# -- what a fresh process loads -----------------------------------------------
+
+def loaded_after(code, tmp_path=None):
+    """sys.modules of a fresh interpreter after it runs code, which may read
+    `out`, a scratch directory."""
+    src = os.path.dirname(os.path.dirname(warplab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("WARPLAB_CACHE_DIR", None)
+    script = (f"out = {str(tmp_path)!r}\n{code}\n"
+              "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_warplab_loads_no_submodule_no_numpy_and_no_mpmath():
+    mods = loaded_after("import warplab")
+    assert sorted(m for m in mods if m.startswith("warplab.")
+                  or m.split(".")[0] in ("numpy", "mpmath")) == []
+
+
+def test_pure_full_suite_never_loads_mpmath_the_construction_or_the_grid_oracle(tmp_path):
+    mods = loaded_after(
+        "from warplab.cli import main\n"
+        "assert main(['full-suite', '--alpha', '0.5', '--outdir', out + '/run',\n"
+        "             '--cache-dir', out + '/cache']) == 0\n", tmp_path)
+    assert "warplab.harness" in mods and "warplab.grushin" in mods
+    assert sorted(mods & {"mpmath", *(f"warplab.{m}" for m in (*CONSTRUCTION, "gridpath"))}) == []
+
+
+def test_oracle_run_imports_load_no_mpmath():
+    # the import lines of perfbench/child.py's oracle run
+    mods = loaded_after(
+        "import warplab\n"
+        "from warplab import christoffel, curvature, gridpath, halfplane\n"
+        "from warplab.config import parse_config\n"
+        "from warplab.harness import write_csv\n"
+        "from warplab.warping import power_decay_h, standard_f\n")
+    assert "warplab.gridpath" in mods
+    assert "mpmath" not in mods
+
+
+def test_oscillating_full_suite_loads_the_construction(tmp_path):
+    mods = loaded_after(
+        "from warplab.cli import main\n"
+        "assert main(['full-suite', '--alpha', '0.6', '--beta', '1.2', '--A', '0.3',\n"
+        "             '--B', '1.5', '--radius-bound', '1e40', '--outdir', out + '/run',\n"
+        "             '--cache-dir', out + '/cache']) == 0\n", tmp_path)
+    assert {"mpmath", *(f"warplab.{c}" for c in CONSTRUCTION)} <= mods
+
+
+# -- the lazy public API --------------------------------------------------------
+
+def test_star_import_binds_every_public_name():
+    ns = {}
+    exec("from warplab import *", ns)
+    assert len(warplab.__all__) == 58
+    assert sorted(k for k in ns if k != "__builtins__") == sorted(warplab.__all__)
+    assert all(ns[name] is getattr(warplab, name) for name in warplab.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(warplab.__all__) <= set(dir(warplab))
+
+
+def test_unknown_public_name_raises_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'warplab' has no attribute 'no_such_name'"):
+        warplab.no_such_name  # noqa: B018

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import warplab
 from warplab import gridpath
 from warplab.halfplane import HalfplaneMetric
 from warplab.jets import Jet2, jet_exp, jet_sin
@@ -98,6 +102,31 @@ def test_underflow_ratio_form():
 def test_finiteness_flag():
     assert not Jet2(float("nan"), 0.0, 0.0).is_finite()
     assert not Jet2(1.0, float("inf"), 0.0).is_finite()
+    assert not Jet2(mpmath.mpf(1), mpmath.mpf(0), mpmath.inf).is_finite()
+
+
+def test_float_jets_run_without_mpmath():
+    # jets read mpmath from sys.modules: float jets never load it, and an
+    # mpf built after a late import still carries mpf values through
+    code = (
+        "import math, sys\n"
+        "from warplab.jets import Jet2, jet_exp, jet_sin\n"
+        "x = Jet2.variable(0.5)\n"
+        "jets = [x, jet_exp(x), jet_sin(x), Jet2.constant(2.0)]\n"
+        "assert all(j.is_finite() for j in jets)\n"
+        "assert all(type(v) is float for j in jets for v in (j.value, j.d1, j.d2))\n"
+        "assert not Jet2(math.nan).is_finite() and not Jet2(1.0, math.inf).is_finite()\n"
+        "print('mpmath' in sys.modules)\n"
+        "import mpmath\n"
+        "x = Jet2.variable(mpmath.mpf(2))\n"
+        "jets = [x, jet_exp(x), jet_sin(x), Jet2.constant(mpmath.mpf(2))]\n"
+        "print(all(isinstance(v, mpmath.mpf) for j in jets for v in (j.value, j.d1, j.d2)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(warplab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["False", "True"]
 
 
 # -- every family's closed-form frame against its jets -----------------------
