@@ -1,10 +1,14 @@
 """Line-oriented on-disk cache for orbit distances.
 
-One file per model, keyed by a format version and a parameter hash in the
+One file per model, keyed by a format version and the model key in the
 header; another header means the file belongs to a different model or
 record format and is ignored (and overwritten on the next append), never
-silently reused.  Records are `l d_l` lines with full-precision reprs, so
-a warm cache reproduces runs byte-identically.
+silently reused.  The model key is the model's settings written out,
+`name=repr(value)` pairs sorted by name and joined by `_` (for the pure
+model `alpha=0.5_quad_rel_tol=1e-09`), and names the file
+`orbit_<key>.tsv`: float reprs round-trip, so two settings that differ
+in any bit get different keys and files.  Records are `l d_l` lines with
+full-precision reprs, so a warm cache reproduces runs byte-identically.
 The file is append-only: each new distance adds one line, and a reader
 skips a last line without its newline (a write torn by a crash) and lets a
 repeated index's last record win.  Header checks and rewrites (a temp file
@@ -14,8 +18,6 @@ in-process appends are serialized by a lock.
 """
 
 import fcntl
-import hashlib
-import json
 import os
 import threading
 
@@ -26,9 +28,8 @@ import threading
 HEADER = "# warplab-orbit-cache v6 model="
 
 
-def model_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def model_key(payload: dict) -> str:
+    return "_".join(f"{name}={value!r}" for name, value in sorted(payload.items()))
 
 
 def default_cache_dir() -> str:
@@ -47,7 +48,7 @@ class OrbitCache:
 
     @staticmethod
     def for_model(payload: dict, cache_dir: str | None = None) -> "OrbitCache":
-        key = model_hash(payload)
+        key = model_key(payload)
         d = cache_dir or default_cache_dir()
         return OrbitCache(os.path.join(d, f"orbit_{key}.tsv"), key)
 

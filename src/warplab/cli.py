@@ -1,7 +1,8 @@
 """Command-line front door: one subcommand per run mode.
 
-Flags override config-file keys; WARPLAB_CACHE_DIR overrides the cache
-location.  Exit status is nonzero iff any non-flagged check fails; it is 2
+Flags override config-file keys.  The orbit cache lives in --cache-dir,
+else the config's cache_dir key, else WARPLAB_CACHE_DIR, else
+~/.cache/warplab.  Exit status is nonzero iff any non-flagged check fails; it is 2
 for a config error or a schedule whose ladder cannot be built.
 """
 

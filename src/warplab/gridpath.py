@@ -233,39 +233,46 @@ def _polyline_length(h_value, pts):
     return float(np.sum(total))
 
 
-def _energy_and_grad(m, pts, r_floor=0.0):
-    """Sum of squared segment lengths and its gradient over node positions.
+def _energy(m, pts, r_floor=0.0):
+    """Sum of squared segment lengths, and the terms its gradient reads.
 
     Minimizers of sum L_i^2 at fixed endpoints are constant-speed discrete
     geodesics (Cauchy-Schwarz: the length is minimized simultaneously and
     the reparametrization null space of the plain length is removed).
-    Segment lengths use 3-point Gauss of sqrt(dr^2 + h(r)^2 dv^2); the
-    gradient is metric-aware through h h' at the quadrature nodes, all
-    read in one _h_and_slope call.
+    Segment lengths use 3-point Gauss of sqrt(dr^2 + h(r)^2 dv^2), one row
+    per node, with h and h' at every node read in one _h_and_slope call;
+    the gradient (`_gradient`) is metric-aware through h h' there.
     """
-    a, b = pts[:-1], pts[1:]
-    dr = b[:, 0] - a[:, 0]
-    dv = b[:, 1] - a[:, 1]
-    seg_len = np.zeros(len(a))
-    gA = np.zeros_like(a)
-    gB = np.zeros_like(b)
+    dr = pts[1:, 0] - pts[:-1, 0]
+    dv = pts[1:, 1] - pts[:-1, 1]
     rq = np.maximum(_gauss_radii(pts), r_floor)
-    hs, hps = (c.reshape(rq.shape) for c in _h_and_slope(m, rq.ravel()))
-    for x, w, h, hp in zip(_GAUSS3_X, _GAUSS3_W, hs, hps):
-        s = np.maximum(np.sqrt(dr**2 + (h * dv) ** 2), 1e-300)
-        seg_len += w * s
-        hhp_dv2 = h * hp * dv * dv
-        gA[:, 0] += w * (-dr + hhp_dv2 * (1.0 - x)) / s
-        gB[:, 0] += w * (dr + hhp_dv2 * x) / s
-        gA[:, 1] += w * (-(h * h) * dv) / s
-        gB[:, 1] += w * ((h * h) * dv) / s
-    E = float(np.sum(seg_len**2))
-    grad = np.zeros_like(pts)
+    h, hp = (c.reshape(rq.shape) for c in _h_and_slope(m, rq.ravel()))
+    s = np.maximum(np.sqrt(dr**2 + (h * dv) ** 2), 1e-300)
+    seg_len = _node_sum(_GAUSS3_W[:, None] * s)
+    return float(np.sum(seg_len**2)), (dr, dv, h, hp, s, seg_len)
+
+
+def _node_sum(rows):
+    """Sum of the three Gauss-node rows, first node first."""
+    return rows[0] + rows[1] + rows[2]
+
+
+def _gradient(terms):
+    """Gradient of `_energy` over node positions, endpoints pinned, from the
+    terms it returned."""
+    dr, dv, h, hp, s, seg_len = terms
+    w, x = _GAUSS3_W[:, None], _GAUSS3_X[:, None]
+    hhp_dv2 = h * hp * dv * dv
+    gA = np.column_stack((_node_sum(w * (-dr + hhp_dv2 * (1.0 - x)) / s),
+                          _node_sum(w * (-(h * h) * dv) / s)))
+    gB = np.column_stack((_node_sum(w * (dr + hhp_dv2 * x) / s),
+                          _node_sum(w * ((h * h) * dv) / s)))
+    grad = np.zeros((len(seg_len) + 1, 2))
     grad[:-1] += 2.0 * seg_len[:, None] * gA
     grad[1:] += 2.0 * seg_len[:, None] * gB
     grad[0] = 0.0
     grad[-1] = 0.0
-    return E, grad
+    return grad
 
 
 def _laplacian_solve(b):
@@ -297,7 +304,8 @@ def _relax_path(m, pts, n_nodes=640, r_floor=0.0):
     if len(pts) < 3:
         return pts.astype(float)
     pts = _resample(pts.astype(float), n=min(n_nodes, max(len(pts), 4)))
-    E, g = _energy_and_grad(m, pts, r_floor)
+    E, terms = _energy(m, pts, r_floor)
+    g = _gradient(terms)
     step = 0.5  # Hessian ~ 2 T x (metric weight): this is the Newton step
     for _ in range(_RELAX_SWEEPS):
         h_nodes = _h_and_slope(m, np.maximum(pts[:, 0], r_floor))[0]
@@ -309,10 +317,10 @@ def _relax_path(m, pts, n_nodes=640, r_floor=0.0):
         for tries in range(25):
             prop = pts - step * d
             prop[:, 0] = np.maximum(prop[:, 0], r_floor)
-            E2, g2 = _energy_and_grad(m, prop, r_floor)
-            if E2 < E:
+            E2, terms = _energy(m, prop, r_floor)
+            if E2 < E:  # only an accepted step needs its gradient
                 stalled = E - E2 < 1e-12 * E
-                pts, E, g = prop, E2, g2
+                pts, E, g = prop, E2, _gradient(terms)
                 if tries == 0:  # accepted at once: try a longer step next time
                     step = min(step / 0.4, 0.5)
                 break

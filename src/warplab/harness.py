@@ -16,10 +16,17 @@ random.Random(cfg.seed): `random` is loaded before a run starts (numpy
 imports it), where numpy.random would be imported mid-run for a few dozen
 draws.
 
-The construction modules (`ladder`, `piecewise`, `smoothing`,
-`construction_io`) and with them mpmath are imported only where a run
-builds the oscillating model: in the beta branch of `_model_for` and in
-`_run_build_example`.  A pure run never loads them.
+Each step imports the modules only it runs, inside the step, so a run
+loads what its mode executes: `_run_ricci_check` imports `christoffel`,
+the orbit-growth and capacity steps `dimension` (and orbit growth
+`orbits`), `_run_grushin` imports `grushin`, and `_model_for` imports
+`orbits`, with `cache` in its pure branch.  The construction modules
+(`ladder`, `piecewise`, `smoothing`, `construction_io`) and with them
+mpmath are imported only where a run builds the oscillating model: in the
+beta branch of `_model_for` and in `_run_build_example`.  A pure run never
+loads them.  A step's `from .module import name` reads the module's
+attribute when the step runs, so a wrapper or spy set on the module
+reaches the step.
 """
 
 import json
@@ -32,33 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import curvature as curv
-from .cache import OrbitCache
-from .christoffel import StepTooLarge, ricci_numeric_oracle
 from .config import RunConfig
-from .dimension import (
-    GeodesicOrbitMetric,
-    LinearOrbitMetric,
-    box_dimension_fit,
-    build_capacity_profile,
-    check_capacity_sandwich,
-    fit_growth_constants,
-    hausdorff_content,
-)
-from .grushin import (
-    GrushinMetric,
-    convergence_report,
-    probe_pairs,
-    regime_lambda_range,
-    self_similarity_error,
-)
 from .halfplane import ArcBoundViolation, HalfplaneMetric, orbit_distance
-from .orbits import (
-    GrowthWindow,
-    OrbitTable,
-    check_distance_sandwich,
-    growth_slope,
-    sandwich_constants,
-)
 from .warping import power_decay_h, standard_f
 
 
@@ -109,7 +91,11 @@ def _model_for(cfg: RunConfig):
     blend-checked.  A pure model's h is power_decay_h(alpha), the h the
     pure-model oracles check; only its table has a cache, keyed by what its
     metric reads: alpha and the arc tolerance."""
+    from .orbits import OrbitTable
+
     if cfg.beta is None:
+        from .cache import OrbitCache
+
         h = power_decay_h(float(cfg.alpha))
         key = {"alpha": float(cfg.alpha), "quad_rel_tol": float(cfg.quad_rel_tol)}
         return None, h, OrbitTable(HalfplaneMetric.from_warping(h, rel_tol=cfg.quad_rel_tol),
@@ -160,6 +146,8 @@ def run(cfg: RunConfig) -> RunReport:
 
 
 def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, h, table):
+    from .christoffel import StepTooLarge, ricci_numeric_oracle
+
     k = cfg.k or report.certified_k or 8
     f = standard_f()
     m = curv.DoublyWarpedMetric(k, f, h)
@@ -237,6 +225,9 @@ def _run_build_example(cfg: RunConfig, report: RunReport, ladder, sm, table):
 
 
 def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
+    from .dimension import GeodesicOrbitMetric
+    from .orbits import GrowthWindow, growth_slope
+
     if ladder is None:
         # pure model: distance sandwich on the asymptotic stretch plus a slope fit
         a = cfg.alpha
@@ -297,6 +288,9 @@ def _piece_starts(sm, a):
 
 
 def _window_checks(cfg, report, s, a, S, tag, rows_csv):
+    from .dimension import fit_growth_constants
+    from .orbits import GrowthWindow, check_distance_sandwich, growth_slope, sandwich_constants
+
     ok, rows = check_distance_sandwich(s.raw, a, S, n_samples=12)
     rows_csv.extend((r[0], r[1]) for r in rows)
     C1, C2 = sandwich_constants(a)
@@ -329,6 +323,15 @@ def _write_growth_csv(cfg, report, fit, name):
 
 
 def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
+    from .dimension import (
+        LinearOrbitMetric,
+        box_dimension_fit,
+        build_capacity_profile,
+        check_capacity_sandwich,
+        fit_growth_constants,
+        hausdorff_content,
+    )
+
     if ladder is not None:  # capacity always runs the pure alpha model
         table = _model_for(replace(cfg, beta=None))[2]
     s = LinearOrbitMetric(table.distance)
@@ -366,6 +369,14 @@ def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
 
 
 def _run_grushin(cfg: RunConfig, report: RunReport, ladder, h, table):
+    from .grushin import (
+        GrushinMetric,
+        convergence_report,
+        probe_pairs,
+        regime_lambda_range,
+        self_similarity_error,
+    )
+
     try:
         target = GrushinMetric(cfg.alpha, cfg.quad_rel_tol)
     except ValueError as e:  # no Grushin target for decay exponents below 1/2

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import multiprocessing
 import os
 import tempfile
@@ -5,7 +7,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warplab.cache import HEADER, OrbitCache, model_hash
+import warplab.cache
+from warplab.cache import HEADER, OrbitCache, model_key
 
 
 def _lines(cache):
@@ -74,12 +77,41 @@ def test_directory_is_made_by_the_first_append(cache_dir):
 def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
     alien = OrbitCache.for_model({"family": "other"}, cache_dir)
     alien.append(5, 9.0)
-    mine = OrbitCache(alien.path, model_hash({"family": "mine"}))
+    mine = OrbitCache(alien.path, model_key({"family": "mine"}))
     assert mine.load() == {}
     mine.append(2, 1.0)
     assert _lines(mine) == [HEADER + mine.model_key, "2 1.0"]
     assert mine.load() == {2: 1.0}
     assert alien.load() == {}
+
+
+def test_file_under_the_former_hash_name_is_never_opened(cache_dir, monkeypatch):
+    # files were named by the first 16 hex digits of the sha256 of the
+    # payload's JSON; the key text names them now, so such a file is left as
+    # it is, and the run starts a file of its own beside it
+    payload = {"alpha": 0.5, "quad_rel_tol": 1e-9}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    os.makedirs(cache_dir)
+    old = os.path.join(cache_dir, f"orbit_{digest}.tsv")
+    body = f"# warplab-orbit-cache v6 model={digest}\n3 1.0\n".encode()
+    with open(old, "wb") as fh:
+        fh.write(body)
+    opened = []
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(os.path.abspath(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(warplab.cache, "open", spy_open, raising=False)
+    cache = OrbitCache.for_model(payload, cache_dir)
+    assert cache.path != old and cache.load() == {}
+    cache.append(4, 2.0)
+    assert cache.load() == {4: 2.0}
+    assert opened and os.path.abspath(old) not in opened
+    with open(old, "rb") as fh:
+        assert fh.read() == body
+    assert sorted(os.listdir(cache_dir)) == sorted(
+        [os.path.basename(old), os.path.basename(cache.path)])
 
 
 def _older_file_is_ignored_then_rewritten(cache_dir, version, record):
@@ -139,7 +171,7 @@ def test_two_processes_first_appends_to_one_fresh_file(tmp_path):
     # per trial, both processes prepare the same missing file at once: neither
     # may fail, and neither may clobber the other's records
     ctx = multiprocessing.get_context("spawn")
-    key = model_hash({"family": "race"})
+    key = model_key({"family": "race"})
     paths = [os.path.join(tmp_path, f"orbit_{trial}.tsv") for trial in range(24)]
     barrier = ctx.Barrier(2)
     procs = [ctx.Process(target=_append_fifty_per_trial, args=(paths, key, first, barrier))
@@ -159,10 +191,10 @@ def test_two_processes_first_appends_to_one_alien_file(tmp_path):
     # per trial, both processes find a file keyed to another model and rewrite
     # its header at once: the rewrite is locked, so neither drops the other's rows
     ctx = multiprocessing.get_context("spawn")
-    key = model_hash({"family": "race"})
+    key = model_key({"family": "race"})
     paths = [os.path.join(tmp_path, f"orbit_{trial}.tsv") for trial in range(24)]
     for path in paths:
-        OrbitCache(path, model_hash({"family": "alien"})).append(7, 1.0)
+        OrbitCache(path, model_key({"family": "alien"})).append(7, 1.0)
     barrier = ctx.Barrier(2)
     procs = [ctx.Process(target=_append_fifty_per_trial, args=(paths, key, first, barrier))
              for first in (0, 50)]

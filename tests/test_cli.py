@@ -154,6 +154,31 @@ def test_only_distance_modes_make_the_cache_dir(tmp_path, capsys):
     assert file.read_bytes() == cold  # a warm rerun appends nothing
 
 
+def test_cache_dir_flag_then_key_then_environment(tmp_path, capsys, monkeypatch):
+    # a run files its distances under --cache-dir, else the config file's
+    # cache_dir key, else WARPLAB_CACHE_DIR, else ~/.cache/warplab
+    def filed_in(case, flag=False, key=False, env=False):
+        root = tmp_path / case
+        config = root / "config.json"
+        config.parent.mkdir()
+        config.write_text(json.dumps({"cache_dir": str(root / "key")} if key else {}))
+        monkeypatch.setenv("HOME", str(root / "home"))
+        if env:
+            monkeypatch.setenv("WARPLAB_CACHE_DIR", str(root / "env"))
+        else:
+            monkeypatch.delenv("WARPLAB_CACHE_DIR", raising=False)
+        args = ["orbit-growth", "--alpha", "0.5", "--config", str(config),
+                "--outdir", str(root / "out")]
+        assert run_cli(args + (["--cache-dir", str(root / "flag")] if flag else [])) == 0
+        return sorted(str(p.parent.relative_to(root)) for p in root.rglob("orbit_*.tsv"))
+
+    assert filed_in("all", flag=True, key=True, env=True) == ["flag"]
+    assert filed_in("flag-env", flag=True, env=True) == ["flag"]
+    assert filed_in("key-env", key=True, env=True) == ["key"]
+    assert filed_in("env", env=True) == ["env"]
+    assert filed_in("none") == [os.path.join("home", ".cache", "warplab")]
+
+
 def test_failing_run_exits_nonzero(tmp_path, capsys):
     # k = 1 cannot hold the circle direction positive at moderate radii
     code = run_cli([

@@ -157,12 +157,13 @@ def _array_frames_only(frame):
 
 def test_relaxation_reads_h_as_arrays():
     """No scalar read of h: one array read per energy evaluation (all three Gauss
-    nodes of every segment) and one per descent iteration (the nodes), each
-    h and h' within 1e-13 of mpmath."""
+    nodes of every segment; the gradient of an accepted step reuses it) and
+    one per descent iteration (the nodes), each h and h' within 1e-13 of
+    mpmath."""
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
     path = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (1.0, 5.0), (0.0, 6.0)])
     reads, energies = [], 0
-    real_energy, real_read = gridpath._energy_and_grad, gridpath._h_and_slope
+    real_energy, real_read = gridpath._energy, gridpath._h_and_slope
 
     def h_read(metric, rs):
         out = real_read(metric, rs)
@@ -177,7 +178,7 @@ def test_relaxation_reads_h_as_arrays():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(m, "log_h", _no_scalar_read)
         mp.setattr(m, "frame", _array_frames_only(m.frame))
-        mp.setattr(gridpath, "_energy_and_grad", energy)
+        mp.setattr(gridpath, "_energy", energy)
         mp.setattr(gridpath, "_h_and_slope", h_read)
         iters = 6
         mp.setattr(gridpath, "_RELAX_SWEEPS", iters)
@@ -201,7 +202,7 @@ def test_relaxation_stops_once_the_energy_stalls(pure_half_metric):
     # 25-try line search that finds no decrease; starting every line search
     # at the Newton step took 64
     calls = 0
-    real_energy = gridpath._energy_and_grad
+    real_energy = gridpath._energy
 
     def energy(*args):
         nonlocal calls
@@ -211,7 +212,7 @@ def test_relaxation_stops_once_the_energy_stalls(pure_half_metric):
     l = 24
     _, sol = orbit_distance(pure_half_metric, l)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridpath, "_energy_and_grad", energy)
+        mp.setattr(gridpath, "_energy", energy)
         res = dijkstra_distance_oracle(pure_half_metric, (0.0, 0.0), (0.0, 2.0 * math.pi * l),
                                        r_hi=2.2 * sol.r_max, nr=160)
     assert calls <= 55

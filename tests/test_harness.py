@@ -266,7 +266,7 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # t = sqrt(r_max - r) on every turning panel needed 11,747).  Each
     # budget is the count plus 5 % (of 1,975 arcs and 4,145 rules, when
     # searches ran on delta_v itself)
-    from warplab import grushin, halfplane, harness, numerics
+    from warplab import grushin, halfplane, numerics
 
     calls = []
     rules = []
@@ -276,7 +276,7 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     real_rule = numerics._qk21
     real_turning = halfplane.solve_turning_point
     real_equal_t = grushin._equal_t_distance
-    real_report = harness.convergence_report
+    real_report = grushin.convergence_report
     in_report = []
 
     def spy(*args):
@@ -310,7 +310,7 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     monkeypatch.setattr(numerics, "_qk21", rule_spy)
     monkeypatch.setattr(halfplane, "solve_turning_point", turning_spy)
     monkeypatch.setattr(grushin, "_equal_t_distance", equal_t_spy)
-    monkeypatch.setattr(harness, "convergence_report", report_spy)
+    monkeypatch.setattr(grushin, "convergence_report", report_spy)
     cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
     assert not run(cfg).failed

@@ -20,6 +20,9 @@ CONSTRUCTION = ("ladder", "piecewise", "smoothing", "construction_io")
 # modules every run loads, which must leave the construction and the grid
 # oracle to the paths that use them
 ENTRY = ("__init__", "cli", "harness", "grushin")
+# modules of one or some harness steps, which the harness imports in the
+# steps that run them
+STEP = ("cache", "christoffel", "dimension", "grushin", "orbits")
 
 
 def unused_imports(tree):
@@ -130,6 +133,35 @@ def test_module_level_imports_leave_mpmath_and_the_construction_to_their_path():
         stem: [] for stem in ENTRY}
 
 
+def test_harness_leaves_each_step_module_to_its_step():
+    tree = ast.parse((SRC / "harness.py").read_text())
+    assert sorted(module_level_imports(tree) & {f"warplab.{m}" for m in STEP}) == []
+
+
+def all_imports(tree):
+    """Top-level names of every module a module imports anywhere, functions included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_hashlib():
+    # hashlib maps OpenSSL's libcrypto, about 3.7 MB of resident memory
+    importers = {path.stem for path in sorted(SRC.glob("*.py"))
+                 if {"hashlib", "_hashlib"} & all_imports(ast.parse(path.read_text()))}
+    assert importers == set()
+
+
+def test_import_walker_sees_function_bodies():
+    tree = ast.parse("import os.path\nfrom . import cache\ndef f():\n    import hashlib\n"
+                     "    from json import dumps\n")
+    assert all_imports(tree) == {"os", "hashlib", "json"}
+
+
 def test_module_level_import_guard_sees_through_blocks_not_functions():
     tree = ast.parse("import mpmath.libmp\nfrom . import ladder as ld\nfrom .smoothing import x\n"
                      "from numpy import sum\ntry:\n    from .gridpath import y\nexcept ImportError:"
@@ -168,6 +200,7 @@ def test_pure_full_suite_never_loads_mpmath_the_construction_or_the_grid_oracle(
         "             '--cache-dir', out + '/cache']) == 0\n", tmp_path)
     assert "warplab.harness" in mods and "warplab.grushin" in mods
     assert sorted(mods & {"mpmath", *(f"warplab.{m}" for m in (*CONSTRUCTION, "gridpath"))}) == []
+    assert sorted(mods & {"hashlib", "_hashlib"}) == []
 
 
 def test_oracle_run_imports_load_no_mpmath():
@@ -180,6 +213,30 @@ def test_oracle_run_imports_load_no_mpmath():
         "from warplab.warping import power_decay_h, standard_f\n")
     assert "warplab.gridpath" in mods
     assert "mpmath" not in mods
+    assert sorted(mods & {f"warplab.{m}" for m in ("cache", "dimension", "grushin", "orbits")}) == []
+
+
+# what one pure (alpha 1/2) run of each mode loads: the modules every run
+# needs, and each step's own
+EVERY_RUN = {"cli", "config", "harness", "curvature", "halfplane", "numerics", "warping",
+             "jets", "orbits", "cache"}
+MODE_MODULES = {
+    "ricci-check": EVERY_RUN | {"christoffel"},
+    "orbit-growth": EVERY_RUN | {"dimension"},
+    "capacity": EVERY_RUN | {"dimension"},
+    "grushin-compare": EVERY_RUN | {"grushin"},
+    "full-suite": EVERY_RUN | {"christoffel", "dimension", "grushin"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_MODULES))
+def test_each_mode_loads_only_the_modules_it_runs(mode, tmp_path):
+    mods = loaded_after(
+        "from warplab.cli import main\n"
+        f"assert main([{mode!r}, '--alpha', '0.5', '--outdir', out + '/run',\n"
+        "             '--cache-dir', out + '/cache']) == 0\n", tmp_path)
+    assert sorted(m[len("warplab."):] for m in mods if m.startswith("warplab.")) == sorted(
+        MODE_MODULES[mode])
 
 
 def test_oscillating_full_suite_loads_the_construction(tmp_path):
@@ -189,6 +246,7 @@ def test_oscillating_full_suite_loads_the_construction(tmp_path):
         "             '--B', '1.5', '--radius-bound', '1e40', '--outdir', out + '/run',\n"
         "             '--cache-dir', out + '/cache']) == 0\n", tmp_path)
     assert {"mpmath", *(f"warplab.{c}" for c in CONSTRUCTION)} <= mods
+    assert sorted(mods & {"hashlib", "_hashlib"}) == []
 
 
 # -- the lazy public API --------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+import os
 
 import pytest
 
-from warplab.cache import OrbitCache, model_hash
+from warplab.cache import OrbitCache, model_key
 from warplab.dimension import GeodesicOrbitMetric, LinearOrbitMetric, fit_growth_constants
 from warplab.orbits import (
     GrowthWindow,
@@ -93,20 +94,48 @@ def test_cache_round_trip(pure_half_metric, cache_dir):
         assert t2.entries[l] == d
 
 
-def test_cache_hash_mismatch_ignored(pure_half_metric, cache_dir):
+def test_cache_key_mismatch_ignored(pure_half_metric, cache_dir):
     c1 = OrbitCache.for_model({"family": "m1"}, cache_dir)
     t1 = OrbitTable(pure_half_metric, cache=c1)
     t1.distance(3)
     # same path, different model key: loader must refuse the records
-    alien = OrbitCache(c1.path, model_hash({"family": "other"}))
+    alien = OrbitCache(c1.path, model_key({"family": "other"}))
     assert alien.load() == {}
 
 
-def test_model_hash_stability():
-    a = model_hash({"x": 1, "y": 2})
-    b = model_hash({"y": 2, "x": 1})
-    assert a == b and len(a) == 16
-    assert model_hash({"x": 1, "y": 3}) != a
+def _key_values(key):
+    """The value texts of a model key of float settings, by name: a float
+    repr holds no `=` and no `_`, so each `_` after a value starts a name."""
+    tokens = key.split("=")
+    names, values = [tokens[0]], []
+    for token in tokens[1:-1]:
+        value, _, name = token.partition("_")
+        values.append(value)
+        names.append(name)
+    return dict(zip(names, [*values, tokens[-1]]))
+
+
+def test_model_key_is_the_settings_text(cache_dir):
+    pure = {"alpha": 0.5, "quad_rel_tol": 1e-9}
+    key = model_key(pure)
+    assert key == "alpha=0.5_quad_rel_tol=1e-09"
+    assert model_key({"quad_rel_tol": 1e-9, "alpha": 0.5}) == key
+    # settings one bit apart get keys of their own, and every value reads back
+    # bit for bit
+    payloads = [{"alpha": a, "quad_rel_tol": t}
+                for a in (0.5, math.nextafter(0.5, 1.0), 0.6, 5e-324, 1e300)
+                for t in (1e-9, math.nextafter(1e-9, 0.0), 1e-8)]
+    payloads += [{"alpha": 0.5}, {"quad_rel_tol": 0.5}, {"x": 1.0, "y": 2.0}]
+    keys = [model_key(p) for p in payloads]
+    assert len(set(keys)) == len(payloads)
+    for p, k in zip(payloads, keys):
+        read = {name: float(text) for name, text in _key_values(k).items()}
+        assert {n: v.hex() for n, v in read.items()} == {n: v.hex() for n, v in p.items()}
+    cache = OrbitCache.for_model(pure, cache_dir)
+    assert os.path.basename(cache.path) == "orbit_alpha=0.5_quad_rel_tol=1e-09.tsv"
+    cache.append(1, 2.0)
+    with open(cache.path) as fh:
+        assert fh.readline() == "# warplab-orbit-cache v6 model=alpha=0.5_quad_rel_tol=1e-09\n"
 
 
 def test_oscillating_distances_monotone_subadditive(osc_metric):
