@@ -156,14 +156,21 @@ def build_capacity_profile(s: LinearOrbitMetric, R_values, ratios) -> CapacityPr
 
 
 def fit_growth_constants(s: LinearOrbitMetric, k: float, R_range, samples: int = 32):
-    """(c1, c2) = min/max over the range of #B_R / R^k, counting closed balls."""
+    """(c1, c2) = min/max over the range of #B_R / R^k, counting closed balls
+    at `samples` log-spaced radii."""
+    lo, hi = R_range
+    Rs = np.exp(np.linspace(math.log(lo), math.log(hi), samples)).tolist()
+    return growth_constants(k, R_range, [(R, 2 * s.ball_index(R) + 1) for R in Rs])
+
+
+def growth_constants(k: float, R_range, samples):
+    """(c1, c2) = min/max of count / R^k over the (R, count) samples of a fit
+    range R_range that spans a decade (DegenerateRange otherwise, or on a
+    zero or infinite constant)."""
     lo, hi = R_range
     if not (hi / lo >= 10.0):
         raise DegenerateRange(f"fit range [{lo}, {hi}] spans less than one decade")
-    ratios = []
-    for R in np.exp(np.linspace(math.log(lo), math.log(hi), samples)):
-        n = s.ball_index(float(R))
-        ratios.append((2 * n + 1) / float(R) ** k)
+    ratios = [count / R ** k for R, count in samples]
     c1, c2 = min(ratios), max(ratios)
     if not (c1 > 0 and math.isfinite(c2)):
         raise DegenerateRange("degenerate growth constants")

@@ -7,9 +7,9 @@ row gap.  Row sweeps in numpy give the distance field to within 1e-12 of
 each node's value, and its best neighbours the path back from the target;
 the distance reported is that path's edge weights added from the source
 on, as Dijkstra adds them, so it is exactly an admissible path's length.
-Every read of h, and of h' in the path descent, is one read of h's
-exponent frame at a float64 array of radii: h = exp(log h),
-h' = -2 r p h / (1 + r^2).
+Every read of h is one read of h's exponent frame at a float64 array of
+radii, h = exp(log h); the path descent forms h' = -2 r p h / (1 + r^2)
+from that read's p, for accepted steps only.
 
 Raw grid paths overestimate: discretization contributes O(step) and the
 eight fixed directions contribute an anisotropy excess that does not
@@ -73,8 +73,8 @@ _MAX_SWEEP_PAIRS = 64
 # (d ir, d iv) from a node to each of its neighbours
 _STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
 # rows per block of _best_neighbours, whose least, candidate and fall-test
-# buffers hold one block
-_BLOCK_ROWS = 64
+# buffers hold one block (the solve's peak: 3.53 grid arrays; 3.80 at 64)
+_BLOCK_ROWS = 32
 # the path descent's cap on steps; it stops sooner, once a step gains less
 # than 1e-12 of the energy
 _RELAX_SWEEPS = 600
@@ -203,11 +203,14 @@ def _grid_distance(h_value, p1, p2, r_lo, r_hi, v_lo, v_hi, nr, nv, edge_budget)
     return d, np.column_stack((rs[ij[:, 0]], vs[ij[:, 1]]))
 
 
-def _h_and_slope(m, rs):
-    """h and h' at a float64 array of radii, from m's exponent frame."""
-    hf = m.frame(rs)
-    h = np.exp(hf.log_h)
-    return h, -2.0 * rs * hf.p * h / (1.0 + rs * rs)
+def _h(m, rs):
+    """h at a float64 array of radii, exp of m's exponent frame's log h."""
+    return np.exp(m.frame(rs).log_h)
+
+
+def _slope(rs, p, h):
+    """h' = -2 r p h / (1 + r^2) at radii rs from the frame's p and h there."""
+    return -2.0 * rs * p * h / (1.0 + rs * rs)
 
 
 _GAUSS3_X = np.array([0.5 - math.sqrt(3.0 / 20.0), 0.5, 0.5 + math.sqrt(3.0 / 20.0)])
@@ -240,16 +243,18 @@ def _energy(m, pts, r_floor=0.0):
     geodesics (Cauchy-Schwarz: the length is minimized simultaneously and
     the reparametrization null space of the plain length is removed).
     Segment lengths use 3-point Gauss of sqrt(dr^2 + h(r)^2 dv^2), one row
-    per node, with h and h' at every node read in one _h_and_slope call;
-    the gradient (`_gradient`) is metric-aware through h h' there.
+    per node, with h at every node from one frame read; the terms keep
+    that frame's p, from which the gradient (`_gradient`, metric-aware
+    through h h') forms h' only for an accepted step.
     """
     dr = pts[1:, 0] - pts[:-1, 0]
     dv = pts[1:, 1] - pts[:-1, 1]
     rq = np.maximum(_gauss_radii(pts), r_floor)
-    h, hp = (c.reshape(rq.shape) for c in _h_and_slope(m, rq.ravel()))
+    hf = m.frame(rq.ravel())
+    h, p = np.exp(hf.log_h).reshape(rq.shape), hf.p.reshape(rq.shape)
     s = np.maximum(np.sqrt(dr**2 + (h * dv) ** 2), 1e-300)
     seg_len = _node_sum(_GAUSS3_W[:, None] * s)
-    return float(np.sum(seg_len**2)), (dr, dv, h, hp, s, seg_len)
+    return float(np.sum(seg_len**2)), (dr, dv, rq, h, p, s, seg_len)
 
 
 def _node_sum(rows):
@@ -260,9 +265,9 @@ def _node_sum(rows):
 def _gradient(terms):
     """Gradient of `_energy` over node positions, endpoints pinned, from the
     terms it returned."""
-    dr, dv, h, hp, s, seg_len = terms
+    dr, dv, rq, h, p, s, seg_len = terms
     w, x = _GAUSS3_W[:, None], _GAUSS3_X[:, None]
-    hhp_dv2 = h * hp * dv * dv
+    hhp_dv2 = h * _slope(rq, p, h) * dv * dv
     gA = np.column_stack((_node_sum(w * (-dr + hhp_dv2 * (1.0 - x)) / s),
                           _node_sum(w * (-(h * h) * dv) / s)))
     gB = np.column_stack((_node_sum(w * (dr + hhp_dv2 * x) / s),
@@ -308,7 +313,7 @@ def _relax_path(m, pts, n_nodes=640, r_floor=0.0):
     g = _gradient(terms)
     step = 0.5  # Hessian ~ 2 T x (metric weight): this is the Newton step
     for _ in range(_RELAX_SWEEPS):
-        h_nodes = _h_and_slope(m, np.maximum(pts[:, 0], r_floor))[0]
+        h_nodes = _h(m, np.maximum(pts[:, 0], r_floor))
         d = np.zeros_like(pts)
         gi = g[1:-1]
         d[1:-1, 0] = _laplacian_solve(gi[:, 0])
@@ -368,7 +373,7 @@ def dijkstra_distance_oracle(
             raise ValueError(f"endpoint {p} lies outside the grid radii [{r_lo}, {r_hi}]")
 
     def hv(rs):
-        return _h_and_slope(m, rs)[0]
+        return _h(m, rs)
 
     v_lo = min(p1[1], p2[1])
     v_hi = max(p1[1], p2[1])

@@ -132,7 +132,6 @@ class HalfplaneMetric:
             raise ValueError(f"{label} has no log reader")
         self.log_h = h.log_h  # double r -> log h(r)
         self.frame = h.frame  # the exponent frame at a double or a float64 array
-        self._log_h_on = getattr(h, "log_h_on", None)  # (lo, hi) -> a reader for [lo, hi]
         self.label = label
         self.domain_start = float(domain_start)
         self.r_cap = float(r_cap)
@@ -148,14 +147,6 @@ class HalfplaneMetric:
     def value(self, r):
         """h(r) as a double, exp(log h)."""
         return math.exp(self.log_h(r))
-
-    def log_h_on(self, a, b):
-        """A log reader equal to log_h on the panel [a, b], widened by 1e-9
-        relative so that exp(log a) and r_max - t^2 rounding past an end stay
-        covered: the one h binds for that stretch, else log_h."""
-        if self._log_h_on is None:
-            return self.log_h
-        return self._log_h_on(a * (1.0 - 1e-9), b * (1.0 + 1e-9))
 
     def sup_h(self):
         """h at the domain start: the supremum over the represented domain."""
@@ -193,14 +184,10 @@ def solve_turning_point(m: HalfplaneMetric, c: float):
         if hi > m.r_cap:
             raise OutOfRange(f"h never reaches {c} below r_cap={m.r_cap}")
     if hi <= 2.0:
-        log_h = m.log_h_on(lo, hi)
-        return brentq(lambda r: log_h(r) - lc, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        return brentq(lambda r: m.log_h(r) - lc, lo, hi, xtol=1e-15, rtol=8.9e-16)
     lo = max(lo, hi / 8.0, 1e-300)
-    # the bracket below reaches exp(+-1e-9) past [lo, hi], and log_h_on
-    # widens by 1e-9 of its own for exp's rounding
-    log_h = m.log_h_on(lo * (1.0 - 1e-9), hi * (1.0 + 1e-9))
     s = brentq(
-        lambda s: log_h(math.exp(s)) - lc,
+        lambda s: m.log_h(math.exp(s)) - lc,
         math.log(lo) - 1e-9,
         math.log(hi) + 1e-9,
         xtol=_TURNING_REL / 2,
@@ -291,7 +278,7 @@ def _turning_model(m, r):
 
 def _arc_quadrature(m, start, r_max, dv):
     sqrt, exp, expm1 = math.sqrt, math.exp, math.expm1
-    rel_tol = m.rel_tol
+    log_h, rel_tol = m.log_h, m.rel_tol
     lc = m.log_h(r_max)
     p, b1, b2 = _turning_model(m, r_max)
     scale = max(r_max, 1.0)
@@ -336,7 +323,6 @@ def _arc_quadrature(m, start, r_max, dv):
     err_total = 0.0
     panels = _arc_panels(m, start, r_max)
     for a, b in zip(panels, panels[1:]):
-        log_h = m.log_h_on(a, b)  # the integrands read this panel's reader
         if b == r_max:
             span = r_max - a
             if span <= 0:

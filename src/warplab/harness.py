@@ -19,8 +19,9 @@ draws.
 Each step imports the modules only it runs, inside the step, so a run
 loads what its mode executes: `_run_ricci_check` imports `christoffel`,
 the orbit-growth and capacity steps `dimension` (and orbit growth
-`orbits`), `_run_grushin` imports `grushin`, and `_model_for` imports
-`orbits`, with `cache` in its pure branch.  The construction modules
+`orbits`), `_run_grushin` imports `grushin`, and `_orbit_table`, which
+builds the orbit table for the first step that reads a distance, imports
+`orbits`, with `cache` for the pure model.  The construction modules
 (`ladder`, `piecewise`, `smoothing`, `construction_io`) and with them
 mpmath are imported only where a run builds the oscillating model: in the
 beta branch of `_model_for` and in `_run_build_example`.  A pure run never
@@ -29,6 +30,7 @@ attribute when the step runs, so a wrapper or spy set on the module
 reaches the step.
 """
 
+import functools
 import json
 import math
 import os
@@ -87,25 +89,34 @@ def write_csv(path, header, rows):
 
 
 def _model_for(cfg: RunConfig):
-    """(ladder or None, h, orbit table) of the configured model, the ladder
-    blend-checked.  A pure model's h is power_decay_h(alpha), the h the
-    pure-model oracles check; only its table has a cache, keyed by what its
-    metric reads: alpha and the arc tolerance."""
+    """(ladder or None, h, table) of the configured model, the ladder
+    blend-checked.  table() builds the model's orbit table at its first
+    call, so only a step that reads distances builds one, and returns that
+    table at every later call.  A pure model's h is power_decay_h(alpha),
+    the h the pure-model oracles check."""
+    if cfg.beta is None:
+        ladder, h = None, power_decay_h(float(cfg.alpha))
+    else:
+        from .ladder import OscillationParams
+        from .smoothing import build_oscillating_h
+
+        p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
+        ladder, h = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
+    return ladder, h, functools.cache(lambda: _orbit_table(cfg, h))
+
+
+def _orbit_table(cfg: RunConfig, h):
+    """The orbit table of the model's h.  Only a pure model's table has a
+    cache, keyed by what its metric reads: alpha and the arc tolerance."""
     from .orbits import OrbitTable
 
-    if cfg.beta is None:
-        from .cache import OrbitCache
+    if cfg.beta is not None:
+        return OrbitTable(HalfplaneMetric.from_smoothed(h, rel_tol=cfg.quad_rel_tol))
+    from .cache import OrbitCache
 
-        h = power_decay_h(float(cfg.alpha))
-        key = {"alpha": float(cfg.alpha), "quad_rel_tol": float(cfg.quad_rel_tol)}
-        return None, h, OrbitTable(HalfplaneMetric.from_warping(h, rel_tol=cfg.quad_rel_tol),
-                                   cache=OrbitCache.for_model(key, cfg.cache_dir))
-    from .ladder import OscillationParams
-    from .smoothing import build_oscillating_h
-
-    p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
-    ladder, sm = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
-    return ladder, sm, OrbitTable(HalfplaneMetric.from_smoothed(sm, rel_tol=cfg.quad_rel_tol))
+    key = {"alpha": float(cfg.alpha), "quad_rel_tol": float(cfg.quad_rel_tol)}
+    return OrbitTable(HalfplaneMetric.from_warping(h, rel_tol=cfg.quad_rel_tol),
+                      cache=OrbitCache.for_model(key, cfg.cache_dir))
 
 
 def run(cfg: RunConfig) -> RunReport:
@@ -238,7 +249,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
         rows = []
         ok = True
         for l in ls:
-            d = table.distance(int(l))
+            d = table().distance(int(l))
             lo = C_low * l**e - 2.0
             hi = 9.0 * l**e
             good = lo <= d <= hi
@@ -250,7 +261,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
         report.add("distance-power-bounds", ok, details=f"{len(ls)} indices in [81, 1e5]")
 
         window = GrowthWindow(1e2, 1e4)
-        fit = growth_slope(GeodesicOrbitMetric(table), window, samples=14)
+        fit = growth_slope(GeodesicOrbitMetric(table()), window, samples=14)
         target = 1.0 + 2.0 * a
         report.add("growth-slope", abs(fit.slope - target) <= 0.15, margin=fit.slope,
                    details=f"expected {target} +- 0.15")
@@ -260,7 +271,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
     # oscillating model: a window at each controlling stretch, S = twice
     # the start of the period-2 alpha piece and of the first beta piece, both
     # on one orbit metric
-    s = GeodesicOrbitMetric(table)
+    s = GeodesicOrbitMetric(table())
     rows_csv = []
     alpha_starts = _piece_starts(sm, cfg.alpha)
     if cfg.periods >= 2 and len(alpha_starts) >= 2:
@@ -288,7 +299,7 @@ def _piece_starts(sm, a):
 
 
 def _window_checks(cfg, report, s, a, S, tag, rows_csv):
-    from .dimension import fit_growth_constants
+    from .dimension import growth_constants
     from .orbits import GrowthWindow, check_distance_sandwich, growth_slope, sandwich_constants
 
     ok, rows = check_distance_sandwich(s.raw, a, S, n_samples=12)
@@ -301,9 +312,9 @@ def _window_checks(cfg, report, s, a, S, tag, rows_csv):
     target = 1.0 + 2.0 * a
     report.add(f"{tag}-growth-slope", abs(fit.slope - target) <= 0.3, margin=fit.slope,
                details=f"expected {target} +- 0.3")
-    # DegenerateRange, not a failed check, on a window under a decade or a zero or
-    # infinite constant
-    c1, c2 = fit_growth_constants(s, target, (window.lo, window.hi), samples=12)
+    # from the slope fit's counts; DegenerateRange, not a failed check, on a
+    # window under a decade or a zero or infinite constant
+    c1, c2 = growth_constants(target, (window.lo, window.hi), fit.samples)
     lo, hi = 2.0 * C2**-target, 2.0 * C1**-target
     report.add(f"{tag}-count-constants", lo <= c1 and c2 <= hi, margin=c2 / c1,
                details=f"c1={c1:.4g}, c2={c2:.4g} within [2 C2^-k, 2 C1^-k] = "
@@ -334,7 +345,7 @@ def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
 
     if ladder is not None:  # capacity always runs the pure alpha model
         table = _model_for(replace(cfg, beta=None))[2]
-    s = LinearOrbitMetric(table.distance)
+    s = LinearOrbitMetric(table().distance)
     k = 1.0 + 2.0 * cfg.alpha
 
     R_values = np.geomspace(6e3, 6e4, 5)

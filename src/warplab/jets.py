@@ -9,10 +9,11 @@ differences; the two mechanisms must stay separate for cross-checks to
 mean anything).
 
 The scalar type is duck-typed: ``float`` for the values the Christoffel
-oracle reads, and ``mpmath.mpf`` for the exact construction checks, the
-test references and a bridge constant past the double range.  The arcs,
-turning points and counts of `halfplane` and the dense checks read no
-Jet2: they read f and h through their closed-form frames and log readers.
+oracle reads of a smoothed h, and ``mpmath.mpf`` for the exact
+construction checks, the test references and a bridge constant past the
+double range.  The arcs, turning points and counts of `halfplane`, the
+dense checks and `WarpingFunction.value` read no Jet2 (``jet_sin`` and
+``jet_exp`` also take a plain scalar).
 
 This module never imports mpmath: it reads mpmath from ``sys.modules``.
 An mpf cannot exist before mpmath is imported, so float jets work in a
@@ -138,10 +139,14 @@ class Jet2:
 
 
 def jet_sin(j):
+    if not isinstance(j, Jet2):
+        return _sin(j)
     s, c = _sin(j.value), _cos(j.value)
     return Jet2(s, c * j.d1, c * j.d2 - s * j.d1 * j.d1)
 
 
 def jet_exp(j):
+    if not isinstance(j, Jet2):
+        return _exp(j)
     e = _exp(j.value)
     return Jet2(e, e * j.d1, e * (j.d2 + j.d1 * j.d1))

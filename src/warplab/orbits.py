@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import OrbitCache
 from .halfplane import HalfplaneMetric, orbit_distance
 from .numerics import line_fit
 
@@ -88,11 +87,11 @@ class GrowthWindow:
 
 class OrbitTable:
     """Memoized distances l -> d_l for one metric, at its arc tolerance,
-    loaded from and appended to an optional cache.  The cache is read on the
-    first look at the memo, so a run that asks for no distance reads no
-    record."""
+    loaded from and appended to an optional cache.OrbitCache.  The cache is
+    read on the first look at the memo, so a run that asks for no distance
+    reads no record."""
 
-    def __init__(self, metric: HalfplaneMetric, cache: OrbitCache | None = None):
+    def __init__(self, metric: HalfplaneMetric, cache=None):
         self.metric = metric
         self.cache = cache
         self._entries: dict | None = None

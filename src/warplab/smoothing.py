@@ -196,21 +196,6 @@ class SmoothedH:
         owner's log_h."""
         return self._fowners[bisect_right(self._fedges, r)].log_h(r)
 
-    def log_h_on(self, lo, hi):
-        """A log reader equal to log_h at every double in [lo, hi]: the
-        owner's, where one owner answers them all, or one blend's, where it
-        and its two pieces do (a blend reads its pieces past its edges);
-        else log_h."""
-        owners = self._fowners[bisect_right(self._fedges, lo):bisect_right(self._fedges, hi) + 1]
-        if len(owners) == 1:
-            return owners[0].log_h
-        blends = [o for o in owners if isinstance(o, Blend)]
-        if len(blends) == 1:
-            b = blends[0]
-            if all(o is b or o is b.left or o is b.right for o in owners):
-                return b.log_h
-        return self.log_h
-
     def _owner_at(self, r):
         """The blend (lo <= r < hi) or else the segment that answers h at r:
         one bisect of the float table for a float r, exact comparisons for

@@ -11,7 +11,8 @@ Every family carries its frame, in closed form: an `HFrame` for h, an
 checks read.  An h-role family also reads its frame at a double radius
 (an HFrame of doubles), and has a scalar log reader r -> log h, which
 `halfplane` integrates through; log h never underflows where h does.
-The jet (`__call__`, `value`) serves the Christoffel oracle and tests.
+The jet (`__call__`) serves tests; `value` evaluates the same expression on
+the scalar itself, so the Christoffel oracle's reads build no jet.
 """
 
 import math
@@ -79,7 +80,7 @@ def _standard_f_frame(r):
 
 @dataclass(frozen=True)
 class WarpingFunction:
-    """A labelled scalar profile evaluated as a second-order jet."""
+    """A labelled scalar profile, evaluated as a second-order jet or at a scalar."""
 
     label: str
     fn: Callable[[Jet2], Jet2]
@@ -92,7 +93,8 @@ class WarpingFunction:
         return self.fn(Jet2.variable(r))
 
     def value(self, r):
-        return self.fn(Jet2.variable(r)).value
+        """fn at the scalar r itself, with the bits of self(r).value."""
+        return self.fn(r)
 
 
 def standard_f() -> WarpingFunction:
@@ -110,7 +112,7 @@ def power_decay_h(p: float) -> WarpingFunction:
 def constant_h(c: float = 1.0) -> WarpingFunction:
     """h == c; flat circle factor, used for calibration metrics."""
     log_c = math.log(c)
-    return WarpingFunction(f"constant-h({c})", lambda x: Jet2.constant(c) + 0.0 * x,
+    return WarpingFunction(f"constant-h({c})", lambda x: c + 0.0 * x,
                            lambda r: power_frame(r, 0.0, log_c), lambda r: log_c)
 
 

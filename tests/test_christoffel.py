@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from warplab import christoffel
 from warplab.christoffel import StepTooLarge, ricci_numeric_oracle
 from warplab.curvature import DoublyWarpedMetric, ricci_report
+from warplab.jets import Jet2
 from warplab.ladder import OscillationParams
 from warplab.smoothing import build_oscillating_h
 from warplab.warping import constant_h, linear_f, power_decay_h, sine_f, standard_f
@@ -123,6 +124,17 @@ def test_oracle_golden_bits(case, r):
     o = ricci_numeric_oracle(m, r)
     got = tuple(repr(float(v)) for v in (o.ric_radial, o.ric_circle, o.ric_sphere))
     assert got == GOLDEN[case, r]
+
+
+def test_oracle_builds_no_jet_on_the_pure_model(monkeypatch):
+    # f and h are warping functions, whose value reads evaluate on the double
+    def no_jet(self, *args):
+        raise AssertionError("a Jet2 was built")
+
+    monkeypatch.setattr(Jet2, "__init__", no_jet)
+    o = ricci_numeric_oracle(DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5)), 7.0)
+    assert tuple(repr(float(v)) for v in (o.ric_radial, o.ric_circle, o.ric_sphere)) == GOLDEN[
+        "pure", 7.0]
 
 
 class _CountingReads:

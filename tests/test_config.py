@@ -75,7 +75,7 @@ def test_every_quad_setting_is_keyed_in_the_cache_payload():
     from warplab.harness import _model_for
 
     def table(**kw):
-        return _model_for(RunConfig(mode="orbit-growth", **kw))[2]
+        return _model_for(RunConfig(mode="orbit-growth", **kw))[2]()
 
     default = inspect.signature(HalfplaneMetric).parameters["rel_tol"].default
     base = table()

@@ -163,12 +163,13 @@ def test_relaxation_reads_h_as_arrays():
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
     path = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (1.0, 5.0), (0.0, 6.0)])
     reads, energies = [], 0
-    real_energy, real_read = gridpath._energy, gridpath._h_and_slope
+    real_energy, real_frame = gridpath._energy, _array_frames_only(m.frame)
 
-    def h_read(metric, rs):
-        out = real_read(metric, rs)
-        reads.append((rs.copy(), *out))
-        return out
+    def h_read(rs):
+        fr = real_frame(rs)
+        h = np.exp(fr.log_h)
+        reads.append((rs.copy(), h, gridpath._slope(rs, fr.p, h)))
+        return fr
 
     def energy(*args):
         nonlocal energies
@@ -177,9 +178,8 @@ def test_relaxation_reads_h_as_arrays():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(m, "log_h", _no_scalar_read)
-        mp.setattr(m, "frame", _array_frames_only(m.frame))
+        mp.setattr(m, "frame", h_read)
         mp.setattr(gridpath, "_energy", energy)
-        mp.setattr(gridpath, "_h_and_slope", h_read)
         iters = 6
         mp.setattr(gridpath, "_RELAX_SWEEPS", iters)
         out = gridpath._relax_path(m, path, n_nodes=50)
@@ -264,7 +264,7 @@ GRIDS = [
 
 def _pure_grid(metric, nr, nv, r_lo):
     def hv(rs):
-        return gridpath._h_and_slope(metric, rs)[0]
+        return gridpath._h(metric, rs)
 
     return hv, np.linspace(r_lo, 6.0, nr), np.linspace(0.0, 6.0 * math.pi, nv)
 
@@ -369,7 +369,7 @@ def _whole_grid_best_neighbours(dist, right, down, diag):
     return best, pick, bool(np.any(best < dist * (1.0 - 1e-12)))
 
 
-@pytest.mark.parametrize("nr", [1, 2, 63, 64, 65, 130, 319])
+@pytest.mark.parametrize("nr", [1, 2, 31, 32, 33, 63, 64, 65, 130, 319])
 def test_best_neighbours_by_row_blocks_keep_the_bits(nr):
     # row blocks of _BLOCK_ROWS give the whole grid's bits, first-attaining
     # picks (weights and distances on a half-integer lattice tie often) and
@@ -446,7 +446,7 @@ def test_row_sweep_bytes(case, pure_half_metric):
 
 
 def test_oracle_peak_memory(pure_half_metric):
-    # 3.80 fine-grid arrays (319 x 319 doubles) at l = 24, nr = 160: the
+    # 3.53 fine-grid arrays (319 x 319 doubles) at l = 24, nr = 160: the
     # right and diag weights, dist, and _best_neighbours' pick and block
     # buffers on the pass that ends the solve; a grid-sized array of leasts
     # on that pass (4.60) would push it past the bound

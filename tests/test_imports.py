@@ -138,6 +138,12 @@ def test_harness_leaves_each_step_module_to_its_step():
     assert sorted(module_level_imports(tree) & {f"warplab.{m}" for m in STEP}) == []
 
 
+def test_orbits_leaves_the_cache_to_the_pure_table():
+    # the oscillating table has no cache, so loading orbits loads no cache
+    tree = ast.parse((SRC / "orbits.py").read_text())
+    assert "warplab.cache" not in module_level_imports(tree)
+
+
 def all_imports(tree):
     """Top-level names of every module a module imports anywhere, functions included."""
     found = set()
@@ -217,15 +223,17 @@ def test_oracle_run_imports_load_no_mpmath():
 
 
 # what one pure (alpha 1/2) run of each mode loads: the modules every run
-# needs, and each step's own
+# needs, and each step's own; only a step that reads distances builds the
+# orbit table, with its cache
 EVERY_RUN = {"cli", "config", "harness", "curvature", "halfplane", "numerics", "warping",
-             "jets", "orbits", "cache"}
+             "jets"}
+ORBIT_TABLE = {"orbits", "cache"}
 MODE_MODULES = {
     "ricci-check": EVERY_RUN | {"christoffel"},
-    "orbit-growth": EVERY_RUN | {"dimension"},
-    "capacity": EVERY_RUN | {"dimension"},
+    "orbit-growth": EVERY_RUN | ORBIT_TABLE | {"dimension"},
+    "capacity": EVERY_RUN | ORBIT_TABLE | {"dimension"},
     "grushin-compare": EVERY_RUN | {"grushin"},
-    "full-suite": EVERY_RUN | {"christoffel", "dimension", "grushin"},
+    "full-suite": EVERY_RUN | ORBIT_TABLE | {"christoffel", "dimension", "grushin"},
 }
 
 

@@ -169,6 +169,18 @@ def _assert_close(got, ref, rs):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_value_evaluates_the_double_with_the_bits_of_the_jet(name):
+    # value runs fn on the double itself, building no jet
+    wf, lo, hi = FAMILIES[name]
+    rng = np.random.default_rng(12345)
+    u = rng.uniform(math.log(max(lo, 1e-3)), math.log(hi), 64)
+    for r in [lo, hi, *np.exp(u).tolist()]:
+        got = wf.value(r)
+        assert type(got) is float, (name, r)
+        assert got.hex() == wf.fn(Jet2.variable(r)).value.hex(), (name, r)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_family_frame_matches_its_jet_frame(name):
     # the closed-form frame against the one formed from double jets (the
     # widest gap is p_y of bridged-power-h, about 1.7e-10, where the jets
@@ -197,7 +209,8 @@ def test_scalar_components_broadcast_through_the_metric():
     m = HalfplaneMetric.from_warping(constant_h(2.0))
     for comp in m.frame(rs):  # the scalar exponent broadcasts over the radii
         assert comp.shape == rs.shape
-    h, hp = gridpath._h_and_slope(m, rs)
+    h = gridpath._h(m, rs)
+    hp = gridpath._slope(rs, m.frame(rs).p, h)
     assert h.tolist() == [m.value(r) for r in rs.tolist()] == [2.0] * len(rs)
     assert hp.tolist() == [0.0] * len(rs)  # also on the axis
 

@@ -9,8 +9,7 @@ The log reader must agree with the frame's log h (bit for bit at a double,
 to a few ulps at an array) and with the log of the 30-digit mpmath jet, at
 every blend edge, junction key and their nextafter neighbours, including
 radii where h or h' underflows in doubles.  A SmoothedH hands each radius
-to the owner its float table names, and a panel binds one owner's reader
-only where it reads as the table does.
+to the owner its float table names.
 """
 
 import math
@@ -251,65 +250,6 @@ def test_subnormal_bridge_power_reads_in_log_form(osc_build):
             log_want = float(mpmath.log(want))
         assert abs(sm.log_h(r) - log_want) <= log_ulps(seg._log_c)
         assert abs(m.value(r) / float(want) - 1.0) <= 2.0 * log_ulps(seg._log_c)
-
-
-def _panel_radii(sm, a, b, u):
-    """The radii a panel [a, b] may read, widened by 1e-9 as log_h_on
-    widens it: its ends and every table edge and blend edge inside, each
-    with its nextafter neighbours, and a point at fraction u (linear, log)."""
-    lo, hi = a * (1.0 - 1e-9), b * (1.0 + 1e-9)
-    marks = [lo, hi, *sm._fedges, *(x for bl in sm.blends for x in bl._edges_f)]
-    out = [lo + u * (hi - lo)]
-    if lo > 0:
-        out.append(math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))))
-    for x in marks:
-        out += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
-    return [r for r in out if lo <= r <= hi]
-
-
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), u=st.floats(0.0, 1.0))
-def test_value_on_reader_reads_as_the_bisect(models, data, u):
-    # panels between table edges, blend edges and points next to them:
-    # wherever log_h_on binds an owner's log reader, it reads every radius
-    # of the widened panel as the bisecting reader does
-    nudge = st.sampled_from([1.0 - 1e-6, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 1e-6])
-    for name, sm in models.items():
-        m = HalfplaneMetric.from_smoothed(sm)
-        pts = sorted({0.0, 1e6, *(x for x in (*sm._fedges,
-                                              *(y for bl in sm.blends for y in bl._edges_f))
-                                  if x < 1e200)})
-        i, j = sorted(data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2),
-                                label=name))
-        a, b = pts[i] * data.draw(nudge), pts[j] * data.draw(nudge)
-        if not a < b:
-            a, b = a, 2.0 * a + 1.0
-        reader = m.log_h_on(a, b)
-        for r in _panel_radii(sm, a, b, u):
-            assert _bits(reader(r)) == _bits(m.log_h(r)), (name, a, b, r)
-
-
-def test_value_on_binds_a_reader_unless_a_panel_straddles_two_owners(models):
-    sm = models["osc-1e40"]
-    m = HalfplaneMetric.from_smoothed(sm)
-    for k, bl in enumerate(sm.blends):
-        lo, hi = float(bl.lo), float(bl.hi)
-        # a panel across the blend, or reaching into the pieces next to it,
-        # reads the blend's log reader
-        assert m.log_h_on(lo, hi) == bl.log_h
-        assert m.log_h_on(0.99 * lo, 1.01 * hi) == bl.log_h
-        if k + 1 < len(sm.blends):  # one panel through two blends: the bisect
-            assert m.log_h_on(lo, float(sm.blends[k + 1].hi)) == sm.log_h
-    # a junction with no blend: a panel across it reads through the bisect
-    one = mpmath.mpf(1)
-    R = mpmath.mpf(100)
-    bare = SmoothedH(PiecewiseH([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
-                                 Segment(R, None, 1.2, R ** 1.2 * (1 + R * R) ** -0.6 /
-                                         (1 + R * R) ** -1.2 / R ** 1.2, "bridge")]), [])
-    m = HalfplaneMetric.from_smoothed(bare)
-    assert m.log_h_on(50.0, 200.0) == bare.log_h
-    assert m.log_h_on(10.0, 50.0) == bare.base.segments[0].log_h
-    assert m.log_h_on(200.0, 1e6) == bare.base.segments[1].log_h
 
 
 def test_counts_and_distances_read_no_jet_and_no_mpmath(osc_build, monkeypatch):
