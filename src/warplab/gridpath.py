@@ -22,7 +22,8 @@ therefore reports three numbers:
                 descending the squared-length energy over node
                 positions until a step gains less than 1e-12 of it (still
                 an admissible path, so still an upper bound; the zigzag
-                excess is gone)
+                excess is gone), the sum of the segment lengths of the
+                energy the descent last accepted
 
 plus the measured anisotropy factor raw/relaxed.  Comparisons at the few
 percent level must use `relaxed`; `raw` certifies the global route.
@@ -223,19 +224,6 @@ def _gauss_radii(pts):
     return a + _GAUSS3_X[:, None] * (pts[1:, 0] - a)
 
 
-def _polyline_length(h_value, pts):
-    """Exact-metric length of a coordinate polyline (3-point Gauss per segment)."""
-    if len(pts) < 2:
-        return 0.0
-    dr = pts[1:, 0] - pts[:-1, 0]
-    dv = pts[1:, 1] - pts[:-1, 1]
-    rm = _gauss_radii(pts)
-    total = np.zeros(len(dr))
-    for w, hm in zip(_GAUSS3_W, h_value(rm.ravel()).reshape(rm.shape)):
-        total += w * np.sqrt(dr**2 + (hm * dv) ** 2)
-    return float(np.sum(total))
-
-
 def _energy(m, pts, r_floor=0.0):
     """Sum of squared segment lengths, and the terms its gradient reads.
 
@@ -305,10 +293,17 @@ def _relax_path(m, pts, n_nodes=640, r_floor=0.0):
     at the step the last one accepted, lengthened by 1/0.4 (up to the
     Newton step) when that was its first try.  The result stays an
     admissible path, hence a rigorous upper bound.
+
+    Returns the nodes and the segment lengths of the energy last accepted
+    (3-point Gauss of the exact metric); a path of fewer than 3 nodes
+    stays as it is.
     """
+    pts = pts.astype(float)
+    if len(pts) < 2:
+        return pts, np.zeros(0)
     if len(pts) < 3:
-        return pts.astype(float)
-    pts = _resample(pts.astype(float), n=min(n_nodes, max(len(pts), 4)))
+        return pts, _energy(m, pts, r_floor)[1][-1]
+    pts = _resample(pts, n=min(n_nodes, max(len(pts), 4)))
     E, terms = _energy(m, pts, r_floor)
     g = _gradient(terms)
     step = 0.5  # Hessian ~ 2 T x (metric weight): this is the Newton step
@@ -322,17 +317,18 @@ def _relax_path(m, pts, n_nodes=640, r_floor=0.0):
         for tries in range(25):
             prop = pts - step * d
             prop[:, 0] = np.maximum(prop[:, 0], r_floor)
-            E2, terms = _energy(m, prop, r_floor)
+            E2, prop_terms = _energy(m, prop, r_floor)
             if E2 < E:  # only an accepted step needs its gradient
                 stalled = E - E2 < 1e-12 * E
-                pts, E, g = prop, E2, _gradient(terms)
+                pts, E, terms = prop, E2, prop_terms
+                g = _gradient(terms)
                 if tries == 0:  # accepted at once: try a longer step next time
                     step = min(step / 0.4, 0.5)
                 break
             step *= 0.4
         if stalled:
             break
-    return pts
+    return pts, terms[-1]
 
 
 def _resample(pts, n=None):
@@ -389,8 +385,8 @@ def dijkstra_distance_oracle(
         hv, p1, p2, r_lo, r_hi, v_lo, v_hi, 2 * nr - 1, 2 * nv - 1, edge_budget
     )
     refined = 2.0 * d2 - d1
-    relaxed_path = _relax_path(m, path2, r_floor=max(r_lo, m.domain_start))
-    relaxed = _polyline_length(hv, relaxed_path)
+    _, seg_len = _relax_path(m, path2, r_floor=max(r_lo, m.domain_start))
+    relaxed = float(np.sum(seg_len))
     return DijkstraResult(
         raw=d2,
         refined=refined,

@@ -160,7 +160,7 @@ class HalfplaneMetric:
     @staticmethod
     def from_smoothed(sm, **kw):
         kw.setdefault("label", "smoothed-h")
-        kw.setdefault("breakpoints", sm.breakpoints_float(r_max=1e290))
+        kw.setdefault("breakpoints", sm.breakpoints_float())
         return HalfplaneMetric(sm, **kw)
 
 
@@ -236,10 +236,9 @@ def _arc_panels(m, start, r_max):
 
 
 def _quad_panel(f, a, b, rel_tol, floor):
-    # the in-repo QAGS (numerics.quad); full_output returns QUADPACK's
-    # message instead of warning, and the caller enforces its own error
+    # the in-repo QAGS (numerics.quad); the caller enforces its own error
     # budget on the summed abserr
-    out = quad(f, a, b, epsabs=floor, epsrel=rel_tol, limit=_LIMIT, full_output=1)
+    out = quad(f, a, b, epsabs=floor, epsrel=rel_tol, limit=_LIMIT)
     return out[0], out[1]
 
 

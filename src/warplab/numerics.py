@@ -10,7 +10,9 @@ its original statement for statement, in the original operation order,
 with 1-based work arrays, so results, error estimates, evaluation counts
 and the sequence of integrand calls equal scipy.integrate.quad and
 scipy.optimize.brentq on finite intervals; tests/test_numerics.py checks
-that against scipy.
+that against scipy.  `quad` has one call shape: it always returns
+(result, abserr, info), with QUADPACK's error flag ier in info where
+scipy gives a message or a warning, and leaves judging it to the caller.
 
 Where Python raises on a float operation that C carries through as inf or
 NaN (a division by zero, a power that overflows), the code takes the
@@ -22,7 +24,6 @@ memory in a short run.
 """
 
 import math
-import warnings
 
 EPMACH = 2.0 ** -52  # d1mach(4)
 UFLOW = 2.2250738585072014e-308  # d1mach(1), DBL_MIN
@@ -69,30 +70,6 @@ _WG = (
 _X1, _X2, _X3, _X4, _X5, _X6, _X7, _X8, _X9, _X10, _ = _XGK
 _WK1, _WK2, _WK3, _WK4, _WK5, _WK6, _WK7, _WK8, _WK9, _WK10, _WK11 = _WGK
 _WG1, _WG2, _WG3, _WG4, _WG5 = _WG
-
-_QUAD_MESSAGES = {  # scipy.integrate.quad's texts for QUADPACK's ier
-    1: "The maximum number of subdivisions ({limit}) has been achieved.\n  "
-       "If increasing the limit yields no improvement it is advised to "
-       "analyze \n  the integrand in order to determine the difficulties.  "
-       "If the position of a \n  local difficulty can be determined "
-       "(singularity, discontinuity) one will \n  probably gain from "
-       "splitting up the interval and calling the integrator \n  on the "
-       "subranges.  Perhaps a special-purpose integrator should be used.",
-    2: "The occurrence of roundoff error is detected, which prevents \n  "
-       "the requested tolerance from being achieved.  "
-       "The error may be \n  underestimated.",
-    3: "Extremely bad integrand behavior occurs at some points of the\n  "
-       "integration interval.",
-    4: "The algorithm does not converge.  Roundoff error is detected\n  "
-       "in the extrapolation table.  It is assumed that the requested "
-       "tolerance\n  cannot be achieved, and that the returned result "
-       "(if full_output = 1) is \n  the best which can be obtained.",
-    5: "The integral is probably divergent, or slowly convergent.",
-}
-
-
-class IntegrationWarning(UserWarning):
-    """quad stopped short of the requested tolerance (QUADPACK ier > 0)."""
 
 
 def _max(x, y):
@@ -526,17 +503,17 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     return result, abserr, last, ier
 
 
-def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
+def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     """Integral of f over the finite interval [a, b] by QAGS.
 
-    Returns (result, abserr), or with full_output (result, abserr, info)
-    where info = {"neval": 42*last - 21, "last": number of subintervals},
-    followed by a message when QUADPACK reports ier > 0 (without
-    full_output that message is an IntegrationWarning), as
-    scipy.integrate.quad does.
+    Returns (result, abserr, info) with info = {"neval": 42*last - 21,
+    "last": number of subintervals, "ier": QUADPACK's error flag}: the
+    numbers scipy.integrate.quad returns with full_output, ier 0 where it
+    adds no message and 1-5 for the message it adds.  The caller judges
+    the outcome; nothing is warned.
     """
     if a == b:
-        return (0.0, 0.0, {"neval": 0, "last": 0}) if full_output else (0.0, 0.0)
+        return 0.0, 0.0, {"neval": 0, "last": 0, "ier": 0}
     flip, a, b = b < a, min(a, b), max(a, b)
     if epsabs <= 0 and epsrel < max(50 * EPMACH, 5e-29):
         raise ValueError("If 'epsabs'<=0, 'epsrel' must be greater than both"
@@ -546,15 +523,7 @@ def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, full_output=0):
     result, abserr, last, ier = _qagse(f, a, b, epsabs, epsrel, limit)
     if flip:
         result = -result
-    out = (result, abserr)
-    msg = _QUAD_MESSAGES[ier].format(limit=limit) if ier else None
-    if full_output:
-        out += ({"neval": 42 * last - 21, "last": last},)
-        if msg:
-            out += (msg,)
-    elif msg:
-        warnings.warn(msg, IntegrationWarning, stacklevel=2)
-    return out
+    return result, abserr, {"neval": 42 * last - 21, "last": last, "ier": ier}
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=4 * EPMACH, maxiter=100):

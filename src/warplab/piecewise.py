@@ -119,13 +119,10 @@ class PiecewiseH:
         if segments[-1].r_hi is not None:
             raise ValueError("last segment must extend to infinity")
         self.segments = list(segments)
-        self._junctions = self.junctions()
+        self._junctions = [s.r_lo for s in self.segments[1:]]
         self._keys = [float_ceil(lo) for lo in self._junctions]
         if check_continuity:
             self.check_continuity()
-
-    def junctions(self):
-        return [s.r_lo for s in self.segments[1:]]
 
     def segment_at(self, r):
         """The segment with r_lo <= r < r_hi, decided exactly for float and

@@ -24,8 +24,10 @@ gives log h at a double, which `halfplane` integrates through, and
 `frame` the exponent frame (log h, p and p'(y)) at a double or a float64
 array, both in closed form with no mpmath.  The dense checks below (blend
 scan, strict-decrease scan, replacement inequalities, certification,
-effective exponent) read the frame.  `SmoothedH` hands each double radius
-to its owner (blend or segment) through one table of float edges.
+effective exponent) read the frame.  `SmoothedH` hands each radius to
+its owner (blend or segment) through one table of float edges, or exact
+comparisons for an mpf radius; that table is the only router, so a blend
+evaluates its exponent form on its own span [lo, hi) and nowhere else.
 """
 
 import math
@@ -88,7 +90,11 @@ def _exponent_form(r, form):
 @dataclass(frozen=True)
 class Blend:
     """The exponent blend of left and right across their junction R, on
-    [lo, hi) = [0.8R, y^-1(2y(R) - y(0.8R)))."""
+    [lo, hi) = [0.8R, y^-1(2y(R) - y(0.8R))).
+
+    A blend answers only inside its span: its owner table (`SmoothedH`)
+    hands it no radius outside [lo, hi), and no double outside
+    [float_ceil(lo), float_ceil(hi))."""
 
     R: object  # junction radius (mpf)
     left: Segment
@@ -96,10 +102,9 @@ class Blend:
     lo: object = field(init=False)  # blend interval (mpf)
     hi: object = field(init=False)
     # (y_a, y_b - y_a, log h_L(y_a), p_R, p_L - p_R), once as mpf and once
-    # as doubles, and [lo, hi) as safe-side doubles; set in __post_init__
+    # as doubles; set in __post_init__
     _form: tuple = field(init=False, repr=False, compare=False)
     _form_f: tuple = field(init=False, repr=False, compare=False)
-    _edges_f: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = SPAN_LO * self.R
@@ -113,16 +118,9 @@ class Blend:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "_form", form)
         object.__setattr__(self, "_form_f", tuple(float(c) for c in form))
-        object.__setattr__(self, "_edges_f", (float_ceil(lo), float_ceil(hi)))
 
     def log_h(self, r) -> float:
-        """log h at a double r: the pieces' outside [lo, hi), the exponent
-        form inside."""
-        lo, hi = self._edges_f
-        if r < lo:
-            return self.left.log_h(r)
-        if r >= hi:
-            return self.right.log_h(r)
+        """log h at a double r in the span, in the exponent form."""
         ya, w, la, pr, dp = self._form_f
         y = log1p_sq_float(r)
         x = (y - ya) / w
@@ -130,38 +128,18 @@ class Blend:
         return la - pr * (y - ya) - dp * w * (x - x2 * x2 * (2.5 - 3.0 * x + x2))
 
     def frame(self, r) -> HFrame:
-        """The exponent frame at a float64 array or a double r: the pieces'
-        outside [lo, hi), inside p = p_R + (p_L - p_R) q(x) with its log h
-        and p_y."""
-        (lo, hi), (ya, w, la, pr, dp) = self._edges_f, self._form_f
-        array = r.__class__ is np.ndarray
-        if not array:
-            if r < lo:
-                return self.left.frame(r)
-            if r >= hi:
-                return self.right.frame(r)
-        y = log1p_sq(r) if array else log1p_sq_float(r)
+        """The exponent frame at a double r or a float64 array of radii in
+        the span: p = p_R + (p_L - p_R) q(x) with its log h and p_y."""
+        ya, w, la, pr, dp = self._form_f
+        y = log1p_sq(r) if r.__class__ is np.ndarray else log1p_sq_float(r)
         Q, q, q1 = _weights((y - ya) / w)
-        inside = HFrame(la - pr * (y - ya) - dp * w * Q, pr + dp * q, dp * q1 / w)
-        if not array:
-            return inside
-        return HFrame(*(np.where(r < lo, a, np.where(r >= hi, b, c)) for a, b, c
-                        in zip(self.left.frame(r), self.right.frame(r), inside)))
+        return HFrame(la - pr * (y - ya) - dp * w * Q, pr + dp * q, dp * q1 / w)
 
     def jet(self, r) -> Jet2:
-        """Jet2 at a float or an mpf radius: the pieces' outside [lo, hi),
-        the exponent form inside, in the radius's arithmetic."""
+        """Jet2 at a float or an mpf radius in the span, in the exponent form
+        and the radius's arithmetic."""
         mp = isinstance(r, mpmath.mpf)
-        lo, hi = (self.lo, self.hi) if mp else self._edges_f
-        if r < lo:
-            return self.left.jet(r)
-        if r >= hi:
-            return self.right.jet(r)
         return Jet2(*_exponent_form(r, self._form if mp else self._form_f))
-
-    def value(self, r):
-        """h(r), equal to jet(r).value."""
-        return self.jet(r).value
 
 
 class SmoothedH:
@@ -206,10 +184,6 @@ class SmoothedH:
         idx = bisect_right(los, r) - 1
         return self.blends[idx] if idx >= 0 and r < his[idx] else self.base.segment_at(r)
 
-    def _blend_at(self, r):
-        owner = self._owner_at(r)
-        return owner if isinstance(owner, Blend) else None
-
     def _by_owner(self, rs, method, dtypes):
         """Each owner's method on its run of a 1-d float64 array of radii:
         the float table splits the radii into runs of one owner (blend or
@@ -244,14 +218,11 @@ class SmoothedH:
     def last_radius(self):
         return self.base.segments[-1].r_lo
 
-    def breakpoints_float(self, r_max=None):
-        """Blend edges below r_max, as floats (for quadrature panel
-        splitting); each junction lies inside its blend, where h is C^3."""
-        pts = sorted(p for b in self.blends for p in (float(b.lo), float(b.hi))
-                     if math.isfinite(p))
-        if r_max is not None:
-            pts = [p for p in pts if p < r_max]
-        return pts
+    def breakpoints_float(self):
+        """Finite blend edges, as floats (for quadrature panel splitting);
+        each junction lies inside its blend, where h is C^3."""
+        return sorted(p for b in self.blends for p in (float(b.lo), float(b.hi))
+                      if math.isfinite(p))
 
 
 def smooth(hp: PiecewiseH, monotonicity_samples: int = 10_000, check: bool = True) -> SmoothedH:
@@ -410,11 +381,10 @@ def _short(x):
 
 
 def _regime_label(sm: SmoothedH, r):
-    b = sm._blend_at(r)
-    if b is not None:
-        return f"blend@{_short(b.R)}"
-    seg = sm.base.segment_at(r)
-    return f"{seg.kind}(p={seg.p})"
+    owner = sm._owner_at(r)
+    if isinstance(owner, Blend):
+        return f"blend@{_short(owner.R)}"
+    return f"{owner.kind}(p={owner.p})"
 
 
 def effective_exponent_max(sm: SmoothedH, grid) -> float:

@@ -182,7 +182,7 @@ def test_relaxation_reads_h_as_arrays():
         mp.setattr(gridpath, "_energy", energy)
         iters = 6
         mp.setattr(gridpath, "_RELAX_SWEEPS", iters)
-        out = gridpath._relax_path(m, path, n_nodes=50)
+        out, _ = gridpath._relax_path(m, path, n_nodes=50)
     n = len(out)
     sizes = [rs.shape for rs, _, _ in reads]
     node_reads = sizes.count((n,))

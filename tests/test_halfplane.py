@@ -25,6 +25,7 @@ from warplab.halfplane import (
 )
 from warplab.ladder import OscillationParams
 from warplab.orbits import OrbitTable, window_index_bounds
+from warplab.piecewise import float_ceil
 from warplab.smoothing import build_oscillating_h
 from warplab.warping import constant_h, exp_decay_h, grushin_h, power_decay_h
 
@@ -782,8 +783,8 @@ def test_smoothed_metric_reads_h_as_arrays_bit_for_bit(osc_metric, osc_build):
     rng = np.random.default_rng(19)
     radii = [0.0, *(10.0 ** rng.uniform(-3.0, 289.0, 400)).tolist()]
     for b in sm.blends:
-        radii += [math.nextafter(x, d) for x in b._edges_f if math.isfinite(x)
-                  for d in (-math.inf, math.inf)]
+        radii += [math.nextafter(x, d) for x in (float_ceil(b.lo), float_ceil(b.hi))
+                  if math.isfinite(x) for d in (-math.inf, math.inf)]
     radii = [r for r in radii if r < 1e290]
     fa = sm.frame(np.array(radii))
     for i, r in enumerate(radii):

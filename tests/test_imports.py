@@ -51,6 +51,41 @@ def test_unused_import_is_found():
     assert unused_imports(tree) == {"os", "tau"}
 
 
+def private_defs(tree):
+    """(name, line) of every non-dunder _private function, method or class."""
+    return [(n.name, n.lineno) for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and n.name.startswith("_") and not n.name.endswith("__")]
+
+
+def read_names(tree):
+    """Every name read, bare (x) or as an attribute (obj.x)."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | read_attributes(tree)
+
+
+def test_every_private_def_is_referenced():
+    # by name, anywhere in the package: a private def no code of the
+    # package reads is left over
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    unread = {(stem, name, line) for stem, tree in trees.items()
+              for name, line in private_defs(tree) if name not in read}
+    assert unread == set()
+
+
+def test_unreferenced_private_def_is_found():
+    tree = ast.parse("def _a():\n    return _b()\ndef _b():\n    pass\ndef _c():\n    pass\n"
+                     "class _D:\n    def __init__(self):\n        self._g = self._f\n"
+                     "    def _e(self):\n        pass\n    def _f(self):\n        pass\n"
+                     "    def _g(self):\n        pass\n")
+    defs = private_defs(tree)
+    assert [name for name, _ in defs] == ["_a", "_b", "_c", "_D", "_e", "_f", "_g"]
+    read = read_names(tree)
+    assert {name for name, _ in defs if name not in read} == {"_a", "_c", "_D", "_e", "_g"}
+
+
 def _is_dataclass(decorator):
     f = decorator.func if isinstance(decorator, ast.Call) else decorator
     return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"

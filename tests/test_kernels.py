@@ -9,7 +9,8 @@ The log reader must agree with the frame's log h (bit for bit at a double,
 to a few ulps at an array) and with the log of the 30-digit mpmath jet, at
 every blend edge, junction key and their nextafter neighbours, including
 radii where h or h' underflows in doubles.  A SmoothedH hands each radius
-to the owner its float table names.
+to the owner its float table names, so a blend is read only inside its
+span, at doubles in [float_ceil(lo), float_ceil(hi)).
 """
 
 import math
@@ -26,7 +27,7 @@ from warplab.halfplane import HalfplaneMetric, axis_count_at_radius, orbit_dista
 from warplab.jets import Jet2, jet_exp
 from warplab.ladder import OscillationParams, bridge_constant
 from warplab.orbits import window_index_bounds
-from warplab.piecewise import PiecewiseH, Segment
+from warplab.piecewise import PiecewiseH, Segment, float_ceil
 from warplab.smoothing import Blend, SmoothedH, build_oscillating_h, smooth
 
 from .oracles import log_ulps, mp_log_h
@@ -52,15 +53,9 @@ def _ref_segment(seg, r):
 
 
 def _ref_blend(b, r):
-    """The exponent blend's scalar float jet in Jet2 arithmetic, h =
-    exp(L(y)) with y = log(1 + r^2) carried as a jet, with the jet of L,
-    whose size sets the rounding of h''.  The pieces' references answer
-    outside [lo, hi)."""
-    lo, hi = b._edges_f
-    if r < lo:
-        return _ref_segment(b.left, r), None
-    if r >= hi:
-        return _ref_segment(b.right, r), None
+    """The exponent blend's scalar float jet in Jet2 arithmetic at a double
+    r in its span, h = exp(L(y)) with y = log(1 + r^2) carried as a jet,
+    with the jet of L, whose size sets the rounding of h''."""
     ya, w, la, pr, dp = b._form_f
     y_value = math.log1p(r * r) if r < 1e150 else 2.0 * math.log(r)
     g = 2.0 / (r + 1.0 / r)
@@ -113,7 +108,7 @@ def _special_radii(sm):
     nextafter neighbours, and 0."""
     edges = [*sm.base._keys]
     for b in sm.blends:
-        edges += [*b._edges_f, float(b.lo), float(b.hi)]
+        edges += [float_ceil(b.lo), float_ceil(b.hi), float(b.lo), float(b.hi)]
     out = {0.0}
     for f in edges:
         if math.isfinite(f):
@@ -131,11 +126,16 @@ def _near(a, b, scale):
 
 
 def _check_kernels(piece, radii):
-    """The piece's float jet at each radius against its Jet2 reference; a
-    constant past the double range answers in mpmath."""
+    """The piece's float jet at each radius against its Jet2 reference, a
+    blend's at the radii in its span; a constant past the double range
+    answers in mpmath."""
+    blend = isinstance(piece, Blend)
+    if blend:
+        lo, hi = float_ceil(piece.lo), float_ceil(piece.hi)
+        radii = [r for r in radii if lo <= r < hi]
     for r in radii:
         j = piece.jet(r)
-        if isinstance(piece, Blend):
+        if blend:
             want, L = _ref_blend(piece, r)
         else:
             want, L = _ref_segment(piece, r), None

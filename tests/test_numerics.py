@@ -12,12 +12,11 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning as ScipyIntegrationWarning
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq as scipy_brentq
 
 from warplab import numerics
-from warplab.numerics import IntegrationWarning, brentq, quad
+from warplab.numerics import brentq, quad
 
 from .oracles import qk21_loops
 
@@ -34,16 +33,31 @@ def _recorded(f):
     return g, xs
 
 
+# the start of scipy.integrate.quad's message for each QUADPACK ier > 0
+_SCIPY_MESSAGES = {1: "The maximum number of subdivisions", 2: "The occurrence of roundoff",
+                   3: "Extremely bad integrand behavior", 4: "The algorithm does not converge",
+                   5: "The integral is probably divergent"}
+
+
+def _scipy_quad(f, a, b, **kw):
+    """scipy.integrate.quad in the port's call shape: (result, abserr,
+    info), with the ier its message names (0 without one) in info."""
+    r = scipy_quad(f, a, b, full_output=1, **kw)
+    ier = 0
+    if len(r) > 3:
+        (ier,) = [k for k, start in _SCIPY_MESSAGES.items() if r[3].startswith(start)]
+    return r[0], r[1], {**r[2], "ier": ier}
+
+
 def _quad_both(f, a, b, **kw):
     """(scipy's, port's) quad outcome: the result and abserr bits, neval,
-    last, the message, the abscissa sequence; neval counts the calls."""
+    last, ier, the abscissa sequence; neval counts the calls."""
     out = []
-    for q in (scipy_quad, quad):
+    for q in (_scipy_quad, quad):
         g, xs = _recorded(f)
-        r = q(g, a, b, full_output=1, **kw)
-        msg = r[3] if len(r) > 3 else None
-        assert r[2]["neval"] == len(xs) == (42 * r[2]["last"] - 21 if xs else 0)
-        out.append((float(r[0]).hex(), float(r[1]).hex(), r[2]["neval"], r[2]["last"], msg, xs))
+        r, e, info = q(g, a, b, **kw)
+        assert info["neval"] == len(xs) == (42 * info["last"] - 21 if xs else 0)
+        out.append((float(r).hex(), float(e).hex(), info["neval"], info["last"], info["ier"], xs))
     return out
 
 
@@ -119,21 +133,21 @@ def test_quad_extrapolation_matches_scipy(monkeypatch):
                               epsabs=0.0, epsrel=1e-10, limit=400)
     assert calls  # the epsilon algorithm ran
     assert ours == theirs
-    assert ours[4] is None and float.fromhex(ours[0]) == pytest.approx(10.0, rel=1e-9)
+    assert ours[4] == 0 and float.fromhex(ours[0]) == pytest.approx(10.0, rel=1e-9)
 
 
 def test_quad_subdivision_limit_matches_scipy():
     theirs, ours = _quad_both(lambda x: math.sin(200.0 * x), 0.0, 10.0,
                               epsabs=0.0, epsrel=1e-10, limit=10)
     assert ours == theirs
-    assert ours[3] == 10 and ours[4].startswith("The maximum number of subdivisions (10)")
+    assert ours[3] == 10 and ours[4] == 1
 
 
 def test_quad_nan_integrand_gives_the_roundoff_message():
     theirs, ours = _quad_both(lambda x: math.nan if x > 0.7 else x, 0.0, 1.0,
                               epsabs=1e-12, epsrel=1e-10, limit=50)
     assert ours == theirs
-    assert math.isnan(float.fromhex(ours[0])) and ours[4].startswith("The occurrence of roundoff")
+    assert math.isnan(float.fromhex(ours[0])) and ours[4] == 2
 
 
 def test_quad_inf_integrand_matches_scipy():
@@ -142,17 +156,8 @@ def test_quad_inf_integrand_matches_scipy():
     assert ours == theirs
 
 
-def test_quad_warns_without_full_output():
-    f = lambda x: math.sin(200.0 * x)  # noqa: E731
-    with pytest.warns(ScipyIntegrationWarning):
-        theirs = scipy_quad(f, 0.0, 10.0, epsabs=0.0, epsrel=1e-10, limit=10)
-    with pytest.warns(IntegrationWarning):
-        ours = quad(f, 0.0, 10.0, epsabs=0.0, epsrel=1e-10, limit=10)
-    assert ours == theirs
-
-
 def test_quad_empty_interval_and_invalid_arguments():
-    assert quad(math.exp, 1.0, 1.0, full_output=1) == (0.0, 0.0, {"neval": 0, "last": 0})
+    assert quad(math.exp, 1.0, 1.0) == (0.0, 0.0, {"neval": 0, "last": 0, "ier": 0})
     with pytest.raises(ValueError, match="limit"):
         scipy_quad(math.exp, 0.0, 1.0, limit=0)
     with pytest.raises(ValueError, match="limit"):

@@ -388,7 +388,7 @@ def test_value_query_matches_jet_bit_for_bit(fast_path_models):
 def test_float_edge_decisions_match_mpf(fast_path_models):
     for sm, top in fast_path_models:
         for r in _probe_radii(sm, top, seed=32):
-            assert sm._blend_at(r) is sm._blend_at(mpmath.mpf(r)), r
+            assert sm._owner_at(r) is sm._owner_at(mpmath.mpf(r)), r
             assert sm.base.segment_at(r) is sm.base.segment_at(mpmath.mpf(r)), r
 
 
@@ -412,45 +412,81 @@ def test_flat_table_owner_matches_separate_and_exact_decisions(fast_path_models)
             assert _bits(sm.log_h(r)) == _bits(owner.log_h(r)), r
 
 
-class _Side:
-    """Stand-in piece that counts its float queries (the blend reads a
-    piece's jet, log h and frame at a float radius outside its span)."""
+@pytest.fixture
+def owner_reads(monkeypatch):
+    """(owner, radius) of every jet, log h and frame read a blend or a
+    segment answers while the test runs."""
+    reads = []
+    for cls in (Blend, Segment):
+        for name in ("jet", "log_h", "frame"):
+            def recorded(self, r, real=getattr(cls, name)):
+                reads.append((self, r))
+                return real(self, r)
 
-    def __init__(self, seg):
-        self.p, self.C = seg.p, seg.C
-        self.calls = 0
-
-    def jet(self, r):
-        self.calls += 1
-        return Jet2(1.0, -1.0, 0.0)
-
-    def log_h(self, r):
-        self.calls += 1
-        return 0.0
-
-    def frame(self, r):
-        self.calls += 1
-        return None
+            monkeypatch.setattr(cls, name, recorded)
+    return reads
 
 
-def test_blend_edges_decided_exactly(fast_path_models):
+def test_blend_edges_decided_exactly(fast_path_models, owner_reads):
     # blend edges rounded at 40 digits are not doubles: a float radius next
-    # to one must still take the branch the exact comparison picks
+    # to one must still go to the owner the exact comparison picks, and
+    # only that owner is read
     for sm, _ in fast_path_models:
-        for b in sm.blends:
-            left, right = _Side(b.left), _Side(b.right)
-            with mpmath.workdps(40):
-                probe = Blend(b.R, left, right)
-            for x in (probe.lo, probe.hi):
+        with mpmath.workdps(40):
+            fine = smooth(sm.base, check=False)
+        for b in fine.blends:
+            for x in (b.lo, b.hi):
                 f = float(x)
                 assert f != x
                 for r in (math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)):
-                    left.calls = right.calls = 0
-                    probe.jet(r)
-                    probe.log_h(r)
-                    probe.frame(r)
-                    want = (3, 0) if r < probe.lo else (0, 3) if r >= probe.hi else (0, 0)
-                    assert (left.calls, right.calls) == want, r
+                    want = b.left if r < b.lo else b.right if r >= b.hi else b
+                    assert fine._owner_at(r) is want, r
+                    owner_reads.clear()
+                    fine.jet(r)
+                    fine.log_h(r)
+                    fine.frame(r)
+                    assert owner_reads == [(want, r)] * 3, r
+
+
+def _owner_keys(sm):
+    """Every junction key and blend lo/hi key as a double, with its
+    nextafter neighbours."""
+    keys = [*sm.base._keys, *(float_ceil(x) for b in sm.blends for x in (b.lo, b.hi))]
+    return [g for f in keys if math.isfinite(f)
+            for g in (math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf))]
+
+
+def test_blends_answer_only_inside_their_span(osc_build, fast_path_models, owner_reads):
+    # the owner table is the only router: every double a blend is handed
+    # lies in [float_ceil(lo), float_ceil(hi)) and every mpf in [lo, hi),
+    # read through the smoothed h's log h, frame (at a double and at one
+    # array) and jet (at a double and at an mpf)
+    models = [(osc_build[1], 300.0), *fast_path_models]
+    for sm, top in models:
+        radii = [*_probe_radii(sm, top, seed=35), *_owner_keys(sm)]
+        owner_reads.clear()
+        for r in radii:
+            sm.log_h(r)
+            sm.frame(r)
+            sm.jet(r)
+            sm.jet(mpmath.mpf(r))
+        for b in sm.blends:
+            sm.jet(b.lo)
+            sm.jet(b.hi)
+        sm.frame(np.array(radii))
+        kinds = set()
+        for owner, r in owner_reads:
+            if not isinstance(owner, Blend):
+                continue
+            lo, hi = float_ceil(owner.lo), float_ceil(owner.hi)
+            if isinstance(r, np.ndarray):
+                assert r.size and np.all((lo <= r) & (r < hi)), (owner.R, r)
+            elif isinstance(r, mpmath.mpf):
+                assert owner.lo <= r < owner.hi, (owner.R, r)
+            else:
+                assert lo <= r < hi, (owner.R, r)
+            kinds.add(type(r))
+        assert kinds == {float, mpmath.mpf, np.ndarray}
 
 
 def test_pure_model_jet_is_power_decay_bit_for_bit():
@@ -463,20 +499,6 @@ def test_pure_model_jet_is_power_decay_bit_for_bit():
             assert [_bits(v) for v in (j.value, j.d1, j.d2)] == \
                 [_bits(v) for v in (k.value, k.d1, k.d2)], (a, r)
             assert _bits(sm.value(r)) == _bits(k.value)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(u=st.floats(-0.05, 1.05))
-def test_blend_value_matches_jet_bit_for_bit(osc_build, fast_path_models, u):
-    # every blend of the default (1e300) and 1e40 standard models and of the
-    # out-of-float-range bridge, at a float radius across it and its plateaus
-    for sm in (osc_build[1], *(m for m, _ in fast_path_models)):
-        for b in sm.blends:
-            lo, hi = float(b.lo), float(b.hi)
-            r = lo + u * (hi - lo)
-            assert _bits(b.value(r)) == _bits(b.jet(r).value), (float(b.R), r)
-            rm = mpmath.mpf(r)
-            assert _bits(b.value(rm)) == _bits(b.jet(rm).value), (float(b.R), r)
 
 
 def test_certification_labels_equal_per_radius_labels(osc_build, fast_path_models):
