@@ -34,7 +34,7 @@ _EXPORTS = {
     "jets": ("Jet2",),
     "ladder": ("ExponentSchedule", "OscillationParams", "ScaleLadder", "build_scale_ladder"),
     "orbits": ("GrowthWindow", "OrbitTable", "growth_slope"),
-    "piecewise": ("PiecewiseH", "build_piecewise_h"),
+    "piecewise": ("ladder_segments",),
     "smoothing": ("NotCertified", "SmoothedH", "build_oscillating_h", "certify_positive_ricci",
                   "smooth", "verify_observation"),
     "warping": ("WarpingFunction", "constant_h", "exp_decay_h", "grushin_h", "linear_f",

@@ -71,6 +71,10 @@ class RunConfig:
                 raise ConfigError(f.name, "must be finite")
         if self.alpha <= 0:
             raise ConfigError("alpha", "must be positive")
+        # every harness stretch starts at the axis, where the factors that
+        # fit it begin at 1, and a comparison needs three of them
+        if len(self.lambda_ladder) < 3 or min(self.lambda_ladder) < 1:
+            raise ConfigError("lambda_ladder", "need at least 3 rescaling factors, each >= 1")
         if self.is_oscillating():
             if self.beta is None or self.A is None or self.B is None:
                 raise ConfigError("beta", "oscillating model needs alpha, beta, A, B")

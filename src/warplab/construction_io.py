@@ -39,7 +39,7 @@ def save_construction(path: str, ladder, sm: SmoothedH):
         "segments": [
             {"r_lo": mantissa_exponent(s.r_lo), "p": s.p, "C": mantissa_exponent(s.C),
              "kind": s.kind}
-            for s in sm.base.segments
+            for s in sm.segments
         ],
     }
     with open(path, "w") as fh:
@@ -65,7 +65,7 @@ def load_construction(path: str, check: bool = False):
         params, radius_bound=doc.get("radius_bound", 1e300), check=check
     )
     with mpmath.workdps(30):
-        _check_segments(doc["segments"], sm.base.segments)
+        _check_segments(doc["segments"], sm.segments)
     return ladder, sm
 
 

@@ -269,17 +269,17 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
         return
 
     # oscillating model: a window at each controlling stretch, S = twice
-    # the start of the period-2 alpha piece and of the first beta piece, both
+    # the start of the second alpha piece and of the first beta piece, both
     # on one orbit metric
     s = GeodesicOrbitMetric(table())
     rows_csv = []
     alpha_starts = _piece_starts(sm, cfg.alpha)
-    if cfg.periods >= 2 and len(alpha_starts) >= 2:
+    if len(alpha_starts) >= 2:
         S_a = 2.0 * float(alpha_starts[1])
         _window_checks(cfg, report, s, cfg.alpha, S_a, "alpha-window", rows_csv)
-    elif cfg.periods >= 2:
+    else:
         report.add("alpha-window-unavailable", True, flagged=True,
-                   details=f"no period-2 alpha piece below radius bound {cfg.radius_bound:g}")
+                   details=f"no second alpha piece below radius bound {cfg.radius_bound:g}")
     beta_starts = _piece_starts(sm, cfg.beta)
     if beta_starts:
         S_b = 2.0 * float(beta_starts[0])
@@ -295,7 +295,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
 
 def _piece_starts(sm, a):
     """Start radii of the pure pieces of exponent a, in order."""
-    return [s.r_lo for s in sm.base.segments if s.kind == "piece" and s.p == a]
+    return [s.r_lo for s in sm.segments if s.kind == "piece" and s.p == a]
 
 
 def _window_checks(cfg, report, s, a, S, tag, rows_csv):

@@ -1,5 +1,8 @@
 """Continuous piecewise warping functions C (1+r^2)^(-p) per segment.
 
+A piecewise warping is an ordered segment list covering [0, inf), as
+`ladder_segments` builds it; `smoothing.SmoothedH` routes radii to them.
+
 Segments store their scale constants as mpmath scalars (they overflow
 doubles from period 2 on).  A segment reads h at double radii in log form:
 `log_h` gives log C - p log(1+r^2) at a double, and `frame` the exponent
@@ -17,7 +20,6 @@ with the exact mpf comparison.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import mpmath
@@ -110,56 +112,29 @@ class Segment:
         return j if self._unit else j * self.C
 
 
-class PiecewiseH:
-    """Ordered continuous segments covering [0, inf), strictly decreasing."""
-
-    def __init__(self, segments, check_continuity=True):
-        if not segments:
-            raise ValueError("need at least one segment")
-        if segments[-1].r_hi is not None:
-            raise ValueError("last segment must extend to infinity")
-        self.segments = list(segments)
-        self._junctions = [s.r_lo for s in self.segments[1:]]
-        self._keys = [float_ceil(lo) for lo in self._junctions]
-        if check_continuity:
-            self.check_continuity()
-
-    def segment_at(self, r):
-        """The segment with r_lo <= r < r_hi, decided exactly for float and
-        mpf radii."""
-        if isinstance(r, mpmath.mpf):
-            return self.segments[bisect_right(self._junctions, r)]
-        return self.segments[bisect_right(self._keys, float(r))]
-
-    def jet(self, r) -> Jet2:
-        return self.segment_at(r).jet(r)
-
-    def value(self, r):
-        return self.jet(r).value
-
-    def check_continuity(self, rel_tol: float = 1e-10):
-        """Relative junction gaps, in one mpmath pass; a gap beyond rel_tol
-        means ladder/constant corruption and raises ContinuityViolation
-        (pass rel_tol=math.inf to only report them)."""
-        gaps = []
-        with mpmath.workdps(40):
-            for left, right in zip(self.segments, self.segments[1:]):
-                rj = mpmath.mpf(right.r_lo)
-                lv = left.C * (1 + rj * rj) ** mpmath.mpf(-left.p)
-                rv = right.C * (1 + rj * rj) ** mpmath.mpf(-right.p)
-                if abs(lv - rv) > rel_tol * abs(rv):
-                    raise ContinuityViolation(
-                        f"junction at r={mpmath.nstr(rj, 10)}: {mpmath.nstr(lv, 18)} vs "
-                        f"{mpmath.nstr(rv, 18)}"
-                    )
-                gaps.append(float(abs(lv - rv) / abs(rv)))
-        return gaps
+def junction_gaps(segments):
+    """Relative gaps |h_L - h_R| / |h_R| at each junction of an ordered
+    segment list, in one 40-digit mpmath pass; a gap beyond 1e-10 means
+    ladder/constant corruption and raises ContinuityViolation."""
+    gaps = []
+    with mpmath.workdps(40):
+        for left, right in zip(segments, segments[1:]):
+            rj = mpmath.mpf(right.r_lo)
+            lv = left.C * (1 + rj * rj) ** mpmath.mpf(-left.p)
+            rv = right.C * (1 + rj * rj) ** mpmath.mpf(-right.p)
+            if abs(lv - rv) > 1e-10 * abs(rv):
+                raise ContinuityViolation(
+                    f"junction at r={mpmath.nstr(rj, 10)}: {mpmath.nstr(lv, 18)} vs "
+                    f"{mpmath.nstr(rv, 18)}"
+                )
+            gaps.append(float(abs(lv - rv) / abs(rv)))
+    return gaps
 
 
-def build_piecewise_h(ladder: ScaleLadder) -> PiecewiseH:
-    """The warping attached to a built ladder: pure pieces C = 1 on the
-    chained exponents, joined by continuous bridges, the last piece
-    extending to infinity."""
+def ladder_segments(ladder: ScaleLadder) -> list:
+    """The segments of the warping attached to a built ladder: pure pieces
+    C = 1 on the chained exponents, joined by continuous bridges, the last
+    piece extending to infinity."""
     one = mpmath.mpf(1)
     segs = []
     lo = mpmath.mpf(0)
@@ -171,4 +146,4 @@ def build_piecewise_h(ladder: ScaleLadder) -> PiecewiseH:
         segs.append(Segment(end, T, E, bridge_constant(end, E, a), "bridge"))
         lo = T
     segs.append(Segment(lo, None, chain[-1], one, "piece"))
-    return PiecewiseH(segs)
+    return segs

@@ -24,10 +24,10 @@ gives log h at a double, which `halfplane` integrates through, and
 `frame` the exponent frame (log h, p and p'(y)) at a double or a float64
 array, both in closed form with no mpmath.  The dense checks below (blend
 scan, strict-decrease scan, replacement inequalities, certification,
-effective exponent) read the frame.  `SmoothedH` hands each radius to
-its owner (blend or segment) through one table of float edges, or exact
-comparisons for an mpf radius; that table is the only router, so a blend
-evaluates its exponent form on its own span [lo, hi) and nowhere else.
+effective exponent) read the frame.  A `SmoothedH` is its segments and
+its blends, and the only router: one table of float edges hands a double
+to its owner (blend or segment), exact comparisons an mpf radius, so a
+blend evaluates its exponent form on its own span [lo, hi) and nowhere else.
 """
 
 import math
@@ -40,7 +40,7 @@ import numpy as np
 from .curvature import decay_curvature, f_frame, h_frame, positive, scaled_ricci
 from .jets import Jet2, _exp
 from .ladder import build_scale_ladder
-from .piecewise import PiecewiseH, Segment, build_piecewise_h, float_ceil
+from .piecewise import Segment, float_ceil, junction_gaps, ladder_segments
 from .warping import HFrame, WarpingFunction, inv_u, log1p_sq, log1p_sq_float
 
 SPAN_LO = 0.8  # a blend starts at 0.8 R; its end is centred on y(R) in y = log(1+r^2)
@@ -143,24 +143,29 @@ class Blend:
 
 
 class SmoothedH:
-    """Piecewise warping with an exponent blend across every junction.
+    """Continuous segments covering [0, inf), checked once here (junction
+    gaps kept as `gaps`), with an exponent blend across each junction
+    smoothed (none in an unsmoothed h).
 
-    Outside all blend intervals evaluation is bit-identical to the base
-    piecewise function; on each blend the local decay exponent lies
-    between the exponents of the two pieces being joined.
+    Outside all blend intervals h is its segment's closed form; on each
+    blend the local decay exponent lies between the joined exponents.
     """
 
-    def __init__(self, base: PiecewiseH, blends):
-        self.base = base
+    def __init__(self, segments, blends):
+        if not segments or segments[-1].r_hi is not None:
+            raise ValueError("need segments whose last one extends to infinity")
+        self.segments = list(segments)
+        self.gaps = junction_gaps(self.segments)
+        self._junctions = [s.r_lo for s in self.segments[1:]]
         self.blends = sorted(blends, key=lambda b: mpmath.mpf(b.lo))
         for a, b in zip(self.blends, self.blends[1:]):
             if not (a.hi < b.lo):
                 raise BlendOverlap(f"blends at {a.R} and {b.R} intersect")
         self._edges = ([b.lo for b in self.blends], [b.hi for b in self.blends])
-        # one float table: every segment key and blend lo/hi key is an edge;
+        # one float table: every junction and blend lo/hi key is an edge;
         # the safe-side edges make every double in [e_i, e_i+1) decide as e_i
         # does, so that interval's owner is the exact decision at e_i
-        edges = sorted({*base._keys, *(float_ceil(x) for xs in self._edges for x in xs)})
+        edges = sorted({float_ceil(x) for xs in (self._junctions, *self._edges) for x in xs})
         owners = [self._owner_at(mpmath.mpf(e)) for e in (-math.inf, *edges)]
         # an edge with one owner on both sides goes (a junction key a few ulps
         # from its blend's lo/hi key): neighbouring intervals differ in owner
@@ -182,7 +187,9 @@ class SmoothedH:
             return self._fowners[bisect_right(self._fedges, r)]
         los, his = self._edges
         idx = bisect_right(los, r) - 1
-        return self.blends[idx] if idx >= 0 and r < his[idx] else self.base.segment_at(r)
+        if idx >= 0 and r < his[idx]:
+            return self.blends[idx]
+        return self.segments[bisect_right(self._junctions, r)]
 
     def _by_owner(self, rs, method, dtypes):
         """Each owner's method on its run of a 1-d float64 array of radii:
@@ -216,7 +223,7 @@ class SmoothedH:
         return self.jet(r).value
 
     def last_radius(self):
-        return self.base.segments[-1].r_lo
+        return self.segments[-1].r_lo
 
     def breakpoints_float(self):
         """Finite blend edges, as floats (for quadrature panel splitting);
@@ -225,15 +232,15 @@ class SmoothedH:
                       if math.isfinite(p))
 
 
-def smooth(hp: PiecewiseH, monotonicity_samples: int = 10_000, check: bool = True) -> SmoothedH:
-    """Blend every junction of hp with its exponent blend.
+def smooth(segments, monotonicity_samples: int = 10_000, check: bool = True) -> SmoothedH:
+    """Blend every junction of a segment list with its exponent blend.
 
     The smoothed function is sampled at `monotonicity_samples` points per
     blend and must be strictly decreasing there (MonotonicityLoss
     otherwise); disjointness of blends is asserted (BlendOverlap).
     """
-    sm = SmoothedH(hp, [Blend(right.r_lo, left, right)
-                        for left, right in zip(hp.segments, hp.segments[1:])])
+    sm = SmoothedH(segments, [Blend(right.r_lo, left, right)
+                              for left, right in zip(segments, segments[1:])])
     if check:
         _check_blend_monotonicity(sm, monotonicity_samples)
     return sm
@@ -305,12 +312,10 @@ class ConstructionInvariants:
 
 
 def construction_invariants(sm: SmoothedH, r_min: float = 1e-3):
-    """Junction continuity of the pieces sm.base, strict decrease of log h
-    on 1e5 log-spaced samples from r_min to 1.3 x the last junction (1e6
-    without one), and the replacement inequalities (400 samples) against
-    the left piece of every blend."""
-    gaps = sm.base.check_continuity(rel_tol=math.inf)
-
+    """Junction continuity of the segments (the gaps sm measured when it was
+    built), strict decrease of log h on 1e5 log-spaced samples from r_min
+    to 1.3 x the last junction (1e6 without one), and the replacement
+    inequalities (400 samples) against the left piece of every blend."""
     exps = np.linspace(np.log10(r_min), float(mpmath.log10(_scan_top(sm))), 100_000)
     # Python's scalar 10.0**e (np.power may differ by an ulp), 8,192 radii at
     # a time, each chunk compared within and against the previous chunk's last
@@ -321,7 +326,7 @@ def construction_invariants(sm: SmoothedH, r_min: float = 1e-3):
         monotone, last = monotone and bool(ok), log_h[-1]
 
     obs = [verify_observation(b.left, sm, (b.lo, b.hi), n=400) for b in sm.blends]
-    return ConstructionInvariants(gaps, monotone, all(o.ok for o in obs),
+    return ConstructionInvariants(sm.gaps, monotone, all(o.ok for o in obs),
                                   min((o.c for o in obs), default=math.inf),
                                   max((o.C for o in obs), default=0.0))
 
@@ -351,7 +356,7 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
     structural interval (pieces, bridges, blends) with regime labels."""
     # structural edges: blend lo/hi and segment junctions
     marks = [b.lo for b in sm.blends] + [b.hi for b in sm.blends]
-    marks += [s.r_lo for s in sm.base.segments[1:]]
+    marks += [s.r_lo for s in sm.segments[1:]]
     marks.sort(key=mpmath.mpf)
     top = _scan_top(sm)
 
@@ -431,9 +436,9 @@ def certify_positive_ricci(
 
 def build_oscillating_h(params, radius_bound: float = 1e300, check: bool = True):
     """(ladder, smoothed h) for an OscillationParams or an ExponentSchedule:
-    the ladder's pieces (sm.base) blended at every junction.  check runs
+    the ladder's segments (sm.segments) blended at every junction.  check runs
     smooth's blend scan, which raises OverflowError on blends past the
     double range: such a ladder is built unchecked."""
     ladder = build_scale_ladder(params, radius_bound)
-    return ladder, smooth(build_piecewise_h(ladder), check=check)
+    return ladder, smooth(ladder_segments(ladder), check=check)
 

@@ -365,6 +365,14 @@ def test_config_error_exit_code(tmp_path, capsys):
         code = run_cli(["ricci-check", "--config", str(path), "--outdir", str(tmp_path)])
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+    # a rescaling ladder no Grushin comparison can use: exit 2, not a traceback
+    for ladder in ([0.5, 1e3, 1e4], [1e3, 1e4]):
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps({"lambda_ladder": ladder}))
+        code = run_cli(["grushin-compare", "--alpha", "0.5", "--config", str(path),
+                        "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "config key 'lambda_ladder'" in capsys.readouterr().err
     code = run_cli(["ricci-check", "--radius-bound", "inf", "--outdir", str(tmp_path)])
     assert code == 2
     assert "config key 'radius_bound'" in capsys.readouterr().err
@@ -454,4 +462,4 @@ def test_build_example_end_to_end(tmp_path, capsys):
     params = ladder.params
     assert (params.alpha, params.beta, params.A, params.B) == (0.6, 1.2, 0.3, 1.5)
     assert ladder.truncated and ladder.radius_bound == 1e40
-    assert len(sm.blends) == len(sm.base.segments) - 1 == 4
+    assert len(sm.blends) == len(sm.segments) - 1 == 4

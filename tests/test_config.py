@@ -49,6 +49,17 @@ def test_full_suite_zero_periods_rejected():
     assert e.value.key == "periods"
 
 
+@pytest.mark.parametrize("ladder", [(0.5, 1e3, 1e4), (1e3, 1e4), (), (1.0, 1e3, 0.999)])
+def test_unusable_lambda_ladder_rejected(ladder):
+    # every stretch starts at the axis, so a factor below 1 never fits it,
+    # and a comparison needs three factors
+    with pytest.raises(ConfigError) as e:
+        parse_config(None, {"mode": "grushin-compare", "alpha": 0.5, "lambda_ladder": ladder})
+    assert e.value.key == "lambda_ladder"
+    assert parse_config(None, {"mode": "grushin-compare", "alpha": 0.5,
+                               "lambda_ladder": (1.0, 1e3, 1e4)}).lambda_ladder == (1.0, 1e3, 1e4)
+
+
 def test_missing_mode():
     with pytest.raises(ConfigError):
         config_from_dict({"alpha": 0.5})

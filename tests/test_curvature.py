@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import mpmath
@@ -13,7 +12,6 @@ from warplab.curvature import (
     ricci_grid,
     ricci_report,
 )
-from warplab.jets import Jet2
 from warplab.warping import (
     constant_h,
     grushin_h,

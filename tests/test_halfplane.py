@@ -9,7 +9,6 @@ from mpmath import mp
 from warplab import halfplane
 from warplab.dimension import GeodesicOrbitMetric, LinearOrbitMetric
 from warplab.halfplane import (
-    DeltaVNotMonotone,
     GeodesicSolution,
     HalfplaneMetric,
     OutOfRange,

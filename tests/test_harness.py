@@ -3,7 +3,6 @@ import json
 import os
 
 import numpy as np
-import pytest
 
 from warplab.config import parse_config
 from warplab.harness import run, write_csv
@@ -112,7 +111,7 @@ def test_cache_env_override(tmp_path, monkeypatch):
 
 def test_orbit_growth_without_beta_piece(tmp_path, cache_dir):
     # the 1e5 bound truncates the ladder before R12, so no beta piece exists,
-    # nor the period-2 alpha piece after it
+    # nor the second alpha piece after it
     cfg = parse_config(None, {
         "mode": "orbit-growth", **OSC, "radius_bound": 1e5,
         "outdir": str(tmp_path), "cache_dir": cache_dir,
@@ -124,7 +123,7 @@ def test_orbit_growth_without_beta_piece(tmp_path, cache_dir):
 
 def test_orbit_growth_without_period_two_alpha_piece(tmp_path, cache_dir):
     # the 1e20 bound keeps the first beta piece but stops the ladder before
-    # the period-2 alpha piece: the alpha window is flagged, not left out
+    # the second alpha piece: the alpha window is flagged, not left out
     cfg = parse_config(None, {
         "mode": "orbit-growth", **OSC, "radius_bound": 1e20,
         "outdir": str(tmp_path), "cache_dir": cache_dir,
@@ -133,6 +132,26 @@ def test_orbit_growth_without_period_two_alpha_piece(tmp_path, cache_dir):
     assert [(c.name, c.status) for c in report.checks] == [
         ("alpha-window-unavailable", "flagged"), ("beta-window-distance-sandwich", "pass"),
         ("beta-window-growth-slope", "pass"), ("beta-window-count-constants", "pass")]
+
+
+def test_orbit_growth_one_period_runs_the_alpha_window(tmp_path, cache_dir):
+    # one period is the ladder alpha -> beta -> alpha, whose second alpha
+    # piece (from 1.25e38) opens the alpha window; below it the window is
+    # flagged as with two periods
+    def checks(bound, out):
+        cfg = parse_config(None, {"mode": "orbit-growth", **OSC, "periods": 1,
+                                  "radius_bound": bound, "outdir": str(tmp_path / out),
+                                  "cache_dir": cache_dir})
+        return run(cfg).checks
+
+    beta = [("beta-window-distance-sandwich", "pass"), ("beta-window-growth-slope", "pass"),
+            ("beta-window-count-constants", "pass")]
+    assert [(c.name, c.status) for c in checks(1e40, "full")] == [
+        ("alpha-window-distance-sandwich", "pass"), ("alpha-window-growth-slope", "pass"),
+        ("alpha-window-count-constants", "pass"), *beta]
+    cut = checks(1e20, "cut")
+    assert [(c.name, c.status) for c in cut] == [("alpha-window-unavailable", "flagged"), *beta]
+    assert cut[0].details == "no second alpha piece below radius bound 1e+20"
 
 
 def test_grushin_mode_zero_periods(tmp_path):

@@ -44,6 +44,10 @@ def test_every_import_is_used():
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for name in unused_imports(ast.parse(path.read_text(), str(path)))}
     assert found == KEPT_FOR_PERFBENCH
+    in_tests = {(path.stem, name)
+                for path in sorted((REPO / "tests").glob("*.py"))
+                for name in unused_imports(ast.parse(path.read_text(), str(path)))}
+    assert in_tests == set()
 
 
 def test_unused_import_is_found():
@@ -297,7 +301,7 @@ def test_oscillating_full_suite_loads_the_construction(tmp_path):
 def test_star_import_binds_every_public_name():
     ns = {}
     exec("from warplab import *", ns)
-    assert len(warplab.__all__) == 58
+    assert len(warplab.__all__) == 57
     assert sorted(k for k in ns if k != "__builtins__") == sorted(warplab.__all__)
     assert all(ns[name] is getattr(warplab, name) for name in warplab.__all__)
 

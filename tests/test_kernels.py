@@ -27,7 +27,7 @@ from warplab.halfplane import HalfplaneMetric, axis_count_at_radius, orbit_dista
 from warplab.jets import Jet2, jet_exp
 from warplab.ladder import OscillationParams, bridge_constant
 from warplab.orbits import window_index_bounds
-from warplab.piecewise import PiecewiseH, Segment, float_ceil
+from warplab.piecewise import Segment, float_ceil
 from warplab.smoothing import Blend, SmoothedH, build_oscillating_h, smooth
 
 from .oracles import log_ulps, mp_log_h
@@ -75,9 +75,8 @@ def _huge_bridge_h():
     float range (the bridge's _cf is None)."""
     R = mpmath.mpf(10) ** 100
     one = mpmath.mpf(1)
-    hp = PiecewiseH([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
-                     Segment(R, None, 4.0, bridge_constant(R, 4.0, 0.6), "bridge")])
-    return smooth(hp, check=False)
+    return smooth([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
+                   Segment(R, None, 4.0, bridge_constant(R, 4.0, 0.6), "bridge")], check=False)
 
 
 def _slope_underflow_blend_h():
@@ -87,8 +86,8 @@ def _slope_underflow_blend_h():
     C = mpmath.mpf("1e-262")
     with mpmath.workdps(40):
         C2 = C * (1 + R * R) ** (mpmath.mpf(2) - mpmath.mpf("0.01"))
-    return smooth(PiecewiseH([Segment(mpmath.mpf(0), R, 0.01, C, "bridge"),
-                              Segment(R, None, 2.0, C2, "bridge")]), check=False)
+    return smooth([Segment(mpmath.mpf(0), R, 0.01, C, "bridge"),
+                   Segment(R, None, 2.0, C2, "bridge")], check=False)
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +95,8 @@ def models(osc_build):
     _, osc40 = build_oscillating_h(OSC, radius_bound=1e40, check=False)
     # a shallow bridge with a small constant: far out its h' underflows
     # while h does not
-    shallow = PiecewiseH([Segment(mpmath.mpf(0), None, 0.3, mpmath.mpf("1e-200"), "bridge")])
-    pure = PiecewiseH([Segment(mpmath.mpf(0), None, 0.5, mpmath.mpf(1), "piece")])
+    shallow = [Segment(mpmath.mpf(0), None, 0.3, mpmath.mpf("1e-200"), "bridge")]
+    pure = [Segment(mpmath.mpf(0), None, 0.5, mpmath.mpf(1), "piece")]
     return {"osc-1e40": osc40, "osc": osc_build[1], "pure": SmoothedH(pure, []),
             "huge-bridge": _huge_bridge_h(), "shallow-bridge": SmoothedH(shallow, []),
             "slope-underflow-blend": _slope_underflow_blend_h()}
@@ -106,7 +105,7 @@ def models(osc_build):
 def _special_radii(sm):
     """Blend edges (as doubles and as safe-side keys), junctions and their
     nextafter neighbours, and 0."""
-    edges = [*sm.base._keys]
+    edges = [float_ceil(s.r_lo) for s in sm.segments[1:]]
     for b in sm.blends:
         edges += [float_ceil(b.lo), float_ceil(b.hi), float(b.lo), float(b.hi)]
     out = {0.0}
@@ -117,7 +116,7 @@ def _special_radii(sm):
 
 
 def _pieces(sm):
-    return [*sm.base.segments, *sm.blends]
+    return [*sm.segments, *sm.blends]
 
 
 def _near(a, b, scale):
@@ -241,7 +240,7 @@ def test_subnormal_bridge_power_reads_in_log_form(osc_build):
     # 7.7e102 and 7e107 the bare power (1+r^2)^(-1.5) is subnormal, while
     # C times it is a normal double; log h reads it with neither
     sm = osc_build[1]
-    seg = sm.base.segment_at(1e105)
+    seg = sm._owner_at(1e105)
     assert (seg.kind, seg.p) == ("bridge", 1.5) and seg.c_float() > 1e138
     m = HalfplaneMetric.from_smoothed(sm)
     for r in (1e105, 1e107):

@@ -1,23 +1,24 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
 
-from warplab.ladder import ExponentSchedule, OscillationParams, build_scale_ladder
-from warplab.piecewise import ContinuityViolation, PiecewiseH, Segment, build_piecewise_h
+from warplab.ladder import ExponentSchedule, build_scale_ladder
+from warplab.piecewise import ContinuityViolation, Segment, junction_gaps, ladder_segments
+from warplab.smoothing import SmoothedH
 from warplab.warping import power_decay_h
 
 
 @pytest.fixture(scope="module")
 def osc_pieces(osc_params):
+    # the unsmoothed h: the ladder's segments with no blend
     lad = build_scale_ladder(osc_params)
-    return lad, build_piecewise_h(lad)
+    return lad, SmoothedH(ladder_segments(lad), [])
 
 
 def test_junction_continuity(osc_pieces):
     _, hp = osc_pieces
-    assert max(hp.check_continuity()) <= 1e-10
+    assert max(junction_gaps(hp.segments)) <= 1e-10
+    assert hp.gaps == junction_gaps(hp.segments)
 
 
 def test_junction_values_match_both_sides(osc_pieces):
@@ -57,9 +58,9 @@ def test_pure_piece_bit_for_bit(osc_pieces):
 def test_segment_lookup_at_boundaries(osc_pieces):
     lad, hp = osc_pieces
     R11 = float(lad.junctions[0])
-    s = hp.segment_at(R11)
+    s = hp._owner_at(R11)
     assert s.kind == "bridge"  # junction radius belongs to the right segment
-    s = hp.segment_at(R11 - 1.0)
+    s = hp._owner_at(R11 - 1.0)
     assert s.kind == "piece" and s.p == 0.6
 
 
@@ -69,15 +70,25 @@ def test_continuity_violation_detected():
         Segment(mpmath.mpf(0), mpmath.mpf(10), 0.5, one, "piece"),
         Segment(mpmath.mpf(10), None, 1.0, one, "piece"),  # jumps at r=10
     ]
+    with pytest.raises(ContinuityViolation, match="junction at r=10"):
+        SmoothedH(segs, [])
     with pytest.raises(ContinuityViolation):
-        PiecewiseH(segs)
+        junction_gaps(segs)
+
+
+def test_segment_list_must_cover_zero_to_infinity():
+    one = mpmath.mpf(1)
+    with pytest.raises(ValueError, match="extends to infinity"):
+        SmoothedH([], [])
+    with pytest.raises(ValueError, match="extends to infinity"):
+        SmoothedH([Segment(mpmath.mpf(0), mpmath.mpf(10), 0.5, one, "piece")], [])
 
 
 def test_schedule_reduces_to_pure():
     s = ExponentSchedule((0.5,), A=0.25, B=1.0)
-    hp = build_piecewise_h(build_scale_ladder(s))
-    assert len(hp.segments) == 1
-    pure = power_decay_h(0.5)
+    segs = ladder_segments(build_scale_ladder(s))
+    assert len(segs) == 1
+    hp, pure = SmoothedH(segs, []), power_decay_h(0.5)
     for r in (0.0, 3.0, 123.0, 5e5):
         assert hp.value(r) == pure.value(r)
 
@@ -85,16 +96,16 @@ def test_schedule_reduces_to_pure():
 def test_schedule_matches_oscillation_path(osc_params, osc_pieces):
     _, hp = osc_pieces
     s = ExponentSchedule((0.6, 1.2, 0.6, 1.2), A=0.3, B=1.5)
-    hs = build_piecewise_h(build_scale_ladder(s))
-    assert len(hs.segments) == len(hp.segments)
-    for a, b in zip(hs.segments, hp.segments):
+    hs = ladder_segments(build_scale_ladder(s))
+    assert len(hs) == len(hp.segments)
+    for a, b in zip(hs, hp.segments):
         assert (a.p, a.kind) == (b.p, b.kind)
         assert a.C == b.C and a.r_lo == b.r_lo and a.r_hi == b.r_hi
 
 
 def test_consecutive_duplicate_exponents_merge():
     s = ExponentSchedule((0.5, 0.5, 0.75), A=0.25, B=1.3)
-    hp = build_piecewise_h(build_scale_ladder(s))
-    ps = [seg.p for seg in hp.segments]
+    segs = ladder_segments(build_scale_ladder(s))
+    ps = [seg.p for seg in segs]
     assert ps.count(0.5) >= 1 and 0.75 in ps
-    hp.check_continuity()
+    assert max(junction_gaps(segs)) <= 1e-10

@@ -21,7 +21,7 @@ from warplab.curvature import (
 )
 from warplab.jets import Jet2
 from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
-from warplab.piecewise import PiecewiseH, Segment, float_ceil, float_floor
+from warplab.piecewise import Segment, float_ceil, float_floor
 from warplab.smoothing import (
     Blend,
     MonotonicityLoss,
@@ -61,8 +61,9 @@ def test_quintic_shape():
 
 def test_equal_outside_blends(osc_build):
     lad, sm = osc_build
+    bare = SmoothedH(sm.segments, [])
     for r in (13.0, 5e3, 1e9, 3e30):
-        assert sm.value(r) == sm.base.value(r)
+        assert sm.value(r) == bare.value(r)
 
 
 def test_regime_fidelity_bit_for_bit(osc_build):
@@ -102,7 +103,7 @@ def test_blend_overlap_rejected(osc_build):
     b = sm.blends[0]
     clone = Blend(b.R * mpmath.mpf("1.1"), b.left, b.right)
     with pytest.raises(BlendOverlap):
-        SmoothedH(sm.base, [b, clone])
+        SmoothedH(sm.segments, [b, clone])
 
 
 def test_blend_edges_jet_consistent(osc_build):
@@ -137,9 +138,8 @@ def test_monotonicity_loss_detected():
     left = Segment(mpmath.mpf(0), mpmath.mpf(100), 0.6, one, "piece")
     grow_c = (1 + mpmath.mpf(100) ** 2) ** mpmath.mpf(-0.9)
     right = Segment(mpmath.mpf(100), None, -0.3, grow_c, "bridge")
-    hp = PiecewiseH([left, right], check_continuity=False)
     with pytest.raises(MonotonicityLoss):
-        smooth(hp, monotonicity_samples=2000)
+        smooth([left, right], monotonicity_samples=2000)
 
 
 def test_observation_identity():
@@ -337,7 +337,7 @@ def _bits(x):
 def _one_piece(a):
     """The pure model (1+r^2)^(-a) as a one-piece SmoothedH with no blends."""
     seg = Segment(mpmath.mpf(0), None, float(a), mpmath.mpf(1), "piece")
-    return SmoothedH(PiecewiseH([seg]), [])
+    return SmoothedH([seg], [])
 
 
 def _huge_bridge_h():
@@ -347,9 +347,8 @@ def _huge_bridge_h():
     C = bridge_constant(R, 4.0, 0.6)
     assert float(C) == math.inf
     one = mpmath.mpf(1)
-    hp = PiecewiseH([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
-                     Segment(R, None, 4.0, C, "bridge")])
-    return smooth(hp, check=False)
+    return smooth([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
+                   Segment(R, None, 4.0, C, "bridge")], check=False)
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +356,7 @@ def fast_path_models():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
     _, osc40 = build_oscillating_h(params, radius_bound=1e40, check=False)
     with mpmath.workdps(40):  # blend edges that are not doubles
-        fine40 = smooth(osc40.base, check=False)
+        fine40 = smooth(osc40.segments, check=False)
     return [(osc40, 40.0), (fine40, 40.0), (_huge_bridge_h(), 101.0)]
 
 
@@ -366,7 +365,7 @@ def _probe_radii(sm, top_log10, seed):
     float with its nextafter neighbours."""
     rng = np.random.default_rng(seed)
     radii = (10.0 ** rng.uniform(-3.0, top_log10, 400)).tolist()
-    edges = [s.r_lo for s in sm.base.segments[1:]]
+    edges = [s.r_lo for s in sm.segments[1:]]
     for b in sm.blends:
         edges += [b.lo, b.hi, b.R]
     for x in edges:
@@ -389,16 +388,18 @@ def test_float_edge_decisions_match_mpf(fast_path_models):
     for sm, top in fast_path_models:
         for r in _probe_radii(sm, top, seed=32):
             assert sm._owner_at(r) is sm._owner_at(mpmath.mpf(r)), r
-            assert sm.base.segment_at(r) is sm.base.segment_at(mpmath.mpf(r)), r
 
 
 def _decision_before_table(sm, r):
     """The float decision as separate searches made it: the blend whose
-    safe-side lo/hi keys hold r, else the piecewise segment."""
+    safe-side lo/hi keys hold r, else the segment whose safe-side key
+    float_ceil(r_lo) is the last one at or below r."""
     los = [float_ceil(b.lo) for b in sm.blends]
     his = [float_ceil(b.hi) for b in sm.blends]
     i = bisect_right(los, r) - 1
-    return sm.blends[i] if i >= 0 and r < his[i] else sm.base.segment_at(r)
+    if i >= 0 and r < his[i]:
+        return sm.blends[i]
+    return sm.segments[bisect_right([float_ceil(s.r_lo) for s in sm.segments[1:]], r)]
 
 
 def test_flat_table_owner_matches_separate_and_exact_decisions(fast_path_models):
@@ -410,6 +411,28 @@ def test_flat_table_owner_matches_separate_and_exact_decisions(fast_path_models)
             assert _bits(sm.value(r)) == _bits(sm.jet(r).value), r
             # the metric's query: the owner's log reader
             assert _bits(sm.log_h(r)) == _bits(owner.log_h(r)), r
+
+
+def test_unsmoothed_h_answers_with_the_segment_holding_the_radius(osc_build, fast_path_models,
+                                                                  owner_reads):
+    # with no blend the segments alone answer: at every junction r_lo and
+    # its nextafter neighbours, as doubles and as mpf radii (r_lo itself
+    # too), the one segment whose [r_lo, r_hi) holds the radius, found by
+    # a linear scan, is the owner and the only segment jet and log h read
+    for sm in (osc_build[1], *(m for m, _ in fast_path_models)):
+        bare = SmoothedH(sm.segments, [])
+        for x in (s.r_lo for s in sm.segments[1:]):
+            f = float(x)
+            doubles = [math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf)]
+            for r in [*doubles, *map(mpmath.mpf, doubles), x]:
+                want, = [s for s in sm.segments
+                         if s.r_lo <= r and (s.r_hi is None or r < s.r_hi)]
+                assert bare._owner_at(r) is want, r
+                owner_reads.clear()
+                bare.jet(r)
+                if isinstance(r, float):
+                    bare.log_h(r)
+                assert {owner for owner, _ in owner_reads} == {want}, r
 
 
 @pytest.fixture
@@ -433,7 +456,7 @@ def test_blend_edges_decided_exactly(fast_path_models, owner_reads):
     # only that owner is read
     for sm, _ in fast_path_models:
         with mpmath.workdps(40):
-            fine = smooth(sm.base, check=False)
+            fine = smooth(sm.segments, check=False)
         for b in fine.blends:
             for x in (b.lo, b.hi):
                 f = float(x)
@@ -451,7 +474,8 @@ def test_blend_edges_decided_exactly(fast_path_models, owner_reads):
 def _owner_keys(sm):
     """Every junction key and blend lo/hi key as a double, with its
     nextafter neighbours."""
-    keys = [*sm.base._keys, *(float_ceil(x) for b in sm.blends for x in (b.lo, b.hi))]
+    keys = [float_ceil(s.r_lo) for s in sm.segments[1:]]
+    keys += [float_ceil(x) for b in sm.blends for x in (b.lo, b.hi)]
     return [g for f in keys if math.isfinite(f)
             for g in (math.nextafter(f, -math.inf), f, math.nextafter(f, math.inf))]
 
@@ -513,7 +537,7 @@ def _certification_grid_mpf(sm, r_min=1e-3, per_interval=240):
     """certification_grid with every exponent formed in mpmath: the
     reference for the grid's double exponents."""
     marks = [(b.lo, None) for b in sm.blends] + [(b.hi, None) for b in sm.blends]
-    marks += [(s.r_lo, None) for s in sm.base.segments[1:]]
+    marks += [(s.r_lo, None) for s in sm.segments[1:]]
     marks.sort(key=lambda t: mpmath.mpf(t[0]))
     top = _scan_top(sm)
     cuts = [mpmath.mpf(r_min)] + [mpmath.mpf(x) for x, _ in marks if r_min < x < top] + [top]
