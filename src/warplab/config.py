@@ -72,9 +72,18 @@ class RunConfig:
         if self.alpha <= 0:
             raise ConfigError("alpha", "must be positive")
         # every harness stretch starts at the axis, where the factors that
-        # fit it begin at 1, and a comparison needs three of them
-        if len(self.lambda_ladder) < 3 or min(self.lambda_ladder) < 1:
-            raise ConfigError("lambda_ladder", "need at least 3 rescaling factors, each >= 1")
+        # fit it begin at 1, and a trend needs three different factors
+        if len(set(self.lambda_ladder)) < 3 or min(self.lambda_ladder) < 1:
+            raise ConfigError("lambda_ladder",
+                              "need at least 3 distinct rescaling factors, each >= 1")
+        for key in ("k", "k_max"):  # None picks the default
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ConfigError(key, "sphere dimensions start at 1")
+        # probe pair 0 is radial, where both metrics give 0: no error measured
+        if self.probe_pairs < 2:
+            raise ConfigError("probe_pairs", "need at least 2 probe pairs")
+        if self.periods < 0:
+            raise ConfigError("periods", "must be >= 0")
         if self.is_oscillating():
             if self.beta is None or self.A is None or self.B is None:
                 raise ConfigError("beta", "oscillating model needs alpha, beta, A, B")

@@ -47,7 +47,7 @@ def save_construction(path: str, ladder, sm: SmoothedH):
         fh.write("\n")
 
 
-def load_construction(path: str, check: bool = False):
+def load_construction(path: str):
     """Rebuild (ladder, smoothed h) as build_oscillating_h does and verify
     the stored segments; the parameters are ladder.params."""
     with open(path) as fh:
@@ -61,9 +61,7 @@ def load_construction(path: str, check: bool = False):
         alpha=doc["alpha"], beta=doc["beta"], A=doc["A"], B=doc["B"],
         R11=doc["R11"], periods=doc["periods"],
     )
-    ladder, sm = build_oscillating_h(
-        params, radius_bound=doc.get("radius_bound", 1e300), check=check
-    )
+    ladder, sm = build_oscillating_h(params, radius_bound=doc.get("radius_bound", 1e300))
     with mpmath.workdps(30):
         _check_segments(doc["segments"], sm.segments)
     return ladder, sm

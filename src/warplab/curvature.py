@@ -20,7 +20,7 @@ direction times 1+r^2 is c0 + c1 s, s = 1/(1+r^2), written once in
 
 At an integer threshold k = 16p^2 + 8p (p = 1/2, 3/2, 3) the radial c0 is
 exactly 0 in doubles, and `positive` decides on c1 where c0 == 0 (s is 0.0
-past about 1.3e154).  Every dense check (the grids here; the blend scans,
+past about 1.3e154).  Every dense check (the grids here; the decrease scan,
 replacement inequalities and certification of `smoothing`) reads frames at
 double radii, with no mpmath; a radius past the double range raises
 OverflowError.
@@ -73,23 +73,14 @@ def log_grid(lo: float, hi: float, n: int = 4000):
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
-def _framed(fn, rs):
-    """fn's own closed-form frame at double radii r > 0 (a SmoothedH,
-    segment, blend or WarpingFunction); log h is NaN or -inf where fn <= 0."""
+def frame(fn, rs):
+    """fn's own closed-form frame at double radii r > 0: the HFrame of an
+    h-role function (a SmoothedH, segment, blend or WarpingFunction), the
+    FFrame of an f-role one; log h or log f is NaN or -inf where fn <= 0."""
     rs = np.asarray(rs, dtype=float)
     if not np.isfinite(rs).all():
         raise OverflowError("a sampled radius is past the double range")
     return fn.frame(rs)
-
-
-def h_frame(fn, rs) -> HFrame:
-    """The HFrame of an h-role function at double radii."""
-    return _framed(fn, rs)
-
-
-def f_frame(fn, rs) -> FFrame:
-    """The FFrame of an f-role function at double radii."""
-    return _framed(fn, rs)
 
 
 def decay_curvature(hf: HFrame):
@@ -116,7 +107,7 @@ def positive(c0, c1, s):
 def _scaled(m: DoublyWarpedMetric, rs):
     """s and the scaled directions of m at double radii r > 0."""
     rs = np.asarray(rs, dtype=float)
-    ff, hf = f_frame(m.f, rs), h_frame(m.h, rs)
+    ff, hf = frame(m.f, rs), frame(m.h, rs)
     bad = np.flatnonzero(~(ff.log_f > -np.inf) | ~(hf.log_h > -np.inf))
     if bad.size:
         i = bad[0]

@@ -217,13 +217,13 @@ def convergence_report(
     and recorded, not counted.
     """
     lambdas = sorted(float(x) for x in lambdas)
-    if len(lambdas) < 3:
-        raise WindowTooNarrow(f"need >= 3 factors, got {len(lambdas)}")
+    if len(set(lambdas)) < 3:  # a repeated factor repeats its row: no trend
+        raise WindowTooNarrow(f"need >= 3 distinct factors, got {len(set(lambdas))}")
     lam_lo, lam_hi = regime_lambda_range(stretch)
     usable = [x for x in lambdas if lam_lo <= x <= lam_hi]
-    if len(usable) < 3:
+    if len(set(usable)) < 3:
         raise WindowTooNarrow(
-            f"only {len(usable)} factors fit the window [{lam_lo:g}, {lam_hi:g}]"
+            f"only {len(set(usable))} distinct factors fit the window [{lam_lo:g}, {lam_hi:g}]"
         )
     pairs = probe_pairs(random.Random(seed), n_pairs)
     target = GrushinMetric(exponent, rel_tol).halfplane()

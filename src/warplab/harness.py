@@ -89,11 +89,11 @@ def write_csv(path, header, rows):
 
 
 def _model_for(cfg: RunConfig):
-    """(ladder or None, h, table) of the configured model, the ladder
-    blend-checked.  table() builds the model's orbit table at its first
-    call, so only a step that reads distances builds one, and returns that
-    table at every later call.  A pure model's h is power_decay_h(alpha),
-    the h the pure-model oracles check."""
+    """(ladder or None, h, table) of the configured model.  table() builds
+    the model's orbit table at its first call, so only a step that reads
+    distances builds one, and returns that table at every later call.  A
+    pure model's h is power_decay_h(alpha), the h the pure-model oracles
+    check."""
     if cfg.beta is None:
         ladder, h = None, power_decay_h(float(cfg.alpha))
     else:
@@ -101,7 +101,7 @@ def _model_for(cfg: RunConfig):
         from .smoothing import build_oscillating_h
 
         p = OscillationParams(cfg.alpha, cfg.beta, cfg.A, cfg.B, cfg.R11, cfg.periods)
-        ladder, h = build_oscillating_h(p, radius_bound=cfg.radius_bound, check=True)
+        ladder, h = build_oscillating_h(p, radius_bound=cfg.radius_bound)
     return ladder, h, functools.cache(lambda: _orbit_table(cfg, h))
 
 
@@ -401,7 +401,7 @@ def _run_grushin(cfg: RunConfig, report: RunReport, ladder, h, table):
         stretch = (0.0, 0.8 * cfg.R11)
         lam_lo, lam_hi = regime_lambda_range(stretch)
         usable = [x for x in cfg.lambda_ladder if lam_lo <= x <= lam_hi]
-        if len(usable) >= 3:
+        if len(set(usable)) >= 3:
             lambdas = usable
         else:
             lambdas = list(np.geomspace(max(lam_lo, 2.0), lam_hi, 3))

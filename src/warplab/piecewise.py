@@ -14,8 +14,8 @@ past the double range (then in mpmath).  Pure pieces carry C = 1 exactly
 and skip the constant, so their jets are bit-identical to a standalone
 power-decay profile on the same radii.
 
-Edges are kept as the nearest double on the safe side (`float_ceil` /
-`float_floor`), which makes every float comparison against an edge agree
+Edges are kept as the smallest double at or above them (`float_ceil`),
+which makes every float comparison r >= x or r < x against an edge agree
 with the exact mpf comparison.
 """
 
@@ -38,13 +38,6 @@ def float_ceil(x) -> float:
     `r >= x` and `r < x` hold exactly when they hold against this value."""
     f = float(x)  # float(mpf) saturates to +-inf
     return math.nextafter(f, math.inf) if f < x else f
-
-
-def float_floor(x) -> float:
-    """Largest double <= x.  For a float r, `r <= x` and `r > x` hold
-    exactly when they hold against this value."""
-    f = float(x)
-    return math.nextafter(f, -math.inf) if f > x else f
 
 
 class ContinuityViolation(RuntimeError):

@@ -17,14 +17,16 @@ Q(x) = x - (5/2)x^4 + 3x^5 - x^6 the integral of q.  Since q(1-x) =
 with C^3 contact at both ends; the pieces keep their values outside.  With
 g = 2r/(1+r^2), h'/h = -p g and h''/h = (p g)^2 - p'(y) g^2 - p g', so
 h decreases wherever p > 0 and its local exponent |h'/h|/g stays within
-[min p, max p].
+[min p, max p].  `SmoothedH` refuses a segment of exponent p <= 0, so
+every blend's p, between two positive exponents, is positive too: a
+smoothed h decreases at every radius by construction.
 
 A blend, like a segment, reads h at double radii in log form: `log_h`
 gives log h at a double, which `halfplane` integrates through, and
 `frame` the exponent frame (log h, p and p'(y)) at a double or a float64
-array, both in closed form with no mpmath.  The dense checks below (blend
-scan, strict-decrease scan, replacement inequalities, certification,
-effective exponent) read the frame.  A `SmoothedH` is its segments and
+array, both in closed form with no mpmath.  The dense checks below
+(strict-decrease scan, replacement inequalities, certification, effective
+exponent) read the frame.  A `SmoothedH` is its segments and
 its blends, and the only router: one table of float edges hands a double
 to its owner (blend or segment), exact comparisons an mpf radius, so a
 blend evaluates its exponent form on its own span [lo, hi) and nowhere else.
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 
-from .curvature import decay_curvature, f_frame, h_frame, positive, scaled_ricci
+from .curvature import decay_curvature, frame, positive, scaled_ricci
 from .jets import Jet2, _exp
 from .ladder import build_scale_ladder
 from .piecewise import Segment, float_ceil, junction_gaps, ladder_segments
@@ -51,7 +53,8 @@ class BlendOverlap(RuntimeError):
 
 
 class MonotonicityLoss(RuntimeError):
-    """The smoothed function stopped decreasing somewhere on a blend."""
+    """A segment's exponent p is not > 0: h would not decrease on it, nor on
+    a blend that joins it."""
 
 
 class NotCertified(RuntimeError):
@@ -143,17 +146,22 @@ class Blend:
 
 
 class SmoothedH:
-    """Continuous segments covering [0, inf), checked once here (junction
-    gaps kept as `gaps`), with an exponent blend across each junction
-    smoothed (none in an unsmoothed h).
+    """Continuous segments covering [0, inf), each of exponent p > 0,
+    checked once here (junction gaps kept as `gaps`), with an exponent blend
+    across each junction smoothed (none in an unsmoothed h).
 
     Outside all blend intervals h is its segment's closed form; on each
-    blend the local decay exponent lies between the joined exponents.
+    blend the local decay exponent lies between the joined exponents, so h
+    decreases at every radius.
     """
 
     def __init__(self, segments, blends):
         if not segments or segments[-1].r_hi is not None:
             raise ValueError("need segments whose last one extends to infinity")
+        for s in segments:
+            if not s.p > 0:  # NaN too
+                raise MonotonicityLoss(f"segment at r_lo = {_short(s.r_lo)} has exponent "
+                                       f"p = {s.p}; h decreases only where p > 0")
         self.segments = list(segments)
         self.gaps = junction_gaps(self.segments)
         self._junctions = [s.r_lo for s in self.segments[1:]]
@@ -232,35 +240,12 @@ class SmoothedH:
                       if math.isfinite(p))
 
 
-def smooth(segments, monotonicity_samples: int = 10_000, check: bool = True) -> SmoothedH:
-    """Blend every junction of a segment list with its exponent blend.
-
-    The smoothed function is sampled at `monotonicity_samples` points per
-    blend and must be strictly decreasing there (MonotonicityLoss
-    otherwise); disjointness of blends is asserted (BlendOverlap).
-    """
-    sm = SmoothedH(segments, [Blend(right.r_lo, left, right)
-                              for left, right in zip(segments, segments[1:])])
-    if check:
-        _check_blend_monotonicity(sm, monotonicity_samples)
-    return sm
-
-
-def _midpoints(n):
-    """(i + 0.5) / n for i < n, the sample fractions of the blend checks."""
-    return (np.arange(n) + 0.5) / n
-
-
-def _check_blend_monotonicity(sm: SmoothedH, n: int):
-    """h' < 0, that is p > 0, at n midpoint samples of every blend."""
-    for b in sm.blends:
-        lo, hi = float(b.lo), float(b.hi)
-        rs = lo + (hi - lo) * _midpoints(n)
-        p = h_frame(b, rs).p
-        bad = np.flatnonzero(~(p > 0))
-        if bad.size:
-            raise MonotonicityLoss(f"h_s' >= 0 (decay exponent {p[bad[0]]}) at r = "
-                                   f"{rs[bad[0]]} inside blend at R = {b.R}")
+def smooth(segments) -> SmoothedH:
+    """Blend every junction of a segment list with its exponent blend;
+    SmoothedH checks the segments (MonotonicityLoss, ContinuityViolation)
+    and that the blends are disjoint (BlendOverlap)."""
+    return SmoothedH(segments, [Blend(right.r_lo, left, right)
+                                for left, right in zip(segments, segments[1:])])
 
 
 @dataclass
@@ -279,15 +264,15 @@ def verify_observation(h_old, h_new, interval, n: int = 2000) -> ObservationChec
 
     Both arguments are positive h-role functions with a frame (a
     WarpingFunction, segment, blend or SmoothedH), read through
-    `curvature.h_frame` at n midpoint samples of the interval taken as
+    `curvature.frame` at n midpoint samples of the interval taken as
     doubles (|h'/h| is p dy/dr).  The constants carry 0.99/1.01 safety
     margins off the grid inf/sup; ok is False when h_new fails to be
     positive and decreasing somewhere or when no positive constants exist
     (e.g. the reference curvature ratio changes sign).
     """
     a, b = (float(x) for x in interval)
-    rs = a + (b - a) * _midpoints(n)
-    old, new = h_frame(h_old, rs), h_frame(h_new, rs)
+    rs = a + (b - a) * ((np.arange(n) + 0.5) / n)
+    old, new = frame(h_old, rs), frame(h_new, rs)
     q_old, q_new = (c0 + c1 * inv_u(rs) for c0, c1 in map(decay_curvature, (old, new)))
     decreasing = (new.p > 0) & (new.log_h > -np.inf)
     bad = np.flatnonzero(~decreasing | ~(q_old < 0))
@@ -321,7 +306,7 @@ def construction_invariants(sm: SmoothedH, r_min: float = 1e-3):
     # a time, each chunk compared within and against the previous chunk's last
     monotone, last = True, None
     for at in range(0, exps.size, 8192):
-        log_h = h_frame(sm, [10.0**e for e in exps[at:at + 8192].tolist()]).log_h
+        log_h = frame(sm, [10.0**e for e in exps[at:at + 8192].tolist()]).log_h
         ok = (last is None or log_h[0] < last) and np.all(log_h[1:] < log_h[:-1])
         monotone, last = monotone and bool(ok), log_h[-1]
 
@@ -396,7 +381,7 @@ def effective_exponent_max(sm: SmoothedH, grid) -> float:
     """max over the grid of the local decay exponent p = -h'/h (1+r^2)/(2r),
     equal to p on a pure (1+r^2)^(-p) stretch and between the joined
     exponents inside blends."""
-    return float(np.max(h_frame(sm, grid).p))
+    return float(np.max(frame(sm, grid).p))
 
 
 def dimension_threshold(p: float) -> float:
@@ -415,7 +400,7 @@ def certify_positive_ricci(
     so k runs up from 1 through `scaled_ricci` and `positive`.  Margins are
     reported as (1+r^2)-scaled minima per regime.
     """
-    hf, ff, s = h_frame(sm_or_h, grid), f_frame(f, grid), inv_u(np.asarray(grid, dtype=float))
+    hf, ff, s = frame(sm_or_h, grid), frame(f, grid), inv_u(np.asarray(grid, dtype=float))
     mins = np.full(len(grid), -math.inf)  # no k to try when k_max < 1
     for k in range(1, k_max + 1):
         dirs = scaled_ricci(ff, hf, k)
@@ -434,11 +419,9 @@ def certify_positive_ricci(
 # -- top-level builders ------------------------------------------------------
 
 
-def build_oscillating_h(params, radius_bound: float = 1e300, check: bool = True):
+def build_oscillating_h(params, radius_bound: float = 1e300):
     """(ladder, smoothed h) for an OscillationParams or an ExponentSchedule:
-    the ladder's segments (sm.segments) blended at every junction.  check runs
-    smooth's blend scan, which raises OverflowError on blends past the
-    double range: such a ladder is built unchecked."""
+    the ladder's segments (sm.segments) blended at every junction."""
     ladder = build_scale_ladder(params, radius_bound)
-    return ladder, smooth(ladder_segments(ladder), check=check)
+    return ladder, smooth(ladder_segments(ladder))
 

@@ -17,7 +17,7 @@ def osc_params():
 def osc_build(osc_params):
     """(ladder, smoothed) for the standard oscillating model, with the
     blend monotonicity scan run once."""
-    return build_oscillating_h(osc_params, check=True)
+    return build_oscillating_h(osc_params)
 
 
 @pytest.fixture(scope="session")

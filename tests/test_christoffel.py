@@ -244,7 +244,7 @@ def _assert_same_as_dense(m, r):
 @pytest.fixture(scope="module")
 def osc_1e40_h():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
+    _, sm = build_oscillating_h(params, radius_bound=1e40)
     return sm
 
 

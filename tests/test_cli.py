@@ -354,19 +354,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "config key 'B'" in capsys.readouterr().err
-    # a config-file value of the wrong type, or a non-finite number, is a
-    # config error, not a traceback
+    # a config-file value of the wrong type, a non-finite number or one no
+    # run can use is a config error, not a traceback
     for key, value in (("alpha", None), ("alpha", "0.5"), ("grid_points", 2.5),
                        ("lambda_ladder", None), ("alpha", math.inf), ("r_max", math.nan),
                        ("quad_rel_tol", math.nan), ("radius_bound", math.inf),
-                       ("lambda_ladder", [1e2, math.inf, 1e4])):
+                       ("lambda_ladder", [1e2, math.inf, 1e4]), ("k", 0), ("k", -2),
+                       ("k_max", 0), ("probe_pairs", 0), ("periods", -1)):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({key: value}))
         code = run_cli(["ricci-check", "--config", str(path), "--outdir", str(tmp_path)])
         assert code == 2
         assert f"config key '{key}'" in capsys.readouterr().err
     # a rescaling ladder no Grushin comparison can use: exit 2, not a traceback
-    for ladder in ([0.5, 1e3, 1e4], [1e3, 1e4]):
+    for ladder in ([0.5, 1e3, 1e4], [1e3, 1e4], [1e3, 1e3, 1e3]):
         path = tmp_path / "ladder.json"
         path.write_text(json.dumps({"lambda_ladder": ladder}))
         code = run_cli(["grushin-compare", "--alpha", "0.5", "--config", str(path),

@@ -49,15 +49,31 @@ def test_full_suite_zero_periods_rejected():
     assert e.value.key == "periods"
 
 
-@pytest.mark.parametrize("ladder", [(0.5, 1e3, 1e4), (1e3, 1e4), (), (1.0, 1e3, 0.999)])
+@pytest.mark.parametrize("ladder", [(0.5, 1e3, 1e4), (1e3, 1e4), (), (1.0, 1e3, 0.999),
+                                    (1e3, 1e3, 1e3), (1e2, 1e3, 1e3)])
 def test_unusable_lambda_ladder_rejected(ladder):
     # every stretch starts at the axis, so a factor below 1 never fits it,
-    # and a comparison needs three factors
+    # and a trend needs three different factors: a repeated one repeats its row
     with pytest.raises(ConfigError) as e:
         parse_config(None, {"mode": "grushin-compare", "alpha": 0.5, "lambda_ladder": ladder})
     assert e.value.key == "lambda_ladder"
     assert parse_config(None, {"mode": "grushin-compare", "alpha": 0.5,
                                "lambda_ladder": (1.0, 1e3, 1e4)}).lambda_ladder == (1.0, 1e3, 1e4)
+
+
+@pytest.mark.parametrize("key, value, ok", [
+    ("k", 0, 1), ("k", -2, 1), ("k_max", 0, 1), ("probe_pairs", 0, 2), ("probe_pairs", 1, 2),
+    ("periods", -1, 0),
+])
+def test_values_no_run_can_use_are_config_errors(key, value, ok):
+    # a sphere dimension or search cap below 1, fewer than two probe pairs
+    # (pair 0 is radial, with error 0 in both metrics) and a negative period
+    # count would be replaced, make a check vacuous, or end in a traceback
+    model = {"mode": "ricci-check", "alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5}
+    with pytest.raises(ConfigError) as e:
+        parse_config(None, {**model, key: value})
+    assert e.value.key == key
+    assert getattr(parse_config(None, {**model, key: ok}), key) == ok
 
 
 def test_missing_mode():

@@ -7,7 +7,7 @@ import pytest
 from warplab.curvature import (
     DoublyWarpedMetric,
     NonPositiveWarping,
-    h_frame,
+    frame,
     log_grid,
     ricci_grid,
     ricci_report,
@@ -106,7 +106,7 @@ def test_h_frame_reads_tail_and_underflowing_radii_in_doubles():
     # and matches the mpmath jet
     h = power_decay_h(3.0)
     rs = np.array([1.0, 1e30, 1e60, 1e80])
-    fr = h_frame(h, rs)
+    fr = frame(h, rs)
     assert fr.log_h.dtype == fr.p.dtype == fr.p_y.dtype == np.float64
     with mpmath.workdps(30):
         for r, got in zip(rs.tolist(), fr.log_h.tolist()):
@@ -127,9 +127,9 @@ def test_frames_read_the_axis_without_warnings():
     rs = np.array([0.0, 1e-3, 1.0, 1e149, 1e150, 1e200])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fr = h_frame(power_decay_h(0.5), rs)
-        flat = h_frame(constant_h(2.0), rs[:3])
-        bump = h_frame(jet_framed("bump", lambda x: 1.0 / (1.0 + x * x)), rs[:1])
+        fr = frame(power_decay_h(0.5), rs)
+        flat = frame(constant_h(2.0), rs[:3])
+        bump = frame(jet_framed("bump", lambda x: 1.0 / (1.0 + x * x)), rs[:1])
     assert fr.log_h[0] == 0.0
     with np.errstate(over="ignore", divide="ignore"):  # the former expression
         old = np.where(rs < 1e150, np.log1p(rs * rs), 2.0 * np.log(rs))
@@ -145,7 +145,7 @@ def test_grushin_frame_matches_its_jet_frame():
     ts = 10.0 ** np.random.default_rng(3).uniform(-3.0, 3.0, 400)
     for a in (0.5, 0.6, 1.5):
         g = grushin_h(a)
-        got, jet = h_frame(g, ts), jet_frame(g, ts)
+        got, jet = frame(g, ts), jet_frame(g, ts)
         assert np.allclose(got.log_h, jet.log_h, rtol=1e-13, atol=0.0)
         assert np.allclose(got.p, jet.p, rtol=1e-13, atol=0.0)
         near = ts <= 1.0

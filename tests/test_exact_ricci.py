@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from warplab.curvature import f_frame, h_frame, log_grid, positive, scaled_ricci
+from warplab.curvature import frame, log_grid, positive, scaled_ricci
 from warplab.smoothing import certify_positive_ricci
 from warplab.warping import inv_u, power_decay_h, standard_f
 
@@ -37,7 +37,7 @@ def test_scaled_directions_match_sympy(p, k):
     # the radial direction's leading term vanishes exactly at the threshold
     assert sp.limit(exact[0], r, sp.oo) == 0
     rs = np.array(RADII)
-    dirs = scaled_ricci(f_frame(standard_f(), rs), h_frame(power_decay_h(float(p)), rs), k)
+    dirs = scaled_ricci(frame(standard_f(), rs), frame(power_decay_h(float(p)), rs), k)
     assert dirs[0][0].tolist() == [0.0] * len(RADII)
     s = inv_u(rs)
     for i, x in enumerate(RADII):
@@ -64,7 +64,7 @@ def test_pure_model_certifies_at_its_threshold(p, k, top):
 def test_standard_f_sphere_term_matches_mpmath():
     # (1+r^2)(1 - f'^2)/f^2 of standard f, against 50-digit mpmath
     rs = np.logspace(-3, 100, 400)
-    got = f_frame(standard_f(), rs).sphere
+    got = frame(standard_f(), rs).sphere
     with mpmath.workdps(50):
         for x, g in zip(rs.tolist(), got.tolist()):
             r = mpmath.mpf(x)

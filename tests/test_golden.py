@@ -54,7 +54,7 @@ def test_ricci_curve_csv_digest(tmp_path, model, digest, margin, oracle_margin):
 
 def test_osc_build_checks_golden_bits():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, sm = build_oscillating_h(params, radius_bound=1e40, check=True)
+    _, sm = build_oscillating_h(params, radius_bound=1e40)
     inv = construction_invariants(sm, 1e-3)
     assert [g.hex() for g in inv.junction_gaps] == [
         "0x0.0p+0", "0x1.56ce34b4d317cp-134", "0x1.2f6cc0695b173p-136",

@@ -154,6 +154,10 @@ def test_window_too_narrow(osc_build):
         convergence_report(sm, 0.6, stretch, [1e5, 1e6, 1e7], n_pairs=4)
     with pytest.raises(WindowTooNarrow):
         convergence_report(sm, 0.6, stretch, [4.0, 8.0], n_pairs=4)
+    # three factors, two of them the same: two rows, no trend to read
+    for ladder in ([8.0, 8.0, 8.0], [4.0, 8.0, 8.0], [4.0, 8.0, 8.0, 1e5]):
+        with pytest.raises(WindowTooNarrow, match="distinct"):
+            convergence_report(sm, 0.6, stretch, ladder, n_pairs=4)
 
 
 def test_probe_exclusion_counts(osc_build):

@@ -642,7 +642,7 @@ _GOLDEN_ARCS = [
 @pytest.fixture(scope="module")
 def golden_metrics():
     _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
-                                   radius_bound=1e40, check=False)
+                                   radius_bound=1e40)
     return {"pure": HalfplaneMetric.from_warping(power_decay_h(0.5)),
             "osc": HalfplaneMetric.from_smoothed(sm)}
 
@@ -812,7 +812,7 @@ def test_power_decay_value_form_matches_jet(r, p):
 def _memo_models():
     # fresh metrics on every call: osc-1e40, pure, and pure capped at 3e5
     _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
-                                   radius_bound=1e40, check=False)
+                                   radius_bound=1e40)
     return [lambda **kw: HalfplaneMetric.from_smoothed(sm, **kw),
             lambda **kw: HalfplaneMetric.from_warping(power_decay_h(0.5), **kw),
             lambda **kw: HalfplaneMetric.from_warping(power_decay_h(0.5), r_cap=3e5, **kw)]

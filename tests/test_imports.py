@@ -90,6 +90,40 @@ def test_unreferenced_private_def_is_found():
     assert {name for name, _ in defs if name not in read} == {"_a", "_c", "_D", "_e", "_g"}
 
 
+# read by no module of the package: the reader of the file build-example writes
+PUBLIC_FOR_USERS = {("construction_io", "load_construction")}
+
+
+def public_defs(tree):
+    """(name, line) of every public top-level function or class."""
+    return [(n.name, n.lineno) for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not n.name.startswith("_")]
+
+
+def unread_public_defs(trees, exported):
+    """(module, name) of every public top-level def that no module of trees
+    reads and that is not exported."""
+    read = set().union(*map(read_names, trees.values()))
+    return {(stem, name) for stem, tree in trees.items()
+            for name, _ in public_defs(tree) if name not in read and name not in exported}
+
+
+def test_every_public_def_is_read_or_exported():
+    # a public def the package neither reads nor exports serves only the
+    # tests, which keep such helpers themselves
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert unread_public_defs(trees, set(warplab.__all__)) == PUBLIC_FOR_USERS
+
+
+def test_unread_public_def_is_found():
+    trees = {"a": ast.parse("def f():\n    return g()\ndef g():\n    pass\nclass H:\n"
+                            "    def method(self):\n        pass\ndef _p():\n    pass\n"),
+             "b": ast.parse("import a\ndef run():\n    return a.H()\ndef extra():\n    pass\n")}
+    assert unread_public_defs(trees, {"run"}) == {("a", "f"), ("b", "extra")}
+
+
 def _is_dataclass(decorator):
     f = decorator.func if isinstance(decorator, ast.Call) else decorator
     return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"

@@ -76,7 +76,7 @@ def _huge_bridge_h():
     R = mpmath.mpf(10) ** 100
     one = mpmath.mpf(1)
     return smooth([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
-                   Segment(R, None, 4.0, bridge_constant(R, 4.0, 0.6), "bridge")], check=False)
+                   Segment(R, None, 4.0, bridge_constant(R, 4.0, 0.6), "bridge")])
 
 
 def _slope_underflow_blend_h():
@@ -87,12 +87,12 @@ def _slope_underflow_blend_h():
     with mpmath.workdps(40):
         C2 = C * (1 + R * R) ** (mpmath.mpf(2) - mpmath.mpf("0.01"))
     return smooth([Segment(mpmath.mpf(0), R, 0.01, C, "bridge"),
-                   Segment(R, None, 2.0, C2, "bridge")], check=False)
+                   Segment(R, None, 2.0, C2, "bridge")])
 
 
 @pytest.fixture(scope="module")
 def models(osc_build):
-    _, osc40 = build_oscillating_h(OSC, radius_bound=1e40, check=False)
+    _, osc40 = build_oscillating_h(OSC, radius_bound=1e40)
     # a shallow bridge with a small constant: far out its h' underflows
     # while h does not
     shallow = [Segment(mpmath.mpf(0), None, 0.3, mpmath.mpf("1e-200"), "bridge")]

@@ -13,7 +13,7 @@ from warplab.christoffel import ricci_numeric_oracle
 from warplab.config import RunConfig
 from warplab.curvature import (
     DoublyWarpedMetric,
-    h_frame,
+    frame,
     log_grid,
     ricci_components,
     ricci_grid,
@@ -21,7 +21,7 @@ from warplab.curvature import (
 )
 from warplab.jets import Jet2
 from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
-from warplab.piecewise import Segment, float_ceil, float_floor
+from warplab.piecewise import Segment, float_ceil
 from warplab.smoothing import (
     Blend,
     MonotonicityLoss,
@@ -126,20 +126,22 @@ def test_global_monotonicity_sampled(osc_build):
     # h underflows doubles: log h decreases from sample to sample
     grid = log_grid(1e-3, float(top), 3000)
     assert grid[-1] > 1e70
-    values = h_frame(sm, grid).log_h.tolist()
+    values = frame(sm, grid).log_h.tolist()
     for r, u, v in zip(grid[1:].tolist(), values, values[1:]):
         assert v < u, r
 
 
 def test_monotonicity_loss_detected():
-    # a deliberate non-decreasing blend: join a growing piece (p = -0.3) on
-    # the right, so the blended exponent crosses zero inside the span
+    # a continuous right piece that grows (p = -0.3) or is flat (p = 0.0):
+    # refused as a segment, blended or not, before any blend is formed
     one = mpmath.mpf(1)
     left = Segment(mpmath.mpf(0), mpmath.mpf(100), 0.6, one, "piece")
-    grow_c = (1 + mpmath.mpf(100) ** 2) ** mpmath.mpf(-0.9)
-    right = Segment(mpmath.mpf(100), None, -0.3, grow_c, "bridge")
-    with pytest.raises(MonotonicityLoss):
-        smooth([left, right], monotonicity_samples=2000)
+    for p in (-0.3, 0.0):
+        right_c = (1 + mpmath.mpf(100) ** 2) ** mpmath.mpf(p - 0.6)
+        right = Segment(mpmath.mpf(100), None, p, right_c, "bridge")
+        for build in (smooth, lambda segments: SmoothedH(segments, [])):
+            with pytest.raises(MonotonicityLoss, match=f"r_lo = 100.0 has exponent p = {p}"):
+                build([left, right])
 
 
 def test_observation_identity():
@@ -212,7 +214,7 @@ def test_effective_exponent_of_steep_pure_model_past_double_underflow():
 def test_checks_past_double_range_raise_overflow(osc_params):
     # untruncated, two periods reach junctions at 1.1e462 and 1.5e1386, past
     # the double radii the dense checks sample
-    _, sm = build_oscillating_h(osc_params, radius_bound=math.inf, check=False)
+    _, sm = build_oscillating_h(osc_params, radius_bound=math.inf)
     with pytest.raises(OverflowError):
         certification_grid(sm, per_interval=4)
     top = float(sm.blends[3].hi)  # the last blend below the double range
@@ -237,7 +239,7 @@ def test_dense_checks_build_no_jet(monkeypatch):
     # the Christoffel oracle, which reads values through Jet2 on purpose,
     # stays outside
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, sm = build_oscillating_h(params, radius_bound=1e40, check=False)
+    _, sm = build_oscillating_h(params, radius_bound=1e40)
     f = standard_f()
     grid, labels = certification_grid(sm)
     cap = int(4 * dimension_threshold(effective_exponent_max(sm, grid)))
@@ -261,7 +263,8 @@ def test_dense_checks_build_no_jet(monkeypatch):
 
 def test_schedule_h_monotone_and_observed():
     s = ExponentSchedule((0.5, 0.75, 1.0), A=0.25, B=1.3)
-    _, sm = build_oscillating_h(s, check=True)  # monotonicity scan inside
+    _, sm = build_oscillating_h(s)
+    assert construction_invariants(sm).monotone
     for b in sm.blends:
         chk = verify_observation(b.left, sm, (float(b.lo), float(b.hi)), n=200)
         assert chk.ok
@@ -284,7 +287,7 @@ class LadderGrowthDefect(Exception):
 
 def _build_schedule(s):
     try:
-        return build_oscillating_h(s, radius_bound=1e40, check=True)  # blend scan inside
+        return build_oscillating_h(s, radius_bound=1e40)
     except LadderGrowthError as e:
         raise LadderGrowthDefect(str(e)) from e
 
@@ -348,15 +351,15 @@ def _huge_bridge_h():
     assert float(C) == math.inf
     one = mpmath.mpf(1)
     return smooth([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
-                   Segment(R, None, 4.0, C, "bridge")], check=False)
+                   Segment(R, None, 4.0, C, "bridge")])
 
 
 @pytest.fixture(scope="module")
 def fast_path_models():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    _, osc40 = build_oscillating_h(params, radius_bound=1e40, check=False)
+    _, osc40 = build_oscillating_h(params, radius_bound=1e40)
     with mpmath.workdps(40):  # blend edges that are not doubles
-        fine40 = smooth(osc40.segments, check=False)
+        fine40 = smooth(osc40.segments)
     return [(osc40, 40.0), (fine40, 40.0), (_huge_bridge_h(), 101.0)]
 
 
@@ -456,7 +459,7 @@ def test_blend_edges_decided_exactly(fast_path_models, owner_reads):
     # only that owner is read
     for sm, _ in fast_path_models:
         with mpmath.workdps(40):
-            fine = smooth(sm.segments, check=False)
+            fine = smooth(sm.segments)
         for b in fine.blends:
             for x in (b.lo, b.hi):
                 f = float(x)
@@ -554,8 +557,8 @@ def _certification_grid_mpf(sm, r_min=1e-3, per_interval=240):
 @pytest.fixture(scope="module")
 def grid_models():
     params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
-    return {"osc-1e40": build_oscillating_h(params, radius_bound=1e40, check=False)[1],
-            "osc-default": build_oscillating_h(params, check=False)[1],
+    return {"osc-1e40": build_oscillating_h(params, radius_bound=1e40)[1],
+            "osc-default": build_oscillating_h(params)[1],
             "pure": _one_piece(0.5)}
 
 
@@ -612,10 +615,9 @@ def test_exponent_blend_meets_pieces_decreases_and_keeps_its_exponent(junction):
     b = _single_blend(pl, pr, R)
     # log h, p and p_y meet the pieces (read in mpmath) at the first and the
     # last double of the span, the blend framed as the dense checks frame it
-    last = float_floor(b.hi)
-    last = last if last < b.hi else math.nextafter(last, 0.0)
+    last = math.nextafter(float_ceil(b.hi), -math.inf)
     for r, piece in ((float_ceil(b.lo), b.left), (last, b.right)):
-        got = h_frame(b, [r])
+        got = frame(b, [r])
         want = piece.jet(mpmath.mpf(r))
         want_p = -want.d1 / want.value * (1 + mpmath.mpf(r) ** 2) / (2 * r)
         assert abs(got.log_h[0] - mpmath.log(want.value)) <= 1e-12 * abs(mpmath.log(want.value))
@@ -624,7 +626,7 @@ def test_exponent_blend_meets_pieces_decreases_and_keeps_its_exponent(junction):
     # decreasing, with the local exponent between p_L and p_R, at double
     # radii across the span
     lo, hi = float(b.lo), float(b.hi)
-    p_eff = h_frame(b, lo + (hi - lo) * (np.arange(400) + 0.5) / 400).p
+    p_eff = frame(b, lo + (hi - lo) * (np.arange(400) + 0.5) / 400).p
     assert np.all(p_eff > 0)
     assert p_eff.min() >= min(pl, pr) * (1 - 1e-12)
     assert p_eff.max() <= max(pl, pr) * (1 + 1e-12)
