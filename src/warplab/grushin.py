@@ -209,21 +209,21 @@ def convergence_report(
     rel_tol: float = 1e-9,
 ) -> ComparisonReport:
     """Max relative distance error of h's rescaled models against the Grushin
-    target (one halfplane for every pair) per rescaling factor, on a fixed
-    probe set, with every arc of both sides at rel_tol; the trend flag
-    allows 10% noise.
+    target (one halfplane for every pair) per distinct rescaling factor, in
+    increasing order, on a fixed probe set, with every arc of both sides at
+    rel_tol; the trend flag allows 10% noise.
 
     Probe pairs whose comparison arc leaves the stretch image are excluded
     and recorded, not counted.
     """
-    lambdas = sorted(float(x) for x in lambdas)
-    if len(set(lambdas)) < 3:  # a repeated factor repeats its row: no trend
-        raise WindowTooNarrow(f"need >= 3 distinct factors, got {len(set(lambdas))}")
+    lambdas = sorted({float(x) for x in lambdas})  # a repeat would repeat its row
+    if len(lambdas) < 3:
+        raise WindowTooNarrow(f"need >= 3 distinct factors, got {len(lambdas)}")
     lam_lo, lam_hi = regime_lambda_range(stretch)
     usable = [x for x in lambdas if lam_lo <= x <= lam_hi]
-    if len(set(usable)) < 3:
+    if len(usable) < 3:
         raise WindowTooNarrow(
-            f"only {len(set(usable))} distinct factors fit the window [{lam_lo:g}, {lam_hi:g}]"
+            f"only {len(usable)} distinct factors fit the window [{lam_lo:g}, {lam_hi:g}]"
         )
     pairs = probe_pairs(random.Random(seed), n_pairs)
     target = GrushinMetric(exponent, rel_tol).halfplane()

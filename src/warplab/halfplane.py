@@ -26,9 +26,17 @@ p of h at r_max is at least 3/4, else by the graded w in [0, 1] with
 L = r_max - a, whose cubic start lifts the branch point (T - t)^(4p) of a
 stretch h ~ r^(-2p) to order about 12p + 2.  Close to r_max log h - log c
 comes from a second-order Taylor model with p and p_y of the frame there.
-Each panel runs through the in-repo QAGS of `numerics` (relative
+The turning panel runs through the in-repo QAGS of `numerics` (relative
 HalfplaneMetric.rel_tol, 1e-9 by default, absolute floor 1e-12 on the
-quantity, 0 on I past the double range of c).
+quantity, 0 on I past the double range of c), so an arc of one panel has
+the whole budget there.  The other panels, from r_max back to the start,
+share rel_tol times the arc's value: each gets max(floor, rel_tol |running
+total| / (panels - 1)).  As h decreases, rho^2 <= rho^2(b) on a panel
+[a, b], so one read of log h(b) brackets its integral: delta_v's lies in
+[0, (b - a) rho^2(b)/sqrt(1 - rho^2(b))], length's within
+(b - a)(1/sqrt(1 - rho^2(b)) - 1) above b - a.  A panel whose bracket,
+twice its width, fits its budget takes the midpoint and no Kronrod rule;
+the others run QAGS with the budget as the absolute tolerance.
 
 Covering-space distances d_l between a point on the axis and its l-th deck
 translate (period 2*pi in v) solve delta_v = 2*pi*l; counts
@@ -80,6 +88,10 @@ _GRADED_BELOW = 0.75 - 1e-9
 # 0.25 1.4e-10 -> 5.5e-11, others unchanged.  From p = 0.44 on the share
 # stays below 1e-11, so a metric at the default rel_tol never splits there.
 _KNEE_BELOW = 1e-4
+# A panel before the turning panel whose integral's bracket from rho^2 at its
+# end, times this margin (past the few-ulp rounding of log h - log c), fits
+# its share of the arc's budget takes the bracket's midpoint, no quadrature
+_BOUND_MARGIN = 2.0
 # the strict-decrease scan's number of c samples, and how far below sup h it starts
 _SCAN_N = 200
 _SCAN_C_HI_FRAC = 1e-6
@@ -221,17 +233,17 @@ class GeodesicSolution:
 
 
 def _arc_panels(m, start, r_max):
-    """Split [start, r_max] at structural breakpoints; final panel owns the
-    turning point."""
-    inner = [b for b in m.breakpoints if start < b < r_max * (1 - 1e-12)]
-    pts = [start] + inner + [r_max]
-    # coalesce slivers
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p - out[-1] > 1e-12 * max(r_max, 1.0):
-            out.append(p)
-    if out[-1] != r_max:
-        out[-1] = r_max
+    """Split [start, r_max] at structural breakpoints, at least one panel;
+    the final panel owns the turning point."""
+    sliver = 1e-12 * max(r_max, 1.0)
+    out = [start]
+    for b in m.breakpoints:
+        if start < b < r_max * (1 - 1e-12) and b - out[-1] > sliver:
+            out.append(b)
+    # a breakpoint a sliver below r_max joins the turning panel
+    if len(out) > 1 and r_max - out[-1] <= sliver:
+        out.pop()
+    out.append(r_max)
     return out
 
 
@@ -318,33 +330,43 @@ def _arc_quadrature(m, start, r_max, dv):
 
     # the absolute floor is on the quantity, and delta_v = (2/c) total
     floor = _ABS_FLOOR * exp(lc) if dv else _ABS_FLOOR
-    total = 0.0
-    err_total = 0.0
     panels = _arc_panels(m, start, r_max)
-    for a, b in zip(panels, panels[1:]):
-        if b == r_max:
-            span = r_max - a
-            if span <= 0:
-                v, e = 0.0, 0.0
-            elif not graded:
-                v, e = _quad_panel(integrand_t, 0.0, math.sqrt(span), rel_tol, floor)
-            else:
-                knee = max(a, 1.0) / span
-                if knee < _KNEE_BELOW and knee ** (1.0 + 4.0 * p) > 0.01 * rel_tol:
-                    # the knee, about [a, a + max(a, 1)], gets its own interval
-                    wk = 1.0 - (0.25 * knee) ** (1.0 / 3.0)
-                    v, e = _quad_panel(integrand_t, 0.0, wk, rel_tol, floor)
-                    vk, ek = _quad_panel(integrand_t, wk, 1.0, rel_tol, floor)
-                    v += vk
-                    e += ek
-                else:
-                    v, e = _quad_panel(integrand_t, 0.0, 1.0, rel_tol, floor)
-        elif a > 0 and b / a >= 8.0:
-            v, e = _quad_panel(integrand_s, math.log(a), math.log(b), rel_tol, floor)
+    a = panels[-2]
+    span = r_max - a
+    if not graded:
+        total, err_total = _quad_panel(integrand_t, 0.0, math.sqrt(span), rel_tol, floor)
+    else:
+        knee = max(a, 1.0) / span
+        if knee < _KNEE_BELOW and knee ** (1.0 + 4.0 * p) > 0.01 * rel_tol:
+            # the knee, about [a, a + max(a, 1)], gets its own interval
+            wk = 1.0 - (0.25 * knee) ** (1.0 / 3.0)
+            total, err_total = _quad_panel(integrand_t, 0.0, wk, rel_tol, floor)
+            vk, ek = _quad_panel(integrand_t, wk, 1.0, rel_tol, floor)
+            total += vk
+            err_total += ek
         else:
-            v, e = _quad_panel(integrand_r, a, b, rel_tol, floor)
+            total, err_total = _quad_panel(integrand_t, 0.0, 1.0, rel_tol, floor)
+    # the other panels, from r_max back to the start, share rel_tol |total|
+    rest = len(panels) - 2
+    for a, b in zip(panels[-3::-1], panels[-2:0:-1]):
+        budget = max(floor, rel_tol * abs(total) / rest)
+        # h decreases, so rho^2 <= rho^2(b) on [a, b]: delta_v's integrand
+        # lies in [0, rho^2(b)/s] and length's in [1, 1/s], s = sqrt(1 -
+        # rho^2(b)) and 1/s - 1 = rho^2(b)/(s (1 + s)); the panel's integral
+        # lies in [lo, lo + width]
+        e = 2.0 * (lc - log_h(b))
+        q = -expm1(e)
+        s = sqrt(q) if q > 0 else 0.0
+        lo = 0.0 if dv else b - a
+        width = (b - a) * exp(e) / (s if dv else s * (1.0 + s)) if s > 0 else math.inf
+        if _BOUND_MARGIN * width < budget:
+            v, err = lo + 0.5 * width, 0.5 * _BOUND_MARGIN * width
+        elif a > 0 and b / a >= 8.0:
+            v, err = _quad_panel(integrand_s, math.log(a), math.log(b), rel_tol, budget)
+        else:
+            v, err = _quad_panel(integrand_r, a, b, rel_tol, budget)
         total += v
-        err_total += e
+        err_total += err
     if err_total > max(floor, 100.0 * rel_tol * abs(total)):
         raise QuadratureFailure(
             f"estimated error {err_total} vs value {total} (log c={lc}, r_max={r_max})"

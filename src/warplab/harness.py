@@ -165,9 +165,10 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, h, table):
     grid = curv.log_grid(cfg.r_min, cfg.r_max, cfg.grid_points)
     # ricci_report's bits at every radius, from one f and one h frame
     dirs, ok, worst = curv.ricci_grid(m, grid)
-    rows = list(zip(grid.tolist(), *(c.tolist() for c in dirs)))
     path = os.path.join(cfg.outdir, "ricci_curve.csv")
-    write_csv(path, ["r", "ric_radial", "ric_circle", "ric_sphere"], rows)
+    # one row of numpy floats at a time: the grid's rows as lists of Python
+    # floats (about 0.5 MB at 4,000 radii) were the osc suite's peak memory
+    write_csv(path, ["r", "ric_radial", "ric_circle", "ric_sphere"], zip(grid, *dirs))
     report.artifacts.append(path)
     report.add(f"ricci-positive(k={k})", ok, margin=worst.min_value)
 

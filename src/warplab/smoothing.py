@@ -302,11 +302,13 @@ def construction_invariants(sm: SmoothedH, r_min: float = 1e-3):
     to 1.3 x the last junction (1e6 without one), and the replacement
     inequalities (400 samples) against the left piece of every blend."""
     exps = np.linspace(np.log10(r_min), float(mpmath.log10(_scan_top(sm))), 100_000)
-    # Python's scalar 10.0**e (np.power may differ by an ulp), 8,192 radii at
-    # a time, each chunk compared within and against the previous chunk's last
+    # 8,192 radii at a time, each chunk compared within and against the
+    # previous chunk's last
     monotone, last = True, None
     for at in range(0, exps.size, 8192):
-        log_h = frame(sm, [10.0**e for e in exps[at:at + 8192].tolist()]).log_h
+        with np.errstate(over="ignore"):  # frame raises OverflowError on inf
+            rs = np.power(10.0, exps[at:at + 8192])
+        log_h = frame(sm, rs).log_h
         ok = (last is None or log_h[0] < last) and np.all(log_h[1:] < log_h[:-1])
         monotone, last = monotone and bool(ok), log_h[-1]
 

@@ -3,7 +3,9 @@
 Kept separate from the package so the verification paths never share code
 with what they check.  The arc oracle integrates in the u-variable of the
 h = c cosh u change with tanh-sinh quadrature at 30 digits; the inverse
-r(u) is closed-form for the inverse-power family.  `qk21_loops` is
+r(u) is closed-form for the inverse-power family; `smoothed_arc_oracle`
+integrates a smoothed h's arc in r by tanh-sinh at 30 digits, split at
+the blend edges, on log h from the mpmath jets.  `qk21_loops` is
 dqk21 in its loop form, the reference for the straight-line rule of
 `warplab.numerics`.  `einsum_ricci` contracts the Christoffel symbols
 over full tensors, the reference for the diagonal products of
@@ -68,7 +70,61 @@ def power_arc_oracle(alpha, c, dps=30):
 def mp_log_h(h, r, dps=30):
     """log h(r) from the mpmath jet of h (a jet callable) at dps digits."""
     with mp.workdps(dps):
-        return float(mp.log(h(mp.mpf(r)).value))
+        return float(_mp_log_h(h, r))
+
+
+def _mp_log_h(h, r):
+    """log h(r) as an mpf at the working precision."""
+    return mp.log(h(mp.mpf(r)).value)
+
+
+def smoothed_arc_oracle(sm, r_maxes, dps=30):
+    """[(delta_v, length)] of the Clairaut arcs of a SmoothedH from the
+    axis turning at each of r_maxes, by mpmath quad at dps digits on log h
+    from the mpmath jets: rho^2 = exp(2(log h(r_max) - log h(r))), the
+    range split at the exact blend edges, with t = sqrt(r_max - r) on the
+    turning panel.  One quad per panel integrates delta_v's integrand as
+    the real part and length's as the imaginary part, over [0, 1] (r = a +
+    (b - a) u, t = sqrt(r_max - a) s), where mp.quad's absolute error
+    estimate reads as a relative one.  The turning panel's integrand runs
+    at 2 dps digits, so that r_max - r keeps dps digits next to r_max.
+    The arcs share the nodes of the panels below their turning panels, and
+    log h is read once per node."""
+    seen = {}
+
+    def log_h(r):
+        key = (mp.mp.prec, r)
+        if key not in seen:
+            seen[key] = _mp_log_h(sm.jet, r)
+        return seen[key]
+
+    def integrands(r, lc):
+        e = 2 * (lc - log_h(r))
+        q = -mp.expm1(e)
+        if q <= 0:  # r rounds to r_max
+            return mp.mpc(0)
+        w = 1 / mp.sqrt(q)
+        return mp.mpc(mp.exp(e) * w, w)
+
+    def arc(r_max):
+        top = mp.mpf(r_max)
+        lc = log_h(top)
+        edges = [mp.mpf(0), *(e for b in sm.blends for e in (b.lo, b.hi) if e < top), top]
+        total = mp.fsum((b - a) * mp.quad(lambda u: integrands(a + (b - a) * u, lc), [0, 1])
+                        for a, b in zip(edges[:-2], edges[1:-1]))
+        span = top - edges[-2]
+        with mp.extradps(dps):
+            lc_fine = log_h(top)
+
+        def turning(s):
+            with mp.extradps(dps):
+                return 2 * s * integrands(top - span * s * s, lc_fine)
+
+        total += span * mp.quad(turning, [0, 1])
+        return 2 * total.real / mp.exp(lc), 2 * total.imag
+
+    with mp.workdps(dps):
+        return [arc(r) for r in r_maxes]
 
 
 def log_ulps(*logs):

@@ -319,6 +319,20 @@ def test_broken_arc_bound_is_a_failed_check(tmp_path, capsys, monkeypatch):
     assert [(c["name"], c["status"]) for c in checks] == [("arc-bounds", "fail")]
 
 
+def test_repeated_rescaling_factor_is_compared_once(tmp_path, capsys):
+    # three distinct factors and a repeat: one row and 20 comparisons each
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({"lambda_ladder": [100, 1000, 1000, 10000]}))
+    code = run_cli(["grushin-compare", "--alpha", "0.5", "--config", str(path),
+                    "--outdir", str(tmp_path / "out")])
+    assert code == 0
+    rows = (tmp_path / "out" / "grushin_convergence.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["lambda", "100.0", "1000.0", "10000.0"]
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    final = next(c for c in checks if c["name"] == "rescaling-error-final")
+    assert final["details"] == "0 of 60 pairs excluded"
+
+
 @pytest.mark.parametrize("k_max, want_code, want_line", [
     (52, 1, "[FAIL] certified-k<=52 (no k <= 52 certifies positivity"),
     (53, 0, "[PASS] certified-k<=53 margin=0.123881 (minimal k=53,"),

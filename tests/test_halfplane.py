@@ -28,7 +28,13 @@ from warplab.piecewise import float_ceil
 from warplab.smoothing import build_oscillating_h
 from warplab.warping import constant_h, exp_decay_h, grushin_h, power_decay_h
 
-from .oracles import hyperbolic_arc, log_ulps, mp_log_h, power_arc_oracle
+from .oracles import (
+    hyperbolic_arc,
+    log_ulps,
+    mp_log_h,
+    power_arc_oracle,
+    smoothed_arc_oracle,
+)
 
 
 def test_circle_length():
@@ -369,6 +375,21 @@ def test_degenerate_arc_near_sup():
     assert tiny.delta_v < 1e-4 and tiny.length < 1e-4
 
 
+def test_arc_turning_a_sliver_past_its_start():
+    # r_max - start below the panels' sliver 1e-12 max(r_max, 1) is one
+    # turning panel; there 1 - rho^2 = 2k (r_max - r) to first order,
+    # k = r/(1+r^2) for h = (1+r^2)^(-1/2), so length = 4 sqrt(span/2k)
+    # and delta_v = length/c
+    m = HalfplaneMetric.from_warping(power_decay_h(0.5))
+    a = 10.0
+    r_max = a * (1 + 1e-13)
+    sol = GeodesicSolution(m.log_h(r_max), r_max, delta_v_of_c(m, r_max, a),
+                           length_of_c(m, r_max, a), start=a)
+    length = 4.0 * math.sqrt((r_max - a) / (2.0 * a / (1.0 + a * a)))
+    assert sol.length == pytest.approx(length, rel=1e-6)
+    assert sol.delta_v == pytest.approx(length / m.value(r_max), rel=1e-6)
+
+
 def test_geodesic_solution_invariants():
     with pytest.raises(AssertionError):
         GeodesicSolution(log_c=math.log(0.5), r_max=10.0, log_delta_v=math.log(4.0), length=1.0)
@@ -627,24 +648,29 @@ _GOLDEN_ARCS = [
     ('pure', 1000000.0, 9.999999999994996e-07, 10.0, 1000000.0000000688, 28.08260382122042, 3141572.6535920193),  # Taylor and direct
     ('osc', 50.0, 0.009143906676474417, None, 50.000000000000014, 8.909741333037065, 148.88149238078122),  # Taylor and direct
     ('osc', 3000000.0, 2.850420866935207e-16, None, 3000000.0000000023, 50.411060909370484, 7580387.551083382),  # Taylor and direct
-    ('osc', 1e+39, 1.584893192461124e-47, None, 9.999999999999969e+38, 197.86451107623552, 2.977269213761116e+39),  # Taylor and direct
+    ('osc', 1e+39, 1.584893192461124e-47, None, 9.999999999999969e+38, 197.86451107623495, 2.977269213759414e+39),  # Taylor and direct
     ('osc', 1000.0, 3.9814240280595185e-06, None, 999.999999999997, 18.842668908489333, 2428.6511320008594),  # Taylor and direct
     ('osc', 1000000000.0, 2.5118864315095808e-22, None, 999999999.9999993, 70.16230347335043, 2526854021.8308744),  # Taylor and direct
-    ('osc', 110.0, 0.0029632086992912167, None, 110.00000000001195, 10.352232814209884, 282.9952953527497),  # Taylor and direct
-    ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000023, 46.059314025493116, 2190128.0225814967),  # Taylor and direct
+    ('osc', 110.0, 0.0029632086992912167, None, 110.00000000001195, 10.352232814208392, 282.9952953527497),  # Taylor and direct
+    ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000023, 46.059314025493116, 2190128.022581497),  # Taylor and direct
     ('osc', 4500000000000.0, 4.317888450028927e-31, None, 4500000000000.43, 98.78848560531225, 11466974869750.47),  # Taylor and direct
     ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 193.74253474231233, 4.393765002957202e+38),  # Taylor and direct
-    ('osc', 124.99885, 0.0020383527349256115, None, 124.99885000000197, 10.64786934675287, 308.8750498043638),  # Taylor only
+    ('osc', 124.99885, 0.0020383527349256115, None, 124.99885000000197, 10.647869346752106, 308.8750498043638),  # Taylor only
     ('osc', 1000000000.0, 2.5118864315095808e-22, 10000.0, 999999999.9999993, 70.16230347335043, 2526834021.8308744),  # Taylor and direct
 ]
 
 
 @pytest.fixture(scope="module")
-def golden_metrics():
-    _, sm = build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
-                                   radius_bound=1e40)
+def osc_1e40():
+    """The standard oscillating model's smoothed h, its ladder cut at 1e40."""
+    return build_oscillating_h(OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2),
+                               radius_bound=1e40)[1]
+
+
+@pytest.fixture(scope="module")
+def golden_metrics(osc_1e40):
     return {"pure": HalfplaneMetric.from_warping(power_decay_h(0.5)),
-            "osc": HalfplaneMetric.from_smoothed(sm)}
+            "osc": HalfplaneMetric.from_smoothed(osc_1e40)}
 
 
 def test_arc_integrals_golden_bits(golden_metrics):
@@ -662,6 +688,38 @@ def test_arc_integrals_golden_bits(golden_metrics):
         panel = r_max - max([a] + [b for b in m.breakpoints if b < r_max])
         reached.add(panel > halfplane._TAYLOR_FRAC * max(r_max, 1.0))
     assert reached == {True, False}  # turning panels with and without direct h
+
+
+# turning radii of the osc 1e40 model: on pieces (30, 1e8, 3e12, 1e39, 9e39)
+# and bridges (1e3, 1e20, 1e37), and per blend (index, where) just past its
+# lo edge, at the middle of its span in log r and just past its hi edge
+_ORACLE_TURNS = [30.0, 1e3, 1e8, 3e12, 1e20, 1e37, 1e39, 9e39,
+                 *((i, where) for i in range(4) for where in ("lo", "mid", "hi"))]
+
+
+@pytest.fixture(scope="module")
+def osc_oracle_arcs(osc_1e40):
+    """(r_max, delta_v, length) by entry of _ORACLE_TURNS, from the oracle."""
+    radii = []
+    for turn in _ORACLE_TURNS:
+        if isinstance(turn, tuple):
+            blend = osc_1e40.blends[turn[0]]
+            lo, hi = float(blend.lo), float(blend.hi)
+            turn = {"lo": lo * (1 + 1e-6), "mid": math.sqrt(lo * hi), "hi": hi * (1 + 1e-6)}[turn[1]]
+        radii.append(turn)
+    arcs = smoothed_arc_oracle(osc_1e40, radii)
+    return {turn: (r, *arc) for turn, r, arc in zip(_ORACLE_TURNS, radii, arcs)}
+
+
+@pytest.mark.parametrize("turn", _ORACLE_TURNS, ids=str)
+def test_smoothed_arcs_match_the_mpmath_oracle(golden_metrics, osc_oracle_arcs, turn):
+    # the panels before the turning one share one budget of rel_tol |total|,
+    # so a panel far from the turning point is bounded, not integrated; the
+    # oracle integrates every panel at 30 digits
+    m = golden_metrics["osc"]
+    r, dv, length = osc_oracle_arcs[turn]
+    assert math.exp(delta_v_of_c(m, r)) == pytest.approx(float(dv), rel=m.rel_tol, abs=0)
+    assert length_of_c(m, r) == pytest.approx(float(length), rel=m.rel_tol, abs=0)
 
 
 def test_quadrature_error_budget(memo_models, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from collections import Counter
 
 import numpy as np
 
@@ -281,10 +282,11 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # inversions searched log c) and integrates 1,965 arcs (2,474); the 40
     # equal-t inversions of convergence_report take 7.9 arcs each (15.4).  Turning
     # panels below decay exponent 3/4 take the graded map, so the A bridge
-    # and the alpha pieces need few Kronrod rules (4,137 at this bound;
-    # t = sqrt(r_max - r) on every turning panel needed 11,747).  Each
-    # budget is the count plus 5 % (of 1,975 arcs and 4,145 rules, when
-    # searches ran on delta_v itself)
+    # and the alpha pieces need few Kronrod rules (4,148 at this bound;
+    # t = sqrt(r_max - r) on every turning panel needed 11,747), and the
+    # panels before a turning panel share one error budget (2,675 rules).
+    # Each budget is the count plus 5 % (of 1,975 arcs, when searches ran on
+    # delta_v itself, and of 2,675 rules)
     from warplab import grushin, halfplane, numerics
 
     calls = []
@@ -334,9 +336,45 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
     assert not run(cfg).failed
     assert len(calls) <= 2074
-    assert len(rules) <= 4352
+    assert len(rules) <= 2809
     assert len(turning) <= 2
     assert len(equal_t) == 40 and sum(equal_t) <= 9 * len(equal_t)
+
+
+def test_oscillating_rules_per_arc_kind(tmp_path, cache_dir, monkeypatch):
+    # QK21 rules by the metric an arc runs on, over the osc 1e40 full suite.
+    # A smoothed-h arc is split at every blend edge, and the panels before
+    # its turning panel share one error budget: a panel whose bound from
+    # rho^2 at its end fits its share takes no rule, the others run QAGS to
+    # that share (2,180 rules when each panel ran to rel_tol of its own
+    # value; 707 now, with a ceiling).  The pure, Grushin and rescaled arcs
+    # have one panel each, so their counts stay exactly as they were
+    from warplab import halfplane, numerics
+
+    arcs, rules, kind = Counter(), Counter(), []
+    real_arc, real_rule = halfplane._arc_quadrature, numerics._qk21
+
+    def arc_spy(m, *args):
+        kind.append(m.label.split("(lam=")[0])
+        arcs[kind[-1]] += 1
+        try:
+            return real_arc(m, *args)
+        finally:
+            kind.pop()
+
+    def rule_spy(f, a, b):
+        rules[kind[-1]] += 1
+        return real_rule(f, a, b)
+
+    monkeypatch.setattr(halfplane, "_arc_quadrature", arc_spy)
+    monkeypatch.setattr(numerics, "_qk21", rule_spy)
+    cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
+                              "outdir": str(tmp_path), "cache_dir": cache_dir})
+    assert not run(cfg).failed
+    assert arcs == {"smoothed-h": 424, "power-decay-h(p=0.6)": 1148,
+                    "grushin-h(alpha=0.6)": 163, "rescaled": 241}
+    assert rules.pop("smoothed-h") <= 760
+    assert rules == {"power-decay-h(p=0.6)": 1564, "grushin-h(alpha=0.6)": 163, "rescaled": 241}
 
 
 def test_oscillating_full_suite(tmp_path, cache_dir):
@@ -354,12 +392,12 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
         "capacity.csv": "dfd067a26ca54779084a3712c095a4070b470bc3fc66d9aae73fe24f7eb4ff18",
         "capacity_fit.csv": "9d8f17c86c1d6ef4a9977781e76a38c97f87292f4dd2a33c614202abffb8f509",
         "growth_alpha-window.csv":
-            "c6e9a5cb2667740adf47cebfa27f382f8f0806b9d48a4691c21d46f9f2ab7dd1",
+            "0c944663adcc2704f59bc8de8422b89b3177476bce421b86eba761b469fef6ec",
         "growth_beta-window.csv":
-            "4557ce7bbd5347fc7a4d557b672164f3b2b9edca24562b786d24d4c3f65c9961",
+            "61925322e5114517c73b2918815e04fc9ccf2ce1d1106821f40cbcbe76c4db15",
         "grushin_convergence.csv":
             "d1396618d5d6dead5dcae3bc12d3fa4156509393e7d5b775a8be54f388d127a6",
-        "orbit_distances.csv": "e137e1818c53b45833fbea9cc0ac6fe5fda11d538c8fc2e6878c5f47c66f2503",
+        "orbit_distances.csv": "d04e5c78fb4058f1d3bbe1bd034c5db4bd8f3d26d8f18beb5804a6ddcec30976",
         "ricci_curve.csv": "81e35a6c43598a3e8819ca2e95b73a4fad92735ba8a09b2dfdd8094003b60bd0",
     }
 
@@ -391,10 +429,10 @@ def test_pure_full_suite_and_growth_margins(tmp_path):
                    if c.name.endswith(("-growth-slope", "-count-constants")))
     assert margins == {
         "growth-slope": "1.999875100460155",
-        "alpha-window-growth-slope": "2.199999982994964",
-        "alpha-window-count-constants": "1.0000033349545558",
-        "beta-window-growth-slope": "3.4000000102871404",
-        "beta-window-count-constants": "1.0000002579569576",
+        "alpha-window-growth-slope": "2.1999999829949655",
+        "alpha-window-count-constants": "1.0000033349543285",
+        "beta-window-growth-slope": "3.4000000102868597",
+        "beta-window-count-constants": "1.0000002579463423",
     }
 
 
@@ -417,7 +455,7 @@ def test_full_suite_checks_cold_and_warm(tmp_path):
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(cold, warm))
     assert n == 64
     assert h.hexdigest() == (
-        "5a7f0ba3c3996ec769855244ad87e623b359a412beb3bc0615a8ed5861143607")
+        "ddb697ef28c4b64b885c314a553fa63c04c5df6f3fc396ca01dfa2e500066380")
 
 
 def test_one_model_build_per_run(tmp_path, monkeypatch):

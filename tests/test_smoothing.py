@@ -220,6 +220,8 @@ def test_checks_past_double_range_raise_overflow(osc_params):
     top = float(sm.blends[3].hi)  # the last blend below the double range
     with pytest.raises(OverflowError):
         effective_exponent_max(sm, [top, math.inf])
+    with pytest.raises(OverflowError):  # the strict-decrease scan's radii
+        construction_invariants(sm)
 
 
 def test_certified_k_recheck_idempotent(osc_build):
