@@ -66,15 +66,16 @@ def _stencil_offsets(n):
     factors[:, 1:] = 1 + 3 * np.arange(n - 3) + offsets[:, 1:n - 2]
     pair = np.diag(np.arange(n))
     pair[mu, nu] = pair[nu, mu] = n + np.arange(len(mu))
-    out = (offsets[:, 0], factors, mu, nu, pair)
+    out = (offsets[:, 0].copy(), factors, mu, nu, pair)  # not a view pinning all offsets
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
 def _stencil_derivatives(m: DoublyWarpedMetric, x, steps):
-    """Metric g0 at x and its divided differences d1[mu, a, b] = d_mu g_ab and
-    d2[mu, nu, a, b] = d_mu d_nu g_ab at one step set.
+    """Metric g0 at x and its divided differences at one step set: d1[mu, a,
+    b] = d_mu g_ab, and the diagonal dd[mu, nu, a] = d_mu d_nu g_aa of the
+    second differences (d_mu d_nu g_ab is 0 where a != b).
 
     The metric at x = (r, thetas..., phi) is diagonal: 1, f^2 prod_{j<i}
     sin^2(theta_j) for the i-th angle, and h^2.  Every stencil point takes
@@ -109,9 +110,7 @@ def _stencil_derivatives(m: DoublyWarpedMetric, x, steps):
     sq = np.array([s ** 2 for s in steps.tolist()])  # a scalar power too
     second = (gp - 2.0 * diag[0] + gm) / sq[:, None]
     mixed = (pp - pm - mp + mm) / (4.0 * steps[mu] * steps[nu])[:, None]
-    d2 = np.zeros((n, n, n, n))
-    d2.reshape(n, n, n * n)[:, :, ::n + 1] = np.concatenate([second, mixed])[pair]
-    return g0, d1, d2
+    return g0, d1, np.concatenate([second, mixed])[pair]
 
 
 def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
@@ -122,10 +121,17 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
     index of g^{-1} then has one nonzero term, and the Christoffel symbols
     and the traces of their derivatives are broadcast products of that
     term, with the operands in the order the full contraction multiplies
-    them.  The contractions run on C-contiguous tensors: a transposed
-    layout changes einsum's summation order."""
-    g0, d1, d2 = _stencil_derivatives(m, x, steps)
+    them.  Of d2 only three n^3 slices are read, each built from the
+    diagonal dd with +0.0 where d2 has its zeros, so the sums see the
+    zeros (and the signs of zero) the full tensor would give them; a full
+    d2 (a reference stencil's) is read on its diagonal a == b.  The
+    contractions run on C-contiguous tensors: a transposed layout changes
+    einsum's summation order."""
+    g0, d1, dd = _stencil_derivatives(m, x, steps)
     n = len(x)
+    if dd.ndim == 4:
+        dd = dd.reshape(n, n, n * n)[:, :, ::n + 1]
+    i = np.arange(n)
     gi = 1.0 / g0.reshape(n * n)[::n + 1]  # g^{ll}: inv(g0)'s diagonal, bit for bit
 
     # Gamma^l_{mu nu} = 1/2 g^{ll} (d_mu g_{nu l} + d_nu g_{mu l} - d_l g_{mu nu})
@@ -136,11 +142,15 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
     # -(g^{ll} d_rho g_{ll}) g^{ll}, only at rho = l as [r, m, n] and at
     # rho = n, nu = l as [n, l, m]: the two traces Ric reads
     dginv = -(gi * d1.reshape(n, n * n)[:, ::n + 1]) * gi  # [rho, l]
-    at_r = d2.diagonal(0, 0, 3)  # [mu, nu, r] = d_r d_mu g_{nu r}
-    d_rr = at_r.transpose(2, 0, 1) + at_r.transpose(2, 1, 0) - d2.reshape(n * n, n, n)[::n + 1]
+    at_r = np.zeros((n, n, n))  # [mu, nu, r] = d_r d_mu g_{nu r}
+    at_r[:, i, i] = dd[i, :, i].T
+    at_rr = np.zeros((n, n, n))  # [r, m, n] = d_r d_r g_{mn}
+    at_rr[:, i, i] = dd[i, i]
+    d_rr = at_r.transpose(2, 0, 1) + at_r.transpose(2, 1, 0) - at_rr
     dg_rr = 0.5 * (dginv.diagonal()[:, None, None] * bracket + gi[:, None, None] * d_rr)
-    at_l = d2.diagonal(0, 1, 3).transpose(0, 2, 1)  # [n, l, m] = d_n d_l g_{m l}
-    d_nl = d2.reshape(n, n, n * n)[:, :, ::n + 1].transpose(0, 2, 1) + at_l - at_l
+    at_l = np.zeros((n, n, n))  # [n, l, m] = d_n d_l g_{m l}
+    at_l[:, i, i] = dd[:, i, i]
+    d_nl = dd.transpose(0, 2, 1) + at_l - at_l
     dg_nl = 0.5 * (dginv[:, :, None] * bracket.diagonal(0, 0, 2).T + gi[:, None] * d_nl)
 
     # Ric_{mn} = d_l Gamma^l_{mn} - d_n Gamma^l_{ml} + G^l_{ls} G^s_{mn} - G^l_{ns} G^s_{ml}

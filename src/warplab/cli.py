@@ -13,7 +13,10 @@ from .config import MODES, ConfigError, LadderGrowthError, parse_config
 from .harness import run
 
 
-def _add_common(sp):
+def _common_flags():
+    """The flags every mode takes, on one parser that each mode's parser
+    copies through parents=."""
+    sp = argparse.ArgumentParser(add_help=False)
     sp.add_argument("--config", help="JSON config file; flags override its keys")
     sp.add_argument("--alpha", type=float, help="decay exponent of the base model (default 0.5)")
     sp.add_argument("--beta", type=float, help="second decay exponent (oscillating models)")
@@ -35,6 +38,7 @@ def _add_common(sp):
                     help="ladder truncation bound (default 1e300)")
     sp.add_argument("--emit-config", dest="emit_config",
                     help="write the resolved config to this path and continue")
+    return sp
 
 
 def build_parser():
@@ -52,9 +56,9 @@ def build_parser():
         "grushin-compare": "rescaling convergence toward the Grushin halfplane",
         "full-suite": "all of the above with the configured model",
     }
+    common = [_common_flags()]
     for mode in MODES:
-        sp = sub.add_parser(mode, help=descr[mode])
-        _add_common(sp)
+        sub.add_parser(mode, help=descr[mode], parents=common)
     return ap
 
 

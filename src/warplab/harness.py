@@ -88,6 +88,20 @@ def write_csv(path, header, rows):
                               for x in row) + "\n")
 
 
+def write_columns(path, header, columns):
+    """write_csv's bytes for the rows of equal-length float64 columns: each
+    chunk of 128 rows read as Python floats by tolist() and each row written
+    by one %r format, so no numpy scalar is made per cell and at most 128
+    rows of floats and text are alive at a time (about 50 KB at 4 columns;
+    512-row chunks brought the suites' peak RSS near its 0.1 MB bound)."""
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for at in range(0, len(columns[0]), 128):
+            cells = zip(*[c[at:at + 128].tolist() for c in columns])
+            fh.write("".join([row % r for r in cells]))
+
+
 def _model_for(cfg: RunConfig):
     """(ladder or None, h, table) of the configured model.  table() builds
     the model's orbit table at its first call, so only a step that reads
@@ -166,9 +180,9 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, h, table):
     # ricci_report's bits at every radius, from one f and one h frame
     dirs, ok, worst = curv.ricci_grid(m, grid)
     path = os.path.join(cfg.outdir, "ricci_curve.csv")
-    # one row of numpy floats at a time: the grid's rows as lists of Python
-    # floats (about 0.5 MB at 4,000 radii) were the osc suite's peak memory
-    write_csv(path, ["r", "ric_radial", "ric_circle", "ric_sphere"], zip(grid, *dirs))
+    # a chunk of rows at a time: all 4,000 rows as Python floats (about
+    # 0.5 MB) would be the osc suite's peak memory
+    write_columns(path, ["r", "ric_radial", "ric_circle", "ric_sphere"], (grid, *dirs))
     report.artifacts.append(path)
     report.add(f"ricci-positive(k={k})", ok, margin=worst.min_value)
 
@@ -179,18 +193,20 @@ def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, h, table):
     rng = random.Random(cfg.seed)
     log_lo, log_hi = math.log(0.2), math.log(min(cfg.r_max, 1e6))
     sample = [math.exp(rng.uniform(log_lo, log_hi)) for _ in range(16)]
-    worst_rel = 0.0
-    refused = []  # radii where the oracle's step check refused an answer
+    oracle = []  # the oracle's report at each radius, None where its step check refused
     for r in sample:
         try:
-            o = ricci_numeric_oracle(mo, r)
+            oracle.append(ricci_numeric_oracle(mo, r))
         except StepTooLarge:
-            refused.append(r)
-            continue
-        c = curv.ricci_report(mo, r)
-        for a, b in ((o.ric_radial, c.ric_radial), (o.ric_circle, c.ric_circle),
-                     (o.ric_sphere, c.ric_sphere)):
-            worst_rel = max(worst_rel, abs(a - b) / (1.0 + abs(b)))
+            oracle.append(None)
+    refused = [r for r, o in zip(sample, oracle) if o is None]
+    # the closed forms at all samples in one call, with ricci_report's bits
+    closed = zip(*[c.tolist() for c in curv.ricci_components(mo, sample)])
+    worst_rel = 0.0
+    for o, c in zip(oracle, closed):
+        if o is not None:
+            for a, b in zip((o.ric_radial, o.ric_circle, o.ric_sphere), c):
+                worst_rel = max(worst_rel, abs(a - b) / (1.0 + abs(b)))
     details = f"max rel err over {len(sample) - len(refused)} radii at k={k_oracle}"
     if refused:
         details += "; oracle refused (StepTooLarge) at r=" + ", ".join(map(repr, refused))

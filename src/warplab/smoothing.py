@@ -33,7 +33,7 @@ blend evaluates its exponent form on its own span [lo, hi) and nowhere else.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import mpmath
@@ -398,24 +398,44 @@ def certify_positive_ricci(
     """Smallest sphere dimension k <= k_max with positive Ricci on the grid,
     each radius labelled with its regime (certification_grid's labels).
 
-    h and f are framed once; all three directions are nondecreasing in k,
-    so k runs up from 1 through `scaled_ricci` and `positive`.  Margins are
-    reported as (1+r^2)-scaled minima per regime.
+    h and f are framed once.  The k-slopes of all three directions (f's
+    radial pair and sphere term, p times f's cross pair) must be >= 0, or
+    ValueError is raised: then each direction's c0 and c1 are
+    nondecreasing in k in doubles too, so the grid test (`scaled_ricci`
+    and `positive`) is monotone in k and k is found by bisection.  Margins
+    are reported as (1+r^2)-scaled minima per regime, the first radius of
+    the smallest one in each, worst regime first.
     """
-    hf, ff, s = frame(sm_or_h, grid), frame(f, grid), inv_u(np.asarray(grid, dtype=float))
-    mins = np.full(len(grid), -math.inf)  # no k to try when k_max < 1
-    for k in range(1, k_max + 1):
-        dirs = scaled_ricci(ff, hf, k)
-        mins = np.minimum.reduce([c0 + c1 * s for c0, c1 in dirs])
-        if all(positive(c0, c1, s).all() for c0, c1 in dirs):
-            margins = {}
-            for lab in set(labels):
-                idx = [i for i, L in enumerate(labels) if L == lab]
-                j = min(idx, key=lambda i: mins[i])
-                margins[lab] = RegimeMargin(lab, math.log10(grid[j]), float(mins[j]))
-            return Certificate(k, sorted(margins.values(), key=lambda m: m.margin), len(grid))
-    j = int(np.argmin(mins))  # at k_max
-    raise NotCertified(k_max, RegimeMargin(labels[j], math.log10(grid[j]), float(mins[j])))
+    rs = np.asarray(grid, dtype=float)
+    hf, ff, s = frame(sm_or_h, rs), frame(f, rs), inv_u(rs)
+
+    def certifies(k):
+        return all(positive(c0, c1, s).all() for c0, c1 in scaled_ricci(ff, hf, k))
+
+    def mins(k):
+        return np.minimum.reduce([c0 + c1 * s for c0, c1 in scaled_ricci(ff, hf, k)])
+
+    slopes = {"f radial c0": ff.radial[0], "f radial c1": ff.radial[1], "f sphere": ff.sphere,
+              "p * f cross c0": hf.p * ff.cross[0], "p * f cross c1": hf.p * ff.cross[1]}
+    for name, c in slopes.items():
+        if not np.all(np.greater_equal(c, 0)):
+            raise ValueError(f"certify_positive_ricci: k-slope {name} is negative on the grid "
+                             f"(min {float(np.min(c))!r}), so the test is not monotone in k")
+    ks = range(1, k_max + 1)
+    i = bisect_left(ks, True, key=certifies)
+    if i == len(ks):
+        m = mins(k_max) if ks else np.full(len(grid), -math.inf)  # no k to try when k_max < 1
+        j = int(np.argmin(m))
+        raise NotCertified(k_max, RegimeMargin(labels[j], math.log10(grid[j]), float(m[j])))
+    m = mins(ks[i])
+    # integer codes of the regimes in order of first appearance; sorted by
+    # code, then margin, then grid position, a regime's first row is its margin
+    code = {}
+    codes = np.array([code.setdefault(lab, len(code)) for lab in labels], dtype=np.intp)
+    order = np.lexsort((m, codes))
+    firsts = order[np.searchsorted(codes[order], np.arange(len(code)))].tolist()
+    margins = [RegimeMargin(lab, math.log10(grid[j]), float(m[j])) for lab, j in zip(code, firsts)]
+    return Certificate(ks[i], sorted(margins, key=lambda g: g.margin), len(grid))
 
 
 # -- top-level builders ------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -350,3 +351,63 @@ def test_ricci_products_match_einsum_calibration(k, f, r):
 @pytest.mark.parametrize("r", [1e-3, 0.5, 3.0, 70.0, 1e6])
 def test_ricci_products_match_einsum_mpf_values(k, r):
     _assert_same_as_einsum(DoublyWarpedMetric(k, _MpfPower(-0.5), _MpfPower(0.5)), r)
+
+
+# The oracle's stencil gives the second differences as their diagonal
+# dd[mu, nu, a] = d_mu d_nu g_aa, never the n^4 tensor: against the dense
+# matrix-by-matrix stencil, byte for byte, with +0.0 everywhere else.
+def _assert_diagonal_stencil_is_dense_diagonal(m, r):
+    x, steps = christoffel._oracle_point(m.k, r)
+    n = m.k + 2
+    for j in range(2 + christoffel._HALVINGS):
+        g0, d1, dd = christoffel._stencil_derivatives(m, x, steps * 0.5 ** j)
+        want_g0, want_d1, d2 = _dense_stencil_derivatives(m, x, steps * 0.5 ** j)
+        on = d2.reshape(n, n, n * n)[:, :, ::n + 1]
+        assert [g0.tobytes(), d1.tobytes(), dd.tobytes()] == [
+            want_g0.tobytes(), want_d1.tobytes(), on.tobytes()], (m.k, r, j)
+        off = d2.copy()
+        off.reshape(n, n, n * n)[:, :, ::n + 1] = 0.0
+        assert not off.any() and not np.signbit(off).any()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(r=_radii)
+def test_stencil_diagonal_is_dense_diagonal_pure(r):
+    _assert_diagonal_stencil_is_dense_diagonal(
+        DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5)), r)
+
+
+def test_stencil_diagonal_is_dense_diagonal_osc(osc_1e40_h):
+    m = DoublyWarpedMetric(9, standard_f(), osc_1e40_h)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(r=_radii)
+    def check(r):
+        _assert_diagonal_stencil_is_dense_diagonal(m, r)
+
+    check()
+
+
+@pytest.mark.parametrize("m, r", [
+    (DoublyWarpedMetric(2, sine_f(), constant_h()), math.pi / 2),
+    (DoublyWarpedMetric(2, linear_f(), constant_h()), 2.0),
+    (DoublyWarpedMetric(8, _MpfPower(-0.5), _MpfPower(0.5)), 0.5),
+    (DoublyWarpedMetric(8, _MpfPower(-0.5), _MpfPower(0.5)), 70.0),
+    (DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5)), 1e-3),
+], ids=["sphere", "flat-cone", "mpf-0.5", "mpf-70", "refused"])
+def test_stencil_diagonal_is_dense_diagonal_calibration(m, r):
+    _assert_diagonal_stencil_is_dense_diagonal(m, r)
+
+
+def test_oracle_peak_memory_at_k53():
+    # the certified sphere dimension of the oscillating model: the n^4
+    # tensor of second differences alone would be 55^4 doubles, 73 MB
+    m = DoublyWarpedMetric(53, standard_f(), power_decay_h(0.5))
+    tracemalloc.start()
+    try:
+        rep = ricci_numeric_oracle(m, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ric_radial == pytest.approx(ricci_report(m, 3.0).ric_radial, rel=1e-6)
+    assert peak < 20e6

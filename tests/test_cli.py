@@ -14,7 +14,7 @@ import pytest
 import warplab
 from warplab import christoffel, halfplane
 from warplab.cli import build_parser, main
-from warplab.config import RunConfig
+from warplab.config import MODES, RunConfig
 from warplab.construction_io import load_construction
 
 
@@ -478,3 +478,14 @@ def test_build_example_end_to_end(tmp_path, capsys):
     assert (params.alpha, params.beta, params.A, params.B) == (0.6, 1.2, 0.3, 1.5)
     assert ladder.truncated and ladder.radius_bound == 1e40
     assert len(sm.blends) == len(sm.segments) - 1 == 4
+
+
+@pytest.mark.parametrize("mode", ["warplab", *MODES])
+def test_help_text_pinned(monkeypatch, capsys, mode):
+    # every mode copies the common flags from one parent parser; the help
+    # each prints is the text of the flags added to each mode on its own
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--help"] if mode == "warplab" else [mode, "--help"])
+    with open(os.path.join(os.path.dirname(__file__), "data", "cli_help", f"{mode}.txt")) as fh:
+        assert capsys.readouterr().out == fh.read()

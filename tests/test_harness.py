@@ -1,12 +1,21 @@
 import hashlib
 import json
+import math
 import os
+import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
+import pytest
 
+from warplab.christoffel import ricci_numeric_oracle
 from warplab.config import parse_config
-from warplab.harness import run, write_csv
+from warplab.curvature import DoublyWarpedMetric, ricci_components, ricci_report
+from warplab.harness import run, write_columns, write_csv
+from warplab.ladder import OscillationParams
+from warplab.smoothing import build_oscillating_h
+from warplab.warping import power_decay_h, standard_f
 
 OSC = {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5}
 
@@ -499,3 +508,81 @@ def test_one_model_build_per_run(tmp_path, monkeypatch):
     assert run_counted("grushin-compare", alpha=0.5)["load"] == 0
     assert run_counted("orbit-growth", alpha=0.5)["load"] == 1
     assert run_counted("grushin-compare", alpha=0.5)["grushin"] == 2
+
+
+# -- the ricci-check step's curve writer and closed-form samples ----------------
+
+
+def _curve_columns(n):
+    """A 4-column float64 table of n rows: log-spaced radii and signed
+    values over many decades, with -0.0, 5e-324 and 1e300 in the first row,
+    in the last and in the row at the 128-row chunk edge."""
+    rng = np.random.default_rng(n)
+    cols = [np.logspace(-3, 6, n)]
+    cols += [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(3)]
+    for i in {0, min(127, n - 1), n - 1}:
+        cols[1][i], cols[2][i], cols[3][i] = -0.0, 5e-324, 1e300
+    return cols
+
+
+@pytest.mark.parametrize("n", [2, 127, 128, 129, 4000])
+def test_write_columns_matches_write_csv(tmp_path, n):
+    cols = _curve_columns(n)
+    header = ["r", "ric_radial", "ric_circle", "ric_sphere"]
+    write_csv(str(tmp_path / "rows.csv"), header, zip(*cols))
+    write_columns(str(tmp_path / "cols.csv"), header, cols)
+    want = (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "cols.csv").read_bytes() == want
+    assert want.count(b"\n") == n + 1 and b"-0.0,5e-324,1e+300\n" in want
+
+
+def test_write_columns_transient_memory(tmp_path):
+    # at most 128 rows of Python floats and their text are alive at a time;
+    # all 4,000 rows as floats would take about 0.5 MB
+    cols = _curve_columns(4000)
+    tracemalloc.start()
+    try:
+        write_columns(str(tmp_path / "cols.csv"), ["a", "b", "c", "d"], cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def _harness_sample(seed, r_max=1e6):
+    """The 16 radii the ricci-check step's oracle cross-check draws."""
+    rng = random.Random(seed)
+    log_lo, log_hi = math.log(0.2), math.log(min(r_max, 1e6))
+    return [math.exp(rng.uniform(log_lo, log_hi)) for _ in range(16)]
+
+
+@pytest.mark.parametrize("model", ["pure", "osc-1e40"])
+def test_batched_closed_form_samples_match_ricci_report(model):
+    # the step's one ricci_components call gives the bits of 16 ricci_report calls
+    if model == "pure":
+        m = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
+    else:
+        params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
+        m = DoublyWarpedMetric(9, standard_f(), build_oscillating_h(params, radius_bound=1e40)[1])
+    for seed in (12345, 2024, 7):
+        sample = _harness_sample(seed)
+        got = list(zip(*[c.tolist() for c in ricci_components(m, sample)]))
+        want = [ricci_report(m, r) for r in sample]
+        assert [[x.hex() for x in row] for row in got] == [
+            [w.ric_radial.hex(), w.ric_circle.hex(), w.ric_sphere.hex()] for w in want]
+
+
+@pytest.mark.parametrize("seed", [12345, 2024])
+def test_oracle_agreement_margin_matches_pointwise_reports(tmp_path, seed):
+    # the check's margin, against the oracle and ricci_report radius by radius
+    report = run(parse_config(None, {"mode": "ricci-check", "alpha": 0.5, "seed": seed,
+                                     "outdir": str(tmp_path)}))
+    m = DoublyWarpedMetric(8, standard_f(), power_decay_h(0.5))
+    worst = 0.0
+    for r in _harness_sample(seed):
+        o, c = ricci_numeric_oracle(m, r), ricci_report(m, r)
+        for a, b in ((o.ric_radial, c.ric_radial), (o.ric_circle, c.ric_circle),
+                     (o.ric_sphere, c.ric_sphere)):
+            worst = max(worst, abs(a - b) / (1.0 + abs(b)))
+    check = next(c for c in report.checks if c.name == "ricci-oracle-agreement")
+    assert check.margin.hex() == worst.hex()

@@ -15,9 +15,11 @@ from warplab.curvature import (
     DoublyWarpedMetric,
     frame,
     log_grid,
+    positive,
     ricci_components,
     ricci_grid,
     ricci_report,
+    scaled_ricci,
 )
 from warplab.jets import Jet2
 from warplab.ladder import ExponentSchedule, LadderGrowthError, OscillationParams, bridge_constant
@@ -39,7 +41,14 @@ from warplab.smoothing import (
     _scan_top,
     _weights,
 )
-from warplab.warping import power_decay_h, standard_f
+from warplab.warping import (
+    FFrame,
+    HFrame,
+    WarpingFunction,
+    inv_u,
+    power_decay_h,
+    standard_f,
+)
 
 
 def test_quintic_shape():
@@ -646,3 +655,79 @@ def test_oracle_agrees_inside_blends(osc_build, blend, at):
     for a, w in ((o.ric_radial, c.ric_radial), (o.ric_circle, c.ric_circle),
                  (o.ric_sphere, c.ric_sphere)):
         assert abs(a - w) <= RunConfig("ricci-check").oracle_rel_tol * (1.0 + abs(w)), (b.R, at)
+
+
+# -- certification against a linear scan ------------------------------------------
+
+
+def _certify_by_scan(h, f, k_max, grid, labels):
+    """certify_positive_ricci's answer by its definition, as hex strings: k
+    up from 1 to the first that makes every direction positive, each
+    regime's margin from a scan of its radii (the first smallest), worst
+    regime first; or NotCertified's worst margin at k_max."""
+    hf, ff, s = frame(h, grid), frame(f, grid), inv_u(np.asarray(grid, dtype=float))
+    for k in range(1, k_max + 1):
+        dirs = scaled_ricci(ff, hf, k)
+        mins = np.minimum.reduce([c0 + c1 * s for c0, c1 in dirs])
+        if all(positive(c0, c1, s).all() for c0, c1 in dirs):
+            margins = []
+            for lab in dict.fromkeys(labels):
+                idx = [i for i, L in enumerate(labels) if L == lab]
+                j = min(idx, key=lambda i: mins[i])
+                margins.append((lab, math.log10(grid[j]).hex(), float(mins[j]).hex()))
+            margins.sort(key=lambda m: float.fromhex(m[2]))
+            return k, margins, len(grid)
+    j = int(np.argmin(mins))
+    return "NotCertified", k_max, labels[j], math.log10(grid[j]).hex(), float(mins[j]).hex()
+
+
+def _certify_hex(h, f, k_max, grid, labels):
+    try:
+        cert = certify_positive_ricci(h, f, k_max, grid, labels)
+    except NotCertified as e:
+        w = e.worst
+        return "NotCertified", e.k_max, w.label, w.r.hex(), w.margin.hex()
+    return (cert.k, [(m.label, m.r.hex(), m.margin.hex()) for m in cert.margins],
+            cert.grid_size)
+
+
+@pytest.mark.parametrize("p, k", [(0.5, 8), (1.5, 48), (3.0, 168)],
+                         ids=["p=1/2", "p=3/2", "p=3"])
+def test_certify_matches_linear_scan_pure(p, k):
+    # integer thresholds k = 16p^2 + 8p, where the radial c0 is exactly 0
+    grid = log_grid(1e-3, 1e60, 3000).tolist()
+    labels = [f"decade{int(math.log10(r)) // 7}" for r in grid]  # 9 regimes
+    h, f = power_decay_h(p), standard_f()
+    want = _certify_by_scan(h, f, 4 * k, grid, labels)
+    assert want[0] == k
+    assert _certify_hex(h, f, 4 * k, grid, labels) == want
+    for cap in (k - 1, 1, 0):
+        want = _certify_by_scan(h, f, cap, grid, labels) if cap else None
+        got = _certify_hex(h, f, cap, grid, labels)
+        assert got[0] == "NotCertified" and (want is None or got == want)
+
+
+def test_certify_matches_linear_scan_osc_1e40():
+    params = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
+    _, sm = build_oscillating_h(params, radius_bound=1e40)
+    grid, labels = certification_grid(sm)
+    cap = int(4 * dimension_threshold(effective_exponent_max(sm, grid)))
+    want = _certify_by_scan(sm, standard_f(), cap, grid, labels)
+    assert want[0] == 53 and len(want[1]) == len(set(labels))
+    assert _certify_hex(sm, standard_f(), cap, grid, labels) == want
+    assert (_certify_hex(sm, standard_f(), 52, grid, labels)
+            == _certify_by_scan(sm, standard_f(), 52, grid, labels))
+
+
+def test_certify_refuses_a_falling_k_slope():
+    # a negative cross term makes the circle direction fall with k: with
+    # p = 0.1 and p_y = 1 its value is 3.76 - 0.1 k - 3.56 s, positive up to
+    # k = 37 only, so the grid test is not monotone in k and no bisection holds
+    f = WarpingFunction("falling-cross", None,
+                        lambda r: FFrame(np.zeros(r.shape), (1.0, 0.0), (-1.0, 0.0), 1.0))
+    h = WarpingFunction("steep-p", None, lambda r: HFrame(np.zeros(r.shape),
+                                                          np.full(r.shape, 0.1), np.ones(r.shape)))
+    grid = np.geomspace(10.0, 100.0, 50).tolist()
+    labels = ["low" if r < 30 else "high" for r in grid]
+    with pytest.raises(ValueError, match=r"k-slope p \* f cross c0 is negative"):
+        certify_positive_ricci(h, f, 100, grid, labels)
