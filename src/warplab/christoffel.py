@@ -123,14 +123,11 @@ def _ricci_at_steps(m: DoublyWarpedMetric, x, steps):
     term, with the operands in the order the full contraction multiplies
     them.  Of d2 only three n^3 slices are read, each built from the
     diagonal dd with +0.0 where d2 has its zeros, so the sums see the
-    zeros (and the signs of zero) the full tensor would give them; a full
-    d2 (a reference stencil's) is read on its diagonal a == b.  The
+    zeros (and the signs of zero) the full tensor would give them.  The
     contractions run on C-contiguous tensors: a transposed layout changes
     einsum's summation order."""
     g0, d1, dd = _stencil_derivatives(m, x, steps)
     n = len(x)
-    if dd.ndim == 4:
-        dd = dd.reshape(n, n, n * n)[:, :, ::n + 1]
     i = np.arange(n)
     gi = 1.0 / g0.reshape(n * n)[::n + 1]  # g^{ll}: inv(g0)'s diagonal, bit for bit
 

@@ -26,7 +26,7 @@ p of h at r_max is at least 3/4, else by the graded w in [0, 1] with
 L = r_max - a, whose cubic start lifts the branch point (T - t)^(4p) of a
 stretch h ~ r^(-2p) to order about 12p + 2.  Close to r_max log h - log c
 comes from a second-order Taylor model with p and p_y of the frame there.
-The turning panel runs through the in-repo QAGS of `numerics` (relative
+The turning panel runs through the in-repo QAG of `numerics` (relative
 HalfplaneMetric.rel_tol, 1e-9 by default, absolute floor 1e-12 on the
 quantity, 0 on I past the double range of c), so an arc of one panel has
 the whole budget there.  The other panels, from r_max back to the start,
@@ -36,7 +36,8 @@ total| / (panels - 1)).  As h decreases, rho^2 <= rho^2(b) on a panel
 [0, (b - a) rho^2(b)/sqrt(1 - rho^2(b))], length's within
 (b - a)(1/sqrt(1 - rho^2(b)) - 1) above b - a.  A panel whose bracket,
 twice its width, fits its budget takes the midpoint and no Kronrod rule;
-the others run QAGS with the budget as the absolute tolerance.
+the others run QAG with the budget as the absolute tolerance.  Every panel's
+integrand stays bounded at its ends, so QAG needs no extrapolation.
 
 Covering-space distances d_l between a point on the axis and its l-th deck
 translate (period 2*pi in v) solve delta_v = 2*pi*l; counts
@@ -58,7 +59,7 @@ import numpy as np
 from .numerics import brentq, quad
 
 TWO_PI = 2.0 * math.pi
-# QAGS' absolute floor and panel budget, the relative stop of turning-radius
+# QAG's absolute floor and panel budget, the relative stop of turning-radius
 # solves, and the Taylor gap model's reach (times max(r_max, 1))
 _ABS_FLOOR, _LIMIT, _TURNING_REL, _TAYLOR_FRAC = 1e-12, 400, 1e-12, 3e-6
 _LOG_DOUBLE_MAX = math.log(1.7976931348623157e308)
@@ -69,8 +70,8 @@ _XTOL = 1e-11
 # graded map w, the others t.  QK21 rules per arc on h = (1+r^2)^(-p) from
 # the axis (delta_v and length at 75 log-spaced c in [1e-12, 0.9]):
 #   p  0.1   0.3   0.6   0.7   0.74  0.75  0.76  0.8   0.9   1     1.5   3
-#   t  14.0  10.7  5.48  3.77  2.20  1.48  2.21  2.88  2.73  1.00  1.00  2.63
-#   w  2.29  1.43  1.23  1.21  1.99  1.84  2.07  2.84  2.91  2.11  2.91  3.63
+#   t  32.1  14.0  5.48  3.77  2.20  1.48  2.21  2.88  2.73  1.00  1.00  2.63
+#   w  2.23  1.48  1.23  1.21  1.99  2.04  2.07  2.84  2.91  2.11  2.91  3.63
 # Below 3/4 the graded map needs far fewer rules; from there on the two are
 # within a few per cent, or t (at the integer powers 4p) needs fewer.  The
 # bound sits 1e-9 below 3/4, past the rounding of the exponent estimate, so
@@ -80,7 +81,7 @@ _GRADED_BELOW = 0.75 - 1e-9
 # its start (the r ~ 1 knee of (1+r^2)^(-p) from the axis) into
 # 1 - w < (s/4L)^(1/3).  Below s/L = _KNEE_BELOW that is 1 - w < 0.03, inside
 # the third Kronrod node from the end, where the 10- and 21-point rules can
-# miss the knee alike and QAGS stops under the true error.  There, and where
+# miss the knee alike and QAG stops under the true error.  There, and where
 # the knee holds a share (s/L)^(1+4p) of the panel above 1 % of rel_tol, the
 # stretch [a, a + s] gets its own interval in w.  Worst relative error of an
 # arc against the 30-digit oracle (1,440 arcs, p in [0.05, 0.72]), without
@@ -248,7 +249,7 @@ def _arc_panels(m, start, r_max):
 
 
 def _quad_panel(f, a, b, rel_tol, floor):
-    # the in-repo QAGS (numerics.quad); the caller enforces its own error
+    # the in-repo QAG (numerics.quad); the caller enforces its own error
     # budget on the summed abserr
     out = quad(f, a, b, epsabs=floor, epsrel=rel_tol, limit=_LIMIT)
     return out[0], out[1]

@@ -1,18 +1,20 @@
 """Adaptive quadrature and bracketed root finding, ported bit for bit, and
 a least-squares line in closed form.
 
-`quad` is QUADPACK's QAGS: dqagse with the 21-point Gauss-Kronrod rule
-dqk21, the error-list insertion dqpsrt and the epsilon algorithm dqelg
-(Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, 1983).
-`brentq` is Brent's method (Brent, Algorithms for Minimization without
-Derivatives, 1973) as scipy's brentq.c states it.  Each routine follows
-its original statement for statement, in the original operation order,
-with 1-based work arrays, so results, error estimates, evaluation counts
-and the sequence of integrand calls equal scipy.integrate.quad and
-scipy.optimize.brentq on finite intervals; tests/test_numerics.py checks
-that against scipy.  `quad` has one call shape: it always returns
-(result, abserr, info), with QUADPACK's error flag ier in info where
-scipy gives a message or a warning, and leaves judging it to the caller.
+`quad` is QUADPACK's QAG: dqage with the 21-point Gauss-Kronrod rule dqk21
+and the error-list insertion dqpsrt (Piessens, de Doncker-Kapenga,
+Ueberhuber and Kahaner, QUADPACK, 1983): it bisects the interval of
+largest error and does not extrapolate.  `brentq` is Brent's method
+(Brent, Algorithms for Minimization without Derivatives, 1973) as scipy's
+brentq.c states it.  Each routine follows its original statement for
+statement, in the original operation order, with 1-based work arrays.
+`brentq` equals scipy.optimize.brentq call for call; `quad` takes the
+steps of scipy.integrate.quad (QAGS) until QAGS can first extrapolate,
+on its third subinterval, bar the first rule's roundoff test (50 eps,
+not 100) and the flag of a step that converges at the limit.
+tests/test_numerics.py checks both.  `quad` always returns (result,
+abserr, info), with QUADPACK's error flag ier in info, and leaves judging
+it to the caller.
 
 Where Python raises on a float operation that C carries through as inf or
 NaN (a division by zero, a power that overflows), the code takes the
@@ -27,7 +29,6 @@ import math
 
 EPMACH = 2.0 ** -52  # d1mach(4)
 UFLOW = 2.2250738585072014e-308  # d1mach(1), DBL_MIN
-OFLOW = 1.7976931348623157e308  # d1mach(2), DBL_MAX
 
 # dqk21: Kronrod abscissae xgk, Kronrod weights wgk, Gauss weights wg.
 # xgk(2j) are the 10-point Gauss nodes, xgk(2j-1) the Kronrod additions,
@@ -175,149 +176,57 @@ def _qk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
-    """dqpsrt: keep iord descending in elist over the part of the list
-    still bisectable; returns the new (maxerr, errmax, nrmax)."""
+def _qpsrt(limit, last, maxerr, elist, iord):
+    """dqpsrt with nrmax = 1, the only value dqage passes: keep iord
+    descending in elist over the part of the list still bisectable; returns
+    the new (maxerr, errmax)."""
     if last <= 2:
         iord[1] = 1
         iord[2] = 2
     else:
         errmax = elist[maxerr]
-        if nrmax != 1:
-            for _ in range(nrmax - 1):
-                isucc = iord[nrmax - 1]
-                if errmax <= elist[isucc]:
-                    break
-                iord[nrmax] = isucc
-                nrmax -= 1
         jupbn = last
         if last > limit // 2 + 2:
             jupbn = limit + 3 - last
         errmin = elist[last]
         # insert errmax by traversing the list top-down
         jbnd = jupbn - 1
-        for i in range(nrmax + 1, jbnd + 1):
+        for i in range(2, jbnd + 1):
             isucc = iord[i]
             if errmax >= elist[isucc]:
+                # insert errmin by traversing the list bottom-up
+                iord[i - 1] = maxerr
+                k = jbnd
+                for _ in range(i, jbnd + 1):
+                    isucc = iord[k]
+                    if errmin < elist[isucc]:
+                        iord[k + 1] = last
+                        break
+                    iord[k + 1] = isucc
+                    k -= 1
+                else:
+                    iord[i] = last
                 break
             iord[i - 1] = isucc
         else:
             iord[jbnd] = maxerr
             iord[jupbn] = last
-            i = None
-        if i is not None:
-            # insert errmin by traversing the list bottom-up
-            iord[i - 1] = maxerr
-            k = jbnd
-            for _ in range(i, jbnd + 1):
-                isucc = iord[k]
-                if errmin < elist[isucc]:
-                    iord[k + 1] = last
-                    break
-                iord[k + 1] = isucc
-                k -= 1
-            else:
-                iord[i] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
+    maxerr = iord[1]
+    return maxerr, elist[maxerr]
 
 
-def _qelg(n, epstab, res3la, nres):
-    """dqelg: one step of Wynn's epsilon algorithm on epstab[1..n]; returns
-    (n, result, abserr, nres), updating epstab and res3la in place."""
-    nres += 1
-    abserr = OFLOW
-    result = epstab[n]
-    if n >= 3:
-        limexp = 50
-        epstab[n + 2] = epstab[n]
-        newelm = (n - 1) // 2
-        epstab[n] = OFLOW
-        num = n
-        k1 = n
-        converged = False
-        for i in range(1, newelm + 1):
-            k2 = k1 - 1
-            k3 = k1 - 2
-            res = epstab[k1 + 2]
-            e0 = epstab[k3]
-            e1 = epstab[k2]
-            e2 = res
-            e1abs = abs(e1)
-            delta2 = e2 - e1
-            err2 = abs(delta2)
-            tol2 = _max(abs(e2), e1abs) * EPMACH
-            delta3 = e1 - e0
-            err3 = abs(delta3)
-            tol3 = _max(e1abs, abs(e0)) * EPMACH
-            if not (err2 > tol2 or err3 > tol3):
-                # e0, e1 and e2 are equal to within machine accuracy
-                result = res
-                abserr = err2 + err3
-                converged = True
-                break
-            e3 = epstab[k1]
-            epstab[k1] = e1
-            delta1 = e1 - e3
-            err1 = abs(delta1)
-            tol1 = _max(e1abs, abs(e3)) * EPMACH
-            # two close elements, or irregular behaviour: omit part of the table
-            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
-                n = i + i - 1
-                break
-            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
-            epsinf = abs(ss * e1)
-            if not epsinf > 1e-4:
-                n = i + i - 1
-                break
-            res = e1 + 1.0 / ss
-            epstab[k1] = res
-            k1 = k1 - 2
-            error = err2 + abs(res - e2) + err3
-            if error > abserr:
-                continue
-            abserr = error
-            result = res
-        if not converged:
-            # shift the table
-            if n == limexp:
-                n = 2 * (limexp // 2) - 1
-            ib = 2 if num % 2 == 0 else 1
-            for _ in range(newelm + 1):
-                epstab[ib] = epstab[ib + 2]
-                ib += 2
-            if num != n:
-                indx = num - n + 1
-                for i in range(1, n + 1):
-                    epstab[i] = epstab[indx]
-                    indx += 1
-            if nres < 4:
-                res3la[nres] = result
-                abserr = OFLOW
-            else:
-                abserr = (abs(result - res3la[3]) + abs(result - res3la[2])
-                          + abs(result - res3la[1]))
-                res3la[1] = res3la[2]
-                res3la[2] = res3la[3]
-                res3la[3] = result
-    abserr = _max(abserr, 5.0 * EPMACH * abs(result))
-    return n, result, abserr, nres
-
-
-def _qagse(f, a, b, epsabs, epsrel, limit):
-    """dqagse on a < b: (result, abserr, last, ier)."""
+def _qage(f, a, b, epsabs, epsrel, limit):
+    """dqage with key 2 (dqk21) on a < b: (result, abserr, last, ier)."""
     ier = 0
     result, abserr, defabs, resabs = _qk21(f, a, b)
     # test on accuracy
-    dres = abs(result)
-    errbnd = _max(epsabs, epsrel * dres)
-    last = 1
-    if abserr <= 100.0 * EPMACH * defabs and abserr > errbnd:
+    errbnd = _max(epsabs, epsrel * abs(result))
+    if abserr <= 50.0 * EPMACH * defabs and abserr > errbnd:
         ier = 2
     if limit == 1:
         ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return result, abserr, last, ier
+        return result, abserr, 1, ier
 
     # the first rule did not do: the work lists, 1-based as in QUADPACK and
     # grown by one entry per bisection (no step reads past index last)
@@ -326,40 +235,22 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
     rlist = [0.0, result]
     elist = [0.0, abserr]
     iord = [0, 1]
-    rlist2 = [0.0] * 53
-    res3la = [0.0] * 4
-    rlist2[1] = result
     errmax = abserr
     maxerr = 1
     area = result
     errsum = abserr
-    abserr = OFLOW
-    nrmax = 1
-    nres = 0
-    numrl2 = 2
-    ktmin = 0
-    extrap = False
-    noext = False
-    ierro = 0
-    iroff1 = iroff2 = iroff3 = 0
-    small = erlarg = ertest = correc = 0.0
-    ksgn = -1
-    if dres >= (1.0 - 50.0 * EPMACH) * defabs:
-        ksgn = 1
-
-    exit_to = 100
+    iroff1 = iroff2 = 0
     for last in range(2, limit + 1):
         alist.append(0.0)
         blist.append(0.0)
         rlist.append(0.0)
         elist.append(0.0)
         iord.append(0)
-        # bisect the subinterval with the nrmax-th largest error estimate
+        # bisect the subinterval with the largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
         a2 = b1
         b2 = blist[maxerr]
-        erlast = errmax
         area1, error1, _, defab1 = _qk21(f, a1, b1)
         area2, error2, _, defab2 = _qk21(f, a2, b2)
         # improve previous approximations to integral and error, test accuracy
@@ -368,26 +259,21 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
         errsum = errsum + erro12 - errmax
         area = area + area12 - rlist[maxerr]
         if not (defab1 == error1 or defab2 == error2):
-            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12)
-                    or erro12 < 0.99 * errmax):
-                if extrap:
-                    iroff2 += 1
-                else:
-                    iroff1 += 1
+            if abs(rlist[maxerr] - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax:
+                iroff1 += 1
             if last > 10 and erro12 > errmax:
-                iroff3 += 1
+                iroff2 += 1
         rlist[maxerr] = area1
         rlist[last] = area2
         errbnd = _max(epsabs, epsrel * abs(area))
-        # roundoff, the subdivision limit and bad integrand behaviour
-        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
-            ier = 2
-        if iroff2 >= 5:
-            ierro = 3
-        if last == limit:
-            ier = 1
-        if _max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPMACH) * (abs(a2) + 1000.0 * UFLOW):
-            ier = 4
+        if not errsum <= errbnd:
+            # roundoff, the subdivision limit and bad integrand behaviour
+            if iroff1 >= 6 or iroff2 >= 20:
+                ier = 2
+            if last == limit:
+                ier = 1
+            if _max(abs(a1), abs(b2)) <= (1.0 + 100.0 * EPMACH) * (abs(a2) + 1000.0 * UFLOW):
+                ier = 3
         # append the newly-created intervals to the list
         if error2 > error1:
             alist[maxerr] = a2
@@ -403,114 +289,24 @@ def _qagse(f, a, b, epsabs, epsrel, limit):
             blist[last] = b2
             elist[maxerr] = error1
             elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
-        if errsum <= errbnd:
-            exit_to = 115
+        maxerr, errmax = _qpsrt(limit, last, maxerr, elist, iord)
+        if ier != 0 or errsum <= errbnd:
             break
-        if ier != 0:
-            break
-        if last == 2:
-            small = abs(b - a) * 0.375
-            erlarg = errsum
-            ertest = errbnd
-            rlist2[2] = area
-            continue
-        if noext:
-            continue
-        erlarg = erlarg - erlast
-        if abs(b1 - a1) > small:
-            erlarg = erlarg + erro12
-        if not extrap:
-            # is the interval to be bisected next the smallest one?
-            if abs(blist[maxerr] - alist[maxerr]) > small:
-                continue
-            extrap = True
-            nrmax = 2
-        if not (ierro == 3 or erlarg <= ertest):
-            # the smallest interval has the largest error: before bisecting,
-            # decrease the error sum over the larger intervals (erlarg)
-            jupbnd = last
-            if last > 2 + limit // 2:
-                jupbnd = limit + 3 - last
-            large = False
-            for _ in range(nrmax, jupbnd + 1):
-                maxerr = iord[nrmax]
-                errmax = elist[maxerr]
-                if abs(blist[maxerr] - alist[maxerr]) > small:
-                    large = True
-                    break
-                nrmax += 1
-            if large:
-                continue
-        # perform extrapolation
-        numrl2 += 1
-        rlist2[numrl2] = area
-        numrl2, reseps, abseps, nres = _qelg(numrl2, rlist2, res3la, nres)
-        ktmin += 1
-        if ktmin > 5 and abserr < 1e-3 * errsum:
-            ier = 5
-        if abseps < abserr:
-            ktmin = 0
-            abserr = abseps
-            result = reseps
-            correc = erlarg
-            ertest = _max(epsabs, epsrel * abs(reseps))
-            if abserr <= ertest:
-                break
-        # prepare bisection of the smallest interval
-        if numrl2 == 1:
-            noext = True
-        if ier == 5:
-            break
-        maxerr = iord[1]
-        errmax = elist[maxerr]
-        nrmax = 1
-        extrap = False
-        small = small * 0.5
-        erlarg = errsum
-
-    # set final result and error estimate
-    if exit_to == 100:
-        if abserr == OFLOW:
-            exit_to = 115
-        elif ier + ierro == 0:
-            exit_to = 110
-        else:
-            if ierro == 3:
-                abserr = abserr + correc
-            if ier == 0:
-                ier = 3
-            if result != 0.0 and area != 0.0:
-                exit_to = 115 if abserr / abs(result) > errsum / abs(area) else 110
-            elif abserr > errsum:
-                exit_to = 115
-            else:
-                exit_to = 130 if area == 0.0 else 110
-    if exit_to == 110:
-        # test on divergence
-        if not (ksgn == -1 and _max(abs(result), abs(area)) <= defabs * 0.01):
-            ratio = _div(result, area)
-            if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
-                ier = 6
-    elif exit_to == 115:
-        # compute global integral sum
-        result = 0.0
-        for k in range(1, last + 1):
-            result = result + rlist[k]
-        abserr = errsum
-    if ier > 2:
-        ier = ier - 1
-    return result, abserr, last, ier
+    # compute final result
+    result = 0.0
+    for k in range(1, last + 1):
+        result = result + rlist[k]
+    return result, errsum, last, ier
 
 
 def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
-    """Integral of f over the finite interval [a, b] by QAGS.
+    """Integral of f over the finite interval [a, b] by QAG.
 
     Returns (result, abserr, info) with info = {"neval": 42*last - 21,
-    "last": number of subintervals, "ier": QUADPACK's error flag}: the
-    numbers scipy.integrate.quad returns with full_output, ier 0 where it
-    adds no message and 1-5 for the message it adds.  The caller judges
-    the outcome; nothing is warned.
+    "last": number of subintervals, "ier": dqage's error flag}: 0, or 1 at
+    the subdivision limit, 2 for roundoff, 3 for bad integrand behaviour
+    at a point of the interval.  The caller judges the outcome; nothing is
+    warned.
     """
     if a == b:
         return 0.0, 0.0, {"neval": 0, "last": 0, "ier": 0}
@@ -520,7 +316,7 @@ def quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
                          " 5e-29 and 50*(machine epsilon).")
     if limit < 1:
         raise ValueError("Invalid 'limit' argument. There must be at least one subinterval")
-    result, abserr, last, ier = _qagse(f, a, b, epsabs, epsrel, limit)
+    result, abserr, last, ier = _qage(f, a, b, epsabs, epsrel, limit)
     if flip:
         result = -result
     return result, abserr, {"neval": 42 * last - 21, "last": last, "ier": ier}

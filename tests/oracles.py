@@ -238,17 +238,15 @@ def qk21_loops(f, a, b, xgk, wgk, wg):
     return result, abserr, resabs, resasc
 
 
-def einsum_ricci(g0, d1, d2):
-    """Ricci tensor of a metric g0 with derivatives d1[mu, a, b] = d_mu g_ab
-    and d2[mu, nu, a, b] = d_mu d_nu g_ab, every Christoffel contraction an
-    einsum over the full (k+2)-index tensors.  A diagonal metric's d2 may
-    come as its diagonal d2[mu, nu, a] = d_mu d_nu g_aa: it is expanded to
-    the full tensor, +0.0 where a != b."""
-    if d2.ndim == 3:
-        n = len(g0)
-        full = np.zeros((n, n, n, n))
-        full.reshape(n, n, n * n)[:, :, ::n + 1] = d2
-        d2 = full
+def einsum_ricci(g0, d1, dd):
+    """Ricci tensor of a diagonal metric g0 with derivatives d1[mu, a, b] =
+    d_mu g_ab and the diagonal dd[mu, nu, a] = d_mu d_nu g_aa of the second
+    derivatives, every Christoffel contraction an einsum over the full
+    (k+2)-index tensors: dd is expanded to d2[mu, nu, a, b], +0.0 where
+    a != b."""
+    n = len(g0)
+    d2 = np.zeros((n, n, n, n))
+    d2.reshape(n, n, n * n)[:, :, ::n + 1] = dd
     ginv = np.linalg.inv(g0)
 
     # Gamma^l_{mu nu} = 1/2 g^{ls} (d_mu g_{nu s} + d_nu g_{mu s} - d_s g_{mu nu})

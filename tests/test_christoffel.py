@@ -211,7 +211,12 @@ def _dense_stencil_derivatives(m, x, steps):
             val = (pp - pm - mp + mm) / (4.0 * steps[mu] * steps[nu])
             d2[mu, nu] = val
             d2[nu, mu] = val
-    return g0, d1, d2
+    # the diagonal dd[mu, nu, a] = d_mu d_nu g_aa, in the oracle stencil's
+    # format, once every other entry is +0.0
+    dd = d2.reshape(n, n, n * n)[:, :, ::n + 1].copy()
+    d2.reshape(n, n, n * n)[:, :, ::n + 1] = 0.0
+    assert not d2.any() and not np.signbit(d2).any()
+    return g0, d1, dd
 
 
 def _oracle_run(m, r, derivatives):
@@ -305,8 +310,8 @@ def _assert_same_as_einsum(m, r):
     for j in range(2 + christoffel._HALVINGS):
         s = steps * 0.5 ** j
         ric, g0 = christoffel._ricci_at_steps(m, x, s)
-        want_g0, d1, d2 = christoffel._stencil_derivatives(m, x, s)
-        want = einsum_ricci(want_g0, d1, d2)
+        want_g0, d1, dd = christoffel._stencil_derivatives(m, x, s)
+        want = einsum_ricci(want_g0, d1, dd)
         assert g0.tobytes() == want_g0.tobytes()
         assert np.array_equal(ric, want, equal_nan=True), (m.k, r, j)
         assert np.array_equal(np.signbit(np.diag(ric)), np.signbit(np.diag(want))), (m.k, r, j)
@@ -358,16 +363,10 @@ def test_ricci_products_match_einsum_mpf_values(k, r):
 # matrix-by-matrix stencil, byte for byte, with +0.0 everywhere else.
 def _assert_diagonal_stencil_is_dense_diagonal(m, r):
     x, steps = christoffel._oracle_point(m.k, r)
-    n = m.k + 2
     for j in range(2 + christoffel._HALVINGS):
         g0, d1, dd = christoffel._stencil_derivatives(m, x, steps * 0.5 ** j)
-        want_g0, want_d1, d2 = _dense_stencil_derivatives(m, x, steps * 0.5 ** j)
-        on = d2.reshape(n, n, n * n)[:, :, ::n + 1]
-        assert [g0.tobytes(), d1.tobytes(), dd.tobytes()] == [
-            want_g0.tobytes(), want_d1.tobytes(), on.tobytes()], (m.k, r, j)
-        off = d2.copy()
-        off.reshape(n, n, n * n)[:, :, ::n + 1] = 0.0
-        assert not off.any() and not np.signbit(off).any()
+        want = _dense_stencil_derivatives(m, x, steps * 0.5 ** j)
+        assert [a.tobytes() for a in (g0, d1, dd)] == [a.tobytes() for a in want], (m.k, r, j)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

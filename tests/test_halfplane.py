@@ -654,7 +654,7 @@ _GOLDEN_ARCS = [
     ('osc', 110.0, 0.0029632086992912167, None, 110.00000000001195, 10.352232814208392, 282.9952953527497),  # Taylor and direct
     ('osc', 900000.0, 5.474065527373792e-15, None, 900000.0000000023, 46.059314025493116, 2190128.022581497),  # Taylor and direct
     ('osc', 4500000000000.0, 4.317888450028927e-31, None, 4500000000000.43, 98.78848560531225, 11466974869750.47),  # Taylor and direct
-    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 193.74253474231233, 4.393765002957202e+38),  # Taylor and direct
+    ('osc', 1.3e+38, 1.8129233541461107e-46, None, 1.2999999999999926e+38, 193.74253474231142, 4.393765002956061e+38),  # Taylor and direct
     ('osc', 124.99885, 0.0020383527349256115, None, 124.99885000000197, 10.647869346752106, 308.8750498043638),  # Taylor only
     ('osc', 1000000000.0, 2.5118864315095808e-22, 10000.0, 999999999.9999993, 70.16230347335043, 2526834021.8308744),  # Taylor and direct
 ]

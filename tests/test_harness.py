@@ -354,7 +354,7 @@ def test_oscillating_rules_per_arc_kind(tmp_path, cache_dir, monkeypatch):
     # QK21 rules by the metric an arc runs on, over the osc 1e40 full suite.
     # A smoothed-h arc is split at every blend edge, and the panels before
     # its turning panel share one error budget: a panel whose bound from
-    # rho^2 at its end fits its share takes no rule, the others run QAGS to
+    # rho^2 at its end fits its share takes no rule, the others run QAG to
     # that share (2,180 rules when each panel ran to rel_tol of its own
     # value; 707 now, with a ceiling).  The pure, Grushin and rescaled arcs
     # have one panel each, so their counts stay exactly as they were

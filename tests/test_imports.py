@@ -90,6 +90,39 @@ def test_unreferenced_private_def_is_found():
     assert {name for name, _ in defs if name not in read} == {"_a", "_c", "_D", "_e", "_g"}
 
 
+def module_constants(tree):
+    """(name, line) of every module-level UPPER_CASE constant: each name an
+    assignment at the top of the module binds, tuple targets included."""
+    out = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        out += [(n.id, n.lineno) for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and n.id.strip("_") and n.id == n.id.upper()
+                and not n.id.startswith("__")]
+    return out
+
+
+def test_every_module_constant_is_read():
+    # by name, anywhere in the package: a constant no code of the package
+    # reads is left over from the code that read it
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    unread = {(stem, name, line) for stem, tree in trees.items()
+              for name, line in module_constants(tree) if name not in read}
+    assert unread == set()
+
+
+def test_unread_module_constant_is_found():
+    tree = ast.parse("import math\nEPS = 2.0 ** -52\nBIG = 1e308\n_A, _B = 1, 2\n_ = 3\n"
+                     "__all__ = ['f']\nTAU: float = 2 * math.pi\nlower = 4\n"
+                     "def f():\n    LOCAL = 5\n    return EPS * _A * LOCAL\n")
+    assert module_constants(tree) == [("EPS", 2), ("BIG", 3), ("_A", 4), ("_B", 4), ("TAU", 7)]
+    read = read_names(tree)
+    assert {name for name, _ in module_constants(tree) if name not in read} == {"BIG", "_B", "TAU"}
+
+
 # read by no module of the package: the reader of the file build-example writes
 PUBLIC_FOR_USERS = {("construction_io", "load_construction")}
 
