@@ -9,7 +9,8 @@ rescaling convergence to Grushin halfplanes.
 The package is lazy: `import warplab` loads no submodule.  Each public
 name below is imported from its module on first use and kept, so a run
 loads only the modules it executes (a pure run never loads the
-construction modules or mpmath).
+construction modules).  The package computes in doubles and never imports
+mpmath, which only the tests' 40-digit references use.
 """
 
 import importlib

@@ -258,19 +258,26 @@ def convergence_report(
     return ComparisonReport(usable, errs, trend, excluded)
 
 
-def self_similarity_error(g: GrushinMetric, pairs, factor: float = 2.0) -> float:
+def self_similarity_error(g: GrushinMetric, pairs, factor: float = 2.0):
     """Grushin cone property: d(s.p1, s.p2) = s d(p1, p2) under
     (t, w) -> (s t, s^(1+2a) w), on one halfplane of g.  Returns the max
-    relative mismatch."""
+    relative mismatch (NaN when no pair is compared) and the pairs
+    excluded because a distance is unreachable, as convergence_report
+    excludes them."""
     a = g.alpha
     m = g.halfplane()
     s = factor
-    worst = 0.0
+    worst, compared, excluded = 0.0, 0, []
     for p1, p2 in pairs:
-        d1 = halfplane_distance(m, p1, p2)[0]
         q1 = (s * p1[0], s ** (1.0 + 2.0 * a) * p1[1])
         q2 = (s * p2[0], s ** (1.0 + 2.0 * a) * p2[1])
-        d2 = halfplane_distance(m, q1, q2)[0]
+        try:
+            d1 = halfplane_distance(m, p1, p2)[0]
+            d2 = halfplane_distance(m, q1, q2)[0]
+        except (UnsupportedPair, OutOfRange):
+            excluded.append((p1, p2))
+            continue
         if d1 > 0:
+            compared += 1
             worst = max(worst, abs(d2 - s * d1) / (s * d1))
-    return worst
+    return (worst if compared else math.nan), excluded

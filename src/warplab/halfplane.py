@@ -57,12 +57,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import brentq, quad
+from .warping import LOG_DOUBLE_MAX
 
 TWO_PI = 2.0 * math.pi
 # QAG's absolute floor and panel budget, the relative stop of turning-radius
 # solves, and the Taylor gap model's reach (times max(r_max, 1))
 _ABS_FLOOR, _LIMIT, _TURNING_REL, _TAYLOR_FRAC = 1e-12, 400, 1e-12, 3e-6
-_LOG_DOUBLE_MAX = math.log(1.7976931348623157e308)
 # brentq's stop in x = log(r_max - start): delta_v's quadrature at rel_tol
 # 1e-9 jitters by a few 1e-12 relative, which a finer stop would chase
 _XTOL = 1e-11
@@ -228,7 +228,7 @@ class GeodesicSolution:
 
     @property
     def delta_v(self) -> float:
-        if not self.log_delta_v < _LOG_DOUBLE_MAX:
+        if not self.log_delta_v < LOG_DOUBLE_MAX:
             raise OutOfRange(f"delta_v = exp({self.log_delta_v:.6g}) is past the double range")
         return math.exp(self.log_delta_v)
 

@@ -9,15 +9,16 @@ differences; the two mechanisms must stay separate for cross-checks to
 mean anything).
 
 The scalar type is duck-typed: ``float`` for the values the Christoffel
-oracle reads of a smoothed h, and ``mpmath.mpf`` for the exact
-construction checks, the test references and a bridge constant past the
-double range.  The arcs, turning points and counts of `halfplane`, the
-dense checks and `WarpingFunction.value` read no Jet2 (``jet_sin`` and
-``jet_exp`` also take a plain scalar).
+oracle reads of a smoothed h and for the jets of the segments and blends,
+which are doubles, and ``mpmath.mpf`` for the tests' 30-digit references
+of the warping families.  The arcs, turning points and counts of
+`halfplane`, the dense checks and `WarpingFunction.value` read no Jet2
+(``jet_sin`` and ``jet_exp`` also take a plain scalar).
 
-This module never imports mpmath: it reads mpmath from ``sys.modules``.
-An mpf cannot exist before mpmath is imported, so float jets work in a
-process that never loads it, and mpf jets find it loaded.
+This module never imports mpmath, nor does any module of the package: it
+reads mpmath from ``sys.modules``.  An mpf cannot exist before mpmath is
+imported, so float jets work in a process that never loads it, and mpf
+jets find it loaded.
 
 Powers are evaluated in ratio form ``u**p * (p*u1/u, ...)`` so
 intermediates like ``u**(p-2)`` never underflow before being multiplied

@@ -3,26 +3,27 @@
 The oscillating circle factor alternates between decay exponents on huge,
 rapidly growing radius windows, bridged by steeper/shallower pieces that
 meet continuously.  Radii grow doubly exponentially (the second period
-already overflows doubles for the default parameters), so every junction
-radius and bridge constant is carried as an mpmath scalar; geometry code
-receives floats only where they are representable.
+already overflows doubles for the default parameters), but in
+y = log(1 + r^2) the recursions are linear.  For a piece of exponent p
+ending at radius T and a bridge of exponent E toward a piece of exponent q
+(E above or below both p and q):
 
-Recursions, for a piece of exponent p ending at radius T and a bridge of
-exponent E toward a piece of exponent q (E above or below both p and q):
+    bridge constant  log C = (E - p) y(T)
+    next junction    y(T') = y(T) (E - p)/(E - q)
 
-    bridge constant  C = (1 + T^2)^(E - p)
-    next junction    T' = ((1 + T^2)^((E-p)/(E-q)) - 1)^(1/2)
-
-and each pure piece of exponent q then spans [T', 5 T'^2].
+and each pure piece of exponent q then spans [T', 5 T'^2].  The ladder
+runs in doubles and log-doubles: each kept junction is a double radius
+(the radius bound is a double, and the double range bounds every ladder),
+while the bound comparison and the end 5 T'^2 of the last piece, which may
+lie past the double range, stay in y.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
-import mpmath
-
 from .config import LadderGrowthError
-
-PRECISION_DPS = 40  # ~133 bits; radii serialize as mantissa/exponent strings
+from .warping import LOG_DOUBLE_MAX, log1p_sq_float
 
 
 @dataclass(frozen=True)
@@ -109,17 +110,17 @@ def bridge_exponent(params, a, b):
     return params.B if b > a else params.A
 
 
-def _next_junction(T, E, p, q):
-    """Radius where the E-bridge leaving exponent p at T meets exponent q."""
-    with mpmath.workdps(PRECISION_DPS):
-        expo = (mpmath.mpf(E) - mpmath.mpf(p)) / (mpmath.mpf(E) - mpmath.mpf(q))
-        return mpmath.sqrt((1 + T * T) ** expo - 1)
+def radius(y):
+    """The radius r with log(1 + r^2) = y, as a double (+inf past the
+    double range): exp(y/2) (1 - exp(-y))^(1/2), with no e^y."""
+    if 0.5 * y > LOG_DOUBLE_MAX:
+        return math.inf
+    return math.exp(0.5 * y) * math.sqrt(-math.expm1(-y))
 
 
-def bridge_constant(T, E, p):
-    """C with C (1+r^2)^(-E) continuous at T against (1+r^2)^(-p)."""
-    with mpmath.workdps(PRECISION_DPS):
-        return (1 + T * T) ** (mpmath.mpf(E) - mpmath.mpf(p))
+def bridge_log_constant(T, E, p):
+    """log C with C (1+r^2)^(-E) continuous at T against (1+r^2)^(-p)."""
+    return (E - p) * log1p_sq_float(T)
 
 
 def build_scale_ladder(params, radius_bound: float = 1e300) -> ScaleLadder:
@@ -128,48 +129,43 @@ def build_scale_ladder(params, radius_bound: float = 1e300) -> ScaleLadder:
     Each pure piece of exponent a spans [T, 5 T^2] (the first ends at R11)
     and is bridged to the next exponent; consecutive duplicates merge, and
     the final piece is bridged back toward the first exponent, whose tail
-    then extends to infinity.  If a radius exceeds radius_bound first, the
-    ladder stops at the last piece reached and is flagged truncated.
-    Growth ratios between successive junctions must be >= 5, which the
-    recursions guarantee for oscillations with R11 >= 100 and which keeps
-    later smoothing blends disjoint; a schedule whose junctions grow slower
-    raises LadderGrowthError.
+    then extends to infinity.  If a radius exceeds radius_bound (or the
+    double range) first, the ladder stops at the last piece reached and is
+    flagged truncated.  Growth ratios between successive junctions must be
+    >= 5, which the recursions guarantee for oscillations with R11 >= 100
+    and which keeps later smoothing blends disjoint; a schedule whose
+    junctions grow slower raises LadderGrowthError.
     """
-    with mpmath.workdps(PRECISION_DPS):
-        bound = mpmath.mpf(radius_bound)
-        planned = []
-        for a in params.exponents:  # consecutive duplicates add no contrast
-            if not planned or planned[-1] != a:
-                planned.append(float(a))
-        if planned[-1] != planned[0]:
-            planned.append(planned[0])
+    planned = []
+    for a in params.exponents:  # consecutive duplicates add no contrast
+        if not planned or planned[-1] != a:
+            planned.append(float(a))
+    if planned[-1] != planned[0]:
+        planned.append(planned[0])
 
-        chain = [planned[0]]
-        junctions = []
-        truncated = False
-        end = mpmath.mpf(params.R11)
-        for a, b in zip(planned, planned[1:]):
-            if end > bound:
-                truncated = True
-                break
-            T = _next_junction(end, bridge_exponent(params, a, b), a, b)
-            if T > bound:
-                truncated = True
-                break
-            chain.append(b)
-            junctions += [end, T]
-            end = 5 * T * T
+    y_bound = log1p_sq_float(min(radius_bound, sys.float_info.max))
+    chain = [planned[0]]
+    junctions = []
+    truncated = False
+    end = float(params.R11)
+    y_end = log1p_sq_float(end)
+    for a, b in zip(planned, planned[1:]):
+        E = bridge_exponent(params, a, b)
+        y_T = y_end * ((E - a) / (E - b))
+        if y_end > y_bound or y_T > y_bound:
+            truncated = True
+            break
+        T = radius(y_T)
+        chain.append(b)
+        junctions += [end, T]
+        end = 5.0 * T * T  # +inf past the double range, where y(5 T^2) is formed in logs
+        y_end = (log1p_sq_float(end) if end < math.inf
+                 else 2.0 * (math.log(5.0) + 2.0 * math.log(T)))
 
-        for i, (lo, hi) in enumerate(zip(junctions, junctions[1:])):
-            if not (hi / lo >= 5):
-                raise LadderGrowthError(
-                    f"ladder growth ratio below 5 between junctions {i} and {i + 1} "
-                    f"(r = {mantissa_exponent(lo, 6)} and {mantissa_exponent(hi, 6)})"
-                )
-        return ScaleLadder(params, tuple(chain), junctions, truncated, radius_bound)
-
-
-def mantissa_exponent(x, digits: int = 25) -> str:
-    """Radius as a mantissa/exponent string round-trippable through mpmath."""
-    with mpmath.workdps(max(digits, 5)):
-        return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=False)
+    for i, (lo, hi) in enumerate(zip(junctions, junctions[1:])):
+        if not (hi / lo >= 5):
+            raise LadderGrowthError(
+                f"ladder growth ratio below 5 between junctions {i} and {i + 1} "
+                f"(r = {lo:.6g} and {hi:.6g})"
+            )
+    return ScaleLadder(params, tuple(chain), junctions, truncated, radius_bound)

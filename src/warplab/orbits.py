@@ -37,10 +37,15 @@ import numpy as np
 
 from .halfplane import HalfplaneMetric, orbit_distance
 from .numerics import line_fit
+from .warping import LOG_DOUBLE_MAX
 
 
 class WindowEmpty(ValueError):
     """The admissible index window for this scale is empty."""
+
+
+class WindowOutOfRange(ValueError):
+    """The index window's bounds leave the double range."""
 
 
 def loop_cost_coefficient(a: float) -> float:
@@ -49,15 +54,19 @@ def loop_cost_coefficient(a: float) -> float:
 
 
 def window_index_bounds(a: float, S: float) -> tuple[float, float]:
-    """(rho1 S^(2a+1), rho2 S^(4a+2)): indices with two-sided power control."""
-    C = loop_cost_coefficient(a)
-    rho1 = C ** ((2.0 * a + 1.0) / (2.0 * a))
-    rho2 = C ** (-(2.0 * a + 1.0))
-    lo = rho1 * S ** (2.0 * a + 1.0)
-    hi = rho2 * S ** (4.0 * a + 2.0)
-    if lo > hi:
-        raise WindowEmpty(f"rho1 S^(2a+1)={lo} > rho2 S^(4a+2)={hi}: S too small")
-    return lo, hi
+    """(rho1 S^(2a+1), rho2 S^(4a+2)): indices with two-sided power control,
+    formed in logs; WindowOutOfRange where a bound is past the double range."""
+    log_c = math.log(loop_cost_coefficient(a))
+    k = 2.0 * a + 1.0
+    log_lo = log_c * k / (2.0 * a) + k * math.log(S)
+    log_hi = -log_c * k + 2.0 * k * math.log(S)
+    if log_lo > log_hi:
+        raise WindowEmpty(f"rho1 S^(2a+1)={math.exp(log_lo)} > rho2 S^(4a+2)="
+                          f"{math.exp(log_hi)}: S too small")
+    if log_hi > LOG_DOUBLE_MAX:
+        raise WindowOutOfRange(f"the index window of S={S:.4g} reaches e^{log_hi:.6g}, "
+                               "past the double range")
+    return math.exp(log_lo), math.exp(log_hi)
 
 
 def sandwich_constants(a: float) -> tuple[float, float]:

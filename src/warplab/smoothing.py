@@ -21,28 +21,29 @@ h decreases wherever p > 0 and its local exponent |h'/h|/g stays within
 every blend's p, between two positive exponents, is positive too: a
 smoothed h decreases at every radius by construction.
 
-A blend, like a segment, reads h at double radii in log form: `log_h`
-gives log h at a double, which `halfplane` integrates through, and
-`frame` the exponent frame (log h, p and p'(y)) at a double or a float64
-array, both in closed form with no mpmath.  The dense checks below
+A blend, like a segment, is held in doubles: its junction R, its span
+[lo, hi) and its five-double form.  It reads h at double radii in log
+form: `log_h` gives log h at a double, which `halfplane` integrates
+through, and `frame` the exponent frame (log h, p and p'(y)) at a double
+or a float64 array, both in closed form.  The dense checks below
 (strict-decrease scan, replacement inequalities, certification, effective
-exponent) read the frame.  A `SmoothedH` is its segments and
-its blends, and the only router: one table of float edges hands a double
-to its owner (blend or segment), exact comparisons an mpf radius, so a
-blend evaluates its exponent form on its own span [lo, hi) and nowhere else.
+exponent) read the frame.  A `SmoothedH` is its segments and its blends,
+and the only router: one table of double edges (every junction and every
+blend's lo and hi) hands a double to its owner (blend or segment), so a
+blend evaluates its exponent form on its own span [lo, hi) and nowhere
+else.
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .curvature import decay_curvature, frame, positive, scaled_ricci
-from .jets import Jet2, _exp
-from .ladder import build_scale_ladder
-from .piecewise import Segment, float_ceil, junction_gaps, ladder_segments
+from .jets import Jet2
+from .ladder import build_scale_ladder, radius
+from .piecewise import Segment, junction_gaps, ladder_segments
 from .warping import HFrame, WarpingFunction, inv_u, log1p_sq, log1p_sq_float
 
 SPAN_LO = 0.8  # a blend starts at 0.8 R; its end is centred on y(R) in y = log(1+r^2)
@@ -68,26 +69,12 @@ class NotCertified(RuntimeError):
 
 def _weights(x):
     """Q, q and q' at x: the quintic q = 1 - 10x^3 + 15x^4 - 6x^5 and its
-    integral Q from 0, for a double, an mpf or a float64 array."""
+    integral Q from 0, for a double or a float64 array."""
     x2 = x * x
     q = 1.0 - x * x2 * (10.0 - 15.0 * x + 6.0 * x2)
     q1 = -30.0 * x2 * (1.0 - x) * (1.0 - x)
     Q = x - x2 * x2 * (2.5 - 3.0 * x + x2)
     return Q, q, q1
-
-
-def _exponent_form(r, form):
-    """(h, h', h'') of the exponent blend at a double or an mpf r."""
-    ya, w, la, pr, dp = form
-    y = mpmath.log1p(r * r) if isinstance(r, mpmath.mpf) else log1p_sq_float(r)
-    x = (y - ya) / w
-    Q, q, q1 = _weights(x)
-    p = pr + dp * q
-    ir = 1.0 / r
-    g = 2.0 / (r + ir)  # dy/dr, with no r*r
-    v = _exp(la - pr * (y - ya) - dp * w * Q)
-    s = p * g
-    return v, v * -s, v * (s * s - dp * q1 / w * g * g - p * g * (ir - g))
 
 
 @dataclass(frozen=True)
@@ -96,35 +83,31 @@ class Blend:
     [lo, hi) = [0.8R, y^-1(2y(R) - y(0.8R))).
 
     A blend answers only inside its span: its owner table (`SmoothedH`)
-    hands it no radius outside [lo, hi), and no double outside
-    [float_ceil(lo), float_ceil(hi))."""
+    hands it no radius outside [lo, hi)."""
 
-    R: object  # junction radius (mpf)
+    R: float  # junction radius
     left: Segment
     right: Segment
-    lo: object = field(init=False)  # blend interval (mpf)
-    hi: object = field(init=False)
-    # (y_a, y_b - y_a, log h_L(y_a), p_R, p_L - p_R), once as mpf and once
-    # as doubles; set in __post_init__
+    lo: float = field(init=False)  # blend interval; hi is +inf past the double range
+    hi: float = field(init=False)
+    # (y_a, y_b - y_a, log h_L(y_a), p_R, p_L - p_R), set in __post_init__
     _form: tuple = field(init=False, repr=False, compare=False)
-    _form_f: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = SPAN_LO * self.R
-        with mpmath.extradps(15):
-            ya = mpmath.log1p(lo * lo)
-            w = 2 * (mpmath.log1p(self.R * self.R) - ya)
-            hi = mpmath.sqrt(mpmath.expm1(ya + w))
-            la = mpmath.log(self.left.C) - self.left.p * ya
-        form = (ya, w, la, self.right.p, self.left.p - self.right.p)
+        R = self.R
+        lo = SPAN_LO * R
+        ya = log1p_sq_float(lo)
+        # w = 2 (y(R) - y_a) as the log of a ratio near 1/0.64, with no
+        # cancellation of the two logs (the 1s are below an ulp past 1e150)
+        w = 2.0 * math.log((1.0 + R * R) / (1.0 + lo * lo) if R < 1e150 else (R / lo) ** 2)
         object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_form", form)
-        object.__setattr__(self, "_form_f", tuple(float(c) for c in form))
+        object.__setattr__(self, "hi", radius(ya + w))
+        object.__setattr__(self, "_form", (ya, w, self.left.log_h(lo), self.right.p,
+                                           self.left.p - self.right.p))
 
     def log_h(self, r) -> float:
         """log h at a double r in the span, in the exponent form."""
-        ya, w, la, pr, dp = self._form_f
+        ya, w, la, pr, dp = self._form
         y = log1p_sq_float(r)
         x = (y - ya) / w
         x2 = x * x
@@ -133,16 +116,23 @@ class Blend:
     def frame(self, r) -> HFrame:
         """The exponent frame at a double r or a float64 array of radii in
         the span: p = p_R + (p_L - p_R) q(x) with its log h and p_y."""
-        ya, w, la, pr, dp = self._form_f
+        ya, w, la, pr, dp = self._form
         y = log1p_sq(r) if r.__class__ is np.ndarray else log1p_sq_float(r)
         Q, q, q1 = _weights((y - ya) / w)
         return HFrame(la - pr * (y - ya) - dp * w * Q, pr + dp * q, dp * q1 / w)
 
     def jet(self, r) -> Jet2:
-        """Jet2 at a float or an mpf radius in the span, in the exponent form
-        and the radius's arithmetic."""
-        mp = isinstance(r, mpmath.mpf)
-        return Jet2(*_exponent_form(r, self._form if mp else self._form_f))
+        """(h, h', h'') at a double radius in the span, in the exponent form."""
+        ya, w, la, pr, dp = self._form
+        y = log1p_sq_float(r)
+        x = (y - ya) / w
+        Q, q, q1 = _weights(x)
+        p = pr + dp * q
+        ir = 1.0 / r
+        g = 2.0 / (r + ir)  # dy/dr, with no r*r
+        v = math.exp(la - pr * (y - ya) - dp * w * Q)
+        s = p * g
+        return Jet2(v, v * -s, v * (s * s - dp * q1 / w * g * g - p * g * (ir - g)))
 
 
 class SmoothedH:
@@ -160,48 +150,47 @@ class SmoothedH:
             raise ValueError("need segments whose last one extends to infinity")
         for s in segments:
             if not s.p > 0:  # NaN too
-                raise MonotonicityLoss(f"segment at r_lo = {_short(s.r_lo)} has exponent "
+                raise MonotonicityLoss(f"segment at r_lo = {s.r_lo!r} has exponent "
                                        f"p = {s.p}; h decreases only where p > 0")
         self.segments = list(segments)
         self.gaps = junction_gaps(self.segments)
-        self._junctions = [s.r_lo for s in self.segments[1:]]
-        self.blends = sorted(blends, key=lambda b: mpmath.mpf(b.lo))
+        self.blends = sorted(blends, key=lambda b: b.lo)
         for a, b in zip(self.blends, self.blends[1:]):
             if not (a.hi < b.lo):
-                raise BlendOverlap(f"blends at {a.R} and {b.R} intersect")
-        self._edges = ([b.lo for b in self.blends], [b.hi for b in self.blends])
-        # one float table: every junction and blend lo/hi key is an edge;
-        # the safe-side edges make every double in [e_i, e_i+1) decide as e_i
-        # does, so that interval's owner is the exact decision at e_i
-        edges = sorted({float_ceil(x) for xs in (self._junctions, *self._edges) for x in xs})
-        owners = [self._owner_at(mpmath.mpf(e)) for e in (-math.inf, *edges)]
-        # an edge with one owner on both sides goes (a junction key a few ulps
-        # from its blend's lo/hi key): neighbouring intervals differ in owner
+                raise BlendOverlap(f"blends at {_short(a.R)} and {_short(b.R)} intersect")
+        junctions = [s.r_lo for s in self.segments[1:]]
+        los = [b.lo for b in self.blends]
+
+        def owner(r):  # the blend with lo <= r < hi, else the segment
+            i = bisect_right(los, r) - 1
+            if i >= 0 and r < self.blends[i].hi:
+                return self.blends[i]
+            return self.segments[bisect_right(junctions, r)]
+
+        # one table of double edges, every junction and blend lo/hi: the
+        # owner of [e_i, e_i+1) is the owner at e_i
+        edges = sorted({*junctions, *los, *(b.hi for b in self.blends)})
+        owners = [owner(e) for e in (-math.inf, *edges)]
+        # an edge with one owner on both sides goes (a junction inside its
+        # blend's span): neighbouring intervals differ in owner
         keep = [k for k in range(len(edges)) if owners[k + 1] is not owners[k]]
         self._fedges = [edges[k] for k in keep]
         self._fowners = [owners[0], *(owners[k + 1] for k in keep)]
         self._fedges_array = np.array(self._fedges)
 
     def log_h(self, r) -> float:
-        """log h at a double r: one bisect of the float table, then the
+        """log h at a double r: one bisect of the edge table, then the
         owner's log_h."""
         return self._fowners[bisect_right(self._fedges, r)].log_h(r)
 
     def _owner_at(self, r):
-        """The blend (lo <= r < hi) or else the segment that answers h at r:
-        one bisect of the float table for a float r, exact comparisons for
-        an mpf one (blends are sorted and disjoint)."""
-        if isinstance(r, float):
-            return self._fowners[bisect_right(self._fedges, r)]
-        los, his = self._edges
-        idx = bisect_right(los, r) - 1
-        if idx >= 0 and r < his[idx]:
-            return self.blends[idx]
-        return self.segments[bisect_right(self._junctions, r)]
+        """The blend (lo <= r < hi) or else the segment that answers h at a
+        double r: one bisect of the edge table."""
+        return self._fowners[bisect_right(self._fedges, r)]
 
     def _by_owner(self, rs, method, dtypes):
         """Each owner's method on its run of a 1-d float64 array of radii:
-        the float table splits the radii into runs of one owner (blend or
+        the edge table splits the radii into runs of one owner (blend or
         segment), and each owner answers its run in one call."""
         idx = np.searchsorted(self._fedges_array, rs, side="right")
         out = tuple(np.empty(rs.shape, d) for d in dtypes)
@@ -223,7 +212,7 @@ class SmoothedH:
         return HFrame(*self._by_owner(rs, "frame", (float, float, float)))
 
     def jet(self, r) -> Jet2:
-        """Jet2 at a float or an mpf radius, the owner's."""
+        """Jet2 at a double radius, the owner's."""
         return self._owner_at(r).jet(r)
 
     def value(self, r):
@@ -236,8 +225,7 @@ class SmoothedH:
     def breakpoints_float(self):
         """Finite blend edges, as floats (for quadrature panel splitting);
         each junction lies inside its blend, where h is C^3."""
-        return sorted(p for b in self.blends for p in (float(b.lo), float(b.hi))
-                      if math.isfinite(p))
+        return sorted(p for b in self.blends for p in (b.lo, b.hi) if math.isfinite(p))
 
 
 def smooth(segments) -> SmoothedH:
@@ -301,7 +289,7 @@ def construction_invariants(sm: SmoothedH, r_min: float = 1e-3):
     built), strict decrease of log h on 1e5 log-spaced samples from r_min
     to 1.3 x the last junction (1e6 without one), and the replacement
     inequalities (400 samples) against the left piece of every blend."""
-    exps = np.linspace(np.log10(r_min), float(mpmath.log10(_scan_top(sm))), 100_000)
+    exps = np.linspace(np.log10(r_min), math.log10(_scan_top(sm)), 100_000)
     # 8,192 radii at a time, each chunk compared within and against the
     # previous chunk's last
     monotone, last = True, None
@@ -342,17 +330,14 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
     """Log-spaced radii covering [r_min, 1.3 * last junction], densified per
     structural interval (pieces, bridges, blends) with regime labels."""
     # structural edges: blend lo/hi and segment junctions
-    marks = [b.lo for b in sm.blends] + [b.hi for b in sm.blends]
-    marks += [s.r_lo for s in sm.segments[1:]]
-    marks.sort(key=mpmath.mpf)
+    marks = sorted([*(b.lo for b in sm.blends), *(b.hi for b in sm.blends),
+                    *(s.r_lo for s in sm.segments[1:])])
     top = _scan_top(sm)
+    cuts = [r_min, *(x for x in marks if r_min < x < top), top]
 
-    cuts = [mpmath.mpf(r_min), *(mpmath.mpf(x) for x in marks if r_min < x < top), top]
-
-    # e in doubles: mpf arithmetic at 53 bits rounds as doubles do
     grid, glabels = [], []
     for lo, hi in zip(cuts, cuts[1:]):
-        la, lb = float(mpmath.log10(lo)), float(mpmath.log10(hi))
+        la, lb = math.log10(lo), math.log10(hi)
         for i in range(per_interval):
             grid.append(10.0 ** (la + (lb - la) * (i + 0.5) / per_interval))
         # the cuts hold every owner's edges, so the radii strictly inside one
@@ -364,12 +349,12 @@ def certification_grid(sm: SmoothedH, r_min: float = 1e-3, per_interval: int = 2
 def _scan_top(sm: SmoothedH):
     """Top of the sampled range: 1.3 x the last junction, or 1e6 when h has
     no junction."""
-    last = mpmath.mpf(sm.last_radius())
-    return last * mpmath.mpf("1.3") if last > 0 else mpmath.mpf(1e6)
+    last = sm.last_radius()
+    return 1.3 * last if last > 0 else 1e6
 
 
 def _short(x):
-    return mpmath.nstr(mpmath.mpf(x), 4)
+    return f"{x:.4g}"
 
 
 def _regime_label(sm: SmoothedH, r):

@@ -25,6 +25,8 @@ import numpy as np
 from .jets import Jet2, jet_exp, jet_sin
 
 
+LOG_DOUBLE_MAX = math.log(1.7976931348623157e308)  # math.exp overflows past this
+
 # h at double radii: log h, p = -d log h/dy and p_y = dp/dy, y = log(1+r^2)
 HFrame = namedtuple("HFrame", "log_h p p_y")
 # f at double radii; radial -(1+r^2) f''/f and cross 2r f'/f are pairs

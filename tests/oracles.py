@@ -5,7 +5,11 @@ with what they check.  The arc oracle integrates in the u-variable of the
 h = c cosh u change with tanh-sinh quadrature at 30 digits; the inverse
 r(u) is closed-form for the inverse-power family; `smoothed_arc_oracle`
 integrates a smoothed h's arc in r by tanh-sinh at 30 digits, split at
-the blend edges, on log h from the mpmath jets.  `qk21_loops` is
+the blend edges, on log h from `mp_smoothed_log_h`, the mpmath evaluation
+of each owner's double parameters.  `reference_ladder` is the oscillating
+construction in 40-digit mpmath (junctions, log constants and blend
+forms), the reference for the double construction of `warplab.ladder`,
+`warplab.piecewise` and `warplab.smoothing`.  `qk21_loops` is
 dqk21 in its loop form, the reference for the straight-line rule of
 `warplab.numerics`.  `einsum_ricci` contracts the Christoffel symbols
 over full tensors, the reference for the diagonal products of
@@ -27,6 +31,7 @@ import numpy as np
 
 from warplab.dimension import capacity
 from warplab.jets import Jet2
+from warplab.smoothing import Blend
 from warplab.warping import FFrame, HFrame, WarpingFunction
 
 
@@ -78,11 +83,80 @@ def _mp_log_h(h, r):
     return mp.log(h(mp.mpf(r)).value)
 
 
+def mp_owner_log_h(owner, r):
+    """log h(r) as an mpf at the working precision, from an owner's double
+    parameters read exactly: log C - p log(1 + r^2) for a segment, the
+    exponent form la - p_R (y - y_a) - (p_L - p_R) w Q(x) for a blend."""
+    r = mp.mpf(r)
+    y = mp.log1p(r * r)
+    if isinstance(owner, Blend):
+        ya, w, la, pr, dp = map(mp.mpf, owner._form)
+        x = (y - ya) / w
+        return la - pr * (y - ya) - dp * w * (x - x**4 * (mp.mpf(5) / 2 - 3 * x + x * x))
+    return mp.mpf(owner._log_c) - mp.mpf(owner.p) * y
+
+
+def owner_by_scan(sm, r):
+    """The blend of a SmoothedH whose [lo, hi) holds r, else the segment
+    whose [r_lo, r_hi) does, each found by a linear scan."""
+    for b in sm.blends:
+        if b.lo <= r < b.hi:
+            return b
+    seg, = [s for s in sm.segments if s.r_lo <= r and (s.r_hi is None or r < s.r_hi)]
+    return seg
+
+
+def mp_smoothed_log_h(sm, r):
+    """log h(r) of a SmoothedH as an mpf: mp_owner_log_h of its owner at r."""
+    return mp_owner_log_h(owner_by_scan(sm, r), r)
+
+
+def reference_ladder(params, radius_bound=1e300, dps=40):
+    """The oscillating construction in dps-digit mpmath, from its radii:
+    junctions T' = ((1+T^2)^((E-p)/(E-q)) - 1)^(1/2) and ends 5 T'^2, each
+    segment's (r_lo, p, log C) with log C = (E - p) log(1 + T^2) at its
+    bridge's start T, and each blend's form (y_a, y_b - y_a, log h_L(y_a),
+    p_R, p_L - p_R), y_a = log(1 + (0.8 R)^2) and y_b = 2 log(1 + R^2) - y_a.
+    Returns (junctions, segments, blends, truncated), numbers as mpf."""
+    with mp.workdps(dps):
+        planned = []
+        for a in params.exponents:
+            if not planned or planned[-1] != a:
+                planned.append(a)
+        if planned[-1] != planned[0]:
+            planned.append(planned[0])
+        bound = mp.mpf(radius_bound)
+        chain, junctions, truncated = [planned[0]], [], False
+        end = mp.mpf(params.R11)
+        for a, b in zip(planned, planned[1:]):
+            E = mp.mpf(params.B if b > a else params.A)
+            T = mp.sqrt((1 + end * end) ** ((E - a) / (E - b)) - 1)
+            if end > bound or T > bound:
+                truncated = True
+                break
+            chain.append(b)
+            junctions += [end, T]
+            end = 5 * T * T
+        segments, lo = [], mp.mpf(0)
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            end, T = junctions[2 * i], junctions[2 * i + 1]
+            E = mp.mpf(params.B if b > a else params.A)
+            segments += [(lo, a, mp.mpf(0)), (end, E, (E - a) * mp.log1p(end * end))]
+            lo = T
+        segments.append((lo, chain[-1], mp.mpf(0)))
+        blends = []
+        for (_, pl, lcl), (R, pr, _) in zip(segments, segments[1:]):
+            ya = mp.log1p((mp.mpf(0.8) * R) ** 2)
+            w = 2 * (mp.log1p(R * R) - ya)
+            blends.append((ya, w, lcl - pl * ya, mp.mpf(pr), mp.mpf(pl) - pr))
+        return junctions, segments, blends, truncated
+
+
 def smoothed_arc_oracle(sm, r_maxes, dps=30):
     """[(delta_v, length)] of the Clairaut arcs of a SmoothedH from the
     axis turning at each of r_maxes, by mpmath quad at dps digits on log h
-    from the mpmath jets: rho^2 = exp(2(log h(r_max) - log h(r))), the
-    range split at the exact blend edges, with t = sqrt(r_max - r) on the
+    from mp_smoothed_log_h: rho^2 = exp(2(log h(r_max) - log h(r))), the
+    range split at the blend edges, with t = sqrt(r_max - r) on the
     turning panel.  One quad per panel integrates delta_v's integrand as
     the real part and length's as the imaginary part, over [0, 1] (r = a +
     (b - a) u, t = sqrt(r_max - a) s), where mp.quad's absolute error
@@ -95,7 +169,7 @@ def smoothed_arc_oracle(sm, r_maxes, dps=30):
     def log_h(r):
         key = (mp.mp.prec, r)
         if key not in seen:
-            seen[key] = _mp_log_h(sm.jet, r)
+            seen[key] = mp_smoothed_log_h(sm, r)
         return seen[key]
 
     def integrands(r, lc):
@@ -109,7 +183,7 @@ def smoothed_arc_oracle(sm, r_maxes, dps=30):
     def arc(r_max):
         top = mp.mpf(r_max)
         lc = log_h(top)
-        edges = [mp.mpf(0), *(e for b in sm.blends for e in (b.lo, b.hi) if e < top), top]
+        edges = [mp.mpf(0), *(mp.mpf(e) for b in sm.blends for e in (b.lo, b.hi) if e < top), top]
         total = mp.fsum((b - a) * mp.quad(lambda u: integrands(a + (b - a) * u, lc), [0, 1])
                         for a, b in zip(edges[:-2], edges[1:-1]))
         span = top - edges[-2]

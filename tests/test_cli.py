@@ -393,6 +393,53 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config key 'radius_bound'" in capsys.readouterr().err
 
 
+def _checks(outdir):
+    report = json.loads((outdir / "report.json").read_text())
+    return {c["name"]: c for c in report["checks"]}
+
+
+def test_full_suite_with_a_ladder_cut_before_its_first_junction(tmp_path, capsys):
+    # at bound 200 the first junction R12 = 1e6 is past the bound: h is the
+    # pure alpha piece, with no junction to check and no window to fit
+    code = run_cli(["full-suite", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3", "--B", "1.5",
+                    "--radius-bound", "200", "--outdir", str(tmp_path / "run"),
+                    "--cache-dir", str(tmp_path / "cache")])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    checks = _checks(tmp_path / "run")
+    assert (checks["junction-continuity"]["status"], checks["junction-continuity"]["details"]) == (
+        "pass", "0 junctions")
+    assert {name for name, c in checks.items() if c["status"] == "flagged"} == {
+        "ladder-truncated", "alpha-window-unavailable", "beta-window-unavailable",
+        "rescaling-ladder-refit"}
+    assert [name for name, c in checks.items() if c["status"] == "fail"] == []
+
+
+def test_orbit_window_past_the_double_range_is_flagged(tmp_path, capsys):
+    # R11 = 1e5 puts the second alpha piece at 1.25e92: its index window
+    # reaches e^932, past the double range, so the alpha window is flagged
+    # unavailable while the beta window is checked
+    code = run_cli(["orbit-growth", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3", "--B", "1.5",
+                    "--R11", "1e5", "--outdir", str(tmp_path), "--cache-dir",
+                    str(tmp_path / "cache")])
+    capsys.readouterr()
+    assert code == 0
+    checks = _checks(tmp_path)
+    alpha = checks["alpha-window-unavailable"]
+    assert alpha["status"] == "flagged" and alpha["details"].endswith("past the double range")
+    assert checks["beta-window-growth-slope"]["status"] == "pass"
+
+
+def test_grushin_compare_excludes_unreachable_cone_pairs(tmp_path, capsys):
+    # at alpha = 4 one probe pair's distance is unreachable: it is excluded
+    # and counted, and the other nine decide the check
+    code = run_cli(["grushin-compare", "--alpha", "4.0", "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    cone = _checks(tmp_path)["cone-self-similarity"]
+    assert (cone["status"], cone["details"]) == ("pass", "1 of 10 pairs excluded")
+
+
 def test_ladder_growth_error_exit_code(tmp_path, capsys):
     # a valid schedule whose bridges put the first two junctions 4.6x apart:
     # every mode with beta set builds the configured ladder

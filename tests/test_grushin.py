@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from warplab.grushin import (
 )
 from warplab.warping import grushin_h, power_decay_h
 
-from .oracles import coefficient_error, log_ulps, mp_log_h
+from .oracles import coefficient_error, log_ulps, mp_log_h, mp_owner_log_h, owner_by_scan
 
 
 G_HALF = GrushinMetric(0.5)
@@ -178,12 +179,34 @@ def test_probe_exclusion_counts(osc_build):
         assert rescaled_distance(model, *pair)[1]["r_max"] > model.window[1]
 
 
+def test_self_similarity_excludes_unreachable_pairs(tmp_path, monkeypatch):
+    # at alpha = 4 this pair's distance is unreachable: it is excluded, and
+    # with no pair left the error is NaN and cone-self-similarity fails
+    from warplab import grushin
+    from warplab.config import parse_config
+    from warplab.harness import run
+
+    lost = ((4.332585479250572, -4.2396765044524045), (4.332585479250572, 0.6082379333815622))
+    pairs = probe_pairs(random.Random(12345 + 1), 10)  # the harness's pairs at the default seed
+    err, excluded = self_similarity_error(GrushinMetric(4.0), pairs)
+    assert err < 0.01 and excluded == [lost]
+    err, excluded = self_similarity_error(GrushinMetric(4.0), [lost])
+    assert math.isnan(err) and excluded == [lost]
+    monkeypatch.setattr(grushin, "probe_pairs", lambda rng, n: [lost])
+    report = run(parse_config(None, {"mode": "grushin-compare", "alpha": 4.0,
+                                     "outdir": str(tmp_path)}))
+    cone, = [c for c in report.checks if c.name == "cone-self-similarity"]
+    assert (cone.status, cone.details) == ("fail", "1 of 1 pairs excluded")
+    assert math.isnan(cone.margin)
+
+
 def test_self_similarity():
     rng = np.random.default_rng(13)
     pairs = probe_pairs(rng, 10)
-    assert self_similarity_error(G_HALF, pairs, factor=2.0) < 0.01
+    assert self_similarity_error(G_HALF, pairs, factor=2.0) == (pytest.approx(0.0, abs=0.01), [])
     g2 = GrushinMetric(0.75)
-    assert self_similarity_error(g2, pairs, factor=3.0) < 0.01
+    err, excluded = self_similarity_error(g2, pairs, factor=3.0)
+    assert err < 0.01 and excluded == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -232,12 +255,16 @@ def test_rescaled_value_scales_an_underflowing_radius(osc_build):
 
 
 def _mp_frame(sm, lam, t):
-    """(p, p_y) of h_eff(t) = lam^(2a) h(lam t) in y = log(1+t^2), from the
-    30-digit jet of sm at lam t by the chain rule (lam^(2a) cancels)."""
+    """(p, p_y) of h_eff(t) = lam^(2a) h(lam t) in y = log(1+t^2), from 30-digit
+    derivatives of the mpmath log h of sm's owner at lam t, in its own form
+    on both sides of lam t (lam^(2a) cancels): with d1 = h'/h and d2 = h''/h
+    in t, p = -d1/y' and p_y = p^2 - p (1/(2t^2) - 1/2) - d2/y'^2."""
+    owner = owner_by_scan(sm, lam * t)
     with mpmath.workdps(30):
         t = mpmath.mpf(t)
-        j = sm.jet(lam * t)
-        d1, d2 = lam * j.d1 / j.value, lam * lam * j.d2 / j.value  # h'/h and h''/h in t
+        log_h = lambda s: mp_owner_log_h(owner, lam * s)  # noqa: E731
+        l1, l2 = mpmath.diff(log_h, t, 1), mpmath.diff(log_h, t, 2)
+        d1, d2 = l1, l2 + l1 * l1
         ig = (1 + t * t) / (2 * t)  # 1/(dy/dt)
         p = -d1 * ig
         return p, p * p - p * (1 / (2 * t * t) - mpmath.mpf(0.5)) - d2 * ig * ig
@@ -246,7 +273,7 @@ def _mp_frame(sm, lam, t):
 def test_rescaled_frame_matches_mp_jets(osc_build):
     # the chain-rule frame at three factors of the alpha window (2 to 16 on
     # the standard model) and t in [0.2, 5], scalar and array alike, against
-    # mpmath jets of sm
+    # 30-digit mpmath derivatives of sm's log h
     lad, sm = osc_build
     ts = np.geomspace(0.2, 5.0, 41)
     for lam in np.geomspace(2.0, 0.8 * float(lad.junctions[0]) / 5.0, 3).tolist():

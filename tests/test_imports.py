@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,7 @@ REPO = Path(__file__).resolve().parent.parent
 # bindings perfbench/test_perfbench.py reads from these modules, which the
 # modules themselves never call
 KEPT_FOR_PERFBENCH = {("dimension", "brentq"), ("harness", "orbit_distance")}
-# the oscillating construction: the only modules that may import mpmath at
-# module level, and that a pure run never loads
+# the oscillating construction, which a pure run never loads
 CONSTRUCTION = ("ladder", "piecewise", "smoothing", "construction_io")
 # modules every run loads, which must leave the construction and the grid
 # oracle to the paths that use them
@@ -233,7 +233,7 @@ def test_module_level_imports_leave_mpmath_and_the_construction_to_their_path():
                for path in sorted(SRC.glob("*.py"))}
     mp_importers = {stem for stem, mods in imports.items()
                     if any(m.split(".")[0] == "mpmath" for m in mods)}
-    assert mp_importers <= set(CONSTRUCTION)
+    assert mp_importers == set()
     deferred = {f"warplab.{m}" for m in (*CONSTRUCTION, "gridpath")}
     assert {stem: sorted(imports[stem] & deferred) for stem in ENTRY} == {
         stem: [] for stem in ENTRY}
@@ -259,6 +259,26 @@ def all_imports(tree):
         elif isinstance(node, ast.ImportFrom) and not node.level:
             found.add(node.module.split(".")[0])
     return found
+
+
+def test_no_module_imports_mpmath():
+    # the construction runs in doubles and log-doubles: mpmath is a test
+    # dependency, for the 40-digit references of tests/oracles.py
+    importers = {path.stem for path in sorted(SRC.glob("*.py"))
+                 if "mpmath" in all_imports(ast.parse(path.read_text()))}
+    assert importers == set()
+
+
+def test_mpmath_import_is_found_in_a_function_body():
+    tree = ast.parse("import math\ndef f(x):\n    from mpmath import mpf\n    return mpf(x)\n"
+                     "def g():\n    import mpmath.libmp\n")
+    assert "mpmath" in all_imports(tree)
+
+
+def test_runtime_dependencies_are_numpy_only():
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("mpmath") for d in project["optional-dependencies"]["test"])
 
 
 def test_no_module_imports_hashlib():
@@ -353,14 +373,25 @@ def test_each_mode_loads_only_the_modules_it_runs(mode, tmp_path):
         MODE_MODULES[mode])
 
 
+OSC_SUITE = (
+    "from warplab.cli import main\n"
+    "assert main(['full-suite', '--alpha', '0.6', '--beta', '1.2', '--A', '0.3',\n"
+    "             '--B', '1.5', '--radius-bound', '1e40', '--outdir', out + '/run',\n"
+    "             '--cache-dir', out + '/cache']) == 0\n")
+
+
 def test_oscillating_full_suite_loads_the_construction(tmp_path):
-    mods = loaded_after(
-        "from warplab.cli import main\n"
-        "assert main(['full-suite', '--alpha', '0.6', '--beta', '1.2', '--A', '0.3',\n"
-        "             '--B', '1.5', '--radius-bound', '1e40', '--outdir', out + '/run',\n"
-        "             '--cache-dir', out + '/cache']) == 0\n", tmp_path)
-    assert {"mpmath", *(f"warplab.{c}" for c in CONSTRUCTION)} <= mods
+    mods = loaded_after(OSC_SUITE, tmp_path)
+    assert {f"warplab.{c}" for c in CONSTRUCTION} <= mods
+    assert "mpmath" not in mods
     assert sorted(mods & {"hashlib", "_hashlib"}) == []
+
+
+def test_oscillating_full_suite_runs_where_mpmath_cannot_load(tmp_path):
+    # a None entry in sys.modules makes every import of mpmath raise
+    mods = loaded_after("import sys\nsys.modules['mpmath'] = None\n" + OSC_SUITE, tmp_path)
+    assert (tmp_path / "run" / "report.json").exists()
+    assert "warplab.construction_io" in mods
 
 
 # -- the lazy public API --------------------------------------------------------

@@ -6,11 +6,12 @@ and which must match Jet2 arithmetic (a segment's bit for bit, a blend's
 value bit for bit and its derivatives to rounding), and the log reader,
 `log_h`, with its frame, which the arcs, turning points and counts read.
 The log reader must agree with the frame's log h (bit for bit at a double,
-to a few ulps at an array) and with the log of the 30-digit mpmath jet, at
+to a few ulps at an array) and with the 30-digit mpmath log h of the
+owner's double parameters, at
 every blend edge, junction key and their nextafter neighbours, including
 radii where h or h' underflows in doubles.  A SmoothedH hands each radius
-to the owner its float table names, so a blend is read only inside its
-span, at doubles in [float_ceil(lo), float_ceil(hi)).
+to the owner its edge table names, so a blend is read only inside its
+span [lo, hi).
 """
 
 import math
@@ -25,30 +26,32 @@ from hypothesis import strategies as st
 
 from warplab.halfplane import HalfplaneMetric, axis_count_at_radius, orbit_distance
 from warplab.jets import Jet2, jet_exp
-from warplab.ladder import OscillationParams, bridge_constant
+from warplab.ladder import OscillationParams, bridge_log_constant
 from warplab.orbits import window_index_bounds
-from warplab.piecewise import Segment, float_ceil
+from warplab.piecewise import Segment
 from warplab.smoothing import Blend, SmoothedH, build_oscillating_h, smooth
 
-from .oracles import log_ulps, mp_log_h
+from .oracles import log_ulps, mp_owner_log_h
 
 OSC = OscillationParams(0.6, 1.2, 0.3, 1.5, 100.0, 2)
 
 
 def _ref_segment(seg, r):
     """A segment's scalar float jet as Jet2 arithmetic forms it (the bridge's
-    scaled ratio form for C != 1), or None where the constant is past the
-    double range."""
+    scaled ratio form for C != 1), with h = exp(log C - p log(1 + r^2))
+    where the constant is past the double range."""
     if seg._unit:
         x = Jet2.variable(r)
         return (1 + x * x) ** (-seg.p)
     cf = seg.c_float()
-    if cf is None:
-        return None
     p = seg.p
     u0 = 1.0 + r * r
     g1 = 2.0 * r / u0
-    v = cf * u0 ** (-p)
+    if cf is None:  # h = exp(log h), +inf where that is past the double range
+        log_v = seg._log_c - p * (math.log1p(r * r) if r < 1e150 else 2.0 * math.log(r))
+        v = math.exp(log_v) if log_v < 709.78 else math.inf
+    else:
+        v = cf * u0 ** (-p)
     return Jet2(v, v * (-p) * g1, v * (p * (p + 1.0) * g1 * g1 - p * 2.0 / u0))
 
 
@@ -56,7 +59,7 @@ def _ref_blend(b, r):
     """The exponent blend's scalar float jet in Jet2 arithmetic at a double
     r in its span, h = exp(L(y)) with y = log(1 + r^2) carried as a jet,
     with the jet of L, whose size sets the rounding of h''."""
-    ya, w, la, pr, dp = b._form_f
+    ya, w, la, pr, dp = b._form
     y_value = math.log1p(r * r) if r < 1e150 else 2.0 * math.log(r)
     g = 2.0 / (r + 1.0 / r)
     y = Jet2(y_value, g, g * (1.0 / r - g))
@@ -73,21 +76,18 @@ def _bits(*xs):
 def _huge_bridge_h():
     """A pure piece bridged at 1e100 to exponent 4, whose constant is beyond
     float range (the bridge's _cf is None)."""
-    R = mpmath.mpf(10) ** 100
-    one = mpmath.mpf(1)
-    return smooth([Segment(mpmath.mpf(0), R, 0.6, one, "piece"),
-                   Segment(R, None, 4.0, bridge_constant(R, 4.0, 0.6), "bridge")])
+    R = 1e100
+    return smooth([Segment(0.0, R, 0.6, 0.0, "piece"),
+                   Segment(R, None, 4.0, bridge_log_constant(R, 4.0, 0.6), "bridge")])
 
 
 def _slope_underflow_blend_h():
     """Bridges of exponents 0.01 and 2 joined at 1e60: across the blend the
     left piece's h' underflows in doubles, the right piece's does not."""
-    R = mpmath.mpf(10) ** 60
-    C = mpmath.mpf("1e-262")
-    with mpmath.workdps(40):
-        C2 = C * (1 + R * R) ** (mpmath.mpf(2) - mpmath.mpf("0.01"))
-    return smooth([Segment(mpmath.mpf(0), R, 0.01, C, "bridge"),
-                   Segment(R, None, 2.0, C2, "bridge")])
+    R = 1e60
+    log_c = math.log(1e-262)
+    return smooth([Segment(0.0, R, 0.01, log_c, "bridge"),
+                   Segment(R, None, 2.0, log_c + bridge_log_constant(R, 2.0, 0.01), "bridge")])
 
 
 @pytest.fixture(scope="module")
@@ -95,19 +95,18 @@ def models(osc_build):
     _, osc40 = build_oscillating_h(OSC, radius_bound=1e40)
     # a shallow bridge with a small constant: far out its h' underflows
     # while h does not
-    shallow = [Segment(mpmath.mpf(0), None, 0.3, mpmath.mpf("1e-200"), "bridge")]
-    pure = [Segment(mpmath.mpf(0), None, 0.5, mpmath.mpf(1), "piece")]
+    shallow = [Segment(0.0, None, 0.3, math.log(1e-200), "bridge")]
+    pure = [Segment(0.0, None, 0.5, 0.0, "piece")]
     return {"osc-1e40": osc40, "osc": osc_build[1], "pure": SmoothedH(pure, []),
             "huge-bridge": _huge_bridge_h(), "shallow-bridge": SmoothedH(shallow, []),
             "slope-underflow-blend": _slope_underflow_blend_h()}
 
 
 def _special_radii(sm):
-    """Blend edges (as doubles and as safe-side keys), junctions and their
-    nextafter neighbours, and 0."""
-    edges = [float_ceil(s.r_lo) for s in sm.segments[1:]]
+    """Blend edges, junctions and their nextafter neighbours, and 0."""
+    edges = [s.r_lo for s in sm.segments[1:]]
     for b in sm.blends:
-        edges += [float_ceil(b.lo), float_ceil(b.hi), float(b.lo), float(b.hi)]
+        edges += [b.lo, b.hi]
     out = {0.0}
     for f in edges:
         if math.isfinite(f):
@@ -126,21 +125,16 @@ def _near(a, b, scale):
 
 def _check_kernels(piece, radii):
     """The piece's float jet at each radius against its Jet2 reference, a
-    blend's at the radii in its span; a constant past the double range
-    answers in mpmath."""
+    blend's at the radii in its span."""
     blend = isinstance(piece, Blend)
     if blend:
-        lo, hi = float_ceil(piece.lo), float_ceil(piece.hi)
-        radii = [r for r in radii if lo <= r < hi]
+        radii = [r for r in radii if piece.lo <= r < piece.hi]
     for r in radii:
         j = piece.jet(r)
         if blend:
             want, L = _ref_blend(piece, r)
         else:
             want, L = _ref_segment(piece, r), None
-        if want is None:
-            assert isinstance(j.value, mpmath.mpf), r
-            continue
         if L is None:
             assert _bits(j.value, j.d1, j.d2) == _bits(want.value, want.d1, want.d2), r
         else:  # the closed form's derivatives, against the chain rule
@@ -192,15 +186,16 @@ _UNDERFLOW = (8.1e59, 1.1e60, 1e80, 2e100, 1e110, 3.3e150, 4e230)
 
 def _check_log_readers(sm, radii):
     """Each radius read by sm's log reader, its owner's and its scalar frame,
-    bit for bit; by the array frame to a few ulps; and against the log of
-    the 30-digit mpmath jet, whose owner the exact comparisons decide."""
+    bit for bit; by the array frame to a few ulps; and against the 30-digit
+    log h of the owner's double parameters."""
     for r in radii:
         got = sm.log_h(r)
-        assert _bits(got) == _bits(sm._owner_at(r).log_h(r)) == _bits(sm.frame(r).log_h), r
+        owner = sm._owner_at(r)
+        assert _bits(got) == _bits(owner.log_h(r)) == _bits(sm.frame(r).log_h), r
         assert abs(sm.frame(np.array([r])).log_h[0] - got) <= log_ulps(got), r
-        want = mp_log_h(sm.jet, r)
+        with mpmath.workdps(30):
+            want = float(mp_owner_log_h(owner, r))
         # a bridge's log C and p log(1+r^2) cancel to log h
-        owner = sm._owner_at(mpmath.mpf(r))
         seg = owner.left if isinstance(owner, Blend) else owner
         assert abs(got - want) <= log_ulps(want, seg._log_c), r
 
@@ -245,10 +240,10 @@ def test_subnormal_bridge_power_reads_in_log_form(osc_build):
     m = HalfplaneMetric.from_smoothed(sm)
     for r in (1e105, 1e107):
         with mpmath.workdps(40):
-            want = seg.C * (1 + mpmath.mpf(r) ** 2) ** mpmath.mpf(-1.5)
-            log_want = float(mpmath.log(want))
-        assert abs(sm.log_h(r) - log_want) <= log_ulps(seg._log_c)
-        assert abs(m.value(r) / float(want) - 1.0) <= 2.0 * log_ulps(seg._log_c)
+            log_want = mpmath.mpf(seg.log_c) - mpmath.mpf(1.5) * mpmath.log1p(mpmath.mpf(r) ** 2)
+            want = float(mpmath.exp(log_want))
+        assert abs(sm.log_h(r) - float(log_want)) <= log_ulps(seg._log_c)
+        assert abs(m.value(r) / want - 1.0) <= 2.0 * log_ulps(seg._log_c)
 
 
 def test_counts_and_distances_read_no_jet_and_no_mpmath(osc_build, monkeypatch):
@@ -256,7 +251,7 @@ def test_counts_and_distances_read_no_jet_and_no_mpmath(osc_build, monkeypatch):
     # default model, on a fresh metric: h is read in log form only, with no
     # segment or blend jet and no mpmath code at all
     ladder, sm = osc_build
-    m = HalfplaneMetric.from_smoothed(sm)  # its breakpoints are read from mpf once
+    m = HalfplaneMetric.from_smoothed(sm)
     lo, hi = window_index_bounds(1.2, 2.0 * float(ladder.junctions[1]))
 
     def no_jet(*args):

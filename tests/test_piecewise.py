@@ -1,4 +1,3 @@
-import mpmath
 import numpy as np
 import pytest
 
@@ -65,10 +64,9 @@ def test_segment_lookup_at_boundaries(osc_pieces):
 
 
 def test_continuity_violation_detected():
-    one = mpmath.mpf(1)
     segs = [
-        Segment(mpmath.mpf(0), mpmath.mpf(10), 0.5, one, "piece"),
-        Segment(mpmath.mpf(10), None, 1.0, one, "piece"),  # jumps at r=10
+        Segment(0.0, 10.0, 0.5, 0.0, "piece"),
+        Segment(10.0, None, 1.0, 0.0, "piece"),  # jumps at r=10
     ]
     with pytest.raises(ContinuityViolation, match="junction at r=10"):
         SmoothedH(segs, [])
@@ -77,11 +75,10 @@ def test_continuity_violation_detected():
 
 
 def test_segment_list_must_cover_zero_to_infinity():
-    one = mpmath.mpf(1)
     with pytest.raises(ValueError, match="extends to infinity"):
         SmoothedH([], [])
     with pytest.raises(ValueError, match="extends to infinity"):
-        SmoothedH([Segment(mpmath.mpf(0), mpmath.mpf(10), 0.5, one, "piece")], [])
+        SmoothedH([Segment(0.0, 10.0, 0.5, 0.0, "piece")], [])
 
 
 def test_schedule_reduces_to_pure():
@@ -100,7 +97,7 @@ def test_schedule_matches_oscillation_path(osc_params, osc_pieces):
     assert len(hs) == len(hp.segments)
     for a, b in zip(hs, hp.segments):
         assert (a.p, a.kind) == (b.p, b.kind)
-        assert a.C == b.C and a.r_lo == b.r_lo and a.r_hi == b.r_hi
+        assert a.log_c == b.log_c and a.r_lo == b.r_lo and a.r_hi == b.r_hi
 
 
 def test_consecutive_duplicate_exponents_merge():
