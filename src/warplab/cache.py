@@ -1,4 +1,4 @@
-"""Line-oriented on-disk cache for orbit distances.
+"""Line-oriented on-disk cache for orbit distances and orbit counts.
 
 One file per model, keyed by a format version and the model key in the
 header; another header means the file belongs to a different model or
@@ -7,25 +7,37 @@ silently reused.  The model key is the model's settings written out,
 `name=repr(value)` pairs sorted by name and joined by `_` (for the pure
 model `alpha=0.5_quad_rel_tol=1e-09`), and names the file
 `orbit_<key>.tsv`: float reprs round-trip, so two settings that differ
-in any bit get different keys and files.  Records are `l d_l` lines with
-full-precision reprs, so a warm cache reproduces runs byte-identically.
-The file is append-only: each new distance adds one line, and a reader
-skips a last line without its newline (a write torn by a crash) and lets a
-repeated index's last record win.  Header checks and rewrites (a temp file
-+ os.replace) hold an exclusive flock on the cache directory, appends a
-shared one, so no process rewrites the file while another writes to it;
-in-process appends are serialized by a lock.
+in any bit get different keys and files.  Records are of two kinds, both
+with full-precision reprs, so a warm cache reproduces runs byte-identically:
+`l d_l` lines hold distances, and `n R N` lines the ball index
+N = max{l : d_l <= R} that the turning-parameter inversion gave at radius
+R.  The file is append-only: each new distance or count adds one line, and
+a reader skips a last line without its newline (a write torn by a crash)
+and lets a repeated key's last record win.  Header checks and rewrites (a
+temp file + os.replace) hold an exclusive flock on the cache directory,
+appends a shared one, so no process rewrites the file while another writes
+to it; in-process appends are serialized by a lock.
 """
 
 import fcntl
 import os
 import threading
+from typing import NamedTuple
 
-# The version names the record format and the code that computes d_l: a
-# file of another version holds other columns, or distances that may differ
-# in the last bits, so reusing it could break a byte-identical warm run; it
-# is ignored, then rewritten like another model's
-HEADER = "# warplab-orbit-cache v6 model="
+# The version names the record format and the code that computes d_l and
+# the counts: a file of another version holds other columns, or distances
+# or counts that may differ in the last bits, so reusing it could break a
+# byte-identical warm run; it is ignored, then rewritten like another model's
+HEADER = "# warplab-orbit-cache v7 model="
+COUNT = "n"  # first field of a count record
+
+
+class Records(NamedTuple):
+    """One file's records: distances by index l, counts by radius R (two
+    dicts, since the radius 5.0 and the index 5 are one dict key)."""
+
+    distances: dict
+    counts: dict
 
 
 def model_key(payload: dict) -> str:
@@ -52,28 +64,32 @@ class OrbitCache:
         d = cache_dir or default_cache_dir()
         return OrbitCache(os.path.join(d, f"orbit_{key}.tsv"), key)
 
-    def load(self) -> dict:
-        """Records from disk, or {} when absent or keyed to another model."""
+    def load(self) -> Records:
+        """Records from disk, both empty when absent or keyed to another model."""
+        distances, counts = {}, {}
         try:
             with open(self.path) as fh:
-                first = fh.readline().rstrip("\n")
-                if first != HEADER + self.model_key:
-                    return {}
-                out = {}
+                if fh.readline().rstrip("\n") != HEADER + self.model_key:
+                    return Records({}, {})
                 for line in fh:
                     if not line.endswith("\n"):
                         break  # torn last write
                     parts = line.split()
-                    if len(parts) != 2:
-                        continue
-                    out[int(parts[0])] = float(parts[1])
-                return out
+                    if len(parts) == 2:
+                        distances[int(parts[0])] = float(parts[1])
+                    elif len(parts) == 3 and parts[0] == COUNT:
+                        counts[float(parts[1])] = int(parts[2])
         except FileNotFoundError:
-            return {}
+            pass
+        return Records(distances, counts)
 
-    def append(self, l, d):
+    def append(self, key, value, count=False):
+        """One record: the distance d_l = value at index l = key, or with count
+        the ball index N = value at radius R = key."""
+        line = (f"{COUNT} {float(key)!r} {int(value)}\n" if count
+                else f"{int(key)} {float(value)!r}\n")
         # the directory's inode, unlike the file's, survives os.replace; it is
-        # made here, so a run that computes no distance leaves no directory
+        # made here, so a run that computes no record leaves no directory
         folder = os.path.dirname(os.path.abspath(self.path))
         if not self._ready:
             os.makedirs(folder, exist_ok=True)
@@ -85,7 +101,7 @@ class OrbitCache:
                     self._prepare()
                     self._ready = True
                 with open(self.path, "a") as fh:
-                    fh.write(f"{int(l)} {float(d)!r}\n")
+                    fh.write(line)
         finally:
             os.close(dir_fd)  # releases the flock
 

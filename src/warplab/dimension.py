@@ -13,7 +13,12 @@ astronomically large balls computable.
 
 Conventions: balls are closed (d <= R), separation is closed (d >= eps),
 matching the counting function #(R) = 2 max{l : d_l <= R} + 1, which every
-count reads as 2 ball_index(R) + 1.
+count reads as 2 ball_index(R) + 1.  A stride is a ball index too: for
+doubles d_g >= eps is d_g > nextafter(eps, -inf), so
+min{g >= 1 : d_g >= eps} = ball_index(nextafter(eps, -inf)) + 1.  A
+LinearOrbitMetric answers both by a search over d_l; a GeodesicOrbitMetric
+by one turning-parameter inversion each, which its OrbitTable memoizes and
+caches by radius.
 """
 
 import math
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .halfplane import axis_count_at_radius
 from .numerics import brentq  # noqa: F401  unused here; perfbench's probe test reads it
 from .numerics import line_fit
 from .orbits import INDEX_CAP, OrbitTable, max_index_at_most
@@ -93,10 +97,12 @@ def _check_table(d, triple_samples: int = 200, seed: int = 0):
 class GeodesicOrbitMetric(LinearOrbitMetric):
     """Orbit metric of one OrbitTable: d_l from the table, ball indices by
     turning-parameter inversion on the table's metric, at that metric's arc
-    tolerance, so counts stay computable when threshold indices overflow any
-    table; separation strides by LinearOrbitMetric's search on the table's
-    distances.  A ball below the table's d_1 holds index 0 only, as in
-    LinearOrbitMetric.ball_index, with no inversion."""
+    tolerance and memoized (and cached) by the table, so counts stay
+    computable when threshold indices overflow any table.  Strides come from
+    the same inversion: d_g >= eps is d_g > nextafter(eps, -inf), so the least
+    such g is one past the ball index at that radius.  A ball below the
+    table's d_1 holds index 0 only, as in LinearOrbitMetric.ball_index, with
+    no inversion."""
 
     def __init__(self, table: OrbitTable):
         self.table = table
@@ -105,7 +111,10 @@ class GeodesicOrbitMetric(LinearOrbitMetric):
     def ball_index(self, R: float) -> int:
         if self.raw(1) > R:
             return 0
-        return int(axis_count_at_radius(self.table.metric, R))
+        return self.table.count(R)
+
+    def min_stride(self, eps: float) -> int:
+        return self.ball_index(math.nextafter(eps, -math.inf)) + 1
 
 
 def capacity(s: LinearOrbitMetric, R: float, lam: float) -> int:

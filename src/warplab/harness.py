@@ -350,7 +350,7 @@ def _write_growth_csv(cfg, report, fit, name):
 
 def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
     from .dimension import (
-        LinearOrbitMetric,
+        GeodesicOrbitMetric,
         box_dimension_fit,
         build_capacity_profile,
         check_capacity_sandwich,
@@ -360,7 +360,7 @@ def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
 
     if ladder is not None:  # capacity always runs the pure alpha model
         table = _model_for(replace(cfg, beta=None))[2]
-    s = LinearOrbitMetric(table().distance)
+    s = GeodesicOrbitMetric(table())
     k = 1.0 + 2.0 * cfg.alpha
 
     R_values = np.geomspace(6e3, 6e4, 5)

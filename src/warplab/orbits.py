@@ -5,8 +5,9 @@ reduction; d_l is the distance from an axis point to its l-th translate.
 Counting uses the closed-ball convention #(R) = 2 max{l : d_l <= R} + 1
 (identity plus both signs), with max{l : d_l <= R} the ball index of an
 orbit metric of `dimension`: a GeodesicOrbitMetric over one OrbitTable
-inverts the turning parameter, a LinearOrbitMetric searches d_l through
-max_index_at_most.
+inverts the turning parameter once per radius, through the table's count
+memo (cached beside its distances), for ball indices and strides alike; a
+LinearOrbitMetric searches d_l through max_index_at_most.
 
 Window machinery: on a stretch where h(r) = (1+r^2)^(-a), minimizing the
 radial-out, wind-l-times, radial-back test loop 2r + 2*pi*l*h(r) at
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .halfplane import HalfplaneMetric, orbit_distance
+from .halfplane import HalfplaneMetric, axis_count_at_radius, orbit_distance
 from .numerics import line_fit
 from .warping import LOG_DOUBLE_MAX
 
@@ -95,21 +96,32 @@ class GrowthWindow:
 
 
 class OrbitTable:
-    """Memoized distances l -> d_l for one metric, at its arc tolerance,
-    loaded from and appended to an optional cache.OrbitCache.  The cache is
-    read on the first look at the memo, so a run that asks for no distance
-    reads no record."""
+    """Memoized distances l -> d_l and ball indices R -> max{l : d_l <= R}
+    of one metric, at its arc tolerance, loaded from and appended to an
+    optional cache.OrbitCache.  The two memos stay apart: the radius 5.0 and
+    the index 5 are one dict key.  The cache is read on the first look at
+    either memo, so a run that asks for no distance and no count reads no
+    record."""
 
     def __init__(self, metric: HalfplaneMetric, cache=None):
         self.metric = metric
         self.cache = cache
-        self._entries: dict | None = None
+        self._records = None
+
+    def _load(self):
+        if self._records is None:
+            self._records = self.cache.load() if self.cache is not None else ({}, {})
+        return self._records
 
     @property
     def entries(self) -> dict:
-        if self._entries is None:
-            self._entries = self.cache.load() if self.cache is not None else {}
-        return self._entries
+        """The distance memo, l -> d_l."""
+        return self._load()[0]
+
+    @property
+    def counts(self) -> dict:
+        """The count memo, R -> max{l : d_l <= R} for R >= d_1."""
+        return self._load()[1]
 
     def distance(self, l) -> float:
         l = abs(int(l)) if abs(l) < 2**53 else abs(l)
@@ -122,6 +134,18 @@ class OrbitTable:
         if self.cache is not None:
             self.cache.append(l, d)
         return d
+
+    def count(self, R: float) -> int:
+        """max{l >= 0 : d_l <= R} for R >= d_1 by one turning-parameter
+        inversion on the table's metric (halfplane.axis_count_at_radius),
+        memoized by R."""
+        hit = self.counts.get(R)
+        if hit is not None:
+            return hit
+        n = self.counts[R] = int(axis_count_at_radius(self.metric, R))
+        if self.cache is not None:
+            self.cache.append(R, n, count=True)
+        return n
 
 
 def last_index_at_most(d, target, lo: int, hi: int) -> int:

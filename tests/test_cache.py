@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +26,9 @@ def test_append_only_round_trip(cache_dir):
     # record wins
     assert _lines(cache)[1:] == ["3 1.25", "1 0.30000000000000004", "3 1.5"]
     again = OrbitCache.for_model({"family": "rt"}, cache_dir)
-    assert again.load() == {3: 1.5, 1: 0.1 + 0.2}
+    assert again.load().distances == {3: 1.5, 1: 0.1 + 0.2}
     again.append(8, 4.0)
-    assert cache.load()[8] == 4.0 and len(cache.load()) == 3
+    assert cache.load() == ({3: 1.5, 1: 0.1 + 0.2, 8: 4.0}, {})
 
 
 _FLOATS = st.one_of(st.sampled_from([5e-324, 2.2250738585072014e-308, 1e300, 0.1, 0.1 + 0.2]),
@@ -48,10 +49,10 @@ def test_append_load_round_trip_keeps_every_bit(records):
         cache = OrbitCache.for_model({"family": "prop"}, d)
         for rec in records:
             cache.append(*rec)
-        assert bits(cache.load()) == want
+        assert bits(cache.load().distances) == want
         with open(cache.path, "a") as fh:
             fh.write("7 1.")
-        assert bits(OrbitCache(cache.path, cache.model_key).load()) == want
+        assert bits(OrbitCache(cache.path, cache.model_key).load().distances) == want
 
 
 def test_torn_last_line_is_skipped_and_cut_before_appending(cache_dir):
@@ -60,29 +61,29 @@ def test_torn_last_line_is_skipped_and_cut_before_appending(cache_dir):
     with open(cache.path, "a") as fh:
         fh.write("12 3.5")  # "12 3.5625\n" cut short by a crash
     fresh = OrbitCache(cache.path, cache.model_key)
-    assert fresh.load() == {3: 1.0}
+    assert fresh.load().distances == {3: 1.0}
     # the fragment is cut, so the next record starts on a line of its own
     fresh.append(13, 4.5)
-    assert fresh.load() == {3: 1.0, 13: 4.5}
+    assert fresh.load().distances == {3: 1.0, 13: 4.5}
     assert _lines(fresh)[1:] == ["3 1.0", "13 4.5"]
 
 
 def test_directory_is_made_by_the_first_append(cache_dir):
     cache = OrbitCache.for_model({"family": "lazy"}, cache_dir)
-    assert cache.load() == {} and not os.path.exists(cache_dir)
+    assert cache.load() == ({}, {}) and not os.path.exists(cache_dir)
     cache.append(1, 2.0)
-    assert cache.load() == {1: 2.0}
+    assert cache.load().distances == {1: 2.0}
 
 
 def test_mismatched_file_is_overwritten_on_first_append(cache_dir):
     alien = OrbitCache.for_model({"family": "other"}, cache_dir)
     alien.append(5, 9.0)
     mine = OrbitCache(alien.path, model_key({"family": "mine"}))
-    assert mine.load() == {}
+    assert mine.load() == ({}, {})
     mine.append(2, 1.0)
     assert _lines(mine) == [HEADER + mine.model_key, "2 1.0"]
-    assert mine.load() == {2: 1.0}
-    assert alien.load() == {}
+    assert mine.load().distances == {2: 1.0}
+    assert alien.load() == ({}, {})
 
 
 def test_file_under_the_former_hash_name_is_never_opened(cache_dir, monkeypatch):
@@ -104,9 +105,9 @@ def test_file_under_the_former_hash_name_is_never_opened(cache_dir, monkeypatch)
 
     monkeypatch.setattr(warplab.cache, "open", spy_open, raising=False)
     cache = OrbitCache.for_model(payload, cache_dir)
-    assert cache.path != old and cache.load() == {}
+    assert cache.path != old and cache.load() == ({}, {})
     cache.append(4, 2.0)
-    assert cache.load() == {4: 2.0}
+    assert cache.load().distances == {4: 2.0}
     assert opened and os.path.abspath(old) not in opened
     with open(old, "rb") as fh:
         assert fh.read() == body
@@ -115,15 +116,15 @@ def test_file_under_the_former_hash_name_is_never_opened(cache_dir, monkeypatch)
 
 
 def _older_file_is_ignored_then_rewritten(cache_dir, version, record):
-    assert HEADER == "# warplab-orbit-cache v6 model="
+    assert HEADER == "# warplab-orbit-cache v7 model="
     cache = OrbitCache.for_model({"family": "old"}, cache_dir)
     os.makedirs(cache_dir)  # the first append makes it; the old file comes first
     with open(cache.path, "w") as fh:
         fh.write(f"# warplab-orbit-cache {version} model={cache.model_key}\n{record}\n")
-    assert cache.load() == {}
+    assert cache.load() == ({}, {})
     cache.append(4, 2.0)
     assert _lines(cache) == [HEADER + cache.model_key, "4 2.0"]
-    assert OrbitCache(cache.path, cache.model_key).load() == {4: 2.0}
+    assert OrbitCache(cache.path, cache.model_key).load().distances == {4: 2.0}
 
 
 def test_v1_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
@@ -159,6 +160,46 @@ def test_v5_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
     _older_file_is_ignored_then_rewritten(os.path.join(cache_dir, "again"), "v5", "3 1.0")
 
 
+def test_v6_file_of_the_same_model_is_ignored_then_rewritten(cache_dir):
+    # v6 files hold distances only; a v7 reader takes its counts from the
+    # file, so a v6 file of the same model is not read, also where its records
+    # have the v7 distance shape
+    _older_file_is_ignored_then_rewritten(cache_dir, "v6", "3 1.0")
+
+
+def test_count_records_round_trip_bit_for_bit(cache_dir):
+    # `n R N` lines beside `l d_l` lines: each radius comes back with every
+    # bit of its repr, each count as the int written, and the two memos stay
+    # apart where a radius equals an index (5.0 and 5 are one dict key)
+    cache = OrbitCache.for_model({"family": "counts"}, cache_dir)
+    radii = [5.0, 0.1 + 0.2, 6000.000000000001, 1.7976931348623157e308, 5e-324]
+    for i, R in enumerate(radii):
+        cache.append(R, 10**i + 7, count=True)
+    cache.append(5, 2.5)
+    cache.append(np.float64(6000.000000000001), 99, count=True)  # the last record wins
+    assert _lines(cache)[1:] == [
+        "n 5.0 8", "n 0.30000000000000004 17", "n 6000.000000000001 107",
+        "n 1.7976931348623157e+308 1007", "n 5e-324 10007", "5 2.5",
+        "n 6000.000000000001 99"]
+    distances, counts = OrbitCache(cache.path, cache.model_key).load()
+    assert distances == {5: 2.5}
+    assert [(R.hex(), counts[R]) for R in radii] == [
+        (R.hex(), n) for R, n in zip(radii, (8, 17, 99, 1007, 10007))]
+    assert all(type(R) is float and type(n) is int for R, n in counts.items())
+
+
+def test_torn_count_line_is_skipped_and_cut_before_appending(cache_dir):
+    cache = OrbitCache.for_model({"family": "torn-count"}, cache_dir)
+    cache.append(7.5, 3, count=True)
+    with open(cache.path, "a") as fh:
+        fh.write("n 12.25 4")  # "n 12.25 41\n" cut short by a crash
+    fresh = OrbitCache(cache.path, cache.model_key)
+    assert fresh.load() == ({}, {7.5: 3})
+    fresh.append(13.0, 5, count=True)
+    assert fresh.load() == ({}, {7.5: 3, 13.0: 5})
+    assert _lines(fresh)[1:] == ["n 7.5 3", "n 13.0 5"]
+
+
 def _append_fifty_per_trial(paths, key, first, barrier):
     for path in paths:
         cache = OrbitCache(path, key)
@@ -183,7 +224,7 @@ def test_two_processes_first_appends_to_one_fresh_file(tmp_path):
     assert [p.exitcode for p in procs] == [0, 0]
     want = {l: l + 0.5 for l in range(100)}
     for path in paths:
-        assert OrbitCache(path, key).load() == want, path
+        assert OrbitCache(path, key).load().distances == want, path
     assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)
 
 
@@ -205,4 +246,4 @@ def test_two_processes_first_appends_to_one_alien_file(tmp_path):
     assert [p.exitcode for p in procs] == [0, 0]
     want = {l: l + 0.5 for l in range(100)}
     for path in paths:
-        assert OrbitCache(path, key).load() == want, path
+        assert OrbitCache(path, key).load().distances == want, path

@@ -242,23 +242,73 @@ def test_ball_index_reads_d1_from_the_table_cache(tmp_path, monkeypatch):
 
 
 def test_min_stride_on_disagreeing_table_reads_few_distances(monkeypatch):
-    # the pure 0.6 metric inverts lambda = 2000 (R = 6e3, lambda = R/3) to a
-    # stride near 357,362, while the table's closed-form d_l = l^(1/2.2)
-    # first reaches 2000 near 1.8e7: the stride comes from the search on the
-    # table's distances, not from a walk one distance at a time
+    # the table's distances are faked as d_l = l^(1/2.2), which first reaches
+    # lambda = 2000 near l = 1.8e7, while the pure 0.6 metric inverts 2000 to
+    # a stride near 357,362: strides come from the metric's inversion, like
+    # ball indices, as one past the ball index at the double below lambda,
+    # and the table is read at d_1 only
     reads = []
 
     def spy(m, l):
         reads.append(l)
-        if len(reads) > 1000:
-            raise AssertionError("min_stride walks the table")
         return l ** (1 / 2.2), None
 
     monkeypatch.setattr(orbits, "orbit_distance", spy)
-    s = GeodesicOrbitMetric(OrbitTable(HalfplaneMetric.from_warping(power_decay_h(0.6))))
+    m = HalfplaneMetric.from_warping(power_decay_h(0.6))
+    s = GeodesicOrbitMetric(OrbitTable(m))
+    for eps in (2000.0, 517.0, 20.0, 1.5):
+        below = math.nextafter(eps, -math.inf)
+        assert s.min_stride(eps) == s.ball_index(below) + 1
+        assert s.ball_index(below) == halfplane.axis_count_at_radius(m, below)
+    assert s.min_stride(1.0) == s.min_stride(0.5) == 1  # at and below the fake d_1
     g = s.min_stride(2000.0)
-    assert g ** (1 / 2.2) >= 2000.0 > (g - 1) ** (1 / 2.2)
-    assert len(reads) <= 100
+    assert 357_000 < g < 358_000
+    assert reads == [1]
+    # the stride is the least g with d_g >= lambda on the metric's own distances
+    monkeypatch.undo()
+    assert halfplane.orbit_distance(m, g - 1)[0] < 2000.0 <= halfplane.orbit_distance(m, g)[0]
+
+
+def _capacity_counts(tmp_path, alpha):
+    """Radius -> ball index of every inversion of a pure capacity run: its 90
+    ball-index and stride queries (a stride's at the double below lambda),
+    read from the run's cache."""
+    cache_dir = str(tmp_path / f"cache-{alpha}")
+    run(parse_config(None, {"mode": "capacity", "alpha": alpha, "cache_dir": cache_dir,
+                            "outdir": str(tmp_path / f"out-{alpha}")}))
+    counts = OrbitCache.for_model({"alpha": alpha, "quad_rel_tol": 1e-9}, cache_dir).load().counts
+    assert len(counts) == 90
+    return counts
+
+
+def _searched(alpha, radii):
+    """The same ball indices by LinearOrbitMetric's search over a fresh
+    table's distances."""
+    s = LinearOrbitMetric(OrbitTable(HalfplaneMetric.from_warping(power_decay_h(alpha))).distance)
+    return {R: s.ball_index(R) for R in radii}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6])
+def test_capacity_inversions_equal_the_table_search(tmp_path, alpha):
+    counts = _capacity_counts(tmp_path, alpha)
+    assert _searched(alpha, counts) == counts
+
+
+def test_capacity_inversions_at_pure_1_2_agree_to_the_arcs_resolution(tmp_path):
+    # at alpha = 1.2 the capacity radii reach counts N of 5e10 to 2.4e14,
+    # where neighbouring distances differ by d/((1+2 alpha) N), under 6e-12
+    # relative; the arcs resolve a distance to about 1e-12 (there consecutive
+    # table distances fall by up to 7.7e-13 relative), so the search on the
+    # table and the inversion may part.  They part only where the spacing is
+    # under 1e-11, and by at most 1 + (1+2 alpha) N delta with delta = 4e-12,
+    # a few times that resolution (worst seen: 43 at N = 1.26e13)
+    counts = _capacity_counts(tmp_path, 1.2)
+    searched = _searched(1.2, counts)
+    parted = {R: (n, searched[R]) for R, n in counts.items() if n != searched[R]}
+    assert parted, "no radius parts them: assert equality here, as at 0.5 and 0.6"
+    for n, m in parted.values():
+        assert 1.0 / (3.4 * min(n, m)) < 1e-11
+        assert abs(n - m) <= 1 + 3.4 * max(n, m) * 4e-12
 
 
 def test_box_dimension_beta_window(osc_metric, osc_build):

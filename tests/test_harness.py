@@ -112,6 +112,34 @@ def test_warm_cache_reuses_distances(tmp_path, cache_dir):
     assert a == b
 
 
+def test_warm_pure_full_suite_counts_from_the_cache(tmp_path, cache_dir, monkeypatch):
+    # a cold pure full suite files every distance and count it computes; a
+    # warm one on that file inverts no arc, solves no distance and appends
+    # nothing, and writes the same CSVs
+    from warplab import cache, halfplane, orbits
+
+    def cfg(tag):
+        return parse_config(None, {"mode": "full-suite", "alpha": 0.5,
+                                   "outdir": str(tmp_path / tag), "cache_dir": cache_dir})
+
+    run(cfg("cold"))
+    calls = []
+
+    def spy(holder, name):
+        real = getattr(holder, name)
+        monkeypatch.setattr(holder, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    for holder in (halfplane, orbits):
+        spy(holder, "axis_count_at_radius")
+        spy(holder, "orbit_distance")
+    spy(cache.OrbitCache, "append")
+    assert not run(cfg("warm")).failed
+    assert calls == []
+    cold, warm = (sorted((tmp_path / tag).glob("*.csv")) for tag in ("cold", "warm"))
+    assert [p.name for p in cold] == [p.name for p in warm]
+    assert all(a.read_bytes() == b.read_bytes() for a, b in zip(cold, warm))
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     from warplab.cache import default_cache_dir
 
@@ -186,28 +214,22 @@ def _cache_key(alpha, quad_rel_tol=1e-9):
     return os.path.basename(_pure_cache("", alpha, quad_rel_tol).path)
 
 
-def test_capacity_rows_keyed_to_the_pure_model(tmp_path, cache_dir, monkeypatch):
-    from warplab import orbits
-
-    # capacity runs the pure alpha model; a closed-form distance keeps this fast
-    monkeypatch.setattr(orbits, "orbit_distance",
-                        lambda m, l: (l ** (1 / 2.2), None))
+def test_capacity_rows_keyed_to_the_pure_model(tmp_path, cache_dir):
+    # capacity runs the pure alpha model: its d_1 and its 90 counts are filed
+    # under the pure model's key
     osc = parse_config(None, {"mode": "capacity", **OSC, "outdir": str(tmp_path),
                               "cache_dir": cache_dir})
     run(osc)
     assert os.listdir(cache_dir) == [_cache_key(0.6)]
-    assert _pure_cache(cache_dir, 0.6).load()
+    records = _pure_cache(cache_dir, 0.6).load()
+    assert records.distances and len(records.counts) == 90
 
 
-def test_pure_cache_is_keyed_by_alpha_and_tolerance_only(tmp_path, cache_dir, monkeypatch):
-    # a pure model's distances depend on alpha and the arc tolerance alone:
-    # runs that differ in R11, periods or radius_bound share one file, and so
-    # does an oscillating run's capacity table; another alpha or tolerance
-    # writes a file of its own
-    from warplab import orbits
-
-    monkeypatch.setattr(orbits, "orbit_distance", lambda m, l: (l ** (1 / 2.2), None))
-
+def test_pure_cache_is_keyed_by_alpha_and_tolerance_only(tmp_path, cache_dir):
+    # a pure model's distances and counts depend on alpha and the arc
+    # tolerance alone: runs that differ in R11, periods or radius_bound share
+    # one file, and so does an oscillating run's capacity table; another
+    # alpha or tolerance writes a file of its own
     def capacity_run(tag, **model):
         run(parse_config(None, {"mode": "capacity", **model, "outdir": str(tmp_path / tag),
                                 "cache_dir": cache_dir}))
@@ -227,15 +249,19 @@ def test_pure_cache_is_keyed_by_alpha_and_tolerance_only(tmp_path, cache_dir, mo
 
 
 def test_quad_rel_tol_keys_the_cache_and_reaches_distances(tmp_path, cache_dir, monkeypatch):
+    # the configured tolerance reaches the capacity step's d_1 and every count
     from warplab import orbits
 
     tols = []
 
-    def spy(m, l):
-        tols.append(m.rel_tol)
-        return l ** (1 / 2.2), None  # closed form keeps the capacity step fast
+    def spy(real):
+        def passed_through(m, x):
+            tols.append(m.rel_tol)
+            return real(m, x)
+        return passed_through
 
-    monkeypatch.setattr(orbits, "orbit_distance", spy)
+    monkeypatch.setattr(orbits, "orbit_distance", spy(orbits.orbit_distance))
+    monkeypatch.setattr(orbits, "axis_count_at_radius", spy(orbits.axis_count_at_radius))
     cfgs = [parse_config(None, {"mode": "capacity", "alpha": 0.6, "outdir": str(tmp_path / tag),
                                 "cache_dir": cache_dir, **extra})
             for tag, extra in (("default", {}), ("loose", {"quad_rel_tol": 1e-8}))]
@@ -294,8 +320,9 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # and the alpha pieces need few Kronrod rules (4,148 at this bound;
     # t = sqrt(r_max - r) on every turning panel needed 11,747), and the
     # panels before a turning panel share one error budget (2,675 rules).
-    # Each budget is the count plus 5 % (of 1,975 arcs, when searches ran on
-    # delta_v itself, and of 2,675 rules)
+    # Capacity counts and strides by one inversion each, where it searched
+    # the table's distances: 1,572 arcs (1,973) and 2,035 rules (2,674).
+    # Each budget is the count plus 5 %
     from warplab import grushin, halfplane, numerics
 
     calls = []
@@ -344,8 +371,8 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
     assert not run(cfg).failed
-    assert len(calls) <= 2074
-    assert len(rules) <= 2809
+    assert len(calls) <= 1651
+    assert len(rules) <= 2137
     assert len(turning) <= 2
     assert len(equal_t) == 40 and sum(equal_t) <= 9 * len(equal_t)
 
@@ -357,7 +384,9 @@ def test_oscillating_rules_per_arc_kind(tmp_path, cache_dir, monkeypatch):
     # rho^2 at its end fits its share takes no rule, the others run QAG to
     # that share (2,180 rules when each panel ran to rel_tol of its own
     # value; 707 now, with a ceiling).  The pure, Grushin and rescaled arcs
-    # have one panel each, so their counts stay exactly as they were
+    # have one panel each, so their counts stay exactly as they were, except
+    # that capacity's pure arcs fell from 1,148 arcs and 1,564 rules when its
+    # strides and ball indices came from searches over table distances
     from warplab import halfplane, numerics
 
     arcs, rules, kind = Counter(), Counter(), []
@@ -380,10 +409,10 @@ def test_oscillating_rules_per_arc_kind(tmp_path, cache_dir, monkeypatch):
     cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
     assert not run(cfg).failed
-    assert arcs == {"smoothed-h": 421, "power-decay-h(p=0.6)": 1148,
+    assert arcs == {"smoothed-h": 421, "power-decay-h(p=0.6)": 747,
                     "grushin-h(alpha=0.6)": 163, "rescaled": 241}
     assert rules.pop("smoothed-h") <= 760
-    assert rules == {"power-decay-h(p=0.6)": 1564, "grushin-h(alpha=0.6)": 163, "rescaled": 241}
+    assert rules == {"power-decay-h(p=0.6)": 925, "grushin-h(alpha=0.6)": 163, "rescaled": 241}
 
 
 def test_oscillating_full_suite(tmp_path, cache_dir):

@@ -94,13 +94,36 @@ def test_cache_round_trip(pure_half_metric, cache_dir):
         assert t2.entries[l] == d
 
 
+def test_counts_are_memoized_and_cached_apart_from_distances(pure_half_metric, cache_dir,
+                                                             monkeypatch):
+    # a count is one inversion per radius, kept in its own memo (the radius
+    # 5.0 and the index 5 are one dict key) and in the cache file, so a fresh
+    # table on that file counts with no inversion
+    from warplab import orbits
+
+    payload = {"family": "counts", "alpha": 0.5}
+    t1 = OrbitTable(pure_half_metric, cache=OrbitCache.for_model(payload, cache_dir))
+    d5 = t1.distance(5)
+    calls = []
+    real = orbits.axis_count_at_radius
+    monkeypatch.setattr(orbits, "axis_count_at_radius",
+                        lambda m, R: calls.append(R) or real(m, R))
+    radii = (5.0, d5, 123.0)
+    counts = [t1.count(R) for R in radii] + [t1.count(R) for R in radii]
+    assert calls == list(radii) and counts[:3] == counts[3:]
+    assert counts[1] == 5 and t1.entries == {5: d5}
+    t2 = OrbitTable(pure_half_metric, cache=OrbitCache.for_model(payload, cache_dir))
+    assert [t2.count(R) for R in radii] == counts[:3] and len(calls) == 3
+    assert t2.entries == {5: d5} and t2.counts == dict(zip(radii, counts))
+
+
 def test_cache_key_mismatch_ignored(pure_half_metric, cache_dir):
     c1 = OrbitCache.for_model({"family": "m1"}, cache_dir)
     t1 = OrbitTable(pure_half_metric, cache=c1)
     t1.distance(3)
     # same path, different model key: loader must refuse the records
     alien = OrbitCache(c1.path, model_key({"family": "other"}))
-    assert alien.load() == {}
+    assert alien.load() == ({}, {})
 
 
 def _key_values(key):
@@ -135,7 +158,7 @@ def test_model_key_is_the_settings_text(cache_dir):
     assert os.path.basename(cache.path) == "orbit_alpha=0.5_quad_rel_tol=1e-09.tsv"
     cache.append(1, 2.0)
     with open(cache.path) as fh:
-        assert fh.readline() == "# warplab-orbit-cache v6 model=alpha=0.5_quad_rel_tol=1e-09\n"
+        assert fh.readline() == "# warplab-orbit-cache v7 model=alpha=0.5_quad_rel_tol=1e-09\n"
 
 
 def test_oscillating_distances_monotone_subadditive(osc_metric):
