@@ -23,9 +23,9 @@ _EXPORTS = {
     "config": ("ConfigError", "LadderGrowthError", "RunConfig", "parse_config"),
     "curvature": ("DoublyWarpedMetric", "NonPositiveWarping", "RicciReport", "log_grid",
                   "ricci_report"),
-    "dimension": ("GeodesicOrbitMetric", "LinearOrbitMetric", "box_dimension_fit",
-                  "build_capacity_profile", "capacity", "check_capacity_sandwich",
-                  "fit_growth_constants", "hausdorff_content"),
+    "dimension": ("LinearOrbitMetric", "box_dimension_fit", "build_capacity_profile",
+                  "capacity", "check_capacity_sandwich", "fit_growth_constants",
+                  "hausdorff_content"),
     "gridpath": ("dijkstra_distance_oracle",),
     "grushin": ("GrushinMetric", "RescaledModel", "convergence_report", "grushin_distance",
                 "rescaled_distance"),

@@ -13,10 +13,12 @@ with full-precision reprs, so a warm cache reproduces runs byte-identically:
 N = max{l : d_l <= R} that the turning-parameter inversion gave at radius
 R.  The file is append-only: each new distance or count adds one line, and
 a reader skips a last line without its newline (a write torn by a crash)
-and lets a repeated key's last record win.  Header checks and rewrites (a
-temp file + os.replace) hold an exclusive flock on the cache directory,
-appends a shared one, so no process rewrites the file while another writes
-to it; in-process appends are serialized by a lock.
+and every line that is not a well-formed record, whose record the run then
+computes again and appends, and lets a repeated key's last record win.
+Header checks and rewrites (a temp file + os.replace) hold an exclusive
+flock on the cache directory, appends a shared one, so no process
+rewrites the file while another writes to it; in-process appends are
+serialized by a lock.
 """
 
 import fcntl
@@ -75,10 +77,13 @@ class OrbitCache:
                     if not line.endswith("\n"):
                         break  # torn last write
                     parts = line.split()
-                    if len(parts) == 2:
-                        distances[int(parts[0])] = float(parts[1])
-                    elif len(parts) == 3 and parts[0] == COUNT:
-                        counts[float(parts[1])] = int(parts[2])
+                    try:
+                        if len(parts) == 2:
+                            distances[int(parts[0])] = float(parts[1])
+                        elif len(parts) == 3 and parts[0] == COUNT:
+                            counts[float(parts[1])] = int(parts[2])
+                    except ValueError:
+                        pass  # not a record: computed again and appended
         except FileNotFoundError:
             pass
         return Records(distances, counts)

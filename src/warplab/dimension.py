@@ -1,5 +1,6 @@
-"""Orbit metrics, the one counting interface, with capacity, growth-constant,
-covering-content and box-dimension fits on them.
+"""Capacity, growth-constant, covering-content and box-dimension fits on
+orbit metrics, through their one counting interface, and the orbit metric
+of an explicit table.
 
 An orbit of the integer deck group carries the translation-invariant
 metric rho(a, b) = d_{|a-b|} with d nondecreasing and subadditive.
@@ -13,12 +14,11 @@ astronomically large balls computable.
 
 Conventions: balls are closed (d <= R), separation is closed (d >= eps),
 matching the counting function #(R) = 2 max{l : d_l <= R} + 1, which every
-count reads as 2 ball_index(R) + 1.  A stride is a ball index too: for
-doubles d_g >= eps is d_g > nextafter(eps, -inf), so
-min{g >= 1 : d_g >= eps} = ball_index(nextafter(eps, -inf)) + 1.  A
-LinearOrbitMetric answers both by a search over d_l; a GeodesicOrbitMetric
-by one turning-parameter inversion each, which its OrbitTable memoizes and
-caches by radius.
+count reads as 2 ball_index(R) + 1; a stride is min{g >= 1 : d_g >= eps}.
+The functions below take any orbit metric s with those two methods: an
+orbits.OrbitTable, the geodesic orbit metric, answers both by one cached
+turning-parameter inversion each, and a LinearOrbitMetric, an explicit
+table, by a binary search of its distances.
 """
 
 import math
@@ -28,7 +28,6 @@ import numpy as np
 
 from .numerics import brentq  # noqa: F401  unused here; perfbench's probe test reads it
 from .numerics import line_fit
-from .orbits import INDEX_CAP, OrbitTable, max_index_at_most
 
 
 class DegenerateRange(ValueError):
@@ -40,42 +39,26 @@ class MetricInvariantViolation(ValueError):
 
 
 class LinearOrbitMetric:
-    """Distances d_l on the integer orbit through a callable l -> d_l
-    (geodesic-backed orbits; l_max None: unbounded) or an explicit table d
-    (random instances, small orbits), checked (d_0 = 0, and with validate
-    monotone and subadditive where sampled) and then read as l -> d[l] with
-    l_max = len(d) - 1.  Ball indices and separated strides of both come
-    from one search, orbits.max_index_at_most on the monotone d."""
+    """Orbit metric of an explicit table d (random instances, small orbits),
+    checked: d_0 = 0, and with validate monotone and subadditive where
+    sampled."""
 
-    def __init__(self, dist, l_max=None, validate=True):
-        if not callable(dist):
-            d = np.asarray(dist, dtype=float)
-            if d[0] != 0.0:
-                raise MetricInvariantViolation("d_0 must be 0")
-            if validate:
-                _check_table(d)
-            dist, l_max = d.__getitem__, len(d) - 1
-        self._fn = dist
-        self.l_max = l_max
-
-    def raw(self, l) -> float:
-        l = abs(int(l))
-        if l == 0:
-            return 0.0
-        return float(self._fn(l))
+    def __init__(self, d, validate=True):
+        d = np.asarray(d, dtype=float)
+        if d[0] != 0.0:
+            raise MetricInvariantViolation("d_0 must be 0")
+        if validate:
+            _check_table(d)
+        self.d = d
 
     def ball_index(self, R: float) -> int:
-        """max{l >= 0 : d_l <= R}."""
-        if self.raw(1) > R:
-            return 0
-        return max_index_at_most(self.raw, R, self.l_max or INDEX_CAP)
+        """max{l >= 0 : d_l <= R}, 0 below d_1."""
+        return max(int(np.searchsorted(self.d, R, "right")) - 1, 0)
 
     def min_stride(self, eps: float) -> int:
-        """min{g >= 1 : d_g >= eps}; inf stride returns 0."""
-        # d < T is d <= nextafter(T, -inf) for doubles
-        cap = self.l_max or INDEX_CAP
-        below = max_index_at_most(self.raw, math.nextafter(eps, -math.inf), cap)
-        return 0 if below == cap else below + 1  # d_cap < T: no stride
+        """min{g >= 1 : d_g >= eps}; 0 past d_n, where the table has none."""
+        g = int(np.searchsorted(self.d, eps, "left"))
+        return 0 if g == len(self.d) else max(g, 1)
 
 
 def _check_table(d, triple_samples: int = 200, seed: int = 0):
@@ -94,30 +77,7 @@ def _check_table(d, triple_samples: int = 200, seed: int = 0):
             raise MetricInvariantViolation(f"subadditivity fails: d[{a + b}] > d[{a}] + d[{b}]")
 
 
-class GeodesicOrbitMetric(LinearOrbitMetric):
-    """Orbit metric of one OrbitTable: d_l from the table, ball indices by
-    turning-parameter inversion on the table's metric, at that metric's arc
-    tolerance and memoized (and cached) by the table, so counts stay
-    computable when threshold indices overflow any table.  Strides come from
-    the same inversion: d_g >= eps is d_g > nextafter(eps, -inf), so the least
-    such g is one past the ball index at that radius.  A ball below the
-    table's d_1 holds index 0 only, as in LinearOrbitMetric.ball_index, with
-    no inversion."""
-
-    def __init__(self, table: OrbitTable):
-        self.table = table
-        super().__init__(table.distance)
-
-    def ball_index(self, R: float) -> int:
-        if self.raw(1) > R:
-            return 0
-        return self.table.count(R)
-
-    def min_stride(self, eps: float) -> int:
-        return self.ball_index(math.nextafter(eps, -math.inf)) + 1
-
-
-def capacity(s: LinearOrbitMetric, R: float, lam: float) -> int:
+def capacity(s, R: float, lam: float) -> int:
     """Maximum cardinality of a lam-separated subset of the closed ball
     B_R(0), via the constant-stride form of the greedy sweep."""
     if not (0 < lam < R):
@@ -155,7 +115,7 @@ class CapacityProfile:
         return True
 
 
-def build_capacity_profile(s: LinearOrbitMetric, R_values, ratios) -> CapacityProfile:
+def build_capacity_profile(s, R_values, ratios) -> CapacityProfile:
     prof = CapacityProfile()
     for R in R_values:
         for q in ratios:
@@ -164,7 +124,7 @@ def build_capacity_profile(s: LinearOrbitMetric, R_values, ratios) -> CapacityPr
     return prof
 
 
-def fit_growth_constants(s: LinearOrbitMetric, k: float, R_range, samples: int = 32):
+def fit_growth_constants(s, k: float, R_range, samples: int = 32):
     """(c1, c2) = min/max over the range of #B_R / R^k, counting closed balls
     at `samples` log-spaced radii."""
     lo, hi = R_range
@@ -213,7 +173,7 @@ def check_capacity_sandwich(profile: CapacityProfile, k: float, c1: float, c2: f
     return SandwichReport(rows, bad)
 
 
-def hausdorff_content(s: LinearOrbitMetric, k: float, R: float, delta: float) -> float:
+def hausdorff_content(s, k: float, R: float, delta: float) -> float:
     """Covering content of the ball B_R at scale delta: cover by delta-balls
     centered at a maximal delta-separated set (count = capacity) and return
     count * delta^k.  Callers bound it between 3^(k+1)(c2/c1) R^k and the
@@ -229,7 +189,8 @@ def box_dimension_fit(profile: CapacityProfile) -> float:
     if len(profile.samples) < 8:
         raise DegenerateRange("need at least 8 samples")
     x = np.log([R / lam for R, lam, _ in profile.samples])
-    y = np.log([cap for _, _, cap in profile.samples])
+    # float() first: a cap past int64 would make an object array np.log refuses
+    y = np.log([float(cap) for _, _, cap in profile.samples])
     if x.max() - x.min() < math.log(10.0) / 2:
         raise DegenerateRange("R/lam span below half a decade")
     return line_fit(x, y)[0]

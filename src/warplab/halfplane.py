@@ -571,7 +571,7 @@ def orbit_distance(m: HalfplaneMetric, l: int | float):
 
 def axis_count_at_radius(m: HalfplaneMetric, R: float):
     """max { l >= 0 : d_l <= R } via the turning-parameter inversion, for
-    R >= d_1 (dimension.GeodesicOrbitMetric answers 0 below its table's d_1).
+    R >= d_1 (orbits.OrbitTable.ball_index answers 0 below its d_1).
 
     Arc length and delta_v both increase with the turning radius, so the
     threshold index is delta_v/(2 pi) of the arc of length R.  The straight

@@ -18,17 +18,19 @@ draws.
 
 Each step imports the modules only it runs, inside the step, so a run
 loads what its mode executes: `_run_ricci_check` imports `christoffel`,
-the orbit-growth and capacity steps `dimension` (and orbit growth
-`orbits`), `_run_grushin` imports `grushin`, and `_orbit_table`, which
-builds the orbit table for the first step that reads a distance, imports
-`orbits`, with `cache` for the pure model.  The construction modules
-(`ladder`, `piecewise`, `smoothing`, `construction_io`) are imported only
-where a run builds the oscillating model: in the beta branch of
-`_model_for` and in `_run_build_example`.  A pure run never loads them,
-and no run loads mpmath: the construction is carried in doubles and
-log-doubles.  A step's `from .module import name` reads the module's
-attribute when the step runs, so a wrapper or spy set on the module
-reaches the step.
+the orbit-growth step `orbits`, the capacity step and the oscillating
+model's growth windows (`_window_checks`) `dimension`, `_run_grushin`
+`grushin`, and `_orbit_table`, which builds the orbit table for the first
+step that reads a distance, imports `orbits`, with `cache` for the pure
+model.  Every step counts on that table: an orbits.OrbitTable is the
+orbit metric that `growth_slope` and `dimension`'s fits read.  The
+construction modules (`ladder`, `piecewise`, `smoothing`,
+`construction_io`) are imported only where a run builds the oscillating
+model: in the beta branch of `_model_for` and in `_run_build_example`.  A
+pure run never loads them, and no run loads mpmath: the construction is
+carried in doubles and log-doubles.  A step's `from .module import name`
+reads the module's attribute when the step runs, so a wrapper or spy set
+on the module reaches the step.
 """
 
 import functools
@@ -254,7 +256,6 @@ def _run_build_example(cfg: RunConfig, report: RunReport, ladder, sm, table):
 
 
 def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
-    from .dimension import GeodesicOrbitMetric
     from .orbits import GrowthWindow, WindowOutOfRange, growth_slope
 
     if ladder is None:
@@ -279,7 +280,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
         report.add("distance-power-bounds", ok, details=f"{len(ls)} indices in [81, 1e5]")
 
         window = GrowthWindow(1e2, 1e4)
-        fit = growth_slope(GeodesicOrbitMetric(table()), window, samples=14)
+        fit = growth_slope(table(), window, samples=14)
         target = 1.0 + 2.0 * a
         report.add("growth-slope", abs(fit.slope - target) <= 0.15, margin=fit.slope,
                    details=f"expected {target} +- 0.15")
@@ -288,8 +289,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
 
     # oscillating model: a window at each controlling stretch, S = twice
     # the start of the second alpha piece and of the first beta piece, both
-    # on one orbit metric
-    s = GeodesicOrbitMetric(table())
+    # on one orbit table
     rows_csv = []
     stretches = ((cfg.alpha, _piece_starts(sm, cfg.alpha)[1:2], "alpha-window", "second alpha"),
                  (cfg.beta, _piece_starts(sm, cfg.beta)[:1], "beta-window", "beta"))
@@ -299,7 +299,7 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
                        details=f"no {piece} piece below radius bound {cfg.radius_bound:g}")
             continue
         try:
-            _window_checks(cfg, report, s, a, 2.0 * starts[0], tag, rows_csv)
+            _window_checks(cfg, report, table(), a, 2.0 * starts[0], tag, rows_csv)
         except WindowOutOfRange as e:
             report.add(f"{tag}-unavailable", True, flagged=True, details=str(e))
     if rows_csv:
@@ -313,17 +313,17 @@ def _piece_starts(sm, a):
     return [s.r_lo for s in sm.segments if s.kind == "piece" and s.p == a]
 
 
-def _window_checks(cfg, report, s, a, S, tag, rows_csv):
+def _window_checks(cfg, report, table, a, S, tag, rows_csv):
     from .dimension import growth_constants
     from .orbits import GrowthWindow, check_distance_sandwich, growth_slope, sandwich_constants
 
-    ok, rows = check_distance_sandwich(s.raw, a, S, n_samples=12)
+    ok, rows = check_distance_sandwich(table.distance, a, S, n_samples=12)
     rows_csv.extend((r[0], r[1]) for r in rows)
     C1, C2 = sandwich_constants(a)
     report.add(f"{tag}-distance-sandwich", ok,
                details=f"C1={C1:.4g}, C2={C2:.4g}, S={S:.4g}")
     window = GrowthWindow.for_stretch(a, S)
-    fit = growth_slope(s, window, samples=12)
+    fit = growth_slope(table, window, samples=12)
     target = 1.0 + 2.0 * a
     report.add(f"{tag}-growth-slope", abs(fit.slope - target) <= 0.3, margin=fit.slope,
                details=f"expected {target} +- 0.3")
@@ -350,7 +350,6 @@ def _write_growth_csv(cfg, report, fit, name):
 
 def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
     from .dimension import (
-        GeodesicOrbitMetric,
         box_dimension_fit,
         build_capacity_profile,
         check_capacity_sandwich,
@@ -360,7 +359,7 @@ def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
 
     if ladder is not None:  # capacity always runs the pure alpha model
         table = _model_for(replace(cfg, beta=None))[2]
-    s = GeodesicOrbitMetric(table())
+    s = table()
     k = 1.0 + 2.0 * cfg.alpha
 
     R_values = np.geomspace(6e3, 6e4, 5)

@@ -4,10 +4,10 @@ The deck group is the integers acting by v -> v + 2*pi*l on the halfplane
 reduction; d_l is the distance from an axis point to its l-th translate.
 Counting uses the closed-ball convention #(R) = 2 max{l : d_l <= R} + 1
 (identity plus both signs), with max{l : d_l <= R} the ball index of an
-orbit metric of `dimension`: a GeodesicOrbitMetric over one OrbitTable
-inverts the turning parameter once per radius, through the table's count
-memo (cached beside its distances), for ball indices and strides alike; a
-LinearOrbitMetric searches d_l through max_index_at_most.
+orbit metric.  An OrbitTable is the geodesic orbit metric: it inverts the
+turning parameter once per radius, through its count memo (cached beside
+its distances), for ball indices and strides alike; dimension's
+LinearOrbitMetric is the orbit metric of an explicit table.
 
 Window machinery: on a stretch where h(r) = (1+r^2)^(-a), minimizing the
 radial-out, wind-l-times, radial-back test loop 2r + 2*pi*l*h(r) at
@@ -96,12 +96,12 @@ class GrowthWindow:
 
 
 class OrbitTable:
-    """Memoized distances l -> d_l and ball indices R -> max{l : d_l <= R}
-    of one metric, at its arc tolerance, loaded from and appended to an
-    optional cache.OrbitCache.  The two memos stay apart: the radius 5.0 and
-    the index 5 are one dict key.  The cache is read on the first look at
-    either memo, so a run that asks for no distance and no count reads no
-    record."""
+    """The geodesic orbit metric of one HalfplaneMetric, at its arc
+    tolerance: memoized distances l -> d_l and ball indices
+    R -> max{l : d_l <= R}, loaded from and appended to an optional
+    cache.OrbitCache.  The two memos stay apart: the radius 5.0 and the index
+    5 are one dict key.  The cache is read on the first look at either memo,
+    so a run that asks for no distance and no count reads no record."""
 
     def __init__(self, metric: HalfplaneMetric, cache=None):
         self.metric = metric
@@ -135,10 +135,13 @@ class OrbitTable:
             self.cache.append(l, d)
         return d
 
-    def count(self, R: float) -> int:
-        """max{l >= 0 : d_l <= R} for R >= d_1 by one turning-parameter
-        inversion on the table's metric (halfplane.axis_count_at_radius),
-        memoized by R."""
+    def ball_index(self, R: float) -> int:
+        """max{l >= 0 : d_l <= R}: 0 below the table's d_1, with no inversion,
+        and otherwise one turning-parameter inversion on the table's metric
+        (halfplane.axis_count_at_radius), memoized by R, so counts stay
+        computable where threshold indices overflow any table."""
+        if self.distance(1) > R:
+            return 0
         hit = self.counts.get(R)
         if hit is not None:
             return hit
@@ -147,64 +150,11 @@ class OrbitTable:
             self.cache.append(R, n, count=True)
         return n
 
-
-def last_index_at_most(d, target, lo: int, hi: int) -> int:
-    """max{l in [lo, hi) : d(l) <= target} for nondecreasing d, given the
-    bracket d(lo) <= target < d(hi).
-
-    Each round interpolates log d against log l between the bracket ends,
-    probes the estimate rounded towards the bracket's midpoint, and then
-    either its neighbour on the far side (when the first probe halved the
-    bracket, so an estimate within one index closes it from both ends) or
-    the midpoint.  Every round of two probes at least halves the bracket,
-    so the worst case is twice bisection's probe count.  Where the
-    interpolation is undefined (d(lo) <= 0, d(lo) == d(hi), hi beyond
-    2**53) the round is a plain bisection step.
-    """
-    d_lo, d_hi = d(lo), d(hi)
-
-    def probe(l):
-        nonlocal lo, hi, d_lo, d_hi
-        v = d(l)
-        if v <= target:
-            lo, d_lo = l, v
-        else:
-            hi, d_hi = l, v
-
-    while hi - lo > 1:
-        width = hi - lo
-        mid = (lo + hi) // 2
-        if not 0.0 < d_lo < d_hi or hi > 2**53:
-            probe(mid)
-            continue
-        t = (math.log(target) - math.log(d_lo)) / (math.log(d_hi) - math.log(d_lo))
-        x = math.exp(math.log(lo) + t * (math.log(hi) - math.log(lo)))
-        m = min(max(math.ceil(x) if x < mid else math.floor(x), lo + 1), hi - 1)
-        probe(m)
-        if hi - lo > 1:
-            halved = 2 * (hi - lo) <= width
-            probe((m + 1 if lo == m else m - 1) if halved else (lo + hi) // 2)
-    return lo
-
-
-INDEX_CAP = 2**200  # search bound for orbits with no largest index
-
-
-def max_index_at_most(d, target, cap: int = INDEX_CAP) -> int:
-    """max{l in [0, cap] : d(l) <= target} for nondecreasing d with d(0) = 0:
-    doubling from l = 1 (the probes at powers of two are shared through a
-    memoized d), then last_index_at_most on the bracket found; d(cap) is
-    tested before the cap closes the bracket."""
-    if d(1) > target:
-        return 0
-    lo, hi = 1, 2
-    while hi < cap and d(hi) <= target:
-        lo, hi = hi, 2 * hi
-    if hi >= cap:
-        if d(cap) <= target:
-            return cap
-        hi = cap
-    return last_index_at_most(d, target, lo, hi)
+    def min_stride(self, eps: float) -> int:
+        """min{g >= 1 : d_g >= eps}.  For doubles d_g >= eps is
+        d_g > nextafter(eps, -inf), so the least such g is one past the ball
+        index at that radius."""
+        return self.ball_index(math.nextafter(eps, -math.inf)) + 1
 
 
 @dataclass

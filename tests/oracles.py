@@ -352,12 +352,12 @@ def einsum_ricci(g0, d1, dd):
 
 def capacity_sweep(s, R, lam):
     """Literal left-to-right greedy sweep over the ball's integer points of
-    the LinearOrbitMetric s (explicit tables only)."""
+    the LinearOrbitMetric s, reading its table s.d."""
     N = s.ball_index(R)
     count = 0
     last = None
     for a in range(-N, N + 1):
-        if last is None or s.raw(a - last) >= lam:
+        if last is None or s.d[a - last] >= lam:
             count += 1
             last = a
     return count
@@ -373,7 +373,7 @@ def capacity_exhaustive(s, R, lam):
     best = [1] * n  # best[i]: max size of separated set ending at pts[i]
     for i in range(n):
         for j in range(i):
-            if s.raw(pts[i] - pts[j]) >= lam and best[j] + 1 > best[i]:
+            if s.d[pts[i] - pts[j]] >= lam and best[j] + 1 > best[i]:
                 best[i] = best[j] + 1
     return max(best) if n else 0
 

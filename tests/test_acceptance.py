@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from warplab.christoffel import ricci_numeric_oracle
+from warplab.config import parse_config
 from warplab.curvature import DoublyWarpedMetric, log_grid, ricci_grid, ricci_report
 from warplab.dimension import (
-    GeodesicOrbitMetric,
     LinearOrbitMetric,
     box_dimension_fit,
     build_capacity_profile,
@@ -25,6 +25,7 @@ from warplab.dimension import (
 from warplab.gridpath import dijkstra_distance_oracle
 from warplab.grushin import GrushinMetric, convergence_report, probe_pairs, self_similarity_error
 from warplab.halfplane import TWO_PI, orbit_distance
+from warplab.harness import _model_for
 from warplab.orbits import (
     GrowthWindow,
     OrbitTable,
@@ -130,7 +131,7 @@ def test_criterion_5_varying_growth_slopes(osc_metric, osc_windows):
     # 3.4 +- 0.3 at the period-1 middle-stretch scale; fitted count
     # constants stay finite
     S_alpha, S_beta = osc_windows
-    s = GeodesicOrbitMetric(OrbitTable(osc_metric))
+    s = OrbitTable(osc_metric)
     ok = True
     det = []
     for a, S, target in ((0.6, S_alpha, 2.2), (1.2, S_beta, 3.4)):
@@ -160,13 +161,16 @@ def test_criterion_6_window_distance_bounds(osc_metric, osc_windows):
 
 
 @pytest.fixture(scope="module")
-def orbit_linear_metric(pure_half_metric):
-    table = OrbitTable(pure_half_metric)
-    return LinearOrbitMetric(table.distance)
+def capacity_table(tmp_path_factory):
+    """The orbit table the pure 1/2 `capacity` step counts on, built by the
+    harness, with its cache in a fresh directory."""
+    cfg = parse_config(None, {"mode": "capacity", "alpha": 0.5,
+                              "cache_dir": str(tmp_path_factory.mktemp("cache"))})
+    return _model_for(cfg)[2]()
 
 
-def test_criterion_7_capacity_sandwich_and_box_fit(orbit_linear_metric):
-    s = orbit_linear_metric
+def test_criterion_7_capacity_sandwich_and_box_fit(capacity_table):
+    s = capacity_table
     k = 2.0
     R_values = np.geomspace(6e3, 6e4, 5)
     ratios = np.geomspace(3.0, 300.0, 10)  # two decades of R/lambda
@@ -198,8 +202,8 @@ def test_criterion_7_capacity_sandwich_and_box_fit(orbit_linear_metric):
                    f"{sand.violations} violations, box {slope:.3f}, sweep exact {agree}")
 
 
-def test_criterion_8_content_bounds(orbit_linear_metric):
-    s = orbit_linear_metric
+def test_criterion_8_content_bounds(capacity_table):
+    s = capacity_table
     k = 2.0
     R = 2e4
     c1, c2 = fit_growth_constants(s, k, (20.0, R * 4.0 / 3.0))

@@ -478,10 +478,21 @@ def test_capacity_determinism(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_capacity_at_large_alpha_writes_its_report(tmp_path, capsys):
+    # at alpha = 3.5 (k = 8) the largest capacities pass int64; the box fit
+    # reads each as a double
+    code = run_cli(["capacity", "--alpha", "3.5", "--outdir", str(tmp_path / "out"),
+                    "--cache-dir", str(tmp_path / "cache")])
+    assert code == 0
+    assert (tmp_path / "out" / "report.json").exists()
+    rows = (tmp_path / "out" / "capacity.csv").read_text().splitlines()[1:]
+    assert max(int(row.split(",")[2]) for row in rows) > 2**63
+
+
 # capacity outputs of the pure 1/2 model, pinned when ball indices and strides
-# came from integer bisection: any correct search over the monotone d_l
-# gives the same indices, so the bytes must not move; capacity_fit.csv was
-# re-pinned when its box slope came from numerics.line_fit, 1 ulp off polyfit's
+# came from integer bisection over d_l: any correct count gives the same
+# indices, so the bytes must not move; capacity_fit.csv was re-pinned when
+# its box slope came from numerics.line_fit, 1 ulp off polyfit's
 CAPACITY_SHA256 = {
     "capacity.csv": "f99bf3c250952991137563ed0510570fd17c95bb556c073fa35d5f565ed31011",
     "capacity_fit.csv": "7a3a881e28b0b4e46864e8c52cbb129f5615e44ce6db446cf44dd979c8c72865",
@@ -496,11 +507,10 @@ def test_capacity_golden_bytes_and_distance_budget(tmp_path, capsys):
     assert code == 0
     for name, digest in CAPACITY_SHA256.items():
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
-    # the interpolating index search computes about 200 distances where
-    # bisection computed 1,094
+    # one distance (d_1) and one count per inversion, 90 of them
     (path,) = cache.iterdir()
     rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
-    assert len(rows) <= 300
+    assert len(rows) == 91
 
 
 def test_build_example_end_to_end(tmp_path, capsys):

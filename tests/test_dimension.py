@@ -10,7 +10,6 @@ from warplab import dimension, halfplane, orbits
 from warplab.cache import OrbitCache
 from warplab.dimension import (
     DegenerateRange,
-    GeodesicOrbitMetric,
     LinearOrbitMetric,
     MetricInvariantViolation,
     box_dimension_fit,
@@ -24,7 +23,7 @@ from warplab.config import parse_config
 from warplab.halfplane import HalfplaneMetric
 from warplab.harness import run
 from warplab.numerics import line_fit
-from warplab.orbits import OrbitTable, last_index_at_most
+from warplab.orbits import OrbitTable
 from warplab.warping import power_decay_h
 
 from .oracles import capacity_exhaustive, capacity_sweep, counting_chain_holds
@@ -143,7 +142,7 @@ def test_content_lower_direction_chain():
 
 
 def test_box_dimension_unit():
-    s = LinearOrbitMetric(lambda l: float(l))
+    s = LinearOrbitMetric(np.arange(300_001.0))
     prof = build_capacity_profile(s, np.geomspace(3e4, 3e5, 4), np.geomspace(3, 300, 10))
     assert box_dimension_fit(prof) == pytest.approx(1.0, abs=0.05)
     with pytest.raises(DegenerateRange):
@@ -199,16 +198,15 @@ def test_line_fit_refuses_the_fits_polyfit_refuses(x, y):
 
 
 def test_counting_chain_on_orbit_metric(pure_half_metric):
-    s = GeodesicOrbitMetric(OrbitTable(pure_half_metric))
+    s = OrbitTable(pure_half_metric)
     for R, lam in ((300.0, 40.0), (1500.0, 90.0), (5000.0, 600.0)):
         assert counting_chain_holds(s, R, lam)
 
 
 def test_ball_below_d1_inverts_no_arc(monkeypatch):
     # the table's d_1 decides a ball below it: index 0, no length inversion
-    table = OrbitTable(HalfplaneMetric.from_warping(power_decay_h(0.5)))
-    s = GeodesicOrbitMetric(table)
-    d1 = table.distance(1)
+    s = OrbitTable(HalfplaneMetric.from_warping(power_decay_h(0.5)))
+    d1 = s.distance(1)
     calls = []
     real = halfplane.invert_arc
     monkeypatch.setattr(halfplane, "invert_arc",
@@ -223,19 +221,18 @@ def test_ball_index_reads_d1_from_the_table_cache(tmp_path, monkeypatch):
     # no strict-decrease scan; a distance from the domain start still runs
     # the scan before its inversion
     cache = OrbitCache.for_model({"family": "d1"}, str(tmp_path))
-    solved = GeodesicOrbitMetric(OrbitTable(HalfplaneMetric.from_warping(power_decay_h(0.5)),
-                                            cache=cache))
+    solved = OrbitTable(HalfplaneMetric.from_warping(power_decay_h(0.5)), cache=cache)
     radii = (5.0, 40.0, 517.0)
     counts = [solved.ball_index(R) for R in radii]
 
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
-    s = GeodesicOrbitMetric(OrbitTable(m, cache=cache))
+    s = OrbitTable(m, cache=cache)
     calls = []
     real = orbits.orbit_distance
     monkeypatch.setattr(orbits, "orbit_distance",
                         lambda *a, **k: calls.append(a[1]) or real(*a, **k))
     assert [s.ball_index(R) for R in radii] == counts
-    assert counts[0] == 0 < counts[1] and s.raw(1) > 5.0
+    assert counts[0] == 0 < counts[1] and s.distance(1) > 5.0
     assert calls == [] and m._scan is None
     halfplane.orbit_distance(m, 50)
     assert m._scan is not None
@@ -255,7 +252,7 @@ def test_min_stride_on_disagreeing_table_reads_few_distances(monkeypatch):
 
     monkeypatch.setattr(orbits, "orbit_distance", spy)
     m = HalfplaneMetric.from_warping(power_decay_h(0.6))
-    s = GeodesicOrbitMetric(OrbitTable(m))
+    s = OrbitTable(m)
     for eps in (2000.0, 517.0, 20.0, 1.5):
         below = math.nextafter(eps, -math.inf)
         assert s.min_stride(eps) == s.ball_index(below) + 1
@@ -269,46 +266,60 @@ def test_min_stride_on_disagreeing_table_reads_few_distances(monkeypatch):
     assert halfplane.orbit_distance(m, g - 1)[0] < 2000.0 <= halfplane.orbit_distance(m, g)[0]
 
 
-def _capacity_counts(tmp_path, alpha):
-    """Radius -> ball index of every inversion of a pure capacity run: its 90
-    ball-index and stride queries (a stride's at the double below lambda),
-    read from the run's cache."""
+def _capacity_queries(tmp_path, monkeypatch, alpha):
+    """Every ball-index query (R, N) and stride query (lambda, g) of a pure
+    capacity run, and a fresh uncached table of the same metric to check
+    them on.  The run's 90 inversions are its cache's count records: a
+    stride's is the ball index at the double below lambda."""
+    balls, strides = [], []
+    ball_index, min_stride = OrbitTable.ball_index, OrbitTable.min_stride
+    monkeypatch.setattr(OrbitTable, "ball_index",
+                        lambda t, R: balls.append((R, ball_index(t, R))) or balls[-1][1])
+    monkeypatch.setattr(OrbitTable, "min_stride",
+                        lambda t, lam: strides.append((lam, min_stride(t, lam))) or strides[-1][1])
     cache_dir = str(tmp_path / f"cache-{alpha}")
     run(parse_config(None, {"mode": "capacity", "alpha": alpha, "cache_dir": cache_dir,
                             "outdir": str(tmp_path / f"out-{alpha}")}))
+    monkeypatch.undo()
     counts = OrbitCache.for_model({"alpha": alpha, "quad_rel_tol": 1e-9}, cache_dir).load().counts
-    assert len(counts) == 90
-    return counts
-
-
-def _searched(alpha, radii):
-    """The same ball indices by LinearOrbitMetric's search over a fresh
-    table's distances."""
-    s = LinearOrbitMetric(OrbitTable(HalfplaneMetric.from_warping(power_decay_h(alpha))).distance)
-    return {R: s.ball_index(R) for R in radii}
+    assert len(counts) == 90 and set(counts) <= {R for R, _ in balls}
+    assert len({lam for lam, _ in strides}) == 53
+    return balls, strides, OrbitTable(HalfplaneMetric.from_warping(power_decay_h(alpha)))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.6])
-def test_capacity_inversions_equal_the_table_search(tmp_path, alpha):
-    counts = _capacity_counts(tmp_path, alpha)
-    assert _searched(alpha, counts) == counts
+def test_capacity_inversions_equal_the_table_search(tmp_path, monkeypatch, alpha):
+    # each count against the table's distances, the definition, by two
+    # distance solves: the ball index N at R is the N with
+    # d_N <= R < d_{N+1}, and the stride g at lambda the g with
+    # d_{g-1} < lambda <= d_g
+    balls, strides, table = _capacity_queries(tmp_path, monkeypatch, alpha)
+    d = table.distance
+    for R, N in set(balls):
+        assert d(N) <= R < d(N + 1), (R, N)
+    for lam, g in set(strides):
+        assert d(g - 1) < lam <= d(g), (lam, g)
 
 
-def test_capacity_inversions_at_pure_1_2_agree_to_the_arcs_resolution(tmp_path):
+def test_capacity_inversions_at_pure_1_2_agree_to_the_arcs_resolution(tmp_path, monkeypatch):
     # at alpha = 1.2 the capacity radii reach counts N of 5e10 to 2.4e14,
     # where neighbouring distances differ by d/((1+2 alpha) N), under 6e-12
-    # relative; the arcs resolve a distance to about 1e-12 (there consecutive
-    # table distances fall by up to 7.7e-13 relative), so the search on the
-    # table and the inversion may part.  They part only where the spacing is
-    # under 1e-11, and by at most 1 + (1+2 alpha) N delta with delta = 4e-12,
-    # a few times that resolution (worst seen: 43 at N = 1.26e13)
-    counts = _capacity_counts(tmp_path, 1.2)
-    searched = _searched(1.2, counts)
-    parted = {R: (n, searched[R]) for R, n in counts.items() if n != searched[R]}
-    assert parted, "no radius parts them: assert equality here, as at 0.5 and 0.6"
-    for n, m in parted.values():
-        assert 1.0 / (3.4 * min(n, m)) < 1e-11
-        assert abs(n - m) <= 1 + 3.4 * max(n, m) * 4e-12
+    # relative; the arcs resolve a distance to about 1e-12 (consecutive
+    # distances there can fall by 7.7e-13 relative), so the inversion's
+    # count and the distance solves may disagree by that much: the
+    # inequalities hold with each distance moved by REL = 4e-12 relative
+    # (worst seen: 2.6e-12, at 16 of the 180 inequalities)
+    REL = 4e-12
+    balls, strides, table = _capacity_queries(tmp_path, monkeypatch, 1.2)
+    d = table.distance
+    exact = True
+    for R, N in set(balls):
+        assert d(N) * (1 - REL) <= R < d(N + 1) * (1 + REL), (R, N)
+        exact = exact and d(N) <= R < d(N + 1)
+    for lam, g in set(strides):
+        assert d(g - 1) * (1 - REL) < lam <= d(g) * (1 + REL), (lam, g)
+        exact = exact and d(g - 1) < lam <= d(g)
+    assert not exact, "every count meets its definition exactly: assert that, as at 0.5 and 0.6"
 
 
 def test_box_dimension_beta_window(osc_metric, osc_build):
@@ -318,13 +329,13 @@ def test_box_dimension_beta_window(osc_metric, osc_build):
 
     ladder, _ = osc_build
     w = GrowthWindow.for_stretch(1.2, 2.0 * float(ladder.junctions[1]))  # R12
-    s = GeodesicOrbitMetric(OrbitTable(osc_metric))
+    s = OrbitTable(osc_metric)
     prof = build_capacity_profile(s, np.geomspace(w.lo * 3, w.hi / 3, 3), np.geomspace(3, 300, 6))
     slope = box_dimension_fit(prof)
     assert slope == pytest.approx(3.4, abs=0.3)
 
 
-# -- the interpolating index search --------------------------------------------
+# -- explicit tables ----------------------------------------------------------
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -361,62 +372,11 @@ def _targets(d, rng):
 @PROPERTY
 @given(d=monotone_tables(), seed=st.integers(0, 2**16))
 def test_callable_search_equals_searchsorted(d, seed):
-    table = LinearOrbitMetric(d, validate=False)
-    fn = LinearOrbitMetric(lambda l: float(d[l]), l_max=len(d) - 1)
+    # the table's binary searches against the definitions read off the whole
+    # table: max{l : d_l <= T}, 0 below d_1; min{g >= 1 : d_g >= T}, 0 past d_n
+    s = LinearOrbitMetric(d, validate=False)
     for T in _targets(d, np.random.default_rng(seed)):
-        # max{l : d_l <= T}, 0 below d_1; min{g >= 1 : d_g >= T}, 0 past d_n
-        ball = 0 if d[1] > T else int(np.searchsorted(d, T, side="right")) - 1
-        idx = int(np.searchsorted(d, T, side="left"))
-        stride = 0 if idx >= len(d) else max(idx, 1)
-        for s in (table, fn):
-            assert s.ball_index(T) == ball, T
-            assert s.min_stride(T) == stride, T
-
-
-@PROPERTY
-@given(d=monotone_tables(), seed=st.integers(0, 2**16))
-def test_search_probes_at_most_twice_bisection(d, seed):
-    calls = []
-
-    def probe(l):
-        calls.append(l)
-        return float(d[l])
-
-    n = len(d) - 1
-    rng = np.random.default_rng(seed)
-    for T in _targets(d, rng):
-        if not d[1] <= T < d[n]:
-            continue
-        l_star = int(np.searchsorted(d, T, side="right")) - 1
-        lo = int(rng.integers(1, l_star + 1))  # any bracket with d_lo <= T < d_n
-        calls.clear()
-        assert last_index_at_most(probe, T, lo, n) == l_star
-        assert len(calls) - 2 <= 2 * (n - lo).bit_length()  # two bracket-end reads
-
-
-def test_search_probe_budget_on_power_law():
-    # d_l = l^(1/2.2), thresholds near l* = 1e9 (and one in the lower half of
-    # the bracket): bisection on the doubling bracket [2^29, 2^30] makes 29 probes
-    for l_star in (1e9 + 0.5, 1e9 + 0.999, 987_654_321.25, 6e8 + 0.5):
-        T = l_star ** (1 / 2.2)
-        seen = set()
-
-        def d(l):
-            seen.add(l)
-            return l ** (1 / 2.2)
-
-        s = LinearOrbitMetric(d)
-        n = s.ball_index(T)
-        assert n ** (1 / 2.2) <= T < (n + 1) ** (1 / 2.2)
-        assert len({l for l in seen if l & (l - 1)}) <= 12  # after the doubling
-        seen.clear()
-        assert s.min_stride(T) == n + 1
-        assert len({l for l in seen if l & (l - 1)}) <= 12
-
-
-def test_capped_callable_tests_its_cap():
-    s = LinearOrbitMetric(lambda l: float(l), l_max=10)
-    assert s.ball_index(10.5) == 10  # d_10 = 10 <= 10.5
-    assert s.min_stride(9.5) == 10  # d_10 >= 9.5
-    assert s.min_stride(10.5) == 0  # no stride within the cap
-    assert s.ball_index(3.5) == 3 and s.min_stride(3.5) == 4
+        within = np.flatnonzero(d <= T)
+        reach = np.flatnonzero(d[1:] >= T)
+        assert s.ball_index(T) == (0 if d[1] > T else int(within[-1])), T
+        assert s.min_stride(T) == (int(reach[0]) + 1 if reach.size else 0), T

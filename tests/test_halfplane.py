@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from warplab import halfplane
-from warplab.dimension import GeodesicOrbitMetric, LinearOrbitMetric
 from warplab.halfplane import (
     GeodesicSolution,
     HalfplaneMetric,
@@ -623,14 +622,14 @@ def test_newton_steps_know_the_axis_flattening(monkeypatch):
 
 @pytest.mark.parametrize("model", ["pure", "osc"])
 def test_axis_count_matches_table_on_tabulated_scales(model, pure_half_metric, osc_metric):
-    # radii between consecutive tabulated distances: the length inversion and
-    # the table's index search name the same index
+    # radii between consecutive tabulated distances, d_l < R < d_{l+1}: the
+    # length inversion names l
     m = pure_half_metric if model == "pure" else osc_metric
     table = OrbitTable(m)
-    geodesic, linear = GeodesicOrbitMetric(table), LinearOrbitMetric(table.distance)
     for l in (2, 17, 250, 4000):
         R = math.sqrt(table.distance(l) * table.distance(l + 1))
-        assert geodesic.ball_index(R) == linear.ball_index(R) == l
+        assert table.distance(l) < R < table.distance(l + 1)
+        assert table.ball_index(R) == l
 
 
 # (model, turning radius aimed at, c, start, r_max, log delta_v, length), the osc

@@ -140,6 +140,31 @@ def test_warm_pure_full_suite_counts_from_the_cache(tmp_path, cache_dir, monkeyp
     assert all(a.read_bytes() == b.read_bytes() for a, b in zip(cold, warm))
 
 
+def test_corrupt_cache_record_is_computed_again(tmp_path, cache_dir):
+    # a record line that does not parse (a stray byte in a distance line, one
+    # in a count line) is skipped like a torn last line: the run computes the
+    # two records again, appends them, and writes a clean run's CSVs
+    def cfg(tag):
+        return parse_config(None, {"mode": "orbit-growth", "alpha": 0.5,
+                                   "outdir": str(tmp_path / tag), "cache_dir": cache_dir})
+
+    run(cfg("clean"))
+    (path,) = (tmp_path / "cache").iterdir()
+    lines = path.read_text().splitlines(keepends=True)
+    d_at = next(i for i, ln in enumerate(lines) if ln[0].isdigit())
+    n_at = next(i for i, ln in enumerate(lines) if ln.startswith("n "))
+    spoilt = [lines[d_at], lines[n_at]]
+    lines[d_at] = "x" + lines[d_at]
+    head, _, tail = lines[n_at].rpartition(" ")
+    lines[n_at] = f"{head} x{tail}"
+    path.write_text("".join(lines))
+    assert not run(cfg("spoilt")).failed
+    assert path.read_text().splitlines(keepends=True) == lines + spoilt
+    clean, spoilt = (sorted((tmp_path / tag).glob("*.csv")) for tag in ("clean", "spoilt"))
+    assert [p.name for p in clean] == [p.name for p in spoilt] and len(clean) == 2
+    assert all(a.read_bytes() == b.read_bytes() for a, b in zip(clean, spoilt))
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     from warplab.cache import default_cache_dir
 

@@ -356,7 +356,7 @@ EVERY_RUN = {"cli", "config", "harness", "curvature", "halfplane", "numerics", "
 ORBIT_TABLE = {"orbits", "cache"}
 MODE_MODULES = {
     "ricci-check": EVERY_RUN | {"christoffel"},
-    "orbit-growth": EVERY_RUN | ORBIT_TABLE | {"dimension"},
+    "orbit-growth": EVERY_RUN | ORBIT_TABLE,
     "capacity": EVERY_RUN | ORBIT_TABLE | {"dimension"},
     "grushin-compare": EVERY_RUN | {"grushin"},
     "full-suite": EVERY_RUN | ORBIT_TABLE | {"christoffel", "dimension", "grushin"},
@@ -399,7 +399,7 @@ def test_oscillating_full_suite_runs_where_mpmath_cannot_load(tmp_path):
 def test_star_import_binds_every_public_name():
     ns = {}
     exec("from warplab import *", ns)
-    assert len(warplab.__all__) == 57
+    assert len(warplab.__all__) == 56
     assert sorted(k for k in ns if k != "__builtins__") == sorted(warplab.__all__)
     assert all(ns[name] is getattr(warplab, name) for name in warplab.__all__)
 

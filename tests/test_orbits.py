@@ -1,10 +1,11 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
 from warplab.cache import OrbitCache, model_key
-from warplab.dimension import GeodesicOrbitMetric, LinearOrbitMetric, fit_growth_constants
+from warplab.dimension import LinearOrbitMetric, fit_growth_constants
 from warplab.orbits import (
     GrowthWindow,
     OrbitTable,
@@ -37,27 +38,27 @@ def test_window_bounds_and_constants():
 
 
 def test_orbit_table_and_count(pure_half_metric):
-    # both orbit metrics over one table: the closed ball includes its
-    # boundary, half of d_1 and negative radii hold index 0 only
+    # the closed ball includes its boundary, half of d_1 and negative radii
+    # hold index 0 only, and every stride below d_1 is 1
     table = OrbitTable(pure_half_metric)
-    for s in (LinearOrbitMetric(table.distance), GeodesicOrbitMetric(table)):
-        assert s.ball_index(table.distance(5)) == 5
-        assert s.ball_index(0.5 * table.distance(1)) == 0
-        assert s.ball_index(-1.0) == 0
-        n = s.ball_index(123.0)
-        assert table.distance(n) <= 123.0 < table.distance(n + 1)
+    assert table.ball_index(table.distance(5)) == 5
+    assert table.ball_index(0.5 * table.distance(1)) == 0
+    assert table.ball_index(-1.0) == 0
+    assert table.min_stride(0.5 * table.distance(1)) == 1
 
 
 def test_fast_count_matches_table(pure_half_metric):
-    # the length inversion and the table's index search name the same index
+    # the length inversion names the index its table's distances define:
+    # d_N <= R < d_{N+1} for the ball index N, d_{g-1} < R <= d_g for the stride g
     table = OrbitTable(pure_half_metric)
-    geodesic, linear = GeodesicOrbitMetric(table), LinearOrbitMetric(table.distance)
     for R in (40.0, 123.0, 517.0):
-        assert geodesic.ball_index(R) == linear.ball_index(R)
+        n, g = table.ball_index(R), table.min_stride(R)
+        assert table.distance(n) <= R < table.distance(n + 1)
+        assert table.distance(g - 1) < R <= table.distance(g)
 
 
 def test_growth_slope_pure(pure_half_metric):
-    s = GeodesicOrbitMetric(OrbitTable(pure_half_metric))
+    s = OrbitTable(pure_half_metric)
     fit = growth_slope(s, GrowthWindow(1e2, 1e4), samples=12)
     assert fit.slope == pytest.approx(2.0, abs=0.15)
     assert fit.residual < 0.05
@@ -68,7 +69,7 @@ def test_growth_slope_pure(pure_half_metric):
 
 def test_fit_count_constants_linear_table():
     # d_l = l: counts 2 floor(R) + 1, so #(R)/R within [1, 3] on R >= 1
-    c1, c2 = fit_growth_constants(LinearOrbitMetric(lambda l: float(l)), 1.0, (1.0, 100.0),
+    c1, c2 = fit_growth_constants(LinearOrbitMetric(np.arange(200.0)), 1.0, (1.0, 100.0),
                                   samples=40)
     assert 1.0 <= c1 <= c2 <= 3.0
 
@@ -97,24 +98,24 @@ def test_cache_round_trip(pure_half_metric, cache_dir):
 def test_counts_are_memoized_and_cached_apart_from_distances(pure_half_metric, cache_dir,
                                                              monkeypatch):
     # a count is one inversion per radius, kept in its own memo (the radius
-    # 5.0 and the index 5 are one dict key) and in the cache file, so a fresh
-    # table on that file counts with no inversion
+    # 40.0 and the index 40 are one dict key) and in the cache file, so a
+    # fresh table on that file counts with no inversion
     from warplab import orbits
 
     payload = {"family": "counts", "alpha": 0.5}
     t1 = OrbitTable(pure_half_metric, cache=OrbitCache.for_model(payload, cache_dir))
-    d5 = t1.distance(5)
+    d1, d40 = t1.distance(1), t1.distance(40)
     calls = []
     real = orbits.axis_count_at_radius
     monkeypatch.setattr(orbits, "axis_count_at_radius",
                         lambda m, R: calls.append(R) or real(m, R))
-    radii = (5.0, d5, 123.0)
-    counts = [t1.count(R) for R in radii] + [t1.count(R) for R in radii]
+    radii = (40.0, d40, 123.0)
+    counts = [t1.ball_index(R) for R in radii] + [t1.ball_index(R) for R in radii]
     assert calls == list(radii) and counts[:3] == counts[3:]
-    assert counts[1] == 5 and t1.entries == {5: d5}
+    assert counts[1] == 40 and t1.entries == {1: d1, 40: d40}
     t2 = OrbitTable(pure_half_metric, cache=OrbitCache.for_model(payload, cache_dir))
-    assert [t2.count(R) for R in radii] == counts[:3] and len(calls) == 3
-    assert t2.entries == {5: d5} and t2.counts == dict(zip(radii, counts))
+    assert [t2.ball_index(R) for R in radii] == counts[:3] and len(calls) == 3
+    assert t2.entries == {1: d1, 40: d40} and t2.counts == dict(zip(radii, counts))
 
 
 def test_cache_key_mismatch_ignored(pure_half_metric, cache_dir):
