@@ -27,8 +27,7 @@ _EXPORTS = {
                   "capacity", "check_capacity_sandwich", "fit_growth_constants",
                   "hausdorff_content"),
     "gridpath": ("dijkstra_distance_oracle",),
-    "grushin": ("GrushinMetric", "RescaledModel", "convergence_report", "grushin_distance",
-                "rescaled_distance"),
+    "grushin": ("GrushinMetric", "RescaledModel", "convergence_report", "grushin_distance"),
     "halfplane": ("GeodesicSolution", "HalfplaneMetric", "circle_length", "clairaut_arc",
                   "invert_arc", "orbit_distance", "solve_turning_point"),
     "harness": ("RunReport", "run"),

@@ -68,11 +68,11 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("config", "emit_config")}
     try:
         cfg = parse_config(args.config, overrides)
+        if args.emit_config:
+            cfg.to_file(args.emit_config)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.emit_config:
-        cfg.to_file(args.emit_config)
     try:
         report = run(cfg)
     except LadderGrowthError as e:

@@ -110,9 +110,12 @@ class RunConfig:
         return d
 
     def to_file(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(path, "w") as fh:
+                json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as e:
+            raise ConfigError("emit_config", f"cannot write {path}: {e.strerror}") from e
 
 
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -149,11 +152,15 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError("config", f"file not found: {path}")
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError("config", f"invalid JSON: {e}") from e
+        except OSError as e:  # a directory, or a file that cannot be read
+            raise ConfigError("config", f"cannot read {path}: {e.strerror}") from e
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError("config", f"invalid JSON: {e}") from e
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"must hold a JSON object, got {type(data).__name__}")
     for key, val in (overrides or {}).items():
         if val is not None:
             data[key] = val

@@ -394,35 +394,20 @@ def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
 
 
 def _run_grushin(cfg: RunConfig, report: RunReport, ladder, h, table):
-    from .grushin import (
-        GrushinMetric,
-        convergence_report,
-        probe_pairs,
-        regime_lambda_range,
-        self_similarity_error,
-    )
+    from .grushin import GrushinMetric, convergence_report, probe_pairs, self_similarity_error
 
     try:
         target = GrushinMetric(cfg.alpha, cfg.quad_rel_tol)
     except ValueError as e:  # no Grushin target for decay exponents below 1/2
         report.add("grushin-unavailable", True, flagged=True, details=str(e))
         return
-    exponent = cfg.alpha
-    if ladder is None:
-        stretch = (0.0, math.inf)
-        lambdas = cfg.lambda_ladder
-    else:
-        stretch = (0.0, 0.8 * cfg.R11)
-        lam_lo, lam_hi = regime_lambda_range(stretch)
-        usable = [x for x in cfg.lambda_ladder if lam_lo <= x <= lam_hi]
-        if len(set(usable)) >= 3:
-            lambdas = usable
-        else:
-            lambdas = list(np.geomspace(max(lam_lo, 2.0), lam_hi, 3))
-            report.add("rescaling-ladder-refit", True, flagged=True,
-                       details=f"configured factors outside [{lam_lo:g}, {lam_hi:g}]")
-    rep = convergence_report(h, exponent, stretch, lambdas, n_pairs=cfg.probe_pairs,
-                             seed=cfg.seed, rel_tol=cfg.quad_rel_tol)
+    # h's alpha stretch runs from the axis to its first blend, if it has one
+    blends = getattr(h, "blends", ())
+    stretch = (0.0, blends[0].lo if blends else math.inf)
+    rep = convergence_report(h, target, stretch, cfg.lambda_ladder, n_pairs=cfg.probe_pairs,
+                             seed=cfg.seed)
+    if rep.refit:
+        report.add("rescaling-ladder-refit", True, flagged=True, details=rep.refit)
     path = os.path.join(cfg.outdir, "grushin_convergence.csv")
     write_csv(path, ["lambda", "max_rel_err"], list(zip(rep.lambdas, rep.max_rel_errors)))
     report.artifacts.append(path)

@@ -139,7 +139,9 @@ class OrbitTable:
         """max{l >= 0 : d_l <= R}: 0 below the table's d_1, with no inversion,
         and otherwise one turning-parameter inversion on the table's metric
         (halfplane.axis_count_at_radius), memoized by R, so counts stay
-        computable where threshold indices overflow any table."""
+        computable where threshold indices overflow any table.  At R = d_l
+        itself the count may be l - 1: the inversion and the distance solve
+        round the same arc differently in the last bits."""
         if self.distance(1) > R:
             return 0
         hit = self.counts.get(R)
@@ -153,7 +155,8 @@ class OrbitTable:
     def min_stride(self, eps: float) -> int:
         """min{g >= 1 : d_g >= eps}.  For doubles d_g >= eps is
         d_g > nextafter(eps, -inf), so the least such g is one past the ball
-        index at that radius."""
+        index at that radius.  At eps = d_g itself it may be g + 1: the same
+        rounding may count g in the ball just below d_g."""
         return self.ball_index(math.nextafter(eps, -math.inf)) + 1
 
 

@@ -220,10 +220,10 @@ def test_criterion_8_content_bounds(capacity_table):
 
 
 def test_criterion_9_grushin_convergence():
-    h = power_decay_h(0.5)
-    rep = convergence_report(h, 0.5, (0.0, math.inf), [1e2, 1e3, 1e4], n_pairs=20, seed=2)
+    h, g = power_decay_h(0.5), GrushinMetric(0.5)
+    rep = convergence_report(h, g, (0.0, math.inf), [1e2, 1e3, 1e4], n_pairs=20, seed=2)
     rng = np.random.default_rng(8)
-    sim_err, _ = self_similarity_error(GrushinMetric(0.5), probe_pairs(rng, 10))
+    sim_err, _ = self_similarity_error(g, probe_pairs(rng, 10))
     ok = rep.trend_decreasing and rep.final_error() < 0.05 and sim_err < 0.01
     assert verdict(9, "rescaling convergence + cone self-similarity", ok,
                    f"errors {['%.1e' % e for e in rep.max_rel_errors]}, self-sim {sim_err:.1e}")

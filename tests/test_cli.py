@@ -400,7 +400,9 @@ def _checks(outdir):
 
 def test_full_suite_with_a_ladder_cut_before_its_first_junction(tmp_path, capsys):
     # at bound 200 the first junction R12 = 1e6 is past the bound: h is the
-    # pure alpha piece, with no junction to check and no window to fit
+    # pure alpha piece, with no junction to check, no window to fit and no
+    # blend, so its Grushin stretch is the whole axis and the configured
+    # factors fit it
     code = run_cli(["full-suite", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3", "--B", "1.5",
                     "--radius-bound", "200", "--outdir", str(tmp_path / "run"),
                     "--cache-dir", str(tmp_path / "cache")])
@@ -410,8 +412,7 @@ def test_full_suite_with_a_ladder_cut_before_its_first_junction(tmp_path, capsys
     assert (checks["junction-continuity"]["status"], checks["junction-continuity"]["details"]) == (
         "pass", "0 junctions")
     assert {name for name, c in checks.items() if c["status"] == "flagged"} == {
-        "ladder-truncated", "alpha-window-unavailable", "beta-window-unavailable",
-        "rescaling-ladder-refit"}
+        "ladder-truncated", "alpha-window-unavailable", "beta-window-unavailable"}
     assert [name for name, c in checks.items() if c["status"] == "fail"] == []
 
 
@@ -451,6 +452,40 @@ def test_ladder_growth_error_exit_code(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ladder growth ratio below 5 between junctions 0 and 1 ")
+
+
+def _config_path_error(args, capsys):
+    """The exit status and stderr of a run whose config file cannot be used."""
+    code = run_cli(["ricci-check", "--grid-points", "200", "--r-max", "1e3", *args])
+    return code, capsys.readouterr().err
+
+
+def test_config_naming_a_json_list_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, err = _config_path_error(["--config", str(path), "--outdir", str(tmp_path)], capsys)
+    assert code == 2 and err == "error: config key 'config': must hold a JSON object, got list\n"
+
+
+def test_config_naming_a_directory_is_a_config_error(tmp_path, capsys):
+    code, err = _config_path_error(["--config", str(tmp_path), "--outdir", str(tmp_path)], capsys)
+    assert code == 2 and err.startswith("error: config key 'config': cannot read ")
+    assert "Traceback" not in err
+
+
+def test_config_of_non_utf8_bytes_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"alpha": 0.5, "outdir": "\xe9"}')
+    code, err = _config_path_error(["--config", str(path), "--outdir", str(tmp_path)], capsys)
+    assert code == 2 and err.startswith("error: config key 'config': invalid JSON: ")
+
+
+def test_emit_config_into_a_missing_directory_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "c.json"
+    code, err = _config_path_error(["--emit-config", str(target), "--outdir", str(tmp_path)],
+                                   capsys)
+    assert code == 2 and err.startswith(f"error: config key 'emit_config': cannot write {target}")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_emit_config_round_trip(tmp_path, capsys):

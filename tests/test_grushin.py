@@ -15,8 +15,8 @@ from warplab.grushin import (
     WindowTooNarrow,
     convergence_report,
     grushin_distance,
+    halfplane_distance,
     probe_pairs,
-    rescaled_distance,
     self_similarity_error,
 )
 from warplab.warping import grushin_h, power_decay_h
@@ -59,7 +59,7 @@ def test_general_pair_oracle_between_radial_and_detour_bounds():
     # floor-sensitivity rerun since the Grushin domain starts above the axis
     g = GrushinMetric(0.6)
     d, info = grushin_distance(g, (1.0, 0.0), (2.0, 1.0), oracle_budget=20_000_000)
-    assert info["class"] == "oracle" and g.halfplane().domain_start > 0
+    assert info["class"] == "oracle" and g.halfplane.domain_start > 0
     # the t-gap is a lower bound; the equal-t arc at t = 1 then the radial
     # segment out to t = 2 is an admissible path
     arc, _ = grushin_distance(g, (1.0, 0.0), (1.0, 1.0))
@@ -70,10 +70,8 @@ def test_general_pair_oracle_between_radial_and_detour_bounds():
 def test_floor_sensitivity_is_nan_when_the_doubled_floor_excludes_an_endpoint():
     # t = 0.15 lies inside [t_floor, 2 t_floor): the rerun on the doubled band
     # would drop the endpoint, so sensitivity is not measured
-    g = GrushinMetric(0.6)
-    d, info = grushin_distance(
-        g, (0.15, 0.0), (1.0, 0.5), t_floor=0.1, oracle_budget=20_000_000
-    )
+    g = GrushinMetric(0.6, t_floor=0.1)
+    d, info = grushin_distance(g, (0.15, 0.0), (1.0, 0.5), oracle_budget=20_000_000)
     assert info["class"] == "oracle" and 0.85 <= d
     assert math.isnan(info["floor_sensitivity"])
 
@@ -81,18 +79,18 @@ def test_floor_sensitivity_is_nan_when_the_doubled_floor_excludes_an_endpoint():
 def test_rescaled_radial_is_lambda_invariant():
     h = power_decay_h(0.5)
     for lam in (10.0, 1e3):
-        model = RescaledModel.build(h, lam, 0.5, (0.0, math.inf))
-        d, info = rescaled_distance(model, (0.5, 1.0), (2.5, 1.0))
+        model = RescaledModel(h, lam, 0.5, (0.0, math.inf))
+        d, info = halfplane_distance(model.halfplane, (0.5, 1.0), (2.5, 1.0))
         assert d == 2.0 and info["class"] == "radial"
 
 
 def test_rescaled_equal_t_close_to_target():
     h = power_decay_h(0.5)
     lam = 1e3
-    model = RescaledModel.build(h, lam, 0.5, (0.0, math.inf))
+    model = RescaledModel(h, lam, 0.5, (0.0, math.inf))
     for t, dw in ((0.3, 0.05), (1.0, 1.0), (4.0, 8.0)):
         d_target, _ = grushin_distance(G_HALF, (t, 0.0), (t, dw))
-        d_model, _ = rescaled_distance(model, (t, 0.0), (t, dw))
+        d_model, _ = halfplane_distance(model.halfplane, (t, 0.0), (t, dw))
         assert abs(d_model - d_target) / d_target < 0.05
 
 
@@ -103,11 +101,11 @@ def test_rescaled_beta_regime_close_to_steeper_target(osc_build):
     R12, R13 = (float(x) for x in lad.junctions[1:3])
     stretch = (1.2 * R12, 0.8 * R13)
     lam = math.sqrt(stretch[0] * stretch[1] / (0.2 * 5.0))  # geometric-mean placement
-    model = RescaledModel.build(sm, lam, 1.2, stretch)
+    model = RescaledModel(sm, lam, 1.2, stretch)
     target = GrushinMetric(1.2)
     for t, dw in ((0.5, 0.2), (2.0, 3.0)):
         d_t, _ = grushin_distance(target, (t, 0.0), (t, dw))
-        d_m, info = rescaled_distance(model, (t, 0.0), (t, dw))
+        d_m, info = halfplane_distance(model.halfplane, (t, 0.0), (t, dw))
         assert info["class"] == "equal-t"
         assert abs(d_m - d_t) / d_t < 0.05
 
@@ -123,7 +121,7 @@ def test_coefficient_error_one_sided_monotone():
         assert all(e > 0 for e in errs)
         assert errs[0] > errs[1] > errs[2]
         for lam, err in zip((1e2, 1e3, 1e4), errs):
-            model = RescaledModel.build(h, lam, 0.5, (0.0, math.inf))
+            model = RescaledModel(h, lam, 0.5, (0.0, math.inf))
             logs = abs(math.log(lam)) + abs(h.log_h(lam * t))
             assert 1.0 - model.halfplane.value(t) * t == pytest.approx(
                 err, rel=0, abs=4.0 * 2.0**-52 * logs)
@@ -131,7 +129,7 @@ def test_coefficient_error_one_sided_monotone():
 
 def test_convergence_report_pure_model():
     h = power_decay_h(0.5)
-    rep = convergence_report(h, 0.5, (0.0, math.inf), [1e2, 1e3, 1e4], n_pairs=12, seed=4)
+    rep = convergence_report(h, G_HALF, (0.0, math.inf), [1e2, 1e3, 1e4], n_pairs=12, seed=4)
     assert rep.trend_decreasing
     assert rep.final_error() < 0.05
     assert rep.max_rel_errors[0] > rep.max_rel_errors[-1]
@@ -143,22 +141,29 @@ def test_convergence_report_oscillating_alpha_regime(osc_build):
     stretch = (0.0, 0.8 * R11)  # (0, 80)
     lam_hi = 0.8 * R11 / 5.0
     ladder = list(np.geomspace(4.0, lam_hi, 3))
-    rep = convergence_report(sm, 0.6, stretch, ladder, n_pairs=10, seed=6)
+    rep = convergence_report(sm, GrushinMetric(0.6), stretch, ladder, n_pairs=10, seed=6)
     assert rep.trend_decreasing
     assert len(rep.lambdas) == 3
 
 
 def test_window_too_narrow(osc_build):
+    # fewer than 3 distinct factors fit the alpha stretch (0, 80): three
+    # geometric ones from 2 to lam_hi = 16 replace them and the report says
+    # so; a stretch whose lam_hi is below 2, or an unbounded one (no top for
+    # the refit), holds no three and raises
     lad, sm = osc_build
+    g = GrushinMetric(0.6)
     stretch = (0.0, 0.8 * float(lad.junctions[0]))
+    for ladder in ([1e5, 1e6, 1e7], [4.0, 8.0], [8.0, 8.0, 8.0], [4.0, 8.0, 8.0],
+                   [4.0, 8.0, 8.0, 1e5]):
+        rep = convergence_report(sm, g, stretch, ladder, n_pairs=4)
+        assert rep.lambdas == np.geomspace(2.0, 16.0, 3).tolist()
+        assert rep.refit == "configured factors outside [1, 16]"
+    assert convergence_report(sm, g, stretch, [2.0, 4.0, 4.0, 8.0, 1e5], n_pairs=4).refit is None
     with pytest.raises(WindowTooNarrow):
-        convergence_report(sm, 0.6, stretch, [1e5, 1e6, 1e7], n_pairs=4)
+        convergence_report(sm, g, (0.0, 9.0), [1e2, 1e3, 1e4], n_pairs=4)
     with pytest.raises(WindowTooNarrow):
-        convergence_report(sm, 0.6, stretch, [4.0, 8.0], n_pairs=4)
-    # three factors, two of them the same: two rows, no trend to read
-    for ladder in ([8.0, 8.0, 8.0], [4.0, 8.0, 8.0], [4.0, 8.0, 8.0, 1e5]):
-        with pytest.raises(WindowTooNarrow, match="distinct"):
-            convergence_report(sm, 0.6, stretch, ladder, n_pairs=4)
+        convergence_report(power_decay_h(0.5), G_HALF, (0.0, math.inf), [4.0, 8.0], n_pairs=4)
 
 
 def test_probe_exclusion_counts(osc_build):
@@ -170,13 +175,40 @@ def test_probe_exclusion_counts(osc_build):
     R11 = float(lad.junctions[0])
     stretch = (0.0, 0.8 * R11)
     lam = 0.8 * R11 / 5.0  # probe box exactly reaches the top
-    rep = convergence_report(sm, 0.6, stretch, [lam / 4, lam / 2, lam], n_pairs=16, seed=9)
-    assert isinstance(rep, ComparisonReport)
-    rep = convergence_report(sm, 0.6, stretch, [lam / 4, lam / 2, lam], n_pairs=16, seed=2)
+    factors, g = [lam / 4, lam / 2, lam], GrushinMetric(0.6)
+    rep = convergence_report(sm, g, stretch, factors, n_pairs=16, seed=9)
+    assert isinstance(rep, ComparisonReport) and not rep.excluded
+    rep = convergence_report(sm, g, stretch, factors, n_pairs=16, seed=2)
     assert rep.excluded
     for factor, pair in rep.excluded:
-        model = RescaledModel.build(sm, factor, 0.6, stretch)
-        assert rescaled_distance(model, *pair)[1]["r_max"] > model.window[1]
+        model = RescaledModel(sm, factor, 0.6, stretch)
+        assert halfplane_distance(model.halfplane, *pair)[1]["r_max"] > model.window[1]
+
+
+def test_pairs_without_a_target_distance_are_excluded(tmp_path, monkeypatch):
+    # at alpha = 4 the equal-t pair at t = 4.80 has no target distance: it is
+    # excluded at each of the three factors, not skipped unseen, and with no
+    # pair left each factor reads NaN and both rescaling checks fail
+    from warplab import grushin
+    from warplab.config import parse_config
+    from warplab.harness import run
+
+    lost = ((4.801580016489114, -4.5846077814863815), (4.801580016489114, -3.3586171789968997))
+    report = run(parse_config(None, {"mode": "grushin-compare", "alpha": 4.0,
+                                     "outdir": str(tmp_path / "all")}))
+    final = next(c for c in report.checks if c.name == "rescaling-error-final")
+    assert (final.status, final.details) == ("pass", "3 of 60 pairs excluded")
+    rep = convergence_report(power_decay_h(4.0), GrushinMetric(4.0), (0.0, math.inf),
+                             [1e2, 1e3, 1e4], seed=12345)
+    assert rep.excluded == [(lam, lost) for lam in (1e2, 1e3, 1e4)]
+
+    monkeypatch.setattr(grushin, "probe_pairs", lambda rng, n: [lost])
+    report = run(parse_config(None, {"mode": "grushin-compare", "alpha": 4.0,
+                                     "outdir": str(tmp_path / "lost")}))
+    checks = {c.name: c for c in report.checks}
+    final = checks["rescaling-error-final"]
+    assert (final.status, final.details) == ("fail", "3 of 60 pairs excluded")
+    assert math.isnan(final.margin) and checks["rescaling-trend"].status == "fail"
 
 
 def test_self_similarity_excludes_unreachable_pairs(tmp_path, monkeypatch):
@@ -214,7 +246,7 @@ def test_self_similarity():
 def test_grushin_value_form_matches_jet(t, alpha):
     # the metric reads h as exp(log h), its log reader within a few ulps of
     # the 30-digit log of the jet's value
-    m = GrushinMetric(alpha).halfplane()
+    m = GrushinMetric(alpha).halfplane
     want = mp_log_h(grushin_h(alpha), t)
     assert abs(m.log_h(t) - want) <= log_ulps(want)
     assert m.value(t) == math.exp(m.log_h(t))
@@ -227,7 +259,7 @@ def test_rescaled_value_matches_scaled_jet(osc_build, t, lam, exponent):
     # log h_eff = 2a log lam + log h(lam t), against the 30-digit log of the
     # scaled mpmath jet, to a few ulps of each term
     sm = osc_build[1]
-    model = RescaledModel.build(sm, lam, exponent, (0.0, math.inf))
+    model = RescaledModel(sm, lam, exponent, (0.0, math.inf))
     r = lam * t
     if not math.isfinite(r):
         return
@@ -248,7 +280,7 @@ def test_rescaled_value_scales_an_underflowing_radius(osc_build):
         v = sm.jet(mpmath.mpf(lam * t)).value
         want = float(mpmath.mpf(lam) ** 3 * v)
     assert float(v) == 0.0
-    model = RescaledModel.build(sm, lam, 1.5, (0.0, math.inf))
+    model = RescaledModel(sm, lam, 1.5, (0.0, math.inf))
     got = model.halfplane.value(t)
     assert got > 0.0
     assert abs(got / want - 1.0) <= log_ulps(3.0 * math.log(lam), sm.log_h(lam * t))
@@ -277,7 +309,7 @@ def test_rescaled_frame_matches_mp_jets(osc_build):
     lad, sm = osc_build
     ts = np.geomspace(0.2, 5.0, 41)
     for lam in np.geomspace(2.0, 0.8 * float(lad.junctions[0]) / 5.0, 3).tolist():
-        model = RescaledModel.build(sm, lam, 0.6, (0.0, 0.8 * float(lad.junctions[0])))
+        model = RescaledModel(sm, lam, 0.6, (0.0, 0.8 * float(lad.junctions[0])))
         fa = model.frame(ts)
         for i, t in enumerate(ts.tolist()):
             p, p_y = _mp_frame(sm, lam, t)
@@ -293,11 +325,11 @@ def test_rescaled_general_pair_oracle_builds_no_jet(osc_build, monkeypatch):
     from warplab import jets
 
     lad, sm = osc_build
-    model = RescaledModel.build(sm, 8.0, 0.6, (0.0, 0.8 * float(lad.junctions[0])))
+    model = RescaledModel(sm, 8.0, 0.6, (0.0, 0.8 * float(lad.junctions[0])))
 
     def no_jet(self, *args):
         raise AssertionError("a Jet2 was built")
 
     monkeypatch.setattr(jets.Jet2, "__init__", no_jet)
-    d, info = rescaled_distance(model, (1.0, 0.0), (2.0, 1.0), oracle_budget=20_000_000)
+    d, info = halfplane_distance(model.halfplane, (1.0, 0.0), (2.0, 1.0), oracle_budget=20_000_000)
     assert info["class"] == "oracle" and 1.0 <= d

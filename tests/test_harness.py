@@ -3,8 +3,10 @@ import json
 import math
 import os
 import random
+import runpy
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,13 @@ from warplab.smoothing import build_oscillating_h
 from warplab.warping import power_decay_h, standard_f
 
 OSC = {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5}
+
+
+def workload_flagged(name):
+    """The flagged set perfbench/run.py expects of a correct run of the
+    workload name, read from its WORKLOADS table."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    return runpy.run_path(str(bench))["WORKLOADS"][name].flagged
 
 
 def test_write_csv_repr_floats(tmp_path):
@@ -60,16 +69,17 @@ def test_rescaling_error_reports_an_excluded_pair(tmp_path, monkeypatch):
     # out of its factor's max error, and the check's details count it
     from warplab import grushin
 
-    real = grushin.rescaled_distance
+    real = grushin.halfplane_distance
     calls = []
 
-    def fail_first(*args, **kw):
-        calls.append(args)
-        if len(calls) == 1:
-            raise grushin.UnsupportedPair("forced")
-        return real(*args, **kw)
+    def fail_first(m, *args, **kw):
+        if m.label.startswith("rescaled"):
+            calls.append(args)
+            if len(calls) == 1:
+                raise grushin.UnsupportedPair("forced")
+        return real(m, *args, **kw)
 
-    monkeypatch.setattr(grushin, "rescaled_distance", fail_first)
+    monkeypatch.setattr(grushin, "halfplane_distance", fail_first)
     cfg = parse_config(None, {
         "mode": "grushin-compare", "alpha": 0.5, "outdir": str(tmp_path),
         "probe_pairs": 8,
@@ -115,7 +125,8 @@ def test_warm_cache_reuses_distances(tmp_path, cache_dir):
 def test_warm_pure_full_suite_counts_from_the_cache(tmp_path, cache_dir, monkeypatch):
     # a cold pure full suite files every distance and count it computes; a
     # warm one on that file inverts no arc, solves no distance and appends
-    # nothing, and writes the same CSVs
+    # nothing, writes the same CSVs, and flags what perfbench's
+    # pure-suite-warm gate expects
     from warplab import cache, halfplane, orbits
 
     def cfg(tag):
@@ -133,7 +144,10 @@ def test_warm_pure_full_suite_counts_from_the_cache(tmp_path, cache_dir, monkeyp
         spy(holder, "axis_count_at_radius")
         spy(holder, "orbit_distance")
     spy(cache.OrbitCache, "append")
-    assert not run(cfg("warm")).failed
+    warm = run(cfg("warm"))
+    assert not warm.failed
+    assert {c.name for c in warm.checks if c.status == "flagged"} == workload_flagged(
+        "pure-suite-warm")
     assert calls == []
     cold, warm = (sorted((tmp_path / tag).glob("*.csv")) for tag in ("cold", "warm"))
     assert [p.name for p in cold] == [p.name for p in warm]
@@ -218,13 +232,17 @@ def test_orbit_growth_one_period_runs_the_alpha_window(tmp_path, cache_dir):
 
 
 def test_grushin_mode_zero_periods(tmp_path):
+    # with no period h is the alpha piece alone, with no blend: its stretch
+    # is the whole axis, which holds the configured factors, so none is refit
     cfg = parse_config(None, {
         "mode": "grushin-compare", **OSC, "periods": 0, "outdir": str(tmp_path),
         "probe_pairs": 8,
     })
     report = run(cfg)
     assert not report.failed
-    assert "rescaling-ladder-refit" in {c.name for c in report.checks}
+    assert "rescaling-ladder-refit" not in {c.name for c in report.checks}
+    rows = (tmp_path / "grushin_convergence.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [1e2, 1e3, 1e4]
 
 
 def _pure_cache(cache_dir, alpha, quad_rel_tol=1e-9):
@@ -347,7 +365,8 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # panels before a turning panel share one error budget (2,675 rules).
     # Capacity counts and strides by one inversion each, where it searched
     # the table's distances: 1,572 arcs (1,973) and 2,035 rules (2,674).
-    # Each budget is the count plus 5 %
+    # Each budget is the count plus 5 %.  The run's flagged set is the one
+    # perfbench's osc-suite-cold gate expects, and no check fails
     from warplab import grushin, halfplane, numerics
 
     calls = []
@@ -357,7 +376,7 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     real = halfplane._arc_quadrature
     real_rule = numerics._qk21
     real_turning = halfplane.solve_turning_point
-    real_equal_t = grushin._equal_t_distance
+    real_equal_t = grushin.invert_arc
     real_report = grushin.convergence_report
     in_report = []
 
@@ -391,11 +410,14 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     monkeypatch.setattr(halfplane, "_arc_quadrature", spy)
     monkeypatch.setattr(numerics, "_qk21", rule_spy)
     monkeypatch.setattr(halfplane, "solve_turning_point", turning_spy)
-    monkeypatch.setattr(grushin, "_equal_t_distance", equal_t_spy)
+    monkeypatch.setattr(grushin, "invert_arc", equal_t_spy)
     monkeypatch.setattr(grushin, "convergence_report", report_spy)
     cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
-    assert not run(cfg).failed
+    report = run(cfg)
+    assert not report.failed
+    assert {c.name for c in report.checks if c.status == "flagged"} == workload_flagged(
+        "osc-suite-cold")
     assert len(calls) <= 1651
     assert len(rules) <= 2137
     assert len(turning) <= 2
@@ -526,7 +548,9 @@ def test_one_model_build_per_run(tmp_path, monkeypatch):
     # full suite (4 when each step built its own), one strict-decrease scan
     # in a cold pure full suite and one cache load in a warm one (2 each when
     # orbit growth and capacity each built a metric), and one Grushin
-    # halfplane per comparison (40 when each probe pair built one)
+    # halfplane per run, which the rescaling comparison and the
+    # self-similarity check share (40 when each probe pair built one, 2 when
+    # each of the two built its own)
     from warplab import halfplane, smoothing
     from warplab.cache import OrbitCache
 
@@ -561,7 +585,7 @@ def test_one_model_build_per_run(tmp_path, monkeypatch):
     assert run_counted("ricci-check", alpha=0.5)["load"] == 0
     assert run_counted("grushin-compare", alpha=0.5)["load"] == 0
     assert run_counted("orbit-growth", alpha=0.5)["load"] == 1
-    assert run_counted("grushin-compare", alpha=0.5)["grushin"] == 2
+    assert run_counted("grushin-compare", alpha=0.5)["grushin"] == 1
 
 
 # -- the ricci-check step's curve writer and closed-form samples ----------------

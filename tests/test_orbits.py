@@ -57,6 +57,21 @@ def test_fast_count_matches_table(pure_half_metric):
         assert table.distance(g - 1) < R <= table.distance(g)
 
 
+def test_counts_at_a_tabulated_distance_may_be_one_short(pure_half_metric):
+    # at R = d_l itself the length inversion and the distance solve round the
+    # same arc differently in the last bits, so the count may miss the
+    # ball's boundary point: on pure 0.5, ball_index(d_l) is l - 1 at 27 of
+    # l = 1..59 and min_stride(d_l) is l + 1 at 30.  It is never further
+    # off, and 1e-9 relative away from d_l both answers are exact
+    table = OrbitTable(pure_half_metric)
+    for l in range(1, 60):
+        d = table.distance(l)
+        assert table.ball_index(d) in (l - 1, l) and table.min_stride(d) in (l, l + 1)
+        above, below = d * (1.0 + 1e-9), d * (1.0 - 1e-9)
+        assert (table.ball_index(below), table.ball_index(above)) == (l - 1, l)
+        assert (table.min_stride(below), table.min_stride(above)) == (l, l + 1)
+
+
 def test_growth_slope_pure(pure_half_metric):
     s = OrbitTable(pure_half_metric)
     fit = growth_slope(s, GrowthWindow(1e2, 1e4), samples=12)
