@@ -23,13 +23,12 @@ _EXPORTS = {
     "config": ("ConfigError", "LadderGrowthError", "RunConfig", "parse_config"),
     "curvature": ("DoublyWarpedMetric", "NonPositiveWarping", "RicciReport", "log_grid",
                   "ricci_report"),
-    "dimension": ("LinearOrbitMetric", "box_dimension_fit", "build_capacity_profile",
-                  "capacity", "check_capacity_sandwich", "fit_growth_constants",
-                  "hausdorff_content"),
+    "dimension": ("box_dimension_fit", "build_capacity_profile", "capacity",
+                  "check_capacity_sandwich", "fit_growth_constants", "hausdorff_content"),
     "gridpath": ("dijkstra_distance_oracle",),
     "grushin": ("GrushinMetric", "RescaledModel", "convergence_report", "grushin_distance"),
-    "halfplane": ("GeodesicSolution", "HalfplaneMetric", "circle_length", "clairaut_arc",
-                  "invert_arc", "orbit_distance", "solve_turning_point"),
+    "halfplane": ("GeodesicSolution", "HalfplaneMetric", "invert_arc", "orbit_distance",
+                  "solve_turning_point"),
     "harness": ("RunReport", "run"),
     "jets": ("Jet2",),
     "ladder": ("ExponentSchedule", "OscillationParams", "ScaleLadder", "build_scale_ladder"),

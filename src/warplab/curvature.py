@@ -104,6 +104,12 @@ def positive(c0, c1, s):
     return (c0 + c1 * s > 0) | ((c0 == 0) & (c1 > 0))
 
 
+def dimension_threshold(p: float) -> float:
+    """max(4p+2, 16p^2+8p): the asymptotic sphere dimension above which a
+    pure decay exponent p yields positive Ricci in all directions."""
+    return max(4.0 * p + 2.0, 16.0 * p * p + 8.0 * p)
+
+
 def _scaled(m: DoublyWarpedMetric, rs):
     """s and the scaled directions of m at double radii r > 0."""
     rs = np.asarray(rs, dtype=float)

@@ -15,10 +15,9 @@ astronomically large balls computable.
 Conventions: balls are closed (d <= R), separation is closed (d >= eps),
 matching the counting function #(R) = 2 max{l : d_l <= R} + 1, which every
 count reads as 2 ball_index(R) + 1; a stride is min{g >= 1 : d_g >= eps}.
-The functions below take any orbit metric s with those two methods: an
+The functions below take any orbit metric s with those two methods; an
 orbits.OrbitTable, the geodesic orbit metric, answers both by one cached
-turning-parameter inversion each, and a LinearOrbitMetric, an explicit
-table, by a binary search of its distances.
+turning-parameter inversion each.
 """
 
 import math
@@ -32,49 +31,6 @@ from .numerics import line_fit
 
 class DegenerateRange(ValueError):
     """Fit range spans too little to mean anything."""
-
-
-class MetricInvariantViolation(ValueError):
-    """The distance table is not monotone/subadditive where sampled."""
-
-
-class LinearOrbitMetric:
-    """Orbit metric of an explicit table d (random instances, small orbits),
-    checked: d_0 = 0, and with validate monotone and subadditive where
-    sampled."""
-
-    def __init__(self, d, validate=True):
-        d = np.asarray(d, dtype=float)
-        if d[0] != 0.0:
-            raise MetricInvariantViolation("d_0 must be 0")
-        if validate:
-            _check_table(d)
-        self.d = d
-
-    def ball_index(self, R: float) -> int:
-        """max{l >= 0 : d_l <= R}, 0 below d_1."""
-        return max(int(np.searchsorted(self.d, R, "right")) - 1, 0)
-
-    def min_stride(self, eps: float) -> int:
-        """min{g >= 1 : d_g >= eps}; 0 past d_n, where the table has none."""
-        g = int(np.searchsorted(self.d, eps, "left"))
-        return 0 if g == len(self.d) else max(g, 1)
-
-
-def _check_table(d, triple_samples: int = 200, seed: int = 0):
-    """d nondecreasing, and subadditive on seeded index pairs."""
-    if np.any(np.diff(d) < 0):
-        i = int(np.argmin(np.diff(d)))
-        raise MetricInvariantViolation(f"d not nondecreasing at l={i}->{i+1}")
-    n = len(d)
-    rng = np.random.default_rng(seed)
-    for _ in range(triple_samples):
-        a = int(rng.integers(1, n))
-        b = int(rng.integers(1, n - a + 1)) if n - a > 1 else 1
-        if a + b >= n:
-            continue
-        if d[a + b] > d[a] + d[b] + 1e-9 * (d[a] + d[b] + 1):
-            raise MetricInvariantViolation(f"subadditivity fails: d[{a + b}] > d[{a}] + d[{b}]")
 
 
 def capacity(s, R: float, lam: float) -> int:

@@ -177,11 +177,6 @@ class HalfplaneMetric:
         return HalfplaneMetric(sm, **kw)
 
 
-def circle_length(m: HalfplaneMetric, r) -> float:
-    """2 pi h(r): the length of the circle fiber at radius r upstairs."""
-    return TWO_PI * m.value(r)
-
-
 def solve_turning_point(m: HalfplaneMetric, c: float):
     """Unique r_max with h(r_max) = c (h strictly decreasing)."""
     a = m.domain_start
@@ -373,15 +368,6 @@ def _arc_quadrature(m, start, r_max, dv):
             f"estimated error {err_total} vs value {total} (log c={lc}, r_max={r_max})"
         )
     return math.log(2.0 * total) - lc if dv else 2.0 * total
-
-
-def clairaut_arc(m: HalfplaneMetric, c: float, start: float | None = None) -> GeodesicSolution:
-    """The symmetric geodesic arc with Clairaut constant c from the start
-    radius out to the turning point (solved) and back."""
-    a = m.domain_start if start is None else float(start)
-    r_max = max(solve_turning_point(m, c), a)
-    return GeodesicSolution(m.log_h(r_max), r_max, delta_v_of_c(m, r_max, a),
-                            length_of_c(m, r_max, a), start=a)
 
 
 def delta_v_of_c(m: HalfplaneMetric, r_max: float, start: float | None = None) -> float:

@@ -140,21 +140,20 @@ def run(cfg: RunConfig) -> RunReport:
     os.makedirs(cfg.outdir, exist_ok=True)
     report = RunReport(config=cfg.to_dict())
     t_start = time.time()
-    if cfg.mode == "full-suite":
-        # build first so the certified sphere dimension can feed the
-        # curvature curve when no k was configured
-        steps = [_run_orbit_growth, _run_capacity, _run_grushin]
-        steps.insert(0, _run_ricci_check)
-        if cfg.beta is not None:
-            steps.insert(0, _run_build_example)
-    else:
-        steps = {
-            "ricci-check": [_run_ricci_check],
-            "build-example": [_run_build_example],
-            "orbit-growth": [_run_orbit_growth],
-            "capacity": [_run_capacity],
-            "grushin-compare": [_run_grushin],
-        }[cfg.mode]
+    # the steps of each mode, in order.  An oscillating model is built and
+    # certified before its curvature curve is drawn, so the certified sphere
+    # dimension feeds the curve when no k is configured.
+    steps = {
+        "ricci-check": [_run_build_example, _run_ricci_check],
+        "build-example": [_run_build_example],
+        "orbit-growth": [_run_orbit_growth],
+        "capacity": [_run_capacity],
+        "grushin-compare": [_run_grushin],
+        "full-suite": [_run_build_example, _run_ricci_check, _run_orbit_growth, _run_capacity,
+                       _run_grushin],
+    }[cfg.mode]
+    if cfg.beta is None:  # a pure model has no construction to build
+        steps = [s for s in steps if s is not _run_build_example]
     model = _model_for(cfg)
     report.timings["_model_for"] = time.time() - t_start
     for step in steps:
@@ -176,7 +175,9 @@ def run(cfg: RunConfig) -> RunReport:
 def _run_ricci_check(cfg: RunConfig, report: RunReport, ladder, h, table):
     from .christoffel import StepTooLarge, ricci_numeric_oracle
 
-    k = cfg.k or report.certified_k or 8
+    # unless configured or certified, k is the least sphere dimension the
+    # decay exponent alpha asymptotically certifies, and at least 8
+    k = cfg.k or report.certified_k or max(8, math.ceil(curv.dimension_threshold(cfg.alpha)))
     f = standard_f()
     m = curv.DoublyWarpedMetric(k, f, h)
     grid = curv.log_grid(cfg.r_min, cfg.r_max, cfg.grid_points)
@@ -224,7 +225,6 @@ def _run_build_example(cfg: RunConfig, report: RunReport, ladder, sm, table):
         certification_grid,
         certify_positive_ricci,
         construction_invariants,
-        dimension_threshold,
         effective_exponent_max,
     )
 
@@ -241,7 +241,7 @@ def _run_build_example(cfg: RunConfig, report: RunReport, ladder, sm, table):
 
     grid_c, labels = certification_grid(sm, r_min=cfg.r_min)
     p_eff = effective_exponent_max(sm, grid_c)
-    cap = cfg.k_max or int(4 * dimension_threshold(p_eff))
+    cap = cfg.k_max or int(4 * curv.dimension_threshold(p_eff))
     try:
         cert = certify_positive_ricci(sm, standard_f(), cap, grid_c, labels)
         report.add(f"certified-k<={cap}", True, margin=cert.worst().margin,

@@ -6,8 +6,7 @@ Counting uses the closed-ball convention #(R) = 2 max{l : d_l <= R} + 1
 (identity plus both signs), with max{l : d_l <= R} the ball index of an
 orbit metric.  An OrbitTable is the geodesic orbit metric: it inverts the
 turning parameter once per radius, through its count memo (cached beside
-its distances), for ball indices and strides alike; dimension's
-LinearOrbitMetric is the orbit metric of an explicit table.
+its distances), for ball indices and strides alike.
 
 Window machinery: on a stretch where h(r) = (1+r^2)^(-a), minimizing the
 radial-out, wind-l-times, radial-back test loop 2r + 2*pi*l*h(r) at

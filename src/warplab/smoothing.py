@@ -371,12 +371,6 @@ def effective_exponent_max(sm: SmoothedH, grid) -> float:
     return float(np.max(frame(sm, grid).p))
 
 
-def dimension_threshold(p: float) -> float:
-    """max(4p+2, 16p^2+8p): the asymptotic sphere dimension above which a
-    pure decay exponent p yields positive Ricci in all directions."""
-    return max(4.0 * p + 2.0, 16.0 * p * p + 8.0 * p)
-
-
 def certify_positive_ricci(
     sm_or_h, f: WarpingFunction, k_max: int, grid, labels
 ) -> Certificate:

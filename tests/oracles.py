@@ -15,8 +15,13 @@ dqk21 in its loop form, the reference for the straight-line rule of
 over full tensors, the reference for the diagonal products of
 `warplab.christoffel`.  `capacity_sweep` and `capacity_exhaustive` count
 separated sets point by point, the references for the stride formula of
-`warplab.dimension.capacity`; `counting_chain_holds` is the counting
-inequality capacities must satisfy.  `coefficient_error` is the closed
+`warplab.dimension.capacity`, on a `LinearOrbitMetric`: the orbit metric
+of an explicit distance table, checked monotone and subadditive where
+sampled and counted by `np.searchsorted`; `counting_chain_holds` is the
+counting inequality capacities must satisfy.  `clairaut_arc` is the arc
+named by its Clairaut constant c, solving the turning radius of c first
+and integrating there, the reference for arcs named by their turning
+radius or inverted from a target.  `coefficient_error` is the closed
 rescaled-coefficient error of a pure stretch, and `f_profile_ok` and
 `h_profile_ok` check the warping-function axioms on a grid.  `mp_log_h`
 is log h from an mpmath jet at 30 digits, the reference for the double
@@ -30,6 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from warplab.dimension import capacity
+from warplab.halfplane import GeodesicSolution, delta_v_of_c, length_of_c, solve_turning_point
 from warplab.jets import Jet2
 from warplab.smoothing import Blend
 from warplab.warping import FFrame, HFrame, WarpingFunction
@@ -350,6 +356,49 @@ def einsum_ricci(g0, d1, dd):
     return d_l_gamma - d_n_gamma_trace + quad1 - quad2
 
 
+class MetricInvariantViolation(ValueError):
+    """The distance table is not monotone/subadditive where sampled."""
+
+
+class LinearOrbitMetric:
+    """Orbit metric of an explicit table d (random instances, small orbits),
+    checked: d_0 = 0, and with validate monotone and subadditive where
+    sampled."""
+
+    def __init__(self, d, validate=True):
+        d = np.asarray(d, dtype=float)
+        if d[0] != 0.0:
+            raise MetricInvariantViolation("d_0 must be 0")
+        if validate:
+            _check_table(d)
+        self.d = d
+
+    def ball_index(self, R: float) -> int:
+        """max{l >= 0 : d_l <= R}, 0 below d_1."""
+        return max(int(np.searchsorted(self.d, R, "right")) - 1, 0)
+
+    def min_stride(self, eps: float) -> int:
+        """min{g >= 1 : d_g >= eps}; 0 past d_n, where the table has none."""
+        g = int(np.searchsorted(self.d, eps, "left"))
+        return 0 if g == len(self.d) else max(g, 1)
+
+
+def _check_table(d, triple_samples: int = 200, seed: int = 0):
+    """d nondecreasing, and subadditive on seeded index pairs."""
+    if np.any(np.diff(d) < 0):
+        i = int(np.argmin(np.diff(d)))
+        raise MetricInvariantViolation(f"d not nondecreasing at l={i}->{i+1}")
+    n = len(d)
+    rng = np.random.default_rng(seed)
+    for _ in range(triple_samples):
+        a = int(rng.integers(1, n))
+        b = int(rng.integers(1, n - a + 1)) if n - a > 1 else 1
+        if a + b >= n:
+            continue
+        if d[a + b] > d[a] + d[b] + 1e-9 * (d[a] + d[b] + 1):
+            raise MetricInvariantViolation(f"subadditivity fails: d[{a + b}] > d[{a}] + d[{b}]")
+
+
 def capacity_sweep(s, R, lam):
     """Literal left-to-right greedy sweep over the ball's integer points of
     the LinearOrbitMetric s, reading its table s.d."""
@@ -388,6 +437,16 @@ def counting_chain_holds(s, R, lam):
     cap_inner = capacity(s, R - lam / 3.0, lam) if R - lam / 3.0 > lam else 1
     cap_R = capacity(s, R, lam)
     return cap_inner * n_third <= nR <= cap_R * n_lam
+
+
+def clairaut_arc(m, c, start=None):
+    """The symmetric geodesic arc of the HalfplaneMetric m with Clairaut
+    constant c from the start radius out to the turning point (solved) and
+    back."""
+    a = m.domain_start if start is None else float(start)
+    r_max = max(solve_turning_point(m, c), a)
+    return GeodesicSolution(m.log_h(r_max), r_max, delta_v_of_c(m, r_max, a),
+                            length_of_c(m, r_max, a), start=a)
 
 
 def coefficient_error(sm_exponent, lam, t):

@@ -12,9 +12,14 @@ import pytest
 
 from warplab.christoffel import ricci_numeric_oracle
 from warplab.config import parse_config
-from warplab.curvature import DoublyWarpedMetric, log_grid, ricci_grid, ricci_report
+from warplab.curvature import (
+    DoublyWarpedMetric,
+    dimension_threshold,
+    log_grid,
+    ricci_grid,
+    ricci_report,
+)
 from warplab.dimension import (
-    LinearOrbitMetric,
     box_dimension_fit,
     build_capacity_profile,
     capacity,
@@ -36,12 +41,11 @@ from warplab.smoothing import (
     certification_grid,
     certify_positive_ricci,
     construction_invariants,
-    dimension_threshold,
     effective_exponent_max,
 )
 from warplab.warping import constant_h, power_decay_h, sine_f, standard_f
 
-from .oracles import capacity_exhaustive, capacity_sweep
+from .oracles import LinearOrbitMetric, capacity_exhaustive, capacity_sweep
 
 
 def verdict(num, name, ok, details=""):

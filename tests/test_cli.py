@@ -195,7 +195,8 @@ def test_ricci_check_oracle_answers_at_halved_steps(tmp_path, capsys):
     # four of the seeded radii (r = 1.36, 2.42, 2.94 and 3.97); the pair at half
     # the steps answers, and agrees with the closed forms (k = 8 is too small
     # for positive Ricci, so the run fails)
-    code = run_cli(["ricci-check", "--alpha", "3.0", "--seed", "12345", "--outdir", str(tmp_path)])
+    code = run_cli(["ricci-check", "--alpha", "3.0", "--k", "8", "--seed", "12345",
+                    "--outdir", str(tmp_path)])
     capsys.readouterr()
     assert code == 1
     report = json.loads((tmp_path / "report.json").read_text())
@@ -221,7 +222,8 @@ def test_ricci_check_oracle_refusal_is_a_failed_check(tmp_path, capsys, monkeypa
         return ric, g0
 
     monkeypatch.setattr(christoffel, "_ricci_at_steps", drifting)
-    code = run_cli(["ricci-check", "--alpha", "3.0", "--seed", "12345", "--outdir", str(tmp_path)])
+    code = run_cli(["ricci-check", "--alpha", "3.0", "--k", "8", "--seed", "12345",
+                    "--outdir", str(tmp_path)])
     capsys.readouterr()
     assert code != 0
     assert len(tried) == 2 + christoffel._HALVINGS
@@ -275,6 +277,28 @@ def test_build_example_at_the_default_bound(tmp_path, capsys):
     ]
     cert = report["checks"][-1]
     assert cert["details"].startswith("minimal k=53,")
+
+
+def test_oscillating_ricci_check_draws_at_its_certified_k(tmp_path, capsys):
+    # ricci-check builds and certifies an oscillating model first, as
+    # full-suite does; at k = 8 the 1e40 model's margin is -0.0074
+    code = run_cli(["ricci-check", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3",
+                    "--B", "1.5", "--radius-bound", "1e40", "--outdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[PASS] certified-k<=192 margin=0.123881 (minimal k=53," in out
+    assert "[PASS] ricci-positive(k=53) margin=1.43683e-13" in out
+    assert (tmp_path / "construction.json").exists()
+
+
+def test_pure_full_suite_draws_at_the_threshold_k(tmp_path, capsys):
+    # the default k is max(8, ceil(16 a^2 + 8 a)) at a = 1.2 > 1/2: k = 33,
+    # where k = 8 fails with margin -0.461
+    code = run_cli(["full-suite", "--alpha", "1.2", "--outdir", str(tmp_path / "run"),
+                    "--cache-dir", str(tmp_path / "cache")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[PASS] ricci-positive(k=33) margin=9e-14" in out
 
 
 @pytest.mark.parametrize("args", [

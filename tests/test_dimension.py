@@ -10,8 +10,6 @@ from warplab import dimension, halfplane, orbits
 from warplab.cache import OrbitCache
 from warplab.dimension import (
     DegenerateRange,
-    LinearOrbitMetric,
-    MetricInvariantViolation,
     box_dimension_fit,
     build_capacity_profile,
     capacity,
@@ -26,7 +24,13 @@ from warplab.numerics import line_fit
 from warplab.orbits import OrbitTable
 from warplab.warping import power_decay_h
 
-from .oracles import capacity_exhaustive, capacity_sweep, counting_chain_holds
+from .oracles import (
+    LinearOrbitMetric,
+    MetricInvariantViolation,
+    capacity_exhaustive,
+    capacity_sweep,
+    counting_chain_holds,
+)
 
 UNIT = LinearOrbitMetric(np.arange(0, 400, dtype=float))
 

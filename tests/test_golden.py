@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from warplab.config import parse_config
+from warplab.curvature import dimension_threshold
 from warplab.harness import run
 from warplab.ladder import OscillationParams
 from warplab.smoothing import (
@@ -22,7 +23,6 @@ from warplab.smoothing import (
     certification_grid,
     certify_positive_ricci,
     construction_invariants,
-    dimension_threshold,
     effective_exponent_max,
     verify_observation,
     _short,
@@ -36,7 +36,8 @@ OSC_1E40 = {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5, "radius_bound": 1e40}
     ({"alpha": 0.5},
      "5574f3081bdf5aefe2da9b4db2eea56c357c836c08b1c5ec3c632dd4b2367d54",
      "0x1.f6e9c39b1a2b1p-77", "0x1.9a701ad65626cp-31"),
-    (OSC_1E40,
+    # the osc curve at k = 8, below the k = 53 its run certifies and draws by default
+    ({**OSC_1E40, "k": 8},
      "5293a8004e533aeea3755995e1e9056fe8d478a4875cbfcd14587afff35faafb",
      "-0x1.e4e378347c48cp-8", "0x1.94df1a5e7dd2ep-31"),
 ], ids=["pure", "osc-1e40"])

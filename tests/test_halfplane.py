@@ -12,8 +12,6 @@ from warplab.halfplane import (
     HalfplaneMetric,
     OutOfRange,
     TWO_PI,
-    circle_length,
-    clairaut_arc,
     delta_v_of_c,
     invert_arc,
     length_of_c,
@@ -27,6 +25,7 @@ from warplab.smoothing import build_oscillating_h
 from warplab.warping import constant_h, exp_decay_h, grushin_h, power_decay_h
 
 from .oracles import (
+    clairaut_arc,
     hyperbolic_arc,
     log_ulps,
     mp_log_h,
@@ -36,11 +35,12 @@ from .oracles import (
 
 
 def test_circle_length():
+    # the circle fiber at radius r is 2 pi h(r) long
     flat = HalfplaneMetric.from_warping(constant_h(1.0))
-    assert circle_length(flat, 3.0) == pytest.approx(TWO_PI)
+    assert TWO_PI * flat.value(3.0) == pytest.approx(TWO_PI)
     m = HalfplaneMetric.from_warping(power_decay_h(0.5))
-    assert circle_length(m, 0.0) == pytest.approx(TWO_PI)
-    assert circle_length(m, math.sqrt(3.0)) == pytest.approx(math.pi, rel=1e-14)
+    assert TWO_PI * m.value(0.0) == pytest.approx(TWO_PI)
+    assert TWO_PI * m.value(math.sqrt(3.0)) == pytest.approx(math.pi, rel=1e-14)
 
 
 def test_turning_points():

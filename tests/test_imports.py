@@ -399,7 +399,7 @@ def test_oscillating_full_suite_runs_where_mpmath_cannot_load(tmp_path):
 def test_star_import_binds_every_public_name():
     ns = {}
     exec("from warplab import *", ns)
-    assert len(warplab.__all__) == 55
+    assert len(warplab.__all__) == 52
     assert sorted(k for k in ns if k != "__builtins__") == sorted(warplab.__all__)
     assert all(ns[name] is getattr(warplab, name) for name in warplab.__all__)
 

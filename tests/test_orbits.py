@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from warplab.cache import OrbitCache, model_key
-from warplab.dimension import LinearOrbitMetric, fit_growth_constants
+from warplab.dimension import fit_growth_constants
 from warplab.orbits import (
     GrowthWindow,
     OrbitTable,
@@ -16,6 +16,8 @@ from warplab.orbits import (
     sandwich_constants,
     window_index_bounds,
 )
+
+from .oracles import LinearOrbitMetric
 
 
 def test_loop_coefficient_frozen():

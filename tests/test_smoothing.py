@@ -13,6 +13,7 @@ from warplab.christoffel import ricci_numeric_oracle
 from warplab.config import RunConfig
 from warplab.curvature import (
     DoublyWarpedMetric,
+    dimension_threshold,
     frame,
     log_grid,
     positive,
@@ -38,7 +39,6 @@ from warplab.smoothing import (
     certification_grid,
     certify_positive_ricci,
     construction_invariants,
-    dimension_threshold,
     effective_exponent_max,
     smooth,
     verify_observation,
