@@ -22,7 +22,7 @@ the orbit-growth step `orbits`, the capacity step and the oscillating
 model's growth windows (`_window_checks`) `dimension`, `_run_grushin`
 `grushin`, and `_orbit_table`, which builds the orbit table for the first
 step that reads a distance, imports `orbits`, with `cache` for the pure
-model.  Every step counts on that table: an orbits.OrbitTable is the
+model.  Every step counts on that one table: an orbits.OrbitTable is the
 orbit metric that `growth_slope` and `dimension`'s fits read.  The
 construction modules (`ladder`, `piecewise`, `smoothing`,
 `construction_io`) are imported only where a run builds the oscillating
@@ -39,7 +39,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,11 +106,11 @@ def write_columns(path, header, columns):
 
 
 def _model_for(cfg: RunConfig):
-    """(ladder or None, h, table) of the configured model.  table() builds
-    the model's orbit table at its first call, so only a step that reads
-    distances builds one, and returns that table at every later call.  A
-    pure model's h is power_decay_h(alpha), the h the pure-model oracles
-    check."""
+    """(ladder or None, h, table) of the configured model, the one model a
+    run computes on.  table() builds the model's orbit table at its first
+    call, so only a step that reads distances builds one, and returns that
+    table at every later call.  A pure model's h is power_decay_h(alpha),
+    the h the pure-model oracles check."""
     if cfg.beta is None:
         ladder, h = None, power_decay_h(float(cfg.alpha))
     else:
@@ -256,7 +256,7 @@ def _run_build_example(cfg: RunConfig, report: RunReport, ladder, sm, table):
 
 
 def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
-    from .orbits import GrowthWindow, WindowOutOfRange, growth_slope
+    from .orbits import GrowthWindow, growth_slope
 
     if ladder is None:
         # pure model: distance sandwich on the asymptotic stretch plus a slope fit
@@ -265,18 +265,9 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
         ls = sorted(set(ls.tolist()))  # np.unique would import numpy.ma, about 1 MB
         e = 1.0 / (1.0 + 2.0 * a)
         C_low = 2.0 * 9.0 ** (-1.0 / (2.0 * a))
-        rows = []
-        ok = True
-        for l in ls:
-            d = table().distance(int(l))
-            lo = C_low * l**e - 2.0
-            hi = 9.0 * l**e
-            good = lo <= d <= hi
-            ok = ok and good
-            rows.append((int(l), d))
-        path = os.path.join(cfg.outdir, "orbit_distances.csv")
-        write_csv(path, ["l", "d_l"], rows)
-        report.artifacts.append(path)
+        rows = [(l, table().distance(l)) for l in ls]
+        ok = all(C_low * l**e - 2.0 <= d <= 9.0 * l**e for l, d in rows)
+        _write_csv(cfg, report, "orbit_distances.csv", ["l", "d_l"], rows)
         report.add("distance-power-bounds", ok, details=f"{len(ls)} indices in [81, 1e5]")
 
         window = GrowthWindow(1e2, 1e4)
@@ -287,42 +278,46 @@ def _run_orbit_growth(cfg: RunConfig, report: RunReport, ladder, sm, table):
         _write_growth_csv(cfg, report, fit, "growth_curve.csv")
         return
 
-    # oscillating model: a window at each controlling stretch, S = twice
-    # the start of the second alpha piece and of the first beta piece, both
-    # on one orbit table
+    # oscillating model: a window at each controlling stretch, both on one
+    # orbit table
     rows_csv = []
-    stretches = ((cfg.alpha, _piece_starts(sm, cfg.alpha)[1:2], "alpha-window", "second alpha"),
-                 (cfg.beta, _piece_starts(sm, cfg.beta)[:1], "beta-window", "beta"))
-    for a, starts, tag, piece in stretches:
-        if not starts:
-            report.add(f"{tag}-unavailable", True, flagged=True,
-                       details=f"no {piece} piece below radius bound {cfg.radius_bound:g}")
-            continue
-        try:
-            _window_checks(cfg, report, table(), a, 2.0 * starts[0], tag, rows_csv)
-        except WindowOutOfRange as e:
-            report.add(f"{tag}-unavailable", True, flagged=True, details=str(e))
+    for tag in ("alpha-window", "beta-window"):
+        w = _window(cfg, report, sm, tag)
+        if w is not None:
+            _window_checks(cfg, report, table(), *w, tag, rows_csv)
     if rows_csv:
-        path = os.path.join(cfg.outdir, "orbit_distances.csv")
-        write_csv(path, ["l", "d_l"], rows_csv)
-        report.artifacts.append(path)
+        _write_csv(cfg, report, "orbit_distances.csv", ["l", "d_l"], rows_csv)
 
 
-def _piece_starts(sm, a):
-    """Start radii of the pure pieces of exponent a, in order."""
-    return [s.r_lo for s in sm.segments if s.kind == "piece" and s.p == a]
+def _window(cfg, report, sm, tag, check=None):
+    """(a, S, window) of an oscillating model's window tag: S is twice the
+    start of its second alpha or first beta piece.  Else None, after a
+    flagged `<check or tag>-unavailable` check that says why."""
+    from .orbits import GrowthWindow, WindowOutOfRange
+
+    alpha = tag == "alpha-window"
+    a, nth, piece = (cfg.alpha, 1, "second alpha") if alpha else (cfg.beta, 0, "beta")
+    starts = [s.r_lo for s in sm.segments if s.kind == "piece" and s.p == a]
+    why = f"no {piece} piece below radius bound {cfg.radius_bound:g}"
+    if len(starts) > nth:
+        S = 2.0 * starts[nth]
+        try:
+            return a, S, GrowthWindow.for_stretch(a, S)
+        except WindowOutOfRange as e:
+            why = str(e)
+    report.add(f"{check or tag}-unavailable", True, flagged=True, details=why)
+    return None
 
 
-def _window_checks(cfg, report, table, a, S, tag, rows_csv):
+def _window_checks(cfg, report, table, a, S, window, tag, rows_csv):
     from .dimension import growth_constants
-    from .orbits import GrowthWindow, check_distance_sandwich, growth_slope, sandwich_constants
+    from .orbits import check_distance_sandwich, growth_slope, sandwich_constants
 
     ok, rows = check_distance_sandwich(table.distance, a, S, n_samples=12)
     rows_csv.extend((r[0], r[1]) for r in rows)
     C1, C2 = sandwich_constants(a)
     report.add(f"{tag}-distance-sandwich", ok,
                details=f"C1={C1:.4g}, C2={C2:.4g}, S={S:.4g}")
-    window = GrowthWindow.for_stretch(a, S)
     fit = growth_slope(table, window, samples=12)
     target = 1.0 + 2.0 * a
     report.add(f"{tag}-growth-slope", abs(fit.slope - target) <= 0.3, margin=fit.slope,
@@ -339,12 +334,14 @@ def _window_checks(cfg, report, table, a, S, tag, rows_csv):
 
 
 def _write_growth_csv(cfg, report, fit, name):
+    _write_csv(cfg, report, name, ["R", "count", "logR", "logCount"],
+               [(R, c, math.log10(R), math.log10(c)) for R, c in fit.samples])
+
+
+def _write_csv(cfg, report, name, header, rows):
+    """write_csv into the run's outdir, listed among the report's artifacts."""
     path = os.path.join(cfg.outdir, name)
-    write_csv(
-        path,
-        ["R", "count", "logR", "logCount"],
-        [(R, c, math.log10(R), math.log10(c)) for R, c in fit.samples],
-    )
+    write_csv(path, header, rows)
     report.artifacts.append(path)
 
 
@@ -357,17 +354,20 @@ def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
         hausdorff_content,
     )
 
-    if ladder is not None:  # capacity always runs the pure alpha model
-        table = _model_for(replace(cfg, beta=None))[2]
+    if ladder is None:
+        R_values = np.geomspace(6e3, 6e4, 5)
+    else:  # in the alpha window that orbit growth fits
+        w = _window(cfg, report, h, "alpha-window", check="capacity")
+        if w is None:
+            return
+        # a decade from 2,700 lo keeps the constants' fit range
+        # [lam_min / 3, 4/3 R_max] = [3 lo, 36,000 lo] inside the window
+        R_values = np.geomspace(2.7e3 * w[2].lo, 2.7e4 * w[2].lo, 5)
     s = table()
     k = 1.0 + 2.0 * cfg.alpha
-
-    R_values = np.geomspace(6e3, 6e4, 5)
     ratios = np.geomspace(3.0, 300.0, 10)
     profile = build_capacity_profile(s, R_values, ratios)
-    path = os.path.join(cfg.outdir, "capacity.csv")
-    write_csv(path, ["R", "lambda", "cap"], profile.samples)
-    report.artifacts.append(path)
+    _write_csv(cfg, report, "capacity.csv", ["R", "lambda", "cap"], profile.samples)
     report.add("capacity-monotone", profile.check_monotone())
 
     lam_min = float(min(R / q for R in R_values for q in ratios))
@@ -378,19 +378,15 @@ def _run_capacity(cfg: RunConfig, report: RunReport, ladder, h, table):
     slope = box_dimension_fit(profile)
     report.add("box-dimension", abs(slope - k) <= 0.2, margin=slope,
                details=f"expected {k} +- 0.2")
-    fit_path = os.path.join(cfg.outdir, "capacity_fit.csv")
-    resid = abs(slope - k)
-    write_csv(fit_path, ["k_hat", "c1_hat", "c2_hat", "residual"], [(slope, c1, c2, resid)])
-    report.artifacts.append(fit_path)
+    _write_csv(cfg, report, "capacity_fit.csv", ["k_hat", "c1_hat", "c2_hat", "residual"],
+               [(slope, c1, c2, abs(slope - k))])
 
     R0 = float(R_values[len(R_values) // 2])
     upper = 3.0 ** (k + 1) * c2 / c1 * R0**k
     lower = c1**2 / (3.0 ** (k + 1) * c2**2) * R0**k
-    ok = True
-    for delta in (R0 / 10, R0 / 30, R0 / 100, R0 / 300):
-        content = hausdorff_content(s, k, R0, delta)
-        ok = ok and (lower <= content <= upper)
-    report.add("content-bounds", ok, details=f"R={R0:g}, four covering scales")
+    contents = [hausdorff_content(s, k, R0, R0 / q) for q in (10, 30, 100, 300)]
+    report.add("content-bounds", all(lower <= c <= upper for c in contents),
+               details=f"R={R0:g}, four covering scales")
 
 
 def _run_grushin(cfg: RunConfig, report: RunReport, ladder, h, table):
@@ -408,9 +404,8 @@ def _run_grushin(cfg: RunConfig, report: RunReport, ladder, h, table):
                              seed=cfg.seed)
     if rep.refit:
         report.add("rescaling-ladder-refit", True, flagged=True, details=rep.refit)
-    path = os.path.join(cfg.outdir, "grushin_convergence.csv")
-    write_csv(path, ["lambda", "max_rel_err"], list(zip(rep.lambdas, rep.max_rel_errors)))
-    report.artifacts.append(path)
+    _write_csv(cfg, report, "grushin_convergence.csv", ["lambda", "max_rel_err"],
+               list(zip(rep.lambdas, rep.max_rel_errors)))
     # one comparison per factor and probe pair
     compared = len(rep.lambdas) * cfg.probe_pairs
     report.add("rescaling-error-final", rep.final_error() < 0.05, margin=rep.final_error(),

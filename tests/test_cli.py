@@ -309,7 +309,9 @@ def test_pure_full_suite_draws_at_the_threshold_k(tmp_path, capsys):
 ])
 def test_grushin_below_half_is_a_flagged_check(tmp_path, capsys, args):
     # no Grushin target below decay exponent 1/2: the step reports a flagged
-    # check, and the steps before it keep their checks and report.json
+    # check, and the steps before it keep their checks and report.json.  The
+    # osc alpha = 0.4 ladder has no second alpha piece below 1e40, so its
+    # capacity step has no window and is flagged too
     code = run_cli([*args, "--outdir", str(tmp_path), "--cache-dir", str(tmp_path / "cache")])
     out = capsys.readouterr().out
     assert code == 0
@@ -320,7 +322,9 @@ def test_grushin_below_half_is_a_flagged_check(tmp_path, capsys, args):
     assert not (tmp_path / "grushin_convergence.csv").exists()
     if args[0] == "full-suite":
         names = {c["name"] for c in checks}
-        assert {"ricci-oracle-agreement", "capacity-monotone", "box-dimension"} <= names
+        capacity = ({"capacity-unavailable"} if "--beta" in args
+                    else {"capacity-monotone", "box-dimension"})
+        assert {"ricci-oracle-agreement", *capacity} <= names
 
 
 def test_broken_arc_bound_is_a_failed_check(tmp_path, capsys, monkeypatch):
@@ -424,9 +428,9 @@ def _checks(outdir):
 
 def test_full_suite_with_a_ladder_cut_before_its_first_junction(tmp_path, capsys):
     # at bound 200 the first junction R12 = 1e6 is past the bound: h is the
-    # pure alpha piece, with no junction to check, no window to fit and no
-    # blend, so its Grushin stretch is the whole axis and the configured
-    # factors fit it
+    # pure alpha piece, with no junction to check, no window to fit or count
+    # capacities in and no blend, so its Grushin stretch is the whole axis
+    # and the configured factors fit it
     code = run_cli(["full-suite", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3", "--B", "1.5",
                     "--radius-bound", "200", "--outdir", str(tmp_path / "run"),
                     "--cache-dir", str(tmp_path / "cache")])
@@ -436,8 +440,30 @@ def test_full_suite_with_a_ladder_cut_before_its_first_junction(tmp_path, capsys
     assert (checks["junction-continuity"]["status"], checks["junction-continuity"]["details"]) == (
         "pass", "0 junctions")
     assert {name for name, c in checks.items() if c["status"] == "flagged"} == {
-        "ladder-truncated", "alpha-window-unavailable", "beta-window-unavailable"}
+        "ladder-truncated", "alpha-window-unavailable", "beta-window-unavailable",
+        "capacity-unavailable"}
     assert [name for name, c in checks.items() if c["status"] == "fail"] == []
+
+
+@pytest.mark.parametrize("args, why", [
+    (["--radius-bound", "1e7"], "no second alpha piece below radius bound 1e+07"),
+    (["--periods", "0"], "no second alpha piece below radius bound 1e+300"),
+    (["--R11", "1e5"], "the index window of S=2.5e+92 reaches e^931.933, past the double range"),
+], ids=["bound-1e7", "periods-0", "R11-1e5"])
+def test_oscillating_capacity_without_an_alpha_window_is_flagged(tmp_path, capsys, args, why):
+    # capacity counts in the alpha window orbit growth fits: with no second
+    # alpha piece below the bound, or a window past the double range, it
+    # reports one flagged check with the reason and writes no CSV
+    code = run_cli(["capacity", "--alpha", "0.6", "--beta", "1.2", "--A", "0.3", "--B", "1.5",
+                    *args, "--outdir", str(tmp_path / "run"), "--cache-dir",
+                    str(tmp_path / "cache")])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"[FLAG] capacity-unavailable ({why})\n")
+    checks = json.loads((tmp_path / "run" / "report.json").read_text())["checks"]
+    assert [(c["name"], c["status"], c["details"]) for c in checks] == [
+        ("capacity-unavailable", "flagged", why)]
+    assert list((tmp_path / "run").glob("*.csv")) == []
+    assert not (tmp_path / "cache").exists()
 
 
 def test_orbit_window_past_the_double_range_is_flagged(tmp_path, capsys):

@@ -22,11 +22,15 @@ from warplab.warping import power_decay_h, standard_f
 OSC = {"alpha": 0.6, "beta": 1.2, "A": 0.3, "B": 1.5}
 
 
+def _perfbench():
+    """perfbench/run.py's namespace, read as a script (it is no package)."""
+    return runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "run.py"))
+
+
 def workload_flagged(name):
     """The flagged set perfbench/run.py expects of a correct run of the
     workload name, read from its WORKLOADS table."""
-    bench = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
-    return runpy.run_path(str(bench))["WORKLOADS"][name].flagged
+    return _perfbench()["WORKLOADS"][name].flagged
 
 
 def test_write_csv_repr_floats(tmp_path):
@@ -257,22 +261,24 @@ def _cache_key(alpha, quad_rel_tol=1e-9):
     return os.path.basename(_pure_cache("", alpha, quad_rel_tol).path)
 
 
-def test_capacity_rows_keyed_to_the_pure_model(tmp_path, cache_dir):
-    # capacity runs the pure alpha model: its d_1 and its 90 counts are filed
-    # under the pure model's key
-    osc = parse_config(None, {"mode": "capacity", **OSC, "outdir": str(tmp_path),
+def test_oscillating_capacity_files_no_record(tmp_path, cache_dir):
+    # capacity counts on the oscillating model's own table, which has no
+    # cache: the run writes its capacity CSVs and leaves no cache directory
+    osc = parse_config(None, {"mode": "capacity", **OSC, "outdir": str(tmp_path / "out"),
                               "cache_dir": cache_dir})
-    run(osc)
-    assert os.listdir(cache_dir) == [_cache_key(0.6)]
-    records = _pure_cache(cache_dir, 0.6).load()
-    assert records.distances and len(records.counts) == 90
+    report = run(osc)
+    assert [c.name for c in report.checks] == [
+        "capacity-monotone", "capacity-sandwich", "box-dimension", "content-bounds"]
+    assert not report.failed
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == [
+        "capacity.csv", "capacity_fit.csv"]
+    assert not os.path.exists(cache_dir)
 
 
 def test_pure_cache_is_keyed_by_alpha_and_tolerance_only(tmp_path, cache_dir):
     # a pure model's distances and counts depend on alpha and the arc
     # tolerance alone: runs that differ in R11, periods or radius_bound share
-    # one file, and so does an oscillating run's capacity table; another
-    # alpha or tolerance writes a file of its own
+    # one file; another alpha or tolerance writes a file of its own
     def capacity_run(tag, **model):
         run(parse_config(None, {"mode": "capacity", **model, "outdir": str(tmp_path / tag),
                                 "cache_dir": cache_dir}))
@@ -283,7 +289,6 @@ def test_pure_cache_is_keyed_by_alpha_and_tolerance_only(tmp_path, cache_dir):
     assert capacity_run("R11", alpha=0.6, R11=300.0) == shared
     assert capacity_run("periods", alpha=0.6, periods=5) == shared
     assert capacity_run("bound", alpha=0.6, radius_bound=1e40) == shared
-    assert capacity_run("osc", **OSC, radius_bound=1e40) == shared
     other_alpha = _cache_key(0.7)
     assert capacity_run("alpha", alpha=0.7) == sorted(shared + [other_alpha])
     loose = _cache_key(0.6, 1e-8)
@@ -365,8 +370,10 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     # panels before a turning panel share one error budget (2,675 rules).
     # Capacity counts and strides by one inversion each, where it searched
     # the table's distances: 1,572 arcs (1,973) and 2,035 rules (2,674).
-    # Each budget is the count plus 5 %.  The run's flagged set is the one
-    # perfbench's osc-suite-cold gate expects, and no check fails
+    # It counts on the run's own table, where it built the pure alpha
+    # model's: 1,277 arcs and 1,667 rules.  Each budget is the count plus
+    # 5 %.  The run's flagged set is the one perfbench's osc-suite-cold gate
+    # expects, and no check fails
     from warplab import grushin, halfplane, numerics
 
     calls = []
@@ -418,8 +425,8 @@ def test_oscillating_full_suite_arc_budget(tmp_path, cache_dir, monkeypatch):
     assert not report.failed
     assert {c.name for c in report.checks if c.status == "flagged"} == workload_flagged(
         "osc-suite-cold")
-    assert len(calls) <= 1651
-    assert len(rules) <= 2137
+    assert len(calls) <= 1341
+    assert len(rules) <= 1751
     assert len(turning) <= 2
     assert len(equal_t) == 40 and sum(equal_t) <= 9 * len(equal_t)
 
@@ -433,7 +440,10 @@ def test_oscillating_rules_per_arc_kind(tmp_path, cache_dir, monkeypatch):
     # value; 707 now, with a ceiling).  The pure, Grushin and rescaled arcs
     # have one panel each, so their counts stay exactly as they were, except
     # that capacity's pure arcs fell from 1,148 arcs and 1,564 rules when its
-    # strides and ball indices came from searches over table distances
+    # strides and ball indices came from searches over table distances.
+    # Capacity counts on the smoothed h since it stopped building the pure
+    # alpha model (747 arcs and 925 rules): 452 more smoothed-h arcs, and
+    # 1,263 smoothed-h rules under a ceiling of that count plus 5 %
     from warplab import halfplane, numerics
 
     arcs, rules, kind = Counter(), Counter(), []
@@ -456,10 +466,9 @@ def test_oscillating_rules_per_arc_kind(tmp_path, cache_dir, monkeypatch):
     cfg = parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
                               "outdir": str(tmp_path), "cache_dir": cache_dir})
     assert not run(cfg).failed
-    assert arcs == {"smoothed-h": 421, "power-decay-h(p=0.6)": 747,
-                    "grushin-h(alpha=0.6)": 163, "rescaled": 241}
-    assert rules.pop("smoothed-h") <= 760
-    assert rules == {"power-decay-h(p=0.6)": 925, "grushin-h(alpha=0.6)": 163, "rescaled": 241}
+    assert arcs == {"smoothed-h": 873, "grushin-h(alpha=0.6)": 163, "rescaled": 241}
+    assert rules.pop("smoothed-h") <= 1326
+    assert rules == {"grushin-h(alpha=0.6)": 163, "rescaled": 241}
 
 
 def test_oscillating_full_suite(tmp_path, cache_dir):
@@ -470,12 +479,14 @@ def test_oscillating_full_suite(tmp_path, cache_dir):
     assert not report.failed
     flagged = {c.name for c in report.checks if c.status == "flagged"}
     assert flagged == {"ladder-truncated", "rescaling-ladder-refit"}
+    # only a pure model's table has a cache: this run makes no directory for one
+    assert not os.path.exists(cache_dir)
     # every CSV byte is pinned: a change of the numerics that moves one
     # re-pins it here and lists the move in CHANGES.md
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert digests == {
-        "capacity.csv": "dfd067a26ca54779084a3712c095a4070b470bc3fc66d9aae73fe24f7eb4ff18",
-        "capacity_fit.csv": "9d8f17c86c1d6ef4a9977781e76a38c97f87292f4dd2a33c614202abffb8f509",
+        "capacity.csv": "f79f75336c6cb9c9c90a9f090522af339d6edb803c0bcd697d82a0aa2357015a",
+        "capacity_fit.csv": "7af8d12fc39150a45e5e9fd447035eb9c37102e56a00f0fee6732c556801da7d",
         "growth_alpha-window.csv":
             "43acd8cf7f33e980f66ff756de35fd3777aa10ee09b4856b557991a9e0d1b326",
         "growth_beta-window.csv":
@@ -540,12 +551,14 @@ def test_full_suite_checks_cold_and_warm(tmp_path):
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(cold, warm))
     assert n == 64
     assert h.hexdigest() == (
-        "0f0509d19c4c602d2de121d6ee8d37897214802e92f79ec5e460517e7ee001e8")
+        "3d913fd40bd4c6fbe695b4bc18e2e7f5d177dbd4e279fed664821ebbe0565ebd")
 
 
 def test_one_model_build_per_run(tmp_path, monkeypatch):
     # a run builds its model, metric and orbit table once: one ladder per osc
-    # full suite (4 when each step built its own), one strict-decrease scan
+    # full suite (4 when each step built its own) and one strict-decrease
+    # scan, of its smoothed h, with no cache load (2 scans and a load when
+    # capacity built the pure alpha model's table), one strict-decrease scan
     # in a cold pure full suite and one cache load in a warm one (2 each when
     # orbit growth and capacity each built a metric), and one Grushin
     # halfplane per run, which the rescaling comparison and the
@@ -577,7 +590,8 @@ def test_one_model_build_per_run(tmp_path, monkeypatch):
                                 "cache_dir": str(tmp_path / "cache")}))
         return dict(counts)
 
-    assert run_counted("full-suite", **OSC, radius_bound=1e40)["ladder"] == 1
+    osc = run_counted("full-suite", **OSC, radius_bound=1e40)
+    assert (osc["ladder"], osc["scan"], osc["load"]) == (1, 1, 0)
     cold = run_counted("full-suite", alpha=0.5)
     assert (cold["scan"], cold["load"]) == (1, 1)
     assert run_counted("full-suite", alpha=0.5)["load"] == 1
@@ -586,6 +600,62 @@ def test_one_model_build_per_run(tmp_path, monkeypatch):
     assert run_counted("grushin-compare", alpha=0.5)["load"] == 0
     assert run_counted("orbit-growth", alpha=0.5)["load"] == 1
     assert run_counted("grushin-compare", alpha=0.5)["grushin"] == 1
+
+
+def test_oscillating_run_computes_on_its_own_model(tmp_path, monkeypatch):
+    # every halfplane metric of an osc 1e40 full suite reads the run's
+    # smoothed h (its orbit table), the Grushin target's h or a rescaled
+    # model of the smoothed h; none reads a pure power-decay h
+    from warplab import grushin, halfplane, smoothing
+
+    built, read = [], []
+    real_build, real_init = smoothing.build_oscillating_h, halfplane.HalfplaneMetric.__init__
+
+    def build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def init(m, h, label="halfplane", **kwargs):
+        read.append((h, label))
+        real_init(m, h, label, **kwargs)
+
+    monkeypatch.setattr(smoothing, "build_oscillating_h", build)
+    monkeypatch.setattr(halfplane.HalfplaneMetric, "__init__", init)
+    assert not run(parse_config(None, {"mode": "full-suite", **OSC, "radius_bound": 1e40,
+                                       "outdir": str(tmp_path / "out"),
+                                       "cache_dir": str(tmp_path / "cache")})).failed
+    ((_, sm),) = built
+
+    def source(h, label):
+        if h is sm:
+            return "smoothed-h"
+        if isinstance(h, grushin.RescaledModel) and h.h is sm:
+            return "rescaled"
+        return label
+
+    assert Counter(source(*r) for r in read) == {"smoothed-h": 1, "grushin-h(alpha=0.6)": 1,
+                                                 "rescaled": 3}
+
+
+@pytest.mark.parametrize("name", ["osc-suite-cold", "pure-suite-warm"])
+def test_workload_check_count_matches_perfbench(tmp_path, name):
+    # perfbench charges a crashed process with its workload's `checks`, the
+    # count of a correct run: perfbench's own op_checks on a CLI run of the
+    # workload's argv must pass them all and count exactly that many
+    from warplab.cli import main
+
+    bench = _perfbench()
+    w = bench["WORKLOADS"][name]
+    cache = str(tmp_path / "cache")
+    if w.warm:  # perfbench's untimed set-up fills the cache first
+        assert main([*w.argv, "--outdir", str(tmp_path / "setup"), "--cache-dir", cache]) == 0
+    rc = main([*w.argv, "--outdir", str(tmp_path / "run"), "--cache-dir", cache])
+    op = bench["Op"](traced=False, wall_s=0.0, raw_wall_s=0.0, rc=rc, setup_s=0.0,
+                     report=json.loads((tmp_path / "run" / "report.json").read_text()),
+                     digest="", cache_untouched=True if w.warm else None)
+    checks = bench["op_checks"](w, op, "", "")
+    assert [check for check, ok in checks if not ok] == []
+    assert len(checks) == w.checks
 
 
 # -- the ricci-check step's curve writer and closed-form samples ----------------

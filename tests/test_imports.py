@@ -385,6 +385,8 @@ def test_oscillating_full_suite_loads_the_construction(tmp_path):
     assert {f"warplab.{c}" for c in CONSTRUCTION} <= mods
     assert "mpmath" not in mods
     assert sorted(mods & {"hashlib", "_hashlib"}) == []
+    # only a pure model's orbit table has a cache
+    assert "warplab.cache" not in mods
 
 
 def test_oscillating_full_suite_runs_where_mpmath_cannot_load(tmp_path):
